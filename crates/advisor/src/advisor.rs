@@ -222,8 +222,10 @@ impl Advisor {
     }
 
     /// Runs one step if at least `step_every` statements were applied
-    /// since the last one — the cadence used when the advisor is
-    /// piggybacked on the update path (see [`AdvisedTable`]).
+    /// since the last one — call it after every update statement to
+    /// piggyback the advisor on the update path (the same cadence
+    /// contract as the `MaintenancePolicy`'s automatic recompute/condense
+    /// pass, extended to the whole index lifecycle).
     pub fn maybe_step(&mut self, it: &mut IndexedTable) -> Vec<AdvisorAction> {
         if it.statements() - self.last_step_statements < self.cfg.step_every {
             return Vec::new();
@@ -524,100 +526,4 @@ fn hypothetical_benefit(
     };
     let rewritten = rewrite(reference.clone(), &cat.indexes[0]);
     (cost::estimate(&reference, &cat) - cost::estimate(&rewritten, &cat)).max(0.0)
-}
-
-/// An [`IndexedTable`] with the advisor piggybacked on the update path:
-/// every insert/modify/delete funnels through, and once
-/// [`AdvisorConfig::step_every`] statements accumulated, the next update
-/// triggers an advisor step — the same cadence contract as the
-/// `MaintenancePolicy`'s automatic recompute/condense pass, extended to
-/// the whole index lifecycle.
-pub struct AdvisedTable {
-    inner: IndexedTable,
-    advisor: Advisor,
-    actions: Vec<AdvisorAction>,
-}
-
-impl AdvisedTable {
-    /// Wraps a table; discovery sampling starts immediately.
-    pub fn new(mut inner: IndexedTable, cfg: AdvisorConfig) -> Self {
-        if !inner.sampling_enabled() {
-            inner.enable_discovery_sampling(cfg.sample_cap);
-        }
-        AdvisedTable {
-            inner,
-            advisor: Advisor::new(cfg),
-            actions: Vec::new(),
-        }
-    }
-
-    /// Inserts rows, then possibly steps the advisor.
-    pub fn insert(&mut self, rows: &[Vec<pi_storage::Value>]) -> Vec<pi_storage::RowAddr> {
-        let addrs = self.inner.insert(rows);
-        self.advise();
-        addrs
-    }
-
-    /// Modifies rows, then possibly steps the advisor.
-    pub fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[pi_storage::Value]) {
-        self.inner.modify(pid, rids, col, values);
-        self.advise();
-    }
-
-    /// Deletes rows, then possibly steps the advisor.
-    pub fn delete(&mut self, pid: usize, rids: &[usize]) {
-        self.inner.delete(pid, rids);
-        self.advise();
-    }
-
-    fn advise(&mut self) {
-        let new = self.advisor.maybe_step(&mut self.inner);
-        self.actions.extend(new);
-    }
-
-    /// Forces one advisor step now.
-    pub fn step(&mut self) -> Vec<AdvisorAction> {
-        let new = self.advisor.step(&mut self.inner);
-        self.actions.extend(new.iter().cloned());
-        new
-    }
-
-    /// Every action the advisor took so far, in order.
-    pub fn actions(&self) -> &[AdvisorAction] {
-        &self.actions
-    }
-
-    /// The wrapped table.
-    pub fn inner(&self) -> &IndexedTable {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped table (updates applied here bypass
-    /// the piggyback cadence until the next wrapped statement).
-    pub fn inner_mut(&mut self) -> &mut IndexedTable {
-        &mut self.inner
-    }
-
-    /// Unwraps.
-    pub fn into_inner(self) -> IndexedTable {
-        self.inner
-    }
-}
-
-impl pi_planner::QueryEngine for AdvisedTable {
-    fn plan_query(&mut self, plan: &Plan) -> Plan {
-        self.inner.plan_query(plan)
-    }
-
-    fn query(&mut self, plan: &Plan) -> pi_exec::Batch {
-        self.inner.query(plan)
-    }
-
-    fn query_count(&mut self, plan: &Plan) -> usize {
-        self.inner.query_count(plan)
-    }
-
-    fn query_traced(&mut self, plan: &Plan) -> (pi_exec::Batch, pi_obs::QueryTrace) {
-        self.inner.query_traced(plan)
-    }
 }

@@ -23,7 +23,7 @@
 //! * **Act** — decisions execute through
 //!   [`patchindex::IndexedTable`] (`add_index` / `recompute_index` /
 //!   `drop_index`), either on demand ([`Advisor::step`]) or piggybacked
-//!   on the update path ([`AdvisedTable`]).
+//!   on the update path ([`Advisor::maybe_step`] after each statement).
 //!
 //! ```
 //! use patchindex::{Constraint, IndexedTable};
@@ -58,7 +58,7 @@
 mod advisor;
 pub mod policy;
 
-pub use advisor::{AdvisedTable, Advisor, AdvisorAction};
+pub use advisor::{Advisor, AdvisorAction};
 pub use policy::{
     decide, split_budget, AdvisorConfig, CandidateObservation, Decision, DropReason,
     IndexObservation, Observation,
@@ -157,29 +157,28 @@ mod tests {
     }
 
     #[test]
-    fn advised_table_piggybacks_on_the_update_path() {
-        let mut at = AdvisedTable::new(
-            table((0..1_000).collect(), 2),
-            AdvisorConfig {
-                step_every: 4,
-                ..AdvisorConfig::default()
-            },
-        );
+    fn maybe_step_piggybacks_on_the_update_path() {
+        let mut it = table((0..1_000).collect(), 2);
+        let mut advisor = Advisor::new(AdvisorConfig {
+            step_every: 4,
+            ..AdvisorConfig::default()
+        });
+        it.enable_discovery_sampling(advisor.config().sample_cap);
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..3 {
-            at.query_count(&q);
+            it.query_count(&q);
         }
-        assert!(at.actions().is_empty());
         // Updates tick the cadence; the step fires mid-stream.
+        let mut actions = Vec::new();
         for i in 0..8i64 {
-            at.insert(&[vec![Value::Int(5_000 + i), Value::Int(100_000 + i)]]);
+            it.insert(&[vec![Value::Int(5_000 + i), Value::Int(100_000 + i)]]);
+            actions.extend(advisor.maybe_step(&mut it));
         }
         assert!(
-            matches!(at.actions(), [AdvisorAction::Created { .. }]),
-            "{:?}",
-            at.actions()
+            matches!(actions[..], [AdvisorAction::Created { .. }]),
+            "{actions:?}"
         );
-        at.inner().check_consistency();
+        it.check_consistency();
     }
 
     #[test]

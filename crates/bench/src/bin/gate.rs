@@ -77,15 +77,8 @@ const METRICS: &[Metric] = &[
         Dir::Higher,
         3.0,
     ),
-    // planner: per-partition ZBP must keep the patch flow confined and
-    // its edge over global-only pruning.
+    // planner: per-partition ZBP must keep the patch flow confined.
     m("planner", "zbp.use_patches_partitions", Dir::Lower, 1.0),
-    m(
-        "planner",
-        "zbp.speedup_per_partition_vs_global",
-        Dir::Higher,
-        2.0,
-    ),
     // advisor: the lifecycle trajectory (create/recompute/drop counts)
     // is behavioral; the indexed-query speedup is wall-clock.
     m("advisor", "actions.created", Dir::Higher, 1.0),

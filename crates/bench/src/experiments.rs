@@ -761,10 +761,10 @@ pub fn ext() -> String {
 /// catalog-driven planner buys.
 ///
 /// * **Per-partition ZBP**: a `PI_PLAN_PARTS`-partition nearly sorted
-///   table with all patches confined to partition 0. Global ZBP keeps the
-///   `use_patches` flow in *every* partition (total patches > 0); the
-///   per-partition lowering instantiates it only where patches live, so
-///   the other partitions run the clean single-stream pipeline.
+///   table with all patches confined to partition 0. Plan-level ZBP
+///   keeps the `use_patches` flow (total patches > 0); the per-partition
+///   lowering instantiates it only where patches live, so the other
+///   partitions run the clean single-stream pipeline.
 /// * **Multi-index selection**: one table, a NUC index on the id column
 ///   and an NSC index on the timestamp column; the `QueryEngine` facade
 ///   must bind the matching index per query and beat the no-index plan.
@@ -774,16 +774,13 @@ pub fn ext() -> String {
 pub fn planner() -> String {
     use patchindex::{IndexCatalog, IndexedTable};
     use pi_exec::ops::sort::SortOrder;
-    use pi_planner::{
-        execute_count, execute_count_with, optimize, prune_for_partition, Plan, Pruning,
-        QueryEngine,
-    };
+    use pi_planner::{execute_count, optimize, prune_for_partition, Plan, QueryEngine};
 
     let parts = env_usize("PI_PLAN_PARTS", 16);
     let rows = env_usize("PI_PLAN_ROWS", 50_000);
     let patches = env_usize("PI_PLAN_PATCHES", 512).min(rows / 2);
 
-    // ---- per-partition vs global ZBP on a skewed-patch table ----------
+    // ---- per-partition ZBP on a skewed-patch table --------------------
     let mut t = pi_storage::Table::new(
         "skewed",
         pi_storage::Schema::new(vec![pi_storage::Field::new(
@@ -822,13 +819,6 @@ pub fn planner() -> String {
         keys: vec![(0, pi_exec::ops::sort::SortOrder::Asc)],
     };
     let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &indexes), true);
-    // Under global pruning every partition instantiates whatever flows
-    // survived plan-level ZBP.
-    let global_flow_parts = if opt.to_string().contains("use_patches") {
-        parts
-    } else {
-        0
-    };
     let patch_flow_parts = (0..parts)
         .filter(|&pid| {
             prune_for_partition(&opt, &t, &indexes, pid)
@@ -841,17 +831,8 @@ pub fn planner() -> String {
     let t_ref = time_best(3, || {
         assert_eq!(execute_count(&plan, &t, pi_planner::NO_INDEXES), expected)
     });
-    let t_global = time_best(3, || {
-        assert_eq!(
-            execute_count_with(&opt, &t, &indexes, Pruning::Global),
-            expected
-        )
-    });
     let t_local = time_best(3, || {
-        assert_eq!(
-            execute_count_with(&opt, &t, &indexes, Pruning::PerPartition),
-            expected
-        )
+        assert_eq!(execute_count(&opt, &t, &indexes), expected)
     });
 
     let mut out = format!(
@@ -860,20 +841,11 @@ pub fn planner() -> String {
     let mut table = TablePrinter::new(&["config", "filtered sort [s]", "use_patches partitions"]);
     table.row(vec!["no index".into(), secs(t_ref), "-".into()]);
     table.row(vec![
-        "global ZBP".into(),
-        secs(t_global),
-        global_flow_parts.to_string(),
-    ]);
-    table.row(vec![
         "per-partition ZBP".into(),
         secs(t_local),
         patch_flow_parts.to_string(),
     ]);
     out.push_str(&table.render());
-    let zbp_speedup = t_global.as_secs_f64() / t_local.as_secs_f64().max(1e-9);
-    out.push_str(&format!(
-        "per-partition vs global ZBP speedup: {zbp_speedup:.2}x\n"
-    ));
 
     // ---- multi-index selection quality --------------------------------
     let sel_rows = rows.min(20_000);
@@ -994,12 +966,10 @@ pub fn planner() -> String {
     let json = format!(
         "{{\n  \"experiment\": \"planner\",\n  \"config\": {{\"partitions\": {parts}, \
          \"rows_per_partition\": {rows}, \"patches\": {patches}}},\n  \"zbp\": {{\
-         \"no_index_s\": {:.6}, \"global_zbp_s\": {:.6}, \"per_partition_zbp_s\": {:.6}, \
-         \"use_patches_partitions\": {patch_flow_parts}, \
-         \"speedup_per_partition_vs_global\": {zbp_speedup:.3}}},\n  \
+         \"no_index_s\": {:.6}, \"per_partition_zbp_s\": {:.6}, \
+         \"use_patches_partitions\": {patch_flow_parts}}},\n  \
          \"selection\": [\n{}\n  ]\n}}\n",
         t_ref.as_secs_f64(),
-        t_global.as_secs_f64(),
         t_local.as_secs_f64(),
         sel_json.join(",\n")
     );

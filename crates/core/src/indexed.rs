@@ -21,6 +21,7 @@ use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
 use crate::maintenance::ProbeStrategy;
 use crate::sampling::Reservoir;
+use crate::snapshot::WorkloadEvent;
 
 /// When index maintenance runs relative to the update statements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -273,22 +274,31 @@ impl IndexedTable {
         self.catalog_rebuilds
     }
 
-    /// The snapshot a query should plan against. Plans consulting
-    /// distinct statistics get the cached full catalog (building it on
-    /// first use after a mutation) as a **borrow** — repeated queries
-    /// between updates pay neither the snapshot nor a clone of it;
-    /// other plans reuse the warm cache the same way and otherwise take
-    /// an owned counts-only snapshot — pure counter reads, never the
-    /// distinct-patch hash pass.
+    /// What a query plans and executes against: the table, the index
+    /// handles, and the catalog describing them — returned together
+    /// because the catalog borrow would otherwise lock `self`. Plans
+    /// consulting distinct statistics get the cached full catalog
+    /// (building it on first use after a mutation) as a **borrow** —
+    /// repeated queries between updates pay neither the snapshot nor a
+    /// clone of it; other plans reuse the warm cache the same way and
+    /// otherwise take an owned counts-only snapshot — pure counter reads,
+    /// never the distinct-patch hash pass.
     pub fn query_catalog(
         &mut self,
         with_distinct_stats: bool,
-    ) -> std::borrow::Cow<'_, IndexCatalog> {
-        if with_distinct_stats || self.catalog_cache.is_some() {
-            std::borrow::Cow::Borrowed(self.cached_catalog())
-        } else {
-            std::borrow::Cow::Owned(IndexCatalog::counts_only(&self.table, &self.indexes))
+    ) -> (
+        &Table,
+        &[Arc<PatchIndex>],
+        std::borrow::Cow<'_, IndexCatalog>,
+    ) {
+        if with_distinct_stats {
+            self.cached_catalog();
         }
+        let catalog = match &self.catalog_cache {
+            Some(cached) => std::borrow::Cow::Borrowed(cached),
+            None => std::borrow::Cow::Owned(IndexCatalog::counts_only(&self.table, &self.indexes)),
+        };
+        (&self.table, &self.indexes, catalog)
     }
 
     fn invalidate_catalog(&mut self) {
@@ -331,6 +341,42 @@ impl IndexedTable {
         Arc::make_mut(&mut self.indexes[slot]).record_query_timing(actual_micros, est_cost);
         if let Some(cache) = &mut self.catalog_cache {
             cache.indexes[slot].feedback = self.indexes[slot].query_feedback();
+        }
+    }
+
+    /// Applies one piece of workload evidence: a query-log shape, or
+    /// feedback / a measured timing for the index on the event's
+    /// `(column, constraint)`. The query facade applies an owner query's
+    /// evidence through this immediately; [`crate::TableWriter::absorb_feedback`]
+    /// applies what snapshot readers reported. Events naming a `(column,
+    /// constraint)` without a live index (dropped since) are discarded.
+    pub fn apply_workload_event(&mut self, event: WorkloadEvent) {
+        let slot_of = |it: &Self, column: usize, constraint: Constraint| {
+            it.indexes
+                .iter()
+                .position(|idx| idx.column() == column && idx.constraint() == constraint)
+        };
+        match event {
+            WorkloadEvent::Query { col, shape } => self.record_query(col, shape),
+            WorkloadEvent::Feedback {
+                column,
+                constraint,
+                est_cost_saved,
+            } => {
+                if let Some(slot) = slot_of(self, column, constraint) {
+                    self.record_query_feedback(slot, est_cost_saved);
+                }
+            }
+            WorkloadEvent::Timing {
+                column,
+                constraint,
+                actual_micros,
+                est_cost,
+            } => {
+                if let Some(slot) = slot_of(self, column, constraint) {
+                    self.record_query_timing(slot, actual_micros, est_cost);
+                }
+            }
         }
     }
 

@@ -124,16 +124,23 @@ impl WorkloadSink {
     /// Most events buffered between drains; see the type docs.
     pub const CAPACITY: usize = 1 << 16;
 
-    /// Records one event (readers call this concurrently). Dropped
-    /// silently once the buffer is full — see the type docs.
-    pub fn record(&self, event: WorkloadEvent) {
-        let mut events = self.events.lock();
-        if events.len() < Self::CAPACITY {
-            events.push(event);
-        } else {
-            drop(events);
+    /// Records one query's events under a single lock (readers call this
+    /// concurrently). Events arriving once the buffer is full are counted
+    /// and dropped — see the type docs.
+    pub fn record(&self, events: impl IntoIterator<Item = WorkloadEvent>) {
+        let mut buffered = self.events.lock();
+        let mut dropped = 0;
+        for event in events {
+            if buffered.len() < Self::CAPACITY {
+                buffered.push(event);
+            } else {
+                dropped += 1;
+            }
+        }
+        drop(buffered);
+        if dropped > 0 {
             self.dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                .fetch_add(dropped, std::sync::atomic::Ordering::Relaxed);
         }
     }
 
@@ -586,36 +593,8 @@ impl TableWriter {
         if events.is_empty() {
             return;
         }
-        let slot_of = |staging: &IndexedTable, column: usize, constraint: Constraint| {
-            staging
-                .indexes()
-                .iter()
-                .position(|idx| idx.column() == column && idx.constraint() == constraint)
-        };
         for event in events {
-            match event {
-                WorkloadEvent::Query { col, shape } => self.staging.record_query(col, shape),
-                WorkloadEvent::Feedback {
-                    column,
-                    constraint,
-                    est_cost_saved,
-                } => {
-                    if let Some(slot) = slot_of(&self.staging, column, constraint) {
-                        self.staging.record_query_feedback(slot, est_cost_saved);
-                    }
-                }
-                WorkloadEvent::Timing {
-                    column,
-                    constraint,
-                    actual_micros,
-                    est_cost,
-                } => {
-                    if let Some(slot) = slot_of(&self.staging, column, constraint) {
-                        self.staging
-                            .record_query_timing(slot, actual_micros, est_cost);
-                    }
-                }
-            }
+            self.staging.apply_workload_event(event);
         }
     }
 
@@ -864,10 +843,10 @@ mod tests {
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
-        handle.snapshot().sink().record(WorkloadEvent::Query {
+        handle.snapshot().sink().record([WorkloadEvent::Query {
             col: 1,
             shape: QueryShape::Distinct,
-        });
+        }]);
         // Query-shape evidence mutates only the writer's query log, so
         // the publish is still skipped — but the evidence is absorbed.
         assert_eq!(writer.publish(), 0);
@@ -878,12 +857,12 @@ mod tests {
 
         // Timing evidence mutates the index version (copy-on-write), so
         // the next publish is real.
-        handle.snapshot().sink().record(WorkloadEvent::Timing {
+        handle.snapshot().sink().record([WorkloadEvent::Timing {
             column: 1,
             constraint: Constraint::NearlyUnique,
             actual_micros: 9.0,
             est_cost: 3.0,
-        });
+        }]);
         assert_eq!(writer.publish(), 1);
     }
 
@@ -1027,27 +1006,27 @@ mod tests {
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
         let snap = handle.snapshot();
-        snap.sink().record(WorkloadEvent::Query {
+        snap.sink().record([WorkloadEvent::Query {
             col: 1,
             shape: QueryShape::Distinct,
-        });
-        snap.sink().record(WorkloadEvent::Feedback {
+        }]);
+        snap.sink().record([WorkloadEvent::Feedback {
             column: 1,
             constraint: Constraint::NearlyUnique,
             est_cost_saved: 42.0,
-        });
-        snap.sink().record(WorkloadEvent::Timing {
+        }]);
+        snap.sink().record([WorkloadEvent::Timing {
             column: 1,
             constraint: Constraint::NearlyUnique,
             actual_micros: 12.5,
             est_cost: 100.0,
-        });
+        }]);
         // An event for an index that no longer exists is dropped quietly.
-        snap.sink().record(WorkloadEvent::Feedback {
+        snap.sink().record([WorkloadEvent::Feedback {
             column: 0,
             constraint: Constraint::NearlyConstant,
             est_cost_saved: 7.0,
-        });
+        }]);
         writer.absorb_feedback();
         assert!(writer.sink().is_empty());
         let it = writer.staging();
@@ -1065,19 +1044,19 @@ mod tests {
     fn sink_is_bounded() {
         let sink = WorkloadSink::default();
         for _ in 0..WorkloadSink::CAPACITY + 10 {
-            sink.record(WorkloadEvent::Query {
+            sink.record([WorkloadEvent::Query {
                 col: 0,
                 shape: QueryShape::Distinct,
-            });
+            }]);
         }
         assert_eq!(sink.len(), WorkloadSink::CAPACITY);
         assert_eq!(sink.dropped(), 10);
         assert_eq!(sink.drain().len(), WorkloadSink::CAPACITY);
         // Draining frees the budget again.
-        sink.record(WorkloadEvent::Query {
+        sink.record([WorkloadEvent::Query {
             col: 0,
             shape: QueryShape::Distinct,
-        });
+        }]);
         assert_eq!(sink.len(), 1);
     }
 

@@ -1,62 +1,70 @@
-//! The query facade: snapshot → (flush if required) → optimize → execute.
+//! The query facade and the one pipeline behind it.
 //!
 //! Before this existed, callers hand-wired planner and executor
 //! (`optimize(plan, info)` + `execute(plan, table, index)`) and could
 //! silently query stale pending state under deferred maintenance.
-//! [`QueryEngine::query`] encapsulates the whole pipeline:
+//! [`QueryEngine`] encapsulates the whole pipeline, and every entry
+//! point — owned table, writer staging table, snapshot with or without a
+//! result cache; rows, count or traced — runs the same `run` function
+//! over a borrowed view of the table:
 //!
-//! 1. snapshot the [`IndexCatalog`] (all indexes, per-partition stats),
-//! 2. optimize against the full catalog with zero-branch pruning,
-//! 3. apply the **NUC-disjointness rule** (see [`patchindex`]'s deferred
-//!    module): if the chosen plan binds a NUC index with staged deferred
-//!    maintenance, flush *that index* first — its disjointness invariant
-//!    is suspended while pending — and re-plan against the fresh counts.
-//!    NSC/NCC/exception flows stay exact while pending and never force a
-//!    flush,
-//! 4. lower with per-partition zero-branch pruning and execute.
+//! 1. **plan** — optimize against the view's [`IndexCatalog`] (all
+//!    indexes, per-partition stats) with plan-level zero-branch pruning.
+//!    If the chosen plan binds a NUC index with staged deferred
+//!    maintenance — its disjointness invariant is suspended while
+//!    pending — re-optimize with **just the pending NUC entries masked
+//!    out** of the catalog (the pending-NUC masking rule of
+//!    [`patchindex::snapshot`]): NSC/NCC/exception rewrites at other
+//!    sites stay exact while pending and survive, only the suspended
+//!    binding reverts. Feeds the `planner.*` registry counters.
+//! 2. **probe** — with a [`ResultCache`] attached, look the chosen plan's
+//!    canonical fingerprint up; the stored canonical bytes are compared,
+//!    not just the hash, so a hit is the exact answer.
+//! 3. **lower + execute** — on a miss (or without a cache), lower with
+//!    per-partition zero-branch pruning under a `TouchLog` and run to
+//!    rows or to a count.
+//! 4. **insert** — cache the result with its dependency footprint: the
+//!    partition versions the execution consulted plus every index
+//!    version the plan binds.
+//! 5. **evidence** — report what the advisor learns from the query as
+//!    [`WorkloadEvent`]s (rule table on [`QueryEngine`]).
+//! 6. **trace** — for a traced request, assemble the [`QueryTrace`].
 //!
-//! The facade is implemented for three table views:
+//! The table views differ only in how they hand out that view and where
+//! the evidence goes:
 //!
-//! * [`IndexedTable`] — the single-threaded owner path above;
-//! * [`TableSnapshot`] — concurrent readers. A snapshot is immutable, so
-//!   step 3 cannot flush; a chosen plan that binds a pending NUC index
-//!   is instead **re-optimized with just the pending NUC entries masked
-//!   out** of the catalog (the pending-NUC masking rule of
-//!   [`patchindex::snapshot`]), so NSC/NCC/exception rewrites at other
-//!   sites survive and only the suspended binding reverts. Catalogs are
-//!   precomputed at publish time, and workload evidence (query log,
-//!   feedback, measured timings) is reported to the snapshot's
-//!   [`WorkloadSink`] for the writer to absorb;
-//! * [`TableWriter`] — delegates to its staging [`IndexedTable`] (writer
-//!   queries see staged state immediately; flushes it performs become
-//!   visible to readers at the next publish).
-//!
-//! The executing entry points (`query` / `query_count`) additionally
-//! measure wall-clock execution time and feed the elapsed microseconds —
-//! next to the chosen plan's cost-model estimate — into each bound
-//! index's [`patchindex::QueryFeedback`], so the advisor can weigh *real*
-//! timings, not just estimates.
+//! * [`TableSnapshot`] — concurrent readers. Immutable, catalog
+//!   precomputed at publish time; evidence is pushed to the snapshot's
+//!   `WorkloadSink` (one lock per query) for the writer to absorb.
+//! * [`ConcurrentTable`] — each call runs on a freshly acquired snapshot.
+//! * [`IndexedTable`] — the single-threaded owner. It *can* flush, so
+//!   instead of letting step 1 mask a pending NUC binding it applies the
+//!   **NUC-disjointness rule** first: flush exactly the stale indexes the
+//!   plan would bind and re-plan against the fresh counts, until none is
+//!   stale. Evidence is applied to the table immediately, through the
+//!   same per-event function the writer's absorb uses.
+//! * [`TableWriter`] — its staging [`IndexedTable`] (writer queries see
+//!   staged state immediately; flushes they perform become visible to
+//!   readers at the next publish).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use patchindex::snapshot::WorkloadEvent;
 use patchindex::{
-    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexedTable, QueryShape,
-    ResultCache, SortDir, TableSnapshot, TableWriter,
+    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexStats, IndexedTable,
+    PatchIndex, QueryShape, ResultCache, SortDir, TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_exec::Batch;
-
-use pi_obs::{CacheOutcome, PlannerTrace, QueryTrace};
+use pi_exec::{collect, Batch};
+use pi_obs::{CacheOutcome, MetricsRegistry, PlannerTrace, QueryTrace};
+use pi_storage::Table;
 
 use crate::cost::estimate;
 use crate::fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 use crate::logical::Plan;
-use crate::optimizer::{optimize_with_stats, OptimizeStats};
-use crate::physical::{
-    execute, execute_count, execute_count_traced, execute_metered, execute_traced, ExecTrace,
-    TouchLog,
-};
+use crate::optimizer::{optimize, optimize_with_stats, OptimizeStats};
+use crate::physical::{count_rows, lower_global, ExecTrace, TouchLog};
 
 /// Every PatchScan slot the plan binds, sorted and deduplicated.
 fn bound_slots(plan: &Plan) -> Vec<usize> {
@@ -79,23 +87,25 @@ fn bound_slots(plan: &Plan) -> Vec<usize> {
     slots
 }
 
+/// A NUC index with staged deferred maintenance: its disjointness
+/// invariant is suspended until the flush.
+fn is_pending_nuc(e: &IndexStats) -> bool {
+    e.pending && e.constraint == Constraint::NearlyUnique
+}
+
 /// PatchScan slots whose binding requires the NUC disjointness invariant
 /// that a pending flush currently suspends.
 fn stale_nuc_slots(plan: &Plan, cat: &IndexCatalog) -> Vec<usize> {
     let mut slots = bound_slots(plan);
-    slots.retain(|&s| {
-        cat.by_slot(s)
-            .is_some_and(|e| e.pending && e.constraint == Constraint::NearlyUnique)
-    });
+    slots.retain(|&s| cat.by_slot(s).is_some_and(is_pending_nuc));
     slots
 }
 
 /// Collects the advisable (column, shape) sites of a reference plan — a
 /// single-column Distinct or Sort directly over a Scan is exactly the
 /// pattern the PatchIndex rewrites (and hence the advisor's create rule)
-/// can serve. The owner path records these into the table's query log;
-/// the snapshot path reports them to the sink.
-fn query_shapes(plan: &Plan, out: &mut Vec<(usize, QueryShape)>) {
+/// can serve.
+fn query_shapes(plan: &Plan, out: &mut Vec<WorkloadEvent>) {
     match plan {
         Plan::Distinct { input, cols } => {
             if let Plan::Scan {
@@ -104,7 +114,10 @@ fn query_shapes(plan: &Plan, out: &mut Vec<(usize, QueryShape)>) {
             {
                 if cols.len() == 1 {
                     if let Some(&col) = scan_cols.get(cols[0]) {
-                        out.push((col, QueryShape::Distinct));
+                        out.push(WorkloadEvent::Query {
+                            col,
+                            shape: QueryShape::Distinct,
+                        });
                     }
                 }
             }
@@ -121,7 +134,10 @@ fn query_shapes(plan: &Plan, out: &mut Vec<(usize, QueryShape)>) {
                             SortOrder::Asc => SortDir::Asc,
                             SortOrder::Desc => SortDir::Desc,
                         };
-                        out.push((col, QueryShape::Sort(dir)));
+                        out.push(WorkloadEvent::Query {
+                            col,
+                            shape: QueryShape::Sort(dir),
+                        });
                     }
                 }
             }
@@ -135,21 +151,100 @@ fn query_shapes(plan: &Plan, out: &mut Vec<(usize, QueryShape)>) {
     }
 }
 
-/// Catalog-driven planning and execution over an [`IndexedTable`].
+/// What a [`QueryEngine`] method asks the pipeline for.
+#[derive(Debug, Clone, Copy)]
+pub enum Request {
+    /// Plan only (`plan_query`).
+    Plan,
+    /// The result batch (`query`).
+    Rows,
+    /// The row count (`query_count`).
+    Count,
+    /// The result batch under EXPLAIN ANALYZE metering (`query_traced`).
+    Traced,
+}
+
+/// What one pipeline run produced.
+#[derive(Debug)]
+pub struct Outcome {
+    chosen: Plan,
+    /// `None` for [`Request::Plan`]; otherwise the shape the request's
+    /// mode names (served from the cache or freshly executed).
+    value: Option<CachedValue>,
+    /// `Some` for [`Request::Traced`].
+    trace: Option<QueryTrace>,
+    /// The query's workload evidence, for the caller to route: snapshots
+    /// sink it, the owner applies it.
+    events: Vec<WorkloadEvent>,
+}
+
+impl Outcome {
+    fn into_rows(self) -> Batch {
+        match self.value {
+            Some(CachedValue::Rows(rows)) => rows,
+            _ => unreachable!("a rows request yields rows"),
+        }
+    }
+
+    fn into_count(self) -> usize {
+        match self.value {
+            Some(CachedValue::Count(n)) => n as usize,
+            _ => unreachable!("a count request yields a count"),
+        }
+    }
+}
+
+/// Catalog-driven planning and execution over a table view.
 ///
-/// `&mut self` because planning may flush deferred maintenance (the
-/// NUC-disjointness rule); reference results for comparison can be
-/// computed side-effect-free via `execute(&plan, it.table(), &[] as &[PatchIndex])`.
+/// `&mut self` because the owner path may flush deferred maintenance (the
+/// NUC-disjointness rule); snapshots are internally `&self`. Reference
+/// results for comparison can be computed side-effect-free via
+/// `execute(&plan, it.table(), NO_INDEXES)`.
+///
+/// Implemented for [`IndexedTable`], [`TableWriter`], [`TableSnapshot`]
+/// and [`ConcurrentTable`]. The trait is sealed: its one required method
+/// speaks in types this crate does not export.
+///
+/// ## Evidence rules
+///
+/// | request                   | query-log shapes | feedback / bound slot | timing / bound slot |
+/// |---------------------------|------------------|-----------------------|---------------------|
+/// | `plan_query`              | –                | –                     | –                   |
+/// | executing call, cache hit | once             | –                     | –                   |
+/// | executing call, executed  | once             | once                  | once                |
+///
+/// `plan_query` is EXPLAIN-style inspection, so an EXPLAIN-then-run
+/// sequence must not double-count. A hit is demand (the advisor's create
+/// rule counts it) but executed nothing: feeding its ~0µs to the advisor
+/// would corrupt `micros_per_cost_unit()` calibration, so hits are
+/// tallied by the cache's own counters instead. Feedback is the
+/// estimated cost the chosen plan saves over the unrewritten one, timing
+/// the measured wall clock next to the chosen plan's estimate — both
+/// split evenly across the bound slots.
 pub trait QueryEngine {
-    /// Snapshots the catalog, flushes exactly the indexes the chosen plan
-    /// requires to be exact, and returns the final optimized plan.
-    /// Records no workload evidence (query log / feedback) — it is safe
-    /// for EXPLAIN-style inspection before running the query for real.
-    fn plan_query(&mut self, plan: &Plan) -> Plan;
+    /// Hands the pipeline a view of this table and routes the evidence
+    /// it reports — the one method a table view implements; every other
+    /// method is a request passed through it.
+    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome;
+
+    /// Returns the final optimized plan (on the owner path, after
+    /// flushing exactly the indexes it requires to be exact). Records no
+    /// workload evidence (query log / feedback) — it is safe for
+    /// EXPLAIN-style inspection before running the query for real.
+    fn plan_query(&mut self, plan: &Plan) -> Plan {
+        self.run_request(plan, Request::Plan).chosen
+    }
+
     /// Plans and executes, returning the result batch.
-    fn query(&mut self, plan: &Plan) -> Batch;
+    fn query(&mut self, plan: &Plan) -> Batch {
+        self.run_request(plan, Request::Rows).into_rows()
+    }
+
     /// Plans and executes, returning only the row count.
-    fn query_count(&mut self, plan: &Plan) -> usize;
+    fn query_count(&mut self, plan: &Plan) -> usize {
+        self.run_request(plan, Request::Count).into_count()
+    }
+
     /// Plans and executes under full EXPLAIN ANALYZE instrumentation:
     /// the result batch — byte-identical to [`QueryEngine::query`] —
     /// plus a [`QueryTrace`] carrying planner decisions (candidates
@@ -157,7 +252,12 @@ pub trait QueryEngine {
     /// slots), partitions pruned vs visited, per-operator wall clock and
     /// row counts, and the result-cache outcome. Workload evidence is
     /// recorded exactly as `query` would.
-    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace);
+    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
+        let mut out = self.run_request(plan, Request::Traced);
+        let trace = out.trace.take().expect("a traced request yields a trace");
+        (out.into_rows(), trace)
+    }
+
     /// EXPLAIN ANALYZE: executes the query for real (like `EXPLAIN
     /// ANALYZE` in a SQL engine) and returns only the trace.
     ///
@@ -189,558 +289,212 @@ pub trait QueryEngine {
     }
 }
 
-/// The planning pipeline behind the facade. Workload accounting (query
-/// log + optimizer feedback) only runs with `record` set: the executing
-/// entry points record exactly once per query, while `plan_query` stays
-/// side-effect-free on the counters — an EXPLAIN-then-run sequence
-/// (`plan_query` + `query`) must not double-count its workload evidence.
-fn plan_for(it: &mut IndexedTable, plan: &Plan, record: bool, stats: &mut OptimizeStats) -> Plan {
-    if record {
-        let mut shapes = Vec::new();
-        query_shapes(plan, &mut shapes);
-        for (col, shape) in shapes {
-            it.record_query(col, shape);
-        }
-    }
-    let with_distinct_stats = plan.contains_distinct();
-    loop {
-        // The catalog is *borrowed* from the mutation-invalidated cache
-        // (repeated queries between updates re-read counters, no
-        // re-hashing, no clone), so everything consulting it happens in
-        // this scope; the mutations below run after the borrow ends.
-        let (chosen, stale, feedback) = {
-            let cat = it.query_catalog(with_distinct_stats);
-            // Reset each round so the trace reports the final planning
-            // pass (post-flush counts), not the sum over flush retries.
-            *stats = OptimizeStats::default();
-            let chosen = optimize_with_stats(plan.clone(), &cat, true, stats);
-            let stale = stale_nuc_slots(&chosen, &cat);
-            // Optimizer feedback: how much the chosen plan's rewrites
-            // are estimated to save vs the unrewritten plan, split
-            // across the indexes it binds. The advisor's drop rule
-            // weighs this benefit against maintenance cost.
-            let feedback = if record && stale.is_empty() {
-                let bound = bound_slots(&chosen);
-                (!bound.is_empty()).then(|| {
-                    let saved = (estimate(plan, &cat) - estimate(&chosen, &cat)).max(0.0)
-                        / bound.len() as f64;
-                    (bound, saved)
-                })
-            } else {
-                None
-            };
-            (chosen, stale, feedback)
-        };
-        if stale.is_empty() {
-            if let Some((bound, saved)) = feedback {
-                for slot in bound {
-                    it.record_query_feedback(slot, saved);
-                }
-            }
-            return chosen;
-        }
-        // Flushing changes patch counts (and may release staged
-        // rows), so re-plan against the fresh snapshot. Each round
-        // flushes at least one index; the loop terminates once no
-        // bound NUC index is pending.
-        for slot in stale {
-            it.flush_index(slot);
-        }
-    }
+/// What the pipeline borrows from a table, whoever owns it.
+struct View<'a> {
+    table: &'a Table,
+    indexes: &'a [Arc<PatchIndex>],
+    catalog: &'a IndexCatalog,
+    /// The publish epoch cache entries are stamped with.
+    epoch: u64,
+    /// The result cache and this table's token in it.
+    cache: Option<(&'a ResultCache, u64)>,
+    metrics: Option<&'a MetricsRegistry>,
 }
 
-/// Measured-execution bookkeeping for the owner path: the chosen plan's
-/// estimated cost and the wall-clock micros are split across the bound
-/// slots (shares, like the estimated-savings feedback).
-fn record_timing_owner(it: &mut IndexedTable, chosen: &Plan, elapsed: std::time::Duration) {
-    let bound = bound_slots(chosen);
-    if bound.is_empty() {
-        return;
-    }
-    let est_cost = {
-        let cat = it.query_catalog(chosen.contains_distinct());
-        estimate(chosen, &cat)
-    };
-    let micros = elapsed.as_secs_f64() * 1e6 / bound.len() as f64;
-    let est_share = est_cost / bound.len() as f64;
-    for slot in bound {
-        it.record_query_timing(slot, micros, est_share);
-    }
-}
-
-/// Assembles a [`QueryTrace`] from the pieces every traced entry point
-/// produces. `visited`/`pruned` come from the caller because a cache hit
-/// executes nothing (both zero) while an executed query derives them
-/// from its [`TouchLog`].
-#[allow(clippy::too_many_arguments)]
-fn build_trace(
-    query: &Plan,
-    chosen: &Plan,
-    stats: &OptimizeStats,
-    plan_nanos: u64,
-    masked: Vec<usize>,
-    partitions_total: usize,
-    visited: u64,
-    pruned: u64,
-    cache: Option<CacheOutcome>,
-    operators: Vec<pi_obs::OperatorTrace>,
-    rows_out: u64,
-    total_nanos: u64,
-) -> QueryTrace {
-    QueryTrace {
-        query: query.to_string(),
-        optimized: chosen.to_string(),
-        planner: PlannerTrace {
-            candidates_enumerated: stats.candidates_enumerated,
-            cost_gated: stats.cost_gated,
-            rewrites_chosen: stats.rewrites_chosen,
-            slots_bound: bound_slots(chosen),
-            masked_pending_slots: masked,
-            nanos: plan_nanos,
-        },
-        partitions_total,
-        partitions_visited: visited,
-        partitions_pruned: pruned,
-        cache,
-        operators,
-        rows_out,
-        total_nanos,
-        spans: Vec::new(),
-    }
-}
-
-impl QueryEngine for IndexedTable {
-    fn plan_query(&mut self, plan: &Plan) -> Plan {
-        plan_for(self, plan, false, &mut OptimizeStats::default())
-    }
-
-    fn query(&mut self, plan: &Plan) -> Batch {
-        let chosen = plan_for(self, plan, true, &mut OptimizeStats::default());
-        let start = std::time::Instant::now();
-        let out = execute(&chosen, self.table(), self.indexes());
-        record_timing_owner(self, &chosen, start.elapsed());
-        out
-    }
-
-    fn query_count(&mut self, plan: &Plan) -> usize {
-        let chosen = plan_for(self, plan, true, &mut OptimizeStats::default());
-        let start = std::time::Instant::now();
-        let out = execute_count(&chosen, self.table(), self.indexes());
-        record_timing_owner(self, &chosen, start.elapsed());
-        out
-    }
-
-    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
-        let total = std::time::Instant::now();
-        let mut stats = OptimizeStats::default();
-        let plan_start = std::time::Instant::now();
-        let chosen = plan_for(self, plan, true, &mut stats);
-        let plan_nanos = plan_start.elapsed().as_nanos() as u64;
-        let touch = TouchLog::new(self.table().partition_count());
-        let et = ExecTrace::new();
-        let start = std::time::Instant::now();
-        let out = execute_metered(&chosen, self.table(), self.indexes(), &touch, &et);
-        record_timing_owner(self, &chosen, start.elapsed());
-        let visited = touch.pulled().len() as u64;
-        let trace = build_trace(
-            plan,
-            &chosen,
-            &stats,
-            plan_nanos,
-            Vec::new(),
-            self.table().partition_count(),
-            visited,
-            self.table().partition_count() as u64 - visited,
-            None,
-            et.operators(),
-            out.len() as u64,
-            total.elapsed().as_nanos() as u64,
-        );
-        (out, trace)
-    }
-}
-
-/// The snapshot planning pipeline: optimize against the publish-time
-/// catalog, then apply the **pending-NUC masking rule** — a snapshot
-/// cannot flush, so when the chosen plan binds a NUC index with staged
-/// deferred maintenance the planner re-optimizes against a catalog with
-/// exactly those entries masked out. Rewrites that stay exact while
-/// pending (NSC, NCC, the exception flows) survive at their sites; only
-/// the suspended NUC binding reverts to reference form. Workload
-/// evidence goes to the snapshot's sink when `record` is set (once per
-/// executed query, never for plan inspection).
-fn plan_on_snapshot(snap: &TableSnapshot, plan: &Plan, record: bool) -> Plan {
-    plan_on_snapshot_obs(
-        snap,
-        plan,
-        record,
-        &mut OptimizeStats::default(),
-        &mut Vec::new(),
-    )
-}
-
-/// [`plan_on_snapshot`] with the optimizer's decision counters and the
-/// masked pending-NUC slots surfaced (the traced path puts them in the
-/// [`QueryTrace`]). Every call also feeds the `planner.*` counters of
-/// the table's metrics registry, when one is attached.
-fn plan_on_snapshot_obs(
-    snap: &TableSnapshot,
-    plan: &Plan,
-    record: bool,
-    stats: &mut OptimizeStats,
-    masked_slots: &mut Vec<usize>,
-) -> Plan {
-    let cat = snap.catalog();
-    if record {
-        record_shapes_snapshot(snap, plan);
-    }
-    let mut chosen = optimize_with_stats(plan.clone(), cat, true, stats);
+/// The one query pipeline — see the module docs for the steps and the
+/// evidence rules.
+fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
+    let total = Instant::now();
+    let cat = view.catalog;
+    let mut stats = OptimizeStats::default();
+    let mut chosen = optimize_with_stats(plan.clone(), cat, true, &mut stats);
+    let mut masked = Vec::new();
     if !stale_nuc_slots(&chosen, cat).is_empty() {
-        // Readers cannot flush; masking just the pending NUC entries
+        // This view cannot flush; masking just the pending NUC entries
         // (their slot numbers live in the entries, not positions, so
         // surviving bindings still address the live index array) keeps
         // every other rewrite. The writer's next flushed publish
         // restores the NUC rewrite for subsequent snapshots.
-        let masked = IndexCatalog {
+        masked = cat
+            .indexes
+            .iter()
+            .filter(|e| is_pending_nuc(e))
+            .map(|e| e.slot)
+            .collect();
+        let masked_cat = IndexCatalog {
             part_rows: cat.part_rows.clone(),
             indexes: cat
                 .indexes
                 .iter()
-                .filter(|e| !(e.pending && e.constraint == Constraint::NearlyUnique))
+                .filter(|e| !is_pending_nuc(e))
                 .cloned()
                 .collect(),
         };
-        *masked_slots = cat
-            .indexes
-            .iter()
-            .filter(|e| e.pending && e.constraint == Constraint::NearlyUnique)
-            .map(|e| e.slot)
-            .collect();
-        *stats = OptimizeStats::default();
-        chosen = optimize_with_stats(plan.clone(), &masked, true, stats);
+        stats = OptimizeStats::default();
+        chosen = optimize_with_stats(plan.clone(), &masked_cat, true, &mut stats);
     }
-    if let Some(reg) = snap.metrics() {
+    if let Some(reg) = view.metrics {
         reg.counter("planner.candidates_enumerated")
             .add(stats.candidates_enumerated);
         reg.counter("planner.cost_gated").add(stats.cost_gated);
         reg.counter("planner.rewrites_chosen")
             .add(stats.rewrites_chosen);
         reg.counter("planner.masked_pending_slots")
-            .add(masked_slots.len() as u64);
+            .add(masked.len() as u64);
     }
-    if record {
-        record_bind_feedback_snapshot(snap, plan, &chosen);
-    }
-    chosen
-}
+    let plan_nanos = total.elapsed().as_nanos() as u64;
 
-/// Engine-level registry accounting for one executed snapshot query.
-fn record_engine_metrics(snap: &TableSnapshot, elapsed: std::time::Duration) {
-    if let Some(reg) = snap.metrics() {
+    // `query` and `query_traced` share the Rows fingerprint, so either
+    // hits what the other inserted.
+    let (mode, et) = match request {
+        Request::Plan => {
+            return Outcome {
+                chosen,
+                value: None,
+                trace: None,
+                events: Vec::new(),
+            }
+        }
+        Request::Rows => (QueryMode::Rows, None),
+        Request::Count => (QueryMode::Count, None),
+        Request::Traced => (QueryMode::Rows, Some(ExecTrace::default())),
+    };
+    let bound = bound_slots(&chosen);
+    let mut events = Vec::new();
+    query_shapes(plan, &mut events);
+
+    let key = view.cache.map(|(cache, token)| {
+        let canon: Arc<[u8]> = canonical_bytes(&chosen, cat, mode).into();
+        (cache, token, fingerprint_hash(&canon), canon)
+    });
+    let hit = key.as_ref().and_then(|(cache, token, hash, canon)| {
+        cache.lookup(*token, *hash, canon, view.epoch, view.table, view.indexes)
+    });
+    let parts = view.table.partition_count();
+    // A hit executed nothing: no partitions visited, no operators.
+    let cache_outcome = view.cache.map(|_| match hit {
+        Some(_) => CacheOutcome::Hit,
+        None => CacheOutcome::Miss,
+    });
+    let (value, visited, pruned) = match hit {
+        Some(value) => (value, 0, 0),
+        None => {
+            let touch = TouchLog::new(parts);
+            let start = Instant::now();
+            let mut root =
+                lower_global(&chosen, view.table, view.indexes, Some(&touch), et.as_ref());
+            let value = match mode {
+                QueryMode::Rows => CachedValue::Rows(collect(root.as_mut())),
+                QueryMode::Count => CachedValue::Count(count_rows(root) as u64),
+            };
+            let elapsed = start.elapsed();
+            if let Some((cache, token, hash, canon)) = key {
+                // Pointer identity of these Arcs is exactly "this cached
+                // result is still valid" — copy-on-write publishes
+                // replace the Arc of everything they touch and nothing
+                // else.
+                let footprint = Footprint::new(
+                    touch
+                        .footprint()
+                        .into_iter()
+                        .map(|pid| (pid, Arc::clone(&view.table.partitions()[pid])))
+                        .collect(),
+                    bound
+                        .iter()
+                        .map(|&slot| (slot, Arc::clone(&view.indexes[slot])))
+                        .collect(),
+                );
+                cache.insert(token, hash, canon, view.epoch, value.clone(), footprint);
+            }
+            if !bound.is_empty() {
+                // Every figure is split evenly across the bound slots.
+                let n = bound.len() as f64;
+                let est_chosen = estimate(&chosen, cat);
+                let est_cost_saved = (estimate(plan, cat) - est_chosen).max(0.0) / n;
+                let actual_micros = elapsed.as_secs_f64() * 1e6 / n;
+                let bound_entries = || {
+                    bound
+                        .iter()
+                        .map(|&slot| cat.by_slot(slot).expect("bound slot outside the catalog"))
+                };
+                events.extend(bound_entries().map(|e| WorkloadEvent::Feedback {
+                    column: e.column,
+                    constraint: e.constraint,
+                    est_cost_saved,
+                }));
+                events.extend(bound_entries().map(|e| WorkloadEvent::Timing {
+                    column: e.column,
+                    constraint: e.constraint,
+                    actual_micros,
+                    est_cost: est_chosen / n,
+                }));
+            }
+            let visited = touch.pulled().len() as u64;
+            (value, visited, parts as u64 - visited)
+        }
+    };
+
+    let elapsed = total.elapsed();
+    if let Some(reg) = view.metrics {
         reg.counter("engine.queries").inc();
         reg.histogram("engine.query_nanos")
             .record(elapsed.as_nanos() as u64);
     }
-}
-
-/// Reports the advisable (column, shape) sites of the reference plan to
-/// the snapshot's sink. Split out of [`plan_on_snapshot`] because the
-/// cached query path records shapes on *every* execution — hit or miss —
-/// while estimated-savings feedback and measured timings are recorded
-/// only on misses (a cache hit executed nothing, so feeding its numbers
-/// to the advisor would poison its cost-model calibration).
-fn record_shapes_snapshot(snap: &TableSnapshot, plan: &Plan) {
-    let mut shapes = Vec::new();
-    query_shapes(plan, &mut shapes);
-    for (col, shape) in shapes {
-        snap.sink().record(WorkloadEvent::Query { col, shape });
+    let trace = et.map(|et| QueryTrace {
+        query: plan.to_string(),
+        optimized: chosen.to_string(),
+        planner: PlannerTrace {
+            candidates_enumerated: stats.candidates_enumerated,
+            cost_gated: stats.cost_gated,
+            rewrites_chosen: stats.rewrites_chosen,
+            slots_bound: bound,
+            masked_pending_slots: masked,
+            nanos: plan_nanos,
+        },
+        partitions_total: parts,
+        partitions_visited: visited,
+        partitions_pruned: pruned,
+        cache: cache_outcome,
+        operators: et.operators(),
+        rows_out: match &value {
+            CachedValue::Rows(rows) => rows.len() as u64,
+            CachedValue::Count(n) => *n,
+        },
+        total_nanos: elapsed.as_nanos() as u64,
+        spans: Vec::new(),
+    });
+    Outcome {
+        chosen,
+        value: Some(value),
+        trace,
+        events,
     }
 }
 
-/// Reports the chosen plan's estimated-savings feedback (per bound slot)
-/// to the snapshot's sink. Misses only — see [`record_shapes_snapshot`].
-fn record_bind_feedback_snapshot(snap: &TableSnapshot, plan: &Plan, chosen: &Plan) {
-    let cat = snap.catalog();
-    let bound = bound_slots(chosen);
-    if bound.is_empty() {
-        return;
-    }
-    let saved = (estimate(plan, cat) - estimate(chosen, cat)).max(0.0) / bound.len() as f64;
-    for &slot in &bound {
-        let e = cat.by_slot(slot).expect("bound slot outside the catalog");
-        snap.sink().record(WorkloadEvent::Feedback {
-            column: e.column,
-            constraint: e.constraint,
-            est_cost_saved: saved,
-        });
-    }
-}
-
-/// Sink-side counterpart of [`record_timing_owner`].
-fn record_timing_snapshot(snap: &TableSnapshot, chosen: &Plan, elapsed: std::time::Duration) {
-    let bound = bound_slots(chosen);
-    if bound.is_empty() {
-        return;
-    }
-    let cat = snap.catalog();
-    let micros = elapsed.as_secs_f64() * 1e6 / bound.len() as f64;
-    let est_share = estimate(chosen, cat) / bound.len() as f64;
-    for slot in bound {
-        let e = cat.by_slot(slot).expect("bound slot outside the catalog");
-        snap.sink().record(WorkloadEvent::Timing {
-            column: e.column,
-            constraint: e.constraint,
-            actual_micros: micros,
-            est_cost: est_share,
-        });
-    }
-}
-
-/// The dependency footprint of an executed plan on a snapshot: the
-/// partition versions the traced execution actually consulted plus every
-/// index version the chosen plan binds. Pointer identity of these Arcs
-/// is exactly "this cached result is still valid" — copy-on-write
-/// publishes replace the Arc of everything they touch and nothing else.
-fn footprint_of(snap: &TableSnapshot, chosen: &Plan, trace: &TouchLog) -> Footprint {
-    let parts = trace
-        .footprint()
-        .into_iter()
-        .map(|pid| (pid, Arc::clone(&snap.table().partitions()[pid])))
-        .collect();
-    let indexes = bound_slots(chosen)
-        .into_iter()
-        .map(|slot| (slot, Arc::clone(&snap.indexes()[slot])))
-        .collect();
-    Footprint::new(parts, indexes)
-}
-
-/// The cached snapshot query pipeline, shared by `query` and
-/// `query_count` (the `mode` byte keeps their fingerprints disjoint).
-///
-/// Plan first (planning is cheap and deterministic per snapshot), then
-/// consult the table's [`ResultCache`] under the canonical fingerprint
-/// of the *chosen* plan. On a hit the stored canonical bytes were
-/// compared — not just the hash — so the value is the exact answer:
-/// record the query-log shapes (the advisor's create rule counts demand,
-/// and a hit is demand) and return it. Feedback and timing events are
-/// deliberately NOT recorded on hits: nothing executed, and a ~0µs
-/// timing would corrupt `micros_per_cost_unit()` calibration (hits are
-/// tallied by the cache's own counters instead). On a miss, execute
-/// traced, record the full evidence, and insert the result with its
-/// dependency footprint.
-fn snapshot_query_cached(
-    snap: &TableSnapshot,
-    plan: &Plan,
-    cache: &ResultCache,
-    token: u64,
-    mode: QueryMode,
-) -> CachedValue {
-    let chosen = plan_on_snapshot(snap, plan, false);
-    let canon: Arc<[u8]> = canonical_bytes(&chosen, snap.catalog(), mode).into();
-    let hash = fingerprint_hash(&canon);
-    let cached = cache.lookup(
-        token,
-        hash,
-        &canon,
-        snap.epoch(),
-        snap.table(),
-        snap.indexes(),
-    );
-    if let Some(value) = cached {
-        // A hit for the Rows fingerprint is always a Rows value (the
-        // mode byte is part of the compared canonical form), so this
-        // arm never mismatches; the guard is belt-and-braces.
-        let matches_mode = matches!(
-            (&value, mode),
-            (CachedValue::Rows(_), QueryMode::Rows) | (CachedValue::Count(_), QueryMode::Count)
-        );
-        if matches_mode {
-            record_shapes_snapshot(snap, plan);
-            return value;
-        }
-    }
-    record_shapes_snapshot(snap, plan);
-    record_bind_feedback_snapshot(snap, plan, &chosen);
-    let trace = TouchLog::new(snap.table().partition_count());
-    let start = std::time::Instant::now();
-    let value = match mode {
-        QueryMode::Rows => CachedValue::Rows(execute_traced(
-            &chosen,
-            snap.table(),
-            snap.indexes(),
-            &trace,
-        )),
-        QueryMode::Count => {
-            CachedValue::Count(
-                execute_count_traced(&chosen, snap.table(), snap.indexes(), &trace) as u64,
-            )
-        }
-    };
-    record_timing_snapshot(snap, &chosen, start.elapsed());
-    let footprint = footprint_of(snap, &chosen, &trace);
-    cache.insert(token, hash, canon, snap.epoch(), value.clone(), footprint);
-    value
-}
-
-/// The traced snapshot pipeline behind `TableSnapshot::query_traced` —
-/// the EXPLAIN ANALYZE sibling of [`snapshot_query_cached`], with the
-/// same caching and evidence rules: a hit records shapes only (nothing
-/// executed, so its trace carries no operators and zero partitions), a
-/// miss executes metered, records full evidence and inserts the result
-/// with its dependency footprint.
-fn snapshot_query_traced(snap: &TableSnapshot, plan: &Plan) -> (Batch, QueryTrace) {
-    let total = std::time::Instant::now();
-    let mut stats = OptimizeStats::default();
-    let mut masked = Vec::new();
-    let plan_start = std::time::Instant::now();
-    let chosen = plan_on_snapshot_obs(snap, plan, false, &mut stats, &mut masked);
-    let plan_nanos = plan_start.elapsed().as_nanos() as u64;
-    let parts = snap.table().partition_count();
-
-    if let Some((cache, token)) = snap.result_cache() {
-        let canon: Arc<[u8]> = canonical_bytes(&chosen, snap.catalog(), QueryMode::Rows).into();
-        let hash = fingerprint_hash(&canon);
-        let cached = cache.lookup(
-            token,
-            hash,
-            &canon,
-            snap.epoch(),
-            snap.table(),
-            snap.indexes(),
-        );
-        if let Some(CachedValue::Rows(rows)) = cached {
-            record_shapes_snapshot(snap, plan);
-            let elapsed = total.elapsed();
-            record_engine_metrics(snap, elapsed);
-            let trace = build_trace(
-                plan,
-                &chosen,
-                &stats,
-                plan_nanos,
-                masked,
-                parts,
-                0,
-                0,
-                Some(CacheOutcome::Hit),
-                Vec::new(),
-                rows.len() as u64,
-                elapsed.as_nanos() as u64,
-            );
-            return (rows, trace);
-        }
-        record_shapes_snapshot(snap, plan);
-        record_bind_feedback_snapshot(snap, plan, &chosen);
-        let touch = TouchLog::new(parts);
-        let et = ExecTrace::new();
-        let start = std::time::Instant::now();
-        let rows = execute_metered(&chosen, snap.table(), snap.indexes(), &touch, &et);
-        record_timing_snapshot(snap, &chosen, start.elapsed());
-        let footprint = footprint_of(snap, &chosen, &touch);
-        cache.insert(
-            token,
-            hash,
-            canon,
-            snap.epoch(),
-            CachedValue::Rows(rows.clone()),
-            footprint,
-        );
-        let visited = touch.pulled().len() as u64;
-        let elapsed = total.elapsed();
-        record_engine_metrics(snap, elapsed);
-        let trace = build_trace(
-            plan,
-            &chosen,
-            &stats,
-            plan_nanos,
-            masked,
-            parts,
-            visited,
-            parts as u64 - visited,
-            Some(CacheOutcome::Miss),
-            et.operators(),
-            rows.len() as u64,
-            elapsed.as_nanos() as u64,
-        );
-        return (rows, trace);
-    }
-
-    record_shapes_snapshot(snap, plan);
-    record_bind_feedback_snapshot(snap, plan, &chosen);
-    let touch = TouchLog::new(parts);
-    let et = ExecTrace::new();
-    let start = std::time::Instant::now();
-    let rows = execute_metered(&chosen, snap.table(), snap.indexes(), &touch, &et);
-    record_timing_snapshot(snap, &chosen, start.elapsed());
-    let visited = touch.pulled().len() as u64;
-    let elapsed = total.elapsed();
-    record_engine_metrics(snap, elapsed);
-    let trace = build_trace(
-        plan,
-        &chosen,
-        &stats,
-        plan_nanos,
-        masked,
-        parts,
-        visited,
-        parts as u64 - visited,
-        Some(CacheOutcome::Uncached),
-        et.operators(),
-        rows.len() as u64,
-        elapsed.as_nanos() as u64,
-    );
-    (rows, trace)
-}
-
-/// Concurrent readers: all methods are internally `&self` (the `&mut`
-/// receiver is the trait's shape, not a mutation) — clone the snapshot
-/// per thread and query away; maintenance never blocks these. When the
-/// table was built with a [`ResultCache`], the executing entry points
-/// consult it first (see `snapshot_query_cached`).
+/// Concurrent readers: the receiver is `&mut` only because the trait's
+/// shape is — clone the snapshot per thread and query away; maintenance
+/// never blocks these. When the table was built with a [`ResultCache`],
+/// the executing entry points consult it first.
 impl QueryEngine for TableSnapshot {
-    fn plan_query(&mut self, plan: &Plan) -> Plan {
-        plan_on_snapshot(self, plan, false)
-    }
-
-    fn query(&mut self, plan: &Plan) -> Batch {
-        let total = std::time::Instant::now();
-        if let Some((cache, token)) = self.result_cache() {
-            match snapshot_query_cached(self, plan, cache, token, QueryMode::Rows) {
-                CachedValue::Rows(rows) => {
-                    record_engine_metrics(self, total.elapsed());
-                    return rows;
-                }
-                CachedValue::Count(_) => unreachable!("Rows fingerprint yielded a count"),
-            }
+    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
+        let view = View {
+            table: self.table(),
+            indexes: self.indexes(),
+            catalog: self.catalog(),
+            epoch: self.epoch(),
+            cache: self.result_cache(),
+            metrics: self.metrics().map(|reg| &**reg),
+        };
+        let mut out = run(&view, plan, request);
+        if let Some(trace) = &mut out.trace {
+            // A snapshot could have had a cache attached; say it ran
+            // without one (the owner path has no cache concept at all).
+            trace.cache.get_or_insert(CacheOutcome::Uncached);
         }
-        let chosen = plan_on_snapshot(self, plan, true);
-        let start = std::time::Instant::now();
-        let out = execute(&chosen, self.table(), self.indexes());
-        record_timing_snapshot(self, &chosen, start.elapsed());
-        record_engine_metrics(self, total.elapsed());
-        out
-    }
-
-    fn query_count(&mut self, plan: &Plan) -> usize {
-        let total = std::time::Instant::now();
-        if let Some((cache, token)) = self.result_cache() {
-            match snapshot_query_cached(self, plan, cache, token, QueryMode::Count) {
-                CachedValue::Count(n) => {
-                    record_engine_metrics(self, total.elapsed());
-                    return n as usize;
-                }
-                CachedValue::Rows(_) => unreachable!("Count fingerprint yielded rows"),
-            }
+        if !out.events.is_empty() {
+            self.sink().record(out.events.drain(..));
         }
-        let chosen = plan_on_snapshot(self, plan, true);
-        let start = std::time::Instant::now();
-        let out = execute_count(&chosen, self.table(), self.indexes());
-        record_timing_snapshot(self, &chosen, start.elapsed());
-        record_engine_metrics(self, total.elapsed());
         out
-    }
-
-    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
-        snapshot_query_traced(self, plan)
     }
 }
 
@@ -751,47 +505,69 @@ impl QueryEngine for TableSnapshot {
 /// need repeatable reads across several queries should hold an explicit
 /// [`ConcurrentTable::snapshot`] instead.
 impl QueryEngine for ConcurrentTable {
-    fn plan_query(&mut self, plan: &Plan) -> Plan {
-        self.snapshot().plan_query(plan)
+    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
+        self.snapshot().run_request(plan, request)
     }
+}
 
-    fn query(&mut self, plan: &Plan) -> Batch {
-        self.snapshot().query(plan)
-    }
-
-    fn query_count(&mut self, plan: &Plan) -> usize {
-        self.snapshot().query_count(plan)
-    }
-
-    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
-        self.snapshot().query_traced(plan)
+/// The single-threaded owner: applies the NUC-disjointness rule by
+/// flushing (it can, unlike a snapshot), then runs the pipeline on a
+/// view of itself and applies the evidence immediately.
+impl QueryEngine for IndexedTable {
+    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
+        let with_distinct_stats = plan.contains_distinct();
+        let mut out = loop {
+            // The catalog is *borrowed* from the mutation-invalidated
+            // cache (repeated queries between updates re-read counters,
+            // no re-hashing, no clone), so everything consulting it
+            // happens in this scope; the flushes run after it ends.
+            let stale = {
+                let (table, indexes, catalog) = self.query_catalog(with_distinct_stats);
+                let stale = if catalog.indexes.iter().any(is_pending_nuc) {
+                    stale_nuc_slots(&optimize(plan.clone(), &catalog, true), &catalog)
+                } else {
+                    Vec::new()
+                };
+                if stale.is_empty() {
+                    let view = View {
+                        table,
+                        indexes,
+                        catalog: &catalog,
+                        epoch: 0,
+                        cache: None,
+                        metrics: None,
+                    };
+                    break run(&view, plan, request);
+                }
+                stale
+            };
+            // Flushing changes patch counts (and may release staged
+            // rows), so re-plan against the fresh catalog. Each round
+            // flushes at least one index; the loop terminates once no
+            // bound NUC index is pending.
+            for slot in stale {
+                self.flush_index(slot);
+            }
+        };
+        for event in out.events.drain(..) {
+            self.apply_workload_event(event);
+        }
+        out
     }
 }
 
 /// Writer queries run against the staging table (seeing unpublished
 /// state), with the owner path's flush-and-re-plan NUC rule.
 impl QueryEngine for TableWriter {
-    fn plan_query(&mut self, plan: &Plan) -> Plan {
-        self.staging_mut().plan_query(plan)
-    }
-
-    fn query(&mut self, plan: &Plan) -> Batch {
-        self.staging_mut().query(plan)
-    }
-
-    fn query_count(&mut self, plan: &Plan) -> usize {
-        self.staging_mut().query_count(plan)
-    }
-
-    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
-        self.staging_mut().query_traced(plan)
+    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
+        self.staging_mut().run_request(plan, request)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NO_INDEXES;
+    use crate::{execute, execute_count, NO_INDEXES};
     use patchindex::{Design, MaintenanceMode, MaintenancePolicy, SortDir};
     use pi_exec::ops::sort::SortOrder;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};

@@ -8,9 +8,20 @@
 //! per-partition statistics (Section 3.5), and lowering to `pi-exec`
 //! operator trees with partition-parallel combines.
 //!
-//! The [`QueryEngine`] facade ties it together for an
-//! `IndexedTable`: catalog snapshot → flush-if-exactness-required (the
-//! NUC-disjointness rule of deferred maintenance) → optimize → execute.
+//! The [`QueryEngine`] facade ties it together as **one pipeline** —
+//! plan (masking pending-NUC bindings) → result-cache probe → lower +
+//! execute → cache insert → workload evidence → trace — run over a
+//! borrowed view of an `IndexedTable`, a `TableWriter`'s staging table, a
+//! `TableSnapshot` or a `ConcurrentTable`. Which facade method the caller
+//! invoked (`plan_query` / `query` / `query_count` / `query_traced`) is
+//! the only selector; the evidence each one records is tabulated on the
+//! trait. An owner can flush, so it applies the NUC-disjointness rule of
+//! deferred maintenance (flush the pending NUC indexes the plan would
+//! bind, re-plan) where a snapshot masks.
+//!
+//! Outside the facade, [`execute`] / [`execute_count`] run a plan
+//! directly against a table and an index set — with [`NO_INDEXES`], the
+//! index-free reference every byte-identity suite compares against.
 //!
 //! The TPC-H join plans of Figure 10 are hand-lowered in `pi-tpch`, using
 //! the same building blocks.
@@ -31,9 +42,4 @@ pub use fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 pub use logical::Plan;
 pub use optimizer::{optimize, optimize_with_stats, rewrite, zero_branch_prune, OptimizeStats};
 pub use patchindex::{IndexCatalog, IndexStats, PartitionStats};
-pub use physical::{
-    execute, execute_count, execute_count_metered, execute_count_traced, execute_count_with,
-    execute_metered, execute_traced, lower_global, lower_global_metered, lower_global_traced,
-    lower_global_with, lower_partition, prune_for_partition, ExecTrace, Pruning, TouchLog,
-    NO_INDEXES,
-};
+pub use physical::{execute, execute_count, prune_for_partition, NO_INDEXES};

@@ -11,12 +11,17 @@
 //! upper bound is zero *in that partition* is dropped — so a table with
 //! patches confined to one partition instantiates the `use_patches` flow
 //! only there, and the other partitions run the clean pipeline alone.
-//! [`Pruning::Global`] disables the per-partition pass (plan-level ZBP
-//! only), kept as the ablation baseline for the planner benchmark.
 //!
 //! `LIMIT n` over plain bag scans additionally pushes a per-partition
 //! limit below the combine, so every partition stops scanning after `n`
 //! rows instead of draining fully.
+//!
+//! There is one lowering, `lower_global`, with two optional observers:
+//! a `TouchLog` (which partitions the execution depended on — the
+//! result cache's footprint and the trace's visited/pruned counts) and
+//! an `ExecTrace` (per-operator meters for EXPLAIN ANALYZE). The
+//! public executors [`execute`] / [`execute_count`] run it unobserved;
+//! the query facade's pipeline attaches the observers.
 
 use std::borrow::{Borrow, Cow};
 use std::cell::{Cell, RefCell};
@@ -59,14 +64,14 @@ use crate::logical::Plan;
 ///
 /// Execution is single-threaded, so plain [`Cell`] flags suffice.
 #[derive(Debug)]
-pub struct TouchLog {
+pub(crate) struct TouchLog {
     pulled: Vec<Cell<bool>>,
     consulted_empty: Vec<Cell<bool>>,
 }
 
 impl TouchLog {
     /// A log for a table with `partitions` partitions, all untouched.
-    pub fn new(partitions: usize) -> Self {
+    pub(crate) fn new(partitions: usize) -> Self {
         TouchLog {
             pulled: (0..partitions).map(|_| Cell::new(false)).collect(),
             consulted_empty: (0..partitions).map(|_| Cell::new(false)).collect(),
@@ -82,14 +87,14 @@ impl TouchLog {
     }
 
     /// Partitions whose pipelines were pulled, ascending.
-    pub fn pulled(&self) -> Vec<usize> {
+    pub(crate) fn pulled(&self) -> Vec<usize> {
         (0..self.pulled.len())
             .filter(|&pid| self.pulled[pid].get())
             .collect()
     }
 
     /// The footprint partitions: pulled ∪ consulted-empty, ascending.
-    pub fn footprint(&self) -> Vec<usize> {
+    pub(crate) fn footprint(&self) -> Vec<usize> {
         (0..self.pulled.len())
             .filter(|&pid| self.pulled[pid].get() || self.consulted_empty[pid].get())
             .collect()
@@ -105,7 +110,7 @@ impl TouchLog {
 /// [`OperatorTrace`] rows. Execution is single-threaded, so `Rc` +
 /// `RefCell` suffice, mirroring [`TouchLog`].
 #[derive(Debug, Default)]
-pub struct ExecTrace {
+pub(crate) struct ExecTrace {
     meters: RefCell<Vec<MeterEntry>>,
 }
 
@@ -114,11 +119,6 @@ pub struct ExecTrace {
 type MeterEntry = (String, Option<usize>, Rc<OpMeter>);
 
 impl ExecTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn meter(&self, label: String, pid: Option<usize>) -> Rc<OpMeter> {
         let m = Rc::new(OpMeter::default());
         self.meters.borrow_mut().push((label, pid, Rc::clone(&m)));
@@ -128,7 +128,7 @@ impl ExecTrace {
     /// The per-operator rows observed so far, in registration order
     /// (global combines first, then per-partition pipelines in
     /// partition order).
-    pub fn operators(&self) -> Vec<OperatorTrace> {
+    pub(crate) fn operators(&self) -> Vec<OperatorTrace> {
         self.meters
             .borrow()
             .iter()
@@ -183,18 +183,6 @@ fn meter_wrap<'a>(
 /// the executor is generic over owned and `Arc`'d indexes.
 pub const NO_INDEXES: &[PatchIndex] = &[];
 
-/// How zero-branch pruning is applied during lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pruning {
-    /// Only plan-level (global patch totals) pruning — every partition
-    /// instantiates every surviving flow. Ablation baseline.
-    Global,
-    /// Additionally drop flows that are provably empty in a specific
-    /// partition (the default).
-    #[default]
-    PerPartition,
-}
-
 /// Per-partition zero-branch pruning: returns the plan specialized for
 /// partition `pid` with provably empty Union/Merge children removed, or
 /// `None` when the whole subtree is guaranteed empty in this partition.
@@ -228,33 +216,10 @@ pub fn prune_for_partition<'a, I: Borrow<PatchIndex>>(
     crate::optimizer::prune_zero_branches(plan, &leaf, true)
 }
 
-fn maybe_prune<'a, I: Borrow<PatchIndex>>(
-    plan: &'a Plan,
-    table: &Table,
-    indexes: &[I],
-    pid: usize,
-    pruning: Pruning,
-) -> Option<Cow<'a, Plan>> {
-    match pruning {
-        Pruning::Global => Some(Cow::Borrowed(plan)),
-        Pruning::PerPartition => prune_for_partition(plan, table, indexes, pid),
-    }
-}
-
 /// Lowers `plan` for a single partition (no global recombination, no
-/// pruning — callers prune first).
-pub fn lower_partition<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pid: usize,
-) -> OpRef<'a> {
-    lower_partition_obs(plan, table, indexes, pid, None)
-}
-
-/// [`lower_partition`], wrapping every plan node in a [`MeterOp`] when a
-/// metered lowering is active.
-fn lower_partition_obs<'a, I: Borrow<PatchIndex>>(
+/// pruning — callers prune first), wrapping every plan node in a
+/// [`MeterOp`] when a metered lowering is active.
+fn lower_partition<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
@@ -290,27 +255,27 @@ fn lower_partition_obs<'a, I: Borrow<PatchIndex>>(
             Box::new(pi_exec::ops::filter::ProjectOp::new(filtered, keep))
         }
         Plan::Distinct { input, cols } => Box::new(HashAggOp::distinct(
-            lower_partition_obs(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, et),
             cols.clone(),
         )),
         Plan::Sort { input, keys } => Box::new(SortOp::new(
-            lower_partition_obs(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, et),
             keys.clone(),
         )),
         Plan::Limit { input, n } => Box::new(LimitOp::new(
-            lower_partition_obs(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, et),
             *n,
         )),
         Plan::Union { inputs } => Box::new(UnionAllOp::new(
             inputs
                 .iter()
-                .map(|p| lower_partition_obs(p, table, indexes, pid, et))
+                .map(|p| lower_partition(p, table, indexes, pid, et))
                 .collect(),
         )),
         Plan::Merge { inputs, keys } => Box::new(OrderedMergeOp::new(
             inputs
                 .iter()
-                .map(|p| lower_partition_obs(p, table, indexes, pid, et))
+                .map(|p| lower_partition(p, table, indexes, pid, et))
                 .collect(),
             keys.clone(),
         )),
@@ -336,17 +301,17 @@ fn probe<'a>(op: OpRef<'a>, trace: Option<&'a TouchLog>, pid: usize) -> OpRef<'a
     }
 }
 
-/// [`maybe_prune`], additionally recording a pruned-to-nothing partition
-/// as consulted-empty in the trace (the result depends on its emptiness).
-fn maybe_prune_traced<'a, I: Borrow<PatchIndex>>(
+/// [`prune_for_partition`], additionally recording a pruned-to-nothing
+/// partition as consulted-empty in the trace (the result depends on its
+/// emptiness).
+fn prune_traced<'a, I: Borrow<PatchIndex>>(
     plan: &'a Plan,
     table: &Table,
     indexes: &[I],
     pid: usize,
-    pruning: Pruning,
     trace: Option<&TouchLog>,
 ) -> Option<Cow<'a, Plan>> {
-    let pruned = maybe_prune(plan, table, indexes, pid, pruning);
+    let pruned = prune_for_partition(plan, table, indexes, pid);
     if pruned.is_none() {
         if let Some(t) = trace {
             t.mark_consulted_empty(pid);
@@ -356,48 +321,16 @@ fn maybe_prune_traced<'a, I: Borrow<PatchIndex>>(
 }
 
 /// Lowers `plan` across all partitions with the appropriate global
-/// combine, pruning per partition according to `pruning`.
-pub fn lower_global_with<'a, I: Borrow<PatchIndex>>(
+/// combine, pruning zero branches per partition. With a `trace`, every
+/// per-partition pipeline is wrapped in a pull probe (see [`TouchLog`]
+/// for the soundness argument); with an `et`, every plan node (per
+/// partition) and every global combine reports wall clock, batch and row
+/// counts — the EXPLAIN ANALYZE lowering. Neither observer alters a
+/// batch, so results are byte-identical with and without them.
+pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
-    pruning: Pruning,
-) -> OpRef<'a> {
-    lower_global_traced(plan, table, indexes, pruning, None)
-}
-
-/// [`lower_global_with`] with every per-partition pipeline wrapped in a
-/// pull probe reporting to `trace` — the footprint-capturing lowering
-/// behind the result cache. See [`TouchLog`] for the soundness argument.
-pub fn lower_global_traced<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pruning: Pruning,
-    trace: Option<&'a TouchLog>,
-) -> OpRef<'a> {
-    lower_global_obs(plan, table, indexes, pruning, trace, None)
-}
-
-/// [`lower_global_traced`] with per-operator metering: every plan node
-/// (per partition) and every global combine reports wall clock, batch
-/// and row counts to `et` — the EXPLAIN ANALYZE lowering.
-pub fn lower_global_metered<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pruning: Pruning,
-    trace: Option<&'a TouchLog>,
-    et: &ExecTrace,
-) -> OpRef<'a> {
-    lower_global_obs(plan, table, indexes, pruning, trace, Some(et))
-}
-
-fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pruning: Pruning,
     trace: Option<&'a TouchLog>,
     et: Option<&ExecTrace>,
 ) -> OpRef<'a> {
@@ -408,8 +341,8 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
             let combine: OpRef<'a> = Box::new(UnionAllOp::new(
                 parts
                     .filter_map(|pid| {
-                        maybe_prune_traced(plan, table, indexes, pid, pruning, trace).map(|p| {
-                            probe(lower_partition_obs(&p, table, indexes, pid, et), trace, pid)
+                        prune_traced(plan, table, indexes, pid, trace).map(|p| {
+                            probe(lower_partition(&p, table, indexes, pid, et), trace, pid)
                         })
                     })
                     .collect(),
@@ -421,9 +354,9 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
         Plan::Distinct { input, cols } => {
             let partials: Vec<OpRef<'a>> = parts
                 .filter_map(|pid| {
-                    maybe_prune_traced(input, table, indexes, pid, pruning, trace).map(|p| {
+                    prune_traced(input, table, indexes, pid, trace).map(|p| {
                         let partial: OpRef<'a> = Box::new(HashAggOp::distinct(
-                            lower_partition_obs(&p, table, indexes, pid, et),
+                            lower_partition(&p, table, indexes, pid, et),
                             cols.clone(),
                         ));
                         probe(
@@ -446,7 +379,7 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
         // so it is lowered globally and sorted once.
         Plan::Sort { input, keys } if input.contains_distinct() => {
             let sorted: OpRef<'a> = Box::new(SortOp::new(
-                lower_global_obs(input, table, indexes, pruning, trace, et),
+                lower_global(input, table, indexes, trace, et),
                 keys.clone(),
             ));
             meter_wrap(sorted, et, "Sort(global)", None)
@@ -454,9 +387,9 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
         Plan::Sort { input, keys } => {
             let sorted: Vec<OpRef<'a>> = parts
                 .filter_map(|pid| {
-                    maybe_prune_traced(input, table, indexes, pid, pruning, trace).map(|p| {
+                    prune_traced(input, table, indexes, pid, trace).map(|p| {
                         let stream: OpRef<'a> = Box::new(SortOp::new(
-                            lower_partition_obs(&p, table, indexes, pid, et),
+                            lower_partition(&p, table, indexes, pid, et),
                             keys.clone(),
                         ));
                         probe(
@@ -480,14 +413,13 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
             let mut streams: Vec<OpRef<'a>> = Vec::new();
             for child in inputs {
                 if child.contains_distinct() {
-                    streams.push(lower_global_obs(child, table, indexes, pruning, trace, et));
+                    streams.push(lower_global(child, table, indexes, trace, et));
                     continue;
                 }
                 for pid in parts.clone() {
-                    if let Some(p) = maybe_prune_traced(child, table, indexes, pid, pruning, trace)
-                    {
+                    if let Some(p) = prune_traced(child, table, indexes, pid, trace) {
                         streams.push(probe(
-                            lower_partition_obs(&p, table, indexes, pid, et),
+                            lower_partition(&p, table, indexes, pid, et),
                             trace,
                             pid,
                         ));
@@ -501,7 +433,7 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
             let combine: OpRef<'a> = Box::new(UnionAllOp::new(
                 inputs
                     .iter()
-                    .map(|p| lower_global_obs(p, table, indexes, pruning, trace, et))
+                    .map(|p| lower_global(p, table, indexes, trace, et))
                     .collect(),
             ));
             meter_wrap(combine, et, "UnionAll(global)", None)
@@ -512,9 +444,9 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
                 // stops early), keep the exact global cap on top.
                 let capped: Vec<OpRef<'a>> = parts
                     .filter_map(|pid| {
-                        maybe_prune_traced(input, table, indexes, pid, pruning, trace).map(|p| {
+                        prune_traced(input, table, indexes, pid, trace).map(|p| {
                             let capped: OpRef<'a> = Box::new(LimitOp::new(
-                                lower_partition_obs(&p, table, indexes, pid, et),
+                                lower_partition(&p, table, indexes, pid, et),
                                 *n,
                             ));
                             probe(
@@ -530,7 +462,7 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
                 meter_wrap(combine, et, "Limit(global)", None)
             } else {
                 let capped: OpRef<'a> = Box::new(LimitOp::new(
-                    lower_global_obs(input, table, indexes, pruning, trace, et),
+                    lower_global(input, table, indexes, trace, et),
                     *n,
                 ));
                 meter_wrap(capped, et, "Limit(global)", None)
@@ -539,101 +471,24 @@ fn lower_global_obs<'a, I: Borrow<PatchIndex>>(
     }
 }
 
-/// Lowers with the default per-partition zero-branch pruning.
-pub fn lower_global<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-) -> OpRef<'a> {
-    lower_global_with(plan, table, indexes, Pruning::PerPartition)
+/// Drains `root`, returning only the row count.
+pub(crate) fn count_rows(mut root: OpRef<'_>) -> usize {
+    let mut n = 0;
+    while let Some(b) = root.next() {
+        n += b.len();
+    }
+    n
 }
 
 /// Executes a plan to completion and returns the concatenated result.
 pub fn execute<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> Batch {
-    let mut root = lower_global(plan, table, indexes);
-    collect(root.as_mut())
-}
-
-/// [`execute`] while recording the partition dependency footprint into
-/// `trace` (default per-partition pruning).
-pub fn execute_traced<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    trace: &TouchLog,
-) -> Batch {
-    let mut root = lower_global_traced(plan, table, indexes, Pruning::PerPartition, Some(trace));
-    collect(root.as_mut())
-}
-
-/// [`execute_count`] while recording the partition dependency footprint
-/// into `trace` (default per-partition pruning).
-pub fn execute_count_traced<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    trace: &TouchLog,
-) -> usize {
-    let mut root = lower_global_traced(plan, table, indexes, Pruning::PerPartition, Some(trace));
-    let mut n = 0;
-    while let Some(b) = root.next() {
-        n += b.len();
-    }
-    n
-}
-
-/// [`execute_traced`] with per-operator metering into `et` — the
-/// EXPLAIN ANALYZE execution (default per-partition pruning). Results
-/// are byte-identical to [`execute`]: the meters observe batches, they
-/// never alter them.
-pub fn execute_metered<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    trace: &TouchLog,
-    et: &ExecTrace,
-) -> Batch {
-    let mut root =
-        lower_global_metered(plan, table, indexes, Pruning::PerPartition, Some(trace), et);
-    collect(root.as_mut())
-}
-
-/// [`execute_count`] under the metered (EXPLAIN ANALYZE) lowering.
-pub fn execute_count_metered<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    trace: &TouchLog,
-    et: &ExecTrace,
-) -> usize {
-    let mut root =
-        lower_global_metered(plan, table, indexes, Pruning::PerPartition, Some(trace), et);
-    let mut n = 0;
-    while let Some(b) = root.next() {
-        n += b.len();
-    }
-    n
+    collect(lower_global(plan, table, indexes, None, None).as_mut())
 }
 
 /// Executes a plan, returning only the row count (benchmark helper that
 /// avoids result materialization skew).
 pub fn execute_count<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> usize {
-    execute_count_with(plan, table, indexes, Pruning::PerPartition)
-}
-
-/// [`execute_count`] with an explicit pruning mode (benchmark ablation).
-pub fn execute_count_with<I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &Table,
-    indexes: &[I],
-    pruning: Pruning,
-) -> usize {
-    let mut root = lower_global_with(plan, table, indexes, pruning);
-    let mut n = 0;
-    while let Some(b) = root.next() {
-        n += b.len();
-    }
-    n
+    count_rows(lower_global(plan, table, indexes, None, None))
 }
 
 #[cfg(test)]
@@ -676,6 +531,16 @@ mod tests {
 
     fn single(idx: PatchIndex) -> Vec<PatchIndex> {
         vec![idx]
+    }
+
+    /// [`execute`] with a [`TouchLog`] attached, as the facade runs it.
+    fn collect_probed<I: Borrow<PatchIndex>>(
+        plan: &Plan,
+        table: &Table,
+        indexes: &[I],
+        trace: &TouchLog,
+    ) -> Batch {
+        collect(lower_global(plan, table, indexes, Some(trace), None).as_mut())
     }
 
     #[test]
@@ -842,10 +707,9 @@ mod tests {
         let reference = execute(&plan, &t, NO_INDEXES);
         let got = execute(&opt, &t, &indexes);
         assert_eq!(reference.column(0).as_int(), got.column(0).as_int());
-        // The ablation (global-only pruning) agrees on results.
         assert_eq!(
-            execute_count_with(&opt, &t, &indexes, Pruning::Global),
-            reference.len()
+            execute_count(&opt, &t, &indexes),
+            execute_count(&plan, &t, NO_INDEXES)
         );
     }
 
@@ -1081,7 +945,7 @@ mod tests {
         ] {
             let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx), false);
             let trace = TouchLog::new(t.partition_count());
-            let traced = execute_traced(&opt, &t, &idx, &trace);
+            let traced = collect_probed(&opt, &t, &idx, &trace);
             let plain = execute(&opt, &t, &idx);
             assert_eq!(
                 traced.column(0).as_int(),
@@ -1090,7 +954,7 @@ mod tests {
             );
             let ctrace = TouchLog::new(t.partition_count());
             assert_eq!(
-                execute_count_traced(&opt, &t, &idx, &ctrace),
+                count_rows(lower_global(&opt, &t, &idx, Some(&ctrace), None)),
                 plain.len(),
                 "{plan}"
             );
@@ -1101,7 +965,7 @@ mod tests {
     fn full_scan_footprint_covers_every_partition() {
         let t = table();
         let trace = TouchLog::new(t.partition_count());
-        execute_traced(
+        collect_probed(
             &Plan::scan(vec![1]).distinct(vec![0]),
             &t,
             NO_INDEXES,
@@ -1114,7 +978,7 @@ mod tests {
     fn pushed_down_limit_excludes_unreached_partitions() {
         let t = table(); // 4 rows in p0, 3 in p1
         let trace = TouchLog::new(t.partition_count());
-        let out = execute_traced(&Plan::scan(vec![1]).limit(2), &t, NO_INDEXES, &trace);
+        let out = collect_probed(&Plan::scan(vec![1]).limit(2), &t, NO_INDEXES, &trace);
         assert_eq!(out.len(), 2);
         // Partition 0 alone satisfies the limit; the union never pulls
         // partition 1, so the footprint provably excludes it.
@@ -1135,7 +999,7 @@ mod tests {
         t.load_partition(2, &[ColumnData::Int(vec![2])]);
         t.propagate_all();
         let trace = TouchLog::new(t.partition_count());
-        execute_traced(&Plan::scan(vec![0]), &t, NO_INDEXES, &trace);
+        collect_probed(&Plan::scan(vec![0]), &t, NO_INDEXES, &trace);
         // The result depends on partition 1 *being empty*: an insert
         // there changes it, so consulted-empty keeps it in the footprint.
         assert_eq!(trace.pulled(), vec![0, 2]);

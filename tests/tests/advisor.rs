@@ -224,24 +224,27 @@ fn full_lifecycle_on_a_drifting_workload() {
     manual.check_consistency();
 }
 
-/// The piggybacked form ([`pi_advisor::AdvisedTable`]) reaches the same
-/// end state as on-demand stepping: driving the same workload through
-/// the wrapper creates, recomputes and eventually drops without any
-/// explicit `step()` call.
+/// The piggybacked form (`Advisor::maybe_step` after every update
+/// statement) reaches the same end state as on-demand stepping: driving
+/// the same workload through it creates, recomputes and eventually drops
+/// without any explicit `step()` call.
 #[test]
-fn advised_table_runs_the_lifecycle_hands_free() {
+fn piggybacked_advisor_runs_the_lifecycle_hands_free() {
     let spec = DriftSpec::new(6_000);
-    let cfg = AdvisorConfig {
+    let mut advisor = Advisor::new(AdvisorConfig {
         step_every: 1, // phases apply one statement per batch
         ..config()
-    };
-    let mut at = pi_advisor::AdvisedTable::new(IndexedTable::new(spec.base_table()), cfg);
+    });
+    let mut it = IndexedTable::new(spec.base_table());
+    it.enable_discovery_sampling(advisor.config().sample_cap);
+    let mut actions = Vec::new();
     let q = workload_query();
     for phase in spec.phases() {
         for op in &phase.ops {
             match op {
                 DriftOp::Insert(rows) => {
-                    at.insert(rows);
+                    it.insert(rows);
+                    actions.extend(advisor.maybe_step(&mut it));
                 }
                 DriftOp::Modify {
                     pid,
@@ -249,18 +252,18 @@ fn advised_table_runs_the_lifecycle_hands_free() {
                     col,
                     values,
                 } => {
-                    at.modify(*pid, rids, *col, values);
+                    it.modify(*pid, rids, *col, values);
+                    actions.extend(advisor.maybe_step(&mut it));
                 }
                 DriftOp::Query => {
-                    let got = at.query(&q);
-                    let reference = execute(&q, at.inner().table(), NO_INDEXES);
+                    let got = it.query(&q);
+                    let reference = execute(&q, it.table(), NO_INDEXES);
                     assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
                 }
             }
         }
     }
-    let kinds: Vec<&str> = at
-        .actions()
+    let kinds: Vec<&str> = actions
         .iter()
         .map(|a| match a {
             AdvisorAction::Created { .. } => "create",
@@ -271,5 +274,5 @@ fn advised_table_runs_the_lifecycle_hands_free() {
     assert!(kinds.contains(&"create"), "{kinds:?}");
     assert!(kinds.contains(&"recompute"), "{kinds:?}");
     assert!(kinds.contains(&"drop"), "{kinds:?}");
-    at.inner().check_consistency();
+    it.check_consistency();
 }

@@ -7,13 +7,25 @@
 //! compared verbatim; bag outputs (distinct) are compared as canonically
 //! sorted row sets, which for single-column integer results is exact
 //! content equality.
+//!
+//! The entry-point matrix below pins the other half of the contract:
+//! every way into the one pipeline — owner table, writer, uncached /
+//! cached-miss / cached-hit snapshot, through `query`, `query_count` and
+//! `query_traced` — returns that same answer and records workload
+//! evidence by the same rule table.
 
-use patchindex::{Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, SortDir};
+use std::sync::Arc;
+
+use patchindex::{
+    ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy,
+    QueryShape, ResultCache, SortDir,
+};
 use pi_datagen::{generate, MicroKind, MicroSpec};
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::Batch;
+use pi_obs::{CacheOutcome, QueryTrace};
 use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
-use pi_storage::Value;
+use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -212,5 +224,337 @@ proptest! {
         it.flush_maintenance();
         it.check_consistency();
         assert_queries_match(&mut it, "final");
+    }
+}
+
+// ---- entry-point matrix for the one pipeline ---------------------------
+
+const NUC: usize = 0;
+const NSC: usize = 1;
+
+/// Three partitions of unique ascending values under deferred
+/// maintenance, a NUC (slot 0) and an NSC (slot 1) index on the value
+/// column, then one staged duplicate: the NUC index is pending (its
+/// disjointness suspended), the NSC index is pending but stays exact.
+/// `flushed` applies the staged work, so nothing is pending.
+fn matrix_table(flushed: bool) -> IndexedTable {
+    let mut t = Table::new(
+        "matrix",
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]),
+        3,
+        Partitioning::RoundRobin,
+    );
+    for pid in 0..3i64 {
+        let keys: Vec<i64> = (0..40).map(|i| pid * 100 + i).collect();
+        let vals: Vec<i64> = (0..40).map(|i| pid * 1000 + 2 * i).collect();
+        t.load_partition(
+            pid as usize,
+            &[ColumnData::Int(keys), ColumnData::Int(vals)],
+        );
+    }
+    t.propagate_all();
+    let mut it = IndexedTable::new(t).with_policy(MaintenancePolicy {
+        mode: MaintenanceMode::Deferred {
+            flush_rows: usize::MAX,
+        },
+        ..MaintenancePolicy::default()
+    });
+    assert_eq!(
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap),
+        NUC
+    );
+    assert_eq!(
+        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap),
+        NSC
+    );
+    it.insert(&[vec![Value::Int(9_999), Value::Int(1_010)]]);
+    assert!(it.index(NUC).has_pending());
+    if flushed {
+        it.flush_maintenance();
+    }
+    it
+}
+
+/// The plans of the matrix with the query-log shape each one records.
+fn matrix_plans() -> [(Plan, Option<QueryShape>); 3] {
+    [
+        (
+            Plan::scan(vec![1]).distinct(vec![0]),
+            Some(QueryShape::Distinct),
+        ),
+        (
+            Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]),
+            Some(QueryShape::Sort(SortDir::Asc)),
+        ),
+        (Plan::scan(vec![1]).limit(4), None),
+    ]
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Owner,
+    Writer,
+    Uncached,
+    CachedMiss,
+    CachedHit,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Method {
+    Query,
+    Count,
+    Traced,
+}
+
+/// Everything the advisor can learn from queries: per-shape query-log
+/// counts on the value column and `(times_bound, measured_queries)` per
+/// index slot.
+#[derive(Debug, Clone, PartialEq)]
+struct Evidence {
+    distinct: u64,
+    sort: u64,
+    log_total: u64,
+    slots: Vec<(u64, u64)>,
+}
+
+fn evidence(it: &IndexedTable) -> Evidence {
+    Evidence {
+        distinct: it.query_log().count(1, QueryShape::Distinct),
+        sort: it.query_log().count(1, QueryShape::Sort(SortDir::Asc)),
+        log_total: it.query_log().total(),
+        slots: it
+            .indexes()
+            .iter()
+            .map(|idx| {
+                let fb = idx.query_feedback();
+                (fb.times_bound, fb.measured_queries)
+            })
+            .collect(),
+    }
+}
+
+/// `base` plus what the rule table says `queries` runs of a query with
+/// this shape add, `executed` of which actually ran and bound `bound`.
+fn evidence_after(
+    base: &Evidence,
+    shape: Option<QueryShape>,
+    bound: &[usize],
+    queries: u64,
+    executed: u64,
+) -> Evidence {
+    let mut want = base.clone();
+    match shape {
+        Some(QueryShape::Distinct) => want.distinct += queries,
+        Some(QueryShape::Sort(_)) => want.sort += queries,
+        None => {}
+    }
+    want.log_total += if shape.is_some() { queries } else { 0 };
+    for &slot in bound {
+        want.slots[slot].0 += executed;
+        want.slots[slot].1 += executed;
+    }
+    want
+}
+
+fn bound_slots(chosen: &Plan) -> Vec<usize> {
+    let rendered = chosen.to_string();
+    [NUC, NSC]
+        .into_iter()
+        .filter(|slot| rendered.contains(&format!("slot={slot}")))
+        .collect()
+}
+
+/// Runs `plan` through one facade method; rows come back canonicalized
+/// for bag outputs (a distinct's hash order is not part of the answer).
+fn call<E: QueryEngine>(
+    engine: &mut E,
+    method: Method,
+    plan: &Plan,
+    bag: bool,
+) -> (Option<Vec<i64>>, usize, Option<QueryTrace>) {
+    let canon = |b: &Batch| {
+        let mut rows = column_vec(b);
+        if bag {
+            rows.sort_unstable();
+        }
+        rows
+    };
+    match method {
+        Method::Query => {
+            let rows = canon(&engine.query(plan));
+            let n = rows.len();
+            (Some(rows), n, None)
+        }
+        Method::Count => (None, engine.query_count(plan), None),
+        Method::Traced => {
+            let (batch, trace) = engine.query_traced(plan);
+            assert_eq!(trace.rows_out, batch.len() as u64);
+            let rows = canon(&batch);
+            let n = rows.len();
+            (Some(rows), n, Some(trace))
+        }
+    }
+}
+
+/// One cell of the matrix: the answer equals the index-free execution
+/// and the evidence delta is exactly what the rule table prescribes.
+fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShape>, flushed: bool) {
+    let ctx = format!("{entry:?} x {method:?} x {plan} (flushed={flushed})");
+    let bag = shape == Some(QueryShape::Distinct);
+    let it = matrix_table(flushed);
+    let reference = {
+        let mut rows = column_vec(&execute(plan, it.table(), NO_INDEXES));
+        if bag {
+            rows.sort_unstable();
+        }
+        rows
+    };
+
+    let (got, chosen, cache_outcome, after, want) = match entry {
+        Entry::Owner => {
+            let mut it = it;
+            let before = evidence(&it);
+            let chosen = it.plan_query(plan);
+            assert_eq!(evidence(&it), before, "{ctx}: plan_query");
+            let got = call(&mut it, method, plan, bag);
+            let want = evidence_after(&before, shape, &bound_slots(&chosen), 1, 1);
+            (got, chosen, None, evidence(&it), want)
+        }
+        Entry::Writer => {
+            let (_handle, mut writer) = ConcurrentTable::new(it);
+            let before = evidence(writer.staging());
+            let chosen = writer.plan_query(plan);
+            assert_eq!(evidence(writer.staging()), before, "{ctx}: plan_query");
+            let got = call(&mut writer, method, plan, bag);
+            let want = evidence_after(&before, shape, &bound_slots(&chosen), 1, 1);
+            (got, chosen, None, evidence(writer.staging()), want)
+        }
+        Entry::Uncached | Entry::CachedMiss | Entry::CachedHit => {
+            let (handle, mut writer) = if entry == Entry::Uncached {
+                ConcurrentTable::new(it)
+            } else {
+                ConcurrentTable::with_result_cache(
+                    it,
+                    Arc::new(ResultCache::new(ResultCache::DEFAULT_BUDGET)),
+                )
+            };
+            let mut snap = handle.snapshot();
+            let before = evidence(writer.staging());
+            let chosen = snap.plan_query(plan);
+            writer.absorb_feedback();
+            assert_eq!(evidence(writer.staging()), before, "{ctx}: plan_query");
+            let runs = if entry == Entry::CachedHit {
+                call(&mut snap, method, plan, bag); // the miss that fills the cache
+                2
+            } else {
+                1
+            };
+            let got = call(&mut snap, method, plan, bag);
+            writer.absorb_feedback();
+            let after = evidence(writer.staging());
+            let want = evidence_after(&before, shape, &bound_slots(&chosen), runs, 1);
+            let outcome = match entry {
+                Entry::Uncached => CacheOutcome::Uncached,
+                Entry::CachedMiss => CacheOutcome::Miss,
+                _ => CacheOutcome::Hit,
+            };
+            if entry != Entry::Uncached {
+                let stats = handle.cache_stats().unwrap();
+                assert_eq!((stats.hits, stats.misses), (runs - 1, 1), "{ctx}");
+            }
+            (got, chosen, Some(outcome), after, want)
+        }
+    };
+
+    let (rows, count, trace) = got;
+    if let Some(rows) = rows {
+        assert_eq!(rows, reference, "{ctx}: rows");
+    }
+    assert_eq!(count, reference.len(), "{ctx}: count");
+    assert_eq!(after, want, "{ctx}: evidence");
+
+    // The matrix must cover what it claims: a pending NUC is flushed and
+    // bound by the owner, masked (unbound) on a snapshot; NSC binds while
+    // pending either way.
+    let on_snapshot = cache_outcome.is_some();
+    match shape {
+        Some(QueryShape::Distinct) if on_snapshot && !flushed => {
+            assert!(bound_slots(&chosen).is_empty(), "{ctx}: {chosen}")
+        }
+        Some(QueryShape::Distinct) => assert_eq!(bound_slots(&chosen), [NUC], "{ctx}"),
+        Some(QueryShape::Sort(_)) => assert_eq!(bound_slots(&chosen), [NSC], "{ctx}"),
+        None => assert!(bound_slots(&chosen).is_empty(), "{ctx}"),
+    }
+    if let Some(trace) = trace {
+        assert_eq!(trace.cache, cache_outcome, "{ctx}");
+        assert_eq!(trace.planner.slots_bound, bound_slots(&chosen), "{ctx}");
+        assert_eq!(trace.optimized, chosen.to_string(), "{ctx}");
+        let masked = on_snapshot && !flushed && shape == Some(QueryShape::Distinct);
+        assert_eq!(
+            trace.planner.masked_pending_slots,
+            if masked { vec![NUC] } else { Vec::new() },
+            "{ctx}"
+        );
+        assert_eq!(
+            trace.operators.is_empty(),
+            cache_outcome == Some(CacheOutcome::Hit),
+            "{ctx}: only a hit executes nothing"
+        );
+    }
+}
+
+#[test]
+fn every_entry_point_runs_the_same_pipeline() {
+    for flushed in [false, true] {
+        for entry in [
+            Entry::Owner,
+            Entry::Writer,
+            Entry::Uncached,
+            Entry::CachedMiss,
+            Entry::CachedHit,
+        ] {
+            for method in [Method::Query, Method::Count, Method::Traced] {
+                for (plan, shape) in matrix_plans() {
+                    check_cell(entry, method, &plan, shape, flushed);
+                }
+            }
+        }
+    }
+}
+
+/// The owner applies a query's evidence immediately, a snapshot reader
+/// sinks it for the writer to absorb: both routes must leave the same
+/// query log and per-index feedback for the same query on the same state.
+#[test]
+fn owner_applied_and_writer_absorbed_evidence_agree() {
+    for method in [Method::Query, Method::Count, Method::Traced] {
+        for (plan, shape) in matrix_plans() {
+            let bag = shape == Some(QueryShape::Distinct);
+            let mut owner = matrix_table(true);
+            call(&mut owner, method, &plan, bag);
+
+            let (handle, mut writer) = ConcurrentTable::new(matrix_table(true));
+            call(&mut handle.snapshot(), method, &plan, bag);
+            writer.absorb_feedback();
+            let absorbed = writer.staging();
+
+            assert_eq!(evidence(&owner), evidence(absorbed), "{method:?} x {plan}");
+            for slot in [NUC, NSC] {
+                let (a, b) = (
+                    owner.index(slot).query_feedback(),
+                    absorbed.index(slot).query_feedback(),
+                );
+                // Same catalog numbers behind both estimates; only the
+                // measured wall clock may differ.
+                assert_eq!(a.est_cost_saved, b.est_cost_saved, "{method:?} x {plan}");
+                assert_eq!(
+                    a.est_cost_executed, b.est_cost_executed,
+                    "{method:?} x {plan}"
+                );
+            }
+        }
     }
 }
