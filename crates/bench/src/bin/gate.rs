@@ -160,12 +160,10 @@ const METRICS: &[Metric] = &[
     m("obs", "trace.exact", Dir::Higher, 0.0),
     m("obs", "overhead.traced_over_untraced", Dir::Lower, 0.1),
     // server: the post-quiesce byte-exactness audit is a correctness
-    // boolean (zero slack); the 4-shard-over-1 throughput gain from
-    // cache-invalidation locality and the 4-shard p99/p50 tail ratio
-    // are wall-clock-coupled and get wide ratio slack.
+    // boolean (zero slack). `speedup_4_over_1` and `p99_over_p50` are
+    // still in the artifact but not gated: eight runs of one commit
+    // spread the former over 0.85–4.16 against a floor of 1.04.
     m("serve", "exact", Dir::Higher, 0.0),
-    m("serve", "speedup_4_over_1", Dir::Higher, 3.0),
-    m("serve", "p99_over_p50", Dir::Lower, 4.0),
 ];
 
 struct Row {

@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::microq;
-use crate::timing::{fmt_duration, time_best, time_once, TablePrinter};
+use crate::timing::{fmt_duration, time_best, time_median, time_once, TablePrinter};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -513,10 +513,15 @@ fn sk_delete(sk: &mut SortKeyTable, _pid: usize, _rids: &[usize]) {
 
 // --------------------------------------------------------------- Figure 10
 
-/// Figure 10: TPC-H query and update-set runtimes.
+/// Runs per query in [`fig10`]; the median is reported.
+const FIG10_RUNS: usize = 5;
+
+/// Figure 10: TPC-H query and update-set runtimes. Also writes
+/// `BENCH_fig10.json`: per config the Q3/Q7/Q12 medians in ms and their
+/// speed-up over the `w/o constraint` row.
 pub fn fig10() -> String {
     let sf = env_f64("PI_TPCH_SF", 0.05);
-    let mut out = format!("Figure 10: TPC-H (SF {sf})\n");
+    let mut out = format!("Figure 10: TPC-H (SF {sf}, median of {FIG10_RUNS} runs per query)\n");
     let mut table = TablePrinter::new(&[
         "config",
         "Q3 [s]",
@@ -525,6 +530,8 @@ pub fn fig10() -> String {
         "Insert [s]",
         "Delete [s]",
     ]);
+    // (config, [Q3, Q7, Q12] in ms), the reference row first.
+    let mut query_ms: Vec<(&str, [f64; 3])> = Vec::new();
 
     // Reference + PI at each exception rate.
     for &(label, e, variant) in &[
@@ -551,9 +558,12 @@ pub fn fig10() -> String {
         let ji = (variant == QueryVariant::JoinIdx).then(|| {
             JoinIndex::create(&db.lineitem, cols::L_ORDERKEY, &db.orders, cols::O_ORDERKEY)
         });
-        let (t3, _) = time_once(|| pi_tpch::q3(&db, variant, pi.as_ref(), ji.as_ref()).len());
-        let (t7, _) = time_once(|| pi_tpch::q7(&db, variant, pi.as_ref(), ji.as_ref()).len());
-        let (t12, _) = time_once(|| pi_tpch::q12(&db, variant, pi.as_ref(), ji.as_ref()).len());
+        let [t3, t7, t12] = [pi_tpch::q3, pi_tpch::q7, pi_tpch::q12].map(|q| {
+            time_median(FIG10_RUNS, || {
+                q(&db, variant, pi.as_ref(), ji.as_ref()).len()
+            })
+        });
+        query_ms.push((label, [t3, t7, t12].map(|t| t.as_secs_f64() * 1e3)));
 
         // Update sets: insert 0.1% new orders, delete 0.1% of orders.
         let n_refresh = (db.counts.0 / 1000).max(10);
@@ -592,6 +602,30 @@ pub fn fig10() -> String {
         ]);
     }
     out.push_str(&table.render());
+
+    let reference = query_ms[0].1;
+    let json_rows: Vec<String> = query_ms
+        .iter()
+        .map(|(label, ms)| {
+            let speedup: [f64; 3] = std::array::from_fn(|q| reference[q] / ms[q].max(1e-9));
+            format!(
+                "    {{\"config\": \"{label}\", \"q3_ms\": {:.3}, \"q7_ms\": {:.3}, \
+                 \"q12_ms\": {:.3}, \"q3_speedup\": {:.3}, \"q7_speedup\": {:.3}, \
+                 \"q12_speedup\": {:.3}}}",
+                ms[0], ms[1], ms[2], speedup[0], speedup[1], speedup[2]
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"experiment\": \"fig10\",\n  \"config\": {{\"sf\": {sf}, \
+         \"runs_per_query\": {FIG10_RUNS}}},\n  \"results\": [\n{}\n  ]\n}}\n",
+        json_rows.join(",\n")
+    );
+    let path = "BENCH_fig10.json";
+    match std::fs::write(path, &json) {
+        Ok(()) => out.push_str(&format!("wrote {path}\n")),
+        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
+    }
     out
 }
 

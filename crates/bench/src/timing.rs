@@ -20,6 +20,13 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     best
 }
 
+/// Times `f` `reps` times and returns the median duration.
+pub fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
+    let mut times: Vec<Duration> = (0..reps.max(1)).map(|_| time_once(&mut f).0).collect();
+    times.sort();
+    times[times.len() / 2]
+}
+
 /// Formats a duration in adaptive units.
 pub fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();

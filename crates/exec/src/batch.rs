@@ -74,11 +74,7 @@ impl Batch {
     /// Keeps only the rows where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> Batch {
         assert_eq!(mask.len(), self.len(), "mask length mismatch");
-        let indices: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(i))
-            .collect();
+        let indices = positions(mask.len(), |i| mask[i]);
         if indices.len() == self.len() {
             return self.clone();
         }
@@ -131,6 +127,22 @@ impl Batch {
         }
         out
     }
+}
+
+/// The positions `i < n` for which `keep(i)` holds, ascending. The
+/// selection kernel shared by [`Batch::filter`] and the PatchIndex
+/// selection: the vector is sized once, every position is written
+/// unconditionally and the cursor advances by the predicate, so the loop
+/// has no data-dependent branch to mispredict.
+pub(crate) fn positions(n: usize, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut out = vec![0; n];
+    let mut kept = 0;
+    for i in 0..n {
+        out[kept] = i;
+        kept += usize::from(keep(i));
+    }
+    out.truncate(kept);
+    out
 }
 
 #[cfg(test)]

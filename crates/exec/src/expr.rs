@@ -4,6 +4,8 @@
 //! to dictionary codes at plan-build time (see `pi_storage::Dictionary`),
 //! so predicate evaluation never touches string payloads.
 
+use std::borrow::Cow;
+
 use pi_storage::{ColumnData, DataType, DictRef};
 
 use crate::batch::Batch;
@@ -26,15 +28,27 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    #[inline]
-    fn apply<T: PartialOrd>(self, a: T, b: T) -> bool {
+    /// Compares every pair. The operator is matched once, outside the
+    /// loop, so each arm is a plain vectorizable comparison.
+    fn mask<T: PartialOrd>(self, pairs: impl Iterator<Item = (T, T)>) -> Vec<bool> {
         match self {
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
+            CmpOp::Eq => pairs.map(|(a, b)| a == b).collect(),
+            CmpOp::Ne => pairs.map(|(a, b)| a != b).collect(),
+            CmpOp::Lt => pairs.map(|(a, b)| a < b).collect(),
+            CmpOp::Le => pairs.map(|(a, b)| a <= b).collect(),
+            CmpOp::Gt => pairs.map(|(a, b)| a > b).collect(),
+            CmpOp::Ge => pairs.map(|(a, b)| a >= b).collect(),
+        }
+    }
+
+    /// The operator with its operands swapped: `a op b == b op.flipped() a`.
+    fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            eq_or_ne => eq_or_ne,
         }
     }
 }
@@ -153,35 +167,32 @@ impl Expr {
     /// Evaluates to a boolean mask over the batch.
     pub fn eval_bool(&self, batch: &Batch) -> Vec<bool> {
         match self {
-            Expr::Cmp(op, lhs, rhs) => {
-                let a = lhs.eval(batch);
-                let b = rhs.eval(batch);
-                cmp_columns(*op, &a, &b)
-            }
+            Expr::Cmp(op, lhs, rhs) => match (lhs.literal(), rhs.literal()) {
+                // Column against literal: compare on the borrowed slice,
+                // no literal vector.
+                (None, Some(lit)) => cmp_literal(*op, &lhs.eval_ref(batch), lit),
+                (Some(lit), None) => cmp_literal(op.flipped(), &rhs.eval_ref(batch), lit),
+                _ => cmp_columns(*op, &lhs.eval_ref(batch), &rhs.eval_ref(batch)),
+            },
             Expr::Between(inner, lo, hi) => {
-                let v = inner.eval(batch);
-                v.as_int().iter().map(|x| lo <= x && x <= hi).collect()
+                let v = inner.eval_ref(batch);
+                v.as_int().iter().map(|x| (lo <= x) & (x <= hi)).collect()
             }
-            Expr::InInts(inner, set) => {
-                let v = inner.eval(batch);
-                match &v {
-                    ColumnData::Int(xs) => xs.iter().map(|x| set.contains(x)).collect(),
-                    ColumnData::Str { codes, .. } => {
-                        codes.iter().map(|c| set.contains(&(*c as i64))).collect()
-                    }
-                    other => panic!("InInts over {:?}", other.data_type()),
-                }
-            }
+            Expr::InInts(inner, set) => match &*inner.eval_ref(batch) {
+                ColumnData::Int(xs) => in_set(xs, set),
+                ColumnData::Str { codes, .. } => in_set(codes, set),
+                other => panic!("InInts over {:?}", other.data_type()),
+            },
             Expr::And(l, r) => {
                 let mut a = l.eval_bool(batch);
                 let b = r.eval_bool(batch);
-                a.iter_mut().zip(b).for_each(|(x, y)| *x = *x && y);
+                a.iter_mut().zip(b).for_each(|(x, y)| *x &= y);
                 a
             }
             Expr::Or(l, r) => {
                 let mut a = l.eval_bool(batch);
                 let b = r.eval_bool(batch);
-                a.iter_mut().zip(b).for_each(|(x, y)| *x = *x || y);
+                a.iter_mut().zip(b).for_each(|(x, y)| *x |= y);
                 a
             }
             Expr::Not(inner) => {
@@ -201,19 +212,16 @@ impl Expr {
             Expr::LitFloat(v) => ColumnData::Float(vec![*v; batch.len()]),
             Expr::LitCode(c) => ColumnData::Int(vec![*c as i64; batch.len()]),
             Expr::Arith(op, lhs, rhs) => {
-                let a = lhs.eval(batch);
-                let b = rhs.eval(batch);
-                arith_columns(*op, &a, &b)
+                arith_columns(*op, &lhs.eval_ref(batch), &rhs.eval_ref(batch))
             }
-            Expr::Year(inner) => {
-                let days = inner.eval(batch);
-                ColumnData::Int(
-                    days.as_int()
-                        .iter()
-                        .map(|&d| pi_storage::date_parts(d).0 as i64)
-                        .collect(),
-                )
-            }
+            Expr::Year(inner) => ColumnData::Int(
+                inner
+                    .eval_ref(batch)
+                    .as_int()
+                    .iter()
+                    .map(|&d| pi_storage::date_parts(d).0 as i64)
+                    .collect(),
+            ),
             boolean => ColumnData::Int(
                 boolean
                     .eval_bool(batch)
@@ -221,6 +229,25 @@ impl Expr {
                     .map(i64::from)
                     .collect(),
             ),
+        }
+    }
+
+    /// [`Expr::eval`] that borrows the batch's column when the expression
+    /// is a plain column reference.
+    fn eval_ref<'a>(&self, batch: &'a Batch) -> Cow<'a, ColumnData> {
+        match self {
+            Expr::Col(i) => Cow::Borrowed(batch.column(*i)),
+            other => Cow::Owned(other.eval(batch)),
+        }
+    }
+
+    /// The value of a literal expression.
+    fn literal(&self) -> Option<Literal> {
+        match self {
+            Expr::LitInt(v) => Some(Literal::Int(*v)),
+            Expr::LitCode(c) => Some(Literal::Int(*c as i64)),
+            Expr::LitFloat(v) => Some(Literal::Float(*v)),
+            _ => None,
         }
     }
 
@@ -262,57 +289,73 @@ impl Expr {
     }
 }
 
+#[derive(Clone, Copy)]
+enum Literal {
+    Int(i64),
+    Float(f64),
+}
+
+fn assert_code_comparison(op: CmpOp) {
+    // String columns compare by code against encoded literals: only
+    // equality is meaningful (codes are assigned in first-seen order).
+    assert!(
+        matches!(op, CmpOp::Eq | CmpOp::Ne),
+        "only Eq/Ne on string codes"
+    );
+}
+
+/// `col op lit`, row by row.
+fn cmp_literal(op: CmpOp, col: &ColumnData, lit: Literal) -> Vec<bool> {
+    match (col, lit) {
+        (ColumnData::Int(x), Literal::Int(v)) => op.mask(x.iter().map(|&p| (p, v))),
+        (ColumnData::Float(x), Literal::Float(v)) => op.mask(x.iter().map(|&p| (p, v))),
+        (ColumnData::Int(x), Literal::Float(v)) => op.mask(x.iter().map(|&p| (p as f64, v))),
+        (ColumnData::Float(x), Literal::Int(v)) => op.mask(x.iter().map(|&p| (p, v as f64))),
+        (ColumnData::Str { codes, .. }, Literal::Int(v)) => {
+            assert_code_comparison(op);
+            op.mask(codes.iter().map(|&c| (c as i64, v)))
+        }
+        (col, Literal::Float(_)) => panic!("cannot compare {:?} with Float", col.data_type()),
+    }
+}
+
+/// Membership of every value in a (small) literal set: one equality pass
+/// per set member, ORed together, instead of a search per row.
+fn in_set<T: Copy + Into<i64>>(xs: &[T], set: &[i64]) -> Vec<bool> {
+    let mut mask = vec![false; xs.len()];
+    for &member in set {
+        for (m, &x) in mask.iter_mut().zip(xs) {
+            *m |= x.into() == member;
+        }
+    }
+    mask
+}
+
 fn cmp_columns(op: CmpOp, a: &ColumnData, b: &ColumnData) -> Vec<bool> {
     match (a, b) {
-        (ColumnData::Int(x), ColumnData::Int(y)) => {
-            x.iter().zip(y).map(|(p, q)| op.apply(p, q)).collect()
+        (ColumnData::Int(x), ColumnData::Int(y)) => op.mask(x.iter().zip(y)),
+        (ColumnData::Float(x), ColumnData::Float(y)) => op.mask(x.iter().zip(y)),
+        (ColumnData::Int(x), ColumnData::Float(y)) => {
+            op.mask(x.iter().zip(y).map(|(&p, &q)| (p as f64, q)))
         }
-        (ColumnData::Float(x), ColumnData::Float(y)) => {
-            x.iter().zip(y).map(|(p, q)| op.apply(p, q)).collect()
+        (ColumnData::Float(x), ColumnData::Int(y)) => {
+            op.mask(x.iter().zip(y).map(|(&p, &q)| (p, q as f64)))
         }
-        (ColumnData::Int(x), ColumnData::Float(y)) => x
-            .iter()
-            .zip(y)
-            .map(|(p, q)| op.apply(*p as f64, *q))
-            .collect(),
-        (ColumnData::Float(x), ColumnData::Int(y)) => x
-            .iter()
-            .zip(y)
-            .map(|(p, q)| op.apply(*p, *q as f64))
-            .collect(),
-        // String columns compare by code against encoded literals: only
-        // equality is meaningful (codes are assigned in first-seen order).
         (ColumnData::Str { codes, .. }, ColumnData::Int(y)) => {
-            assert!(
-                matches!(op, CmpOp::Eq | CmpOp::Ne),
-                "only Eq/Ne on string codes"
-            );
-            codes
-                .iter()
-                .zip(y)
-                .map(|(c, q)| op.apply(*c as i64, *q))
-                .collect()
+            assert_code_comparison(op);
+            op.mask(codes.iter().zip(y).map(|(&c, &q)| (c as i64, q)))
         }
         (ColumnData::Int(x), ColumnData::Str { codes, .. }) => {
-            assert!(
-                matches!(op, CmpOp::Eq | CmpOp::Ne),
-                "only Eq/Ne on string codes"
-            );
-            x.iter()
-                .zip(codes)
-                .map(|(p, c)| op.apply(*p, *c as i64))
-                .collect()
+            assert_code_comparison(op);
+            op.mask(x.iter().zip(codes).map(|(&p, &c)| (p, c as i64)))
         }
         (ColumnData::Str { codes: x, dict: dx }, ColumnData::Str { codes: y, dict: dy }) => {
             assert!(
                 std::sync::Arc::ptr_eq(dx, dy),
                 "string comparison across dictionaries"
             );
-            assert!(
-                matches!(op, CmpOp::Eq | CmpOp::Ne),
-                "only Eq/Ne on string codes"
-            );
-            x.iter().zip(y).map(|(p, q)| op.apply(p, q)).collect()
+            assert_code_comparison(op);
+            op.mask(x.iter().zip(y))
         }
         (a, b) => panic!(
             "cannot compare {:?} with {:?}",

@@ -7,16 +7,18 @@
 //!
 //! * partition [`ops::scan::ScanOp`]s with zone-map-restricted ranges and
 //!   rowID output, plus delta-only scans of pending inserts;
-//! * the PatchIndex selection [`ops::patch_select::PatchSelectOp`] with
-//!   `exclude_patches` / `use_patches` modes;
+//! * the PatchIndex selection [`ops::patch_select::PatchSelectOp`]: one
+//!   scan split on the fly into an `exclude_patches` and a `use_patches`
+//!   flow;
 //! * [`ops::hash_join::HashJoinOp`] with *dynamic range propagation*
 //!   (deferred probe construction from the build-key envelope);
 //! * [`ops::merge_join::MergeJoinOp`] for the nearly-sorted fast path;
 //! * [`ops::sort::SortOp`], [`ops::agg::HashAggOp`] (grouping, DISTINCT,
 //!   filtered aggregates), [`ops::merge::UnionAllOp`],
 //!   [`ops::merge::OrderedMergeOp`], [`ops::merge::LimitOp`];
-//! * intermediate-result caching [`ops::reuse::ReuseCacheOp`] /
-//!   [`ops::reuse::ReuseLoadOp`];
+//! * intermediate-result reuse by borrowing: a materialized [`Batch`]
+//!   serves any number of [`ops::merge_join::MergeJoinOp`] sweeps and
+//!   [`ops::hash_join::JoinTable::probe`]s without a copy;
 //! * partition-parallel execution via [`parallel::per_partition`].
 
 #![warn(missing_docs)]

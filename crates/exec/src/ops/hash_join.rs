@@ -107,6 +107,26 @@ impl JoinTable {
     pub fn matches(&self, key: i64) -> Option<&[u32]> {
         self.map.get(&key).map(Vec::as_slice)
     }
+
+    /// Joins one probe batch against the table: `[probe columns..., build
+    /// columns...]` for every matching pair, in probe order. The batch is
+    /// only read, so a caller can probe a result it keeps.
+    pub fn probe(&self, batch: &Batch, probe_key: usize) -> Batch {
+        let key_col = batch.column(probe_key);
+        let mut probe_idx: Vec<usize> = Vec::new();
+        let mut build_idx: Vec<usize> = Vec::new();
+        for i in 0..batch.len() {
+            if let Some(matches) = self.matches(join_key(key_col, i)) {
+                for &m in matches {
+                    probe_idx.push(i);
+                    build_idx.push(m as usize);
+                }
+            }
+        }
+        let mut cols = batch.gather(&probe_idx).into_columns();
+        cols.extend(self.rows.gather(&build_idx).into_columns());
+        Batch::new(cols)
+    }
 }
 
 /// Factory building the probe operator from the build-key envelope.
@@ -236,23 +256,10 @@ impl Operator for HashJoinOp<'_> {
             if batch.is_empty() {
                 continue;
             }
-            let key_col = batch.column(self.probe_key);
-            let mut probe_idx: Vec<usize> = Vec::new();
-            let mut build_idx: Vec<usize> = Vec::new();
-            for i in 0..batch.len() {
-                if let Some(matches) = table.matches(join_key(key_col, i)) {
-                    for &m in matches {
-                        probe_idx.push(i);
-                        build_idx.push(m as usize);
-                    }
-                }
-            }
-            if probe_idx.is_empty() {
+            let out = table.probe(&batch, self.probe_key);
+            if out.is_empty() {
                 continue;
             }
-            let mut cols = batch.gather(&probe_idx).into_columns();
-            cols.extend(table.rows().gather(&build_idx).into_columns());
-            let out = Batch::new(cols);
             if out.len() > BATCH_SIZE {
                 let mut parts = out.split(BATCH_SIZE);
                 parts.reverse();

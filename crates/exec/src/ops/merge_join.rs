@@ -6,124 +6,109 @@
 //! the join key, so matching is a linear two-pointer sweep with duplicate
 //! groups expanded pairwise.
 
-use crate::batch::{Batch, BATCH_SIZE};
-use crate::op::{collect, OpRef, Operator};
-use crate::ops::hash_join::join_key;
+use crate::batch::Batch;
+use crate::op::{OpRef, Operator};
 
 /// Inner merge join; output columns are `[left columns..., right columns...]`.
 ///
-/// Both inputs must be sorted ascending on their key column. The operator
-/// materializes both sides (partition volumes are modest at benchmark
-/// scale) and streams the merged result in bounded batches.
+/// Both inputs must be sorted ascending on their `Int` key column (sort
+/// order is meaningless on dictionary codes). The left side is a batch
+/// the caller materialized: it is swept in place, neither drained nor
+/// copied, so any number of joins can share it. The right side streams
+/// through — one output batch per right batch, a cursor into the left
+/// keys carrying the sweep across batches.
 pub struct MergeJoinOp<'a> {
-    left: Option<OpRef<'a>>,
-    right: Option<OpRef<'a>>,
+    left: &'a Batch,
     left_key: usize,
+    right: OpRef<'a>,
     right_key: usize,
-    output: Vec<Batch>,
+    /// First left row whose key is not below every right key seen so far.
+    cursor: usize,
+    /// Largest right key seen so far (sortedness check across batches).
+    last_right: i64,
 }
 
 impl<'a> MergeJoinOp<'a> {
-    /// Creates a merge join over sorted inputs.
-    pub fn new(left: OpRef<'a>, left_key: usize, right: OpRef<'a>, right_key: usize) -> Self {
-        MergeJoinOp {
-            left: Some(left),
-            right: Some(right),
-            left_key,
-            right_key,
-            output: Vec::new(),
-        }
-    }
-
-    fn run(&mut self) {
-        let (Some(mut l), Some(mut r)) = (self.left.take(), self.right.take()) else {
-            return;
-        };
-        let left = collect(l.as_mut());
-        let right = collect(r.as_mut());
-        if left.is_empty() || right.is_empty() {
-            return;
-        }
-        let lk = left.column(self.left_key);
-        let rk = right.column(self.right_key);
+    /// Creates a merge join of the sorted batch `left` with the sorted
+    /// stream `right`.
+    pub fn new(left: &'a Batch, left_key: usize, right: OpRef<'a>, right_key: usize) -> Self {
         debug_assert!(
-            (1..left.len()).all(|i| join_key(lk, i - 1) <= join_key(lk, i)),
+            left.is_empty() || left.column(left_key).as_int().is_sorted(),
             "left merge-join input not sorted"
         );
-        debug_assert!(
-            (1..right.len()).all(|i| join_key(rk, i - 1) <= join_key(rk, i)),
-            "right merge-join input not sorted"
-        );
-        let (mut li, mut ri) = (0usize, 0usize);
-        let mut left_idx: Vec<usize> = Vec::new();
-        let mut right_idx: Vec<usize> = Vec::new();
-        while li < left.len() && ri < right.len() {
-            let a = join_key(lk, li);
-            let b = join_key(rk, ri);
-            if a < b {
-                li += 1;
-            } else if a > b {
-                ri += 1;
-            } else {
-                // Expand the duplicate groups on both sides.
-                let l_end = (li..left.len())
-                    .take_while(|&i| join_key(lk, i) == a)
-                    .last()
-                    .unwrap()
-                    + 1;
-                let r_end = (ri..right.len())
-                    .take_while(|&i| join_key(rk, i) == a)
-                    .last()
-                    .unwrap()
-                    + 1;
-                for i in li..l_end {
-                    for j in ri..r_end {
-                        left_idx.push(i);
-                        right_idx.push(j);
-                    }
-                }
-                li = l_end;
-                ri = r_end;
-            }
+        MergeJoinOp {
+            left,
+            left_key,
+            right,
+            right_key,
+            cursor: 0,
+            last_right: i64::MIN,
         }
-        if left_idx.is_empty() {
-            return;
-        }
-        let mut cols = left.gather(&left_idx).into_columns();
-        cols.extend(right.gather(&right_idx).into_columns());
-        let mut parts = Batch::new(cols).split(BATCH_SIZE);
-        parts.reverse();
-        self.output = parts;
     }
 }
 
 impl Operator for MergeJoinOp<'_> {
     fn next(&mut self) -> Option<Batch> {
-        if self.left.is_some() {
-            self.run();
+        let left = self.left;
+        if left.is_empty() {
+            return None;
         }
-        self.output.pop()
+        let lk = left.column(self.left_key).as_int();
+        let mut left_idx: Vec<usize> = Vec::new();
+        let mut right_idx: Vec<usize> = Vec::new();
+        loop {
+            let batch = self.right.next()?;
+            if batch.is_empty() {
+                continue;
+            }
+            let rk = batch.column(self.right_key).as_int();
+            debug_assert!(
+                self.last_right <= rk[0] && rk.is_sorted(),
+                "right merge-join input not sorted"
+            );
+            self.last_right = rk[rk.len() - 1];
+            let mut li = self.cursor;
+            for (ri, &key) in rk.iter().enumerate() {
+                while li < lk.len() && lk[li] < key {
+                    li += 1;
+                }
+                // Pair the right row with the whole left group of its key;
+                // the cursor stays on the group for the next duplicate.
+                for (i, _) in lk[li..].iter().enumerate().take_while(|(_, &k)| k == key) {
+                    left_idx.push(li + i);
+                    right_idx.push(ri);
+                }
+            }
+            self.cursor = li;
+            if left_idx.is_empty() {
+                continue;
+            }
+            let mut cols = left.gather(&left_idx).into_columns();
+            cols.extend(batch.gather(&right_idx).into_columns());
+            return Some(Batch::new(cols));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::BatchSource;
+    use crate::op::{collect, BatchSource};
     use pi_storage::ColumnData;
 
-    fn src(cols: Vec<ColumnData>) -> OpRef<'static> {
-        Box::new(BatchSource::single(Batch::new(cols)))
+    fn ints(cols: &[&[i64]]) -> Batch {
+        Batch::new(cols.iter().map(|c| ColumnData::Int(c.to_vec())).collect())
+    }
+
+    fn src(batch: Batch) -> OpRef<'static> {
+        Box::new(BatchSource::single(batch))
     }
 
     #[test]
     fn merge_join_basic() {
-        let left = src(vec![ColumnData::Int(vec![1, 3, 5, 7])]);
-        let right = src(vec![
-            ColumnData::Int(vec![3, 5, 6]),
-            ColumnData::Int(vec![30, 50, 60]),
-        ]);
-        let mut j = MergeJoinOp::new(left, 0, right, 0);
+        let left = ints(&[&[1, 3, 5, 7]]);
+        let right = src(ints(&[&[3, 5, 6], &[30, 50, 60]]));
+        let mut j = MergeJoinOp::new(&left, 0, right, 0);
         let out = collect(&mut j);
         assert_eq!(out.column(0).as_int(), &[3, 5]);
         assert_eq!(out.column(2).as_int(), &[30, 50]);
@@ -131,55 +116,58 @@ mod tests {
 
     #[test]
     fn duplicate_groups_cross_product() {
-        let left = src(vec![ColumnData::Int(vec![2, 2, 3])]);
-        let right = src(vec![ColumnData::Int(vec![2, 2, 2, 3])]);
-        let mut j = MergeJoinOp::new(left, 0, right, 0);
+        let left = ints(&[&[2, 2, 3]]);
+        let mut j = MergeJoinOp::new(&left, 0, src(ints(&[&[2, 2, 2, 3]])), 0);
         let out = collect(&mut j);
         // 2x3 pairs for key 2, 1x1 for key 3.
         assert_eq!(out.len(), 7);
     }
 
+    /// Rows as sorted tuples: join output order differs between kernels.
+    fn canonical(b: &Batch) -> Vec<Vec<i64>> {
+        let mut rows: Vec<Vec<i64>> = (0..b.len())
+            .map(|i| b.columns().iter().map(|c| c.as_int()[i]).collect())
+            .collect();
+        rows.sort();
+        rows
+    }
+
     #[test]
     fn agrees_with_hash_join() {
         use crate::ops::hash_join::HashJoinOp;
-        let lvals: Vec<i64> = (0..500).map(|i| i / 3).collect();
-        let rvals: Vec<i64> = (0..300).map(|i| i / 2).collect();
-        let mut mj = MergeJoinOp::new(
-            src(vec![ColumnData::Int(lvals.clone())]),
-            0,
-            src(vec![ColumnData::Int(rvals.clone())]),
-            0,
-        );
-        let merged = collect(&mut mj);
-        let mut hj = HashJoinOp::inner(
-            src(vec![ColumnData::Int(lvals)]),
-            0,
-            src(vec![ColumnData::Int(rvals)]),
-            0,
-        );
-        let hashed = collect(&mut hj);
-        assert_eq!(merged.len(), hashed.len());
+        // Duplicate keys on both sides, payload columns telling the
+        // duplicates apart, the right side arriving in batches that cut
+        // through duplicate groups.
+        let keyed = |keys: Vec<i64>, tag: i64| {
+            let payload: Vec<i64> = (0..keys.len() as i64).map(|i| tag + i).collect();
+            ints(&[&keys, &payload])
+        };
+        let left = keyed((0..500).map(|i| i / 3).collect(), 1_000);
+        let right = keyed((0..300).map(|i| i / 2).collect(), 2_000);
+        // Probe-side (left) columns come first in the hash join as well.
+        let mut hj = HashJoinOp::inner(src(right.clone()), 0, src(left.clone()), 0);
+        let hashed = canonical(&collect(&mut hj));
+        assert_eq!(hashed.len(), 300 * 3);
+        // The borrowed left serves any number of joins and is left intact.
+        for _ in 0..2 {
+            let right_batches = Box::new(BatchSource::new(right.clone().split(7)));
+            let mut mj = MergeJoinOp::new(&left, 0, right_batches, 0);
+            assert_eq!(canonical(&collect(&mut mj)), hashed);
+        }
+        assert_eq!(left.len(), 500);
     }
 
     #[test]
     fn empty_side_yields_nothing() {
-        let mut j = MergeJoinOp::new(
-            src(vec![ColumnData::Int(vec![])]),
-            0,
-            src(vec![ColumnData::Int(vec![1])]),
-            0,
-        );
-        assert!(collect(&mut j).is_empty());
+        let (empty, one) = (ints(&[&[]]), ints(&[&[1]]));
+        assert!(collect(&mut MergeJoinOp::new(&empty, 0, src(one.clone()), 0)).is_empty());
+        assert!(collect(&mut MergeJoinOp::new(&one, 0, src(empty), 0)).is_empty());
     }
 
     #[test]
     fn disjoint_keys_yield_nothing() {
-        let mut j = MergeJoinOp::new(
-            src(vec![ColumnData::Int(vec![1, 2])]),
-            0,
-            src(vec![ColumnData::Int(vec![3, 4])]),
-            0,
-        );
+        let left = ints(&[&[1, 2]]);
+        let mut j = MergeJoinOp::new(&left, 0, src(ints(&[&[3, 4]])), 0);
         assert!(collect(&mut j).is_empty());
     }
 }

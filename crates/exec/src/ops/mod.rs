@@ -8,6 +8,5 @@ pub mod merge_join;
 pub mod meter;
 pub mod patch_select;
 pub mod probe;
-pub mod reuse;
 pub mod scan;
 pub mod sort;

@@ -7,14 +7,26 @@
 //! so the operator's per-tuple overhead is fixed and independent of data
 //! types.
 //!
+//! Both flows of a split are fed by **one** scan: per scanned batch the
+//! patch mask of its rowID window is read word-wise, ANDed with an
+//! optional pushed-down predicate evaluated once on the unfiltered batch,
+//! and each flow's rows are gathered exactly once. The flow that is not
+//! being pulled buffers its (small) batches until its consumer asks.
+//!
 //! The operator is generic over [`PatchLookup`] so both PatchIndex design
 //! approaches (bitmap-based and identifier-based, paper Section 3.2) plug
 //! into the same plans.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+
 use pi_bitmap::{PlainBitmap, ShardedBitmap};
 
-use crate::batch::Batch;
-use crate::op::{OpRef, Operator};
+use crate::batch::{positions, Batch};
+use crate::expr::Expr;
+use crate::op::Operator;
+use crate::ops::scan::ScanOp;
 
 /// RowID-set abstraction the selection operator filters against.
 pub trait PatchLookup {
@@ -97,78 +109,125 @@ impl PatchLookup for Vec<u64> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatchMode {
     /// Keep tuples that satisfy the constraint (drop patches).
-    ExcludePatches,
+    ExcludePatches = 0,
     /// Keep only the exceptions.
-    UsePatches,
+    UsePatches = 1,
 }
 
-/// Filters batches by patch membership of their rowID column.
-pub struct PatchSelectOp<'a> {
-    input: OpRef<'a>,
+/// One scan and the flows it feeds.
+struct SplitScan<'a> {
+    scan: ScanOp<'a>,
     patches: &'a dyn PatchLookup,
-    rid_col: usize,
-    mode: PatchMode,
+    pred: Option<Expr>,
     /// Word-packed patch mask scratch, reused across batches.
-    mask_buf: Vec<u64>,
-    /// Per-row keep mask scratch, reused across batches (no per-batch
-    /// allocation on the hot path).
-    keep_buf: Vec<bool>,
+    words: Vec<u64>,
+    /// Selected batches a flow has not pulled yet, indexed by
+    /// `PatchMode as usize`; `None` once nobody reads that flow.
+    flows: [Option<VecDeque<Batch>>; 2],
+}
+
+impl SplitScan<'_> {
+    /// Scans one more batch into the flows; `false` when the scan is
+    /// exhausted.
+    fn advance(&mut self) -> bool {
+        // The patch mask window comes from the scan position, never from
+        // the values of a rowID column.
+        let Some((start, batch)) = self.scan.next_window() else {
+            return false;
+        };
+        let n = batch.len();
+        let pred = self.pred.as_ref().map(|p| p.eval_bool(&batch));
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.patches
+            .fill_patch_words(start as u64, &mut self.words, n);
+        let words = &self.words;
+        for mode in [PatchMode::ExcludePatches, PatchMode::UsePatches] {
+            let Some(flow) = &mut self.flows[mode as usize] else {
+                continue;
+            };
+            let wanted = mode == PatchMode::UsePatches;
+            let in_mode = |i: usize| (words[i / 64] >> (i % 64) & 1 == 1) == wanted;
+            let selected = match &pred {
+                Some(pred) => positions(n, |i| pred[i] & in_mode(i)),
+                None => positions(n, in_mode),
+            };
+            if selected.len() == n {
+                // The flows are disjoint: the other one keeps nothing.
+                flow.push_back(batch);
+                break;
+            }
+            if !selected.is_empty() {
+                flow.push_back(batch.gather(&selected));
+            }
+        }
+        true
+    }
+}
+
+/// One flow of a PatchIndex scan: the scanned rows (matching the
+/// pushed-down predicate, if any) that are patches (`UsePatches`) or are
+/// not (`ExcludePatches`).
+pub struct PatchSelectOp<'a> {
+    scan: Rc<RefCell<SplitScan<'a>>>,
+    mode: PatchMode,
 }
 
 impl<'a> PatchSelectOp<'a> {
-    /// Creates a patch selection over `input`; `rid_col` is the index of
-    /// the rowID column produced by the scan.
-    pub fn new(
-        input: OpRef<'a>,
+    /// Both flows of one scan, `(exclude_patches, use_patches)`. Rows
+    /// failing `pred` (column indices as the scan emits them) reach
+    /// neither. Dropping a flow tells the scan to stop selecting for it.
+    pub fn split(
+        scan: ScanOp<'a>,
         patches: &'a dyn PatchLookup,
-        rid_col: usize,
-        mode: PatchMode,
-    ) -> Self {
-        PatchSelectOp {
-            input,
+        pred: Option<Expr>,
+    ) -> (Self, Self) {
+        let scan = Rc::new(RefCell::new(SplitScan {
+            scan,
             patches,
-            rid_col,
+            pred,
+            words: Vec::new(),
+            flows: [Some(VecDeque::new()), Some(VecDeque::new())],
+        }));
+        let flow = |mode| PatchSelectOp {
+            scan: Rc::clone(&scan),
             mode,
-            mask_buf: Vec::new(),
-            keep_buf: Vec::new(),
+        };
+        (flow(PatchMode::ExcludePatches), flow(PatchMode::UsePatches))
+    }
+
+    /// A single flow over `scan`.
+    pub fn new(scan: ScanOp<'a>, patches: &'a dyn PatchLookup, mode: PatchMode) -> Self {
+        let (exclude, use_patches) = Self::split(scan, patches, None);
+        match mode {
+            PatchMode::ExcludePatches => exclude,
+            PatchMode::UsePatches => use_patches,
         }
     }
 }
 
 impl Operator for PatchSelectOp<'_> {
     fn next(&mut self) -> Option<Batch> {
+        let mut scan = self.scan.borrow_mut();
         loop {
-            let batch = self.input.next()?;
-            if batch.is_empty() {
-                continue;
+            let flow = scan.flows[self.mode as usize]
+                .as_mut()
+                .expect("a live flow is never closed");
+            if let Some(batch) = flow.pop_front() {
+                return Some(batch);
             }
-            let rids = batch.column(self.rid_col).as_int();
-            let n = rids.len();
-            let keep_patches = self.mode == PatchMode::UsePatches;
-            // Fast path: contiguous ascending rowIDs (plain scans) read the
-            // patch mask word-wise.
-            let contiguous = rids[n - 1] - rids[0] + 1 == n as i64;
-            self.keep_buf.clear();
-            self.keep_buf.resize(n, false);
-            if contiguous {
-                let words = n.div_ceil(64);
-                self.mask_buf.clear();
-                self.mask_buf.resize(words, 0);
-                self.patches
-                    .fill_patch_words(rids[0] as u64, &mut self.mask_buf, n);
-                for (i, m) in self.keep_buf.iter_mut().enumerate() {
-                    let is_patch = self.mask_buf[i / 64] >> (i % 64) & 1 == 1;
-                    *m = is_patch == keep_patches;
-                }
-            } else {
-                for (i, &rid) in rids.iter().enumerate() {
-                    self.keep_buf[i] = self.patches.is_patch(rid as u64) == keep_patches;
-                }
+            if !scan.advance() {
+                return None;
             }
-            let out = batch.filter(&self.keep_buf);
-            if !out.is_empty() {
-                return Some(out);
-            }
+        }
+    }
+}
+
+impl Drop for PatchSelectOp<'_> {
+    fn drop(&mut self) {
+        // Only `next` borrows the scan, and it cannot be running here.
+        if let Ok(mut scan) = self.scan.try_borrow_mut() {
+            scan.flows[self.mode as usize] = None;
         }
     }
 }
@@ -176,110 +235,162 @@ impl Operator for PatchSelectOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, BatchSource};
-    use pi_storage::ColumnData;
+    use crate::expr::Expr;
+    use crate::op::collect;
+    use pi_storage::{ColumnData, DataType, Field, Partition, Schema};
+    use std::ops::Range;
+    use std::sync::Arc;
 
-    fn rid_batch(rids: &[i64]) -> Batch {
-        Batch::new(vec![
-            ColumnData::Int(rids.iter().map(|r| r * 10).collect()),
-            ColumnData::Int(rids.to_vec()),
-        ])
+    /// `rows` rows `(rid * 10)`.
+    fn partition(rows: i64) -> Partition {
+        let schema = Arc::new(Schema::new(vec![Field::new("v", DataType::Int)]));
+        Partition::new(
+            0,
+            schema,
+            vec![ColumnData::Int((0..rows).map(|r| r * 10).collect())],
+        )
+    }
+
+    /// Selects over a scan of `ranges` (one batch per range); column 1 of
+    /// the result is the rowID.
+    fn select(
+        p: &Partition,
+        ranges: Vec<Range<usize>>,
+        patches: &dyn PatchLookup,
+        mode: PatchMode,
+    ) -> Batch {
+        let scan = ScanOp::with_ranges(p, vec![0], ranges, true);
+        collect(&mut PatchSelectOp::new(scan, patches, mode))
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn exclude_patches_drops_exceptions() {
         let bm = ShardedBitmap::from_positions(100, &[2, 5]);
-        let src = BatchSource::single(rid_batch(&(0..10).collect::<Vec<_>>()));
-        let mut op = PatchSelectOp::new(Box::new(src), &bm, 1, PatchMode::ExcludePatches);
-        let out = collect(&mut op);
+        let out = select(&partition(10), vec![0..10], &bm, PatchMode::ExcludePatches);
         assert_eq!(out.column(1).as_int(), &[0, 1, 3, 4, 6, 7, 8, 9]);
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn use_patches_keeps_exceptions_only() {
         let bm = ShardedBitmap::from_positions(100, &[2, 5]);
-        let src = BatchSource::single(rid_batch(&(0..10).collect::<Vec<_>>()));
-        let mut op = PatchSelectOp::new(Box::new(src), &bm, 1, PatchMode::UsePatches);
-        let out = collect(&mut op);
+        let out = select(&partition(10), vec![0..10], &bm, PatchMode::UsePatches);
         assert_eq!(out.column(1).as_int(), &[2, 5]);
         assert_eq!(out.column(0).as_int(), &[20, 50]);
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn identifier_list_lookup() {
         let ids: Vec<u64> = vec![2, 5];
-        let src = BatchSource::single(rid_batch(&(0..10).collect::<Vec<_>>()));
-        let mut op = PatchSelectOp::new(Box::new(src), &ids, 1, PatchMode::ExcludePatches);
-        let out = collect(&mut op);
+        let out = select(&partition(10), vec![0..10], &ids, PatchMode::ExcludePatches);
         assert_eq!(out.column(1).as_int(), &[0, 1, 3, 4, 6, 7, 8, 9]);
         assert_eq!(ids.patch_count(), 2);
     }
 
     #[test]
     fn non_contiguous_rids_fall_back() {
+        // A range-restricted scan: every batch is its own rowID window.
         let bm = ShardedBitmap::from_positions(100, &[7, 30]);
-        let src = BatchSource::single(rid_batch(&[3, 7, 25, 30, 99]));
-        let mut op = PatchSelectOp::new(Box::new(src), &bm, 1, PatchMode::UsePatches);
-        let out = collect(&mut op);
+        let ranges = vec![3..4, 7..8, 25..26, 30..31, 99..100];
+        let out = select(&partition(100), ranges, &bm, PatchMode::UsePatches);
         assert_eq!(out.column(1).as_int(), &[7, 30]);
     }
 
     #[test]
+    fn permuted_windows_select_by_rowid() {
+        // Regression: the selection used to infer its mask window from the
+        // rowID column (`last - first + 1 == len`), so a batch with rids
+        // [0, 2, 1, 3] passed as contiguous and patch {1} selected rid 2 by
+        // position. The window now comes from the scan itself; scanning the
+        // rows in that order selects rid 1.
+        let bm = ShardedBitmap::from_positions(100, &[1]);
+        let ranges = vec![0..1, 2..3, 1..2, 3..4];
+        let p = partition(4);
+        let out = select(&p, ranges.clone(), &bm, PatchMode::UsePatches);
+        assert_eq!(out.column(1).as_int(), &[1]);
+        assert_eq!(out.column(0).as_int(), &[10]);
+        let out = select(&p, ranges, &bm, PatchMode::ExcludePatches);
+        assert_eq!(out.column(1).as_int(), &[0, 2, 3]);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn splits_are_complementary() {
         let bm = ShardedBitmap::from_positions(1 << 16, &(0..1000).step_by(3).collect::<Vec<_>>());
-        let rids: Vec<i64> = (0..1000).collect();
-        let mut ex = PatchSelectOp::new(
-            Box::new(BatchSource::single(rid_batch(&rids))),
-            &bm,
-            1,
-            PatchMode::ExcludePatches,
-        );
-        let mut us = PatchSelectOp::new(
-            Box::new(BatchSource::single(rid_batch(&rids))),
-            &bm,
-            1,
-            PatchMode::UsePatches,
-        );
-        let a = collect(&mut ex).len();
-        let b = collect(&mut us).len();
+        let p = partition(1000);
+        let a = select(&p, vec![0..1000], &bm, PatchMode::ExcludePatches).len();
+        let b = select(&p, vec![0..1000], &bm, PatchMode::UsePatches).len();
         assert_eq!(a + b, 1000);
         assert_eq!(b, 334);
     }
 
     #[test]
+    fn split_flows_share_one_scan() {
+        // 10k rows = three scan batches; every 7th row is a patch, the
+        // predicate keeps the first 5k rows. Whichever flow is pulled
+        // first, each sees exactly its rows, in scan order.
+        let patches: Vec<u64> = (0..10_000).step_by(7).collect();
+        let bm = ShardedBitmap::from_positions(10_000, &patches);
+        let p = partition(10_000);
+        let pred = Expr::col(0).lt(Expr::LitInt(50_000));
+        let want = |keep_patches: bool| -> Vec<i64> {
+            (0..5_000)
+                .filter(|r| (r % 7 == 0) == keep_patches)
+                .collect()
+        };
+        for use_first in [false, true] {
+            let scan = ScanOp::new(&p, vec![0], true);
+            let (mut ex, mut us) = PatchSelectOp::split(scan, &bm, Some(pred.clone()));
+            let (kept, patched) = if use_first {
+                let patched = collect(&mut us);
+                (collect(&mut ex), patched)
+            } else {
+                (collect(&mut ex), collect(&mut us))
+            };
+            assert_eq!(kept.column(1).as_int(), want(false));
+            assert_eq!(patched.column(1).as_int(), want(true));
+        }
+    }
+
+    #[test]
+    fn dropped_flow_is_not_buffered() {
+        let bm = ShardedBitmap::from_positions(10_000, &[1, 5_000]);
+        let p = partition(10_000);
+        let (mut ex, us) = PatchSelectOp::split(ScanOp::new(&p, vec![0], true), &bm, None);
+        drop(us);
+        assert_eq!(collect(&mut ex).len(), 9_998);
+        assert!(ex.scan.borrow().flows[PatchMode::UsePatches as usize].is_none());
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn plain_bitmap_default_fill_path() {
         let bm = PlainBitmap::from_positions(100, &[1, 3]);
-        let src = BatchSource::single(rid_batch(&(0..6).collect::<Vec<_>>()));
-        let mut op = PatchSelectOp::new(Box::new(src), &bm, 1, PatchMode::UsePatches);
-        let out = collect(&mut op);
+        let out = select(&partition(6), vec![0..6], &bm, PatchMode::UsePatches);
         assert_eq!(out.column(1).as_int(), &[1, 3]);
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn identifier_wordwise_fill_matches_bitmap() {
-        // Contiguous batches over an unaligned rowID window: the sorted-run
-        // gallop must agree bit-for-bit with the sharded bitmap path.
+        // Scans over an unaligned rowID window: the sorted-run gallop must
+        // agree bit-for-bit with the sharded bitmap path.
         let patches: Vec<u64> = (0..500).filter(|p| p % 7 == 0 || p % 64 == 63).collect();
         let ids: Vec<u64> = patches.clone();
         let bm = ShardedBitmap::from_positions(500, &patches);
-        for start in [0i64, 1, 63, 130, 421] {
-            let rids: Vec<i64> = (start..(start + 70).min(500)).collect();
+        let p = partition(500);
+        for start in [0usize, 1, 63, 130, 421] {
+            let window = start..(start + 70).min(500);
             for mode in [PatchMode::ExcludePatches, PatchMode::UsePatches] {
-                let mut by_ids = PatchSelectOp::new(
-                    Box::new(BatchSource::single(rid_batch(&rids))),
-                    &ids,
-                    1,
-                    mode,
-                );
-                let mut by_bm = PatchSelectOp::new(
-                    Box::new(BatchSource::single(rid_batch(&rids))),
-                    &bm,
-                    1,
-                    mode,
-                );
                 assert_eq!(
-                    collect(&mut by_ids).column(1).as_int(),
-                    collect(&mut by_bm).column(1).as_int(),
+                    select(&p, vec![window.clone()], &ids, mode)
+                        .column(1)
+                        .as_int(),
+                    select(&p, vec![window.clone()], &bm, mode)
+                        .column(1)
+                        .as_int(),
                     "start={start} mode={mode:?}"
                 );
             }
@@ -287,12 +398,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn plain_bitmap_wordwise_unaligned_window() {
         let bm = PlainBitmap::from_positions(300, &[65, 130, 131, 200]);
-        let rids: Vec<i64> = (60..210).collect();
-        let src = BatchSource::single(rid_batch(&rids));
-        let mut op = PatchSelectOp::new(Box::new(src), &bm, 1, PatchMode::UsePatches);
-        let out = collect(&mut op);
+        let out = select(&partition(300), vec![60..210], &bm, PatchMode::UsePatches);
         assert_eq!(out.column(1).as_int(), &[65, 130, 131, 200]);
     }
 
@@ -301,27 +410,17 @@ mod tests {
         // Batches of shrinking and growing sizes through one operator: the
         // reused scratch space must never leak bits across batches.
         let ids: Vec<u64> = vec![2, 65, 128];
-        let batches = vec![
-            rid_batch(&(0..130).collect::<Vec<_>>()),
-            rid_batch(&[1, 2, 3]),
-            rid_batch(&(60..70).collect::<Vec<_>>()),
-            rid_batch(&(0..200).collect::<Vec<_>>()),
-        ];
-        let src = BatchSource::new(batches);
-        let mut op = PatchSelectOp::new(Box::new(src), &ids, 1, PatchMode::UsePatches);
-        let out = collect(&mut op);
+        let ranges = vec![0..130, 1..4, 60..70, 0..200];
+        let out = select(&partition(200), ranges, &ids, PatchMode::UsePatches);
         assert_eq!(out.column(1).as_int(), &[2, 65, 128, 2, 65, 2, 65, 128]);
     }
 
     #[test]
     fn exhausted_on_empty_input() {
         let bm = ShardedBitmap::new(10);
-        let mut op = PatchSelectOp::new(
-            Box::new(BatchSource::new(vec![])),
-            &bm,
-            0,
-            PatchMode::ExcludePatches,
-        );
+        let p = partition(0);
+        let scan = ScanOp::new(&p, vec![0], true);
+        let mut op = PatchSelectOp::new(scan, &bm, PatchMode::ExcludePatches);
         assert!(op.next().is_none());
     }
 }

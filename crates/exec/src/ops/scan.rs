@@ -61,8 +61,12 @@ impl<'a> ScanOp<'a> {
     }
 }
 
-impl Operator for ScanOp<'_> {
-    fn next(&mut self) -> Option<Batch> {
+impl ScanOp<'_> {
+    /// Produces the next batch together with the rowID of its first row.
+    /// A batch never crosses a range boundary, so its rows are the
+    /// contiguous rowID window `[start, start + batch.len())` — what the
+    /// PatchIndex selection reads its patch mask for.
+    pub fn next_window(&mut self) -> Option<(usize, Batch)> {
         loop {
             let range = self.ranges.get(self.cur)?;
             if self.pos >= range.end {
@@ -72,16 +76,23 @@ impl Operator for ScanOp<'_> {
                 }
                 continue;
             }
-            let len = BATCH_SIZE.min(range.end - self.pos);
-            let mut cols = self.partition.read_range(&self.cols, self.pos, len);
+            let start = self.pos;
+            let len = BATCH_SIZE.min(range.end - start);
+            let mut cols = self.partition.read_range(&self.cols, start, len);
             if self.with_rowids {
                 cols.push(ColumnData::Int(
-                    (self.pos as i64..(self.pos + len) as i64).collect(),
+                    (start as i64..(start + len) as i64).collect(),
                 ));
             }
             self.pos += len;
-            return Some(Batch::new(cols));
+            return Some((start, Batch::new(cols)));
         }
+    }
+}
+
+impl Operator for ScanOp<'_> {
+    fn next(&mut self) -> Option<Batch> {
+        self.next_window().map(|(_, batch)| batch)
     }
 }
 

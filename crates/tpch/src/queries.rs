@@ -6,25 +6,28 @@
 //!   a MergeJoin in the `exclude_patches` flow, the patches flow builds a
 //!   hash table on the (small) patch set and probes the buffered join
 //!   subtree "X" (intermediate result caching), both flows recombine with
-//!   a Union (Figure 2, right);
+//!   a Union (Figure 2, right). `lineitem` is read once: each partition's
+//!   scan splits into both flows on the fly, with the query's lineitem
+//!   predicate pushed into the split. X is materialized once and only
+//!   borrowed from then on — swept in place by every partition's
+//!   MergeJoin, probed once by the hash table over all partitions'
+//!   patches;
 //! * **PatchIndexZbp** — like PatchIndex with zero-branch pruning: on a
 //!   perfect constraint the patches subtree is dropped entirely;
 //! * **JoinIdx** — the lineitem⋈orders join is read from a materialized
 //!   [`JoinIndex`] partner column instead of being computed.
 
-use patchindex::scan::patch_scan;
+use patchindex::scan::patch_scan_split;
 use patchindex::PatchIndex;
 use pi_baselines::JoinIndex;
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::{FilterOp, ProjectOp};
-use pi_exec::ops::hash_join::HashJoinOp;
+use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
 use pi_exec::ops::merge::UnionAllOp;
 use pi_exec::ops::merge_join::MergeJoinOp;
-use pi_exec::ops::patch_select::PatchMode;
-use pi_exec::ops::reuse::{ReuseCacheOp, ReuseCell, ReuseLoadOp};
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::{SortOp, SortOrder};
-use pi_exec::{collect, count_rows, Batch, Expr, OpRef};
+use pi_exec::{collect, drain, Batch, Expr, OpRef};
 use pi_storage::{date, Table};
 
 use crate::gen::{cols, TpchDb};
@@ -54,55 +57,46 @@ fn scan_all<'a>(table: &'a Table, cols_: Vec<usize>, filter: Option<Expr>) -> Op
     }
 }
 
-/// Materializes the buffered subtree "X" into a reuse cell and returns a
-/// factory for replaying it (the paper's ReuseCache / ReuseLoad pair).
-fn buffer_subtree(x: OpRef<'_>) -> ReuseCell {
-    let cell = ReuseCell::new();
-    let mut cache = ReuseCacheOp::new(x, cell.clone());
-    let _ = count_rows(&mut cache);
-    cell
-}
-
-/// The lineitem⋈X join for the PatchIndex variants: per partition, an
-/// order-preserving MergeJoin over the excluding flow plus (unless pruned)
-/// a HashJoin with the build side on the patches. Output columns are
-/// `[X columns..., lineitem columns..., rid]`.
-fn pi_lineitem_join<'a>(
-    db: &'a TpchDb,
-    index: &'a PatchIndex,
-    x_cell: &ReuseCell,
+/// The lineitem⋈X join for the PatchIndex variants over the materialized
+/// subtree `x`. Per partition, one scan splits the rows passing `l_filter`
+/// into the excluding flow — sorted on `l_orderkey`, streamed through an
+/// order-preserving MergeJoin that sweeps `x` in place — and the patches
+/// flow; the patches of all partitions become the build side of one
+/// HashJoin that `x` probes (so its layout matches the MergeJoin's).
+/// Output columns are `[X columns..., lineitem columns..., rid]`.
+fn pi_lineitem_join(
+    db: &TpchDb,
+    index: &PatchIndex,
+    x: &Batch,
     x_key: usize,
-    l_cols: Vec<usize>,
-    l_filter: Option<Expr>,
+    l_cols: &[usize],
+    l_filter: &Expr,
     zbp: bool,
-) -> OpRef<'a> {
-    let mut flows: Vec<OpRef<'a>> = Vec::new();
+) -> Batch {
+    let mut pieces: Vec<Batch> = Vec::new();
+    let mut patch_flows: Vec<OpRef<'_>> = Vec::new();
     for pid in 0..db.lineitem.partition_count() {
         let part = db.lineitem.partition(pid);
-        // exclude_patches flow: sorted on l_orderkey, MergeJoin with X.
-        let exclude = patch_scan(part, index, l_cols.clone(), PatchMode::ExcludePatches);
-        let exclude: OpRef<'a> = match &l_filter {
-            Some(pred) => Box::new(FilterOp::new(exclude, pred.clone())),
-            None => exclude,
-        };
-        let x_replay: OpRef<'a> = Box::new(ReuseLoadOp::new(x_cell.clone()));
-        flows.push(Box::new(MergeJoinOp::new(x_replay, x_key, exclude, 0)));
-        // use_patches flow: hash build on the small patch set, probe X.
-        // The ZBP variant prunes it per partition, like pi-planner's
-        // catalog-aware lowering does for Plan-based queries.
-        let has_patches = index.partition_patch_count(pid) > 0;
-        if !zbp || has_patches {
-            let use_flow = patch_scan(part, index, l_cols.clone(), PatchMode::UsePatches);
-            let use_flow: OpRef<'a> = match &l_filter {
-                Some(pred) => Box::new(FilterOp::new(use_flow, pred.clone())),
-                None => use_flow,
-            };
-            let x_replay: OpRef<'a> = Box::new(ReuseLoadOp::new(x_cell.clone()));
-            // Probe X so the output layout matches the MergeJoin flow.
-            flows.push(Box::new(HashJoinOp::inner(use_flow, 0, x_replay, x_key)));
+        let (exclude, patches) =
+            patch_scan_split(part, index, l_cols.to_vec(), Some(l_filter.clone()));
+        // The ZBP variant prunes the patches flow per partition, like
+        // pi-planner's catalog-aware lowering does for Plan-based queries;
+        // dropping it before the scan runs keeps it from being selected.
+        if !zbp || index.partition_patch_count(pid) > 0 {
+            patch_flows.push(patches);
+        } else {
+            drop(patches);
+        }
+        pieces.extend(drain(&mut MergeJoinOp::new(x, x_key, exclude, 0)));
+    }
+    if !patch_flows.is_empty() {
+        let patches = JoinTable::build(&mut UnionAllOp::new(patch_flows), 0);
+        let joined = patches.probe(x, x_key);
+        if !joined.is_empty() {
+            pieces.push(joined);
         }
     }
-    Box::new(UnionAllOp::new(flows))
+    Batch::concat(&pieces)
 }
 
 /// TPC-H Q3 (shipping priority).
@@ -152,24 +146,14 @@ pub fn q3(
             // Output: [l cols (0..4), x cols (4..10)]
             let li = scan_all(&db.lineitem, l_cols.clone(), Some(l_filter.clone()));
             let mut join = HashJoinOp::inner(x(), 0, li, 0);
-            let out = collect(&mut join);
-            // Normalize to [x..., l...]: project x cols then l cols.
-            project_concat(&out, 4, 6)
+            // Normalize to [x..., l...].
+            project_concat(collect(&mut join), 4)
         }
         QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
             let index = index.expect("PatchIndex variant needs the NSC index");
-            let cell = buffer_subtree(x());
-            let mut root = pi_lineitem_join(
-                db,
-                index,
-                &cell,
-                0,
-                l_cols.clone(),
-                Some(l_filter.clone()),
-                variant == QueryVariant::PatchIndexZbp,
-            );
-            let out = collect(root.as_mut());
-            normalize_pi_layout(&out, 6, l_cols.len() + 1)
+            let x = collect(x().as_mut());
+            let zbp = variant == QueryVariant::PatchIndexZbp;
+            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp)
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");
@@ -273,21 +257,11 @@ fn take_op(op: &mut dyn pi_exec::Operator) -> pi_exec::BatchSource {
     pi_exec::BatchSource::new(pi_exec::drain(op))
 }
 
-/// Reorders `[l(0..l_width), x(l_width..l_width+x_width)]` into
-/// `[x..., l...]`.
-fn project_concat(out: &Batch, l_width: usize, x_width: usize) -> Batch {
-    let order: Vec<usize> = (l_width..l_width + x_width).chain(0..l_width).collect();
-    out.project(&order)
-}
-
-/// PatchIndex flows emit two layouts: MergeJoin `[x, l]`, patches HashJoin
-/// `[x, l]` as well (X is the probe side) — already uniform, so this is a
-/// no-op check that widths line up.
-fn normalize_pi_layout(out: &Batch, x_width: usize, l_width: usize) -> Batch {
-    if !out.is_empty() {
-        assert_eq!(out.width(), x_width + l_width, "unexpected PI join layout");
-    }
-    out.clone()
+/// Reorders `[l(0..l_width), x(l_width..)]` into `[x..., l...]`.
+fn project_concat(out: Batch, l_width: usize) -> Batch {
+    let mut columns = out.into_columns();
+    columns.rotate_left(l_width);
+    Batch::new(columns)
 }
 
 /// TPC-H Q7 (volume shipping).
@@ -351,25 +325,17 @@ pub fn q7(
         QueryVariant::Reference => {
             let li = scan_all(&db.lineitem, l_cols.clone(), Some(l_filter.clone()));
             let mut join = HashJoinOp::inner(x(), 0, li, 0);
-            let out = collect(&mut join);
-            project_concat(&out, 5, 6)
+            project_concat(collect(&mut join), 5)
         }
         QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
             let index = index.expect("PatchIndex variant needs the NSC index");
-            let cell = buffer_subtree(x());
-            let mut root = pi_lineitem_join(
-                db,
-                index,
-                &cell,
-                0,
-                l_cols.clone(),
-                Some(l_filter.clone()),
-                variant == QueryVariant::PatchIndexZbp,
-            );
-            let out = collect(root.as_mut());
-            let out = normalize_pi_layout(&out, 6, l_cols.len() + 1);
+            let x = collect(x().as_mut());
+            let zbp = variant == QueryVariant::PatchIndexZbp;
+            let out = pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp);
             // Drop the internal rid column: uniform 11-column layout.
-            out.project(&(0..11).collect::<Vec<_>>())
+            let mut columns = out.into_columns();
+            columns.truncate(11);
+            Batch::new(columns)
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");
@@ -501,17 +467,9 @@ pub fn q12(
         }
         QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
             let index = index.expect("PatchIndex variant needs the NSC index");
-            let cell = buffer_subtree(scan_all(&db.orders, o_cols.clone(), None));
-            let mut root = pi_lineitem_join(
-                db,
-                index,
-                &cell,
-                0,
-                l_cols.clone(),
-                Some(l_filter.clone()),
-                variant == QueryVariant::PatchIndexZbp,
-            );
-            collect(root.as_mut())
+            let x = collect(scan_all(&db.orders, o_cols.clone(), None).as_mut());
+            let zbp = variant == QueryVariant::PatchIndexZbp;
+            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp)
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");
