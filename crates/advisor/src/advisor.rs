@@ -499,7 +499,6 @@ fn hypothetical_benefit(
         drift_patches: 0,
         maintained_rows: 0,
         memory_bytes: 0,
-        global_unique: true,
         feedback: QueryFeedback::default(),
     };
     let cat = IndexCatalog {

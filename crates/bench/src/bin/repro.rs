@@ -1,11 +1,9 @@
 //! Reproduction harness: prints the paper's tables and figures.
 //!
 //! Usage:
-//! `repro [fig1|fig6|table2|fig7|table3|fig8|fig9|fig10|fig11|ext|maintenance|planner|advisor|concurrency|durability|cache|obs|serve|all]`
+//! `repro [fig1|fig6|table2|fig7|table3|fig8|fig9|fig10|fig11|ext|all]`
 //! Scale via env: `PI_BITMAP_BITS`, `PI_MICRO_ROWS`, `PI_TPCH_SF`,
-//! `PI_UPDATES`, `PI_BULK_DELETES`, `PI_MAINT_*`, `PI_PLAN_*`,
-//! `PI_ADV_ROWS`, `PI_CONC_*`, `PI_DUR_*`, `PI_CACHE_*`, `PI_OBS_*`, `PI_SERVE_*`
-//! (see `experiments`).
+//! `PI_UPDATES`, `PI_BULK_DELETES`, `PI_PUBLICBI_ROWS` (see `experiments`).
 
 use pi_bench::experiments as ex;
 
@@ -25,14 +23,6 @@ fn main() {
         ("fig10", ex::fig10),
         ("fig11", ex::fig11),
         ("ext", ex::ext),
-        ("maintenance", ex::maintenance),
-        ("planner", ex::planner),
-        ("advisor", ex::advisor),
-        ("concurrency", ex::concurrency),
-        ("durability", ex::durability),
-        ("cache", ex::cache),
-        ("obs", ex::obs),
-        ("serve", ex::serve),
     ];
     let known: Vec<&str> = jobs.iter().map(|(n, _)| *n).collect();
     if what != "all" && !known.contains(&what) {

@@ -4,11 +4,14 @@
 //!
 //! * `PI_BITMAP_BITS` (default 10M) — sharded-bitmap experiment size
 //!   (paper: 100M / 1B);
+//! * `PI_BULK_DELETES` (default 100K) — positions per bulk delete;
 //! * `PI_MICRO_ROWS` (default 400K) — microbenchmark rows (paper: 1B);
-//! * `PI_TPCH_SF` (default 0.01) — TPC-H scale factor (paper: 1000).
+//! * `PI_UPDATES` (default 1000) — update statements of Figure 9;
+//! * `PI_TPCH_SF` (default 0.05) — TPC-H scale factor (paper: 1000);
+//! * `PI_PUBLICBI_ROWS` (default 4000) — rows per synthetic workbook
+//!   column of Figure 1.
 //!
-//! Each function returns the rendered result table; `EXPERIMENTS.md`
-//! records paper-vs-measured shapes.
+//! Each function returns the rendered result table.
 
 use std::time::Duration;
 
@@ -786,2005 +789,5 @@ pub fn ext() -> String {
         ncc.nrows(),
         ncc.exception_rate() * 100.0
     ));
-    out
-}
-
-// ----------------------------------------------------- planner experiment
-
-/// Planner experiment (beyond the paper): measures what the
-/// catalog-driven planner buys.
-///
-/// * **Per-partition ZBP**: a `PI_PLAN_PARTS`-partition nearly sorted
-///   table with all patches confined to partition 0. Plan-level ZBP
-///   keeps the `use_patches` flow (total patches > 0); the per-partition
-///   lowering instantiates it only where patches live, so the other
-///   partitions run the clean single-stream pipeline.
-/// * **Multi-index selection**: one table, a NUC index on the id column
-///   and an NSC index on the timestamp column; the `QueryEngine` facade
-///   must bind the matching index per query and beat the no-index plan.
-///
-/// Writes `BENCH_planner.json`. Scale via `PI_PLAN_PARTS` /
-/// `PI_PLAN_ROWS` (per partition) / `PI_PLAN_PATCHES`.
-pub fn planner() -> String {
-    use patchindex::{IndexCatalog, IndexedTable};
-    use pi_exec::ops::sort::SortOrder;
-    use pi_planner::{execute_count, optimize, prune_for_partition, Plan, QueryEngine};
-
-    let parts = env_usize("PI_PLAN_PARTS", 16);
-    let rows = env_usize("PI_PLAN_ROWS", 50_000);
-    let patches = env_usize("PI_PLAN_PATCHES", 512).min(rows / 2);
-
-    // ---- per-partition ZBP on a skewed-patch table --------------------
-    let mut t = pi_storage::Table::new(
-        "skewed",
-        pi_storage::Schema::new(vec![pi_storage::Field::new(
-            "ts",
-            pi_storage::DataType::Int,
-        )]),
-        parts,
-        pi_storage::Partitioning::RoundRobin,
-    );
-    for pid in 0..parts {
-        let base = (pid * rows) as i64 * 2;
-        let mut vals: Vec<i64> = (0..rows as i64).map(|i| base + 2 * i).collect();
-        if pid == 0 && patches > 0 {
-            // All strays live here: every stride-th value jumps backwards.
-            let stride = (rows / patches).max(1);
-            for k in 0..patches {
-                vals[(k * stride).min(rows - 1)] = -(k as i64) - 1;
-            }
-        }
-        t.load_partition(pid, &[pi_storage::ColumnData::Int(vals)]);
-    }
-    t.propagate_all();
-    let indexes = vec![PatchIndex::create(
-        &t,
-        0,
-        Constraint::NearlySorted(SortDir::Asc),
-        Design::Bitmap,
-    )];
-    // A selective ORDER BY: scan-bound, so the cost of cloning the scan
-    // into two flows (and pruning the clone away again) is what shows.
-    let plan = Plan::Sort {
-        input: Box::new(Plan::Scan {
-            cols: vec![0],
-            filter: Some(pi_exec::Expr::col(0).lt(pi_exec::Expr::LitInt(rows as i64 / 4))),
-        }),
-        keys: vec![(0, pi_exec::ops::sort::SortOrder::Asc)],
-    };
-    let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &indexes), true);
-    let patch_flow_parts = (0..parts)
-        .filter(|&pid| {
-            prune_for_partition(&opt, &t, &indexes, pid)
-                .map(|p| p.to_string().contains("use_patches"))
-                .unwrap_or(false)
-        })
-        .count();
-
-    let expected = execute_count(&plan, &t, pi_planner::NO_INDEXES);
-    let t_ref = time_best(3, || {
-        assert_eq!(execute_count(&plan, &t, pi_planner::NO_INDEXES), expected)
-    });
-    let t_local = time_best(3, || {
-        assert_eq!(execute_count(&opt, &t, &indexes), expected)
-    });
-
-    let mut out = format!(
-        "Planner: {parts} partitions x {rows} rows, {patches} patches all in partition 0\n"
-    );
-    let mut table = TablePrinter::new(&["config", "filtered sort [s]", "use_patches partitions"]);
-    table.row(vec!["no index".into(), secs(t_ref), "-".into()]);
-    table.row(vec![
-        "per-partition ZBP".into(),
-        secs(t_local),
-        patch_flow_parts.to_string(),
-    ]);
-    out.push_str(&table.render());
-
-    // ---- multi-index selection quality --------------------------------
-    let sel_rows = rows.min(20_000);
-    let mut t2 = pi_storage::Table::new(
-        "multi",
-        pi_storage::Schema::new(vec![
-            pi_storage::Field::new("key", pi_storage::DataType::Int),
-            pi_storage::Field::new("id", pi_storage::DataType::Int),
-            pi_storage::Field::new("ts", pi_storage::DataType::Int),
-        ]),
-        4,
-        pi_storage::Partitioning::RoundRobin,
-    );
-    for pid in 0..4usize {
-        let base = (pid * sel_rows) as i64;
-        let keys: Vec<i64> = (0..sel_rows as i64).map(|i| base + i).collect();
-        // id: unique except a few in-partition duplicate pairs.
-        let mut ids: Vec<i64> = keys.iter().map(|k| k * 3 + 1).collect();
-        for d in 0..(sel_rows / 200).max(1) {
-            let i = d * 190 + 1;
-            if i + 1 < sel_rows {
-                ids[i + 1] = ids[i];
-            }
-        }
-        // ts: ascending with a few strays.
-        let mut ts: Vec<i64> = keys.iter().map(|k| k * 2).collect();
-        for d in 0..(sel_rows / 300).max(1) {
-            ts[(d * 290 + 7).min(sel_rows - 1)] = -1;
-        }
-        t2.load_partition(
-            pid,
-            &[
-                pi_storage::ColumnData::Int(keys),
-                pi_storage::ColumnData::Int(ids),
-                pi_storage::ColumnData::Int(ts),
-            ],
-        );
-    }
-    t2.propagate_all();
-    let mut it = IndexedTable::new(t2);
-    let nuc_slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-    let nsc_slot = it.add_index(2, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-
-    let mut table = TablePrinter::new(&[
-        "query",
-        "chosen slot",
-        "expected",
-        "no index [s]",
-        "facade [s]",
-    ]);
-    let mut sel_json: Vec<String> = Vec::new();
-    let queries: [(&str, Plan, usize); 2] = [
-        (
-            "distinct(id)",
-            Plan::scan(vec![1]).distinct(vec![0]),
-            nuc_slot,
-        ),
-        (
-            "sort(ts)",
-            Plan::scan(vec![2]).sort(vec![(0, SortOrder::Asc)]),
-            nsc_slot,
-        ),
-    ];
-    for (label, q, expected_slot) in queries {
-        // Plan once through the facade; the timed body executes the
-        // chosen plan only (planning stays outside, like fig7).
-        let chosen = it.plan_query(&q);
-        let chosen_str = chosen.to_string();
-        let bound: Vec<usize> = (0..2)
-            .filter(|s| chosen_str.contains(&format!("slot={s}")))
-            .collect();
-        let picked_expected = bound == [expected_slot];
-        let bound_str = if bound.is_empty() {
-            "-".to_string()
-        } else {
-            bound
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let reference = execute_count(&q, it.table(), pi_planner::NO_INDEXES);
-        let t_no = time_best(3, || {
-            assert_eq!(
-                execute_count(&q, it.table(), pi_planner::NO_INDEXES),
-                reference
-            )
-        });
-        let t_pi = time_best(3, || {
-            assert_eq!(execute_count(&chosen, it.table(), it.indexes()), reference)
-        });
-        table.row(vec![
-            label.into(),
-            format!(
-                "{bound_str}{}",
-                if picked_expected { "" } else { " (WRONG)" }
-            ),
-            expected_slot.to_string(),
-            secs(t_no),
-            secs(t_pi),
-        ]);
-        let bound_json = bound
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        sel_json.push(format!(
-            "    {{\"query\": \"{label}\", \"expected_slot\": {expected_slot}, \
-             \"chosen_slots\": [{bound_json}], \"picked_expected\": {picked_expected}, \
-             \"no_index_s\": {:.6}, \"facade_s\": {:.6}}}",
-            t_no.as_secs_f64(),
-            t_pi.as_secs_f64()
-        ));
-    }
-    out.push('\n');
-    out.push_str(&table.render());
-
-    let json = format!(
-        "{{\n  \"experiment\": \"planner\",\n  \"config\": {{\"partitions\": {parts}, \
-         \"rows_per_partition\": {rows}, \"patches\": {patches}}},\n  \"zbp\": {{\
-         \"no_index_s\": {:.6}, \"per_partition_zbp_s\": {:.6}, \
-         \"use_patches_partitions\": {patch_flow_parts}}},\n  \
-         \"selection\": [\n{}\n  ]\n}}\n",
-        t_ref.as_secs_f64(),
-        t_local.as_secs_f64(),
-        sel_json.join(",\n")
-    );
-    let path = std::env::var("PI_PLAN_JSON").unwrap_or_else(|_| "BENCH_planner.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("\nwrote {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
-    }
-    out
-}
-
-// ----------------------------------------------- advisor lifecycle repro
-
-/// Advisor lifecycle experiment (beyond the paper): replays the
-/// three-phase grow/drift/storm workload of [`pi_datagen::drift`]
-/// against an advisor-managed table and records the full observe →
-/// decide → act trajectory:
-///
-/// * **grow** — distinct queries plus unique-value inserts make the
-///   advisor auto-create a NUC index; the rewritten query is timed
-///   against the no-index baseline.
-/// * **drift** — duplicate-then-move-away modifies erode `e` with stale
-///   patches until the drift margin triggers an automatic recompute
-///   that restores `e` (and the query cost) to near create-time levels.
-/// * **storm** — update pressure without queries until the windowed
-///   cost/benefit rule drops the index.
-///
-/// Writes `BENCH_advisor.json`. Scale via `PI_ADV_ROWS`; the lifecycle
-/// transitions themselves are asserted in `tests/tests/advisor.rs`.
-pub fn advisor() -> String {
-    use patchindex::IndexedTable;
-    use pi_advisor::{Advisor, AdvisorAction, AdvisorConfig};
-    use pi_datagen::{DriftOp, DriftSpec};
-    use pi_planner::{execute_count, Plan, QueryEngine};
-
-    let base_rows = env_usize("PI_ADV_ROWS", 120_000);
-    let spec = DriftSpec::new(base_rows);
-    let cfg = AdvisorConfig {
-        recompute_margin: 0.05,
-        drop_window: 3,
-        ..AdvisorConfig::default()
-    };
-    let mut it = IndexedTable::new(spec.base_table());
-    let mut advisor = Advisor::new(cfg);
-    let plan = Plan::scan(vec![DriftSpec::VAL_COL]).distinct(vec![0]);
-
-    let mut out = format!(
-        "Advisor lifecycle: {} base rows x {} partitions, batch {} \
-         (grow {} / drift {} / storm {})\n",
-        spec.base_rows,
-        spec.partitions,
-        spec.batch_rows,
-        spec.grow_batches,
-        spec.drift_batches,
-        spec.storm_batches
-    );
-    let mut table = TablePrinter::new(&["phase", "step", "indexes", "e", "query [s]", "action"]);
-    let mut timeline: Vec<String> = Vec::new();
-    let mut created_query_s: Option<f64> = None;
-    let mut no_index_query_s: Option<f64> = None;
-    let (mut n_created, mut n_recomputed, mut n_dropped) = (0usize, 0usize, 0usize);
-    // Last measured-feedback snapshot before the storm drops the index:
-    // the estimate-vs-actual calibration the facade accumulated.
-    let mut last_measured: Option<patchindex::QueryFeedback> = None;
-
-    for phase in spec.phases() {
-        let mut step = 0usize;
-        let mut run_step = |it: &mut IndexedTable,
-                            advisor: &mut Advisor,
-                            step: &mut usize,
-                            query_s: Option<f64>| {
-            *step += 1;
-            let actions = advisor.step(it);
-            for a in &actions {
-                match a {
-                    AdvisorAction::Created { .. } => n_created += 1,
-                    AdvisorAction::Recomputed { .. } => n_recomputed += 1,
-                    AdvisorAction::Dropped { .. } => n_dropped += 1,
-                }
-            }
-            let e = it.indexes().first().map(|i| i.match_fraction());
-            let action = actions
-                .iter()
-                .map(AdvisorAction::describe)
-                .collect::<Vec<_>>()
-                .join("; ");
-            table.row(vec![
-                phase.name.into(),
-                step.to_string(),
-                it.indexes().len().to_string(),
-                e.map_or("-".into(), |e| format!("{e:.4}")),
-                query_s.map_or("-".into(), |s| format!("{s:.4}")),
-                if action.is_empty() {
-                    "-".into()
-                } else {
-                    action.clone()
-                },
-            ]);
-            timeline.push(format!(
-                "    {{\"phase\": \"{}\", \"step\": {}, \"indexes\": {}, \"e\": {}, \
-                 \"query_s\": {}, \"actions\": \"{}\"}}",
-                phase.name,
-                step,
-                it.indexes().len(),
-                e.map_or("null".into(), |e| format!("{e:.6}")),
-                query_s.map_or("null".into(), |s| format!("{s:.6}")),
-                action.replace('"', "'")
-            ));
-        };
-        for op in &phase.ops {
-            match op {
-                DriftOp::Insert(rows) => {
-                    it.insert(rows);
-                }
-                DriftOp::Modify {
-                    pid,
-                    rids,
-                    col,
-                    values,
-                } => {
-                    it.modify(*pid, rids, *col, values);
-                    if phase.name == "storm" {
-                        // The storm steps the advisor per update batch —
-                        // there are no queries to anchor steps on.
-                        run_step(&mut it, &mut advisor, &mut step, None);
-                    }
-                }
-                DriftOp::Query => {
-                    let expected = execute_count(&plan, it.table(), pi_planner::NO_INDEXES);
-                    if no_index_query_s.is_none() {
-                        // Baseline before any index exists.
-                        no_index_query_s = Some(
-                            time_best(2, || {
-                                assert_eq!(
-                                    execute_count(&plan, it.table(), pi_planner::NO_INDEXES),
-                                    expected
-                                )
-                            })
-                            .as_secs_f64(),
-                        );
-                    }
-                    let t = time_best(2, || assert_eq!(it.query_count(&plan), expected));
-                    run_step(&mut it, &mut advisor, &mut step, Some(t.as_secs_f64()));
-                    if created_query_s.is_none() && !it.indexes().is_empty() {
-                        let t = time_best(2, || assert_eq!(it.query_count(&plan), expected));
-                        created_query_s = Some(t.as_secs_f64());
-                    }
-                    if let Some(idx) = it.indexes().first() {
-                        let fb = idx.query_feedback();
-                        if fb.est_cost_executed > 0.0 {
-                            last_measured = Some(fb);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out.push_str(&table.render());
-
-    let speedup = match (no_index_query_s, created_query_s) {
-        (Some(a), Some(b)) if b > 0.0 => Some(a / b),
-        _ => None,
-    };
-    out.push_str(&format!(
-        "\nactions: {n_created} created, {n_recomputed} recomputed, {n_dropped} dropped; \
-         no-index query {:.4} s vs advisor-indexed {:.4} s ({})\n",
-        no_index_query_s.unwrap_or(0.0),
-        created_query_s.unwrap_or(0.0),
-        speedup.map_or("n/a".into(), |s| format!("{s:.2}x"))
-    ));
-
-    // Estimate-vs-actual calibration the engine measured (satellite of
-    // the measured-query-benefit item): cumulative wall-clock micros of
-    // the advisor-indexed queries against their cost-model estimates.
-    let measured_json = match last_measured {
-        Some(fb) => format!(
-            "{{\"measured_queries\": {}, \"actual_micros\": {:.1}, \
-             \"est_cost_executed\": {:.1}, \"micros_per_cost_unit\": {}}}",
-            fb.measured_queries,
-            fb.actual_micros,
-            fb.est_cost_executed,
-            fb.micros_per_cost_unit()
-                .map_or("null".into(), |r| format!("{r:.6}"))
-        ),
-        None => "null".into(),
-    };
-    if let Some(fb) = last_measured {
-        out.push_str(&format!(
-            "estimate-vs-actual: {} measured queries, {:.0} us over {:.0} cost units \
-             ({} us/unit)\n",
-            fb.measured_queries,
-            fb.actual_micros,
-            fb.est_cost_executed,
-            fb.micros_per_cost_unit()
-                .map_or("n/a".into(), |r| format!("{r:.4}"))
-        ));
-    }
-
-    // Cross-partition recompute probe: a deterministic duplicate pool
-    // straddling every partition, rediscovered from scratch, plus a
-    // drift that carries the exception rate across the Table-3 design
-    // crossover. The CI gate tracks this block — soundness (exact
-    // distinct through the forced rewrite) and design migration must
-    // never regress.
-    let xpart_json = {
-        use patchindex::{Constraint, Design, IndexedTable};
-        use pi_planner::rewrite;
-        let xparts = 4usize;
-        let per_part = 2_000usize;
-        // Every 200th row draws from a tiny pool shared by all
-        // partitions (values 0..10); the rest are partition-disjoint.
-        let vals: Vec<Vec<i64>> = (0..xparts)
-            .map(|p| {
-                let base = (1_000 + p * per_part) as i64;
-                (0..per_part)
-                    .map(|i| {
-                        if i % 200 == 0 {
-                            (i / 200) as i64
-                        } else {
-                            base + i as i64
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let views: Vec<&[i64]> = vals.iter().map(|v| v.as_slice()).collect();
-        let residual = patchindex::discovery::cross_partition_nuc_residual(&views);
-        let residual_patches: usize = residual.iter().map(|r| r.len()).sum();
-        let spanning = {
-            let mut first: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
-            let mut span: std::collections::HashSet<i64> = std::collections::HashSet::new();
-            for (p, v) in vals.iter().enumerate() {
-                for &x in v {
-                    match first.entry(x) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(p);
-                        }
-                        std::collections::hash_map::Entry::Occupied(e) if *e.get() != p => {
-                            span.insert(x);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            span.len()
-        };
-
-        let mut t = pi_storage::Table::new(
-            "xpart",
-            pi_storage::Schema::new(vec![
-                pi_storage::Field::new("k", pi_storage::DataType::Int),
-                pi_storage::Field::new("v", pi_storage::DataType::Int),
-            ]),
-            xparts,
-            pi_storage::Partitioning::RoundRobin,
-        );
-        let mut key = 0i64;
-        for (pid, v) in vals.iter().enumerate() {
-            let keys: Vec<i64> = v
-                .iter()
-                .map(|_| {
-                    key += 1;
-                    key
-                })
-                .collect();
-            t.load_partition(
-                pid,
-                &[
-                    pi_storage::ColumnData::Int(keys),
-                    pi_storage::ColumnData::Int(v.clone()),
-                ],
-            );
-        }
-        t.propagate_all();
-        let mut xit = IndexedTable::new(t);
-        let slot = xit.add_index(1, Constraint::NearlyUnique, Design::Identifier);
-        xit.recompute_index(slot);
-        let xplan = Plan::scan(vec![1]).distinct(vec![0]);
-        let reference = execute_count(&xplan, xit.table(), pi_planner::NO_INDEXES);
-        let chosen = rewrite(xplan.clone(), &xit.catalog().indexes[slot]);
-        let distinct_exact = execute_count(&chosen, xit.table(), xit.indexes()) == reference;
-        let e_before = xit.index(slot).match_fraction();
-
-        // Drift: duplicate 300 of partition 0's values into partition 1,
-        // pushing the exception rate past the ~1.58% crossover.
-        let rids: Vec<usize> = (1..=300).collect();
-        let dups: Vec<Value> = rids
-            .iter()
-            .map(|&i| Value::Int((1_000 + per_part + i) as i64))
-            .collect();
-        xit.modify(0, &rids, 1, &dups);
-        let design_before = xit.index(slot).design();
-        xit.recompute_index(slot);
-        let design_after = xit.index(slot).design();
-        let e_after = xit.index(slot).match_fraction();
-        let migrated = design_before != design_after;
-        let post_reference = execute_count(&xplan, xit.table(), pi_planner::NO_INDEXES);
-        let post_chosen = rewrite(xplan, &xit.catalog().indexes[slot]);
-        let post_exact = execute_count(&post_chosen, xit.table(), xit.indexes()) == post_reference;
-        out.push_str(&format!(
-            "cross-partition recompute: {spanning} spanning values, {residual_patches} residual \
-             patches, exact={distinct_exact}; drift recompute {design_before:?} -> \
-             {design_after:?} (e {e_before:.4} -> {e_after:.4}), exact={post_exact}\n"
-        ));
-        format!(
-            "{{\"values_spanning_partitions\": {spanning}, \
-             \"residual_patches\": {residual_patches}, \
-             \"distinct_exact\": {}, \"design_migrated\": {}, \
-             \"post_migration_exact\": {}, \
-             \"e_before_recompute\": {e_before:.6}, \"e_after_recompute\": {e_after:.6}}}",
-            distinct_exact as u8, migrated as u8, post_exact as u8
-        )
-    };
-
-    let json = format!(
-        "{{\n  \"experiment\": \"advisor\",\n  \"config\": {{\"base_rows\": {}, \
-         \"partitions\": {}, \"batch_rows\": {}, \"grow_batches\": {}, \
-         \"drift_batches\": {}, \"storm_batches\": {}, \"recompute_margin\": {}, \
-         \"drop_window\": {}}},\n  \"baseline\": {{\"no_index_query_s\": {}, \
-         \"advisor_indexed_query_s\": {}, \"speedup\": {}}},\n  \
-         \"actions\": {{\"created\": {n_created}, \"recomputed\": {n_recomputed}, \
-         \"dropped\": {n_dropped}}},\n  \"cross_partition_recompute\": {xpart_json},\n  \
-         \"estimate_vs_actual\": {},\n  \
-         \"timeline\": [\n{}\n  ]\n}}\n",
-        spec.base_rows,
-        spec.partitions,
-        spec.batch_rows,
-        spec.grow_batches,
-        spec.drift_batches,
-        spec.storm_batches,
-        cfg.recompute_margin,
-        cfg.drop_window,
-        no_index_query_s.map_or("null".into(), |s| format!("{s:.6}")),
-        created_query_s.map_or("null".into(), |s| format!("{s:.6}")),
-        speedup.map_or("null".into(), |s| format!("{s:.3}")),
-        measured_json,
-        timeline.join(",\n")
-    );
-    let path = std::env::var("PI_ADV_JSON").unwrap_or_else(|_| "BENCH_advisor.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("wrote {path}\n")),
-        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
-    }
-    out
-}
-
-// ------------------------------------------- maintenance update throughput
-
-/// Update-throughput experiment for the maintenance pipeline (beyond the
-/// paper): streams batched NUC inserts and modifies through an
-/// [`patchindex::IndexedTable`] under three maintenance configurations —
-/// the seed eager/sequential pipeline, the build-once eager/parallel
-/// pipeline, and deferred/parallel batch-amortized maintenance — and
-/// writes the per-row maintenance costs to `BENCH_maintenance.json`.
-///
-/// Scale via `PI_MAINT_PARTS` / `PI_MAINT_ROWS` (per partition) /
-/// `PI_MAINT_BATCHES` / `PI_MAINT_BATCH_ROWS`.
-pub fn maintenance() -> String {
-    use patchindex::{IndexedTable, MaintenanceMode, MaintenancePolicy, ProbeStrategy};
-
-    let parts = env_usize("PI_MAINT_PARTS", 4);
-    let rows = env_usize("PI_MAINT_ROWS", 50_000);
-    let batches = env_usize("PI_MAINT_BATCHES", 24);
-    let batch_rows = env_usize("PI_MAINT_BATCH_ROWS", 512);
-    let total_rows = batches * batch_rows;
-    let base_rows = parts * rows;
-
-    let base_table = || {
-        let mut t = pi_storage::Table::new(
-            "maint",
-            pi_storage::Schema::new(vec![
-                pi_storage::Field::new("k", pi_storage::DataType::Int),
-                pi_storage::Field::new("v", pi_storage::DataType::Int),
-            ]),
-            parts,
-            pi_storage::Partitioning::RoundRobin,
-        );
-        for pid in 0..parts {
-            let base = (pid * rows) as i64;
-            let keys: Vec<i64> = (base..base + rows as i64).collect();
-            t.load_partition(
-                pid,
-                &[
-                    pi_storage::ColumnData::Int(keys.clone()),
-                    pi_storage::ColumnData::Int(keys),
-                ],
-            );
-        }
-        t.propagate_all();
-        t
-    };
-
-    // Pre-generate identical update streams for every variant: ~1/8 of the
-    // inserted values duplicate existing rows (collisions, possibly in a
-    // different partition), the rest are fresh; modifies rewrite random
-    // rows the same way.
-    let mut rng = SmallRng::seed_from_u64(0xBEEF);
-    let mut key = 10_000_000i64;
-    let insert_batches: Vec<Vec<Vec<Value>>> = (0..batches)
-        .map(|_| {
-            (0..batch_rows)
-                .map(|_| {
-                    key += 1;
-                    let v = if rng.gen_range(0..8) == 0 {
-                        rng.gen_range(0..base_rows as i64)
-                    } else {
-                        key + 100_000_000
-                    };
-                    vec![Value::Int(key), Value::Int(v)]
-                })
-                .collect()
-        })
-        .collect();
-    let modify_batches: Vec<(usize, Vec<usize>, Vec<Value>)> = (0..batches)
-        .map(|_| {
-            let pid = rng.gen_range(0..parts);
-            let mut rids: Vec<usize> = (0..batch_rows).map(|_| rng.gen_range(0..rows)).collect();
-            rids.sort_unstable();
-            rids.dedup();
-            let values: Vec<Value> = rids
-                .iter()
-                .map(|_| {
-                    if rng.gen_range(0..8) == 0 {
-                        Value::Int(rng.gen_range(0..base_rows as i64))
-                    } else {
-                        key += 1;
-                        Value::Int(key + 200_000_000)
-                    }
-                })
-                .collect();
-            (pid, rids, values)
-        })
-        .collect();
-
-    // Dedup'd rid draws make each modify batch slightly smaller than
-    // batch_rows; per-row costs divide by the real count.
-    let modified_rows: usize = modify_batches.iter().map(|(_, rids, _)| rids.len()).sum();
-
-    let eager = |probe: ProbeStrategy| MaintenancePolicy {
-        probe,
-        ..MaintenancePolicy::default()
-    };
-    let deferred = MaintenancePolicy {
-        mode: MaintenanceMode::Deferred {
-            flush_rows: usize::MAX,
-        },
-        ..MaintenancePolicy::default()
-    };
-    // (label, policy, build an index?)
-    let variants: [(&str, MaintenancePolicy, bool); 4] = [
-        ("table-only", MaintenancePolicy::default(), false),
-        (
-            "eager-sequential (seed)",
-            eager(ProbeStrategy::SequentialRebuild),
-            true,
-        ),
-        ("eager-parallel", eager(ProbeStrategy::ParallelShared), true),
-        ("deferred-parallel", deferred, true),
-    ];
-
-    let mut out = format!(
-        "Maintenance throughput: {parts} partitions x {rows} rows, \
-         {batches} batches x {batch_rows} rows\n"
-    );
-    let mut table = TablePrinter::new(&[
-        "config",
-        "insert [s]",
-        "ins maint [ns/row]",
-        "modify [s]",
-        "mod maint [ns/row]",
-        "build invocations",
-        "e after",
-    ]);
-    let mut insert_secs: Vec<f64> = Vec::new();
-    let mut modify_secs: Vec<f64> = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
-    for (label, policy, indexed) in variants {
-        let mut it = IndexedTable::new(base_table()).with_policy(policy);
-        if indexed {
-            it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        }
-        let (t_ins, _) = time_once(|| {
-            for rows in &insert_batches {
-                it.insert(rows);
-            }
-            it.flush_maintenance();
-        });
-        let (t_mod, _) = time_once(|| {
-            for (pid, rids, values) in &modify_batches {
-                it.modify(*pid, rids, 1, values);
-            }
-            it.flush_maintenance();
-        });
-        if indexed {
-            it.check_consistency();
-        }
-        let ins_s = t_ins.as_secs_f64();
-        let mod_s = t_mod.as_secs_f64();
-        insert_secs.push(ins_s);
-        modify_secs.push(mod_s);
-        let maint = |t: f64, base: f64, n: usize| ((t - base).max(0.0) / n as f64) * 1e9;
-        let (ins_maint, mod_maint) = if indexed {
-            (
-                maint(ins_s, insert_secs[0], total_rows),
-                maint(mod_s, modify_secs[0], modified_rows),
-            )
-        } else {
-            (0.0, 0.0)
-        };
-        let (builds, e_after) = if indexed {
-            let idx = it.index(0);
-            (
-                idx.maintenance_stats().build_invocations,
-                idx.exception_rate(),
-            )
-        } else {
-            (0, 0.0)
-        };
-        table.row(vec![
-            label.to_string(),
-            secs(t_ins),
-            format!("{ins_maint:.0}"),
-            secs(t_mod),
-            format!("{mod_maint:.0}"),
-            builds.to_string(),
-            format!("{:.4}", e_after),
-        ]);
-        json_rows.push(format!(
-            "    {{\"config\": \"{label}\", \"insert_s\": {ins_s:.6}, \
-             \"insert_maintenance_ns_per_row\": {ins_maint:.1}, \"modify_s\": {mod_s:.6}, \
-             \"modify_maintenance_ns_per_row\": {mod_maint:.1}, \
-             \"build_invocations\": {builds}}}"
-        ));
-    }
-    out.push_str(&table.render());
-
-    // Maintenance-time speedups of deferred-parallel over the seed path.
-    // At smoke sizes the subtraction can be noise-dominated (deferred
-    // maintenance ~ table-only baseline); report those as n/a instead of
-    // polluting the recorded trajectory with absurd ratios.
-    let speedup = |phase: &[f64]| -> Option<f64> {
-        let seed = phase[1] - phase[0];
-        let deferred = phase[3] - phase[0];
-        (seed > 0.0 && deferred > 0.0).then(|| seed / deferred)
-    };
-    let fmt_text = |s: Option<f64>| s.map_or("n/a".into(), |x| format!("{x:.1}x"));
-    let fmt_json = |s: Option<f64>| s.map_or("null".into(), |x| format!("{x:.2}"));
-    let (ins_speedup, mod_speedup) = (speedup(&insert_secs), speedup(&modify_secs));
-    out.push_str(&format!(
-        "\ndeferred-parallel vs eager-sequential maintenance speedup: \
-         insert {}, modify {}\n",
-        fmt_text(ins_speedup),
-        fmt_text(mod_speedup)
-    ));
-
-    let json = format!(
-        "{{\n  \"experiment\": \"maintenance\",\n  \"config\": {{\"partitions\": {parts}, \
-         \"rows_per_partition\": {rows}, \"batches\": {batches}, \
-         \"batch_rows\": {batch_rows}}},\n  \"results\": [\n{}\n  ],\n  \
-         \"speedup_deferred_vs_sequential\": {{\"insert\": {}, \"modify\": {}}}\n}}\n",
-        json_rows.join(",\n"),
-        fmt_json(ins_speedup),
-        fmt_json(mod_speedup)
-    );
-    let path = std::env::var("PI_MAINT_JSON").unwrap_or_else(|_| "BENCH_maintenance.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("wrote {path}\n")),
-        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
-    }
-    out
-}
-
-// --------------------------------------- snapshot-isolated reader throughput
-
-/// Concurrency experiment (beyond the paper): reader throughput under a
-/// background maintenance storm, serialized vs snapshot-isolated.
-///
-/// One writer streams duplicate-producing modifies plus periodic full
-/// recomputes over a NUC-indexed table. The **serialized** baseline is
-/// the pre-snapshot architecture: maintenance and queries interleave on
-/// one thread through one `&mut IndexedTable`, so every query waits for
-/// the maintenance in front of it. The **concurrent** configurations run
-/// the same storm through a [`patchindex::TableWriter`] while 1/4/8
-/// reader threads pull [`patchindex::TableSnapshot`]s and query
-/// non-stop; every 64th reader query is verified byte-exact against an
-/// index-free reference execution *on the same snapshot*.
-///
-/// Writes `BENCH_concurrency.json`. Scale via `PI_CONC_PARTS` /
-/// `PI_CONC_ROWS` (per partition) / `PI_CONC_SECS` (measurement window
-/// per configuration) / `PI_CONC_THREADS` (comma-separated reader
-/// counts).
-pub fn concurrency() -> String {
-    use patchindex::{ConcurrentTable, IndexedTable};
-    use pi_planner::{execute_count, Plan, QueryEngine};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let parts = env_usize("PI_CONC_PARTS", 4);
-    let rows = env_usize("PI_CONC_ROWS", 60_000);
-    let secs = env_f64("PI_CONC_SECS", 1.2);
-    let batch_rows = env_usize("PI_CONC_BATCH_ROWS", 256);
-    let recompute_every = 4usize;
-    let thread_counts: Vec<usize> = std::env::var("PI_CONC_THREADS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4, 8]);
-
-    let base_table = || {
-        let mut t = pi_storage::Table::new(
-            "conc",
-            pi_storage::Schema::new(vec![
-                pi_storage::Field::new("k", pi_storage::DataType::Int),
-                pi_storage::Field::new("v", pi_storage::DataType::Int),
-            ]),
-            parts,
-            pi_storage::Partitioning::RoundRobin,
-        );
-        for pid in 0..parts {
-            let base = (pid * rows) as i64;
-            let keys: Vec<i64> = (base..base + rows as i64).collect();
-            t.load_partition(
-                pid,
-                &[
-                    pi_storage::ColumnData::Int(keys.clone()),
-                    pi_storage::ColumnData::Int(keys),
-                ],
-            );
-        }
-        t.propagate_all();
-        t
-    };
-    let plan = Plan::scan(vec![1]).distinct(vec![0]);
-
-    // One storm step: a duplicate-producing modify batch (patches grow),
-    // with a full index recompute every few steps — the expensive
-    // background maintenance readers must not wait for. Duplicate values
-    // are drawn from the same partition's value range to mirror the
-    // paper's microbenchmark (partitioned by the indexed column);
-    // straddling pools are sound too since the cross-partition
-    // deduplication pass — the `repro advisor` cross-partition block and
-    // the `cross_partition` integration suite cover that shape.
-    let storm_batch = |step: usize, rng: &mut SmallRng| {
-        let pid = step % parts;
-        let mut rids: Vec<usize> = (0..batch_rows).map(|_| rng.gen_range(0..rows)).collect();
-        rids.sort_unstable();
-        rids.dedup();
-        let base = (pid * rows) as i64;
-        let values: Vec<Value> = rids
-            .iter()
-            .map(|_| Value::Int(base + rng.gen_range(0..rows as i64)))
-            .collect();
-        let recompute = step % recompute_every == recompute_every - 1;
-        (pid, rids, values, recompute)
-    };
-
-    // Serialized baseline: maintenance and queries alternate on one
-    // thread — the architecture before the snapshot/writer split.
-    let serialized = {
-        let mut it = IndexedTable::new(base_table());
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let mut rng = SmallRng::seed_from_u64(0xC0C0);
-        let start = std::time::Instant::now();
-        let (mut queries, mut steps) = (0u64, 0usize);
-        while start.elapsed().as_secs_f64() < secs {
-            let (pid, rids, values, recompute) = storm_batch(steps, &mut rng);
-            it.modify(pid, &rids, 1, &values);
-            if recompute {
-                it.recompute_index(0);
-            }
-            steps += 1;
-            let n = it.query_count(&plan);
-            assert!(n > 0);
-            queries += 1;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        (queries as f64 / elapsed, queries, steps)
-    };
-    let (serial_qps, serial_queries, serial_steps) = serialized;
-
-    let mut out = format!(
-        "Reader throughput under a maintenance storm: {parts} partitions x {rows} rows, \
-         modify batch {batch_rows}, recompute every {recompute_every} steps, \
-         {secs:.1}s per configuration\n\n"
-    );
-    let mut table = TablePrinter::new(&[
-        "config",
-        "readers",
-        "queries",
-        "qps",
-        "writer steps",
-        "epochs",
-        "vs serialized",
-    ]);
-    table.row(vec![
-        "serialized (seed)".into(),
-        "1".into(),
-        serial_queries.to_string(),
-        format!("{serial_qps:.0}"),
-        serial_steps.to_string(),
-        "-".into(),
-        "1.00x".into(),
-    ]);
-
-    // Concurrent: same storm through the writer; n readers on snapshots.
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut best_speedup = 0.0f64;
-    for &nreaders in &thread_counts {
-        let mut it = IndexedTable::new(base_table());
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.set_publish_policy(patchindex::PublishPolicy::every(1));
-        let stop = AtomicBool::new(false);
-        let total_queries = AtomicU64::new(0);
-        let verified = AtomicU64::new(0);
-        // The measurement window opens before the reader threads spawn
-        // and closes when the stop flag is raised, so every counted
-        // query falls inside the measured wall-clock span (dividing by
-        // the nominal `secs` would overstate qps by the spawn/teardown
-        // slack — and the gated speedup with it).
-        let window = std::time::Instant::now();
-        let (steps_done, epochs, elapsed) = std::thread::scope(|scope| {
-            for r in 0..nreaders {
-                let handle = handle.clone();
-                let stop = &stop;
-                let total_queries = &total_queries;
-                let verified = &verified;
-                let plan = &plan;
-                scope.spawn(move || {
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let mut snap = handle.snapshot();
-                        let got = snap.query_count(plan);
-                        // Periodic exactness audit against an index-free
-                        // reference on the *same* snapshot.
-                        if n % 64 == r as u64 % 64 {
-                            let reference =
-                                execute_count(plan, snap.table(), pi_planner::NO_INDEXES);
-                            assert_eq!(got, reference, "epoch {}", snap.epoch());
-                            verified.fetch_add(1, Ordering::Relaxed);
-                        }
-                        n += 1;
-                    }
-                    total_queries.fetch_add(n, Ordering::Relaxed);
-                });
-            }
-            let mut rng = SmallRng::seed_from_u64(0xC0C0);
-            let start = std::time::Instant::now();
-            let mut steps = 0usize;
-            while start.elapsed().as_secs_f64() < secs {
-                // Statement-paced publishing (PublishPolicy::every(1))
-                // ships each step's batch — no manual publish
-                // bookkeeping. The recompute runs first so the same
-                // epoch carries it.
-                let (pid, rids, values, recompute) = storm_batch(steps, &mut rng);
-                if recompute {
-                    writer.recompute_index(0);
-                }
-                writer.modify(pid, &rids, 1, &values);
-                steps += 1;
-            }
-            stop.store(true, Ordering::Relaxed);
-            (steps, writer.epoch(), window.elapsed().as_secs_f64())
-        });
-        let queries = total_queries.load(Ordering::Relaxed);
-        let qps = queries as f64 / elapsed;
-        let speedup = qps / serial_qps.max(1e-9);
-        best_speedup = best_speedup.max(speedup);
-        assert!(verified.load(Ordering::Relaxed) > 0, "audits must have run");
-        table.row(vec![
-            "snapshot readers".into(),
-            nreaders.to_string(),
-            queries.to_string(),
-            format!("{qps:.0}"),
-            steps_done.to_string(),
-            epochs.to_string(),
-            format!("{speedup:.2}x"),
-        ]);
-        json_rows.push(format!(
-            "    {{\"readers\": {nreaders}, \"queries\": {queries}, \"qps\": {qps:.1}, \
-             \"writer_steps\": {steps_done}, \"epochs\": {epochs}, \
-             \"speedup_vs_serialized\": {speedup:.3}}}"
-        ));
-    }
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\nserialized {serial_qps:.0} qps; best snapshot-isolated configuration \
-         {best_speedup:.2}x over serialized\n"
-    ));
-
-    let json = format!(
-        "{{\n  \"experiment\": \"concurrency\",\n  \"config\": {{\"partitions\": {parts}, \
-         \"rows_per_partition\": {rows}, \"batch_rows\": {batch_rows}, \
-         \"recompute_every\": {recompute_every}, \"seconds\": {secs}}},\n  \
-         \"serialized\": {{\"qps\": {serial_qps:.1}, \"queries\": {serial_queries}, \
-         \"writer_steps\": {serial_steps}}},\n  \"concurrent\": [\n{}\n  ],\n  \
-         \"best_speedup_vs_serialized\": {best_speedup:.3}\n}}\n",
-        json_rows.join(",\n")
-    );
-    let path = std::env::var("PI_CONC_JSON").unwrap_or_else(|_| "BENCH_concurrency.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("wrote {path}\n")),
-        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
-    }
-    out
-}
-
-// -------------------------------------------------- durability economics
-
-/// Durability experiment (beyond the paper): epoch-incremental
-/// checkpoint economics and crash-recovery exactness.
-///
-/// A `PI_DUR_PARTS`-partition NUC-indexed table goes durable on an
-/// in-memory [`pi_storage::SimFs`]; one partition (1% at the default
-/// scale) is then dirtied and published. The copy-on-write epoch
-/// dirty-set means the incremental checkpoint rewrites exactly that
-/// partition plus the table meta and manifest, and the experiment
-/// reports the byte ratio against a full snapshot at the same state.
-/// Advisor feedback/timing statements then cross a publish, an
-/// unpublished statement tail is left in the WAL, the filesystem
-/// "crashes" (unsynced namespace dropped, tails torn), and recovery
-/// must reproduce the last published state byte-exactly — including
-/// the advisor counters.
-///
-/// Writes `BENCH_durability.json`. Scale via `PI_DUR_PARTS` /
-/// `PI_DUR_ROWS` (rows per partition).
-pub fn durability() -> String {
-    use patchindex::{IndexedTable, MaintenancePolicy};
-    use pi_durability::{state_image, DurableOptions, DurableWriter, SyncPolicy};
-    use pi_storage::{DurableFs, SimFs};
-    use std::path::PathBuf;
-    use std::sync::Arc;
-
-    let parts = env_usize("PI_DUR_PARTS", 100);
-    let rows = env_usize("PI_DUR_ROWS", 2_000);
-    let dir = PathBuf::from("/bench-db");
-
-    let mut t = pi_storage::Table::new(
-        "dur",
-        pi_storage::Schema::new(vec![
-            pi_storage::Field::new("k", pi_storage::DataType::Int),
-            pi_storage::Field::new("v", pi_storage::DataType::Int),
-        ]),
-        parts,
-        pi_storage::Partitioning::RoundRobin,
-    );
-    for pid in 0..parts {
-        let base = (pid * rows) as i64;
-        let keys: Vec<i64> = (base..base + rows as i64).collect();
-        t.load_partition(
-            pid,
-            &[
-                pi_storage::ColumnData::Int(keys.clone()),
-                pi_storage::ColumnData::Int(keys),
-            ],
-        );
-    }
-    t.propagate_all();
-    let mut it = IndexedTable::new(t);
-    it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-
-    let fs = Arc::new(SimFs::new());
-    let dyn_fs: Arc<dyn DurableFs> = fs.clone();
-    let opts = DurableOptions {
-        sync: SyncPolicy::EveryRecord,
-        ..DurableOptions::default()
-    };
-    let (_handle, mut dw) =
-        DurableWriter::create(it, Arc::clone(&dyn_fs), &dir, opts).expect("durable create");
-    let create_stats = dw.stats();
-
-    // Dirty exactly one partition and publish: the incremental
-    // checkpoint's dirty set is that partition + meta + manifest.
-    let rids: Vec<usize> = (0..16.min(rows)).collect();
-    let values: Vec<Value> = rids.iter().map(|r| Value::Int(-(*r as i64))).collect();
-    dw.modify(0, &rids, 1, &values).expect("modify");
-    dw.publish().expect("publish");
-    let incr = dw.stats();
-    let incremental_bytes = incr.last_checkpoint_bytes;
-    let incremental_files = incr.last_checkpoint_files;
-    // Full-snapshot comparator at the *same* state (dicts + meta + every
-    // partition + every index image).
-    let full_bytes = dw.full_checkpoint_bytes();
-    let ratio = full_bytes as f64 / incremental_bytes.max(1) as f64;
-
-    // Advisor evidence crosses a publish, then an unpublished tail is
-    // left dangling so recovery has something to discard.
-    dw.record_query_feedback(0, 7.5).expect("feedback");
-    dw.record_query_timing(0, 3.0, 20.0).expect("timing");
-    dw.publish().expect("publish");
-    let published_image = state_image(dw.staging());
-    let published_epoch = dw.epoch();
-    dw.modify(1, &[0, 1], 1, &[Value::Int(-1), Value::Int(-2)])
-        .expect("tail modify");
-    dw.record_query_feedback(0, 99.0).expect("tail feedback");
-    let wal_bytes = dw.stats().wal_bytes;
-    drop(dw);
-    fs.crash(0xD0_0B1E);
-
-    let recover_start = std::time::Instant::now();
-    let (_handle2, rec, report) =
-        DurableWriter::recover(dyn_fs, &dir, opts, MaintenancePolicy::default()).expect("recover");
-    let recovery_millis = recover_start.elapsed().as_secs_f64() * 1e3;
-    let exact = state_image(rec.staging()) == published_image && report.epoch == published_epoch;
-    let fb = rec.staging().index(0).query_feedback();
-    let advisor_restored = fb.times_bound == 1
-        && (fb.est_cost_saved - 7.5).abs() < 1e-9
-        && fb.measured_queries == 1
-        && (fb.actual_micros - 3.0).abs() < 1e-9;
-
-    let mut out = format!(
-        "Durability economics: {parts} partitions x {rows} rows, 1 partition dirtied \
-         between checkpoints ({:.1}% of the table)\n\n",
-        100.0 / parts as f64
-    );
-    let mut table = TablePrinter::new(&["measure", "bytes", "files"]);
-    table.row(vec![
-        "create checkpoint (full)".into(),
-        create_stats.last_checkpoint_bytes.to_string(),
-        create_stats.last_checkpoint_files.to_string(),
-    ]);
-    table.row(vec![
-        "full snapshot at dirty state".into(),
-        full_bytes.to_string(),
-        "-".into(),
-    ]);
-    table.row(vec![
-        "incremental checkpoint".into(),
-        incremental_bytes.to_string(),
-        incremental_files.to_string(),
-    ]);
-    table.row(vec![
-        "WAL appended".into(),
-        wal_bytes.to_string(),
-        "-".into(),
-    ]);
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\nincremental wrote {ratio:.1}x fewer bytes than a full snapshot\n\
-         recovery: epoch {} ({} replayed, {} discarded) in {recovery_millis:.2} ms; \
-         exact={exact} advisor_state_restored={advisor_restored}\n",
-        report.epoch, report.replayed, report.discarded
-    ));
-    assert!(exact, "recovered state must match the last published epoch");
-    assert!(advisor_restored, "advisor counters must survive recovery");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"durability\",\n  \"config\": {{\"partitions\": {parts}, \
-         \"rows_per_partition\": {rows}}},\n  \"checkpoint\": {{\"full_bytes\": {full_bytes}, \
-         \"incremental_bytes\": {incremental_bytes}, \"incremental_files\": {incremental_files}, \
-         \"ratio_full_over_incremental\": {ratio:.3}}},\n  \"recovery\": {{\"exact\": {}, \
-         \"advisor_state_restored\": {}, \"epoch\": {}, \"replayed\": {}, \"discarded\": {}, \
-         \"millis\": {recovery_millis:.3}}},\n  \"wal_bytes\": {wal_bytes}\n}}\n",
-        exact as u8, advisor_restored as u8, report.epoch, report.replayed, report.discarded,
-    );
-    let path = std::env::var("PI_DUR_JSON").unwrap_or_else(|_| "BENCH_durability.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("wrote {path}\n")),
-        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
-    }
-    out
-}
-
-// ------------------------------------------------------ result-cache economics
-
-/// Result-cache experiment (beyond the paper): hit ratio and speedup of
-/// a repeated query mix under concurrent writer churn, at several byte
-/// budgets.
-///
-/// A reader thread re-runs a four-query mix — full distinct count, full
-/// sort, a pushed-down limit (whose dependency footprint is confined to
-/// the partitions the limit actually pulled), and a plain scan count —
-/// on fresh snapshots while the writer keeps modifying one hot
-/// partition with statement-paced publishes. Pointer-identity
-/// invalidation keeps every entry whose footprint skips the hot
-/// partition alive across publishes; full-table entries re-miss once
-/// per epoch and then hit until the next publish. The uncached twin
-/// runs the identical storm, and the reported speedup is the qps ratio
-/// of the two single-reader windows on the same machine. After each
-/// measured window an audit phase (writer still churning) replays the
-/// mix and compares every cached answer byte-for-byte against an
-/// index-free execution on the same snapshot; `exact` is pinned at 1.
-///
-/// Writes `BENCH_cache.json` (top-level `hit_ratio` /
-/// `speedup_over_uncached` come from the default-budget run). Scale via
-/// `PI_CACHE_PARTS` / `PI_CACHE_ROWS` (per partition) / `PI_CACHE_SECS`
-/// (window per configuration) / `PI_CACHE_BUDGETS` (comma-separated
-/// bytes) / `PI_CACHE_CHURN_PAUSE_US` (writer pause between batches).
-pub fn cache() -> String {
-    use patchindex::{ConcurrentTable, IndexedTable, PublishPolicy, ResultCache};
-    use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let parts = env_usize("PI_CACHE_PARTS", 4);
-    let rows = env_usize("PI_CACHE_ROWS", 40_000);
-    let secs = env_f64("PI_CACHE_SECS", 1.0);
-    let batch_rows = env_usize("PI_CACHE_BATCH_ROWS", 128);
-    let churn_pause_us = env_usize("PI_CACHE_CHURN_PAUSE_US", 20_000);
-    let audit_iters = env_usize("PI_CACHE_AUDIT_ITERS", 24);
-    let budgets: Vec<usize> = std::env::var("PI_CACHE_BUDGETS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![256 << 10, 4 << 20, ResultCache::DEFAULT_BUDGET]);
-
-    let base_table = || {
-        let mut t = pi_storage::Table::new(
-            "cache",
-            pi_storage::Schema::new(vec![
-                pi_storage::Field::new("k", pi_storage::DataType::Int),
-                pi_storage::Field::new("v", pi_storage::DataType::Int),
-            ]),
-            parts,
-            pi_storage::Partitioning::RoundRobin,
-        );
-        for pid in 0..parts {
-            let base = (pid * rows) as i64;
-            let keys: Vec<i64> = (base..base + rows as i64).collect();
-            t.load_partition(
-                pid,
-                &[
-                    pi_storage::ColumnData::Int(keys.clone()),
-                    pi_storage::ColumnData::Int(keys),
-                ],
-            );
-        }
-        t.propagate_all();
-        t
-    };
-    // The mix: (plan, count-vs-rows). The limit pulls only partition 0 —
-    // its cache entry survives every hot-partition publish.
-    let mix: Vec<(Plan, bool)> = vec![
-        (Plan::scan(vec![1]).distinct(vec![0]), true),
-        (
-            Plan::scan(vec![1]).sort(vec![(0, pi_exec::ops::sort::SortOrder::Asc)]),
-            false,
-        ),
-        (Plan::scan(vec![1]).limit(16), false),
-        (Plan::scan(vec![1]), true),
-    ];
-    let hot_pid = parts - 1;
-
-    // One measured configuration: single reader re-running the mix on
-    // fresh snapshots, writer churning the hot partition with paced
-    // publishes. Returns (qps, queries, writer_steps, audited, audited_hits).
-    let run =
-        |cache: Option<Arc<ResultCache>>| -> (f64, u64, u64, u64, u64, patchindex::CacheStats) {
-            let mut it = IndexedTable::new(base_table());
-            it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-            let (handle, mut writer) = match &cache {
-                Some(c) => ConcurrentTable::with_result_cache(it, Arc::clone(c)),
-                None => ConcurrentTable::new(it),
-            };
-            writer.set_publish_policy(PublishPolicy::every(1));
-            let stop_measure = AtomicBool::new(false);
-            let queries = AtomicU64::new(0);
-            let audited = AtomicU64::new(0);
-            let window = std::time::Instant::now();
-            let mut window_stats = patchindex::CacheStats::default();
-            let mut audited_hits = 0u64;
-            let elapsed = std::thread::scope(|scope| {
-                let reader = scope.spawn(|| {
-                    // Phase 1: the measured window (no audits in the clock).
-                    while !stop_measure.load(Ordering::Relaxed) {
-                        let mut snap = handle.snapshot();
-                        for (plan, is_count) in &mix {
-                            if *is_count {
-                                assert!(snap.query_count(plan) > 0);
-                            } else {
-                                assert!(!snap.query(plan).is_empty());
-                            }
-                            queries.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // Phase 2: exactness audit, writer still churning. Every
-                    // cached answer must be byte-identical to an index-free
-                    // execution on the very same snapshot.
-                    if cache.is_some() {
-                        for _ in 0..audit_iters {
-                            let mut snap = handle.snapshot();
-                            for (plan, is_count) in &mix {
-                                if *is_count {
-                                    let got = snap.query_count(plan);
-                                    let want = execute_count(plan, snap.table(), NO_INDEXES);
-                                    assert_eq!(got, want, "cached count diverged for {plan}");
-                                } else {
-                                    let got = snap.query(plan);
-                                    let want = execute(plan, snap.table(), NO_INDEXES);
-                                    assert_eq!(
-                                        got.column(0).as_int(),
-                                        want.column(0).as_int(),
-                                        "cached rows diverged for {plan}"
-                                    );
-                                }
-                                audited.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-                let mut rng = SmallRng::seed_from_u64(0xCACE);
-                let mut steps = 0u64;
-                let mut elapsed = 0.0f64;
-                let mut pre_audit = patchindex::CacheStats::default();
-                loop {
-                    let w = window.elapsed().as_secs_f64();
-                    if elapsed == 0.0 && w >= secs {
-                        // Close the measured window; snapshot the counters
-                        // before audit-phase traffic moves them.
-                        elapsed = w;
-                        if let Some(c) = &cache {
-                            pre_audit = c.stats();
-                        }
-                        stop_measure.store(true, Ordering::Relaxed);
-                    }
-                    if elapsed > 0.0 && reader.is_finished() {
-                        break;
-                    }
-                    let base = (hot_pid * rows) as i64;
-                    let mut rids: Vec<usize> =
-                        (0..batch_rows).map(|_| rng.gen_range(0..rows)).collect();
-                    rids.sort_unstable();
-                    rids.dedup();
-                    let values: Vec<Value> = rids
-                        .iter()
-                        .map(|_| Value::Int(base + rng.gen_range(0..rows as i64)))
-                        .collect();
-                    writer.modify(hot_pid, &rids, 1, &values);
-                    steps += 1;
-                    std::thread::sleep(Duration::from_micros(churn_pause_us as u64));
-                }
-                reader.join().expect("reader thread panicked");
-                if let Some(c) = &cache {
-                    let end = c.stats();
-                    audited_hits = end.hits - pre_audit.hits;
-                    window_stats = pre_audit;
-                }
-                (elapsed, steps)
-            });
-            let (elapsed, steps) = elapsed;
-            let q = queries.load(Ordering::Relaxed);
-            (
-                q as f64 / elapsed.max(1e-9),
-                q,
-                steps,
-                audited.load(Ordering::Relaxed),
-                audited_hits,
-                window_stats,
-            )
-        };
-
-    let (uncached_qps, uncached_queries, uncached_steps, _, _, _) = run(None);
-
-    let mut out = format!(
-        "Result-cache hit ratio and speedup: {parts} partitions x {rows} rows, hot partition \
-         {hot_pid}, modify batch {batch_rows} every {churn_pause_us}us (publish per statement), \
-         {secs:.1}s window per configuration\n\n"
-    );
-    let mut table = TablePrinter::new(&[
-        "config",
-        "queries",
-        "qps",
-        "hit ratio",
-        "invalidated",
-        "evicted",
-        "vs uncached",
-        "audited (hits)",
-    ]);
-    table.row(vec![
-        "uncached".into(),
-        uncached_queries.to_string(),
-        format!("{uncached_qps:.0}"),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "1.00x".into(),
-        "-".into(),
-    ]);
-
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut default_metrics = (0.0f64, 0.0f64); // (hit_ratio, speedup)
-    let mut all_audits_held = true;
-    let mut total_audited = 0u64;
-    for &budget in &budgets {
-        let cache = Arc::new(ResultCache::new(budget));
-        let (qps, nq, steps, audited, audited_hits, stats) = run(Some(Arc::clone(&cache)));
-        let hit_ratio = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
-        let speedup = qps / uncached_qps.max(1e-9);
-        // The audit phase asserts on divergence, so reaching this line
-        // means every audited answer matched; demand it actually ran and
-        // that the hit path itself was audited, not just misses.
-        all_audits_held &= audited == (audit_iters * mix.len()) as u64 && audited_hits > 0;
-        total_audited += audited;
-        if budget == ResultCache::DEFAULT_BUDGET || default_metrics.1 == 0.0 {
-            default_metrics = (hit_ratio, speedup);
-        }
-        let label = if budget >= 1 << 20 {
-            format!("cached {}MiB", budget >> 20)
-        } else {
-            format!("cached {}KiB", budget >> 10)
-        };
-        table.row(vec![
-            label,
-            nq.to_string(),
-            format!("{qps:.0}"),
-            format!("{hit_ratio:.3}"),
-            stats.invalidated.to_string(),
-            stats.evicted.to_string(),
-            format!("{speedup:.2}x"),
-            format!("{audited} ({audited_hits})"),
-        ]);
-        json_rows.push(format!(
-            "    {{\"budget_bytes\": {budget}, \"qps\": {qps:.1}, \"queries\": {nq}, \
-             \"writer_steps\": {steps}, \"hit_ratio\": {hit_ratio:.4}, \
-             \"speedup_over_uncached\": {speedup:.3}, \"hits\": {}, \"misses\": {}, \
-             \"invalidated\": {}, \"evicted\": {}, \"entries_end\": {}, \"bytes_end\": {}, \
-             \"audited\": {audited}, \"audited_hits\": {audited_hits}}}",
-            stats.hits, stats.misses, stats.invalidated, stats.evicted, stats.entries, stats.bytes,
-        ));
-    }
-    assert!(all_audits_held, "every audit must run and audit real hits");
-    let (hit_ratio, speedup) = default_metrics;
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\nuncached {uncached_qps:.0} qps; default budget: hit ratio {hit_ratio:.3}, \
-         {speedup:.2}x over uncached; {total_audited} audited answers byte-identical\n"
-    ));
-
-    let json = format!(
-        "{{\n  \"experiment\": \"cache\",\n  \"config\": {{\"partitions\": {parts}, \
-         \"rows_per_partition\": {rows}, \"batch_rows\": {batch_rows}, \
-         \"churn_pause_us\": {churn_pause_us}, \"seconds\": {secs}, \
-         \"audit_iters\": {audit_iters}}},\n  \
-         \"uncached\": {{\"qps\": {uncached_qps:.1}, \"queries\": {uncached_queries}, \
-         \"writer_steps\": {uncached_steps}}},\n  \"budgets\": [\n{}\n  ],\n  \
-         \"hit_ratio\": {hit_ratio:.4},\n  \"speedup_over_uncached\": {speedup:.3},\n  \
-         \"exact\": {}\n}}\n",
-        json_rows.join(",\n"),
-        all_audits_held as u8,
-    );
-    let path = std::env::var("PI_CACHE_JSON").unwrap_or_else(|_| "BENCH_cache.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("wrote {path}\n")),
-        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
-    }
-    out
-}
-
-// ------------------------------------------------------- Observability layer
-
-/// Observability audit: per-query EXPLAIN ANALYZE traces must return
-/// byte-identical results to untraced execution (and to an index-free
-/// re-execution of the same plan), and the tracing + registry machinery
-/// must cost at most a few percent of untraced query latency.
-///
-/// Writes `BENCH_obs.json` (`trace.exact` is a correctness boolean with
-/// zero gate slack; `overhead.traced_over_untraced` is the median
-/// traced/untraced latency ratio, re-measured up to twice when a noisy
-/// run lands above the budget). Scale via `PI_OBS_PARTS` / `PI_OBS_ROWS`
-/// (per partition) / `PI_OBS_AUDIT_ROUNDS` / `PI_OBS_ITERS` (mix
-/// repetitions per overhead round) / `PI_OBS_ROUNDS` (rounds per
-/// overhead measurement, median taken).
-pub fn obs() -> String {
-    use patchindex::{ConcurrentTable, IndexedTable, PublishPolicy, ResultCache};
-    use pi_obs::{CacheOutcome, MetricsRegistry};
-    use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
-    use std::sync::Arc;
-
-    let parts = env_usize("PI_OBS_PARTS", 4);
-    let rows = env_usize("PI_OBS_ROWS", 20_000);
-    let audit_rounds = env_usize("PI_OBS_AUDIT_ROUNDS", 6);
-    let iters = env_usize("PI_OBS_ITERS", 40);
-    let rounds = env_usize("PI_OBS_ROUNDS", 5);
-
-    let base_table = || {
-        let mut t = pi_storage::Table::new(
-            "obs",
-            pi_storage::Schema::new(vec![
-                pi_storage::Field::new("k", pi_storage::DataType::Int),
-                pi_storage::Field::new("v", pi_storage::DataType::Int),
-            ]),
-            parts,
-            pi_storage::Partitioning::RoundRobin,
-        );
-        for pid in 0..parts {
-            let base = (pid * rows) as i64;
-            let keys: Vec<i64> = (base..base + rows as i64).collect();
-            t.load_partition(
-                pid,
-                &[
-                    pi_storage::ColumnData::Int(keys.clone()),
-                    pi_storage::ColumnData::Int(keys),
-                ],
-            );
-        }
-        t.propagate_all();
-        t
-    };
-    let mix: Vec<(Plan, bool)> = vec![
-        (Plan::scan(vec![1]).distinct(vec![0]), true),
-        (
-            Plan::scan(vec![1]).sort(vec![(0, pi_exec::ops::sort::SortOrder::Asc)]),
-            false,
-        ),
-        (Plan::scan(vec![1]).limit(16), false),
-        (Plan::scan(vec![1]), true),
-    ];
-    let instrumented = |cache: Option<Arc<ResultCache>>, registry: &Arc<MetricsRegistry>| {
-        let mut it = IndexedTable::new(base_table());
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        ConcurrentTable::with_observability(it, cache, Arc::clone(registry))
-    };
-
-    // Phase 1: exactness audit. Every traced answer — cold, cached-hit
-    // and post-invalidation — must match both the untraced engine and an
-    // index-free execution on the same snapshot, and every trace must
-    // account for all partitions.
-    let registry = Arc::new(MetricsRegistry::new());
-    let cache = Arc::new(ResultCache::with_registry(
-        ResultCache::DEFAULT_BUDGET,
-        &registry,
-    ));
-    let (handle, mut writer) = instrumented(Some(Arc::clone(&cache)), &registry);
-    writer.set_publish_policy(PublishPolicy::every(1));
-    let hot_pid = parts - 1;
-    let mut rng = SmallRng::seed_from_u64(0x0B5);
-    let mut audited = 0u64;
-    let mut exact = true;
-    let mut hit_traces = 0u64;
-    let mut executed_traces = 0u64;
-    let mut example = String::new();
-    for round in 0..audit_rounds {
-        let mut snap = handle.snapshot();
-        for (plan, is_count) in &mix {
-            let (batch, trace) = snap.query_traced(plan);
-            exact &= trace.partitions_total == parts;
-            match trace.cache {
-                // A hit skips execution: no operators, nothing visited.
-                Some(CacheOutcome::Hit) => {
-                    hit_traces += 1;
-                    exact &= trace.operators.is_empty()
-                        && trace.partitions_visited == 0
-                        && trace.partitions_pruned == 0;
-                }
-                // Executed traces must account for every partition.
-                Some(CacheOutcome::Miss) | Some(CacheOutcome::Uncached) => {
-                    executed_traces += 1;
-                    exact &= !trace.operators.is_empty()
-                        && trace.partitions_visited + trace.partitions_pruned == parts as u64;
-                }
-                None => exact = false,
-            }
-            let got = batch.column(0).as_int();
-            exact &= trace.rows_out == got.len() as u64;
-            // Traced and untraced run the same engine path: byte-identical.
-            let untraced = snap.query(plan);
-            exact &= got == untraced.column(0).as_int();
-            // The index-free run may order distinct output differently;
-            // those plans compare as value sets, the rest verbatim.
-            let free = execute(plan, snap.table(), NO_INDEXES);
-            if *is_count {
-                let mut a = got.to_vec();
-                let mut b = free.column(0).as_int().to_vec();
-                a.sort_unstable();
-                b.sort_unstable();
-                exact &= a == b;
-                exact &= snap.query_count(plan) == execute_count(plan, snap.table(), NO_INDEXES);
-            } else {
-                exact &= got == free.column(0).as_int();
-            }
-            audited += 1;
-            if round == 1 && example.is_empty() {
-                example = trace.render_text();
-            }
-        }
-        // Churn + publish so later rounds audit invalidation and re-fill.
-        let mut rids: Vec<usize> = (0..64).map(|_| rng.gen_range(0..rows)).collect();
-        rids.sort_unstable();
-        rids.dedup();
-        let base = (hot_pid * rows) as i64;
-        let values: Vec<Value> = rids
-            .iter()
-            .map(|_| Value::Int(base + rng.gen_range(0..rows as i64)))
-            .collect();
-        writer.modify(hot_pid, &rids, 1, &values);
-    }
-    assert!(exact, "every traced answer must be byte-identical");
-    assert!(
-        hit_traces > 0 && executed_traces > 0,
-        "the audit must cover both cache hits and executed traces"
-    );
-
-    // Phase 2: overhead. Untraced vs traced on the same instrumented
-    // (registry-attached, uncached so every query executes) snapshot;
-    // median of per-round ratios, re-measured when scheduler noise lands
-    // the median above the budget.
-    let measure = || {
-        let overhead_registry = Arc::new(MetricsRegistry::new());
-        let (handle, _writer) = instrumented(None, &overhead_registry);
-        let mut snap = handle.snapshot();
-        for (plan, _) in &mix {
-            assert!(!snap.query(plan).is_empty());
-            assert!(!snap.query_traced(plan).0.is_empty());
-        }
-        let mut ratios: Vec<f64> = Vec::new();
-        let mut untraced_secs = 0.0f64;
-        let mut traced_secs = 0.0f64;
-        for _ in 0..rounds {
-            let start = std::time::Instant::now();
-            for _ in 0..iters {
-                for (plan, _) in &mix {
-                    assert!(!snap.query(plan).is_empty());
-                }
-            }
-            let untraced = start.elapsed().as_secs_f64();
-            let start = std::time::Instant::now();
-            for _ in 0..iters {
-                for (plan, _) in &mix {
-                    let (batch, trace) = snap.query_traced(plan);
-                    assert!(!batch.is_empty() && !trace.operators.is_empty());
-                }
-            }
-            let traced = start.elapsed().as_secs_f64();
-            untraced_secs += untraced;
-            traced_secs += traced;
-            ratios.push(traced / untraced.max(1e-12));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        (ratios[ratios.len() / 2], untraced_secs, traced_secs, ratios)
-    };
-    let (mut overhead, mut untraced_secs, mut traced_secs, mut ratios) = measure();
-    for _ in 0..2 {
-        if overhead <= 1.02 {
-            break;
-        }
-        let again = measure();
-        if again.0 < overhead {
-            (overhead, untraced_secs, traced_secs, ratios) = again;
-        }
-    }
-
-    let mut out = format!(
-        "EXPLAIN ANALYZE exactness + tracing overhead: {parts} partitions x {rows} rows, \
-         {audit_rounds} audit rounds over a {}-plan mix with per-round churn, overhead over \
-         {rounds} rounds x {iters} mix repetitions\n\n",
-        mix.len()
-    );
-    let mut table = TablePrinter::new(&["metric", "value"]);
-    table.row(vec!["audited traces".into(), audited.to_string()]);
-    table.row(vec!["  cache-hit traces".into(), hit_traces.to_string()]);
-    table.row(vec![
-        "  executed traces".into(),
-        executed_traces.to_string(),
-    ]);
-    table.row(vec![
-        "byte-identical".into(),
-        if exact { "yes" } else { "NO" }.into(),
-    ]);
-    table.row(vec![
-        "traced / untraced latency".into(),
-        format!("{overhead:.4}x"),
-    ]);
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\nexample trace (round 2, cached plan):\n{example}\nregistry after the audit:\n{}\n",
-        registry.render_text()
-    ));
-
-    let ratio_list = ratios
-        .iter()
-        .map(|r| format!("{r:.4}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"experiment\": \"obs\",\n  \"config\": {{\"partitions\": {parts}, \
-         \"rows_per_partition\": {rows}, \"audit_rounds\": {audit_rounds}, \
-         \"overhead_iters\": {iters}, \"overhead_rounds\": {rounds}}},\n  \
-         \"trace\": {{\"audited\": {audited}, \"hit_traces\": {hit_traces}, \
-         \"executed_traces\": {executed_traces}, \"exact\": {}}},\n  \
-         \"overhead\": {{\"traced_over_untraced\": {overhead:.4}, \
-         \"untraced_secs\": {untraced_secs:.4}, \"traced_secs\": {traced_secs:.4}, \
-         \"rounds\": [{ratio_list}]}},\n  \"registry\": {}\n}}\n",
-        exact as u8,
-        registry.snapshot_json().trim(),
-    );
-    let path = std::env::var("PI_OBS_JSON").unwrap_or_else(|_| "BENCH_obs.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("wrote {path}\n")),
-        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
-    }
-    out
-}
-
-// ------------------------------------------------------------ Server layer
-
-/// Network frontend under mixed load: aggregate read throughput and
-/// tail latency of the `pi-server` TCP fan-out at 1 / 4 / 16 shards on
-/// the same machine, with a writer client churning single-row inserts
-/// (publish per statement) the whole time.
-///
-/// The headline mechanism is *invalidation locality*, not parallelism:
-/// every shard owns a private result cache, and a hash-routed write
-/// invalidates only its own shard's entries, so at N shards a
-/// dashboard-style repeated query recomputes ~1/N of the data per write
-/// instead of all of it. The post-quiesce audit replays every query in
-/// the mix index-free over the server's own shard snapshots and demands
-/// byte-identical responses (`exact` is a zero-slack gate boolean).
-///
-/// Writes `BENCH_serve.json` (`PI_SERVE_JSON` overrides the path).
-/// Scale via `PI_SERVE_ROWS` (total preloaded rows), `PI_SERVE_SECS`
-/// (measured window per shard count), `PI_SERVE_READERS`,
-/// `PI_SERVE_WRITE_PAUSE_US`, `PI_SERVE_SHARDS` (comma list),
-/// `PI_SERVE_AUDIT_ITERS`.
-pub fn serve() -> String {
-    use pi_planner::{execute, NO_INDEXES};
-    use pi_server::{
-        batch_rows, body_lines, canonical_rows, header, render_rows, Client, QuerySpec, Server,
-        ServerConfig,
-    };
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let rows = env_usize("PI_SERVE_ROWS", 120_000);
-    let secs = env_f64("PI_SERVE_SECS", 0.8);
-    let readers = env_usize("PI_SERVE_READERS", 3);
-    let write_pause_us = env_usize("PI_SERVE_WRITE_PAUSE_US", 2_500);
-    let audit_iters = env_usize("PI_SERVE_AUDIT_ITERS", 6);
-    let shard_counts: Vec<usize> = std::env::var("PI_SERVE_SHARDS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4, 16]);
-    const VAL_DOMAIN: i64 = 61;
-
-    // Dashboard mix: distinct-heavy specs whose per-shard execution
-    // scans the shard but whose results (and so cache entries and wire
-    // responses) stay tiny — the shape result caching exists for.
-    let mix = [
-        "scan 1 | distinct 0 | sort 0:asc",
-        "scan 1,0 | distinct 0 | sort 0:desc",
-        "scan 1 | distinct 0 | limit 16",
-    ];
-
-    let schema = || {
-        pi_storage::Schema::new(vec![
-            pi_storage::Field::new("k", pi_storage::DataType::Int),
-            pi_storage::Field::new("v", pi_storage::DataType::Int),
-        ])
-    };
-    // Sums every occurrence of a counter name across the combined
-    // metrics document (one engine registry per shard).
-    let sum_metric = |doc: &str, name: &str| -> u64 {
-        let needle = format!("\"{name}\": ");
-        doc.match_indices(&needle)
-            .filter_map(|(i, _)| {
-                doc[i + needle.len()..]
-                    .split(|c: char| !c.is_ascii_digit())
-                    .next()?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .sum()
-    };
-    let strip_epochs = |resp: &str| -> String {
-        let hdr: Vec<&str> = header(resp)
-            .split(' ')
-            .filter(|tok| !tok.starts_with("epochs="))
-            .collect();
-        let mut out = hdr.join(" ");
-        for line in body_lines(resp) {
-            out.push('\n');
-            out.push_str(line);
-        }
-        out
-    };
-
-    struct ShardRun {
-        shards: usize,
-        queries: u64,
-        qps: f64,
-        p50_us: f64,
-        p99_us: f64,
-        writes: u64,
-        hit_ratio: f64,
-        audited: u64,
-    }
-
-    let run = |nshards: usize| -> ShardRun {
-        let cfg = ServerConfig {
-            shards: nshards,
-            publish_every: 1,
-            advise_every: 256,
-            ..ServerConfig::default()
-        };
-        let server = Server::empty(cfg, schema(), 2).expect("start server");
-        let addr = server.addr();
-
-        // Preload through the wire in multi-row batches, then a PUBLISH
-        // write barrier so the window starts fully visible.
-        let mut loader = Client::connect(addr).expect("connect loader");
-        let mut k = 0usize;
-        while k < rows {
-            let batch: Vec<String> = (k..(k + 500).min(rows))
-                .map(|i| format!("{i},{}", i as i64 % VAL_DOMAIN))
-                .collect();
-            let resp = loader
-                .request(&format!("INSERT {}", batch.join(";")))
-                .unwrap();
-            assert!(resp.starts_with("OK "), "preload failed: {resp}");
-            k += 500;
-        }
-        loader.request("FLUSH").unwrap();
-        loader.request("PUBLISH").unwrap();
-
-        let stop = AtomicBool::new(false);
-        let queries = AtomicU64::new(0);
-        let writes = AtomicU64::new(0);
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..readers {
-                let stop = &stop;
-                let queries = &queries;
-                let mix = &mix;
-                scope.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect reader");
-                    while !stop.load(Ordering::Relaxed) {
-                        for spec in mix {
-                            let resp = c.request(&format!("QUERY {spec}")).unwrap();
-                            assert!(resp.starts_with("OK "), "query failed: {resp}");
-                            queries.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-            let stop_w = &stop;
-            let writes = &writes;
-            scope.spawn(move || {
-                let mut c = Client::connect(addr).expect("connect writer");
-                let mut rng = SmallRng::seed_from_u64(0x5E21E);
-                let mut next_key = rows as i64;
-                while !stop_w.load(Ordering::Relaxed) {
-                    let v = rng.gen_range(0..VAL_DOMAIN);
-                    let resp = c.request(&format!("INSERT {next_key},{v}")).unwrap();
-                    if resp.starts_with("OK ") {
-                        next_key += 1;
-                        writes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(Duration::from_micros(write_pause_us as u64));
-                }
-            });
-            std::thread::sleep(Duration::from_secs_f64(secs));
-            stop.store(true, Ordering::Relaxed);
-        });
-        let elapsed = t0.elapsed().as_secs_f64();
-        // Window latency distribution from the server's own histogram
-        // (queries only — the audit below runs after this snapshot).
-        let lat = server.registry().histogram("server.query.nanos").snapshot();
-        let metrics_doc = server.metrics_json();
-        let hits = sum_metric(&metrics_doc, "cache.hits");
-        let misses = sum_metric(&metrics_doc, "cache.misses");
-
-        // Quiesce, then audit: every mix response must be byte-identical
-        // to an index-free replay over the server's own shard snapshots.
-        loader.request("FLUSH").unwrap();
-        loader.request("PUBLISH").unwrap();
-        let tables = server.tables();
-        let mut audited = 0u64;
-        let mut audit_client = Client::connect(addr).expect("connect auditor");
-        for _ in 0..audit_iters {
-            for spec_text in &mix {
-                let resp = audit_client.request(&format!("QUERY {spec_text}")).unwrap();
-                let spec = QuerySpec::parse(spec_text).unwrap();
-                let plan = spec.fanout_plan();
-                let mut ref_rows = Vec::new();
-                for table in &tables {
-                    let snap = table.snapshot();
-                    ref_rows.extend(batch_rows(&execute(&plan, snap.table(), NO_INDEXES)));
-                }
-                let ref_rows = canonical_rows(&spec, ref_rows);
-                let want = format!(
-                    "OK rows={} cols={}{}",
-                    ref_rows.len(),
-                    spec.output_width(),
-                    render_rows(&ref_rows)
-                );
-                assert_eq!(
-                    strip_epochs(&resp),
-                    want,
-                    "served response diverged from index-free replay for {spec_text:?} \
-                     at {nshards} shards"
-                );
-                audited += 1;
-            }
-        }
-        server.shutdown();
-
-        let q = queries.load(Ordering::Relaxed);
-        ShardRun {
-            shards: nshards,
-            queries: q,
-            qps: q as f64 / elapsed.max(1e-9),
-            p50_us: lat.p50() as f64 / 1e3,
-            p99_us: lat.p99() as f64 / 1e3,
-            writes: writes.load(Ordering::Relaxed),
-            hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
-            audited,
-        }
-    };
-
-    let results: Vec<ShardRun> = shard_counts.iter().map(|&n| run(n)).collect();
-
-    let mut out = format!(
-        "Server fan-out under mixed load: {rows} preloaded rows, {readers} reader clients + 1 \
-         writer (1 row / {write_pause_us}us, publish per statement), {secs:.1}s window per shard \
-         count\n\n"
-    );
-    let mut table = TablePrinter::new(&[
-        "shards",
-        "queries",
-        "qps",
-        "p50",
-        "p99",
-        "writes",
-        "hit ratio",
-        "audited",
-    ]);
-    for r in &results {
-        table.row(vec![
-            r.shards.to_string(),
-            r.queries.to_string(),
-            format!("{:.0}", r.qps),
-            format!("{:.0}us", r.p50_us),
-            format!("{:.0}us", r.p99_us),
-            r.writes.to_string(),
-            format!("{:.3}", r.hit_ratio),
-            r.audited.to_string(),
-        ]);
-    }
-    out.push_str(&table.render());
-
-    let qps_of = |n: usize| results.iter().find(|r| r.shards == n).map(|r| r.qps);
-    let (base_qps, best_qps) = match (qps_of(1), qps_of(4)) {
-        (Some(a), Some(b)) => (a, b),
-        _ => (results.first().unwrap().qps, results.last().unwrap().qps),
-    };
-    let speedup = best_qps / base_qps.max(1e-9);
-    let tail = results
-        .iter()
-        .find(|r| r.shards == 4)
-        .or_else(|| results.last())
-        .unwrap();
-    let tail_ratio = tail.p99_us / tail.p50_us.max(1e-9);
-    let total_audited: u64 = results.iter().map(|r| r.audited).sum();
-    let exact = total_audited == (audit_iters * mix.len() * results.len()) as u64;
-    out.push_str(&format!(
-        "\n4-shard aggregate read throughput {speedup:.2}x over 1 shard (invalidation locality); \
-         p99/p50 at {} shards {tail_ratio:.1}; {total_audited} audited responses byte-identical\n",
-        tail.shards
-    ));
-
-    let json_rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"shards\": {}, \"queries\": {}, \"qps\": {:.1}, \"p50_us\": {:.1}, \
-                 \"p99_us\": {:.1}, \"writes\": {}, \"hit_ratio\": {:.4}, \"audited\": {}}}",
-                r.shards, r.queries, r.qps, r.p50_us, r.p99_us, r.writes, r.hit_ratio, r.audited
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"serve\",\n  \"config\": {{\"rows\": {rows}, \"seconds\": {secs}, \
-         \"readers\": {readers}, \"write_pause_us\": {write_pause_us}, \
-         \"audit_iters\": {audit_iters}}},\n  \"results\": [\n{}\n  ],\n  \
-         \"speedup_4_over_1\": {speedup:.3},\n  \"p99_over_p50\": {tail_ratio:.3},\n  \
-         \"exact\": {}\n}}\n",
-        json_rows.join(",\n"),
-        exact as u8,
-    );
-    let path = std::env::var("PI_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => out.push_str(&format!("wrote {path}\n")),
-        Err(e) => out.push_str(&format!("could not write {path}: {e}\n")),
-    }
     out
 }

@@ -56,11 +56,6 @@ pub struct IndexStats {
     pub maintained_rows: u64,
     /// Heap bytes of the patch stores (the advisor's budget currency).
     pub memory_bytes: usize,
-    /// Whether the patch set is known globally deduplicated (see
-    /// [`PatchIndex::global_unique`]). When false, the NUC distinct
-    /// rewrite must wrap its union in a global distinct — the kept flows
-    /// of different partitions may repeat values.
-    pub global_unique: bool,
     /// Optimizer feedback (times bound, estimated cost saved).
     pub feedback: QueryFeedback,
 }
@@ -107,7 +102,6 @@ impl IndexStats {
             drift_patches: index.drift_patches(),
             maintained_rows: index.maintained_since_recompute(),
             memory_bytes: index.memory_bytes(),
-            global_unique: index.global_unique(),
             feedback: index.query_feedback(),
         }
     }

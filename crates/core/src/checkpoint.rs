@@ -29,20 +29,17 @@ use crate::maintenance::MaintenanceStats;
 use crate::store::PatchStore;
 
 const MAGIC: &[u8; 4] = b"PIDX";
-/// Version 2 appended the maintenance/drift/feedback counters, so a
-/// recovered index resumes advisor monitoring where it left off.
-/// Version 3 extends the feedback block with the measured-timing fields
-/// (measured queries, actual micros, estimated cost executed); v2 files
-/// still load, with those fields zeroed.
-/// Version 4 records the global-uniqueness flag after the design word.
-/// v2/v3 NUC files were written by partition-local discovery, so they
-/// load with the flag cleared — the planner's global-distinct guard stays
-/// active until the index is recomputed.
-/// Version 5 appends a CRC-32 trailer over the whole payload; torn or
-/// bit-flipped files are rejected at load instead of parsed. v2–v4 files
-/// (no trailer) still load, but every version now rejects trailing
-/// garbage.
+/// The only format this build reads or writes: header, monitoring
+/// counters, per-partition patch sets, then a CRC-32 trailer over
+/// everything before it, so torn or bit-flipped files are rejected at load
+/// instead of parsed.
 const VERSION: u32 = 5;
+/// Word after the design word. Patch sets are always globally
+/// deduplicated (NUC discovery includes the cross-partition residual), so
+/// it is written as 1 and any other value is rejected.
+const GLOBALLY_DEDUPLICATED: u32 = 1;
+/// Smallest encoding of one partition: row count, anchor tag, patch count.
+const MIN_PARTITION_BYTES: usize = 8 + 4 + 8;
 
 fn put_u32(b: &mut Vec<u8>, v: u32) {
     b.extend_from_slice(&v.to_le_bytes());
@@ -133,9 +130,9 @@ impl PatchIndex {
         put_u32(&mut b, self.column() as u32);
         put_u32(&mut b, constraint_tag(self.constraint()));
         put_u32(&mut b, matches!(self.design(), Design::Identifier) as u32);
-        put_u32(&mut b, self.global_unique() as u32);
-        // Monitoring counters (v2): maintenance stats, drift baseline,
-        // query feedback — the advisor's observe state survives recovery.
+        put_u32(&mut b, GLOBALLY_DEDUPLICATED);
+        // Monitoring counters: maintenance stats, drift baseline, query
+        // feedback — the advisor's observe state survives recovery.
         let stats = self.maintenance_stats();
         put_u64(&mut b, stats.collision_rounds);
         put_u64(&mut b, stats.build_invocations);
@@ -197,8 +194,9 @@ impl PatchIndex {
         Self::load_checkpoint_bytes(&fs.read(path)?)
     }
 
-    /// Parses a checkpoint image. Rejects unknown versions, checksum
-    /// mismatches (v5+) and trailing garbage (all versions) with a clear
+    /// Parses a checkpoint image. Rejects other versions, checksum
+    /// mismatches, counts that exceed the bytes present, patch rowIDs
+    /// outside their partition and trailing garbage with a clear
     /// [`io::ErrorKind::InvalidData`] error.
     pub fn load_checkpoint_bytes(bytes: &[u8]) -> io::Result<Self> {
         let mut header: &[u8] = bytes;
@@ -210,30 +208,24 @@ impl PatchIndex {
             return Err(bad_data("not a PatchIndex checkpoint"));
         }
         let version = read_u32(&mut header)?;
-        if !(2..=VERSION).contains(&version) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported checkpoint version {version}"),
+        if version != VERSION {
+            return Err(bad_data(&format!(
+                "unsupported checkpoint version {version}"
+            )));
+        }
+        // The file ends in a CRC-32 of everything before it; verify before
+        // trusting a single payload byte.
+        if bytes.len() < 12 {
+            return Err(bad_data("checkpoint truncated before checksum"));
+        }
+        let trailer_at = bytes.len() - 4;
+        let stored = u32::from_le_bytes(bytes[trailer_at..].try_into().unwrap());
+        if crc32(&bytes[..trailer_at]) != stored {
+            return Err(bad_data(
+                "checkpoint checksum mismatch (corrupt or torn file)",
             ));
         }
-        // v5 files end in a CRC-32 of everything before it; verify before
-        // trusting a single payload byte.
-        let body_end = if version >= 5 {
-            if bytes.len() < 12 {
-                return Err(bad_data("checkpoint truncated before checksum"));
-            }
-            let trailer_at = bytes.len() - 4;
-            let stored = u32::from_le_bytes(bytes[trailer_at..].try_into().unwrap());
-            if crc32(&bytes[..trailer_at]) != stored {
-                return Err(bad_data(
-                    "checkpoint checksum mismatch (corrupt or torn file)",
-                ));
-            }
-            trailer_at
-        } else {
-            bytes.len()
-        };
-        let mut r: &[u8] = &bytes[8..body_end];
+        let mut r: &[u8] = &bytes[8..trailer_at];
         let column = read_u32(&mut r)? as usize;
         let constraint = constraint_from_tag(read_u32(&mut r)?)?;
         let design = if read_u32(&mut r)? == 1 {
@@ -241,14 +233,11 @@ impl PatchIndex {
         } else {
             Design::Bitmap
         };
-        let global_unique = if version >= 4 {
-            read_u32(&mut r)? == 1
-        } else {
-            // Legacy NUC patch sets came from partition-local discovery:
-            // cross-partition duplicates may be unpatched. NSC/NCC
-            // invariants are genuinely per-partition, so nothing is lost.
-            constraint != Constraint::NearlyUnique
-        };
+        if read_u32(&mut r)? != GLOBALLY_DEDUPLICATED {
+            return Err(bad_data(
+                "checkpoint does not claim globally deduplicated patch sets",
+            ));
+        }
         let stats = MaintenanceStats {
             collision_rounds: read_u64(&mut r)?,
             build_invocations: read_u64(&mut r)?,
@@ -260,29 +249,44 @@ impl PatchIndex {
             patches: read_u64(&mut r)?,
             maintained_rows: read_u64(&mut r)?,
         };
-        let mut feedback = QueryFeedback {
+        let feedback = QueryFeedback {
             times_bound: read_u64(&mut r)?,
             est_cost_saved: read_f64(&mut r)?,
-            ..QueryFeedback::default()
+            measured_queries: read_u64(&mut r)?,
+            actual_micros: read_f64(&mut r)?,
+            est_cost_executed: read_f64(&mut r)?,
         };
-        if version >= 3 {
-            feedback.measured_queries = read_u64(&mut r)?;
-            feedback.actual_micros = read_f64(&mut r)?;
-            feedback.est_cost_executed = read_f64(&mut r)?;
-        }
+        // A valid checksum does not make a count true: bound each by the
+        // bytes that remain before allocating for it.
         let nparts = read_u32(&mut r)? as usize;
+        if nparts > r.len() / MIN_PARTITION_BYTES {
+            return Err(bad_data(
+                "checkpoint partition count exceeds the bytes present",
+            ));
+        }
         let mut parts = Vec::with_capacity(nparts);
-        for _ in 0..nparts {
+        for pid in 0..nparts {
             let nrows = read_u64(&mut r)?;
             let last_sorted = if read_u32(&mut r)? == 1 {
                 Some(read_i64(&mut r)?)
             } else {
                 None
             };
-            let count = read_u64(&mut r)? as usize;
-            let mut rids = Vec::with_capacity(count);
+            let count = read_u64(&mut r)?;
+            if count > (r.len() / 8) as u64 {
+                return Err(bad_data(&format!(
+                    "partition {pid}: patch count {count} exceeds the bytes present"
+                )));
+            }
+            let mut rids = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                rids.push(read_u64(&mut r)?);
+                let rid = read_u64(&mut r)?;
+                if rid >= nrows {
+                    return Err(bad_data(&format!(
+                        "partition {pid}: patch rowID {rid} outside its {nrows} rows"
+                    )));
+                }
+                rids.push(rid);
             }
             parts.push(PartitionIndex {
                 store: PatchStore::new(design, nrows, &rids),
@@ -292,7 +296,7 @@ impl PatchIndex {
         if !r.is_empty() {
             return Err(bad_data("trailing garbage after checkpoint payload"));
         }
-        let mut idx = PatchIndex::from_parts(column, constraint, design, parts, global_unique);
+        let mut idx = PatchIndex::from_parts(column, constraint, design, parts);
         idx.restore_meta(stats, baseline, feedback);
         Ok(idx)
     }
@@ -303,8 +307,6 @@ mod tests {
     use super::*;
     use pi_storage::dfs::SimFs;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
-    use std::fs::File;
-    use std::io::{BufWriter, Write};
     use std::path::PathBuf;
 
     fn table() -> Table {
@@ -360,106 +362,12 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// Hand-writes a checkpoint in the legacy v3 layout (no
-    /// global-uniqueness word, no checksum trailer) — what a pre-v4 build
-    /// would have produced.
-    fn write_v3(
-        path: &std::path::Path,
-        column: u32,
-        constraint: Constraint,
-        design: Design,
-        parts: &[(u64, Option<i64>, Vec<u64>)],
-    ) {
-        let mut b = Vec::new();
-        b.extend_from_slice(MAGIC);
-        put_u32(&mut b, 3);
-        put_u32(&mut b, column);
-        put_u32(&mut b, constraint_tag(constraint));
-        put_u32(&mut b, matches!(design, Design::Identifier) as u32);
-        for _ in 0..4 {
-            put_u64(&mut b, 0); // maintenance stats
-        }
-        put_f64(&mut b, 1.0); // baseline match fraction
-        put_u64(&mut b, 0);
-        put_u64(&mut b, 0);
-        put_u64(&mut b, 0); // feedback
-        put_f64(&mut b, 0.0);
-        put_u64(&mut b, 0);
-        put_f64(&mut b, 0.0);
-        put_f64(&mut b, 0.0);
-        put_u32(&mut b, parts.len() as u32);
-        for (nrows, last_sorted, rids) in parts {
-            put_u64(&mut b, *nrows);
-            match last_sorted {
-                Some(v) => {
-                    put_u32(&mut b, 1);
-                    put_i64(&mut b, *v);
-                }
-                None => put_u32(&mut b, 0),
-            }
-            put_u64(&mut b, rids.len() as u64);
-            for r in rids {
-                put_u64(&mut b, *r);
-            }
-        }
-        let mut w = BufWriter::new(File::create(path).unwrap());
-        w.write_all(&b).unwrap();
-        w.flush().unwrap();
-    }
-
-    #[test]
-    fn legacy_v3_nuc_loads_with_the_global_guard_active() {
-        // A v3 NUC checkpoint may hide cross-partition duplicates its
-        // partition-local discovery never patched; the load must clear
-        // the global-uniqueness claim. A recompute re-establishes it.
-        let mut t = Table::new(
-            "t",
-            Schema::new(vec![Field::new("v", DataType::Int)]),
-            2,
-            Partitioning::RoundRobin,
-        );
-        t.load_partition(0, &[ColumnData::Int(vec![7, 1, 2])]);
-        t.load_partition(1, &[ColumnData::Int(vec![7, 3, 4])]);
-        t.propagate_all();
-        let path = std::env::temp_dir().join("pi_checkpoint_legacy_v3.pidx");
-        write_v3(
-            &path,
-            0,
-            Constraint::NearlyUnique,
-            Design::Bitmap,
-            &[(3, None, vec![]), (3, None, vec![])],
-        );
-        let mut idx = PatchIndex::load_checkpoint(&path).unwrap();
-        assert!(!idx.global_unique());
-        idx.check_consistency(&t); // global pass is skipped while unclaimed
-        idx.recompute(&t);
-        assert!(idx.global_unique());
-        assert_eq!(idx.partition(0).store.patch_rids(), vec![0]);
-        assert_eq!(idx.partition(1).store.patch_rids(), vec![0]);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn legacy_v3_nsc_keeps_its_partition_local_claim() {
-        let path = std::env::temp_dir().join("pi_checkpoint_legacy_nsc.pidx");
-        write_v3(
-            &path,
-            0,
-            Constraint::NearlySorted(SortDir::Asc),
-            Design::Identifier,
-            &[(4, Some(9), vec![2])],
-        );
-        let idx = PatchIndex::load_checkpoint(&path).unwrap();
-        assert!(idx.global_unique());
-        std::fs::remove_file(path).ok();
-    }
-
     #[test]
     fn design_migrated_index_roundtrips() {
-        // v3 file written as Bitmap over clean (globally unique) data;
-        // after loading, the recompute migrates to Identifier (exception
-        // rate 0 is below the crossover) and a fresh checkpoint
-        // round-trips the migrated design with byte accounting intact.
+        // Created as Bitmap over clean data; the recompute migrates to
+        // Identifier (exception rate 0 is below the crossover) and a
+        // checkpoint round-trips the migrated design with byte accounting
+        // intact.
         let mut t = Table::new(
             "t",
             Schema::new(vec![Field::new("v", DataType::Int)]),
@@ -469,25 +377,13 @@ mod tests {
         t.load_partition(0, &[ColumnData::Int(vec![1, 2, 3, 4])]);
         t.load_partition(1, &[ColumnData::Int(vec![5, 6, 7])]);
         t.propagate_all();
-        let v3_path = std::env::temp_dir().join("pi_checkpoint_migrate_v3.pidx");
-        write_v3(
-            &v3_path,
-            0,
-            Constraint::NearlyUnique,
-            Design::Bitmap,
-            &[(4, None, vec![]), (3, None, vec![])],
-        );
-        let mut idx = PatchIndex::load_checkpoint(&v3_path).unwrap();
-        assert_eq!(idx.design(), Design::Bitmap);
-        assert!(!idx.global_unique());
+        let mut idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         idx.recompute(&t);
         assert_eq!(idx.design(), Design::Identifier);
-        assert!(idx.global_unique());
-        let v5_path = std::env::temp_dir().join("pi_checkpoint_migrate_v5.pidx");
-        idx.checkpoint(&v5_path).unwrap();
-        let loaded = PatchIndex::load_checkpoint(&v5_path).unwrap();
+        let path = std::env::temp_dir().join("pi_checkpoint_migrate_v5.pidx");
+        idx.checkpoint(&path).unwrap();
+        let loaded = PatchIndex::load_checkpoint(&path).unwrap();
         assert_eq!(loaded.design(), Design::Identifier);
-        assert!(loaded.global_unique());
         assert_eq!(loaded.memory_bytes(), idx.memory_bytes());
         for pid in 0..2 {
             assert_eq!(loaded.partition(pid).store.design(), Design::Identifier);
@@ -497,8 +393,7 @@ mod tests {
             );
         }
         loaded.check_consistency(&t);
-        std::fs::remove_file(v3_path).ok();
-        std::fs::remove_file(v5_path).ok();
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -546,24 +441,106 @@ mod tests {
         }
     }
 
+    /// Appends the CRC-32 trailer, so a doctored payload gets past the
+    /// checksum and has to be caught by the parser itself.
+    fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        put_u32(&mut body, crc);
+        body
+    }
+
+    /// The unsealed payload of a single-partition NUC/Bitmap image over
+    /// `nrows` rows whose patch block claims `count` rowIDs and carries
+    /// `rids`. Versions before 4 had no flag word.
+    fn body(version: u32, nrows: u64, count: u64, rids: &[u64]) -> Vec<u8> {
+        let mut b = Vec::new();
+        b.extend_from_slice(MAGIC);
+        put_u32(&mut b, version);
+        put_u32(&mut b, 0); // column
+        put_u32(&mut b, constraint_tag(Constraint::NearlyUnique));
+        put_u32(&mut b, 0); // bitmap design
+        if version >= 4 {
+            put_u32(&mut b, GLOBALLY_DEDUPLICATED);
+        }
+        b.extend_from_slice(&[0u8; 12 * 8]); // stats, baseline, feedback
+        put_u32(&mut b, 1); // partitions
+        put_u64(&mut b, nrows);
+        put_u32(&mut b, 0); // no anchor
+        put_u64(&mut b, count);
+        for r in rids {
+            put_u64(&mut b, *r);
+        }
+        b
+    }
+
+    /// [`body`] as a file of that version: only version 5 has a trailer.
+    fn image(version: u32, nrows: u64, count: u64, rids: &[u64]) -> Vec<u8> {
+        let b = body(version, nrows, count, rids);
+        if version >= 5 {
+            seal(b)
+        } else {
+            b
+        }
+    }
+
+    fn rejected(bytes: &[u8]) -> String {
+        let err = PatchIndex::load_checkpoint_bytes(bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
     #[test]
     fn trailing_garbage_is_rejected_even_on_legacy_versions() {
-        let path = std::env::temp_dir().join("pi_checkpoint_trailing_v3.pidx");
-        write_v3(
-            &path,
-            0,
-            Constraint::NearlyConstant,
-            Design::Bitmap,
-            &[(3, None, vec![1])],
-        );
-        // Sanity: the clean legacy file loads.
-        PatchIndex::load_checkpoint(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(b"junk");
-        let err = PatchIndex::load_checkpoint_bytes(&bytes).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("trailing garbage"), "{err}");
-        std::fs::remove_file(path).ok();
+        let mut b = body(5, 3, 1, &[1]);
+        PatchIndex::load_checkpoint_bytes(&seal(b.clone())).unwrap();
+        b.extend_from_slice(b"junk");
+        let msg = rejected(&seal(b));
+        assert!(msg.contains("trailing garbage"), "{msg}");
+        // A legacy image is refused whole, whatever follows it.
+        let mut legacy = image(3, 3, 1, &[1]);
+        legacy.extend_from_slice(b"junk");
+        rejected(&legacy);
+    }
+
+    #[test]
+    fn lying_counts_are_rejected_not_allocated() {
+        // The patch count is a claim, checksummed or not: u64::MAX asked
+        // `Vec::with_capacity` for a capacity overflow, 2^40 for 8 TiB.
+        for count in [u64::MAX, 1 << 40, 2] {
+            let msg = rejected(&image(5, 8, count, &[1]));
+            assert!(msg.contains("patch count"), "{msg}");
+        }
+        // Same for the partition count.
+        let mut b = body(5, 8, 1, &[1]);
+        let nparts_at = 8 + 4 * 4 + 12 * 8;
+        b[nparts_at..nparts_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let msg = rejected(&seal(b));
+        assert!(msg.contains("partition count"), "{msg}");
+        // An unsealed legacy image never gets as far as its counts.
+        let msg = rejected(&image(3, 8, u64::MAX, &[1]));
+        assert!(msg.contains("unsupported checkpoint version 3"), "{msg}");
+    }
+
+    #[test]
+    fn patch_rowid_outside_its_partition_is_rejected() {
+        PatchIndex::load_checkpoint_bytes(&image(5, 8, 2, &[1, 7])).unwrap();
+        let msg = rejected(&image(5, 8, 2, &[1, 8]));
+        assert!(msg.contains("rowID 8"), "{msg}");
+    }
+
+    #[test]
+    fn other_versions_and_flag_words_are_rejected() {
+        for version in [2, 3, 4, 6] {
+            let msg = rejected(&image(version, 8, 1, &[1]));
+            assert!(
+                msg.contains(&format!("unsupported checkpoint version {version}")),
+                "{msg}"
+            );
+        }
+        let mut b = body(5, 8, 1, &[1]);
+        b[20..24].copy_from_slice(&0u32.to_le_bytes());
+        let msg = rejected(&seal(b));
+        assert!(msg.contains("globally deduplicated"), "{msg}");
     }
 
     #[test]

@@ -271,6 +271,24 @@ mod tests {
         let p2: Vec<i64> = vec![2, 5];
         let residual = cross_partition_nuc_residual(&[&p0, &p1, &p2]);
         assert_eq!(residual, vec![vec![0], vec![], vec![1]]);
+        // A pool of 10 values shared by 4 otherwise disjoint partitions
+        // (every 200th row): all 10 x 4 occurrences, and nothing else.
+        let parts: Vec<Vec<i64>> = (0..4)
+            .map(|p| {
+                (0..2_000)
+                    .map(|i| {
+                        if i % 200 == 0 {
+                            i / 200
+                        } else {
+                            1_000 + p * 2_000 + i
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let views: Vec<&[i64]> = parts.iter().map(Vec::as_slice).collect();
+        let pool_rids: Vec<u64> = (0..10).map(|k| k * 200).collect();
+        assert_eq!(cross_partition_nuc_residual(&views), vec![pool_rids; 4]);
     }
 
     #[test]

@@ -95,7 +95,6 @@ pub struct PatchIndex {
     stats: MaintenanceStats,
     baseline: DriftBaseline,
     feedback: QueryFeedback,
-    global_unique: bool,
     pub(crate) pending: Option<PendingMaintenance>,
 }
 
@@ -153,7 +152,6 @@ impl PatchIndex {
             stats: MaintenanceStats::default(),
             baseline: DriftBaseline::default(),
             feedback: QueryFeedback::default(),
-            global_unique: true,
             pending: None,
         };
         idx.reset_baseline();
@@ -161,16 +159,12 @@ impl PatchIndex {
     }
 
     /// Builds an index from externally computed patch sets (checkpoint
-    /// recovery). `global_unique` records whether the patch sets are
-    /// known to be globally deduplicated — legacy checkpoints written by
-    /// partition-local discovery pass `false` for NUC, which keeps the
-    /// planner's global-distinct guard active until the next recompute.
+    /// recovery).
     pub(crate) fn from_parts(
         column: usize,
         constraint: Constraint,
         design: Design,
         parts: Vec<PartitionIndex>,
-        global_unique: bool,
     ) -> Self {
         let mut idx = PatchIndex {
             column,
@@ -180,7 +174,6 @@ impl PatchIndex {
             stats: MaintenanceStats::default(),
             baseline: DriftBaseline::default(),
             feedback: QueryFeedback::default(),
-            global_unique,
             pending: None,
         };
         idx.reset_baseline();
@@ -287,18 +280,6 @@ impl PatchIndex {
     /// The physical design.
     pub fn design(&self) -> Design {
         self.design
-    }
-
-    /// Whether the patch set is known globally deduplicated — for NUC,
-    /// every value with a global (cross-partition) occurrence count above
-    /// one has all occurrences patched. True for indexes created or
-    /// recomputed by this version; false only for NUC states restored
-    /// from legacy (pre-v4) checkpoints, whose discovery ran
-    /// partition-locally. While false, the planner wraps the NUC distinct
-    /// rewrite in a global distinct (belt and suspenders); a recompute
-    /// re-establishes the invariant and clears the guard.
-    pub fn global_unique(&self) -> bool {
-        self.global_unique
     }
 
     /// Number of partition-local indexes.
@@ -410,10 +391,9 @@ impl PatchIndex {
     /// Verifies the core invariant on every partition: excluding the
     /// patches, the remaining values satisfy the constraint (and for NUC
     /// are disjoint from patch values). For NUC the uniqueness/disjointness
-    /// pass additionally runs *globally* across partitions (when
-    /// [`PatchIndex::global_unique`] claims it) — the property the distinct
-    /// rewrite's un-deduplicated union actually relies on. Test / debugging
-    /// aid — full scan.
+    /// pass additionally runs *globally* across partitions — the property
+    /// the distinct rewrite's un-deduplicated union actually relies on.
+    /// Test / debugging aid — full scan.
     pub fn check_consistency(&self, table: &Table) {
         for (pid, part) in self.parts.iter().enumerate() {
             let p = table.partition(pid);
@@ -477,9 +457,9 @@ impl PatchIndex {
             }
         }
         // The NUC uniqueness/disjointness invariant additionally holds
-        // *globally* across partitions (when the index claims it) — the
-        // property the distinct rewrite's un-deduplicated union relies on.
-        if self.constraint == Constraint::NearlyUnique && self.global_unique {
+        // *globally* across partitions — the property the distinct
+        // rewrite's un-deduplicated union relies on.
+        if self.constraint == Constraint::NearlyUnique {
             let mut kept_seen = pi_exec::hash::int_set();
             let mut patch_vals: Vec<i64> = Vec::new();
             for (pid, part) in self.parts.iter().enumerate() {
@@ -544,7 +524,6 @@ mod tests {
         let idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         assert_eq!(idx.partition(0).store.patch_rids(), vec![0]);
         assert_eq!(idx.partition(1).store.patch_rids(), vec![0]);
-        assert!(idx.global_unique());
         idx.check_consistency(&t);
     }
 

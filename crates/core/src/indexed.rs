@@ -19,7 +19,6 @@ use pi_storage::{DataType, RowAddr, Table, Value};
 use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
-use crate::maintenance::ProbeStrategy;
 use crate::sampling::Reservoir;
 use crate::snapshot::WorkloadEvent;
 
@@ -53,9 +52,6 @@ pub struct MaintenancePolicy {
     pub auto: bool,
     /// Eager (per-statement) or deferred (batch-amortized) maintenance.
     pub mode: MaintenanceMode,
-    /// How eager NUC collision joins execute (the deferred flush always
-    /// uses the shared parallel pipeline).
-    pub probe: ProbeStrategy,
 }
 
 impl Default for MaintenancePolicy {
@@ -65,7 +61,6 @@ impl Default for MaintenancePolicy {
             condense_threshold: 0.5,
             auto: false,
             mode: MaintenanceMode::Eager,
-            probe: ProbeStrategy::default(),
         }
     }
 }
@@ -474,11 +469,7 @@ impl IndexedTable {
             match self.policy.mode {
                 MaintenanceMode::Eager => {
                     for idx in &mut self.indexes {
-                        Arc::make_mut(idx).handle_insert_with(
-                            &mut self.table,
-                            &addrs,
-                            self.policy.probe,
-                        );
+                        Arc::make_mut(idx).handle_insert(&mut self.table, &addrs);
                     }
                 }
                 MaintenanceMode::Deferred { .. } => {
@@ -520,12 +511,7 @@ impl IndexedTable {
                 self.table.modify(pid, rids, col, values);
                 for idx in &mut self.indexes {
                     if idx.column() == col {
-                        Arc::make_mut(idx).handle_modify_with(
-                            &mut self.table,
-                            pid,
-                            rids,
-                            self.policy.probe,
-                        );
+                        Arc::make_mut(idx).handle_modify(&mut self.table, pid, rids);
                     }
                 }
             }

@@ -74,7 +74,7 @@ pub use catalog::{IndexCatalog, IndexStats, PartitionStats};
 pub use constraint::{Constraint, Design, SortDir};
 pub use index::{DriftBaseline, PartitionIndex, PatchIndex, QueryFeedback};
 pub use indexed::{IndexedTable, MaintenanceMode, MaintenancePolicy, QueryLog, QueryShape};
-pub use maintenance::{drp_ranges, MaintenanceStats, ProbeStrategy};
+pub use maintenance::{drp_ranges, MaintenanceStats};
 pub use snapshot::{
     ConcurrentTable, PublishPolicy, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink,
 };

@@ -7,13 +7,10 @@
 //! | NUC | join inserted tuples with the table (dynamic range propagation), merge colliding rowIDs into the patches | like insert, over the modified tuples | drop tracking info |
 //! | NSC | extend the existing sorted subsequence with a longest sorted subsequence of the inserted values | merge all modified rowIDs into the patches | drop tracking info |
 //!
-//! The NUC collision join supports two execution strategies
-//! ([`ProbeStrategy`]): the default hashes the changed tuples **once** into
-//! a shared [`JoinTable`] and fans the per-partition DRP-pruned probes out
+//! The NUC collision join hashes the changed tuples **once** into a
+//! shared [`JoinTable`] and fans the per-partition DRP-pruned probes out
 //! over all cores, applying bitmap patches straight through a
-//! [`ConcurrentShardedBitmap`]; [`ProbeStrategy::SequentialRebuild`] keeps
-//! the original one-partition-at-a-time pipeline (re-hashing the build
-//! batch per partition) as a benchmark baseline.
+//! [`ConcurrentShardedBitmap`].
 
 use std::ops::Range;
 
@@ -21,26 +18,12 @@ use pi_bitmap::ConcurrentShardedBitmap;
 use pi_exec::ops::hash_join::{HashJoinOp, JoinTable, ProbeSide};
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::parallel::per_partition;
-use pi_exec::{collect, Batch, BatchSource, OpRef, Operator};
+use pi_exec::{Batch, OpRef, Operator};
 use pi_storage::{ColumnData, Partition, RowAddr, Table};
 
 use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
 use crate::lis;
-
-/// How the NUC collision join executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeStrategy {
-    /// Re-hash the changed-tuple batch for every partition and probe the
-    /// partitions one after another (the pre-optimization pipeline, kept
-    /// as a measurable baseline).
-    SequentialRebuild,
-    /// Hash the changed tuples once into a shared [`JoinTable`] and probe
-    /// all partitions in parallel; bitmap-design patches are applied
-    /// concurrently while probing.
-    #[default]
-    ParallelShared,
-}
 
 /// Counters describing the maintenance work an index performed
 /// (cumulative; preserved across [`PatchIndex::recompute`]).
@@ -49,9 +32,7 @@ pub struct MaintenanceStats {
     /// Collision-join rounds executed (one per eager NUC statement, one
     /// per deferred flush).
     pub collision_rounds: u64,
-    /// How many times a build side was hashed. The shared strategy pays
-    /// exactly one per round; the sequential baseline pays one per
-    /// partition per round.
+    /// How many times a build side was hashed: exactly one per round.
     pub build_invocations: u64,
     /// Partition probes executed across all rounds.
     pub probed_partitions: u64,
@@ -259,53 +240,6 @@ pub(crate) fn nuc_collision_probe(
     }
 }
 
-/// The original sequential pipeline: for every partition, re-materialize
-/// the build side from a cloned batch, rebuild the hash table and probe
-/// that partition — `O(partitions × changed)` hashing per statement. Kept
-/// as the measurable baseline of [`ProbeStrategy::SequentialRebuild`].
-fn nuc_collisions_sequential(
-    table: &Table,
-    col: usize,
-    build_batch: Batch,
-    stats: &mut MaintenanceStats,
-) -> Vec<(usize, usize)> {
-    stats.collision_rounds += 1;
-    let mut patches: Vec<(usize, usize)> = Vec::new();
-    for pid in 0..table.partition_count() {
-        let partition = table.partition(pid);
-        // Build side: the changed tuples. Probe side: deferred scan whose
-        // ranges come from the build-key envelope (dynamic range
-        // propagation).
-        let build: OpRef<'_> = Box::new(BatchSource::single(build_batch.clone()));
-        let probe = ProbeSide::Deferred(Box::new(move |env| {
-            let ranges = drp_ranges(partition, col, env);
-            Box::new(ScanOp::with_ranges(partition, vec![col], ranges, true)) as OpRef<'_>
-        }));
-        let mut join = HashJoinOp::new(build, 0, probe, 0);
-        stats.build_invocations += 1;
-        stats.probed_partitions += 1;
-        let out = collect(&mut join);
-        if out.is_empty() {
-            continue;
-        }
-        let probe_rids = out.column(1).as_int();
-        let build_pids = out.column(3).as_int();
-        let build_rids = out.column(4).as_int();
-        for i in 0..out.len() {
-            let probe_rid = probe_rids[i] as usize;
-            let (b_pid, b_rid) = (build_pids[i] as usize, build_rids[i] as usize);
-            if b_pid == pid && b_rid == probe_rid {
-                continue; // a changed tuple matching itself
-            }
-            patches.push((pid, probe_rid));
-            patches.push((b_pid, b_rid));
-        }
-    }
-    patches.sort_unstable();
-    patches.dedup();
-    patches
-}
-
 /// Distributes collision rowIDs into the per-partition patch stores.
 fn apply_collisions(index: &mut PatchIndex, patches: &[(usize, usize)]) {
     let mut per_part: Vec<Vec<u64>> = vec![Vec::new(); index.partition_count()];
@@ -399,43 +333,24 @@ impl PatchIndex {
         build_hits
     }
 
-    /// Runs the eager NUC collision round for `changed` tuples under the
-    /// given strategy and applies all resulting patches.
-    fn run_nuc_eager(
-        &mut self,
-        table: &mut Table,
-        changed: &[(usize, usize)],
-        strategy: ProbeStrategy,
-    ) {
+    /// Runs the eager NUC collision round for `changed` tuples and applies
+    /// all resulting patches.
+    fn run_nuc_eager(&mut self, table: &mut Table, changed: &[(usize, usize)]) {
         if changed.is_empty() {
             return;
         }
-        let col = self.column();
-        match strategy {
-            ProbeStrategy::SequentialRebuild => {
-                prepare_zonemaps(table, col);
-                let build_batch = build_changed_batch(table, col, changed);
-                let mut stats = self.maintenance_stats();
-                let patches = nuc_collisions_sequential(table, col, build_batch, &mut stats);
-                self.set_maintenance_stats(stats);
-                apply_collisions(self, &patches);
-            }
-            ProbeStrategy::ParallelShared => {
-                let build_batch = build_changed_batch(table, col, changed);
-                let build_hits = self.collision_round(table, build_batch, None);
-                // Build-side hits are patches too (idempotent for the
-                // bitmap design, where the sink already set them).
-                let pairs: Vec<(usize, usize)> = build_hits
-                    .iter()
-                    .map(|&(pid, rid)| (pid, rid as usize))
-                    .collect();
-                apply_collisions(self, &pairs);
-            }
-        }
+        let build_batch = build_changed_batch(table, self.column(), changed);
+        let build_hits = self.collision_round(table, build_batch, None);
+        // Build-side hits are patches too (idempotent for the bitmap
+        // design, where the sink already set them).
+        let pairs: Vec<(usize, usize)> = build_hits
+            .iter()
+            .map(|&(pid, rid)| (pid, rid as usize))
+            .collect();
+        apply_collisions(self, &pairs);
     }
 
-    /// Maintains the index after `table.insert_rows` returned `inserted`,
-    /// with the default [`ProbeStrategy`].
+    /// Maintains the index after `table.insert_rows` returned `inserted`.
     ///
     /// NUC: bitmap resize + collision join with dynamic range propagation.
     /// NSC: extend the sorted subsequence with a longest sorted
@@ -443,16 +358,6 @@ impl PatchIndex {
     /// may lose global optimality (paper's (1,2,10)+(3,4) example) but
     /// never correctness; the monitoring policy recomputes eventually.
     pub fn handle_insert(&mut self, table: &mut Table, inserted: &[RowAddr]) {
-        self.handle_insert_with(table, inserted, ProbeStrategy::default());
-    }
-
-    /// [`PatchIndex::handle_insert`] with an explicit NUC probe strategy.
-    pub fn handle_insert_with(
-        &mut self,
-        table: &mut Table,
-        inserted: &[RowAddr],
-        strategy: ProbeStrategy,
-    ) {
         assert!(
             !self.has_pending(),
             "flush deferred maintenance before eager insert handling (IndexedTable does this)"
@@ -471,7 +376,7 @@ impl PatchIndex {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> =
                     inserted.iter().map(|a| (a.partition, a.rid)).collect();
-                self.run_nuc_eager(table, &changed, strategy);
+                self.run_nuc_eager(table, &changed);
             }
             Constraint::NearlySorted(dir) => {
                 for (pid, rids) in per_part.iter().enumerate() {
@@ -536,23 +441,12 @@ impl PatchIndex {
     }
 
     /// Maintains the index after `table.modify` patched `col` values of
-    /// `rids` in partition `pid`, with the default [`ProbeStrategy`].
+    /// `rids` in partition `pid`.
     ///
     /// NUC: same collision query as insert handling (paper, Section 5.2),
     /// without the bitmap resize. NSC: all modified tuples join the patch
     /// set — no query needed.
     pub fn handle_modify(&mut self, table: &mut Table, pid: usize, rids: &[usize]) {
-        self.handle_modify_with(table, pid, rids, ProbeStrategy::default());
-    }
-
-    /// [`PatchIndex::handle_modify`] with an explicit NUC probe strategy.
-    pub fn handle_modify_with(
-        &mut self,
-        table: &mut Table,
-        pid: usize,
-        rids: &[usize],
-        strategy: ProbeStrategy,
-    ) {
         assert!(
             !self.has_pending(),
             "flush deferred maintenance before eager modify handling (IndexedTable does this)"
@@ -565,7 +459,7 @@ impl PatchIndex {
         match self.constraint() {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> = rids.iter().map(|&r| (pid, r)).collect();
-                self.run_nuc_eager(table, &changed, strategy);
+                self.run_nuc_eager(table, &changed);
             }
             Constraint::NearlySorted(_) => {
                 let patches: Vec<u64> = rids.iter().map(|&r| r as u64).collect();
@@ -647,6 +541,7 @@ pub(crate) fn extend_sorted_run(
 mod tests {
     use super::*;
     use crate::constraint::Design;
+    use pi_exec::{collect, BatchSource};
     use pi_storage::{DataType, Field, Partitioning, Schema, Value};
 
     fn table(vals: Vec<i64>, nparts: usize) -> Table {
@@ -669,6 +564,52 @@ mod tests {
 
     fn row(k: i64, v: i64) -> Vec<Value> {
         vec![Value::Int(k), Value::Int(v)]
+    }
+
+    /// Reference for the shared-probe pipeline: the paper's collision query
+    /// run one partition at a time, re-hashing the build batch for each —
+    /// `O(partitions × changed)` hashing per statement.
+    fn nuc_collisions_sequential(
+        table: &Table,
+        col: usize,
+        build_batch: Batch,
+        stats: &mut MaintenanceStats,
+    ) -> Vec<(usize, usize)> {
+        stats.collision_rounds += 1;
+        let mut patches: Vec<(usize, usize)> = Vec::new();
+        for pid in 0..table.partition_count() {
+            let partition = table.partition(pid);
+            // Build side: the changed tuples. Probe side: deferred scan whose
+            // ranges come from the build-key envelope (dynamic range
+            // propagation).
+            let build: OpRef<'_> = Box::new(BatchSource::single(build_batch.clone()));
+            let probe = ProbeSide::Deferred(Box::new(move |env| {
+                let ranges = drp_ranges(partition, col, env);
+                Box::new(ScanOp::with_ranges(partition, vec![col], ranges, true)) as OpRef<'_>
+            }));
+            let mut join = HashJoinOp::new(build, 0, probe, 0);
+            stats.build_invocations += 1;
+            stats.probed_partitions += 1;
+            let out = collect(&mut join);
+            if out.is_empty() {
+                continue;
+            }
+            let probe_rids = out.column(1).as_int();
+            let build_pids = out.column(3).as_int();
+            let build_rids = out.column(4).as_int();
+            for i in 0..out.len() {
+                let probe_rid = probe_rids[i] as usize;
+                let (b_pid, b_rid) = (build_pids[i] as usize, build_rids[i] as usize);
+                if b_pid == pid && b_rid == probe_rid {
+                    continue; // a changed tuple matching itself
+                }
+                patches.push((pid, probe_rid));
+                patches.push((b_pid, b_rid));
+            }
+        }
+        patches.sort_unstable();
+        patches.dedup();
+        patches
     }
 
     #[test]
@@ -849,9 +790,9 @@ mod tests {
     }
 
     /// Acceptance guard of the build-once pipeline: one maintenance round
-    /// over a 4-partition table hashes the build side exactly once under
-    /// the shared strategy — the sequential baseline pays once per
-    /// partition — and both strategies produce identical patch sets.
+    /// over a 4-partition table hashes the build side exactly once — the
+    /// sequential reference pays once per partition — and both produce
+    /// identical patch sets.
     #[test]
     fn shared_probe_hashes_build_side_exactly_once() {
         for design in [Design::Bitmap, Design::Identifier] {
@@ -869,9 +810,23 @@ mod tests {
                 .map(|(i, &v)| row(200 + i as i64, v))
                 .collect();
             let a1 = shared_t.insert_rows(&rows);
-            shared_idx.handle_insert_with(&mut shared_t, &a1, ProbeStrategy::ParallelShared);
+            shared_idx.handle_insert(&mut shared_t, &a1);
             let a2 = seq_t.insert_rows(&rows);
-            seq_idx.handle_insert_with(&mut seq_t, &a2, ProbeStrategy::SequentialRebuild);
+            let mut per_part: Vec<Vec<usize>> = vec![Vec::new(); 4];
+            for a in &a2 {
+                per_part[a.partition].push(a.rid);
+            }
+            seq_idx.cover_inserted(&seq_t, &per_part);
+            prepare_zonemaps(&seq_t, 1);
+            let changed: Vec<(usize, usize)> = a2.iter().map(|a| (a.partition, a.rid)).collect();
+            let mut seq_stats = MaintenanceStats::default();
+            let patches = nuc_collisions_sequential(
+                &seq_t,
+                1,
+                build_changed_batch(&seq_t, 1, &changed),
+                &mut seq_stats,
+            );
+            apply_collisions(&mut seq_idx, &patches);
 
             let shared_stats = shared_idx.maintenance_stats();
             assert_eq!(shared_stats.collision_rounds, 1);
@@ -881,11 +836,10 @@ mod tests {
             );
             assert_eq!(shared_stats.probed_partitions, 4);
 
-            let seq_stats = seq_idx.maintenance_stats();
             assert_eq!(seq_stats.collision_rounds, 1);
             assert_eq!(
                 seq_stats.build_invocations, 4,
-                "baseline rebuilds per partition"
+                "reference rebuilds per partition"
             );
 
             for pid in 0..4 {

@@ -255,8 +255,7 @@ mod tests {
     }
 
     /// Regression: tiny `base_rows` must scale the workload down, not
-    /// trip the drift-phase assert (`repro advisor` accepts any
-    /// `PI_ADV_ROWS`).
+    /// trip the drift-phase assert.
     #[test]
     fn tiny_base_rows_scale_down_instead_of_panicking() {
         for rows in [1usize, 64, 256, 511] {

@@ -53,11 +53,24 @@ pub(crate) fn read_i64(r: &mut impl Read) -> io::Result<i64> {
     Ok(read_u64(r)? as i64)
 }
 
-pub(crate) fn read_str(r: &mut impl Read) -> io::Result<String> {
-    let len = read_u32(r)? as usize;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| bad("non-utf8 string"))
+pub(crate) fn read_str(r: &mut &[u8]) -> io::Result<String> {
+    let len = checked_count(read_u32(r)? as u64, 1, r, "string")?;
+    let (s, rest) = r.split_at(len);
+    *r = rest;
+    String::from_utf8(s.to_vec()).map_err(|_| bad("non-utf8 string"))
+}
+
+/// A count read from a payload is a claim — the checksum proves the bytes
+/// arrived, not that they are true. Accepts it only if `count` elements
+/// of at least `min_bytes` each still fit in the rest of the payload, so
+/// no decoder allocates for more than the file can hold.
+fn checked_count(count: u64, min_bytes: usize, rest: &[u8], what: &str) -> io::Result<usize> {
+    if count > (rest.len() / min_bytes) as u64 {
+        return Err(bad(&format!(
+            "{what}: count {count} exceeds the bytes present"
+        )));
+    }
+    Ok(count as usize)
 }
 
 /// Wraps a payload in `magic + version + payload + crc32`.
@@ -159,7 +172,8 @@ pub(crate) fn decode_partition(
     let mut cols = Vec::with_capacity(ncols);
     for (ci, dict) in dicts.iter().enumerate() {
         let tag = read_u8(&mut r)?;
-        let n = read_u64(&mut r)? as usize;
+        let width = if tag == 2 { 4 } else { 8 };
+        let n = checked_count(read_u64(&mut r)?, width, r, "partition checkpoint")?;
         cols.push(match tag {
             0 => {
                 let mut v = Vec::with_capacity(n);
@@ -229,7 +243,7 @@ pub(crate) fn encode_dicts(table: &Table) -> Vec<u8> {
 pub(crate) fn decode_dicts(bytes: &[u8]) -> io::Result<Vec<Option<DictRef>>> {
     let payload = unseal(DICT_MAGIC, DICT_VERSION, bytes, "dict checkpoint")?;
     let mut r: &[u8] = payload;
-    let ncols = read_u32(&mut r)? as usize;
+    let ncols = checked_count(read_u32(&mut r)? as u64, 1, r, "dict checkpoint")?;
     let mut out = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         if read_u8(&mut r)? == 1 {
@@ -336,7 +350,8 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
     let payload = unseal(META_MAGIC, META_VERSION, bytes, "table meta checkpoint")?;
     let mut r: &[u8] = payload;
     let name = read_str(&mut r)?;
-    let nfields = read_u32(&mut r)? as usize;
+    // A field is at least a name length and a type tag.
+    let nfields = checked_count(read_u32(&mut r)? as u64, 5, r, "table meta checkpoint")?;
     let mut fields = Vec::with_capacity(nfields);
     for _ in 0..nfields {
         let fname = read_str(&mut r)?;
@@ -347,7 +362,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
         0 => Partitioning2::RoundRobin,
         1 => {
             let col = read_u32(&mut r)? as usize;
-            let n = read_u32(&mut r)? as usize;
+            let n = checked_count(read_u32(&mut r)? as u64, 8, r, "table meta checkpoint")?;
             let mut boundaries = Vec::with_capacity(n);
             for _ in 0..n {
                 boundaries.push(read_i64(&mut r)?);
@@ -419,12 +434,12 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> io::Result<Manifest> {
     let hwm = read_u64(&mut r)?;
     let meta_file = read_str(&mut r)?;
     let dict_file = read_str(&mut r)?;
-    let nparts = read_u32(&mut r)? as usize;
+    let nparts = checked_count(read_u32(&mut r)? as u64, 4, r, "manifest")?;
     let mut part_files = Vec::with_capacity(nparts);
     for _ in 0..nparts {
         part_files.push(read_str(&mut r)?);
     }
-    let nindexes = read_u32(&mut r)? as usize;
+    let nindexes = checked_count(read_u32(&mut r)? as u64, 4, r, "manifest")?;
     let mut index_files = Vec::with_capacity(nindexes);
     for _ in 0..nindexes {
         index_files.push(read_str(&mut r)?);
@@ -469,7 +484,6 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         put_u32(&mut b, idx.column() as u32);
         put_str(&mut b, &format!("{:?}", idx.constraint()));
         put_str(&mut b, &format!("{:?}", idx.design()));
-        b.push(idx.global_unique() as u8);
         let stats = idx.maintenance_stats();
         put_u64(&mut b, stats.collision_rounds);
         put_u64(&mut b, stats.build_invocations);
@@ -504,4 +518,61 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         }
     }
     b
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rejected<T>(r: io::Result<T>) -> String {
+        let err = r.err().expect("a lying count must be rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
+    /// A valid checksum proves the bytes arrived, not that the counts in
+    /// them are true: every decoder must refuse a count its payload
+    /// cannot hold instead of allocating for it.
+    #[test]
+    fn lying_counts_are_rejected_not_allocated() {
+        // Partition: one int column claiming u64::MAX values.
+        let mut p = Vec::new();
+        put_u32(&mut p, 0);
+        put_u32(&mut p, 1);
+        p.push(0);
+        put_u64(&mut p, u64::MAX);
+        let msg = rejected(decode_partition(
+            &seal(PART_MAGIC, PART_VERSION, &p),
+            &[None],
+        ));
+        assert!(msg.contains("partition checkpoint"), "{msg}");
+
+        // Dict file claiming u32::MAX columns.
+        let mut d = Vec::new();
+        put_u32(&mut d, u32::MAX);
+        let msg = rejected(decode_dicts(&seal(DICT_MAGIC, DICT_VERSION, &d)));
+        assert!(msg.contains("dict checkpoint"), "{msg}");
+
+        // Table meta claiming u32::MAX fields, and a string longer than
+        // the file.
+        let mut m = Vec::new();
+        put_str(&mut m, "t");
+        put_u32(&mut m, u32::MAX);
+        let msg = rejected(decode_meta(&seal(META_MAGIC, META_VERSION, &m)));
+        assert!(msg.contains("table meta checkpoint"), "{msg}");
+        let mut m = Vec::new();
+        put_u32(&mut m, u32::MAX);
+        m.extend_from_slice(b"t");
+        rejected(decode_meta(&seal(META_MAGIC, META_VERSION, &m)));
+
+        // Manifest claiming u32::MAX partition files.
+        let mut f = Vec::new();
+        put_u64(&mut f, 1);
+        put_u64(&mut f, 1);
+        put_str(&mut f, "meta");
+        put_str(&mut f, "dict");
+        put_u32(&mut f, u32::MAX);
+        let msg = rejected(decode_manifest(&seal(MANIFEST_MAGIC, MANIFEST_VERSION, &f)));
+        assert!(msg.contains("manifest"), "{msg}");
+    }
 }

@@ -90,7 +90,7 @@ impl Default for DurableOptions {
 }
 
 /// Byte and file counters for the durability subsystem (the economics
-/// the `repro durability` experiment reports).
+/// `pibench`'s `durability.*` metrics are computed from).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Total WAL frame bytes appended.

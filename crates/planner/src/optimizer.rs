@@ -150,7 +150,7 @@ fn rewrite_site(node: &Plan, e: &IndexStats) -> Option<Plan> {
                 && scan_cols.len() == 1
                 && scan_cols.get(cols[0]) == Some(&e.column) =>
             {
-                let union = Plan::Union {
+                Some(Plan::Union {
                     inputs: vec![
                         Plan::PatchScan {
                             cols: scan_cols.clone(),
@@ -168,22 +168,7 @@ fn rewrite_site(node: &Plan, e: &IndexStats) -> Option<Plan> {
                             cols: cols.clone(),
                         },
                     ],
-                };
-                if e.global_unique {
-                    Some(union)
-                } else {
-                    // The index cannot vouch for cross-partition
-                    // uniqueness of its kept values (a NUC restored from
-                    // a pre-v4 checkpoint, whose discovery was
-                    // partition-local): the flows may overlap across
-                    // partitions, so dedup the union globally — the NCC
-                    // shape. Still cheaper than re-aggregating the scan
-                    // whenever the cost gate keeps it.
-                    Some(Plan::Distinct {
-                        input: Box::new(union),
-                        cols: vec![0],
-                    })
-                }
+                })
             }
             // NCC: both flows get a distinct, but the excluding flow
             // aggregates into a single group per partition (the constant),
@@ -480,32 +465,6 @@ mod tests {
         // The excluding flow must NOT contain a Distinct.
         let first_branch = s.lines().nth(1).unwrap();
         assert!(first_branch.contains("PatchScan[exclude_patches]"));
-    }
-
-    #[test]
-    fn nuc_without_global_uniqueness_gets_an_outer_distinct() {
-        // A legacy (pre-v4 checkpoint) NUC cannot vouch for cross-
-        // partition uniqueness: the rewrite must dedup the union
-        // globally, like the NCC shape.
-        let mut e = entry(
-            0,
-            1,
-            Constraint::NearlyUnique,
-            vec![(1_000_000, 1_000)],
-            500,
-        );
-        e.global_unique = false;
-        let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let s = rewrite(plan.clone(), &e).to_string();
-        assert!(s.starts_with("Distinct"), "got:\n{s}");
-        assert!(s.lines().nth(1).unwrap().contains("Union"), "got:\n{s}");
-        assert!(s.contains("exclude_patches") && s.contains("use_patches"));
-        // The guarded shape re-aggregates nearly everything, so the cost
-        // gate prefers the reference plan — the guard only matters if a
-        // cost quirk ever picks the rewrite, and then it is still exact.
-        let cat = catalog(vec![1_000_000], vec![e]);
-        let opt = optimize(plan, &cat, false).to_string();
-        assert!(!opt.contains("PatchScan"), "got:\n{opt}");
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub(crate) fn entry(
         drift_patches: 0,
         maintained_rows: 0,
         memory_bytes: 0,
-        global_unique: true,
         feedback: QueryFeedback::default(),
     }
 }

@@ -150,9 +150,12 @@ fn full_lifecycle_on_a_drifting_workload() {
         .iter()
         .filter(|a| matches!(a, AdvisorAction::Recomputed { .. }))
         .collect();
-    assert!(
-        !recomputes.is_empty(),
-        "drift must trigger a recompute: {actions:?}"
+    // The drift rule reads patch counts only, so the trajectory is exact:
+    // the margin is crossed twice over the phase.
+    assert_eq!(
+        recomputes.len(),
+        2,
+        "drift must trigger two recomputes: {actions:?}"
     );
     for r in &recomputes {
         let AdvisorAction::Recomputed {

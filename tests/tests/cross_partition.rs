@@ -97,6 +97,9 @@ fn recompute_rediscovers_cross_partition_pools() {
 
     it.recompute_index(slot);
     it.check_consistency();
+    // Half the rows are patches now: the recompute also migrated the
+    // design across the crossover, and the rewrite stays exact on it.
+    assert_eq!(it.index(slot).design(), Design::Bitmap);
     let plan = distinct_plan();
     let reference = execute_count(&plan, it.table(), NO_INDEXES);
     assert_eq!(reference, 4); // {10, 11, 21, 30}

@@ -340,6 +340,18 @@ fn transient_values_reproduce_eager_semantics() {
             patch_sets(&deferred, slot_d),
             "touch_existing={touch_existing}"
         );
+        // What deferring buys: eager pays one collision round (one build
+        // side hashed) per statement, the deferred stream one per flush.
+        let statements = 2 + touch_existing as u64;
+        let (e, d) = (
+            eager.index(slot_e).maintenance_stats(),
+            deferred.index(slot_d).maintenance_stats(),
+        );
+        assert_eq!(
+            (e.collision_rounds, e.build_invocations),
+            (statements, statements)
+        );
+        assert_eq!((d.collision_rounds, d.build_invocations), (1, 1));
     }
 }
 
