@@ -234,26 +234,26 @@ impl Advisor {
     }
 
     /// Runs one advisor cycle against the snapshot/writer split of
-    /// [`patchindex::snapshot`]: reader-reported workload evidence is
-    /// absorbed from the sink first, the observe → decide → act loop runs
-    /// against the writer's staging state (create / recompute / drop all
-    /// execute off the read path), and the result is published as a new
-    /// epoch — concurrent readers keep querying their snapshots the whole
-    /// time and pick the advised state up at their next snapshot pull.
+    /// [`patchindex::snapshot`]: [`Advisor::step`] runs against the
+    /// writer's staging state (create / recompute / drop all execute off
+    /// the read path), and the result is published as a new epoch —
+    /// concurrent readers keep querying their snapshots the whole time
+    /// and pick the advised state up at their next snapshot pull.
     pub fn step_writer(&mut self, writer: &mut patchindex::TableWriter) -> Vec<AdvisorAction> {
-        writer.absorb_feedback();
         let actions = self.step(writer.staging_mut());
         writer.publish();
         actions
     }
 
     /// Runs one observe → decide → act cycle and returns the executed
-    /// actions.
+    /// actions. The workload evidence queries left in the table's sink
+    /// (its own and its snapshots') is absorbed first.
     pub fn step(&mut self, it: &mut IndexedTable) -> Vec<AdvisorAction> {
         self.last_step_statements = it.statements();
         if let Some(m) = &self.metrics {
             m.steps.inc();
         }
+        it.absorb_workload();
         // Deferred maintenance stays batched: staged rows are already
         // counted as maintained, and the drop/create rules read only
         // counters that are exact while pending. The one rule that needs

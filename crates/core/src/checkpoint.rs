@@ -199,6 +199,22 @@ impl PatchIndex {
     /// outside their partition and trailing garbage with a clear
     /// [`io::ErrorKind::InvalidData`] error.
     pub fn load_checkpoint_bytes(bytes: &[u8]) -> io::Result<Self> {
+        Self::decode(bytes, None)
+    }
+
+    /// [`PatchIndex::load_checkpoint_bytes`] for an image that must
+    /// describe `table` (recovery restores the table first). The row
+    /// counts an image claims are bounded by nothing in its own bytes —
+    /// and the bitmap design allocates for them — so an image whose
+    /// column is outside the schema, whose partition count differs from
+    /// the table's, or whose per-partition row count differs from that
+    /// partition's visible rows is rejected as
+    /// [`io::ErrorKind::InvalidData`] before any patch store is built.
+    pub fn load_checkpoint_for(bytes: &[u8], table: &Table) -> io::Result<Self> {
+        Self::decode(bytes, Some(table))
+    }
+
+    fn decode(bytes: &[u8], table: Option<&Table>) -> io::Result<Self> {
         let mut header: &[u8] = bytes;
         let mut magic = [0u8; 4];
         header
@@ -227,6 +243,11 @@ impl PatchIndex {
         }
         let mut r: &[u8] = &bytes[8..trailer_at];
         let column = read_u32(&mut r)? as usize;
+        if table.is_some_and(|t| column >= t.schema().len()) {
+            return Err(bad_data(&format!(
+                "checkpoint column {column} outside the table's schema"
+            )));
+        }
         let constraint = constraint_from_tag(read_u32(&mut r)?)?;
         let design = if read_u32(&mut r)? == 1 {
             Design::Identifier
@@ -264,9 +285,19 @@ impl PatchIndex {
                 "checkpoint partition count exceeds the bytes present",
             ));
         }
+        if table.is_some_and(|t| nparts != t.partition_count()) {
+            return Err(bad_data(&format!(
+                "checkpoint covers {nparts} partitions, the table has a different count"
+            )));
+        }
         let mut parts = Vec::with_capacity(nparts);
         for pid in 0..nparts {
             let nrows = read_u64(&mut r)?;
+            if table.is_some_and(|t| nrows != t.partition(pid).visible_len() as u64) {
+                return Err(bad_data(&format!(
+                    "partition {pid}: checkpoint claims {nrows} rows, the table holds a different count"
+                )));
+            }
             let last_sorted = if read_u32(&mut r)? == 1 {
                 Some(read_i64(&mut r)?)
             } else {

@@ -19,9 +19,13 @@
 //! a staged duplicate's *partner* row is only discovered (and patched) by
 //! the flush, so until then a patch value may still appear among kept
 //! rows. Plans exploiting that disjointness (e.g. the distinct-count
-//! rewrite) can over-count — **flush before such queries**
-//! ([`crate::IndexedTable::flush_maintenance`]); `check_consistency`
-//! fails in exactly the states where this matters.
+//! rewrite) can over-count, so the `pi-planner` query facade **masks a
+//! pending NUC index** — at every entry point, owner and snapshot alike,
+//! because a query never flushes — and answers from the reference plan.
+//! Flush ([`crate::IndexedTable::flush_index`] /
+//! [`crate::IndexedTable::flush_maintenance`]) to get the rewrite back;
+//! code that hand-wires `optimize` + `execute` must flush first itself.
+//! `check_consistency` fails in exactly the states where this matters.
 //!
 //! ## Eager equivalence
 //!

@@ -11,8 +11,9 @@
 //! supported — unlike a SortKey, PatchIndexes do not change the physical
 //! data order (paper, Section 2).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pi_storage::{DataType, RowAddr, Table, Value};
 
@@ -20,7 +21,7 @@ use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
 use crate::sampling::Reservoir;
-use crate::snapshot::WorkloadEvent;
+use crate::snapshot::{WorkloadEvent, WorkloadSink};
 
 /// When index maintenance runs relative to the update statements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -125,9 +126,13 @@ pub struct IndexedTable {
     /// dropped later).
     samplers: Vec<Option<Reservoir>>,
     /// Cached full catalog snapshot (with the NUC distinct-patch pass);
-    /// invalidated by every mutation instead of re-hashed per query.
-    catalog_cache: Option<IndexCatalog>,
-    catalog_rebuilds: u64,
+    /// filled by the first query that needs it, invalidated by every
+    /// mutation instead of re-hashed per query.
+    catalog_cache: OnceLock<IndexCatalog>,
+    /// Where queries on this table (and on every snapshot published from
+    /// it) leave their workload evidence until
+    /// [`IndexedTable::absorb_workload`] drains it.
+    sink: Arc<WorkloadSink>,
     statements: u64,
 }
 
@@ -140,8 +145,8 @@ impl IndexedTable {
             policy: MaintenancePolicy::default(),
             query_log: QueryLog::default(),
             samplers: Vec::new(),
-            catalog_cache: None,
-            catalog_rebuilds: 0,
+            catalog_cache: OnceLock::new(),
+            sink: Arc::default(),
             statements: 0,
         }
     }
@@ -175,8 +180,8 @@ impl IndexedTable {
             policy: MaintenancePolicy::default(),
             query_log: QueryLog::default(),
             samplers: Vec::new(),
-            catalog_cache: None,
-            catalog_rebuilds: 0,
+            catalog_cache: OnceLock::new(),
+            sink: Arc::default(),
             statements,
         }
     }
@@ -255,49 +260,37 @@ impl IndexedTable {
     /// The full catalog snapshot, cached between mutations: the first
     /// call after an update pays the snapshot (including the capped NUC
     /// distinct-patch pass); every further call is a borrow.
-    pub fn cached_catalog(&mut self) -> &IndexCatalog {
-        if self.catalog_cache.is_none() {
-            self.catalog_cache = Some(IndexCatalog::of(&self.table, &self.indexes));
-            self.catalog_rebuilds += 1;
-        }
-        self.catalog_cache.as_ref().expect("just filled")
-    }
-
-    /// How often the cached catalog was recomputed (one rebuild per
-    /// mutation epoch, however many queries ran in between).
-    pub fn catalog_rebuilds(&self) -> u64 {
-        self.catalog_rebuilds
+    pub fn cached_catalog(&self) -> &IndexCatalog {
+        self.catalog_cache
+            .get_or_init(|| IndexCatalog::of(&self.table, &self.indexes))
     }
 
     /// What a query plans and executes against: the table, the index
-    /// handles, and the catalog describing them — returned together
-    /// because the catalog borrow would otherwise lock `self`. Plans
-    /// consulting distinct statistics get the cached full catalog
-    /// (building it on first use after a mutation) as a **borrow** —
-    /// repeated queries between updates pay neither the snapshot nor a
-    /// clone of it; other plans reuse the warm cache the same way and
-    /// otherwise take an owned counts-only snapshot — pure counter reads,
-    /// never the distinct-patch hash pass.
+    /// handles, and the catalog describing them. Plans consulting
+    /// distinct statistics get the cached full catalog (building it on
+    /// first use after a mutation) as a **borrow** — repeated queries
+    /// between updates pay neither the snapshot nor a clone of it; other
+    /// plans reuse the warm cache the same way and otherwise take an owned
+    /// counts-only snapshot — pure counter reads, never the distinct-patch
+    /// hash pass.
     pub fn query_catalog(
-        &mut self,
+        &self,
         with_distinct_stats: bool,
-    ) -> (
-        &Table,
-        &[Arc<PatchIndex>],
-        std::borrow::Cow<'_, IndexCatalog>,
-    ) {
-        if with_distinct_stats {
-            self.cached_catalog();
-        }
-        let catalog = match &self.catalog_cache {
-            Some(cached) => std::borrow::Cow::Borrowed(cached),
-            None => std::borrow::Cow::Owned(IndexCatalog::counts_only(&self.table, &self.indexes)),
+    ) -> (&Table, &[Arc<PatchIndex>], Cow<'_, IndexCatalog>) {
+        let cached = if with_distinct_stats {
+            Some(self.cached_catalog())
+        } else {
+            self.catalog_cache.get()
+        };
+        let catalog = match cached {
+            Some(cached) => Cow::Borrowed(cached),
+            None => Cow::Owned(IndexCatalog::counts_only(&self.table, &self.indexes)),
         };
         (&self.table, &self.indexes, catalog)
     }
 
     fn invalidate_catalog(&mut self) {
-        self.catalog_cache = None;
+        self.catalog_cache.take();
     }
 
     /// Update statements applied so far (insert/modify/delete calls) —
@@ -311,8 +304,7 @@ impl IndexedTable {
         &self.query_log
     }
 
-    /// Records one planned query over table column `col` (the
-    /// `QueryEngine` facade calls this while planning).
+    /// Records one planned query over table column `col`.
     pub fn record_query(&mut self, col: usize, shape: QueryShape) {
         self.query_log.record(col, shape);
     }
@@ -323,7 +315,7 @@ impl IndexedTable {
     /// place — feedback does not change any planning-relevant statistic.
     pub fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) {
         Arc::make_mut(&mut self.indexes[slot]).record_query_feedback(est_cost_saved);
-        if let Some(cache) = &mut self.catalog_cache {
+        if let Some(cache) = self.catalog_cache.get_mut() {
             cache.indexes[slot].feedback = self.indexes[slot].query_feedback();
         }
     }
@@ -334,42 +326,52 @@ impl IndexedTable {
     /// in place like [`IndexedTable::record_query_feedback`].
     pub fn record_query_timing(&mut self, slot: usize, actual_micros: f64, est_cost: f64) {
         Arc::make_mut(&mut self.indexes[slot]).record_query_timing(actual_micros, est_cost);
-        if let Some(cache) = &mut self.catalog_cache {
+        if let Some(cache) = self.catalog_cache.get_mut() {
             cache.indexes[slot].feedback = self.indexes[slot].query_feedback();
         }
     }
 
-    /// Applies one piece of workload evidence: a query-log shape, or
-    /// feedback / a measured timing for the index on the event's
-    /// `(column, constraint)`. The query facade applies an owner query's
-    /// evidence through this immediately; [`crate::TableWriter::absorb_feedback`]
-    /// applies what snapshot readers reported. Events naming a `(column,
-    /// constraint)` without a live index (dropped since) are discarded.
-    pub fn apply_workload_event(&mut self, event: WorkloadEvent) {
+    /// The sink queries on this table report their workload evidence to.
+    /// [`crate::ConcurrentTable`] hands the same sink to every snapshot,
+    /// so owner, writer and reader queries all leave evidence here.
+    pub fn sink(&self) -> &Arc<WorkloadSink> {
+        &self.sink
+    }
+
+    /// Drains the sink into the query log and the per-index feedback —
+    /// the one place query evidence changes table state: a query-log
+    /// shape, or feedback / a measured timing for the index on the
+    /// event's `(column, constraint)` (events naming one without a live
+    /// index — dropped since — are discarded). Called by
+    /// [`crate::TableWriter::absorb_feedback`] (hence every publish) and
+    /// by the advisor before it observes.
+    pub fn absorb_workload(&mut self) {
         let slot_of = |it: &Self, column: usize, constraint: Constraint| {
             it.indexes
                 .iter()
                 .position(|idx| idx.column() == column && idx.constraint() == constraint)
         };
-        match event {
-            WorkloadEvent::Query { col, shape } => self.record_query(col, shape),
-            WorkloadEvent::Feedback {
-                column,
-                constraint,
-                est_cost_saved,
-            } => {
-                if let Some(slot) = slot_of(self, column, constraint) {
-                    self.record_query_feedback(slot, est_cost_saved);
+        for event in self.sink.drain() {
+            match event {
+                WorkloadEvent::Query { col, shape } => self.record_query(col, shape),
+                WorkloadEvent::Feedback {
+                    column,
+                    constraint,
+                    est_cost_saved,
+                } => {
+                    if let Some(slot) = slot_of(self, column, constraint) {
+                        self.record_query_feedback(slot, est_cost_saved);
+                    }
                 }
-            }
-            WorkloadEvent::Timing {
-                column,
-                constraint,
-                actual_micros,
-                est_cost,
-            } => {
-                if let Some(slot) = slot_of(self, column, constraint) {
-                    self.record_query_timing(slot, actual_micros, est_cost);
+                WorkloadEvent::Timing {
+                    column,
+                    constraint,
+                    actual_micros,
+                    est_cost,
+                } => {
+                    if let Some(slot) = slot_of(self, column, constraint) {
+                        self.record_query_timing(slot, actual_micros, est_cost);
+                    }
                 }
             }
         }
@@ -548,9 +550,10 @@ impl IndexedTable {
         }
     }
 
-    /// Flushes deferred maintenance of one index only (the query facade
-    /// uses this to restore exactness for exactly the indexes a chosen
-    /// plan depends on, leaving other dirty sets batched).
+    /// Flushes deferred maintenance of one index only, leaving other
+    /// dirty sets batched: how a caller gets a masked pending-NUC rewrite
+    /// back before its next query, and how the advisor makes exactly the
+    /// drift it is about to judge exact.
     pub fn flush_index(&mut self, slot: usize) {
         if self.indexes[slot].has_pending() {
             self.invalidate_catalog();
@@ -864,15 +867,16 @@ mod tests {
     fn catalog_cache_rebuilds_once_per_mutation_epoch() {
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        assert_eq!(it.catalog_rebuilds(), 0);
-        it.cached_catalog();
-        it.cached_catalog();
-        it.cached_catalog();
-        assert_eq!(it.catalog_rebuilds(), 1);
+        // Between mutations every call borrows the same snapshot.
+        let first: *const IndexCatalog = it.cached_catalog();
+        assert!(std::ptr::eq(first, it.cached_catalog()));
+        assert!(matches!(it.query_catalog(false).2, Cow::Borrowed(c) if std::ptr::eq(first, c)));
         it.insert(&[row(100, 77)]);
+        assert!(
+            matches!(it.query_catalog(false).2, Cow::Owned(_)),
+            "the mutation dropped the cached snapshot"
+        );
         assert_eq!(it.cached_catalog().indexes[0].rows(), 6);
-        it.cached_catalog();
-        assert_eq!(it.catalog_rebuilds(), 2);
         // The cached snapshot always equals a fresh one.
         let fresh_cat = it.catalog();
         let cached = it.cached_catalog();
@@ -884,15 +888,13 @@ mod tests {
     fn query_feedback_patches_the_cache_without_invalidating() {
         let mut it = fresh();
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.cached_catalog();
+        let before: *const IndexCatalog = it.cached_catalog();
         it.record_query_feedback(slot, 123.0);
-        assert_eq!(it.catalog_rebuilds(), 1);
         let cached = it.cached_catalog();
         assert_eq!(cached.indexes[slot].feedback.times_bound, 1);
         assert!((cached.indexes[slot].feedback.est_cost_saved - 123.0).abs() < 1e-9);
-        assert_eq!(
-            it.catalog_rebuilds(),
-            1,
+        assert!(
+            std::ptr::eq(before, cached),
             "feedback must not force a re-snapshot"
         );
     }

@@ -42,9 +42,9 @@
 //!
 //! // Query through the QueryEngine facade: it snapshots the catalog
 //! // ([`IndexedTable::catalog`]), rewrites ORDER BY into the Figure-2
-//! // merge plan (only the stray is sorted), flushes deferred maintenance
-//! // only when the chosen plan requires exactness, and executes with
-//! // per-partition zero-branch pruning.
+//! // merge plan (only the stray is sorted), masks any binding that
+//! // pending deferred maintenance makes inexact, and executes with
+//! // per-partition zero-branch pruning. A query is a read: `&self`.
 //! let sorted = it.query(&Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]));
 //! assert_eq!(sorted.column(0).as_int(), &[1, 2, 3, 4, 5, 100]);
 //! ```

@@ -34,23 +34,25 @@
 //! snapshot then carries `pending` catalog entries. NSC / NCC / exception
 //! plans stay exact against staged state (see [`crate::deferred`]), but a
 //! pending **NUC** index suspends the kept/patch disjointness invariant.
-//! The writer-side rule was "flush before such queries"; a reader cannot
-//! flush an immutable snapshot, so the query facade in `pi-planner`
-//! instead **re-optimizes with exactly the pending NUC entries masked
-//! out of the catalog** — rewrites that stay exact while pending survive
-//! at their sites, only the suspended NUC binding reverts to reference
-//! form, and the next published (flushed) snapshot restores the rewrite.
+//! A query is a read and never flushes — on a snapshot, the staging table
+//! or a plain [`IndexedTable`] alike — so the query facade in `pi-planner`
+//! **re-optimizes with exactly the pending NUC entries masked out of the
+//! catalog**: rewrites that stay exact while pending survive at their
+//! sites, only the suspended NUC binding reverts to reference form, and
+//! the next flush (`flush_index` / `flush_maintenance` on the owner, a
+//! flushed publish for readers) restores the rewrite.
 //!
-//! ## Workload evidence from readers
+//! ## Workload evidence from queries
 //!
-//! The writer's advisor needs query-log and feedback evidence, but reader
-//! queries run against immutable snapshots. Every snapshot therefore
-//! carries a [`WorkloadSink`]: readers record events there, and the
-//! writer drains them into its query log / per-index feedback on
-//! [`TableWriter::absorb_feedback`] (also invoked by `publish`). Events
-//! identify indexes by `(column, constraint)` — not slot — so drops that
-//! shift slots between an event and its absorption cannot misattribute
-//! feedback.
+//! The advisor needs query-log and feedback evidence, but queries cannot
+//! write to the table they read. Every [`IndexedTable`] therefore owns a
+//! [`WorkloadSink`] that its snapshots share: queries record events
+//! there, and [`IndexedTable::absorb_workload`] drains them into the
+//! query log / per-index feedback — through
+//! [`TableWriter::absorb_feedback`] (also invoked by `publish`) on the
+//! writer side. Events identify indexes by `(column, constraint)` — not
+//! slot — so drops that shift slots between an event and its absorption
+//! cannot misattribute feedback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,7 +73,7 @@ use crate::indexed::{IndexedTable, MaintenancePolicy, QueryShape};
 /// entries left behind by a dead one.
 static NEXT_CACHE_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-/// One workload observation recorded by a reader against a snapshot.
+/// One workload observation recorded by a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadEvent {
     /// A planned query scanned `col` through an advisable shape.
@@ -104,9 +106,9 @@ pub enum WorkloadEvent {
     },
 }
 
-/// Where snapshot readers deposit workload evidence for the writer.
-/// Shared by every snapshot of one [`ConcurrentTable`]; drained by
-/// [`TableWriter::absorb_feedback`].
+/// Where queries deposit workload evidence. Owned by an
+/// [`IndexedTable`], shared with every snapshot published from it;
+/// drained by [`IndexedTable::absorb_workload`].
 ///
 /// The buffer is **bounded**: evidence is advisory, and a read-mostly
 /// deployment (or one whose writer was dropped via
@@ -223,8 +225,7 @@ pub struct TableSnapshot {
 
 impl TableSnapshot {
     fn capture(
-        it: &mut IndexedTable,
-        sink: Arc<WorkloadSink>,
+        it: &IndexedTable,
         epoch: u64,
         cache: Option<Arc<ResultCache>>,
         cache_token: u64,
@@ -241,7 +242,7 @@ impl TableSnapshot {
                 table: it.table().clone(),
                 indexes: it.share_indexes(),
                 catalog,
-                sink,
+                sink: Arc::clone(it.sink()),
                 cache,
                 cache_token,
                 metrics,
@@ -270,7 +271,7 @@ impl TableSnapshot {
         &self.inner.catalog
     }
 
-    /// The sink reader queries report workload evidence to.
+    /// The sink queries on this snapshot report workload evidence to.
     pub fn sink(&self) -> &WorkloadSink {
         &self.inner.sink
     }
@@ -359,20 +360,12 @@ impl ConcurrentTable {
     }
 
     fn build(
-        mut it: IndexedTable,
+        it: IndexedTable,
         cache: Option<Arc<ResultCache>>,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> (ConcurrentTable, TableWriter) {
         let cache_token = NEXT_CACHE_TOKEN.fetch_add(1, Ordering::Relaxed);
-        let sink = Arc::new(WorkloadSink::default());
-        let first = TableSnapshot::capture(
-            &mut it,
-            Arc::clone(&sink),
-            0,
-            cache.clone(),
-            cache_token,
-            metrics.clone(),
-        );
+        let first = TableSnapshot::capture(&it, 0, cache.clone(), cache_token, metrics.clone());
         let shared = Arc::new(Shared {
             current: RwLock::new(first),
         });
@@ -383,7 +376,6 @@ impl ConcurrentTable {
             TableWriter {
                 staging: it,
                 shared,
-                sink,
                 epoch: 0,
                 publish_policy: PublishPolicy::default(),
                 statements_since_publish: 0,
@@ -469,7 +461,6 @@ impl PublishMetrics {
 pub struct TableWriter {
     staging: IndexedTable,
     shared: Arc<Shared>,
-    sink: Arc<WorkloadSink>,
     epoch: u64,
     publish_policy: PublishPolicy,
     statements_since_publish: u64,
@@ -580,22 +571,16 @@ impl TableWriter {
         self.epoch
     }
 
-    /// The sink shared with every published snapshot.
+    /// The staging table's sink, shared with every published snapshot.
     pub fn sink(&self) -> &Arc<WorkloadSink> {
-        &self.sink
+        self.staging.sink()
     }
 
-    /// Drains reader-reported workload evidence into the staging table's
-    /// query log and per-index feedback. Events naming a `(column,
-    /// constraint)` without a live index (dropped since) are discarded.
+    /// Drains query-reported workload evidence into the staging table's
+    /// query log and per-index feedback
+    /// ([`IndexedTable::absorb_workload`]).
     pub fn absorb_feedback(&mut self) {
-        let events = self.sink.drain();
-        if events.is_empty() {
-            return;
-        }
-        for event in events {
-            self.staging.apply_workload_event(event);
-        }
+        self.staging.absorb_workload();
     }
 
     /// Publishes the staging state as a new snapshot: absorbs reader
@@ -630,8 +615,7 @@ impl TableWriter {
         }
         self.epoch += 1;
         let snap = TableSnapshot::capture(
-            &mut self.staging,
-            Arc::clone(&self.sink),
+            &self.staging,
             self.epoch,
             self.cache.clone(),
             self.cache_token,

@@ -338,9 +338,9 @@ impl DurableWriter {
 
         let mut indexes = Vec::with_capacity(manifest.index_files.len());
         for file in &manifest.index_files {
-            indexes.push(Arc::new(PatchIndex::load_checkpoint_via(
-                fs.as_ref(),
-                &dir.join(file),
+            indexes.push(Arc::new(PatchIndex::load_checkpoint_for(
+                &fs.read(&dir.join(file))?,
+                &table,
             )?));
         }
 
@@ -904,6 +904,44 @@ mod tests {
         assert_eq!(report.epoch, epoch);
         assert_eq!(state_image(dw2.staging()), want);
         dw2.staging().check_consistency();
+    }
+
+    /// Regression: an index image's row counts are bounded by nothing in
+    /// its own bytes; a re-sealed one claiming 2^60 rows used to make the
+    /// bitmap design allocate for them. Recovery knows the table first.
+    #[test]
+    fn index_image_disagreeing_with_the_table_is_rejected_before_allocating() {
+        let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
+        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
+            .unwrap();
+        dw.publish().unwrap();
+        drop(dw);
+        let dir = PathBuf::from("/db");
+        let manifest = codec::decode_manifest(&fs.read(&dir.join(MANIFEST_NAME)).unwrap()).unwrap();
+        let path = dir.join(&manifest.index_files[0]);
+        let mut image = fs.read(&path).unwrap();
+        // First partition's row count: after magic, version, four header
+        // words, twelve counters and the partition count.
+        let nrows_at = 8 + 4 * 4 + 12 * 8 + 4;
+        image[nrows_at..nrows_at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let body = image.len() - 4;
+        let crc = pi_storage::crc::crc32(&image[..body]);
+        image[body..].copy_from_slice(&crc.to_le_bytes());
+        write_atomic(fs.as_ref(), &path, &image).unwrap();
+
+        let err = DurableWriter::recover(
+            fs.clone(),
+            dir,
+            DurableOptions::default(),
+            MaintenancePolicy::default(),
+        )
+        .err()
+        .expect("a lying index image must not recover");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains("claims 1152921504606846976 rows"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! Per-operator execution metering.
+//! Per-operator execution observation.
 //!
 //! A [`MeterOp`] transparently wraps another operator and charges every
-//! `next` call — wall clock, batches, rows emitted — to a shared
-//! [`OpMeter`]. The planner's metered lowering (EXPLAIN ANALYZE) wraps
-//! every plan node in one; execution is single-threaded, so plain
-//! `Cell` counters suffice, mirroring [`ProbeOp`](super::probe::ProbeOp).
+//! `next` call to a shared [`OpMeter`]: that it was pulled at all, the
+//! batches and rows it emitted and — only when asked to — the wall clock
+//! it took. The planner's lowering wraps every per-partition pipeline in
+//! one (the pulled flags are "which partitions did this execution
+//! actually read?", the dependency footprint of a cached result: a
+//! combine that stops early, such as a pushed-down `LIMIT` under a union,
+//! leaves later pipelines unpulled) and, under EXPLAIN ANALYZE, every
+//! plan node in a timed one. Execution is single-threaded, so plain
+//! `Cell` counters suffice.
 //!
 //! The recorded time is inclusive of the operator's children (each
 //! `next` pulls recursively), one `Instant` pair per batch — the same
@@ -18,16 +23,22 @@ use crate::batch::Batch;
 use crate::op::{OpRef, Operator};
 
 /// Accumulated per-operator counters, shared between a [`MeterOp`] and
-/// whoever assembles the trace (via [`Rc`], so the trace outlives the
+/// whoever reads them afterwards (via [`Rc`], so they outlive the
 /// operator tree).
 #[derive(Debug, Default)]
 pub struct OpMeter {
+    pulled: Cell<bool>,
     batches: Cell<u64>,
     rows_out: Cell<u64>,
     nanos: Cell<u64>,
 }
 
 impl OpMeter {
+    /// Whether the metered operator was pulled at least once.
+    pub fn pulled(&self) -> bool {
+        self.pulled.get()
+    }
+
     /// Batches pulled out of the metered operator (including empties).
     pub fn batches(&self) -> u64 {
         self.batches.get()
@@ -39,7 +50,7 @@ impl OpMeter {
     }
 
     /// Wall clock spent inside the metered operator's `next`, inclusive
-    /// of its children, in nanoseconds.
+    /// of its children, in nanoseconds (0 unless the wrapper is timed).
     pub fn nanos(&self) -> u64 {
         self.nanos.get()
     }
@@ -49,27 +60,37 @@ impl OpMeter {
 pub struct MeterOp<'a> {
     inner: OpRef<'a>,
     meter: Rc<OpMeter>,
+    timed: bool,
 }
 
 impl<'a> MeterOp<'a> {
-    /// Creates a meter around `inner` reporting to `meter`.
-    pub fn new(inner: OpRef<'a>, meter: Rc<OpMeter>) -> Self {
-        MeterOp { inner, meter }
+    /// Creates a meter around `inner` reporting to `meter`; only a
+    /// `timed` one reads the clock.
+    pub fn new(inner: OpRef<'a>, meter: Rc<OpMeter>, timed: bool) -> Self {
+        MeterOp {
+            inner,
+            meter,
+            timed,
+        }
     }
 }
 
 impl Operator for MeterOp<'_> {
     fn next(&mut self) -> Option<Batch> {
-        let start = Instant::now();
-        let out = self.inner.next();
-        self.meter
-            .nanos
-            .set(self.meter.nanos.get() + start.elapsed().as_nanos() as u64);
+        let m = &*self.meter;
+        m.pulled.set(true);
+        let out = if self.timed {
+            let start = Instant::now();
+            let out = self.inner.next();
+            m.nanos
+                .set(m.nanos.get() + start.elapsed().as_nanos() as u64);
+            out
+        } else {
+            self.inner.next()
+        };
         if let Some(b) = &out {
-            self.meter.batches.set(self.meter.batches.get() + 1);
-            self.meter
-                .rows_out
-                .set(self.meter.rows_out.get() + b.len() as u64);
+            m.batches.set(m.batches.get() + 1);
+            m.rows_out.set(m.rows_out.get() + b.len() as u64);
         }
         out
     }
@@ -79,6 +100,7 @@ impl Operator for MeterOp<'_> {
 mod tests {
     use super::*;
     use crate::op::{collect, BatchSource};
+    use crate::ops::merge::{LimitOp, UnionAllOp};
     use pi_storage::ColumnData;
 
     #[test]
@@ -88,9 +110,35 @@ mod tests {
             Batch::new(vec![ColumnData::Int(vec![1, 2, 3])]),
             Batch::new(vec![ColumnData::Int(vec![4])]),
         ]));
-        let mut op = MeterOp::new(src, Rc::clone(&meter));
+        let mut op = MeterOp::new(src, Rc::clone(&meter), true);
         assert_eq!(collect(&mut op).column(0).as_int(), &[1, 2, 3, 4]);
+        assert!(meter.pulled());
         assert_eq!(meter.batches(), 2);
         assert_eq!(meter.rows_out(), 4);
+    }
+
+    #[test]
+    fn limit_leaves_later_inputs_unpulled_and_unmetered() {
+        let meters: Vec<Rc<OpMeter>> = (0..3).map(|_| Rc::default()).collect();
+        let inputs: Vec<OpRef<'_>> = [&[1i64, 2, 3][..], &[4, 5], &[6]]
+            .into_iter()
+            .zip(&meters)
+            .map(|(vals, m)| {
+                let src = Box::new(BatchSource::single(Batch::new(vec![ColumnData::Int(
+                    vals.to_vec(),
+                )])));
+                Box::new(MeterOp::new(src, Rc::clone(m), false)) as OpRef<'_>
+            })
+            .collect();
+        // The limit is satisfied by the first input alone; the union
+        // never reaches the later ones.
+        let mut op = LimitOp::new(Box::new(UnionAllOp::new(inputs)), 2);
+        assert_eq!(collect(&mut op).column(0).as_int(), &[1, 2]);
+        assert!(meters[0].pulled());
+        assert_eq!((meters[0].batches(), meters[0].nanos()), (1, 0));
+        for later in &meters[1..] {
+            assert!(!later.pulled());
+            assert_eq!(later.batches(), 0);
+        }
     }
 }

@@ -7,6 +7,5 @@ pub mod merge;
 pub mod merge_join;
 pub mod meter;
 pub mod patch_select;
-pub mod probe;
 pub mod scan;
 pub mod sort;

@@ -1,12 +1,11 @@
 //! The query facade and the one pipeline behind it.
 //!
-//! Before this existed, callers hand-wired planner and executor
-//! (`optimize(plan, info)` + `execute(plan, table, index)`) and could
-//! silently query stale pending state under deferred maintenance.
-//! [`QueryEngine`] encapsulates the whole pipeline, and every entry
+//! [`QueryEngine`] encapsulates planning and execution, and every entry
 //! point — owned table, writer staging table, snapshot with or without a
 //! result cache; rows, count or traced — runs the same `run` function
-//! over a borrowed view of the table:
+//! over a borrowed view of the table. A query is a read: every method
+//! takes `&self`, and nothing below flushes maintenance, copies an index
+//! or touches the query log.
 //!
 //! 1. **plan** — optimize against the view's [`IndexCatalog`] (all
 //!    indexes, per-partition stats) with plan-level zero-branch pruning.
@@ -21,36 +20,33 @@
 //!    canonical fingerprint up; the stored canonical bytes are compared,
 //!    not just the hash, so a hit is the exact answer.
 //! 3. **lower + execute** — on a miss (or without a cache), lower with
-//!    per-partition zero-branch pruning under a `TouchLog` and run to
-//!    rows or to a count.
+//!    per-partition zero-branch pruning under an `ExecObserver` and run
+//!    to rows or to a count.
 //! 4. **insert** — cache the result with its dependency footprint: the
 //!    partition versions the execution consulted plus every index
 //!    version the plan binds.
-//! 5. **evidence** — report what the advisor learns from the query as
-//!    [`WorkloadEvent`]s (rule table on [`QueryEngine`]).
+//! 5. **evidence** — record what the advisor learns from the query as
+//!    [`WorkloadEvent`]s (rule table on [`QueryEngine`]) in the view's
+//!    `WorkloadSink`, one lock per query; whoever holds the table `&mut`
+//!    absorbs them (`IndexedTable::absorb_workload`).
 //! 6. **trace** — for a traced request, assemble the [`QueryTrace`].
 //!
-//! The table views differ only in how they hand out that view and where
-//! the evidence goes:
+//! The table views differ only in what they lend the pipeline:
 //!
 //! * [`TableSnapshot`] — concurrent readers. Immutable, catalog
-//!   precomputed at publish time; evidence is pushed to the snapshot's
-//!   `WorkloadSink` (one lock per query) for the writer to absorb.
+//!   precomputed at publish time, result cache and metrics registry when
+//!   the table was built with them.
 //! * [`ConcurrentTable`] — each call runs on a freshly acquired snapshot.
-//! * [`IndexedTable`] — the single-threaded owner. It *can* flush, so
-//!   instead of letting step 1 mask a pending NUC binding it applies the
-//!   **NUC-disjointness rule** first: flush exactly the stale indexes the
-//!   plan would bind and re-plan against the fresh counts, until none is
-//!   stale. Evidence is applied to the table immediately, through the
-//!   same per-event function the writer's absorb uses.
+//! * [`IndexedTable`] — the single-threaded owner: its live state and
+//!   its mutation-invalidated catalog cache. To get a masked NUC rewrite
+//!   back, flush (`flush_index` / `flush_maintenance`) before querying.
 //! * [`TableWriter`] — its staging [`IndexedTable`] (writer queries see
-//!   staged state immediately; flushes they perform become visible to
-//!   readers at the next publish).
+//!   staged state immediately).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use patchindex::snapshot::WorkloadEvent;
+use patchindex::snapshot::{WorkloadEvent, WorkloadSink};
 use patchindex::{
     CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexStats, IndexedTable,
     PatchIndex, QueryShape, ResultCache, SortDir, TableSnapshot, TableWriter,
@@ -63,8 +59,8 @@ use pi_storage::Table;
 use crate::cost::estimate;
 use crate::fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 use crate::logical::Plan;
-use crate::optimizer::{optimize, optimize_with_stats, OptimizeStats};
-use crate::physical::{count_rows, lower_global, ExecTrace, TouchLog};
+use crate::optimizer::{optimize_with_stats, OptimizeStats};
+use crate::physical::{count_rows, lower_global, ExecObserver};
 
 /// Every PatchScan slot the plan binds, sorted and deduplicated.
 fn bound_slots(plan: &Plan) -> Vec<usize> {
@@ -173,9 +169,6 @@ pub struct Outcome {
     value: Option<CachedValue>,
     /// `Some` for [`Request::Traced`].
     trace: Option<QueryTrace>,
-    /// The query's workload evidence, for the caller to route: snapshots
-    /// sink it, the owner applies it.
-    events: Vec<WorkloadEvent>,
 }
 
 impl Outcome {
@@ -196,9 +189,8 @@ impl Outcome {
 
 /// Catalog-driven planning and execution over a table view.
 ///
-/// `&mut self` because the owner path may flush deferred maintenance (the
-/// NUC-disjointness rule); snapshots are internally `&self`. Reference
-/// results for comparison can be computed side-effect-free via
+/// Every method takes `&self`: a query changes nothing about the table
+/// it reads. Reference results for comparison come from
 /// `execute(&plan, it.table(), NO_INDEXES)`.
 ///
 /// Implemented for [`IndexedTable`], [`TableWriter`], [`TableSnapshot`]
@@ -222,26 +214,24 @@ impl Outcome {
 /// the measured wall clock next to the chosen plan's estimate — both
 /// split evenly across the bound slots.
 pub trait QueryEngine {
-    /// Hands the pipeline a view of this table and routes the evidence
-    /// it reports — the one method a table view implements; every other
-    /// method is a request passed through it.
-    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome;
+    /// Hands the pipeline a view of this table — the one method a table
+    /// view implements; every other method is a request passed through it.
+    fn run_request(&self, plan: &Plan, request: Request) -> Outcome;
 
-    /// Returns the final optimized plan (on the owner path, after
-    /// flushing exactly the indexes it requires to be exact). Records no
-    /// workload evidence (query log / feedback) — it is safe for
-    /// EXPLAIN-style inspection before running the query for real.
-    fn plan_query(&mut self, plan: &Plan) -> Plan {
+    /// Returns the final optimized plan. Records no workload evidence
+    /// (query log / feedback) — it is safe for EXPLAIN-style inspection
+    /// before running the query for real.
+    fn plan_query(&self, plan: &Plan) -> Plan {
         self.run_request(plan, Request::Plan).chosen
     }
 
     /// Plans and executes, returning the result batch.
-    fn query(&mut self, plan: &Plan) -> Batch {
+    fn query(&self, plan: &Plan) -> Batch {
         self.run_request(plan, Request::Rows).into_rows()
     }
 
     /// Plans and executes, returning only the row count.
-    fn query_count(&mut self, plan: &Plan) -> usize {
+    fn query_count(&self, plan: &Plan) -> usize {
         self.run_request(plan, Request::Count).into_count()
     }
 
@@ -252,7 +242,7 @@ pub trait QueryEngine {
     /// slots), partitions pruned vs visited, per-operator wall clock and
     /// row counts, and the result-cache outcome. Workload evidence is
     /// recorded exactly as `query` would.
-    fn query_traced(&mut self, plan: &Plan) -> (Batch, QueryTrace) {
+    fn query_traced(&self, plan: &Plan) -> (Batch, QueryTrace) {
         let mut out = self.run_request(plan, Request::Traced);
         let trace = out.trace.take().expect("a traced request yields a trace");
         (out.into_rows(), trace)
@@ -284,7 +274,7 @@ pub trait QueryEngine {
     /// assert!(!trace.operators.is_empty());
     /// println!("{}", trace.render_text());
     /// ```
-    fn explain_analyze(&mut self, plan: &Plan) -> QueryTrace {
+    fn explain_analyze(&self, plan: &Plan) -> QueryTrace {
         self.query_traced(plan).1
     }
 }
@@ -299,6 +289,8 @@ struct View<'a> {
     /// The result cache and this table's token in it.
     cache: Option<(&'a ResultCache, u64)>,
     metrics: Option<&'a MetricsRegistry>,
+    /// Where the query's workload evidence goes.
+    sink: &'a WorkloadSink,
 }
 
 /// The one query pipeline — see the module docs for the steps and the
@@ -310,11 +302,10 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
     let mut chosen = optimize_with_stats(plan.clone(), cat, true, &mut stats);
     let mut masked = Vec::new();
     if !stale_nuc_slots(&chosen, cat).is_empty() {
-        // This view cannot flush; masking just the pending NUC entries
+        // A read cannot flush; masking just the pending NUC entries
         // (their slot numbers live in the entries, not positions, so
         // surviving bindings still address the live index array) keeps
-        // every other rewrite. The writer's next flushed publish
-        // restores the NUC rewrite for subsequent snapshots.
+        // every other rewrite. The next flush restores the NUC rewrite.
         masked = cat
             .indexes
             .iter()
@@ -346,18 +337,17 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
 
     // `query` and `query_traced` share the Rows fingerprint, so either
     // hits what the other inserted.
-    let (mode, et) = match request {
+    let (mode, traced) = match request {
         Request::Plan => {
             return Outcome {
                 chosen,
                 value: None,
                 trace: None,
-                events: Vec::new(),
             }
         }
-        Request::Rows => (QueryMode::Rows, None),
-        Request::Count => (QueryMode::Count, None),
-        Request::Traced => (QueryMode::Rows, Some(ExecTrace::default())),
+        Request::Rows => (QueryMode::Rows, false),
+        Request::Count => (QueryMode::Count, false),
+        Request::Traced => (QueryMode::Rows, true),
     };
     let bound = bound_slots(&chosen);
     let mut events = Vec::new();
@@ -371,18 +361,18 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         cache.lookup(*token, *hash, canon, view.epoch, view.table, view.indexes)
     });
     let parts = view.table.partition_count();
+    let cache_outcome = match (view.cache, &hit) {
+        (None, _) => CacheOutcome::Uncached,
+        (Some(_), Some(_)) => CacheOutcome::Hit,
+        (Some(_), None) => CacheOutcome::Miss,
+    };
     // A hit executed nothing: no partitions visited, no operators.
-    let cache_outcome = view.cache.map(|_| match hit {
-        Some(_) => CacheOutcome::Hit,
-        None => CacheOutcome::Miss,
-    });
-    let (value, visited, pruned) = match hit {
-        Some(value) => (value, 0, 0),
+    let (value, visited, pruned, operators) = match hit {
+        Some(value) => (value, 0, 0, Vec::new()),
         None => {
-            let touch = TouchLog::new(parts);
+            let obs = ExecObserver::new(parts, traced);
             let start = Instant::now();
-            let mut root =
-                lower_global(&chosen, view.table, view.indexes, Some(&touch), et.as_ref());
+            let mut root = lower_global(&chosen, view.table, view.indexes, Some(&obs));
             let value = match mode {
                 QueryMode::Rows => CachedValue::Rows(collect(root.as_mut())),
                 QueryMode::Count => CachedValue::Count(count_rows(root) as u64),
@@ -394,8 +384,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
                 // replace the Arc of everything they touch and nothing
                 // else.
                 let footprint = Footprint::new(
-                    touch
-                        .footprint()
+                    obs.footprint()
                         .into_iter()
                         .map(|pid| (pid, Arc::clone(&view.table.partitions()[pid])))
                         .collect(),
@@ -429,10 +418,14 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
                     est_cost: est_chosen / n,
                 }));
             }
-            let visited = touch.pulled().len() as u64;
-            (value, visited, parts as u64 - visited)
+            let visited = obs.pulled().len() as u64;
+            let operators = if traced { obs.operators() } else { Vec::new() };
+            (value, visited, parts as u64 - visited, operators)
         }
     };
+    if !events.is_empty() {
+        view.sink.record(events);
+    }
 
     let elapsed = total.elapsed();
     if let Some(reg) = view.metrics {
@@ -440,7 +433,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         reg.histogram("engine.query_nanos")
             .record(elapsed.as_nanos() as u64);
     }
-    let trace = et.map(|et| QueryTrace {
+    let trace = traced.then(|| QueryTrace {
         query: plan.to_string(),
         optimized: chosen.to_string(),
         planner: PlannerTrace {
@@ -454,8 +447,8 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         partitions_total: parts,
         partitions_visited: visited,
         partitions_pruned: pruned,
-        cache: cache_outcome,
-        operators: et.operators(),
+        cache: Some(cache_outcome),
+        operators,
         rows_out: match &value {
             CachedValue::Rows(rows) => rows.len() as u64,
             CachedValue::Count(n) => *n,
@@ -467,16 +460,14 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         chosen,
         value: Some(value),
         trace,
-        events,
     }
 }
 
-/// Concurrent readers: the receiver is `&mut` only because the trait's
-/// shape is — clone the snapshot per thread and query away; maintenance
-/// never blocks these. When the table was built with a [`ResultCache`],
-/// the executing entry points consult it first.
+/// Concurrent readers: clone the snapshot per thread and query away;
+/// maintenance never blocks these. When the table was built with a
+/// [`ResultCache`], the executing entry points consult it first.
 impl QueryEngine for TableSnapshot {
-    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
+    fn run_request(&self, plan: &Plan, request: Request) -> Outcome {
         let view = View {
             table: self.table(),
             indexes: self.indexes(),
@@ -484,17 +475,9 @@ impl QueryEngine for TableSnapshot {
             epoch: self.epoch(),
             cache: self.result_cache(),
             metrics: self.metrics().map(|reg| &**reg),
+            sink: self.sink(),
         };
-        let mut out = run(&view, plan, request);
-        if let Some(trace) = &mut out.trace {
-            // A snapshot could have had a cache attached; say it ran
-            // without one (the owner path has no cache concept at all).
-            trace.cache.get_or_insert(CacheOutcome::Uncached);
-        }
-        if !out.events.is_empty() {
-            self.sink().record(out.events.drain(..));
-        }
-        out
+        run(&view, plan, request)
     }
 }
 
@@ -505,62 +488,35 @@ impl QueryEngine for TableSnapshot {
 /// need repeatable reads across several queries should hold an explicit
 /// [`ConcurrentTable::snapshot`] instead.
 impl QueryEngine for ConcurrentTable {
-    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
+    fn run_request(&self, plan: &Plan, request: Request) -> Outcome {
         self.snapshot().run_request(plan, request)
     }
 }
 
-/// The single-threaded owner: applies the NUC-disjointness rule by
-/// flushing (it can, unlike a snapshot), then runs the pipeline on a
-/// view of itself and applies the evidence immediately.
+/// The single-threaded owner: a view of its live state, planned against
+/// the catalog cached between mutations (borrowed — repeated queries
+/// between updates re-read counters, no re-hashing, no clone).
 impl QueryEngine for IndexedTable {
-    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
-        let with_distinct_stats = plan.contains_distinct();
-        let mut out = loop {
-            // The catalog is *borrowed* from the mutation-invalidated
-            // cache (repeated queries between updates re-read counters,
-            // no re-hashing, no clone), so everything consulting it
-            // happens in this scope; the flushes run after it ends.
-            let stale = {
-                let (table, indexes, catalog) = self.query_catalog(with_distinct_stats);
-                let stale = if catalog.indexes.iter().any(is_pending_nuc) {
-                    stale_nuc_slots(&optimize(plan.clone(), &catalog, true), &catalog)
-                } else {
-                    Vec::new()
-                };
-                if stale.is_empty() {
-                    let view = View {
-                        table,
-                        indexes,
-                        catalog: &catalog,
-                        epoch: 0,
-                        cache: None,
-                        metrics: None,
-                    };
-                    break run(&view, plan, request);
-                }
-                stale
-            };
-            // Flushing changes patch counts (and may release staged
-            // rows), so re-plan against the fresh catalog. Each round
-            // flushes at least one index; the loop terminates once no
-            // bound NUC index is pending.
-            for slot in stale {
-                self.flush_index(slot);
-            }
+    fn run_request(&self, plan: &Plan, request: Request) -> Outcome {
+        let (table, indexes, catalog) = self.query_catalog(plan.contains_distinct());
+        let view = View {
+            table,
+            indexes,
+            catalog: &catalog,
+            epoch: 0,
+            cache: None,
+            metrics: None,
+            sink: self.sink(),
         };
-        for event in out.events.drain(..) {
-            self.apply_workload_event(event);
-        }
-        out
+        run(&view, plan, request)
     }
 }
 
 /// Writer queries run against the staging table (seeing unpublished
-/// state), with the owner path's flush-and-re-plan NUC rule.
+/// state).
 impl QueryEngine for TableWriter {
-    fn run_request(&mut self, plan: &Plan, request: Request) -> Outcome {
-        self.staging_mut().run_request(plan, request)
+    fn run_request(&self, plan: &Plan, request: Request) -> Outcome {
+        self.staging().run_request(plan, request)
     }
 }
 
@@ -622,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn nuc_disjointness_rule_flushes_before_distinct() {
+    fn pending_nuc_is_masked_until_flushed() {
         let mut it = fresh(2).with_policy(deferred());
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         // Stage a duplicate of an existing value: disjointness suspended.
@@ -634,12 +590,17 @@ mod tests {
 
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let reference = execute_count(&distinct, it.table(), NO_INDEXES);
-        // The facade flushes first, so the rewritten count is exact.
+        // Masked: the reference plan answers, exactly, and the read
+        // leaves the staged work where it was.
+        let chosen = it.plan_query(&distinct);
+        assert!(!chosen.to_string().contains("PatchScan"), "{chosen}");
         assert_eq!(it.query_count(&distinct), reference);
-        assert!(
-            !it.index(slot).has_pending(),
-            "facade must have flushed the NUC index"
-        );
+        assert!(it.index(slot).has_pending(), "a query never flushes");
+
+        // The owner's way back to the rewrite is an explicit flush.
+        it.flush_index(slot);
+        assert!(it.plan_query(&distinct).to_string().contains("PatchScan"));
+        assert_eq!(it.query_count(&distinct), reference);
         it.check_consistency();
     }
 
@@ -712,6 +673,7 @@ mod tests {
         it.query_count(&distinct);
         it.query_count(&distinct);
         it.query_count(&sort);
+        it.absorb_workload();
         // Query log: shapes per table column.
         use patchindex::{QueryShape, SortDir};
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 2);
@@ -730,11 +692,13 @@ mod tests {
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         // Inspecting the plan records nothing...
         it.plan_query(&distinct);
+        it.absorb_workload();
         use patchindex::QueryShape;
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 0);
         assert_eq!(it.index(slot).query_feedback().times_bound, 0);
         // ...running it records exactly once.
         it.query_count(&distinct);
+        it.absorb_workload();
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 1);
         assert_eq!(it.index(slot).query_feedback().times_bound, 1);
     }
@@ -744,14 +708,18 @@ mod tests {
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        for _ in 0..5 {
+        it.query_count(&distinct);
+        let cached: *const IndexCatalog = it.cached_catalog();
+        for _ in 0..4 {
             it.query_count(&distinct);
         }
-        assert_eq!(it.catalog_rebuilds(), 1, "one snapshot per mutation epoch");
+        assert!(
+            std::ptr::eq(cached, it.cached_catalog()),
+            "one snapshot per mutation epoch"
+        );
         it.insert(&[vec![Value::Int(999), Value::Int(12345)]]);
         it.query_count(&distinct);
-        it.query_count(&distinct);
-        assert_eq!(it.catalog_rebuilds(), 2);
+        assert_eq!(it.cached_catalog().rows(), 11, "rebuilt after the insert");
     }
 
     #[test]
@@ -763,7 +731,10 @@ mod tests {
         it.query_count(&sort);
         // Counts-only snapshots are taken fresh and never cached — no
         // full rebuild happened.
-        assert_eq!(it.catalog_rebuilds(), 0);
+        assert!(matches!(
+            it.query_catalog(false).2,
+            std::borrow::Cow::Owned(_)
+        ));
     }
 
     #[test]
@@ -786,9 +757,11 @@ mod tests {
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         // EXPLAIN records nothing measured.
         it.plan_query(&distinct);
+        it.absorb_workload();
         assert_eq!(it.index(slot).query_feedback().measured_queries, 0);
         it.query_count(&distinct);
         it.query_count(&distinct);
+        it.absorb_workload();
         let fb = it.index(slot).query_feedback();
         assert_eq!(fb.measured_queries, 2);
         assert!(fb.actual_micros > 0.0);
@@ -804,7 +777,7 @@ mod tests {
         it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         it.insert(&[vec![Value::Int(777), Value::Int(0)]]); // dup + stray
         let (handle, _writer) = ConcurrentTable::new(it);
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
         let dref = execute_count(&distinct, snap.table(), NO_INDEXES);
@@ -828,7 +801,7 @@ mod tests {
         writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
         assert!(writer.staging().index(slot).has_pending());
         writer.publish(); // deliberately unflushed: snapshot carries pending NUC
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         assert!(snap.catalog().indexes[slot].pending);
 
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
@@ -843,7 +816,7 @@ mod tests {
 
         // A flushed publish restores the rewrite for new snapshots.
         writer.publish_flushed();
-        let mut fresh_snap = handle.snapshot();
+        let fresh_snap = handle.snapshot();
         assert!(fresh_snap
             .plan_query(&distinct)
             .to_string()
@@ -863,7 +836,7 @@ mod tests {
         };
         writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
         writer.publish(); // unflushed: the snapshot carries the pending NUC
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         assert!(snap.catalog().indexes[nuc].pending);
 
         // One plan, two sites: the distinct would bind the pending NUC,
@@ -897,7 +870,7 @@ mod tests {
         let slot = writer.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         writer.insert(&[vec![Value::Int(999), Value::Int(-5)]]); // out of order
         writer.publish();
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         assert!(snap.catalog().indexes[slot].pending);
         let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
         // NSC stays exact while pending: no fallback, results exact.
@@ -913,7 +886,7 @@ mod tests {
         let mut it = fresh(2);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         snap.query_count(&distinct);
         snap.query_count(&distinct);
@@ -942,7 +915,7 @@ mod tests {
         let mut it = fresh(4);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, _writer) = cached(it);
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let first = snap.query(&distinct);
         let second = snap.query(&distinct);
@@ -963,7 +936,7 @@ mod tests {
         let mut it = fresh(2);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = cached(it);
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         snap.query_count(&distinct); // miss: full evidence
         writer.absorb_feedback();
@@ -994,7 +967,7 @@ mod tests {
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, _writer) = cached(it);
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let chosen = snap.plan_query(&distinct);
         let canon = canonical_bytes(&chosen, snap.catalog(), QueryMode::Count);
@@ -1026,7 +999,7 @@ mod tests {
     fn publish_keeps_entries_whose_partitions_were_untouched() {
         let it = fresh(2);
         let (handle, mut writer) = cached(it);
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let limited = Plan::scan(vec![1]).limit(2);
         let full = Plan::scan(vec![1]);
         // The pushed-down limit is satisfied entirely by partition 0, so
@@ -1043,7 +1016,7 @@ mod tests {
         assert_eq!(stats.invalidated, 1, "only the full scan depends on p1");
         assert_eq!(stats.entries, 1);
 
-        let mut snap2 = handle.snapshot();
+        let snap2 = handle.snapshot();
         // The surviving limit entry hits across the epoch bump...
         let again = snap2.query(&limited);
         assert_eq!(first.column(0).as_int(), again.column(0).as_int());
@@ -1080,7 +1053,7 @@ mod tests {
             .map(|o| o.rows_out)
             .sum();
         assert_eq!(total_op_rows, 20, "per-partition scans emit every row");
-        assert!(trace.cache.is_none(), "owner path has no cache concept");
+        assert_eq!(trace.cache, Some(CacheOutcome::Uncached));
     }
 
     #[test]
@@ -1088,7 +1061,7 @@ mod tests {
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, _writer) = cached(it);
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let (first, t1) = snap.query_traced(&distinct);
         assert_eq!(t1.cache, Some(pi_obs::CacheOutcome::Miss));
@@ -1116,7 +1089,7 @@ mod tests {
         };
         writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
         writer.publish(); // unflushed: pending NUC rides into the snapshot
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let (_, trace) = snap.query_traced(&distinct);
         assert_eq!(trace.planner.masked_pending_slots, vec![slot]);
@@ -1137,7 +1110,7 @@ mod tests {
         ));
         let (handle, _writer) =
             ConcurrentTable::with_observability(it, Some(cache), Arc::clone(&reg));
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         snap.query_count(&distinct); // miss
         snap.query_count(&distinct); // hit

@@ -15,9 +15,9 @@
 //! `TableSnapshot` or a `ConcurrentTable`. Which facade method the caller
 //! invoked (`plan_query` / `query` / `query_count` / `query_traced`) is
 //! the only selector; the evidence each one records is tabulated on the
-//! trait. An owner can flush, so it applies the NUC-disjointness rule of
-//! deferred maintenance (flush the pending NUC indexes the plan would
-//! bind, re-plan) where a snapshot masks.
+//! trait. A query is a read — every method takes `&self`: a pending NUC
+//! binding is masked at every entry point alike, and evidence waits in
+//! the table's `WorkloadSink` for `IndexedTable::absorb_workload`.
 //!
 //! Outside the facade, [`execute`] / [`execute_count`] run a plan
 //! directly against a table and an index set — with [`NO_INDEXES`], the

@@ -16,12 +16,12 @@
 //! limit below the combine, so every partition stops scanning after `n`
 //! rows instead of draining fully.
 //!
-//! There is one lowering, `lower_global`, with two optional observers:
-//! a `TouchLog` (which partitions the execution depended on — the
-//! result cache's footprint and the trace's visited/pruned counts) and
-//! an `ExecTrace` (per-operator meters for EXPLAIN ANALYZE). The
-//! public executors [`execute`] / [`execute_count`] run it unobserved;
-//! the query facade's pipeline attaches the observers.
+//! There is one lowering, `lower_global`, with one optional
+//! `ExecObserver`: which partitions the execution depended on (the
+//! result cache's footprint and the trace's visited/pruned counts) and,
+//! for EXPLAIN ANALYZE, per-operator meters. The public executors
+//! [`execute`] / [`execute_count`] run it unobserved; the query facade's
+//! pipeline attaches the observer.
 
 use std::borrow::{Borrow, Cow};
 use std::cell::{Cell, RefCell};
@@ -34,7 +34,6 @@ use pi_exec::ops::filter::FilterOp;
 use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, UnionAllOp};
 use pi_exec::ops::meter::{MeterOp, OpMeter};
 use pi_exec::ops::patch_select::PatchMode;
-use pi_exec::ops::probe::ProbeOp;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::SortOp;
 use pi_exec::{collect, Batch, OpRef};
@@ -43,16 +42,18 @@ use pi_storage::Table;
 
 use crate::logical::Plan;
 
-/// Records which partitions one execution actually depended on — the
-/// partition half of a result-cache dependency footprint.
+/// What one observed execution records: which partitions it actually
+/// depended on — the partition half of a result-cache dependency
+/// footprint — and, when `timed` (EXPLAIN ANALYZE), one meter per plan
+/// node — the operator half of a [`pi_obs::QueryTrace`].
 ///
-/// Two signals, both required for soundness:
+/// The footprint takes two signals, both required for soundness:
 ///
 /// * **pulled** — the partition's pipeline was pulled at least once
-///   (observed by a [`ProbeOp`] the traced lowering wraps around every
-///   per-partition pipeline). Combines that stop early (a pushed-down
-///   `LIMIT` under a union pulls children strictly in order) leave
-///   later partitions unpulled, and those are safely *excludable*: any
+///   (the [`MeterOp`] the lowering wraps around every per-partition
+///   pipeline saw it). Combines that stop early (a pushed-down `LIMIT`
+///   under a union pulls children strictly in order) leave later
+///   partitions unpulled, and those are safely *excludable*: any
 ///   mutation that would route their rows into the result prefix must
 ///   first rewrite a partition that *was* pulled (row order within a
 ///   partition is insertion order, and the union order is fixed).
@@ -62,82 +63,75 @@ use crate::logical::Plan;
 ///   it), so pruned-empty partitions must stay in the footprint even
 ///   though no operator ever existed to pull.
 ///
-/// Execution is single-threaded, so plain [`Cell`] flags suffice.
+/// Execution is single-threaded, so `Rc` + `Cell` suffice.
 #[derive(Debug)]
-pub(crate) struct TouchLog {
-    pulled: Vec<Cell<bool>>,
+pub(crate) struct ExecObserver {
+    /// Meter (and time) every plan node and global combine, not just the
+    /// per-partition pipelines the footprint needs.
+    timed: bool,
     consulted_empty: Vec<Cell<bool>>,
+    meters: RefCell<Vec<MeterEntry>>,
 }
 
-impl TouchLog {
-    /// A log for a table with `partitions` partitions, all untouched.
-    pub(crate) fn new(partitions: usize) -> Self {
-        TouchLog {
-            pulled: (0..partitions).map(|_| Cell::new(false)).collect(),
+/// One registered meter: its trace label, its partition (`None` for a
+/// global combine), and whether it sits on top of that partition's
+/// pipeline (so its pulled flag speaks for the partition).
+#[derive(Debug)]
+struct MeterEntry {
+    label: &'static str,
+    partition: Option<usize>,
+    pipeline: bool,
+    meter: Rc<OpMeter>,
+}
+
+impl ExecObserver {
+    /// An observer for a table with `partitions` partitions, all
+    /// untouched.
+    pub(crate) fn new(partitions: usize, timed: bool) -> Self {
+        ExecObserver {
+            timed,
             consulted_empty: (0..partitions).map(|_| Cell::new(false)).collect(),
+            meters: RefCell::default(),
         }
     }
 
-    fn pulled_flag(&self, pid: usize) -> &Cell<bool> {
-        &self.pulled[pid]
-    }
-
-    fn mark_consulted_empty(&self, pid: usize) {
-        self.consulted_empty[pid].set(true);
+    fn pulled_flags(&self) -> Vec<bool> {
+        let mut pulled = vec![false; self.consulted_empty.len()];
+        for e in self.meters.borrow().iter().filter(|e| e.pipeline) {
+            if let Some(pid) = e.partition {
+                pulled[pid] |= e.meter.pulled();
+            }
+        }
+        pulled
     }
 
     /// Partitions whose pipelines were pulled, ascending.
     pub(crate) fn pulled(&self) -> Vec<usize> {
-        (0..self.pulled.len())
-            .filter(|&pid| self.pulled[pid].get())
-            .collect()
+        let pulled = self.pulled_flags();
+        (0..pulled.len()).filter(|&pid| pulled[pid]).collect()
     }
 
     /// The footprint partitions: pulled ∪ consulted-empty, ascending.
     pub(crate) fn footprint(&self) -> Vec<usize> {
-        (0..self.pulled.len())
-            .filter(|&pid| self.pulled[pid].get() || self.consulted_empty[pid].get())
+        let pulled = self.pulled_flags();
+        (0..pulled.len())
+            .filter(|&pid| pulled[pid] || self.consulted_empty[pid].get())
             .collect()
-    }
-}
-
-/// Collects per-operator meters during a metered (EXPLAIN ANALYZE)
-/// lowering — the operator half of a [`pi_obs::QueryTrace`].
-///
-/// Each plan node lowered for a partition (and each global combine)
-/// registers one [`OpMeter`]; after execution,
-/// [`operators`](ExecTrace::operators) yields the finished
-/// [`OperatorTrace`] rows. Execution is single-threaded, so `Rc` +
-/// `RefCell` suffice, mirroring [`TouchLog`].
-#[derive(Debug, Default)]
-pub(crate) struct ExecTrace {
-    meters: RefCell<Vec<MeterEntry>>,
-}
-
-/// One registered operator meter: label, partition (None for global
-/// combines), and the live meter handle.
-type MeterEntry = (String, Option<usize>, Rc<OpMeter>);
-
-impl ExecTrace {
-    fn meter(&self, label: String, pid: Option<usize>) -> Rc<OpMeter> {
-        let m = Rc::new(OpMeter::default());
-        self.meters.borrow_mut().push((label, pid, Rc::clone(&m)));
-        m
     }
 
     /// The per-operator rows observed so far, in registration order
-    /// (global combines first, then per-partition pipelines in
-    /// partition order).
+    /// (within a combine: its per-partition pipelines in partition
+    /// order, each node after its inputs, then the combine itself).
     pub(crate) fn operators(&self) -> Vec<OperatorTrace> {
         self.meters
             .borrow()
             .iter()
-            .map(|(label, pid, m)| OperatorTrace {
-                label: label.clone(),
-                partition: *pid,
-                batches: m.batches(),
-                rows_out: m.rows_out(),
-                nanos: m.nanos(),
+            .map(|e| OperatorTrace {
+                label: e.label.to_string(),
+                partition: e.partition,
+                batches: e.meter.batches(),
+                rows_out: e.meter.rows_out(),
+                nanos: e.meter.nanos(),
             })
             .collect()
     }
@@ -164,17 +158,29 @@ fn node_label(plan: &Plan) -> &'static str {
     }
 }
 
-/// Wraps `op` in a [`MeterOp`] charging to a fresh meter in `et`, when
-/// a metered lowering is active.
-fn meter_wrap<'a>(
+/// Wraps `op` in a [`MeterOp`] registered under `label` when the
+/// observer wants this operator: always on top of a partition's
+/// `pipeline` (its pulled flag is the footprint), otherwise only under
+/// EXPLAIN ANALYZE — where the wrapper also reads the clock.
+fn observe<'a>(
     op: OpRef<'a>,
-    et: Option<&ExecTrace>,
-    label: &str,
-    pid: Option<usize>,
+    obs: Option<&ExecObserver>,
+    label: &'static str,
+    partition: Option<usize>,
+    pipeline: bool,
 ) -> OpRef<'a> {
-    match et {
-        Some(t) => Box::new(MeterOp::new(op, t.meter(label.to_string(), pid))),
-        None => op,
+    match obs {
+        Some(o) if pipeline || o.timed => {
+            let meter = Rc::new(OpMeter::default());
+            o.meters.borrow_mut().push(MeterEntry {
+                label,
+                partition,
+                pipeline,
+                meter: Rc::clone(&meter),
+            });
+            Box::new(MeterOp::new(op, meter, o.timed))
+        }
+        _ => op,
     }
 }
 
@@ -217,14 +223,15 @@ pub fn prune_for_partition<'a, I: Borrow<PatchIndex>>(
 }
 
 /// Lowers `plan` for a single partition (no global recombination, no
-/// pruning — callers prune first), wrapping every plan node in a
-/// [`MeterOp`] when a metered lowering is active.
+/// pruning — callers prune first), [`observe`]ing every plan node;
+/// `pipeline` says the root is the top of the partition's pipeline.
 fn lower_partition<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
     pid: usize,
-    et: Option<&ExecTrace>,
+    obs: Option<&ExecObserver>,
+    pipeline: bool,
 ) -> OpRef<'a> {
     let op: OpRef<'a> = match plan {
         Plan::Scan { cols, filter } => {
@@ -255,32 +262,32 @@ fn lower_partition<'a, I: Borrow<PatchIndex>>(
             Box::new(pi_exec::ops::filter::ProjectOp::new(filtered, keep))
         }
         Plan::Distinct { input, cols } => Box::new(HashAggOp::distinct(
-            lower_partition(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, obs, false),
             cols.clone(),
         )),
         Plan::Sort { input, keys } => Box::new(SortOp::new(
-            lower_partition(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, obs, false),
             keys.clone(),
         )),
         Plan::Limit { input, n } => Box::new(LimitOp::new(
-            lower_partition(input, table, indexes, pid, et),
+            lower_partition(input, table, indexes, pid, obs, false),
             *n,
         )),
         Plan::Union { inputs } => Box::new(UnionAllOp::new(
             inputs
                 .iter()
-                .map(|p| lower_partition(p, table, indexes, pid, et))
+                .map(|p| lower_partition(p, table, indexes, pid, obs, false))
                 .collect(),
         )),
         Plan::Merge { inputs, keys } => Box::new(OrderedMergeOp::new(
             inputs
                 .iter()
-                .map(|p| lower_partition(p, table, indexes, pid, et))
+                .map(|p| lower_partition(p, table, indexes, pid, obs, false))
                 .collect(),
             keys.clone(),
         )),
     };
-    meter_wrap(op, et, node_label(plan), Some(pid))
+    observe(op, obs, node_label(plan), Some(pid), pipeline)
 }
 
 /// Whether a per-partition `LIMIT` below the combine preserves the exact
@@ -292,47 +299,41 @@ fn limit_pushes_down(plan: &Plan) -> bool {
     matches!(plan, Plan::Scan { .. } | Plan::PatchScan { .. })
 }
 
-/// Wraps a finished per-partition pipeline in a [`ProbeOp`] when a
-/// [`TouchLog`] is tracing this lowering.
-fn probe<'a>(op: OpRef<'a>, trace: Option<&'a TouchLog>, pid: usize) -> OpRef<'a> {
-    match trace {
-        Some(t) => Box::new(ProbeOp::new(op, t.pulled_flag(pid))),
-        None => op,
-    }
-}
-
-/// [`prune_for_partition`], additionally recording a pruned-to-nothing
-/// partition as consulted-empty in the trace (the result depends on its
+/// Specializes `plan` for partition `pid` ([`prune_for_partition`]) and
+/// lowers what survives. A partition pruned to nothing contributes no
+/// stream and is recorded as consulted-empty (the result depends on its
 /// emptiness).
-fn prune_traced<'a, I: Borrow<PatchIndex>>(
-    plan: &'a Plan,
-    table: &Table,
-    indexes: &[I],
+fn lower_pruned<'a, I: Borrow<PatchIndex>>(
+    plan: &Plan,
+    table: &'a Table,
+    indexes: &'a [I],
     pid: usize,
-    trace: Option<&TouchLog>,
-) -> Option<Cow<'a, Plan>> {
-    let pruned = prune_for_partition(plan, table, indexes, pid);
-    if pruned.is_none() {
-        if let Some(t) = trace {
-            t.mark_consulted_empty(pid);
+    obs: Option<&ExecObserver>,
+    pipeline: bool,
+) -> Option<OpRef<'a>> {
+    match prune_for_partition(plan, table, indexes, pid) {
+        Some(p) => Some(lower_partition(&p, table, indexes, pid, obs, pipeline)),
+        None => {
+            if let Some(o) = obs {
+                o.consulted_empty[pid].set(true);
+            }
+            None
         }
     }
-    pruned
 }
 
 /// Lowers `plan` across all partitions with the appropriate global
-/// combine, pruning zero branches per partition. With a `trace`, every
-/// per-partition pipeline is wrapped in a pull probe (see [`TouchLog`]
-/// for the soundness argument); with an `et`, every plan node (per
+/// combine, pruning zero branches per partition. With an observer, the
+/// top of every per-partition pipeline is metered (see [`ExecObserver`]
+/// for the soundness argument); with a timed one, every plan node (per
 /// partition) and every global combine reports wall clock, batch and row
-/// counts — the EXPLAIN ANALYZE lowering. Neither observer alters a
-/// batch, so results are byte-identical with and without them.
+/// counts — the EXPLAIN ANALYZE lowering. The observer never alters a
+/// batch, so results are byte-identical with and without it.
 pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
-    trace: Option<&'a TouchLog>,
-    et: Option<&ExecTrace>,
+    obs: Option<&ExecObserver>,
 ) -> OpRef<'a> {
     let parts = 0..table.partition_count();
     match plan {
@@ -340,38 +341,28 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
         Plan::Scan { .. } | Plan::PatchScan { .. } => {
             let combine: OpRef<'a> = Box::new(UnionAllOp::new(
                 parts
-                    .filter_map(|pid| {
-                        prune_traced(plan, table, indexes, pid, trace).map(|p| {
-                            probe(lower_partition(&p, table, indexes, pid, et), trace, pid)
-                        })
-                    })
+                    .filter_map(|pid| lower_pruned(plan, table, indexes, pid, obs, true))
                     .collect(),
             ));
-            meter_wrap(combine, et, "UnionAll(global)", None)
+            observe(combine, obs, "UnionAll(global)", None, false)
         }
         // Distinct is distributive: per-partition pre-aggregation, then a
         // global aggregation over the union of partials.
         Plan::Distinct { input, cols } => {
             let partials: Vec<OpRef<'a>> = parts
                 .filter_map(|pid| {
-                    prune_traced(input, table, indexes, pid, trace).map(|p| {
-                        let partial: OpRef<'a> = Box::new(HashAggOp::distinct(
-                            lower_partition(&p, table, indexes, pid, et),
-                            cols.clone(),
-                        ));
-                        probe(
-                            meter_wrap(partial, et, "Distinct(partial)", Some(pid)),
-                            trace,
-                            pid,
-                        )
-                    })
+                    let partial: OpRef<'a> = Box::new(HashAggOp::distinct(
+                        lower_pruned(input, table, indexes, pid, obs, false)?,
+                        cols.clone(),
+                    ));
+                    Some(observe(partial, obs, "Distinct(partial)", Some(pid), true))
                 })
                 .collect();
             let combine: OpRef<'a> = Box::new(HashAggOp::distinct(
                 Box::new(UnionAllOp::new(partials)),
                 (0..cols.len()).collect(),
             ));
-            meter_wrap(combine, et, "Distinct(global)", None)
+            observe(combine, obs, "Distinct(global)", None, false)
         }
         // Sorted flows merge across partitions. An input containing a
         // Distinct is not partition-distributive under a merge (only the
@@ -379,29 +370,23 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
         // so it is lowered globally and sorted once.
         Plan::Sort { input, keys } if input.contains_distinct() => {
             let sorted: OpRef<'a> = Box::new(SortOp::new(
-                lower_global(input, table, indexes, trace, et),
+                lower_global(input, table, indexes, obs),
                 keys.clone(),
             ));
-            meter_wrap(sorted, et, "Sort(global)", None)
+            observe(sorted, obs, "Sort(global)", None, false)
         }
         Plan::Sort { input, keys } => {
             let sorted: Vec<OpRef<'a>> = parts
                 .filter_map(|pid| {
-                    prune_traced(input, table, indexes, pid, trace).map(|p| {
-                        let stream: OpRef<'a> = Box::new(SortOp::new(
-                            lower_partition(&p, table, indexes, pid, et),
-                            keys.clone(),
-                        ));
-                        probe(
-                            meter_wrap(stream, et, "Sort(partition)", Some(pid)),
-                            trace,
-                            pid,
-                        )
-                    })
+                    let stream: OpRef<'a> = Box::new(SortOp::new(
+                        lower_pruned(input, table, indexes, pid, obs, false)?,
+                        keys.clone(),
+                    ));
+                    Some(observe(stream, obs, "Sort(partition)", Some(pid), true))
                 })
                 .collect();
             let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(sorted, keys.clone()));
-            meter_wrap(combine, et, "OrderedMerge(global)", None)
+            observe(combine, obs, "OrderedMerge(global)", None, false)
         }
         Plan::Merge { inputs, keys } => {
             // Each surviving (partition, child) stream is sorted; one
@@ -413,30 +398,26 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
             let mut streams: Vec<OpRef<'a>> = Vec::new();
             for child in inputs {
                 if child.contains_distinct() {
-                    streams.push(lower_global(child, table, indexes, trace, et));
+                    streams.push(lower_global(child, table, indexes, obs));
                     continue;
                 }
-                for pid in parts.clone() {
-                    if let Some(p) = prune_traced(child, table, indexes, pid, trace) {
-                        streams.push(probe(
-                            lower_partition(&p, table, indexes, pid, et),
-                            trace,
-                            pid,
-                        ));
-                    }
-                }
+                streams.extend(
+                    parts
+                        .clone()
+                        .filter_map(|pid| lower_pruned(child, table, indexes, pid, obs, true)),
+                );
             }
             let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(streams, keys.clone()));
-            meter_wrap(combine, et, "OrderedMerge(global)", None)
+            observe(combine, obs, "OrderedMerge(global)", None, false)
         }
         Plan::Union { inputs } => {
             let combine: OpRef<'a> = Box::new(UnionAllOp::new(
                 inputs
                     .iter()
-                    .map(|p| lower_global(p, table, indexes, trace, et))
+                    .map(|p| lower_global(p, table, indexes, obs))
                     .collect(),
             ));
-            meter_wrap(combine, et, "UnionAll(global)", None)
+            observe(combine, obs, "UnionAll(global)", None, false)
         }
         Plan::Limit { input, n } => {
             if limit_pushes_down(input) {
@@ -444,28 +425,20 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
                 // stops early), keep the exact global cap on top.
                 let capped: Vec<OpRef<'a>> = parts
                     .filter_map(|pid| {
-                        prune_traced(input, table, indexes, pid, trace).map(|p| {
-                            let capped: OpRef<'a> = Box::new(LimitOp::new(
-                                lower_partition(&p, table, indexes, pid, et),
-                                *n,
-                            ));
-                            probe(
-                                meter_wrap(capped, et, "Limit(partition)", Some(pid)),
-                                trace,
-                                pid,
-                            )
-                        })
+                        let capped: OpRef<'a> = Box::new(LimitOp::new(
+                            lower_pruned(input, table, indexes, pid, obs, false)?,
+                            *n,
+                        ));
+                        Some(observe(capped, obs, "Limit(partition)", Some(pid), true))
                     })
                     .collect();
                 let combine: OpRef<'a> =
                     Box::new(LimitOp::new(Box::new(UnionAllOp::new(capped)), *n));
-                meter_wrap(combine, et, "Limit(global)", None)
+                observe(combine, obs, "Limit(global)", None, false)
             } else {
-                let capped: OpRef<'a> = Box::new(LimitOp::new(
-                    lower_global(input, table, indexes, trace, et),
-                    *n,
-                ));
-                meter_wrap(capped, et, "Limit(global)", None)
+                let capped: OpRef<'a> =
+                    Box::new(LimitOp::new(lower_global(input, table, indexes, obs), *n));
+                observe(capped, obs, "Limit(global)", None, false)
             }
         }
     }
@@ -482,13 +455,13 @@ pub(crate) fn count_rows(mut root: OpRef<'_>) -> usize {
 
 /// Executes a plan to completion and returns the concatenated result.
 pub fn execute<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> Batch {
-    collect(lower_global(plan, table, indexes, None, None).as_mut())
+    collect(lower_global(plan, table, indexes, None).as_mut())
 }
 
 /// Executes a plan, returning only the row count (benchmark helper that
 /// avoids result materialization skew).
 pub fn execute_count<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> usize {
-    count_rows(lower_global(plan, table, indexes, None, None))
+    count_rows(lower_global(plan, table, indexes, None))
 }
 
 #[cfg(test)]
@@ -533,14 +506,14 @@ mod tests {
         vec![idx]
     }
 
-    /// [`execute`] with a [`TouchLog`] attached, as the facade runs it.
+    /// [`execute`] with an [`ExecObserver`] attached, as the facade runs it.
     fn collect_probed<I: Borrow<PatchIndex>>(
         plan: &Plan,
         table: &Table,
         indexes: &[I],
-        trace: &TouchLog,
+        trace: &ExecObserver,
     ) -> Batch {
-        collect(lower_global(plan, table, indexes, Some(trace), None).as_mut())
+        collect(lower_global(plan, table, indexes, Some(trace)).as_mut())
     }
 
     #[test]
@@ -944,7 +917,7 @@ mod tests {
             Plan::scan(vec![1]).limit(3),
         ] {
             let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx), false);
-            let trace = TouchLog::new(t.partition_count());
+            let trace = ExecObserver::new(t.partition_count(), true);
             let traced = collect_probed(&opt, &t, &idx, &trace);
             let plain = execute(&opt, &t, &idx);
             assert_eq!(
@@ -952,9 +925,9 @@ mod tests {
                 plain.column(0).as_int(),
                 "{plan}"
             );
-            let ctrace = TouchLog::new(t.partition_count());
+            let ctrace = ExecObserver::new(t.partition_count(), false);
             assert_eq!(
-                count_rows(lower_global(&opt, &t, &idx, Some(&ctrace), None)),
+                count_rows(lower_global(&opt, &t, &idx, Some(&ctrace))),
                 plain.len(),
                 "{plan}"
             );
@@ -964,7 +937,7 @@ mod tests {
     #[test]
     fn full_scan_footprint_covers_every_partition() {
         let t = table();
-        let trace = TouchLog::new(t.partition_count());
+        let trace = ExecObserver::new(t.partition_count(), false);
         collect_probed(
             &Plan::scan(vec![1]).distinct(vec![0]),
             &t,
@@ -977,13 +950,19 @@ mod tests {
     #[test]
     fn pushed_down_limit_excludes_unreached_partitions() {
         let t = table(); // 4 rows in p0, 3 in p1
-        let trace = TouchLog::new(t.partition_count());
+        let trace = ExecObserver::new(t.partition_count(), false);
         let out = collect_probed(&Plan::scan(vec![1]).limit(2), &t, NO_INDEXES, &trace);
         assert_eq!(out.len(), 2);
         // Partition 0 alone satisfies the limit; the union never pulls
         // partition 1, so the footprint provably excludes it.
         assert_eq!(trace.footprint(), vec![0]);
         assert_eq!(trace.pulled(), vec![0]);
+        let batches: Vec<_> = trace
+            .operators()
+            .iter()
+            .map(|o| (o.partition, o.batches))
+            .collect();
+        assert_eq!(batches, [(Some(0), 1), (Some(1), 0)]);
     }
 
     #[test]
@@ -998,7 +977,7 @@ mod tests {
         // Partition 1 stays empty (pruned before lowering).
         t.load_partition(2, &[ColumnData::Int(vec![2])]);
         t.propagate_all();
-        let trace = TouchLog::new(t.partition_count());
+        let trace = ExecObserver::new(t.partition_count(), false);
         collect_probed(&Plan::scan(vec![0]), &t, NO_INDEXES, &trace);
         // The result depends on partition 1 *being empty*: an insert
         // there changes it, so consulted-empty keeps it in the footprint.

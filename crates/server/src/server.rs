@@ -365,7 +365,7 @@ impl ServerInner {
             let (snap, seq) = shard.consistent_snapshot();
             let epoch = snap.epoch();
             let t0 = Instant::now();
-            let mut snap = snap;
+            let snap = snap;
             let (batch, trace) = snap.query_traced(&plan);
             shard
                 .benefit_nanos

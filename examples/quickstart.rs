@@ -77,7 +77,7 @@ fn main() {
         let handle = handle.clone();
         let plan = plan.clone();
         move || {
-            let mut snap = handle.snapshot();
+            let snap = handle.snapshot();
             (snap.epoch(), snap.query(&plan).column(0).as_int().to_vec())
         }
     });
@@ -88,7 +88,7 @@ fn main() {
         sorted.len()
     );
     writer.publish(); // one atomic epoch-pointer swap
-    let mut snap = handle.snapshot();
+    let snap = handle.snapshot();
     println!(
         "epoch {} after publish: {} rows, still sorted: {:?}",
         snap.epoch(),

@@ -3,7 +3,7 @@
 //! The actual tests live in `tests/tests/`; this crate only hosts shared
 //! fixtures so every integration test builds the same workloads.
 
-use patchindex::IndexedTable;
+use patchindex::{IndexedTable, MaintenanceMode, MaintenancePolicy};
 use pi_datagen::{generate, MicroDataset, MicroKind, MicroSpec};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
@@ -47,6 +47,30 @@ pub fn base_table(rows_per_part: usize) -> Table {
     }
     t.propagate_all();
     t
+}
+
+/// The first column of an integer result (`[]` for an empty batch, which
+/// carries no columns).
+pub fn int_column(b: &pi_exec::Batch) -> Vec<i64> {
+    if b.is_empty() {
+        Vec::new()
+    } else {
+        b.column(0).as_int().to_vec()
+    }
+}
+
+/// The paper's per-statement maintenance.
+pub fn eager() -> MaintenancePolicy {
+    MaintenancePolicy::default()
+}
+
+/// Deferred maintenance auto-flushing at `flush_rows` staged row-events
+/// per index (`usize::MAX`: only explicit flushes and deletes).
+pub fn deferred(flush_rows: usize) -> MaintenancePolicy {
+    MaintenancePolicy {
+        mode: MaintenanceMode::Deferred { flush_rows },
+        ..MaintenancePolicy::default()
+    }
 }
 
 /// One step of a randomized mutation stream over [`base_table`].

@@ -46,7 +46,7 @@ fn apply(it: &mut IndexedTable, op: &DriftOp) {
 
 /// Advisor-managed result vs the manually-managed reference, byte for
 /// byte (both run through the same facade).
-fn assert_identical(advised: &mut IndexedTable, manual: &mut IndexedTable, at: &str) {
+fn assert_identical(advised: &IndexedTable, manual: &IndexedTable, at: &str) {
     let q = workload_query();
     let a = advised.query(&q);
     let m = manual.query(&q);
@@ -80,7 +80,7 @@ fn full_lifecycle_on_a_drifting_workload() {
         apply(&mut advised, op);
         apply(&mut manual, op);
         if matches!(op, DriftOp::Query) {
-            assert_identical(&mut advised, &mut manual, "grow");
+            assert_identical(&advised, &manual, "grow");
             actions.extend(advisor.step(&mut advised));
         }
     }
@@ -122,7 +122,7 @@ fn full_lifecycle_on_a_drifting_workload() {
         Constraint::NearlyUnique,
         Design::Identifier,
     );
-    assert_identical(&mut advised, &mut manual, "post-create");
+    assert_identical(&advised, &manual, "post-create");
 
     // ---- phase 2: drift — recompute must restore e ---------------------
     let e_at_create = advised.index(0).match_fraction();
@@ -143,7 +143,7 @@ fn full_lifecycle_on_a_drifting_workload() {
                 }
             }
             actions.extend(new);
-            assert_identical(&mut advised, &mut manual, "drift");
+            assert_identical(&advised, &manual, "drift");
         }
     }
     let recomputes: Vec<&AdvisorAction> = actions[before..]
@@ -222,7 +222,7 @@ fn full_lifecycle_on_a_drifting_workload() {
     );
     // Mirror the drop and compare end state.
     manual.drop_index(0);
-    assert_identical(&mut advised, &mut manual, "post-drop");
+    assert_identical(&advised, &manual, "post-drop");
     advised.check_consistency();
     manual.check_consistency();
 }

@@ -19,11 +19,13 @@
 //! new-epoch results to held old snapshots.
 
 use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy,
-    ResultCache, SortDir, TableSnapshot, TableWriter,
+    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, ResultCache, SortDir,
+    TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::{apply, base_table, op_strategy, Op, PARTS, VAL_POOL};
+use pi_integration::{
+    apply, base_table, deferred, eager, int_column, op_strategy, Op, PARTS, VAL_POOL,
+};
 use pi_planner::{Plan, QueryEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -39,18 +41,10 @@ fn mix() -> [Plan; 4] {
     ]
 }
 
-fn int_column(b: &pi_exec::Batch) -> Vec<i64> {
-    if b.is_empty() {
-        Vec::new()
-    } else {
-        b.column(0).as_int().to_vec()
-    }
-}
-
 /// Runs the full mix on a cached and an uncached snapshot of the same
 /// epoch and demands byte-identical answers — twice on the cached side,
 /// so pass two probes the entries pass one populated.
-fn verify_pair(cached: &mut TableSnapshot, plain: &mut TableSnapshot, ctx: &str) {
+fn verify_pair(cached: &TableSnapshot, plain: &TableSnapshot, ctx: &str) {
     assert_eq!(
         cached.epoch(),
         plain.epoch(),
@@ -106,12 +100,14 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy) {
             cached_writer.publish();
             plain_writer.publish();
         }
-        let mut cs = cached_handle.snapshot();
-        let mut ps = plain_handle.snapshot();
-        verify_pair(&mut cs, &mut ps, &format!("op {i}"));
+        verify_pair(
+            &cached_handle.snapshot(),
+            &plain_handle.snapshot(),
+            &format!("op {i}"),
+        );
         // Every held pre-publish snapshot must keep answering with its
         // own epoch's bytes, cache entries notwithstanding.
-        for (j, (cached, plain)) in held.iter_mut().enumerate() {
+        for (j, (cached, plain)) in held.iter().enumerate() {
             verify_pair(cached, plain, &format!("op {i}, held {j}"));
         }
         if held.len() > 3 {
@@ -120,11 +116,7 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy) {
     }
     cached_writer.publish();
     plain_writer.publish();
-    verify_pair(
-        &mut cached_handle.snapshot(),
-        &mut plain_handle.snapshot(),
-        "final",
-    );
+    verify_pair(&cached_handle.snapshot(), &plain_handle.snapshot(), "final");
     let stats = cache.stats();
     assert!(
         stats.hits > 0,
@@ -134,17 +126,6 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy) {
     let mut it = cached_writer.into_inner();
     it.flush_maintenance();
     it.check_consistency();
-}
-
-fn eager() -> MaintenancePolicy {
-    MaintenancePolicy::default()
-}
-
-fn deferred(flush_rows: usize) -> MaintenancePolicy {
-    MaintenancePolicy {
-        mode: MaintenanceMode::Deferred { flush_rows },
-        ..MaintenancePolicy::default()
-    }
 }
 
 proptest! {
@@ -188,8 +169,8 @@ fn tiny_budget_still_answers_exactly() {
         cached_writer.publish();
         plain_writer.publish();
         verify_pair(
-            &mut cached_handle.snapshot(),
-            &mut plain_handle.snapshot(),
+            &cached_handle.snapshot(),
+            &plain_handle.snapshot(),
             &format!("round {round}"),
         );
     }

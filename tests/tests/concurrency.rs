@@ -20,16 +20,23 @@
 //!
 //! The `stress_reader_writer_storm` test scales with `PI_STRESS_ITERS` /
 //! `PI_STRESS_THREADS` for the dedicated CI stress lane.
+//!
+//! `reads_never_write` pins the other half of isolation: queries — at
+//! any entry point, however many — leave no trace in the maintained
+//! state, so a stream with reads interleaved ends exactly where the same
+//! stream without them does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, SortDir,
+    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, MaintenanceStats, SortDir,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::{apply, base_table, op_strategy, Op, PARTS, VAL_POOL};
+use pi_integration::{
+    apply, base_table, deferred, eager, int_column, op_strategy, Op, PARTS, VAL_POOL,
+};
 use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table};
 use proptest::prelude::*;
@@ -45,16 +52,11 @@ struct Expected {
     rows: usize,
 }
 
-fn expected_of(it: &IndexedTable, distinct: &Plan, sort: &Plan) -> Expected {
-    let sorted = execute(sort, it.table(), NO_INDEXES);
+fn expected_of(table: &Table, distinct: &Plan, sort: &Plan) -> Expected {
     Expected {
-        distinct: execute_count(distinct, it.table(), NO_INDEXES),
-        sorted: if sorted.is_empty() {
-            Vec::new()
-        } else {
-            sorted.column(0).as_int().to_vec()
-        },
-        rows: it.table().visible_len(),
+        distinct: execute_count(distinct, table, NO_INDEXES),
+        sorted: int_column(&execute(sort, table, NO_INDEXES)),
+        rows: table.visible_len(),
     }
 }
 
@@ -76,7 +78,7 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy, nreaders: usize) -> u64 {
     expected
         .lock()
         .unwrap()
-        .insert(0, expected_of(&it, &distinct, &sort));
+        .insert(0, expected_of(it.table(), &distinct, &sort));
     let (handle, mut writer) = ConcurrentTable::new(it);
     let stop = AtomicBool::new(false);
     let verified = AtomicU64::new(0);
@@ -87,14 +89,9 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy, nreaders: usize) -> u64 {
             let (stop, verified, expected) = (&stop, &verified, &expected);
             let (distinct, sort) = (&distinct, &sort);
             scope.spawn(move || loop {
-                let mut snap = handle.snapshot();
+                let snap = handle.snapshot();
                 let got_distinct = snap.query_count(distinct);
-                let sorted = snap.query(sort);
-                let got_sorted: Vec<i64> = if sorted.is_empty() {
-                    Vec::new()
-                } else {
-                    sorted.column(0).as_int().to_vec()
-                };
+                let got_sorted = int_column(&snap.query(sort));
                 {
                     let map = expected.lock().unwrap();
                     let want = &map[&snap.epoch()];
@@ -122,14 +119,14 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy, nreaders: usize) -> u64 {
             if matches!(op, Op::Publish) {
                 // The reference answer must exist before the epoch is
                 // visible to any reader.
-                let want = expected_of(writer.staging(), &distinct, &sort);
+                let want = expected_of(writer.staging().table(), &distinct, &sort);
                 let epoch = writer.epoch() + 1;
                 expected.lock().unwrap().insert(epoch, want);
                 writer.publish();
             }
         }
         // Final publish so the end state is read at least once.
-        let want = expected_of(writer.staging(), &distinct, &sort);
+        let want = expected_of(writer.staging().table(), &distinct, &sort);
         expected.lock().unwrap().insert(writer.epoch() + 1, want);
         writer.publish();
         stop.store(true, Ordering::Relaxed);
@@ -143,15 +140,62 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy, nreaders: usize) -> u64 {
     verified.load(Ordering::Relaxed)
 }
 
-fn eager() -> MaintenancePolicy {
-    MaintenancePolicy::default()
+/// Every answer `engine` gives over `table` equals the index-free
+/// execution (counts for the distinct's bag, rows verbatim for the sort).
+fn check_reads<E: QueryEngine>(engine: &E, table: &Table, ctx: &str) {
+    let distinct = Plan::scan(vec![1]).distinct(vec![0]);
+    let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
+    let want = expected_of(table, &distinct, &sort);
+    assert_eq!(engine.query_count(&distinct), want.distinct, "{ctx}");
+    assert_eq!(
+        engine.query_traced(&distinct).0.len(),
+        want.distinct,
+        "{ctx}"
+    );
+    let sorted = engine.query(&sort);
+    assert_eq!(int_column(&sorted), want.sorted, "{ctx}");
 }
 
-fn deferred(flush_rows: usize) -> MaintenancePolicy {
-    MaintenancePolicy {
-        mode: MaintenanceMode::Deferred { flush_rows },
-        ..MaintenancePolicy::default()
+/// What maintenance leaves behind, per index: patch sets per partition,
+/// staged row-events, cumulative maintenance counters.
+type Maintained = Vec<(Vec<Vec<u64>>, usize, MaintenanceStats)>;
+
+/// Drives `ops` through a writer and returns the maintained end state
+/// (unflushed); with `reads`, every entry point is queried after each op.
+fn run_with_reads(ops: &[Op], policy: MaintenancePolicy, reads: bool) -> Maintained {
+    let mut it = IndexedTable::new(base_table(60)).with_policy(policy);
+    it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+    it.add_index(
+        1,
+        Constraint::NearlySorted(SortDir::Asc),
+        Design::Identifier,
+    );
+    let (handle, mut writer) = ConcurrentTable::new(it);
+    let mut next_key = [0i64; PARTS];
+    for (i, op) in ops.iter().enumerate() {
+        apply(writer.staging_mut(), op, &mut next_key);
+        if matches!(op, Op::Publish) {
+            writer.publish();
+        }
+        if reads {
+            let staged = writer.staging().table();
+            check_reads(writer.staging(), staged, &format!("op {i}: owner"));
+            check_reads(&writer, staged, &format!("op {i}: writer"));
+            let snap = handle.snapshot();
+            check_reads(&snap, snap.table(), &format!("op {i}: snapshot"));
+            check_reads(&handle, snap.table(), &format!("op {i}: handle"));
+        }
     }
+    let it = writer.into_inner();
+    it.indexes()
+        .iter()
+        .map(|idx| {
+            let patches = (0..idx.partition_count())
+                .map(|pid| idx.partition(pid).store.patch_rids())
+                .collect();
+            (patches, idx.pending_rows(), idx.maintenance_stats())
+        })
+        .collect()
 }
 
 proptest! {
@@ -177,6 +221,18 @@ proptest! {
     ) {
         let verified = run_stream(&ops, deferred(flush_rows), 2);
         prop_assert!(verified > 0);
+    }
+
+    // A query is a read: interleaving queries at every entry point after
+    // every op changes nothing about what maintenance did or still owes.
+    #[test]
+    fn reads_never_write(
+        ops in proptest::collection::vec(op_strategy(), 4..24),
+        policy in prop_oneof![
+            Just(eager()), Just(deferred(4)), Just(deferred(64)), Just(deferred(usize::MAX))
+        ],
+    ) {
+        prop_assert_eq!(run_with_reads(&ops, policy, true), run_with_reads(&ops, policy, false));
     }
 }
 
@@ -266,7 +322,7 @@ fn advisor_steps_through_the_writer() {
     // evidence through the writer and auto-creates the index.
     let reference = execute_count(&distinct, handle.snapshot().table(), NO_INDEXES);
     for _ in 0..4 {
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         assert_eq!(snap.query_count(&distinct), reference);
     }
     assert!(handle.snapshot().indexes().is_empty());
@@ -279,7 +335,7 @@ fn advisor_steps_through_the_writer() {
     );
     // The advised epoch serves the new index to fresh snapshots, with
     // identical results.
-    let mut snap = handle.snapshot();
+    let snap = handle.snapshot();
     assert_eq!(snap.indexes().len(), 1);
     assert!(snap.plan_query(&distinct).to_string().contains("PatchScan"));
     assert_eq!(snap.query_count(&distinct), reference);

@@ -11,10 +11,8 @@
 //! deferred, both designs) and the snapshot path, always comparing
 //! against a byte-identical index-free replay.
 
-use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy,
-    PublishPolicy,
-};
+use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, PublishPolicy};
+use pi_integration::deferred;
 use pi_planner::{execute_count, rewrite, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
@@ -44,15 +42,6 @@ fn table_of(parts: &[Vec<i64>]) -> Table {
     }
     t.propagate_all();
     t
-}
-
-fn deferred() -> MaintenancePolicy {
-    MaintenancePolicy {
-        mode: MaintenanceMode::Deferred {
-            flush_rows: usize::MAX,
-        },
-        ..MaintenancePolicy::default()
-    }
 }
 
 fn distinct_plan() -> Plan {
@@ -149,7 +138,7 @@ fn rows_for(vals: &[i64], next_key: &mut i64) -> Vec<Vec<Value>> {
 fn run_owner(ops: &[XOp], use_deferred: bool, design: Design) {
     let mut it = IndexedTable::new(table_of(&seed_parts()));
     if use_deferred {
-        it = it.with_policy(deferred());
+        it = it.with_policy(deferred(usize::MAX));
     }
     let slot = it.add_index(1, Constraint::NearlyUnique, design);
     let plan = distinct_plan();
@@ -177,7 +166,7 @@ fn run_owner(ops: &[XOp], use_deferred: bool, design: Design) {
 /// recomputes (with statement-paced auto-publish), readers pull
 /// snapshots and must stay exact at every epoch.
 fn run_concurrent(ops: &[XOp], design: Design) {
-    let it = IndexedTable::new(table_of(&seed_parts())).with_policy(deferred());
+    let it = IndexedTable::new(table_of(&seed_parts())).with_policy(deferred(usize::MAX));
     let (handle, mut writer) = ConcurrentTable::new(it);
     writer.set_publish_policy(PublishPolicy::every(2).and_after_flush());
     let slot = writer.add_index(1, Constraint::NearlyUnique, design);
@@ -194,7 +183,7 @@ fn run_concurrent(ops: &[XOp], design: Design) {
                 writer.publish();
             }
         }
-        let mut snap = handle.snapshot();
+        let snap = handle.snapshot();
         let reference = execute_count(&plan, snap.table(), NO_INDEXES);
         assert_eq!(snap.query_count(&plan), reference, "ops: {ops:?}");
     }

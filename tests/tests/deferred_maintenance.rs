@@ -6,20 +6,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use patchindex::{Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, SortDir};
+use patchindex::{Constraint, Design, IndexedTable, SortDir};
 use pi_datagen::MicroKind;
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::micro;
+use pi_integration::{deferred, micro};
 use pi_planner::{execute, execute_count, optimize, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::Value;
 use proptest::prelude::*;
-
-fn deferred_policy(flush_rows: usize) -> MaintenancePolicy {
-    MaintenancePolicy {
-        mode: MaintenanceMode::Deferred { flush_rows },
-        ..MaintenancePolicy::default()
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -126,7 +119,7 @@ fn run_twins(
 ) -> (IndexedTable, IndexedTable, usize) {
     let mut eager = IndexedTable::new(micro(300, 0.1, kind).table);
     let mut deferred =
-        IndexedTable::new(micro(300, 0.1, kind).table).with_policy(deferred_policy(flush_rows));
+        IndexedTable::new(micro(300, 0.1, kind).table).with_policy(deferred(flush_rows));
     let slot = eager.add_index(1, constraint, design);
     assert_eq!(deferred.add_index(1, constraint, design), slot);
     let (mut k1, mut k2) = (1_000_000i64, 1_000_000i64);
@@ -212,20 +205,21 @@ proptest! {
     // the rewritten sort query still matches the reference result — all
     // staged rows are routed through the exception flow, so the kept flow
     // really is sorted. (NUC plans exploiting patch/kept value
-    // disjointness instead fall under the flush-before-query contract,
-    // exercised in `check_consistency_pending_vs_flushed`.)
+    // disjointness are instead masked by the facade while pending; what
+    // hand-wiring them unflushed does is exercised in
+    // `check_consistency_pending_vs_flushed`.)
     #[test]
     fn nsc_queries_stay_correct_while_maintenance_pending(
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
         let mut it = IndexedTable::new(micro(300, 0.1, MicroKind::Nsc).table)
-            .with_policy(deferred_policy(usize::MAX));
+            .with_policy(deferred(usize::MAX));
         let slot = it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         let mut next_key = 1_000_000i64;
         for op in &ops {
             apply(&mut it, op, &mut next_key);
             // No flush here: query with whatever is pending right now.
-            // (The facade never flushes NSC-bound plans either — staged
+            // (The facade keeps NSC-bound plans while pending — staged
             // rows route through the exception flow.)
             let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
             let reference = execute(&plan, it.table(), NO_INDEXES);
@@ -242,8 +236,8 @@ proptest! {
 /// correct regardless, and after `flush_maintenance()` the check passes.
 #[test]
 fn check_consistency_pending_vs_flushed() {
-    let mut it = IndexedTable::new(micro(300, 0.0, MicroKind::Nuc).table)
-        .with_policy(deferred_policy(usize::MAX));
+    let mut it =
+        IndexedTable::new(micro(300, 0.0, MicroKind::Nuc).table).with_policy(deferred(usize::MAX));
     let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     assert_eq!(it.index(slot).exception_count(), 0);
 
@@ -262,8 +256,8 @@ fn check_consistency_pending_vs_flushed() {
     // the invariant a staged-but-unflushed collision suspends. The
     // conservative routing never *loses* rows, so the rewritten count can
     // only exceed the reference until the flush restores the invariant.
-    // (Hand-wiring planner + executor bypasses the facade's
-    // NUC-disjointness flush on purpose here.)
+    // (Hand-wiring planner + executor bypasses the facade's pending-NUC
+    // mask on purpose here.)
     let plan = Plan::scan(vec![1]).distinct(vec![0]);
     let reference = execute_count(&plan, it.table(), NO_INDEXES);
     let pending_cat = it.catalog();
@@ -284,18 +278,18 @@ fn check_consistency_pending_vs_flushed() {
     it.flush_maintenance();
     it.check_consistency();
     assert_eq!(it.index(slot).exception_count(), 2);
-    // Flushed: the rewritten plan is exact again — and the facade, which
-    // would have flushed up front, agrees.
+    // Flushed: the rewritten plan is exact again, and the facade binds it.
     assert_eq!(it.query_count(&plan), reference);
 }
 
 /// The facade closes the stale-pending-state hole the direct wiring
-/// leaves open: a NUC-bound distinct through `QueryEngine::query` flushes
-/// first and is exact even while a collision is staged.
+/// leaves open without ever writing: a distinct through
+/// `QueryEngine::query` masks the pending NUC binding — exact, staged
+/// work untouched — and binds the rewrite again once the owner flushes.
 #[test]
-fn query_engine_flushes_nuc_disjointness_plans() {
-    let mut it = IndexedTable::new(micro(300, 0.0, MicroKind::Nuc).table)
-        .with_policy(deferred_policy(usize::MAX));
+fn query_engine_masks_pending_nuc_until_flushed() {
+    let mut it =
+        IndexedTable::new(micro(300, 0.0, MicroKind::Nuc).table).with_policy(deferred(usize::MAX));
     let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     let Value::Int(dup) = it.table().partition(0).value_at(1, 0) else {
         panic!("int column")
@@ -305,11 +299,16 @@ fn query_engine_flushes_nuc_disjointness_plans() {
 
     let plan = Plan::scan(vec![1]).distinct(vec![0]);
     let reference = execute_count(&plan, it.table(), NO_INDEXES);
-    assert_eq!(it.query_count(&plan), reference);
-    assert!(
-        !it.index(slot).has_pending(),
-        "facade must flush the bound NUC index"
-    );
+    let trace = it.explain_analyze(&plan);
+    assert_eq!(trace.rows_out as usize, reference);
+    assert_eq!(trace.planner.masked_pending_slots, [slot]);
+    assert!(trace.planner.slots_bound.is_empty());
+    assert!(it.index(slot).has_pending(), "a query never flushes");
+
+    it.flush_index(slot);
+    let trace = it.explain_analyze(&plan);
+    assert_eq!(trace.rows_out as usize, reference);
+    assert_eq!(trace.planner.slots_bound, [slot]);
     it.check_consistency();
 }
 
@@ -321,7 +320,7 @@ fn transient_values_reproduce_eager_semantics() {
     for (values, touch_existing) in [(vec![7i64, 8], false), (vec![7, 8], true)] {
         let mut eager = IndexedTable::new(micro(60, 0.0, MicroKind::Nuc).table);
         let mut deferred = IndexedTable::new(micro(60, 0.0, MicroKind::Nuc).table)
-            .with_policy(deferred_policy(usize::MAX));
+            .with_policy(deferred(usize::MAX));
         let slot_e = eager.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let slot_d = deferred.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         for it in [&mut eager, &mut deferred] {
@@ -360,8 +359,8 @@ fn transient_values_reproduce_eager_semantics() {
 #[test]
 #[should_panic(expected = "flush deferred maintenance")]
 fn checkpoint_with_pending_maintenance_panics() {
-    let mut it = IndexedTable::new(micro(60, 0.0, MicroKind::Nuc).table)
-        .with_policy(deferred_policy(usize::MAX));
+    let mut it =
+        IndexedTable::new(micro(60, 0.0, MicroKind::Nuc).table).with_policy(deferred(usize::MAX));
     let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.insert(&[vec![Value::Int(7_000_000), Value::Int(1)]]);
     assert!(it.index(slot).has_pending());
@@ -375,8 +374,8 @@ fn checkpoint_with_pending_maintenance_panics() {
 #[test]
 fn duplicate_rids_in_one_modify_statement() {
     let mut eager = IndexedTable::new(micro(60, 0.0, MicroKind::Nuc).table);
-    let mut deferred = IndexedTable::new(micro(60, 0.0, MicroKind::Nuc).table)
-        .with_policy(deferred_policy(usize::MAX));
+    let mut deferred =
+        IndexedTable::new(micro(60, 0.0, MicroKind::Nuc).table).with_policy(deferred(usize::MAX));
     let slot = eager.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     assert_eq!(
         deferred.add_index(1, Constraint::NearlyUnique, Design::Bitmap),

@@ -17,8 +17,9 @@
 use std::io;
 use std::sync::Arc;
 
-use patchindex::{Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, SortDir};
+use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir};
 use pi_durability::{state_image, DurableOptions, DurableWriter, SyncPolicy};
+use pi_integration::{deferred, eager};
 use pi_storage::dfs::{DurableFs, SimFs};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
@@ -321,17 +322,6 @@ fn stream(seed: u64, len: usize) -> Vec<Stmt> {
     out
 }
 
-fn eager() -> MaintenancePolicy {
-    MaintenancePolicy::default()
-}
-
-fn deferred() -> MaintenancePolicy {
-    MaintenancePolicy {
-        mode: MaintenanceMode::Deferred { flush_rows: 4 },
-        ..MaintenancePolicy::default()
-    }
-}
-
 #[test]
 fn crash_every_io_boundary_every_record() {
     crash_sweep(&stream(0xA11CE, 26), eager(), SyncPolicy::EveryRecord, 1);
@@ -346,7 +336,7 @@ fn crash_every_io_boundary_every_publish() {
 fn crash_every_io_boundary_deferred_maintenance() {
     crash_sweep(
         &stream(0x0B0B_51ED, 22),
-        deferred(),
+        deferred(4),
         SyncPolicy::EveryRecord,
         1,
     );
@@ -430,6 +420,6 @@ fn stress_crash_recovery() {
     for _ in 0..iters {
         let stmts = stream(rng.next_u64(), rng.gen_range(18..36));
         crash_sweep(&stmts, eager(), SyncPolicy::EveryRecord, 1);
-        crash_sweep(&stmts, deferred(), SyncPolicy::EveryPublish, 1);
+        crash_sweep(&stmts, deferred(4), SyncPolicy::EveryPublish, 1);
     }
 }

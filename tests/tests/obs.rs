@@ -90,7 +90,7 @@ fn storm_loses_no_increments_and_snapshots_stay_consistent() {
                 let own = registry.counter(&format!("storm.thread{t}"));
                 let hist = registry.histogram("storm.hist");
                 for i in 0..per_thread {
-                    let mut snap = handle.snapshot();
+                    let snap = handle.snapshot();
                     assert!(!snap.query(plan).is_empty());
                     shared.inc();
                     own.inc();
@@ -175,7 +175,7 @@ fn traces_follow_the_cache_lifecycle_across_publishes() {
     writer.set_publish_policy(PublishPolicy::every(1));
     let plan = Plan::scan(vec![1]).sort(vec![(0, pi_exec::ops::sort::SortOrder::Asc)]);
 
-    let mut snap = handle.snapshot();
+    let snap = handle.snapshot();
     let (cold, trace) = snap.query_traced(&plan);
     assert_eq!(trace.cache, Some(CacheOutcome::Miss));
     assert!(!trace.operators.is_empty());
@@ -199,7 +199,7 @@ fn traces_follow_the_cache_lifecycle_across_publishes() {
     // Publish new data: the next snapshot's trace must miss (the entry
     // was invalidated), execute, and see the new row.
     writer.insert(&[vec![Value::Int(9_999), Value::Int(9_999)]]);
-    let mut snap = handle.snapshot();
+    let snap = handle.snapshot();
     let (fresh, trace) = snap.query_traced(&plan);
     assert_eq!(trace.cache, Some(CacheOutcome::Miss));
     assert_eq!(

@@ -11,18 +11,19 @@
 //! The entry-point matrix below pins the other half of the contract:
 //! every way into the one pipeline — owner table, writer, uncached /
 //! cached-miss / cached-hit snapshot, through `query`, `query_count` and
-//! `query_traced` — returns that same answer and records workload
-//! evidence by the same rule table.
+//! `query_traced` — returns that same answer, masks a pending NUC index
+//! the same way, records workload evidence by the same rule table and
+//! writes nothing to the indexes it reads.
 
 use std::sync::Arc;
 
 use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy,
-    QueryShape, ResultCache, SortDir,
+    ConcurrentTable, Constraint, Design, IndexedTable, PatchIndex, QueryShape, ResultCache, SortDir,
 };
 use pi_datagen::{generate, MicroKind, MicroSpec};
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::Batch;
+use pi_integration::{deferred, eager};
 use pi_obs::{CacheOutcome, QueryTrace};
 use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -124,7 +125,7 @@ fn column_vec(b: &Batch) -> Vec<i64> {
 }
 
 /// Compares facade vs unoptimized results for the whole query suite.
-fn assert_queries_match(it: &mut IndexedTable, ctx: &str) {
+fn assert_queries_match(it: &IndexedTable, ctx: &str) {
     // DISTINCT val — bag output: canonical row order.
     let distinct = Plan::scan(vec![1]).distinct(vec![0]);
     let mut reference = column_vec(&execute(&distinct, it.table(), NO_INDEXES));
@@ -178,20 +179,13 @@ proptest! {
         kind_nuc in any::<bool>(),
         nuc_bitmap in any::<bool>(),
         with_nsc in any::<bool>(),
-        deferred in any::<bool>(),
+        deferred_mode in any::<bool>(),
         flush_rows in 1usize..16,
         ops in proptest::collection::vec(op_strategy(), 1..12),
     ) {
         let kind = if kind_nuc { MicroKind::Nuc } else { MicroKind::Nsc };
         let ds = generate(&MicroSpec::new(400, e, kind).with_partitions(partitions));
-        let policy = if deferred {
-            MaintenancePolicy {
-                mode: MaintenanceMode::Deferred { flush_rows },
-                ..MaintenancePolicy::default()
-            }
-        } else {
-            MaintenancePolicy::default()
-        };
+        let policy = if deferred_mode { deferred(flush_rows) } else { eager() };
         let mut it = IndexedTable::new(ds.table).with_policy(policy);
         // Random index set on the value column — the catalog carries them
         // all and the facade picks per query. A NUC index is only created
@@ -212,18 +206,18 @@ proptest! {
             it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Identifier);
         }
 
-        assert_queries_match(&mut it, "initial");
+        assert_queries_match(&it, "initial");
         let mut next_key = 1_000_000i64;
         for (i, op) in ops.iter().enumerate() {
             apply(&mut it, op, &mut next_key);
             // Mid-stream: pending deferred state included — the facade
-            // must flush exactly when a chosen plan requires it.
-            assert_queries_match(&mut it, &format!("after op {i} ({op:?})"));
+            // must mask exactly the bindings it suspends.
+            assert_queries_match(&it, &format!("after op {i} ({op:?})"));
         }
         // Any remaining pending state must flush clean.
         it.flush_maintenance();
         it.check_consistency();
-        assert_queries_match(&mut it, "final");
+        assert_queries_match(&it, "final");
     }
 }
 
@@ -256,12 +250,7 @@ fn matrix_table(flushed: bool) -> IndexedTable {
         );
     }
     t.propagate_all();
-    let mut it = IndexedTable::new(t).with_policy(MaintenancePolicy {
-        mode: MaintenanceMode::Deferred {
-            flush_rows: usize::MAX,
-        },
-        ..MaintenancePolicy::default()
-    });
+    let mut it = IndexedTable::new(t).with_policy(deferred(usize::MAX));
     assert_eq!(
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap),
         NUC
@@ -370,7 +359,7 @@ fn bound_slots(chosen: &Plan) -> Vec<usize> {
 /// Runs `plan` through one facade method; rows come back canonicalized
 /// for bag outputs (a distinct's hash order is not part of the answer).
 fn call<E: QueryEngine>(
-    engine: &mut E,
+    engine: &E,
     method: Method,
     plan: &Plan,
     bag: bool,
@@ -399,8 +388,18 @@ fn call<E: QueryEngine>(
     }
 }
 
-/// One cell of the matrix: the answer equals the index-free execution
-/// and the evidence delta is exactly what the rule table prescribes.
+/// What a read must leave alone: the index versions (by pointer) and the
+/// staged row-events.
+fn index_state(indexes: &[Arc<PatchIndex>]) -> (Vec<*const PatchIndex>, usize) {
+    (
+        indexes.iter().map(Arc::as_ptr).collect(),
+        indexes.iter().map(|idx| idx.pending_rows()).sum(),
+    )
+}
+
+/// One cell of the matrix: the answer equals the index-free execution,
+/// the queried indexes are untouched, and the evidence delta is exactly
+/// what the rule table prescribes.
 fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShape>, flushed: bool) {
     let ctx = format!("{entry:?} x {method:?} x {plan} (flushed={flushed})");
     let bag = shape == Some(QueryShape::Distinct);
@@ -418,19 +417,32 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
             let mut it = it;
             let before = evidence(&it);
             let chosen = it.plan_query(plan);
+            it.absorb_workload();
             assert_eq!(evidence(&it), before, "{ctx}: plan_query");
-            let got = call(&mut it, method, plan, bag);
+            let state = index_state(it.indexes());
+            let got = call(&it, method, plan, bag);
+            assert_eq!(index_state(it.indexes()), state, "{ctx}: a read wrote");
+            it.absorb_workload();
             let want = evidence_after(&before, shape, &bound_slots(&chosen), 1, 1);
-            (got, chosen, None, evidence(&it), want)
+            (got, chosen, CacheOutcome::Uncached, evidence(&it), want)
         }
         Entry::Writer => {
             let (_handle, mut writer) = ConcurrentTable::new(it);
             let before = evidence(writer.staging());
             let chosen = writer.plan_query(plan);
+            writer.absorb_feedback();
             assert_eq!(evidence(writer.staging()), before, "{ctx}: plan_query");
-            let got = call(&mut writer, method, plan, bag);
+            let state = index_state(writer.staging().indexes());
+            let got = call(&writer, method, plan, bag);
+            assert_eq!(
+                index_state(writer.staging().indexes()),
+                state,
+                "{ctx}: a read wrote"
+            );
+            writer.absorb_feedback();
             let want = evidence_after(&before, shape, &bound_slots(&chosen), 1, 1);
-            (got, chosen, None, evidence(writer.staging()), want)
+            let after = evidence(writer.staging());
+            (got, chosen, CacheOutcome::Uncached, after, want)
         }
         Entry::Uncached | Entry::CachedMiss | Entry::CachedHit => {
             let (handle, mut writer) = if entry == Entry::Uncached {
@@ -441,18 +453,20 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
                     Arc::new(ResultCache::new(ResultCache::DEFAULT_BUDGET)),
                 )
             };
-            let mut snap = handle.snapshot();
+            let snap = handle.snapshot();
             let before = evidence(writer.staging());
             let chosen = snap.plan_query(plan);
             writer.absorb_feedback();
             assert_eq!(evidence(writer.staging()), before, "{ctx}: plan_query");
+            let state = index_state(snap.indexes());
             let runs = if entry == Entry::CachedHit {
-                call(&mut snap, method, plan, bag); // the miss that fills the cache
+                call(&snap, method, plan, bag); // the miss that fills the cache
                 2
             } else {
                 1
             };
-            let got = call(&mut snap, method, plan, bag);
+            let got = call(&snap, method, plan, bag);
+            assert_eq!(index_state(snap.indexes()), state, "{ctx}: a read wrote");
             writer.absorb_feedback();
             let after = evidence(writer.staging());
             let want = evidence_after(&before, shape, &bound_slots(&chosen), runs, 1);
@@ -465,7 +479,7 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
                 let stats = handle.cache_stats().unwrap();
                 assert_eq!((stats.hits, stats.misses), (runs - 1, 1), "{ctx}");
             }
-            (got, chosen, Some(outcome), after, want)
+            (got, chosen, outcome, after, want)
         }
     };
 
@@ -476,12 +490,11 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
     assert_eq!(count, reference.len(), "{ctx}: count");
     assert_eq!(after, want, "{ctx}: evidence");
 
-    // The matrix must cover what it claims: a pending NUC is flushed and
-    // bound by the owner, masked (unbound) on a snapshot; NSC binds while
-    // pending either way.
-    let on_snapshot = cache_outcome.is_some();
+    // The matrix must cover what it claims, by one rule at every entry: a
+    // pending NUC is masked (unbound), NSC binds while pending.
+    let masked = !flushed && shape == Some(QueryShape::Distinct);
     match shape {
-        Some(QueryShape::Distinct) if on_snapshot && !flushed => {
+        Some(QueryShape::Distinct) if masked => {
             assert!(bound_slots(&chosen).is_empty(), "{ctx}: {chosen}")
         }
         Some(QueryShape::Distinct) => assert_eq!(bound_slots(&chosen), [NUC], "{ctx}"),
@@ -489,10 +502,9 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
         None => assert!(bound_slots(&chosen).is_empty(), "{ctx}"),
     }
     if let Some(trace) = trace {
-        assert_eq!(trace.cache, cache_outcome, "{ctx}");
+        assert_eq!(trace.cache, Some(cache_outcome), "{ctx}");
         assert_eq!(trace.planner.slots_bound, bound_slots(&chosen), "{ctx}");
         assert_eq!(trace.optimized, chosen.to_string(), "{ctx}");
-        let masked = on_snapshot && !flushed && shape == Some(QueryShape::Distinct);
         assert_eq!(
             trace.planner.masked_pending_slots,
             if masked { vec![NUC] } else { Vec::new() },
@@ -500,7 +512,7 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
         );
         assert_eq!(
             trace.operators.is_empty(),
-            cache_outcome == Some(CacheOutcome::Hit),
+            cache_outcome == CacheOutcome::Hit,
             "{ctx}: only a hit executes nothing"
         );
     }
@@ -520,40 +532,6 @@ fn every_entry_point_runs_the_same_pipeline() {
                 for (plan, shape) in matrix_plans() {
                     check_cell(entry, method, &plan, shape, flushed);
                 }
-            }
-        }
-    }
-}
-
-/// The owner applies a query's evidence immediately, a snapshot reader
-/// sinks it for the writer to absorb: both routes must leave the same
-/// query log and per-index feedback for the same query on the same state.
-#[test]
-fn owner_applied_and_writer_absorbed_evidence_agree() {
-    for method in [Method::Query, Method::Count, Method::Traced] {
-        for (plan, shape) in matrix_plans() {
-            let bag = shape == Some(QueryShape::Distinct);
-            let mut owner = matrix_table(true);
-            call(&mut owner, method, &plan, bag);
-
-            let (handle, mut writer) = ConcurrentTable::new(matrix_table(true));
-            call(&mut handle.snapshot(), method, &plan, bag);
-            writer.absorb_feedback();
-            let absorbed = writer.staging();
-
-            assert_eq!(evidence(&owner), evidence(absorbed), "{method:?} x {plan}");
-            for slot in [NUC, NSC] {
-                let (a, b) = (
-                    owner.index(slot).query_feedback(),
-                    absorbed.index(slot).query_feedback(),
-                );
-                // Same catalog numbers behind both estimates; only the
-                // measured wall clock may differ.
-                assert_eq!(a.est_cost_saved, b.est_cost_saved, "{method:?} x {plan}");
-                assert_eq!(
-                    a.est_cost_executed, b.est_cost_executed,
-                    "{method:?} x {plan}"
-                );
             }
         }
     }
