@@ -1,8 +1,9 @@
 //! Word-level copying of arbitrary bit ranges between packed `u64` buffers.
 //!
 //! Used by the sharded bitmap's condense operation (re-packing valid bit
-//! ranges of each shard into a fresh dense buffer) and by windowed reads
-//! that assemble the patch mask for a scan batch across shard boundaries.
+//! ranges of each shard into a fresh dense buffer), by windowed reads that
+//! assemble the patch mask for a scan batch across shard boundaries, and by
+//! the bulk delete (removing a shard's deleted bits in one compaction pass).
 
 /// Copies `len` bits from `src` starting at bit offset `src_off` into `dst`
 /// starting at bit offset `dst_off`.
@@ -30,6 +31,50 @@ pub fn copy_bits(src: &[u64], src_off: usize, dst: &mut [u64], dst_off: usize, l
         dst[dw] = (dst[dw] & !(mask(take) << db)) | (chunk << db);
         copied += take;
     }
+}
+
+/// Removes the bits at the ascending, distinct offsets `dels` from the first
+/// `valid` bits of `buf`, in place and in one pass: each run of bits between
+/// two deleted offsets moves down by the number of deletes before it, and
+/// the `dels.len()` slots vacated below `valid` are zeroed.
+pub fn remove_bits(buf: &mut [u64], dels: &[usize], valid: usize) {
+    let Some(&first) = dels.first() else {
+        return;
+    };
+    debug_assert!(
+        dels.windows(2).all(|w| w[0] < w[1]),
+        "offsets not ascending"
+    );
+    debug_assert!(*dels.last().unwrap() < valid && valid <= buf.len() * 64);
+    let mut dst = first;
+    for (i, &del) in dels.iter().enumerate() {
+        let src = del + 1;
+        let run = dels.get(i + 1).copied().unwrap_or(valid) - src;
+        // Ascending and `dst < src`: every word is read before the pass
+        // overwrites it.
+        let mut moved = 0;
+        while moved < run {
+            let take = (64 - (dst + moved) % 64).min(run - moved);
+            let chunk = read_bits(buf, src + moved, take);
+            write_bits(buf, dst + moved, take, chunk);
+            moved += take;
+        }
+        dst += run;
+    }
+    while dst < valid {
+        let take = (64 - dst % 64).min(valid - dst);
+        write_bits(buf, dst, take, 0);
+        dst += take;
+    }
+}
+
+/// Overwrites the `len` bits at `off`, which must lie within one word, with
+/// the low `len` bits of `value`.
+#[inline]
+fn write_bits(dst: &mut [u64], off: usize, len: usize, value: u64) {
+    let (w, b) = (off / 64, off % 64);
+    debug_assert!(b + len <= 64);
+    dst[w] = (dst[w] & !(mask(len) << b)) | (value << b);
 }
 
 /// Reads `len <= 64` bits starting at `off` as a single value (LSB-first).
@@ -116,6 +161,34 @@ mod tests {
         let mut dst = [0u64];
         copy_bits(&src, 5, &mut dst, 9, 0);
         assert_eq!(dst[0], 0);
+    }
+
+    #[test]
+    fn remove_bits_matches_a_vec_model() {
+        let words = [0xDEAD_BEEF_0123_4567_u64, 0xAAAA_5555_F0F0_0FF0, u64::MAX];
+        for (dels, valid) in [
+            (vec![0usize], 192usize),
+            (vec![191], 192),
+            (vec![0, 1, 2, 63, 64, 65, 127, 128], 192),
+            (vec![5, 70, 71, 100], 130),
+            ((0..100).collect(), 100),
+            ((0..192).step_by(3).collect(), 192),
+        ] {
+            let mut model = bits_of(&words, 0, valid);
+            for &d in dels.iter().rev() {
+                model.remove(d);
+            }
+            let mut buf = words;
+            remove_bits(&mut buf, &dels, valid);
+            assert_eq!(bits_of(&buf, 0, model.len()), model, "{dels:?}");
+            let vacated = bits_of(&buf, model.len(), dels.len());
+            assert!(vacated.iter().all(|&b| !b), "{dels:?}");
+            assert_eq!(
+                bits_of(&buf, valid, 192 - valid),
+                bits_of(&words, valid, 192 - valid),
+                "{dels:?}: bits above `valid` untouched"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! delete (capacity the shard can no longer address); the [`ShardedBitmap::condense`]
 //! operation re-packs shards to reclaim those slots.
 
-use crate::bitcopy::copy_bits;
+use crate::bitcopy::{copy_bits, remove_bits};
 use crate::simd::ShiftKernel;
 
 /// How a bulk delete distributes work (paper, Section 4.2.3 / Figure 4).
@@ -47,6 +47,11 @@ pub struct ShardedBitmap {
 
 /// Default shard size: the optimum determined in Figure 6 of the paper.
 pub const DEFAULT_SHARD_BITS: usize = 1 << 14;
+
+/// Fewest affected shards a bulk delete hands to one worker: starting a
+/// thread costs about as much as compacting a few dozen default-size
+/// shards, so below this the calling thread does the work alone.
+const MIN_SHARDS_PER_WORKER: usize = 32;
 
 impl ShardedBitmap {
     /// Creates an all-zero sharded bitmap of `len` bits with the default
@@ -242,10 +247,11 @@ impl ShardedBitmap {
     /// Deletes many logical positions at once (Section 4.2.3 / Figure 4).
     ///
     /// Positions refer to the bitmap state *before* the call; duplicates are
-    /// ignored. A preprocessing pass groups positions by shard, shifts are
-    /// performed descending within each shard (optionally in parallel across
-    /// shards), and all start values are adapted in a single traversal with
-    /// a running sum of preceding deletes.
+    /// ignored. A preprocessing pass groups positions by shard, each affected
+    /// shard drops its whole group in one left-compaction pass (in parallel
+    /// across shards when enough of them are affected to occupy a worker),
+    /// and all start values are adapted in a single traversal with a running
+    /// sum of preceding deletes.
     pub fn bulk_delete(&mut self, positions: &[u64], mode: BulkDeleteMode) {
         if positions.is_empty() {
             return;
@@ -281,56 +287,52 @@ impl ShardedBitmap {
             BulkDeleteMode::ParallelVectorized => self.kernel,
         };
 
-        // Per-shard work item: shift out each deleted offset, descending, so
-        // earlier shifts do not move later target positions.
+        // Per-shard work item: a lone offset is the single delete's tail
+        // shift; a group costs one pass over the shard, not one per offset.
         let valid_of: Vec<usize> = groups.iter().map(|(s, _)| self.shard_valid(*s)).collect();
-        let run = |shard_data: &mut [u64], offs: &[usize], valid: usize| {
-            let mut remaining = valid;
-            for &off in offs.iter().rev() {
-                kernel.shift_tail_left(shard_data, off, remaining);
-                remaining -= 1;
-            }
+        let run = |shard_data: &mut [u64], offs: &[usize], valid: usize| match offs {
+            [off] => kernel.shift_tail_left(shard_data, *off, valid),
+            _ => remove_bits(shard_data, offs, valid),
         };
 
-        match mode {
-            BulkDeleteMode::Sequential => {
-                for ((shard, offs), valid) in groups.iter().zip(&valid_of) {
-                    let range = shard * shard_words..(shard + 1) * shard_words;
-                    run(&mut self.data[range], offs, *valid);
-                }
-            }
-            BulkDeleteMode::Parallel | BulkDeleteMode::ParallelVectorized => {
-                // Hand each worker a contiguous slice of the affected-shard
-                // list; shards are disjoint word ranges, so `chunks_mut`
-                // provides aliasing-free access.
-                let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-                let mut shard_slices: Vec<Option<&mut [u64]>> =
-                    self.data.chunks_mut(shard_words).map(Some).collect();
-                let mut work: Vec<(&mut [u64], &[usize], usize)> = groups
-                    .iter()
-                    .zip(&valid_of)
-                    .map(|((shard, offs), valid)| {
-                        let slice = shard_slices[*shard].take().expect("duplicate shard");
-                        (slice, offs.as_slice(), *valid)
-                    })
-                    .collect();
-                let per_thread = work.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for chunk in work.chunks_mut(per_thread) {
-                        // Move ownership of the chunk items into the thread.
-                        let items: Vec<(&mut [u64], &[usize], usize)> = chunk
-                            .iter_mut()
-                            .map(|(d, o, v)| (std::mem::take(d), *o, *v))
-                            .collect();
-                        scope.spawn(move || {
-                            for (shard_data, offs, valid) in items {
-                                run(shard_data, offs, valid);
-                            }
-                        });
+        // Shards are disjoint word ranges, so `chunks_mut` hands out
+        // aliasing-free access in shard order.
+        let mut shard_slices = self.data.chunks_mut(shard_words).enumerate();
+        let mut work: Vec<(&mut [u64], &[usize], usize)> = groups
+            .iter()
+            .zip(&valid_of)
+            .map(|((shard, offs), valid)| {
+                let (_, slice) = shard_slices
+                    .find(|(s, _)| s == shard)
+                    .expect("groups ascend by shard");
+                (slice, offs.as_slice(), *valid)
+            })
+            .collect();
+        // `available_parallelism` re-reads the cgroup limits on every call
+        // (tens of microseconds): ask only when a second worker could pay.
+        let occupied = work.len() / MIN_SHARDS_PER_WORKER;
+        let workers = if mode == BulkDeleteMode::Sequential || occupied < 2 {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(occupied))
+        };
+        // Each worker takes a contiguous slice of the affected-shard list;
+        // the calling thread is the first of them.
+        let per_worker = work.len().div_ceil(workers);
+        std::thread::scope(|scope| {
+            let mut chunks = work.chunks_mut(per_worker);
+            let mine = chunks.next().expect("at least one affected shard");
+            for chunk in chunks {
+                scope.spawn(move || {
+                    for (shard_data, offs, valid) in chunk {
+                        run(shard_data, offs, *valid);
                     }
                 });
             }
-        }
+            for (shard_data, offs, valid) in mine {
+                run(shard_data, offs, *valid);
+            }
+        });
 
         // Single traversal over the start array with a running sum of
         // deleted bits in preceding shards (Figure 4, final step).
@@ -610,27 +612,31 @@ mod tests {
 
     #[test]
     fn bulk_delete_modes_agree() {
-        let positions: Vec<u64> = (0..2048).filter(|p| p % 7 == 0).collect();
-        let deletes: Vec<u64> = (0..2048).filter(|p| p % 13 == 0).collect();
-        let mut expected = ShardedBitmap::with_shard_bits(2048, 128);
-        positions.iter().for_each(|&p| expected.set(p));
-        // Reference: descending single deletes.
-        for &d in deletes.iter().rev() {
-            expected.delete(d);
-        }
-        for mode in [
-            BulkDeleteMode::Sequential,
-            BulkDeleteMode::Parallel,
-            BulkDeleteMode::ParallelVectorized,
-        ] {
-            let mut bm = ShardedBitmap::with_shard_bits(2048, 128);
-            positions.iter().for_each(|&p| bm.set(p));
-            bm.bulk_delete(&deletes, mode);
-            bm.check_invariants();
-            assert_eq!(bm.len(), expected.len(), "{mode:?}");
-            let a: Vec<u64> = bm.iter_ones().collect();
-            let b: Vec<u64> = expected.iter_ones().collect();
-            assert_eq!(a, b, "{mode:?}");
+        // 16 affected shards stay on the calling thread; 128 are enough to
+        // be split over workers.
+        for bits in [2048u64, 16384] {
+            let positions: Vec<u64> = (0..bits).filter(|p| p % 7 == 0).collect();
+            let deletes: Vec<u64> = (0..bits).filter(|p| p % 13 == 0).collect();
+            let mut expected = ShardedBitmap::with_shard_bits(bits, 128);
+            positions.iter().for_each(|&p| expected.set(p));
+            // Reference: descending single deletes.
+            for &d in deletes.iter().rev() {
+                expected.delete(d);
+            }
+            for mode in [
+                BulkDeleteMode::Sequential,
+                BulkDeleteMode::Parallel,
+                BulkDeleteMode::ParallelVectorized,
+            ] {
+                let mut bm = ShardedBitmap::with_shard_bits(bits, 128);
+                positions.iter().for_each(|&p| bm.set(p));
+                bm.bulk_delete(&deletes, mode);
+                bm.check_invariants();
+                assert_eq!(bm.len(), expected.len(), "{bits} {mode:?}");
+                let a: Vec<u64> = bm.iter_ones().collect();
+                let b: Vec<u64> = expected.iter_ones().collect();
+                assert_eq!(a, b, "{bits} {mode:?}");
+            }
         }
     }
 

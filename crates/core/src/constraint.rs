@@ -9,6 +9,18 @@ pub enum SortDir {
     Desc,
 }
 
+impl SortDir {
+    /// Maps `v` so that a run sorted in this direction is non-decreasing in
+    /// the mapped values. `Desc` uses `!v`, an order-reversing bijection on
+    /// `i64`; `-v` is not one (it wraps at `i64::MIN`).
+    pub fn orient(self, v: i64) -> i64 {
+        match self {
+            SortDir::Asc => v,
+            SortDir::Desc => !v,
+        }
+    }
+}
+
 /// An approximate constraint materialized by a PatchIndex (paper,
 /// Section 3.1): satisfied by all tuples except the set of patches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

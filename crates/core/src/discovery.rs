@@ -76,7 +76,7 @@ pub fn discover_values(values: &[i64], constraint: Constraint) -> DiscoveryResul
             let vals = match dir {
                 SortDir::Asc => values,
                 SortDir::Desc => {
-                    oriented = values.iter().map(|v| -v).collect();
+                    oriented = values.iter().map(|&v| dir.orient(v)).collect();
                     &oriented
                 }
             };
@@ -225,6 +225,9 @@ mod tests {
         let r = discover_values(&vals, Constraint::NearlySorted(SortDir::Desc));
         assert_eq!(r.patches, vec![2]);
         assert_eq!(r.last_sorted, Some(5));
+        let vals = vec![i64::MIN, 5, 4];
+        let r = discover_values(&vals, Constraint::NearlySorted(SortDir::Desc));
+        assert_eq!(r.patches, vec![0]);
     }
 
     #[test]

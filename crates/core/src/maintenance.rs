@@ -517,10 +517,7 @@ pub(crate) fn extend_sorted_run(
     dir: SortDir,
 ) -> (std::collections::BTreeSet<usize>, Option<i64>) {
     // Orient so the run is always non-decreasing.
-    let orient = |v: i64| match dir {
-        SortDir::Asc => v,
-        SortDir::Desc => -v,
-    };
+    let orient = |v: i64| dir.orient(v);
     let anchor = last.map(orient);
     // Candidates must not precede the current anchor.
     let candidates: Vec<usize> = values
@@ -787,6 +784,10 @@ mod tests {
         let (keep, last) = extend_sorted_run(&[], Some(4), SortDir::Asc);
         assert!(keep.is_empty());
         assert_eq!(last, None);
+        // Descending: nothing follows i64::MIN but another i64::MIN.
+        let (keep, last) = extend_sorted_run(&[3, i64::MIN], Some(i64::MIN), SortDir::Desc);
+        assert!(!keep.contains(&0) && keep.contains(&1));
+        assert_eq!(last, Some(i64::MIN));
     }
 
     /// Acceptance guard of the build-once pipeline: one maintenance round

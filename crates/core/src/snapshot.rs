@@ -28,6 +28,16 @@
 //! pays a one-time copy ([`std::sync::Arc::make_mut`]); everything else
 //! mutates in place exactly as before. A read-only epoch costs nothing.
 //!
+//! What that one-time copy costs differs by kind. A *partition* copy is
+//! per delta, not per row: `pi_storage::Partition` keeps its base columns
+//! (and the zone maps over them) behind an `Arc` of their own, so the
+//! copy clones the pending delta store and bumps a refcount; base columns
+//! are copied only by a `propagate` on a partition some snapshot still
+//! shares, which rewrites them anyway. An *index* copy clones the
+//! partition-local patch stores. Either way the copy is a new
+//! `Arc<Partition>` / `Arc<PatchIndex>`, so pointer identity stays the
+//! exact dirty set the result cache and incremental checkpoints key on.
+//!
 //! ## The pending-NUC masking rule
 //!
 //! Deferred maintenance may be staged when a snapshot is published; the

@@ -6,50 +6,51 @@
 //! partition order; callers combine them with Union / ordered Merge / a
 //! final aggregation, mirroring the paper's per-partition plans.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pi_storage::{Partition, Table};
+
+/// The machine's available parallelism, read once: the standard library
+/// re-reads the cgroup limits on every call, which costs more than a small
+/// statement's whole fan-out.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
 
 /// Runs `f` once per partition (in parallel) and collects the results in
 /// partition order. Fan-out is clamped to the machine's available
 /// parallelism: a table with P ≫ cores partitions costs `min(P, cores)`
-/// threads instead of P. Worker `w` takes partitions `w, w+workers, …`
+/// workers instead of P. Worker `w` takes partitions `w, w+workers, …`
 /// (strided) so adjacent heavy partitions — skew is usually clustered —
-/// spread across workers instead of serializing on one.
+/// spread across workers instead of serializing on one. The calling thread
+/// is worker 0, so only `workers − 1` threads are spawned.
 pub fn per_partition<T, F>(table: &Table, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&Partition) -> T + Sync,
 {
     let partitions: Vec<&Partition> = table.partitions().iter().map(Arc::as_ref).collect();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(partitions.len());
+    let workers = cores().min(partitions.len());
     if workers <= 1 {
         return partitions.into_iter().map(f).collect();
     }
+    let stride = |w: usize| -> Vec<(usize, T)> {
+        let mine = partitions.iter().enumerate().skip(w).step_by(workers);
+        mine.map(|(i, p)| (i, f(p))).collect()
+    };
+    let stride = &stride;
     let mut out: Vec<Option<T>> = (0..partitions.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                let partitions = &partitions;
-                scope.spawn(move || {
-                    partitions
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, p)| (i, f(p)))
-                        .collect::<Vec<(usize, T)>>()
-                })
-            })
+        let handles: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || stride(w)))
             .collect();
+        let mut done = stride(0);
         for h in handles {
-            for (i, v) in h.join().expect("partition worker panicked") {
-                out[i] = Some(v);
-            }
+            done.extend(h.join().expect("partition worker panicked"));
+        }
+        for (i, v) in done {
+            out[i] = Some(v);
         }
     });
     out.into_iter()

@@ -155,6 +155,15 @@ impl ColumnData {
         }
     }
 
+    /// Reserves room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        match self {
+            ColumnData::Int(v) => v.reserve(additional),
+            ColumnData::Float(v) => v.reserve(additional),
+            ColumnData::Str { codes, .. } => codes.reserve(additional),
+        }
+    }
+
     /// Copies the rows in `range` into a new vector.
     pub fn slice(&self, start: usize, len: usize) -> ColumnData {
         match self {
@@ -179,18 +188,60 @@ impl ColumnData {
         }
     }
 
+    /// Copies the rows at `indices` of the concatenation `self ++ tail`
+    /// into a new vector: an index below `self.len()` reads `self`, any
+    /// other reads `tail` at `index - self.len()` (merge-on-read gathers
+    /// over base storage followed by the append buffer).
+    pub fn gather_concat(&self, tail: &ColumnData, indices: &[usize]) -> ColumnData {
+        fn pick<T: Copy>(head: &[T], tail: &[T], indices: &[usize]) -> Vec<T> {
+            indices
+                .iter()
+                .map(|&i| match head.get(i) {
+                    Some(&v) => v,
+                    None => tail[i - head.len()],
+                })
+                .collect()
+        }
+        match (self, tail) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => ColumnData::Int(pick(a, b, indices)),
+            (ColumnData::Float(a), ColumnData::Float(b)) => ColumnData::Float(pick(a, b, indices)),
+            (ColumnData::Str { codes: a, dict: da }, ColumnData::Str { codes: b, dict: db }) => {
+                assert!(
+                    Arc::ptr_eq(da, db),
+                    "gather_concat across different dictionaries"
+                );
+                ColumnData::Str {
+                    codes: pick(a, b, indices),
+                    dict: Arc::clone(da),
+                }
+            }
+            (a, b) => panic!(
+                "type mismatch: gathering {:?} ++ {:?}",
+                a.data_type(),
+                b.data_type()
+            ),
+        }
+    }
+
     /// Appends all rows of `other` (types and, for strings, dictionaries
     /// must match).
     pub fn extend_from(&mut self, other: &ColumnData) {
+        self.extend_from_range(other, 0, other.len());
+    }
+
+    /// Appends rows `[start, start + len)` of `other` as one typed slice
+    /// copy (types and, for strings, dictionaries must match).
+    pub fn extend_from_range(&mut self, other: &ColumnData, start: usize, len: usize) {
+        let range = start..start + len;
         match (self, other) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
-            (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(b),
+            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(&b[range]),
+            (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(&b[range]),
             (ColumnData::Str { codes: a, dict: da }, ColumnData::Str { codes: b, dict: db }) => {
                 assert!(
                     Arc::ptr_eq(da, db),
                     "extend_from across different dictionaries"
                 );
-                a.extend_from_slice(b);
+                a.extend_from_slice(&b[range]);
             }
             (a, b) => panic!(
                 "type mismatch: extending {:?} with {:?}",
@@ -305,6 +356,28 @@ mod tests {
         let mut s = str_column(&["a", "b", "c"]);
         s.delete_sorted(&[1]);
         assert_eq!(s.as_codes(), &[0, 2]);
+    }
+
+    #[test]
+    fn gather_concat_reads_head_then_tail() {
+        let head = ColumnData::from(vec![10i64, 20]);
+        let tail = ColumnData::from(vec![30i64, 40]);
+        assert_eq!(
+            head.gather_concat(&tail, &[3, 0, 2, 1]).as_int(),
+            &[40, 10, 30, 20]
+        );
+        let s = str_column(&["a", "b", "c"]);
+        let (h, t) = (s.slice(0, 1), s.slice(1, 2));
+        assert_eq!(h.gather_concat(&t, &[2, 0]).as_codes(), &[2, 0]);
+    }
+
+    #[test]
+    fn extend_from_range_copies_the_window() {
+        let src = ColumnData::from(vec![0i64, 1, 2, 3, 4]);
+        let mut dst = ColumnData::from(vec![9i64]);
+        dst.extend_from_range(&src, 1, 3);
+        dst.extend_from_range(&src, 4, 0);
+        assert_eq!(dst.as_int(), &[9, 1, 2, 3]);
     }
 
     #[test]

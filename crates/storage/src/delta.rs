@@ -11,7 +11,11 @@
 //! * inserts append at the end; modifies patch values in place;
 //! * [`DeltaStore`] translates visible rowIDs to stable base positions or
 //!   append-buffer slots, and `propagate` merges all deltas into base
-//!   storage (the PDT checkpoint operation).
+//!   storage (the PDT checkpoint operation);
+//! * merge-on-read costs per *delta*, not per row: a range read copies the
+//!   base runs between consecutive deleted positions as typed slices,
+//!   overwrites the modified cells inside the window, and takes the append
+//!   buffer as one more run.
 
 use std::collections::BTreeMap;
 
@@ -89,9 +93,21 @@ impl DeltaStore {
         &self.appends
     }
 
-    /// Number of deleted base positions `<= pos`.
-    fn deleted_upto(&self, pos: usize) -> usize {
-        self.deleted.partition_point(|&d| d <= pos)
+    /// Number of deleted base positions that precede visible row `rid`, so
+    /// that `rid + shift(rid)` is the row's *physical* position: its base
+    /// position, or `base_rows + slot` for a row in the append buffer.
+    /// `deleted[i] - i` is non-decreasing, which makes this a binary search.
+    fn shift(&self, rid: usize) -> usize {
+        let (mut lo, mut hi) = (0, self.deleted.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.deleted[mid] - mid <= rid {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Translates a visible rowID to its physical location.
@@ -99,22 +115,12 @@ impl DeltaStore {
     /// # Panics
     /// Panics if `rid >= visible_len()`.
     pub fn locate(&self, rid: usize) -> RowLoc {
-        let base_visible = self.base_visible_len();
-        if rid >= base_visible {
-            let slot = rid - base_visible;
-            assert!(slot < self.append_len(), "rowID {rid} out of bounds");
-            return RowLoc::Append(slot);
-        }
-        // Find base position b with b - #deleted(<= b) == rid via fixpoint
-        // iteration over the sorted delete list (converges because the
-        // correction is monotone).
-        let mut b = rid;
-        loop {
-            let nb = rid + self.deleted_upto(b);
-            if nb == b {
-                return RowLoc::Base(b);
-            }
-            b = nb;
+        assert!(rid < self.visible_len(), "rowID {rid} out of bounds");
+        let pos = rid + self.shift(rid);
+        if pos < self.base_rows {
+            RowLoc::Base(pos)
+        } else {
+            RowLoc::Append(pos - self.base_rows)
         }
     }
 
@@ -137,13 +143,8 @@ impl DeltaStore {
 
     /// Pending value patch for a base position and column, if any.
     pub fn modified_value(&self, base_pos: usize, col: usize) -> Option<&Value> {
-        self.modified.get(&base_pos).and_then(|patches| {
-            patches
-                .iter()
-                .rev()
-                .find(|(c, _)| *c == col)
-                .map(|(_, v)| v)
-        })
+        let patches = self.modified.get(&base_pos)?;
+        patches.iter().find(|(c, _)| *c == col).map(|(_, v)| v)
     }
 
     /// Appends one row (values matching the schema order).
@@ -163,12 +164,19 @@ impl DeltaStore {
     }
 
     /// Records value patches for visible rows. Patches to appended rows are
-    /// applied directly in the append buffer.
+    /// applied directly in the append buffer; a base cell keeps one entry
+    /// however often it is modified.
     pub fn modify(&mut self, rids: &[usize], col: usize, values: &[Value]) {
         assert_eq!(rids.len(), values.len(), "modify arity mismatch");
         for (&rid, v) in rids.iter().zip(values) {
             match self.locate(rid) {
-                RowLoc::Base(b) => self.modified.entry(b).or_default().push((col, v.clone())),
+                RowLoc::Base(b) => {
+                    let patches = self.modified.entry(b).or_default();
+                    match patches.iter_mut().find(|(c, _)| *c == col) {
+                        Some((_, old)) => *old = v.clone(),
+                        None => patches.push((col, v.clone())),
+                    }
+                }
                 RowLoc::Append(slot) => self.appends[col].set(slot, v),
             }
         }
@@ -230,6 +238,82 @@ impl DeltaStore {
             *a = a.empty_like();
         }
         self.base_rows = base.first().map_or(0, |c| c.len());
+    }
+
+    /// Materializes visible rows `[start, start + len)` of column `col`,
+    /// whose base storage is `base`: one walk over the delete list from the
+    /// window's first row, copying the base runs between deleted positions,
+    /// then the modified cells inside the window, then the append buffer.
+    pub(crate) fn read_range(
+        &self,
+        base: &ColumnData,
+        col: usize,
+        start: usize,
+        len: usize,
+    ) -> ColumnData {
+        let mut out = base.empty_like();
+        out.reserve(len);
+        let base_visible = self.base_visible_len();
+        let base_len = len.min(base_visible.saturating_sub(start));
+        if base_len > 0 {
+            let mut di = self.shift(start);
+            let first = start + di;
+            let (mut pos, mut left) = (first, base_len);
+            let end = loop {
+                let next_deleted = self.deleted.get(di).copied().unwrap_or(self.base_rows);
+                let run = (next_deleted - pos).min(left);
+                out.extend_from_range(base, pos, run);
+                left -= run;
+                if left == 0 {
+                    break pos + run;
+                }
+                pos = next_deleted + 1;
+                di += 1;
+            };
+            for (&pos, patches) in self.modified.range(first..end) {
+                if let Some((_, v)) = patches.iter().find(|(c, _)| *c == col) {
+                    let rid = self.rid_of_base(pos).expect("a deleted row holds no patch");
+                    out.set(rid - start, v);
+                }
+            }
+        }
+        let append_start = start.saturating_sub(base_visible);
+        out.extend_from_range(&self.appends[col], append_start, len - base_len);
+        out
+    }
+
+    /// Physical positions (see [`DeltaStore::shift`]) of visible rows. An
+    /// ascending run of `rids` advances one cursor over the delete list; a
+    /// step backwards re-seeks it.
+    pub(crate) fn physical(&self, rids: &[usize]) -> Vec<usize> {
+        let (mut di, mut prev) = (0, usize::MAX);
+        rids.iter()
+            .map(|&rid| {
+                if rid < prev {
+                    di = self.shift(rid);
+                } else {
+                    while di < self.deleted.len() && self.deleted[di] - di <= rid {
+                        di += 1;
+                    }
+                }
+                prev = rid;
+                rid + di
+            })
+            .collect()
+    }
+
+    /// Materializes the rows at `physical` positions of column `col`, whose
+    /// base storage is `base`, applying pending patches.
+    pub(crate) fn gather(&self, base: &ColumnData, col: usize, physical: &[usize]) -> ColumnData {
+        let mut out = base.gather_concat(&self.appends[col], physical);
+        if !self.modified.is_empty() {
+            for (i, &pos) in physical.iter().enumerate() {
+                if let Some(v) = self.modified_value(pos, col) {
+                    out.set(i, v);
+                }
+            }
+        }
+        out
     }
 
     /// Reads the value of `col` for visible row `rid` from `base` /
@@ -328,6 +412,27 @@ mod tests {
         assert!(d.has_modifies());
         // Underlying base storage untouched until propagate.
         assert_eq!(base[0].as_int()[1], 1);
+    }
+
+    #[test]
+    fn repeated_modifies_of_one_cell_keep_one_entry() {
+        let (base, mut d) = store(5);
+        for i in 0..1000 {
+            d.modify(&[2], 0, &[Value::Int(i)]);
+        }
+        assert_eq!(d.modified[&2].len(), 1);
+        assert_eq!(d.read_value(&base, 0, 2), Value::Int(999));
+    }
+
+    #[test]
+    fn locate_across_a_run_of_adjacent_deletes() {
+        let (_, mut d) = store(1000);
+        d.delete(&(5..900).collect::<Vec<_>>());
+        assert_eq!(d.locate(4), RowLoc::Base(4));
+        assert_eq!(d.locate(5), RowLoc::Base(900));
+        d.append_row(&[Value::Int(0)]);
+        assert_eq!(d.locate(105), RowLoc::Append(0));
+        assert_eq!(d.physical(&[105, 5, 4, 104]), vec![1000, 900, 4, 999]);
     }
 
     #[test]

@@ -3,36 +3,52 @@
 //! Data partitioning is transparent for PatchIndexes: a separate index is
 //! created per partition, and discovery, creation and query processing run
 //! partition-locally and in parallel (paper, Section 3.2). A partition owns
-//! base columns, an in-memory [`DeltaStore`], and lazily built zone maps.
+//! an in-memory [`DeltaStore`] and shares its immutable base columns, with
+//! their lazily built zone maps, behind one `Arc`.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::column::ColumnData;
-use crate::delta::{DeltaStore, RowLoc};
+use crate::delta::DeltaStore;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::zonemap::{ZoneMap, DEFAULT_BLOCK_ROWS};
 
+/// Base storage: immutable between two propagates, so every clone of a
+/// partition shares it.
+#[derive(Debug, Clone)]
+struct Base {
+    columns: Vec<ColumnData>,
+    /// Lazily built zone maps over exactly `columns`. Interior-mutable
+    /// ([`OnceLock`]) so building one is a `&self` operation: maintenance
+    /// can warm a zone map through any clone and every clone sees it.
+    zonemaps: Vec<OnceLock<ZoneMap>>,
+}
+
+impl Base {
+    fn new(columns: Vec<ColumnData>) -> Self {
+        let zonemaps = columns.iter().map(|_| OnceLock::new()).collect();
+        Base { columns, zonemaps }
+    }
+}
+
 /// One horizontal slice of a table.
 ///
-/// `Clone` is a deep copy of base columns and deltas — the snapshot layer
-/// (`patchindex::snapshot`) shares partitions behind `Arc` and only pays
-/// this copy when a writer mutates a partition some snapshot still holds
-/// (copy-on-write via [`std::sync::Arc::make_mut`]).
+/// `Clone` costs per *delta*, not per row: it copies the [`DeltaStore`]
+/// and bumps the refcount of the shared base. The snapshot layer
+/// (`patchindex::snapshot`) shares partitions behind `Arc` and pays this
+/// clone when a writer mutates a partition some snapshot still holds
+/// (copy-on-write via [`std::sync::Arc::make_mut`]); only
+/// [`Partition::propagate`], which rewrites the base anyway, copies base
+/// columns that a clone still shares.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Partition id within its table.
     pub id: usize,
     schema: Arc<Schema>,
-    base: Vec<ColumnData>,
+    base: Arc<Base>,
     delta: DeltaStore,
-    /// Lazily built zone maps over *base* data. Interior-mutable
-    /// ([`OnceLock`]) so building one is a `&self` operation: maintenance
-    /// can warm zone maps on a partition that live snapshots still share
-    /// without forcing a copy-on-write of the whole partition — the cache
-    /// describes immutable base data, so sharing the build is sound.
-    zonemaps: Vec<OnceLock<ZoneMap>>,
     block_rows: usize,
 }
 
@@ -44,13 +60,11 @@ impl Partition {
         let rows = base.first().map_or(0, |c| c.len());
         assert!(base.iter().all(|c| c.len() == rows), "ragged columns");
         let proto: Vec<ColumnData> = base.iter().map(|c| c.empty_like()).collect();
-        let ncols = base.len();
         Partition {
             id,
             schema,
-            base,
+            base: Arc::new(Base::new(base)),
             delta: DeltaStore::new(rows, proto),
-            zonemaps: (0..ncols).map(|_| OnceLock::new()).collect(),
             block_rows: DEFAULT_BLOCK_ROWS,
         }
     }
@@ -74,70 +88,39 @@ impl Partition {
     /// Direct access to a base column (fast path for scans and index
     /// creation when no deltas are pending).
     pub fn base_column(&self, col: usize) -> &ColumnData {
-        &self.base[col]
+        &self.base.columns[col]
     }
 
     /// Reads the value of `col` at visible row `rid`.
     pub fn value_at(&self, col: usize, rid: usize) -> Value {
-        self.delta.read_value(&self.base, col, rid)
+        self.delta.read_value(&self.base.columns, col, rid)
     }
 
     /// Materializes rows `[start, start + len)` of the given columns.
     ///
-    /// Fast path: with no pending deltas this is a plain slice copy.
+    /// With no pending deltas this is one slice copy per column; with
+    /// some, one per base run between them (see [`DeltaStore`]).
     pub fn read_range(&self, cols: &[usize], start: usize, len: usize) -> Vec<ColumnData> {
         assert!(start + len <= self.visible_len(), "range out of bounds");
+        let base = &self.base.columns;
         if self.delta.is_empty() {
-            return cols
-                .iter()
-                .map(|&c| self.base[c].slice(start, len))
-                .collect();
+            return cols.iter().map(|&c| base[c].slice(start, len)).collect();
         }
-        // Merge-on-read: translate each rid once, then gather per column.
-        let base_visible = self.delta.base_visible_len();
-        let mut out: Vec<ColumnData> = cols.iter().map(|&c| self.base[c].empty_like()).collect();
-        // Batch rows by physical source to amortize translation.
-        let mut base_rows: Vec<usize> = Vec::new();
-        let mut append_rows: Vec<usize> = Vec::new();
-        let mut order: Vec<RowLoc> = Vec::with_capacity(len);
-        for rid in start..start + len {
-            let loc = self.delta.locate(rid);
-            order.push(loc);
-            match loc {
-                RowLoc::Base(b) => base_rows.push(b),
-                RowLoc::Append(s) => append_rows.push(s),
-            }
-        }
-        let _ = base_visible;
-        for (oi, &c) in cols.iter().enumerate() {
-            for loc in &order {
-                match *loc {
-                    RowLoc::Base(b) => {
-                        if let Some(v) = self.delta.modified_value(b, c) {
-                            out[oi].push(v);
-                        } else {
-                            out[oi].push(&self.base[c].value(b));
-                        }
-                    }
-                    RowLoc::Append(s) => out[oi].push(&self.delta.append_columns()[c].value(s)),
-                }
-            }
-        }
-        out
+        cols.iter()
+            .map(|&c| self.delta.read_range(&base[c], c, start, len))
+            .collect()
     }
 
     /// Materializes specific visible rows of the given columns.
     pub fn gather(&self, cols: &[usize], rids: &[usize]) -> Vec<ColumnData> {
+        let base = &self.base.columns;
         if self.delta.is_empty() {
-            return cols.iter().map(|&c| self.base[c].gather(rids)).collect();
+            return cols.iter().map(|&c| base[c].gather(rids)).collect();
         }
-        let mut out: Vec<ColumnData> = cols.iter().map(|&c| self.base[c].empty_like()).collect();
-        for (oi, &c) in cols.iter().enumerate() {
-            for &rid in rids {
-                out[oi].push(&self.value_at(c, rid));
-            }
-        }
-        out
+        let physical = self.delta.physical(rids);
+        cols.iter()
+            .map(|&c| self.delta.gather(&base[c], c, &physical))
+            .collect()
     }
 
     /// Appends a columnar batch.
@@ -162,22 +145,25 @@ impl Partition {
     }
 
     /// Merges all pending deltas into base storage and invalidates zone
-    /// maps.
+    /// maps. The one operation that writes the base: clones that still
+    /// share it keep the old one.
     pub fn propagate(&mut self) {
-        self.delta.propagate(&mut self.base);
-        self.zonemaps.iter_mut().for_each(|z| *z = OnceLock::new());
+        let base = Arc::make_mut(&mut self.base);
+        self.delta.propagate(&mut base.columns);
+        base.zonemaps.fill_with(OnceLock::new);
     }
 
     /// Ensures a zone map exists for an integer-backed column and returns
     /// it. Zone maps describe *base* data only; building one is a `&self`
-    /// cache fill (see the field docs).
+    /// cache fill that every clone sharing the base sees.
     pub fn zonemap(&self, col: usize) -> &ZoneMap {
-        self.zonemaps[col].get_or_init(|| ZoneMap::build(self.base[col].as_int(), self.block_rows))
+        self.base.zonemaps[col]
+            .get_or_init(|| ZoneMap::build(self.base.columns[col].as_int(), self.block_rows))
     }
 
     /// Zone map if already built.
     pub fn zonemap_if_built(&self, col: usize) -> Option<&ZoneMap> {
-        self.zonemaps[col].get()
+        self.base.zonemaps[col].get()
     }
 
     /// Candidate visible-row ranges for `col ∈ [lo, hi]`, using the zone
@@ -206,7 +192,7 @@ impl Partition {
 
     /// Approximate heap bytes of base storage.
     pub fn memory_bytes(&self) -> usize {
-        self.base.iter().map(|c| c.memory_bytes()).sum()
+        self.base.columns.iter().map(|c| c.memory_bytes()).sum()
     }
 }
 

@@ -164,6 +164,32 @@ fn all_rows_are_patches_nsc_reverse_sorted_column() {
 }
 
 #[test]
+fn descending_nsc_sorts_i64_min_below_everything() {
+    // `-v` wraps at i64::MIN (panic in debug, wrong patches in release):
+    // the orientation must reverse the order of every i64.
+    let desc = Constraint::NearlySorted(SortDir::Desc);
+    for design in [Design::Bitmap, Design::Identifier] {
+        let mut table = empty_table(1);
+        table.insert_rows(&rows_of(&[(0, i64::MIN), (1, 5), (2, 4)]));
+        let idx = PatchIndex::create(&table, 1, desc, design);
+        idx.check_consistency(&table);
+        assert_eq!(idx.exception_count(), 1, "{design:?}: kept run is 5, 4");
+
+        let mut table = empty_table(1);
+        table.insert_rows(&rows_of(&[(0, 5), (1, 4)]));
+        let mut idx = PatchIndex::create(&table, 1, desc, design);
+        let inserted = table.insert_rows(&rows_of(&[(2, i64::MIN)]));
+        idx.handle_insert(&mut table, &inserted);
+        idx.check_consistency(&table);
+        assert_eq!(idx.exception_count(), 0, "{design:?}: MIN extends 5, 4");
+        let inserted = table.insert_rows(&rows_of(&[(3, 3)]));
+        idx.handle_insert(&mut table, &inserted);
+        idx.check_consistency(&table);
+        assert_eq!(idx.exception_count(), 1, "{design:?}: 3 cannot follow MIN");
+    }
+}
+
+#[test]
 fn planted_full_exception_rate_survives_updates() {
     // e = 1.0 from the generator: every generated row is an exception.
     for kind in [MicroKind::Nuc, MicroKind::Nsc] {
