@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use patchindex::stats::{pi_bitmap_bytes, pi_identifier_bytes, preferred_design};
 use patchindex::{
-    Constraint, Design, IndexCatalog, IndexStats, IndexedTable, PartitionStats, QueryFeedback,
-    QueryShape, SortDir,
+    Constraint, Design, IndexCatalog, IndexStats, IndexedTable, PartitionStats, QueryShape, SortDir,
 };
 use pi_exec::ops::sort::SortOrder;
 use pi_obs::{Counter, Cumulative, MetricsRegistry, Windowed};
@@ -285,7 +284,7 @@ impl Advisor {
         for (slot, idx) in it.indexes().iter().enumerate() {
             let key = (idx.column(), idx.constraint());
             live.push(key);
-            let feedback = idx.query_feedback();
+            let feedback = it.feedback(slot);
             let totals = FeedbackTotals {
                 maintained: idx.maintenance_stats().maintained_rows,
                 saved: feedback.est_cost_saved,
@@ -499,7 +498,6 @@ fn hypothetical_benefit(
         drift_patches: 0,
         maintained_rows: 0,
         memory_bytes: 0,
-        feedback: QueryFeedback::default(),
     };
     let cat = IndexCatalog {
         part_rows,

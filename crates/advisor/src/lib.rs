@@ -122,6 +122,31 @@ mod tests {
         );
     }
 
+    /// Regression for "pointer identity is the exact dirty set": a step
+    /// that absorbs query evidence and decides nothing must not
+    /// re-version any index — observing is not maintaining.
+    #[test]
+    fn step_writer_without_action_leaves_every_index_version_shared() {
+        use patchindex::ConcurrentTable;
+        use std::sync::Arc;
+        let mut it = table((0..2_000).collect(), 2);
+        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        let (handle, mut writer) = ConcurrentTable::new(it);
+        let published = handle.snapshot();
+        let q = Plan::scan(vec![1]).distinct(vec![0]);
+        for _ in 0..3 {
+            published.query_count(&q);
+        }
+        let mut advisor = Advisor::new(AdvisorConfig::default());
+        let actions = advisor.step_writer(&mut writer);
+        assert!(actions.is_empty(), "{actions:?}");
+        assert_eq!(writer.staging().feedback(slot).times_bound, 3);
+        assert_eq!(handle.epoch(), published.epoch(), "nothing to publish");
+        for (staged, shared) in writer.staging().indexes().iter().zip(published.indexes()) {
+            assert!(Arc::ptr_eq(staged, shared));
+        }
+    }
+
     #[test]
     fn sort_queries_yield_an_nsc_index_in_the_right_direction() {
         let mut it = table((0..2_000).rev().collect(), 2);

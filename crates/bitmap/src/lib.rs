@@ -17,8 +17,6 @@
 //! * [`ShardedBitmap`] — single-threaded sharded bitmap with single
 //!   [`ShardedBitmap::delete`], parallel/vectorized
 //!   [`ShardedBitmap::bulk_delete`] and [`ShardedBitmap::condense`].
-//! * [`ConcurrentShardedBitmap`] — per-shard locking + atomic start values
-//!   (paper, Section 5.4).
 //! * [`ShiftKernel`] — scalar / unrolled / AVX2 cross-element shift kernels
 //!   (paper, Listing 1).
 //!
@@ -36,13 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod bitcopy;
-mod concurrent;
 mod plain;
 pub mod rle;
 mod sharded;
 pub mod simd;
 
-pub use concurrent::ConcurrentShardedBitmap;
 pub use plain::PlainBitmap;
 pub use rle::RleBitmap;
 pub use sharded::{BulkDeleteMode, ShardedBitmap, DEFAULT_SHARD_BITS};

@@ -41,8 +41,6 @@ pub struct ShardedBitmap {
     shard_bits_log2: u32,
     /// Total number of logical bits.
     logical_len: u64,
-    /// Shift kernel used by delete operations.
-    kernel: ShiftKernel,
 }
 
 /// Default shard size: the optimum determined in Figure 6 of the paper.
@@ -76,7 +74,6 @@ impl ShardedBitmap {
             starts: (0..nshards as u64).map(|s| s << log2).collect(),
             shard_bits_log2: log2,
             logical_len: len,
-            kernel: ShiftKernel::default(),
         }
     }
 
@@ -87,12 +84,6 @@ impl ShardedBitmap {
             bm.set(p);
         }
         bm
-    }
-
-    /// Overrides the shift kernel used by deletes (ablation hook).
-    pub fn with_kernel(mut self, kernel: ShiftKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Shard size in bits.
@@ -236,8 +227,7 @@ impl ShardedBitmap {
         let valid = self.shard_valid(s);
         let words = self.shard_words();
         let range = s * words..(s + 1) * words;
-        self.kernel
-            .shift_tail_left(&mut self.data[range], local, valid);
+        ShiftKernel::Auto.shift_tail_left(&mut self.data[range], local, valid);
         for start in &mut self.starts[s + 1..] {
             *start -= 1;
         }
@@ -284,7 +274,7 @@ impl ShardedBitmap {
         let shard_words = self.shard_words();
         let kernel = match mode {
             BulkDeleteMode::Sequential | BulkDeleteMode::Parallel => ShiftKernel::Scalar,
-            BulkDeleteMode::ParallelVectorized => self.kernel,
+            BulkDeleteMode::ParallelVectorized => ShiftKernel::Auto,
         };
 
         // Per-shard work item: a lone offset is the single delete's tail
@@ -455,34 +445,6 @@ impl ShardedBitmap {
     /// bitmap: `64 / shard_bits` (paper: 0.39% at the 2^14 default).
     pub fn sharding_overhead(&self) -> f64 {
         64.0 / self.shard_bits() as f64
-    }
-
-    /// Decomposes into `(data, starts, shard_bits_log2, logical_len)` for
-    /// lossless representation changes (e.g. the concurrent wrapper).
-    pub(crate) fn into_parts(self) -> (Vec<u64>, Vec<u64>, u32, u64) {
-        (
-            self.data,
-            self.starts,
-            self.shard_bits_log2,
-            self.logical_len,
-        )
-    }
-
-    /// Rebuilds from parts produced by [`ShardedBitmap::into_parts`] (or an
-    /// equivalent layout). The caller guarantees the invariants hold.
-    pub(crate) fn from_parts(
-        data: Vec<u64>,
-        starts: Vec<u64>,
-        shard_bits_log2: u32,
-        logical_len: u64,
-    ) -> Self {
-        ShardedBitmap {
-            data,
-            starts,
-            shard_bits_log2,
-            logical_len,
-            kernel: ShiftKernel::default(),
-        }
     }
 
     /// Validates all structural invariants (tests / debug assertions).

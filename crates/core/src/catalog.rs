@@ -14,7 +14,7 @@
 use pi_storage::Table;
 
 use crate::constraint::Constraint;
-use crate::index::{PatchIndex, QueryFeedback};
+use crate::index::PatchIndex;
 use crate::maintenance::gather_values;
 
 /// Row and patch counts of one index on one partition.
@@ -56,8 +56,6 @@ pub struct IndexStats {
     pub maintained_rows: u64,
     /// Heap bytes of the patch stores (the advisor's budget currency).
     pub memory_bytes: usize,
-    /// Optimizer feedback (times bound, estimated cost saved).
-    pub feedback: QueryFeedback,
 }
 
 /// Largest patch set whose distinct-value count the snapshot computes
@@ -102,7 +100,6 @@ impl IndexStats {
             drift_patches: index.drift_patches(),
             maintained_rows: index.maintained_since_recompute(),
             memory_bytes: index.memory_bytes(),
-            feedback: index.query_feedback(),
         }
     }
 

@@ -24,16 +24,17 @@ use pi_storage::dfs::{write_atomic, DurableFs, RealFs};
 use pi_storage::Table;
 
 use crate::constraint::{Constraint, Design, SortDir};
-use crate::index::{DriftBaseline, PartitionIndex, PatchIndex, QueryFeedback};
+use crate::index::{DriftBaseline, PartitionIndex, PatchIndex};
 use crate::maintenance::MaintenanceStats;
 use crate::store::PatchStore;
 
 const MAGIC: &[u8; 4] = b"PIDX";
-/// The only format this build reads or writes: header, monitoring
-/// counters, per-partition patch sets, then a CRC-32 trailer over
-/// everything before it, so torn or bit-flipped files are rejected at load
-/// instead of parsed.
-const VERSION: u32 = 5;
+/// The only format this build reads or writes: header, maintenance
+/// counters and drift baseline, per-partition patch sets, then a CRC-32
+/// trailer over everything before it, so torn or bit-flipped files are
+/// rejected at load instead of parsed. (Query feedback is table state:
+/// `pi-durability`'s meta file carries it.)
+const VERSION: u32 = 6;
 /// Word after the design word. Patch sets are always globally
 /// deduplicated (NUC discovery includes the cross-partition residual), so
 /// it is written as 1 and any other value is rejected.
@@ -112,7 +113,7 @@ impl PatchIndex {
         PatchIndex::create(table, col, constraint, design)
     }
 
-    /// Serializes the index to the current checkpoint format (v5,
+    /// Serializes the index to the current checkpoint format (v6,
     /// CRC-32 trailer included).
     ///
     /// # Panics
@@ -131,8 +132,8 @@ impl PatchIndex {
         put_u32(&mut b, constraint_tag(self.constraint()));
         put_u32(&mut b, matches!(self.design(), Design::Identifier) as u32);
         put_u32(&mut b, GLOBALLY_DEDUPLICATED);
-        // Monitoring counters: maintenance stats, drift baseline, query
-        // feedback — the advisor's observe state survives recovery.
+        // Monitoring counters: maintenance stats and drift baseline — the
+        // index's share of the advisor's observe state survives recovery.
         let stats = self.maintenance_stats();
         put_u64(&mut b, stats.collision_rounds);
         put_u64(&mut b, stats.build_invocations);
@@ -142,12 +143,6 @@ impl PatchIndex {
         put_f64(&mut b, baseline.match_fraction);
         put_u64(&mut b, baseline.patches);
         put_u64(&mut b, baseline.maintained_rows);
-        let feedback = self.query_feedback();
-        put_u64(&mut b, feedback.times_bound);
-        put_f64(&mut b, feedback.est_cost_saved);
-        put_u64(&mut b, feedback.measured_queries);
-        put_f64(&mut b, feedback.actual_micros);
-        put_f64(&mut b, feedback.est_cost_executed);
         put_u32(&mut b, self.partition_count() as u32);
         for pid in 0..self.partition_count() {
             let part = self.partition(pid);
@@ -270,13 +265,6 @@ impl PatchIndex {
             patches: read_u64(&mut r)?,
             maintained_rows: read_u64(&mut r)?,
         };
-        let feedback = QueryFeedback {
-            times_bound: read_u64(&mut r)?,
-            est_cost_saved: read_f64(&mut r)?,
-            measured_queries: read_u64(&mut r)?,
-            actual_micros: read_f64(&mut r)?,
-            est_cost_executed: read_f64(&mut r)?,
-        };
         // A valid checksum does not make a count true: bound each by the
         // bytes that remain before allocating for it.
         let nparts = read_u32(&mut r)? as usize;
@@ -328,7 +316,7 @@ impl PatchIndex {
             return Err(bad_data("trailing garbage after checkpoint payload"));
         }
         let mut idx = PatchIndex::from_parts(column, constraint, design, parts);
-        idx.restore_meta(stats, baseline, feedback);
+        idx.restore_meta(stats, baseline);
         Ok(idx)
     }
 }
@@ -411,7 +399,7 @@ mod tests {
         let mut idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         idx.recompute(&t);
         assert_eq!(idx.design(), Design::Identifier);
-        let path = std::env::temp_dir().join("pi_checkpoint_migrate_v5.pidx");
+        let path = std::env::temp_dir().join("pi_checkpoint_migrate_v6.pidx");
         idx.checkpoint(&path).unwrap();
         let loaded = PatchIndex::load_checkpoint(&path).unwrap();
         assert_eq!(loaded.design(), Design::Identifier);
@@ -493,7 +481,7 @@ mod tests {
         if version >= 4 {
             put_u32(&mut b, GLOBALLY_DEDUPLICATED);
         }
-        b.extend_from_slice(&[0u8; 12 * 8]); // stats, baseline, feedback
+        b.extend_from_slice(&[0u8; 7 * 8]); // stats, baseline
         put_u32(&mut b, 1); // partitions
         put_u64(&mut b, nrows);
         put_u32(&mut b, 0); // no anchor
@@ -504,7 +492,7 @@ mod tests {
         b
     }
 
-    /// [`body`] as a file of that version: only version 5 has a trailer.
+    /// [`body`] as a file of that version: versions before 5 had no trailer.
     fn image(version: u32, nrows: u64, count: u64, rids: &[u64]) -> Vec<u8> {
         let b = body(version, nrows, count, rids);
         if version >= 5 {
@@ -522,7 +510,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected_even_on_legacy_versions() {
-        let mut b = body(5, 3, 1, &[1]);
+        let mut b = body(VERSION, 3, 1, &[1]);
         PatchIndex::load_checkpoint_bytes(&seal(b.clone())).unwrap();
         b.extend_from_slice(b"junk");
         let msg = rejected(&seal(b));
@@ -538,12 +526,12 @@ mod tests {
         // The patch count is a claim, checksummed or not: u64::MAX asked
         // `Vec::with_capacity` for a capacity overflow, 2^40 for 8 TiB.
         for count in [u64::MAX, 1 << 40, 2] {
-            let msg = rejected(&image(5, 8, count, &[1]));
+            let msg = rejected(&image(VERSION, 8, count, &[1]));
             assert!(msg.contains("patch count"), "{msg}");
         }
         // Same for the partition count.
-        let mut b = body(5, 8, 1, &[1]);
-        let nparts_at = 8 + 4 * 4 + 12 * 8;
+        let mut b = body(VERSION, 8, 1, &[1]);
+        let nparts_at = 8 + 4 * 4 + 7 * 8;
         b[nparts_at..nparts_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let msg = rejected(&seal(b));
         assert!(msg.contains("partition count"), "{msg}");
@@ -554,21 +542,21 @@ mod tests {
 
     #[test]
     fn patch_rowid_outside_its_partition_is_rejected() {
-        PatchIndex::load_checkpoint_bytes(&image(5, 8, 2, &[1, 7])).unwrap();
-        let msg = rejected(&image(5, 8, 2, &[1, 8]));
+        PatchIndex::load_checkpoint_bytes(&image(VERSION, 8, 2, &[1, 7])).unwrap();
+        let msg = rejected(&image(VERSION, 8, 2, &[1, 8]));
         assert!(msg.contains("rowID 8"), "{msg}");
     }
 
     #[test]
     fn other_versions_and_flag_words_are_rejected() {
-        for version in [2, 3, 4, 6] {
+        for version in [2, 3, 4, 5, 7] {
             let msg = rejected(&image(version, 8, 1, &[1]));
             assert!(
                 msg.contains(&format!("unsupported checkpoint version {version}")),
                 "{msg}"
             );
         }
-        let mut b = body(5, 8, 1, &[1]);
+        let mut b = body(VERSION, 8, 1, &[1]);
         b[20..24].copy_from_slice(&0u32.to_le_bytes());
         let msg = rejected(&seal(b));
         assert!(msg.contains("globally deduplicated"), "{msg}");

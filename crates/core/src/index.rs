@@ -50,42 +50,14 @@ impl Default for DriftBaseline {
     }
 }
 
-/// Optimizer feedback for one index: how often query planning bound it
-/// and how much estimated cost the rewrites saved over the unrewritten
-/// plans (planner cost units). Written by the `QueryEngine` facade,
-/// read by the advisor's drop/budget rules. Survives recomputes.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct QueryFeedback {
-    /// Queries whose chosen plan bound this index.
-    pub times_bound: u64,
-    /// Cumulative estimated cost saved vs the unrewritten plans.
-    pub est_cost_saved: f64,
-    /// Queries whose execution was wall-clock measured (a subset of
-    /// `times_bound`: EXPLAIN-style planning binds without executing).
-    pub measured_queries: u64,
-    /// Cumulative measured execution time of those queries, in
-    /// microseconds.
-    pub actual_micros: f64,
-    /// Cumulative *estimated* cost of the chosen plans behind
-    /// `actual_micros` — the denominator of the estimate-vs-actual
-    /// calibration ratio ([`QueryFeedback::micros_per_cost_unit`]).
-    pub est_cost_executed: f64,
-}
-
-impl QueryFeedback {
-    /// Measured microseconds per planner cost unit — how the cost model's
-    /// absolute scale maps to wall-clock on this machine, grounded in the
-    /// queries that actually ran. `None` until a measured query executed.
-    pub fn micros_per_cost_unit(&self) -> Option<f64> {
-        (self.est_cost_executed > 0.0).then(|| self.actual_micros / self.est_cost_executed)
-    }
-}
-
 /// A PatchIndex over one column of a partitioned table.
 ///
 /// `Clone` deep-copies the patch stores (and any staged deferred work) —
 /// the snapshot layer shares indexes behind `Arc` and pays this copy only
 /// when maintenance mutates an index a live snapshot still references.
+/// Everything in here changes only through maintenance on the writer
+/// thread; what queries learn about an index (`QueryFeedback`) is table
+/// state and lives in [`crate::IndexedTable`].
 #[derive(Debug, Clone)]
 pub struct PatchIndex {
     column: usize,
@@ -94,7 +66,6 @@ pub struct PatchIndex {
     parts: Vec<PartitionIndex>,
     stats: MaintenanceStats,
     baseline: DriftBaseline,
-    feedback: QueryFeedback,
     pub(crate) pending: Option<PendingMaintenance>,
 }
 
@@ -151,7 +122,6 @@ impl PatchIndex {
             parts,
             stats: MaintenanceStats::default(),
             baseline: DriftBaseline::default(),
-            feedback: QueryFeedback::default(),
             pending: None,
         };
         idx.reset_baseline();
@@ -173,7 +143,6 @@ impl PatchIndex {
             parts,
             stats: MaintenanceStats::default(),
             baseline: DriftBaseline::default(),
-            feedback: QueryFeedback::default(),
             pending: None,
         };
         idx.reset_baseline();
@@ -231,40 +200,10 @@ impl PatchIndex {
         self.drift_patches() as f64 / maintained as f64
     }
 
-    /// Optimizer feedback accumulated through the `QueryEngine` facade.
-    pub fn query_feedback(&self) -> QueryFeedback {
-        self.feedback
-    }
-
-    /// Records one query that bound this index, with the estimated cost
-    /// saved vs the unrewritten plan (the `QueryEngine` facade calls
-    /// this; the advisor's drop rule reads it back).
-    pub fn record_query_feedback(&mut self, est_cost_saved: f64) {
-        self.feedback.times_bound += 1;
-        self.feedback.est_cost_saved += est_cost_saved.max(0.0);
-    }
-
-    /// Records the measured execution of one query that bound this index:
-    /// wall-clock `actual_micros` against the chosen plan's estimated cost
-    /// `est_cost` (per-slot shares when a plan bound several indexes).
-    /// The advisor's drop rule reads the accumulated calibration back via
-    /// [`QueryFeedback::micros_per_cost_unit`].
-    pub fn record_query_timing(&mut self, actual_micros: f64, est_cost: f64) {
-        self.feedback.measured_queries += 1;
-        self.feedback.actual_micros += actual_micros.max(0.0);
-        self.feedback.est_cost_executed += est_cost.max(0.0);
-    }
-
     /// Restores persisted counters after checkpoint recovery.
-    pub(crate) fn restore_meta(
-        &mut self,
-        stats: MaintenanceStats,
-        baseline: DriftBaseline,
-        feedback: QueryFeedback,
-    ) {
+    pub(crate) fn restore_meta(&mut self, stats: MaintenanceStats, baseline: DriftBaseline) {
         self.stats = stats;
         self.baseline = baseline;
-        self.feedback = feedback;
     }
 
     /// The indexed column.
@@ -336,8 +275,8 @@ impl PatchIndex {
     /// Rebuilds the index from scratch (the global recomputation the
     /// monitoring policy triggers once updates eroded optimality too far).
     /// Any deferred maintenance still pending is discarded — the fresh
-    /// discovery supersedes it. Maintenance stats and query feedback
-    /// survive; the drift baseline re-anchors at the fresh state.
+    /// discovery supersedes it. Maintenance stats survive; the drift
+    /// baseline re-anchors at the fresh state.
     ///
     /// Recompute is **design-migrating**: the Table-3 memory model is
     /// re-evaluated at the freshly discovered exception rate, so an index
@@ -346,10 +285,8 @@ impl PatchIndex {
     /// its create-time representation forever.
     pub fn recompute(&mut self, table: &Table) {
         let stats = self.stats;
-        let feedback = self.feedback;
         *self = PatchIndex::build(table, self.column, self.constraint, None);
         self.stats = stats;
-        self.feedback = feedback;
         self.reset_baseline();
     }
 

@@ -109,6 +109,40 @@ impl QueryLog {
     }
 }
 
+/// Optimizer feedback for one index: how often query planning bound it
+/// and how much estimated cost the rewrites saved over the unrewritten
+/// plans (planner cost units). Reported by queries through the table's
+/// [`WorkloadSink`], kept per slot in [`IndexedTable`] beside the
+/// [`QueryLog`], read by the advisor's drop/budget rules. Evidence about
+/// an index is not part of the index: absorbing it never copies or
+/// re-versions an `Arc<PatchIndex>`, and a recompute leaves it alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct QueryFeedback {
+    /// Queries whose chosen plan bound this index.
+    pub times_bound: u64,
+    /// Cumulative estimated cost saved vs the unrewritten plans.
+    pub est_cost_saved: f64,
+    /// Queries whose execution was wall-clock measured (a subset of
+    /// `times_bound`: EXPLAIN-style planning binds without executing).
+    pub measured_queries: u64,
+    /// Cumulative measured execution time of those queries, in
+    /// microseconds.
+    pub actual_micros: f64,
+    /// Cumulative *estimated* cost of the chosen plans behind
+    /// `actual_micros` — the denominator of the estimate-vs-actual
+    /// calibration ratio ([`QueryFeedback::micros_per_cost_unit`]).
+    pub est_cost_executed: f64,
+}
+
+impl QueryFeedback {
+    /// Measured microseconds per planner cost unit — how the cost model's
+    /// absolute scale maps to wall-clock on this machine, grounded in the
+    /// queries that actually ran. `None` until a measured query executed.
+    pub fn micros_per_cost_unit(&self) -> Option<f64> {
+        (self.est_cost_executed > 0.0).then(|| self.actual_micros / self.est_cost_executed)
+    }
+}
+
 /// A table whose PatchIndexes are maintained through every update.
 ///
 /// Indexes live behind [`Arc`]: the snapshot layer
@@ -121,6 +155,8 @@ pub struct IndexedTable {
     indexes: Vec<Arc<PatchIndex>>,
     policy: MaintenancePolicy,
     query_log: QueryLog,
+    /// One entry per index slot, in slot order.
+    feedback: Vec<QueryFeedback>,
     /// One reservoir per Int column while discovery sampling is enabled
     /// (indexed columns keep sampling too — cheap, and the index may be
     /// dropped later).
@@ -144,6 +180,7 @@ impl IndexedTable {
             indexes: Vec::new(),
             policy: MaintenancePolicy::default(),
             query_log: QueryLog::default(),
+            feedback: Vec::new(),
             samplers: Vec::new(),
             catalog_cache: OnceLock::new(),
             sink: Arc::default(),
@@ -161,8 +198,9 @@ impl IndexedTable {
     /// checkpoint-loaded indexes in slot order, and the persisted
     /// statement counter (the advisor's piggyback cadence must resume
     /// where the crashed process stopped, not restart from zero).
-    /// Discovery sampling restarts disabled; re-enable it after recovery
-    /// if the workload uses it.
+    /// Query feedback starts empty ([`IndexedTable::restore_feedback`]
+    /// puts a persisted one back). Discovery sampling restarts disabled;
+    /// re-enable it after recovery if the workload uses it.
     pub fn with_restored_indexes(
         table: Table,
         indexes: Vec<Arc<PatchIndex>>,
@@ -176,6 +214,7 @@ impl IndexedTable {
         }
         IndexedTable {
             table,
+            feedback: vec![QueryFeedback::default(); indexes.len()],
             indexes,
             policy: MaintenancePolicy::default(),
             query_log: QueryLog::default(),
@@ -184,6 +223,17 @@ impl IndexedTable {
             sink: Arc::default(),
             statements,
         }
+    }
+
+    /// Puts persisted query feedback back after recovery, one entry per
+    /// restored index in slot order.
+    pub fn restore_feedback(&mut self, feedback: Vec<QueryFeedback>) {
+        assert_eq!(
+            feedback.len(),
+            self.indexes.len(),
+            "one feedback entry per restored index"
+        );
+        self.feedback = feedback;
     }
 
     /// Replaces the maintenance policy in place (the snapshot writer's
@@ -201,6 +251,7 @@ impl IndexedTable {
             constraint,
             design,
         )));
+        self.feedback.push(QueryFeedback::default());
         self.indexes.len() - 1
     }
 
@@ -210,12 +261,14 @@ impl IndexedTable {
     /// all the planner assumes (every query re-snapshots).
     pub fn drop_index(&mut self, slot: usize) -> Arc<PatchIndex> {
         self.invalidate_catalog();
+        self.feedback.remove(slot);
         self.indexes.remove(slot)
     }
 
     /// Rebuilds the index in `slot` from the current table. Deferred work
     /// staged on that index is discarded — the fresh discovery over the
-    /// (always up-to-date) table supersedes it.
+    /// (always up-to-date) table supersedes it. The slot's query feedback
+    /// is untouched.
     pub fn recompute_index(&mut self, slot: usize) {
         self.invalidate_catalog();
         Arc::make_mut(&mut self.indexes[slot]).recompute(&self.table);
@@ -241,6 +294,20 @@ impl IndexedTable {
     #[allow(clippy::should_implement_trait)]
     pub fn index(&self, slot: usize) -> &PatchIndex {
         &self.indexes[slot]
+    }
+
+    /// Slot of the index on `(column, constraint)`, if one is live — how
+    /// evidence that names an index by what it materializes finds it
+    /// after drops shifted the slots.
+    pub fn slot_of(&self, column: usize, constraint: Constraint) -> Option<usize> {
+        self.indexes
+            .iter()
+            .position(|idx| idx.column() == column && idx.constraint() == constraint)
+    }
+
+    /// Optimizer feedback accumulated for the index in `slot`.
+    pub fn feedback(&self, slot: usize) -> QueryFeedback {
+        self.feedback[slot]
     }
 
     /// The active maintenance policy.
@@ -311,24 +378,23 @@ impl IndexedTable {
 
     /// Records optimizer feedback for the index in `slot`: it was bound
     /// by a chosen plan estimated to save `est_cost_saved` planner cost
-    /// units over the unrewritten plan. The cached catalog is patched in
-    /// place — feedback does not change any planning-relevant statistic.
+    /// units over the unrewritten plan.
     pub fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) {
-        Arc::make_mut(&mut self.indexes[slot]).record_query_feedback(est_cost_saved);
-        if let Some(cache) = self.catalog_cache.get_mut() {
-            cache.indexes[slot].feedback = self.indexes[slot].query_feedback();
-        }
+        let fb = &mut self.feedback[slot];
+        fb.times_bound += 1;
+        fb.est_cost_saved += est_cost_saved.max(0.0);
     }
 
-    /// Records the measured execution of one query for the index in
-    /// `slot` (wall-clock micros + the chosen plan's estimated cost; see
-    /// [`PatchIndex::record_query_timing`]). Patches the cached catalog
-    /// in place like [`IndexedTable::record_query_feedback`].
+    /// Records the measured execution of one query that bound the index
+    /// in `slot`: wall-clock `actual_micros` against the chosen plan's
+    /// estimated cost `est_cost` (per-slot shares when a plan bound
+    /// several indexes). The advisor's drop rule reads the accumulated
+    /// calibration back via [`QueryFeedback::micros_per_cost_unit`].
     pub fn record_query_timing(&mut self, slot: usize, actual_micros: f64, est_cost: f64) {
-        Arc::make_mut(&mut self.indexes[slot]).record_query_timing(actual_micros, est_cost);
-        if let Some(cache) = self.catalog_cache.get_mut() {
-            cache.indexes[slot].feedback = self.indexes[slot].query_feedback();
-        }
+        let fb = &mut self.feedback[slot];
+        fb.measured_queries += 1;
+        fb.actual_micros += actual_micros.max(0.0);
+        fb.est_cost_executed += est_cost.max(0.0);
     }
 
     /// The sink queries on this table report their workload evidence to.
@@ -338,19 +404,16 @@ impl IndexedTable {
         &self.sink
     }
 
-    /// Drains the sink into the query log and the per-index feedback —
+    /// Drains the sink into the query log and the per-slot feedback —
     /// the one place query evidence changes table state: a query-log
     /// shape, or feedback / a measured timing for the index on the
     /// event's `(column, constraint)` (events naming one without a live
-    /// index — dropped since — are discarded). Called by
+    /// index — dropped since — are discarded). No index version, no
+    /// partition and no cached catalog changes here, so a publish after
+    /// read-only traffic stays a no-op. Called by
     /// [`crate::TableWriter::absorb_feedback`] (hence every publish) and
     /// by the advisor before it observes.
     pub fn absorb_workload(&mut self) {
-        let slot_of = |it: &Self, column: usize, constraint: Constraint| {
-            it.indexes
-                .iter()
-                .position(|idx| idx.column() == column && idx.constraint() == constraint)
-        };
         for event in self.sink.drain() {
             match event {
                 WorkloadEvent::Query { col, shape } => self.record_query(col, shape),
@@ -359,7 +422,7 @@ impl IndexedTable {
                     constraint,
                     est_cost_saved,
                 } => {
-                    if let Some(slot) = slot_of(self, column, constraint) {
+                    if let Some(slot) = self.slot_of(column, constraint) {
                         self.record_query_feedback(slot, est_cost_saved);
                     }
                 }
@@ -369,7 +432,7 @@ impl IndexedTable {
                     actual_micros,
                     est_cost,
                 } => {
-                    if let Some(slot) = slot_of(self, column, constraint) {
+                    if let Some(slot) = self.slot_of(column, constraint) {
                         self.record_query_timing(slot, actual_micros, est_cost);
                     }
                 }
@@ -885,18 +948,37 @@ mod tests {
     }
 
     #[test]
-    fn query_feedback_patches_the_cache_without_invalidating() {
+    fn query_feedback_touches_neither_cache_nor_index() {
         let mut it = fresh();
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        let other = it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         let before: *const IndexCatalog = it.cached_catalog();
+        let shared = it.share_indexes();
         it.record_query_feedback(slot, 123.0);
-        let cached = it.cached_catalog();
-        assert_eq!(cached.indexes[slot].feedback.times_bound, 1);
-        assert!((cached.indexes[slot].feedback.est_cost_saved - 123.0).abs() < 1e-9);
+        it.record_query_timing(slot, 9.0, 3.0);
+        assert_eq!(it.feedback(slot).times_bound, 1);
+        assert!((it.feedback(slot).est_cost_saved - 123.0).abs() < 1e-9);
+        assert_eq!(it.feedback(slot).micros_per_cost_unit(), Some(3.0));
+        assert_eq!(it.feedback(other), QueryFeedback::default());
         assert!(
-            std::ptr::eq(before, cached),
+            std::ptr::eq(before, it.cached_catalog()),
             "feedback must not force a re-snapshot"
         );
+        for (a, b) in shared.iter().zip(it.indexes()) {
+            assert!(Arc::ptr_eq(a, b), "feedback must not re-version an index");
+        }
+        // Feedback follows its slot: survives a recompute, leaves with a
+        // drop, and the slots behind the dropped one shift down with it.
+        it.record_query_feedback(other, 7.0);
+        it.recompute_index(slot);
+        assert_eq!(it.feedback(slot).times_bound, 1);
+        it.drop_index(slot);
+        assert_eq!(
+            it.slot_of(0, Constraint::NearlySorted(SortDir::Asc)),
+            Some(0)
+        );
+        assert!((it.feedback(0).est_cost_saved - 7.0).abs() < 1e-9);
+        assert_eq!(it.slot_of(1, Constraint::NearlyUnique), None);
     }
 
     #[test]

@@ -72,10 +72,10 @@ mod store;
 pub use cache::{CacheStats, CachedValue, Footprint, ResultCache};
 pub use catalog::{IndexCatalog, IndexStats, PartitionStats};
 pub use constraint::{Constraint, Design, SortDir};
-pub use index::{DriftBaseline, PartitionIndex, PatchIndex, QueryFeedback};
-pub use indexed::{IndexedTable, MaintenanceMode, MaintenancePolicy, QueryLog, QueryShape};
-pub use maintenance::{drp_ranges, MaintenanceStats};
-pub use snapshot::{
-    ConcurrentTable, PublishPolicy, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink,
+pub use index::{DriftBaseline, PartitionIndex, PatchIndex};
+pub use indexed::{
+    IndexedTable, MaintenanceMode, MaintenancePolicy, QueryFeedback, QueryLog, QueryShape,
 };
+pub use maintenance::{drp_ranges, MaintenanceStats};
+pub use snapshot::{ConcurrentTable, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink};
 pub use store::PatchStore;

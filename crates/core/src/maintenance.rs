@@ -9,19 +9,20 @@
 //!
 //! The NUC collision join hashes the changed tuples **once** into a
 //! shared [`JoinTable`] and fans the per-partition DRP-pruned probes out
-//! over all cores, applying bitmap patches straight through a
-//! [`ConcurrentShardedBitmap`].
+//! over all cores. The probe workers only *find* collisions and return
+//! them; the writer thread — the one mutator an index version has (paper,
+//! Section 5.4; see [`crate::snapshot`]) — applies them to the patch
+//! stores, bitmap and identifier design alike.
 
 use std::ops::Range;
 
-use pi_bitmap::ConcurrentShardedBitmap;
 use pi_exec::ops::hash_join::{HashJoinOp, JoinTable, ProbeSide};
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::parallel::per_partition;
 use pi_exec::{Batch, OpRef, Operator};
 use pi_storage::{ColumnData, Partition, RowAddr, Table};
 
-use crate::constraint::{Constraint, Design, SortDir};
+use crate::constraint::{Constraint, SortDir};
 use crate::index::PatchIndex;
 use crate::lis;
 
@@ -118,10 +119,16 @@ pub(crate) fn build_changed_batch_from(entries: &[(usize, u64, i64)]) -> Batch {
     ])
 }
 
+/// Statements smaller than this probe the partitions inline on the
+/// calling thread: spawning one worker per partition does not amortize
+/// for near-empty DRP-pruned probes (the same small-work rule the bulk
+/// delete applies — paper, Figure 6). The build side is still hashed
+/// exactly once either way.
+const INLINE_PROBE_BUILD_ROWS: usize = 64;
+
 /// What a collision-probe round produced.
 pub(crate) struct ProbeOutcome {
-    /// Probe-side collision rowIDs per partition. Left empty when a
-    /// concurrent sink applied them directly.
+    /// Probe-side collision rowIDs per partition, sorted and deduplicated.
     pub probe_hits: Vec<Vec<u64>>,
     /// Build-side collision rows `(pid, rid)`, sorted and deduplicated.
     /// Every entry refers to a changed tuple.
@@ -141,30 +148,11 @@ pub(crate) struct ProbeOutcome {
 /// * deferred flush (`skip_dirty == Some`): every probe hit on a pending
 ///   row is dropped — pending-vs-pending collisions are resolved by the
 ///   caller's value-interval sweep, which knows the statement ordering.
-///
-/// With `sink` set (bitmap design), probe- and build-side patches are set
-/// directly in the per-partition concurrent bitmaps while probing; only
-/// `build_hits` are still collected (the deferred flush needs them to
-/// decide which staged rows were genuine).
-/// Statements smaller than this probe the partitions inline on the
-/// calling thread: spawning one worker per partition does not amortize
-/// for near-empty DRP-pruned probes (the same small-work rule the bulk
-/// delete applies — paper, Figure 6). The build side is still hashed
-/// exactly once either way.
-const INLINE_PROBE_BUILD_ROWS: usize = 64;
-
-/// The concurrent-bitmap swap of a collision round copies every partition
-/// bitmap twice; it only runs when each changed row amortizes at most
-/// this many copied bits (64 words), otherwise hits are collected and
-/// applied through `add_patches`.
-const CONCURRENT_SWAP_BITS_PER_ROW: u64 = 4096;
-
 pub(crate) fn nuc_collision_probe(
     table: &Table,
     col: usize,
     build_batch: Batch,
     skip_dirty: Option<&[Vec<u64>]>,
-    sink: Option<&[ConcurrentShardedBitmap]>,
     stats: &mut MaintenanceStats,
 ) -> ProbeOutcome {
     let inline = build_batch.len() < INLINE_PROBE_BUILD_ROWS;
@@ -207,13 +195,7 @@ pub(crate) fn nuc_collision_probe(
                         }
                     }
                 }
-                match sink {
-                    Some(bitmaps) => {
-                        bitmaps[pid].set(probe_rid);
-                        bitmaps[b_pid].set(b_rid);
-                    }
-                    None => probe_hits.push(probe_rid),
-                }
+                probe_hits.push(probe_rid);
                 build_hits.push((b_pid, b_rid));
             }
         }
@@ -269,11 +251,9 @@ pub(crate) fn prepare_zonemaps(table: &Table, col: usize) {
 impl PatchIndex {
     /// Runs one build-once collision round (zone maps prepared, build
     /// batch hashed once, partition probes fanned out) and applies all
-    /// **probe-side** patches — directly through concurrent bitmaps for
-    /// the bitmap design (paper, Section 5.4), via collected rowIDs for
-    /// the identifier design. Returns the build-side hits; what they mean
-    /// is the caller's business (eager: patches to apply; deferred flush:
-    /// staged rows confirmed genuine).
+    /// **probe-side** patches the workers found. Returns the build-side
+    /// hits; what they mean is the caller's business (eager: patches to
+    /// apply; deferred flush: staged rows confirmed genuine).
     pub(crate) fn collision_round(
         &mut self,
         table: &mut Table,
@@ -283,54 +263,14 @@ impl PatchIndex {
         let col = self.column();
         prepare_zonemaps(table, col);
         let mut stats = self.maintenance_stats();
-        // The concurrent swap costs two full bitmap copies per partition,
-        // so it must amortize against the round's work: require a
-        // thread-pool-worthy batch (same bound as the inline probe) AND
-        // at most CONCURRENT_SWAP_BITS_PER_ROW bitmap bits copied per
-        // changed row — a 64-row statement over a 100M-row partition
-        // applies its handful of hits through add_patches instead.
-        let max_nrows = (0..self.partition_count())
-            .map(|pid| self.partition(pid).store.nrows())
-            .max();
-        let concurrent = self.design() == Design::Bitmap
-            && build_batch.len() >= INLINE_PROBE_BUILD_ROWS
-            && build_batch.len() as u64 >= max_nrows.unwrap_or(0) / CONCURRENT_SWAP_BITS_PER_ROW;
-        let build_hits = if concurrent {
-            // Swap every partition's bitmap into its concurrent form (an
-            // O(words) move) so the parallel probes apply patches directly
-            // — including cross-partition build-side hits.
-            let bitmaps: Vec<ConcurrentShardedBitmap> = (0..self.partition_count())
-                .map(|pid| {
-                    self.partition_mut(pid)
-                        .store
-                        .begin_concurrent()
-                        .expect("bitmap design")
-                })
-                .collect();
-            let outcome = nuc_collision_probe(
-                table,
-                col,
-                build_batch,
-                skip_dirty,
-                Some(&bitmaps),
-                &mut stats,
-            );
-            for (pid, bm) in bitmaps.into_iter().enumerate() {
-                self.partition_mut(pid).store.end_concurrent(bm);
-            }
-            outcome.build_hits
-        } else {
-            let outcome =
-                nuc_collision_probe(table, col, build_batch, skip_dirty, None, &mut stats);
-            for (pid, rids) in outcome.probe_hits.iter().enumerate() {
-                if !rids.is_empty() {
-                    self.partition_mut(pid).store.add_patches(rids);
-                }
-            }
-            outcome.build_hits
-        };
+        let outcome = nuc_collision_probe(table, col, build_batch, skip_dirty, &mut stats);
         self.set_maintenance_stats(stats);
-        build_hits
+        for (pid, rids) in outcome.probe_hits.iter().enumerate() {
+            if !rids.is_empty() {
+                self.partition_mut(pid).store.add_patches(rids);
+            }
+        }
+        outcome.build_hits
     }
 
     /// Runs the eager NUC collision round for `changed` tuples and applies
@@ -341,8 +281,7 @@ impl PatchIndex {
         }
         let build_batch = build_changed_batch(table, self.column(), changed);
         let build_hits = self.collision_round(table, build_batch, None);
-        // Build-side hits are patches too (idempotent for the bitmap
-        // design, where the sink already set them).
+        // Build-side hits are patches too.
         let pairs: Vec<(usize, usize)> = build_hits
             .iter()
             .map(|&(pid, rid)| (pid, rid as usize))
@@ -793,19 +732,34 @@ mod tests {
     /// Acceptance guard of the build-once pipeline: one maintenance round
     /// over a 4-partition table hashes the build side exactly once — the
     /// sequential reference pays once per partition — and both produce
-    /// identical patch sets.
+    /// identical patch sets, whether the probes run inline (a statement
+    /// under [`INLINE_PROBE_BUILD_ROWS`]) or fan out over worker threads.
     #[test]
     fn shared_probe_hashes_build_side_exactly_once() {
-        for design in [Design::Bitmap, Design::Identifier] {
+        // Duplicates of 3 and 17 plus fresh values, spread round-robin
+        // over all four partitions (cross-partition collisions).
+        let inline: Vec<i64> = vec![3, 17, 100, 101, 3, 102];
+        // The fan-out input: 20 values the table already holds, 7 fresh
+        // values repeated 3–4 times inside the statement (7 is coprime to
+        // the 4 partitions, so the copies land in different ones), and 24
+        // values that collide with nothing.
+        let fanned: Vec<i64> = (0..20)
+            .map(|i| 2 * i)
+            .chain((0..24).map(|i| 500 + i % 7))
+            .chain((0..24).map(|i| 1000 + i))
+            .collect();
+        assert!(inline.len() < INLINE_PROBE_BUILD_ROWS && fanned.len() >= INLINE_PROBE_BUILD_ROWS);
+        for (design, inserted) in [Design::Bitmap, Design::Identifier]
+            .into_iter()
+            .flat_map(|d| [(d, &inline), (d, &fanned)])
+        {
             let vals: Vec<i64> = (0..40).collect();
             let mut shared_t = table(vals.clone(), 4);
             let mut seq_t = table(vals, 4);
             let mut shared_idx = PatchIndex::create(&shared_t, 1, Constraint::NearlyUnique, design);
             let mut seq_idx = PatchIndex::create(&seq_t, 1, Constraint::NearlyUnique, design);
 
-            // Duplicates of 3 and 17 plus fresh values, spread round-robin
-            // over all four partitions (cross-partition collisions).
-            let rows: Vec<Vec<Value>> = [3, 17, 100, 101, 3, 102]
+            let rows: Vec<Vec<Value>> = inserted
                 .iter()
                 .enumerate()
                 .map(|(i, &v)| row(200 + i as i64, v))
@@ -847,9 +801,11 @@ mod tests {
                 assert_eq!(
                     shared_idx.partition(pid).store.patch_rids(),
                     seq_idx.partition(pid).store.patch_rids(),
-                    "design {design:?} partition {pid}"
+                    "design {design:?}, {} inserted rows, partition {pid}",
+                    inserted.len()
                 );
             }
+            assert!(shared_idx.exception_count() >= 4);
             shared_idx.check_consistency(&shared_t);
         }
     }

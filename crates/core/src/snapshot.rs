@@ -14,10 +14,19 @@
 //!   deletes, runs deferred and collision maintenance and advisor-driven
 //!   recomputes entirely **off the read path**, then
 //!   [`TableWriter::publish`]es a new snapshot with one atomic epoch
-//!   pointer swap. Old snapshots stay alive (and exact) until their last
+//!   pointer swap — when its caller says so; the writer has no pacing of
+//!   its own. Old snapshots stay alive (and exact) until their last
 //!   reader drops them.
 //! * [`ConcurrentTable`] — the cloneable handle readers pull snapshots
 //!   from.
+//!
+//! This pair *is* the host snapshot layer the paper's Section 5.4 hands
+//! reader isolation to, and it is the only concurrency model in the
+//! engine: an `Arc<PatchIndex>` is the patch data of one index version,
+//! and the thread that owns the `TableWriter` is the only one that ever
+//! mutates it. Maintenance may fan probes out over worker threads, but
+//! they return what they found and the writer thread applies it, so no
+//! patch store needs a lock.
 //!
 //! ## Copy-on-write economics
 //!
@@ -36,7 +45,10 @@
 //! shares, which rewrites them anyway. An *index* copy clones the
 //! partition-local patch stores. Either way the copy is a new
 //! `Arc<Partition>` / `Arc<PatchIndex>`, so pointer identity stays the
-//! exact dirty set the result cache and incremental checkpoints key on.
+//! exact dirty set the no-op publish check, the result cache and
+//! incremental checkpoints key on. That only holds because nothing but a
+//! data change re-versions either: what queries report about an index is
+//! table-level state (next section), not part of the index.
 //!
 //! ## The pending-NUC masking rule
 //!
@@ -58,11 +70,12 @@
 //! write to the table they read. Every [`IndexedTable`] therefore owns a
 //! [`WorkloadSink`] that its snapshots share: queries record events
 //! there, and [`IndexedTable::absorb_workload`] drains them into the
-//! query log / per-index feedback — through
-//! [`TableWriter::absorb_feedback`] (also invoked by `publish`) on the
-//! writer side. Events identify indexes by `(column, constraint)` — not
-//! slot — so drops that shift slots between an event and its absorption
-//! cannot misattribute feedback.
+//! query log and the per-slot [`crate::QueryFeedback`] kept beside it —
+//! through [`TableWriter::absorb_feedback`] (also invoked by `publish`)
+//! on the writer side. Neither lives in a partition or an index, so
+//! absorbing evidence dirties nothing a snapshot shares. Events identify
+//! indexes by `(column, constraint)` — not slot — so drops that shift
+//! slots between an event and its absorption cannot misattribute feedback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -174,42 +187,6 @@ impl WorkloadSink {
     /// Whether no events are buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// When a [`TableWriter`] publishes on its own, without explicit
-/// [`TableWriter::publish`] calls — the pacing knob that replaces manual
-/// publish bookkeeping in long writer loops. Statement pacing counts
-/// insert / modify / delete calls against the writer; flush pacing
-/// publishes right after each [`TableWriter::flush_maintenance`], so
-/// readers pick up flushed (non-pending) epochs as soon as they exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PublishPolicy {
-    /// Publish once this many statements accumulated since the last
-    /// publish (`None` disables statement pacing).
-    pub every_statements: Option<u64>,
-    /// Publish immediately after every explicit maintenance flush.
-    pub after_flush: bool,
-}
-
-impl PublishPolicy {
-    /// Manual publishing only (the default).
-    pub fn manual() -> Self {
-        PublishPolicy::default()
-    }
-
-    /// Statement-paced publishing: one publish per `n` statements.
-    pub fn every(n: u64) -> Self {
-        PublishPolicy {
-            every_statements: Some(n.max(1)),
-            after_flush: false,
-        }
-    }
-
-    /// Additionally publish after each maintenance flush.
-    pub fn and_after_flush(mut self) -> Self {
-        self.after_flush = true;
-        self
     }
 }
 
@@ -387,8 +364,6 @@ impl ConcurrentTable {
                 staging: it,
                 shared,
                 epoch: 0,
-                publish_policy: PublishPolicy::default(),
-                statements_since_publish: 0,
                 cache,
                 cache_token,
                 publish_metrics: metrics.as_deref().map(PublishMetrics::new),
@@ -472,8 +447,6 @@ pub struct TableWriter {
     staging: IndexedTable,
     shared: Arc<Shared>,
     epoch: u64,
-    publish_policy: PublishPolicy,
-    statements_since_publish: u64,
     cache: Option<Arc<ResultCache>>,
     cache_token: u64,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -481,50 +454,19 @@ pub struct TableWriter {
 }
 
 impl TableWriter {
-    /// Inserts rows into the staging table (visible at the next publish,
-    /// which the [`PublishPolicy`] may trigger right away).
+    /// Inserts rows into the staging table (visible at the next publish).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> Vec<RowAddr> {
-        let addrs = self.staging.insert(rows);
-        self.note_statement();
-        addrs
+        self.staging.insert(rows)
     }
 
     /// Patches one column of staged visible rows.
     pub fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
         self.staging.modify(pid, rids, col, values);
-        self.note_statement();
     }
 
     /// Deletes staged visible rows.
     pub fn delete(&mut self, pid: usize, rids: &[usize]) {
         self.staging.delete(pid, rids);
-        self.note_statement();
-    }
-
-    /// Statement-pacing hook shared by the update entry points.
-    fn note_statement(&mut self) {
-        self.statements_since_publish += 1;
-        if let Some(n) = self.publish_policy.every_statements {
-            if self.statements_since_publish >= n {
-                self.publish();
-            }
-        }
-    }
-
-    /// Replaces the automatic publish pacing (manual by default).
-    pub fn set_publish_policy(&mut self, policy: PublishPolicy) {
-        self.publish_policy = policy;
-    }
-
-    /// Builder form of [`TableWriter::set_publish_policy`].
-    pub fn with_publish_policy(mut self, policy: PublishPolicy) -> Self {
-        self.publish_policy = policy;
-        self
-    }
-
-    /// The active publish pacing.
-    pub fn publish_policy(&self) -> PublishPolicy {
-        self.publish_policy
     }
 
     /// Creates a PatchIndex (discovery runs on the writer, off the read
@@ -545,13 +487,9 @@ impl TableWriter {
         self.staging.recompute_index(slot)
     }
 
-    /// Runs all deferred maintenance staged on the writer, publishing
-    /// right after when the [`PublishPolicy`] asks for it.
+    /// Runs all deferred maintenance staged on the writer.
     pub fn flush_maintenance(&mut self) {
         self.staging.flush_maintenance();
-        if self.publish_policy.after_flush {
-            self.publish();
-        }
     }
 
     /// Applies the maintenance policy once (recompute / condense).
@@ -587,7 +525,7 @@ impl TableWriter {
     }
 
     /// Drains query-reported workload evidence into the staging table's
-    /// query log and per-index feedback
+    /// query log and per-slot feedback
     /// ([`IndexedTable::absorb_workload`]).
     pub fn absorb_feedback(&mut self) {
         self.staging.absorb_workload();
@@ -602,13 +540,13 @@ impl TableWriter {
     /// A publish with **zero changes** since the last epoch — every
     /// partition and index Arc pointer-identical to the published
     /// snapshot — is detected and skipped entirely: no epoch bump, no
-    /// catalog capture, no cache sweep. Statement pacing
-    /// ([`PublishPolicy::every`]) therefore cannot churn reader epochs
-    /// (or invalidate result-cache entries) for nothing; the returned
-    /// epoch is the still-current one.
+    /// catalog capture, no cache sweep. A caller that publishes on a
+    /// cadence therefore cannot churn reader epochs (or invalidate
+    /// result-cache entries) for nothing, however many queries ran in
+    /// between — their evidence is absorbed into table-level state that
+    /// no snapshot shares; the returned epoch is the still-current one.
     pub fn publish(&mut self) -> u64 {
         let start = Instant::now();
-        self.statements_since_publish = 0;
         self.absorb_feedback();
         if self.staging_matches_published() {
             if let Some(m) = &self.publish_metrics {
@@ -816,16 +754,18 @@ mod tests {
         let after = handle.snapshot();
         assert!(Arc::ptr_eq(&before.inner, &after.inner), "same snapshot");
 
-        // Statement pacing over zero-change statements can't churn epochs.
-        writer.set_publish_policy(PublishPolicy::every(1));
+        // Publishing after zero-change statements can't churn epochs.
         writer.insert(&[]);
+        assert_eq!(writer.publish(), 0);
         writer.insert(&[]);
+        assert_eq!(writer.publish(), 0);
         assert_eq!(handle.epoch(), 0);
 
         // A real change publishes again (and exactly once).
         writer.insert(&[row(100, 60)]);
+        assert_eq!(writer.publish(), 1);
+        assert_eq!(writer.publish(), 1);
         assert_eq!(handle.epoch(), 1);
-        assert_eq!(writer.epoch(), 1);
         assert!(!Arc::ptr_eq(
             &handle.snapshot().table().partitions()[0],
             &before.table().partitions()[0]
@@ -849,15 +789,28 @@ mod tests {
             1
         );
 
-        // Timing evidence mutates the index version (copy-on-write), so
-        // the next publish is real.
-        handle.snapshot().sink().record([WorkloadEvent::Timing {
-            column: 1,
-            constraint: Constraint::NearlyUnique,
-            actual_micros: 9.0,
-            est_cost: 3.0,
-        }]);
-        assert_eq!(writer.publish(), 1);
+        // Evidence about an index is table state too: absorbing it leaves
+        // the index version alone, so this publish is skipped as well.
+        handle.snapshot().sink().record([
+            WorkloadEvent::Feedback {
+                column: 1,
+                constraint: Constraint::NearlyUnique,
+                est_cost_saved: 5.0,
+            },
+            WorkloadEvent::Timing {
+                column: 1,
+                constraint: Constraint::NearlyUnique,
+                actual_micros: 9.0,
+                est_cost: 3.0,
+            },
+        ]);
+        assert_eq!(writer.publish(), 0);
+        assert_eq!(writer.staging().feedback(0).times_bound, 1);
+        assert_eq!(writer.staging().feedback(0).measured_queries, 1);
+        assert!(Arc::ptr_eq(
+            &writer.staging().indexes()[0],
+            &handle.snapshot().indexes()[0]
+        ));
     }
 
     #[test]
@@ -1025,7 +978,7 @@ mod tests {
         assert!(writer.sink().is_empty());
         let it = writer.staging();
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 1);
-        let fb = it.index(0).query_feedback();
+        let fb = it.feedback(0);
         assert_eq!(fb.times_bound, 1);
         assert!((fb.est_cost_saved - 42.0).abs() < 1e-9);
         assert_eq!(fb.measured_queries, 1);
@@ -1070,54 +1023,6 @@ mod tests {
         assert!(handle.snapshot().catalog().indexes[0].pending);
         writer.publish_flushed();
         let snap = handle.snapshot();
-        assert!(!snap.catalog().indexes[0].pending);
-        snap.check_consistency();
-    }
-
-    #[test]
-    fn statement_pacing_publishes_automatically() {
-        let mut it = fresh();
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.set_publish_policy(PublishPolicy::every(3));
-        writer.insert(&[row(100, 60)]);
-        writer.modify(0, &[0], 1, &[Value::Int(11)]);
-        assert_eq!(handle.epoch(), 0, "two statements stay unpublished");
-        writer.delete(1, &[0]);
-        assert_eq!(handle.epoch(), 1, "the third statement publishes");
-        assert_eq!(handle.snapshot().table().visible_len(), 5);
-        // A manual publish restarts the pacing counter.
-        writer.insert(&[row(101, 70)]);
-        writer.publish();
-        assert_eq!(handle.epoch(), 2);
-        writer.insert(&[row(102, 80)]);
-        writer.insert(&[row(103, 90)]);
-        assert_eq!(handle.epoch(), 2);
-        writer.insert(&[row(104, 95)]);
-        assert_eq!(handle.epoch(), 3);
-    }
-
-    #[test]
-    fn flush_pacing_publishes_flushed_epochs() {
-        use crate::indexed::{MaintenanceMode, MaintenancePolicy};
-        let it = fresh().with_policy(MaintenancePolicy {
-            mode: MaintenanceMode::Deferred {
-                flush_rows: usize::MAX,
-            },
-            ..MaintenancePolicy::default()
-        });
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        writer.set_publish_policy(PublishPolicy::manual().and_after_flush());
-        writer.insert(&[row(100, 20)]);
-        assert_eq!(
-            handle.epoch(),
-            0,
-            "flush pacing alone never paces statements"
-        );
-        writer.flush_maintenance();
-        let snap = handle.snapshot();
-        assert_eq!(snap.epoch(), 1, "the flush published");
         assert!(!snap.catalog().indexes[0].pending);
         snap.check_consistency();
     }

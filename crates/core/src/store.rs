@@ -1,7 +1,7 @@
 //! Physical patch-set storage: the bitmap-based and identifier-based design
 //! approaches (paper, Section 3.2).
 
-use pi_bitmap::{BulkDeleteMode, ConcurrentShardedBitmap, ShardedBitmap};
+use pi_bitmap::{BulkDeleteMode, ShardedBitmap};
 use pi_exec::ops::patch_select::PatchLookup;
 
 use crate::constraint::Design;
@@ -127,46 +127,18 @@ impl PatchStore {
         }
     }
 
-    /// Moves a bitmap-design patch set into its concurrent form so
-    /// parallel maintenance probes can apply patches directly; `None` for
-    /// identifier stores. Pair with [`PatchStore::end_concurrent`].
-    pub(crate) fn begin_concurrent(&mut self) -> Option<ConcurrentShardedBitmap> {
-        match self {
-            PatchStore::Bitmap(bm) => Some(ConcurrentShardedBitmap::from_sharded(
-                std::mem::replace(bm, ShardedBitmap::new(0)),
-            )),
-            PatchStore::Identifier { .. } => None,
-        }
-    }
-
-    /// Swaps the bitmap back in after concurrent maintenance finished.
-    pub(crate) fn end_concurrent(&mut self, concurrent: ConcurrentShardedBitmap) {
-        if let PatchStore::Bitmap(bm) = self {
-            *bm = concurrent.into_sharded();
-        }
-    }
-
     /// Applies a table delete: `deleted` (any order, pre-delete rowIDs)
-    /// disappear and all subsequent rowIDs shift down. The bitmap uses the
-    /// parallel vectorized bulk delete; the identifier list drops deleted
-    /// ids and decrements each remaining id by the number of smaller
-    /// deleted rowIDs (paper, Section 5.3).
+    /// disappear and all subsequent rowIDs shift down. The bitmap uses its
+    /// bulk delete, which decides itself whether the affected shards are
+    /// worth a second thread; the identifier list drops deleted ids and
+    /// decrements each remaining id by the number of smaller deleted
+    /// rowIDs (paper, Section 5.3).
     pub fn on_delete(&mut self, deleted: &[u64]) {
         if deleted.is_empty() {
             return;
         }
         match self {
-            PatchStore::Bitmap(bm) => {
-                // Small batches don't amortize worker threads (the paper's
-                // Figure 6: preprocessing and thread start dominate small
-                // work items); run those sequentially.
-                let mode = if deleted.len() < 256 {
-                    BulkDeleteMode::Sequential
-                } else {
-                    BulkDeleteMode::ParallelVectorized
-                };
-                bm.bulk_delete(deleted, mode)
-            }
+            PatchStore::Bitmap(bm) => bm.bulk_delete(deleted, BulkDeleteMode::default()),
             PatchStore::Identifier { ids, nrows } => {
                 let mut sorted = deleted.to_vec();
                 sorted.sort_unstable();
@@ -255,18 +227,6 @@ mod tests {
             assert_eq!(store.patch_rids(), vec![2, 9]);
             assert_eq!(store.nrows(), 30);
         }
-    }
-
-    #[test]
-    fn concurrent_roundtrip_preserves_patches() {
-        let mut store = PatchStore::new(Design::Bitmap, 200, &[1, 64, 199]);
-        let conc = store.begin_concurrent().unwrap();
-        conc.set(100);
-        store.end_concurrent(conc);
-        assert_eq!(store.patch_rids(), vec![1, 64, 100, 199]);
-        assert_eq!(store.nrows(), 200);
-        let mut ident = PatchStore::new(Design::Identifier, 10, &[3]);
-        assert!(ident.begin_concurrent().is_none());
     }
 
     #[test]

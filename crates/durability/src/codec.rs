@@ -20,7 +20,7 @@ use std::sync::Arc;
 use pi_storage::crc::crc32;
 use pi_storage::{ColumnData, DataType, DictRef, Field, Partitioning, Schema, Table};
 
-use patchindex::IndexedTable;
+use patchindex::{IndexedTable, QueryFeedback};
 
 use crate::wal::{read_f64, read_u32, read_u64, read_u8};
 
@@ -271,10 +271,15 @@ pub(crate) fn decode_dicts(bytes: &[u8]) -> io::Result<Vec<Option<DictRef>>> {
 // ------------------------------------------------------------- table meta
 
 const META_MAGIC: &[u8; 4] = b"PIDT";
-const META_VERSION: u32 = 1;
+const META_VERSION: u32 = 2;
+/// One slot's feedback: five 8-byte counters.
+const FEEDBACK_BYTES: usize = 5 * 8;
 
-/// Everything about the table that is not row data: identity, schema,
-/// routing state, and the statement counter the advisor cadence runs on.
+/// Everything about the table that is neither row data nor patch data:
+/// identity, schema, routing state, the statement counter the advisor
+/// cadence runs on, and the query feedback of each index slot. All of it
+/// can change without any partition or index version changing, which is
+/// why it travels in the one file every checkpoint rewrites.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TableMeta {
     pub name: String,
@@ -282,6 +287,7 @@ pub(crate) struct TableMeta {
     pub partitioning: Partitioning2,
     pub rr_cursor: u64,
     pub statements: u64,
+    pub feedback: Vec<QueryFeedback>,
 }
 
 /// Owned mirror of [`Partitioning`] (which is not `PartialEq`).
@@ -321,6 +327,14 @@ fn dtype_from_tag(t: u8) -> io::Result<DataType> {
     }
 }
 
+fn put_feedback(b: &mut Vec<u8>, fb: QueryFeedback) {
+    put_u64(b, fb.times_bound);
+    put_f64(b, fb.est_cost_saved);
+    put_u64(b, fb.measured_queries);
+    put_f64(b, fb.actual_micros);
+    put_f64(b, fb.est_cost_executed);
+}
+
 pub(crate) fn encode_meta(it: &IndexedTable) -> Vec<u8> {
     let table = it.table();
     let mut b = Vec::new();
@@ -343,6 +357,10 @@ pub(crate) fn encode_meta(it: &IndexedTable) -> Vec<u8> {
     }
     put_u64(&mut b, table.rr_cursor() as u64);
     put_u64(&mut b, it.statements());
+    put_u32(&mut b, it.indexes().len() as u32);
+    for slot in 0..it.indexes().len() {
+        put_feedback(&mut b, it.feedback(slot));
+    }
     seal(META_MAGIC, META_VERSION, &b)
 }
 
@@ -373,6 +391,22 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
     };
     let rr_cursor = read_u64(&mut r)?;
     let statements = read_u64(&mut r)?;
+    let nslots = checked_count(
+        read_u32(&mut r)? as u64,
+        FEEDBACK_BYTES,
+        r,
+        "table meta checkpoint",
+    )?;
+    let mut feedback = Vec::with_capacity(nslots);
+    for _ in 0..nslots {
+        feedback.push(QueryFeedback {
+            times_bound: read_u64(&mut r)?,
+            est_cost_saved: read_f64(&mut r)?,
+            measured_queries: read_u64(&mut r)?,
+            actual_micros: read_f64(&mut r)?,
+            est_cost_executed: read_f64(&mut r)?,
+        });
+    }
     expect_drained(r, "table meta checkpoint")?;
     Ok(TableMeta {
         name,
@@ -380,6 +414,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
         partitioning,
         rr_cursor,
         statements,
+        feedback,
     })
 }
 
@@ -459,9 +494,10 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> io::Result<Manifest> {
 
 /// Serializes the full visible state of an indexed table — decoded row
 /// values, every index's patch sets and anchors, and the advisor's
-/// monitoring counters. Two tables with equal images are
-/// indistinguishable to queries, maintenance, and the advisor; the
-/// recovery property tests compare these byte-for-byte.
+/// monitoring counters (the index's own and its slot's query feedback).
+/// Two tables with equal images are indistinguishable to queries,
+/// maintenance, and the advisor; the recovery property tests compare
+/// these byte-for-byte.
 pub fn state_image(it: &IndexedTable) -> Vec<u8> {
     let mut b = Vec::new();
     let table = it.table();
@@ -480,7 +516,7 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         }
     }
     put_u32(&mut b, it.indexes().len() as u32);
-    for idx in it.indexes() {
+    for (slot, idx) in it.indexes().iter().enumerate() {
         put_u32(&mut b, idx.column() as u32);
         put_str(&mut b, &format!("{:?}", idx.constraint()));
         put_str(&mut b, &format!("{:?}", idx.design()));
@@ -493,12 +529,7 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         put_f64(&mut b, baseline.match_fraction);
         put_u64(&mut b, baseline.patches);
         put_u64(&mut b, baseline.maintained_rows);
-        let fb = idx.query_feedback();
-        put_u64(&mut b, fb.times_bound);
-        put_f64(&mut b, fb.est_cost_saved);
-        put_u64(&mut b, fb.measured_queries);
-        put_f64(&mut b, fb.actual_micros);
-        put_f64(&mut b, fb.est_cost_executed);
+        put_feedback(&mut b, it.feedback(slot));
         put_u32(&mut b, idx.partition_count() as u32);
         for pid in 0..idx.partition_count() {
             let part = idx.partition(pid);
@@ -523,6 +554,40 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patchindex::{Constraint, Design, SortDir};
+
+    /// Query feedback is table state, so the meta file — not the index
+    /// image — carries it across a restart, one entry per slot.
+    #[test]
+    fn meta_roundtrips_per_slot_feedback() {
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![Field::new("v", DataType::Int)]),
+            2,
+            Partitioning::RoundRobin,
+        );
+        t.load_partition(0, &[ColumnData::Int(vec![1, 5, 5, 9])]);
+        t.load_partition(1, &[ColumnData::Int(vec![3, 3, 4])]);
+        let mut it = IndexedTable::new(t);
+        let nuc = it.add_index(0, Constraint::NearlyUnique, Design::Bitmap);
+        let nsc = it.add_index(
+            0,
+            Constraint::NearlySorted(SortDir::Asc),
+            Design::Identifier,
+        );
+        it.record_query_feedback(nuc, 1234.5);
+        it.record_query_feedback(nsc, 0.25);
+        it.record_query_timing(nsc, 17.5, 70.0);
+        let meta = decode_meta(&encode_meta(&it)).unwrap();
+        assert_eq!(meta.feedback, vec![it.feedback(nuc), it.feedback(nsc)]);
+        assert_eq!(meta.feedback[nuc].times_bound, 1);
+        assert!(meta.feedback[nuc].est_cost_saved > 0.0);
+        assert_eq!(meta.feedback[nsc].micros_per_cost_unit(), Some(0.25));
+        assert_eq!(meta.statements, it.statements());
+        // A v1 meta file (no feedback block) is refused by its version.
+        let msg = rejected(decode_meta(&seal(META_MAGIC, 1, &[])));
+        assert!(msg.contains("unsupported version 1"), "{msg}");
+    }
 
     fn rejected<T>(r: io::Result<T>) -> String {
         let err = r.err().expect("a lying count must be rejected");
@@ -564,6 +629,16 @@ mod tests {
         put_u32(&mut m, u32::MAX);
         m.extend_from_slice(b"t");
         rejected(decode_meta(&seal(META_MAGIC, META_VERSION, &m)));
+        // …and u32::MAX feedback slots behind an otherwise valid prefix.
+        let mut m = Vec::new();
+        put_str(&mut m, "t");
+        put_u32(&mut m, 0);
+        m.push(0);
+        put_u64(&mut m, 0);
+        put_u64(&mut m, 0);
+        put_u32(&mut m, u32::MAX);
+        let msg = rejected(decode_meta(&seal(META_MAGIC, META_VERSION, &m)));
+        assert!(msg.contains("count 4294967295"), "{msg}");
 
         // Manifest claiming u32::MAX partition files.
         let mut f = Vec::new();

@@ -344,7 +344,13 @@ impl DurableWriter {
             )?));
         }
 
+        if meta.feedback.len() != indexes.len() {
+            return Err(bad(
+                "manifest: meta file does not carry one feedback entry per index".into(),
+            ));
+        }
         let mut it = IndexedTable::with_restored_indexes(table, indexes, meta.statements);
+        it.restore_feedback(meta.feedback);
         it.set_policy(policy);
 
         // Prime the incremental dirty-set with the loaded handles *before*
@@ -550,7 +556,7 @@ impl DurableWriter {
                     constraint,
                     est_cost_saved,
                 } => {
-                    if let Some(slot) = self.slot_of(column, constraint) {
+                    if let Some(slot) = self.writer.staging().slot_of(column, constraint) {
                         self.record_query_feedback(slot, est_cost_saved)?;
                     }
                 }
@@ -560,7 +566,7 @@ impl DurableWriter {
                     actual_micros,
                     est_cost,
                 } => {
-                    if let Some(slot) = self.slot_of(column, constraint) {
+                    if let Some(slot) = self.writer.staging().slot_of(column, constraint) {
                         self.record_query_timing(slot, actual_micros, est_cost)?;
                     }
                 }
@@ -587,14 +593,6 @@ impl DurableWriter {
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.wal.set_metrics(wal::WalMetrics::new(registry));
         self.metrics = Some(CkptMetrics::new(registry));
-    }
-
-    fn slot_of(&self, column: usize, constraint: Constraint) -> Option<usize> {
-        self.writer
-            .staging()
-            .indexes()
-            .iter()
-            .position(|idx| idx.column() == column && idx.constraint() == constraint)
     }
 
     /// Writes a checkpoint of the current (flushed) staging state
@@ -664,8 +662,9 @@ impl DurableWriter {
             indexes.push((Arc::clone(idx), name));
         }
 
-        // Meta changes every statement (the counter), so it is written
-        // every checkpoint; it is a few hundred bytes.
+        // Meta changes every statement (the counter) and with every
+        // absorbed query (the per-slot feedback), so it is written every
+        // checkpoint; it is a few hundred bytes.
         let meta_file = format!("meta-e{epoch:012}.ckp");
         let meta_data = codec::encode_meta(it);
         write_atomic(self.fs.as_ref(), &self.dir.join(&meta_file), &meta_data)?;
@@ -921,8 +920,8 @@ mod tests {
         let path = dir.join(&manifest.index_files[0]);
         let mut image = fs.read(&path).unwrap();
         // First partition's row count: after magic, version, four header
-        // words, twelve counters and the partition count.
-        let nrows_at = 8 + 4 * 4 + 12 * 8 + 4;
+        // words, seven counters and the partition count.
+        let nrows_at = 8 + 4 * 4 + 7 * 8 + 4;
         image[nrows_at..nrows_at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         let body = image.len() - 4;
         let crc = pi_storage::crc::crc32(&image[..body]);
@@ -1062,11 +1061,66 @@ mod tests {
             MaintenancePolicy::default(),
         )
         .unwrap();
-        let fb = dw.staging().index(0).query_feedback();
+        let fb = dw.staging().feedback(0);
         assert_eq!(fb.times_bound, 2);
         assert!((fb.est_cost_saved - 12.5).abs() < 1e-9);
         assert_eq!(fb.measured_queries, 1);
         assert!((fb.actual_micros - 5.5).abs() < 1e-9);
+    }
+
+    /// Regression for "pointer identity is the exact dirty set": evidence
+    /// queries leave behind is table state, so a publish + checkpoint
+    /// after read-only traffic rewrites no index image — and the evidence
+    /// still survives a restart, through the meta file.
+    #[test]
+    fn read_only_traffic_checkpoints_no_index_image() {
+        let (fs, handle, mut dw) = setup(2, DurableOptions::default());
+        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
+            .unwrap();
+        dw.publish().unwrap();
+        let index_files = |fs: &SimFs| {
+            let manifest = fs.read(&PathBuf::from("/db").join(MANIFEST_NAME)).unwrap();
+            codec::decode_manifest(&manifest).unwrap().index_files
+        };
+        let before = index_files(&fs);
+        assert_eq!(before.len(), 1);
+
+        // What executed queries on a snapshot report back.
+        handle.snapshot().sink().record([
+            WorkloadEvent::Feedback {
+                column: 1,
+                constraint: Constraint::NearlyUnique,
+                est_cost_saved: 42.5,
+            },
+            WorkloadEvent::Timing {
+                column: 1,
+                constraint: Constraint::NearlyUnique,
+                actual_micros: 5.5,
+                est_cost: 44.0,
+            },
+        ]);
+        dw.publish().unwrap();
+        assert_eq!(
+            dw.stats().last_checkpoint_files,
+            2,
+            "meta + manifest only: no partition and no index changed"
+        );
+        assert_eq!(index_files(&fs), before);
+        assert_eq!(dw.staging().feedback(0).times_bound, 1);
+        assert_eq!(dw.staging().feedback(0).measured_queries, 1);
+
+        let want = state_image(dw.staging());
+        drop(dw);
+        fs.crash(9);
+        let (_h, dw, _r) = DurableWriter::recover(
+            fs.clone(),
+            PathBuf::from("/db"),
+            DurableOptions::default(),
+            MaintenancePolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(state_image(dw.staging()), want);
+        assert!((dw.staging().feedback(0).est_cost_saved - 42.5).abs() < 1e-9);
     }
 
     #[test]

@@ -680,7 +680,7 @@ mod tests {
         assert_eq!(it.query_log().count(1, QueryShape::Sort(SortDir::Asc)), 1);
         // Feedback: the NUC index was bound by both distinct queries with
         // a positive estimated saving; the sort query bound nothing.
-        let fb = it.index(slot).query_feedback();
+        let fb = it.feedback(slot);
         assert_eq!(fb.times_bound, 2);
         assert!(fb.est_cost_saved > 0.0);
     }
@@ -695,12 +695,12 @@ mod tests {
         it.absorb_workload();
         use patchindex::QueryShape;
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 0);
-        assert_eq!(it.index(slot).query_feedback().times_bound, 0);
+        assert_eq!(it.feedback(slot).times_bound, 0);
         // ...running it records exactly once.
         it.query_count(&distinct);
         it.absorb_workload();
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 1);
-        assert_eq!(it.index(slot).query_feedback().times_bound, 1);
+        assert_eq!(it.feedback(slot).times_bound, 1);
     }
 
     #[test]
@@ -758,11 +758,11 @@ mod tests {
         // EXPLAIN records nothing measured.
         it.plan_query(&distinct);
         it.absorb_workload();
-        assert_eq!(it.index(slot).query_feedback().measured_queries, 0);
+        assert_eq!(it.feedback(slot).measured_queries, 0);
         it.query_count(&distinct);
         it.query_count(&distinct);
         it.absorb_workload();
-        let fb = it.index(slot).query_feedback();
+        let fb = it.feedback(slot);
         assert_eq!(fb.measured_queries, 2);
         assert!(fb.actual_micros > 0.0);
         assert!(fb.est_cost_executed > 0.0);
@@ -896,7 +896,7 @@ mod tests {
         writer.absorb_feedback();
         let it = writer.staging();
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 2);
-        let fb = it.index(slot).query_feedback();
+        let fb = it.feedback(slot);
         assert_eq!(fb.times_bound, 2);
         assert!(fb.est_cost_saved > 0.0);
         assert_eq!(fb.measured_queries, 2);
@@ -940,7 +940,7 @@ mod tests {
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         snap.query_count(&distinct); // miss: full evidence
         writer.absorb_feedback();
-        let before = writer.staging().index(slot).query_feedback();
+        let before = writer.staging().feedback(slot);
         assert_eq!(before.times_bound, 1);
         assert_eq!(before.measured_queries, 1);
 
@@ -953,7 +953,7 @@ mod tests {
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 4);
         // ...but calibration inputs are untouched: a hit executed
         // nothing, so its ~0µs must not dilute micros-per-cost-unit.
-        let after = it.index(slot).query_feedback();
+        let after = it.feedback(slot);
         assert_eq!(after.times_bound, before.times_bound);
         assert_eq!(after.measured_queries, before.measured_queries);
         assert_eq!(after.actual_micros, before.actual_micros);
@@ -1026,6 +1026,40 @@ mod tests {
         assert_eq!(fresh_count, 10);
         let refreshed = snap2.query(&full);
         assert!(refreshed.column(0).as_int().contains(&-777));
+    }
+
+    /// Regression for "pointer identity is the exact dirty set": the
+    /// evidence executed queries leave behind is table state, so a
+    /// publish after read-only traffic is a no-op — same epoch, no index
+    /// copied — and the result bound to the index survives it.
+    #[test]
+    fn publish_after_read_only_traffic_is_a_noop_and_keeps_the_cache() {
+        use pi_obs::MetricsRegistry;
+        let mut it = fresh(2);
+        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        let reg = Arc::new(MetricsRegistry::new());
+        let cache = Arc::new(ResultCache::with_registry(
+            ResultCache::DEFAULT_BUDGET,
+            &reg,
+        ));
+        let (handle, mut writer) =
+            ConcurrentTable::with_observability(it, Some(cache), Arc::clone(&reg));
+        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
+        let first = handle.snapshot().query(&distinct); // miss: executed
+        assert_eq!(reg.counter("cache.misses").get(), 1);
+
+        assert_eq!(writer.publish(), 0, "no write happened: same epoch");
+        assert_eq!(reg.counter("publish.noops").get(), 1);
+        assert_eq!(reg.counter("publish.count").get(), 0);
+        assert_eq!(reg.counter("publish.indexes_copied").get(), 0);
+        // The evidence did arrive, beside the query log.
+        assert_eq!(writer.staging().feedback(slot).times_bound, 1);
+        assert_eq!(writer.staging().feedback(slot).measured_queries, 1);
+
+        let again = handle.snapshot().query(&distinct);
+        assert_eq!(first.column(0).as_int(), again.column(0).as_int());
+        assert_eq!(reg.counter("cache.hits").get(), 1, "the entry survived");
+        assert_eq!(reg.counter("cache.misses").get(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Synthetic catalog builders shared by the planner unit tests.
 
-use patchindex::{Constraint, IndexCatalog, IndexStats, PartitionStats, QueryFeedback};
+use patchindex::{Constraint, IndexCatalog, IndexStats, PartitionStats};
 
 /// A synthetic index snapshot from `(rows, patches)` pairs per partition.
 pub(crate) fn entry(
@@ -33,7 +33,6 @@ pub(crate) fn entry(
         drift_patches: 0,
         maintained_rows: 0,
         memory_bytes: 0,
-        feedback: QueryFeedback::default(),
     }
 }
 

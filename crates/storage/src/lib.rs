@@ -11,12 +11,14 @@
 //!   Delta Trees: in-memory inserts/modifies/deletes with the positional
 //!   rowID-shifting semantics the sharded bitmap mirrors;
 //! * MinMax summaries ([`ZoneMap`], "small materialized aggregates") used
-//!   for scan pruning and dynamic range propagation;
-//! * a [`Catalog`] with snapshot-style table access.
+//!   for scan pruning and dynamic range propagation.
+//!
+//! Reader isolation is not this crate's job: `patchindex`'s
+//! `TableSnapshot` / `TableWriter` pair shares [`Partition`]s behind `Arc`
+//! and copies one on the writer's first mutation.
 
 #![warn(missing_docs)]
 
-mod catalog;
 mod column;
 pub mod crc;
 mod delta;
@@ -28,7 +30,6 @@ mod table;
 mod value;
 mod zonemap;
 
-pub use catalog::{Catalog, TableRef};
 pub use column::{str_column, ColumnData};
 pub use crc::{crc32, Crc32};
 pub use delta::{DeltaStore, RowLoc};

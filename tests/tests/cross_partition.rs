@@ -11,7 +11,7 @@
 //! deferred, both designs) and the snapshot path, always comparing
 //! against a byte-identical index-free replay.
 
-use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, PublishPolicy};
+use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable};
 use pi_integration::deferred;
 use pi_planner::{execute_count, rewrite, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -163,25 +163,35 @@ fn run_owner(ops: &[XOp], use_deferred: bool, design: Design) {
 }
 
 /// The same stream through the snapshot path: the writer mutates and
-/// recomputes (with statement-paced auto-publish), readers pull
-/// snapshots and must stay exact at every epoch.
+/// recomputes, publishing after every second insert and after every
+/// flush; readers pull snapshots and must stay exact at every epoch.
 fn run_concurrent(ops: &[XOp], design: Design) {
     let it = IndexedTable::new(table_of(&seed_parts())).with_policy(deferred(usize::MAX));
     let (handle, mut writer) = ConcurrentTable::new(it);
-    writer.set_publish_policy(PublishPolicy::every(2).and_after_flush());
     let slot = writer.add_index(1, Constraint::NearlyUnique, design);
     let plan = distinct_plan();
     let mut next_key = 10_000i64;
+    let mut unpublished_inserts = 0;
     for op in ops {
-        match op {
+        let publish_now = match op {
             XOp::Insert(vals) => {
                 writer.insert(&rows_for(vals, &mut next_key));
+                unpublished_inserts += 1;
+                unpublished_inserts == 2
             }
-            XOp::Recompute => writer.recompute_index(slot),
-            XOp::Flush => writer.flush_maintenance(),
-            XOp::Publish => {
-                writer.publish();
+            XOp::Recompute => {
+                writer.recompute_index(slot);
+                false
             }
+            XOp::Flush => {
+                writer.flush_maintenance();
+                true
+            }
+            XOp::Publish => true,
+        };
+        if publish_now {
+            writer.publish();
+            unpublished_inserts = 0;
         }
         let snap = handle.snapshot();
         let reference = execute_count(&plan, snap.table(), NO_INDEXES);

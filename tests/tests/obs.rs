@@ -10,7 +10,7 @@
 //! pairing), quantiles are ordered, and counters never move backwards
 //! between successive snapshots.
 
-use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, PublishPolicy, ResultCache};
+use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, ResultCache};
 use pi_obs::{CacheOutcome, MetricsRegistry};
 use pi_planner::{Plan, QueryEngine};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -73,7 +73,6 @@ fn storm_loses_no_increments_and_snapshots_stay_consistent() {
     let per_thread = env_usize("PI_OBS_STRESS_ITERS", 250);
 
     let (registry, handle, mut writer) = observed_table(parts, rows);
-    writer.set_publish_policy(PublishPolicy::every(1));
     let stop = AtomicBool::new(false);
     let plan = Plan::scan(vec![1]).limit(8);
 
@@ -126,6 +125,7 @@ fn storm_loses_no_increments_and_snapshots_stay_consistent() {
         while readers.iter().any(|r| !r.is_finished()) {
             let rid = step % rows;
             writer.modify(parts - 1, &[rid], 1, &[Value::Int((step % 97) as i64)]);
+            writer.publish();
             step += 1;
         }
         for r in readers {
@@ -172,7 +172,6 @@ fn traces_follow_the_cache_lifecycle_across_publishes() {
     let parts = 3;
     let rows = 500;
     let (registry, handle, mut writer) = observed_table(parts, rows);
-    writer.set_publish_policy(PublishPolicy::every(1));
     let plan = Plan::scan(vec![1]).sort(vec![(0, pi_exec::ops::sort::SortOrder::Asc)]);
 
     let snap = handle.snapshot();
@@ -199,6 +198,7 @@ fn traces_follow_the_cache_lifecycle_across_publishes() {
     // Publish new data: the next snapshot's trace must miss (the entry
     // was invalidated), execute, and see the new row.
     writer.insert(&[vec![Value::Int(9_999), Value::Int(9_999)]]);
+    writer.publish();
     let snap = handle.snapshot();
     let (fresh, trace) = snap.query_traced(&plan);
     assert_eq!(trace.cache, Some(CacheOutcome::Miss));

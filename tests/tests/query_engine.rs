@@ -314,11 +314,9 @@ fn evidence(it: &IndexedTable) -> Evidence {
         distinct: it.query_log().count(1, QueryShape::Distinct),
         sort: it.query_log().count(1, QueryShape::Sort(SortDir::Asc)),
         log_total: it.query_log().total(),
-        slots: it
-            .indexes()
-            .iter()
-            .map(|idx| {
-                let fb = idx.query_feedback();
+        slots: (0..it.indexes().len())
+            .map(|slot| {
+                let fb = it.feedback(slot);
                 (fb.times_bound, fb.measured_queries)
             })
             .collect(),
