@@ -172,10 +172,10 @@ impl AdvisorMetrics {
 /// The self-tuning index-lifecycle advisor.
 ///
 /// One [`Advisor::step`] runs the whole observe → decide → act loop:
-/// flush deferred maintenance (so counters are exact), snapshot every
-/// index's error/drift/feedback state and every queried column's sampled
-/// match fractions, apply the [`decide`] rules, and execute the
-/// resulting create/recompute/drop actions through the table.
+/// snapshot every index's error/drift/feedback state (drift counters are
+/// always exact — maintenance runs per statement) and every queried
+/// column's sampled match fractions, apply the [`decide`] rules, and
+/// execute the resulting create/recompute/drop actions through the table.
 #[derive(Debug, Default)]
 pub struct Advisor {
     cfg: AdvisorConfig,
@@ -253,21 +253,6 @@ impl Advisor {
             m.steps.inc();
         }
         it.absorb_workload();
-        // Deferred maintenance stays batched: staged rows are already
-        // counted as maintained, and the drop/create rules read only
-        // counters that are exact while pending. The one rule that needs
-        // exactness is recompute — staged rows are *conservatively*
-        // patched, so the apparent drift overstates the real one. Flush
-        // exactly the indexes whose apparent drift crosses the margin
-        // (a real decision is at stake there), leaving the rest staged.
-        for slot in 0..it.indexes().len() {
-            let idx = it.index(slot);
-            if idx.has_pending()
-                && idx.baseline().match_fraction - idx.match_fraction() > self.cfg.recompute_margin
-            {
-                it.flush_index(slot);
-            }
-        }
         if !it.sampling_enabled() {
             it.enable_discovery_sampling(self.cfg.sample_cap);
         }
@@ -492,7 +477,6 @@ fn hypothetical_benefit(
         constraint,
         parts,
         patch_distinct: patches / 2,
-        pending: false,
         e: sampled_e,
         baseline_e: sampled_e,
         drift_patches: 0,

@@ -207,44 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn advisor_steps_leave_deferred_work_batched() {
-        use patchindex::{MaintenanceMode, MaintenancePolicy};
-        let mut it = table((0..1_000).collect(), 2).with_policy(MaintenancePolicy {
-            mode: MaintenanceMode::Deferred {
-                flush_rows: usize::MAX,
-            },
-            ..MaintenancePolicy::default()
-        });
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        // Stage a handful of unique inserts: conservative patches keep
-        // the apparent drift well under the margin.
-        let rows: Vec<Vec<Value>> = (0..30)
-            .map(|i| vec![Value::Int(5_000 + i), Value::Int(100_000 + i)])
-            .collect();
-        it.insert(&rows);
-        assert!(it.pending_rows() > 0);
-        let mut advisor = Advisor::new(AdvisorConfig::default());
-        advisor.step(&mut it);
-        assert!(
-            it.pending_rows() > 0,
-            "an advisor step must not flush batched maintenance without cause"
-        );
-        // Past the margin the step flushes (and recomputes on exact
-        // counts if the real drift still crosses it).
-        let dups: Vec<Vec<Value>> = (0..300)
-            .map(|i| vec![Value::Int(9_000 + i), Value::Int(i)])
-            .collect();
-        it.insert(&dups);
-        advisor.step(&mut it);
-        assert_eq!(
-            it.pending_rows(),
-            0,
-            "crossing the margin must flush for exactness"
-        );
-        it.check_consistency();
-    }
-
-    #[test]
     fn recompute_restores_drifted_e() {
         let mut it = table((0..1_000).collect(), 1);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);

@@ -22,8 +22,7 @@ use crate::maintenance::gather_values;
 pub struct PartitionStats {
     /// Tuples the index covers in this partition.
     pub rows: u64,
-    /// Patches (exceptions) in this partition — includes rows staged by
-    /// deferred maintenance, which are conservatively patched.
+    /// Patches (exceptions) in this partition.
     pub patches: u64,
 }
 
@@ -42,10 +41,6 @@ pub struct IndexStats {
     /// NUC patches every occurrence of a duplicated value, so
     /// `distinct(table) ≈ kept rows + distinct(patches)`.
     pub patch_distinct: u64,
-    /// Whether deferred maintenance is staged on this index. While
-    /// pending, the NUC kept/patch value disjointness is suspended (see
-    /// [`crate::deferred`]); plans that exploit it must flush first.
-    pub pending: bool,
     /// Match fraction `e = 1 − patches/rows` at snapshot time.
     pub e: f64,
     /// Match fraction at create/recompute time (drift reference).
@@ -94,7 +89,6 @@ impl IndexStats {
             constraint: index.constraint(),
             parts,
             patch_distinct,
-            pending: index.has_pending(),
             e: index.match_fraction(),
             baseline_e: index.baseline().match_fraction,
             drift_patches: index.drift_patches(),
@@ -184,16 +178,10 @@ impl IndexCatalog {
             .find(|e| e.column == column && e.constraint == Constraint::NearlyUnique)
     }
 
-    /// The entry whose `slot` field matches — *not* a positional lookup.
-    /// A catalog may be filtered (the reader-side pending-NUC masking
-    /// re-optimizes against a subset of entries) while `PatchScan` slot
-    /// bindings keep referring to the live index array, so entries must
-    /// be resolved by their recorded slot.
+    /// The entry of the index in `slot`: entries are in slot order, one
+    /// per live index.
     pub fn by_slot(&self, slot: usize) -> Option<&IndexStats> {
-        match self.indexes.get(slot) {
-            Some(e) if e.slot == slot => Some(e),
-            _ => self.indexes.iter().find(|e| e.slot == slot),
-        }
+        self.indexes.get(slot)
     }
 }
 
@@ -285,28 +273,6 @@ mod tests {
         assert_eq!(cat.indexes[0].patch_distinct, 2);
         assert_eq!(cat.rows(), 8);
         assert_eq!(cat.part_rows, vec![4, 4]);
-    }
-
-    #[test]
-    fn by_slot_resolves_entries_of_a_filtered_catalog() {
-        let t = table(vec![vec![1, 2, 99, 3], vec![4, 5, 6, 7]]);
-        let nuc = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
-        let nsc = PatchIndex::create(
-            &t,
-            0,
-            Constraint::NearlySorted(SortDir::Asc),
-            Design::Bitmap,
-        );
-        let mut cat = IndexCatalog::of(&t, &[nuc, nsc]);
-        assert_eq!(cat.by_slot(0).unwrap().constraint, Constraint::NearlyUnique);
-        // Mask out slot 0: slot 1 is now positionally first but must
-        // still resolve by its recorded slot.
-        cat.indexes.remove(0);
-        assert!(cat.by_slot(0).is_none());
-        assert_eq!(
-            cat.by_slot(1).unwrap().constraint,
-            Constraint::NearlySorted(SortDir::Asc)
-        );
     }
 
     #[test]

@@ -115,16 +115,7 @@ impl PatchIndex {
 
     /// Serializes the index to the current checkpoint format (v6,
     /// CRC-32 trailer included).
-    ///
-    /// # Panics
-    /// Panics if deferred maintenance is pending: the value histories are
-    /// not serialized, so a checkpoint taken mid-epoch could never be
-    /// flushed into a consistent state after recovery. Flush first.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        assert!(
-            !self.has_pending(),
-            "flush deferred maintenance before checkpointing the index"
-        );
         let mut b = Vec::new();
         b.extend_from_slice(MAGIC);
         put_u32(&mut b, VERSION);

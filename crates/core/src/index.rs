@@ -5,7 +5,6 @@ use pi_exec::parallel::per_partition;
 use pi_storage::Table;
 
 use crate::constraint::{Constraint, Design, SortDir};
-use crate::deferred::PendingMaintenance;
 use crate::discovery::{
     cross_partition_nuc_residual, discover_values, partition_column_values, DiscoveryResult,
 };
@@ -52,9 +51,9 @@ impl Default for DriftBaseline {
 
 /// A PatchIndex over one column of a partitioned table.
 ///
-/// `Clone` deep-copies the patch stores (and any staged deferred work) —
-/// the snapshot layer shares indexes behind `Arc` and pays this copy only
-/// when maintenance mutates an index a live snapshot still references.
+/// `Clone` deep-copies the patch stores — the snapshot layer shares
+/// indexes behind `Arc` and pays this copy only when maintenance mutates
+/// an index a live snapshot still references.
 /// Everything in here changes only through maintenance on the writer
 /// thread; what queries learn about an index (`QueryFeedback`) is table
 /// state and lives in [`crate::IndexedTable`].
@@ -66,7 +65,6 @@ pub struct PatchIndex {
     parts: Vec<PartitionIndex>,
     stats: MaintenanceStats,
     baseline: DriftBaseline,
-    pub(crate) pending: Option<PendingMaintenance>,
 }
 
 impl PatchIndex {
@@ -122,7 +120,6 @@ impl PatchIndex {
             parts,
             stats: MaintenanceStats::default(),
             baseline: DriftBaseline::default(),
-            pending: None,
         };
         idx.reset_baseline();
         idx
@@ -143,7 +140,6 @@ impl PatchIndex {
             parts,
             stats: MaintenanceStats::default(),
             baseline: DriftBaseline::default(),
-            pending: None,
         };
         idx.reset_baseline();
         idx
@@ -159,7 +155,7 @@ impl PatchIndex {
     }
 
     /// Counts `rows` row-events as maintained (insert/modify/delete
-    /// handling and deferred staging funnel through this).
+    /// handling funnels through this).
     pub(crate) fn note_maintained(&mut self, rows: u64) {
         self.stats.maintained_rows += rows;
     }
@@ -274,9 +270,8 @@ impl PatchIndex {
 
     /// Rebuilds the index from scratch (the global recomputation the
     /// monitoring policy triggers once updates eroded optimality too far).
-    /// Any deferred maintenance still pending is discarded — the fresh
-    /// discovery supersedes it. Maintenance stats survive; the drift
-    /// baseline re-anchors at the fresh state.
+    /// Maintenance stats survive; the drift baseline re-anchors at the
+    /// fresh state.
     ///
     /// Recompute is **design-migrating**: the Table-3 memory model is
     /// re-evaluated at the freshly discovered exception rate, so an index

@@ -1,15 +1,11 @@
 //! A table bundled with its PatchIndexes.
 //!
 //! [`IndexedTable`] routes every update through the index maintenance of
-//! Section 5. In the default **eager** mode every statement is maintained
-//! immediately ("we avoid getting inconsistent states by handling updates
-//! immediately after they occur"). **Deferred** mode
-//! ([`MaintenanceMode::Deferred`]) instead stages inserts/modifies into a
-//! per-index dirty set and amortizes maintenance over one merged collision
-//! join / LIS extension per flush — see [`crate::deferred`] for semantics
-//! and the query-correctness contract. Multiple PatchIndexes per table are
-//! supported — unlike a SortKey, PatchIndexes do not change the physical
-//! data order (paper, Section 2).
+//! Section 5, statement by statement ("we avoid getting inconsistent
+//! states by handling updates immediately after they occur"): every index
+//! is consistent with the table whenever a statement has returned.
+//! Multiple PatchIndexes per table are supported — unlike a SortKey,
+//! PatchIndexes do not change the physical data order (paper, Section 2).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -23,25 +19,6 @@ use crate::index::PatchIndex;
 use crate::sampling::Reservoir;
 use crate::snapshot::{WorkloadEvent, WorkloadSink};
 
-/// When index maintenance runs relative to the update statements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaintenanceMode {
-    /// Maintain every index synchronously with each statement (the
-    /// paper's behavior; indexes are always fully consistent).
-    #[default]
-    Eager,
-    /// Stage inserts/modifies per index and flush once the number of
-    /// staged row-events reaches `flush_rows` (or on
-    /// [`IndexedTable::flush_maintenance`], or before any delete /
-    /// policy run). Staged rows are routed through the exception flow;
-    /// see [`crate::deferred`] for which plans that keeps exact and when
-    /// to flush first.
-    Deferred {
-        /// Auto-flush threshold in staged row-events per index.
-        flush_rows: usize,
-    },
-}
-
 /// Maintenance tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintenancePolicy {
@@ -51,8 +28,6 @@ pub struct MaintenancePolicy {
     pub condense_threshold: f64,
     /// Whether the policy runs automatically after each update batch.
     pub auto: bool,
-    /// Eager (per-statement) or deferred (batch-amortized) maintenance.
-    pub mode: MaintenanceMode,
 }
 
 impl Default for MaintenancePolicy {
@@ -61,7 +36,6 @@ impl Default for MaintenancePolicy {
             max_exception_rate: 0.5,
             condense_threshold: 0.5,
             auto: false,
-            mode: MaintenanceMode::Eager,
         }
     }
 }
@@ -265,10 +239,8 @@ impl IndexedTable {
         self.indexes.remove(slot)
     }
 
-    /// Rebuilds the index in `slot` from the current table. Deferred work
-    /// staged on that index is discarded — the fresh discovery over the
-    /// (always up-to-date) table supersedes it. The slot's query feedback
-    /// is untouched.
+    /// Rebuilds the index in `slot` from the current table. The slot's
+    /// query feedback is untouched.
     pub fn recompute_index(&mut self, slot: usize) {
         self.invalidate_catalog();
         Arc::make_mut(&mut self.indexes[slot]).recompute(&self.table);
@@ -520,8 +492,7 @@ impl IndexedTable {
         }
     }
 
-    /// Inserts rows, maintaining every index (paper, Section 5.1) — or
-    /// staging the work when the policy defers maintenance.
+    /// Inserts rows, maintaining every index (paper, Section 5.1).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> Vec<RowAddr> {
         self.invalidate_catalog();
         self.statements += 1;
@@ -531,18 +502,8 @@ impl IndexedTable {
         // `make_mut` shared index versions, or a zero-change statement
         // would defeat the writer's no-op publish detection.
         if !addrs.is_empty() {
-            match self.policy.mode {
-                MaintenanceMode::Eager => {
-                    for idx in &mut self.indexes {
-                        Arc::make_mut(idx).handle_insert(&mut self.table, &addrs);
-                    }
-                }
-                MaintenanceMode::Deferred { .. } => {
-                    for idx in &mut self.indexes {
-                        Arc::make_mut(idx).stage_insert(&self.table, &addrs);
-                    }
-                    self.maybe_auto_flush();
-                }
+            for idx in &mut self.indexes {
+                Arc::make_mut(idx).handle_insert(&mut self.table, &addrs);
             }
         }
         self.run_policy();
@@ -550,106 +511,49 @@ impl IndexedTable {
     }
 
     /// Deletes visible rows of one partition, maintaining every index
-    /// (paper, Section 5.3). Deletes shift rowIDs, so any deferred work is
-    /// flushed first.
+    /// (paper, Section 5.3).
     pub fn delete(&mut self, pid: usize, rids: &[usize]) {
         self.invalidate_catalog();
         self.statements += 1;
-        self.flush_maintenance();
-        // Index stores interpret the same pre-delete rowIDs the table does.
-        for idx in &mut self.indexes {
-            Arc::make_mut(idx).handle_delete(pid, rids);
+        // Like the empty insert: a zero-row delete re-versions nothing.
+        if !rids.is_empty() {
+            // Index stores interpret the same pre-delete rowIDs the table does.
+            for idx in &mut self.indexes {
+                Arc::make_mut(idx).handle_delete(pid, rids);
+            }
+            self.table.delete(pid, rids);
         }
-        self.table.delete(pid, rids);
         self.run_policy();
     }
 
     /// Patches `col` of the given rows, maintaining the indexes on that
-    /// column (paper, Section 5.2) — or staging the work when the policy
-    /// defers maintenance. Indexes on other columns are unaffected.
+    /// column (paper, Section 5.2). Indexes on other columns are
+    /// unaffected.
     pub fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
         self.invalidate_catalog();
         self.statements += 1;
-        self.sample_column(pid, col, values);
-        match self.policy.mode {
-            MaintenanceMode::Eager => {
-                self.table.modify(pid, rids, col, values);
-                for idx in &mut self.indexes {
-                    if idx.column() == col {
-                        Arc::make_mut(idx).handle_modify(&mut self.table, pid, rids);
-                    }
+        // Like the empty insert: a zero-row modify re-versions nothing.
+        if !rids.is_empty() {
+            self.sample_column(pid, col, values);
+            self.table.modify(pid, rids, col, values);
+            for idx in &mut self.indexes {
+                if idx.column() == col {
+                    Arc::make_mut(idx).handle_modify(&mut self.table, pid, rids);
                 }
-            }
-            MaintenanceMode::Deferred { .. } => {
-                // Old values must be snapshotted before the table changes.
-                for idx in &mut self.indexes {
-                    if idx.column() == col {
-                        Arc::make_mut(idx).stage_modify_pre(&self.table, pid, rids);
-                    }
-                }
-                self.table.modify(pid, rids, col, values);
-                for idx in &mut self.indexes {
-                    if idx.column() == col {
-                        Arc::make_mut(idx).stage_modify(&self.table, pid, rids);
-                    }
-                }
-                self.maybe_auto_flush();
             }
         }
         self.run_policy();
     }
 
-    /// Runs all deferred maintenance now: one merged collision join (NUC)
-    /// / one LIS extension (NSC) per index with staged work. No-op in
-    /// eager mode or when nothing is pending.
-    pub fn flush_maintenance(&mut self) {
-        if self.indexes.iter().any(|idx| idx.has_pending()) {
-            self.invalidate_catalog();
-        }
-        for idx in &mut self.indexes {
-            if idx.has_pending() {
-                Arc::make_mut(idx).flush(&mut self.table);
-            }
-        }
-    }
-
-    /// Flushes deferred maintenance of one index only, leaving other
-    /// dirty sets batched: how a caller gets a masked pending-NUC rewrite
-    /// back before its next query, and how the advisor makes exactly the
-    /// drift it is about to judge exact.
-    pub fn flush_index(&mut self, slot: usize) {
-        if self.indexes[slot].has_pending() {
-            self.invalidate_catalog();
-            Arc::make_mut(&mut self.indexes[slot]).flush(&mut self.table);
-        }
-    }
-
-    /// Total staged row-events across all indexes.
-    pub fn pending_rows(&self) -> usize {
-        self.indexes.iter().map(|idx| idx.pending_rows()).sum()
-    }
-
-    fn maybe_auto_flush(&mut self) {
-        if let MaintenanceMode::Deferred { flush_rows } = self.policy.mode {
-            for idx in &mut self.indexes {
-                if idx.pending_rows() >= flush_rows {
-                    Arc::make_mut(idx).flush(&mut self.table);
-                }
-            }
-        }
-    }
-
     /// Merges pending deltas into base storage (visible rowIDs do not
-    /// change, so indexes — and any staged maintenance — stay valid).
+    /// change, so indexes stay valid).
     pub fn propagate(&mut self) {
         self.table.propagate_all();
     }
 
     /// Applies the maintenance policy once (recompute / condense).
-    /// Deferred work is flushed first so exception rates are exact.
     pub fn run_policy_now(&mut self) -> (usize, usize) {
         self.invalidate_catalog();
-        self.flush_maintenance();
         let mut recomputed = 0;
         let mut condensed = 0;
         for idx in &mut self.indexes {
@@ -671,21 +575,14 @@ impl IndexedTable {
         (recomputed, condensed)
     }
 
-    /// The automatic policy pass after each statement. Indexes with
-    /// staged deferred work are skipped — their exception rates are
-    /// conservative estimates, and force-flushing here would degenerate
-    /// deferred mode into per-statement maintenance; they get evaluated
-    /// right after their next flush instead (the auto-flush threshold,
-    /// a delete, or an explicit flush all funnel back through here).
+    /// The automatic policy pass after each statement.
     fn run_policy(&mut self) {
         if !self.policy.auto {
             return;
         }
         let policy = self.policy;
         for idx in &mut self.indexes {
-            if idx.has_pending()
-                || !idx.policy_action_due(policy.max_exception_rate, policy.condense_threshold)
-            {
+            if !idx.policy_action_due(policy.max_exception_rate, policy.condense_threshold) {
                 continue;
             }
             let idx = Arc::make_mut(idx);
@@ -694,9 +591,7 @@ impl IndexedTable {
         }
     }
 
-    /// Verifies every index against the table (test helper). May
-    /// legitimately panic while deferred maintenance is pending — flush
-    /// first; see [`crate::deferred`].
+    /// Verifies every index against the table (test helper).
     pub fn check_consistency(&self) {
         for idx in &self.indexes {
             idx.check_consistency(&self.table);
@@ -733,13 +628,6 @@ mod tests {
         );
         t.propagate_all();
         IndexedTable::new(t)
-    }
-
-    fn deferred(flush_rows: usize) -> MaintenancePolicy {
-        MaintenancePolicy {
-            mode: MaintenanceMode::Deferred { flush_rows },
-            ..MaintenancePolicy::default()
-        }
     }
 
     fn row(k: i64, v: i64) -> Vec<Value> {
@@ -790,7 +678,6 @@ mod tests {
             max_exception_rate: 0.3,
             condense_threshold: 0.5,
             auto: true,
-            ..MaintenancePolicy::default()
         });
         it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         // Modifying most rows pushes e over the threshold; the auto policy
@@ -807,85 +694,6 @@ mod tests {
         it.insert(&[row(7, 10), row(8, 99)]);
         it.delete(1, &[0]);
         it.propagate();
-        it.check_consistency();
-    }
-
-    #[test]
-    fn deferred_insert_stages_then_flushes_to_eager_result() {
-        let mut it = fresh().with_policy(deferred(usize::MAX));
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.insert(&[row(100, 20), row(101, 60)]);
-        // Pending: both inserted rows staged (conservatively patched);
-        // the duplicate's partner (value 20, partition 0 rid 1) not yet.
-        assert_eq!(it.pending_rows(), 2);
-        assert!(it.index(0).has_pending());
-        assert_eq!(it.index(0).nrows(), 7);
-        it.flush_maintenance();
-        assert_eq!(it.pending_rows(), 0);
-        it.check_consistency();
-        // Identical to the eager result: rows with value 20 patched.
-        assert_eq!(it.index(0).exception_count(), 2);
-    }
-
-    #[test]
-    fn deferred_auto_flush_threshold() {
-        let mut it = fresh().with_policy(deferred(3));
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.insert(&[row(100, 77)]);
-        it.insert(&[row(101, 78)]);
-        assert_eq!(it.pending_rows(), 2);
-        // Third staged row reaches the threshold: flush runs.
-        it.insert(&[row(102, 79)]);
-        assert_eq!(it.pending_rows(), 0);
-        assert_eq!(it.index(0).exception_count(), 0);
-        it.check_consistency();
-    }
-
-    #[test]
-    fn deferred_delete_forces_flush_first() {
-        let mut it = fresh().with_policy(deferred(usize::MAX));
-        it.add_index(1, Constraint::NearlyUnique, Design::Identifier);
-        it.insert(&[row(100, 20)]); // duplicate of rid 1 in partition 0
-        assert!(it.index(0).has_pending());
-        // Deleting the old duplicate: the flush must run first so the
-        // collision is found against pre-delete rowIDs.
-        it.delete(0, &[1]);
-        assert_eq!(it.pending_rows(), 0);
-        it.check_consistency();
-        // The inserted 20 stays a (now stale) patch, like in eager mode.
-        assert_eq!(it.index(0).exception_count(), 1);
-    }
-
-    #[test]
-    fn deferred_modify_snapshots_old_values() {
-        let mut it = fresh().with_policy(deferred(usize::MAX));
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        // 30 -> 40 collides with partition 1's 40 (its rid 0); then
-        // 40 -> 99 moves away again. Eager would patch both rows at the
-        // first modify and keep them patched; the flush must reproduce
-        // that from the value history.
-        it.modify(0, &[2], 1, &[Value::Int(40)]);
-        it.modify(0, &[2], 1, &[Value::Int(99)]);
-        it.flush_maintenance();
-        it.check_consistency();
-        assert_eq!(it.index(0).partition(0).store.patch_rids(), vec![2]);
-        assert_eq!(it.index(0).partition(1).store.patch_rids(), vec![0]);
-    }
-
-    #[test]
-    fn auto_policy_does_not_flush_staged_indexes() {
-        let mut it = fresh().with_policy(MaintenancePolicy {
-            auto: true,
-            ..deferred(5)
-        });
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.insert(&[row(100, 77)]);
-        it.insert(&[row(101, 78)]);
-        // The per-statement auto pass must leave staged work alone — only
-        // the flush_rows threshold (5) decides when to flush.
-        assert_eq!(it.pending_rows(), 2);
-        it.insert(&[row(102, 79), row(103, 80), row(104, 81)]);
-        assert_eq!(it.pending_rows(), 0);
         it.check_consistency();
     }
 
@@ -1046,21 +854,5 @@ mod tests {
             (est - 1.0).abs() < 1e-12,
             "per-partition sorted must score 1.0, got {est}"
         );
-    }
-
-    #[test]
-    fn deferred_run_policy_flushes_first() {
-        let mut it = fresh().with_policy(MaintenancePolicy {
-            max_exception_rate: 0.99,
-            ..deferred(usize::MAX)
-        });
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.insert(&[row(100, 555)]);
-        assert!(it.index(0).has_pending());
-        it.run_policy_now();
-        assert!(!it.index(0).has_pending());
-        // The unique insert was released from its conservative patch bit.
-        assert_eq!(it.index(0).exception_count(), 0);
-        it.check_consistency();
     }
 }

@@ -42,8 +42,7 @@
 //!
 //! // Query through the QueryEngine facade: it snapshots the catalog
 //! // ([`IndexedTable::catalog`]), rewrites ORDER BY into the Figure-2
-//! // merge plan (only the stray is sorted), masks any binding that
-//! // pending deferred maintenance makes inexact, and executes with
+//! // merge plan (only the stray is sorted) and executes with
 //! // per-partition zero-branch pruning. A query is a read: `&self`.
 //! let sorted = it.query(&Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]));
 //! assert_eq!(sorted.column(0).as_int(), &[1, 2, 3, 4, 5, 100]);
@@ -56,7 +55,6 @@ pub mod cache;
 mod catalog;
 mod checkpoint;
 mod constraint;
-pub mod deferred;
 pub mod discovery;
 mod index;
 mod indexed;
@@ -73,9 +71,7 @@ pub use cache::{CacheStats, CachedValue, Footprint, ResultCache};
 pub use catalog::{IndexCatalog, IndexStats, PartitionStats};
 pub use constraint::{Constraint, Design, SortDir};
 pub use index::{DriftBaseline, PartitionIndex, PatchIndex};
-pub use indexed::{
-    IndexedTable, MaintenanceMode, MaintenancePolicy, QueryFeedback, QueryLog, QueryShape,
-};
+pub use indexed::{IndexedTable, MaintenancePolicy, QueryFeedback, QueryLog, QueryShape};
 pub use maintenance::{drp_ranges, MaintenanceStats};
 pub use snapshot::{ConcurrentTable, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink};
 pub use store::PatchStore;

@@ -30,16 +30,16 @@ use crate::lis;
 /// (cumulative; preserved across [`PatchIndex::recompute`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
-    /// Collision-join rounds executed (one per eager NUC statement, one
-    /// per deferred flush).
+    /// Collision-join rounds executed: one per NUC insert/modify
+    /// statement.
     pub collision_rounds: u64,
     /// How many times a build side was hashed: exactly one per round.
     pub build_invocations: u64,
     /// Partition probes executed across all rounds.
     pub probed_partitions: u64,
     /// Row-events this index maintained (inserted, modified or deleted
-    /// rows handled, eagerly or staged) — the denominator of the
-    /// advisor's drift rate and its maintenance-cost proxy.
+    /// rows handled) — the denominator of the advisor's drift rate and
+    /// its maintenance-cost proxy.
     pub maintained_rows: u64,
 }
 
@@ -72,7 +72,7 @@ pub fn drp_ranges(partition: &Partition, col: usize, env: Option<(i64, i64)>) ->
 
 /// Materializes the `[value, pid, rid]` build batch of the collision join
 /// from the changed `(partition, rowID)` set.
-pub(crate) fn build_changed_batch(table: &Table, col: usize, changed: &[(usize, usize)]) -> Batch {
+fn build_changed_batch(table: &Table, col: usize, changed: &[(usize, usize)]) -> Batch {
     let mut per_part: Vec<Vec<usize>> = vec![Vec::new(); table.partition_count()];
     for &(pid, rid) in changed {
         per_part[pid].push(rid);
@@ -99,26 +99,6 @@ pub(crate) fn build_changed_batch(table: &Table, col: usize, changed: &[(usize, 
     ])
 }
 
-/// Materializes the `[value, pid, rid]` build batch from explicit
-/// `(pid, rid, value)` snapshots (deferred flush; string columns are
-/// represented by their dictionary codes, which is exactly what the join
-/// hashes on the probe side too).
-pub(crate) fn build_changed_batch_from(entries: &[(usize, u64, i64)]) -> Batch {
-    let mut vals = Vec::with_capacity(entries.len());
-    let mut pids = Vec::with_capacity(entries.len());
-    let mut rids = Vec::with_capacity(entries.len());
-    for &(pid, rid, v) in entries {
-        vals.push(v);
-        pids.push(pid as i64);
-        rids.push(rid as i64);
-    }
-    Batch::new(vec![
-        ColumnData::Int(vals),
-        ColumnData::Int(pids),
-        ColumnData::Int(rids),
-    ])
-}
-
 /// Statements smaller than this probe the partitions inline on the
 /// calling thread: spawning one worker per partition does not amortize
 /// for near-empty DRP-pruned probes (the same small-work rule the bulk
@@ -126,35 +106,24 @@ pub(crate) fn build_changed_batch_from(entries: &[(usize, u64, i64)]) -> Batch {
 /// exactly once either way.
 const INLINE_PROBE_BUILD_ROWS: usize = 64;
 
-/// What a collision-probe round produced.
-pub(crate) struct ProbeOutcome {
-    /// Probe-side collision rowIDs per partition, sorted and deduplicated.
-    pub probe_hits: Vec<Vec<u64>>,
-    /// Build-side collision rows `(pid, rid)`, sorted and deduplicated.
-    /// Every entry refers to a changed tuple.
-    pub build_hits: Vec<(usize, u64)>,
-}
-
 /// Runs the NUC collision query of Figure 5 with a **build-once** shared
 /// hash table: the `[value, pid, rid]` build batch is hashed exactly once,
 /// then every partition is probed in parallel with its scan restricted by
 /// dynamic range propagation. Collisions may cross partitions: an inserted
 /// value can collide with a tuple in a different partition, whose local
-/// patch set must then be extended too.
+/// patch set must then be extended too. Exact self-pairs (a changed tuple
+/// matching itself) are dropped.
 ///
-/// Filtering depends on the caller:
-/// * eager (`skip_dirty == None`): exact self-pairs (a changed tuple
-///   matching itself) are dropped;
-/// * deferred flush (`skip_dirty == Some`): every probe hit on a pending
-///   row is dropped — pending-vs-pending collisions are resolved by the
-///   caller's value-interval sweep, which knows the statement ordering.
-pub(crate) fn nuc_collision_probe(
+/// Returns the colliding rowIDs per partition — probe-side and build-side
+/// hits merged, sorted and deduplicated. Both sides read one materialized
+/// join result: the Reuse operator's effect (Figure 5) without recomputing
+/// the subtree.
+fn nuc_collision_probe(
     table: &Table,
     col: usize,
     build_batch: Batch,
-    skip_dirty: Option<&[Vec<u64>]>,
     stats: &mut MaintenanceStats,
-) -> ProbeOutcome {
+) -> Vec<Vec<u64>> {
     let inline = build_batch.len() < INLINE_PROBE_BUILD_ROWS;
     let shared = JoinTable::from_batch(build_batch, 0);
     stats.collision_rounds += 1;
@@ -168,9 +137,8 @@ pub(crate) fn nuc_collision_probe(
         }));
         let mut join = HashJoinOp::with_table(&shared, probe, 0);
         // Output: [probe value, probe rid, build value, build pid, build
-        // rid]. Both rowID projections read one materialized join result —
-        // the Reuse operator's effect (Figure 5) without recomputing the
-        // subtree.
+        // rid]. One value can match thousands of already-patched rows, so
+        // each worker deduplicates what it found before handing it back.
         let mut probe_hits: Vec<u64> = Vec::new();
         let mut build_hits: Vec<(usize, u64)> = Vec::new();
         while let Some(out) = join.next() {
@@ -180,20 +148,8 @@ pub(crate) fn nuc_collision_probe(
             for i in 0..out.len() {
                 let probe_rid = probe_rids[i] as u64;
                 let (b_pid, b_rid) = (build_pids[i] as usize, build_rids[i] as u64);
-                match skip_dirty {
-                    // Deferred: pending rows are handled by the interval
-                    // sweep; their probe hits must not re-enter here.
-                    Some(dirty) => {
-                        if dirty[pid].binary_search(&probe_rid).is_ok() {
-                            continue;
-                        }
-                    }
-                    // Eager: only a changed tuple matching itself is benign.
-                    None => {
-                        if b_pid == pid && b_rid == probe_rid {
-                            continue;
-                        }
-                    }
+                if b_pid == pid && b_rid == probe_rid {
+                    continue; // a changed tuple matching itself is benign
                 }
                 probe_hits.push(probe_rid);
                 build_hits.push((b_pid, b_rid));
@@ -201,43 +157,28 @@ pub(crate) fn nuc_collision_probe(
         }
         probe_hits.sort_unstable();
         probe_hits.dedup();
+        build_hits.sort_unstable();
+        build_hits.dedup();
         (probe_hits, build_hits)
     };
-    let per_part = if inline {
+    let per_part: Vec<_> = if inline {
         table.partitions().iter().map(|p| worker(p)).collect()
     } else {
         per_partition(table, worker)
     };
-    let mut probe_hits = Vec::with_capacity(per_part.len());
-    let mut build_hits = Vec::new();
-    for (p, b) in per_part {
-        probe_hits.push(p);
-        build_hits.extend(b);
+    let (mut hits, build_hits): (Vec<Vec<u64>>, Vec<_>) = per_part.into_iter().unzip();
+    for (pid, rid) in build_hits.into_iter().flatten() {
+        hits[pid].push(rid);
     }
-    build_hits.sort_unstable();
-    build_hits.dedup();
-    ProbeOutcome {
-        probe_hits,
-        build_hits,
+    for rids in &mut hits {
+        rids.sort_unstable();
+        rids.dedup();
     }
+    hits
 }
 
-/// Distributes collision rowIDs into the per-partition patch stores.
-fn apply_collisions(index: &mut PatchIndex, patches: &[(usize, usize)]) {
-    let mut per_part: Vec<Vec<u64>> = vec![Vec::new(); index.partition_count()];
-    for &(pid, rid) in patches {
-        per_part[pid].push(rid as u64);
-    }
-    for (pid, rids) in per_part.iter().enumerate() {
-        if !rids.is_empty() {
-            index.partition_mut(pid).store.add_patches(rids);
-        }
-    }
-}
-
-/// Ensures zone maps exist on every prunable partition (the DRP receiver;
-/// needs `&mut Table`, while the collision scans only need `&`).
-pub(crate) fn prepare_zonemaps(table: &Table, col: usize) {
+/// Ensures zone maps exist on every prunable partition (the DRP receiver).
+fn prepare_zonemaps(table: &Table, col: usize) {
     for pid in 0..table.partition_count() {
         // Zone-map building is a `&self` cache fill on the partition, so
         // this never copies a partition that live snapshots share.
@@ -249,44 +190,25 @@ pub(crate) fn prepare_zonemaps(table: &Table, col: usize) {
 }
 
 impl PatchIndex {
-    /// Runs one build-once collision round (zone maps prepared, build
-    /// batch hashed once, partition probes fanned out) and applies all
-    /// **probe-side** patches the workers found. Returns the build-side
-    /// hits; what they mean is the caller's business (eager: patches to
-    /// apply; deferred flush: staged rows confirmed genuine).
-    pub(crate) fn collision_round(
-        &mut self,
-        table: &mut Table,
-        build_batch: Batch,
-        skip_dirty: Option<&[Vec<u64>]>,
-    ) -> Vec<(usize, u64)> {
+    /// The NUC collision round for the `changed` tuples of one statement:
+    /// zone maps prepared, build batch hashed once, partition probes
+    /// fanned out, and every colliding row — on either side of the join —
+    /// merged into its partition's patch store.
+    fn nuc_round(&mut self, table: &Table, changed: &[(usize, usize)]) {
+        if changed.is_empty() {
+            return;
+        }
         let col = self.column();
         prepare_zonemaps(table, col);
+        let build_batch = build_changed_batch(table, col, changed);
         let mut stats = self.maintenance_stats();
-        let outcome = nuc_collision_probe(table, col, build_batch, skip_dirty, &mut stats);
+        let hits = nuc_collision_probe(table, col, build_batch, &mut stats);
         self.set_maintenance_stats(stats);
-        for (pid, rids) in outcome.probe_hits.iter().enumerate() {
+        for (pid, rids) in hits.iter().enumerate() {
             if !rids.is_empty() {
                 self.partition_mut(pid).store.add_patches(rids);
             }
         }
-        outcome.build_hits
-    }
-
-    /// Runs the eager NUC collision round for `changed` tuples and applies
-    /// all resulting patches.
-    fn run_nuc_eager(&mut self, table: &mut Table, changed: &[(usize, usize)]) {
-        if changed.is_empty() {
-            return;
-        }
-        let build_batch = build_changed_batch(table, self.column(), changed);
-        let build_hits = self.collision_round(table, build_batch, None);
-        // Build-side hits are patches too.
-        let pairs: Vec<(usize, usize)> = build_hits
-            .iter()
-            .map(|&(pid, rid)| (pid, rid as usize))
-            .collect();
-        apply_collisions(self, &pairs);
     }
 
     /// Maintains the index after `table.insert_rows` returned `inserted`.
@@ -297,10 +219,6 @@ impl PatchIndex {
     /// may lose global optimality (paper's (1,2,10)+(3,4) example) but
     /// never correctness; the monitoring policy recomputes eventually.
     pub fn handle_insert(&mut self, table: &mut Table, inserted: &[RowAddr]) {
-        assert!(
-            !self.has_pending(),
-            "flush deferred maintenance before eager insert handling (IndexedTable does this)"
-        );
         self.note_maintained(inserted.len() as u64);
         let col = self.column();
         let constraint = self.constraint();
@@ -315,7 +233,7 @@ impl PatchIndex {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> =
                     inserted.iter().map(|a| (a.partition, a.rid)).collect();
-                self.run_nuc_eager(table, &changed);
+                self.nuc_round(table, &changed);
             }
             Constraint::NearlySorted(dir) => {
                 for (pid, rids) in per_part.iter().enumerate() {
@@ -361,8 +279,8 @@ impl PatchIndex {
     }
 
     /// Extends every partition store over freshly appended rows (insert
-    /// handling step one — shared by the eager and deferred paths).
-    pub(crate) fn cover_inserted(&mut self, table: &Table, per_part: &[Vec<usize>]) {
+    /// handling step one).
+    fn cover_inserted(&mut self, table: &Table, per_part: &[Vec<usize>]) {
         for (pid, rids) in per_part.iter().enumerate() {
             if rids.is_empty() {
                 continue;
@@ -386,10 +304,6 @@ impl PatchIndex {
     /// without the bitmap resize. NSC: all modified tuples join the patch
     /// set — no query needed.
     pub fn handle_modify(&mut self, table: &mut Table, pid: usize, rids: &[usize]) {
-        assert!(
-            !self.has_pending(),
-            "flush deferred maintenance before eager modify handling (IndexedTable does this)"
-        );
         if rids.is_empty() {
             return;
         }
@@ -398,7 +312,7 @@ impl PatchIndex {
         match self.constraint() {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> = rids.iter().map(|&r| (pid, r)).collect();
-                self.run_nuc_eager(table, &changed);
+                self.nuc_round(table, &changed);
             }
             Constraint::NearlySorted(_) => {
                 let patches: Vec<u64> = rids.iter().map(|&r| r as u64).collect();
@@ -429,10 +343,6 @@ impl PatchIndex {
     /// sharded bitmap's bulk delete / identifier decrementing (paper,
     /// Section 5.3).
     pub fn handle_delete(&mut self, pid: usize, rids: &[usize]) {
-        assert!(
-            !self.has_pending(),
-            "deferred maintenance must be flushed before deletes (IndexedTable does this)"
-        );
         self.note_maintained(rids.len() as u64);
         let deleted: Vec<u64> = rids.iter().map(|&r| r as u64).collect();
         self.partition_mut(pid).store.on_delete(&deleted);
@@ -450,7 +360,7 @@ pub(crate) fn gather_values(partition: &Partition, col: usize, rids: &[usize]) -
 /// Chooses which of `values` (in insertion order) extend the existing
 /// sorted run that currently ends at `last`. Returns the chosen index set
 /// and the new last value.
-pub(crate) fn extend_sorted_run(
+fn extend_sorted_run(
     values: &[i64],
     last: Option<i64>,
     dir: SortDir,
@@ -781,7 +691,9 @@ mod tests {
                 build_changed_batch(&seq_t, 1, &changed),
                 &mut seq_stats,
             );
-            apply_collisions(&mut seq_idx, &patches);
+            for &(pid, rid) in &patches {
+                seq_idx.partition_mut(pid).store.add_patches(&[rid as u64]);
+            }
 
             let shared_stats = shared_idx.maintenance_stats();
             assert_eq!(shared_stats.collision_rounds, 1);

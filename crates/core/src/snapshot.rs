@@ -1,6 +1,6 @@
 //! Snapshot-isolated concurrent reads during background maintenance.
 //!
-//! [`IndexedTable`] is single-writer: every query, flush and recompute
+//! [`IndexedTable`] is single-writer: every query and recompute
 //! used to serialize on one `&mut` path. This module splits that into an
 //! MVCC-style pair (cf. the epoch/snapshot designs of the incremental
 //! view-maintenance literature):
@@ -11,7 +11,7 @@
 //!   concurrently without locks, and a snapshot's results never change —
 //!   readers never observe a half-applied patch set.
 //! * [`TableWriter`] — the single writer. It stages inserts / modifies /
-//!   deletes, runs deferred and collision maintenance and advisor-driven
+//!   deletes, runs index maintenance and advisor-driven
 //!   recomputes entirely **off the read path**, then
 //!   [`TableWriter::publish`]es a new snapshot with one atomic epoch
 //!   pointer swap — when its caller says so; the writer has no pacing of
@@ -49,20 +49,6 @@
 //! incremental checkpoints key on. That only holds because nothing but a
 //! data change re-versions either: what queries report about an index is
 //! table-level state (next section), not part of the index.
-//!
-//! ## The pending-NUC masking rule
-//!
-//! Deferred maintenance may be staged when a snapshot is published; the
-//! snapshot then carries `pending` catalog entries. NSC / NCC / exception
-//! plans stay exact against staged state (see [`crate::deferred`]), but a
-//! pending **NUC** index suspends the kept/patch disjointness invariant.
-//! A query is a read and never flushes — on a snapshot, the staging table
-//! or a plain [`IndexedTable`] alike — so the query facade in `pi-planner`
-//! **re-optimizes with exactly the pending NUC entries masked out of the
-//! catalog**: rewrites that stay exact while pending survive at their
-//! sites, only the suspended NUC binding reverts to reference form, and
-//! the next flush (`flush_index` / `flush_maintenance` on the owner, a
-//! flushed publish for readers) restores the rewrite.
 //!
 //! ## Workload evidence from queries
 //!
@@ -282,8 +268,7 @@ impl TableSnapshot {
     }
 
     /// Verifies every index of this epoch against its table (test
-    /// helper). Exempt from the writer's pending-flush caveat only when
-    /// the snapshot was published flushed.
+    /// helper).
     pub fn check_consistency(&self) {
         for idx in &self.inner.indexes {
             idx.check_consistency(&self.inner.table);
@@ -487,11 +472,6 @@ impl TableWriter {
         self.staging.recompute_index(slot)
     }
 
-    /// Runs all deferred maintenance staged on the writer.
-    pub fn flush_maintenance(&mut self) {
-        self.staging.flush_maintenance();
-    }
-
     /// Applies the maintenance policy once (recompute / condense).
     pub fn run_policy_now(&mut self) -> (usize, usize) {
         self.staging.run_policy_now()
@@ -627,15 +607,6 @@ impl TableWriter {
                 .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
-    /// Flushes any staged deferred maintenance, then publishes — the
-    /// "writer publishes a flushed snapshot" half of the pending-NUC
-    /// rule: snapshots published through this never force readers off
-    /// their index rewrites.
-    pub fn publish_flushed(&mut self) -> u64 {
-        self.staging.flush_maintenance();
-        self.publish()
-    }
-
     /// Unwraps the writer back into its staging table. The shared handle
     /// keeps serving the last published epoch forever after.
     pub fn into_inner(self) -> IndexedTable {
@@ -713,7 +684,7 @@ mod tests {
         it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
         let old = handle.snapshot();
-        writer.insert(&[row(100, 5)]); // out of order -> patch on flush/eager
+        writer.insert(&[row(100, 5)]); // out of order -> patch
         writer.recompute_index(0);
         writer.drop_index(0);
         writer.publish();
@@ -759,7 +730,18 @@ mod tests {
         assert_eq!(writer.publish(), 0);
         writer.insert(&[]);
         assert_eq!(writer.publish(), 0);
+        writer.delete(0, &[]);
+        assert_eq!(writer.publish(), 0);
+        writer.modify(0, &[], 1, &[]);
+        assert_eq!(writer.publish(), 0);
         assert_eq!(handle.epoch(), 0);
+        assert_eq!(writer.staging().statements(), 4, "still counted");
+        let staged = writer.staging();
+        assert!(Arc::ptr_eq(&staged.indexes()[0], &before.indexes()[0]));
+        assert!(Arc::ptr_eq(
+            &staged.table().partitions()[0],
+            &before.table().partitions()[0]
+        ));
 
         // A real change publishes again (and exactly once).
         writer.insert(&[row(100, 60)]);
@@ -1005,26 +987,6 @@ mod tests {
             shape: QueryShape::Distinct,
         }]);
         assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
-    fn publish_flushed_clears_pending_state() {
-        use crate::indexed::{MaintenanceMode, MaintenancePolicy};
-        let it = fresh().with_policy(MaintenancePolicy {
-            mode: MaintenanceMode::Deferred {
-                flush_rows: usize::MAX,
-            },
-            ..MaintenancePolicy::default()
-        });
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        writer.insert(&[row(100, 20)]);
-        writer.publish();
-        assert!(handle.snapshot().catalog().indexes[0].pending);
-        writer.publish_flushed();
-        let snap = handle.snapshot();
-        assert!(!snap.catalog().indexes[0].pending);
-        snap.check_consistency();
     }
 
     #[test]

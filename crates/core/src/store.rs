@@ -110,8 +110,7 @@ impl PatchStore {
     }
 
     /// Clears rowIDs from the patch set. Callers must guarantee the rows
-    /// genuinely satisfy the constraint — the deferred flush uses this to
-    /// release conservatively staged rows that turned out collision-free.
+    /// genuinely satisfy the constraint.
     pub fn remove_patches(&mut self, rids: &[u64]) {
         match self {
             PatchStore::Bitmap(bm) => {

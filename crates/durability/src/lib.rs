@@ -6,7 +6,7 @@
 //! three pieces:
 //!
 //! * **Statement WAL** ([`wal`]) — every update statement (insert /
-//!   modify / delete / index DDL / recompute / flush / publish / advisor
+//!   modify / delete / index DDL / recompute / publish / advisor
 //!   feedback) is appended to an append-only, CRC-framed log *before* it
 //!   is applied (log-then-apply). The [`SyncPolicy`] decides when appends
 //!   are forced to stable storage.
@@ -25,8 +25,8 @@
 //!
 //! Replay is deterministic given the same [`MaintenancePolicy`]: the
 //! statement counter, round-robin routing cursor and advisor counters
-//! are all part of the checkpoint, so deferred flush points and policy
-//! piggyback decisions re-run identically. The crash-point property
+//! are all part of the checkpoint, so policy piggyback decisions re-run
+//! identically. The crash-point property
 //! tests assert the strong form: for a crash at *every* IO boundary,
 //! the recovered table's [`state_image`] is byte-identical to replaying
 //! the surviving statement prefix on a fresh table.
@@ -179,9 +179,8 @@ struct CkptState {
 }
 
 /// Applies one WAL record to an indexed table — the replay semantics of
-/// every statement [`DurableWriter`] logs. A [`Record::Publish`] flushes
-/// pending maintenance (the writer only publishes flushed epochs);
-/// epoch bookkeeping is the caller's.
+/// every statement [`DurableWriter`] logs. A [`Record::Publish`] changes
+/// no table state; epoch bookkeeping is the caller's.
 pub fn apply_record(it: &mut IndexedTable, record: &Record) {
     match record {
         Record::Insert(rows) => {
@@ -205,8 +204,7 @@ pub fn apply_record(it: &mut IndexedTable, record: &Record) {
             it.drop_index(*slot);
         }
         Record::Recompute { slot } => it.recompute_index(*slot),
-        Record::Flush => it.flush_maintenance(),
-        Record::Publish => it.flush_maintenance(),
+        Record::Publish => {}
         Record::Feedback {
             slot,
             est_cost_saved,
@@ -241,14 +239,13 @@ pub struct DurableWriter {
 }
 
 impl DurableWriter {
-    /// Starts durability for a fresh table: flushes any staged
-    /// maintenance, publishes epoch 0, writes the initial full
-    /// checkpoint + manifest, and opens the WAL at sequence 1.
+    /// Starts durability for a fresh table: publishes epoch 0, writes the
+    /// initial full checkpoint + manifest, and opens the WAL at sequence 1.
     ///
     /// Fails with [`io::ErrorKind::AlreadyExists`] if `dir` already holds
     /// a manifest — recover instead of clobbering.
     pub fn create(
-        mut it: IndexedTable,
+        it: IndexedTable,
         fs: Arc<dyn DurableFs>,
         dir: impl AsRef<Path>,
         opts: DurableOptions,
@@ -261,9 +258,6 @@ impl DurableWriter {
                 format!("{} already holds a durable table", dir.display()),
             ));
         }
-        // The initial checkpoint must not carry pending maintenance, and
-        // replay determinism wants a clean statement-stream start.
-        it.flush_maintenance();
         let (handle, writer) = ConcurrentTable::new(it);
         let wal = wal::WalWriter::new(
             Arc::clone(&fs),
@@ -295,8 +289,8 @@ impl DurableWriter {
     /// truncating the WAL, so a crash loop cannot re-pay replay cost.
     ///
     /// `policy` must be the maintenance policy the original run used —
-    /// deferred-flush points and policy piggyback decisions replay under
-    /// it, and a different policy would diverge from the logged history.
+    /// policy piggyback decisions replay under it, and a different
+    /// policy would diverge from the logged history.
     pub fn recover(
         fs: Arc<dyn DurableFs>,
         dir: impl AsRef<Path>,
@@ -494,15 +488,6 @@ impl DurableWriter {
         Ok(())
     }
 
-    /// Flushes deferred maintenance (WAL-logged, then applied — the log
-    /// record matters because a later recompute discards pending work,
-    /// so flush points are part of the history).
-    pub fn flush_maintenance(&mut self) -> io::Result<()> {
-        self.wal.append(&Record::Flush)?;
-        self.writer.flush_maintenance();
-        Ok(())
-    }
-
     /// Records planner feedback against `slot` (WAL-logged: the advisor's
     /// observe state must survive recovery).
     pub fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) -> io::Result<()> {
@@ -534,7 +519,7 @@ impl DurableWriter {
         Ok(())
     }
 
-    /// Publishes a flushed epoch durably: drains reader-reported
+    /// Publishes an epoch durably: drains reader-reported
     /// feedback through the WAL, logs the publish record, applies the
     /// sync policy (a returned `Ok` means the epoch will survive any
     /// later crash under [`SyncPolicy::EveryRecord`] /
@@ -577,7 +562,7 @@ impl DurableWriter {
         if self.opts.sync == SyncPolicy::EveryPublish {
             self.wal.sync_all()?;
         }
-        self.writer.publish_flushed();
+        self.writer.publish();
         self.epoch += 1;
         self.publishes_since_ckpt += 1;
         if self.publishes_since_ckpt >= self.opts.checkpoint_every {
@@ -595,10 +580,10 @@ impl DurableWriter {
         self.metrics = Some(CkptMetrics::new(registry));
     }
 
-    /// Writes a checkpoint of the current (flushed) staging state
-    /// covering WAL sequences up to `hwm`. Only files whose backing
-    /// state changed since the previous checkpoint are written; the rest
-    /// are re-referenced by the new manifest.
+    /// Writes a checkpoint of the current staging state covering WAL
+    /// sequences up to `hwm`. Only files whose backing state changed
+    /// since the previous checkpoint are written; the rest are
+    /// re-referenced by the new manifest.
     fn write_checkpoint(&mut self, hwm: u64) -> io::Result<()> {
         let epoch = self.epoch;
         let mut bytes = 0u64;
@@ -772,8 +757,7 @@ impl DurableWriter {
 
     /// The bytes a non-incremental checkpoint of the current state would
     /// write (every partition, every index, dicts, meta) — the baseline
-    /// the incremental economics are measured against. Requires a
-    /// flushed state, like checkpointing itself.
+    /// the incremental economics are measured against.
     pub fn full_checkpoint_bytes(&self) -> u64 {
         let it = self.writer.staging();
         let table = it.table();

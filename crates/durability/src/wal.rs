@@ -87,8 +87,6 @@ pub enum Record {
         /// Slot at recompute time.
         slot: usize,
     },
-    /// All deferred maintenance flushed explicitly.
-    Flush,
     /// An epoch published (durable high-water marks point at these).
     Publish,
     /// Optimizer feedback recorded against the index in `slot`.
@@ -115,7 +113,8 @@ const T_DELETE: u8 = 3;
 const T_ADD_INDEX: u8 = 4;
 const T_DROP_INDEX: u8 = 5;
 const T_RECOMPUTE: u8 = 6;
-const T_FLUSH: u8 = 7;
+// 7 is retired (it named a flush of batched maintenance): never reused,
+// and a frame carrying it is refused like any unknown tag.
 const T_PUBLISH: u8 = 8;
 const T_FEEDBACK: u8 = 9;
 const T_TIMING: u8 = 10;
@@ -266,7 +265,7 @@ impl Record {
             Record::DropIndex { slot } | Record::Recompute { slot } => {
                 put_u32(b, *slot as u32);
             }
-            Record::Flush | Record::Publish => {}
+            Record::Publish => {}
             Record::Feedback {
                 slot,
                 est_cost_saved,
@@ -294,7 +293,6 @@ impl Record {
             Record::AddIndex { .. } => T_ADD_INDEX,
             Record::DropIndex { .. } => T_DROP_INDEX,
             Record::Recompute { .. } => T_RECOMPUTE,
-            Record::Flush => T_FLUSH,
             Record::Publish => T_PUBLISH,
             Record::Feedback { .. } => T_FEEDBACK,
             Record::Timing { .. } => T_TIMING,
@@ -359,7 +357,6 @@ impl Record {
             T_RECOMPUTE => Record::Recompute {
                 slot: read_u32(r)? as usize,
             },
-            T_FLUSH => Record::Flush,
             T_PUBLISH => Record::Publish,
             T_FEEDBACK => Record::Feedback {
                 slot: read_u32(r)? as usize,
@@ -657,7 +654,6 @@ mod tests {
             },
             Record::DropIndex { slot: 1 },
             Record::Recompute { slot: 0 },
-            Record::Flush,
             Record::Publish,
             Record::Feedback {
                 slot: 0,
@@ -731,9 +727,9 @@ mod tests {
         // Segment 1 holds seqs 1-2 with a torn third record; a stale
         // pre-crash segment starting at seq 5 must not be replayed.
         let mut w = WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 1 << 20, 1);
-        w.append(&Record::Flush).unwrap();
+        w.append(&Record::Recompute { slot: 0 }).unwrap();
         w.append(&Record::Publish).unwrap();
-        w.append(&Record::Flush).unwrap();
+        w.append(&Record::Recompute { slot: 0 }).unwrap();
         let seg = dir.join(segment_name(1));
         let full = fs.read(&seg).unwrap();
         fs.remove(&seg).unwrap();
@@ -748,5 +744,29 @@ mod tests {
         let read = read_log(fs.as_ref(), &dir).unwrap();
         assert_eq!(read.len(), 3);
         assert_eq!(read[2], (3, Record::Publish));
+    }
+
+    /// An unknown record tag inside a CRC-valid frame is not a torn tail:
+    /// the log says something this build cannot replay, so reading it is
+    /// an error, never a silently shortened history. Tag 7 is the retired
+    /// flush record, 200 was never assigned.
+    #[test]
+    fn unknown_record_tag_is_refused_not_skipped() {
+        for tag in [7u8, 200] {
+            let fs = Arc::new(SimFs::new());
+            let dir = PathBuf::from("/wal");
+            let mut w =
+                WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 1 << 20, 1);
+            w.append(&Record::Publish).unwrap();
+            let mut payload = 2u64.to_le_bytes().to_vec();
+            payload.push(tag);
+            let mut frame = Vec::new();
+            put_u32(&mut frame, payload.len() as u32);
+            put_u32(&mut frame, crc32(&payload));
+            frame.extend_from_slice(&payload);
+            fs.append(&dir.join(segment_name(1)), &frame).unwrap();
+            let err = read_log(fs.as_ref(), &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}: {err}");
+        }
     }
 }

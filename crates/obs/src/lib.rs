@@ -12,8 +12,8 @@
 //!   human-readable dump ([`MetricsRegistry::render_text`]).
 //! * [`Span`] / [`QueryTrace`] — an EXPLAIN ANALYZE-style trace of one
 //!   query: per-operator wall clock and row counts, partitions pruned
-//!   vs. visited, index slots bound, cache outcome, pending-NUC masking
-//!   decisions. Produced by `QueryEngine::query_traced` in `pi-planner`.
+//!   vs. visited, index slots bound, cache outcome. Produced by
+//!   `QueryEngine::query_traced` in `pi-planner`.
 //! * [`Windowed`] — sliding windows over cumulative counters (anchor,
 //!   delta, trim, sum), extracted from the advisor's two hand-rolled
 //!   windowed-subtraction sites.

@@ -89,9 +89,6 @@ pub struct PlannerTrace {
     pub rewrites_chosen: u64,
     /// Index slots the final plan binds (patch scans).
     pub slots_bound: Vec<usize>,
-    /// Index slots hidden from the planner because the snapshot carries
-    /// pending NUC maintenance for them (disjointness not guaranteed).
-    pub masked_pending_slots: Vec<usize>,
     /// Planning wall clock in nanoseconds.
     pub nanos: u64,
 }
@@ -154,13 +151,11 @@ impl QueryTrace {
         let p = &self.planner;
         let _ = writeln!(
             out,
-            "planner:   {} candidates, {} cost-gated, {} rewrites chosen, slots bound {:?}, \
-             masked pending {:?} ({})",
+            "planner:   {} candidates, {} cost-gated, {} rewrites chosen, slots bound {:?} ({})",
             p.candidates_enumerated,
             p.cost_gated,
             p.rewrites_chosen,
             p.slots_bound,
-            p.masked_pending_slots,
             fmt_nanos(p.nanos),
         );
         let _ = writeln!(
@@ -252,7 +247,7 @@ impl QueryTrace {
         format!(
             "{{\"query\": {}, \"optimized\": {}, \"planner\": {{\"candidates_enumerated\": {}, \
              \"cost_gated\": {}, \"rewrites_chosen\": {}, \"slots_bound\": {:?}, \
-             \"masked_pending_slots\": {:?}, \"nanos\": {}}}, \"partitions\": {{\"total\": {}, \
+             \"nanos\": {}}}, \"partitions\": {{\"total\": {}, \
              \"visited\": {}, \"pruned\": {}}}, \"cache\": {}, \"rows_out\": {}, \
              \"total_nanos\": {}, \"operators\": [{}], \"spans\": [{}]}}",
             json_str(&self.query),
@@ -261,7 +256,6 @@ impl QueryTrace {
             p.cost_gated,
             p.rewrites_chosen,
             p.slots_bound,
-            p.masked_pending_slots,
             p.nanos,
             self.partitions_total,
             self.partitions_visited,
@@ -313,7 +307,6 @@ mod tests {
                 cost_gated: 1,
                 rewrites_chosen: 1,
                 slots_bound: vec![0],
-                masked_pending_slots: vec![],
                 nanos: 10,
             },
             partitions_total: 4,

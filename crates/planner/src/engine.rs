@@ -4,18 +4,14 @@
 //! point — owned table, writer staging table, snapshot with or without a
 //! result cache; rows, count or traced — runs the same `run` function
 //! over a borrowed view of the table. A query is a read: every method
-//! takes `&self`, and nothing below flushes maintenance, copies an index
+//! takes `&self`, and nothing below runs maintenance, copies an index
 //! or touches the query log.
 //!
 //! 1. **plan** — optimize against the view's [`IndexCatalog`] (all
-//!    indexes, per-partition stats) with plan-level zero-branch pruning.
-//!    If the chosen plan binds a NUC index with staged deferred
-//!    maintenance — its disjointness invariant is suspended while
-//!    pending — re-optimize with **just the pending NUC entries masked
-//!    out** of the catalog (the pending-NUC masking rule of
-//!    [`patchindex::snapshot`]): NSC/NCC/exception rewrites at other
-//!    sites stay exact while pending and survive, only the suspended
-//!    binding reverts. Feeds the `planner.*` registry counters.
+//!    indexes, per-partition stats) with plan-level zero-branch pruning,
+//!    once: every index is consistent with its table after every
+//!    statement, so every binding the optimizer picks is exact. Feeds
+//!    the `planner.*` registry counters.
 //! 2. **probe** — with a [`ResultCache`] attached, look the chosen plan's
 //!    canonical fingerprint up; the stored canonical bytes are compared,
 //!    not just the hash, so a hit is the exact answer.
@@ -38,8 +34,7 @@
 //!   the table was built with them.
 //! * [`ConcurrentTable`] — each call runs on a freshly acquired snapshot.
 //! * [`IndexedTable`] — the single-threaded owner: its live state and
-//!   its mutation-invalidated catalog cache. To get a masked NUC rewrite
-//!   back, flush (`flush_index` / `flush_maintenance`) before querying.
+//!   its mutation-invalidated catalog cache.
 //! * [`TableWriter`] — its staging [`IndexedTable`] (writer queries see
 //!   staged state immediately).
 
@@ -48,8 +43,8 @@ use std::time::Instant;
 
 use patchindex::snapshot::{WorkloadEvent, WorkloadSink};
 use patchindex::{
-    CachedValue, ConcurrentTable, Constraint, Footprint, IndexCatalog, IndexStats, IndexedTable,
-    PatchIndex, QueryShape, ResultCache, SortDir, TableSnapshot, TableWriter,
+    CachedValue, ConcurrentTable, Footprint, IndexCatalog, IndexedTable, PatchIndex, QueryShape,
+    ResultCache, SortDir, TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::{collect, Batch};
@@ -80,20 +75,6 @@ fn bound_slots(plan: &Plan) -> Vec<usize> {
     walk(plan, &mut slots);
     slots.sort_unstable();
     slots.dedup();
-    slots
-}
-
-/// A NUC index with staged deferred maintenance: its disjointness
-/// invariant is suspended until the flush.
-fn is_pending_nuc(e: &IndexStats) -> bool {
-    e.pending && e.constraint == Constraint::NearlyUnique
-}
-
-/// PatchScan slots whose binding requires the NUC disjointness invariant
-/// that a pending flush currently suspends.
-fn stale_nuc_slots(plan: &Plan, cat: &IndexCatalog) -> Vec<usize> {
-    let mut slots = bound_slots(plan);
-    slots.retain(|&s| cat.by_slot(s).is_some_and(is_pending_nuc));
     slots
 }
 
@@ -238,10 +219,10 @@ pub trait QueryEngine {
     /// Plans and executes under full EXPLAIN ANALYZE instrumentation:
     /// the result batch — byte-identical to [`QueryEngine::query`] —
     /// plus a [`QueryTrace`] carrying planner decisions (candidates
-    /// enumerated, cost-gated, rewrites chosen, masked pending-NUC
-    /// slots), partitions pruned vs visited, per-operator wall clock and
-    /// row counts, and the result-cache outcome. Workload evidence is
-    /// recorded exactly as `query` would.
+    /// enumerated, cost-gated, rewrites chosen), partitions pruned vs
+    /// visited, per-operator wall clock and row counts, and the
+    /// result-cache outcome. Workload evidence is recorded exactly as
+    /// `query` would.
     fn query_traced(&self, plan: &Plan) -> (Batch, QueryTrace) {
         let mut out = self.run_request(plan, Request::Traced);
         let trace = out.trace.take().expect("a traced request yields a trace");
@@ -299,39 +280,13 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
     let total = Instant::now();
     let cat = view.catalog;
     let mut stats = OptimizeStats::default();
-    let mut chosen = optimize_with_stats(plan.clone(), cat, true, &mut stats);
-    let mut masked = Vec::new();
-    if !stale_nuc_slots(&chosen, cat).is_empty() {
-        // A read cannot flush; masking just the pending NUC entries
-        // (their slot numbers live in the entries, not positions, so
-        // surviving bindings still address the live index array) keeps
-        // every other rewrite. The next flush restores the NUC rewrite.
-        masked = cat
-            .indexes
-            .iter()
-            .filter(|e| is_pending_nuc(e))
-            .map(|e| e.slot)
-            .collect();
-        let masked_cat = IndexCatalog {
-            part_rows: cat.part_rows.clone(),
-            indexes: cat
-                .indexes
-                .iter()
-                .filter(|e| !is_pending_nuc(e))
-                .cloned()
-                .collect(),
-        };
-        stats = OptimizeStats::default();
-        chosen = optimize_with_stats(plan.clone(), &masked_cat, true, &mut stats);
-    }
+    let chosen = optimize_with_stats(plan.clone(), cat, true, &mut stats);
     if let Some(reg) = view.metrics {
         reg.counter("planner.candidates_enumerated")
             .add(stats.candidates_enumerated);
         reg.counter("planner.cost_gated").add(stats.cost_gated);
         reg.counter("planner.rewrites_chosen")
             .add(stats.rewrites_chosen);
-        reg.counter("planner.masked_pending_slots")
-            .add(masked.len() as u64);
     }
     let plan_nanos = total.elapsed().as_nanos() as u64;
 
@@ -441,7 +396,6 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
             cost_gated: stats.cost_gated,
             rewrites_chosen: stats.rewrites_chosen,
             slots_bound: bound,
-            masked_pending_slots: masked,
             nanos: plan_nanos,
         },
         partitions_total: parts,
@@ -524,7 +478,7 @@ impl QueryEngine for TableWriter {
 mod tests {
     use super::*;
     use crate::{execute, execute_count, NO_INDEXES};
-    use patchindex::{Design, MaintenanceMode, MaintenancePolicy, SortDir};
+    use patchindex::{Constraint, Design};
     use pi_exec::ops::sort::SortOrder;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 
@@ -552,15 +506,6 @@ mod tests {
         IndexedTable::new(t)
     }
 
-    fn deferred() -> MaintenancePolicy {
-        MaintenancePolicy {
-            mode: MaintenanceMode::Deferred {
-                flush_rows: usize::MAX,
-            },
-            ..MaintenancePolicy::default()
-        }
-    }
-
     #[test]
     fn query_plans_against_every_index() {
         let mut it = fresh(2);
@@ -575,93 +520,6 @@ mod tests {
         assert_eq!(it.query_count(&distinct), 10);
         let sorted = it.query(&sort);
         assert!(pi_exec::ops::sort::is_sorted_asc(sorted.column(0)));
-    }
-
-    #[test]
-    fn pending_nuc_is_masked_until_flushed() {
-        let mut it = fresh(2).with_policy(deferred());
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        // Stage a duplicate of an existing value: disjointness suspended.
-        let Value::Int(dup) = it.table().partition(0).value_at(1, 0) else {
-            panic!()
-        };
-        it.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        assert!(it.index(slot).has_pending());
-
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        let reference = execute_count(&distinct, it.table(), NO_INDEXES);
-        // Masked: the reference plan answers, exactly, and the read
-        // leaves the staged work where it was.
-        let chosen = it.plan_query(&distinct);
-        assert!(!chosen.to_string().contains("PatchScan"), "{chosen}");
-        assert_eq!(it.query_count(&distinct), reference);
-        assert!(it.index(slot).has_pending(), "a query never flushes");
-
-        // The owner's way back to the rewrite is an explicit flush.
-        it.flush_index(slot);
-        assert!(it.plan_query(&distinct).to_string().contains("PatchScan"));
-        assert_eq!(it.query_count(&distinct), reference);
-        it.check_consistency();
-    }
-
-    #[test]
-    fn pending_nsc_does_not_force_a_flush() {
-        let mut it = fresh(2).with_policy(deferred());
-        let slot = it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        it.insert(&[vec![Value::Int(999), Value::Int(-5)]]); // out of order
-        assert!(it.index(slot).has_pending());
-
-        let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        let reference = execute(&sort, it.table(), NO_INDEXES);
-        let got = it.query(&sort);
-        assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
-        // Staged rows were routed through the exception flow instead.
-        assert!(
-            it.index(slot).has_pending(),
-            "NSC plans stay exact while pending"
-        );
-    }
-
-    #[test]
-    fn pending_ncc_stays_exact_without_flush() {
-        // All values constant per partition; a staged insert of the
-        // constant itself is conservatively patched, so the constant
-        // appears in BOTH flows — the rewrite's global distinct dedups it
-        // and no flush is required.
-        let mut t = Table::new(
-            "ncc",
-            Schema::new(vec![
-                Field::new("k", DataType::Int),
-                Field::new("s", DataType::Int),
-            ]),
-            2,
-            Partitioning::RoundRobin,
-        );
-        t.load_partition(
-            0,
-            &[
-                ColumnData::Int(vec![0, 1, 2]),
-                ColumnData::Int(vec![7, 7, 7]),
-            ],
-        );
-        t.load_partition(
-            1,
-            &[ColumnData::Int(vec![3, 4]), ColumnData::Int(vec![8, 8])],
-        );
-        t.propagate_all();
-        let mut it = IndexedTable::new(t).with_policy(deferred());
-        let slot = it.add_index(1, Constraint::NearlyConstant, Design::Bitmap);
-        it.insert(&[vec![Value::Int(100), Value::Int(7)]]);
-        assert!(it.index(slot).has_pending());
-
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        let reference = execute_count(&distinct, it.table(), NO_INDEXES);
-        assert_eq!(reference, 2);
-        let chosen = crate::optimizer::rewrite(distinct.clone(), &it.catalog().indexes[slot]);
-        assert_eq!(execute_count(&chosen, it.table(), it.indexes()), reference);
-        // The facade never flushes for NCC either way.
-        assert_eq!(it.query_count(&distinct), reference);
-        assert!(it.index(slot).has_pending());
     }
 
     #[test]
@@ -738,19 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_plans_never_flush() {
-        let mut it = fresh(2).with_policy(deferred());
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let Value::Int(dup) = it.table().partition(0).value_at(1, 0) else {
-            panic!()
-        };
-        it.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        // A plain scan does not bind the index; pending work stays batched.
-        assert_eq!(it.query_count(&Plan::scan(vec![1])), 11);
-        assert!(it.index(slot).has_pending());
-    }
-
-    #[test]
     fn measured_timing_lands_in_feedback() {
         let mut it = fresh(2);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
@@ -787,97 +632,6 @@ mod tests {
         let sorted = snap.query(&sort);
         let sref = execute(&sort, snap.table(), NO_INDEXES);
         assert_eq!(sorted.column(0).as_int(), sref.column(0).as_int());
-    }
-
-    #[test]
-    fn pending_nuc_snapshot_falls_back_to_the_reference_plan() {
-        use patchindex::ConcurrentTable;
-        let it = fresh(2).with_policy(deferred());
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        let slot = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let Value::Int(dup) = writer.staging().table().partition(0).value_at(1, 0) else {
-            panic!()
-        };
-        writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        assert!(writer.staging().index(slot).has_pending());
-        writer.publish(); // deliberately unflushed: snapshot carries pending NUC
-        let snap = handle.snapshot();
-        assert!(snap.catalog().indexes[slot].pending);
-
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        // The fallback plan is the unrewritten reference — and exact.
-        let chosen = snap.plan_query(&distinct);
-        assert!(!chosen.to_string().contains("PatchScan"), "{chosen}");
-        let reference = execute_count(&distinct, snap.table(), NO_INDEXES);
-        assert_eq!(snap.query_count(&distinct), reference);
-        // The index version inside the snapshot still has its staged
-        // state; the reader never flushed anything.
-        assert!(snap.indexes()[slot].has_pending());
-
-        // A flushed publish restores the rewrite for new snapshots.
-        writer.publish_flushed();
-        let fresh_snap = handle.snapshot();
-        assert!(fresh_snap
-            .plan_query(&distinct)
-            .to_string()
-            .contains("PatchScan"));
-        assert_eq!(fresh_snap.query_count(&distinct), reference);
-    }
-
-    #[test]
-    fn pending_nuc_mask_keeps_the_unrelated_nsc_rewrite() {
-        use patchindex::ConcurrentTable;
-        let it = fresh(2).with_policy(deferred());
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        let nuc = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let nsc = writer.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        let Value::Int(dup) = writer.staging().table().partition(0).value_at(1, 0) else {
-            panic!()
-        };
-        writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        writer.publish(); // unflushed: the snapshot carries the pending NUC
-        let snap = handle.snapshot();
-        assert!(snap.catalog().indexes[nuc].pending);
-
-        // One plan, two sites: the distinct would bind the pending NUC,
-        // the sort binds the NSC (exact while pending). Masking must
-        // revert only the distinct site.
-        let q = Plan::Union {
-            inputs: vec![
-                Plan::scan(vec![1]).distinct(vec![0]),
-                Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]),
-            ],
-        };
-        let chosen = snap.plan_query(&q);
-        let s = chosen.to_string();
-        assert!(
-            s.contains(&format!("slot={nsc}")),
-            "NSC rewrite must survive:\n{s}"
-        );
-        assert!(
-            !s.contains(&format!("slot={nuc}")),
-            "pending NUC must be masked:\n{s}"
-        );
-        let reference = execute_count(&q, snap.table(), NO_INDEXES);
-        assert_eq!(snap.query_count(&q), reference);
-    }
-
-    #[test]
-    fn pending_nsc_snapshot_keeps_its_rewrite() {
-        use patchindex::ConcurrentTable;
-        let it = fresh(2).with_policy(deferred());
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        let slot = writer.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        writer.insert(&[vec![Value::Int(999), Value::Int(-5)]]); // out of order
-        writer.publish();
-        let snap = handle.snapshot();
-        assert!(snap.catalog().indexes[slot].pending);
-        let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        // NSC stays exact while pending: no fallback, results exact.
-        assert!(snap.plan_query(&sort).to_string().contains("PatchScan"));
-        let got = snap.query(&sort);
-        let reference = execute(&sort, snap.table(), NO_INDEXES);
-        assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
     }
 
     #[test]
@@ -1110,25 +864,6 @@ mod tests {
         let third = snap.query(&distinct);
         assert_eq!(third.column(0).as_int(), first.column(0).as_int());
         assert_eq!(handle.cache_stats().unwrap().hits, 2);
-    }
-
-    #[test]
-    fn traced_snapshot_reports_masked_pending_nuc_slots() {
-        use patchindex::ConcurrentTable;
-        let it = fresh(2).with_policy(deferred());
-        let (handle, mut writer) = ConcurrentTable::new(it);
-        let slot = writer.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let Value::Int(dup) = writer.staging().table().partition(0).value_at(1, 0) else {
-            panic!()
-        };
-        writer.insert(&[vec![Value::Int(999), Value::Int(dup)]]);
-        writer.publish(); // unflushed: pending NUC rides into the snapshot
-        let snap = handle.snapshot();
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        let (_, trace) = snap.query_traced(&distinct);
-        assert_eq!(trace.planner.masked_pending_slots, vec![slot]);
-        assert!(trace.planner.slots_bound.is_empty());
-        assert_eq!(trace.cache, Some(pi_obs::CacheOutcome::Uncached));
     }
 
     #[test]

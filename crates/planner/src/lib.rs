@@ -9,15 +9,15 @@
 //! operator trees with partition-parallel combines.
 //!
 //! The [`QueryEngine`] facade ties it together as **one pipeline** —
-//! plan (masking pending-NUC bindings) → result-cache probe → lower +
-//! execute → cache insert → workload evidence → trace — run over a
-//! borrowed view of an `IndexedTable`, a `TableWriter`'s staging table, a
-//! `TableSnapshot` or a `ConcurrentTable`. Which facade method the caller
+//! plan → result-cache probe → lower + execute → cache insert →
+//! workload evidence → trace — run over a borrowed view of an
+//! `IndexedTable`, a `TableWriter`'s staging table, a `TableSnapshot` or
+//! a `ConcurrentTable`. Which facade method the caller
 //! invoked (`plan_query` / `query` / `query_count` / `query_traced`) is
 //! the only selector; the evidence each one records is tabulated on the
-//! trait. A query is a read — every method takes `&self`: a pending NUC
-//! binding is masked at every entry point alike, and evidence waits in
-//! the table's `WorkloadSink` for `IndexedTable::absorb_workload`.
+//! trait. A query is a read — every method takes `&self`, and evidence
+//! waits in the table's `WorkloadSink` for
+//! `IndexedTable::absorb_workload`.
 //!
 //! Outside the facade, [`execute`] / [`execute_count`] run a plan
 //! directly against a table and an index set — with [`NO_INDEXES`], the

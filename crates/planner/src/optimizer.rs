@@ -175,10 +175,9 @@ fn rewrite_site(node: &Plan, e: &IndexStats) -> Option<Plan> {
             // which the hash aggregation handles at near-scan speed. The
             // paper's Section 5.5 sketches such additional constraints.
             // Unlike the NUC rewrite, the flows' value sets are NOT
-            // disjoint — a patch may carry another partition's constant
-            // (or, while deferred maintenance is pending, the constant
-            // itself) — so a global distinct over the union dedups across
-            // flows and partitions; its input is already tiny.
+            // disjoint — a patch may carry another partition's constant —
+            // so a global distinct over the union dedups across flows and
+            // partitions; its input is already tiny.
             Plan::Scan {
                 cols: scan_cols,
                 filter,

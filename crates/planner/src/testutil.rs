@@ -27,7 +27,6 @@ pub(crate) fn entry(
         constraint,
         parts,
         patch_distinct,
-        pending: false,
         e,
         baseline_e: e,
         drift_patches: 0,

@@ -23,7 +23,7 @@
 //!   the `SLOWLOG` ring with their EXPLAIN ANALYZE traces
 //!   (`QueryEngine::query_traced` runs under every query);
 //! * **shutdown** drains: closing the server applies every acknowledged
-//!   statement through a final flush + publish before joining.
+//!   statement through a final publish before joining.
 //!
 //! ```
 //! use pi_server::{client, Server, ServerConfig};

@@ -211,7 +211,7 @@ impl Server {
     }
 
     /// Graceful shutdown: stop admitting work, drain every shard queue
-    /// through a final flush + publish, join writers and connection
+    /// through a final publish, join writers and connection
     /// threads. Also runs on drop; calling it twice is a no-op.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
@@ -329,7 +329,6 @@ impl ServerInner {
             "INSERT" => self.insert(rest),
             "MODIFY" => self.modify(rest),
             "DELETE" => self.delete(rest),
-            "FLUSH" => self.flush(),
             "PUBLISH" => self.publish(),
             "METRICS" => Ok(self.metrics_json()),
             "SLOWLOG" => Ok(self.slowlog.render()),
@@ -631,20 +630,6 @@ impl ServerInner {
         let rids = self.checked_rids(sid, pid, rid_list.split(','))?;
         let seq = self.shards[sid].enqueue(Statement::Delete { pid, rids })?;
         Ok(format!("OK shard={sid} seq={seq}"))
-    }
-
-    fn flush(&self) -> Result<String, ServerError> {
-        let mut acks = Vec::new();
-        for shard in &self.shards {
-            let (tx, rx) = mpsc::channel();
-            shard.control(ShardMsg::Flush { ack: tx })?;
-            acks.push(rx);
-        }
-        for rx in acks {
-            rx.recv()
-                .map_err(|_| ServerError::new(ErrorCode::ShuttingDown, "shard writer exited"))?;
-        }
-        Ok("OK".into())
     }
 
     fn publish(&self) -> Result<String, ServerError> {

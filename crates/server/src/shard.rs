@@ -12,8 +12,8 @@
 //! reflects (the contract the prefix-replay property test checks).
 //!
 //! Closing the queue drains it: the writer applies every remaining
-//! statement, flushes maintenance, publishes, and exits — graceful
-//! shutdown is "close all queues, join all writers".
+//! statement, publishes, and exits — graceful shutdown is "close all
+//! queues, join all writers".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -46,10 +46,6 @@ pub(crate) enum ShardMsg {
     Statement {
         seq: u64,
         stmt: Statement,
-    },
-    /// Flush deferred maintenance, publish, ack.
-    Flush {
-        ack: mpsc::Sender<()>,
     },
     /// Publish, ack with the new epoch.
     Publish {
@@ -181,7 +177,7 @@ impl Shard {
         }
     }
 
-    /// Enqueues a control message (flush / publish / hold).
+    /// Enqueues a control message (publish / hold).
     pub(crate) fn control(&self, msg: ShardMsg) -> Result<(), ServerError> {
         let st = self.state.lock().unwrap();
         let Some(sender) = st.sender.as_ref() else {
@@ -219,7 +215,7 @@ impl Shard {
 
     /// Closes the queue (new statements get `ShuttingDown`) and joins
     /// the writer, which drains every queued statement through a final
-    /// flush + publish first.
+    /// publish first.
     pub(crate) fn close(&self) {
         self.state.lock().unwrap().sender = None;
         if let Some(h) = self.handle.lock().unwrap().take() {
@@ -267,12 +263,6 @@ impl WriterLoop {
                         since_advise = 0;
                     }
                 }
-                ShardMsg::Flush { ack } => {
-                    self.writer.flush_maintenance();
-                    self.publish(last_seq);
-                    since_publish = 0;
-                    let _ = ack.send(());
-                }
                 ShardMsg::Publish { ack } => {
                     self.publish(last_seq);
                     since_publish = 0;
@@ -286,9 +276,8 @@ impl WriterLoop {
             }
         }
         // Queue closed: everything above already applied; drain through
-        // a final flush + publish so acknowledged statements are
-        // visible (and durable via any wrapped WAL) before the join.
-        self.writer.flush_maintenance();
+        // a final publish so acknowledged statements are visible (and
+        // durable via any wrapped WAL) before the join.
         self.publish(last_seq);
     }
 

@@ -95,7 +95,7 @@ fn main() {
     }
 
     // 7. Graceful shutdown drains every acknowledged statement through a
-    //    final flush + publish before the sockets close.
+    //    final publish before the sockets close.
     server.shutdown();
     println!("\nshut down cleanly");
 }

@@ -3,7 +3,7 @@
 //! The actual tests live in `tests/tests/`; this crate only hosts shared
 //! fixtures so every integration test builds the same workloads.
 
-use patchindex::{IndexedTable, MaintenanceMode, MaintenancePolicy};
+use patchindex::IndexedTable;
 use pi_datagen::{generate, MicroDataset, MicroKind, MicroSpec};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
@@ -59,20 +59,6 @@ pub fn int_column(b: &pi_exec::Batch) -> Vec<i64> {
     }
 }
 
-/// The paper's per-statement maintenance.
-pub fn eager() -> MaintenancePolicy {
-    MaintenancePolicy::default()
-}
-
-/// Deferred maintenance auto-flushing at `flush_rows` staged row-events
-/// per index (`usize::MAX`: only explicit flushes and deletes).
-pub fn deferred(flush_rows: usize) -> MaintenancePolicy {
-    MaintenancePolicy {
-        mode: MaintenanceMode::Deferred { flush_rows },
-        ..MaintenancePolicy::default()
-    }
-}
-
 /// One step of a randomized mutation stream over [`base_table`].
 #[derive(Debug, Clone)]
 pub enum Op {
@@ -97,8 +83,6 @@ pub enum Op {
     },
     /// Recompute one index (seed picks the slot).
     Recompute(u8),
-    /// Flush deferred maintenance.
-    Flush,
     /// Publish an epoch (handled by the driver, not [`apply`]).
     Publish,
 }
@@ -127,7 +111,6 @@ pub fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..PARTS, proptest::collection::vec(any::<u32>(), 1..4))
             .prop_map(|(pid, rid_seeds)| Op::Delete { pid, rid_seeds }),
         any::<u8>().prop_map(Op::Recompute),
-        Just(Op::Flush),
         Just(Op::Publish),
     ]
 }
@@ -184,7 +167,6 @@ pub fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut [i64; PARTS]) {
                 it.recompute_index(*seed as usize % it.indexes().len());
             }
         }
-        Op::Flush => it.flush_maintenance(),
         Op::Publish => {} // handled by the driver
     }
 }

@@ -3,7 +3,7 @@
 //! The central property (the PR's acceptance bar): **a `ConcurrentTable`
 //! carrying a result cache answers every query byte-identically to a
 //! twin table without one, across randomized
-//! insert/modify/delete/recompute/flush/publish streams with repeated
+//! insert/modify/delete/recompute/publish streams with repeated
 //! interleaved queries.** Both twins apply the same ops and publish in
 //! lockstep; after every op the full query mix runs on fresh snapshots
 //! of both sides — and runs *twice* on the cached side, so the second
@@ -19,13 +19,11 @@
 //! new-epoch results to held old snapshots.
 
 use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, ResultCache, SortDir,
-    TableSnapshot, TableWriter,
+    ConcurrentTable, Constraint, Design, IndexedTable, ResultCache, SortDir, TableSnapshot,
+    TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::{
-    apply, base_table, deferred, eager, int_column, op_strategy, Op, PARTS, VAL_POOL,
-};
+use pi_integration::{apply, base_table, int_column, op_strategy, Op, PARTS, VAL_POOL};
 use pi_planner::{Plan, QueryEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -65,11 +63,8 @@ fn verify_pair(cached: &TableSnapshot, plain: &TableSnapshot, ctx: &str) {
     }
 }
 
-fn build(
-    policy: &MaintenancePolicy,
-    cache: Option<Arc<ResultCache>>,
-) -> (ConcurrentTable, TableWriter) {
-    let mut it = IndexedTable::new(base_table(60)).with_policy(*policy);
+fn build(cache: Option<Arc<ResultCache>>) -> (ConcurrentTable, TableWriter) {
+    let mut it = IndexedTable::new(base_table(60));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.add_index(
         1,
@@ -82,10 +77,10 @@ fn build(
     }
 }
 
-fn run_stream(ops: &[Op], policy: MaintenancePolicy) {
+fn run_stream(ops: &[Op]) {
     let cache = Arc::new(ResultCache::new(ResultCache::DEFAULT_BUDGET));
-    let (cached_handle, mut cached_writer) = build(&policy, Some(Arc::clone(&cache)));
-    let (plain_handle, mut plain_writer) = build(&policy, None);
+    let (cached_handle, mut cached_writer) = build(Some(Arc::clone(&cache)));
+    let (plain_handle, mut plain_writer) = build(None);
 
     // Held snapshots: (cached, plain) pairs pinned at an old epoch and
     // re-verified after later publishes refresh / invalidate entries.
@@ -123,32 +118,19 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy) {
         "the hot passes must actually hit: {stats:?}"
     );
 
-    let mut it = cached_writer.into_inner();
-    it.flush_maintenance();
-    it.check_consistency();
+    cached_writer.into_inner().check_consistency();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Eager maintenance: cached answers are byte-identical to the
-    // uncached twin at every step, hits included.
+    // Cached answers are byte-identical to the uncached twin at every
+    // step, hits included.
     #[test]
     fn cached_results_match_uncached_eager(
         ops in proptest::collection::vec(op_strategy(), 4..20),
     ) {
-        run_stream(&ops, eager());
-    }
-
-    // Deferred maintenance: snapshots carry staged state (including
-    // pending NUC masking on the read side) — the cache must key on the
-    // *chosen* plan after masking and still match the uncached twin.
-    #[test]
-    fn cached_results_match_uncached_deferred(
-        ops in proptest::collection::vec(op_strategy(), 4..20),
-        flush_rows in prop_oneof![Just(4usize), Just(64), Just(usize::MAX)],
-    ) {
-        run_stream(&ops, deferred(flush_rows));
+        run_stream(&ops);
     }
 }
 
@@ -157,9 +139,8 @@ proptest! {
 #[test]
 fn tiny_budget_still_answers_exactly() {
     let cache = Arc::new(ResultCache::new(1024));
-    let policy = eager();
-    let (cached_handle, mut cached_writer) = build(&policy, Some(Arc::clone(&cache)));
-    let (plain_handle, mut plain_writer) = build(&policy, None);
+    let (cached_handle, mut cached_writer) = build(Some(Arc::clone(&cache)));
+    let (plain_handle, mut plain_writer) = build(None);
     let mut nk_c = [0i64; PARTS];
     let mut nk_p = [0i64; PARTS];
     for round in 0..6 {

@@ -8,8 +8,8 @@
 //! snapshot epoch was published from.** The writer computes the
 //! reference answers (index-free executions over its staging table) at
 //! every publish; readers then look their snapshot's epoch up and demand
-//! exact agreement — torn epochs, half-applied patch sets or a wrong
-//! pending-NUC fallback would all surface as a mismatch.
+//! exact agreement — torn epochs or half-applied patch sets would
+//! surface as a mismatch.
 //!
 //! Value pools are partition-disjoint (KeyRange routing), mirroring how
 //! the paper's microbenchmark partitions by the indexed column. Since
@@ -30,13 +30,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, MaintenanceStats, SortDir,
-};
+use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceStats, SortDir};
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::{
-    apply, base_table, deferred, eager, int_column, op_strategy, Op, PARTS, VAL_POOL,
-};
+use pi_integration::{apply, base_table, int_column, op_strategy, Op, PARTS, VAL_POOL};
 use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table};
 use proptest::prelude::*;
@@ -63,8 +59,8 @@ fn expected_of(table: &Table, distinct: &Plan, sort: &Plan) -> Expected {
 /// Drives `ops` through a `TableWriter` while `nreaders` threads verify
 /// every snapshot they can grab against the per-epoch reference answers.
 /// Returns the number of reader verifications performed.
-fn run_stream(ops: &[Op], policy: MaintenancePolicy, nreaders: usize) -> u64 {
-    let mut it = IndexedTable::new(base_table(60)).with_policy(policy);
+fn run_stream(ops: &[Op], nreaders: usize) -> u64 {
+    let mut it = IndexedTable::new(base_table(60));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.add_index(
         1,
@@ -132,11 +128,8 @@ fn run_stream(ops: &[Op], policy: MaintenancePolicy, nreaders: usize) -> u64 {
         stop.store(true, Ordering::Relaxed);
     });
 
-    // The writer's own state stays sound too (flush first: deferred work
-    // may be staged, and check_consistency demands exactness).
-    let mut it = writer.into_inner();
-    it.flush_maintenance();
-    it.check_consistency();
+    // The writer's own state stays sound too.
+    writer.into_inner().check_consistency();
     verified.load(Ordering::Relaxed)
 }
 
@@ -157,13 +150,13 @@ fn check_reads<E: QueryEngine>(engine: &E, table: &Table, ctx: &str) {
 }
 
 /// What maintenance leaves behind, per index: patch sets per partition,
-/// staged row-events, cumulative maintenance counters.
-type Maintained = Vec<(Vec<Vec<u64>>, usize, MaintenanceStats)>;
+/// cumulative maintenance counters.
+type Maintained = Vec<(Vec<Vec<u64>>, MaintenanceStats)>;
 
-/// Drives `ops` through a writer and returns the maintained end state
-/// (unflushed); with `reads`, every entry point is queried after each op.
-fn run_with_reads(ops: &[Op], policy: MaintenancePolicy, reads: bool) -> Maintained {
-    let mut it = IndexedTable::new(base_table(60)).with_policy(policy);
+/// Drives `ops` through a writer and returns the maintained end state;
+/// with `reads`, every entry point is queried after each op.
+fn run_with_reads(ops: &[Op], reads: bool) -> Maintained {
+    let mut it = IndexedTable::new(base_table(60));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.add_index(
         1,
@@ -193,7 +186,7 @@ fn run_with_reads(ops: &[Op], policy: MaintenancePolicy, reads: bool) -> Maintai
             let patches = (0..idx.partition_count())
                 .map(|pid| idx.partition(pid).store.patch_rids())
                 .collect();
-            (patches, idx.pending_rows(), idx.maintenance_stats())
+            (patches, idx.maintenance_stats())
         })
         .collect()
 }
@@ -201,43 +194,28 @@ fn run_with_reads(ops: &[Op], policy: MaintenancePolicy, reads: bool) -> Maintai
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Eager maintenance: every concurrently observed result equals its
-    // epoch's sequential replay.
+    // Every concurrently observed result equals its epoch's sequential
+    // replay.
     #[test]
     fn concurrent_reads_are_sequentially_consistent_eager(
         ops in proptest::collection::vec(op_strategy(), 4..24),
     ) {
-        let verified = run_stream(&ops, eager(), 2);
-        prop_assert!(verified > 0);
-    }
-
-    // Deferred maintenance: snapshots may carry staged (pending) state —
-    // including pending NUC indexes, where the reader-side fallback rule
-    // must keep distinct counts exact without a flush.
-    #[test]
-    fn concurrent_reads_are_sequentially_consistent_deferred(
-        ops in proptest::collection::vec(op_strategy(), 4..24),
-        flush_rows in prop_oneof![Just(4usize), Just(64), Just(usize::MAX)],
-    ) {
-        let verified = run_stream(&ops, deferred(flush_rows), 2);
+        let verified = run_stream(&ops, 2);
         prop_assert!(verified > 0);
     }
 
     // A query is a read: interleaving queries at every entry point after
-    // every op changes nothing about what maintenance did or still owes.
+    // every op changes nothing about what maintenance did.
     #[test]
     fn reads_never_write(
         ops in proptest::collection::vec(op_strategy(), 4..24),
-        policy in prop_oneof![
-            Just(eager()), Just(deferred(4)), Just(deferred(64)), Just(deferred(usize::MAX))
-        ],
     ) {
-        prop_assert_eq!(run_with_reads(&ops, policy, true), run_with_reads(&ops, policy, false));
+        prop_assert_eq!(run_with_reads(&ops, true), run_with_reads(&ops, false));
     }
 }
 
 /// The CI stress lane: a seeded high-volume storm, scaled by
-/// `PI_STRESS_ITERS` (randomized streams per policy) and
+/// `PI_STRESS_ITERS` (randomized streams) and
 /// `PI_STRESS_THREADS` (reader threads). Defaults are smoke-sized; the
 /// dedicated CI step raises both.
 #[test]
@@ -274,12 +252,10 @@ fn stress_reader_writer_storm() {
                         .collect(),
                 },
                 7 => Op::Recompute(rng.gen_range(0..=u8::MAX)),
-                8 => Op::Flush,
                 _ => Op::Publish,
             })
             .collect();
-        let policy = if iter % 2 == 0 { eager() } else { deferred(32) };
-        total += run_stream(&ops, policy, threads);
+        total += run_stream(&ops, threads);
     }
     assert!(total > 0, "stress readers must have verified snapshots");
     println!("stress: {total} reader verifications across {iters} storms x {threads} readers");

@@ -7,12 +7,11 @@
 //! cross-partition residual — every occurrence of a value present in
 //! more than one partition — into the local patch sets. These tests
 //! drive adversarial duplicate pools that straddle partitions through
-//! create, incremental maintenance, mid-stream recompute (eager and
-//! deferred, both designs) and the snapshot path, always comparing
-//! against a byte-identical index-free replay.
+//! create, incremental maintenance, mid-stream recompute (both designs)
+//! and the snapshot path, always comparing against a byte-identical
+//! index-free replay.
 
 use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable};
-use pi_integration::deferred;
 use pi_planner::{execute_count, rewrite, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
@@ -102,8 +101,7 @@ enum XOp {
     /// routing scatters duplicates across partitions.
     Insert(Vec<i64>),
     Recompute,
-    Flush,
-    /// Publish an epoch (a flush on the owner path, which has no epochs).
+    /// Publish an epoch (nothing on the owner path, which has no epochs).
     Publish,
 }
 
@@ -113,7 +111,6 @@ fn xop() -> impl Strategy<Value = XOp> {
         proptest::collection::vec(-8i64..8, 1..6).prop_map(XOp::Insert),
         proptest::collection::vec(-8i64..8, 1..6).prop_map(XOp::Insert),
         Just(XOp::Recompute),
-        Just(XOp::Flush),
         Just(XOp::Publish),
     ]
 }
@@ -135,11 +132,8 @@ fn rows_for(vals: &[i64], next_key: &mut i64) -> Vec<Vec<Value>> {
 
 /// Drives one op stream through an owner-path [`IndexedTable`], checking
 /// the facade against the index-free replay after every op.
-fn run_owner(ops: &[XOp], use_deferred: bool, design: Design) {
+fn run_owner(ops: &[XOp], design: Design) {
     let mut it = IndexedTable::new(table_of(&seed_parts()));
-    if use_deferred {
-        it = it.with_policy(deferred(usize::MAX));
-    }
     let slot = it.add_index(1, Constraint::NearlyUnique, design);
     let plan = distinct_plan();
     let mut next_key = 1_000i64;
@@ -149,24 +143,23 @@ fn run_owner(ops: &[XOp], use_deferred: bool, design: Design) {
                 it.insert(&rows_for(vals, &mut next_key));
             }
             XOp::Recompute => it.recompute_index(slot),
-            XOp::Flush | XOp::Publish => it.flush_maintenance(),
+            XOp::Publish => {}
         }
         let reference = execute_count(&plan, it.table(), NO_INDEXES);
         assert_eq!(it.query_count(&plan), reference, "ops: {ops:?}");
     }
-    it.flush_maintenance();
     it.check_consistency();
-    // The flushed structural rewrite (no cost gate) is exact too.
+    // The structural rewrite (no cost gate) is exact too.
     let reference = execute_count(&plan, it.table(), NO_INDEXES);
     let chosen = rewrite(plan, &it.catalog().indexes[slot]);
     assert_eq!(execute_count(&chosen, it.table(), it.indexes()), reference);
 }
 
 /// The same stream through the snapshot path: the writer mutates and
-/// recomputes, publishing after every second insert and after every
-/// flush; readers pull snapshots and must stay exact at every epoch.
+/// recomputes, publishing after every second insert and at every
+/// `Publish`; readers pull snapshots and must stay exact at every epoch.
 fn run_concurrent(ops: &[XOp], design: Design) {
-    let it = IndexedTable::new(table_of(&seed_parts())).with_policy(deferred(usize::MAX));
+    let it = IndexedTable::new(table_of(&seed_parts()));
     let (handle, mut writer) = ConcurrentTable::new(it);
     let slot = writer.add_index(1, Constraint::NearlyUnique, design);
     let plan = distinct_plan();
@@ -183,10 +176,6 @@ fn run_concurrent(ops: &[XOp], design: Design) {
                 writer.recompute_index(slot);
                 false
             }
-            XOp::Flush => {
-                writer.flush_maintenance();
-                true
-            }
             XOp::Publish => true,
         };
         if publish_now {
@@ -197,7 +186,7 @@ fn run_concurrent(ops: &[XOp], design: Design) {
         let reference = execute_count(&plan, snap.table(), NO_INDEXES);
         assert_eq!(snap.query_count(&plan), reference, "ops: {ops:?}");
     }
-    writer.publish_flushed();
+    writer.publish();
     let snap = handle.snapshot();
     snap.check_consistency();
     let reference = execute_count(&plan, snap.table(), NO_INDEXES);
@@ -215,28 +204,14 @@ proptest! {
     fn adversarial_streams_stay_exact_eager_bitmap(
         ops in proptest::collection::vec(xop(), 1..10),
     ) {
-        run_owner(&ops, false, Design::Bitmap);
+        run_owner(&ops, Design::Bitmap);
     }
 
     #[test]
     fn adversarial_streams_stay_exact_eager_identifier(
         ops in proptest::collection::vec(xop(), 1..10),
     ) {
-        run_owner(&ops, false, Design::Identifier);
-    }
-
-    #[test]
-    fn adversarial_streams_stay_exact_deferred_bitmap(
-        ops in proptest::collection::vec(xop(), 1..10),
-    ) {
-        run_owner(&ops, true, Design::Bitmap);
-    }
-
-    #[test]
-    fn adversarial_streams_stay_exact_deferred_identifier(
-        ops in proptest::collection::vec(xop(), 1..10),
-    ) {
-        run_owner(&ops, true, Design::Identifier);
+        run_owner(&ops, Design::Identifier);
     }
 
     #[test]
@@ -262,8 +237,7 @@ fn stress_cross_partition_recompute() {
         let ops: Vec<XOp> = (0..rng.gen_range(8..24))
             .map(|_| match rng.gen_range(0..7) {
                 0 => XOp::Recompute,
-                1 => XOp::Flush,
-                2 => XOp::Publish,
+                1 | 2 => XOp::Publish,
                 _ => {
                     let n = rng.gen_range(1..8);
                     XOp::Insert((0..n).map(|_| rng.gen_range(-10i64..10)).collect())
@@ -271,8 +245,7 @@ fn stress_cross_partition_recompute() {
             })
             .collect();
         for design in [Design::Bitmap, Design::Identifier] {
-            run_owner(&ops, false, design);
-            run_owner(&ops, true, design);
+            run_owner(&ops, design);
             run_concurrent(&ops, design);
         }
     }

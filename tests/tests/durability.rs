@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir};
 use pi_durability::{state_image, DurableOptions, DurableWriter, SyncPolicy};
-use pi_integration::{deferred, eager};
 use pi_storage::dfs::{DurableFs, SimFs};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
@@ -53,7 +52,6 @@ enum Stmt {
     Recompute {
         seed: usize,
     },
-    Flush,
     Feedback {
         seed: usize,
         saved: f64,
@@ -154,7 +152,6 @@ fn apply(dw: &mut DurableWriter, stmt: &Stmt) -> io::Result<bool> {
                 dw.recompute_index(seed % nidx)?;
             }
         }
-        Stmt::Flush => dw.flush_maintenance()?,
         Stmt::Feedback { seed, saved } => {
             if nidx > 0 {
                 dw.record_query_feedback(seed % nidx, *saved)?;
@@ -180,19 +177,18 @@ struct Run {
 /// Creates a durable table and pushes the statement stream through it,
 /// stopping at the first IO error, snapshotting the state image at each
 /// successful publish.
-fn drive(fs: Arc<SimFs>, stmts: &[Stmt], policy: MaintenancePolicy, opts: DurableOptions) -> Run {
+fn drive(fs: Arc<SimFs>, stmts: &[Stmt], opts: DurableOptions) -> Run {
     let dyn_fs: Arc<dyn DurableFs> = fs;
-    let (_handle, mut dw) =
-        match DurableWriter::create(fresh().with_policy(policy), dyn_fs, DIR, opts) {
-            Ok(pair) => pair,
-            Err(_) => {
-                return Run {
-                    images: Vec::new(),
-                    ok_publishes: 0,
-                    created: false,
-                }
+    let (_handle, mut dw) = match DurableWriter::create(fresh(), dyn_fs, DIR, opts) {
+        Ok(pair) => pair,
+        Err(_) => {
+            return Run {
+                images: Vec::new(),
+                ok_publishes: 0,
+                created: false,
             }
-        };
+        }
+    };
     let mut images = vec![state_image(dw.staging())];
     for stmt in stmts {
         match apply(&mut dw, stmt) {
@@ -223,10 +219,10 @@ fn opts_for(sync: SyncPolicy) -> DurableOptions {
 
 /// The exhaustive sweep: crash at every `stride`-th IO boundary of the
 /// workload and check the recovery property at each.
-fn crash_sweep(stmts: &[Stmt], policy: MaintenancePolicy, sync: SyncPolicy, stride: u64) {
+fn crash_sweep(stmts: &[Stmt], sync: SyncPolicy, stride: u64) {
     let opts = opts_for(sync);
     let reference_fs = Arc::new(SimFs::new());
-    let reference = drive(reference_fs.clone(), stmts, policy, opts);
+    let reference = drive(reference_fs.clone(), stmts, opts);
     assert!(reference.created, "unfused run must not fail");
     let total_ops = reference_fs.ops();
 
@@ -234,10 +230,10 @@ fn crash_sweep(stmts: &[Stmt], policy: MaintenancePolicy, sync: SyncPolicy, stri
     while crash_point <= total_ops {
         let fs = Arc::new(SimFs::new());
         fs.set_fuse(Some(crash_point));
-        let run = drive(fs.clone(), stmts, policy, opts);
+        let run = drive(fs.clone(), stmts, opts);
         fs.crash(crash_point.wrapping_mul(0x9E37_79B9) ^ 0x5EED);
 
-        let recovered = DurableWriter::recover(fs.clone(), DIR, opts, policy);
+        let recovered = DurableWriter::recover(fs.clone(), DIR, opts, MaintenancePolicy::default());
         if !run.created {
             // Crashed before (or right at) making the initial manifest
             // durable: recovery either finds no table, or finds epoch 0.
@@ -310,7 +306,6 @@ fn stream(seed: u64, len: usize) -> Vec<Stmt> {
             9 => Stmt::Recompute {
                 seed: rng.next_u32() as usize,
             },
-            10 => Stmt::Flush,
             11 => Stmt::Feedback {
                 seed: rng.next_u32() as usize,
                 saved: rng.gen_range(0..100) as f64,
@@ -324,27 +319,17 @@ fn stream(seed: u64, len: usize) -> Vec<Stmt> {
 
 #[test]
 fn crash_every_io_boundary_every_record() {
-    crash_sweep(&stream(0xA11CE, 26), eager(), SyncPolicy::EveryRecord, 1);
+    crash_sweep(&stream(0xA11CE, 26), SyncPolicy::EveryRecord, 1);
 }
 
 #[test]
 fn crash_every_io_boundary_every_publish() {
-    crash_sweep(&stream(0xA11CE, 26), eager(), SyncPolicy::EveryPublish, 1);
-}
-
-#[test]
-fn crash_every_io_boundary_deferred_maintenance() {
-    crash_sweep(
-        &stream(0x0B0B_51ED, 22),
-        deferred(4),
-        SyncPolicy::EveryRecord,
-        1,
-    );
+    crash_sweep(&stream(0xA11CE, 26), SyncPolicy::EveryPublish, 1);
 }
 
 #[test]
 fn os_buffered_still_recovers_a_published_prefix() {
-    crash_sweep(&stream(0xFACADE, 22), eager(), SyncPolicy::OsBuffered, 3);
+    crash_sweep(&stream(0xFACADE, 22), SyncPolicy::OsBuffered, 3);
 }
 
 /// A flipped bit in the retained WAL (silent media corruption rather
@@ -357,14 +342,13 @@ fn bit_flip_in_the_wal_degrades_to_an_earlier_epoch() {
         checkpoint_every: 100,
         ..opts_for(SyncPolicy::EveryRecord)
     };
-    let policy = eager();
     let stmts = stream(0xF1A6, 20);
     let reference_fs = Arc::new(SimFs::new());
-    let reference = drive(reference_fs.clone(), &stmts, policy, opts);
+    let reference = drive(reference_fs.clone(), &stmts, opts);
 
     for flip_seed in 0u64..8 {
         let fs = Arc::new(SimFs::new());
-        let run = drive(fs.clone(), &stmts, policy, opts);
+        let run = drive(fs.clone(), &stmts, opts);
         assert!(run.created);
         // Flip one bit somewhere in the newest WAL segment.
         let segs: Vec<_> = fs
@@ -382,7 +366,8 @@ fn bit_flip_in_the_wal_degrades_to_an_earlier_epoch() {
         let mut rng = SmallRng::seed_from_u64(flip_seed);
         fs.flip_bit(seg, rng.gen_range(0..len), rng.gen_range(0..8));
 
-        let (_h, dw, report) = DurableWriter::recover(fs.clone(), DIR, opts, policy).unwrap();
+        let (_h, dw, report) =
+            DurableWriter::recover(fs.clone(), DIR, opts, MaintenancePolicy::default()).unwrap();
         assert!(report.epoch <= run.ok_publishes);
         assert_eq!(
             state_image(dw.staging()),
@@ -403,13 +388,13 @@ proptest! {
         len in 12usize..28,
     ) {
         let stmts = stream(seed as u64, len);
-        crash_sweep(&stmts, eager(), SyncPolicy::EveryRecord, 7);
-        crash_sweep(&stmts, eager(), SyncPolicy::EveryPublish, 7);
+        crash_sweep(&stmts, SyncPolicy::EveryRecord, 7);
+        crash_sweep(&stmts, SyncPolicy::EveryPublish, 7);
     }
 }
 
 /// Seeded stress lane (CI raises `PI_DUR_ITERS`): full exhaustive sweeps
-/// over longer randomized workloads in both maintenance modes.
+/// over longer randomized workloads under both syncing policies.
 #[test]
 fn stress_crash_recovery() {
     let iters: usize = std::env::var("PI_DUR_ITERS")
@@ -419,7 +404,7 @@ fn stress_crash_recovery() {
     let mut rng = SmallRng::seed_from_u64(0xD0_0B1E);
     for _ in 0..iters {
         let stmts = stream(rng.next_u64(), rng.gen_range(18..36));
-        crash_sweep(&stmts, eager(), SyncPolicy::EveryRecord, 1);
-        crash_sweep(&stmts, deferred(4), SyncPolicy::EveryPublish, 1);
+        crash_sweep(&stmts, SyncPolicy::EveryRecord, 1);
+        crash_sweep(&stmts, SyncPolicy::EveryPublish, 1);
     }
 }

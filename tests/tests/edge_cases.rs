@@ -1,12 +1,14 @@
 //! Edge-case coverage for PatchIndex update handling: empty tables,
-//! degenerate exception rates (every row a patch), and single- vs
-//! multi-partition agreement under identical logical content.
+//! degenerate exception rates (every row a patch), single- vs
+//! multi-partition agreement under identical logical content, and NUC
+//! statements whose collisions hinge on statement order (repeated
+//! rowIDs, values held only transiently).
 
 use patchindex::{Constraint, Design, IndexCatalog, IndexedTable, PatchIndex, SortDir};
 use pi_datagen::{generate, MicroKind, MicroSpec};
 use pi_exec::ops::sort::SortOrder;
 use pi_planner::{execute, execute_count, optimize, Plan, QueryEngine, NO_INDEXES};
-use pi_storage::{DataType, Field, Partitioning, Schema, Table, Value};
+use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 
 fn empty_table(partitions: usize) -> Table {
     Table::new(
@@ -276,4 +278,104 @@ fn single_and_multi_partition_tables_agree_on_queries() {
         sorted_results[0], sorted_results[1],
         "sorted output must not depend on partitioning"
     );
+}
+
+/// Partition 0 holds values `[10, 20, 30]`, partition 1 `[40, 50]`, under
+/// a NUC index on the value column (no patches to start with).
+fn two_partition_nuc(design: Design) -> IndexedTable {
+    let mut t = empty_table(2);
+    t.load_partition(
+        0,
+        &[
+            ColumnData::Int(vec![0, 1, 2]),
+            ColumnData::Int(vec![10, 20, 30]),
+        ],
+    );
+    t.load_partition(
+        1,
+        &[ColumnData::Int(vec![3, 4]), ColumnData::Int(vec![40, 50])],
+    );
+    t.propagate_all();
+    let mut it = IndexedTable::new(t);
+    it.add_index(1, Constraint::NearlyUnique, design);
+    assert_eq!(it.index(0).exception_count(), 0);
+    it
+}
+
+fn patch_rids(it: &IndexedTable) -> Vec<Vec<u64>> {
+    let idx = it.index(0);
+    (0..idx.partition_count())
+        .map(|pid| idx.partition(pid).store.patch_rids())
+        .collect()
+}
+
+/// A rowID repeated within one modify statement is last-wins for the
+/// table; maintenance must see the post-statement value only — no
+/// self-collision between the two mentions, and a genuine collision with
+/// that value from the next statement.
+#[test]
+fn repeated_rid_in_one_modify_collides_by_its_final_value_only() {
+    for design in [Design::Bitmap, Design::Identifier] {
+        let mut it = two_partition_nuc(design);
+        it.modify(0, &[2, 2], 1, &[Value::Int(500), Value::Int(501)]);
+        it.check_consistency();
+        assert_eq!(patch_rids(&it), vec![vec![], vec![]], "{design:?}");
+        // 500 was never held after the statement: no collision with it…
+        it.modify(1, &[1], 1, &[Value::Int(500)]);
+        it.check_consistency();
+        assert_eq!(patch_rids(&it), vec![vec![], vec![]], "{design:?}");
+        // …but 501 is what row 2 holds.
+        it.modify(0, &[1], 1, &[Value::Int(501)]);
+        it.check_consistency();
+        assert_eq!(patch_rids(&it), vec![vec![1, 2], vec![]], "{design:?}");
+    }
+}
+
+/// A value held only between two statements still collides: 30 → 40
+/// meets partition 1's 40, and moving on to 99 un-patches neither row
+/// (lost optimality, never correctness).
+#[test]
+fn transiently_held_value_leaves_both_rows_patched() {
+    for design in [Design::Bitmap, Design::Identifier] {
+        let mut it = two_partition_nuc(design);
+        it.modify(0, &[2], 1, &[Value::Int(40)]);
+        it.check_consistency();
+        assert_eq!(patch_rids(&it), vec![vec![2], vec![0]], "{design:?}");
+        it.modify(0, &[2], 1, &[Value::Int(99)]);
+        it.check_consistency();
+        assert_eq!(patch_rids(&it), vec![vec![2], vec![0]], "{design:?}");
+    }
+}
+
+/// An inserted 7 that is modified to 8 patches nothing — unless an
+/// existing row held 7 when the insert ran. Either way each statement
+/// pays exactly one collision round with one hashed build side.
+#[test]
+fn inserted_then_modified_value_collides_only_with_what_was_there() {
+    for design in [Design::Bitmap, Design::Identifier] {
+        for existing_holds_7 in [false, true] {
+            let ctx = format!("{design:?}, existing_holds_7={existing_holds_7}");
+            let mut it = two_partition_nuc(design);
+            if existing_holds_7 {
+                it.modify(0, &[0], 1, &[Value::Int(7)]);
+            }
+            let addr = it.insert(&rows_of(&[(777, 7)]))[0];
+            it.modify(addr.partition, &[addr.rid], 1, &[Value::Int(8)]);
+            it.check_consistency();
+            let mut want = vec![Vec::new(), Vec::new()];
+            if existing_holds_7 {
+                want[0].push(0);
+                want[addr.partition].push(addr.rid as u64);
+                want[addr.partition].sort_unstable();
+            }
+            assert_eq!(patch_rids(&it), want, "{ctx}");
+            let statements = 2 + existing_holds_7 as u64;
+            let stats = it.index(0).maintenance_stats();
+            assert_eq!(
+                (stats.collision_rounds, stats.build_invocations),
+                (statements, statements),
+                "{ctx}"
+            );
+        }
+    }
 }

@@ -97,7 +97,6 @@ fn nsc_update_workload_with_policy() {
         max_exception_rate: 0.6,
         condense_threshold: 0.5,
         auto: true,
-        ..patchindex::MaintenancePolicy::default()
     });
     let slot = it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
     let inserts = update_rows(5_000, MicroKind::Nsc, 400, 3);

@@ -1,14 +1,11 @@
 //! Property test: `checkpoint` / `load_checkpoint` round-trips across
 //! **all** constraint × design combinations under arbitrary update
-//! streams — including the guard that pending deferred maintenance is
-//! rejected before checkpointing, and that `MaintenanceStats`, the
-//! drift baseline and the query-feedback counters survive recovery.
+//! streams — including that `MaintenanceStats` and the drift baseline
+//! survive recovery.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use patchindex::{
-    Constraint, Design, IndexedTable, MaintenanceMode, MaintenancePolicy, PatchIndex, SortDir,
-};
+use patchindex::{Constraint, Design, IndexedTable, PatchIndex, SortDir};
 use pi_datagen::MicroKind;
 use pi_integration::micro;
 use pi_storage::Value;
@@ -118,19 +115,10 @@ proptest! {
     fn roundtrip_across_all_constraint_design_combinations(
         constraint in constraint_strategy(),
         design in design_strategy(),
-        deferred in any::<bool>(),
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
         let ds = micro(900, 0.15, MicroKind::Nuc);
-        let policy = if deferred {
-            MaintenancePolicy {
-                mode: MaintenanceMode::Deferred { flush_rows: usize::MAX },
-                ..MaintenancePolicy::default()
-            }
-        } else {
-            MaintenancePolicy::default()
-        };
-        let mut it = IndexedTable::new(ds.table).with_policy(policy);
+        let mut it = IndexedTable::new(ds.table);
         let slot = it.add_index(1, constraint, design);
         let mut next_key = 10_000i64;
         for op in &ops {
@@ -138,22 +126,11 @@ proptest! {
         }
 
         let path = checkpoint_path();
-        if it.index(slot).has_pending() {
-            // The guard: a checkpoint taken mid-epoch could never flush
-            // into a consistent state after recovery — it must refuse.
-            let idx = it.index(slot);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                idx.checkpoint(&path).unwrap()
-            }));
-            prop_assert!(result.is_err(), "pending maintenance must reject checkpointing");
-        }
-        // Flushed state checkpoints fine…
-        it.flush_maintenance();
         it.index(slot).checkpoint(&path).unwrap();
         let loaded = PatchIndex::load_checkpoint(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        // …and recovers byte-identically.
+        // The checkpoint recovers byte-identically.
         let original = it.index(slot);
         prop_assert_eq!(loaded.column(), original.column());
         prop_assert_eq!(loaded.constraint(), original.constraint());

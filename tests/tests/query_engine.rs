@@ -1,9 +1,8 @@
 //! Property test for the `QueryEngine` facade: across random tables,
 //! partition counts, index sets (NUC/NSC, both physical designs, several
-//! indexes on one table) and random update streams — including
-//! deferred-mode pending states and mid-stream flushes — every facade
-//! result is byte-identical to the same logical plan executed as an
-//! unoptimized full scan. Ordered outputs (sort, limit-over-sort) are
+//! indexes on one table) and random update streams, every facade result
+//! is byte-identical to the same logical plan executed as an unoptimized
+//! full scan. Ordered outputs (sort, limit-over-sort) are
 //! compared verbatim; bag outputs (distinct) are compared as canonically
 //! sorted row sets, which for single-column integer results is exact
 //! content equality.
@@ -11,9 +10,8 @@
 //! The entry-point matrix below pins the other half of the contract:
 //! every way into the one pipeline — owner table, writer, uncached /
 //! cached-miss / cached-hit snapshot, through `query`, `query_count` and
-//! `query_traced` — returns that same answer, masks a pending NUC index
-//! the same way, records workload evidence by the same rule table and
-//! writes nothing to the indexes it reads.
+//! `query_traced` — returns that same answer, records workload evidence
+//! by the same rule table and writes nothing to the indexes it reads.
 
 use std::sync::Arc;
 
@@ -23,7 +21,6 @@ use patchindex::{
 use pi_datagen::{generate, MicroKind, MicroSpec};
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::Batch;
-use pi_integration::{deferred, eager};
 use pi_obs::{CacheOutcome, QueryTrace};
 use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -41,7 +38,6 @@ enum Op {
         pid_seed: usize,
         rid_seeds: Vec<u32>,
     },
-    Flush,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -63,7 +59,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 rid_seeds
             }
         ),
-        Just(Op::Flush),
     ]
 }
 
@@ -112,7 +107,6 @@ fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut i64) {
             let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
             it.delete(pid, &rids);
         }
-        Op::Flush => it.flush_maintenance(),
     }
 }
 
@@ -179,14 +173,11 @@ proptest! {
         kind_nuc in any::<bool>(),
         nuc_bitmap in any::<bool>(),
         with_nsc in any::<bool>(),
-        deferred_mode in any::<bool>(),
-        flush_rows in 1usize..16,
         ops in proptest::collection::vec(op_strategy(), 1..12),
     ) {
         let kind = if kind_nuc { MicroKind::Nuc } else { MicroKind::Nsc };
         let ds = generate(&MicroSpec::new(400, e, kind).with_partitions(partitions));
-        let policy = if deferred_mode { deferred(flush_rows) } else { eager() };
-        let mut it = IndexedTable::new(ds.table).with_policy(policy);
+        let mut it = IndexedTable::new(ds.table);
         // Random index set on the value column — the catalog carries them
         // all and the facade picks per query. A NUC index is only created
         // on the NUC dataset: partition-local discovery assumes duplicate
@@ -210,12 +201,8 @@ proptest! {
         let mut next_key = 1_000_000i64;
         for (i, op) in ops.iter().enumerate() {
             apply(&mut it, op, &mut next_key);
-            // Mid-stream: pending deferred state included — the facade
-            // must mask exactly the bindings it suspends.
             assert_queries_match(&it, &format!("after op {i} ({op:?})"));
         }
-        // Any remaining pending state must flush clean.
-        it.flush_maintenance();
         it.check_consistency();
         assert_queries_match(&it, "final");
     }
@@ -226,12 +213,9 @@ proptest! {
 const NUC: usize = 0;
 const NSC: usize = 1;
 
-/// Three partitions of unique ascending values under deferred
-/// maintenance, a NUC (slot 0) and an NSC (slot 1) index on the value
-/// column, then one staged duplicate: the NUC index is pending (its
-/// disjointness suspended), the NSC index is pending but stays exact.
-/// `flushed` applies the staged work, so nothing is pending.
-fn matrix_table(flushed: bool) -> IndexedTable {
+/// Three partitions of unique ascending values, a NUC (slot 0) and an
+/// NSC (slot 1) index on the value column, then one inserted duplicate.
+fn matrix_table() -> IndexedTable {
     let mut t = Table::new(
         "matrix",
         Schema::new(vec![
@@ -250,7 +234,7 @@ fn matrix_table(flushed: bool) -> IndexedTable {
         );
     }
     t.propagate_all();
-    let mut it = IndexedTable::new(t).with_policy(deferred(usize::MAX));
+    let mut it = IndexedTable::new(t);
     assert_eq!(
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap),
         NUC
@@ -260,10 +244,6 @@ fn matrix_table(flushed: bool) -> IndexedTable {
         NSC
     );
     it.insert(&[vec![Value::Int(9_999), Value::Int(1_010)]]);
-    assert!(it.index(NUC).has_pending());
-    if flushed {
-        it.flush_maintenance();
-    }
     it
 }
 
@@ -386,22 +366,18 @@ fn call<E: QueryEngine>(
     }
 }
 
-/// What a read must leave alone: the index versions (by pointer) and the
-/// staged row-events.
-fn index_state(indexes: &[Arc<PatchIndex>]) -> (Vec<*const PatchIndex>, usize) {
-    (
-        indexes.iter().map(Arc::as_ptr).collect(),
-        indexes.iter().map(|idx| idx.pending_rows()).sum(),
-    )
+/// What a read must leave alone: the index versions (by pointer).
+fn index_state(indexes: &[Arc<PatchIndex>]) -> Vec<*const PatchIndex> {
+    indexes.iter().map(Arc::as_ptr).collect()
 }
 
 /// One cell of the matrix: the answer equals the index-free execution,
 /// the queried indexes are untouched, and the evidence delta is exactly
 /// what the rule table prescribes.
-fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShape>, flushed: bool) {
-    let ctx = format!("{entry:?} x {method:?} x {plan} (flushed={flushed})");
+fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShape>) {
+    let ctx = format!("{entry:?} x {method:?} x {plan}");
     let bag = shape == Some(QueryShape::Distinct);
-    let it = matrix_table(flushed);
+    let it = matrix_table();
     let reference = {
         let mut rows = column_vec(&execute(plan, it.table(), NO_INDEXES));
         if bag {
@@ -488,13 +464,8 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
     assert_eq!(count, reference.len(), "{ctx}: count");
     assert_eq!(after, want, "{ctx}: evidence");
 
-    // The matrix must cover what it claims, by one rule at every entry: a
-    // pending NUC is masked (unbound), NSC binds while pending.
-    let masked = !flushed && shape == Some(QueryShape::Distinct);
+    // The matrix must cover what it claims, by one rule at every entry.
     match shape {
-        Some(QueryShape::Distinct) if masked => {
-            assert!(bound_slots(&chosen).is_empty(), "{ctx}: {chosen}")
-        }
         Some(QueryShape::Distinct) => assert_eq!(bound_slots(&chosen), [NUC], "{ctx}"),
         Some(QueryShape::Sort(_)) => assert_eq!(bound_slots(&chosen), [NSC], "{ctx}"),
         None => assert!(bound_slots(&chosen).is_empty(), "{ctx}"),
@@ -503,11 +474,6 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
         assert_eq!(trace.cache, Some(cache_outcome), "{ctx}");
         assert_eq!(trace.planner.slots_bound, bound_slots(&chosen), "{ctx}");
         assert_eq!(trace.optimized, chosen.to_string(), "{ctx}");
-        assert_eq!(
-            trace.planner.masked_pending_slots,
-            if masked { vec![NUC] } else { Vec::new() },
-            "{ctx}"
-        );
         assert_eq!(
             trace.operators.is_empty(),
             cache_outcome == CacheOutcome::Hit,
@@ -518,18 +484,16 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
 
 #[test]
 fn every_entry_point_runs_the_same_pipeline() {
-    for flushed in [false, true] {
-        for entry in [
-            Entry::Owner,
-            Entry::Writer,
-            Entry::Uncached,
-            Entry::CachedMiss,
-            Entry::CachedHit,
-        ] {
-            for method in [Method::Query, Method::Count, Method::Traced] {
-                for (plan, shape) in matrix_plans() {
-                    check_cell(entry, method, &plan, shape, flushed);
-                }
+    for entry in [
+        Entry::Owner,
+        Entry::Writer,
+        Entry::Uncached,
+        Entry::CachedMiss,
+        Entry::CachedHit,
+    ] {
+        for method in [Method::Query, Method::Count, Method::Traced] {
+            for (plan, shape) in matrix_plans() {
+                check_cell(entry, method, &plan, shape);
             }
         }
     }

@@ -81,7 +81,6 @@ fn reference_response(
         for (_, row) in log.range(..=watermarks[sid]) {
             it.insert(std::slice::from_ref(row));
         }
-        it.flush_maintenance();
         rows.extend(batch_rows(&execute(&plan, it.table(), NO_INDEXES)));
     }
     let rows = canonical_rows(&spec, rows);
