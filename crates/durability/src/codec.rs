@@ -7,18 +7,18 @@
 //! — a load never has to tolerate a torn checkpoint, only reject a
 //! corrupt one.
 //!
-//! Partition files serialize the *visible* merged rows (via
-//! [`pi_storage::Partition::read_range`]), not the physical base/delta
-//! split: recovery restores a propagated partition, which is visibly
-//! identical and cheaper to encode. String columns store dictionary
-//! codes; the shared dictionaries travel in one dict file per checkpoint
-//! generation so codes stay meaningful.
+//! A partition travels as two files: a base frame (its immutable base
+//! columns) and a delta frame (its pending positional deltas). String
+//! columns store dictionary codes; the shared dictionaries travel in one
+//! dict file per checkpoint generation so codes stay meaningful.
 
 use std::io::{self, Read};
 use std::sync::Arc;
 
 use pi_storage::crc::crc32;
-use pi_storage::{ColumnData, DataType, DictRef, Field, Partitioning, Schema, Table};
+use pi_storage::{
+    ColumnData, DataType, DeltaStore, DictRef, Field, Partition, Partitioning, Schema, Table,
+};
 
 use patchindex::{IndexedTable, QueryFeedback};
 
@@ -115,102 +115,166 @@ fn expect_drained(r: &[u8], what: &str) -> io::Result<()> {
 }
 
 // -------------------------------------------------------------- partitions
+//
+// A partition is checkpointed as the two halves storage keeps: its base
+// columns, immutable until a propagate, in a base frame written once per
+// base generation, and its positional deltas in a delta frame written
+// whenever the partition changed. Recovery reassembles the same split.
 
-const PART_MAGIC: &[u8; 4] = b"PIDP";
-const PART_VERSION: u32 = 1;
+const BASE_MAGIC: &[u8; 4] = b"PIDB";
+const BASE_VERSION: u32 = 1;
+const DELTA_MAGIC: &[u8; 4] = b"PIDP";
+const DELTA_VERSION: u32 = 2;
+/// The smallest encoded modified cell: position, column, and a value's
+/// tag plus a string length.
+const MIN_CELL_BYTES: usize = 8 + 4 + 5;
 
-/// Serializes the visible rows of partition `pid`.
-pub(crate) fn encode_partition(table: &Table, pid: usize) -> Vec<u8> {
-    let p = table.partition(pid);
-    let ncols = table.schema().len();
-    let cols: Vec<usize> = (0..ncols).collect();
-    let data = p.read_range(&cols, 0, p.visible_len());
-    let mut b = Vec::new();
-    put_u32(&mut b, pid as u32);
-    put_u32(&mut b, ncols as u32);
-    for col in &data {
+/// Appends a column count and each column as `tag, row count, values`;
+/// string columns store dictionary codes.
+fn put_columns<'a>(b: &mut Vec<u8>, cols: impl ExactSizeIterator<Item = &'a ColumnData>) {
+    put_u32(b, cols.len() as u32);
+    for col in cols {
         match col {
             ColumnData::Int(v) => {
                 b.push(0);
-                put_u64(&mut b, v.len() as u64);
+                put_u64(b, v.len() as u64);
                 for x in v {
-                    put_i64(&mut b, *x);
+                    put_i64(b, *x);
                 }
             }
             ColumnData::Float(v) => {
                 b.push(1);
-                put_u64(&mut b, v.len() as u64);
+                put_u64(b, v.len() as u64);
                 for x in v {
-                    put_f64(&mut b, *x);
+                    put_f64(b, *x);
                 }
             }
             ColumnData::Str { codes, .. } => {
                 b.push(2);
-                put_u64(&mut b, codes.len() as u64);
+                put_u64(b, codes.len() as u64);
                 for c in codes {
-                    put_u32(&mut b, *c);
+                    put_u32(b, *c);
                 }
             }
         }
     }
-    seal(PART_MAGIC, PART_VERSION, &b)
 }
 
-/// Decodes one partition file into column data, wiring string columns to
-/// the given shared dictionaries.
-pub(crate) fn decode_partition(
-    bytes: &[u8],
+/// Reads what [`put_columns`] wrote, one column per entry of `dicts`,
+/// wiring string columns to the shared dictionaries.
+fn read_columns(
+    r: &mut &[u8],
     dicts: &[Option<DictRef>],
-) -> io::Result<(usize, Vec<ColumnData>)> {
-    let payload = unseal(PART_MAGIC, PART_VERSION, bytes, "partition checkpoint")?;
-    let mut r: &[u8] = payload;
-    let pid = read_u32(&mut r)? as usize;
-    let ncols = read_u32(&mut r)? as usize;
-    if ncols != dicts.len() {
-        return Err(bad("partition checkpoint: column count mismatch"));
+    what: &str,
+) -> io::Result<Vec<ColumnData>> {
+    if read_u32(r)? as usize != dicts.len() {
+        return Err(bad(&format!("{what}: column count mismatch")));
     }
-    let mut cols = Vec::with_capacity(ncols);
+    let mut cols = Vec::with_capacity(dicts.len());
     for (ci, dict) in dicts.iter().enumerate() {
-        let tag = read_u8(&mut r)?;
+        let tag = read_u8(r)?;
         let width = if tag == 2 { 4 } else { 8 };
-        let n = checked_count(read_u64(&mut r)?, width, r, "partition checkpoint")?;
+        let n = checked_count(read_u64(r)?, width, r, what)?;
         cols.push(match tag {
-            0 => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(read_i64(&mut r)?);
-                }
-                ColumnData::Int(v)
-            }
-            1 => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(read_f64(&mut r)?);
-                }
-                ColumnData::Float(v)
-            }
+            0 => ColumnData::Int((0..n).map(|_| read_i64(r)).collect::<io::Result<_>>()?),
+            1 => ColumnData::Float((0..n).map(|_| read_f64(r)).collect::<io::Result<_>>()?),
             2 => {
                 let dict = dict
                     .as_ref()
-                    .ok_or_else(|| bad("partition checkpoint: string column without dict"))?;
-                let mut codes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    codes.push(read_u32(&mut r)?);
-                }
+                    .ok_or_else(|| bad(&format!("{what}: string column {ci} without dict")))?;
                 ColumnData::Str {
-                    codes,
+                    codes: (0..n).map(|_| read_u32(r)).collect::<io::Result<_>>()?,
                     dict: Arc::clone(dict),
                 }
             }
-            t => {
-                return Err(bad(&format!(
-                    "partition checkpoint: column tag {t}; col {ci}"
-                )))
-            }
+            t => return Err(bad(&format!("{what}: column tag {t}; col {ci}"))),
         });
     }
-    expect_drained(r, "partition checkpoint")?;
-    Ok((pid, cols))
+    Ok(cols)
+}
+
+fn read_usize(r: &mut &[u8]) -> io::Result<usize> {
+    usize::try_from(read_u64(r)?).map_err(|_| bad("position does not fit in memory"))
+}
+
+/// Reads a frame's partition id and checks it names the manifest slot the
+/// frame was listed in.
+fn read_pid(r: &mut &[u8], pid: usize, what: &str) -> io::Result<()> {
+    let got = read_u32(r)?;
+    if got as usize != pid {
+        return Err(bad(&format!(
+            "{what}: frame of partition {got} in slot {pid}"
+        )));
+    }
+    Ok(())
+}
+
+/// Serializes a partition's base columns.
+pub(crate) fn encode_base(p: &Partition) -> Vec<u8> {
+    let mut b = Vec::new();
+    put_u32(&mut b, p.id as u32);
+    put_columns(&mut b, (0..p.schema().len()).map(|c| p.base_column(c)));
+    seal(BASE_MAGIC, BASE_VERSION, &b)
+}
+
+/// Serializes a partition's pending deltas: base row count, deleted base
+/// positions, modified base cells, append columns.
+pub(crate) fn encode_delta(p: &Partition) -> Vec<u8> {
+    let d = p.delta();
+    let mut b = Vec::new();
+    put_u32(&mut b, p.id as u32);
+    put_u64(&mut b, d.base_rows() as u64);
+    put_u64(&mut b, d.deleted().len() as u64);
+    for &pos in d.deleted() {
+        put_u64(&mut b, pos as u64);
+    }
+    put_u64(&mut b, d.modified_cells().count() as u64);
+    for (pos, col, v) in d.modified_cells() {
+        put_u64(&mut b, pos as u64);
+        put_u32(&mut b, col as u32);
+        crate::wal::put_value(&mut b, v);
+    }
+    put_columns(&mut b, d.append_columns().iter());
+    seal(DELTA_MAGIC, DELTA_VERSION, &b)
+}
+
+/// Reassembles partition `pid` from its base and delta frames, wiring
+/// string columns to the shared dictionaries. Anything the frames claim
+/// that the schema or the storage invariants refute is `InvalidData`.
+pub(crate) fn decode_partition(
+    base: &[u8],
+    delta: &[u8],
+    pid: usize,
+    schema: &Arc<Schema>,
+    dicts: &[Option<DictRef>],
+) -> io::Result<Partition> {
+    const BASE: &str = "partition base frame";
+    const DELTA: &str = "partition delta frame";
+    let mut r = unseal(BASE_MAGIC, BASE_VERSION, base, BASE)?;
+    read_pid(&mut r, pid, BASE)?;
+    let columns = read_columns(&mut r, dicts, BASE)?;
+    expect_drained(r, BASE)?;
+
+    let mut r = unseal(DELTA_MAGIC, DELTA_VERSION, delta, DELTA)?;
+    read_pid(&mut r, pid, DELTA)?;
+    let base_rows = read_usize(&mut r)?;
+    let ndeleted = checked_count(read_u64(&mut r)?, 8, r, DELTA)?;
+    let deleted = (0..ndeleted)
+        .map(|_| read_usize(&mut r))
+        .collect::<io::Result<_>>()?;
+    let ncells = checked_count(read_u64(&mut r)?, MIN_CELL_BYTES, r, DELTA)?;
+    let mut cells = Vec::with_capacity(ncells);
+    for _ in 0..ncells {
+        let pos = read_usize(&mut r)?;
+        let col = read_u32(&mut r)? as usize;
+        cells.push((pos, col, crate::wal::read_value(&mut r)?));
+    }
+    let appends = read_columns(&mut r, dicts, DELTA)?;
+    expect_drained(r, DELTA)?;
+
+    let invalid = |e: String| bad(&format!("partition {pid}: {e}"));
+    let delta = DeltaStore::from_parts(base_rows, deleted, cells, appends).map_err(invalid)?;
+    Partition::restore(pid, Arc::clone(schema), columns, delta).map_err(invalid)
 }
 
 // ------------------------------------------------------------ dictionaries
@@ -430,7 +494,7 @@ pub(crate) fn schema_of(meta: &TableMeta) -> Schema {
 // --------------------------------------------------------------- manifest
 
 const MANIFEST_MAGIC: &[u8; 4] = b"PIDM";
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
 
 /// The checkpoint directory's root of trust: which files make up the
 /// newest complete checkpoint, which epoch it is, and the WAL sequence it
@@ -441,7 +505,8 @@ pub(crate) struct Manifest {
     pub hwm: u64,
     pub meta_file: String,
     pub dict_file: String,
-    pub part_files: Vec<String>,
+    /// `(base frame, delta frame)` per partition, in partition order.
+    pub part_files: Vec<(String, String)>,
     pub index_files: Vec<String>,
 }
 
@@ -452,8 +517,9 @@ pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
     put_str(&mut b, &m.meta_file);
     put_str(&mut b, &m.dict_file);
     put_u32(&mut b, m.part_files.len() as u32);
-    for f in &m.part_files {
-        put_str(&mut b, f);
+    for (base, delta) in &m.part_files {
+        put_str(&mut b, base);
+        put_str(&mut b, delta);
     }
     put_u32(&mut b, m.index_files.len() as u32);
     for f in &m.index_files {
@@ -469,10 +535,13 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> io::Result<Manifest> {
     let hwm = read_u64(&mut r)?;
     let meta_file = read_str(&mut r)?;
     let dict_file = read_str(&mut r)?;
-    let nparts = checked_count(read_u32(&mut r)? as u64, 4, r, "manifest")?;
+    let nparts = checked_count(read_u32(&mut r)? as u64, 8, r, "manifest")?;
+    if nparts == 0 {
+        return Err(bad("manifest: lists no partitions"));
+    }
     let mut part_files = Vec::with_capacity(nparts);
     for _ in 0..nparts {
-        part_files.push(read_str(&mut r)?);
+        part_files.push((read_str(&mut r)?, read_str(&mut r)?));
     }
     let nindexes = checked_count(read_u32(&mut r)? as u64, 4, r, "manifest")?;
     let mut index_files = Vec::with_capacity(nindexes);
@@ -555,6 +624,7 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
 mod tests {
     use super::*;
     use patchindex::{Constraint, Design, SortDir};
+    use pi_storage::Value;
 
     /// Query feedback is table state, so the meta file — not the index
     /// image — carries it across a restart, one entry per slot.
@@ -600,17 +670,28 @@ mod tests {
     /// cannot hold instead of allocating for it.
     #[test]
     fn lying_counts_are_rejected_not_allocated() {
-        // Partition: one int column claiming u64::MAX values.
+        // Base frame: one int column claiming u64::MAX values.
         let mut p = Vec::new();
         put_u32(&mut p, 0);
-        put_u32(&mut p, 1);
+        put_u32(&mut p, 2);
         p.push(0);
         put_u64(&mut p, u64::MAX);
-        let msg = rejected(decode_partition(
-            &seal(PART_MAGIC, PART_VERSION, &p),
-            &[None],
-        ));
-        assert!(msg.contains("partition checkpoint"), "{msg}");
+        let msg = rejected(decode(seal(BASE_MAGIC, BASE_VERSION, &p), valid_delta()));
+        assert!(msg.contains("partition base frame"), "{msg}");
+        // Delta frame: u64::MAX deleted positions, then u64::MAX cells.
+        let mut d = Vec::new();
+        put_u32(&mut d, 0);
+        put_u64(&mut d, 4);
+        put_u64(&mut d, u64::MAX);
+        let msg = rejected(decode(valid_base(), seal(DELTA_MAGIC, DELTA_VERSION, &d)));
+        assert!(msg.contains("partition delta frame"), "{msg}");
+        let mut d = Vec::new();
+        put_u32(&mut d, 0);
+        put_u64(&mut d, 4);
+        put_u64(&mut d, 0);
+        put_u64(&mut d, u64::MAX);
+        let msg = rejected(decode(valid_base(), seal(DELTA_MAGIC, DELTA_VERSION, &d)));
+        assert!(msg.contains("count 18446744073709551615"), "{msg}");
 
         // Dict file claiming u32::MAX columns.
         let mut d = Vec::new();
@@ -649,5 +730,185 @@ mod tests {
         put_u32(&mut f, u32::MAX);
         let msg = rejected(decode_manifest(&seal(MANIFEST_MAGIC, MANIFEST_VERSION, &f)));
         assert!(msg.contains("manifest"), "{msg}");
+    }
+
+    // The regression tests below hand-write CRC-valid partition frames
+    // for a two-`Int`-column schema: a checksum proves the bytes arrived,
+    // and each of these says something the schema or the storage
+    // invariants refute.
+
+    fn base_frame(pid: u32, cols: &[ColumnData]) -> Vec<u8> {
+        let mut b = Vec::new();
+        put_u32(&mut b, pid);
+        put_columns(&mut b, cols.iter());
+        seal(BASE_MAGIC, BASE_VERSION, &b)
+    }
+
+    fn delta_frame(
+        pid: u32,
+        base_rows: u64,
+        deleted: &[u64],
+        cells: &[(u64, u32, Value)],
+        appends: &[ColumnData],
+    ) -> Vec<u8> {
+        let mut b = Vec::new();
+        put_u32(&mut b, pid);
+        put_u64(&mut b, base_rows);
+        put_u64(&mut b, deleted.len() as u64);
+        for &d in deleted {
+            put_u64(&mut b, d);
+        }
+        put_u64(&mut b, cells.len() as u64);
+        for (pos, col, v) in cells {
+            put_u64(&mut b, *pos);
+            put_u32(&mut b, *col);
+            crate::wal::put_value(&mut b, v);
+        }
+        put_columns(&mut b, appends.iter());
+        seal(DELTA_MAGIC, DELTA_VERSION, &b)
+    }
+
+    fn ints(v: &[i64]) -> ColumnData {
+        ColumnData::Int(v.to_vec())
+    }
+
+    /// Four base rows.
+    fn valid_base() -> Vec<u8> {
+        base_frame(0, &[ints(&[0, 1, 2, 3]), ints(&[5, 6, 7, 8])])
+    }
+
+    /// Base row 1 deleted, cell (2, 1) modified, one appended row.
+    fn valid_delta() -> Vec<u8> {
+        delta_frame(
+            0,
+            4,
+            &[1],
+            &[(2, 1, Value::Int(9))],
+            &[ints(&[4]), ints(&[9])],
+        )
+    }
+
+    fn decode(base: Vec<u8>, delta: Vec<u8>) -> io::Result<Partition> {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]));
+        decode_partition(&base, &delta, 0, &schema, &[None, None])
+    }
+
+    #[test]
+    fn partition_frames_roundtrip_the_base_delta_split() {
+        let p = decode(valid_base(), valid_delta()).unwrap();
+        assert_eq!(p.delta().deleted(), &[1]);
+        assert_eq!(p.delta().append_len(), 1);
+        let k: Vec<Value> = (0..p.visible_len()).map(|r| p.value_at(1, r)).collect();
+        assert_eq!(k, [5, 9, 8, 9].map(Value::Int));
+        assert_eq!(encode_base(&p), valid_base());
+        assert_eq!(encode_delta(&p), valid_delta());
+    }
+
+    /// Regression: used to panic with "ragged columns" in `Partition::new`.
+    #[test]
+    fn ragged_base_columns_are_invalid_data() {
+        let base = base_frame(0, &[ints(&[0, 1, 2, 3]), ints(&[5, 6, 7])]);
+        let msg = rejected(decode(base, valid_delta()));
+        assert!(msg.contains("ragged"), "{msg}");
+    }
+
+    /// Regression: used to panic with "need at least one partition" in
+    /// `Table::restore`.
+    #[test]
+    fn manifest_listing_no_partitions_is_invalid_data() {
+        let mut m = Vec::new();
+        put_u64(&mut m, 1);
+        put_u64(&mut m, 1);
+        put_str(&mut m, "meta");
+        put_str(&mut m, "dict");
+        put_u32(&mut m, 0);
+        put_u32(&mut m, 0);
+        let msg = rejected(decode_manifest(&seal(MANIFEST_MAGIC, MANIFEST_VERSION, &m)));
+        assert!(msg.contains("no partitions"), "{msg}");
+    }
+
+    /// Regression: a `Float` column under an `Int` field used to be
+    /// restored, leaving the table type-confused.
+    #[test]
+    fn float_column_under_an_int_field_is_invalid_data() {
+        let float = ColumnData::Float(vec![0.5; 4]);
+        let msg = rejected(decode(
+            base_frame(0, &[ints(&[0, 1, 2, 3]), float]),
+            valid_delta(),
+        ));
+        assert!(msg.contains("Float data under the Int field"), "{msg}");
+        let appends = [ints(&[4]), ColumnData::Float(vec![0.5])];
+        let delta = delta_frame(0, 4, &[], &[], &appends);
+        rejected(decode(valid_base(), delta));
+    }
+
+    #[test]
+    fn delta_over_another_base_row_count_is_invalid_data() {
+        let delta = delta_frame(0, 5, &[1], &[], &[ints(&[]), ints(&[])]);
+        let msg = rejected(decode(valid_base(), delta));
+        assert!(
+            msg.contains("delta over 5 base rows, base holds 4"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn unsorted_duplicate_or_out_of_range_deletes_are_invalid_data() {
+        let none = [ints(&[]), ints(&[])];
+        for deleted in [&[2, 1][..], &[1, 1], &[4]] {
+            let delta = delta_frame(0, 4, deleted, &[], &none);
+            let msg = rejected(decode(valid_base(), delta));
+            assert!(msg.contains("deleted position"), "{deleted:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn misplaced_or_mistyped_modified_cells_are_invalid_data() {
+        let none = [ints(&[]), ints(&[])];
+        let cases = [
+            ((1, 0, Value::Int(7)), "not a live base row"),
+            ((4, 0, Value::Int(7)), "not a live base row"),
+            ((0, 2, Value::Int(7)), "column 2 of 2"),
+            ((0, 1, Value::Str("x".into())), "holds Str in a Int column"),
+            ((0, 1, Value::Float(1.0)), "holds Float in a Int column"),
+        ];
+        for (cell, want) in cases {
+            let delta = delta_frame(0, 4, &[1], std::slice::from_ref(&cell), &none);
+            let msg = rejected(decode(valid_base(), delta));
+            assert!(msg.contains(want), "{cell:?}: {msg}");
+        }
+        let twice = [(0, 1, Value::Int(1)), (0, 1, Value::Int(2))];
+        let msg = rejected(decode(valid_base(), delta_frame(0, 4, &[], &twice, &none)));
+        assert!(msg.contains("given twice"), "{msg}");
+    }
+
+    #[test]
+    fn unequal_append_columns_are_invalid_data() {
+        let delta = delta_frame(0, 4, &[], &[], &[ints(&[4, 5]), ints(&[9])]);
+        let msg = rejected(decode(valid_base(), delta));
+        assert!(msg.contains("append columns of unequal length"), "{msg}");
+    }
+
+    #[test]
+    fn frame_of_another_partition_is_invalid_data() {
+        let base = base_frame(1, &[ints(&[0, 1, 2, 3]), ints(&[5, 6, 7, 8])]);
+        let msg = rejected(decode(base, valid_delta()));
+        assert!(msg.contains("frame of partition 1 in slot 0"), "{msg}");
+        let delta = delta_frame(3, 4, &[], &[], &[ints(&[]), ints(&[])]);
+        let msg = rejected(decode(valid_base(), delta));
+        assert!(msg.contains("frame of partition 3 in slot 0"), "{msg}");
+    }
+
+    /// No legacy decoder: a manifest v1 (one file per partition) and a
+    /// `PIDP` v1 file (visible rows) are refused by their version word.
+    #[test]
+    fn old_manifest_and_partition_versions_are_refused() {
+        let msg = rejected(decode_manifest(&seal(MANIFEST_MAGIC, 1, &[])));
+        assert!(msg.contains("unsupported version 1"), "{msg}");
+        let msg = rejected(decode(valid_base(), seal(DELTA_MAGIC, 1, &[])));
+        assert!(msg.contains("unsupported version 1"), "{msg}");
     }
 }

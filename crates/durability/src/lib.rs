@@ -12,13 +12,18 @@
 //!   are forced to stable storage.
 //! * **Epoch-incremental checkpoints** — at publish time (every
 //!   [`DurableOptions::checkpoint_every`] publishes) the writer persists
-//!   only the partitions and index versions whose `Arc` pointer changed
-//!   since the previous checkpoint; copy-on-write publishing makes
-//!   pointer identity a free and exact dirty-set. A small manifest
-//!   (written atomically) names the file set and the WAL high-water mark
-//!   it covers.
+//!   only what changed since the previous checkpoint; copy-on-write
+//!   publishing makes pointer identity a free and exact dirty-set. The
+//!   test runs at two grains: a partition whose `Arc` changed gets a new
+//!   *delta frame* (its positional deltas), and a new *base frame* only
+//!   if its base columns are not the ones the previous checkpoint
+//!   recorded — which, since this writer never propagates, happens at
+//!   [`DurableWriter::create`] only. Index versions whose `Arc` changed
+//!   get a new image. A small manifest (written atomically) names the
+//!   file set and the WAL high-water mark it covers.
 //! * **Recovery** ([`DurableWriter::recover`]) — load the manifest,
-//!   restore the newest complete checkpoint, replay the WAL tail past
+//!   restore the newest complete checkpoint (each partition with the
+//!   base/delta split it was checkpointed with), replay the WAL tail past
 //!   the high-water mark up to the **last complete publish record**, and
 //!   resume. Statements after the last durable publish are discarded:
 //!   recovery always lands exactly on a published epoch boundary.
@@ -42,7 +47,7 @@ use std::sync::Arc;
 
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::dfs::{write_atomic, DurableFs};
-use pi_storage::{ColumnData, Partition, RowAddr, Table, Value};
+use pi_storage::{Partition, RowAddr, Table, Value};
 
 use patchindex::{
     ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, TableWriter,
@@ -167,14 +172,14 @@ impl CkptMetrics {
     }
 }
 
-/// The file names one checkpoint generation consists of, plus the shared
-/// state handles they serialize — `Arc` pointer identity against these
-/// is the next checkpoint's dirty-set test.
+/// The newest durable checkpoint: its manifest (every file name, each
+/// partition's base frame among them) plus the shared state handles the
+/// files serialize, in manifest order — pointer identity against these is
+/// the next checkpoint's dirty-set test.
 struct CkptState {
-    parts: Vec<(Arc<Partition>, String)>,
-    indexes: Vec<(Arc<PatchIndex>, String)>,
+    parts: Vec<Arc<Partition>>,
+    indexes: Vec<Arc<PatchIndex>>,
     dict_lens: Vec<usize>,
-    dict_file: String,
     manifest: codec::Manifest,
 }
 
@@ -305,26 +310,25 @@ impl DurableWriter {
             return Err(bad("manifest: dict file does not match schema".into()));
         }
 
-        let mut part_cols: Vec<Option<Vec<ColumnData>>> = Vec::new();
-        part_cols.resize_with(manifest.part_files.len(), || None);
-        let mut part_names: Vec<String> = vec![String::new(); manifest.part_files.len()];
-        for file in &manifest.part_files {
-            let (pid, cols) = codec::decode_partition(&fs.read(&dir.join(file))?, &dicts)?;
-            if pid >= part_cols.len() || part_cols[pid].is_some() {
-                return Err(bad(format!("manifest: bad partition id {pid} in {file}")));
-            }
-            part_cols[pid] = Some(cols);
-            part_names[pid] = file.clone();
-        }
-        let partition_columns: Vec<Vec<ColumnData>> = part_cols
-            .into_iter()
+        let schema = Arc::new(codec::schema_of(&meta));
+        let partitions = manifest
+            .part_files
+            .iter()
             .enumerate()
-            .map(|(pid, c)| c.ok_or_else(|| bad(format!("manifest: missing partition {pid}"))))
-            .collect::<io::Result<_>>()?;
+            .map(|(pid, (base, delta))| {
+                codec::decode_partition(
+                    &fs.read(&dir.join(base))?,
+                    &fs.read(&dir.join(delta))?,
+                    pid,
+                    &schema,
+                    &dicts,
+                )
+            })
+            .collect::<io::Result<Vec<Partition>>>()?;
         let table = Table::restore(
             meta.name.clone(),
-            codec::schema_of(&meta),
-            partition_columns,
+            schema,
+            partitions,
             dicts,
             meta.partitioning.clone().into_partitioning(),
             meta.rr_cursor as usize,
@@ -349,23 +353,12 @@ impl DurableWriter {
 
         // Prime the incremental dirty-set with the loaded handles *before*
         // replay: partitions and indexes replay leaves untouched keep
-        // pointer identity and reuse their checkpoint files.
+        // pointer identity and reuse their checkpoint files, and replay
+        // never propagates, so every base frame is reused.
         let prime = CkptState {
-            parts: it
-                .table()
-                .partitions()
-                .iter()
-                .cloned()
-                .zip(part_names)
-                .collect(),
-            indexes: it
-                .indexes()
-                .iter()
-                .cloned()
-                .zip(manifest.index_files.iter().cloned())
-                .collect(),
+            parts: it.table().partitions().to_vec(),
+            indexes: it.indexes().to_vec(),
             dict_lens: dict_lens_of(it.table()),
-            dict_file: manifest.dict_file.clone(),
             manifest: manifest.clone(),
         };
 
@@ -588,96 +581,77 @@ impl DurableWriter {
         let epoch = self.epoch;
         let mut bytes = 0u64;
         let mut files = 0u64;
+        let mut put = |name: String, data: Vec<u8>| -> io::Result<String> {
+            write_atomic(self.fs.as_ref(), &self.dir.join(&name), &data)?;
+            bytes += data.len() as u64;
+            files += 1;
+            Ok(name)
+        };
+        let prev = self.ckpt.as_ref();
         let it = self.writer.staging();
         let table = it.table();
 
         let dict_lens = dict_lens_of(table);
-        let dict_file = match &self.ckpt {
-            Some(prev) if prev.dict_lens == dict_lens => prev.dict_file.clone(),
-            _ => {
-                let name = format!("dict-e{epoch:012}.ckp");
-                let data = codec::encode_dicts(table);
-                write_atomic(self.fs.as_ref(), &self.dir.join(&name), &data)?;
-                bytes += data.len() as u64;
-                files += 1;
-                name
-            }
+        let dict_file = match prev {
+            Some(prev) if prev.dict_lens == dict_lens => prev.manifest.dict_file.clone(),
+            _ => put(format!("dict-e{epoch:012}.ckp"), codec::encode_dicts(table))?,
         };
 
-        let mut parts = Vec::with_capacity(table.partition_count());
-        for (pid, arc) in table.partitions().iter().enumerate() {
-            let reused = self
-                .ckpt
-                .as_ref()
-                .and_then(|prev| prev.parts.get(pid))
-                .filter(|(old, _)| Arc::ptr_eq(old, arc))
-                .map(|(_, name)| name.clone());
-            let name = match reused {
-                Some(name) => name,
-                None => {
-                    let name = format!("part-{pid}-e{epoch:012}.ckp");
-                    let data = codec::encode_partition(table, pid);
-                    write_atomic(self.fs.as_ref(), &self.dir.join(&name), &data)?;
-                    bytes += data.len() as u64;
-                    files += 1;
-                    name
-                }
+        let mut part_files = Vec::with_capacity(table.partition_count());
+        for (pid, part) in table.partitions().iter().enumerate() {
+            let recorded =
+                prev.and_then(|c| Some((c.parts.get(pid)?, c.manifest.part_files.get(pid)?)));
+            let base = match recorded {
+                Some((old, (base, _))) if old.shares_base(part) => base.clone(),
+                _ => put(
+                    format!("base-{pid}-e{epoch:012}.ckp"),
+                    codec::encode_base(part),
+                )?,
             };
-            parts.push((Arc::clone(arc), name));
+            let delta = match recorded {
+                Some((old, (_, delta))) if Arc::ptr_eq(old, part) => delta.clone(),
+                _ => put(
+                    format!("delta-{pid}-e{epoch:012}.ckp"),
+                    codec::encode_delta(part),
+                )?,
+            };
+            part_files.push((base, delta));
         }
 
-        let mut indexes = Vec::with_capacity(it.indexes().len());
+        let mut index_files = Vec::with_capacity(it.indexes().len());
         for (slot, idx) in it.indexes().iter().enumerate() {
-            let reused = self
-                .ckpt
-                .as_ref()
-                .and_then(|prev| prev.indexes.iter().find(|(old, _)| Arc::ptr_eq(old, idx)))
-                .map(|(_, name)| name.clone());
-            let name = match reused {
+            let reused = prev.and_then(|c| {
+                let at = c.indexes.iter().position(|old| Arc::ptr_eq(old, idx))?;
+                Some(c.manifest.index_files[at].clone())
+            });
+            index_files.push(match reused {
                 Some(name) => name,
-                None => {
-                    let name = format!("idx-{slot}-e{epoch:012}.ckp");
-                    let data = idx.checkpoint_bytes();
-                    write_atomic(self.fs.as_ref(), &self.dir.join(&name), &data)?;
-                    bytes += data.len() as u64;
-                    files += 1;
-                    name
-                }
-            };
-            indexes.push((Arc::clone(idx), name));
+                None => put(
+                    format!("idx-{slot}-e{epoch:012}.ckp"),
+                    idx.checkpoint_bytes(),
+                )?,
+            });
         }
 
         // Meta changes every statement (the counter) and with every
         // absorbed query (the per-slot feedback), so it is written every
         // checkpoint; it is a few hundred bytes.
-        let meta_file = format!("meta-e{epoch:012}.ckp");
-        let meta_data = codec::encode_meta(it);
-        write_atomic(self.fs.as_ref(), &self.dir.join(&meta_file), &meta_data)?;
-        bytes += meta_data.len() as u64;
-        files += 1;
+        let meta_file = put(format!("meta-e{epoch:012}.ckp"), codec::encode_meta(it))?;
 
         let manifest = codec::Manifest {
             epoch,
             hwm,
             meta_file,
-            dict_file: dict_file.clone(),
-            part_files: parts.iter().map(|(_, n)| n.clone()).collect(),
-            index_files: indexes.iter().map(|(_, n)| n.clone()).collect(),
+            dict_file,
+            part_files,
+            index_files,
         };
-        let manifest_data = codec::encode_manifest(&manifest);
-        write_atomic(
-            self.fs.as_ref(),
-            &self.dir.join(MANIFEST_NAME),
-            &manifest_data,
-        )?;
-        bytes += manifest_data.len() as u64;
-        files += 1;
+        put(MANIFEST_NAME.to_string(), codec::encode_manifest(&manifest))?;
 
         self.ckpt = Some(CkptState {
-            parts,
-            indexes,
+            parts: table.partitions().to_vec(),
+            indexes: it.indexes().to_vec(),
             dict_lens,
-            dict_file,
             manifest,
         });
         self.publishes_since_ckpt = 0;
@@ -713,8 +687,9 @@ impl DurableWriter {
         let mut referenced: HashSet<&str> = HashSet::new();
         referenced.insert(m.meta_file.as_str());
         referenced.insert(m.dict_file.as_str());
-        for f in &m.part_files {
-            referenced.insert(f);
+        for (base, delta) in &m.part_files {
+            referenced.insert(base);
+            referenced.insert(delta);
         }
         for f in &m.index_files {
             referenced.insert(f);
@@ -756,14 +731,14 @@ impl DurableWriter {
     }
 
     /// The bytes a non-incremental checkpoint of the current state would
-    /// write (every partition, every index, dicts, meta) — the baseline
-    /// the incremental economics are measured against.
+    /// write (every partition's base and delta, every index, dicts, meta)
+    /// — the baseline the incremental economics are measured against.
     pub fn full_checkpoint_bytes(&self) -> u64 {
         let it = self.writer.staging();
         let table = it.table();
         let mut total = codec::encode_dicts(table).len() + codec::encode_meta(it).len();
-        for pid in 0..table.partition_count() {
-            total += codec::encode_partition(table, pid).len();
+        for p in table.partitions() {
+            total += codec::encode_base(p).len() + codec::encode_delta(p).len();
         }
         for idx in it.indexes() {
             total += idx.checkpoint_bytes().len();
@@ -812,9 +787,16 @@ mod tests {
     use super::*;
     use patchindex::SortDir;
     use pi_storage::dfs::SimFs;
-    use pi_storage::{DataType, Field, Partitioning, Schema};
+    use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
+    use proptest::prelude::*;
 
     fn fresh(parts: usize) -> IndexedTable {
+        fresh_rows(parts, 3)
+    }
+
+    /// `parts` propagated partitions of `rows` rows: `k = 10 pid + i`,
+    /// `v = 2 k`, `s` alternating between two strings per partition.
+    fn fresh_rows(parts: usize, rows: usize) -> IndexedTable {
         let mut t = Table::new(
             "t",
             Schema::new(vec![
@@ -827,21 +809,17 @@ mod tests {
         );
         for pid in 0..parts {
             let base = pid as i64 * 10;
-            let codes = {
-                let mut d = t.dict(2).unwrap().write();
-                vec![
-                    d.encode(&format!("p{pid}-a")),
-                    d.encode(&format!("p{pid}-b")),
-                    d.encode(&format!("p{pid}-a")),
-                ]
-            };
-            let dict = Arc::clone(t.dict(2).unwrap());
+            let strs: Vec<String> = (0..rows)
+                .map(|i| format!("p{pid}-{}", if i % 2 == 0 { 'a' } else { 'b' }))
+                .collect();
+            let keys: Vec<i64> = (0..rows as i64).map(|i| base + i).collect();
+            let s = t.encode_strings(2, &strs);
             t.load_partition(
                 pid,
                 &[
-                    ColumnData::Int(vec![base, base + 1, base + 2]),
-                    ColumnData::Int(vec![base * 2, base * 2 + 2, base * 2 + 4]),
-                    ColumnData::Str { codes, dict },
+                    ColumnData::Int(keys.clone()),
+                    ColumnData::Int(keys.iter().map(|k| 2 * k).collect()),
+                    s,
                 ],
             );
         }
@@ -854,11 +832,64 @@ mod tests {
     }
 
     fn setup(parts: usize, opts: DurableOptions) -> (Arc<SimFs>, ConcurrentTable, DurableWriter) {
+        setup_with(fresh(parts), opts)
+    }
+
+    fn setup_with(
+        it: IndexedTable,
+        opts: DurableOptions,
+    ) -> (Arc<SimFs>, ConcurrentTable, DurableWriter) {
         let fs = Arc::new(SimFs::new());
         let dyn_fs: Arc<dyn DurableFs> = fs.clone();
-        let (handle, dw) =
-            DurableWriter::create(fresh(parts), dyn_fs, PathBuf::from("/db"), opts).unwrap();
+        let (handle, dw) = DurableWriter::create(it, dyn_fs, PathBuf::from("/db"), opts).unwrap();
         (fs, handle, dw)
+    }
+
+    fn manifest_of(fs: &SimFs) -> codec::Manifest {
+        codec::decode_manifest(&fs.read(&PathBuf::from("/db").join(MANIFEST_NAME)).unwrap())
+            .unwrap()
+    }
+
+    fn recover_from(fs: &Arc<SimFs>) -> DurableWriter {
+        let (_h, dw, _r) = DurableWriter::recover(
+            fs.clone(),
+            PathBuf::from("/db"),
+            DurableOptions::default(),
+            MaintenancePolicy::default(),
+        )
+        .unwrap();
+        dw
+    }
+
+    /// What a partition's delta store holds, in a comparable form.
+    fn delta_shape(p: &Partition) -> (usize, Vec<usize>, Vec<(usize, usize, Value)>) {
+        let d = p.delta();
+        let cells = d
+            .modified_cells()
+            .map(|(p, c, v)| (p, c, v.clone()))
+            .collect();
+        (d.append_len(), d.deleted().to_vec(), cells)
+    }
+
+    /// Recovery without a crash lands on the live state, and restores
+    /// every partition with the base/delta split it had.
+    fn assert_recovers_each_split(fs: &Arc<SimFs>, dw: DurableWriter) {
+        let want = state_image(dw.staging());
+        let shapes: Vec<_> = dw
+            .staging()
+            .table()
+            .partitions()
+            .iter()
+            .map(|p| delta_shape(p))
+            .collect();
+        drop(dw);
+        let dw = recover_from(fs);
+        assert_eq!(state_image(dw.staging()), want);
+        for (p, shape) in dw.staging().table().partitions().iter().zip(&shapes) {
+            assert_eq!(&delta_shape(p), shape, "partition {}", p.id);
+            assert_eq!(p.delta().has_modifies(), !shape.2.is_empty());
+        }
+        dw.staging().check_consistency();
     }
 
     #[test]
@@ -966,6 +997,234 @@ mod tests {
         let incr = dw.stats();
         assert_eq!(incr.last_checkpoint_files, 3);
         assert!(incr.last_checkpoint_bytes < dw.full_checkpoint_bytes());
+    }
+
+    /// A base frame is written once per base generation — at `create`,
+    /// since the writer never propagates — and every later checkpoint,
+    /// recovery's covering one included, writes deltas only.
+    #[test]
+    fn checkpoints_write_base_frames_once() {
+        let opts = DurableOptions {
+            checkpoint_every: 5,
+            ..DurableOptions::default()
+        };
+        let (fs, _handle, mut dw) = setup_with(fresh_rows(8, 2_000), opts);
+        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
+            .unwrap();
+        let base_files = |fs: &SimFs| -> Vec<String> {
+            manifest_of(fs)
+                .part_files
+                .into_iter()
+                .map(|(base, _)| base)
+                .collect()
+        };
+        let bases = base_files(&fs);
+        let base_bytes: u64 = bases
+            .iter()
+            .map(|b| fs.read(&dw.dir().join(b)).unwrap().len() as u64)
+            .sum();
+        let mut checkpoints = dw.stats().checkpoints;
+        // Each partition sees one delete, and inserts and modifies spread
+        // over all eight; the last four statements stay in the WAL.
+        for i in 0..24usize {
+            let pid = i % 8;
+            match i % 3 {
+                0 => {
+                    let k = 50_000 + i as i64;
+                    dw.insert(&[row(k, k, "new"), row(k + 1, k + 1, "p1-a")])
+                        .unwrap();
+                }
+                1 => dw
+                    .modify(
+                        pid,
+                        &[i, 1_500],
+                        2,
+                        &[Value::from("m"), Value::from("p0-b")],
+                    )
+                    .unwrap(),
+                _ => dw.delete(pid, &[3 * i, 1_999]).unwrap(),
+            }
+            dw.publish().unwrap();
+            let stats = dw.stats();
+            if stats.checkpoints > checkpoints {
+                checkpoints = stats.checkpoints;
+                assert!(
+                    stats.last_checkpoint_bytes < base_bytes,
+                    "statement {i}: {} checkpoint bytes against {base_bytes} of base frames",
+                    stats.last_checkpoint_bytes
+                );
+                assert_eq!(base_files(&fs), bases, "statement {i} rewrote a base frame");
+            }
+        }
+        assert_eq!(checkpoints, 1 + 24 / 5);
+
+        drop(dw);
+        fs.crash(4);
+        let dw = recover_from(&fs);
+        let covering = dw.stats();
+        assert!(
+            covering.last_checkpoint_files > 2,
+            "the replayed tail dirtied partitions"
+        );
+        assert!(covering.last_checkpoint_bytes < base_bytes);
+        assert_eq!(base_files(&fs), bases, "recovery rewrote a base frame");
+        let on_disk = fs
+            .list(dw.dir())
+            .unwrap()
+            .into_iter()
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_str()
+                    .unwrap()
+                    .starts_with("base-")
+            })
+            .count();
+        assert_eq!(on_disk, 8, "recovery wrote no base frame");
+    }
+
+    /// Deletes and modifies of base and appended rows, string values, an
+    /// empty delta and a delete-only delta all survive a checkpoint.
+    #[test]
+    fn delta_shapes_survive_recovery() {
+        let (fs, _handle, mut dw) = setup(5, DurableOptions::default());
+        // One appended row each in partitions 0 and 1 (rowID 3).
+        dw.insert(&[row(7, 7, "x"), row(8, 8, "y")]).unwrap();
+        // Partition 0: base and appended rows modified (strings too), a
+        // base row deleted.
+        dw.modify(
+            0,
+            &[0, 3],
+            2,
+            &[Value::from("base-m"), Value::from("app-m")],
+        )
+        .unwrap();
+        dw.modify(0, &[1], 1, &[Value::Int(-1)]).unwrap();
+        dw.delete(0, &[2]).unwrap();
+        // Partition 1: its appended row deleted again — dirty, yet empty.
+        dw.delete(1, &[3]).unwrap();
+        // Partition 2: deletes only.
+        dw.delete(2, &[0, 2]).unwrap();
+        // Partition 3: a modified row deleted, which drops the patch.
+        dw.modify(3, &[1], 1, &[Value::Int(-2)]).unwrap();
+        dw.delete(3, &[1]).unwrap();
+        // Partition 4: untouched.
+        dw.publish().unwrap();
+        let shapes: Vec<_> = dw
+            .staging()
+            .table()
+            .partitions()
+            .iter()
+            .map(|p| delta_shape(p))
+            .collect();
+        let cells = vec![(0, 2, Value::from("base-m")), (1, 1, Value::Int(-1))];
+        assert_eq!(
+            shapes,
+            [
+                (1, vec![2], cells),
+                (0, vec![], vec![]),
+                (0, vec![0, 2], vec![]),
+                (0, vec![1], vec![]),
+                (0, vec![], vec![]),
+            ]
+        );
+        assert_recovers_each_split(&fs, dw);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Stmt {
+        Insert(Vec<u8>),
+        Modify {
+            pid: usize,
+            seeds: Vec<u32>,
+            col: usize,
+            value: u8,
+        },
+        Delete {
+            pid: usize,
+            seeds: Vec<u32>,
+        },
+        Publish,
+    }
+
+    fn stmt_strategy() -> impl Strategy<Value = Stmt> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 1..5).prop_map(Stmt::Insert),
+            (
+                0usize..3,
+                proptest::collection::vec(any::<u32>(), 1..4),
+                1usize..3,
+                any::<u8>()
+            )
+                .prop_map(|(pid, seeds, col, value)| Stmt::Modify {
+                    pid,
+                    seeds,
+                    col,
+                    value
+                }),
+            (0usize..3, proptest::collection::vec(any::<u32>(), 1..3))
+                .prop_map(|(pid, seeds)| Stmt::Delete { pid, seeds }),
+            Just(Stmt::Publish),
+        ]
+    }
+
+    /// Random delta shapes, with checkpoints taken between them.
+    fn run_and_recover(stmts: &[Stmt]) {
+        let (fs, _handle, mut dw) = setup(3, DurableOptions::default());
+        // Visible rowIDs of `pid` picked by `seeds`, sorted and distinct.
+        let pick = |dw: &DurableWriter, pid: usize, seeds: &[u32]| -> Vec<usize> {
+            let len = dw.staging().table().partition(pid).visible_len();
+            let mut rids: Vec<usize> = seeds.iter().map(|&s| s as usize % len.max(1)).collect();
+            rids.sort_unstable();
+            rids.dedup();
+            rids.retain(|&r| r < len);
+            rids
+        };
+        for stmt in stmts {
+            match stmt {
+                Stmt::Insert(vals) => {
+                    let rows: Vec<Vec<Value>> = vals
+                        .iter()
+                        .map(|&v| row(1_000 + v as i64, v as i64, &format!("s{}", v % 7)))
+                        .collect();
+                    dw.insert(&rows).unwrap();
+                }
+                Stmt::Modify {
+                    pid,
+                    seeds,
+                    col,
+                    value,
+                } => {
+                    let rids = pick(&dw, *pid, seeds);
+                    let v = if *col == 1 {
+                        Value::Int(*value as i64)
+                    } else {
+                        Value::Str(format!("m{}", value % 5))
+                    };
+                    dw.modify(*pid, &rids, *col, &vec![v; rids.len()]).unwrap();
+                }
+                Stmt::Delete { pid, seeds } => {
+                    let rids = pick(&dw, *pid, seeds);
+                    dw.delete(*pid, &rids).unwrap();
+                }
+                Stmt::Publish => {
+                    dw.publish().unwrap();
+                }
+            }
+        }
+        dw.publish().unwrap();
+        assert_recovers_each_split(&fs, dw);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn random_delta_shapes_recover_with_their_split(
+            stmts in proptest::collection::vec(stmt_strategy(), 0..24),
+        ) {
+            run_and_recover(&stmts);
+        }
     }
 
     #[test]

@@ -184,9 +184,13 @@ pub(crate) fn read_value(r: &mut impl Read) -> io::Result<Value> {
         }
         1 => Ok(Value::Float(read_f64(r)?)),
         2 => {
-            let len = read_u32(r)? as usize;
-            let mut buf = vec![0u8; len];
-            r.read_exact(&mut buf)?;
+            // The length is a claim: grow with the bytes actually read
+            // instead of allocating for it up front.
+            let len = read_u32(r)?;
+            let mut buf = Vec::new();
+            if r.by_ref().take(len as u64).read_to_end(&mut buf)? != len as usize {
+                return Err(bad("string value longer than its payload"));
+            }
             String::from_utf8(buf)
                 .map(Value::Str)
                 .map_err(|_| bad("non-utf8 string value"))

@@ -15,7 +15,10 @@
 //! * merge-on-read costs per *delta*, not per row: a range read copies the
 //!   base runs between consecutive deleted positions as typed slices,
 //!   overwrites the modified cells inside the window, and takes the append
-//!   buffer as one more run.
+//!   buffer as one more run;
+//! * the store's parts (base row count, deleted positions, modified cells,
+//!   append columns) are readable, and [`DeltaStore::from_parts`] rebuilds
+//!   a store from them, so a checkpoint can persist the delta alone.
 
 use std::collections::BTreeMap;
 
@@ -54,6 +57,85 @@ impl DeltaStore {
             modified: BTreeMap::new(),
             appends: append_proto,
         }
+    }
+
+    /// Rebuilds a delta store from the parts its accessors expose —
+    /// [`DeltaStore::base_rows`], [`DeltaStore::deleted`],
+    /// [`DeltaStore::modified_cells`] and
+    /// [`DeltaStore::append_columns`] — and checks every invariant the
+    /// store relies on: deletes strictly ascending and inside the base,
+    /// each modified cell on a live base row of an existing column, typed
+    /// like that column and given once, and append columns of equal
+    /// length. The parts come from a checkpoint file, so a violation is an
+    /// error, not a panic.
+    pub fn from_parts(
+        base_rows: usize,
+        deleted: Vec<usize>,
+        cells: Vec<(usize, usize, Value)>,
+        appends: Vec<ColumnData>,
+    ) -> Result<Self, String> {
+        let append_len = appends.first().map_or(0, |c| c.len());
+        if appends.iter().any(|c| c.len() != append_len) {
+            return Err("append columns of unequal length".into());
+        }
+        if deleted.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("deleted positions not strictly ascending".into());
+        }
+        if let Some(&last) = deleted.last().filter(|&&d| d >= base_rows) {
+            return Err(format!(
+                "deleted position {last} outside {base_rows} base rows"
+            ));
+        }
+        let mut modified: BTreeMap<usize, Vec<(usize, Value)>> = BTreeMap::new();
+        for (pos, col, v) in cells {
+            if pos >= base_rows || deleted.binary_search(&pos).is_ok() {
+                return Err(format!(
+                    "modified cell on base position {pos}, which is not a live base row"
+                ));
+            }
+            let Some(column) = appends.get(col) else {
+                return Err(format!(
+                    "modified cell in column {col} of {}",
+                    appends.len()
+                ));
+            };
+            if v.data_type() != column.data_type() {
+                return Err(format!(
+                    "modified cell ({pos}, {col}) holds {:?} in a {:?} column",
+                    v.data_type(),
+                    column.data_type()
+                ));
+            }
+            let patches = modified.entry(pos).or_default();
+            if patches.iter().any(|(c, _)| *c == col) {
+                return Err(format!("modified cell ({pos}, {col}) given twice"));
+            }
+            patches.push((col, v));
+        }
+        Ok(DeltaStore {
+            base_rows,
+            deleted,
+            modified,
+            appends,
+        })
+    }
+
+    /// Number of rows in the base storage this store is positioned over.
+    pub fn base_rows(&self) -> usize {
+        self.base_rows
+    }
+
+    /// Deleted base positions, strictly ascending.
+    pub fn deleted(&self) -> &[usize] {
+        &self.deleted
+    }
+
+    /// Pending patches of base cells as `(base position, column, value)`,
+    /// in base-position order.
+    pub fn modified_cells(&self) -> impl Iterator<Item = (usize, usize, &Value)> {
+        self.modified
+            .iter()
+            .flat_map(|(&pos, patches)| patches.iter().map(move |(col, v)| (pos, *col, v)))
     }
 
     /// Rows currently visible (base minus deletes plus appends).
@@ -482,6 +564,38 @@ mod tests {
             .map(|r| d.read_value(&base, 0, r).as_int())
             .collect();
         assert_eq!(vals, vec![0, 20, 3, 5]);
+    }
+
+    #[test]
+    fn from_parts_rebuilds_what_the_accessors_expose() {
+        let (base, mut d) = store(8);
+        d.append_row(&[Value::Int(80)]);
+        d.append_row(&[Value::Int(81)]);
+        d.delete(&[1, 4, 8]);
+        d.modify(
+            &[0, 2, 5],
+            0,
+            &[Value::Int(-1), Value::Int(-2), Value::Int(-3)],
+        );
+        let cells = d
+            .modified_cells()
+            .map(|(p, c, v)| (p, c, v.clone()))
+            .collect();
+        let r = DeltaStore::from_parts(
+            d.base_rows(),
+            d.deleted().to_vec(),
+            cells,
+            d.append_columns().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(r.deleted(), d.deleted());
+        assert_eq!(r.append_len(), 1);
+        let read = |s: &DeltaStore| -> Vec<Value> {
+            (0..s.visible_len())
+                .map(|rid| s.read_value(&base, 0, rid))
+                .collect()
+        };
+        assert_eq!(read(&r), read(&d));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 use crate::column::ColumnData;
 use crate::delta::DeltaStore;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::zonemap::{ZoneMap, DEFAULT_BLOCK_ROWS};
 
 /// Base storage: immutable between two propagates, so every clone of a
@@ -55,18 +55,59 @@ pub struct Partition {
 impl Partition {
     /// Creates a partition from base columns (all of equal length, matching
     /// `schema`).
+    ///
+    /// # Panics
+    /// Panics on anything [`Partition::restore`] rejects.
     pub fn new(id: usize, schema: Arc<Schema>, base: Vec<ColumnData>) -> Self {
-        assert_eq!(base.len(), schema.len(), "column arity mismatch");
         let rows = base.first().map_or(0, |c| c.len());
-        assert!(base.iter().all(|c| c.len() == rows), "ragged columns");
         let proto: Vec<ColumnData> = base.iter().map(|c| c.empty_like()).collect();
-        Partition {
+        Self::restore(id, schema, base, DeltaStore::new(rows, proto))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Reassembles a partition from base columns and the delta store over
+    /// them — the split a checkpoint persists — checking that both match
+    /// `schema` column for column (arity, physical type, string codes
+    /// inside their dictionary, one dictionary per string column), that
+    /// the base is not ragged, and that the delta is positioned over
+    /// exactly this many base rows.
+    pub fn restore(
+        id: usize,
+        schema: Arc<Schema>,
+        base: Vec<ColumnData>,
+        delta: DeltaStore,
+    ) -> Result<Self, String> {
+        let rows = check_columns(&schema, &base, "base")?;
+        if delta.base_rows() != rows {
+            return Err(format!(
+                "delta over {} base rows, base holds {rows}",
+                delta.base_rows()
+            ));
+        }
+        check_columns(&schema, delta.append_columns(), "append")?;
+        for (c, (b, a)) in base.iter().zip(delta.append_columns()).enumerate() {
+            if let (ColumnData::Str { dict: db, .. }, ColumnData::Str { dict: da, .. }) = (b, a) {
+                if !Arc::ptr_eq(db, da) {
+                    return Err(format!(
+                        "column {c}: base and appends use different dictionaries"
+                    ));
+                }
+            }
+        }
+        Ok(Partition {
             id,
             schema,
             base: Arc::new(Base::new(base)),
-            delta: DeltaStore::new(rows, proto),
+            delta,
             block_rows: DEFAULT_BLOCK_ROWS,
-        }
+        })
+    }
+
+    /// Whether `other` reads the same base storage (not merely equal
+    /// values): true for every clone of a partition until one of them
+    /// propagates.
+    pub fn shares_base(&self, other: &Partition) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
     }
 
     /// The partition's schema.
@@ -196,11 +237,53 @@ impl Partition {
     }
 }
 
+/// Checks `cols` against `schema` column for column; returns their common
+/// length.
+fn check_columns(schema: &Schema, cols: &[ColumnData], what: &str) -> Result<usize, String> {
+    if cols.len() != schema.len() {
+        return Err(format!(
+            "column arity mismatch: {} {what} columns under {} fields",
+            cols.len(),
+            schema.len()
+        ));
+    }
+    let rows = cols.first().map_or(0, |c| c.len());
+    for (c, (col, field)) in cols.iter().zip(schema.fields()).enumerate() {
+        let expected = if field.dtype.is_int_backed() {
+            DataType::Int
+        } else {
+            field.dtype
+        };
+        if col.data_type() != expected {
+            return Err(format!(
+                "{what} column {c}: {:?} data under the {:?} field {:?}",
+                col.data_type(),
+                field.dtype,
+                field.name
+            ));
+        }
+        if col.len() != rows {
+            return Err(format!(
+                "ragged columns: {what} column {c} holds {} rows, column 0 {rows}",
+                col.len()
+            ));
+        }
+        if let ColumnData::Str { codes, dict } = col {
+            let entries = dict.read().len();
+            if let Some(code) = codes.iter().find(|&&code| code as usize >= entries) {
+                return Err(format!(
+                    "{what} column {c}: string code {code} outside a dictionary of {entries}"
+                ));
+            }
+        }
+    }
+    Ok(rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Field;
-    use crate::value::DataType;
 
     fn test_partition(rows: i64) -> Partition {
         let schema = Arc::new(Schema::new(vec![
@@ -286,6 +369,22 @@ mod tests {
         // Rebuild reflects the new base.
         let zm = p.zonemap(0);
         assert_eq!(zm.rows(), 2047);
+    }
+
+    #[test]
+    fn shares_base_until_propagate() {
+        let p = test_partition(4);
+        let mut clone = p.clone();
+        clone.delete(&[0]);
+        assert!(
+            clone.shares_base(&p),
+            "a delta write leaves the base shared"
+        );
+        clone.propagate();
+        assert!(
+            !clone.shares_base(&p),
+            "propagate gives the writer its own base"
+        );
     }
 
     #[test]

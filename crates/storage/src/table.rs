@@ -239,28 +239,28 @@ impl Table {
         self.rr_next
     }
 
-    /// Rebuilds a table from checkpointed state: per-partition column
-    /// data (visible rows only — deltas are propagated before
-    /// checkpointing), the shared dictionaries, and the routing state.
-    /// String columns in `partition_columns` must reference the matching
-    /// entry of `dicts`.
+    /// Rebuilds a table from checkpointed state: the partitions (each
+    /// reassembled with [`Partition::restore`], base and pending deltas
+    /// as they were checkpointed), the shared dictionaries, and the
+    /// routing state. Partition `i` must have id `i` and share `schema`;
+    /// its string columns must reference the matching entry of `dicts`.
     pub fn restore(
         name: impl Into<String>,
-        schema: Schema,
-        partition_columns: Vec<Vec<ColumnData>>,
+        schema: Arc<Schema>,
+        partitions: Vec<Partition>,
         dicts: Vec<Option<DictRef>>,
         partitioning: Partitioning,
         rr_cursor: usize,
     ) -> Self {
-        assert!(!partition_columns.is_empty(), "need at least one partition");
+        assert!(!partitions.is_empty(), "need at least one partition");
         assert_eq!(dicts.len(), schema.len(), "one dict slot per column");
-        let schema = Arc::new(schema);
-        let partitions: Vec<Arc<Partition>> = partition_columns
+        let partitions: Vec<Arc<Partition>> = partitions
             .into_iter()
             .enumerate()
-            .map(|(id, cols)| {
-                assert_eq!(cols.len(), schema.len(), "column count mismatch");
-                Arc::new(Partition::new(id, Arc::clone(&schema), cols))
+            .map(|(id, p)| {
+                assert_eq!(p.id, id, "partition out of place");
+                assert!(Arc::ptr_eq(p.schema(), &schema), "partition schema differs");
+                Arc::new(p)
             })
             .collect();
         let rr_next = rr_cursor % partitions.len();
