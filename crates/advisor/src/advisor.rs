@@ -123,13 +123,11 @@ impl AdvisorAction {
 
 /// The cumulative per-index counters the advisor windows over:
 /// maintenance plus query feedback, as one [`Cumulative`] bundle so a
-/// single [`Windowed`] tracks all four in lockstep.
+/// single [`Windowed`] tracks both in lockstep.
 #[derive(Debug, Default, Clone, Copy)]
 struct FeedbackTotals {
     maintained: u64,
     saved: f64,
-    actual_micros: f64,
-    est_cost_executed: f64,
 }
 
 impl Cumulative for FeedbackTotals {
@@ -137,15 +135,11 @@ impl Cumulative for FeedbackTotals {
         FeedbackTotals {
             maintained: self.maintained.saturating_sub(earlier.maintained),
             saved: self.saved - earlier.saved,
-            actual_micros: self.actual_micros - earlier.actual_micros,
-            est_cost_executed: self.est_cost_executed - earlier.est_cost_executed,
         }
     }
     fn accumulate(&mut self, sample: &Self) {
         self.maintained += sample.maintained;
         self.saved += sample.saved;
-        self.actual_micros += sample.actual_micros;
-        self.est_cost_executed += sample.est_cost_executed;
     }
 }
 
@@ -269,12 +263,9 @@ impl Advisor {
         for (slot, idx) in it.indexes().iter().enumerate() {
             let key = (idx.column(), idx.constraint());
             live.push(key);
-            let feedback = it.feedback(slot);
             let totals = FeedbackTotals {
                 maintained: idx.maintenance_stats().maintained_rows,
-                saved: feedback.est_cost_saved,
-                actual_micros: feedback.actual_micros,
-                est_cost_executed: feedback.est_cost_executed,
+                saved: it.feedback(slot).est_cost_saved,
             };
             let window = self.windows.entry(key).or_insert_with(|| {
                 // First sight: anchor at the current counters so
@@ -292,8 +283,6 @@ impl Advisor {
                 memory_bytes: idx.memory_bytes(),
                 window_maintained_rows: windowed.maintained,
                 window_cost_saved: windowed.saved,
-                window_actual_micros: windowed.actual_micros,
-                window_est_cost_executed: windowed.est_cost_executed,
                 window_full: window.is_full(),
             });
         }

@@ -11,12 +11,18 @@
 //!   [`AdvisorConfig::recompute_margin`] below its create-time value
 //!   (the paper's reorganization trigger: updates eroded optimality);
 //! * **drop** — an index whose maintenance cost exceeded the estimated
-//!   query benefit over a full sliding window of advisor steps;
+//!   query benefit over a full sliding window of advisor steps, both in
+//!   planner cost units ([`MAINTENANCE_COST_PER_ROW`] per maintained row);
 //! * **budget** — all of the above run under a global patch-memory
 //!   budget: candidates are admitted by benefit-per-byte rank, evicting
 //!   a strictly worse existing index when that frees enough room.
 
 use patchindex::{Constraint, Design};
+
+/// Cost of maintaining one row-event, in planner cost units — the
+/// currency of the engine's estimated-cost-saved feedback, so the drop
+/// rule compares like with like.
+pub const MAINTENANCE_COST_PER_ROW: f64 = 1.0;
 
 /// Tuning knobs of the advisor; the defaults suit mid-size tables and
 /// step cadences of tens of statements.
@@ -34,18 +40,6 @@ pub struct AdvisorConfig {
     pub drop_window: usize,
     /// Global patch-memory budget in bytes across all indexes.
     pub memory_budget_bytes: usize,
-    /// Cost of maintaining one row-event, in planner cost units (the
-    /// same currency as the engine's estimated-cost-saved feedback).
-    pub maintenance_cost_per_row: f64,
-    /// Measured wall-clock cost of maintaining one row-event, in
-    /// microseconds. When positive *and* the window holds measured query
-    /// executions, the drop rule switches to wall-clock currency: it
-    /// compares `maintained rows × this` against the windowed estimated
-    /// savings converted to microseconds through the index's own
-    /// measured calibration (actual micros per estimated cost unit) —
-    /// grounding the keep/drop decision in real timings instead of raw
-    /// cost-model units. `0.0` (the default) keeps the cost-unit rule.
-    pub maintenance_micros_per_row: f64,
     /// Reservoir capacity per sampled column.
     pub sample_cap: usize,
     /// Update statements between piggybacked advisor steps
@@ -61,8 +55,6 @@ impl Default for AdvisorConfig {
             recompute_margin: 0.1,
             drop_window: 4,
             memory_budget_bytes: usize::MAX,
-            maintenance_cost_per_row: 1.0,
-            maintenance_micros_per_row: 0.0,
             sample_cap: 1024,
             step_every: 64,
         }
@@ -88,43 +80,14 @@ pub struct IndexObservation {
     pub window_maintained_rows: u64,
     /// Estimated planner cost saved by queries within the window.
     pub window_cost_saved: f64,
-    /// Measured wall-clock micros of window queries that bound this
-    /// index (the `QueryEngine` facade times every executed query).
-    pub window_actual_micros: f64,
-    /// Estimated cost of the chosen plans behind those measured micros —
-    /// together they calibrate cost units to wall-clock.
-    pub window_est_cost_executed: f64,
     /// Whether the sliding window has accumulated `drop_window` steps.
     pub window_full: bool,
 }
 
 impl IndexObservation {
     /// Maintenance cost over the window, in planner cost units.
-    pub fn window_maintenance_cost(&self, cfg: &AdvisorConfig) -> f64 {
-        self.window_maintained_rows as f64 * cfg.maintenance_cost_per_row
-    }
-
-    /// Measured micros per estimated cost unit over the window, when the
-    /// window holds measured executions.
-    pub fn window_calibration(&self) -> Option<f64> {
-        (self.window_est_cost_executed > 0.0)
-            .then(|| self.window_actual_micros / self.window_est_cost_executed)
-    }
-
-    /// The drop rule's `(cost, benefit)` pair. Wall-clock currency when
-    /// [`AdvisorConfig::maintenance_micros_per_row`] is set and the
-    /// window is calibrated by measured executions; planner cost units
-    /// otherwise.
-    pub fn drop_economics(&self, cfg: &AdvisorConfig) -> (f64, f64) {
-        if cfg.maintenance_micros_per_row > 0.0 {
-            if let Some(micros_per_cost) = self.window_calibration() {
-                return (
-                    self.window_maintained_rows as f64 * cfg.maintenance_micros_per_row,
-                    self.window_cost_saved * micros_per_cost,
-                );
-            }
-        }
-        (self.window_maintenance_cost(cfg), self.window_cost_saved)
+    pub fn window_maintenance_cost(&self) -> f64 {
+        self.window_maintained_rows as f64 * MAINTENANCE_COST_PER_ROW
     }
 
     /// Windowed benefit per byte — the budget rule's ranking key.
@@ -223,18 +186,16 @@ pub fn decide(cfg: &AdvisorConfig, obs: &Observation) -> Vec<Decision> {
     let mut dropped = vec![false; obs.indexes.len()];
 
     // Drop rule first: an index that costs more than it helps is not
-    // worth recomputing either. The cost/benefit currency is wall-clock
-    // micros when measured timings calibrate the window (see
-    // [`IndexObservation::drop_economics`]), planner cost units otherwise.
+    // worth recomputing either. Both sides are planner cost units.
     for (i, idx) in obs.indexes.iter().enumerate() {
-        let (cost, benefit) = idx.drop_economics(cfg);
-        if idx.window_full && cost > benefit {
+        let cost = idx.window_maintenance_cost();
+        if idx.window_full && cost > idx.window_cost_saved {
             dropped[i] = true;
             decisions.push(Decision::Drop {
                 slot: idx.slot,
                 reason: DropReason::CostDominated,
                 maintenance_cost: cost,
-                query_benefit: benefit,
+                query_benefit: idx.window_cost_saved,
             });
         }
     }
@@ -298,7 +259,7 @@ pub fn decide(cfg: &AdvisorConfig, obs: &Observation) -> Vec<Decision> {
                     decisions.push(Decision::Drop {
                         slot: idx.slot,
                         reason: DropReason::BudgetEvicted,
-                        maintenance_cost: idx.window_maintenance_cost(cfg),
+                        maintenance_cost: idx.window_maintenance_cost(),
                         query_benefit: idx.window_cost_saved,
                     });
                 }
@@ -318,8 +279,8 @@ pub fn decide(cfg: &AdvisorConfig, obs: &Observation) -> Vec<Decision> {
 
 /// Splits a global patch-memory budget across shards proportionally to
 /// each shard's observed benefit (any non-negative currency — windowed
-/// cost saved, measured query micros, or query counts — as long as all
-/// shards report in the same one).
+/// cost saved or query counts — as long as all shards report in the
+/// same one).
 ///
 /// Shards with zero observed benefit still get a floor share: a shard
 /// that has never been queried must be able to create its first index,
@@ -390,8 +351,6 @@ mod tests {
             memory_bytes: 1_000,
             window_maintained_rows: 0,
             window_cost_saved: 0.0,
-            window_actual_micros: 0.0,
-            window_est_cost_executed: 0.0,
             window_full: false,
         }
     }
@@ -498,60 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_do_not_dilute_drop_calibration() {
-        // Wall-clock currency: maintenance priced in micros, window
-        // calibrated by measured executions. 20 real queries took 100µs
-        // per cost unit and saved plenty — the index earns its keep.
-        let mut cfg = cfg();
-        cfg.maintenance_micros_per_row = 1.0;
-        let mut i = idx(0, 0.99, 0.99);
-        i.window_full = true;
-        i.window_maintained_rows = 10_000; // cost: 10_000µs
-        i.window_cost_saved = 500.0;
-        i.window_actual_micros = 20_000.0;
-        i.window_est_cost_executed = 200.0; // calibration: 100µs/unit
-        let keep = Observation {
-            indexes: vec![i.clone()],
-            candidates: vec![],
-        };
-        assert!(decide(&cfg, &keep).is_empty(), "benefit 50_000µs ≫ cost");
-
-        // The query engine records NOTHING measured for a cache hit, so
-        // a hit-heavy window presents the advisor the very same
-        // observation — the drop verdict is unchanged by hit traffic.
-        let after_hits = Observation {
-            indexes: vec![i.clone()],
-            candidates: vec![],
-        };
-        assert_eq!(decide(&cfg, &keep).len(), decide(&cfg, &after_hits).len());
-
-        // Counterfactual guard: had 1000 hits been timed as ~0µs
-        // executions, calibration would collapse ~50× and the same
-        // index would be cost-dominated — exactly the corruption the
-        // hits-record-no-timing rule prevents.
-        let mut poisoned = i;
-        poisoned.window_actual_micros += 1000.0 * 1.0; // ~1µs per "hit"
-        poisoned.window_est_cost_executed += 1000.0 * 10.0;
-        let d = decide(
-            &cfg,
-            &Observation {
-                indexes: vec![poisoned],
-                candidates: vec![],
-            },
-        );
-        assert!(
-            matches!(
-                d[..],
-                [Decision::Drop {
-                    reason: DropReason::CostDominated,
-                    ..
-                }]
-            ),
-            "zero-cost timings would have poisoned the drop rule: {d:?}"
-        );
-    }
-
-    #[test]
     fn drop_supersedes_recompute_for_the_same_index() {
         let mut i = idx(0, 0.5, 0.99); // drifted far...
         i.window_full = true;
@@ -566,72 +471,6 @@ mod tests {
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(matches!(d[0], Decision::Drop { .. }));
-    }
-
-    /// With measured timings the drop rule runs in wall-clock currency:
-    /// the same estimated savings can flip the decision either way
-    /// depending on what the queries *actually* cost.
-    #[test]
-    fn measured_calibration_grounds_the_drop_rule() {
-        let mut c = cfg();
-        c.maintenance_micros_per_row = 2.0; // 10_000 rows -> 20_000 us
-        let mut i = idx(0, 0.99, 0.99);
-        i.window_full = true;
-        i.window_maintained_rows = 10_000;
-        i.window_cost_saved = 5_000.0; // cost-unit rule would keep barely…
-                                       // …but measured: est cost 1_000 units took only 1_000 us -> one
-                                       // micro per unit -> benefit 5_000 us < 20_000 us maintenance.
-        i.window_actual_micros = 1_000.0;
-        i.window_est_cost_executed = 1_000.0;
-        let d = decide(
-            &c,
-            &Observation {
-                indexes: vec![i.clone()],
-                candidates: vec![],
-            },
-        );
-        assert!(
-            matches!(
-                d[..],
-                [Decision::Drop {
-                    reason: DropReason::CostDominated,
-                    ..
-                }]
-            ),
-            "{d:?}"
-        );
-        // Queries that ran 10x slower per cost unit (10 us/unit) make the
-        // index worth its maintenance: benefit 50_000 us > 20_000 us.
-        i.window_actual_micros = 10_000.0;
-        let d = decide(
-            &c,
-            &Observation {
-                indexes: vec![i.clone()],
-                candidates: vec![],
-            },
-        );
-        assert!(d.is_empty(), "{d:?}");
-        // No measured executions in the window: fall back to cost units
-        // (5_000 saved < 10_000 maintained -> drop under the old rule).
-        i.window_actual_micros = 0.0;
-        i.window_est_cost_executed = 0.0;
-        let d = decide(
-            &c,
-            &Observation {
-                indexes: vec![i],
-                candidates: vec![],
-            },
-        );
-        assert!(matches!(d[..], [Decision::Drop { .. }]), "{d:?}");
-    }
-
-    #[test]
-    fn calibration_is_reported_per_window() {
-        let mut i = idx(0, 0.99, 0.99);
-        assert_eq!(i.window_calibration(), None);
-        i.window_actual_micros = 500.0;
-        i.window_est_cost_executed = 2_000.0;
-        assert_eq!(i.window_calibration(), Some(0.25));
     }
 
     #[test]

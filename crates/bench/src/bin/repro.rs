@@ -1,7 +1,7 @@
 //! Reproduction harness: prints the paper's tables and figures.
 //!
 //! Usage:
-//! `repro [fig1|fig6|table2|fig7|table3|fig8|fig9|fig10|fig11|ext|all]`
+//! `repro [fig1|fig6|table2|fig7|table3|fig8|fig9|fig10|fig11|all]`
 //! Scale via env: `PI_BITMAP_BITS`, `PI_MICRO_ROWS`, `PI_TPCH_SF`,
 //! `PI_UPDATES`, `PI_BULK_DELETES`, `PI_PUBLICBI_ROWS` (see `experiments`).
 
@@ -22,7 +22,6 @@ fn main() {
         ("fig9", ex::fig9),
         ("fig10", ex::fig10),
         ("fig11", ex::fig11),
-        ("ext", ex::ext),
     ];
     let known: Vec<&str> = jobs.iter().map(|(n, _)| *n).collect();
     if what != "all" && !known.contains(&what) {

@@ -725,69 +725,3 @@ pub fn fig11() -> String {
     out.push_str(&table.render());
     out
 }
-
-// ------------------------------------------------------------- Extensions
-
-/// Extensions beyond the paper's evaluation: RLE compression ratio across
-/// exception rates (the paper's future-work remark) and approximate query
-/// answers with their error bounds.
-pub fn ext() -> String {
-    let rows = env_usize("PI_MICRO_ROWS", 400_000);
-    let mut out = String::from("Extensions: RLE snapshots and approximate query processing\n");
-    let mut table = TablePrinter::new(&[
-        "e",
-        "dense bitmap [KB]",
-        "RLE snapshot [KB]",
-        "ratio",
-        "approx COUNT DISTINCT (+/- bound)",
-    ]);
-    for &e in &[0.001, 0.01, 0.1, 0.5] {
-        let ds = generate(&MicroSpec::new(rows, e, MicroKind::Nuc));
-        let idx = PatchIndex::create(
-            &ds.table,
-            microq::VAL_COL,
-            Constraint::NearlyUnique,
-            Design::Bitmap,
-        );
-        // Compress every partition's bitmap snapshot.
-        let mut dense = 0usize;
-        let mut rle = 0usize;
-        for pid in 0..idx.partition_count() {
-            let part = idx.partition(pid);
-            let snapshot =
-                pi_bitmap::RleBitmap::from_positions(part.store.nrows(), &part.store.patch_rids());
-            dense += part.store.memory_bytes();
-            rle += snapshot.memory_bytes();
-        }
-        let approx = patchindex::approx::approx_count_distinct(&idx);
-        table.row(vec![
-            format!("{e}"),
-            format!("{:.1}", dense as f64 / 1024.0),
-            format!("{:.1}", rle as f64 / 1024.0),
-            format!("{:.3}", rle as f64 / dense as f64),
-            format!("{:.0} +/- {:.0}", approx.estimate, approx.error_bound),
-        ]);
-    }
-    out.push_str(&table.render());
-    out.push_str("\nNCC demo: a nearly constant status column\n");
-    let mut t = pi_storage::Table::new(
-        "status",
-        pi_storage::Schema::new(vec![pi_storage::Field::new("s", pi_storage::DataType::Int)]),
-        1,
-        pi_storage::Partitioning::RoundRobin,
-    );
-    let vals: Vec<i64> = (0..10_000)
-        .map(|i| if i % 500 == 0 { i } else { 200 })
-        .collect();
-    t.load_partition(0, &[pi_storage::ColumnData::Int(vals)]);
-    t.propagate_all();
-    let ncc = PatchIndex::create(&t, 0, Constraint::NearlyConstant, Design::Identifier);
-    out.push_str(&format!(
-        "constant = {:?}, exceptions = {} of {} (e = {:.2}%)\n",
-        ncc.partition(0).last_sorted,
-        ncc.exception_count(),
-        ncc.nrows(),
-        ncc.exception_rate() * 100.0
-    ));
-    out
-}

@@ -35,11 +35,9 @@
 
 pub mod bitcopy;
 mod plain;
-pub mod rle;
 mod sharded;
 pub mod simd;
 
 pub use plain::PlainBitmap;
-pub use rle::RleBitmap;
 pub use sharded::{BulkDeleteMode, ShardedBitmap, DEFAULT_SHARD_BITS};
 pub use simd::ShiftKernel;

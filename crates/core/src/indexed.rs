@@ -96,25 +96,6 @@ pub struct QueryFeedback {
     pub times_bound: u64,
     /// Cumulative estimated cost saved vs the unrewritten plans.
     pub est_cost_saved: f64,
-    /// Queries whose execution was wall-clock measured (a subset of
-    /// `times_bound`: EXPLAIN-style planning binds without executing).
-    pub measured_queries: u64,
-    /// Cumulative measured execution time of those queries, in
-    /// microseconds.
-    pub actual_micros: f64,
-    /// Cumulative *estimated* cost of the chosen plans behind
-    /// `actual_micros` — the denominator of the estimate-vs-actual
-    /// calibration ratio ([`QueryFeedback::micros_per_cost_unit`]).
-    pub est_cost_executed: f64,
-}
-
-impl QueryFeedback {
-    /// Measured microseconds per planner cost unit — how the cost model's
-    /// absolute scale maps to wall-clock on this machine, grounded in the
-    /// queries that actually ran. `None` until a measured query executed.
-    pub fn micros_per_cost_unit(&self) -> Option<f64> {
-        (self.est_cost_executed > 0.0).then(|| self.actual_micros / self.est_cost_executed)
-    }
 }
 
 /// A table whose PatchIndexes are maintained through every update.
@@ -357,18 +338,6 @@ impl IndexedTable {
         fb.est_cost_saved += est_cost_saved.max(0.0);
     }
 
-    /// Records the measured execution of one query that bound the index
-    /// in `slot`: wall-clock `actual_micros` against the chosen plan's
-    /// estimated cost `est_cost` (per-slot shares when a plan bound
-    /// several indexes). The advisor's drop rule reads the accumulated
-    /// calibration back via [`QueryFeedback::micros_per_cost_unit`].
-    pub fn record_query_timing(&mut self, slot: usize, actual_micros: f64, est_cost: f64) {
-        let fb = &mut self.feedback[slot];
-        fb.measured_queries += 1;
-        fb.actual_micros += actual_micros.max(0.0);
-        fb.est_cost_executed += est_cost.max(0.0);
-    }
-
     /// The sink queries on this table report their workload evidence to.
     /// [`crate::ConcurrentTable`] hands the same sink to every snapshot,
     /// so owner, writer and reader queries all leave evidence here.
@@ -378,9 +347,9 @@ impl IndexedTable {
 
     /// Drains the sink into the query log and the per-slot feedback —
     /// the one place query evidence changes table state: a query-log
-    /// shape, or feedback / a measured timing for the index on the
-    /// event's `(column, constraint)` (events naming one without a live
-    /// index — dropped since — are discarded). No index version, no
+    /// shape, or feedback for the index on the event's
+    /// `(column, constraint)` (events naming one without a live index —
+    /// dropped since — are discarded). No index version, no
     /// partition and no cached catalog changes here, so a publish after
     /// read-only traffic stays a no-op. Called by
     /// [`crate::TableWriter::absorb_feedback`] (hence every publish) and
@@ -396,16 +365,6 @@ impl IndexedTable {
                 } => {
                     if let Some(slot) = self.slot_of(column, constraint) {
                         self.record_query_feedback(slot, est_cost_saved);
-                    }
-                }
-                WorkloadEvent::Timing {
-                    column,
-                    constraint,
-                    actual_micros,
-                    est_cost,
-                } => {
-                    if let Some(slot) = self.slot_of(column, constraint) {
-                        self.record_query_timing(slot, actual_micros, est_cost);
                     }
                 }
             }
@@ -763,10 +722,8 @@ mod tests {
         let before: *const IndexCatalog = it.cached_catalog();
         let shared = it.share_indexes();
         it.record_query_feedback(slot, 123.0);
-        it.record_query_timing(slot, 9.0, 3.0);
         assert_eq!(it.feedback(slot).times_bound, 1);
         assert!((it.feedback(slot).est_cost_saved - 123.0).abs() < 1e-9);
-        assert_eq!(it.feedback(slot).micros_per_cost_unit(), Some(3.0));
         assert_eq!(it.feedback(other), QueryFeedback::default());
         assert!(
             std::ptr::eq(before, it.cached_catalog()),

@@ -50,7 +50,6 @@
 
 #![warn(missing_docs)]
 
-pub mod approx;
 pub mod cache;
 mod catalog;
 mod checkpoint;

@@ -102,17 +102,6 @@ pub enum WorkloadEvent {
         /// Estimated planner cost saved vs the unrewritten plan.
         est_cost_saved: f64,
     },
-    /// A measured execution of a query that bound `(column, constraint)`.
-    Timing {
-        /// Indexed column.
-        column: usize,
-        /// The bound index's constraint.
-        constraint: Constraint,
-        /// Measured wall-clock execution time, microseconds.
-        actual_micros: f64,
-        /// Estimated cost of the chosen plan (this index's share).
-        est_cost: f64,
-    },
 }
 
 /// Where queries deposit workload evidence. Owned by an
@@ -773,22 +762,13 @@ mod tests {
 
         // Evidence about an index is table state too: absorbing it leaves
         // the index version alone, so this publish is skipped as well.
-        handle.snapshot().sink().record([
-            WorkloadEvent::Feedback {
-                column: 1,
-                constraint: Constraint::NearlyUnique,
-                est_cost_saved: 5.0,
-            },
-            WorkloadEvent::Timing {
-                column: 1,
-                constraint: Constraint::NearlyUnique,
-                actual_micros: 9.0,
-                est_cost: 3.0,
-            },
-        ]);
+        handle.snapshot().sink().record([WorkloadEvent::Feedback {
+            column: 1,
+            constraint: Constraint::NearlyUnique,
+            est_cost_saved: 5.0,
+        }]);
         assert_eq!(writer.publish(), 0);
         assert_eq!(writer.staging().feedback(0).times_bound, 1);
-        assert_eq!(writer.staging().feedback(0).measured_queries, 1);
         assert!(Arc::ptr_eq(
             &writer.staging().indexes()[0],
             &handle.snapshot().indexes()[0]
@@ -944,12 +924,6 @@ mod tests {
             constraint: Constraint::NearlyUnique,
             est_cost_saved: 42.0,
         }]);
-        snap.sink().record([WorkloadEvent::Timing {
-            column: 1,
-            constraint: Constraint::NearlyUnique,
-            actual_micros: 12.5,
-            est_cost: 100.0,
-        }]);
         // An event for an index that no longer exists is dropped quietly.
         snap.sink().record([WorkloadEvent::Feedback {
             column: 0,
@@ -963,10 +937,6 @@ mod tests {
         let fb = it.feedback(0);
         assert_eq!(fb.times_bound, 1);
         assert!((fb.est_cost_saved - 42.0).abs() < 1e-9);
-        assert_eq!(fb.measured_queries, 1);
-        assert!((fb.actual_micros - 12.5).abs() < 1e-9);
-        assert!((fb.est_cost_executed - 100.0).abs() < 1e-9);
-        assert_eq!(fb.micros_per_cost_unit(), Some(0.125));
     }
 
     #[test]

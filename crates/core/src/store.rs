@@ -109,23 +109,6 @@ impl PatchStore {
         }
     }
 
-    /// Clears rowIDs from the patch set. Callers must guarantee the rows
-    /// genuinely satisfy the constraint.
-    pub fn remove_patches(&mut self, rids: &[u64]) {
-        match self {
-            PatchStore::Bitmap(bm) => {
-                for &r in rids {
-                    bm.unset(r);
-                }
-            }
-            PatchStore::Identifier { ids, .. } => {
-                let mut remove = rids.to_vec();
-                remove.sort_unstable();
-                ids.retain(|id| remove.binary_search(id).is_err());
-            }
-        }
-    }
-
     /// Applies a table delete: `deleted` (any order, pre-delete rowIDs)
     /// disappear and all subsequent rowIDs shift down. The bitmap uses its
     /// bulk delete, which decides itself whether the affected shards are
@@ -216,15 +199,6 @@ mod tests {
             assert_eq!(store.nrows(), 15);
             store.add_patches(&[12, 14, 2]);
             assert_eq!(store.patch_rids(), vec![2, 12, 14]);
-        }
-    }
-
-    #[test]
-    fn remove_patches_both_designs() {
-        for mut store in both(30, &[2, 7, 9, 20]) {
-            store.remove_patches(&[7, 20, 25]); // 25 was never a patch
-            assert_eq!(store.patch_rids(), vec![2, 9]);
-            assert_eq!(store.nrows(), 30);
         }
     }
 

@@ -335,9 +335,9 @@ pub(crate) fn decode_dicts(bytes: &[u8]) -> io::Result<Vec<Option<DictRef>>> {
 // ------------------------------------------------------------- table meta
 
 const META_MAGIC: &[u8; 4] = b"PIDT";
-const META_VERSION: u32 = 2;
-/// One slot's feedback: five 8-byte counters.
-const FEEDBACK_BYTES: usize = 5 * 8;
+const META_VERSION: u32 = 3;
+/// One slot's feedback: `times_bound` and `est_cost_saved`.
+const FEEDBACK_BYTES: usize = 2 * 8;
 
 /// Everything about the table that is neither row data nor patch data:
 /// identity, schema, routing state, the statement counter the advisor
@@ -394,9 +394,6 @@ fn dtype_from_tag(t: u8) -> io::Result<DataType> {
 fn put_feedback(b: &mut Vec<u8>, fb: QueryFeedback) {
     put_u64(b, fb.times_bound);
     put_f64(b, fb.est_cost_saved);
-    put_u64(b, fb.measured_queries);
-    put_f64(b, fb.actual_micros);
-    put_f64(b, fb.est_cost_executed);
 }
 
 pub(crate) fn encode_meta(it: &IndexedTable) -> Vec<u8> {
@@ -466,9 +463,6 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
         feedback.push(QueryFeedback {
             times_bound: read_u64(&mut r)?,
             est_cost_saved: read_f64(&mut r)?,
-            measured_queries: read_u64(&mut r)?,
-            actual_micros: read_f64(&mut r)?,
-            est_cost_executed: read_f64(&mut r)?,
         });
     }
     expect_drained(r, "table meta checkpoint")?;
@@ -647,12 +641,11 @@ mod tests {
         );
         it.record_query_feedback(nuc, 1234.5);
         it.record_query_feedback(nsc, 0.25);
-        it.record_query_timing(nsc, 17.5, 70.0);
         let meta = decode_meta(&encode_meta(&it)).unwrap();
         assert_eq!(meta.feedback, vec![it.feedback(nuc), it.feedback(nsc)]);
         assert_eq!(meta.feedback[nuc].times_bound, 1);
         assert!(meta.feedback[nuc].est_cost_saved > 0.0);
-        assert_eq!(meta.feedback[nsc].micros_per_cost_unit(), Some(0.25));
+        assert_eq!(meta.feedback[nsc].est_cost_saved, 0.25);
         assert_eq!(meta.statements, it.statements());
         // A v1 meta file (no feedback block) is refused by its version.
         let msg = rejected(decode_meta(&seal(META_MAGIC, 1, &[])));
@@ -902,13 +895,17 @@ mod tests {
         assert!(msg.contains("frame of partition 3 in slot 0"), "{msg}");
     }
 
-    /// No legacy decoder: a manifest v1 (one file per partition) and a
-    /// `PIDP` v1 file (visible rows) are refused by their version word.
+    /// No legacy decoder: a manifest v1 (one file per partition), a
+    /// `PIDP` v1 file (visible rows) and a meta v2 file (wall-clock
+    /// timing counters per feedback slot) are refused by their version
+    /// word.
     #[test]
     fn old_manifest_and_partition_versions_are_refused() {
         let msg = rejected(decode_manifest(&seal(MANIFEST_MAGIC, 1, &[])));
         assert!(msg.contains("unsupported version 1"), "{msg}");
         let msg = rejected(decode(valid_base(), seal(DELTA_MAGIC, 1, &[])));
         assert!(msg.contains("unsupported version 1"), "{msg}");
+        let msg = rejected(decode_meta(&seal(META_MAGIC, 2, &[])));
+        assert!(msg.contains("unsupported version 2"), "{msg}");
     }
 }

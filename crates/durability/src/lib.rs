@@ -6,10 +6,12 @@
 //! three pieces:
 //!
 //! * **Statement WAL** ([`wal`]) — every update statement (insert /
-//!   modify / delete / index DDL / recompute / publish / advisor
-//!   feedback) is appended to an append-only, CRC-framed log *before* it
-//!   is applied (log-then-apply). The [`SyncPolicy`] decides when appends
-//!   are forced to stable storage.
+//!   modify / delete / index DDL / recompute / publish) and every query
+//!   feedback entry the advisor reads (`times_bound`, estimated cost
+//!   saved) is checked against the table ([`check_record`]) and then
+//!   appended to an append-only, CRC-framed log *before* it is applied
+//!   (log-then-apply). The [`SyncPolicy`] decides when appends are forced
+//!   to stable storage.
 //! * **Epoch-incremental checkpoints** — at publish time (every
 //!   [`DurableOptions::checkpoint_every`] publishes) the writer persists
 //!   only what changed since the previous checkpoint; copy-on-write
@@ -47,7 +49,7 @@ use std::sync::Arc;
 
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::dfs::{write_atomic, DurableFs};
-use pi_storage::{Partition, RowAddr, Table, Value};
+use pi_storage::{DataType, Partition, RowAddr, Table, Value};
 
 use patchindex::{
     ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, TableWriter,
@@ -214,11 +216,89 @@ pub fn apply_record(it: &mut IndexedTable, record: &Record) {
             slot,
             est_cost_saved,
         } => it.record_query_feedback(*slot, *est_cost_saved),
-        Record::Timing {
-            slot,
-            actual_micros,
-            est_cost,
-        } => it.record_query_timing(*slot, *actual_micros, *est_cost),
+    }
+}
+
+/// Refuses a record that names state `it` does not have — the check
+/// [`apply_record`] relies on. Slots, partitions, columns and rowIDs must
+/// be in range, rows and modified values must match the schema in arity
+/// and type, and an index must be on a column type `PatchIndex::create`
+/// accepts (not `Float`). Fails with [`io::ErrorKind::InvalidInput`].
+pub fn check_record(it: &IndexedTable, record: &Record) -> io::Result<()> {
+    check(it, record).map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))
+}
+
+fn check(it: &IndexedTable, record: &Record) -> Result<(), String> {
+    let table = it.table();
+    let fields = table.schema().fields();
+    let column = |col: usize| {
+        fields
+            .get(col)
+            .map(|f| f.dtype)
+            .ok_or_else(|| format!("column {col} out of range ({} columns)", fields.len()))
+    };
+    let fit = |dtype: DataType, v: &Value| match (dtype, v) {
+        (DataType::Int | DataType::Date, Value::Int(_))
+        | (DataType::Float, Value::Float(_))
+        | (DataType::Str, Value::Str(_)) => Ok(()),
+        _ => Err(format!("{v:?} does not fit a {dtype:?} column")),
+    };
+    let visible = |pid: usize, rids: &[usize]| {
+        let part = table.partitions().get(pid).ok_or_else(|| {
+            format!(
+                "partition {pid} out of range ({} partitions)",
+                table.partition_count()
+            )
+        })?;
+        let len = part.visible_len();
+        match rids.iter().find(|&&rid| rid >= len) {
+            Some(rid) => Err(format!(
+                "rowID {rid} out of range in partition {pid} ({len} visible rows)"
+            )),
+            None => Ok(()),
+        }
+    };
+    match record {
+        Record::Insert(rows) => rows.iter().try_for_each(|row| {
+            if row.len() != fields.len() {
+                return Err(format!(
+                    "row of {} values into {} columns",
+                    row.len(),
+                    fields.len()
+                ));
+            }
+            fields
+                .iter()
+                .zip(row)
+                .try_for_each(|(f, v)| fit(f.dtype, v))
+        }),
+        Record::Modify {
+            pid,
+            rids,
+            col,
+            values,
+        } => {
+            let dtype = column(*col)?;
+            visible(*pid, rids)?;
+            if rids.len() != values.len() {
+                return Err(format!("{} values for {} rowIDs", values.len(), rids.len()));
+            }
+            values.iter().try_for_each(|v| fit(dtype, v))
+        }
+        Record::Delete { pid, rids } => visible(*pid, rids),
+        Record::AddIndex { col, .. } => match column(*col)? {
+            DataType::Float => Err(format!("cannot index Float column {col}")),
+            _ => Ok(()),
+        },
+        Record::DropIndex { slot } | Record::Recompute { slot } | Record::Feedback { slot, .. } => {
+            let n = it.indexes().len();
+            if *slot < n {
+                Ok(())
+            } else {
+                Err(format!("slot {slot} out of range ({n} indexes)"))
+            }
+        }
+        Record::Publish => Ok(()),
     }
 }
 
@@ -228,7 +308,9 @@ pub fn apply_record(it: &mut IndexedTable, record: &Record) {
 ///
 /// Statement methods return [`io::Result`]: an `Err` means the statement
 /// was **not** logged and **not** applied — the caller may retry or give
-/// up, the table state is unchanged either way.
+/// up, the table state is unchanged either way. A statement naming state
+/// the table does not have fails with [`io::ErrorKind::InvalidInput`]
+/// ([`check_record`]).
 pub struct DurableWriter {
     fs: Arc<dyn DurableFs>,
     dir: PathBuf,
@@ -374,10 +456,11 @@ impl DurableWriter {
             .rposition(|(_, r)| matches!(r, Record::Publish))
             .map_or(0, |i| i + 1);
         let mut publishes = 0u64;
-        for (_, record) in &tail[..apply_upto] {
+        for (seq, record) in &tail[..apply_upto] {
             if matches!(record, Record::Publish) {
                 publishes += 1;
             }
+            check_record(&it, record).map_err(|e| bad(format!("WAL record {seq}: {e}")))?;
             apply_record(&mut it, record);
         }
         let report = RecoveryReport {
@@ -419,9 +502,19 @@ impl DurableWriter {
         Ok((handle, dw, report))
     }
 
+    /// Checks a statement against the staging table, then logs it — a
+    /// statement [`check_record`] refuses is neither logged nor applied,
+    /// so replay never meets a record the live writer accepted and
+    /// cannot apply.
+    fn log(&mut self, record: &Record) -> io::Result<()> {
+        check_record(self.writer.staging(), record)?;
+        self.wal.append(record)?;
+        Ok(())
+    }
+
     /// Inserts rows (WAL-logged, then applied).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> io::Result<Vec<RowAddr>> {
-        self.wal.append(&Record::Insert(rows.to_vec()))?;
+        self.log(&Record::Insert(rows.to_vec()))?;
         Ok(self.writer.insert(rows))
     }
 
@@ -433,7 +526,7 @@ impl DurableWriter {
         col: usize,
         values: &[Value],
     ) -> io::Result<()> {
-        self.wal.append(&Record::Modify {
+        self.log(&Record::Modify {
             pid,
             rids: rids.to_vec(),
             col,
@@ -445,7 +538,7 @@ impl DurableWriter {
 
     /// Deletes visible rows (WAL-logged, then applied).
     pub fn delete(&mut self, pid: usize, rids: &[usize]) -> io::Result<()> {
-        self.wal.append(&Record::Delete {
+        self.log(&Record::Delete {
             pid,
             rids: rids.to_vec(),
         })?;
@@ -460,7 +553,7 @@ impl DurableWriter {
         constraint: Constraint,
         design: Design,
     ) -> io::Result<usize> {
-        self.wal.append(&Record::AddIndex {
+        self.log(&Record::AddIndex {
             col,
             constraint,
             design,
@@ -470,13 +563,13 @@ impl DurableWriter {
 
     /// Drops the index in `slot` (WAL-logged, then applied).
     pub fn drop_index(&mut self, slot: usize) -> io::Result<Arc<PatchIndex>> {
-        self.wal.append(&Record::DropIndex { slot })?;
+        self.log(&Record::DropIndex { slot })?;
         Ok(self.writer.drop_index(slot))
     }
 
     /// Recomputes the index in `slot` (WAL-logged, then applied).
     pub fn recompute_index(&mut self, slot: usize) -> io::Result<()> {
-        self.wal.append(&Record::Recompute { slot })?;
+        self.log(&Record::Recompute { slot })?;
         self.writer.recompute_index(slot);
         Ok(())
     }
@@ -484,31 +577,13 @@ impl DurableWriter {
     /// Records planner feedback against `slot` (WAL-logged: the advisor's
     /// observe state must survive recovery).
     pub fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) -> io::Result<()> {
-        self.wal.append(&Record::Feedback {
+        self.log(&Record::Feedback {
             slot,
             est_cost_saved,
         })?;
         self.writer
             .staging_mut()
             .record_query_feedback(slot, est_cost_saved);
-        Ok(())
-    }
-
-    /// Records a measured query execution against `slot` (WAL-logged).
-    pub fn record_query_timing(
-        &mut self,
-        slot: usize,
-        actual_micros: f64,
-        est_cost: f64,
-    ) -> io::Result<()> {
-        self.wal.append(&Record::Timing {
-            slot,
-            actual_micros,
-            est_cost,
-        })?;
-        self.writer
-            .staging_mut()
-            .record_query_timing(slot, actual_micros, est_cost);
         Ok(())
     }
 
@@ -536,16 +611,6 @@ impl DurableWriter {
                 } => {
                     if let Some(slot) = self.writer.staging().slot_of(column, constraint) {
                         self.record_query_feedback(slot, est_cost_saved)?;
-                    }
-                }
-                WorkloadEvent::Timing {
-                    column,
-                    constraint,
-                    actual_micros,
-                    est_cost,
-                } => {
-                    if let Some(slot) = self.writer.staging().slot_of(column, constraint) {
-                        self.record_query_timing(slot, actual_micros, est_cost)?;
                     }
                 }
             }
@@ -1290,7 +1355,6 @@ mod tests {
         dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
             .unwrap();
         dw.record_query_feedback(0, 10.0).unwrap();
-        dw.record_query_timing(0, 5.5, 44.0).unwrap();
         dw.publish().unwrap();
         // A second epoch so the counters cross a checkpoint boundary too.
         dw.record_query_feedback(0, 2.5).unwrap();
@@ -1307,8 +1371,6 @@ mod tests {
         let fb = dw.staging().feedback(0);
         assert_eq!(fb.times_bound, 2);
         assert!((fb.est_cost_saved - 12.5).abs() < 1e-9);
-        assert_eq!(fb.measured_queries, 1);
-        assert!((fb.actual_micros - 5.5).abs() < 1e-9);
     }
 
     /// Regression for "pointer identity is the exact dirty set": evidence
@@ -1329,19 +1391,11 @@ mod tests {
         assert_eq!(before.len(), 1);
 
         // What executed queries on a snapshot report back.
-        handle.snapshot().sink().record([
-            WorkloadEvent::Feedback {
-                column: 1,
-                constraint: Constraint::NearlyUnique,
-                est_cost_saved: 42.5,
-            },
-            WorkloadEvent::Timing {
-                column: 1,
-                constraint: Constraint::NearlyUnique,
-                actual_micros: 5.5,
-                est_cost: 44.0,
-            },
-        ]);
+        handle.snapshot().sink().record([WorkloadEvent::Feedback {
+            column: 1,
+            constraint: Constraint::NearlyUnique,
+            est_cost_saved: 42.5,
+        }]);
         dw.publish().unwrap();
         assert_eq!(
             dw.stats().last_checkpoint_files,
@@ -1350,7 +1404,6 @@ mod tests {
         );
         assert_eq!(index_files(&fs), before);
         assert_eq!(dw.staging().feedback(0).times_bound, 1);
-        assert_eq!(dw.staging().feedback(0).measured_queries, 1);
 
         let want = state_image(dw.staging());
         drop(dw);
@@ -1364,6 +1417,102 @@ mod tests {
         .unwrap();
         assert_eq!(state_image(dw.staging()), want);
         assert!((dw.staging().feedback(0).est_cost_saved - 42.5).abs() < 1e-9);
+    }
+
+    /// Records naming state the table does not have: a slot, partition,
+    /// rowID or column out of range, a short row, a value of the wrong
+    /// type. Each used to panic replay or load silently.
+    fn records_naming_missing_state() -> Vec<Record> {
+        vec![
+            Record::Feedback {
+                slot: 5,
+                est_cost_saved: 1.0,
+            },
+            Record::DropIndex { slot: 5 },
+            Record::Recompute { slot: 5 },
+            Record::Delete {
+                pid: 9,
+                rids: vec![0],
+            },
+            Record::Delete {
+                pid: 0,
+                rids: vec![999],
+            },
+            Record::Insert(vec![vec![Value::Int(1)]]),
+            Record::AddIndex {
+                col: 9,
+                constraint: Constraint::NearlyUnique,
+                design: Design::Bitmap,
+            },
+            Record::Modify {
+                pid: 0,
+                rids: vec![0],
+                col: 9,
+                values: vec![Value::Int(1)],
+            },
+            Record::Modify {
+                pid: 0,
+                rids: vec![0],
+                col: 1,
+                values: vec![Value::from("x")],
+            },
+        ]
+    }
+
+    /// The live writer refuses each before logging it, and replay refuses
+    /// a CRC-valid one (written behind the writer's back) with the WAL
+    /// sequence it sits at.
+    #[test]
+    fn records_naming_missing_state_are_refused() {
+        for record in records_naming_missing_state() {
+            let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
+            let refused = match &record {
+                Record::Feedback {
+                    slot,
+                    est_cost_saved,
+                } => dw.record_query_feedback(*slot, *est_cost_saved),
+                Record::DropIndex { slot } => dw.drop_index(*slot).map(drop),
+                Record::Recompute { slot } => dw.recompute_index(*slot),
+                Record::Delete { pid, rids } => dw.delete(*pid, rids),
+                Record::Insert(rows) => dw.insert(rows).map(drop),
+                Record::AddIndex {
+                    col,
+                    constraint,
+                    design,
+                } => dw.add_index(*col, *constraint, *design).map(drop),
+                Record::Modify {
+                    pid,
+                    rids,
+                    col,
+                    values,
+                } => dw.modify(*pid, rids, *col, values),
+                Record::Publish => unreachable!(),
+            }
+            .expect_err("the writer must refuse it");
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidInput, "{record:?}");
+            assert_eq!(dw.stats().wal_bytes, 0, "{record:?} was logged");
+            drop(dw);
+
+            let mut wal = wal::WalWriter::new(
+                fs.clone(),
+                PathBuf::from("/db"),
+                SyncPolicy::EveryRecord,
+                1 << 20,
+                1,
+            );
+            wal.append(&record).unwrap();
+            wal.append(&Record::Publish).unwrap();
+            let err = DurableWriter::recover(
+                fs.clone(),
+                PathBuf::from("/db"),
+                DurableOptions::default(),
+                MaintenancePolicy::default(),
+            )
+            .err()
+            .unwrap_or_else(|| panic!("{record:?} must not recover"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{record:?}: {err}");
+            assert!(err.to_string().contains("WAL record 1"), "{err}");
+        }
     }
 
     #[test]

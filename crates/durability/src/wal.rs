@@ -96,15 +96,6 @@ pub enum Record {
         /// Estimated planner cost saved.
         est_cost_saved: f64,
     },
-    /// A measured query execution recorded against the index in `slot`.
-    Timing {
-        /// Slot at record time.
-        slot: usize,
-        /// Measured wall-clock micros.
-        actual_micros: f64,
-        /// Estimated cost of the chosen plan.
-        est_cost: f64,
-    },
 }
 
 const T_INSERT: u8 = 1;
@@ -117,7 +108,7 @@ const T_RECOMPUTE: u8 = 6;
 // and a frame carrying it is refused like any unknown tag.
 const T_PUBLISH: u8 = 8;
 const T_FEEDBACK: u8 = 9;
-const T_TIMING: u8 = 10;
+// 10 is retired the same way (it named a wall-clock query timing).
 
 /// Upper bound on one frame's payload — anything larger is treated as a
 /// corrupt length field, not an allocation request.
@@ -277,15 +268,6 @@ impl Record {
                 put_u32(b, *slot as u32);
                 put_f64(b, *est_cost_saved);
             }
-            Record::Timing {
-                slot,
-                actual_micros,
-                est_cost,
-            } => {
-                put_u32(b, *slot as u32);
-                put_f64(b, *actual_micros);
-                put_f64(b, *est_cost);
-            }
         }
     }
 
@@ -299,7 +281,6 @@ impl Record {
             Record::Recompute { .. } => T_RECOMPUTE,
             Record::Publish => T_PUBLISH,
             Record::Feedback { .. } => T_FEEDBACK,
-            Record::Timing { .. } => T_TIMING,
         }
     }
 
@@ -365,11 +346,6 @@ impl Record {
             T_FEEDBACK => Record::Feedback {
                 slot: read_u32(r)? as usize,
                 est_cost_saved: read_f64(r)?,
-            },
-            T_TIMING => Record::Timing {
-                slot: read_u32(r)? as usize,
-                actual_micros: read_f64(r)?,
-                est_cost: read_f64(r)?,
             },
             t => return Err(bad(&format!("unknown record type {t}"))),
         })
@@ -663,11 +639,6 @@ mod tests {
                 slot: 0,
                 est_cost_saved: 12.25,
             },
-            Record::Timing {
-                slot: 2,
-                actual_micros: 8.5,
-                est_cost: 64.0,
-            },
         ]
     }
 
@@ -753,10 +724,10 @@ mod tests {
     /// An unknown record tag inside a CRC-valid frame is not a torn tail:
     /// the log says something this build cannot replay, so reading it is
     /// an error, never a silently shortened history. Tag 7 is the retired
-    /// flush record, 200 was never assigned.
+    /// flush record, 10 the retired timing record, 200 was never assigned.
     #[test]
     fn unknown_record_tag_is_refused_not_skipped() {
-        for tag in [7u8, 200] {
+        for tag in [7u8, 10, 200] {
             let fs = Arc::new(SimFs::new());
             let dir = PathBuf::from("/wal");
             let mut w =

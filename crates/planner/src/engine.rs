@@ -180,20 +180,18 @@ impl Outcome {
 ///
 /// ## Evidence rules
 ///
-/// | request                   | query-log shapes | feedback / bound slot | timing / bound slot |
-/// |---------------------------|------------------|-----------------------|---------------------|
-/// | `plan_query`              | –                | –                     | –                   |
-/// | executing call, cache hit | once             | –                     | –                   |
-/// | executing call, executed  | once             | once                  | once                |
+/// | request                   | query-log shapes | feedback / bound slot |
+/// |---------------------------|------------------|-----------------------|
+/// | `plan_query`              | –                | –                     |
+/// | executing call, cache hit | once             | –                     |
+/// | executing call, executed  | once             | once                  |
 ///
 /// `plan_query` is EXPLAIN-style inspection, so an EXPLAIN-then-run
 /// sequence must not double-count. A hit is demand (the advisor's create
-/// rule counts it) but executed nothing: feeding its ~0µs to the advisor
-/// would corrupt `micros_per_cost_unit()` calibration, so hits are
-/// tallied by the cache's own counters instead. Feedback is the
-/// estimated cost the chosen plan saves over the unrewritten one, timing
-/// the measured wall clock next to the chosen plan's estimate — both
-/// split evenly across the bound slots.
+/// rule counts it) but executed nothing, so no rewrite saved anything:
+/// hits are tallied by the cache's own counters instead. Feedback is the
+/// estimated cost (planner cost units) the chosen plan saves over the
+/// unrewritten one, split evenly across the bound slots.
 pub trait QueryEngine {
     /// Hands the pipeline a view of this table — the one method a table
     /// view implements; every other method is a request passed through it.
@@ -326,13 +324,11 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         Some(value) => (value, 0, 0, Vec::new()),
         None => {
             let obs = ExecObserver::new(parts, traced);
-            let start = Instant::now();
             let mut root = lower_global(&chosen, view.table, view.indexes, Some(&obs));
             let value = match mode {
                 QueryMode::Rows => CachedValue::Rows(collect(root.as_mut())),
                 QueryMode::Count => CachedValue::Count(count_rows(root) as u64),
             };
-            let elapsed = start.elapsed();
             if let Some((cache, token, hash, canon)) = key {
                 // Pointer identity of these Arcs is exactly "this cached
                 // result is still valid" — copy-on-write publishes
@@ -351,26 +347,16 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
                 cache.insert(token, hash, canon, view.epoch, value.clone(), footprint);
             }
             if !bound.is_empty() {
-                // Every figure is split evenly across the bound slots.
-                let n = bound.len() as f64;
-                let est_chosen = estimate(&chosen, cat);
-                let est_cost_saved = (estimate(plan, cat) - est_chosen).max(0.0) / n;
-                let actual_micros = elapsed.as_secs_f64() * 1e6 / n;
-                let bound_entries = || {
-                    bound
-                        .iter()
-                        .map(|&slot| cat.by_slot(slot).expect("bound slot outside the catalog"))
-                };
-                events.extend(bound_entries().map(|e| WorkloadEvent::Feedback {
-                    column: e.column,
-                    constraint: e.constraint,
-                    est_cost_saved,
-                }));
-                events.extend(bound_entries().map(|e| WorkloadEvent::Timing {
-                    column: e.column,
-                    constraint: e.constraint,
-                    actual_micros,
-                    est_cost: est_chosen / n,
+                // The saving is split evenly across the bound slots.
+                let est_cost_saved =
+                    (estimate(plan, cat) - estimate(&chosen, cat)).max(0.0) / bound.len() as f64;
+                events.extend(bound.iter().map(|&slot| {
+                    let e = cat.by_slot(slot).expect("bound slot outside the catalog");
+                    WorkloadEvent::Feedback {
+                        column: e.column,
+                        constraint: e.constraint,
+                        est_cost_saved,
+                    }
                 }));
             }
             let visited = obs.pulled().len() as u64;
@@ -596,25 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_timing_lands_in_feedback() {
-        let mut it = fresh(2);
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        // EXPLAIN records nothing measured.
-        it.plan_query(&distinct);
-        it.absorb_workload();
-        assert_eq!(it.feedback(slot).measured_queries, 0);
-        it.query_count(&distinct);
-        it.query_count(&distinct);
-        it.absorb_workload();
-        let fb = it.feedback(slot);
-        assert_eq!(fb.measured_queries, 2);
-        assert!(fb.actual_micros > 0.0);
-        assert!(fb.est_cost_executed > 0.0);
-        assert!(fb.micros_per_cost_unit().unwrap() > 0.0);
-    }
-
-    #[test]
     fn snapshot_queries_match_owner_results() {
         use patchindex::ConcurrentTable;
         let mut it = fresh(4);
@@ -653,8 +620,6 @@ mod tests {
         let fb = it.feedback(slot);
         assert_eq!(fb.times_bound, 2);
         assert!(fb.est_cost_saved > 0.0);
-        assert_eq!(fb.measured_queries, 2);
-        assert!(fb.actual_micros > 0.0);
     }
 
     fn cached(it: IndexedTable) -> (ConcurrentTable, TableWriter) {
@@ -686,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_record_shapes_but_never_feedback_or_timing() {
+    fn cache_hits_record_shapes_but_never_feedback() {
         let mut it = fresh(2);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = cached(it);
@@ -696,7 +661,6 @@ mod tests {
         writer.absorb_feedback();
         let before = writer.staging().feedback(slot);
         assert_eq!(before.times_bound, 1);
-        assert_eq!(before.measured_queries, 1);
 
         for _ in 0..3 {
             snap.query_count(&distinct); // hits: shapes only
@@ -705,13 +669,8 @@ mod tests {
         let it = writer.staging();
         // The advisor's demand signal still sees every query...
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 4);
-        // ...but calibration inputs are untouched: a hit executed
-        // nothing, so its ~0µs must not dilute micros-per-cost-unit.
-        let after = it.feedback(slot);
-        assert_eq!(after.times_bound, before.times_bound);
-        assert_eq!(after.measured_queries, before.measured_queries);
-        assert_eq!(after.actual_micros, before.actual_micros);
-        assert_eq!(after.micros_per_cost_unit(), before.micros_per_cost_unit());
+        // ...but the feedback is untouched: a hit executed nothing.
+        assert_eq!(it.feedback(slot), before);
         // Hits are tallied in the cache's own counter instead.
         assert_eq!(handle.cache_stats().unwrap().hits, 3);
     }
@@ -808,7 +767,6 @@ mod tests {
         assert_eq!(reg.counter("publish.indexes_copied").get(), 0);
         // The evidence did arrive, beside the query log.
         assert_eq!(writer.staging().feedback(slot).times_bound, 1);
-        assert_eq!(writer.staging().feedback(slot).measured_queries, 1);
 
         let again = handle.snapshot().query(&distinct);
         assert_eq!(first.column(0).as_int(), again.column(0).as_int());

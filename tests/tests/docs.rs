@@ -1,7 +1,8 @@
 //! The prose docs cannot name dead things silently: README's "Test
-//! suite" table and `tests/tests/` list the same suites, and every
-//! command word in `docs/WIRE_PROTOCOL.md`'s command table is one a live
-//! server knows.
+//! suite" table and `tests/tests/` list the same suites, README's
+//! `repro` job list and `repro`'s job table name the same jobs, and
+//! every command word in `docs/WIRE_PROTOCOL.md`'s command table is one
+//! a live server knows.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -49,6 +50,30 @@ fn readme_test_suite_table_matches_the_suites_on_disk() {
     assert_eq!(
         named, on_disk,
         "README's Test suite table (left) and tests/tests/*.rs (right) must name the same suites"
+    );
+}
+
+#[test]
+fn readme_repro_job_list_matches_the_repro_job_table() {
+    let readme = repo_file("README.md");
+    let listed = readme
+        .split_once("`repro` takes one of `")
+        .and_then(|(_, rest)| rest.split_once('`'))
+        .expect("README names the repro jobs")
+        .0;
+    let named: BTreeSet<&str> = listed.split_whitespace().collect();
+    // The table rows read `("fig1", ex::fig1),`; `all` runs every row.
+    let repro = repo_file("crates/bench/src/bin/repro.rs");
+    let mut jobs: BTreeSet<&str> = repro
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("(\""))
+        .filter_map(|row| row.split_once('"'))
+        .map(|(name, _)| name)
+        .collect();
+    jobs.insert("all");
+    assert_eq!(
+        named, jobs,
+        "README's repro job list (left) and repro's job table (right) must name the same jobs"
     );
 }
 

@@ -279,14 +279,13 @@ enum Method {
 }
 
 /// Everything the advisor can learn from queries: per-shape query-log
-/// counts on the value column and `(times_bound, measured_queries)` per
-/// index slot.
+/// counts on the value column and `times_bound` per index slot.
 #[derive(Debug, Clone, PartialEq)]
 struct Evidence {
     distinct: u64,
     sort: u64,
     log_total: u64,
-    slots: Vec<(u64, u64)>,
+    slots: Vec<u64>,
 }
 
 fn evidence(it: &IndexedTable) -> Evidence {
@@ -295,10 +294,7 @@ fn evidence(it: &IndexedTable) -> Evidence {
         sort: it.query_log().count(1, QueryShape::Sort(SortDir::Asc)),
         log_total: it.query_log().total(),
         slots: (0..it.indexes().len())
-            .map(|slot| {
-                let fb = it.feedback(slot);
-                (fb.times_bound, fb.measured_queries)
-            })
+            .map(|slot| it.feedback(slot).times_bound)
             .collect(),
     }
 }
@@ -320,8 +316,7 @@ fn evidence_after(
     }
     want.log_total += if shape.is_some() { queries } else { 0 };
     for &slot in bound {
-        want.slots[slot].0 += executed;
-        want.slots[slot].1 += executed;
+        want.slots[slot] += executed;
     }
     want
 }
