@@ -1,11 +1,24 @@
 //! Shared row comparators over materialized key columns (used by sort and
-//! ordered merge).
+//! ordered merge), and the direction map of the merge's single-`Int`-key
+//! path.
 
 use std::cmp::Ordering;
 
 use pi_storage::ColumnData;
 
 use crate::ops::sort::SortOrder;
+
+/// Maps an `Int` key value so that ascending `i64` order is `order`'s
+/// order: the identity for `Asc`, bitwise NOT for `Desc`. `!v` is
+/// `-v - 1`, strictly order-reversing over all of `i64` — unlike `-v`,
+/// which overflows at `i64::MIN`.
+#[inline]
+pub(crate) fn oriented_int(v: i64, order: SortOrder) -> i64 {
+    match order {
+        SortOrder::Asc => v,
+        SortOrder::Desc => !v,
+    }
+}
 
 /// A materialized, direction-aware sort key column. Strings are decoded
 /// once so comparisons are lexicographic (dictionary codes are assigned in

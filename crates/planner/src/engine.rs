@@ -802,6 +802,54 @@ mod tests {
         assert_eq!(trace.cache, Some(CacheOutcome::Uncached));
     }
 
+    /// The sort rewrite's merge streams: a `LIMIT` over it stops every
+    /// kept flow after its first batch, while every partition is still
+    /// pulled, so the cache footprint keeps all of them.
+    #[test]
+    fn limit_over_the_sort_rewrite_stops_the_kept_scans() {
+        let parts = 4;
+        let rows = 3 * pi_exec::BATCH_SIZE + 100;
+        let mut t = Table::new(
+            "nsc",
+            Schema::new(vec![Field::new("v", DataType::Int)]),
+            parts,
+            Partitioning::RoundRobin,
+        );
+        for pid in 0..parts {
+            // Interleaved ascending runs with a stray every 1000 rows.
+            let vals = (0..rows)
+                .map(|i| match i % 1000 {
+                    500 => -(i as i64),
+                    _ => (i * parts + pid) as i64,
+                })
+                .collect();
+            t.load_partition(pid, &[ColumnData::Int(vals)]);
+        }
+        t.propagate_all();
+        let mut it = IndexedTable::new(t);
+        it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        let plan = Plan::scan(vec![0])
+            .sort(vec![(0, SortOrder::Asc)])
+            .limit(100);
+
+        let (got, trace) = it.query_traced(&plan);
+        let reference = execute(&plan, it.table(), NO_INDEXES);
+        assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
+        assert!(trace.optimized.contains("Merge"), "{}", trace.optimized);
+        let kept: Vec<u64> = trace
+            .operators
+            .iter()
+            .filter(|o| o.label == "PatchScan[exclude_patches]")
+            .map(|o| o.rows_out)
+            .collect();
+        assert_eq!(kept.len(), parts);
+        assert!(
+            kept.iter().all(|&n| n <= pi_exec::BATCH_SIZE as u64),
+            "a kept flow ran past its first batch: {kept:?}"
+        );
+        assert_eq!(trace.partitions_visited, parts as u64);
+    }
+
     #[test]
     fn traced_snapshot_reports_cache_hit_and_miss() {
         let mut it = fresh(2);

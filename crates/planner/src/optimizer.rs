@@ -215,12 +215,17 @@ fn rewrite_site(node: &Plan, e: &IndexStats) -> Option<Plan> {
             _ => None,
         },
         // Figure 2 with the aggregation exchanged for the sort operator:
-        // the excluding flow is known to be sorted.
+        // the excluding flow is known to be sorted. Single-column scans
+        // only: the reference orders equal keys by (partition, position),
+        // the merge puts every kept stream before every patch stream, and
+        // that difference is invisible only when the key is the whole row.
+        // (Lifting this needs a (partition, rowID) tie-break in the merge.)
         Plan::Sort { input, keys } => match &**input {
             Plan::Scan {
                 cols: scan_cols,
                 filter,
             } if keys.len() == 1
+                && scan_cols.len() == 1
                 && keys[0].1 == SortOrder::Asc
                 && scan_produces_sorted(scan_cols, keys[0].0, e) =>
             {

@@ -14,7 +14,11 @@
 //!
 //! `LIMIT n` over plain bag scans additionally pushes a per-partition
 //! limit below the combine, so every partition stops scanning after `n`
-//! rows instead of draining fully.
+//! rows instead of draining fully. A `LIMIT` over a sorted flow needs no
+//! pushdown: the global ordered merge streams, so the limit stops pulling
+//! it after its first output batch, and the merge pulls each input only
+//! as far as that batch needs — an NSC rewrite's kept flows stop after
+//! their first batch (a per-partition `SortOp` still reads its partition).
 //!
 //! There is one lowering, `lower_global`, with one optional
 //! `ExecObserver`: which partitions the execution depended on (the
@@ -390,11 +394,13 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
         }
         Plan::Merge { inputs, keys } => {
             // Each surviving (partition, child) stream is sorted; one
-            // ≤ k·P-way merge. Pruned children simply contribute no
-            // stream — this is where a 16-partition table with patches in
-            // one partition gets 15 single-stream pipelines. A child
-            // containing a Distinct contributes one globally lowered
-            // stream instead (see the Sort arm).
+            // ≤ k·P-way streaming merge, ⌈log₂ streams⌉ comparisons per
+            // winner, that pulls every stream once up front and then each
+            // only as its rows are emitted. Pruned children simply
+            // contribute no stream — this is where a 16-partition table
+            // with patches in one partition gets 15 single-stream
+            // pipelines. A child containing a Distinct contributes one
+            // globally lowered stream instead (see the Sort arm).
             let mut streams: Vec<OpRef<'a>> = Vec::new();
             for child in inputs {
                 if child.contains_distinct() {

@@ -134,6 +134,20 @@ fn assert_queries_match(it: &IndexedTable, ctx: &str) {
     let got = column_vec(&it.query(&sort));
     assert_eq!(got, reference, "{ctx}: sort");
 
+    // ORDER BY val over (val, key) — both columns verbatim: equal values
+    // must come out in the reference's (partition, position) order.
+    let wide = Plan::scan(vec![1, 0]).sort(vec![(0, SortOrder::Asc)]);
+    let reference = execute(&wide, it.table(), NO_INDEXES);
+    let got = it.query(&wide);
+    assert_eq!(got.len(), reference.len(), "{ctx}: wide sort");
+    for c in 0..got.width() {
+        assert_eq!(
+            got.column(c).as_int(),
+            reference.column(c).as_int(),
+            "{ctx}: wide sort"
+        );
+    }
+
     // SELECT DISTINCT … ORDER BY — sorted distinct values: self-checking
     // (strictly increasing), not just facade-vs-reference, so a lowering
     // that loses cross-partition dedup fails even if both paths share it.
