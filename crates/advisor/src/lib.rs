@@ -270,4 +270,58 @@ mod tests {
         }
         panic!("drop rule never fired");
     }
+
+    /// Why query feedback need not survive a restart: an advisor anchors
+    /// each index's window at the counters it first sees, so feedback a
+    /// table gathered before the advisor's first step never reaches a
+    /// decision. Two copies of one table, one carrying a large pre-advisor
+    /// saving, take identical statements and queries and get identical
+    /// actions for a full window and one step past it — including the
+    /// drop the large saving would have vetoed had it counted.
+    #[test]
+    fn feedback_before_the_first_step_never_changes_a_decision() {
+        use patchindex::WorkloadEvent;
+        let cfg = AdvisorConfig {
+            drop_window: 2,
+            ..AdvisorConfig::default()
+        };
+        let copy = || {
+            let mut it = table((0..1_000).collect(), 1);
+            it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+            (it, Advisor::new(cfg))
+        };
+        let (mut fresh, mut fresh_advisor) = copy();
+        let (mut seasoned, mut seasoned_advisor) = copy();
+        seasoned.sink().record([WorkloadEvent::Feedback {
+            column: 1,
+            constraint: Constraint::NearlyUnique,
+            est_cost_saved: 1e12,
+        }]);
+        seasoned.absorb_workload();
+        assert_eq!(seasoned.feedback(0).times_bound, 1);
+
+        let q = Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]);
+        let mut key = 10_000i64;
+        let mut dropped = false;
+        for step in 0..=cfg.drop_window {
+            let rows: Vec<Vec<Value>> = (0..50)
+                .map(|_| {
+                    key += 1;
+                    vec![Value::Int(key), Value::Int(key + 1_000_000)]
+                })
+                .collect();
+            let mut actions = Vec::new();
+            for (it, advisor) in [
+                (&mut fresh, &mut fresh_advisor),
+                (&mut seasoned, &mut seasoned_advisor),
+            ] {
+                it.insert(&rows);
+                it.query_count(&q);
+                actions.push(format!("{:?}", advisor.step(it)));
+            }
+            assert_eq!(actions[0], actions[1], "step {step}");
+            dropped |= actions[0].contains("Dropped");
+        }
+        assert!(dropped, "the drop rule must fire inside the window");
+    }
 }

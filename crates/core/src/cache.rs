@@ -88,25 +88,6 @@ impl Footprint {
             .iter()
             .all(|(slot, i)| indexes.get(*slot).is_some_and(|j| Arc::ptr_eq(i, j)))
     }
-
-    /// Whether partition `pid` is part of this footprint.
-    pub fn covers_partition(&self, pid: usize) -> bool {
-        self.partitions.iter().any(|(p, _)| *p == pid)
-    }
-
-    /// The partition ids in this footprint, ascending.
-    pub fn partition_ids(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.partitions.iter().map(|(p, _)| *p).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The bound index slots in this footprint, ascending.
-    pub fn index_slots(&self) -> Vec<usize> {
-        let mut slots: Vec<usize> = self.indexes.iter().map(|(s, _)| *s).collect();
-        slots.sort_unstable();
-        slots
-    }
 }
 
 #[derive(Debug)]

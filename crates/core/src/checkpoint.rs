@@ -1,26 +1,19 @@
-//! Recovery (paper, Section 3.4).
+//! The index image recovery restores (paper, Section 3.4).
 //!
 //! PatchIndexes are main-memory structures; to keep the database log slim
-//! the actual patch information is not logged. Two recovery strategies:
-//!
-//! * [`PatchIndex::recover`] — recreate from the table after a restart
-//!   (the paper's default);
-//! * [`PatchIndex::checkpoint`] / [`PatchIndex::load_checkpoint`] — persist
-//!   the index state to disk as a checkpoint (hand-rolled little-endian
-//!   codec; the dependency policy in DESIGN.md rules out serde formats).
-//!
-//! Checkpoints are written atomically (tmp + fsync + rename + parent-dir
-//! fsync through [`DurableFs`]) and carry a CRC-32 trailer, so a crash
-//! mid-write can neither corrupt the previous good copy nor leave a torn
-//! file that loads silently. The byte-level codec
-//! ([`PatchIndex::checkpoint_bytes`] / [`PatchIndex::load_checkpoint_bytes`])
-//! is what the `pi-durability` crate embeds in its epoch checkpoints.
+//! the actual patch information is not logged. The paper recovers an
+//! index by recreating it from the table ([`PatchIndex::create`]) or by
+//! loading a checkpoint of it. This module is the checkpoint's format: a
+//! hand-rolled little-endian image with a CRC-32 trailer
+//! ([`PatchIndex::checkpoint_bytes`]) and its one decoder
+//! ([`PatchIndex::load_checkpoint_for`]), which checks the image against
+//! the table it restores into. Writing the image to disk — atomically,
+//! next to the table data it describes — is the `pi-durability` crate's
+//! job; its epoch checkpoints embed one image per index.
 
 use std::io::{self, Read};
-use std::path::Path;
 
 use pi_storage::crc::crc32;
-use pi_storage::dfs::{write_atomic, DurableFs, RealFs};
 use pi_storage::Table;
 
 use crate::constraint::{Constraint, Design, SortDir};
@@ -32,8 +25,8 @@ const MAGIC: &[u8; 4] = b"PIDX";
 /// The only format this build reads or writes: header, maintenance
 /// counters and drift baseline, per-partition patch sets, then a CRC-32
 /// trailer over everything before it, so torn or bit-flipped files are
-/// rejected at load instead of parsed. (Query feedback is table state:
-/// `pi-durability`'s meta file carries it.)
+/// rejected at load instead of parsed. (Query feedback is not part of an
+/// index, and nothing persists it.)
 const VERSION: u32 = 6;
 /// Word after the design word. Patch sets are always globally
 /// deduplicated (NUC discovery includes the cross-partition residual), so
@@ -107,12 +100,6 @@ fn bad_data(msg: &str) -> io::Error {
 }
 
 impl PatchIndex {
-    /// Recreates the index from the table — recovery after a shutdown or
-    /// failure without a checkpoint.
-    pub fn recover(table: &Table, col: usize, constraint: Constraint, design: Design) -> Self {
-        PatchIndex::create(table, col, constraint, design)
-    }
-
     /// Serializes the index to the current checkpoint format (v6,
     /// CRC-32 trailer included).
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
@@ -156,51 +143,17 @@ impl PatchIndex {
         b
     }
 
-    /// Persists the index state to `path` atomically: the bytes land in a
-    /// tmp file that is fsynced, renamed over `path`, and committed with
-    /// a parent-directory fsync. A crash at any point leaves either the
-    /// old checkpoint or the new one — never a torn mix.
-    pub fn checkpoint(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.checkpoint_via(&RealFs, path.as_ref())
-    }
-
-    /// [`PatchIndex::checkpoint`] through an explicit filesystem (the
-    /// durability layer and the failpoint tests inject theirs here).
-    pub fn checkpoint_via(&self, fs: &dyn DurableFs, path: &Path) -> io::Result<()> {
-        write_atomic(fs, path, &self.checkpoint_bytes())
-    }
-
-    /// Loads a checkpoint written by [`PatchIndex::checkpoint`].
-    pub fn load_checkpoint(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::load_checkpoint_via(&RealFs, path.as_ref())
-    }
-
-    /// [`PatchIndex::load_checkpoint`] through an explicit filesystem.
-    pub fn load_checkpoint_via(fs: &dyn DurableFs, path: &Path) -> io::Result<Self> {
-        Self::load_checkpoint_bytes(&fs.read(path)?)
-    }
-
-    /// Parses a checkpoint image. Rejects other versions, checksum
+    /// Parses a checkpoint image of an index over `table` (recovery
+    /// restores the table first). Rejects other versions, checksum
     /// mismatches, counts that exceed the bytes present, patch rowIDs
     /// outside their partition and trailing garbage with a clear
-    /// [`io::ErrorKind::InvalidData`] error.
-    pub fn load_checkpoint_bytes(bytes: &[u8]) -> io::Result<Self> {
-        Self::decode(bytes, None)
-    }
-
-    /// [`PatchIndex::load_checkpoint_bytes`] for an image that must
-    /// describe `table` (recovery restores the table first). The row
-    /// counts an image claims are bounded by nothing in its own bytes —
-    /// and the bitmap design allocates for them — so an image whose
-    /// column is outside the schema, whose partition count differs from
-    /// the table's, or whose per-partition row count differs from that
-    /// partition's visible rows is rejected as
-    /// [`io::ErrorKind::InvalidData`] before any patch store is built.
+    /// [`io::ErrorKind::InvalidData`] error. The row counts an image
+    /// claims are bounded by nothing in its own bytes — and the bitmap
+    /// design allocates for them — so an image whose column is outside
+    /// the schema, whose partition count differs from the table's, or
+    /// whose per-partition row count differs from that partition's
+    /// visible rows is rejected before any patch store is built.
     pub fn load_checkpoint_for(bytes: &[u8], table: &Table) -> io::Result<Self> {
-        Self::decode(bytes, Some(table))
-    }
-
-    fn decode(bytes: &[u8], table: Option<&Table>) -> io::Result<Self> {
         let mut header: &[u8] = bytes;
         let mut magic = [0u8; 4];
         header
@@ -229,7 +182,7 @@ impl PatchIndex {
         }
         let mut r: &[u8] = &bytes[8..trailer_at];
         let column = read_u32(&mut r)? as usize;
-        if table.is_some_and(|t| column >= t.schema().len()) {
+        if column >= table.schema().len() {
             return Err(bad_data(&format!(
                 "checkpoint column {column} outside the table's schema"
             )));
@@ -264,7 +217,7 @@ impl PatchIndex {
                 "checkpoint partition count exceeds the bytes present",
             ));
         }
-        if table.is_some_and(|t| nparts != t.partition_count()) {
+        if nparts != table.partition_count() {
             return Err(bad_data(&format!(
                 "checkpoint covers {nparts} partitions, the table has a different count"
             )));
@@ -272,7 +225,7 @@ impl PatchIndex {
         let mut parts = Vec::with_capacity(nparts);
         for pid in 0..nparts {
             let nrows = read_u64(&mut r)?;
-            if table.is_some_and(|t| nrows != t.partition(pid).visible_len() as u64) {
+            if nrows != table.partition(pid).visible_len() as u64 {
                 return Err(bad_data(&format!(
                     "partition {pid}: checkpoint claims {nrows} rows, the table holds a different count"
                 )));
@@ -315,9 +268,7 @@ impl PatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi_storage::dfs::SimFs;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
-    use std::path::PathBuf;
 
     fn table() -> Table {
         let mut t = Table::new(
@@ -332,13 +283,15 @@ mod tests {
         t
     }
 
+    fn roundtrip(idx: &PatchIndex, t: &Table) -> PatchIndex {
+        PatchIndex::load_checkpoint_for(&idx.checkpoint_bytes(), t).unwrap()
+    }
+
     #[test]
     fn checkpoint_roundtrip() {
         let t = table();
         let idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
-        let path = std::env::temp_dir().join("pi_checkpoint_roundtrip.pidx");
-        idx.checkpoint(&path).unwrap();
-        let loaded = PatchIndex::load_checkpoint(&path).unwrap();
+        let loaded = roundtrip(&idx, &t);
         assert_eq!(loaded.column(), 0);
         assert_eq!(loaded.constraint(), Constraint::NearlyUnique);
         assert_eq!(loaded.exception_count(), idx.exception_count());
@@ -349,7 +302,6 @@ mod tests {
             );
         }
         loaded.check_consistency(&t);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -361,15 +313,12 @@ mod tests {
             Constraint::NearlySorted(SortDir::Asc),
             Design::Identifier,
         );
-        let path = std::env::temp_dir().join("pi_checkpoint_nsc.pidx");
-        idx.checkpoint(&path).unwrap();
-        let loaded = PatchIndex::load_checkpoint(&path).unwrap();
+        let loaded = roundtrip(&idx, &t);
         assert_eq!(
             loaded.partition(0).last_sorted,
             idx.partition(0).last_sorted
         );
         assert_eq!(loaded.design(), Design::Identifier);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -390,9 +339,7 @@ mod tests {
         let mut idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         idx.recompute(&t);
         assert_eq!(idx.design(), Design::Identifier);
-        let path = std::env::temp_dir().join("pi_checkpoint_migrate_v6.pidx");
-        idx.checkpoint(&path).unwrap();
-        let loaded = PatchIndex::load_checkpoint(&path).unwrap();
+        let loaded = roundtrip(&idx, &t);
         assert_eq!(loaded.design(), Design::Identifier);
         assert_eq!(loaded.memory_bytes(), idx.memory_bytes());
         for pid in 0..2 {
@@ -403,23 +350,11 @@ mod tests {
             );
         }
         loaded.check_consistency(&t);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn recover_equals_create() {
-        let t = table();
-        let a = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
-        let b = PatchIndex::recover(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
-        assert_eq!(a.exception_count(), b.exception_count());
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let path = std::env::temp_dir().join("pi_checkpoint_bad.pidx");
-        std::fs::write(&path, b"NOPE....").unwrap();
-        assert!(PatchIndex::load_checkpoint(&path).is_err());
-        std::fs::remove_file(path).ok();
+        assert!(PatchIndex::load_checkpoint_for(b"NOPE....", &table()).is_err());
     }
 
     #[test]
@@ -427,13 +362,13 @@ mod tests {
         let t = table();
         let idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         let clean = idx.checkpoint_bytes();
-        PatchIndex::load_checkpoint_bytes(&clean).unwrap();
+        PatchIndex::load_checkpoint_for(&clean, &t).unwrap();
         // Flipping any single bit past the version word must fail the
         // checksum (flips inside magic/version hit those checks first).
         for pos in [8, 13, 27, clean.len() / 2, clean.len() - 5, clean.len() - 1] {
             let mut corrupt = clean.clone();
             corrupt[pos] ^= 0x04;
-            let err = PatchIndex::load_checkpoint_bytes(&corrupt).unwrap_err();
+            let err = PatchIndex::load_checkpoint_for(&corrupt, &t).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "pos {pos}");
         }
     }
@@ -445,7 +380,7 @@ mod tests {
         let clean = idx.checkpoint_bytes();
         for cut in [clean.len() - 1, clean.len() - 4, clean.len() / 2, 9] {
             assert!(
-                PatchIndex::load_checkpoint_bytes(&clean[..cut]).is_err(),
+                PatchIndex::load_checkpoint_for(&clean[..cut], &t).is_err(),
                 "cut {cut}"
             );
         }
@@ -459,10 +394,13 @@ mod tests {
         body
     }
 
-    /// The unsealed payload of a single-partition NUC/Bitmap image over
-    /// `nrows` rows whose patch block claims `count` rowIDs and carries
+    /// Rows of the one-partition table the hand-built images describe.
+    const ROWS: u64 = 8;
+
+    /// The unsealed payload of a NUC/Bitmap image over one partition of
+    /// [`ROWS`] rows whose patch block claims `count` rowIDs and carries
     /// `rids`. Versions before 4 had no flag word.
-    fn body(version: u32, nrows: u64, count: u64, rids: &[u64]) -> Vec<u8> {
+    fn body(version: u32, count: u64, rids: &[u64]) -> Vec<u8> {
         let mut b = Vec::new();
         b.extend_from_slice(MAGIC);
         put_u32(&mut b, version);
@@ -474,7 +412,7 @@ mod tests {
         }
         b.extend_from_slice(&[0u8; 7 * 8]); // stats, baseline
         put_u32(&mut b, 1); // partitions
-        put_u64(&mut b, nrows);
+        put_u64(&mut b, ROWS);
         put_u32(&mut b, 0); // no anchor
         put_u64(&mut b, count);
         for r in rids {
@@ -484,8 +422,8 @@ mod tests {
     }
 
     /// [`body`] as a file of that version: versions before 5 had no trailer.
-    fn image(version: u32, nrows: u64, count: u64, rids: &[u64]) -> Vec<u8> {
-        let b = body(version, nrows, count, rids);
+    fn image(version: u32, count: u64, rids: &[u64]) -> Vec<u8> {
+        let b = body(version, count, rids);
         if version >= 5 {
             seal(b)
         } else {
@@ -493,21 +431,33 @@ mod tests {
         }
     }
 
+    fn load(bytes: &[u8]) -> io::Result<PatchIndex> {
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![Field::new("v", DataType::Int)]),
+            1,
+            Partitioning::RoundRobin,
+        );
+        t.load_partition(0, &[ColumnData::Int((0..ROWS as i64).collect())]);
+        t.propagate_all();
+        PatchIndex::load_checkpoint_for(bytes, &t)
+    }
+
     fn rejected(bytes: &[u8]) -> String {
-        let err = PatchIndex::load_checkpoint_bytes(bytes).unwrap_err();
+        let err = load(bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         err.to_string()
     }
 
     #[test]
     fn trailing_garbage_is_rejected_even_on_legacy_versions() {
-        let mut b = body(VERSION, 3, 1, &[1]);
-        PatchIndex::load_checkpoint_bytes(&seal(b.clone())).unwrap();
+        let mut b = body(VERSION, 1, &[1]);
+        load(&seal(b.clone())).unwrap();
         b.extend_from_slice(b"junk");
         let msg = rejected(&seal(b));
         assert!(msg.contains("trailing garbage"), "{msg}");
         // A legacy image is refused whole, whatever follows it.
-        let mut legacy = image(3, 3, 1, &[1]);
+        let mut legacy = image(3, 1, &[1]);
         legacy.extend_from_slice(b"junk");
         rejected(&legacy);
     }
@@ -517,77 +467,39 @@ mod tests {
         // The patch count is a claim, checksummed or not: u64::MAX asked
         // `Vec::with_capacity` for a capacity overflow, 2^40 for 8 TiB.
         for count in [u64::MAX, 1 << 40, 2] {
-            let msg = rejected(&image(VERSION, 8, count, &[1]));
+            let msg = rejected(&image(VERSION, count, &[1]));
             assert!(msg.contains("patch count"), "{msg}");
         }
         // Same for the partition count.
-        let mut b = body(VERSION, 8, 1, &[1]);
+        let mut b = body(VERSION, 1, &[1]);
         let nparts_at = 8 + 4 * 4 + 7 * 8;
         b[nparts_at..nparts_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let msg = rejected(&seal(b));
         assert!(msg.contains("partition count"), "{msg}");
         // An unsealed legacy image never gets as far as its counts.
-        let msg = rejected(&image(3, 8, u64::MAX, &[1]));
+        let msg = rejected(&image(3, u64::MAX, &[1]));
         assert!(msg.contains("unsupported checkpoint version 3"), "{msg}");
     }
 
     #[test]
     fn patch_rowid_outside_its_partition_is_rejected() {
-        PatchIndex::load_checkpoint_bytes(&image(VERSION, 8, 2, &[1, 7])).unwrap();
-        let msg = rejected(&image(VERSION, 8, 2, &[1, 8]));
+        load(&image(VERSION, 2, &[1, 7])).unwrap();
+        let msg = rejected(&image(VERSION, 2, &[1, 8]));
         assert!(msg.contains("rowID 8"), "{msg}");
     }
 
     #[test]
     fn other_versions_and_flag_words_are_rejected() {
         for version in [2, 3, 4, 5, 7] {
-            let msg = rejected(&image(version, 8, 1, &[1]));
+            let msg = rejected(&image(version, 1, &[1]));
             assert!(
                 msg.contains(&format!("unsupported checkpoint version {version}")),
                 "{msg}"
             );
         }
-        let mut b = body(VERSION, 8, 1, &[1]);
+        let mut b = body(VERSION, 1, &[1]);
         b[20..24].copy_from_slice(&0u32.to_le_bytes());
         let msg = rejected(&seal(b));
         assert!(msg.contains("globally deduplicated"), "{msg}");
-    }
-
-    #[test]
-    fn crash_mid_checkpoint_never_corrupts_the_previous_copy() {
-        // The satellite-1 regression: overwrite an existing checkpoint
-        // with the failpoint fs tripping at every io boundary; after
-        // every crash the file must still load as one complete version —
-        // the old one or the new one, never a torn mix.
-        let t = table();
-        let old = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
-        let new = PatchIndex::create(
-            &t,
-            0,
-            Constraint::NearlySorted(SortDir::Asc),
-            Design::Identifier,
-        );
-        let path = PathBuf::from("/ckpt/idx.pidx");
-        let mut saw_failure = false;
-        for fuse in 1..12 {
-            for seed in 0..6 {
-                let fs = SimFs::new();
-                old.checkpoint_via(&fs, &path).unwrap();
-                fs.set_fuse(Some(fuse));
-                let wrote = new.checkpoint_via(&fs, &path);
-                saw_failure |= wrote.is_err();
-                fs.crash(fuse * 1000 + seed);
-                let loaded = PatchIndex::load_checkpoint_via(&fs, &path)
-                    .expect("checkpoint must survive every crash point");
-                let complete = [old.constraint(), new.constraint()];
-                assert!(complete.contains(&loaded.constraint()));
-                if wrote.is_ok() {
-                    // The atomic protocol completed: only the new
-                    // version may be visible.
-                    assert_eq!(loaded.constraint(), new.constraint());
-                }
-            }
-        }
-        assert!(saw_failure, "fuse range must cover actual crash points");
     }
 }

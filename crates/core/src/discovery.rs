@@ -163,16 +163,6 @@ pub fn cross_partition_nuc_residual(values: &[&[i64]]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Discovers the patch set of one partition's column.
-pub fn discover_partition(
-    partition: &Partition,
-    col: usize,
-    constraint: Constraint,
-) -> DiscoveryResult {
-    let values = partition_column_values(partition, col);
-    discover_values(&values, constraint)
-}
-
 /// Fraction of tuples matching the constraint (1 − exception rate); the
 /// quantity Figure 1 of the paper plots per column.
 pub fn constraint_match_fraction(values: &[i64], constraint: Constraint) -> f64 {

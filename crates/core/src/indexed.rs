@@ -90,6 +90,8 @@ impl QueryLog {
 /// [`QueryLog`], read by the advisor's drop/budget rules. Evidence about
 /// an index is not part of the index: absorbing it never copies or
 /// re-versions an `Arc<PatchIndex>`, and a recompute leaves it alone.
+/// Like the query log it is process state: nothing persists it, and a
+/// recovered table starts without it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryFeedback {
     /// Queries whose chosen plan bound this index.
@@ -152,10 +154,10 @@ impl IndexedTable {
     /// Rebuilds an indexed table from recovered state: a restored table,
     /// checkpoint-loaded indexes in slot order, and the persisted
     /// statement counter (the advisor's piggyback cadence must resume
-    /// where the crashed process stopped, not restart from zero).
-    /// Query feedback starts empty ([`IndexedTable::restore_feedback`]
-    /// puts a persisted one back). Discovery sampling restarts disabled;
-    /// re-enable it after recovery if the workload uses it.
+    /// where the crashed process stopped, not restart from zero). The
+    /// query log and query feedback start empty, like the advisor that
+    /// reads them. Discovery sampling restarts disabled; re-enable it
+    /// after recovery if the workload uses it.
     pub fn with_restored_indexes(
         table: Table,
         indexes: Vec<Arc<PatchIndex>>,
@@ -178,17 +180,6 @@ impl IndexedTable {
             sink: Arc::default(),
             statements,
         }
-    }
-
-    /// Puts persisted query feedback back after recovery, one entry per
-    /// restored index in slot order.
-    pub fn restore_feedback(&mut self, feedback: Vec<QueryFeedback>) {
-        assert_eq!(
-            feedback.len(),
-            self.indexes.len(),
-            "one feedback entry per restored index"
-        );
-        self.feedback = feedback;
     }
 
     /// Replaces the maintenance policy in place (the snapshot writer's
@@ -252,7 +243,7 @@ impl IndexedTable {
     /// Slot of the index on `(column, constraint)`, if one is live — how
     /// evidence that names an index by what it materializes finds it
     /// after drops shifted the slots.
-    pub fn slot_of(&self, column: usize, constraint: Constraint) -> Option<usize> {
+    fn slot_of(&self, column: usize, constraint: Constraint) -> Option<usize> {
         self.indexes
             .iter()
             .position(|idx| idx.column() == column && idx.constraint() == constraint)
@@ -325,14 +316,14 @@ impl IndexedTable {
     }
 
     /// Records one planned query over table column `col`.
-    pub fn record_query(&mut self, col: usize, shape: QueryShape) {
+    fn record_query(&mut self, col: usize, shape: QueryShape) {
         self.query_log.record(col, shape);
     }
 
     /// Records optimizer feedback for the index in `slot`: it was bound
     /// by a chosen plan estimated to save `est_cost_saved` planner cost
     /// units over the unrewritten plan.
-    pub fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) {
+    fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) {
         let fb = &mut self.feedback[slot];
         fb.times_bound += 1;
         fb.est_cost_saved += est_cost_saved.max(0.0);
@@ -418,11 +409,6 @@ impl IndexedTable {
             .get(col)?
             .as_ref()
             .map(|r| r.match_fraction(constraint))
-    }
-
-    /// Values the sampler of `col` has seen, if sampled.
-    pub fn sampled_seen(&self, col: usize) -> Option<u64> {
-        self.samplers.get(col)?.as_ref().map(Reservoir::seen)
     }
 
     /// Feeds inserted rows to the column reservoirs, tagged with the
@@ -777,7 +763,6 @@ mod tests {
             est < 1.0,
             "duplicates must lower the NUC estimate, got {est}"
         );
-        assert!(it.sampled_seen(1).unwrap() >= 30);
     }
 
     /// Regression: RoundRobin routing interleaves a globally sorted

@@ -488,11 +488,6 @@ impl TableWriter {
         self.epoch
     }
 
-    /// The staging table's sink, shared with every published snapshot.
-    pub fn sink(&self) -> &Arc<WorkloadSink> {
-        self.staging.sink()
-    }
-
     /// Drains query-reported workload evidence into the staging table's
     /// query log and per-slot feedback
     /// ([`IndexedTable::absorb_workload`]).
@@ -931,7 +926,7 @@ mod tests {
             est_cost_saved: 7.0,
         }]);
         writer.absorb_feedback();
-        assert!(writer.sink().is_empty());
+        assert!(writer.staging().sink().is_empty());
         let it = writer.staging();
         assert_eq!(it.query_log().count(1, QueryShape::Distinct), 1);
         let fb = it.feedback(0);

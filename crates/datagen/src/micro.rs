@@ -66,12 +66,6 @@ impl MicroSpec {
         self.partitions = p;
         self
     }
-
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// A generated dataset: the table plus the planted exception positions

@@ -20,7 +20,7 @@ use pi_storage::{
     ColumnData, DataType, DeltaStore, DictRef, Field, Partition, Partitioning, Schema, Table,
 };
 
-use patchindex::{IndexedTable, QueryFeedback};
+use patchindex::IndexedTable;
 
 use crate::wal::{read_f64, read_u32, read_u64, read_u8};
 
@@ -335,15 +335,13 @@ pub(crate) fn decode_dicts(bytes: &[u8]) -> io::Result<Vec<Option<DictRef>>> {
 // ------------------------------------------------------------- table meta
 
 const META_MAGIC: &[u8; 4] = b"PIDT";
-const META_VERSION: u32 = 3;
-/// One slot's feedback: `times_bound` and `est_cost_saved`.
-const FEEDBACK_BYTES: usize = 2 * 8;
+const META_VERSION: u32 = 4;
 
 /// Everything about the table that is neither row data nor patch data:
-/// identity, schema, routing state, the statement counter the advisor
-/// cadence runs on, and the query feedback of each index slot. All of it
-/// can change without any partition or index version changing, which is
-/// why it travels in the one file every checkpoint rewrites.
+/// identity, schema, routing state and the statement counter the advisor
+/// cadence runs on. The counter changes with every statement, even one
+/// that changes no partition or index version, which is why it travels in
+/// the one file every checkpoint rewrites.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TableMeta {
     pub name: String,
@@ -351,7 +349,6 @@ pub(crate) struct TableMeta {
     pub partitioning: Partitioning2,
     pub rr_cursor: u64,
     pub statements: u64,
-    pub feedback: Vec<QueryFeedback>,
 }
 
 /// Owned mirror of [`Partitioning`] (which is not `PartialEq`).
@@ -391,11 +388,6 @@ fn dtype_from_tag(t: u8) -> io::Result<DataType> {
     }
 }
 
-fn put_feedback(b: &mut Vec<u8>, fb: QueryFeedback) {
-    put_u64(b, fb.times_bound);
-    put_f64(b, fb.est_cost_saved);
-}
-
 pub(crate) fn encode_meta(it: &IndexedTable) -> Vec<u8> {
     let table = it.table();
     let mut b = Vec::new();
@@ -418,10 +410,6 @@ pub(crate) fn encode_meta(it: &IndexedTable) -> Vec<u8> {
     }
     put_u64(&mut b, table.rr_cursor() as u64);
     put_u64(&mut b, it.statements());
-    put_u32(&mut b, it.indexes().len() as u32);
-    for slot in 0..it.indexes().len() {
-        put_feedback(&mut b, it.feedback(slot));
-    }
     seal(META_MAGIC, META_VERSION, &b)
 }
 
@@ -452,19 +440,6 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
     };
     let rr_cursor = read_u64(&mut r)?;
     let statements = read_u64(&mut r)?;
-    let nslots = checked_count(
-        read_u32(&mut r)? as u64,
-        FEEDBACK_BYTES,
-        r,
-        "table meta checkpoint",
-    )?;
-    let mut feedback = Vec::with_capacity(nslots);
-    for _ in 0..nslots {
-        feedback.push(QueryFeedback {
-            times_bound: read_u64(&mut r)?,
-            est_cost_saved: read_f64(&mut r)?,
-        });
-    }
     expect_drained(r, "table meta checkpoint")?;
     Ok(TableMeta {
         name,
@@ -472,7 +447,6 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
         partitioning,
         rr_cursor,
         statements,
-        feedback,
     })
 }
 
@@ -555,12 +529,13 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> io::Result<Manifest> {
 
 // ------------------------------------------------------------ state image
 
-/// Serializes the full visible state of an indexed table — decoded row
-/// values, every index's patch sets and anchors, and the advisor's
-/// monitoring counters (the index's own and its slot's query feedback).
-/// Two tables with equal images are indistinguishable to queries,
-/// maintenance, and the advisor; the recovery property tests compare
-/// these byte-for-byte.
+/// Serializes the state recovery restores — decoded row values, the
+/// routing cursor and statement counter, and every index's patch sets,
+/// anchors and maintenance counters (the drift rules read these). Two
+/// tables with equal images give the same answers and maintain their
+/// indexes the same way; the recovery property tests compare these
+/// byte-for-byte. Query feedback and the query log are process state and
+/// not part of the image.
 pub fn state_image(it: &IndexedTable) -> Vec<u8> {
     let mut b = Vec::new();
     let table = it.table();
@@ -579,7 +554,7 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         }
     }
     put_u32(&mut b, it.indexes().len() as u32);
-    for (slot, idx) in it.indexes().iter().enumerate() {
+    for idx in it.indexes() {
         put_u32(&mut b, idx.column() as u32);
         put_str(&mut b, &format!("{:?}", idx.constraint()));
         put_str(&mut b, &format!("{:?}", idx.design()));
@@ -592,7 +567,6 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         put_f64(&mut b, baseline.match_fraction);
         put_u64(&mut b, baseline.patches);
         put_u64(&mut b, baseline.maintained_rows);
-        put_feedback(&mut b, it.feedback(slot));
         put_u32(&mut b, idx.partition_count() as u32);
         for pid in 0..idx.partition_count() {
             let part = idx.partition(pid);
@@ -617,40 +591,7 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchindex::{Constraint, Design, SortDir};
     use pi_storage::Value;
-
-    /// Query feedback is table state, so the meta file — not the index
-    /// image — carries it across a restart, one entry per slot.
-    #[test]
-    fn meta_roundtrips_per_slot_feedback() {
-        let mut t = Table::new(
-            "t",
-            Schema::new(vec![Field::new("v", DataType::Int)]),
-            2,
-            Partitioning::RoundRobin,
-        );
-        t.load_partition(0, &[ColumnData::Int(vec![1, 5, 5, 9])]);
-        t.load_partition(1, &[ColumnData::Int(vec![3, 3, 4])]);
-        let mut it = IndexedTable::new(t);
-        let nuc = it.add_index(0, Constraint::NearlyUnique, Design::Bitmap);
-        let nsc = it.add_index(
-            0,
-            Constraint::NearlySorted(SortDir::Asc),
-            Design::Identifier,
-        );
-        it.record_query_feedback(nuc, 1234.5);
-        it.record_query_feedback(nsc, 0.25);
-        let meta = decode_meta(&encode_meta(&it)).unwrap();
-        assert_eq!(meta.feedback, vec![it.feedback(nuc), it.feedback(nsc)]);
-        assert_eq!(meta.feedback[nuc].times_bound, 1);
-        assert!(meta.feedback[nuc].est_cost_saved > 0.0);
-        assert_eq!(meta.feedback[nsc].est_cost_saved, 0.25);
-        assert_eq!(meta.statements, it.statements());
-        // A v1 meta file (no feedback block) is refused by its version.
-        let msg = rejected(decode_meta(&seal(META_MAGIC, 1, &[])));
-        assert!(msg.contains("unsupported version 1"), "{msg}");
-    }
 
     fn rejected<T>(r: io::Result<T>) -> String {
         let err = r.err().expect("a lying count must be rejected");
@@ -703,16 +644,6 @@ mod tests {
         put_u32(&mut m, u32::MAX);
         m.extend_from_slice(b"t");
         rejected(decode_meta(&seal(META_MAGIC, META_VERSION, &m)));
-        // …and u32::MAX feedback slots behind an otherwise valid prefix.
-        let mut m = Vec::new();
-        put_str(&mut m, "t");
-        put_u32(&mut m, 0);
-        m.push(0);
-        put_u64(&mut m, 0);
-        put_u64(&mut m, 0);
-        put_u32(&mut m, u32::MAX);
-        let msg = rejected(decode_meta(&seal(META_MAGIC, META_VERSION, &m)));
-        assert!(msg.contains("count 4294967295"), "{msg}");
 
         // Manifest claiming u32::MAX partition files.
         let mut f = Vec::new();
@@ -896,16 +827,21 @@ mod tests {
     }
 
     /// No legacy decoder: a manifest v1 (one file per partition), a
-    /// `PIDP` v1 file (visible rows) and a meta v2 file (wall-clock
-    /// timing counters per feedback slot) are refused by their version
-    /// word.
+    /// `PIDP` v1 file (visible rows) and meta files v1 (no feedback), v2
+    /// (wall-clock timing counters per feedback slot) and v3 (query
+    /// feedback per slot) are refused by their version word.
     #[test]
     fn old_manifest_and_partition_versions_are_refused() {
         let msg = rejected(decode_manifest(&seal(MANIFEST_MAGIC, 1, &[])));
         assert!(msg.contains("unsupported version 1"), "{msg}");
         let msg = rejected(decode(valid_base(), seal(DELTA_MAGIC, 1, &[])));
         assert!(msg.contains("unsupported version 1"), "{msg}");
-        let msg = rejected(decode_meta(&seal(META_MAGIC, 2, &[])));
-        assert!(msg.contains("unsupported version 2"), "{msg}");
+        for version in [1, 2, 3] {
+            let msg = rejected(decode_meta(&seal(META_MAGIC, version, &[])));
+            assert!(
+                msg.contains(&format!("unsupported version {version}")),
+                "{msg}"
+            );
+        }
     }
 }

@@ -6,12 +6,11 @@
 //! three pieces:
 //!
 //! * **Statement WAL** ([`wal`]) — every update statement (insert /
-//!   modify / delete / index DDL / recompute / publish) and every query
-//!   feedback entry the advisor reads (`times_bound`, estimated cost
-//!   saved) is checked against the table ([`check_record`]) and then
-//!   appended to an append-only, CRC-framed log *before* it is applied
-//!   (log-then-apply). The [`SyncPolicy`] decides when appends are forced
-//!   to stable storage.
+//!   modify / delete / index DDL / recompute / publish) is checked
+//!   against the table ([`check_record`]) and then appended to an
+//!   append-only, CRC-framed log *before* it is applied (log-then-apply).
+//!   The [`SyncPolicy`] decides when appends are forced to stable
+//!   storage.
 //! * **Epoch-incremental checkpoints** — at publish time (every
 //!   [`DurableOptions::checkpoint_every`] publishes) the writer persists
 //!   only what changed since the previous checkpoint; copy-on-write
@@ -30,13 +29,19 @@
 //!   resume. Statements after the last durable publish are discarded:
 //!   recovery always lands exactly on a published epoch boundary.
 //!
+//! Only what answers depend on is persisted: table data, index data
+//! (patch sets, anchors and the maintenance counters the drift rules
+//! read) and routing state (the round-robin cursor and the statement
+//! counter). What queries report back — the query log and per-slot
+//! feedback — is process state: it restarts empty, like the advisor that
+//! reads it, which windows only the deltas it saw itself.
+//!
 //! Replay is deterministic given the same [`MaintenancePolicy`]: the
-//! statement counter, round-robin routing cursor and advisor counters
-//! are all part of the checkpoint, so policy piggyback decisions re-run
-//! identically. The crash-point property
-//! tests assert the strong form: for a crash at *every* IO boundary,
-//! the recovered table's [`state_image`] is byte-identical to replaying
-//! the surviving statement prefix on a fresh table.
+//! statement counter and routing cursor are part of the checkpoint, so
+//! policy piggyback decisions re-run identically. The crash-point
+//! property tests assert the strong form: for a crash at *every* IO
+//! boundary, the recovered table's [`state_image`] is byte-identical to
+//! replaying the surviving statement prefix on a fresh table.
 //!
 //! All file IO goes through [`pi_storage::dfs::DurableFs`], so the same
 //! code runs against the real filesystem and against the fault-injecting
@@ -53,7 +58,6 @@ use pi_storage::{DataType, Partition, RowAddr, Table, Value};
 
 use patchindex::{
     ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, TableWriter,
-    WorkloadEvent,
 };
 
 pub mod wal;
@@ -212,10 +216,6 @@ pub fn apply_record(it: &mut IndexedTable, record: &Record) {
         }
         Record::Recompute { slot } => it.recompute_index(*slot),
         Record::Publish => {}
-        Record::Feedback {
-            slot,
-            est_cost_saved,
-        } => it.record_query_feedback(*slot, *est_cost_saved),
     }
 }
 
@@ -290,7 +290,7 @@ fn check(it: &IndexedTable, record: &Record) -> Result<(), String> {
             DataType::Float => Err(format!("cannot index Float column {col}")),
             _ => Ok(()),
         },
-        Record::DropIndex { slot } | Record::Recompute { slot } | Record::Feedback { slot, .. } => {
+        Record::DropIndex { slot } | Record::Recompute { slot } => {
             let n = it.indexes().len();
             if *slot < n {
                 Ok(())
@@ -424,13 +424,7 @@ impl DurableWriter {
             )?));
         }
 
-        if meta.feedback.len() != indexes.len() {
-            return Err(bad(
-                "manifest: meta file does not carry one feedback entry per index".into(),
-            ));
-        }
         let mut it = IndexedTable::with_restored_indexes(table, indexes, meta.statements);
-        it.restore_feedback(meta.feedback);
         it.set_policy(policy);
 
         // Prime the incremental dirty-set with the loaded handles *before*
@@ -574,47 +568,14 @@ impl DurableWriter {
         Ok(())
     }
 
-    /// Records planner feedback against `slot` (WAL-logged: the advisor's
-    /// observe state must survive recovery).
-    pub fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) -> io::Result<()> {
-        self.log(&Record::Feedback {
-            slot,
-            est_cost_saved,
-        })?;
-        self.writer
-            .staging_mut()
-            .record_query_feedback(slot, est_cost_saved);
-        Ok(())
-    }
-
-    /// Publishes an epoch durably: drains reader-reported
-    /// feedback through the WAL, logs the publish record, applies the
+    /// Publishes an epoch durably: logs the publish record, applies the
     /// sync policy (a returned `Ok` means the epoch will survive any
     /// later crash under [`SyncPolicy::EveryRecord`] /
-    /// [`SyncPolicy::EveryPublish`]), then publishes and — every
-    /// [`DurableOptions::checkpoint_every`] publishes — checkpoints.
-    /// Returns the new epoch.
+    /// [`SyncPolicy::EveryPublish`]), then publishes — which absorbs
+    /// reader-reported workload evidence into process state, unlogged —
+    /// and, every [`DurableOptions::checkpoint_every`] publishes,
+    /// checkpoints. Returns the new epoch.
     pub fn publish(&mut self) -> io::Result<u64> {
-        // Reader evidence arrives outside the statement path; route the
-        // state-bearing events through the log so replay restores them.
-        for event in self.writer.sink().drain() {
-            match event {
-                WorkloadEvent::Query { col, shape } => {
-                    // Advisory only (query-log heat): not part of the
-                    // recovered state image, applied without logging.
-                    self.writer.staging_mut().record_query(col, shape);
-                }
-                WorkloadEvent::Feedback {
-                    column,
-                    constraint,
-                    est_cost_saved,
-                } => {
-                    if let Some(slot) = self.writer.staging().slot_of(column, constraint) {
-                        self.record_query_feedback(slot, est_cost_saved)?;
-                    }
-                }
-            }
-        }
         self.wal.append(&Record::Publish)?;
         let publish_seq = self.wal.next_seq() - 1;
         if self.opts.sync == SyncPolicy::EveryPublish {
@@ -698,9 +659,8 @@ impl DurableWriter {
             });
         }
 
-        // Meta changes every statement (the counter) and with every
-        // absorbed query (the per-slot feedback), so it is written every
-        // checkpoint; it is a few hundred bytes.
+        // Meta changes with every statement (the counter), so it is
+        // written every checkpoint; it is a few hundred bytes.
         let meta_file = put(format!("meta-e{epoch:012}.ckp"), codec::encode_meta(it))?;
 
         let manifest = codec::Manifest {
@@ -821,12 +781,6 @@ impl DurableWriter {
         self.writer.staging()
     }
 
-    /// The wrapped snapshot writer (read-only: statements must go
-    /// through the logging methods on this type).
-    pub fn table_writer(&self) -> &TableWriter {
-        &self.writer
-    }
-
     /// Byte/file counters, including WAL bytes appended so far.
     pub fn stats(&self) -> DurabilityStats {
         DurabilityStats {
@@ -850,7 +804,7 @@ fn dict_lens_of(table: &Table) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchindex::SortDir;
+    use patchindex::{SortDir, WorkloadEvent};
     use pi_storage::dfs::SimFs;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
     use proptest::prelude::*;
@@ -966,7 +920,6 @@ mod tests {
             .unwrap();
         dw.modify(0, &[0], 1, &[Value::Int(2)]).unwrap();
         dw.delete(1, &[1]).unwrap();
-        dw.record_query_feedback(0, 42.5).unwrap();
         dw.publish().unwrap();
         let want = state_image(dw.staging());
         let epoch = dw.epoch();
@@ -1349,34 +1302,11 @@ mod tests {
         dw.staging().check_consistency();
     }
 
-    #[test]
-    fn advisor_counters_survive_recovery() {
-        let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
-            .unwrap();
-        dw.record_query_feedback(0, 10.0).unwrap();
-        dw.publish().unwrap();
-        // A second epoch so the counters cross a checkpoint boundary too.
-        dw.record_query_feedback(0, 2.5).unwrap();
-        dw.publish().unwrap();
-        drop(dw);
-        fs.crash(5);
-        let (_h, dw, _r) = DurableWriter::recover(
-            fs.clone(),
-            PathBuf::from("/db"),
-            DurableOptions::default(),
-            MaintenancePolicy::default(),
-        )
-        .unwrap();
-        let fb = dw.staging().feedback(0);
-        assert_eq!(fb.times_bound, 2);
-        assert!((fb.est_cost_saved - 12.5).abs() < 1e-9);
-    }
-
     /// Regression for "pointer identity is the exact dirty set": evidence
-    /// queries leave behind is table state, so a publish + checkpoint
-    /// after read-only traffic rewrites no index image — and the evidence
-    /// still survives a restart, through the meta file.
+    /// queries leave behind is absorbed beside the indexes, so a publish +
+    /// checkpoint after read-only traffic rewrites no index image. The
+    /// evidence is process state: nothing logs or checkpoints it, and a
+    /// restart begins without it.
     #[test]
     fn read_only_traffic_checkpoints_no_index_image() {
         let (fs, handle, mut dw) = setup(2, DurableOptions::default());
@@ -1390,13 +1320,18 @@ mod tests {
         let before = index_files(&fs);
         assert_eq!(before.len(), 1);
 
+        let logged_by_publish = |dw: &mut DurableWriter| {
+            let before = dw.stats().wal_bytes;
+            dw.publish().unwrap();
+            dw.stats().wal_bytes - before
+        };
         // What executed queries on a snapshot report back.
         handle.snapshot().sink().record([WorkloadEvent::Feedback {
             column: 1,
             constraint: Constraint::NearlyUnique,
             est_cost_saved: 42.5,
         }]);
-        dw.publish().unwrap();
+        let with_evidence = logged_by_publish(&mut dw);
         assert_eq!(
             dw.stats().last_checkpoint_files,
             2,
@@ -1404,6 +1339,11 @@ mod tests {
         );
         assert_eq!(index_files(&fs), before);
         assert_eq!(dw.staging().feedback(0).times_bound, 1);
+        assert_eq!(
+            with_evidence,
+            logged_by_publish(&mut dw),
+            "absorbing evidence logs nothing beyond the publish record"
+        );
 
         let want = state_image(dw.staging());
         drop(dw);
@@ -1416,7 +1356,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(state_image(dw.staging()), want);
-        assert!((dw.staging().feedback(0).est_cost_saved - 42.5).abs() < 1e-9);
+        assert_eq!(dw.staging().feedback(0), Default::default());
     }
 
     /// Records naming state the table does not have: a slot, partition,
@@ -1424,10 +1364,6 @@ mod tests {
     /// type. Each used to panic replay or load silently.
     fn records_naming_missing_state() -> Vec<Record> {
         vec![
-            Record::Feedback {
-                slot: 5,
-                est_cost_saved: 1.0,
-            },
             Record::DropIndex { slot: 5 },
             Record::Recompute { slot: 5 },
             Record::Delete {
@@ -1467,10 +1403,6 @@ mod tests {
         for record in records_naming_missing_state() {
             let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
             let refused = match &record {
-                Record::Feedback {
-                    slot,
-                    est_cost_saved,
-                } => dw.record_query_feedback(*slot, *est_cost_saved),
                 Record::DropIndex { slot } => dw.drop_index(*slot).map(drop),
                 Record::Recompute { slot } => dw.recompute_index(*slot),
                 Record::Delete { pid, rids } => dw.delete(*pid, rids),

@@ -89,13 +89,6 @@ pub enum Record {
     },
     /// An epoch published (durable high-water marks point at these).
     Publish,
-    /// Optimizer feedback recorded against the index in `slot`.
-    Feedback {
-        /// Slot at record time.
-        slot: usize,
-        /// Estimated planner cost saved.
-        est_cost_saved: f64,
-    },
 }
 
 const T_INSERT: u8 = 1;
@@ -107,8 +100,8 @@ const T_RECOMPUTE: u8 = 6;
 // 7 is retired (it named a flush of batched maintenance): never reused,
 // and a frame carrying it is refused like any unknown tag.
 const T_PUBLISH: u8 = 8;
-const T_FEEDBACK: u8 = 9;
-// 10 is retired the same way (it named a wall-clock query timing).
+// 9 and 10 are retired the same way (they named query feedback and a
+// wall-clock query timing: process state, not table state).
 
 /// Upper bound on one frame's payload — anything larger is treated as a
 /// corrupt length field, not an allocation request.
@@ -120,10 +113,6 @@ fn put_u32(b: &mut Vec<u8>, v: u32) {
 
 fn put_u64(b: &mut Vec<u8>, v: u64) {
     b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    put_u64(b, v.to_bits());
 }
 
 pub(crate) fn put_value(b: &mut Vec<u8>, v: &Value) {
@@ -261,13 +250,6 @@ impl Record {
                 put_u32(b, *slot as u32);
             }
             Record::Publish => {}
-            Record::Feedback {
-                slot,
-                est_cost_saved,
-            } => {
-                put_u32(b, *slot as u32);
-                put_f64(b, *est_cost_saved);
-            }
         }
     }
 
@@ -280,7 +262,6 @@ impl Record {
             Record::DropIndex { .. } => T_DROP_INDEX,
             Record::Recompute { .. } => T_RECOMPUTE,
             Record::Publish => T_PUBLISH,
-            Record::Feedback { .. } => T_FEEDBACK,
         }
     }
 
@@ -343,10 +324,6 @@ impl Record {
                 slot: read_u32(r)? as usize,
             },
             T_PUBLISH => Record::Publish,
-            T_FEEDBACK => Record::Feedback {
-                slot: read_u32(r)? as usize,
-                est_cost_saved: read_f64(r)?,
-            },
             t => return Err(bad(&format!("unknown record type {t}"))),
         })
     }
@@ -635,10 +612,6 @@ mod tests {
             Record::DropIndex { slot: 1 },
             Record::Recompute { slot: 0 },
             Record::Publish,
-            Record::Feedback {
-                slot: 0,
-                est_cost_saved: 12.25,
-            },
         ]
     }
 
@@ -724,10 +697,11 @@ mod tests {
     /// An unknown record tag inside a CRC-valid frame is not a torn tail:
     /// the log says something this build cannot replay, so reading it is
     /// an error, never a silently shortened history. Tag 7 is the retired
-    /// flush record, 10 the retired timing record, 200 was never assigned.
+    /// flush record, 9 the retired feedback record, 10 the retired timing
+    /// record, 200 was never assigned.
     #[test]
     fn unknown_record_tag_is_refused_not_skipped() {
-        for tag in [7u8, 10, 200] {
+        for tag in [7u8, 9, 10, 200] {
             let fs = Arc::new(SimFs::new());
             let dir = PathBuf::from("/wal");
             let mut w =

@@ -94,12 +94,6 @@ impl AggSpec {
             filter: None,
         }
     }
-
-    /// Attaches a row filter.
-    pub fn with_filter(mut self, pred: Expr) -> Self {
-        self.filter = Some(pred);
-        self
-    }
 }
 
 enum AccVec {

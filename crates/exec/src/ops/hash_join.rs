@@ -223,14 +223,6 @@ impl<'a> HashJoinOp<'a> {
             BuildState::Pending(..) => panic!("join table not built yet"),
         }
     }
-
-    /// Number of distinct keys in the build table (diagnostics).
-    pub fn build_key_count(&self) -> usize {
-        match &self.build {
-            BuildState::Pending(..) => 0,
-            _ => self.table().key_count(),
-        }
-    }
 }
 
 impl Operator for HashJoinOp<'_> {

@@ -49,16 +49,6 @@ impl<'a> ScanOp<'a> {
             pos,
         }
     }
-
-    /// Scans only the rows inserted since the last propagate (the pending
-    /// append buffer) — "scanning the inserted values is realized by
-    /// scanning the PDTs of the current query" (paper, Section 5.1).
-    #[allow(clippy::single_range_in_vec_init)]
-    pub fn inserts_only(partition: &'a Partition, cols: Vec<usize>, with_rowids: bool) -> Self {
-        let start = partition.visible_len() - partition.delta().append_len();
-        let ranges = vec![start..partition.visible_len()];
-        Self::with_ranges(partition, cols, ranges, with_rowids)
-    }
 }
 
 impl ScanOp<'_> {
@@ -153,17 +143,6 @@ mod tests {
         let out = collect(&mut scan);
         assert_eq!(out.column(0).as_int(), &[5, 6, 7, 90, 91, 92]);
         assert_eq!(out.column(1).as_int(), &[5, 6, 7, 90, 91, 92]);
-    }
-
-    #[test]
-    fn inserts_only_scan() {
-        let mut p = partition(50);
-        p.append_row(&[Value::Int(1000), Value::Int(1)]);
-        p.append_row(&[Value::Int(1001), Value::Int(2)]);
-        let mut scan = ScanOp::inserts_only(&p, vec![0], true);
-        let out = collect(&mut scan);
-        assert_eq!(out.column(0).as_int(), &[1000, 1001]);
-        assert_eq!(out.column(1).as_int(), &[50, 51]);
     }
 
     #[test]

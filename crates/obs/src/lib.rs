@@ -10,7 +10,7 @@
 //!   relaxed `fetch_add` with no map lookup. The whole registry exports
 //!   as one JSON snapshot ([`MetricsRegistry::snapshot_json`]) or a
 //!   human-readable dump ([`MetricsRegistry::render_text`]).
-//! * [`Span`] / [`QueryTrace`] — an EXPLAIN ANALYZE-style trace of one
+//! * [`QueryTrace`] — an EXPLAIN ANALYZE-style trace of one
 //!   query: per-operator wall clock and row counts, partitions pruned
 //!   vs. visited, index slots bound, cache outcome. Produced by
 //!   `QueryEngine::query_traced` in `pi-planner`.
@@ -43,7 +43,5 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSnapshot, MetricsRegistry,
 };
 pub use scope::ScopedRegistry;
-pub use trace::{
-    fmt_nanos, CacheOutcome, OperatorTrace, PlannerTrace, QueryTrace, Span, SpanRecord,
-};
+pub use trace::{fmt_nanos, CacheOutcome, OperatorTrace, PlannerTrace, QueryTrace};
 pub use window::{Cumulative, Windowed};

@@ -1,61 +1,7 @@
-//! Per-query EXPLAIN ANALYZE traces and the span primitive that feeds
-//! them.
+//! Per-query EXPLAIN ANALYZE traces.
 
 use crate::registry::json_str;
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// A timed region with attached key/value fields.
-///
-/// ```
-/// let mut span = pi_obs::Span::enter("publish");
-/// span.record("partitions_copied", 3);
-/// let rec = span.finish();
-/// assert_eq!(rec.name, "publish");
-/// assert_eq!(rec.fields[0], ("partitions_copied".to_string(), "3".to_string()));
-/// ```
-#[derive(Debug)]
-pub struct Span {
-    name: String,
-    start: Instant,
-    fields: Vec<(String, String)>,
-}
-
-impl Span {
-    /// Starts the clock on a named span.
-    pub fn enter(name: &str) -> Span {
-        Span {
-            name: name.to_string(),
-            start: Instant::now(),
-            fields: Vec::new(),
-        }
-    }
-
-    /// Attaches a key/value field to the span.
-    pub fn record(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.fields.push((key.to_string(), value.to_string()));
-    }
-
-    /// Stops the clock and yields the finished record.
-    pub fn finish(self) -> SpanRecord {
-        SpanRecord {
-            name: self.name,
-            nanos: self.start.elapsed().as_nanos() as u64,
-            fields: self.fields,
-        }
-    }
-}
-
-/// A finished [`Span`].
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Span name.
-    pub name: String,
-    /// Wall-clock duration in nanoseconds.
-    pub nanos: u64,
-    /// Fields recorded while the span was open, in order.
-    pub fields: Vec<(String, String)>,
-}
 
 /// Whether (and how) the result cache served a traced query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,8 +84,6 @@ pub struct QueryTrace {
     pub rows_out: u64,
     /// End-to-end wall clock (plan + execute) in nanoseconds.
     pub total_nanos: u64,
-    /// Auxiliary spans recorded along the way.
-    pub spans: Vec<SpanRecord>,
 }
 
 impl QueryTrace {
@@ -196,16 +140,6 @@ impl QueryTrace {
                 );
             }
         }
-        for s in &self.spans {
-            let fields: Vec<String> = s.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            let _ = writeln!(
-                out,
-                "span:      {} {} [{}]",
-                s.name,
-                fmt_nanos(s.nanos),
-                fields.join(", ")
-            );
-        }
         out
     }
 
@@ -227,29 +161,12 @@ impl QueryTrace {
                 )
             })
             .collect();
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| {
-                let fields: Vec<String> = s
-                    .fields
-                    .iter()
-                    .map(|(k, v)| format!("{}: {}", json_str(k), json_str(v)))
-                    .collect();
-                format!(
-                    "{{\"name\": {}, \"nanos\": {}, \"fields\": {{{}}}}}",
-                    json_str(&s.name),
-                    s.nanos,
-                    fields.join(", ")
-                )
-            })
-            .collect();
         format!(
             "{{\"query\": {}, \"optimized\": {}, \"planner\": {{\"candidates_enumerated\": {}, \
              \"cost_gated\": {}, \"rewrites_chosen\": {}, \"slots_bound\": {:?}, \
              \"nanos\": {}}}, \"partitions\": {{\"total\": {}, \
              \"visited\": {}, \"pruned\": {}}}, \"cache\": {}, \"rows_out\": {}, \
-             \"total_nanos\": {}, \"operators\": [{}], \"spans\": [{}]}}",
+             \"total_nanos\": {}, \"operators\": [{}]}}",
             json_str(&self.query),
             json_str(&self.optimized),
             p.candidates_enumerated,
@@ -265,7 +182,6 @@ impl QueryTrace {
             self.rows_out,
             self.total_nanos,
             ops.join(", "),
-            spans.join(", "),
         )
     }
 }
@@ -287,15 +203,6 @@ pub fn fmt_nanos(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_records_fields_and_time() {
-        let mut s = Span::enter("test");
-        s.record("k", 42);
-        let rec = s.finish();
-        assert_eq!(rec.name, "test");
-        assert_eq!(rec.fields, vec![("k".to_string(), "42".to_string())]);
-    }
 
     #[test]
     fn trace_renders_both_ways() {
@@ -322,7 +229,6 @@ mod tests {
             }],
             rows_out: 5,
             total_nanos: 1_500,
-            spans: vec![],
         };
         let text = trace.render_text();
         assert!(text.contains("cache:     miss"), "{text}");

@@ -394,7 +394,6 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
             CachedValue::Count(n) => *n,
         },
         total_nanos: elapsed.as_nanos() as u64,
-        spans: Vec::new(),
     });
     Outcome {
         chosen,

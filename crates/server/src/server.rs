@@ -544,9 +544,9 @@ impl ServerInner {
     }
 
     /// Admission-time bounds check of physical row ids against the
-    /// current snapshot. `MODIFY`/`DELETE` address physical rows, so
-    /// this is an operator interface: a concurrent delete between this
-    /// check and apply is the operator's race to avoid.
+    /// current snapshot. A statement queued ahead may still shrink the
+    /// partition before this one applies; the shard writer then applies
+    /// it as a no-op and counts it in `shard<N>.statements_refused`.
     fn checked_rids(
         &self,
         sid: usize,

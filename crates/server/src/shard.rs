@@ -108,6 +108,7 @@ impl Shard {
         let (tx, rx) = mpsc::sync_channel(spec.queue_capacity);
         let queue_depth = spec.server_scope.gauge("queue.depth");
         let statements = spec.server_scope.counter("statements");
+        let statements_refused = spec.server_scope.counter("statements_refused");
         let advisor = (spec.advise_every > 0).then(|| {
             Advisor::with_metrics(
                 AdvisorConfig {
@@ -125,6 +126,7 @@ impl Shard {
             publish_every: spec.publish_every.max(1),
             queue_depth: Arc::clone(&queue_depth),
             statements,
+            statements_refused,
             advisor,
             advise_every: spec.advise_every,
             advisor_budget_bytes: spec.advisor_budget_bytes,
@@ -231,6 +233,7 @@ struct WriterLoop {
     publish_every: u64,
     queue_depth: Arc<Gauge>,
     statements: Arc<pi_obs::Counter>,
+    statements_refused: Arc<pi_obs::Counter>,
     advisor: Option<Advisor>,
     advise_every: u64,
     advisor_budget_bytes: usize,
@@ -281,10 +284,24 @@ impl WriterLoop {
         self.publish(last_seq);
     }
 
+    /// Applies one statement. Admission checked `MODIFY`/`DELETE` row
+    /// ids against the published snapshot, but a statement queued ahead
+    /// may have shrunk the partition since: row ids that are out of range
+    /// in the staging partition make the statement a no-op, counted in
+    /// `statements_refused`. Its sequence number is still consumed.
     fn apply(&mut self, stmt: Statement) {
+        let stale = |writer: &TableWriter, pid: usize, rids: &[usize]| {
+            let visible = writer.staging().table().partition(pid).visible_len();
+            rids.iter().any(|&rid| rid >= visible)
+        };
         match stmt {
             Statement::Insert(rows) => {
                 self.writer.insert(&rows);
+            }
+            Statement::Modify { pid, rids, .. } | Statement::Delete { pid, rids }
+                if stale(&self.writer, pid, &rids) =>
+            {
+                self.statements_refused.inc();
             }
             Statement::Modify {
                 pid,

@@ -218,11 +218,6 @@ impl DeltaStore {
         }
     }
 
-    /// Visible rowID of append-buffer slot `slot`.
-    pub fn rid_of_append(&self, slot: usize) -> usize {
-        self.base_visible_len() + slot
-    }
-
     /// Pending value patch for a base position and column, if any.
     pub fn modified_value(&self, base_pos: usize, col: usize) -> Option<&Value> {
         let patches = self.modified.get(&base_pos)?;
@@ -470,7 +465,6 @@ mod tests {
         assert_eq!(d.visible_len(), 7);
         assert_eq!(d.locate(5), RowLoc::Append(0));
         assert_eq!(d.read_value(&base, 0, 6), Value::Int(101));
-        assert_eq!(d.rid_of_append(1), 6);
     }
 
     #[test]

@@ -513,6 +513,30 @@ mod tests {
         }
     }
 
+    /// Overwriting with the fuse tripping at every IO boundary: after
+    /// every crash the file holds one complete version, the old or the
+    /// new one, and only the new one once `write_atomic` returned `Ok`.
+    #[test]
+    fn write_atomic_survives_a_crash_at_every_io_boundary() {
+        let mut saw_failure = false;
+        for fuse in 1..12 {
+            for seed in 0..6 {
+                let fs = SimFs::new();
+                write_atomic(&fs, &p("/d/f"), b"old").unwrap();
+                fs.set_fuse(Some(fuse));
+                let wrote = write_atomic(&fs, &p("/d/f"), b"new");
+                saw_failure |= wrote.is_err();
+                fs.crash(fuse * 1000 + seed);
+                match fs.read(&p("/d/f")).unwrap().as_slice() {
+                    b"new" => {}
+                    b"old" => assert!(wrote.is_err(), "fuse {fuse}: a committed write reverted"),
+                    other => panic!("fuse {fuse}: torn file {other:?}"),
+                }
+            }
+        }
+        assert!(saw_failure, "fuse range must cover actual crash points");
+    }
+
     #[test]
     fn fuse_trips_exactly_at_the_limit() {
         let fs = SimFs::new();

@@ -6,8 +6,8 @@
 //! transition from a perfect constraint to an approximate constraint").
 //!
 //! Shows: a perfect unique column accepting violating inserts, the
-//! checkpoint/recovery cycle, and the sharded bitmap condensing after
-//! heavy deletes.
+//! index image round trip that recovery restores, and the sharded bitmap
+//! condensing after heavy deletes.
 //!
 //! Run with `cargo run --release --example constraint_drift`.
 
@@ -41,22 +41,21 @@ fn main() {
     );
     reg.check_consistency();
 
-    // Checkpoint the index, "crash", and recover both ways.
-    let path = std::env::temp_dir().join("registry.pidx");
-    reg.index(slot).checkpoint(&path).expect("checkpoint");
-    let restored = PatchIndex::load_checkpoint(&path).expect("load");
+    // Checkpoint the index, "crash", and recover both ways: from its
+    // image (what `pi-durability` writes to disk) and from the table.
+    let image = reg.index(slot).checkpoint_bytes();
+    let restored = PatchIndex::load_checkpoint_for(&image, reg.table()).expect("load");
     assert_eq!(
         restored.exception_count(),
         reg.index(slot).exception_count()
     );
     println!(
-        "checkpoint/restore roundtrip ok ({} bytes on disk)",
-        std::fs::metadata(&path).unwrap().len()
+        "checkpoint/restore roundtrip ok ({} byte image)",
+        image.len()
     );
-    let recomputed = PatchIndex::recover(reg.table(), 0, Constraint::NearlyUnique, Design::Bitmap);
+    let recomputed = PatchIndex::create(reg.table(), 0, Constraint::NearlyUnique, Design::Bitmap);
     assert_eq!(recomputed.exception_count(), restored.exception_count());
     println!("log-free recovery (recreate from table) agrees with the checkpoint");
-    std::fs::remove_file(&path).ok();
 
     // Cleanup job deletes the duplicates; the sharded bitmaps shift rowIDs
     // and lose slots, then condense to restore utilization.

@@ -52,10 +52,6 @@ enum Stmt {
     Recompute {
         seed: usize,
     },
-    Feedback {
-        seed: usize,
-        saved: f64,
-    },
     Publish,
 }
 
@@ -150,11 +146,6 @@ fn apply(dw: &mut DurableWriter, stmt: &Stmt) -> io::Result<bool> {
         Stmt::Recompute { seed } => {
             if nidx > 0 {
                 dw.recompute_index(seed % nidx)?;
-            }
-        }
-        Stmt::Feedback { seed, saved } => {
-            if nidx > 0 {
-                dw.record_query_feedback(seed % nidx, *saved)?;
             }
         }
         Stmt::Publish => {
@@ -305,10 +296,6 @@ fn stream(seed: u64, len: usize) -> Vec<Stmt> {
             },
             9 => Stmt::Recompute {
                 seed: rng.next_u32() as usize,
-            },
-            11 => Stmt::Feedback {
-                seed: rng.next_u32() as usize,
-                saved: rng.gen_range(0..100) as f64,
             },
             _ => Stmt::Publish,
         });

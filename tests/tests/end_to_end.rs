@@ -119,12 +119,10 @@ fn checkpoint_survives_update_cycle() {
     let mut it = IndexedTable::new(ds.table);
     let slot = it.add_index(1, Constraint::NearlyUnique, Design::Identifier);
     it.insert(&update_rows(4_000, MicroKind::Nuc, 100, 9));
-    let path = std::env::temp_dir().join("pi_integration_ckpt.pidx");
-    it.index(slot).checkpoint(&path).unwrap();
-    let restored = PatchIndex::load_checkpoint(&path).unwrap();
+    let image = it.index(slot).checkpoint_bytes();
+    let restored = PatchIndex::load_checkpoint_for(&image, it.table()).unwrap();
     restored.check_consistency(it.table());
     assert_eq!(restored.exception_count(), it.index(slot).exception_count());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]

@@ -1,9 +1,7 @@
-//! Property test: `checkpoint` / `load_checkpoint` round-trips across
-//! **all** constraint × design combinations under arbitrary update
-//! streams — including that `MaintenanceStats` and the drift baseline
-//! survive recovery.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Property test: the index image (`checkpoint_bytes` /
+//! `load_checkpoint_for`) round-trips across **all** constraint × design
+//! combinations under arbitrary update streams — including that
+//! `MaintenanceStats` and the drift baseline survive recovery.
 
 use patchindex::{Constraint, Design, IndexedTable, PatchIndex, SortDir};
 use pi_datagen::MicroKind;
@@ -98,16 +96,6 @@ fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut i64) {
     }
 }
 
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn checkpoint_path() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "pi_prop_checkpoint_{}_{}.pidx",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -125,10 +113,8 @@ proptest! {
             apply(&mut it, op, &mut next_key);
         }
 
-        let path = checkpoint_path();
-        it.index(slot).checkpoint(&path).unwrap();
-        let loaded = PatchIndex::load_checkpoint(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let image = it.index(slot).checkpoint_bytes();
+        let loaded = PatchIndex::load_checkpoint_for(&image, it.table()).unwrap();
 
         // The checkpoint recovers byte-identically.
         let original = it.index(slot);
@@ -149,7 +135,7 @@ proptest! {
             prop_assert_eq!(loaded.partition(pid).last_sorted, original.partition(pid).last_sorted);
         }
         // The index's monitoring counters survive recovery (query
-        // feedback is table state: pi-durability's meta file carries it).
+        // feedback is process state, not part of the image).
         prop_assert_eq!(loaded.maintenance_stats(), original.maintenance_stats());
         prop_assert_eq!(loaded.baseline(), original.baseline());
         loaded.check_consistency(it.table());

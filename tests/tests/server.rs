@@ -356,3 +356,46 @@ fn modify_and_delete_round_trip() {
     assert_eq!(body_lines(&resp), vec!["30", "99"]);
     server.shutdown();
 }
+
+/// Regression: row ids are checked against the published snapshot at
+/// admission, but a statement queued ahead can shrink the partition
+/// before a later one applies. The second `DELETE 0 0 2` below names a
+/// row the first one removed; it used to panic the shard's writer
+/// thread, after which every write and `PUBLISH` on the shard answered
+/// `ERR ShuttingDown`. Now it applies as a counted no-op.
+#[test]
+fn stale_row_id_is_refused_at_apply_without_killing_the_writer() {
+    let cfg = ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::empty(cfg, schema(), 1).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.request("INSERT 1,10;2,20;3,30").unwrap();
+    client.request("PUBLISH").unwrap();
+
+    let hold = server.hold_shard(0);
+    for _ in 0..2 {
+        let resp = client.request("DELETE 0 0 2").unwrap();
+        assert!(resp.starts_with("OK shard=0 "), "{resp}");
+    }
+    drop(hold);
+    let published = client.request("PUBLISH").unwrap();
+    assert!(published.starts_with("OK epochs="), "{published}");
+    let resp = client.request("COUNT scan 0").unwrap();
+    assert_eq!(header_field(&resp, "count"), Some("2"));
+    // The watermark moved past the refused statement too.
+    assert_eq!(parse_epoch_seqs(&resp, 1), vec![3]);
+    assert_eq!(
+        server.registry().counter("shard0.statements_refused").get(),
+        1
+    );
+
+    // The writer is alive: later writes still apply.
+    let resp = client.request("INSERT 4,40").unwrap();
+    assert!(resp.starts_with("OK "), "{resp}");
+    client.request("PUBLISH").unwrap();
+    let resp = client.request("COUNT scan 0").unwrap();
+    assert_eq!(header_field(&resp, "count"), Some("3"));
+    server.shutdown();
+}
