@@ -138,18 +138,6 @@ impl PlainBitmap {
         &self.words
     }
 
-    /// Reads the logical bit range `[from, from + out.len() * 64)` (clamped
-    /// to `len()`) into packed words — a straight word copy, since a plain
-    /// bitmap has no shard indirection.
-    pub fn fill_words(&self, from: u64, out: &mut [u64]) {
-        out.iter_mut().for_each(|w| *w = 0);
-        if from >= self.len {
-            return;
-        }
-        let want = (out.len() * 64).min((self.len - from) as usize);
-        crate::bitcopy::copy_bits(&self.words, from as usize, out, 0, want);
-    }
-
     /// Zeroes the slack bits of the last word so whole-word popcounts stay
     /// exact.
     fn clear_tail(&mut self) {
@@ -165,25 +153,6 @@ impl PlainBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fill_words_matches_gets() {
-        let positions: Vec<u64> = (0..300).filter(|p| p % 3 == 0).collect();
-        let bm = PlainBitmap::from_positions(300, &positions);
-        for from in [0u64, 1, 63, 64, 100, 290] {
-            let mut out = [0u64; 3];
-            bm.fill_words(from, &mut out);
-            for i in 0..192u64 {
-                let expected = from + i < bm.len() && bm.get(from + i);
-                let got = out[(i / 64) as usize] >> (i % 64) & 1 == 1;
-                assert_eq!(got, expected, "from={from} i={i}");
-            }
-        }
-        // Out-of-range start yields all zeros.
-        let mut out = [u64::MAX; 2];
-        bm.fill_words(300, &mut out);
-        assert_eq!(out, [0, 0]);
-    }
 
     #[test]
     fn set_get_unset_roundtrip() {

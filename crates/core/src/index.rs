@@ -125,24 +125,29 @@ impl PatchIndex {
         idx
     }
 
-    /// Builds an index from externally computed patch sets (checkpoint
-    /// recovery).
-    pub(crate) fn from_parts(
+    /// Rebuilds an index from persisted state: one [`PartitionIndex`] per
+    /// table partition, in partition order, each store of `design` and
+    /// covering exactly that partition's visible rows, plus the
+    /// maintenance counters and drift baseline the index had. The caller
+    /// vouches for the patch sets — recovery reads them from an image it
+    /// checked against the table (`pi-durability`); nothing here rescans
+    /// the data.
+    pub fn restore(
         column: usize,
         constraint: Constraint,
         design: Design,
         parts: Vec<PartitionIndex>,
+        stats: MaintenanceStats,
+        baseline: DriftBaseline,
     ) -> Self {
-        let mut idx = PatchIndex {
+        PatchIndex {
             column,
             constraint,
             design,
             parts,
-            stats: MaintenanceStats::default(),
-            baseline: DriftBaseline::default(),
-        };
-        idx.reset_baseline();
-        idx
+            stats,
+            baseline,
+        }
     }
 
     /// Cumulative maintenance counters (see [`MaintenanceStats`]).
@@ -194,12 +199,6 @@ impl PatchIndex {
             return 0.0;
         }
         self.drift_patches() as f64 / maintained as f64
-    }
-
-    /// Restores persisted counters after checkpoint recovery.
-    pub(crate) fn restore_meta(&mut self, stats: MaintenanceStats, baseline: DriftBaseline) {
-        self.stats = stats;
-        self.baseline = baseline;
     }
 
     /// The indexed column.

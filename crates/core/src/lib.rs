@@ -16,7 +16,11 @@
 //! * update handling (insert / modify / delete) without recomputation or
 //!   full scans — see [`PatchIndex::handle_insert`] and friends, or use
 //!   [`IndexedTable`] to keep everything consistent automatically;
-//! * checkpoint/recovery and exception-rate monitoring.
+//! * exception-rate monitoring.
+//!
+//! This crate knows no byte format: the `pi-durability` crate writes the
+//! WAL and the checkpoint files, index images included, and rebuilds an
+//! index from its image through [`PatchIndex::restore`].
 //!
 //! ```
 //! use patchindex::{Constraint, Design, IndexedTable, SortDir};
@@ -52,7 +56,6 @@
 
 pub mod cache;
 mod catalog;
-mod checkpoint;
 mod constraint;
 pub mod discovery;
 mod index;

@@ -188,7 +188,6 @@ mod tests {
             assert!(store.contains(50));
             assert!(!store.contains(51));
             assert_eq!(store.patch_rids(), vec![3, 50, 99]);
-            assert_eq!(store.as_lookup().patch_count(), 3);
         }
     }
 

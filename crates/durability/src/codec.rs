@@ -1,31 +1,47 @@
-//! Checkpoint file codecs.
+//! Every byte format this crate writes.
 //!
-//! Each checkpoint artifact is one self-describing file: 4-byte magic,
-//! version word, payload, CRC-32 trailer. Files are written through
-//! [`pi_storage::dfs::write_atomic`], so every file a manifest references
-//! is complete and fsynced before the manifest naming it becomes visible
-//! — a load never has to tolerate a torn checkpoint, only reject a
-//! corrupt one.
+//! A checkpoint is made of six frame kinds, each one self-describing
+//! file: 4-byte magic, version word, payload, CRC-32 trailer.
 //!
-//! A partition travels as two files: a base frame (its immutable base
-//! columns) and a delta frame (its pending positional deltas). String
-//! columns store dictionary codes; the shared dictionaries travel in one
-//! dict file per checkpoint generation so codes stay meaningful.
+//! | magic | what | written |
+//! |---|---|---|
+//! | `PIDB` | a partition's base columns | once per base generation |
+//! | `PIDP` | a partition's pending deltas | when the partition changed |
+//! | `PIDD` | the string dictionaries | when a dictionary grew |
+//! | `PIDX` | one PatchIndex image | when the index version changed |
+//! | `PIDT` | table meta: schema, routing, statement counter | every checkpoint |
+//! | `PIDM` | the manifest naming the files above | every checkpoint, last |
+//!
+//! Files are written through [`pi_storage::dfs::write_atomic`], so every
+//! file a manifest references is complete and fsynced before the manifest
+//! naming it becomes visible — a load never has to tolerate a torn
+//! checkpoint, only reject a corrupt one. String columns store dictionary
+//! codes; the shared dictionaries travel in one dict file per checkpoint
+//! generation so codes stay meaningful.
+//!
+//! The WAL ([`crate::wal`]) frames its records differently, but encodes
+//! values, constraints and designs with the helpers and tag tables here,
+//! and [`state_image`] embeds each index as its image payload.
 
 use std::io::{self, Read};
 use std::sync::Arc;
 
 use pi_storage::crc::crc32;
 use pi_storage::{
-    ColumnData, DataType, DeltaStore, DictRef, Field, Partition, Partitioning, Schema, Table,
+    ColumnData, DataType, DeltaStore, DictRef, Field, Partition, Partitioning, Schema, Table, Value,
 };
 
-use patchindex::IndexedTable;
+use patchindex::{
+    Constraint, Design, DriftBaseline, IndexedTable, MaintenanceStats, PartitionIndex, PatchIndex,
+    PatchStore, SortDir,
+};
 
-use crate::wal::{read_f64, read_u32, read_u64, read_u8};
+// ------------------------------------------------------------ byte helpers
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+/// An [`io::ErrorKind::InvalidData`] error: the bytes say something this
+/// build cannot or will not load.
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 pub(crate) fn put_u32(b: &mut Vec<u8>, v: u32) {
@@ -36,28 +52,110 @@ pub(crate) fn put_u64(b: &mut Vec<u8>, v: u64) {
     b.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_i64(b: &mut Vec<u8>, v: i64) {
+fn put_i64(b: &mut Vec<u8>, v: i64) {
     b.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_f64(b: &mut Vec<u8>, v: f64) {
+fn put_f64(b: &mut Vec<u8>, v: f64) {
     put_u64(b, v.to_bits());
 }
 
-pub(crate) fn put_str(b: &mut Vec<u8>, s: &str) {
+fn put_str(b: &mut Vec<u8>, s: &str) {
     put_u32(b, s.len() as u32);
     b.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn read_i64(r: &mut impl Read) -> io::Result<i64> {
+pub(crate) fn put_value(b: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Int(i) => {
+            b.push(0);
+            put_i64(b, *i);
+        }
+        Value::Float(f) => {
+            b.push(1);
+            put_f64(b, *f);
+        }
+        Value::Str(s) => {
+            b.push(2);
+            put_str(b, s);
+        }
+    }
+}
+
+pub(crate) fn read_u8(r: &mut impl Read) -> io::Result<u8> {
+    let mut buf = [0u8; 1];
+    r.read_exact(&mut buf)?;
+    Ok(buf[0])
+}
+
+pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
+    let mut buf = [0u8; 4];
+    r.read_exact(&mut buf)?;
+    Ok(u32::from_le_bytes(buf))
+}
+
+pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
+    let mut buf = [0u8; 8];
+    r.read_exact(&mut buf)?;
+    Ok(u64::from_le_bytes(buf))
+}
+
+fn read_i64(r: &mut impl Read) -> io::Result<i64> {
     Ok(read_u64(r)? as i64)
 }
 
-pub(crate) fn read_str(r: &mut &[u8]) -> io::Result<String> {
+fn read_f64(r: &mut impl Read) -> io::Result<f64> {
+    Ok(f64::from_bits(read_u64(r)?))
+}
+
+fn read_str(r: &mut &[u8]) -> io::Result<String> {
     let len = checked_count(read_u32(r)? as u64, 1, r, "string")?;
     let (s, rest) = r.split_at(len);
     *r = rest;
     String::from_utf8(s.to_vec()).map_err(|_| bad("non-utf8 string"))
+}
+
+pub(crate) fn read_value(r: &mut &[u8]) -> io::Result<Value> {
+    match read_u8(r)? {
+        0 => Ok(Value::Int(read_i64(r)?)),
+        1 => Ok(Value::Float(read_f64(r)?)),
+        2 => Ok(Value::Str(read_str(r)?)),
+        t => Err(bad(format!("unknown value tag {t}"))),
+    }
+}
+
+/// The one constraint tag table: a `u32` word in index images, one byte
+/// in the WAL.
+pub(crate) fn constraint_tag(c: Constraint) -> u32 {
+    match c {
+        Constraint::NearlyUnique => 0,
+        Constraint::NearlySorted(SortDir::Asc) => 1,
+        Constraint::NearlySorted(SortDir::Desc) => 2,
+        Constraint::NearlyConstant => 3,
+    }
+}
+
+pub(crate) fn constraint_from_tag(tag: u32) -> io::Result<Constraint> {
+    match tag {
+        0 => Ok(Constraint::NearlyUnique),
+        1 => Ok(Constraint::NearlySorted(SortDir::Asc)),
+        2 => Ok(Constraint::NearlySorted(SortDir::Desc)),
+        3 => Ok(Constraint::NearlyConstant),
+        t => Err(bad(format!("unknown constraint tag {t}"))),
+    }
+}
+
+/// The one design tag: 1 for the identifier design, 0 for the bitmap.
+pub(crate) fn design_tag(d: Design) -> u32 {
+    matches!(d, Design::Identifier) as u32
+}
+
+pub(crate) fn design_from_tag(tag: u32) -> io::Result<Design> {
+    match tag {
+        0 => Ok(Design::Bitmap),
+        1 => Ok(Design::Identifier),
+        t => Err(bad(format!("unknown design tag {t}"))),
+    }
 }
 
 /// A count read from a payload is a claim — the checksum proves the bytes
@@ -66,7 +164,7 @@ pub(crate) fn read_str(r: &mut &[u8]) -> io::Result<String> {
 /// no decoder allocates for more than the file can hold.
 fn checked_count(count: u64, min_bytes: usize, rest: &[u8], what: &str) -> io::Result<usize> {
     if count > (rest.len() / min_bytes) as u64 {
-        return Err(bad(&format!(
+        return Err(bad(format!(
             "{what}: count {count} exceeds the bytes present"
         )));
     }
@@ -74,7 +172,7 @@ fn checked_count(count: u64, min_bytes: usize, rest: &[u8], what: &str) -> io::R
 }
 
 /// Wraps a payload in `magic + version + payload + crc32`.
-fn seal(magic: &[u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn seal(magic: &[u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut b = Vec::with_capacity(payload.len() + 12);
     b.extend_from_slice(magic);
     put_u32(&mut b, version);
@@ -87,21 +185,21 @@ fn seal(magic: &[u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
 /// Verifies `magic + version + crc` framing and returns the payload.
 fn unseal<'a>(magic: &[u8; 4], version: u32, bytes: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
     if bytes.len() < 12 {
-        return Err(bad(&format!("{what}: file too short")));
+        return Err(bad(format!("{what}: file too short")));
     }
     if &bytes[..4] != magic {
-        return Err(bad(&format!("{what}: bad magic")));
+        return Err(bad(format!("{what}: bad magic")));
     }
     let got_version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
     if got_version != version {
-        return Err(bad(&format!(
+        return Err(bad(format!(
             "{what}: unsupported version {got_version} (expected {version})"
         )));
     }
     let trailer_at = bytes.len() - 4;
     let stored = u32::from_le_bytes(bytes[trailer_at..].try_into().unwrap());
     if crc32(&bytes[..trailer_at]) != stored {
-        return Err(bad(&format!("{what}: checksum mismatch (corrupt file)")));
+        return Err(bad(format!("{what}: checksum mismatch (corrupt file)")));
     }
     Ok(&bytes[8..trailer_at])
 }
@@ -110,7 +208,7 @@ fn expect_drained(r: &[u8], what: &str) -> io::Result<()> {
     if r.is_empty() {
         Ok(())
     } else {
-        Err(bad(&format!("{what}: trailing garbage after payload")))
+        Err(bad(format!("{what}: trailing garbage after payload")))
     }
 }
 
@@ -168,7 +266,7 @@ fn read_columns(
     what: &str,
 ) -> io::Result<Vec<ColumnData>> {
     if read_u32(r)? as usize != dicts.len() {
-        return Err(bad(&format!("{what}: column count mismatch")));
+        return Err(bad(format!("{what}: column count mismatch")));
     }
     let mut cols = Vec::with_capacity(dicts.len());
     for (ci, dict) in dicts.iter().enumerate() {
@@ -181,13 +279,13 @@ fn read_columns(
             2 => {
                 let dict = dict
                     .as_ref()
-                    .ok_or_else(|| bad(&format!("{what}: string column {ci} without dict")))?;
+                    .ok_or_else(|| bad(format!("{what}: string column {ci} without dict")))?;
                 ColumnData::Str {
                     codes: (0..n).map(|_| read_u32(r)).collect::<io::Result<_>>()?,
                     dict: Arc::clone(dict),
                 }
             }
-            t => return Err(bad(&format!("{what}: column tag {t}; col {ci}"))),
+            t => return Err(bad(format!("{what}: column tag {t}; col {ci}"))),
         });
     }
     Ok(cols)
@@ -202,7 +300,7 @@ fn read_usize(r: &mut &[u8]) -> io::Result<usize> {
 fn read_pid(r: &mut &[u8], pid: usize, what: &str) -> io::Result<()> {
     let got = read_u32(r)?;
     if got as usize != pid {
-        return Err(bad(&format!(
+        return Err(bad(format!(
             "{what}: frame of partition {got} in slot {pid}"
         )));
     }
@@ -232,7 +330,7 @@ pub(crate) fn encode_delta(p: &Partition) -> Vec<u8> {
     for (pos, col, v) in d.modified_cells() {
         put_u64(&mut b, pos as u64);
         put_u32(&mut b, col as u32);
-        crate::wal::put_value(&mut b, v);
+        put_value(&mut b, v);
     }
     put_columns(&mut b, d.append_columns().iter());
     seal(DELTA_MAGIC, DELTA_VERSION, &b)
@@ -267,12 +365,12 @@ pub(crate) fn decode_partition(
     for _ in 0..ncells {
         let pos = read_usize(&mut r)?;
         let col = read_u32(&mut r)? as usize;
-        cells.push((pos, col, crate::wal::read_value(&mut r)?));
+        cells.push((pos, col, read_value(&mut r)?));
     }
     let appends = read_columns(&mut r, dicts, DELTA)?;
     expect_drained(r, DELTA)?;
 
-    let invalid = |e: String| bad(&format!("partition {pid}: {e}"));
+    let invalid = |e: String| bad(format!("partition {pid}: {e}"));
     let delta = DeltaStore::from_parts(base_rows, deleted, cells, appends).map_err(invalid)?;
     Partition::restore(pid, Arc::clone(schema), columns, delta).map_err(invalid)
 }
@@ -332,6 +430,143 @@ pub(crate) fn decode_dicts(bytes: &[u8]) -> io::Result<Vec<Option<DictRef>>> {
     Ok(out)
 }
 
+// ------------------------------------------------------------ index images
+//
+// The paper keeps patch data out of the log (Section 3.4): recovery loads
+// a checkpointed image of each index instead of replaying its history.
+
+pub(crate) const INDEX_MAGIC: &[u8; 4] = b"PIDX";
+/// Header, maintenance counters and drift baseline, then per partition
+/// its row count, anchor and patch rowIDs. Versions 2–5 (no flag word,
+/// no trailer, or per-slot query feedback) are refused by the version
+/// word like any other.
+pub(crate) const INDEX_VERSION: u32 = 6;
+/// Word after the design word. Patch sets are always globally
+/// deduplicated (NUC discovery includes the cross-partition residual), so
+/// it is written as 1 and any other value is rejected.
+pub(crate) const GLOBALLY_DEDUPLICATED: u32 = 1;
+/// Smallest encoding of one partition: row count, anchor tag, patch count.
+const MIN_PARTITION_BYTES: usize = 8 + 4 + 8;
+
+/// Appends an index image's payload — everything recovery restores and
+/// the drift rules read. [`state_image`] embeds the same bytes.
+fn put_index(b: &mut Vec<u8>, idx: &PatchIndex) {
+    put_u32(b, idx.column() as u32);
+    put_u32(b, constraint_tag(idx.constraint()));
+    put_u32(b, design_tag(idx.design()));
+    put_u32(b, GLOBALLY_DEDUPLICATED);
+    let stats = idx.maintenance_stats();
+    put_u64(b, stats.collision_rounds);
+    put_u64(b, stats.build_invocations);
+    put_u64(b, stats.probed_partitions);
+    put_u64(b, stats.maintained_rows);
+    let baseline = idx.baseline();
+    put_f64(b, baseline.match_fraction);
+    put_u64(b, baseline.patches);
+    put_u64(b, baseline.maintained_rows);
+    put_u32(b, idx.partition_count() as u32);
+    for pid in 0..idx.partition_count() {
+        let part = idx.partition(pid);
+        put_u64(b, part.store.nrows());
+        match part.last_sorted {
+            Some(v) => {
+                put_u32(b, 1);
+                put_i64(b, v);
+            }
+            None => put_u32(b, 0),
+        }
+        let rids = part.store.patch_rids();
+        put_u64(b, rids.len() as u64);
+        for r in rids {
+            put_u64(b, r);
+        }
+    }
+}
+
+/// Serializes one index image.
+pub(crate) fn encode_index(idx: &PatchIndex) -> Vec<u8> {
+    let mut b = Vec::new();
+    put_index(&mut b, idx);
+    seal(INDEX_MAGIC, INDEX_VERSION, &b)
+}
+
+/// Parses an image of an index over `table` (recovery restores the table
+/// first). The row counts an image claims are bounded by nothing in its
+/// own bytes — and the bitmap design allocates for them — so an image
+/// whose column the table cannot index ([`crate::indexable`]), whose
+/// partition count differs from the table's, or whose per-partition row
+/// count differs from that partition's visible rows is rejected before
+/// any patch store is built. So are patch rowIDs outside their partition
+/// and trailing garbage.
+pub(crate) fn decode_index(bytes: &[u8], table: &Table) -> io::Result<PatchIndex> {
+    const WHAT: &str = "index image";
+    let mut r = unseal(INDEX_MAGIC, INDEX_VERSION, bytes, WHAT)?;
+    let column = read_u32(&mut r)? as usize;
+    crate::indexable(table.schema(), column).map_err(|e| bad(format!("{WHAT}: {e}")))?;
+    let constraint = constraint_from_tag(read_u32(&mut r)?)?;
+    let design = design_from_tag(read_u32(&mut r)?)?;
+    if read_u32(&mut r)? != GLOBALLY_DEDUPLICATED {
+        return Err(bad(format!(
+            "{WHAT}: does not claim globally deduplicated patch sets"
+        )));
+    }
+    let stats = MaintenanceStats {
+        collision_rounds: read_u64(&mut r)?,
+        build_invocations: read_u64(&mut r)?,
+        probed_partitions: read_u64(&mut r)?,
+        maintained_rows: read_u64(&mut r)?,
+    };
+    let baseline = DriftBaseline {
+        match_fraction: read_f64(&mut r)?,
+        patches: read_u64(&mut r)?,
+        maintained_rows: read_u64(&mut r)?,
+    };
+    let nparts = checked_count(
+        read_u32(&mut r)? as u64,
+        MIN_PARTITION_BYTES,
+        r,
+        "index image partitions",
+    )?;
+    if nparts != table.partition_count() {
+        return Err(bad(format!(
+            "{WHAT}: covers {nparts} partitions, the table has {}",
+            table.partition_count()
+        )));
+    }
+    let mut parts = Vec::with_capacity(nparts);
+    for (pid, partition) in table.partitions().iter().enumerate() {
+        let nrows = read_u64(&mut r)?;
+        if nrows != partition.visible_len() as u64 {
+            return Err(bad(format!(
+                "{WHAT}: partition {pid} claims {nrows} rows, the table holds {}",
+                partition.visible_len()
+            )));
+        }
+        let last_sorted = match read_u32(&mut r)? {
+            0 => None,
+            1 => Some(read_i64(&mut r)?),
+            t => return Err(bad(format!("{WHAT}: unknown anchor tag {t}"))),
+        };
+        let count = checked_count(read_u64(&mut r)?, 8, r, "index image patches")?;
+        let rids = (0..count)
+            .map(|_| match read_u64(&mut r)? {
+                rid if rid < nrows => Ok(rid),
+                rid => Err(bad(format!(
+                    "{WHAT}: partition {pid}: patch rowID {rid} outside its {nrows} rows"
+                ))),
+            })
+            .collect::<io::Result<Vec<u64>>>()?;
+        parts.push(PartitionIndex {
+            store: PatchStore::new(design, nrows, &rids),
+            last_sorted,
+        });
+    }
+    expect_drained(r, WHAT)?;
+    Ok(PatchIndex::restore(
+        column, constraint, design, parts, stats, baseline,
+    ))
+}
+
 // ------------------------------------------------------------- table meta
 
 const META_MAGIC: &[u8; 4] = b"PIDT";
@@ -342,29 +577,24 @@ const META_VERSION: u32 = 4;
 /// cadence runs on. The counter changes with every statement, even one
 /// that changes no partition or index version, which is why it travels in
 /// the one file every checkpoint rewrites.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct TableMeta {
     pub name: String,
-    pub fields: Vec<(String, DataType)>,
-    pub partitioning: Partitioning2,
+    pub schema: Arc<Schema>,
+    pub partitioning: Partitioning,
     pub rr_cursor: u64,
     pub statements: u64,
 }
 
-/// Owned mirror of [`Partitioning`] (which is not `PartialEq`).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Partitioning2 {
-    RoundRobin,
-    KeyRange { col: usize, boundaries: Vec<i64> },
-}
-
-impl Partitioning2 {
-    pub fn into_partitioning(self) -> Partitioning {
-        match self {
-            Partitioning2::RoundRobin => Partitioning::RoundRobin,
-            Partitioning2::KeyRange { col, boundaries } => {
-                Partitioning::KeyRange { col, boundaries }
-            }
+impl TableMeta {
+    pub fn of(it: &IndexedTable) -> Self {
+        let table = it.table();
+        TableMeta {
+            name: table.name().to_string(),
+            schema: Arc::clone(table.schema()),
+            partitioning: table.partitioning().clone(),
+            rr_cursor: table.rr_cursor() as u64,
+            statements: it.statements(),
         }
     }
 }
@@ -384,20 +614,19 @@ fn dtype_from_tag(t: u8) -> io::Result<DataType> {
         1 => Ok(DataType::Float),
         2 => Ok(DataType::Str),
         3 => Ok(DataType::Date),
-        t => Err(bad(&format!("unknown dtype tag {t}"))),
+        t => Err(bad(format!("unknown dtype tag {t}"))),
     }
 }
 
-pub(crate) fn encode_meta(it: &IndexedTable) -> Vec<u8> {
-    let table = it.table();
+pub(crate) fn encode_meta(meta: &TableMeta) -> Vec<u8> {
     let mut b = Vec::new();
-    put_str(&mut b, table.name());
-    put_u32(&mut b, table.schema().len() as u32);
-    for f in table.schema().fields() {
+    put_str(&mut b, &meta.name);
+    put_u32(&mut b, meta.schema.len() as u32);
+    for f in meta.schema.fields() {
         put_str(&mut b, &f.name);
         b.push(dtype_tag(f.dtype));
     }
-    match table.partitioning() {
+    match &meta.partitioning {
         Partitioning::RoundRobin => b.push(0),
         Partitioning::KeyRange { col, boundaries } => {
             b.push(1);
@@ -408,55 +637,49 @@ pub(crate) fn encode_meta(it: &IndexedTable) -> Vec<u8> {
             }
         }
     }
-    put_u64(&mut b, table.rr_cursor() as u64);
-    put_u64(&mut b, it.statements());
+    put_u64(&mut b, meta.rr_cursor);
+    put_u64(&mut b, meta.statements);
     seal(META_MAGIC, META_VERSION, &b)
 }
 
+/// Parses a table meta file. Whether its routing fits the partitions the
+/// manifest lists is the caller's check ([`Partitioning::validate`]).
 pub(crate) fn decode_meta(bytes: &[u8]) -> io::Result<TableMeta> {
-    let payload = unseal(META_MAGIC, META_VERSION, bytes, "table meta checkpoint")?;
-    let mut r: &[u8] = payload;
+    const WHAT: &str = "table meta checkpoint";
+    let mut r = unseal(META_MAGIC, META_VERSION, bytes, WHAT)?;
     let name = read_str(&mut r)?;
     // A field is at least a name length and a type tag.
-    let nfields = checked_count(read_u32(&mut r)? as u64, 5, r, "table meta checkpoint")?;
-    let mut fields = Vec::with_capacity(nfields);
+    let nfields = checked_count(read_u32(&mut r)? as u64, 5, r, WHAT)?;
+    let mut fields: Vec<Field> = Vec::with_capacity(nfields);
     for _ in 0..nfields {
         let fname = read_str(&mut r)?;
-        let dtype = dtype_from_tag(read_u8(&mut r)?)?;
-        fields.push((fname, dtype));
+        if fields.iter().any(|f| f.name == fname) {
+            return Err(bad(format!("{WHAT}: duplicate field name {fname:?}")));
+        }
+        fields.push(Field::new(fname, dtype_from_tag(read_u8(&mut r)?)?));
     }
     let partitioning = match read_u8(&mut r)? {
-        0 => Partitioning2::RoundRobin,
+        0 => Partitioning::RoundRobin,
         1 => {
             let col = read_u32(&mut r)? as usize;
-            let n = checked_count(read_u32(&mut r)? as u64, 8, r, "table meta checkpoint")?;
-            let mut boundaries = Vec::with_capacity(n);
-            for _ in 0..n {
-                boundaries.push(read_i64(&mut r)?);
-            }
-            Partitioning2::KeyRange { col, boundaries }
+            let n = checked_count(read_u32(&mut r)? as u64, 8, r, WHAT)?;
+            let boundaries = (0..n)
+                .map(|_| read_i64(&mut r))
+                .collect::<io::Result<_>>()?;
+            Partitioning::KeyRange { col, boundaries }
         }
-        t => return Err(bad(&format!("unknown partitioning tag {t}"))),
+        t => return Err(bad(format!("unknown partitioning tag {t}"))),
     };
     let rr_cursor = read_u64(&mut r)?;
     let statements = read_u64(&mut r)?;
-    expect_drained(r, "table meta checkpoint")?;
+    expect_drained(r, WHAT)?;
     Ok(TableMeta {
         name,
-        fields,
+        schema: Arc::new(Schema::new(fields)),
         partitioning,
         rr_cursor,
         statements,
     })
-}
-
-pub(crate) fn schema_of(meta: &TableMeta) -> Schema {
-    Schema::new(
-        meta.fields
-            .iter()
-            .map(|(n, d)| Field::new(n.clone(), *d))
-            .collect(),
-    )
 }
 
 // --------------------------------------------------------------- manifest
@@ -530,10 +753,10 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> io::Result<Manifest> {
 // ------------------------------------------------------------ state image
 
 /// Serializes the state recovery restores — decoded row values, the
-/// routing cursor and statement counter, and every index's patch sets,
-/// anchors and maintenance counters (the drift rules read these). Two
-/// tables with equal images give the same answers and maintain their
-/// indexes the same way; the recovery property tests compare these
+/// routing cursor and statement counter, and every index's image payload
+/// (patch sets, anchors and the maintenance counters the drift rules
+/// read). Two tables with equal images give the same answers and maintain
+/// their indexes the same way; the recovery property tests compare these
 /// byte-for-byte. Query feedback and the query log are process state and
 /// not part of the image.
 pub fn state_image(it: &IndexedTable) -> Vec<u8> {
@@ -549,51 +772,22 @@ pub fn state_image(it: &IndexedTable) -> Vec<u8> {
         put_u64(&mut b, p.visible_len() as u64);
         for rid in 0..p.visible_len() {
             for col in 0..ncols {
-                crate::wal::put_value(&mut b, &p.value_at(col, rid));
+                put_value(&mut b, &p.value_at(col, rid));
             }
         }
     }
     put_u32(&mut b, it.indexes().len() as u32);
     for idx in it.indexes() {
-        put_u32(&mut b, idx.column() as u32);
-        put_str(&mut b, &format!("{:?}", idx.constraint()));
-        put_str(&mut b, &format!("{:?}", idx.design()));
-        let stats = idx.maintenance_stats();
-        put_u64(&mut b, stats.collision_rounds);
-        put_u64(&mut b, stats.build_invocations);
-        put_u64(&mut b, stats.probed_partitions);
-        put_u64(&mut b, stats.maintained_rows);
-        let baseline = idx.baseline();
-        put_f64(&mut b, baseline.match_fraction);
-        put_u64(&mut b, baseline.patches);
-        put_u64(&mut b, baseline.maintained_rows);
-        put_u32(&mut b, idx.partition_count() as u32);
-        for pid in 0..idx.partition_count() {
-            let part = idx.partition(pid);
-            put_u64(&mut b, part.store.nrows());
-            match part.last_sorted {
-                Some(v) => {
-                    b.push(1);
-                    put_i64(&mut b, v);
-                }
-                None => b.push(0),
-            }
-            let rids = part.store.patch_rids();
-            put_u64(&mut b, rids.len() as u64);
-            for r in rids {
-                put_u64(&mut b, r);
-            }
-        }
+        put_index(&mut b, idx);
     }
     b
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use pi_storage::Value;
 
-    fn rejected<T>(r: io::Result<T>) -> String {
+    pub(crate) fn rejected<T>(r: io::Result<T>) -> String {
         let err = r.err().expect("a lying count must be rejected");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         err.to_string()
@@ -656,6 +850,108 @@ mod tests {
         assert!(msg.contains("manifest"), "{msg}");
     }
 
+    /// The table the index image tests run over: two partitions of five
+    /// and three rows, columns `k` and `v` (Int) and `f` (Float).
+    pub(crate) fn index_table() -> Table {
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new("v", DataType::Int),
+                Field::new("f", DataType::Float),
+            ]),
+            2,
+            Partitioning::RoundRobin,
+        );
+        let floats = |n| ColumnData::Float(vec![0.5; n]);
+        t.load_partition(
+            0,
+            &[ints(&[1, 2, 9, 3, 4]), ints(&[1, 5, 5, 9, 7]), floats(5)],
+        );
+        t.load_partition(1, &[ints(&[5, 6, 7]), ints(&[3, 3, 4]), floats(3)]);
+        t.propagate_all();
+        t
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// `PIDX` v6 as written before the image moved into this module: an
+    /// index directory written then still recovers.
+    #[test]
+    fn index_image_bytes_are_unchanged() {
+        let part = |nrows, design, rids: &[u64], last_sorted| PartitionIndex {
+            store: PatchStore::new(design, nrows, rids),
+            last_sorted,
+        };
+        let nuc = PatchIndex::restore(
+            1,
+            Constraint::NearlyUnique,
+            Design::Bitmap,
+            vec![
+                part(5, Design::Bitmap, &[1, 3], None),
+                part(3, Design::Bitmap, &[2], None),
+            ],
+            MaintenanceStats {
+                collision_rounds: 3,
+                build_invocations: 2,
+                probed_partitions: 5,
+                maintained_rows: 11,
+            },
+            DriftBaseline {
+                match_fraction: 0.625,
+                patches: 2,
+                maintained_rows: 7,
+            },
+        );
+        let nsc = PatchIndex::restore(
+            0,
+            Constraint::NearlySorted(SortDir::Asc),
+            Design::Identifier,
+            vec![
+                part(5, Design::Identifier, &[0, 4], Some(-5)),
+                part(3, Design::Identifier, &[], Some(42)),
+            ],
+            MaintenanceStats {
+                maintained_rows: 9,
+                ..MaintenanceStats::default()
+            },
+            DriftBaseline {
+                match_fraction: 0.75,
+                patches: 2,
+                maintained_rows: 9,
+            },
+        );
+        let golden = [
+            (
+                nuc,
+                "504944580600000001000000000000000000000001000000030000000000000002000000\
+                 0000000005000000000000000b00000000000000000000000000e43f0200000000000000\
+                 070000000000000002000000050000000000000000000000020000000000000001000000\
+                 000000000300000000000000030000000000000000000000010000000000000002000000\
+                 00000000a2e17457",
+            ),
+            (
+                nsc,
+                "504944580600000000000000010000000100000001000000000000000000000000000000\
+                 0000000000000000000000000900000000000000000000000000e83f0200000000000000\
+                 090000000000000002000000050000000000000001000000fbffffffffffffff02000000\
+                 00000000000000000000000004000000000000000300000000000000010000002a000000\
+                 0000000000000000000000009032f8c3",
+            ),
+        ];
+        let t = index_table();
+        for (idx, hex) in golden {
+            let want = unhex(hex);
+            assert_eq!(encode_index(&idx), want, "{:?}", idx.constraint());
+            assert_eq!(encode_index(&decode_index(&want, &t).unwrap()), want);
+        }
+    }
+
     // The regression tests below hand-write CRC-valid partition frames
     // for a two-`Int`-column schema: a checksum proves the bytes arrived,
     // and each of these says something the schema or the storage
@@ -686,7 +982,7 @@ mod tests {
         for (pos, col, v) in cells {
             put_u64(&mut b, *pos);
             put_u32(&mut b, *col);
-            crate::wal::put_value(&mut b, v);
+            put_value(&mut b, v);
         }
         put_columns(&mut b, appends.iter());
         seal(DELTA_MAGIC, DELTA_VERSION, &b)
@@ -826,10 +1122,29 @@ mod tests {
         assert!(msg.contains("frame of partition 3 in slot 0"), "{msg}");
     }
 
+    /// Regression: `Schema::new` panicked on the repeated name.
+    #[test]
+    fn meta_with_a_repeated_field_name_is_invalid_data() {
+        let mut m = Vec::new();
+        put_str(&mut m, "t");
+        put_u32(&mut m, 2);
+        for _ in 0..2 {
+            put_str(&mut m, "k");
+            m.push(dtype_tag(DataType::Int));
+        }
+        m.push(0); // round-robin
+        put_u64(&mut m, 0);
+        put_u64(&mut m, 0);
+        let msg = rejected(decode_meta(&seal(META_MAGIC, META_VERSION, &m)));
+        assert!(msg.contains("duplicate field name \"k\""), "{msg}");
+    }
+
     /// No legacy decoder: a manifest v1 (one file per partition), a
     /// `PIDP` v1 file (visible rows) and meta files v1 (no feedback), v2
     /// (wall-clock timing counters per feedback slot) and v3 (query
-    /// feedback per slot) are refused by their version word.
+    /// feedback per slot) are refused by their version word, which is
+    /// checked before the checksum. Index image versions are covered by
+    /// `checkpoint::tests::other_versions_and_flag_words_are_rejected`.
     #[test]
     fn old_manifest_and_partition_versions_are_refused() {
         let msg = rejected(decode_manifest(&seal(MANIFEST_MAGIC, 1, &[])));

@@ -20,8 +20,11 @@
 //!   if its base columns are not the ones the previous checkpoint
 //!   recorded — which, since this writer never propagates, happens at
 //!   [`DurableWriter::create`] only. Index versions whose `Arc` changed
-//!   get a new image. A small manifest (written atomically) names the
-//!   file set and the WAL high-water mark it covers.
+//!   get a new *index image*: patch data stays out of the log (paper,
+//!   Section 3.4), and recovery loads each index from its image and
+//!   rebuilds it with [`PatchIndex::restore`]. A small manifest (written
+//!   atomically) names the file set and the WAL high-water mark it
+//!   covers.
 //! * **Recovery** ([`DurableWriter::recover`]) — load the manifest,
 //!   restore the newest complete checkpoint (each partition with the
 //!   base/delta split it was checkpointed with), replay the WAL tail past
@@ -45,7 +48,10 @@
 //!
 //! All file IO goes through [`pi_storage::dfs::DurableFs`], so the same
 //! code runs against the real filesystem and against the fault-injecting
-//! [`pi_storage::dfs::SimFs`] used by the tests.
+//! [`pi_storage::dfs::SimFs`] used by the tests. Every byte format — the
+//! six checkpoint frame kinds, the value and tag encodings the WAL shares
+//! with them, and the [`state_image`] — lives in one private module,
+//! `codec`; no other crate reads or writes these bytes.
 
 use std::collections::HashSet;
 use std::io;
@@ -54,7 +60,7 @@ use std::sync::Arc;
 
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::dfs::{write_atomic, DurableFs};
-use pi_storage::{DataType, Partition, RowAddr, Table, Value};
+use pi_storage::{DataType, Partition, RowAddr, Schema, Table, Value};
 
 use patchindex::{
     ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, TableWriter,
@@ -62,16 +68,15 @@ use patchindex::{
 
 pub mod wal;
 
+#[cfg(test)]
+mod checkpoint;
 mod codec;
 
+use codec::bad;
 pub use codec::state_image;
 pub use wal::{Record, SyncPolicy};
 
 const MANIFEST_NAME: &str = "MANIFEST";
-
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// Tuning knobs for a [`DurableWriter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,6 +233,21 @@ pub fn check_record(it: &IndexedTable, record: &Record) -> io::Result<()> {
     check(it, record).map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))
 }
 
+/// Whether column `col` of `schema` can carry a PatchIndex: it exists and
+/// is not `Float` (discovery and maintenance read values as integers).
+/// The one rule for both ways an index enters a table: a logged
+/// `AddIndex` and an index image read back at recovery.
+fn indexable(schema: &Schema, col: usize) -> Result<(), String> {
+    match schema.fields().get(col) {
+        None => Err(format!(
+            "column {col} out of range ({} columns)",
+            schema.len()
+        )),
+        Some(f) if f.dtype == DataType::Float => Err(format!("cannot index Float column {col}")),
+        Some(_) => Ok(()),
+    }
+}
+
 fn check(it: &IndexedTable, record: &Record) -> Result<(), String> {
     let table = it.table();
     let fields = table.schema().fields();
@@ -286,10 +306,7 @@ fn check(it: &IndexedTable, record: &Record) -> Result<(), String> {
             values.iter().try_for_each(|v| fit(dtype, v))
         }
         Record::Delete { pid, rids } => visible(*pid, rids),
-        Record::AddIndex { col, .. } => match column(*col)? {
-            DataType::Float => Err(format!("cannot index Float column {col}")),
-            _ => Ok(()),
-        },
+        Record::AddIndex { col, .. } => indexable(table.schema(), *col),
         Record::DropIndex { slot } | Record::Recompute { slot } => {
             let n = it.indexes().len();
             if *slot < n {
@@ -388,11 +405,13 @@ impl DurableWriter {
         let manifest = codec::decode_manifest(&fs.read(&dir.join(MANIFEST_NAME))?)?;
         let meta = codec::decode_meta(&fs.read(&dir.join(&manifest.meta_file))?)?;
         let dicts = codec::decode_dicts(&fs.read(&dir.join(&manifest.dict_file))?)?;
-        if meta.fields.len() != dicts.len() {
-            return Err(bad("manifest: dict file does not match schema".into()));
+        if meta.schema.len() != dicts.len() {
+            return Err(bad("manifest: dict file does not match schema"));
         }
+        meta.partitioning
+            .validate(&meta.schema, manifest.part_files.len())
+            .map_err(|e| bad(format!("table meta checkpoint: {e}")))?;
 
-        let schema = Arc::new(codec::schema_of(&meta));
         let partitions = manifest
             .part_files
             .iter()
@@ -402,27 +421,30 @@ impl DurableWriter {
                     &fs.read(&dir.join(base))?,
                     &fs.read(&dir.join(delta))?,
                     pid,
-                    &schema,
+                    &meta.schema,
                     &dicts,
                 )
             })
             .collect::<io::Result<Vec<Partition>>>()?;
         let table = Table::restore(
-            meta.name.clone(),
-            schema,
+            meta.name,
+            meta.schema,
             partitions,
             dicts,
-            meta.partitioning.clone().into_partitioning(),
+            meta.partitioning,
             meta.rr_cursor as usize,
         );
 
-        let mut indexes = Vec::with_capacity(manifest.index_files.len());
-        for file in &manifest.index_files {
-            indexes.push(Arc::new(PatchIndex::load_checkpoint_for(
-                &fs.read(&dir.join(file))?,
-                &table,
-            )?));
-        }
+        let indexes = manifest
+            .index_files
+            .iter()
+            .map(|file| {
+                Ok(Arc::new(codec::decode_index(
+                    &fs.read(&dir.join(file))?,
+                    &table,
+                )?))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
 
         let mut it = IndexedTable::with_restored_indexes(table, indexes, meta.statements);
         it.set_policy(policy);
@@ -654,14 +676,17 @@ impl DurableWriter {
                 Some(name) => name,
                 None => put(
                     format!("idx-{slot}-e{epoch:012}.ckp"),
-                    idx.checkpoint_bytes(),
+                    codec::encode_index(idx),
                 )?,
             });
         }
 
         // Meta changes with every statement (the counter), so it is
         // written every checkpoint; it is a few hundred bytes.
-        let meta_file = put(format!("meta-e{epoch:012}.ckp"), codec::encode_meta(it))?;
+        let meta_file = put(
+            format!("meta-e{epoch:012}.ckp"),
+            codec::encode_meta(&codec::TableMeta::of(it)),
+        )?;
 
         let manifest = codec::Manifest {
             epoch,
@@ -761,12 +786,13 @@ impl DurableWriter {
     pub fn full_checkpoint_bytes(&self) -> u64 {
         let it = self.writer.staging();
         let table = it.table();
-        let mut total = codec::encode_dicts(table).len() + codec::encode_meta(it).len();
+        let mut total =
+            codec::encode_dicts(table).len() + codec::encode_meta(&codec::TableMeta::of(it)).len();
         for p in table.partitions() {
             total += codec::encode_base(p).len() + codec::encode_delta(p).len();
         }
         for idx in it.indexes() {
-            total += idx.checkpoint_bytes().len();
+            total += codec::encode_index(idx).len();
         }
         total as u64
     }
@@ -869,15 +895,19 @@ mod tests {
             .unwrap()
     }
 
-    fn recover_from(fs: &Arc<SimFs>) -> DurableWriter {
-        let (_h, dw, _r) = DurableWriter::recover(
+    fn try_recover(
+        fs: &Arc<SimFs>,
+    ) -> io::Result<(ConcurrentTable, DurableWriter, RecoveryReport)> {
+        DurableWriter::recover(
             fs.clone(),
             PathBuf::from("/db"),
             DurableOptions::default(),
             MaintenancePolicy::default(),
         )
-        .unwrap();
-        dw
+    }
+
+    fn recover_from(fs: &Arc<SimFs>) -> DurableWriter {
+        try_recover(fs).unwrap().1
     }
 
     /// What a partition's delta store holds, in a comparable form.
@@ -926,13 +956,7 @@ mod tests {
         drop(dw);
         fs.crash(7);
 
-        let (_h2, dw2, report) = DurableWriter::recover(
-            fs.clone(),
-            PathBuf::from("/db"),
-            DurableOptions::default(),
-            MaintenancePolicy::default(),
-        )
-        .unwrap();
+        let (_h2, dw2, report) = try_recover(&fs).unwrap();
         assert_eq!(report.epoch, epoch);
         assert_eq!(state_image(dw2.staging()), want);
         dw2.staging().check_consistency();
@@ -976,6 +1000,96 @@ mod tests {
         );
     }
 
+    /// Recovers after rewriting the table meta file of a fresh two
+    /// partition directory to route by `routing`: CRC-valid, so only the
+    /// check against the schema and the partitions can refuse it.
+    fn recover_with_routing(routing: Partitioning) -> io::Error {
+        let (fs, _handle, dw) = setup(2, DurableOptions::default());
+        drop(dw);
+        let path = PathBuf::from("/db").join(manifest_of(&fs).meta_file);
+        let mut meta = codec::decode_meta(&fs.read(&path).unwrap()).unwrap();
+        meta.partitioning = routing;
+        write_atomic(fs.as_ref(), &path, &codec::encode_meta(&meta)).unwrap();
+        let err = try_recover(&fs).err().expect("must not recover");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    /// Regression: recovered, then the first insert panicked with "index
+    /// out of bounds" in `Table::insert_rows`.
+    #[test]
+    fn routing_key_outside_the_schema_is_invalid_data() {
+        let err = recover_with_routing(Partitioning::KeyRange {
+            col: 7,
+            boundaries: vec![10],
+        });
+        assert!(err.to_string().contains("column 7 out of range"), "{err}");
+    }
+
+    /// Regression: recovered, then the first insert panicked with
+    /// "expected Int, got Str".
+    #[test]
+    fn routing_key_on_a_string_column_is_invalid_data() {
+        let err = recover_with_routing(Partitioning::KeyRange {
+            col: 2,
+            boundaries: vec![10],
+        });
+        assert!(err.to_string().contains("must be int-backed"), "{err}");
+    }
+
+    /// Regression: recovered, and a key at or above the last boundary
+    /// routed past the last partition.
+    #[test]
+    fn routing_with_more_boundaries_than_partitions_is_invalid_data() {
+        let err = recover_with_routing(Partitioning::KeyRange {
+            col: 0,
+            boundaries: vec![10, 20, 30],
+        });
+        assert!(
+            err.to_string().contains("3 boundaries for 2 partitions"),
+            "{err}"
+        );
+    }
+
+    /// Regression: an index image whose column word names a `Float`
+    /// column recovered, and recovery or the first insert panicked with
+    /// "NSC over Float" in maintenance — for every constraint.
+    #[test]
+    fn index_image_on_a_float_column_is_invalid_data() {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("f", DataType::Float),
+        ]);
+        for constraint in [
+            Constraint::NearlyUnique,
+            Constraint::NearlySorted(SortDir::Asc),
+            Constraint::NearlyConstant,
+        ] {
+            let t = Table::new("t", schema.clone(), 1, Partitioning::RoundRobin);
+            let (fs, _handle, mut dw) = setup_with(IndexedTable::new(t), DurableOptions::default());
+            dw.insert(&[vec![Value::Int(1), Value::Float(0.5)]])
+                .unwrap();
+            dw.add_index(0, constraint, Design::Bitmap).unwrap();
+            dw.publish().unwrap();
+            drop(dw);
+            let path = PathBuf::from("/db").join(&manifest_of(&fs).index_files[0]);
+            let mut image = fs.read(&path).unwrap();
+            // The column word follows magic and version; seal it again.
+            image[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let body = image.len() - 4;
+            let crc = pi_storage::crc::crc32(&image[..body]);
+            image[body..].copy_from_slice(&crc.to_le_bytes());
+            write_atomic(fs.as_ref(), &path, &image).unwrap();
+
+            let err = try_recover(&fs).err().expect("must not recover");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(
+                err.to_string().contains("cannot index Float column 1"),
+                "{constraint:?}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn unpublished_tail_is_discarded_on_recovery() {
         let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
@@ -989,13 +1103,7 @@ mod tests {
         drop(dw);
         fs.crash(3);
 
-        let (_h2, dw2, report) = DurableWriter::recover(
-            fs.clone(),
-            PathBuf::from("/db"),
-            DurableOptions::default(),
-            MaintenancePolicy::default(),
-        )
-        .unwrap();
+        let (_h2, dw2, report) = try_recover(&fs).unwrap();
         assert_eq!(report.discarded, 2);
         assert_eq!(state_image(dw2.staging()), at_publish);
     }
@@ -1260,13 +1368,7 @@ mod tests {
         drop(dw);
         for seed in 0..4 {
             fs.crash(seed);
-            let (_h, dw, _r) = DurableWriter::recover(
-                fs.clone(),
-                PathBuf::from("/db"),
-                DurableOptions::default(),
-                MaintenancePolicy::default(),
-            )
-            .unwrap();
+            let dw = recover_from(&fs);
             assert_eq!(state_image(dw.staging()), want, "seed {seed}");
             drop(dw);
         }
@@ -1348,13 +1450,7 @@ mod tests {
         let want = state_image(dw.staging());
         drop(dw);
         fs.crash(9);
-        let (_h, dw, _r) = DurableWriter::recover(
-            fs.clone(),
-            PathBuf::from("/db"),
-            DurableOptions::default(),
-            MaintenancePolicy::default(),
-        )
-        .unwrap();
+        let dw = recover_from(&fs);
         assert_eq!(state_image(dw.staging()), want);
         assert_eq!(dw.staging().feedback(0), Default::default());
     }
@@ -1434,14 +1530,9 @@ mod tests {
             );
             wal.append(&record).unwrap();
             wal.append(&Record::Publish).unwrap();
-            let err = DurableWriter::recover(
-                fs.clone(),
-                PathBuf::from("/db"),
-                DurableOptions::default(),
-                MaintenancePolicy::default(),
-            )
-            .err()
-            .unwrap_or_else(|| panic!("{record:?} must not recover"));
+            let err = try_recover(&fs)
+                .err()
+                .unwrap_or_else(|| panic!("{record:?} must not recover"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{record:?}: {err}");
             assert!(err.to_string().contains("WAL record 1"), "{err}");
         }
@@ -1471,13 +1562,7 @@ mod tests {
         // Recovery gauges.
         drop(dw);
         fs.crash(1);
-        let (_h, _dw, report) = DurableWriter::recover(
-            fs.clone(),
-            PathBuf::from("/db"),
-            DurableOptions::default(),
-            MaintenancePolicy::default(),
-        )
-        .unwrap();
+        let (_h, _dw, report) = try_recover(&fs).unwrap();
         report.record_to(&registry);
         assert_eq!(registry.gauge("recovery.epoch").get(), report.epoch as i64);
         assert_eq!(

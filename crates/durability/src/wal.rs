@@ -17,7 +17,7 @@
 //! which is what lets it distinguish "stale pre-crash segment tail" from
 //! "the log continues in the next segment".
 
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,7 +27,12 @@ use pi_storage::crc::crc32;
 use pi_storage::dfs::DurableFs;
 use pi_storage::Value;
 
-use patchindex::{Constraint, Design, SortDir};
+use patchindex::{Constraint, Design};
+
+use crate::codec::{
+    bad, constraint_from_tag, constraint_tag, design_from_tag, design_tag, put_u32, put_u64,
+    put_value, read_u32, read_u64, read_u8, read_value,
+};
 
 /// When WAL appends are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,101 +112,6 @@ const T_PUBLISH: u8 = 8;
 /// corrupt length field, not an allocation request.
 const MAX_PAYLOAD: u32 = 64 << 20;
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_value(b: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Int(i) => {
-            b.push(0);
-            b.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            b.push(1);
-            b.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            b.push(2);
-            put_u32(b, s.len() as u32);
-            b.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-pub(crate) fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    Ok(f64::from_bits(read_u64(r)?))
-}
-
-pub(crate) fn read_u8(r: &mut impl Read) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
-}
-
-pub(crate) fn read_value(r: &mut impl Read) -> io::Result<Value> {
-    match read_u8(r)? {
-        0 => {
-            let mut buf = [0u8; 8];
-            r.read_exact(&mut buf)?;
-            Ok(Value::Int(i64::from_le_bytes(buf)))
-        }
-        1 => Ok(Value::Float(read_f64(r)?)),
-        2 => {
-            // The length is a claim: grow with the bytes actually read
-            // instead of allocating for it up front.
-            let len = read_u32(r)?;
-            let mut buf = Vec::new();
-            if r.by_ref().take(len as u64).read_to_end(&mut buf)? != len as usize {
-                return Err(bad("string value longer than its payload"));
-            }
-            String::from_utf8(buf)
-                .map(Value::Str)
-                .map_err(|_| bad("non-utf8 string value"))
-        }
-        t => Err(bad(&format!("unknown value tag {t}"))),
-    }
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn constraint_tag(c: Constraint) -> u8 {
-    match c {
-        Constraint::NearlyUnique => 0,
-        Constraint::NearlySorted(SortDir::Asc) => 1,
-        Constraint::NearlySorted(SortDir::Desc) => 2,
-        Constraint::NearlyConstant => 3,
-    }
-}
-
-fn constraint_from_tag(tag: u8) -> io::Result<Constraint> {
-    match tag {
-        0 => Ok(Constraint::NearlyUnique),
-        1 => Ok(Constraint::NearlySorted(SortDir::Asc)),
-        2 => Ok(Constraint::NearlySorted(SortDir::Desc)),
-        3 => Ok(Constraint::NearlyConstant),
-        t => Err(bad(&format!("unknown constraint tag {t}"))),
-    }
-}
-
 impl Record {
     fn encode_body(&self, b: &mut Vec<u8>) {
         match self {
@@ -243,8 +153,8 @@ impl Record {
                 design,
             } => {
                 put_u32(b, *col as u32);
-                b.push(constraint_tag(*constraint));
-                b.push(matches!(design, Design::Identifier) as u8);
+                b.push(constraint_tag(*constraint) as u8);
+                b.push(design_tag(*design) as u8);
             }
             Record::DropIndex { slot } | Record::Recompute { slot } => {
                 put_u32(b, *slot as u32);
@@ -265,7 +175,7 @@ impl Record {
         }
     }
 
-    fn decode(tag: u8, r: &mut impl Read) -> io::Result<Record> {
+    fn decode(tag: u8, r: &mut &[u8]) -> io::Result<Record> {
         Ok(match tag {
             T_INSERT => {
                 let nrows = read_u32(r)? as usize;
@@ -310,12 +220,8 @@ impl Record {
             }
             T_ADD_INDEX => Record::AddIndex {
                 col: read_u32(r)? as usize,
-                constraint: constraint_from_tag(read_u8(r)?)?,
-                design: if read_u8(r)? == 1 {
-                    Design::Identifier
-                } else {
-                    Design::Bitmap
-                },
+                constraint: constraint_from_tag(read_u8(r)?.into())?,
+                design: design_from_tag(read_u8(r)?.into())?,
             },
             T_DROP_INDEX => Record::DropIndex {
                 slot: read_u32(r)? as usize,
@@ -324,7 +230,7 @@ impl Record {
                 slot: read_u32(r)? as usize,
             },
             T_PUBLISH => Record::Publish,
-            t => return Err(bad(&format!("unknown record type {t}"))),
+            t => return Err(bad(format!("unknown record type {t}"))),
         })
     }
 }
@@ -431,7 +337,7 @@ impl WalWriter {
     pub fn append(&mut self, record: &Record) -> io::Result<u64> {
         let seq = self.next_seq;
         let mut payload = Vec::new();
-        payload.extend_from_slice(&seq.to_le_bytes());
+        put_u64(&mut payload, seq);
         payload.push(record.tag());
         record.encode_body(&mut payload);
         let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -586,6 +492,7 @@ pub(crate) fn read_log(fs: &dyn DurableFs, dir: &Path) -> io::Result<Vec<(u64, R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patchindex::SortDir;
     use pi_storage::dfs::SimFs;
 
     fn sample_records() -> Vec<Record> {

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use pi_bitmap::{PlainBitmap, ShardedBitmap};
+use pi_bitmap::ShardedBitmap;
 
 use crate::batch::{positions, Batch};
 use crate::expr::Expr;
@@ -34,19 +34,9 @@ pub trait PatchLookup {
     fn is_patch(&self, rid: u64) -> bool;
 
     /// Fills `out` with the patch mask for the contiguous rowID range
-    /// starting at `from` (LSB-first packed; bits beyond the valid range
-    /// zero). The default loops over [`PatchLookup::is_patch`].
-    fn fill_patch_words(&self, from: u64, out: &mut [u64], nbits: usize) {
-        out.iter_mut().for_each(|w| *w = 0);
-        for i in 0..nbits {
-            if self.is_patch(from + i as u64) {
-                out[i / 64] |= 1 << (i % 64);
-            }
-        }
-    }
-
-    /// Number of patches (used by cost-based plan choices).
-    fn patch_count(&self) -> u64;
+    /// `[from, from + nbits)` (LSB-first packed; bits beyond the valid
+    /// range zero).
+    fn fill_patch_words(&self, from: u64, out: &mut [u64], nbits: usize);
 }
 
 impl PatchLookup for ShardedBitmap {
@@ -56,24 +46,6 @@ impl PatchLookup for ShardedBitmap {
 
     fn fill_patch_words(&self, from: u64, out: &mut [u64], _nbits: usize) {
         self.fill_words(from, out);
-    }
-
-    fn patch_count(&self) -> u64 {
-        self.count_ones()
-    }
-}
-
-impl PatchLookup for PlainBitmap {
-    fn is_patch(&self, rid: u64) -> bool {
-        self.get(rid)
-    }
-
-    fn fill_patch_words(&self, from: u64, out: &mut [u64], _nbits: usize) {
-        self.fill_words(from, out);
-    }
-
-    fn patch_count(&self) -> u64 {
-        self.count_ones()
     }
 }
 
@@ -98,10 +70,6 @@ impl PatchLookup for Vec<u64> {
             let i = (rid - from) as usize;
             out[i / 64] |= 1 << (i % 64);
         }
-    }
-
-    fn patch_count(&self) -> u64 {
-        self.len() as u64
     }
 }
 
@@ -286,7 +254,6 @@ mod tests {
         let ids: Vec<u64> = vec![2, 5];
         let out = select(&partition(10), vec![0..10], &ids, PatchMode::ExcludePatches);
         assert_eq!(out.column(1).as_int(), &[0, 1, 3, 4, 6, 7, 8, 9]);
-        assert_eq!(ids.patch_count(), 2);
     }
 
     #[test]
@@ -366,14 +333,6 @@ mod tests {
 
     #[test]
     #[allow(clippy::single_range_in_vec_init)]
-    fn plain_bitmap_default_fill_path() {
-        let bm = PlainBitmap::from_positions(100, &[1, 3]);
-        let out = select(&partition(6), vec![0..6], &bm, PatchMode::UsePatches);
-        assert_eq!(out.column(1).as_int(), &[1, 3]);
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)]
     fn identifier_wordwise_fill_matches_bitmap() {
         // Scans over an unaligned rowID window: the sorted-run gallop must
         // agree bit-for-bit with the sharded bitmap path.
@@ -395,14 +354,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)]
-    fn plain_bitmap_wordwise_unaligned_window() {
-        let bm = PlainBitmap::from_positions(300, &[65, 130, 131, 200]);
-        let out = select(&partition(300), vec![60..210], &bm, PatchMode::UsePatches);
-        assert_eq!(out.column(1).as_int(), &[65, 130, 131, 200]);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use patchindex::{
     ResultCache, SortDir, TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_exec::{collect, Batch};
+use pi_exec::{collect, count_rows, Batch};
 use pi_obs::{CacheOutcome, MetricsRegistry, PlannerTrace, QueryTrace};
 use pi_storage::Table;
 
@@ -55,7 +55,7 @@ use crate::cost::estimate;
 use crate::fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 use crate::logical::Plan;
 use crate::optimizer::{optimize_with_stats, OptimizeStats};
-use crate::physical::{count_rows, lower_global, ExecObserver};
+use crate::physical::{lower_global, ExecObserver};
 
 /// Every PatchScan slot the plan binds, sorted and deduplicated.
 fn bound_slots(plan: &Plan) -> Vec<usize> {
@@ -327,7 +327,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
             let mut root = lower_global(&chosen, view.table, view.indexes, Some(&obs));
             let value = match mode {
                 QueryMode::Rows => CachedValue::Rows(collect(root.as_mut())),
-                QueryMode::Count => CachedValue::Count(count_rows(root) as u64),
+                QueryMode::Count => CachedValue::Count(count_rows(root.as_mut()) as u64),
             };
             if let Some((cache, token, hash, canon)) = key {
                 // Pointer identity of these Arcs is exactly "this cached

@@ -40,7 +40,7 @@ use pi_exec::ops::meter::{MeterOp, OpMeter};
 use pi_exec::ops::patch_select::PatchMode;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::SortOp;
-use pi_exec::{collect, Batch, OpRef};
+use pi_exec::{collect, count_rows, Batch, OpRef};
 use pi_obs::OperatorTrace;
 use pi_storage::Table;
 
@@ -450,15 +450,6 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
     }
 }
 
-/// Drains `root`, returning only the row count.
-pub(crate) fn count_rows(mut root: OpRef<'_>) -> usize {
-    let mut n = 0;
-    while let Some(b) = root.next() {
-        n += b.len();
-    }
-    n
-}
-
 /// Executes a plan to completion and returns the concatenated result.
 pub fn execute<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> Batch {
     collect(lower_global(plan, table, indexes, None).as_mut())
@@ -467,7 +458,7 @@ pub fn execute<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I])
 /// Executes a plan, returning only the row count (benchmark helper that
 /// avoids result materialization skew).
 pub fn execute_count<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> usize {
-    count_rows(lower_global(plan, table, indexes, None))
+    count_rows(lower_global(plan, table, indexes, None).as_mut())
 }
 
 #[cfg(test)]
@@ -933,7 +924,7 @@ mod tests {
             );
             let ctrace = ExecObserver::new(t.partition_count(), false);
             assert_eq!(
-                count_rows(lower_global(&opt, &t, &idx, Some(&ctrace))),
+                count_rows(lower_global(&opt, &t, &idx, Some(&ctrace)).as_mut()),
                 plain.len(),
                 "{plan}"
             );

@@ -9,7 +9,7 @@ use crate::schema::Schema;
 use crate::value::{DataType, Value};
 
 /// How inserted rows are routed to partitions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Partitioning {
     /// Rows cycle through partitions (default for generated datasets that
     /// were split into equal slices up front).
@@ -24,6 +24,41 @@ pub enum Partitioning {
         /// Ascending upper bounds, one per partition except the last.
         boundaries: Vec<i64>,
     },
+}
+
+impl Partitioning {
+    /// Whether this routing can serve `npartitions` partitions of
+    /// `schema`: a key-range key names an int-backed column, with
+    /// `npartitions − 1` ascending boundaries, so every key routes to an
+    /// existing partition. [`Table::new`] and [`Table::restore`] assert
+    /// it; a recovery reading the routing from a file checks it first.
+    pub fn validate(&self, schema: &Schema, npartitions: usize) -> Result<(), String> {
+        let Partitioning::KeyRange { col, boundaries } = self else {
+            return Ok(());
+        };
+        let field = schema.fields().get(*col).ok_or_else(|| {
+            format!(
+                "routing key column {col} out of range ({} columns)",
+                schema.len()
+            )
+        })?;
+        if !field.dtype.is_int_backed() {
+            return Err(format!(
+                "routing key must be int-backed, column {col} is {:?}",
+                field.dtype
+            ));
+        }
+        if boundaries.len() + 1 != npartitions {
+            return Err(format!(
+                "boundary count mismatch: {} boundaries for {npartitions} partitions",
+                boundaries.len()
+            ));
+        }
+        if !boundaries.windows(2).all(|w| w[0] <= w[1]) {
+            return Err("boundaries not sorted".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// A row location within a table.
@@ -63,16 +98,8 @@ impl Table {
         partitioning: Partitioning,
     ) -> Self {
         assert!(npartitions > 0, "need at least one partition");
-        if let Partitioning::KeyRange { boundaries, col } = &partitioning {
-            assert_eq!(boundaries.len(), npartitions - 1, "boundary count mismatch");
-            assert!(
-                boundaries.windows(2).all(|w| w[0] <= w[1]),
-                "boundaries not sorted"
-            );
-            assert!(
-                schema.field(*col).dtype.is_int_backed(),
-                "routing key must be int-backed"
-            );
+        if let Err(e) = partitioning.validate(&schema, npartitions) {
+            panic!("{e}");
         }
         let schema = Arc::new(schema);
         // One shared dictionary per string column, spanning all partitions.
@@ -243,7 +270,8 @@ impl Table {
     /// reassembled with [`Partition::restore`], base and pending deltas
     /// as they were checkpointed), the shared dictionaries, and the
     /// routing state. Partition `i` must have id `i` and share `schema`;
-    /// its string columns must reference the matching entry of `dicts`.
+    /// its string columns must reference the matching entry of `dicts`,
+    /// and `partitioning` must pass [`Partitioning::validate`].
     pub fn restore(
         name: impl Into<String>,
         schema: Arc<Schema>,
@@ -254,6 +282,9 @@ impl Table {
     ) -> Self {
         assert!(!partitions.is_empty(), "need at least one partition");
         assert_eq!(dicts.len(), schema.len(), "one dict slot per column");
+        if let Err(e) = partitioning.validate(&schema, partitions.len()) {
+            panic!("{e}");
+        }
         let partitions: Vec<Arc<Partition>> = partitions
             .into_iter()
             .enumerate()
@@ -392,5 +423,25 @@ mod tests {
                 boundaries: vec![1],
             },
         );
+    }
+
+    #[test]
+    fn validate_refuses_routing_the_schema_cannot_serve() {
+        let key_range = |col, boundaries: &[i64]| Partitioning::KeyRange {
+            col,
+            boundaries: boundaries.to_vec(),
+        };
+        assert_eq!(key_range(0, &[10, 20]).validate(&schema(), 3), Ok(()));
+        assert_eq!(Partitioning::RoundRobin.validate(&schema(), 3), Ok(()));
+        let cases = [
+            (key_range(7, &[10, 20]), "column 7 out of range"),
+            (key_range(1, &[10, 20]), "int-backed, column 1 is Str"),
+            (key_range(0, &[10, 20, 30]), "3 boundaries for 3 partitions"),
+            (key_range(0, &[20, 10]), "not sorted"),
+        ];
+        for (routing, want) in cases {
+            let err = routing.validate(&schema(), 3).unwrap_err();
+            assert!(err.contains(want), "{routing:?}: {err}");
+        }
     }
 }

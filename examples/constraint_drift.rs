@@ -6,12 +6,16 @@
 //! transition from a perfect constraint to an approximate constraint").
 //!
 //! Shows: a perfect unique column accepting violating inserts, the
-//! index image round trip that recovery restores, and the sharded bitmap
-//! condensing after heavy deletes.
+//! sharded bitmap condensing after heavy deletes, and a crash recovery
+//! that restores the index from the image its checkpoint wrote.
 //!
 //! Run with `cargo run --release --example constraint_drift`.
 
-use patchindex::{Constraint, Design, IndexedTable, PatchIndex};
+use std::sync::Arc;
+
+use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex};
+use pi_durability::{DurableOptions, DurableWriter};
+use pi_storage::dfs::SimFs;
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 
 fn main() {
@@ -41,22 +45,6 @@ fn main() {
     );
     reg.check_consistency();
 
-    // Checkpoint the index, "crash", and recover both ways: from its
-    // image (what `pi-durability` writes to disk) and from the table.
-    let image = reg.index(slot).checkpoint_bytes();
-    let restored = PatchIndex::load_checkpoint_for(&image, reg.table()).expect("load");
-    assert_eq!(
-        restored.exception_count(),
-        reg.index(slot).exception_count()
-    );
-    println!(
-        "checkpoint/restore roundtrip ok ({} byte image)",
-        image.len()
-    );
-    let recomputed = PatchIndex::create(reg.table(), 0, Constraint::NearlyUnique, Design::Bitmap);
-    assert_eq!(recomputed.exception_count(), restored.exception_count());
-    println!("log-free recovery (recreate from table) agrees with the checkpoint");
-
     // Cleanup job deletes the duplicates; the sharded bitmaps shift rowIDs
     // and lose slots, then condense to restore utilization.
     let patches: Vec<usize> = reg
@@ -77,4 +65,37 @@ fn main() {
     println!("maintenance policy: {recomputed} recompute(s), {condensed} condense(s)");
     reg.check_consistency();
     println!("registry consistent");
+
+    // Make the registry durable (an in-memory filesystem stands in for a
+    // disk). A second bad batch goes through the WAL, and its publish
+    // checkpoints the index as an image. Then "crash" and recover the
+    // index both ways: from that image and from the table.
+    let fs = Arc::new(SimFs::new());
+    let (_handle, mut dw) =
+        DurableWriter::create(reg, fs.clone(), "/registry", DurableOptions::default())
+            .expect("create");
+    let dupes: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int(1 + i * 3)]).collect();
+    dw.insert(&dupes).expect("insert");
+    dw.publish().expect("publish");
+    let exceptions = dw.staging().index(slot).exception_count();
+    drop(dw);
+    let (_handle, dw, report) = DurableWriter::recover(
+        fs,
+        "/registry",
+        DurableOptions::default(),
+        MaintenancePolicy::default(),
+    )
+    .expect("recover");
+    let restored = dw.staging().index(slot);
+    assert_eq!(report.replayed, 0, "the index came from its image");
+    assert_eq!(restored.exception_count(), exceptions);
+    println!("recovered {exceptions} exceptions from the index image, nothing replayed");
+    let recomputed = PatchIndex::create(
+        dw.staging().table(),
+        0,
+        Constraint::NearlyUnique,
+        Design::Bitmap,
+    );
+    assert_eq!(recomputed.exception_count(), exceptions);
+    println!("log-free recovery (recreate from table) agrees with the image");
 }

@@ -1,5 +1,6 @@
 //! End-to-end integration: generator → index → optimizer → execution →
-//! updates → recovery, across all crates.
+//! updates, across all crates (recovery: `prop_checkpoint.rs` and
+//! `durability.rs`).
 
 use patchindex::IndexCatalog;
 use patchindex::{Constraint, Design, IndexedTable, PatchIndex, SortDir};
@@ -111,18 +112,6 @@ fn nsc_update_workload_with_policy() {
     let reference = execute(&plan, it.table(), NO_INDEXES);
     let got = it.query(&plan);
     assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
-}
-
-#[test]
-fn checkpoint_survives_update_cycle() {
-    let ds = micro(4_000, 0.1, MicroKind::Nuc);
-    let mut it = IndexedTable::new(ds.table);
-    let slot = it.add_index(1, Constraint::NearlyUnique, Design::Identifier);
-    it.insert(&update_rows(4_000, MicroKind::Nuc, 100, 9));
-    let image = it.index(slot).checkpoint_bytes();
-    let restored = PatchIndex::load_checkpoint_for(&image, it.table()).unwrap();
-    restored.check_consistency(it.table());
-    assert_eq!(restored.exception_count(), it.index(slot).exception_count());
 }
 
 #[test]

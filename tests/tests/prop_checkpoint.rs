@@ -1,11 +1,17 @@
-//! Property test: the index image (`checkpoint_bytes` /
-//! `load_checkpoint_for`) round-trips across **all** constraint × design
-//! combinations under arbitrary update streams — including that
-//! `MaintenanceStats` and the drift baseline survive recovery.
+//! Property test: the index image round-trips through the durability
+//! path across **all** constraint × design combinations under arbitrary
+//! update streams — create, statements, publish (which checkpoints),
+//! recover — including that `MaintenanceStats` and the drift baseline
+//! survive recovery.
 
-use patchindex::{Constraint, Design, IndexedTable, PatchIndex, SortDir};
+use std::io;
+use std::sync::Arc;
+
+use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir};
 use pi_datagen::MicroKind;
+use pi_durability::{DurableOptions, DurableWriter};
 use pi_integration::micro;
+use pi_storage::dfs::{DurableFs, SimFs};
 use pi_storage::Value;
 use proptest::prelude::*;
 
@@ -54,7 +60,9 @@ fn design_strategy() -> impl Strategy<Value = Design> {
     prop_oneof![Just(Design::Bitmap), Just(Design::Identifier)]
 }
 
-fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut i64) {
+fn apply(dw: &mut DurableWriter, op: &Op, next_key: &mut i64) -> io::Result<()> {
+    let visible =
+        |dw: &DurableWriter, pid: usize| dw.staging().table().partition(pid).visible_len();
     match op {
         Op::Insert(values) => {
             let rows: Vec<Vec<Value>> = values
@@ -64,16 +72,16 @@ fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut i64) {
                     vec![Value::Int(*next_key), Value::Int(v)]
                 })
                 .collect();
-            it.insert(&rows);
+            dw.insert(&rows).map(drop)
         }
         Op::Modify {
             pid,
             rid_seeds,
             values,
         } => {
-            let len = it.table().partition(*pid).visible_len();
+            let len = visible(dw, *pid);
             if len == 0 {
-                return;
+                return Ok(());
             }
             let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
             rids.sort_unstable();
@@ -83,15 +91,15 @@ fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut i64) {
                 .zip(values.iter().cycle())
                 .map(|(_, &v)| Value::Int(v))
                 .collect();
-            it.modify(*pid, &rids, 1, &vals);
+            dw.modify(*pid, &rids, 1, &vals)
         }
         Op::Delete { pid, rid_seeds } => {
-            let len = it.table().partition(*pid).visible_len();
+            let len = visible(dw, *pid);
             if len == 0 {
-                return;
+                return Ok(());
             }
             let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            it.delete(*pid, &rids);
+            dw.delete(*pid, &rids)
         }
     }
 }
@@ -105,19 +113,30 @@ proptest! {
         design in design_strategy(),
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
+        let opts = DurableOptions {
+            checkpoint_every: 1,
+            ..DurableOptions::default()
+        };
+        let fs = Arc::new(SimFs::new());
+        let dyn_fs: Arc<dyn DurableFs> = fs.clone();
         let ds = micro(900, 0.15, MicroKind::Nuc);
-        let mut it = IndexedTable::new(ds.table);
-        let slot = it.add_index(1, constraint, design);
+        let (_handle, mut dw) =
+            DurableWriter::create(IndexedTable::new(ds.table), dyn_fs, "/db", opts).unwrap();
+        let slot = dw.add_index(1, constraint, design).unwrap();
         let mut next_key = 10_000i64;
         for op in &ops {
-            apply(&mut it, op, &mut next_key);
+            apply(&mut dw, op, &mut next_key).unwrap();
         }
+        dw.publish().unwrap();
+        let original = Arc::clone(&dw.staging().indexes()[slot]);
+        drop(dw);
 
-        let image = it.index(slot).checkpoint_bytes();
-        let loaded = PatchIndex::load_checkpoint_for(&image, it.table()).unwrap();
-
-        // The checkpoint recovers byte-identically.
-        let original = it.index(slot);
+        let (_handle, dw, report) =
+            DurableWriter::recover(fs, "/db", opts, MaintenancePolicy::default()).unwrap();
+        // The publish checkpointed everything: the index came from its
+        // image, not from replaying its statements.
+        prop_assert_eq!(report.replayed, 0);
+        let loaded = dw.staging().index(slot);
         prop_assert_eq!(loaded.column(), original.column());
         prop_assert_eq!(loaded.constraint(), original.constraint());
         prop_assert_eq!(loaded.design(), original.design());
@@ -138,6 +157,6 @@ proptest! {
         // feedback is process state, not part of the image).
         prop_assert_eq!(loaded.maintenance_stats(), original.maintenance_stats());
         prop_assert_eq!(loaded.baseline(), original.baseline());
-        loaded.check_consistency(it.table());
+        loaded.check_consistency(dw.staging().table());
     }
 }
