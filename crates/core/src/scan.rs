@@ -1,14 +1,18 @@
 //! PatchIndex scan construction (paper, Section 3.3).
 //!
-//! A PatchIndex scan is one partition scan with rowIDs whose
-//! [`PatchSelectOp`] merges the patch information on the fly and splits
-//! the dataflow into an `exclude_patches` flow (where the constraint holds
-//! and cheaper operators can be used) and a `use_patches` flow over the
-//! exceptions; plans recombine them with Union or Merge.
+//! A PatchIndex scan is one partition scan whose [`PatchSelectOp`] merges
+//! the patch information on the fly and splits the dataflow into an
+//! `exclude_patches` flow (where the constraint holds and cheaper
+//! operators can be used) and a `use_patches` flow over the exceptions;
+//! plans recombine them with Union or Merge. The scan emits no rowID
+//! column — the patch mask's window comes from the scan position — so a
+//! flow has exactly the layout of a plain scan of the same columns.
 //! [`patch_scan_split`] hands out both flows of one scan — the partition
-//! is read once, a pushed-down predicate is evaluated once, each flow's
-//! rows are gathered once — and [`patch_scan`] a single flow, for plans
-//! that lower the two flows as independent subtrees.
+//! is read once and a pushed-down predicate is evaluated once; the pulled
+//! flow's batches come out as selections over the scanned columns, and
+//! the other flow's rows are gathered before they queue — and
+//! [`patch_scan`] a single flow, for plans that lower the two flows as
+//! independent subtrees.
 
 use pi_exec::ops::patch_select::{PatchMode, PatchSelectOp};
 use pi_exec::ops::scan::ScanOp;
@@ -17,8 +21,8 @@ use pi_storage::Partition;
 
 use crate::index::PatchIndex;
 
-/// Builds a PatchIndex scan over one partition: scans `cols` plus the
-/// rowID column (at index `cols.len()`), filtered by patch membership.
+/// Builds a PatchIndex scan over one partition: scans `cols`, filtered by
+/// patch membership.
 pub fn patch_scan<'a>(
     partition: &'a Partition,
     index: &'a PatchIndex,
@@ -26,7 +30,7 @@ pub fn patch_scan<'a>(
     mode: PatchMode,
 ) -> OpRef<'a> {
     Box::new(PatchSelectOp::new(
-        ScanOp::new(partition, cols, true),
+        ScanOp::new(partition, cols, false),
         index.lookup(partition.id),
         mode,
     ))
@@ -45,7 +49,7 @@ pub fn patch_scan_split<'a>(
     pred: Option<Expr>,
 ) -> (OpRef<'a>, OpRef<'a>) {
     let (exclude, use_patches) = PatchSelectOp::split(
-        ScanOp::new(partition, cols, true),
+        ScanOp::new(partition, cols, false),
         index.lookup(partition.id),
         pred,
     );
@@ -86,8 +90,8 @@ mod tests {
         let patches = collect(us.as_mut());
         assert_eq!(kept.column(0).as_int(), &[1, 2, 3, 4]);
         assert_eq!(patches.column(0).as_int(), &[99]);
-        // RowID column travels at index 1.
-        assert_eq!(patches.column(1).as_int(), &[2]);
+        // No rowID column: a flow has the plain scan's layout.
+        assert_eq!(patches.width(), 1);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Scalar and boolean expressions over batches.
 //!
-//! Expressions are evaluated column-at-a-time. String literals are encoded
+//! Expressions are evaluated column-at-a-time over a batch's whole
+//! columns: on a selected batch (see [`Batch`]) the result has one entry
+//! per column position, selected or not, and is read at [`Batch::row`]
+//! positions, so evaluation never gathers. String literals are resolved
 //! to dictionary codes at plan-build time (see `pi_storage::Dictionary`),
 //! so predicate evaluation never touches string payloads.
 
@@ -103,12 +106,10 @@ impl Expr {
         Expr::Col(i)
     }
 
-    /// Encodes a string literal against a dictionary, producing `LitCode`.
-    /// Unknown strings encode to a fresh code that matches no stored row —
-    /// the dictionary is append-only, so this is sound.
+    /// A string literal as `LitCode`, resolved against a dictionary (see
+    /// [`str_code`]).
     pub fn lit_str(dict: &DictRef, s: &str) -> Expr {
-        let code = dict.write().encode(s);
-        Expr::LitCode(code)
+        Expr::LitCode(str_code(dict, s))
     }
 
     /// `self == other`.
@@ -164,7 +165,8 @@ impl Expr {
         Expr::Arith(ArithOp::Sub, Box::new(self), Box::new(other))
     }
 
-    /// Evaluates to a boolean mask over the batch.
+    /// Evaluates to a boolean mask over the batch's columns (one entry per
+    /// column position, selected or not).
     pub fn eval_bool(&self, batch: &Batch) -> Vec<bool> {
         match self {
             Expr::Cmp(op, lhs, rhs) => match (lhs.literal(), rhs.literal()) {
@@ -204,13 +206,15 @@ impl Expr {
         }
     }
 
-    /// Evaluates to a column over the batch.
+    /// Evaluates to a column over the batch's columns (one entry per
+    /// column position, selected or not).
     pub fn eval(&self, batch: &Batch) -> ColumnData {
+        let n = batch.physical_len();
         match self {
-            Expr::Col(i) => batch.column(*i).clone(),
-            Expr::LitInt(v) => ColumnData::Int(vec![*v; batch.len()]),
-            Expr::LitFloat(v) => ColumnData::Float(vec![*v; batch.len()]),
-            Expr::LitCode(c) => ColumnData::Int(vec![*c as i64; batch.len()]),
+            Expr::Col(i) => batch.raw_column(*i).clone(),
+            Expr::LitInt(v) => ColumnData::Int(vec![*v; n]),
+            Expr::LitFloat(v) => ColumnData::Float(vec![*v; n]),
+            Expr::LitCode(c) => ColumnData::Int(vec![*c as i64; n]),
             Expr::Arith(op, lhs, rhs) => {
                 arith_columns(*op, &lhs.eval_ref(batch), &rhs.eval_ref(batch))
             }
@@ -236,7 +240,7 @@ impl Expr {
     /// is a plain column reference.
     fn eval_ref<'a>(&self, batch: &'a Batch) -> Cow<'a, ColumnData> {
         match self {
-            Expr::Col(i) => Cow::Borrowed(batch.column(*i)),
+            Expr::Col(i) => Cow::Borrowed(batch.raw_column(*i)),
             other => Cow::Owned(other.eval(batch)),
         }
     }
@@ -287,6 +291,13 @@ impl Expr {
             _ => None,
         }
     }
+}
+
+/// The dictionary code of `s`, looked up under a read lock, so a read
+/// never grows a table's dictionary. A string the dictionary has not seen
+/// resolves to a code no row carries.
+pub fn str_code(dict: &DictRef, s: &str) -> u32 {
+    dict.read().lookup(s).unwrap_or(u32::MAX)
 }
 
 #[derive(Clone, Copy)]
@@ -464,9 +475,11 @@ mod tests {
         let dict = b.column(2).dict().clone();
         let pred = Expr::col(2).eq(Expr::lit_str(&dict, "a"));
         assert_eq!(pred.eval_bool(&b), vec![true, false, true, false, false]);
-        // Unknown literal matches nothing.
+        // Unknown literal matches nothing, and resolving it is a read.
+        let len = dict.read().len();
         let none = Expr::col(2).eq(Expr::lit_str(&dict, "zzz"));
         assert_eq!(none.eval_bool(&b), vec![false; 5]);
+        assert_eq!(dict.read().len(), len);
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! and update handling (Section 5) require:
 //!
 //! * partition [`ops::scan::ScanOp`]s with zone-map-restricted ranges and
-//!   rowID output, plus delta-only scans of pending inserts;
+//!   optional rowID output for the maintenance queries;
 //! * the PatchIndex selection [`ops::patch_select::PatchSelectOp`]: one
 //!   scan split on the fly into an `exclude_patches` and a `use_patches`
 //!   flow;
+//! * late materialization: patch selections and filters hand on a
+//!   selection vector instead of copying rows, joins and aggregation read
+//!   through it, and rows are gathered only at pipeline breakers (see
+//!   [`Batch`]);
 //! * [`ops::hash_join::HashJoinOp`] with *dynamic range propagation*
 //!   (deferred probe construction from the build-key envelope);
 //! * [`ops::merge_join::MergeJoinOp`] for the nearly-sorted fast path;

@@ -3,6 +3,20 @@
 //! Physical plans are trees of boxed [`Operator`]s borrowing the table
 //! snapshot they scan (`'a`). A query executes by repeatedly pulling
 //! batches from the root. Helpers materialize an operator's full output.
+//!
+//! Batches may carry a selection (see [`Batch`]). Who handles it how:
+//!
+//! * **produce one:** `PatchSelectOp` (both modes; a batch that waits in
+//!   the split's queue for the other flow is gathered first) and
+//!   `FilterOp`, which ANDs into an existing selection;
+//! * **read through it:** `MergeJoinOp` (right side), `JoinTable::probe`
+//!   and so `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
+//!   `LimitOp` (truncates it), `UnionAllOp` and `MeterOp` (pass it on),
+//!   [`count_rows`], and expression evaluation, which reads whole columns;
+//! * **materialize at entry** — the pipeline breakers and the result
+//!   boundary: `SortOp`, `OrderedMergeOp`, `ProjectOp`, [`collect`] /
+//!   [`Batch::concat`], `JoinTable::build`/`from_batch` and so the
+//!   result cache, which stores collected results.
 
 use crate::batch::Batch;
 
@@ -28,7 +42,7 @@ pub fn drain(op: &mut dyn Operator) -> Vec<Batch> {
     out
 }
 
-/// Pulls all batches and concatenates them.
+/// Pulls all batches and concatenates them into one dense batch.
 pub fn collect(op: &mut dyn Operator) -> Batch {
     Batch::concat(&drain(op))
 }

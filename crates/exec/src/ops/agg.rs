@@ -4,6 +4,10 @@
 //! aggregation over the value column; grouped TPC-H queries (Q3/Q7/Q12)
 //! additionally compute filtered sums ("sum(case when … then 1 else 0)" is
 //! an [`AggSpec::filter`]).
+//!
+//! The group and update loops read their input through its selection
+//! (see [`Batch`]): a selected row is hashed and aggregated where it lies,
+//! and only the groups' keys and aggregates are materialized.
 
 use std::sync::Arc;
 
@@ -286,7 +290,7 @@ impl<'a> HashAggOp<'a> {
             let keys = keys.get_or_insert_with(|| {
                 self.group_by
                     .iter()
-                    .map(|&c| KeyStore::from_col(batch.column(c)))
+                    .map(|&c| KeyStore::from_col(batch.raw_column(c)))
                     .collect()
             });
             // Group ids per row.
@@ -296,14 +300,15 @@ impl<'a> HashAggOp<'a> {
             } else {
                 multi.len()
             } as u32;
-            for row in 0..batch.len() {
+            for i in 0..batch.len() {
+                let row = batch.row(i);
                 let gid = if single_key {
-                    let k = encode_key(batch.column(self.group_by[0]), row) as i64;
+                    let k = encode_key(batch.raw_column(self.group_by[0]), row) as i64;
                     *single.entry(k).or_insert_with(|| {
                         let id = ngroups;
                         ngroups += 1;
                         for (ks, &c) in keys.iter_mut().zip(&self.group_by) {
-                            ks.push(batch.column(c), row);
+                            ks.push(batch.raw_column(c), row);
                         }
                         id
                     })
@@ -311,13 +316,13 @@ impl<'a> HashAggOp<'a> {
                     let k: Vec<u64> = self
                         .group_by
                         .iter()
-                        .map(|&c| encode_key(batch.column(c), row))
+                        .map(|&c| encode_key(batch.raw_column(c), row))
                         .collect();
                     *multi.entry(k).or_insert_with(|| {
                         let id = ngroups;
                         ngroups += 1;
                         for (ks, &c) in keys.iter_mut().zip(&self.group_by) {
-                            ks.push(batch.column(c), row);
+                            ks.push(batch.raw_column(c), row);
                         }
                         id
                     })
@@ -332,11 +337,12 @@ impl<'a> HashAggOp<'a> {
                     AggState::new(spec.func, matches!(col, ColumnData::Float(_)))
                 });
                 state.grow_to(ngroups as usize);
-                for row in 0..batch.len() {
+                for (i, &gid) in gids.iter().enumerate() {
+                    let row = batch.row(i);
                     if mask.as_ref().is_some_and(|m| !m[row]) {
                         continue;
                     }
-                    state.update(gids[row] as usize, &col, row);
+                    state.update(gid as usize, &col, row);
                 }
             }
             // Grow all aggregate states even if a batch contributed no rows

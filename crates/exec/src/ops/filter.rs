@@ -1,10 +1,15 @@
 //! Row filtering and projection.
+//!
+//! A filter selects: it narrows its input's selection (see
+//! [`Batch`]) to the rows passing its predicate and copies no row. A
+//! projection materializes its input first, so the columns it computes
+//! are dense.
 
 use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::op::{OpRef, Operator};
 
-/// Keeps rows satisfying a boolean expression.
+/// Keeps rows satisfying a boolean expression, as a selection.
 pub struct FilterOp<'a> {
     input: OpRef<'a>,
     pred: Expr,
@@ -25,7 +30,7 @@ impl Operator for FilterOp<'_> {
                 continue;
             }
             let mask = self.pred.eval_bool(&batch);
-            let out = batch.filter(&mask);
+            let out = batch.refine(|p| mask[p]);
             if !out.is_empty() {
                 return Some(out);
             }
@@ -48,7 +53,7 @@ impl<'a> ProjectOp<'a> {
 
 impl Operator for ProjectOp<'_> {
     fn next(&mut self) -> Option<Batch> {
-        let batch = self.input.next()?;
+        let batch = self.input.next()?.materialize();
         Some(Batch::new(
             self.exprs.iter().map(|e| e.eval(&batch)).collect(),
         ))

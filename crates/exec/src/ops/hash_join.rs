@@ -48,8 +48,10 @@ pub struct JoinTable {
 
 impl JoinTable {
     /// Hashes `rows` on column `key`. This is the single point where build
-    /// hashing happens — callers wanting shared probes build here once.
+    /// hashing happens — callers wanting shared probes build here once. A
+    /// selected batch is materialized: the table keeps its rows.
     pub fn from_batch(rows: Batch, key: usize) -> Self {
+        let rows = rows.materialize();
         let mut map: IntMap<Vec<u32>> = int_map();
         let mut envelope: Option<(i64, i64)> = None;
         if !rows.is_empty() {
@@ -108,21 +110,37 @@ impl JoinTable {
         self.map.get(&key).map(Vec::as_slice)
     }
 
-    /// Joins one probe batch against the table: `[probe columns..., build
-    /// columns...]` for every matching pair, in probe order. The batch is
-    /// only read, so a caller can probe a result it keeps.
-    pub fn probe(&self, batch: &Batch, probe_key: usize) -> Batch {
-        let key_col = batch.column(probe_key);
+    /// (probe row, build row) position pairs of the probe rows `rows`.
+    fn pairs(
+        &self,
+        key_col: &ColumnData,
+        rows: impl Iterator<Item = usize>,
+    ) -> (Vec<usize>, Vec<usize>) {
         let mut probe_idx: Vec<usize> = Vec::new();
         let mut build_idx: Vec<usize> = Vec::new();
-        for i in 0..batch.len() {
-            if let Some(matches) = self.matches(join_key(key_col, i)) {
+        for r in rows {
+            if let Some(matches) = self.matches(join_key(key_col, r)) {
                 for &m in matches {
-                    probe_idx.push(i);
+                    probe_idx.push(r);
                     build_idx.push(m as usize);
                 }
             }
         }
+        (probe_idx, build_idx)
+    }
+
+    /// Joins one probe batch against the table: `[probe columns..., build
+    /// columns...]` for every matching pair, in probe order. The batch is
+    /// only read — through its selection, so only probe rows with a match
+    /// are gathered — and a caller can probe a result it keeps.
+    pub fn probe(&self, batch: &Batch, probe_key: usize) -> Batch {
+        let key_col = batch.raw_column(probe_key);
+        // One loop per case: the dense one, which every maintenance probe
+        // takes, keeps no per-row selection lookup.
+        let (probe_idx, build_idx) = match batch.sel() {
+            Some(sel) => self.pairs(key_col, sel.iter().copied()),
+            None => self.pairs(key_col, 0..batch.len()),
+        };
         let mut cols = batch.gather(&probe_idx).into_columns();
         cols.extend(self.rows.gather(&build_idx).into_columns());
         Batch::new(cols)

@@ -16,7 +16,8 @@ use crate::keycmp::{cmp_rows_cross, oriented_int, KeyColumn};
 use crate::op::{OpRef, Operator};
 use crate::ops::sort::SortKeySpec;
 
-/// Concatenates the outputs of several inputs (bag semantics).
+/// Concatenates the outputs of several inputs (bag semantics), passing
+/// each batch on as it is, selection included.
 pub struct UnionAllOp<'a> {
     inputs: Vec<OpRef<'a>>,
     cur: usize,
@@ -95,9 +96,12 @@ struct Cursor {
     pos: usize,
 }
 
-/// The input's next non-empty batch, or `None` once it is exhausted.
+/// The input's next non-empty batch, materialized (the merge copies
+/// runs of rows), or `None` once the input is exhausted.
 fn pull(input: &mut dyn Operator) -> Option<Batch> {
-    std::iter::from_fn(|| input.next()).find(|b| !b.is_empty())
+    std::iter::from_fn(|| input.next())
+        .find(|b| !b.is_empty())
+        .map(Batch::materialize)
 }
 
 /// The length of the prefix of `keys` on which `pred` holds (`pred` must
@@ -344,7 +348,8 @@ impl Operator for OrderedMergeOp<'_> {
     }
 }
 
-/// Emits at most `n` rows.
+/// Emits at most `n` rows; the batch it cuts is cut by its selection,
+/// not copied.
 pub struct LimitOp<'a> {
     input: OpRef<'a>,
     remaining: usize,
@@ -365,15 +370,9 @@ impl Operator for LimitOp<'_> {
         if self.remaining == 0 {
             return None;
         }
-        let batch = self.input.next()?;
-        if batch.len() <= self.remaining {
-            self.remaining -= batch.len();
-            Some(batch)
-        } else {
-            let keep: Vec<usize> = (0..self.remaining).collect();
-            self.remaining = 0;
-            Some(batch.gather(&keep))
-        }
+        let batch = self.input.next()?.head(self.remaining);
+        self.remaining -= batch.len();
+        Some(batch)
     }
 }
 

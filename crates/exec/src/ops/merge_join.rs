@@ -16,7 +16,8 @@ use crate::op::{OpRef, Operator};
 /// the caller materialized: it is swept in place, neither drained nor
 /// copied, so any number of joins can share it. The right side streams
 /// through — one output batch per right batch, a cursor into the left
-/// keys carrying the sweep across batches.
+/// keys carrying the sweep across batches — and is read through its
+/// selection: only rows that find a partner are ever gathered.
 pub struct MergeJoinOp<'a> {
     left: &'a Batch,
     left_key: usize,
@@ -61,22 +62,26 @@ impl Operator for MergeJoinOp<'_> {
             if batch.is_empty() {
                 continue;
             }
-            let rk = batch.column(self.right_key).as_int();
+            let rk = batch.raw_column(self.right_key).as_int();
+            let n = batch.len();
             debug_assert!(
-                self.last_right <= rk[0] && rk.is_sorted(),
+                self.last_right <= rk[batch.row(0)]
+                    && (1..n).all(|i| rk[batch.row(i - 1)] <= rk[batch.row(i)]),
                 "right merge-join input not sorted"
             );
-            self.last_right = rk[rk.len() - 1];
+            self.last_right = rk[batch.row(n - 1)];
             let mut li = self.cursor;
-            for (ri, &key) in rk.iter().enumerate() {
+            for i in 0..n {
+                let r = batch.row(i);
+                let key = rk[r];
                 while li < lk.len() && lk[li] < key {
                     li += 1;
                 }
                 // Pair the right row with the whole left group of its key;
                 // the cursor stays on the group for the next duplicate.
-                for (i, _) in lk[li..].iter().enumerate().take_while(|(_, &k)| k == key) {
-                    left_idx.push(li + i);
-                    right_idx.push(ri);
+                for (j, _) in lk[li..].iter().enumerate().take_while(|(_, &k)| k == key) {
+                    left_idx.push(li + j);
+                    right_idx.push(r);
                 }
             }
             self.cursor = li;

@@ -8,10 +8,14 @@
 //! types.
 //!
 //! Both flows of a split are fed by **one** scan: per scanned batch the
-//! patch mask of its rowID window is read word-wise, ANDed with an
-//! optional pushed-down predicate evaluated once on the unfiltered batch,
-//! and each flow's rows are gathered exactly once. The flow that is not
-//! being pulled buffers its (small) batches until its consumer asks.
+//! patch mask of its rowID window is read word-wise (the window comes
+//! from the scan position; the scan emits no rowID column), ANDed with an
+//! optional pushed-down predicate evaluated once on the unfiltered batch.
+//! The flow being pulled gets the scanned batch with a selection (see
+//! [`Batch`]) — no row is copied here; its consumer reads through the
+//! selection or gathers where its pipeline breaks. The other flow's rows
+//! are gathered before they are queued, so its (small) queue never holds
+//! a whole scan batch for a few rows.
 //!
 //! The operator is generic over [`PatchLookup`] so both PatchIndex design
 //! approaches (bitmap-based and identifier-based, paper Section 3.2) plug
@@ -95,11 +99,9 @@ struct SplitScan<'a> {
 }
 
 impl SplitScan<'_> {
-    /// Scans one more batch into the flows; `false` when the scan is
-    /// exhausted.
-    fn advance(&mut self) -> bool {
-        // The patch mask window comes from the scan position, never from
-        // the values of a rowID column.
+    /// Scans one more batch into the flows for a pull of flow `pulling`;
+    /// `false` when the scan is exhausted.
+    fn advance(&mut self, pulling: PatchMode) -> bool {
         let Some((start, batch)) = self.scan.next_window() else {
             return false;
         };
@@ -110,24 +112,35 @@ impl SplitScan<'_> {
         self.patches
             .fill_patch_words(start as u64, &mut self.words, n);
         let words = &self.words;
-        for mode in [PatchMode::ExcludePatches, PatchMode::UsePatches] {
-            let Some(flow) = &mut self.flows[mode as usize] else {
-                continue;
-            };
+        let select = |mode: PatchMode| {
             let wanted = mode == PatchMode::UsePatches;
             let in_mode = |i: usize| (words[i / 64] >> (i % 64) & 1 == 1) == wanted;
-            let selected = match &pred {
+            match &pred {
                 Some(pred) => positions(n, |i| pred[i] & in_mode(i)),
                 None => positions(n, in_mode),
-            };
+            }
+        };
+        let queued = match pulling {
+            PatchMode::ExcludePatches => PatchMode::UsePatches,
+            PatchMode::UsePatches => PatchMode::ExcludePatches,
+        };
+        if let Some(flow) = &mut self.flows[queued as usize] {
+            let selected = select(queued);
             if selected.len() == n {
-                // The flows are disjoint: the other one keeps nothing.
+                // The flows are disjoint: the pulled one keeps nothing.
                 flow.push_back(batch);
-                break;
+                return true;
             }
             if !selected.is_empty() {
                 flow.push_back(batch.gather(&selected));
             }
+        }
+        let selected = select(pulling);
+        if !selected.is_empty() {
+            let flow = self.flows[pulling as usize]
+                .as_mut()
+                .expect("the pulled flow is live");
+            flow.push_back(Batch::selected(batch.into_columns(), selected));
         }
         true
     }
@@ -184,7 +197,7 @@ impl Operator for PatchSelectOp<'_> {
             if let Some(batch) = flow.pop_front() {
                 return Some(batch);
             }
-            if !scan.advance() {
+            if !scan.advance(self.mode) {
                 return None;
             }
         }
@@ -203,6 +216,7 @@ impl Drop for PatchSelectOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BATCH_SIZE;
     use crate::expr::Expr;
     use crate::op::collect;
     use pi_storage::{ColumnData, DataType, Field, Partition, Schema};
@@ -219,16 +233,21 @@ mod tests {
         )
     }
 
-    /// Selects over a scan of `ranges` (one batch per range); column 1 of
-    /// the result is the rowID.
+    /// The rowIDs of `partition`'s rows in `b`.
+    fn rids(b: &Batch) -> Vec<i64> {
+        b.column(0).as_int().iter().map(|v| v / 10).collect()
+    }
+
+    /// The rowIDs a selection over a scan of `ranges` (one batch per
+    /// range) keeps.
     fn select(
         p: &Partition,
         ranges: Vec<Range<usize>>,
         patches: &dyn PatchLookup,
         mode: PatchMode,
-    ) -> Batch {
-        let scan = ScanOp::with_ranges(p, vec![0], ranges, true);
-        collect(&mut PatchSelectOp::new(scan, patches, mode))
+    ) -> Vec<i64> {
+        let scan = ScanOp::with_ranges(p, vec![0], ranges, false);
+        rids(&collect(&mut PatchSelectOp::new(scan, patches, mode)))
     }
 
     #[test]
@@ -236,7 +255,7 @@ mod tests {
     fn exclude_patches_drops_exceptions() {
         let bm = ShardedBitmap::from_positions(100, &[2, 5]);
         let out = select(&partition(10), vec![0..10], &bm, PatchMode::ExcludePatches);
-        assert_eq!(out.column(1).as_int(), &[0, 1, 3, 4, 6, 7, 8, 9]);
+        assert_eq!(out, [0, 1, 3, 4, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -244,8 +263,7 @@ mod tests {
     fn use_patches_keeps_exceptions_only() {
         let bm = ShardedBitmap::from_positions(100, &[2, 5]);
         let out = select(&partition(10), vec![0..10], &bm, PatchMode::UsePatches);
-        assert_eq!(out.column(1).as_int(), &[2, 5]);
-        assert_eq!(out.column(0).as_int(), &[20, 50]);
+        assert_eq!(out, [2, 5]);
     }
 
     #[test]
@@ -253,7 +271,7 @@ mod tests {
     fn identifier_list_lookup() {
         let ids: Vec<u64> = vec![2, 5];
         let out = select(&partition(10), vec![0..10], &ids, PatchMode::ExcludePatches);
-        assert_eq!(out.column(1).as_int(), &[0, 1, 3, 4, 6, 7, 8, 9]);
+        assert_eq!(out, [0, 1, 3, 4, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -262,7 +280,7 @@ mod tests {
         let bm = ShardedBitmap::from_positions(100, &[7, 30]);
         let ranges = vec![3..4, 7..8, 25..26, 30..31, 99..100];
         let out = select(&partition(100), ranges, &bm, PatchMode::UsePatches);
-        assert_eq!(out.column(1).as_int(), &[7, 30]);
+        assert_eq!(out, [7, 30]);
     }
 
     #[test]
@@ -276,10 +294,9 @@ mod tests {
         let ranges = vec![0..1, 2..3, 1..2, 3..4];
         let p = partition(4);
         let out = select(&p, ranges.clone(), &bm, PatchMode::UsePatches);
-        assert_eq!(out.column(1).as_int(), &[1]);
-        assert_eq!(out.column(0).as_int(), &[10]);
+        assert_eq!(out, [1]);
         let out = select(&p, ranges, &bm, PatchMode::ExcludePatches);
-        assert_eq!(out.column(1).as_int(), &[0, 2, 3]);
+        assert_eq!(out, [0, 2, 3]);
     }
 
     #[test]
@@ -308,7 +325,7 @@ mod tests {
                 .collect()
         };
         for use_first in [false, true] {
-            let scan = ScanOp::new(&p, vec![0], true);
+            let scan = ScanOp::new(&p, vec![0], false);
             let (mut ex, mut us) = PatchSelectOp::split(scan, &bm, Some(pred.clone()));
             let (kept, patched) = if use_first {
                 let patched = collect(&mut us);
@@ -316,16 +333,44 @@ mod tests {
             } else {
                 (collect(&mut ex), collect(&mut us))
             };
-            assert_eq!(kept.column(1).as_int(), want(false));
-            assert_eq!(patched.column(1).as_int(), want(true));
+            assert_eq!(rids(&kept), want(false));
+            assert_eq!(rids(&patched), want(true));
         }
+    }
+
+    #[test]
+    fn pulled_flow_selects_and_queued_flow_is_gathered() {
+        // Every 7th row of the first scan batch is a patch. One pull of
+        // the excluding flow hands out the scanned batch itself under a
+        // selection; the patches flow, not pulled, has queued a dense
+        // batch of exactly its rows.
+        let patches: Vec<u64> = (0..BATCH_SIZE as u64).step_by(7).collect();
+        let bm = ShardedBitmap::from_positions(10_000, &patches);
+        let p = partition(10_000);
+        let (mut ex, us) = PatchSelectOp::split(ScanOp::new(&p, vec![0], false), &bm, None);
+        let first = ex.next().expect("a batch");
+        assert_eq!(first.len(), BATCH_SIZE - patches.len());
+        assert_eq!(first.raw_column(0).len(), BATCH_SIZE);
+        assert!(first.sel().is_some());
+        let scan = ex.scan.borrow();
+        let queue = scan.flows[PatchMode::UsePatches as usize]
+            .as_ref()
+            .expect("live");
+        assert_eq!(queue.len(), 1);
+        let queued = &queue[0];
+        assert!(queued.sel().is_none(), "a queued batch is dense");
+        let want: Vec<i64> = patches.iter().map(|&r| r as i64).collect();
+        assert_eq!(rids(queued), want);
+        assert_eq!(queued.heap_bytes(), patches.len() * 8);
+        drop(scan);
+        drop(us);
     }
 
     #[test]
     fn dropped_flow_is_not_buffered() {
         let bm = ShardedBitmap::from_positions(10_000, &[1, 5_000]);
         let p = partition(10_000);
-        let (mut ex, us) = PatchSelectOp::split(ScanOp::new(&p, vec![0], true), &bm, None);
+        let (mut ex, us) = PatchSelectOp::split(ScanOp::new(&p, vec![0], false), &bm, None);
         drop(us);
         assert_eq!(collect(&mut ex).len(), 9_998);
         assert!(ex.scan.borrow().flows[PatchMode::UsePatches as usize].is_none());
@@ -344,12 +389,8 @@ mod tests {
             let window = start..(start + 70).min(500);
             for mode in [PatchMode::ExcludePatches, PatchMode::UsePatches] {
                 assert_eq!(
-                    select(&p, vec![window.clone()], &ids, mode)
-                        .column(1)
-                        .as_int(),
-                    select(&p, vec![window.clone()], &bm, mode)
-                        .column(1)
-                        .as_int(),
+                    select(&p, vec![window.clone()], &ids, mode),
+                    select(&p, vec![window.clone()], &bm, mode),
                     "start={start} mode={mode:?}"
                 );
             }
@@ -363,14 +404,14 @@ mod tests {
         let ids: Vec<u64> = vec![2, 65, 128];
         let ranges = vec![0..130, 1..4, 60..70, 0..200];
         let out = select(&partition(200), ranges, &ids, PatchMode::UsePatches);
-        assert_eq!(out.column(1).as_int(), &[2, 65, 128, 2, 65, 2, 65, 128]);
+        assert_eq!(out, [2, 65, 128, 2, 65, 2, 65, 128]);
     }
 
     #[test]
     fn exhausted_on_empty_input() {
         let bm = ShardedBitmap::new(10);
         let p = partition(0);
-        let scan = ScanOp::new(&p, vec![0], true);
+        let scan = ScanOp::new(&p, vec![0], false);
         let mut op = PatchSelectOp::new(scan, &bm, PatchMode::ExcludePatches);
         assert!(op.next().is_none());
     }

@@ -3,8 +3,9 @@
 //! Scans read visible rows of one partition (base + positional deltas),
 //! optionally restricted to candidate row ranges produced by zone-map
 //! pruning or range propagation, and optionally emitting the rowID as an
-//! extra trailing `Int` column (the PatchIndex selection and the
-//! maintenance queries consume rowIDs).
+//! extra trailing `Int` column for the maintenance queries, which read
+//! rowIDs as values. The PatchIndex selection needs none: it takes each
+//! batch's rowID window from [`ScanOp::next_window`].
 
 use std::ops::Range;
 

@@ -4,11 +4,13 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use pi_exec::ops::hash_join::HashJoinOp;
-use pi_exec::ops::merge::OrderedMergeOp;
+use pi_exec::ops::agg::{AggSpec, HashAggOp};
+use pi_exec::ops::filter::FilterOp;
+use pi_exec::ops::hash_join::{HashJoinOp, JoinTable, ProbeSide};
+use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, UnionAllOp};
 use pi_exec::ops::merge_join::MergeJoinOp;
 use pi_exec::ops::sort::{SortKeySpec, SortOrder};
-use pi_exec::{collect, Batch, BatchSource, OpRef};
+use pi_exec::{collect, count_rows, Batch, BatchSource, Expr, OpRef};
 use pi_storage::{str_column, ColumnData, DictRef};
 use proptest::prelude::*;
 
@@ -41,6 +43,54 @@ fn sorted_rows(b: &Batch) -> Vec<Vec<i64>> {
         .collect();
     rows.sort();
     rows
+}
+
+fn rows(b: &Batch) -> Vec<Vec<i64>> {
+    (0..b.len())
+        .map(|i| b.columns().iter().map(|c| c.as_int()[i]).collect())
+        .collect()
+}
+
+fn source(b: &Batch) -> OpRef<'static> {
+    Box::new(BatchSource::single(b.clone()))
+}
+
+/// What each operator chain makes of `input`, row for row and in output
+/// order; `other` is a second sorted `keyed` batch, `cut` a payload
+/// threshold, `limit` a row cap.
+fn chains(input: &Batch, other: &Batch, cut: i64, limit: usize) -> Vec<Vec<Vec<i64>>> {
+    let payload_over = || Expr::col(1).gt(Expr::LitInt(cut));
+    let filtered = || -> OpRef<'static> { Box::new(FilterOp::new(source(input), payload_over())) };
+    let table = JoinTable::from_batch(other.clone(), 0);
+    let out = vec![
+        rows(&collect(&mut FilterOp::new(
+            filtered(),
+            Expr::col(0).ge(Expr::LitInt(cut / 2)),
+        ))),
+        rows(&collect(&mut MergeJoinOp::new(other, 0, filtered(), 0))),
+        rows(&table.probe(input, 0)),
+        rows(&collect(&mut HashJoinOp::with_table(
+            &table,
+            ProbeSide::Ready(filtered()),
+            0,
+        ))),
+        rows(&collect(&mut HashAggOp::distinct(filtered(), vec![0]))),
+        rows(&collect(&mut HashAggOp::new(
+            source(input),
+            vec![0],
+            vec![
+                AggSpec::sum(Expr::col(1)),
+                AggSpec::count_if(payload_over()),
+            ],
+        ))),
+        rows(&collect(&mut LimitOp::new(filtered(), limit))),
+        rows(&collect(&mut OrderedMergeOp::new(
+            vec![Box::new(UnionAllOp::new(vec![filtered()])), source(other)],
+            vec![(0, SortOrder::Asc)],
+        ))),
+        vec![vec![count_rows(&mut LimitOp::new(filtered(), limit)) as i64]],
+    ];
+    out
 }
 
 /// Merge key domains: few values, so keys repeat, and `Desc` meets both
@@ -128,8 +178,8 @@ proptest! {
     ) {
         let mask: Vec<bool> = noise[..len].iter().map(|&x| x < density).collect();
         let batch = three_typed_columns(len);
-        let got = batch.filter(&mask);
         let kept: Vec<usize> = (0..len).filter(|&i| mask[i]).collect();
+        let got = Batch::selected(batch.clone().into_columns(), kept.clone()).materialize();
         prop_assert_eq!(got.len(), kept.len());
         prop_assert_eq!(got.width(), 3);
         let ints: Vec<i64> = kept.iter().map(|&i| i as i64).collect();
@@ -139,6 +189,35 @@ proptest! {
         let codes: Vec<u32> = kept.iter().map(|&i| batch.column(2).as_codes()[i]).collect();
         prop_assert_eq!(got.column(2).as_codes(), &codes[..]);
         prop_assert!(Arc::ptr_eq(got.column(2).dict(), batch.column(2).dict()));
+    }
+
+    #[test]
+    fn every_chain_over_a_selection_is_the_chain_over_its_materialization(
+        steps in proptest::collection::vec(0i64..3, 0..300),
+        other_steps in proptest::collection::vec(0i64..3, 0..100),
+        // 0 selects nothing, 256 everything; a single row is picked below.
+        density in prop_oneof![Just(0u16), Just(256u16), 0u16..257],
+        single in any::<bool>(),
+        noise in proptest::collection::vec(0u16..256, 300..301),
+        cut in 1_000i64..1_300,
+        limit in 0usize..320,
+    ) {
+        let input = keyed(&steps, 1_000);
+        let len = input.len();
+        let sel: Vec<usize> = if single && len > 0 {
+            vec![usize::from(noise[0]) % len]
+        } else {
+            (0..len).filter(|&i| noise[i] < density).collect()
+        };
+        let selected = Batch::selected(input.into_columns(), sel.clone());
+        prop_assert_eq!(selected.len(), sel.len());
+        let other = keyed(&other_steps, 2_000);
+        let dense = selected.clone().materialize();
+        prop_assert!(dense.sel().is_none());
+        prop_assert_eq!(
+            chains(&selected, &other, cut, limit),
+            chains(&dense, &other, cut, limit)
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub enum Plan {
         /// Optional row predicate.
         filter: Option<Expr>,
     },
-    /// PatchIndex scan: scan plus on-the-fly patch selection (appends the
-    /// rowID column after `cols`).
+    /// PatchIndex scan: scan plus on-the-fly patch selection (the layout
+    /// of a plain scan of `cols`).
     PatchScan {
         /// Column indices to produce.
         cols: Vec<usize>,

@@ -256,14 +256,10 @@ fn lower_partition<'a, I: Borrow<PatchIndex>>(
                 .expect("PatchScan slot outside the index set")
                 .borrow();
             let scan = patch_scan(table.partition(pid), idx, cols.clone(), *mode);
-            let filtered: OpRef<'a> = match filter {
+            match filter {
                 Some(pred) => Box::new(FilterOp::new(scan, pred.clone())),
                 None => scan,
-            };
-            // Drop the internal rowID column so both flows recombine with
-            // the plain scan's schema.
-            let keep: Vec<pi_exec::Expr> = (0..cols.len()).map(pi_exec::Expr::Col).collect();
-            Box::new(pi_exec::ops::filter::ProjectOp::new(filtered, keep))
+            }
         }
         Plan::Distinct { input, cols } => Box::new(HashAggOp::distinct(
             lower_partition(input, table, indexes, pid, obs, false),

@@ -20,6 +20,7 @@
 use patchindex::scan::patch_scan_split;
 use patchindex::PatchIndex;
 use pi_baselines::JoinIndex;
+use pi_exec::expr::str_code;
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::{FilterOp, ProjectOp};
 use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
@@ -63,7 +64,9 @@ fn scan_all<'a>(table: &'a Table, cols_: Vec<usize>, filter: Option<Expr>) -> Op
 /// order-preserving MergeJoin that sweeps `x` in place — and the patches
 /// flow; the patches of all partitions become the build side of one
 /// HashJoin that `x` probes (so its layout matches the MergeJoin's).
-/// Output columns are `[X columns..., lineitem columns..., rid]`.
+/// The excluding flow reaches the MergeJoin as a selection over the
+/// scanned columns, so only lines that find an X partner are gathered.
+/// Output columns are `[X columns..., lineitem columns...]`.
 fn pi_lineitem_join(
     db: &TpchDb,
     index: &PatchIndex,
@@ -331,11 +334,7 @@ pub fn q7(
             let index = index.expect("PatchIndex variant needs the NSC index");
             let x = collect(x().as_mut());
             let zbp = variant == QueryVariant::PatchIndexZbp;
-            let out = pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp);
-            // Drop the internal rid column: uniform 11-column layout.
-            let mut columns = out.into_columns();
-            columns.truncate(11);
-            Batch::new(columns)
+            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp)
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");
@@ -439,8 +438,8 @@ pub fn q12(
     ji: Option<&JoinIndex>,
 ) -> Batch {
     let mode_dict = db.lineitem.dict(cols::L_SHIPMODE).unwrap();
-    let mail = mode_dict.write().encode("MAIL") as i64;
-    let ship = mode_dict.write().encode("SHIP") as i64;
+    let mail = str_code(mode_dict, "MAIL") as i64;
+    let ship = str_code(mode_dict, "SHIP") as i64;
     let recv_lo = date(1994, 1, 1);
     let recv_hi = date(1995, 1, 1);
     let l_cols = vec![
@@ -504,8 +503,8 @@ pub fn q12(
     // [X=o(0..2), l(2..)], and the JoinIndex gather prepends the o columns.
     let (prio_col, mode_col) = (1, 3);
     let prio_dict = db.orders.dict(cols::O_ORDERPRIORITY).unwrap();
-    let urgent = prio_dict.write().encode("1-URGENT") as i64;
-    let high = prio_dict.write().encode("2-HIGH") as i64;
+    let urgent = str_code(prio_dict, "1-URGENT") as i64;
+    let high = str_code(prio_dict, "2-HIGH") as i64;
     let high_pred = Expr::InInts(Box::new(Expr::col(prio_col)), vec![urgent, high]);
     let projected = Batch::new(vec![
         joined.column(mode_col).clone(),
@@ -608,6 +607,66 @@ mod tests {
     #[test]
     fn q12_variants_agree_10pct() {
         check_all_variants(q12, 0.10);
+    }
+
+    /// The benchmark's shape: 4 `lineitem` partitions, e = 5 %, one RF1
+    /// and one RF2 through the direct index API. The rewrites must agree
+    /// with the reference while the refreshes sit in the delta stores
+    /// (patch scans select over merge-on-read batches) and after they are
+    /// propagated.
+    #[test]
+    fn patchindex_variants_agree_across_a_refresh_pair() {
+        let mut spec = TpchSpec::new(0.004, 0.05);
+        spec.lineitem_partitions = 4;
+        let mut db = generate(&spec);
+        let mut index = PatchIndex::create(
+            &db.lineitem,
+            cols::L_ORDERKEY,
+            Constraint::NearlySorted(SortDir::Asc),
+            Design::Bitmap,
+        );
+        // RF1: new orders and their lines.
+        let (orders, lines) = db.refresh_insert_rows(20);
+        db.orders.insert_rows(&orders);
+        let addrs = db.lineitem.insert_rows(&lines);
+        index.handle_insert(&mut db.lineitem, &addrs);
+        // RF2: old orders and all their lines.
+        let line_rids = db.refresh_delete_rids(20, 7);
+        let mut doomed: Vec<i64> = Vec::new();
+        for (pid, rids) in line_rids.iter().enumerate() {
+            let p = db.lineitem.partition(pid);
+            doomed.extend(p.gather(&[cols::L_ORDERKEY], rids)[0].as_int());
+            index.handle_delete(pid, rids);
+            db.lineitem.delete(pid, rids);
+        }
+        let o = db.orders.partition(0);
+        let okeys = o.read_range(&[cols::O_ORDERKEY], 0, o.visible_len());
+        let order_rids: Vec<usize> = (0..okeys[0].len())
+            .filter(|&r| doomed.contains(&okeys[0].as_int()[r]))
+            .collect();
+        assert!(!order_rids.is_empty() && !addrs.is_empty(), "weak test");
+        db.orders.delete(0, &order_rids);
+        type Query = fn(&TpchDb, QueryVariant, Option<&PatchIndex>, Option<&JoinIndex>) -> Batch;
+        for propagated in [false, true] {
+            if propagated {
+                db.lineitem.propagate_all();
+                db.orders.propagate_all();
+            }
+            let pending = db
+                .lineitem
+                .partitions()
+                .iter()
+                .any(|p| !p.delta().is_empty());
+            assert_eq!(pending, !propagated);
+            for (name, q) in [("q3", q3 as Query), ("q7", q7), ("q12", q12)] {
+                let want = canonical(&q(&db, QueryVariant::Reference, None, None));
+                assert!(!want.is_empty(), "{name}: weak test");
+                for variant in [QueryVariant::PatchIndex, QueryVariant::PatchIndexZbp] {
+                    let got = canonical(&q(&db, variant, Some(&index), None));
+                    assert_eq!(got, want, "{name} {variant:?} propagated={propagated}");
+                }
+            }
+        }
     }
 
     #[test]
