@@ -142,12 +142,14 @@ fn nuc_collision_probe(
         let mut probe_hits: Vec<u64> = Vec::new();
         let mut build_hits: Vec<(usize, u64)> = Vec::new();
         while let Some(out) = join.next() {
-            let probe_rids = out.column(1).as_int();
-            let build_pids = out.column(3).as_int();
-            let build_rids = out.column(4).as_int();
-            for i in 0..out.len() {
-                let probe_rid = probe_rids[i] as u64;
-                let (b_pid, b_rid) = (build_pids[i] as usize, build_rids[i] as u64);
+            // A large probe result comes as windows of one buffer: read
+            // them where they lie.
+            let probe_rids = out.raw_column(1).as_int();
+            let build_pids = out.raw_column(3).as_int();
+            let build_rids = out.raw_column(4).as_int();
+            for r in (0..out.len()).map(|i| out.row(i)) {
+                let probe_rid = probe_rids[r] as u64;
+                let (b_pid, b_rid) = (build_pids[r] as usize, build_rids[r] as u64);
                 if b_pid == pid && b_rid == probe_rid {
                     continue; // a changed tuple matching itself is benign
                 }

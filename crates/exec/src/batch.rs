@@ -1,26 +1,37 @@
 //! Row batches flowing between operators.
 //!
 //! Execution is vector-at-a-time in the X100 style: operators exchange
-//! [`Batch`]es of up to [`BATCH_SIZE`] rows, each a set of equally long
-//! [`ColumnData`] vectors.
+//! [`Batch`]es of up to [`BATCH_SIZE`] rows. A batch holds `Arc`-shared
+//! [`ColumnData`] vectors — its *backing* — and one of two row shapes:
 //!
-//! **Selections.** A batch may carry a *selection*: the ascending
-//! positions, into its columns, of the rows it holds. The PatchIndex
-//! selection and [`FilterOp`](crate::ops::filter::FilterOp) produce one
-//! instead of copying the surviving rows, so a row is gathered only where
-//! a pipeline breaks (sort, merge, build side, result) — or never, when a
-//! join finds no partner for it. [`Batch::len`] counts selected rows. A
-//! consumer either reads through the selection ([`Batch::row`] maps the
-//! i-th row to its position in [`Batch::raw_column`]) or calls
-//! [`Batch::materialize`] once, which gathers and is the identity on a
-//! dense batch. [`Batch::column`], [`Batch::columns`] and
+//! * **a window:** a contiguous range of backing rows; *dense* when it is
+//!   all of them. A scan of clean base rows lends the base columns with
+//!   the window it read, and [`Batch::split`] and [`Batch::head`] hand out
+//!   windows of one buffer, so none of them copies a row;
+//! * **a selection:** ascending backing positions plus the *span* they
+//!   were selected from. The PatchIndex selection and
+//!   [`FilterOp`](crate::ops::filter::FilterOp) narrow a batch this way
+//!   instead of copying the surviving rows.
+//!
+//! [`Batch::len`] counts the rows a batch holds. A consumer either reads
+//! through the shape ([`Batch::row`] maps the i-th row to its position in
+//! [`Batch::raw_column`]; expression evaluation covers [`Batch::span`]) or
+//! calls [`Batch::materialize`] once, which copies the rows into dense
+//! columns and is the identity on a dense batch. So a row is copied only
+//! where a pipeline breaks (sort, build side, result) — or never, when a
+//! join finds no partner for it. [`Batch::column`], [`Batch::columns`] and
 //! [`Batch::into_columns`] debug-assert a dense batch, so a consumer that
-//! forgets the selection fails in tests instead of reading rows that were
-//! selected away. Which operators do which is listed in the `op` module.
+//! forgets the shape fails in tests instead of reading rows outside it.
+//! Which operators do which is listed in the `op` module. A lent window
+//! keeps the base columns alive, so a batch needs no lifetime: a later
+//! write to the partition copies them (see `pi_storage::Partition`).
 //!
 //! RowIDs travel as an ordinary trailing `Int` column only where a
 //! consumer reads them (the maintenance queries); a PatchIndex scan takes
 //! its patch-mask window from the scan position and emits none.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use pi_storage::ColumnData;
 
@@ -30,52 +41,59 @@ pub const BATCH_SIZE: usize = 4096;
 /// A horizontal slice of intermediate results.
 #[derive(Debug, Clone, Default)]
 pub struct Batch {
-    columns: Vec<ColumnData>,
-    /// Ascending positions into `columns` of the rows the batch holds;
-    /// `None` when it holds every row (dense). Never the full range.
+    columns: Vec<Arc<ColumnData>>,
+    /// The window, or the range the selection was selected from.
+    span: Range<usize>,
+    /// Ascending positions inside `span` of the rows the batch holds;
+    /// `None` when it holds the whole span (a window). Never all of it.
     sel: Option<Vec<usize>>,
 }
 
 impl Batch {
     /// Creates a dense batch from columns (must be equally long).
     pub fn new(columns: Vec<ColumnData>) -> Self {
+        let rows = columns.first().map_or(0, ColumnData::len);
+        Batch::window(columns.into_iter().map(Arc::new).collect(), 0..rows)
+    }
+
+    /// Creates a batch holding the backing rows `rows` of shared `columns`
+    /// (equally long, and at least `rows.end` rows).
+    pub fn window(columns: Vec<Arc<ColumnData>>, rows: Range<usize>) -> Self {
         if let Some(first) = columns.first() {
             assert!(
                 columns.iter().all(|c| c.len() == first.len()),
                 "ragged batch columns"
             );
+            assert!(rows.end <= first.len(), "window outside its columns");
         }
-        Batch { columns, sel: None }
+        Batch {
+            columns,
+            span: rows,
+            sel: None,
+        }
     }
 
     /// Creates a batch holding the rows of `columns` at `sel` (ascending
     /// positions). Selecting every row gives a dense batch.
     pub fn selected(columns: Vec<ColumnData>, sel: Vec<usize>) -> Self {
         let batch = Batch::new(columns);
-        let n = batch.physical_len();
         debug_assert!(
-            sel.windows(2).all(|w| w[0] < w[1]) && sel.last().is_none_or(|&p| p < n),
+            sel.windows(2).all(|w| w[0] < w[1]) && sel.last().is_none_or(|&p| p < batch.len()),
             "a selection holds ascending positions inside the batch"
         );
-        if sel.len() == n {
-            return batch;
-        }
-        Batch {
-            sel: Some(sel),
-            ..batch
-        }
+        batch.with_sel(sel)
     }
 
-    /// Number of rows (selected rows, on a selected batch).
+    /// The batch holding the rows `sel` of its span: still a window when
+    /// that is all of them.
+    fn with_sel(self, sel: Vec<usize>) -> Batch {
+        let sel = (sel.len() != self.span.len()).then_some(sel);
+        Batch { sel, ..self }
+    }
+
+    /// Number of rows the batch holds.
     pub fn len(&self) -> usize {
-        self.sel
-            .as_ref()
-            .map_or_else(|| self.physical_len(), Vec::len)
-    }
-
-    /// Length of the column vectors, selected rows or not.
-    pub(crate) fn physical_len(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.len())
+        self.sel.as_ref().map_or(self.span.len(), Vec::len)
     }
 
     /// Whether the batch has zero rows.
@@ -88,29 +106,35 @@ impl Batch {
         self.columns.len()
     }
 
-    /// The selection: ascending positions into the columns of the rows
-    /// the batch holds, or `None` on a dense batch.
+    /// The selection: ascending positions into the backing of the rows the
+    /// batch holds, or `None` on a window.
     pub fn sel(&self) -> Option<&[usize]> {
         self.sel.as_deref()
     }
 
-    /// The position in the columns of the batch's `i`-th row.
+    /// The range of backing rows the batch's rows lie in: the window, or
+    /// the span the selection was selected from. Expression evaluation
+    /// covers exactly this range.
+    pub fn span(&self) -> Range<usize> {
+        self.span.clone()
+    }
+
+    /// The position in the backing of the batch's `i`-th row.
     #[inline]
     pub fn row(&self, i: usize) -> usize {
         match &self.sel {
             Some(sel) => sel[i],
-            None => i,
+            None => self.span.start + i,
         }
     }
 
-    /// Column `i` whole, selected rows or not: read it at [`Batch::row`]
-    /// positions.
+    /// Backing column `i`, whole: read it at [`Batch::row`] positions.
     pub fn raw_column(&self, i: usize) -> &ColumnData {
         &self.columns[i]
     }
 
     /// All columns of a dense batch.
-    pub fn columns(&self) -> &[ColumnData] {
+    pub fn columns(&self) -> &[Arc<ColumnData>] {
         self.assert_dense();
         &self.columns
     }
@@ -121,103 +145,107 @@ impl Batch {
         &self.columns[i]
     }
 
-    /// Consumes a dense batch into its columns.
+    /// Consumes a dense batch into its columns (copying any that are
+    /// shared).
     pub fn into_columns(self) -> Vec<ColumnData> {
         self.assert_dense();
-        self.columns
+        self.columns.into_iter().map(Arc::unwrap_or_clone).collect()
+    }
+
+    fn is_dense(&self) -> bool {
+        let backing = self.columns.first().map_or(self.span.end, |c| c.len());
+        self.sel.is_none() && self.span == (0..backing)
     }
 
     fn assert_dense(&self) {
         debug_assert!(
-            self.sel.is_none(),
-            "a selected batch's columns hold unselected rows: materialize it first"
+            self.is_dense(),
+            "a window or selection holds only part of its columns: materialize it first"
         );
     }
 
-    /// The batch with its selected rows gathered into dense columns; the
-    /// identity on a dense batch.
+    /// The batch with its rows copied into dense columns; the identity on
+    /// a dense batch.
     pub fn materialize(self) -> Batch {
         match &self.sel {
+            _ if self.is_dense() => self,
             Some(sel) => self.gather(sel),
-            None => self,
+            None => Batch::new(
+                self.columns
+                    .iter()
+                    .map(|c| copy_rows(c, &self.span))
+                    .collect(),
+            ),
         }
     }
 
-    /// Heap bytes of all column vectors (shared dictionaries excluded).
+    /// Heap bytes of the backing column vectors (shared dictionaries
+    /// excluded): what the batch keeps alive.
     pub fn heap_bytes(&self) -> usize {
-        self.columns.iter().map(ColumnData::heap_bytes).sum()
+        self.columns.iter().map(|c| c.heap_bytes()).sum()
     }
 
-    /// A dense batch of the rows at column positions `rows` (in that
-    /// order); on a selected batch these are [`Batch::row`] positions.
+    /// A dense batch of the backing rows at `rows` (in that order); these
+    /// are [`Batch::row`] positions.
     pub fn gather(&self, rows: &[usize]) -> Batch {
         Batch::new(self.columns.iter().map(|c| c.gather(rows)).collect())
     }
 
-    /// Keeps the rows whose column position passes `keep`: the selection
-    /// narrows, nothing is copied, and a dense batch all of whose rows
-    /// pass stays dense.
-    pub(crate) fn refine(self, keep: impl Fn(usize) -> bool) -> Batch {
-        match self.sel {
+    /// Keeps the rows whose offset into the span passes `keep`: the
+    /// selection narrows, nothing is copied, and a window all of whose
+    /// rows pass stays as it is.
+    pub(crate) fn refine(mut self, keep: impl Fn(usize) -> bool) -> Batch {
+        let start = self.span.start;
+        match self.sel.take() {
             None => {
-                let sel = positions(self.physical_len(), keep);
-                Batch::selected(self.columns, sel)
+                let sel = positions(self.span.clone(), |p| keep(p - start));
+                self.with_sel(sel)
             }
             Some(mut sel) => {
-                sel.retain(|&p| keep(p));
+                sel.retain(|&p| keep(p - start));
                 Batch {
-                    columns: self.columns,
                     sel: Some(sel),
+                    ..self
                 }
             }
         }
     }
 
-    /// The first `n` rows: a selection, nothing is copied.
-    pub(crate) fn head(self, n: usize) -> Batch {
-        if n >= self.len() {
-            return self;
+    /// The first `n` rows: a shorter window or selection, nothing is
+    /// copied.
+    pub(crate) fn head(mut self, n: usize) -> Batch {
+        match &mut self.sel {
+            Some(sel) => sel.truncate(n),
+            None => self.span.end = self.span.end.min(self.span.start + n),
         }
-        let sel = match self.sel {
-            Some(mut sel) => {
-                sel.truncate(n);
-                sel
-            }
-            None => (0..n).collect(),
-        };
-        Batch {
-            columns: self.columns,
-            sel: Some(sel),
-        }
+        self
     }
 
-    /// Keeps only the given columns, in the given order (and the
-    /// selection).
+    /// Keeps only the given columns, in the given order (and the rows);
+    /// the columns are shared, not copied.
     pub fn project(&self, cols: &[usize]) -> Batch {
         Batch {
-            columns: cols.iter().map(|&c| self.columns[c].clone()).collect(),
-            sel: self.sel.clone(),
+            columns: cols.iter().map(|&c| Arc::clone(&self.columns[c])).collect(),
+            ..self.clone()
         }
     }
 
-    /// Appends the (selected) rows of `other` (same shape) to this dense
-    /// batch.
+    /// Appends the rows of `other` (same shape) to this dense batch.
     pub fn append(&mut self, other: &Batch) {
         self.assert_dense();
         if self.columns.is_empty() {
-            *self = match other.sel() {
-                Some(sel) => other.gather(sel),
-                None => other.clone(),
-            };
+            *self = other.clone().materialize();
             return;
         }
         assert_eq!(self.width(), other.width(), "batch width mismatch");
         for (a, b) in self.columns.iter_mut().zip(&other.columns) {
+            let a = Arc::make_mut(a);
             match &other.sel {
                 Some(sel) => a.extend_from(&b.gather(sel)),
-                None => a.extend_from(b),
+                None => a.extend_from_range(b, other.span.start, other.span.len()),
             }
         }
+        self.span = 0..self.columns[0].len();
     }
 
     /// Concatenates many batches into one dense batch (empty input gives
@@ -230,38 +258,44 @@ impl Batch {
         out
     }
 
-    /// Splits a dense batch into batches of at most `chunk` rows (used by
-    /// operators that materialize and then re-stream).
+    /// Splits a batch into windows of at most `chunk` rows over the same
+    /// columns (used by operators that materialize and then re-stream); a
+    /// selection is materialized first.
     pub fn split(self, chunk: usize) -> Vec<Batch> {
-        self.assert_dense();
-        let n = self.len();
-        if n <= chunk {
+        if self.sel.is_some() {
+            return self.materialize().split(chunk);
+        }
+        if self.len() <= chunk {
             return vec![self];
         }
-        let mut out = Vec::with_capacity(n.div_ceil(chunk));
-        let mut start = 0;
-        while start < n {
-            let len = chunk.min(n - start);
-            out.push(Batch::new(
-                self.columns.iter().map(|c| c.slice(start, len)).collect(),
-            ));
-            start += len;
-        }
-        out
+        let end = self.span.end;
+        let starts = self.span.clone().step_by(chunk);
+        starts
+            .map(|start| Batch {
+                span: start..end.min(start + chunk),
+                ..self.clone()
+            })
+            .collect()
     }
 }
 
-/// The positions `i < n` for which `keep(i)` holds, ascending. The
-/// selection kernel shared by [`Batch::refine`] and the PatchIndex
-/// selection: the vector is sized once, every position is written
-/// unconditionally and the cursor advances by the predicate, so the loop
-/// has no data-dependent branch to mispredict.
-pub(crate) fn positions(n: usize, keep: impl Fn(usize) -> bool) -> Vec<usize> {
-    let mut out = vec![0; n];
+/// A copy of the rows `rows` of `col`.
+pub(crate) fn copy_rows(col: &ColumnData, rows: &Range<usize>) -> ColumnData {
+    let mut out = col.empty_like();
+    out.extend_from_range(col, rows.start, rows.len());
+    out
+}
+
+/// The positions `p` in `rows` for which `keep(p)` holds, ascending. The
+/// selection kernel of [`Batch::refine`]: the vector is sized once, every
+/// position is written unconditionally and the cursor advances by the
+/// predicate, so the loop has no data-dependent branch to mispredict.
+fn positions(rows: Range<usize>, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut out = vec![0; rows.len()];
     let mut kept = 0;
-    for i in 0..n {
-        out[kept] = i;
-        kept += usize::from(keep(i));
+    for p in rows {
+        out[kept] = p;
+        kept += usize::from(keep(p));
     }
     out.truncate(kept);
     out
@@ -311,8 +345,10 @@ mod tests {
         let last = odd.clone().refine(|p| p == 3);
         assert_eq!(last.sel(), Some(&[3][..]));
         assert_eq!(odd.head(1).sel(), Some(&[1][..]));
-        assert_eq!(batch().head(2).sel(), Some(&[0, 1][..]));
-        assert!(batch().head(9).sel().is_none());
+        let (whole, head) = (batch(), batch().head(2));
+        assert_eq!((head.sel(), head.span()), (None, 0..2));
+        assert_eq!(head.materialize().column(0).as_int(), &[1, 2]);
+        assert_eq!(whole.clone().head(9).span(), whole.span());
     }
 
     #[test]
@@ -356,7 +392,11 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].len(), 3);
         assert_eq!(parts[1].len(), 1);
-        assert_eq!(parts[1].column(0).as_int(), &[4]);
+        assert!(
+            std::ptr::eq(parts[0].raw_column(0), parts[1].raw_column(0)),
+            "the parts are windows of one buffer"
+        );
+        assert_eq!(parts[1].clone().materialize().column(0).as_int(), &[4]);
     }
 
     #[test]

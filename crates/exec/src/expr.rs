@@ -1,17 +1,20 @@
 //! Scalar and boolean expressions over batches.
 //!
-//! Expressions are evaluated column-at-a-time over a batch's whole
-//! columns: on a selected batch (see [`Batch`]) the result has one entry
-//! per column position, selected or not, and is read at [`Batch::row`]
-//! positions, so evaluation never gathers. String literals are resolved
-//! to dictionary codes at plan-build time (see `pi_storage::Dictionary`),
-//! so predicate evaluation never touches string payloads.
+//! Expressions are evaluated column-at-a-time over a batch's
+//! [`Batch::span`]: the result has one entry per span row, selected or
+//! not, and the batch's `i`-th row is entry `row(i) - span().start` (see
+//! [`Batch`]). So evaluation never gathers, and over a window lent from
+//! base storage it reads the window, never the whole base column. String
+//! literals are resolved to dictionary codes at plan-build time (see
+//! `pi_storage::Dictionary`), so predicate evaluation never touches string
+//! payloads.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use pi_storage::{ColumnData, DataType, DictRef};
 
-use crate::batch::Batch;
+use crate::batch::{copy_rows, Batch};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,25 +168,26 @@ impl Expr {
         Expr::Arith(ArithOp::Sub, Box::new(self), Box::new(other))
     }
 
-    /// Evaluates to a boolean mask over the batch's columns (one entry per
-    /// column position, selected or not).
+    /// Evaluates to a boolean mask over the batch's span (one entry per
+    /// span row, selected or not).
     pub fn eval_bool(&self, batch: &Batch) -> Vec<bool> {
         match self {
             Expr::Cmp(op, lhs, rhs) => match (lhs.literal(), rhs.literal()) {
                 // Column against literal: compare on the borrowed slice,
                 // no literal vector.
-                (None, Some(lit)) => cmp_literal(*op, &lhs.eval_ref(batch), lit),
-                (Some(lit), None) => cmp_literal(op.flipped(), &rhs.eval_ref(batch), lit),
-                _ => cmp_columns(*op, &lhs.eval_ref(batch), &rhs.eval_ref(batch)),
+                (None, Some(lit)) => cmp_literal(*op, lhs.operand(batch).vals(), lit),
+                (Some(lit), None) => cmp_literal(op.flipped(), rhs.operand(batch).vals(), lit),
+                _ => cmp_columns(*op, lhs.operand(batch).vals(), rhs.operand(batch).vals()),
             },
             Expr::Between(inner, lo, hi) => {
-                let v = inner.eval_ref(batch);
-                v.as_int().iter().map(|x| (lo <= x) & (x <= hi)).collect()
+                let v = inner.operand(batch);
+                let xs = v.vals().ints();
+                xs.iter().map(|x| (lo <= x) & (x <= hi)).collect()
             }
-            Expr::InInts(inner, set) => match &*inner.eval_ref(batch) {
-                ColumnData::Int(xs) => in_set(xs, set),
-                ColumnData::Str { codes, .. } => in_set(codes, set),
-                other => panic!("InInts over {:?}", other.data_type()),
+            Expr::InInts(inner, set) => match inner.operand(batch).vals() {
+                Vals::Int(xs) => in_set(xs, set),
+                Vals::Str(codes, _) => in_set(codes, set),
+                Vals::Float(_) => panic!("InInts over a Float column"),
             },
             Expr::And(l, r) => {
                 let mut a = l.eval_bool(batch);
@@ -206,26 +210,24 @@ impl Expr {
         }
     }
 
-    /// Evaluates to a column over the batch's columns (one entry per
-    /// column position, selected or not).
+    /// Evaluates to a column over the batch's span (one entry per span
+    /// row, selected or not).
     pub fn eval(&self, batch: &Batch) -> ColumnData {
-        let n = batch.physical_len();
+        let span = batch.span();
+        let n = span.len();
         match self {
-            Expr::Col(i) => batch.raw_column(*i).clone(),
+            Expr::Col(i) => copy_rows(batch.raw_column(*i), &span),
             Expr::LitInt(v) => ColumnData::Int(vec![*v; n]),
             Expr::LitFloat(v) => ColumnData::Float(vec![*v; n]),
             Expr::LitCode(c) => ColumnData::Int(vec![*c as i64; n]),
             Expr::Arith(op, lhs, rhs) => {
-                arith_columns(*op, &lhs.eval_ref(batch), &rhs.eval_ref(batch))
+                arith_columns(*op, lhs.operand(batch).vals(), rhs.operand(batch).vals(), n)
             }
-            Expr::Year(inner) => ColumnData::Int(
-                inner
-                    .eval_ref(batch)
-                    .as_int()
-                    .iter()
-                    .map(|&d| pi_storage::date_parts(d).0 as i64)
-                    .collect(),
-            ),
+            Expr::Year(inner) => {
+                let days = inner.operand(batch);
+                let years = days.vals().ints().iter();
+                ColumnData::Int(years.map(|&d| pi_storage::date_parts(d).0 as i64).collect())
+            }
             boolean => ColumnData::Int(
                 boolean
                     .eval_bool(batch)
@@ -236,13 +238,15 @@ impl Expr {
         }
     }
 
-    /// [`Expr::eval`] that borrows the batch's column when the expression
-    /// is a plain column reference.
-    fn eval_ref<'a>(&self, batch: &'a Batch) -> Cow<'a, ColumnData> {
-        match self {
-            Expr::Col(i) => Cow::Borrowed(batch.raw_column(*i)),
-            other => Cow::Owned(other.eval(batch)),
-        }
+    /// [`Expr::eval`] that borrows the batch's backing column when the
+    /// expression is a plain column reference.
+    pub(crate) fn operand<'a>(&self, batch: &'a Batch) -> Operand<'a> {
+        let span = batch.span();
+        let (col, offset) = match self {
+            Expr::Col(i) => (Cow::Borrowed(batch.raw_column(*i)), 0),
+            other => (Cow::Owned(other.eval(batch)), span.start),
+        };
+        Operand { col, offset, span }
     }
 
     /// The value of a literal expression.
@@ -300,6 +304,45 @@ pub fn str_code(dict: &DictRef, s: &str) -> u32 {
     dict.read().lookup(s).unwrap_or(u32::MAX)
 }
 
+/// An evaluated expression over a batch: backing row `p` is
+/// `col[p - offset]`. A column reference borrows the backing (offset 0);
+/// anything else is computed over the batch's span.
+pub(crate) struct Operand<'a> {
+    pub(crate) col: Cow<'a, ColumnData>,
+    pub(crate) offset: usize,
+    span: Range<usize>,
+}
+
+impl Operand<'_> {
+    /// The values over the batch's span.
+    fn vals(&self) -> Vals<'_> {
+        let rows = self.span.start - self.offset..self.span.end - self.offset;
+        match &*self.col {
+            ColumnData::Int(v) => Vals::Int(&v[rows]),
+            ColumnData::Float(v) => Vals::Float(&v[rows]),
+            ColumnData::Str { codes, dict } => Vals::Str(&codes[rows], dict),
+        }
+    }
+}
+
+/// The typed values of a column over a batch's span: what the kernels
+/// below compute on.
+#[derive(Clone, Copy)]
+enum Vals<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Str(&'a [u32], &'a DictRef),
+}
+
+impl<'a> Vals<'a> {
+    fn ints(self) -> &'a [i64] {
+        match self {
+            Vals::Int(v) => v,
+            _ => panic!("expected an Int column"),
+        }
+    }
+}
+
 #[derive(Clone, Copy)]
 enum Literal {
     Int(i64),
@@ -316,17 +359,17 @@ fn assert_code_comparison(op: CmpOp) {
 }
 
 /// `col op lit`, row by row.
-fn cmp_literal(op: CmpOp, col: &ColumnData, lit: Literal) -> Vec<bool> {
+fn cmp_literal(op: CmpOp, col: Vals, lit: Literal) -> Vec<bool> {
     match (col, lit) {
-        (ColumnData::Int(x), Literal::Int(v)) => op.mask(x.iter().map(|&p| (p, v))),
-        (ColumnData::Float(x), Literal::Float(v)) => op.mask(x.iter().map(|&p| (p, v))),
-        (ColumnData::Int(x), Literal::Float(v)) => op.mask(x.iter().map(|&p| (p as f64, v))),
-        (ColumnData::Float(x), Literal::Int(v)) => op.mask(x.iter().map(|&p| (p, v as f64))),
-        (ColumnData::Str { codes, .. }, Literal::Int(v)) => {
+        (Vals::Int(x), Literal::Int(v)) => op.mask(x.iter().map(|&p| (p, v))),
+        (Vals::Float(x), Literal::Float(v)) => op.mask(x.iter().map(|&p| (p, v))),
+        (Vals::Int(x), Literal::Float(v)) => op.mask(x.iter().map(|&p| (p as f64, v))),
+        (Vals::Float(x), Literal::Int(v)) => op.mask(x.iter().map(|&p| (p, v as f64))),
+        (Vals::Str(codes, _), Literal::Int(v)) => {
             assert_code_comparison(op);
             op.mask(codes.iter().map(|&c| (c as i64, v)))
         }
-        (col, Literal::Float(_)) => panic!("cannot compare {:?} with Float", col.data_type()),
+        (Vals::Str(..), Literal::Float(_)) => panic!("cannot compare a Str column with Float"),
     }
 }
 
@@ -342,25 +385,21 @@ fn in_set<T: Copy + Into<i64>>(xs: &[T], set: &[i64]) -> Vec<bool> {
     mask
 }
 
-fn cmp_columns(op: CmpOp, a: &ColumnData, b: &ColumnData) -> Vec<bool> {
+fn cmp_columns(op: CmpOp, a: Vals, b: Vals) -> Vec<bool> {
     match (a, b) {
-        (ColumnData::Int(x), ColumnData::Int(y)) => op.mask(x.iter().zip(y)),
-        (ColumnData::Float(x), ColumnData::Float(y)) => op.mask(x.iter().zip(y)),
-        (ColumnData::Int(x), ColumnData::Float(y)) => {
-            op.mask(x.iter().zip(y).map(|(&p, &q)| (p as f64, q)))
-        }
-        (ColumnData::Float(x), ColumnData::Int(y)) => {
-            op.mask(x.iter().zip(y).map(|(&p, &q)| (p, q as f64)))
-        }
-        (ColumnData::Str { codes, .. }, ColumnData::Int(y)) => {
+        (Vals::Int(x), Vals::Int(y)) => op.mask(x.iter().zip(y)),
+        (Vals::Float(x), Vals::Float(y)) => op.mask(x.iter().zip(y)),
+        (Vals::Int(x), Vals::Float(y)) => op.mask(x.iter().zip(y).map(|(&p, &q)| (p as f64, q))),
+        (Vals::Float(x), Vals::Int(y)) => op.mask(x.iter().zip(y).map(|(&p, &q)| (p, q as f64))),
+        (Vals::Str(codes, _), Vals::Int(y)) => {
             assert_code_comparison(op);
             op.mask(codes.iter().zip(y).map(|(&c, &q)| (c as i64, q)))
         }
-        (ColumnData::Int(x), ColumnData::Str { codes, .. }) => {
+        (Vals::Int(x), Vals::Str(codes, _)) => {
             assert_code_comparison(op);
             op.mask(x.iter().zip(codes).map(|(&p, &c)| (p, c as i64)))
         }
-        (ColumnData::Str { codes: x, dict: dx }, ColumnData::Str { codes: y, dict: dy }) => {
+        (Vals::Str(x, dx), Vals::Str(y, dy)) => {
             assert!(
                 std::sync::Arc::ptr_eq(dx, dy),
                 "string comparison across dictionaries"
@@ -368,27 +407,22 @@ fn cmp_columns(op: CmpOp, a: &ColumnData, b: &ColumnData) -> Vec<bool> {
             assert_code_comparison(op);
             op.mask(x.iter().zip(y))
         }
-        (a, b) => panic!(
-            "cannot compare {:?} with {:?}",
-            a.data_type(),
-            b.data_type()
-        ),
+        (Vals::Str(..), Vals::Float(_)) | (Vals::Float(_), Vals::Str(..)) => {
+            panic!("cannot compare a Str column with a Float one")
+        }
     }
 }
 
-fn arith_columns(op: ArithOp, a: &ColumnData, b: &ColumnData) -> ColumnData {
-    let as_f = |c: &ColumnData, i: usize| -> f64 {
+/// `a op b` over `n` rows.
+fn arith_columns(op: ArithOp, a: Vals, b: Vals, n: usize) -> ColumnData {
+    let as_f = |c: Vals, i: usize| -> f64 {
         match c {
-            ColumnData::Int(v) => v[i] as f64,
-            ColumnData::Float(v) => v[i],
-            other => panic!("arithmetic over {:?}", other.data_type()),
+            Vals::Int(v) => v[i] as f64,
+            Vals::Float(v) => v[i],
+            Vals::Str(..) => panic!("arithmetic over a Str column"),
         }
     };
-    let both_int = matches!((a, b), (ColumnData::Int(_), ColumnData::Int(_)));
-    let n = a.len();
-    if both_int && op != ArithOp::Div {
-        let x = a.as_int();
-        let y = b.as_int();
+    if let (Vals::Int(x), Vals::Int(y), false) = (a, b, op == ArithOp::Div) {
         let f = |i: usize| match op {
             ArithOp::Add => x[i] + y[i],
             ArithOp::Sub => x[i] - y[i],

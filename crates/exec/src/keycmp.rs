@@ -3,6 +3,7 @@
 //! path.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use pi_storage::ColumnData;
 
@@ -35,14 +36,20 @@ enum KeyKind {
 }
 
 impl KeyColumn {
-    /// Builds a key column from data.
-    pub(crate) fn build(col: &ColumnData, order: SortOrder) -> Self {
+    /// Builds a key column from the rows `rows` of `col`; its row 0 is
+    /// `col`'s row `rows.start`.
+    pub(crate) fn build(col: &ColumnData, rows: Range<usize>, order: SortOrder) -> Self {
         let kind = match col {
-            ColumnData::Int(v) => KeyKind::Int(v.clone()),
-            ColumnData::Float(v) => KeyKind::Float(v.clone()),
+            ColumnData::Int(v) => KeyKind::Int(v[rows].to_vec()),
+            ColumnData::Float(v) => KeyKind::Float(v[rows].to_vec()),
             ColumnData::Str { codes, dict } => {
                 let d = dict.read();
-                KeyKind::Str(codes.iter().map(|&c| d.decode(c).to_string()).collect())
+                KeyKind::Str(
+                    codes[rows]
+                        .iter()
+                        .map(|&c| d.decode(c).to_string())
+                        .collect(),
+                )
             }
         };
         KeyColumn { order, kind }
@@ -115,8 +122,8 @@ mod tests {
 
     #[test]
     fn int_key_directions() {
-        let asc = KeyColumn::build(&ColumnData::Int(vec![1, 2]), SortOrder::Asc);
-        let desc = KeyColumn::build(&ColumnData::Int(vec![1, 2]), SortOrder::Desc);
+        let asc = KeyColumn::build(&ColumnData::Int(vec![1, 2]), 0..2, SortOrder::Asc);
+        let desc = KeyColumn::build(&ColumnData::Int(vec![1, 2]), 0..2, SortOrder::Desc);
         assert_eq!(asc.cmp(0, 1), Ordering::Less);
         assert_eq!(desc.cmp(0, 1), Ordering::Greater);
     }
@@ -124,22 +131,22 @@ mod tests {
     #[test]
     fn string_keys_decode_for_order() {
         let col = str_column(&["z", "a"]);
-        let k = KeyColumn::build(&col, SortOrder::Asc);
+        let k = KeyColumn::build(&col, 0..2, SortOrder::Asc);
         assert_eq!(k.cmp(1, 0), Ordering::Less);
     }
 
     #[test]
     fn cross_comparison() {
-        let a = KeyColumn::build(&ColumnData::Int(vec![5]), SortOrder::Asc);
-        let b = KeyColumn::build(&ColumnData::Int(vec![7]), SortOrder::Asc);
+        let a = KeyColumn::build(&ColumnData::Int(vec![5]), 0..1, SortOrder::Asc);
+        let b = KeyColumn::build(&ColumnData::Int(vec![7]), 0..1, SortOrder::Asc);
         assert_eq!(a.cmp_cross(0, &b, 0), Ordering::Less);
         assert_eq!(cmp_rows_cross(&[a], 0, &[b], 0), Ordering::Less);
     }
 
     #[test]
     fn multi_key_tiebreak() {
-        let k1 = KeyColumn::build(&ColumnData::Int(vec![1, 1]), SortOrder::Asc);
-        let k2 = KeyColumn::build(&ColumnData::Float(vec![2.0, 1.0]), SortOrder::Asc);
+        let k1 = KeyColumn::build(&ColumnData::Int(vec![1, 1]), 0..2, SortOrder::Asc);
+        let k2 = KeyColumn::build(&ColumnData::Float(vec![2.0, 1.0]), 0..2, SortOrder::Asc);
         assert_eq!(cmp_rows(&[k1, k2], 0, 1), Ordering::Greater);
     }
 }

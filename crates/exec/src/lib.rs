@@ -10,10 +10,11 @@
 //! * the PatchIndex selection [`ops::patch_select::PatchSelectOp`]: one
 //!   scan split on the fly into an `exclude_patches` and a `use_patches`
 //!   flow;
-//! * late materialization: patch selections and filters hand on a
-//!   selection vector instead of copying rows, joins and aggregation read
-//!   through it, and rows are gathered only at pipeline breakers (see
-//!   [`Batch`]);
+//! * late materialization: scans lend `Arc`-shared windows into base
+//!   storage instead of copying it, patch selections and filters hand on
+//!   a selection vector instead of copying rows, joins and aggregation
+//!   read through both, and rows are copied only at pipeline breakers
+//!   (see [`Batch`]);
 //! * [`ops::hash_join::HashJoinOp`] with *dynamic range propagation*
 //!   (deferred probe construction from the build-key envelope);
 //! * [`ops::merge_join::MergeJoinOp`] for the nearly-sorted fast path;

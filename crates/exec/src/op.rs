@@ -4,19 +4,25 @@
 //! snapshot they scan (`'a`). A query executes by repeatedly pulling
 //! batches from the root. Helpers materialize an operator's full output.
 //!
-//! Batches may carry a selection (see [`Batch`]). Who handles it how:
+//! A batch is dense, a window or a selection (see [`Batch`]). Who handles
+//! which how:
 //!
-//! * **produce one:** `PatchSelectOp` (both modes; a batch that waits in
-//!   the split's queue for the other flow is gathered first) and
-//!   `FilterOp`, which ANDs into an existing selection;
-//! * **read through it:** `MergeJoinOp` (right side), `JoinTable::probe`
-//!   and so `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
-//!   `LimitOp` (truncates it), `UnionAllOp` and `MeterOp` (pass it on),
-//!   [`count_rows`], and expression evaluation, which reads whole columns;
+//! * **lend a window:** `ScanOp` (the base columns themselves, over base
+//!   rows with no delete or patch among them), and [`Batch::split`] in
+//!   `SortOp`, `HashAggOp` and `HashJoinOp` (windows of one buffer);
+//! * **select:** `PatchSelectOp`'s excluding flow (the exceptions, and a
+//!   batch queued for the other flow, are gathered) and `FilterOp`;
+//! * **read through:** `MergeJoinOp` (right side), `JoinTable::probe` and
+//!   so `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
+//!   `OrderedMergeOp` (windows; it gathers a selection), `LimitOp`
+//!   (shrinks the window or selection), `UnionAllOp` and `MeterOp` (pass
+//!   it on), [`count_rows`], and expression evaluation, which covers the
+//!   batch's span;
 //! * **materialize at entry** — the pipeline breakers and the result
-//!   boundary: `SortOp`, `OrderedMergeOp`, `ProjectOp`, [`collect`] /
-//!   [`Batch::concat`], `JoinTable::build`/`from_batch` and so the
-//!   result cache, which stores collected results.
+//!   boundary: `SortOp`, `ProjectOp`, [`collect`] / [`Batch::concat`],
+//!   `JoinTable::build`/`from_batch` and so the result cache, which
+//!   stores collected results. Materializing copies a window or selection
+//!   and is free on a dense batch.
 
 use crate::batch::Batch;
 

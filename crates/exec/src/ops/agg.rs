@@ -5,9 +5,9 @@
 //! additionally compute filtered sums ("sum(case when … then 1 else 0)" is
 //! an [`AggSpec::filter`]).
 //!
-//! The group and update loops read their input through its selection
-//! (see [`Batch`]): a selected row is hashed and aggregated where it lies,
-//! and only the groups' keys and aggregates are materialized.
+//! The group and update loops read a window or selection where it lies
+//! (see [`Batch`]), and only the groups' keys and aggregates are
+//! materialized; the output is handed out as windows of those.
 
 use std::sync::Arc;
 
@@ -329,20 +329,22 @@ impl<'a> HashAggOp<'a> {
                 };
                 gids.push(gid);
             }
-            // Aggregate updates.
+            // Aggregate updates. The argument is read at `row - offset`,
+            // the filter mask over the span.
+            let span_start = batch.span().start;
             for (si, spec) in self.specs.iter().enumerate() {
-                let col = spec.expr.eval(&batch);
+                let arg = spec.expr.operand(&batch);
                 let mask = spec.filter.as_ref().map(|f| f.eval_bool(&batch));
                 let state = aggs[si].get_or_insert_with(|| {
-                    AggState::new(spec.func, matches!(col, ColumnData::Float(_)))
+                    AggState::new(spec.func, matches!(*arg.col, ColumnData::Float(_)))
                 });
                 state.grow_to(ngroups as usize);
                 for (i, &gid) in gids.iter().enumerate() {
                     let row = batch.row(i);
-                    if mask.as_ref().is_some_and(|m| !m[row]) {
+                    if mask.as_ref().is_some_and(|m| !m[row - span_start]) {
                         continue;
                     }
-                    state.update(gid as usize, &col, row);
+                    state.update(gid as usize, &arg.col, row - arg.offset);
                 }
             }
             // Grow all aggregate states even if a batch contributed no rows

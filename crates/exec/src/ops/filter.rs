@@ -3,7 +3,9 @@
 //! A filter selects: it narrows its input's selection (see
 //! [`Batch`]) to the rows passing its predicate and copies no row. A
 //! projection materializes its input first, so the columns it computes
-//! are dense.
+//! are dense; a plain column reference shares its input's column.
+
+use std::sync::Arc;
 
 use crate::batch::Batch;
 use crate::expr::Expr;
@@ -30,7 +32,7 @@ impl Operator for FilterOp<'_> {
                 continue;
             }
             let mask = self.pred.eval_bool(&batch);
-            let out = batch.refine(|p| mask[p]);
+            let out = batch.refine(|i| mask[i]);
             if !out.is_empty() {
                 return Some(out);
             }
@@ -54,9 +56,11 @@ impl<'a> ProjectOp<'a> {
 impl Operator for ProjectOp<'_> {
     fn next(&mut self) -> Option<Batch> {
         let batch = self.input.next()?.materialize();
-        Some(Batch::new(
-            self.exprs.iter().map(|e| e.eval(&batch)).collect(),
-        ))
+        let cols = self.exprs.iter().map(|e| match e {
+            Expr::Col(i) => Arc::clone(&batch.columns()[*i]),
+            e => Arc::new(e.eval(&batch)),
+        });
+        Some(Batch::window(cols.collect(), 0..batch.len()))
     }
 }
 

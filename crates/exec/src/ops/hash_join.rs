@@ -131,19 +131,19 @@ impl JoinTable {
 
     /// Joins one probe batch against the table: `[probe columns..., build
     /// columns...]` for every matching pair, in probe order. The batch is
-    /// only read — through its selection, so only probe rows with a match
-    /// are gathered — and a caller can probe a result it keeps.
+    /// only read — where it lies, so only probe rows with a match are
+    /// gathered — and a caller can probe a result it keeps.
     pub fn probe(&self, batch: &Batch, probe_key: usize) -> Batch {
         let key_col = batch.raw_column(probe_key);
-        // One loop per case: the dense one, which every maintenance probe
+        // One loop per case: the window one, which every maintenance probe
         // takes, keeps no per-row selection lookup.
         let (probe_idx, build_idx) = match batch.sel() {
             Some(sel) => self.pairs(key_col, sel.iter().copied()),
-            None => self.pairs(key_col, 0..batch.len()),
+            None => self.pairs(key_col, batch.span()),
         };
-        let mut cols = batch.gather(&probe_idx).into_columns();
-        cols.extend(self.rows.gather(&build_idx).into_columns());
-        Batch::new(cols)
+        let probe_cols = (0..batch.width()).map(|c| batch.raw_column(c).gather(&probe_idx));
+        let build_cols = (0..self.rows.width()).map(|c| self.rows.raw_column(c).gather(&build_idx));
+        Batch::new(probe_cols.chain(build_cols).collect())
     }
 }
 

@@ -89,19 +89,31 @@ struct Side<'a> {
 }
 
 /// A side's current batch, its key columns on the row-by-row path (empty
-/// on the single-`Int`-key path) and the next row to emit.
+/// on the single-`Int`-key path) and the next row to emit, counted from
+/// the batch's first row.
 struct Cursor {
     batch: Batch,
     keys: Vec<KeyColumn>,
     pos: usize,
 }
 
-/// The input's next non-empty batch, materialized (the merge copies
-/// runs of rows), or `None` once the input is exhausted.
+impl Cursor {
+    /// The batch's `Int` column `col`, from its first row on.
+    fn ints(&self, col: usize) -> &[i64] {
+        &self.batch.raw_column(col).as_int()[self.batch.span()]
+    }
+}
+
+/// The input's next non-empty batch, or `None` once the input is
+/// exhausted. The merge copies runs of contiguous rows, so a window is
+/// read where it lies and only a selection is gathered first.
 fn pull(input: &mut dyn Operator) -> Option<Batch> {
     std::iter::from_fn(|| input.next())
         .find(|b| !b.is_empty())
-        .map(Batch::materialize)
+        .map(|b| match b.sel() {
+            Some(_) => b.materialize(),
+            None => b,
+        })
 }
 
 /// The length of the prefix of `keys` on which `pred` holds (`pred` must
@@ -141,7 +153,7 @@ impl<'a> OrderedMergeOp<'a> {
             .map(|s| pull(s.input.as_mut()))
             .collect();
         self.int_key = match (&self.keys[..], firsts.iter().flatten().next()) {
-            (&[key], Some(b)) if matches!(b.column(key.0), ColumnData::Int(_)) => Some(key),
+            (&[key], Some(b)) if matches!(b.raw_column(key.0), ColumnData::Int(_)) => Some(key),
             _ => None,
         };
         let cursors: Vec<Option<Cursor>> = firsts
@@ -165,7 +177,7 @@ impl<'a> OrderedMergeOp<'a> {
             None => self
                 .keys
                 .iter()
-                .map(|&(c, o)| KeyColumn::build(batch.column(c), o))
+                .map(|&(c, o)| KeyColumn::build(batch.raw_column(c), batch.span(), o))
                 .collect(),
         };
         let cur = Cursor {
@@ -199,7 +211,7 @@ impl<'a> OrderedMergeOp<'a> {
     fn set_head(&mut self, s: usize) {
         if let Some((col, o)) = self.int_key {
             self.heads[s] = match &self.sides[s].cur {
-                Some(c) => (false, oriented_int(c.batch.column(col).as_int()[c.pos], o)),
+                Some(c) => (false, oriented_int(c.ints(col)[c.pos], o)),
                 None => (true, 0),
             };
         }
@@ -208,8 +220,7 @@ impl<'a> OrderedMergeOp<'a> {
     /// Compares row `i` of `a` with row `j` of `b` by the merge keys.
     fn cmp_at(&self, a: &Cursor, i: usize, b: &Cursor, j: usize) -> Ordering {
         match self.int_key {
-            Some((c, o)) => oriented_int(a.batch.column(c).as_int()[i], o)
-                .cmp(&oriented_int(b.batch.column(c).as_int()[j], o)),
+            Some((c, o)) => oriented_int(a.ints(c)[i], o).cmp(&oriented_int(b.ints(c)[j], o)),
             None => cmp_rows_cross(&a.keys, i, &b.keys, j),
         }
     }
@@ -282,7 +293,7 @@ impl<'a> OrderedMergeOp<'a> {
         match self.int_key {
             Some((col, o)) => {
                 let bound = self.heads[c].1;
-                gallop(&cw.batch.column(col).as_int()[cw.pos..end], |&v| {
+                gallop(&cw.ints(col)[cw.pos..end], |&v| {
                     let v = oriented_int(v, o);
                     v < bound || (ties_win && v == bound)
                 })
@@ -325,15 +336,14 @@ impl Operator for OrderedMergeOp<'_> {
             let n = self.run_len(w, self.challenger(w), BATCH_SIZE - emitted);
             debug_assert!(n > 0, "the winner's row must beat the challenger");
             let cur = self.sides[w].cur.as_mut().expect("the winner is live");
+            let batch = &cur.batch;
             let cols = out.get_or_insert_with(|| {
-                cur.batch
-                    .columns()
-                    .iter()
-                    .map(ColumnData::empty_like)
+                (0..batch.width())
+                    .map(|c| batch.raw_column(c).empty_like())
                     .collect()
             });
-            for (o, c) in cols.iter_mut().zip(cur.batch.columns()) {
-                o.extend_from_range(c, cur.pos, n);
+            for (c, o) in cols.iter_mut().enumerate() {
+                o.extend_from_range(batch.raw_column(c), batch.row(cur.pos), n);
             }
             cur.pos += n;
             emitted += n;

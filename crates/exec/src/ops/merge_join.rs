@@ -88,9 +88,9 @@ impl Operator for MergeJoinOp<'_> {
             if left_idx.is_empty() {
                 continue;
             }
-            let mut cols = left.gather(&left_idx).into_columns();
-            cols.extend(batch.gather(&right_idx).into_columns());
-            return Some(Batch::new(cols));
+            let left_cols = (0..left.width()).map(|c| left.raw_column(c).gather(&left_idx));
+            let right_cols = (0..batch.width()).map(|c| batch.raw_column(c).gather(&right_idx));
+            return Some(Batch::new(left_cols.chain(right_cols).collect()));
         }
     }
 }

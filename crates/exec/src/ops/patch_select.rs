@@ -11,11 +11,13 @@
 //! patch mask of its rowID window is read word-wise (the window comes
 //! from the scan position; the scan emits no rowID column), ANDed with an
 //! optional pushed-down predicate evaluated once on the unfiltered batch.
-//! The flow being pulled gets the scanned batch with a selection (see
-//! [`Batch`]) — no row is copied here; its consumer reads through the
-//! selection or gathers where its pipeline breaks. The other flow's rows
-//! are gathered before they are queued, so its (small) queue never holds
-//! a whole scan batch for a few rows.
+//! The excluding flow gets the scanned batch — on clean base rows a
+//! window lent from base storage — with a selection (see [`Batch`]): no
+//! row is copied here or in the scan, so the paper's selection costs the
+//! mask and nothing more; its consumer reads through the selection or
+//! gathers where its pipeline breaks. The exceptions are found from the
+//! mask's set bits and gathered, and a flow's queued rows are gathered
+//! too, so a (small) queue never holds a whole scan batch for a few rows.
 //!
 //! The operator is generic over [`PatchLookup`] so both PatchIndex design
 //! approaches (bitmap-based and identifier-based, paper Section 3.2) plug
@@ -27,7 +29,7 @@ use std::rc::Rc;
 
 use pi_bitmap::ShardedBitmap;
 
-use crate::batch::{positions, Batch};
+use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::op::Operator;
 use crate::ops::scan::ScanOp;
@@ -112,12 +114,30 @@ impl SplitScan<'_> {
         self.patches
             .fill_patch_words(start as u64, &mut self.words, n);
         let words = &self.words;
-        let select = |mode: PatchMode| {
-            let wanted = mode == PatchMode::UsePatches;
-            let in_mode = |i: usize| (words[i / 64] >> (i % 64) & 1 == 1) == wanted;
-            match &pred {
-                Some(pred) => positions(n, |i| pred[i] & in_mode(i)),
-                None => positions(n, in_mode),
+        let is_patch = |i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+        let select = |mode: PatchMode| match (mode, &pred) {
+            (PatchMode::ExcludePatches, Some(pred)) => {
+                batch.clone().refine(|i| pred[i] & !is_patch(i))
+            }
+            (PatchMode::ExcludePatches, None) => batch.clone().refine(|i| !is_patch(i)),
+            // The exceptions are few: find them from the mask's set bits,
+            // not a pass over every row, and gather them.
+            (PatchMode::UsePatches, _) => {
+                let mut rows = Vec::new();
+                for (k, &word) in words.iter().enumerate() {
+                    let mut w = word;
+                    while w != 0 {
+                        let i = k * 64 + w.trailing_zeros() as usize;
+                        if i < n && pred.as_ref().is_none_or(|p| p[i]) {
+                            rows.push(batch.row(i));
+                        }
+                        w &= w - 1;
+                    }
+                }
+                match rows.len() == n {
+                    true => batch.clone(),
+                    false => batch.gather(&rows),
+                }
             }
         };
         let queued = match pulling {
@@ -128,11 +148,11 @@ impl SplitScan<'_> {
             let selected = select(queued);
             if selected.len() == n {
                 // The flows are disjoint: the pulled one keeps nothing.
-                flow.push_back(batch);
+                flow.push_back(selected);
                 return true;
             }
             if !selected.is_empty() {
-                flow.push_back(batch.gather(&selected));
+                flow.push_back(selected.materialize());
             }
         }
         let selected = select(pulling);
@@ -140,7 +160,7 @@ impl SplitScan<'_> {
             let flow = self.flows[pulling as usize]
                 .as_mut()
                 .expect("the pulled flow is live");
-            flow.push_back(Batch::selected(batch.into_columns(), selected));
+            flow.push_back(selected);
         }
         true
     }
@@ -341,16 +361,17 @@ mod tests {
     #[test]
     fn pulled_flow_selects_and_queued_flow_is_gathered() {
         // Every 7th row of the first scan batch is a patch. One pull of
-        // the excluding flow hands out the scanned batch itself under a
-        // selection; the patches flow, not pulled, has queued a dense
-        // batch of exactly its rows.
+        // the excluding flow hands out the scanned batch itself — the base
+        // column, lent — under a selection; the patches flow, not pulled,
+        // has queued a dense batch of exactly its rows.
         let patches: Vec<u64> = (0..BATCH_SIZE as u64).step_by(7).collect();
         let bm = ShardedBitmap::from_positions(10_000, &patches);
         let p = partition(10_000);
         let (mut ex, us) = PatchSelectOp::split(ScanOp::new(&p, vec![0], false), &bm, None);
         let first = ex.next().expect("a batch");
         assert_eq!(first.len(), BATCH_SIZE - patches.len());
-        assert_eq!(first.raw_column(0).len(), BATCH_SIZE);
+        assert_eq!(first.span(), 0..BATCH_SIZE);
+        assert!(std::ptr::eq(first.raw_column(0), p.base_column(0)));
         assert!(first.sel().is_some());
         let scan = ex.scan.borrow();
         let queue = scan.flows[PatchMode::UsePatches as usize]

@@ -6,6 +6,12 @@
 //! extra trailing `Int` column for the maintenance queries, which read
 //! rowIDs as values. The PatchIndex selection needs none: it takes each
 //! batch's rowID window from [`ScanOp::next_window`].
+//!
+//! A batch of base rows with no delete or patch among them is lent: a
+//! window into the partition's shared base columns (see [`Batch`]). The
+//! rest, and batches carrying rowIDs, are copied by
+//! [`Partition::read_range`]. A batch stops where the base ends, so
+//! appends leave every base batch lendable.
 
 use std::ops::Range;
 
@@ -67,15 +73,25 @@ impl ScanOp<'_> {
                 }
                 continue;
             }
-            let start = self.pos;
-            let len = BATCH_SIZE.min(range.end - start);
+            let (start, base_end) = (self.pos, self.partition.delta().base_visible_len());
+            let end = if start < base_end {
+                range.end.min(base_end)
+            } else {
+                range.end
+            };
+            let len = BATCH_SIZE.min(end - start);
+            self.pos += len;
+            if !self.with_rowids {
+                if let Some((cols, pos)) = self.partition.lend_range(&self.cols, start, len) {
+                    return Some((start, Batch::window(cols, pos..pos + len)));
+                }
+            }
             let mut cols = self.partition.read_range(&self.cols, start, len);
             if self.with_rowids {
                 cols.push(ColumnData::Int(
                     (start as i64..(start + len) as i64).collect(),
                 ));
             }
-            self.pos += len;
             return Some((start, Batch::new(cols)));
         }
     }
@@ -117,6 +133,31 @@ mod tests {
         let out = collect(&mut scan);
         assert_eq!(out.len(), 10_000);
         assert_eq!(out.column(0).as_int()[9_999], 9_999);
+    }
+
+    #[test]
+    fn base_batches_are_lent_and_appended_rows_are_copied() {
+        let clean = partition(10_000);
+        let mut appended = partition(10_000);
+        appended.append_row(&[Value::Int(-1), Value::Int(-2)]);
+        for p in [&clean, &appended] {
+            let mut scan = ScanOp::new(p, vec![1, 0], false);
+            let mut rows = 0;
+            while let Some((start, b)) = scan.next_window() {
+                assert_eq!(start, rows);
+                rows += b.len();
+                for (c, col) in [1, 0].into_iter().enumerate() {
+                    let base = p.base_column(col).as_int().as_ptr_range();
+                    let first: *const i64 = &b.raw_column(c).as_int()[b.row(0)];
+                    if start < 10_000 {
+                        assert_eq!(first, base.start.wrapping_add(start), "lent");
+                    } else {
+                        assert!(!base.contains(&first), "appended rows are copied");
+                    }
+                }
+            }
+            assert_eq!(rows, p.visible_len());
+        }
     }
 
     #[test]

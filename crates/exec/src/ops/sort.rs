@@ -49,7 +49,7 @@ impl<'a> SortOp<'a> {
         let key_cols: Vec<KeyColumn> = self
             .keys
             .iter()
-            .map(|&(c, o)| KeyColumn::build(all.column(c), o))
+            .map(|&(c, o)| KeyColumn::build(all.column(c), 0..all.len(), o))
             .collect();
         let mut idx: Vec<usize> = (0..all.len()).collect();
         idx.sort_unstable_by(|&a, &b| match cmp_rows(&key_cols, a, b) {
@@ -152,6 +152,7 @@ mod tests {
         let mut total = 0;
         while let Some(b) = s.next() {
             assert!(b.len() <= BATCH_SIZE);
+            let b = b.materialize();
             for &v in b.column(0).as_int() {
                 assert!(v >= last);
                 last = v;

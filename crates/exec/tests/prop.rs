@@ -1,5 +1,6 @@
 //! Property tests for the selection, join and merge kernels: each against
-//! the obvious reference implementation, over random inputs.
+//! the obvious reference implementation, over random inputs; and for scan
+//! batches lent from base storage, which later writes must not reach.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -9,9 +10,10 @@ use pi_exec::ops::filter::FilterOp;
 use pi_exec::ops::hash_join::{HashJoinOp, JoinTable, ProbeSide};
 use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, UnionAllOp};
 use pi_exec::ops::merge_join::MergeJoinOp;
+use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::{SortKeySpec, SortOrder};
-use pi_exec::{collect, count_rows, Batch, BatchSource, Expr, OpRef};
-use pi_storage::{str_column, ColumnData, DictRef};
+use pi_exec::{collect, count_rows, drain, Batch, BatchSource, Expr, OpRef, Operator};
+use pi_storage::{str_column, ColumnData, DataType, DictRef, Field, Partition, Schema, Value};
 use proptest::prelude::*;
 
 /// `len` rows `(i, i / 2, "s{i % 5}")`.
@@ -53,6 +55,19 @@ fn rows(b: &Batch) -> Vec<Vec<i64>> {
 
 fn source(b: &Batch) -> OpRef<'static> {
     Box::new(BatchSource::single(b.clone()))
+}
+
+/// The rows of the `Int` batch `b` as a window into a larger backing:
+/// `pre` rows before and `post` rows after it, holding values a kernel
+/// that read outside the window would trip over.
+fn widened(b: &Batch, pre: usize, post: usize) -> Batch {
+    let cols = b.columns().iter().map(|c| {
+        let mut v = vec![i64::MAX; pre];
+        v.extend(c.as_int());
+        v.extend(vec![i64::MIN; post]);
+        Arc::new(ColumnData::Int(v))
+    });
+    Batch::window(cols.collect(), pre..pre + b.len())
 }
 
 /// What each operator chain makes of `input`, row for row and in output
@@ -201,6 +216,10 @@ proptest! {
         noise in proptest::collection::vec(0u16..256, 300..301),
         cut in 1_000i64..1_300,
         limit in 0usize..320,
+        // 0: a selection over dense columns; 1: a window into a larger
+        // backing; 2: that window narrowed by a selection.
+        shape in 0u8..3,
+        margins in (0usize..70, 0usize..70),
     ) {
         let input = keyed(&steps, 1_000);
         let len = input.len();
@@ -209,8 +228,23 @@ proptest! {
         } else {
             (0..len).filter(|&i| noise[i] < density).collect()
         };
-        let selected = Batch::selected(input.into_columns(), sel.clone());
-        prop_assert_eq!(selected.len(), sel.len());
+        let window = widened(&input, margins.0, margins.1);
+        let narrowed = {
+            // A filter on the payload, which numbers the rows, selects
+            // `sel`; one that selects nothing yields no batch.
+            let payloads = sel.iter().map(|&i| 1_000 + i as i64).collect();
+            let keep = Expr::InInts(Box::new(Expr::col(1)), payloads);
+            FilterOp::new(source(&window), keep).next()
+        };
+        let (selected, rows) = match (shape, narrowed) {
+            (0, _) => (Batch::selected(input.into_columns(), sel.clone()), sel.len()),
+            (2, Some(narrowed)) => (narrowed, sel.len()),
+            _ => (window, len),
+        };
+        prop_assert_eq!(selected.len(), rows);
+        let span = selected.span().len();
+        prop_assert_eq!(Expr::col(1).mul(Expr::LitInt(2)).eval(&selected).len(), span);
+        prop_assert_eq!(Expr::col(0).lt(Expr::col(1)).eval_bool(&selected).len(), span);
         let other = keyed(&other_steps, 2_000);
         let dense = selected.clone().materialize();
         prop_assert!(dense.sel().is_none());
@@ -218,6 +252,43 @@ proptest! {
             chains(&selected, &other, cut, limit),
             chains(&dense, &other, cut, limit)
         );
+    }
+
+    #[test]
+    fn held_scan_batches_are_unchanged_by_later_writes(
+        base_rows in 0usize..9_000,
+        // (kind, row, value): modify, delete, append or propagate.
+        before in proptest::collection::vec((0u8..4, any::<usize>(), -9i64..9), 0..8),
+        after in proptest::collection::vec((0u8..4, any::<usize>(), -9i64..9), 1..16),
+    ) {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]));
+        let base = (0..2).map(|c| ColumnData::Int((0..base_rows as i64).map(|r| r * 10 + c).collect()));
+        let mut part = Partition::new(0, schema, base.collect());
+        let write = |part: &mut Partition, &(kind, row, value): &(u8, usize, i64)| {
+            let n = part.visible_len();
+            match kind {
+                0 if n > 0 => part.modify(&[row % n], row % 2, &[Value::Int(value)]),
+                1 if n > 0 => part.delete(&[row % n]),
+                2 => part.append_row(&[Value::Int(value), Value::Int(value)]),
+                3 => part.propagate(),
+                _ => {}
+            }
+        };
+        for w in &before {
+            write(&mut part, w);
+        }
+        // Clean base rows come lent, so the held batches share the base.
+        let held = drain(&mut ScanOp::new(&part, vec![1, 0], false));
+        let want: Vec<_> = held.iter().map(|b| rows(&b.clone().materialize())).collect();
+        for w in &after {
+            write(&mut part, w);
+        }
+        for (b, want) in held.iter().zip(&want) {
+            prop_assert_eq!(&rows(&b.clone().materialize()), want);
+        }
     }
 
     #[test]
@@ -291,7 +362,7 @@ proptest! {
             let want = shape.columns(&all, &dict);
             prop_assert_eq!(got.width(), want.len());
             for (g, w) in got.columns().iter().zip(&want) {
-                match (g, w) {
+                match (&**g, w) {
                     (ColumnData::Int(g), ColumnData::Int(w)) => prop_assert_eq!(g, w),
                     (ColumnData::Float(g), ColumnData::Float(w)) => prop_assert_eq!(g, w),
                     (ColumnData::Str { codes: g, dict: d }, ColumnData::Str { codes: w, .. }) => {

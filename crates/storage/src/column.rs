@@ -1,10 +1,12 @@
 //! Columnar data vectors.
 //!
 //! [`ColumnData`] is the common currency between storage and execution:
-//! partitions store columns as `ColumnData`, scans slice or gather them into
-//! new `ColumnData` batches, and operators transform those. String payloads
-//! are `u32` codes plus an `Arc` dictionary handle, so batch copies stay
-//! cheap.
+//! partitions store columns as `ColumnData`, each behind an `Arc`. Scans
+//! lend those: a batch holds the `Arc` and a window of rows, so a scan of
+//! clean base rows copies nothing. Gathers copy: a merge-on-read over
+//! pending deltas, and every operator that collects rows into new
+//! `ColumnData`. String payloads are `u32` codes plus an `Arc` dictionary
+//! handle, so those copies stay cheap.
 
 use std::sync::Arc;
 
@@ -164,18 +166,6 @@ impl ColumnData {
         }
     }
 
-    /// Copies the rows in `range` into a new vector.
-    pub fn slice(&self, start: usize, len: usize) -> ColumnData {
-        match self {
-            ColumnData::Int(v) => ColumnData::Int(v[start..start + len].to_vec()),
-            ColumnData::Float(v) => ColumnData::Float(v[start..start + len].to_vec()),
-            ColumnData::Str { codes, dict } => ColumnData::Str {
-                codes: codes[start..start + len].to_vec(),
-                dict: Arc::clone(dict),
-            },
-        }
-    }
-
     /// Copies the rows at `indices` into a new vector.
     pub fn gather(&self, indices: &[usize]) -> ColumnData {
         match self {
@@ -324,9 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_gather() {
+    fn gather_picks_rows_in_order() {
         let c = ColumnData::from(vec![10i64, 20, 30, 40]);
-        assert_eq!(c.slice(1, 2).as_int(), &[20, 30]);
         assert_eq!(c.gather(&[3, 0]).as_int(), &[40, 10]);
     }
 
@@ -367,7 +356,7 @@ mod tests {
             &[40, 10, 30, 20]
         );
         let s = str_column(&["a", "b", "c"]);
-        let (h, t) = (s.slice(0, 1), s.slice(1, 2));
+        let (h, t) = (s.gather(&[0]), s.gather(&[1, 2]));
         assert_eq!(h.gather_concat(&t, &[2, 0]).as_codes(), &[2, 0]);
     }
 

@@ -15,12 +15,14 @@
 //! * merge-on-read costs per *delta*, not per row: a range read copies the
 //!   base runs between consecutive deleted positions as typed slices,
 //!   overwrites the modified cells inside the window, and takes the append
-//!   buffer as one more run;
+//!   buffer as one more run — and a window that is one unpatched base run
+//!   needs no copy at all (`DeltaStore::base_run`);
 //! * the store's parts (base row count, deleted positions, modified cells,
 //!   append columns) are readable, and [`DeltaStore::from_parts`] rebuilds
 //!   a store from them, so a checkpoint can persist the delta alone.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::column::ColumnData;
 use crate::value::Value;
@@ -293,9 +295,11 @@ impl DeltaStore {
     }
 
     /// Merges all deltas into `base` (delete, patch, append — the PDT
-    /// propagate/checkpoint step) and resets this store.
-    pub fn propagate(&mut self, base: &mut [ColumnData]) {
+    /// propagate/checkpoint step) and resets this store. A column that
+    /// something else still shares is copied first, never written through.
+    pub fn propagate(&mut self, base: &mut [Arc<ColumnData>]) {
         assert_eq!(base.len(), self.appends.len(), "column arity mismatch");
+        let mut base: Vec<&mut ColumnData> = base.iter_mut().map(Arc::make_mut).collect();
         for (&pos, patches) in &self.modified {
             for (col, v) in patches {
                 base[*col].set(pos, v);
@@ -315,6 +319,19 @@ impl DeltaStore {
             *a = a.empty_like();
         }
         self.base_rows = base.first().map_or(0, |c| c.len());
+    }
+
+    /// The base position of visible row `start`, when the `len` rows from
+    /// it on are one run of base rows with no delete, append buffer slot or
+    /// patched cell among them.
+    pub(crate) fn base_run(&self, start: usize, len: usize) -> Option<usize> {
+        if start + len > self.base_visible_len() {
+            return None;
+        }
+        let di = self.shift(start);
+        let (first, end) = (start + di, start + di + len);
+        let no_delete = self.deleted.get(di).is_none_or(|&d| d >= end);
+        (no_delete && self.modified.range(first..end).next().is_none()).then_some(first)
     }
 
     /// Materializes visible rows `[start, start + len)` of column `col`,
@@ -395,7 +412,7 @@ impl DeltaStore {
 
     /// Reads the value of `col` for visible row `rid` from `base` /
     /// append buffer, applying pending patches.
-    pub fn read_value(&self, base: &[ColumnData], col: usize, rid: usize) -> Value {
+    pub fn read_value(&self, base: &[Arc<ColumnData>], col: usize, rid: usize) -> Value {
         match self.locate(rid) {
             RowLoc::Base(b) => self
                 .modified_value(b, col)
@@ -410,8 +427,8 @@ impl DeltaStore {
 mod tests {
     use super::*;
 
-    fn store(base_rows: usize) -> (Vec<ColumnData>, DeltaStore) {
-        let base = vec![ColumnData::Int((0..base_rows as i64).collect())];
+    fn store(base_rows: usize) -> (Vec<Arc<ColumnData>>, DeltaStore) {
+        let base = vec![Arc::new(ColumnData::Int((0..base_rows as i64).collect()))];
         let proto = vec![base[0].empty_like()];
         (base, DeltaStore::new(base_rows, proto))
     }

@@ -4,7 +4,9 @@
 //! created per partition, and discovery, creation and query processing run
 //! partition-locally and in parallel (paper, Section 3.2). A partition owns
 //! an in-memory [`DeltaStore`] and shares its immutable base columns, with
-//! their lazily built zone maps, behind one `Arc`.
+//! their lazily built zone maps, behind one `Arc`; each column sits behind
+//! an `Arc` of its own as well, so a scan can lend it (see
+//! [`Partition::lend_range`]).
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -16,10 +18,11 @@ use crate::value::{DataType, Value};
 use crate::zonemap::{ZoneMap, DEFAULT_BLOCK_ROWS};
 
 /// Base storage: immutable between two propagates, so every clone of a
-/// partition shares it.
+/// partition shares it, and every scan batch lent from it shares its
+/// columns.
 #[derive(Debug, Clone)]
 struct Base {
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
     /// Lazily built zone maps over exactly `columns`. Interior-mutable
     /// ([`OnceLock`]) so building one is a `&self` operation: maintenance
     /// can warm a zone map through any clone and every clone sees it.
@@ -29,6 +32,7 @@ struct Base {
 impl Base {
     fn new(columns: Vec<ColumnData>) -> Self {
         let zonemaps = columns.iter().map(|_| OnceLock::new()).collect();
+        let columns = columns.into_iter().map(Arc::new).collect();
         Base { columns, zonemaps }
     }
 }
@@ -41,7 +45,9 @@ impl Base {
 /// clone when a writer mutates a partition some snapshot still holds
 /// (copy-on-write via [`std::sync::Arc::make_mut`]); only
 /// [`Partition::propagate`], which rewrites the base anyway, copies base
-/// columns that a clone still shares.
+/// columns. It copies a column that something else still shares: a clone
+/// of the partition, or a scan batch still holding a window lent by
+/// [`Partition::lend_range`]. Neither ever sees the write.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Partition id within its table.
@@ -137,18 +143,29 @@ impl Partition {
         self.delta.read_value(&self.base.columns, col, rid)
     }
 
-    /// Materializes rows `[start, start + len)` of the given columns.
-    ///
-    /// With no pending deltas this is one slice copy per column; with
-    /// some, one per base run between them (see [`DeltaStore`]).
+    /// The shared base columns `cols` and the base position of visible row
+    /// `start`, when rows `[start, start + len)` are one run of base rows
+    /// with no delete or patch among them (see `DeltaStore::base_run`):
+    /// a scan can then lend that run of the base instead of copying it.
+    pub fn lend_range(
+        &self,
+        cols: &[usize],
+        start: usize,
+        len: usize,
+    ) -> Option<(Vec<Arc<ColumnData>>, usize)> {
+        let pos = self.delta.base_run(start, len)?;
+        let lent = cols.iter().map(|&c| Arc::clone(&self.base.columns[c]));
+        Some((lent.collect(), pos))
+    }
+
+    /// Materializes rows `[start, start + len)` of the given columns: what
+    /// [`Partition::lend_range`] would lend, copied, or else one copy per
+    /// base run between deletes, the patched cells and the appended rows
+    /// (see [`DeltaStore`]).
     pub fn read_range(&self, cols: &[usize], start: usize, len: usize) -> Vec<ColumnData> {
         assert!(start + len <= self.visible_len(), "range out of bounds");
-        let base = &self.base.columns;
-        if self.delta.is_empty() {
-            return cols.iter().map(|&c| base[c].slice(start, len)).collect();
-        }
         cols.iter()
-            .map(|&c| self.delta.read_range(&base[c], c, start, len))
+            .map(|&c| self.delta.read_range(&self.base.columns[c], c, start, len))
             .collect()
     }
 
@@ -186,8 +203,8 @@ impl Partition {
     }
 
     /// Merges all pending deltas into base storage and invalidates zone
-    /// maps. The one operation that writes the base: clones that still
-    /// share it keep the old one.
+    /// maps. The one operation that writes the base: clones and lent
+    /// windows that still share it keep the old one.
     pub fn propagate(&mut self) {
         let base = Arc::make_mut(&mut self.base);
         self.delta.propagate(&mut base.columns);
@@ -229,11 +246,6 @@ impl Partition {
             ranges.push(append_start..append_start + append_len);
         }
         Some(ranges)
-    }
-
-    /// Approximate heap bytes of base storage.
-    pub fn memory_bytes(&self) -> usize {
-        self.base.columns.iter().map(|c| c.memory_bytes()).sum()
     }
 }
 

@@ -248,11 +248,6 @@ impl Table {
         }
     }
 
-    /// Approximate heap bytes of base storage.
-    pub fn memory_bytes(&self) -> usize {
-        self.partitions.iter().map(|p| p.memory_bytes()).sum()
-    }
-
     /// The routing policy (checkpointed by the durability layer so
     /// recovery routes replayed inserts identically).
     pub fn partitioning(&self) -> &Partitioning {
