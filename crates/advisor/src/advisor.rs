@@ -216,9 +216,10 @@ impl Advisor {
 
     /// Runs one step if at least `step_every` statements were applied
     /// since the last one — call it after every update statement to
-    /// piggyback the advisor on the update path (the same cadence
-    /// contract as the `MaintenancePolicy`'s automatic recompute/condense
-    /// pass, extended to the whole index lifecycle).
+    /// piggyback the advisor on the update path. The advisor is the one
+    /// owner of the index lifecycle (create, recompute, drop); the only
+    /// other upkeep, condensing a Bitmap index's shards, happens inside
+    /// the bitmap's own deletes.
     pub fn maybe_step(&mut self, it: &mut IndexedTable) -> Vec<AdvisorAction> {
         if it.statements() - self.last_step_statements < self.cfg.step_every {
             return Vec::new();

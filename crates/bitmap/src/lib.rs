@@ -16,7 +16,8 @@
 //! * [`PlainBitmap`] — ordinary bitmap baseline (Table 2 comparison).
 //! * [`ShardedBitmap`] — single-threaded sharded bitmap with single
 //!   [`ShardedBitmap::delete`], parallel/vectorized
-//!   [`ShardedBitmap::bulk_delete`] and [`ShardedBitmap::condense`].
+//!   [`ShardedBitmap::bulk_delete`]; both run [`ShardedBitmap::condense`]
+//!   themselves once half the shards are free.
 //! * [`ShiftKernel`] — scalar / unrolled / AVX2 cross-element shift kernels
 //!   (paper, Listing 1).
 //!

@@ -8,7 +8,9 @@
 //!
 //! The price is one "lost" bit slot at the end of the affected shard per
 //! delete (capacity the shard can no longer address); the [`ShardedBitmap::condense`]
-//! operation re-packs shards to reclaim those slots.
+//! operation re-packs shards to reclaim those slots. The bitmap runs it
+//! itself (Section 4.2.4): after every public operation it holds fewer
+//! than twice the shards its bits need, or at most one shard.
 
 use crate::bitcopy::{copy_bits, remove_bits};
 use crate::simd::ShiftKernel;
@@ -211,11 +213,13 @@ impl ShardedBitmap {
             self.logical_len += take;
             remaining -= take;
         }
+        self.condense_if_sparse();
     }
 
     /// Deletes the bit at logical position `p` entirely (Section 4.2.2):
     /// (a) locate the shard, (b) shift subsequent bits of that shard one
     /// position down, (c) decrement the start values of later shards.
+    /// Condenses once the deletes have freed half the shards.
     pub fn delete(&mut self, p: u64) {
         assert!(
             p < self.logical_len,
@@ -232,6 +236,7 @@ impl ShardedBitmap {
             *start -= 1;
         }
         self.logical_len -= 1;
+        self.condense_if_sparse();
     }
 
     /// Deletes many logical positions at once (Section 4.2.3 / Figure 4).
@@ -241,7 +246,7 @@ impl ShardedBitmap {
     /// shard drops its whole group in one left-compaction pass (in parallel
     /// across shards when enough of them are affected to occupy a worker),
     /// and all start values are adapted in a single traversal with a running
-    /// sum of preceding deletes.
+    /// sum of preceding deletes. Condenses like [`ShardedBitmap::delete`].
     pub fn bulk_delete(&mut self, positions: &[u64], mode: BulkDeleteMode) {
         if positions.is_empty() {
             return;
@@ -338,6 +343,19 @@ impl ShardedBitmap {
             }
         }
         self.logical_len -= deleted_before;
+        self.condense_if_sparse();
+    }
+
+    /// Condenses once the bitmap holds at least twice the shards its bits
+    /// need (Section 4.2.4). Re-packing `s` shards costs `s` shards of
+    /// copying, and at least half of them were freed by deletes since the
+    /// last condense, so the cost is about 1/32 word per deleted position.
+    /// A one-shard bitmap never re-packs: it has nothing to free.
+    fn condense_if_sparse(&mut self) {
+        let needed = self.logical_len.div_ceil(self.shard_bits() as u64) as usize;
+        if self.starts.len() > 1 && self.starts.len() >= 2 * needed {
+            self.condense();
+        }
     }
 
     /// Fraction of allocated bit slots that are still addressable. Every
@@ -376,17 +394,6 @@ impl ShardedBitmap {
         self.starts = (0..nshards_new as u64)
             .map(|s| s * shard_bits as u64)
             .collect();
-    }
-
-    /// Condenses once utilization drops below `threshold`; returns whether a
-    /// condense ran (automatic triggering as described in Section 4.2.4).
-    pub fn maybe_condense(&mut self, threshold: f64) -> bool {
-        if self.utilization() < threshold {
-            self.condense();
-            true
-        } else {
-            false
-        }
     }
 
     /// Number of set bits.
@@ -474,6 +481,12 @@ impl ShardedBitmap {
         if let Some(&first) = self.starts.first() {
             assert_eq!(first, 0, "first shard must start at 0");
         }
+        let needed = self.logical_len.div_ceil(shard_bits) as usize;
+        assert!(
+            self.starts.len() <= 1 || self.starts.len() < 2 * needed,
+            "{} shards hold bits that need {needed}: not condensed",
+            self.starts.len()
+        );
     }
 }
 
@@ -635,15 +648,44 @@ mod tests {
     }
 
     #[test]
-    fn maybe_condense_threshold() {
-        let mut bm = small(640, &[]);
-        for _ in 0..64 {
+    fn deletes_condense_once_half_the_shards_are_free() {
+        // 10 shards of 64 bits. Deleting from the front empties shard 0
+        // first; the bitmap keeps its shards until 5 of them would do.
+        let mut bm = small(640, &[639]);
+        for _ in 0..319 {
             bm.delete(0);
         }
-        assert_eq!(bm.len(), 576);
-        assert!(!bm.maybe_condense(0.5)); // utilization 576/640 = 0.9
-        assert!(bm.maybe_condense(0.95));
-        assert_eq!(bm.shard_count(), 9);
+        assert_eq!((bm.len(), bm.shard_count()), (321, 10));
+        bm.delete(0);
+        assert_eq!((bm.len(), bm.shard_count()), (320, 5));
+        assert!(bm.get(319));
+        bm.check_invariants();
+        // A bulk delete condenses the same way: 160 bits still need 3
+        // of the 5 shards, 128 bits need 2.
+        bm.bulk_delete(&(0..160).collect::<Vec<_>>(), BulkDeleteMode::Sequential);
+        assert_eq!((bm.len(), bm.shard_count()), (160, 5));
+        bm.bulk_delete(&(0..32).collect::<Vec<_>>(), BulkDeleteMode::Sequential);
+        assert_eq!((bm.len(), bm.shard_count()), (128, 2));
+        assert!(bm.get(127));
+        bm.check_invariants();
+        // One shard is never re-packed, however empty.
+        let mut one = small(64, &[]);
+        one.bulk_delete(&(0..63).collect::<Vec<_>>(), BulkDeleteMode::Sequential);
+        assert_eq!((one.len(), one.shard_count()), (1, 1));
+    }
+
+    #[test]
+    fn append_keeps_the_condense_invariant() {
+        // Shard 0 holds 1 bit, shard 1 none, shard 2 is full: 3 shards
+        // for 65 bits is allowed, a 4th for 66 bits is not.
+        let mut bm = small(192, &[]);
+        bm.bulk_delete(&(1..128).collect::<Vec<_>>(), BulkDeleteMode::Sequential);
+        assert_eq!((bm.len(), bm.shard_count()), (65, 3));
+        bm.set(64);
+        bm.append_zeros(1);
+        assert_eq!((bm.len(), bm.shard_count()), (66, 2));
+        assert!(bm.get(64) && !bm.get(65));
+        bm.check_invariants();
     }
 
     #[test]

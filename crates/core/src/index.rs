@@ -268,7 +268,7 @@ impl PatchIndex {
     }
 
     /// Rebuilds the index from scratch (the global recomputation the
-    /// monitoring policy triggers once updates eroded optimality too far).
+    /// advisor triggers once updates eroded optimality too far).
     /// Maintenance stats survive; the drift baseline re-anchors at the
     /// fresh state.
     ///
@@ -282,41 +282,6 @@ impl PatchIndex {
         *self = PatchIndex::build(table, self.column, self.constraint, None);
         self.stats = stats;
         self.reset_baseline();
-    }
-
-    /// Recomputes once the exception rate exceeds `threshold`; returns
-    /// whether a recompute ran (paper, Sections 5.1/5.3: "monitoring the
-    /// exception rate and triggering a global recomputation").
-    pub fn maybe_recompute(&mut self, table: &Table, threshold: f64) -> bool {
-        if self.exception_rate() > threshold {
-            self.recompute(table);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the policy pass has anything to do at these thresholds — a
-    /// `&self` predicate checked *before* [`std::sync::Arc::make_mut`], so
-    /// an index shared with live snapshots is only copied when a
-    /// recompute/condense will actually run (the automatic per-statement
-    /// pass would otherwise deep-copy every untouched shared index).
-    pub fn policy_action_due(&self, max_exception_rate: f64, condense_threshold: f64) -> bool {
-        self.exception_rate() > max_exception_rate
-            || self
-                .parts
-                .iter()
-                .any(|p| p.store.would_condense(condense_threshold))
-    }
-
-    /// Condenses underlying bitmaps whose utilization fell below
-    /// `threshold`; returns how many partitions condensed.
-    pub fn maybe_condense(&mut self, threshold: f64) -> usize {
-        self.parts
-            .iter_mut()
-            .map(|p| p.store.maybe_condense(threshold))
-            .filter(|&c| c)
-            .count()
     }
 
     /// Verifies the core invariant on every partition: excluding the
@@ -500,15 +465,6 @@ mod tests {
         assert_eq!(idx.exception_rate(), 0.0);
         let nuc = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         assert_eq!(nuc.exception_rate(), 0.0);
-    }
-
-    #[test]
-    fn recompute_threshold() {
-        let t = table(vec![vec![1, 1, 2, 3]]);
-        let mut idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
-        assert!(!idx.maybe_recompute(&t, 0.9));
-        assert!(idx.maybe_recompute(&t, 0.2));
-        idx.check_consistency(&t);
     }
 
     #[test]

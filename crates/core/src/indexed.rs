@@ -19,26 +19,14 @@ use crate::index::PatchIndex;
 use crate::sampling::Reservoir;
 use crate::snapshot::{WorkloadEvent, WorkloadSink};
 
-/// Maintenance tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct MaintenancePolicy {
-    /// Recompute an index once its exception rate exceeds this.
-    pub max_exception_rate: f64,
-    /// Condense bitmaps whose utilization fell below this.
-    pub condense_threshold: f64,
-    /// Whether the policy runs automatically after each update batch.
-    pub auto: bool,
-}
-
-impl Default for MaintenancePolicy {
-    fn default() -> Self {
-        MaintenancePolicy {
-            max_exception_rate: 0.5,
-            condense_threshold: 0.5,
-            auto: false,
-        }
-    }
-}
+/// An empty placeholder that `pi_durability::DurableWriter::recover`
+/// accepts and ignores, kept only so pibench's recovery call still
+/// compiles. Nothing is tuned here: the advisor (or an explicit
+/// [`IndexedTable::recompute_index`]) recomputes, and the sharded bitmap
+/// condenses itself. `default()` is the only way to make one.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct MaintenancePolicy;
 
 /// The shape of a query as far as index advising cares: which rewrite
 /// family could have served it.
@@ -110,7 +98,6 @@ pub struct QueryFeedback {
 pub struct IndexedTable {
     table: Table,
     indexes: Vec<Arc<PatchIndex>>,
-    policy: MaintenancePolicy,
     query_log: QueryLog,
     /// One entry per index slot, in slot order.
     feedback: Vec<QueryFeedback>,
@@ -135,7 +122,6 @@ impl IndexedTable {
         IndexedTable {
             table,
             indexes: Vec::new(),
-            policy: MaintenancePolicy::default(),
             query_log: QueryLog::default(),
             feedback: Vec::new(),
             samplers: Vec::new(),
@@ -143,12 +129,6 @@ impl IndexedTable {
             sink: Arc::default(),
             statements: 0,
         }
-    }
-
-    /// Sets the maintenance policy.
-    pub fn with_policy(mut self, policy: MaintenancePolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Rebuilds an indexed table from recovered state: a restored table,
@@ -173,19 +153,12 @@ impl IndexedTable {
             table,
             feedback: vec![QueryFeedback::default(); indexes.len()],
             indexes,
-            policy: MaintenancePolicy::default(),
             query_log: QueryLog::default(),
             samplers: Vec::new(),
             catalog_cache: OnceLock::new(),
             sink: Arc::default(),
             statements,
         }
-    }
-
-    /// Replaces the maintenance policy in place (the snapshot writer's
-    /// counterpart of [`IndexedTable::with_policy`]).
-    pub fn set_policy(&mut self, policy: MaintenancePolicy) {
-        self.policy = policy;
     }
 
     /// Creates a PatchIndex on `col` and returns its slot.
@@ -252,11 +225,6 @@ impl IndexedTable {
     /// Optimizer feedback accumulated for the index in `slot`.
     pub fn feedback(&self, slot: usize) -> QueryFeedback {
         self.feedback[slot]
-    }
-
-    /// The active maintenance policy.
-    pub fn policy(&self) -> MaintenancePolicy {
-        self.policy
     }
 
     /// Snapshot of every index plus the per-partition table shape — what
@@ -451,7 +419,6 @@ impl IndexedTable {
                 Arc::make_mut(idx).handle_insert(&mut self.table, &addrs);
             }
         }
-        self.run_policy();
         addrs
     }
 
@@ -468,7 +435,6 @@ impl IndexedTable {
             }
             self.table.delete(pid, rids);
         }
-        self.run_policy();
     }
 
     /// Patches `col` of the given rows, maintaining the indexes on that
@@ -487,53 +453,12 @@ impl IndexedTable {
                 }
             }
         }
-        self.run_policy();
     }
 
     /// Merges pending deltas into base storage (visible rowIDs do not
     /// change, so indexes stay valid).
     pub fn propagate(&mut self) {
         self.table.propagate_all();
-    }
-
-    /// Applies the maintenance policy once (recompute / condense).
-    pub fn run_policy_now(&mut self) -> (usize, usize) {
-        self.invalidate_catalog();
-        let mut recomputed = 0;
-        let mut condensed = 0;
-        for idx in &mut self.indexes {
-            // `&self` predicate first: copying a snapshot-shared index
-            // just to discover there is nothing to do would defeat the
-            // copy-on-write economics.
-            if !idx.policy_action_due(
-                self.policy.max_exception_rate,
-                self.policy.condense_threshold,
-            ) {
-                continue;
-            }
-            let idx = Arc::make_mut(idx);
-            if idx.maybe_recompute(&self.table, self.policy.max_exception_rate) {
-                recomputed += 1;
-            }
-            condensed += idx.maybe_condense(self.policy.condense_threshold);
-        }
-        (recomputed, condensed)
-    }
-
-    /// The automatic policy pass after each statement.
-    fn run_policy(&mut self) {
-        if !self.policy.auto {
-            return;
-        }
-        let policy = self.policy;
-        for idx in &mut self.indexes {
-            if !idx.policy_action_due(policy.max_exception_rate, policy.condense_threshold) {
-                continue;
-            }
-            let idx = Arc::make_mut(idx);
-            idx.maybe_recompute(&self.table, policy.max_exception_rate);
-            idx.maybe_condense(policy.condense_threshold);
-        }
     }
 
     /// Verifies every index against the table (test helper).
@@ -617,19 +542,45 @@ mod tests {
         assert_eq!(it.index(on_k).exception_count(), 0);
     }
 
+    /// A rolling window (insert k rows, delete the k oldest) frees the
+    /// front shards of a Bitmap index's sharded bitmaps; the bitmaps
+    /// condense themselves, so the index stays near the size of a fresh
+    /// build over the same rows instead of growing with every round.
     #[test]
-    fn auto_policy_recomputes() {
-        let mut it = fresh().with_policy(MaintenancePolicy {
-            max_exception_rate: 0.3,
-            condense_threshold: 0.5,
-            auto: true,
-        });
-        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        // Modifying most rows pushes e over the threshold; the auto policy
-        // recomputes and the fresh discovery shrinks the patch set again.
-        it.modify(0, &[0, 1], 1, &[Value::Int(11), Value::Int(21)]);
+    fn rolling_window_keeps_bitmap_index_compact() {
+        let mut t = Table::new(
+            "window",
+            Schema::new(vec![Field::new("ts", DataType::Int)]),
+            2,
+            Partitioning::RoundRobin,
+        );
+        // Two default-size shards per partition.
+        let per_part = 2 * pi_bitmap::DEFAULT_SHARD_BITS;
+        for pid in 0..2 {
+            t.load_partition(pid, &[ColumnData::Int((0..per_part as i64).collect())]);
+        }
+        t.propagate_all();
+        let mut it = IndexedTable::new(t);
+        let constraint = Constraint::NearlySorted(SortDir::Asc);
+        let slot = it.add_index(0, constraint, Design::Bitmap);
+        let k = per_part / 8;
+        let mut next = per_part as i64;
+        for _ in 0..50 {
+            let rows: Vec<Vec<Value>> = (next..next + 2 * k as i64)
+                .map(|v| vec![Value::Int(v)])
+                .collect();
+            next += 2 * k as i64;
+            it.insert(&rows);
+            for pid in 0..2 {
+                it.delete(pid, &(0..k).collect::<Vec<_>>());
+            }
+        }
         it.check_consistency();
-        assert!(it.index(0).exception_rate() <= 0.3);
+        let fresh = PatchIndex::create(it.table(), 0, constraint, Design::Bitmap);
+        let shard_bytes = pi_bitmap::DEFAULT_SHARD_BITS / 8;
+        let bound = 4 * fresh.memory_bytes() + 2 * shard_bytes;
+        let got = it.index(slot).memory_bytes();
+        assert!(got <= bound, "{got} B after 50 rounds, bound {bound} B");
     }
 
     #[test]

@@ -75,7 +75,7 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design};
 use crate::index::PatchIndex;
-use crate::indexed::{IndexedTable, MaintenancePolicy, QueryShape};
+use crate::indexed::{IndexedTable, QueryShape};
 
 /// Distinguishes tables sharing one [`ResultCache`] — and, because it is
 /// globally unique, guarantees a fresh `ConcurrentTable` can never hit
@@ -459,16 +459,6 @@ impl TableWriter {
     /// case: readers keep querying the published epoch while this runs.
     pub fn recompute_index(&mut self, slot: usize) {
         self.staging.recompute_index(slot)
-    }
-
-    /// Applies the maintenance policy once (recompute / condense).
-    pub fn run_policy_now(&mut self) -> (usize, usize) {
-        self.staging.run_policy_now()
-    }
-
-    /// Sets the staging maintenance policy.
-    pub fn set_policy(&mut self, policy: MaintenancePolicy) {
-        self.staging.set_policy(policy);
     }
 
     /// The staging table (reflects unpublished mutations).

@@ -112,9 +112,9 @@ impl PatchStore {
     /// Applies a table delete: `deleted` (any order, pre-delete rowIDs)
     /// disappear and all subsequent rowIDs shift down. The bitmap uses its
     /// bulk delete, which decides itself whether the affected shards are
-    /// worth a second thread; the identifier list drops deleted ids and
-    /// decrements each remaining id by the number of smaller deleted
-    /// rowIDs (paper, Section 5.3).
+    /// worth a second thread and when to condense; the identifier list
+    /// drops deleted ids and decrements each remaining id by the number
+    /// of smaller deleted rowIDs (paper, Section 5.3).
     pub fn on_delete(&mut self, deleted: &[u64]) {
         if deleted.is_empty() {
             return;
@@ -145,26 +145,6 @@ impl PatchStore {
         match self {
             PatchStore::Bitmap(bm) => bm.memory_bytes(),
             PatchStore::Identifier { ids, .. } => ids.capacity() * 8,
-        }
-    }
-
-    /// Whether [`PatchStore::maybe_condense`] would condense at this
-    /// threshold — a `&self` predicate so callers holding shared (`Arc`)
-    /// stores can skip the copy-on-write when no condense is due.
-    pub fn would_condense(&self, threshold: f64) -> bool {
-        match self {
-            PatchStore::Bitmap(bm) => bm.utilization() < threshold,
-            PatchStore::Identifier { .. } => false,
-        }
-    }
-
-    /// Condenses the underlying bitmap when utilization dropped below
-    /// `threshold`; no-op for identifier stores. Returns whether a condense
-    /// ran.
-    pub fn maybe_condense(&mut self, threshold: f64) -> bool {
-        match self {
-            PatchStore::Bitmap(bm) => bm.maybe_condense(threshold),
-            PatchStore::Identifier { .. } => false,
         }
     }
 }
@@ -237,15 +217,5 @@ mod tests {
         let [b_high, i_high] = both(n, &high_e);
         assert!(i_low.memory_bytes() < b_low.memory_bytes());
         assert!(b_high.memory_bytes() < i_high.memory_bytes());
-    }
-
-    #[test]
-    fn maybe_condense_only_affects_bitmap() {
-        let [mut b, mut i] = both(1 << 15, &[1, 2, 3]);
-        b.on_delete(&[100]);
-        i.on_delete(&[100]);
-        assert!(b.maybe_condense(1.1)); // force
-        assert!(!i.maybe_condense(1.1));
-        assert_eq!(b.patch_rids(), i.patch_rids());
     }
 }

@@ -39,9 +39,9 @@
 //! feedback — is process state: it restarts empty, like the advisor that
 //! reads it, which windows only the deltas it saw itself.
 //!
-//! Replay is deterministic given the same [`MaintenancePolicy`]: the
-//! statement counter and routing cursor are part of the checkpoint, so
-//! policy piggyback decisions re-run identically. The crash-point
+//! Replay is deterministic: the statement counter and routing cursor are
+//! part of the checkpoint, and nothing outside the log decides what a
+//! statement does to an index. The crash-point
 //! property tests assert the strong form: for a crash at *every* IO
 //! boundary, the recovered table's [`state_image`] is byte-identical to
 //! replaying the surviving statement prefix on a fresh table.
@@ -392,14 +392,13 @@ impl DurableWriter {
     /// writing a fresh checkpoint covering everything replayed and
     /// truncating the WAL, so a crash loop cannot re-pay replay cost.
     ///
-    /// `policy` must be the maintenance policy the original run used —
-    /// policy piggyback decisions replay under it, and a different
-    /// policy would diverge from the logged history.
+    /// The field-less [`MaintenancePolicy`] is accepted and ignored; it is
+    /// carried only for pibench's existing recovery call.
     pub fn recover(
         fs: Arc<dyn DurableFs>,
         dir: impl AsRef<Path>,
         opts: DurableOptions,
-        policy: MaintenancePolicy,
+        _: MaintenancePolicy,
     ) -> io::Result<(ConcurrentTable, DurableWriter, RecoveryReport)> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = codec::decode_manifest(&fs.read(&dir.join(MANIFEST_NAME))?)?;
@@ -447,7 +446,6 @@ impl DurableWriter {
             .collect::<io::Result<Vec<_>>>()?;
 
         let mut it = IndexedTable::with_restored_indexes(table, indexes, meta.statements);
-        it.set_policy(policy);
 
         // Prime the incremental dirty-set with the loaded handles *before*
         // replay: partitions and indexes replay leaves untouched keep

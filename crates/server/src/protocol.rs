@@ -11,21 +11,24 @@
 //! by a lone `.` terminator line.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use pi_storage::{DataType, Value};
 
-/// Upper bound on a framed payload; larger length prefixes are rejected
-/// with [`ErrorCode::BadFrame`] before any allocation.
+/// Upper bound on a framed payload and on a line-mode line (terminator
+/// excluded). Larger length prefixes are rejected with
+/// [`ErrorCode::BadFrame`] before any allocation; a line is rejected
+/// once this many bytes arrived without a newline.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Machine-readable error classes of the protocol. The wire form is the
 /// first word after `ERR`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// Malformed frame: non-decimal length, overlong prefix, or a
-    /// payload exceeding [`MAX_FRAME_LEN`]. The connection closes after
-    /// this error — the stream position is no longer trustworthy.
+    /// Malformed frame: non-decimal length, overlong prefix, a truncated
+    /// payload, or a payload or line exceeding [`MAX_FRAME_LEN`]. The
+    /// connection closes after this error — the stream position is no
+    /// longer trustworthy.
     BadFrame,
     /// Unknown command word or malformed argument list.
     BadCommand,
@@ -142,21 +145,33 @@ fn read_framed(r: &mut impl BufRead, first: u8) -> Result<String, ServerError> {
     if len > MAX_FRAME_LEN {
         return Err(bad("frame exceeds MAX_FRAME_LEN"));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|_| bad("truncated payload"))?;
+    // Past 64 KiB the buffer grows with the bytes that arrive, not with
+    // the claim.
+    let mut payload = Vec::with_capacity(len.min(64 << 10));
+    match r.take(len as u64).read_to_end(&mut payload) {
+        Ok(n) if n == len => {}
+        _ => return Err(bad("truncated payload")),
+    }
     String::from_utf8(payload).map_err(|_| bad("payload is not UTF-8"))
 }
 
 fn read_line_tail(r: &mut impl BufRead, first: u8) -> Result<String, ServerError> {
+    let bad = |m: &str| ServerError::new(ErrorCode::BadFrame, m);
     let mut line = Vec::with_capacity(64);
     line.push(first);
-    r.read_until(b'\n', &mut line)
-        .map_err(|_| ServerError::new(ErrorCode::BadFrame, "connection error mid-line"))?;
+    // With `first`, `MAX_FRAME_LEN` bytes that end in no newline are a
+    // line longer than the cap.
+    let n = r
+        .take(MAX_FRAME_LEN as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|_| bad("connection error mid-line"))?;
+    if n == MAX_FRAME_LEN && line.last() != Some(&b'\n') {
+        return Err(bad("line exceeds MAX_FRAME_LEN"));
+    }
     while matches!(line.last(), Some(b'\n') | Some(b'\r')) {
         line.pop();
     }
-    String::from_utf8(line).map_err(|_| ServerError::new(ErrorCode::BadFrame, "line is not UTF-8"))
+    String::from_utf8(line).map_err(|_| bad("line is not UTF-8"))
 }
 
 /// Writes `payload` as a response in `mode`. Framed mode emits one
@@ -254,6 +269,37 @@ mod tests {
         assert_eq!(r.unwrap_err().code, ErrorCode::BadFrame);
         let (_, r) = roundtrip_read(b"3x\nabc").unwrap();
         assert_eq!(r.unwrap_err().code, ErrorCode::BadFrame);
+    }
+
+    #[test]
+    fn line_over_the_cap_is_a_bad_frame() {
+        // A line of exactly the cap still reads; one byte more never
+        // reaches its newline.
+        let mut at_cap = vec![b'a'; MAX_FRAME_LEN];
+        at_cap.push(b'\n');
+        let (mode, r) = roundtrip_read(&at_cap).unwrap();
+        assert_eq!(mode, WireMode::Line);
+        assert_eq!(r.unwrap().len(), MAX_FRAME_LEN);
+        let mut over = io::repeat(b'a').take(MAX_FRAME_LEN as u64 + 1);
+        let (mode, r) = read_request(&mut BufReader::new(&mut over))
+            .unwrap()
+            .unwrap();
+        assert_eq!(mode, WireMode::Line);
+        // Compare lengths, not a 16 MiB string, if this ever fails.
+        assert_eq!(
+            r.map(|line| line.len()).map_err(|e| e.code),
+            Err(ErrorCode::BadFrame)
+        );
+    }
+
+    #[test]
+    fn truncated_claimed_frame_is_a_bad_frame() {
+        // The full 16 MiB is claimed, two bytes are sent.
+        let (mode, r) = roundtrip_read(format!("{MAX_FRAME_LEN}\nab").as_bytes()).unwrap();
+        assert_eq!(mode, WireMode::Framed);
+        assert_eq!(r.unwrap_err().code, ErrorCode::BadFrame);
+        let (_, r) = roundtrip_read(b"2\nab").unwrap();
+        assert_eq!(r.unwrap(), "ab");
     }
 
     #[test]

@@ -262,14 +262,23 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
         }
         inner.connections.inc();
         let conn_inner = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(format!("pi-server-conn-{id}"))
             .spawn(move || {
                 conn_loop(&conn_inner, stream);
                 conn_inner.conns.lock().unwrap().remove(&id);
-            })
-            .expect("spawn connection thread");
-        inner.conn_threads.lock().unwrap().push(handle);
+            });
+        match spawned {
+            Ok(handle) => {
+                // A finished connection's handle has nothing left to join.
+                let mut threads = inner.conn_threads.lock().unwrap();
+                threads.retain(|h| !h.is_finished());
+                threads.push(handle);
+            }
+            // No thread to serve it: dropping both halves of the stream
+            // closes the connection.
+            Err(_) => drop(inner.conns.lock().unwrap().remove(&id)),
+        }
     }
 }
 
@@ -660,5 +669,34 @@ impl ServerInner {
         }
         out.push_str("}}");
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use pi_storage::Field;
+
+    #[test]
+    fn finished_connection_threads_are_not_tracked() {
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        let server = Server::empty(ServerConfig::default(), schema, 1).unwrap();
+        for _ in 0..64 {
+            let mut c = Client::connect(server.addr()).unwrap();
+            assert_eq!(c.request("PING").unwrap(), "OK pong");
+            drop(c);
+            // Wait until the server saw the close, so the next accept
+            // finds this connection's thread finished or nearly so.
+            while !server.inner.conns.lock().unwrap().is_empty() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        let live = server.inner.conns.lock().unwrap().len();
+        let tracked = server.inner.conn_threads.lock().unwrap().len();
+        assert!(
+            tracked <= live + 8,
+            "{tracked} connection threads tracked for {live} live connections"
+        );
     }
 }

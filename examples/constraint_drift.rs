@@ -6,14 +6,14 @@
 //! transition from a perfect constraint to an approximate constraint").
 //!
 //! Shows: a perfect unique column accepting violating inserts, the
-//! sharded bitmap condensing after heavy deletes, and a crash recovery
-//! that restores the index from the image its checkpoint wrote.
+//! sharded bitmap condensing itself during a heavy delete, and a crash
+//! recovery that restores the index from the image its checkpoint wrote.
 //!
 //! Run with `cargo run --release --example constraint_drift`.
 
 use std::sync::Arc;
 
-use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex};
+use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, PatchStore};
 use pi_durability::{DurableOptions, DurableWriter};
 use pi_storage::dfs::SimFs;
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -45,24 +45,33 @@ fn main() {
     );
     reg.check_consistency();
 
-    // Cleanup job deletes the duplicates; the sharded bitmaps shift rowIDs
-    // and lose slots, then condense to restore utilization.
-    let patches: Vec<usize> = reg
+    // A cleanup job retires the serials below 30 000 and deletes the
+    // duplicates. Every deleted row costs the sharded bitmap one slot; once
+    // half its shards are free, the delete itself condenses them.
+    let shards = |reg: &IndexedTable| match &reg.index(slot).partition(0).store {
+        PatchStore::Bitmap(bm) => bm.shard_count(),
+        PatchStore::Identifier { .. } => unreachable!("a Bitmap index"),
+    };
+    let before = shards(&reg);
+    let mut cleanup: Vec<usize> = reg
         .index(slot)
         .partition(0)
         .store
         .patch_rids()
         .iter()
         .map(|&r| r as usize)
+        .chain(0..30_000)
         .collect();
-    reg.delete(0, &patches);
+    cleanup.sort_unstable();
+    cleanup.dedup();
+    reg.delete(0, &cleanup);
     println!(
-        "after deleting all duplicates: {} exceptions over {} rows",
+        "after the cleanup: {} exceptions over {} rows; the bitmap went from {before} shards to {} by itself",
         reg.index(slot).exception_count(),
-        reg.index(slot).nrows()
+        reg.index(slot).nrows(),
+        shards(&reg)
     );
-    let (recomputed, condensed) = reg.run_policy_now();
-    println!("maintenance policy: {recomputed} recompute(s), {condensed} condense(s)");
+    assert!(shards(&reg) * 2 <= before);
     reg.check_consistency();
     println!("registry consistent");
 
@@ -74,7 +83,7 @@ fn main() {
     let (_handle, mut dw) =
         DurableWriter::create(reg, fs.clone(), "/registry", DurableOptions::default())
             .expect("create");
-    let dupes: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int(1 + i * 3)]).collect();
+    let dupes: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int(30_001 + i * 3)]).collect();
     dw.insert(&dupes).expect("insert");
     dw.publish().expect("publish");
     let exceptions = dw.staging().index(slot).exception_count();
