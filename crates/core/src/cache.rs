@@ -16,6 +16,10 @@
 //! are verified against those bytes on every hit, so a fingerprint
 //! collision degrades to a miss, never to a wrong result.
 //!
+//! A cache serves exactly one table: `ConcurrentTable` takes it by value,
+//! so no second table can reach its entries, and a publish sweep reads
+//! every entry against the one table's state.
+//!
 //! Layout: entries are spread over independently locked shards (hot
 //! readers don't serialize on one mutex), each holding a byte budget
 //! slice. Within a shard, eviction is LRU by a per-shard use tick.
@@ -92,10 +96,6 @@ impl Footprint {
 
 #[derive(Debug)]
 struct Entry {
-    /// Which table (cache token) this entry belongs to — a shared cache
-    /// must never let one table's publish sweep kill another's entries,
-    /// nor serve an entry across tables on a hash collision.
-    table: u64,
     /// Canonical plan bytes, verified on every hit (collision guard).
     canon: Arc<[u8]>,
     value: CachedValue,
@@ -134,8 +134,7 @@ pub struct CacheStats {
 
 /// A sharded, byte-budgeted query result cache. See the module docs.
 ///
-/// Lookups identify entries by `(table token, fingerprint hash)` and
-/// verify the canonical plan bytes plus — across epochs — the footprint
+/// Lookups identify entries by fingerprint hash and verify the canonical plan bytes plus — across epochs — the footprint
 /// pointers. The counters are `pi-obs` [`Counter`] handles — private to
 /// this cache by default, or shared with a [`MetricsRegistry`] (under
 /// `cache.*` names) via [`ResultCache::with_registry`]; either way the
@@ -190,14 +189,13 @@ impl ResultCache {
         &self.shards[(hash >> 48) as usize & (Self::SHARDS - 1)]
     }
 
-    /// Looks up `(table, hash)` for a snapshot at `epoch` with the given
+    /// Looks up `hash` for a snapshot at `epoch` with the given
     /// live state. Returns the cached value only when the canonical
     /// bytes match (collision guard) and the footprint still holds
     /// (pointer identity); a stale entry found here is removed on the
     /// spot — hit-time validation backstops any publish-sweep race.
     pub fn lookup(
         &self,
-        table_token: u64,
         hash: u64,
         canon: &[u8],
         epoch: u64,
@@ -208,7 +206,7 @@ impl ResultCache {
         shard.tick += 1;
         let tick = shard.tick;
         let stale = match shard.map.get_mut(&hash) {
-            Some(e) if e.table == table_token && *e.canon == *canon => {
+            Some(e) if *e.canon == *canon => {
                 if e.epoch == epoch || e.footprint.matches(table, indexes) {
                     e.epoch = epoch;
                     e.last_used = tick;
@@ -237,7 +235,6 @@ impl ResultCache {
     /// to blow the budget.
     pub fn insert(
         &self,
-        table_token: u64,
         hash: u64,
         canon: Arc<[u8]>,
         epoch: u64,
@@ -256,7 +253,6 @@ impl ResultCache {
         if let Some(old) = shard.map.insert(
             hash,
             Entry {
-                table: table_token,
                 canon,
                 value,
                 footprint,
@@ -285,23 +281,17 @@ impl ResultCache {
         }
     }
 
-    /// Publish-side sweep: removes every entry of `table_token` whose
-    /// footprint no longer matches the freshly published state. Entries
-    /// of other tables sharing the cache are untouched. Returns how many
-    /// entries were invalidated.
-    pub fn invalidate_stale(
-        &self,
-        table_token: u64,
-        table: &Table,
-        indexes: &[Arc<PatchIndex>],
-    ) -> u64 {
+    /// Publish-side sweep: removes every entry whose footprint no longer
+    /// matches the freshly published state. Returns how many entries were
+    /// invalidated.
+    pub fn invalidate_stale(&self, table: &Table, indexes: &[Arc<PatchIndex>]) -> u64 {
         let mut removed = 0u64;
         for shard in self.shards.iter() {
             let mut shard = shard.lock();
             let before = shard.map.len();
             let mut freed = 0usize;
             shard.map.retain(|_, e| {
-                let keep = e.table != table_token || e.footprint.matches(table, indexes);
+                let keep = e.footprint.matches(table, indexes);
                 if !keep {
                     freed += e.bytes;
                 }
@@ -396,11 +386,11 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let t = table(2);
         let fp = Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
-        cache.insert(7, 42, canon(1), 0, count(5), fp);
-        // Same hash, same table, different canonical form: a manufactured
+        cache.insert(42, canon(1), 0, count(5), fp);
+        // Same hash, different canonical form: a manufactured
         // fingerprint collision must miss, not serve the wrong result.
-        assert!(cache.lookup(7, 42, &canon(2), 0, &t, &[]).is_none());
-        let got = cache.lookup(7, 42, &canon(1), 0, &t, &[]);
+        assert!(cache.lookup(42, &canon(2), 0, &t, &[]).is_none());
+        let got = cache.lookup(42, &canon(1), 0, &t, &[]);
         assert!(matches!(got, Some(CachedValue::Count(5))));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -411,17 +401,17 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let t = table(2);
         let fp = Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
-        cache.insert(1, 9, canon(0), 3, count(1), fp);
+        cache.insert(9, canon(0), 3, count(1), fp);
         // A later epoch with the same partition pointer still hits...
-        assert!(cache.lookup(1, 9, &canon(0), 8, &t, &[]).is_some());
+        assert!(cache.lookup(9, &canon(0), 8, &t, &[]).is_some());
         // ...and the entry's epoch was refreshed to the validated one.
-        assert!(cache.lookup(1, 9, &canon(0), 8, &t, &[]).is_some());
+        assert!(cache.lookup(9, &canon(0), 8, &t, &[]).is_some());
         // A snapshot whose partition 0 was rewritten misses and removes
         // the entry.
         let mut other = table(2);
         other.load_partition(0, &[ColumnData::Int(vec![99])]);
         other.propagate_all();
-        assert!(cache.lookup(1, 9, &canon(0), 9, &other, &[]).is_none());
+        assert!(cache.lookup(9, &canon(0), 9, &other, &[]).is_none());
         assert_eq!(cache.stats().invalidated, 1);
         assert_eq!(cache.stats().entries, 0);
     }
@@ -431,39 +421,14 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let t = table(3);
         let p = |pid: usize| (pid, Arc::clone(&t.partitions()[pid]));
+        cache.insert(1, canon(1), 0, count(1), Footprint::new(vec![p(0)], vec![]));
+        cache.insert(2, canon(2), 0, count(2), Footprint::new(vec![p(1)], vec![]));
         cache.insert(
-            1,
-            1,
-            canon(1),
-            0,
-            count(1),
-            Footprint::new(vec![p(0)], vec![]),
-        );
-        cache.insert(
-            1,
-            2,
-            canon(2),
-            0,
-            count(2),
-            Footprint::new(vec![p(1)], vec![]),
-        );
-        cache.insert(
-            1,
             3,
             canon(3),
             0,
             count(3),
             Footprint::new(vec![p(0), p(1), p(2)], vec![]),
-        );
-        // Another table's entry with a now-stale pointer must survive a
-        // sweep scoped to table 1.
-        cache.insert(
-            2,
-            4,
-            canon(4),
-            0,
-            count(4),
-            Footprint::new(vec![p(1)], vec![]),
         );
 
         // "Publish": clone-then-append rewrites partition 1's Arc only
@@ -471,11 +436,11 @@ mod tests {
         let mut next = t.clone();
         next.load_partition(1, &[ColumnData::Int(vec![1000])]);
 
-        let removed = cache.invalidate_stale(1, &next, &[]);
+        let removed = cache.invalidate_stale(&next, &[]);
         assert_eq!(removed, 2, "exactly the entries reading partition 1");
-        assert!(cache.lookup(1, 1, &canon(1), 1, &next, &[]).is_some());
-        assert!(cache.lookup(1, 2, &canon(2), 1, &next, &[]).is_none());
-        assert!(cache.lookup(1, 3, &canon(3), 1, &next, &[]).is_none());
+        assert!(cache.lookup(1, &canon(1), 1, &next, &[]).is_some());
+        assert!(cache.lookup(2, &canon(2), 1, &next, &[]).is_none());
+        assert!(cache.lookup(3, &canon(3), 1, &next, &[]).is_none());
         assert_eq!(cache.stats().invalidated, 2);
     }
 
@@ -490,9 +455,9 @@ mod tests {
             Design::Bitmap,
         ));
         let fp = Footprint::new(vec![], vec![(0, Arc::clone(&idx))]);
-        cache.insert(1, 5, canon(5), 0, count(9), fp);
+        cache.insert(5, canon(5), 0, count(9), fp);
         assert!(cache
-            .lookup(1, 5, &canon(5), 2, &t, std::slice::from_ref(&idx))
+            .lookup(5, &canon(5), 2, &t, std::slice::from_ref(&idx))
             .is_some());
         // A recomputed (new-Arc) index at the slot invalidates.
         let recomputed = Arc::new(PatchIndex::create(
@@ -502,18 +467,17 @@ mod tests {
             Design::Bitmap,
         ));
         assert!(cache
-            .lookup(1, 5, &canon(5), 3, &t, std::slice::from_ref(&recomputed))
+            .lookup(5, &canon(5), 3, &t, std::slice::from_ref(&recomputed))
             .is_none());
         // A dropped slot (shorter index vec) invalidates too.
         cache.insert(
-            1,
             5,
             canon(5),
             3,
             count(9),
             Footprint::new(vec![], vec![(0, idx)]),
         );
-        assert!(cache.lookup(1, 5, &canon(5), 4, &t, &[]).is_none());
+        assert!(cache.lookup(5, &canon(5), 4, &t, &[]).is_none());
     }
 
     #[test]
@@ -524,20 +488,20 @@ mod tests {
         let fp = || Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
         // Same shard (identical high bits), distinct hashes.
         for i in 0..4u64 {
-            cache.insert(1, i, canon(i as u8), 0, count(i), fp());
+            cache.insert(i, canon(i as u8), 0, count(i), fp());
         }
         let stats = cache.stats();
         assert!(stats.evicted > 0, "budget must force evictions: {stats:?}");
         assert!(stats.bytes <= (ResultCache::SHARDS * 256) as u64);
         // The most recently inserted entry survived.
-        assert!(cache.lookup(1, 3, &canon(3), 0, &t, &[]).is_some());
+        assert!(cache.lookup(3, &canon(3), 0, &t, &[]).is_some());
     }
 
     #[test]
     fn oversized_value_does_not_blow_the_budget() {
         let cache = ResultCache::new(ResultCache::SHARDS * 64);
         let big = CachedValue::Rows(Batch::new(vec![ColumnData::Int(vec![0; 4096])]));
-        cache.insert(1, 1, canon(1), 0, big, Footprint::new(vec![], vec![]));
+        cache.insert(1, canon(1), 0, big, Footprint::new(vec![], vec![]));
         let stats = cache.stats();
         assert_eq!(stats.entries, 0, "{stats:?}");
         assert_eq!(stats.bytes, 0);
@@ -549,9 +513,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         let cache = ResultCache::with_registry(1 << 20, &reg);
         let t = table(1);
-        assert!(cache.lookup(1, 1, &canon(1), 0, &t, &[]).is_none());
-        cache.insert(1, 1, canon(1), 0, count(7), Footprint::new(vec![], vec![]));
-        assert!(cache.lookup(1, 1, &canon(1), 0, &t, &[]).is_some());
+        assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_none());
+        cache.insert(1, canon(1), 0, count(7), Footprint::new(vec![], vec![]));
+        assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_some());
         // Same numbers through both views: the registry and stats().
         assert_eq!(reg.counter("cache.hits").get(), 1);
         assert_eq!(reg.counter("cache.misses").get(), 1);
@@ -562,8 +526,8 @@ mod tests {
     #[test]
     fn stats_track_entries_and_bytes() {
         let cache = ResultCache::new(1 << 20);
-        cache.insert(1, 1, canon(1), 0, count(1), Footprint::new(vec![], vec![]));
-        cache.insert(1, 2, canon(2), 0, count(2), Footprint::new(vec![], vec![]));
+        cache.insert(1, canon(1), 0, count(1), Footprint::new(vec![], vec![]));
+        cache.insert(2, canon(2), 0, count(2), Footprint::new(vec![], vec![]));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes > 0);

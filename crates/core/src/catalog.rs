@@ -65,10 +65,6 @@ impl IndexStats {
     /// count over its patch rows (read from `table`; estimated as half
     /// the patches once the patch set exceeds the exact-count cap).
     pub fn of(index: &PatchIndex, slot: usize, table: &Table) -> Self {
-        Self::build(index, slot, table, true)
-    }
-
-    fn build(index: &PatchIndex, slot: usize, table: &Table, distinct_stats: bool) -> Self {
         let parts: Vec<PartitionStats> = (0..index.partition_count())
             .map(|pid| PartitionStats {
                 rows: index.partition(pid).store.nrows(),
@@ -77,7 +73,7 @@ impl IndexStats {
             .collect();
         let patches: u64 = parts.iter().map(|p| p.patches).sum();
         let patch_distinct = match index.constraint() {
-            Constraint::NearlyUnique if distinct_stats && patches <= PATCH_DISTINCT_EXACT_CAP => {
+            Constraint::NearlyUnique if patches <= PATCH_DISTINCT_EXACT_CAP => {
                 index.patch_distinct_count(table)
             }
             Constraint::NearlyUnique => patches / 2,
@@ -130,23 +126,6 @@ impl IndexCatalog {
     /// Snapshots `indexes` (in slot order) over `table`. Generic over
     /// owned indexes and shared (`Arc`) handles alike.
     pub fn of<I: std::borrow::Borrow<PatchIndex>>(table: &Table, indexes: &[I]) -> Self {
-        Self::build(table, indexes, true)
-    }
-
-    /// Like [`IndexCatalog::of`], but skips the distinct-patch-value pass
-    /// (NUC `patch_distinct` falls back to the 50% estimate). For plans
-    /// that contain no distinct node the estimate is never read, so the
-    /// query facade uses this to keep its per-query snapshot to pure
-    /// counter reads.
-    pub fn counts_only<I: std::borrow::Borrow<PatchIndex>>(table: &Table, indexes: &[I]) -> Self {
-        Self::build(table, indexes, false)
-    }
-
-    fn build<I: std::borrow::Borrow<PatchIndex>>(
-        table: &Table,
-        indexes: &[I],
-        distinct_stats: bool,
-    ) -> Self {
         IndexCatalog {
             part_rows: table
                 .partitions()
@@ -156,7 +135,7 @@ impl IndexCatalog {
             indexes: indexes
                 .iter()
                 .enumerate()
-                .map(|(slot, idx)| IndexStats::build(idx.borrow(), slot, table, distinct_stats))
+                .map(|(slot, idx)| IndexStats::of(idx.borrow(), slot, table))
                 .collect(),
         }
     }

@@ -7,7 +7,6 @@
 //! Multiple PatchIndexes per table are supported — unlike a SortKey,
 //! PatchIndexes do not change the physical data order (paper, Section 2).
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -105,9 +104,9 @@ pub struct IndexedTable {
     /// (indexed columns keep sampling too — cheap, and the index may be
     /// dropped later).
     samplers: Vec<Option<Reservoir>>,
-    /// Cached full catalog snapshot (with the NUC distinct-patch pass);
-    /// filled by the first query that needs it, invalidated by every
-    /// mutation instead of re-hashed per query.
+    /// The catalog (with the NUC distinct-patch pass), filled by the first
+    /// query or publish that needs it and dropped by every mutation, so
+    /// it is re-hashed once per mutation, not per query.
     catalog_cache: OnceLock<IndexCatalog>,
     /// Where queries on this table (and on every snapshot published from
     /// it) leave their workload evidence until
@@ -228,44 +227,13 @@ impl IndexedTable {
     }
 
     /// Snapshot of every index plus the per-partition table shape — what
-    /// the planner optimizes against (see `pi-planner`'s `QueryEngine`).
-    /// Always freshly computed; queries should prefer
-    /// [`IndexedTable::cached_catalog`], which re-hashes the NUC
-    /// distinct-patch values only after a mutation.
-    pub fn catalog(&self) -> IndexCatalog {
-        IndexCatalog::of(&self.table, &self.indexes)
-    }
-
-    /// The full catalog snapshot, cached between mutations: the first
-    /// call after an update pays the snapshot (including the capped NUC
-    /// distinct-patch pass); every further call is a borrow.
-    pub fn cached_catalog(&self) -> &IndexCatalog {
+    /// the planner optimizes against (see `pi-planner`'s `QueryEngine`)
+    /// and what a publish hands its snapshot. Cached between mutations:
+    /// the first call after an update pays the snapshot (including the
+    /// capped NUC distinct-patch pass); every further call is a borrow.
+    pub fn catalog(&self) -> &IndexCatalog {
         self.catalog_cache
             .get_or_init(|| IndexCatalog::of(&self.table, &self.indexes))
-    }
-
-    /// What a query plans and executes against: the table, the index
-    /// handles, and the catalog describing them. Plans consulting
-    /// distinct statistics get the cached full catalog (building it on
-    /// first use after a mutation) as a **borrow** — repeated queries
-    /// between updates pay neither the snapshot nor a clone of it; other
-    /// plans reuse the warm cache the same way and otherwise take an owned
-    /// counts-only snapshot — pure counter reads, never the distinct-patch
-    /// hash pass.
-    pub fn query_catalog(
-        &self,
-        with_distinct_stats: bool,
-    ) -> (&Table, &[Arc<PatchIndex>], Cow<'_, IndexCatalog>) {
-        let cached = if with_distinct_stats {
-            Some(self.cached_catalog())
-        } else {
-            self.catalog_cache.get()
-        };
-        let catalog = match cached {
-            Some(cached) => Cow::Borrowed(cached),
-            None => Cow::Owned(IndexCatalog::counts_only(&self.table, &self.indexes)),
-        };
-        (&self.table, &self.indexes, catalog)
     }
 
     fn invalidate_catalog(&mut self) {
@@ -635,18 +603,18 @@ mod tests {
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         // Between mutations every call borrows the same snapshot.
-        let first: *const IndexCatalog = it.cached_catalog();
-        assert!(std::ptr::eq(first, it.cached_catalog()));
-        assert!(matches!(it.query_catalog(false).2, Cow::Borrowed(c) if std::ptr::eq(first, c)));
+        let first: *const IndexCatalog = it.catalog();
+        assert!(std::ptr::eq(first, it.catalog()));
+        assert_eq!(it.catalog().indexes[0].rows(), 5);
         it.insert(&[row(100, 77)]);
-        assert!(
-            matches!(it.query_catalog(false).2, Cow::Owned(_)),
+        assert_eq!(
+            it.catalog().indexes[0].rows(),
+            6,
             "the mutation dropped the cached snapshot"
         );
-        assert_eq!(it.cached_catalog().indexes[0].rows(), 6);
         // The cached snapshot always equals a fresh one.
-        let fresh_cat = it.catalog();
-        let cached = it.cached_catalog();
+        let fresh_cat = IndexCatalog::of(it.table(), it.indexes());
+        let cached = it.catalog();
         assert_eq!(cached.part_rows, fresh_cat.part_rows);
         assert_eq!(cached.indexes[0].parts, fresh_cat.indexes[0].parts);
     }
@@ -656,14 +624,14 @@ mod tests {
         let mut it = fresh();
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let other = it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        let before: *const IndexCatalog = it.cached_catalog();
+        let before: *const IndexCatalog = it.catalog();
         let shared = it.share_indexes();
         it.record_query_feedback(slot, 123.0);
         assert_eq!(it.feedback(slot).times_bound, 1);
         assert!((it.feedback(slot).est_cost_saved - 123.0).abs() < 1e-9);
         assert_eq!(it.feedback(other), QueryFeedback::default());
         assert!(
-            std::ptr::eq(before, it.cached_catalog()),
+            std::ptr::eq(before, it.catalog()),
             "feedback must not force a re-snapshot"
         );
         for (a, b) in shared.iter().zip(it.indexes()) {

@@ -8,18 +8,24 @@
 //! | NSC | extend the existing sorted subsequence with a longest sorted subsequence of the inserted values | merge all modified rowIDs into the patches | drop tracking info |
 //!
 //! The NUC collision join hashes the changed tuples **once** into a
-//! shared [`JoinTable`] and fans the per-partition DRP-pruned probes out
-//! over all cores. The probe workers only *find* collisions and return
-//! them; the writer thread — the one mutator an index version has (paper,
-//! Section 5.4; see [`crate::snapshot`]) — applies them to the patch
-//! stores, bitmap and identifier design alike.
+//! shared [`JoinTable`] and probes every partition with it, fanned out
+//! over all cores. Each probe scans only what *dynamic range propagation*
+//! leaves (paper, Section 5: "dynamically generates scan ranges during
+//! query execution, e.g. during the build phase of HashJoins"): the
+//! `[min, max]` envelope of the build keys prunes the partition's scan
+//! through its zone map to the blocks that can hold a join partner
+//! (Figure 5; see [`drp_ranges`] for the partitions it cannot prune).
+//! The probe workers only *find* collisions and return them; the writer
+//! thread — the one mutator an index version has (paper, Section 5.4;
+//! see [`crate::snapshot`]) — applies them to the patch stores, bitmap
+//! and identifier design alike.
 
 use std::ops::Range;
 
-use pi_exec::ops::hash_join::{HashJoinOp, JoinTable, ProbeSide};
+use pi_exec::ops::hash_join::JoinTable;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::parallel::per_partition;
-use pi_exec::{Batch, OpRef, Operator};
+use pi_exec::{Batch, Operator};
 use pi_storage::{ColumnData, Partition, RowAddr, Table};
 
 use crate::constraint::{Constraint, SortDir};
@@ -115,9 +121,11 @@ const INLINE_PROBE_BUILD_ROWS: usize = 64;
 /// matching itself) are dropped.
 ///
 /// Returns the colliding rowIDs per partition — probe-side and build-side
-/// hits merged, sorted and deduplicated. Both sides read one materialized
-/// join result: the Reuse operator's effect (Figure 5) without recomputing
-/// the subtree.
+/// hits merged, sorted and deduplicated. Each match is read where it
+/// lies: the probe rowID from the scan batch and the build (partition,
+/// rowID) from the table's rows, at the positions [`JoinTable::pairs`]
+/// names — the Reuse operator's effect (Figure 5) without materializing
+/// the join result.
 fn nuc_collision_probe(
     table: &Table,
     col: usize,
@@ -129,27 +137,23 @@ fn nuc_collision_probe(
     stats.collision_rounds += 1;
     stats.build_invocations += 1;
     stats.probed_partitions += table.partition_count() as u64;
+    let build_pids = shared.rows().column(1).as_int();
+    let build_rids = shared.rows().column(2).as_int();
     let worker = |partition: &Partition| {
         let pid = partition.id;
-        let probe = ProbeSide::Deferred(Box::new(move |env| {
-            let ranges = drp_ranges(partition, col, env);
-            Box::new(ScanOp::with_ranges(partition, vec![col], ranges, true)) as OpRef<'_>
-        }));
-        let mut join = HashJoinOp::with_table(&shared, probe, 0);
-        // Output: [probe value, probe rid, build value, build pid, build
-        // rid]. One value can match thousands of already-patched rows, so
-        // each worker deduplicates what it found before handing it back.
+        let ranges = drp_ranges(partition, col, shared.envelope());
+        // Batches are `[value, rid]`. One value can match thousands of
+        // already-patched rows, so each worker deduplicates what it found
+        // before handing it back.
+        let mut scan = ScanOp::with_ranges(partition, vec![col], ranges, true);
         let mut probe_hits: Vec<u64> = Vec::new();
         let mut build_hits: Vec<(usize, u64)> = Vec::new();
-        while let Some(out) = join.next() {
-            // A large probe result comes as windows of one buffer: read
-            // them where they lie.
-            let probe_rids = out.raw_column(1).as_int();
-            let build_pids = out.raw_column(3).as_int();
-            let build_rids = out.raw_column(4).as_int();
-            for r in (0..out.len()).map(|i| out.row(i)) {
-                let probe_rid = probe_rids[r] as u64;
-                let (b_pid, b_rid) = (build_pids[r] as usize, build_rids[r] as u64);
+        while let Some(batch) = scan.next() {
+            let (probe_pos, build_pos) = shared.pairs(&batch, 0);
+            let probe_rids = batch.raw_column(1).as_int();
+            for (p, b) in probe_pos.into_iter().zip(build_pos) {
+                let probe_rid = probe_rids[p] as u64;
+                let (b_pid, b_rid) = (build_pids[b] as usize, build_rids[b] as u64);
                 if b_pid == pid && b_rid == probe_rid {
                     continue; // a changed tuple matching itself is benign
                 }
@@ -389,7 +393,7 @@ fn extend_sorted_run(
 mod tests {
     use super::*;
     use crate::constraint::Design;
-    use pi_exec::{collect, BatchSource};
+    use pi_exec::drain;
     use pi_storage::{DataType, Field, Partitioning, Schema, Value};
 
     fn table(vals: Vec<i64>, nparts: usize) -> Table {
@@ -416,7 +420,8 @@ mod tests {
 
     /// Reference for the shared-probe pipeline: the paper's collision query
     /// run one partition at a time, re-hashing the build batch for each —
-    /// `O(partitions × changed)` hashing per statement.
+    /// `O(partitions × changed)` hashing per statement — and gathering
+    /// every joined row with [`JoinTable::probe`].
     fn nuc_collisions_sequential(
         table: &Table,
         col: usize,
@@ -427,18 +432,19 @@ mod tests {
         let mut patches: Vec<(usize, usize)> = Vec::new();
         for pid in 0..table.partition_count() {
             let partition = table.partition(pid);
-            // Build side: the changed tuples. Probe side: deferred scan whose
-            // ranges come from the build-key envelope (dynamic range
-            // propagation).
-            let build: OpRef<'_> = Box::new(BatchSource::single(build_batch.clone()));
-            let probe = ProbeSide::Deferred(Box::new(move |env| {
-                let ranges = drp_ranges(partition, col, env);
-                Box::new(ScanOp::with_ranges(partition, vec![col], ranges, true)) as OpRef<'_>
-            }));
-            let mut join = HashJoinOp::new(build, 0, probe, 0);
+            let build = JoinTable::from_batch(build_batch.clone(), 0);
             stats.build_invocations += 1;
             stats.probed_partitions += 1;
-            let out = collect(&mut join);
+            // The probe scan's ranges come from the build-key envelope
+            // (dynamic range propagation).
+            let ranges = drp_ranges(partition, col, build.envelope());
+            let mut scan = ScanOp::with_ranges(partition, vec![col], ranges, true);
+            let joined: Vec<Batch> = drain(&mut scan)
+                .iter()
+                .map(|batch| build.probe(batch, 0))
+                .collect();
+            // [probe value, probe rid, build value, build pid, build rid]
+            let out = Batch::concat(&joined);
             if out.is_empty() {
                 continue;
             }
@@ -641,87 +647,127 @@ mod tests {
         assert_eq!(last, Some(i64::MIN));
     }
 
-    /// Acceptance guard of the build-once pipeline: one maintenance round
-    /// over a 4-partition table hashes the build side exactly once — the
-    /// sequential reference pays once per partition — and both produce
-    /// identical patch sets, whether the probes run inline (a statement
-    /// under [`INLINE_PROBE_BUILD_ROWS`]) or fan out over worker threads.
+    /// splitmix64: a deterministic stream of case inputs.
+    struct Seeds(u64);
+
+    impl Seeds {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// A statement size under [`INLINE_PROBE_BUILD_ROWS`] (probed
+        /// inline) or at least it (fanned out), as `fan_out` says.
+        fn size(&mut self, fan_out: bool, max: usize) -> usize {
+            match fan_out {
+                false => 1 + self.below(INLINE_PROBE_BUILD_ROWS - 1),
+                true => INLINE_PROBE_BUILD_ROWS + self.below(max - INLINE_PROBE_BUILD_ROWS),
+            }
+        }
+
+        /// `n` values from a window of `n` values at a random offset: the
+        /// statement repeats some of them, and the window overlaps the
+        /// table's even values or lies beyond them.
+        fn values(&mut self, n: usize) -> Vec<i64> {
+            let lo = self.below(1000);
+            (0..n).map(|_| (lo + self.below(n)) as i64).collect()
+        }
+    }
+
+    /// Acceptance guard of the build-once pipeline, over random
+    /// statements: one insert and one modify per case, each hashing the
+    /// build side exactly once — the sequential reference pays once per
+    /// partition — and leaving the same patch sets as the reference,
+    /// whether the probes run inline (a statement under
+    /// [`INLINE_PROBE_BUILD_ROWS`]) or fan out over worker threads. An
+    /// insert spreads its values round-robin over the four partitions, so
+    /// a value it repeats collides across partitions; a modify's values
+    /// can collide with any partition.
     #[test]
     fn shared_probe_hashes_build_side_exactly_once() {
-        // Duplicates of 3 and 17 plus fresh values, spread round-robin
-        // over all four partitions (cross-partition collisions).
-        let inline: Vec<i64> = vec![3, 17, 100, 101, 3, 102];
-        // The fan-out input: 20 values the table already holds, 7 fresh
-        // values repeated 3–4 times inside the statement (7 is coprime to
-        // the 4 partitions, so the copies land in different ones), and 24
-        // values that collide with nothing.
-        let fanned: Vec<i64> = (0..20)
-            .map(|i| 2 * i)
-            .chain((0..24).map(|i| 500 + i % 7))
-            .chain((0..24).map(|i| 1000 + i))
-            .collect();
-        assert!(inline.len() < INLINE_PROBE_BUILD_ROWS && fanned.len() >= INLINE_PROBE_BUILD_ROWS);
-        for (design, inserted) in [Design::Bitmap, Design::Identifier]
-            .into_iter()
-            .flat_map(|d| [(d, &inline), (d, &fanned)])
-        {
-            let vals: Vec<i64> = (0..40).collect();
-            let mut shared_t = table(vals.clone(), 4);
-            let mut seq_t = table(vals, 4);
+        const PARTS: usize = 4;
+        const ROWS: usize = 100;
+        let mut patched = 0;
+        for case in 0..16u64 {
+            let mut seeds = Seeds(case);
+            let design = [Design::Bitmap, Design::Identifier][case as usize % 2];
+            // Unique even values, so every collision comes from a statement.
+            let vals: Vec<i64> = (0..(PARTS * ROWS) as i64).map(|v| 2 * v).collect();
+            let mut shared_t = table(vals.clone(), PARTS);
+            let mut seq_t = table(vals, PARTS);
             let mut shared_idx = PatchIndex::create(&shared_t, 1, Constraint::NearlyUnique, design);
             let mut seq_idx = PatchIndex::create(&seq_t, 1, Constraint::NearlyUnique, design);
+            let mut seq_stats = MaintenanceStats::default();
+            let mut reference = |t: &Table, idx: &mut PatchIndex, changed: &[(usize, usize)]| {
+                prepare_zonemaps(t, 1);
+                let batch = build_changed_batch(t, 1, changed);
+                for (pid, rid) in nuc_collisions_sequential(t, 1, batch, &mut seq_stats) {
+                    idx.partition_mut(pid).store.add_patches(&[rid as u64]);
+                }
+            };
 
-            let rows: Vec<Vec<Value>> = inserted
-                .iter()
+            let n = seeds.size(case & 2 != 0, 2 * ROWS);
+            let rows: Vec<Vec<Value>> = seeds
+                .values(n)
+                .into_iter()
                 .enumerate()
-                .map(|(i, &v)| row(200 + i as i64, v))
+                .map(|(i, v)| row(1000 + i as i64, v))
                 .collect();
             let a1 = shared_t.insert_rows(&rows);
             shared_idx.handle_insert(&mut shared_t, &a1);
             let a2 = seq_t.insert_rows(&rows);
-            let mut per_part: Vec<Vec<usize>> = vec![Vec::new(); 4];
+            let mut per_part: Vec<Vec<usize>> = vec![Vec::new(); PARTS];
             for a in &a2 {
                 per_part[a.partition].push(a.rid);
             }
             seq_idx.cover_inserted(&seq_t, &per_part);
-            prepare_zonemaps(&seq_t, 1);
             let changed: Vec<(usize, usize)> = a2.iter().map(|a| (a.partition, a.rid)).collect();
-            let mut seq_stats = MaintenanceStats::default();
-            let patches = nuc_collisions_sequential(
-                &seq_t,
-                1,
-                build_changed_batch(&seq_t, 1, &changed),
-                &mut seq_stats,
-            );
-            for &(pid, rid) in &patches {
-                seq_idx.partition_mut(pid).store.add_patches(&[rid as u64]);
+            reference(&seq_t, &mut seq_idx, &changed);
+
+            let pid = seeds.below(PARTS);
+            let n = seeds.size(case & 4 != 0, ROWS);
+            let mut rids: Vec<usize> = (0..ROWS).collect();
+            for i in 0..n {
+                rids.swap(i, i + seeds.below(ROWS - i));
             }
+            rids.truncate(n);
+            rids.sort_unstable();
+            let values: Vec<Value> = seeds.values(n).into_iter().map(Value::Int).collect();
+            shared_t.modify(pid, &rids, 1, &values);
+            shared_idx.handle_modify(&mut shared_t, pid, &rids);
+            seq_t.modify(pid, &rids, 1, &values);
+            let changed: Vec<(usize, usize)> = rids.iter().map(|&r| (pid, r)).collect();
+            reference(&seq_t, &mut seq_idx, &changed);
 
             let shared_stats = shared_idx.maintenance_stats();
-            assert_eq!(shared_stats.collision_rounds, 1);
+            assert_eq!(shared_stats.collision_rounds, 2);
             assert_eq!(
-                shared_stats.build_invocations, 1,
+                shared_stats.build_invocations, 2,
                 "build hashed once per round"
             );
-            assert_eq!(shared_stats.probed_partitions, 4);
+            assert_eq!(shared_stats.probed_partitions, 2 * PARTS as u64);
 
-            assert_eq!(seq_stats.collision_rounds, 1);
+            assert_eq!(seq_stats.collision_rounds, 2);
             assert_eq!(
-                seq_stats.build_invocations, 4,
+                seq_stats.build_invocations,
+                2 * PARTS as u64,
                 "reference rebuilds per partition"
             );
 
-            for pid in 0..4 {
+            for pid in 0..PARTS {
                 assert_eq!(
                     shared_idx.partition(pid).store.patch_rids(),
                     seq_idx.partition(pid).store.patch_rids(),
-                    "design {design:?}, {} inserted rows, partition {pid}",
-                    inserted.len()
+                    "case {case}, design {design:?}, partition {pid}"
                 );
             }
-            assert!(shared_idx.exception_count() >= 4);
+            patched += shared_idx.exception_count();
             shared_idx.check_consistency(&shared_t);
         }
+        assert!(patched > 0, "no case collided: a weak test");
     }
 
     /// Modify rounds go through the same shared pipeline.

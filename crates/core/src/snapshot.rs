@@ -63,7 +63,6 @@
 //! indexes by `(column, constraint)` — not slot — so drops that shift
 //! slots between an event and its absorption cannot misattribute feedback.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,11 +75,6 @@ use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design};
 use crate::index::PatchIndex;
 use crate::indexed::{IndexedTable, QueryShape};
-
-/// Distinguishes tables sharing one [`ResultCache`] — and, because it is
-/// globally unique, guarantees a fresh `ConcurrentTable` can never hit
-/// entries left behind by a dead one.
-static NEXT_CACHE_TOKEN: AtomicU64 = AtomicU64::new(1);
 
 /// One workload observation recorded by a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,7 +167,6 @@ struct SnapshotInner {
     catalog: IndexCatalog,
     sink: Arc<WorkloadSink>,
     cache: Option<Arc<ResultCache>>,
-    cache_token: u64,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -190,14 +183,13 @@ impl TableSnapshot {
         it: &IndexedTable,
         epoch: u64,
         cache: Option<Arc<ResultCache>>,
-        cache_token: u64,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> Self {
         // The full catalog (including the NUC distinct-patch pass) is
         // computed here, on the writer — snapshot readers plan against it
         // for free. Reuses the mutation-invalidated cache: a publish with
         // no data change since the last catalog read costs counter reads.
-        let catalog = it.cached_catalog().clone();
+        let catalog = it.catalog().clone();
         TableSnapshot {
             inner: Arc::new(SnapshotInner {
                 epoch,
@@ -206,7 +198,6 @@ impl TableSnapshot {
                 catalog,
                 sink: Arc::clone(it.sink()),
                 cache,
-                cache_token,
                 metrics,
             }),
         }
@@ -238,14 +229,10 @@ impl TableSnapshot {
         &self.inner.sink
     }
 
-    /// The shared result cache the query facade consults for this
-    /// snapshot, paired with the table's cache token (`None` when the
-    /// table was split without [`ConcurrentTable::with_result_cache`]).
-    pub fn result_cache(&self) -> Option<(&ResultCache, u64)> {
-        self.inner
-            .cache
-            .as_deref()
-            .map(|c| (c, self.inner.cache_token))
+    /// The table's result cache, which the query facade consults for
+    /// this snapshot (`None` when the table was split without one).
+    pub fn result_cache(&self) -> Option<&ResultCache> {
+        self.inner.cache.as_deref()
     }
 
     /// The metrics registry this table publishes observability into
@@ -282,18 +269,18 @@ impl ConcurrentTable {
     /// Splits an [`IndexedTable`] into the shared read handle and the
     /// single writer. The initial snapshot is published immediately.
     pub fn new(it: IndexedTable) -> (ConcurrentTable, TableWriter) {
-        Self::with_cache(it, None)
+        Self::build(it, None, None)
     }
 
     /// Like [`ConcurrentTable::new`], but snapshots consult (and fill)
     /// the given result cache through the `pi-planner` query facade. The
-    /// cache may be shared between tables — entries carry a per-table
-    /// token, and each writer's publish sweeps only its own.
+    /// table takes the cache: it serves this table and no other, and each
+    /// publish sweeps it against the new state.
     pub fn with_result_cache(
         it: IndexedTable,
-        cache: Arc<ResultCache>,
+        cache: ResultCache,
     ) -> (ConcurrentTable, TableWriter) {
-        Self::with_cache(it, Some(cache))
+        Self::build(it, Some(cache), None)
     }
 
     /// Like [`ConcurrentTable::new`], but every snapshot carries the
@@ -307,26 +294,19 @@ impl ConcurrentTable {
     /// registry to get `cache.*` counters in the same place.
     pub fn with_observability(
         it: IndexedTable,
-        cache: Option<Arc<ResultCache>>,
+        cache: Option<ResultCache>,
         registry: Arc<MetricsRegistry>,
     ) -> (ConcurrentTable, TableWriter) {
         Self::build(it, cache, Some(registry))
     }
 
-    fn with_cache(
-        it: IndexedTable,
-        cache: Option<Arc<ResultCache>>,
-    ) -> (ConcurrentTable, TableWriter) {
-        Self::build(it, cache, None)
-    }
-
     fn build(
         it: IndexedTable,
-        cache: Option<Arc<ResultCache>>,
+        cache: Option<ResultCache>,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> (ConcurrentTable, TableWriter) {
-        let cache_token = NEXT_CACHE_TOKEN.fetch_add(1, Ordering::Relaxed);
-        let first = TableSnapshot::capture(&it, 0, cache.clone(), cache_token, metrics.clone());
+        let cache = cache.map(Arc::new);
+        let first = TableSnapshot::capture(&it, 0, cache.clone(), metrics.clone());
         let shared = Arc::new(Shared {
             current: RwLock::new(first),
         });
@@ -339,7 +319,6 @@ impl ConcurrentTable {
                 shared,
                 epoch: 0,
                 cache,
-                cache_token,
                 publish_metrics: metrics.as_deref().map(PublishMetrics::new),
                 metrics,
             },
@@ -358,13 +337,12 @@ impl ConcurrentTable {
         self.shared.current.read().epoch()
     }
 
-    /// The shared result cache, when this table was split with one.
+    /// The table's result cache, when it was split with one.
     pub fn result_cache(&self) -> Option<Arc<ResultCache>> {
         self.shared.current.read().inner.cache.clone()
     }
 
-    /// Counter snapshot of the result cache (`None` without one). Note
-    /// that a shared cache reports totals across every table using it.
+    /// Counter snapshot of the result cache (`None` without one).
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.shared
             .current
@@ -422,7 +400,6 @@ pub struct TableWriter {
     shared: Arc<Shared>,
     epoch: u64,
     cache: Option<Arc<ResultCache>>,
-    cache_token: u64,
     metrics: Option<Arc<MetricsRegistry>>,
     publish_metrics: Option<PublishMetrics>,
 }
@@ -520,7 +497,6 @@ impl TableWriter {
             &self.staging,
             self.epoch,
             self.cache.clone(),
-            self.cache_token,
             self.metrics.clone(),
         );
         let mut invalidated = 0;
@@ -529,7 +505,7 @@ impl TableWriter {
             // can't pick up a stale entry; entries a concurrent reader of
             // the *old* epoch re-inserts during the window are caught by
             // hit-time footprint validation instead.
-            invalidated = cache.invalidate_stale(self.cache_token, snap.table(), snap.indexes());
+            invalidated = cache.invalidate_stale(snap.table(), snap.indexes());
         }
         *self.shared.current.write() = snap;
         if let Some(m) = &self.publish_metrics {
@@ -766,18 +742,17 @@ mod tests {
 
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let cache = Arc::new(ResultCache::new(1 << 20));
-        let (handle, mut writer) = ConcurrentTable::with_result_cache(it, Arc::clone(&cache));
+        let (handle, mut writer) =
+            ConcurrentTable::with_result_cache(it, ResultCache::new(1 << 20));
         let snap = handle.snapshot();
-        let (c, token) = snap.result_cache().expect("cache wired into snapshots");
-        assert!(std::ptr::eq(c, &*cache));
+        let c = snap.result_cache().expect("cache wired into snapshots");
+        assert!(std::ptr::eq(c, &*handle.result_cache().unwrap()));
 
         let part = |pid: usize| (pid, Arc::clone(&snap.table().partitions()[pid]));
         let canon = |tag: u8| -> Arc<[u8]> { Arc::from([tag].as_slice()) };
         // Entry 1 reads partition 0 only; entry 2 reads both; entry 3
         // depends on the index version.
         c.insert(
-            token,
             1,
             canon(1),
             0,
@@ -785,7 +760,6 @@ mod tests {
             Footprint::new(vec![part(0)], vec![]),
         );
         c.insert(
-            token,
             2,
             canon(2),
             0,
@@ -793,7 +767,6 @@ mod tests {
             Footprint::new(vec![part(0), part(1)], vec![]),
         );
         c.insert(
-            token,
             3,
             canon(3),
             0,
@@ -815,13 +788,13 @@ mod tests {
 
         // Entry 1's footprint survived untouched; 2 and 3 are gone.
         assert!(c
-            .lookup(token, 1, &canon(1), 1, new.table(), new.indexes())
+            .lookup(1, &canon(1), 1, new.table(), new.indexes())
             .is_some());
         assert!(c
-            .lookup(token, 2, &canon(2), 1, new.table(), new.indexes())
+            .lookup(2, &canon(2), 1, new.table(), new.indexes())
             .is_none());
         assert!(c
-            .lookup(token, 3, &canon(3), 1, new.table(), new.indexes())
+            .lookup(3, &canon(3), 1, new.table(), new.indexes())
             .is_none());
         let stats = handle
             .cache_stats()
@@ -836,7 +809,7 @@ mod tests {
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let reg = Arc::new(MetricsRegistry::new());
-        let cache = Arc::new(ResultCache::with_registry(1 << 20, &reg));
+        let cache = ResultCache::with_registry(1 << 20, &reg);
         let (handle, mut writer) =
             ConcurrentTable::with_observability(it, Some(cache), Arc::clone(&reg));
         assert!(handle.snapshot().metrics().is_some());

@@ -15,8 +15,9 @@
 //!   a selection vector instead of copying rows, joins and aggregation
 //!   read through both, and rows are copied only at pipeline breakers
 //!   (see [`Batch`]);
-//! * [`ops::hash_join::HashJoinOp`] with *dynamic range propagation*
-//!   (deferred probe construction from the build-key envelope);
+//! * [`ops::hash_join::HashJoinOp`] and the [`ops::hash_join::JoinTable`]
+//!   it builds, whose build-key envelope drives the dynamic range
+//!   propagation of PatchIndex maintenance;
 //! * [`ops::merge_join::MergeJoinOp`] for the nearly-sorted fast path;
 //! * [`ops::sort::SortOp`], [`ops::agg::HashAggOp`] (grouping, DISTINCT,
 //!   filtered aggregates), [`ops::merge::UnionAllOp`],

@@ -12,8 +12,8 @@
 //!   `SortOp`, `HashAggOp` and `HashJoinOp` (windows of one buffer);
 //! * **select:** `PatchSelectOp`'s excluding flow (the exceptions, and a
 //!   batch queued for the other flow, are gathered) and `FilterOp`;
-//! * **read through:** `MergeJoinOp` (right side), `JoinTable::probe` and
-//!   so `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
+//! * **read through:** `MergeJoinOp` (right side), `JoinTable::probe` /
+//!   `pairs` and so `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
 //!   `OrderedMergeOp` (windows; it gathers a selection), `LimitOp`
 //!   (shrinks the window or selection), `UnionAllOp` and `MeterOp` (pass
 //!   it on), [`count_rows`], and expression evaluation, which covers the

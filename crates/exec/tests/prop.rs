@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::FilterOp;
-use pi_exec::ops::hash_join::{HashJoinOp, JoinTable, ProbeSide};
+use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
 use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, UnionAllOp};
 use pi_exec::ops::merge_join::MergeJoinOp;
 use pi_exec::ops::scan::ScanOp;
@@ -84,9 +84,10 @@ fn chains(input: &Batch, other: &Batch, cut: i64, limit: usize) -> Vec<Vec<Vec<i
         ))),
         rows(&collect(&mut MergeJoinOp::new(other, 0, filtered(), 0))),
         rows(&table.probe(input, 0)),
-        rows(&collect(&mut HashJoinOp::with_table(
-            &table,
-            ProbeSide::Ready(filtered()),
+        rows(&collect(&mut HashJoinOp::inner(
+            source(other),
+            0,
+            filtered(),
             0,
         ))),
         rows(&collect(&mut HashAggOp::distinct(filtered(), vec![0]))),

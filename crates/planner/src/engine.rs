@@ -52,31 +52,10 @@ use pi_obs::{CacheOutcome, MetricsRegistry, PlannerTrace, QueryTrace};
 use pi_storage::Table;
 
 use crate::cost::estimate;
-use crate::fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
+use crate::fingerprint::{bound_slots, canonical_bytes, fingerprint_hash, QueryMode};
 use crate::logical::Plan;
 use crate::optimizer::{optimize_with_stats, OptimizeStats};
 use crate::physical::{lower_global, ExecObserver};
-
-/// Every PatchScan slot the plan binds, sorted and deduplicated.
-fn bound_slots(plan: &Plan) -> Vec<usize> {
-    fn walk(plan: &Plan, out: &mut Vec<usize>) {
-        match plan {
-            Plan::PatchScan { slot, .. } => out.push(*slot),
-            Plan::Scan { .. } => {}
-            Plan::Distinct { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
-                walk(input, out)
-            }
-            Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
-                inputs.iter().for_each(|p| walk(p, out))
-            }
-        }
-    }
-    let mut slots = Vec::new();
-    walk(plan, &mut slots);
-    slots.sort_unstable();
-    slots.dedup();
-    slots
-}
 
 /// Collects the advisable (column, shape) sites of a reference plan — a
 /// single-column Distinct or Sort directly over a Scan is exactly the
@@ -265,8 +244,8 @@ struct View<'a> {
     catalog: &'a IndexCatalog,
     /// The publish epoch cache entries are stamped with.
     epoch: u64,
-    /// The result cache and this table's token in it.
-    cache: Option<(&'a ResultCache, u64)>,
+    /// The table's result cache.
+    cache: Option<&'a ResultCache>,
     metrics: Option<&'a MetricsRegistry>,
     /// Where the query's workload evidence goes.
     sink: &'a WorkloadSink,
@@ -306,12 +285,12 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
     let mut events = Vec::new();
     query_shapes(plan, &mut events);
 
-    let key = view.cache.map(|(cache, token)| {
+    let key = view.cache.map(|cache| {
         let canon: Arc<[u8]> = canonical_bytes(&chosen, cat, mode).into();
-        (cache, token, fingerprint_hash(&canon), canon)
+        (cache, fingerprint_hash(&canon), canon)
     });
-    let hit = key.as_ref().and_then(|(cache, token, hash, canon)| {
-        cache.lookup(*token, *hash, canon, view.epoch, view.table, view.indexes)
+    let hit = key.as_ref().and_then(|(cache, hash, canon)| {
+        cache.lookup(*hash, canon, view.epoch, view.table, view.indexes)
     });
     let parts = view.table.partition_count();
     let cache_outcome = match (view.cache, &hit) {
@@ -329,7 +308,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
                 QueryMode::Rows => CachedValue::Rows(collect(root.as_mut())),
                 QueryMode::Count => CachedValue::Count(count_rows(root.as_mut()) as u64),
             };
-            if let Some((cache, token, hash, canon)) = key {
+            if let Some((cache, hash, canon)) = key {
                 // Pointer identity of these Arcs is exactly "this cached
                 // result is still valid" — copy-on-write publishes
                 // replace the Arc of everything they touch and nothing
@@ -344,7 +323,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
                         .map(|&slot| (slot, Arc::clone(&view.indexes[slot])))
                         .collect(),
                 );
-                cache.insert(token, hash, canon, view.epoch, value.clone(), footprint);
+                cache.insert(hash, canon, view.epoch, value.clone(), footprint);
             }
             if !bound.is_empty() {
                 // The saving is split evenly across the bound slots.
@@ -437,11 +416,10 @@ impl QueryEngine for ConcurrentTable {
 /// between updates re-read counters, no re-hashing, no clone).
 impl QueryEngine for IndexedTable {
     fn run_request(&self, plan: &Plan, request: Request) -> Outcome {
-        let (table, indexes, catalog) = self.query_catalog(plan.contains_distinct());
         let view = View {
-            table,
-            indexes,
-            catalog: &catalog,
+            table: self.table(),
+            indexes: self.indexes(),
+            catalog: self.catalog(),
             epoch: 0,
             cache: None,
             metrics: None,
@@ -552,32 +530,17 @@ mod tests {
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         it.query_count(&distinct);
-        let cached: *const IndexCatalog = it.cached_catalog();
+        let cached: *const IndexCatalog = it.catalog();
         for _ in 0..4 {
             it.query_count(&distinct);
         }
         assert!(
-            std::ptr::eq(cached, it.cached_catalog()),
+            std::ptr::eq(cached, it.catalog()),
             "one snapshot per mutation epoch"
         );
         it.insert(&[vec![Value::Int(999), Value::Int(12345)]]);
         it.query_count(&distinct);
-        assert_eq!(it.cached_catalog().rows(), 11, "rebuilt after the insert");
-    }
-
-    #[test]
-    fn sort_only_queries_never_pay_the_distinct_pass() {
-        let mut it = fresh(2);
-        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        it.query_count(&sort);
-        it.query_count(&sort);
-        // Counts-only snapshots are taken fresh and never cached — no
-        // full rebuild happened.
-        assert!(matches!(
-            it.query_catalog(false).2,
-            std::borrow::Cow::Owned(_)
-        ));
+        assert_eq!(it.catalog().rows(), 11, "rebuilt after the insert");
     }
 
     #[test]
@@ -622,10 +585,7 @@ mod tests {
     }
 
     fn cached(it: IndexedTable) -> (ConcurrentTable, TableWriter) {
-        ConcurrentTable::with_result_cache(
-            it,
-            Arc::new(ResultCache::new(ResultCache::DEFAULT_BUDGET)),
-        )
+        ConcurrentTable::with_result_cache(it, ResultCache::new(ResultCache::DEFAULT_BUDGET))
     }
 
     #[test]
@@ -686,9 +646,8 @@ mod tests {
         let hash = fingerprint_hash(&canon);
         // Poison the exact bucket the query will probe with an entry
         // whose canonical bytes differ — a simulated 64-bit collision.
-        let (cache, token) = snap.result_cache().unwrap();
+        let cache = snap.result_cache().unwrap();
         cache.insert(
-            token,
             hash,
             b"not the same plan".to_vec().into(),
             snap.epoch(),
@@ -750,10 +709,7 @@ mod tests {
         let mut it = fresh(2);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let reg = Arc::new(MetricsRegistry::new());
-        let cache = Arc::new(ResultCache::with_registry(
-            ResultCache::DEFAULT_BUDGET,
-            &reg,
-        ));
+        let cache = ResultCache::with_registry(ResultCache::DEFAULT_BUDGET, &reg);
         let (handle, mut writer) =
             ConcurrentTable::with_observability(it, Some(cache), Arc::clone(&reg));
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
@@ -878,10 +834,7 @@ mod tests {
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let reg = Arc::new(MetricsRegistry::new());
-        let cache = Arc::new(ResultCache::with_registry(
-            ResultCache::DEFAULT_BUDGET,
-            &reg,
-        ));
+        let cache = ResultCache::with_registry(ResultCache::DEFAULT_BUDGET, &reg);
         let (handle, _writer) =
             ConcurrentTable::with_observability(it, Some(cache), Arc::clone(&reg));
         let snap = handle.snapshot();

@@ -55,9 +55,7 @@ pub fn canonical_bytes(plan: &Plan, cat: &IndexCatalog, mode: QueryMode) -> Vec<
     // slot resolves to. Two tables (or two epochs of one table, after
     // drops shifted slots) where slot 0 means different indexes must not
     // share a fingerprint.
-    let mut slots = bound_slots(plan);
-    slots.sort_unstable();
-    slots.dedup();
+    let slots = bound_slots(plan);
     push_usize(&mut out, slots.len());
     for slot in slots {
         let stats = &cat.indexes[slot];
@@ -80,11 +78,13 @@ pub fn fingerprint_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Every `PatchScan` slot bound anywhere in the plan (unsorted, may
-/// repeat).
+/// Every `PatchScan` slot bound anywhere in the plan, sorted and
+/// deduplicated.
 pub fn bound_slots(plan: &Plan) -> Vec<usize> {
     let mut slots = Vec::new();
     collect_slots(plan, &mut slots);
+    slots.sort_unstable();
+    slots.dedup();
     slots
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Canonical order: the spec's sort keys first (tie-broken by the
 //! remaining columns ascending), full-row lexicographic ascending when
-//! the spec has no sort. `distinct` re-deduplicates globally (shards
+//! the spec has no sort. Values compare by `Value`'s total order. `distinct` re-deduplicates globally (shards
 //! eliminate only their own duplicates); `limit` truncates last.
 
 use std::cmp::Ordering;
@@ -21,31 +21,12 @@ use pi_storage::Value;
 use crate::protocol::render_value;
 use crate::spec::QuerySpec;
 
-/// Total order on values: by variant (Int < Float < Str), then by
-/// payload; floats compare by `total_cmp`. Homogeneous columns never
-/// reach the cross-variant arm.
-pub fn cmp_value(a: &Value, b: &Value) -> Ordering {
-    fn rank(v: &Value) -> u8 {
-        match v {
-            Value::Int(_) => 0,
-            Value::Float(_) => 1,
-            Value::Str(_) => 2,
-        }
-    }
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x.cmp(y),
-        (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
-        (Value::Str(x), Value::Str(y)) => x.cmp(y),
-        _ => rank(a).cmp(&rank(b)),
-    }
-}
-
 fn cmp_row_suffix(a: &[Value], b: &[Value], skip: &[usize]) -> Ordering {
     for i in 0..a.len() {
         if skip.contains(&i) {
             continue;
         }
-        match cmp_value(&a[i], &b[i]) {
+        match a[i].cmp(&b[i]) {
             Ordering::Equal => {}
             other => return other,
         }
@@ -69,7 +50,7 @@ pub fn canonical_rows(spec: &QuerySpec, mut rows: Vec<Vec<Value>>) -> Vec<Vec<Va
     let key_positions: Vec<usize> = keys.iter().map(|&(p, _)| p).collect();
     rows.sort_by(|a, b| {
         for &(pos, dir) in &keys {
-            let ord = cmp_value(&a[pos], &b[pos]);
+            let ord = a[pos].cmp(&b[pos]);
             let ord = if matches!(dir, SortOrder::Desc) {
                 ord.reverse()
             } else {
@@ -134,23 +115,6 @@ mod tests {
         // Two shards each sent their own deduped rows; 7 appears in both.
         let out = canonical_rows(&spec, rows(&[&[7], &[3], &[7], &[9]]));
         assert_eq!(out, rows(&[&[3], &[7]]));
-    }
-
-    #[test]
-    fn value_order_is_total() {
-        assert_eq!(cmp_value(&Value::Int(1), &Value::Int(2)), Ordering::Less);
-        assert_eq!(
-            cmp_value(&Value::Float(f64::NAN), &Value::Float(f64::NAN)),
-            Ordering::Equal
-        );
-        assert_eq!(
-            cmp_value(&Value::Str("a".into()), &Value::Str("b".into())),
-            Ordering::Less
-        );
-        assert_eq!(
-            cmp_value(&Value::Int(9), &Value::Float(0.0)),
-            Ordering::Less
-        );
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod slowlog;
 mod spec;
 
 pub use client::{body_lines, header, header_field, Client};
-pub use combine::{batch_rows, canonical_rows, cmp_value, render_rows};
+pub use combine::{batch_rows, canonical_rows, render_rows};
 pub use config::ServerConfig;
 pub use protocol::{
     parse_value, read_request, render_value, write_response, ErrorCode, ServerError, WireMode,

@@ -96,12 +96,8 @@ impl Shard {
     pub(crate) fn spawn(spec: ShardSpawn) -> Shard {
         // `with_registry` so hits/misses/invalidations surface in this
         // shard's section of the `METRICS` document.
-        let cache = (spec.cache_budget_bytes > 0).then(|| {
-            Arc::new(ResultCache::with_registry(
-                spec.cache_budget_bytes,
-                &spec.registry,
-            ))
-        });
+        let cache = (spec.cache_budget_bytes > 0)
+            .then(|| ResultCache::with_registry(spec.cache_budget_bytes, &spec.registry));
         let (table, writer) =
             ConcurrentTable::with_observability(spec.table, cache, Arc::clone(&spec.registry));
         let applied = Arc::new(Mutex::new((table.epoch(), 0)));

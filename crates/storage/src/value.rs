@@ -83,8 +83,9 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order within a type; across types: Int < Float < Str (only
-    /// used by deterministic test assertions, never by the engine).
+    /// Total order within a type (floats by `total_cmp`); across types:
+    /// Int < Float < Str. The server's canonical combine sorts result rows
+    /// by it, so it fixes the order of rows on the wire.
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
@@ -200,6 +201,20 @@ mod tests {
         assert!(Value::Str("a".into()) < Value::Str("b".into()));
         // NaN is totally ordered after all finite floats.
         assert!(Value::Float(f64::INFINITY) < Value::Float(f64::NAN));
+    }
+
+    #[test]
+    fn value_order_is_total() {
+        assert_eq!(Value::Int(1).cmp(&Value::Int(2)), Ordering::Less);
+        assert_eq!(
+            Value::Float(f64::NAN).cmp(&Value::Float(f64::NAN)),
+            Ordering::Equal
+        );
+        assert_eq!(
+            Value::Str("a".into()).cmp(&Value::Str("b".into())),
+            Ordering::Less
+        );
+        assert_eq!(Value::Int(9).cmp(&Value::Float(0.0)), Ordering::Less);
     }
 
     #[test]

@@ -195,43 +195,26 @@ fn finish_q3(projected: Batch) -> Batch {
 }
 
 fn q3_joinindex(db: &TpchDb, ji: &JoinIndex, cutoff: i64, cust_filter: &Expr) -> Batch {
-    // Scan lineitem (+rids), gather the orders partner columns through the
-    // materialized index, then finish with the customer join.
-    let l_cols = vec![
+    // Gather the orders partner columns of the filtered lineitem rows
+    // through the materialized index, then finish with the customer join.
+    let l_cols = [
         cols::L_ORDERKEY,
         cols::L_EXTENDEDPRICE,
         cols::L_DISCOUNT,
         cols::L_SHIPDATE,
     ];
-    let mut pieces: Vec<Batch> = Vec::new();
-    for pid in 0..db.lineitem.partition_count() {
-        let part = db.lineitem.partition(pid);
-        let mut scan = ScanOp::new(part, l_cols.clone(), true);
-        let mut filt = FilterOp::new(
-            Box::new(take_op(&mut scan)),
-            Expr::col(3).gt(Expr::LitInt(cutoff)),
-        );
-        let out = collect(&mut filt);
-        if out.is_empty() {
-            continue;
-        }
-        let rids: Vec<usize> = out.column(4).as_int().iter().map(|&r| r as usize).collect();
-        let ocols = ji.gather_dim(
-            &db.orders,
-            pid,
-            &rids,
-            &[cols::O_CUSTKEY, cols::O_ORDERDATE, cols::O_SHIPPRIORITY],
-        );
-        let mut columns = out.into_columns();
-        columns.truncate(4);
-        columns.extend(ocols);
-        pieces.push(Batch::new(columns));
-    }
-    // [l_orderkey, price, discount, shipdate, o_custkey, o_orderdate, o_shipprio]
-    let combined = Batch::concat(&pieces);
+    let o_cols = [cols::O_CUSTKEY, cols::O_ORDERDATE, cols::O_SHIPPRIORITY];
+    // [o_custkey, o_orderdate, o_shipprio, l_orderkey, price, discount, shipdate]
+    let combined = joinindex_lines(
+        db,
+        ji,
+        &l_cols,
+        &Expr::col(3).gt(Expr::LitInt(cutoff)),
+        &o_cols,
+    );
     let mut date_f = FilterOp::new(
         Box::new(pi_exec::BatchSource::single(combined)),
-        Expr::col(5).lt(Expr::LitInt(cutoff)),
+        Expr::col(1).lt(Expr::LitInt(cutoff)),
     );
     // Remaining join with the filtered customers.
     let cust = scan_all(
@@ -239,17 +222,47 @@ fn q3_joinindex(db: &TpchDb, ji: &JoinIndex, cutoff: i64, cust_filter: &Expr) ->
         vec![cols::C_CUSTKEY, cols::C_MKTSEGMENT],
         Some(cust_filter.clone()),
     );
-    let mut join = HashJoinOp::inner(cust, 0, Box::new(take_op(&mut date_f)), 4);
+    let mut join = HashJoinOp::inner(cust, 0, Box::new(take_op(&mut date_f)), 0);
     let out = collect(&mut join);
-    // [l..7, c_custkey, c_seg]
-    let revenue = Expr::col(1).mul(Expr::LitFloat(1.0).sub(Expr::col(2)));
+    // [o..3, l..4, c_custkey, c_seg]
+    let revenue = Expr::col(4).mul(Expr::LitFloat(1.0).sub(Expr::col(5)));
     let projected = Batch::new(vec![
-        out.column(0).clone(),
-        out.column(5).clone(),
-        out.column(6).clone(),
+        out.column(3).clone(),
+        out.column(1).clone(),
+        out.column(2).clone(),
         revenue.eval(&out),
     ]);
     finish_q3(projected)
+}
+
+/// The JoinIdx variant's lineitem⋈orders: per partition, the lineitem
+/// rows passing `l_filter` with the orders columns `o_cols` of each
+/// row's partner, gathered through the materialized [`JoinIndex`].
+/// Output columns are `[orders columns..., lineitem columns...]`.
+fn joinindex_lines(
+    db: &TpchDb,
+    ji: &JoinIndex,
+    l_cols: &[usize],
+    l_filter: &Expr,
+    o_cols: &[usize],
+) -> Batch {
+    let mut pieces: Vec<Batch> = Vec::new();
+    for pid in 0..db.lineitem.partition_count() {
+        // The scan's trailing rowID column names each line's partner.
+        let mut scan = ScanOp::new(db.lineitem.partition(pid), l_cols.to_vec(), true);
+        let mut filt = FilterOp::new(Box::new(take_op(&mut scan)), l_filter.clone());
+        let out = collect(&mut filt);
+        if out.is_empty() {
+            continue;
+        }
+        let mut lines = out.into_columns();
+        let rids = lines.pop().expect("rowID column");
+        let rids: Vec<usize> = rids.as_int().iter().map(|&r| r as usize).collect();
+        let mut columns = ji.gather_dim(&db.orders, pid, &rids, o_cols);
+        columns.extend(lines);
+        pieces.push(Batch::new(columns));
+    }
+    Batch::concat(&pieces)
 }
 
 // --- small plumbing helpers -------------------------------------------------
@@ -388,25 +401,9 @@ pub fn q7(
 /// `[x(0..6), l(6..)]` layout as the join variants (the cust/nation columns
 /// are joined afterwards like the reference plan would).
 fn q7_joinindex_join(db: &TpchDb, ji: &JoinIndex, l_cols: &[usize], l_filter: &Expr) -> Batch {
-    let mut pieces: Vec<Batch> = Vec::new();
-    for pid in 0..db.lineitem.partition_count() {
-        let part = db.lineitem.partition(pid);
-        let mut scan = ScanOp::new(part, l_cols.to_vec(), true);
-        let mut filt = FilterOp::new(Box::new(take_op(&mut scan)), l_filter.clone());
-        let out = collect(&mut filt);
-        if out.is_empty() {
-            continue;
-        }
-        let rids: Vec<usize> = out.column(5).as_int().iter().map(|&r| r as usize).collect();
-        let ocols = ji.gather_dim(&db.orders, pid, &rids, &[cols::O_ORDERKEY, cols::O_CUSTKEY]);
-        let mut columns = out.into_columns();
-        columns.truncate(5);
-        let mut ordered = ocols;
-        ordered.extend(columns);
-        pieces.push(Batch::new(ordered));
-    }
+    let o_cols = [cols::O_ORDERKEY, cols::O_CUSTKEY];
+    let combined = joinindex_lines(db, ji, l_cols, l_filter, &o_cols);
     // [o_orderkey, o_custkey, l(2..7)] -> join customers to reach the X layout.
-    let combined = Batch::concat(&pieces);
     let n_dict = db.nation.dict(cols::N_NAME).unwrap();
     let pair = Expr::col(1)
         .eq(Expr::lit_str(n_dict, "FRANCE"))
@@ -472,27 +469,7 @@ pub fn q12(
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");
-            let mut pieces: Vec<Batch> = Vec::new();
-            for pid in 0..db.lineitem.partition_count() {
-                let part = db.lineitem.partition(pid);
-                let mut scan = ScanOp::new(part, l_cols.clone(), true);
-                let mut filt = FilterOp::new(Box::new(take_op(&mut scan)), l_filter.clone());
-                let out = collect(&mut filt);
-                if out.is_empty() {
-                    continue;
-                }
-                let rids: Vec<usize> = out.column(5).as_int().iter().map(|&r| r as usize).collect();
-                let ocols = ji.gather_dim(
-                    &db.orders,
-                    pid,
-                    &rids,
-                    &[cols::O_ORDERKEY, cols::O_ORDERPRIORITY],
-                );
-                let mut columns = ocols;
-                columns.extend(out.into_columns());
-                pieces.push(Batch::new(columns));
-            }
-            Batch::concat(&pieces)
+            joinindex_lines(db, ji, &l_cols, &l_filter, &o_cols)
         }
     };
     if joined.is_empty() {

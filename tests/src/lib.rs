@@ -3,8 +3,11 @@
 //! The actual tests live in `tests/tests/`; this crate only hosts shared
 //! fixtures so every integration test builds the same workloads.
 
+use std::ops::Range;
+
 use patchindex::IndexedTable;
 use pi_datagen::{generate, MicroDataset, MicroKind, MicroSpec};
+use pi_durability::DurableWriter;
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
 
@@ -168,6 +171,164 @@ pub fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut [i64; PARTS]) {
             }
         }
         Op::Publish => {} // handled by the driver
+    }
+}
+
+/// One statement of a randomized update stream over a `(k, v)` table:
+/// the stream the update, query-engine and checkpoint property suites
+/// drive their tables with. Partition and row picks are seeds, resolved
+/// against the table when the statement is applied, so one stream fits
+/// any partition count and any table state.
+#[derive(Debug, Clone)]
+pub enum Update {
+    /// One row per value, with fresh keys.
+    Insert(Vec<i64>),
+    /// Overwrite `v` of the picked rows with `values`, cycled.
+    Modify {
+        /// Partition pick, reduced modulo the partition count.
+        pid_seed: usize,
+        /// Row picks, reduced modulo the visible length and deduplicated.
+        rid_seeds: Vec<u32>,
+        /// New values, cycled over the picked rows.
+        values: Vec<i64>,
+    },
+    /// Delete the picked rows.
+    Delete {
+        /// Partition pick, reduced modulo the partition count.
+        pid_seed: usize,
+        /// Row picks, reduced modulo the visible length.
+        rid_seeds: Vec<u32>,
+    },
+    /// Merge pending deltas into base storage.
+    Propagate,
+}
+
+/// Random [`Update`]s whose inserted and modified values lie in `values`.
+pub fn update_strategy(values: Range<i64>) -> impl Strategy<Value = Update> {
+    prop_oneof![
+        proptest::collection::vec(values.clone(), 1..12).prop_map(Update::Insert),
+        (
+            0usize..8,
+            proptest::collection::vec(any::<u32>(), 1..6),
+            proptest::collection::vec(values, 6..7)
+        )
+            .prop_map(|(pid_seed, rid_seeds, values)| Update::Modify {
+                pid_seed,
+                rid_seeds,
+                values
+            }),
+        (0usize..8, proptest::collection::vec(any::<u32>(), 1..6)).prop_map(
+            |(pid_seed, rid_seeds)| Update::Delete {
+                pid_seed,
+                rid_seeds
+            }
+        ),
+        Just(Update::Propagate),
+    ]
+}
+
+/// What an [`Update`] stream is applied to.
+pub trait UpdateTarget {
+    /// The table the next statement's picks resolve against.
+    fn table(&self) -> &Table;
+    /// Inserts rows.
+    fn insert(&mut self, rows: &[Vec<Value>]);
+    /// Overwrites column `col` of `rids` in partition `pid`.
+    fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]);
+    /// Deletes `rids` of partition `pid`.
+    fn delete(&mut self, pid: usize, rids: &[usize]);
+    /// Merges pending deltas into base storage.
+    fn propagate(&mut self);
+}
+
+impl UpdateTarget for IndexedTable {
+    fn table(&self) -> &Table {
+        IndexedTable::table(self)
+    }
+    fn insert(&mut self, rows: &[Vec<Value>]) {
+        IndexedTable::insert(self, rows);
+    }
+    fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
+        IndexedTable::modify(self, pid, rids, col, values);
+    }
+    fn delete(&mut self, pid: usize, rids: &[usize]) {
+        IndexedTable::delete(self, pid, rids);
+    }
+    fn propagate(&mut self) {
+        IndexedTable::propagate(self);
+    }
+}
+
+/// Every statement is logged before it applies; the suites run on a
+/// fault-free filesystem, so an IO error is a bug.
+impl UpdateTarget for DurableWriter {
+    fn table(&self) -> &Table {
+        self.staging().table()
+    }
+    fn insert(&mut self, rows: &[Vec<Value>]) {
+        DurableWriter::insert(self, rows).expect("logged insert");
+    }
+    fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
+        DurableWriter::modify(self, pid, rids, col, values).expect("logged modify");
+    }
+    fn delete(&mut self, pid: usize, rids: &[usize]) {
+        DurableWriter::delete(self, pid, rids).expect("logged delete");
+    }
+    /// A durable writer has no propagate statement (it never
+    /// propagates), so there is nothing to apply.
+    fn propagate(&mut self) {}
+}
+
+/// Applies one statement. Deterministic given (`op`, `next_key`), so
+/// twin targets fed the same stream stay in lockstep; a pick in an empty
+/// partition is a no-op.
+pub fn apply_update<T: UpdateTarget>(target: &mut T, op: &Update, next_key: &mut i64) {
+    let pick = |target: &T, pid_seed: usize| {
+        let pid = pid_seed % target.table().partition_count();
+        (pid, target.table().partition(pid).visible_len())
+    };
+    match op {
+        Update::Insert(values) => {
+            let rows: Vec<Vec<Value>> = values
+                .iter()
+                .map(|&v| {
+                    *next_key += 1;
+                    vec![Value::Int(*next_key), Value::Int(v)]
+                })
+                .collect();
+            target.insert(&rows);
+        }
+        Update::Modify {
+            pid_seed,
+            rid_seeds,
+            values,
+        } => {
+            let (pid, len) = pick(target, *pid_seed);
+            if len == 0 {
+                return;
+            }
+            let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
+            rids.sort_unstable();
+            rids.dedup();
+            let vals: Vec<Value> = rids
+                .iter()
+                .zip(values.iter().cycle())
+                .map(|(_, &v)| Value::Int(v))
+                .collect();
+            target.modify(pid, &rids, 1, &vals);
+        }
+        Update::Delete {
+            pid_seed,
+            rid_seeds,
+        } => {
+            let (pid, len) = pick(target, *pid_seed);
+            if len == 0 {
+                return;
+            }
+            let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
+            target.delete(pid, &rids);
+        }
+        Update::Propagate => target.propagate(),
     }
 }
 

@@ -26,7 +26,6 @@ use pi_exec::ops::sort::SortOrder;
 use pi_integration::{apply, base_table, int_column, op_strategy, Op, PARTS, VAL_POOL};
 use pi_planner::{Plan, QueryEngine};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// The query mix: a distinct count, a sort (full rows), a pushed-down
 /// limit (partial-footprint entries), and a plain scan count.
@@ -63,7 +62,7 @@ fn verify_pair(cached: &TableSnapshot, plain: &TableSnapshot, ctx: &str) {
     }
 }
 
-fn build(cache: Option<Arc<ResultCache>>) -> (ConcurrentTable, TableWriter) {
+fn build(cache: Option<ResultCache>) -> (ConcurrentTable, TableWriter) {
     let mut it = IndexedTable::new(base_table(60));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.add_index(
@@ -78,8 +77,8 @@ fn build(cache: Option<Arc<ResultCache>>) -> (ConcurrentTable, TableWriter) {
 }
 
 fn run_stream(ops: &[Op]) {
-    let cache = Arc::new(ResultCache::new(ResultCache::DEFAULT_BUDGET));
-    let (cached_handle, mut cached_writer) = build(Some(Arc::clone(&cache)));
+    let cache = ResultCache::new(ResultCache::DEFAULT_BUDGET);
+    let (cached_handle, mut cached_writer) = build(Some(cache));
     let (plain_handle, mut plain_writer) = build(None);
 
     // Held snapshots: (cached, plain) pairs pinned at an old epoch and
@@ -112,7 +111,7 @@ fn run_stream(ops: &[Op]) {
     cached_writer.publish();
     plain_writer.publish();
     verify_pair(&cached_handle.snapshot(), &plain_handle.snapshot(), "final");
-    let stats = cache.stats();
+    let stats = cached_handle.cache_stats().unwrap();
     assert!(
         stats.hits > 0,
         "the hot passes must actually hit: {stats:?}"
@@ -138,8 +137,8 @@ proptest! {
 /// unaffected (evictions cost speed, never answers).
 #[test]
 fn tiny_budget_still_answers_exactly() {
-    let cache = Arc::new(ResultCache::new(1024));
-    let (cached_handle, mut cached_writer) = build(Some(Arc::clone(&cache)));
+    let cache = ResultCache::new(1024);
+    let (cached_handle, mut cached_writer) = build(Some(cache));
     let (plain_handle, mut plain_writer) = build(None);
     let mut nk_c = [0i64; PARTS];
     let mut nk_p = [0i64; PARTS];
@@ -155,7 +154,7 @@ fn tiny_budget_still_answers_exactly() {
             &format!("round {round}"),
         );
     }
-    let stats = cache.stats();
+    let stats = cached_handle.cache_stats().unwrap();
     assert!(
         stats.evicted > 0,
         "a 1KiB budget must evict under this mix: {stats:?}"

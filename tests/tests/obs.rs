@@ -52,10 +52,7 @@ fn observed_table(
     patchindex::TableWriter,
 ) {
     let registry = Arc::new(MetricsRegistry::new());
-    let cache = Arc::new(ResultCache::with_registry(
-        ResultCache::DEFAULT_BUDGET,
-        &registry,
-    ));
+    let cache = ResultCache::with_registry(ResultCache::DEFAULT_BUDGET, &registry);
     let mut it = IndexedTable::new(base_table(parts, rows));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     let (handle, writer) =

@@ -4,48 +4,14 @@
 //! recover — including that `MaintenanceStats` and the drift baseline
 //! survive recovery.
 
-use std::io;
 use std::sync::Arc;
 
 use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir};
 use pi_datagen::MicroKind;
 use pi_durability::{DurableOptions, DurableWriter};
-use pi_integration::micro;
+use pi_integration::{apply_update, micro, update_strategy};
 use pi_storage::dfs::{DurableFs, SimFs};
-use pi_storage::Value;
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<i64>),
-    Modify {
-        pid: usize,
-        rid_seeds: Vec<u32>,
-        values: Vec<i64>,
-    },
-    Delete {
-        pid: usize,
-        rid_seeds: Vec<u32>,
-    },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        proptest::collection::vec(-300i64..300, 1..10).prop_map(Op::Insert),
-        (
-            0usize..3,
-            proptest::collection::vec(any::<u32>(), 1..6),
-            proptest::collection::vec(-300i64..300, 6..7)
-        )
-            .prop_map(|(pid, rid_seeds, values)| Op::Modify {
-                pid,
-                rid_seeds,
-                values
-            }),
-        (0usize..3, proptest::collection::vec(any::<u32>(), 1..4))
-            .prop_map(|(pid, rid_seeds)| Op::Delete { pid, rid_seeds }),
-    ]
-}
 
 fn constraint_strategy() -> impl Strategy<Value = Constraint> {
     prop_oneof![
@@ -60,50 +26,6 @@ fn design_strategy() -> impl Strategy<Value = Design> {
     prop_oneof![Just(Design::Bitmap), Just(Design::Identifier)]
 }
 
-fn apply(dw: &mut DurableWriter, op: &Op, next_key: &mut i64) -> io::Result<()> {
-    let visible =
-        |dw: &DurableWriter, pid: usize| dw.staging().table().partition(pid).visible_len();
-    match op {
-        Op::Insert(values) => {
-            let rows: Vec<Vec<Value>> = values
-                .iter()
-                .map(|&v| {
-                    *next_key += 1;
-                    vec![Value::Int(*next_key), Value::Int(v)]
-                })
-                .collect();
-            dw.insert(&rows).map(drop)
-        }
-        Op::Modify {
-            pid,
-            rid_seeds,
-            values,
-        } => {
-            let len = visible(dw, *pid);
-            if len == 0 {
-                return Ok(());
-            }
-            let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            rids.sort_unstable();
-            rids.dedup();
-            let vals: Vec<Value> = rids
-                .iter()
-                .zip(values.iter().cycle())
-                .map(|(_, &v)| Value::Int(v))
-                .collect();
-            dw.modify(*pid, &rids, 1, &vals)
-        }
-        Op::Delete { pid, rid_seeds } => {
-            let len = visible(dw, *pid);
-            if len == 0 {
-                return Ok(());
-            }
-            let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            dw.delete(*pid, &rids)
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -111,7 +33,7 @@ proptest! {
     fn roundtrip_across_all_constraint_design_combinations(
         constraint in constraint_strategy(),
         design in design_strategy(),
-        ops in proptest::collection::vec(op_strategy(), 1..10),
+        ops in proptest::collection::vec(update_strategy(-300..300), 1..10),
     ) {
         let opts = DurableOptions {
             checkpoint_every: 1,
@@ -125,7 +47,7 @@ proptest! {
         let slot = dw.add_index(1, constraint, design).unwrap();
         let mut next_key = 10_000i64;
         for op in &ops {
-            apply(&mut dw, op, &mut next_key).unwrap();
+            apply_update(&mut dw, op, &mut next_key);
         }
         dw.publish().unwrap();
         let original = Arc::clone(&dw.staging().indexes()[slot]);

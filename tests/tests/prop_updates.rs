@@ -5,103 +5,24 @@
 use patchindex::{Constraint, Design, IndexedTable, SortDir};
 use pi_datagen::MicroKind;
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::micro;
+use pi_integration::{apply_update, micro, update_strategy};
 use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::Value;
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<i64>),
-    Modify {
-        pid: usize,
-        rid_seeds: Vec<u32>,
-        values: Vec<i64>,
-    },
-    Delete {
-        pid: usize,
-        rid_seeds: Vec<u32>,
-    },
-    Propagate,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        proptest::collection::vec(-500i64..500, 1..12).prop_map(Op::Insert),
-        (
-            0usize..3,
-            proptest::collection::vec(any::<u32>(), 1..6),
-            proptest::collection::vec(-500i64..500, 6..7)
-        )
-            .prop_map(|(pid, rid_seeds, values)| Op::Modify {
-                pid,
-                rid_seeds,
-                values
-            }),
-        (0usize..3, proptest::collection::vec(any::<u32>(), 1..6))
-            .prop_map(|(pid, rid_seeds)| Op::Delete { pid, rid_seeds }),
-        Just(Op::Propagate),
-    ]
-}
-
-fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut i64) {
-    match op {
-        Op::Insert(values) => {
-            let rows: Vec<Vec<Value>> = values
-                .iter()
-                .map(|&v| {
-                    *next_key += 1;
-                    vec![Value::Int(*next_key), Value::Int(v)]
-                })
-                .collect();
-            it.insert(&rows);
-        }
-        Op::Modify {
-            pid,
-            rid_seeds,
-            values,
-        } => {
-            let len = it.table().partition(*pid).visible_len();
-            if len == 0 {
-                return;
-            }
-            // Deduplicate target rows: modifying the same rid twice in one
-            // call is fine for the table but makes expectations murky.
-            let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            rids.sort_unstable();
-            rids.dedup();
-            let vals: Vec<Value> = rids
-                .iter()
-                .zip(values.iter().cycle())
-                .map(|(_, &v)| Value::Int(v))
-                .collect();
-            it.modify(*pid, &rids, 1, &vals);
-        }
-        Op::Delete { pid, rid_seeds } => {
-            let len = it.table().partition(*pid).visible_len();
-            if len == 0 {
-                return;
-            }
-            let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            it.delete(*pid, &rids);
-        }
-        Op::Propagate => it.propagate(),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn nuc_survives_arbitrary_update_streams(
-        ops in proptest::collection::vec(op_strategy(), 1..12),
+        ops in proptest::collection::vec(update_strategy(-500..500), 1..12),
     ) {
         let ds = micro(600, 0.2, MicroKind::Nuc);
         let mut it = IndexedTable::new(ds.table);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let mut next_key = 1_000_000i64;
         for op in &ops {
-            apply(&mut it, op, &mut next_key);
+            apply_update(&mut it, op, &mut next_key);
             it.check_consistency();
         }
         // The rewritten distinct query still matches the reference.
@@ -112,14 +33,14 @@ proptest! {
 
     #[test]
     fn nsc_survives_arbitrary_update_streams(
-        ops in proptest::collection::vec(op_strategy(), 1..12),
+        ops in proptest::collection::vec(update_strategy(-500..500), 1..12),
     ) {
         let ds = micro(600, 0.2, MicroKind::Nsc);
         let mut it = IndexedTable::new(ds.table);
         it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Identifier);
         let mut next_key = 1_000_000i64;
         for op in &ops {
-            apply(&mut it, op, &mut next_key);
+            apply_update(&mut it, op, &mut next_key);
             it.check_consistency();
         }
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
@@ -130,7 +51,7 @@ proptest! {
 
     #[test]
     fn ncc_survives_arbitrary_update_streams(
-        ops in proptest::collection::vec(op_strategy(), 1..10),
+        ops in proptest::collection::vec(update_strategy(-500..500), 1..10),
     ) {
         // A mostly constant column (80% zeros via modulo trick).
         let ds = micro(400, 0.0, MicroKind::Nuc);
@@ -145,7 +66,7 @@ proptest! {
         let _slot = it.add_index(1, Constraint::NearlyConstant, Design::Bitmap);
         let mut next_key = 2_000_000i64;
         for op in &ops {
-            apply(&mut it, op, &mut next_key);
+            apply_update(&mut it, op, &mut next_key);
             it.check_consistency();
         }
     }

@@ -21,94 +21,11 @@ use patchindex::{
 use pi_datagen::{generate, MicroKind, MicroSpec};
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::Batch;
+use pi_integration::{apply_update, update_strategy};
 use pi_obs::{CacheOutcome, QueryTrace};
 use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<i64>),
-    Modify {
-        pid_seed: usize,
-        rid_seeds: Vec<u32>,
-        values: Vec<i64>,
-    },
-    Delete {
-        pid_seed: usize,
-        rid_seeds: Vec<u32>,
-    },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        proptest::collection::vec(-40i64..40, 1..10).prop_map(Op::Insert),
-        (
-            0usize..8,
-            proptest::collection::vec(any::<u32>(), 1..6),
-            proptest::collection::vec(-40i64..40, 6..7)
-        )
-            .prop_map(|(pid_seed, rid_seeds, values)| Op::Modify {
-                pid_seed,
-                rid_seeds,
-                values
-            }),
-        (0usize..8, proptest::collection::vec(any::<u32>(), 1..5)).prop_map(
-            |(pid_seed, rid_seeds)| Op::Delete {
-                pid_seed,
-                rid_seeds
-            }
-        ),
-    ]
-}
-
-fn apply(it: &mut IndexedTable, op: &Op, next_key: &mut i64) {
-    let parts = it.table().partition_count();
-    match op {
-        Op::Insert(values) => {
-            let rows: Vec<Vec<Value>> = values
-                .iter()
-                .map(|&v| {
-                    *next_key += 1;
-                    vec![Value::Int(*next_key), Value::Int(v)]
-                })
-                .collect();
-            it.insert(&rows);
-        }
-        Op::Modify {
-            pid_seed,
-            rid_seeds,
-            values,
-        } => {
-            let pid = pid_seed % parts;
-            let len = it.table().partition(pid).visible_len();
-            if len == 0 {
-                return;
-            }
-            let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            rids.sort_unstable();
-            rids.dedup();
-            let vals: Vec<Value> = rids
-                .iter()
-                .zip(values.iter().cycle())
-                .map(|(_, &v)| Value::Int(v))
-                .collect();
-            it.modify(pid, &rids, 1, &vals);
-        }
-        Op::Delete {
-            pid_seed,
-            rid_seeds,
-        } => {
-            let pid = pid_seed % parts;
-            let len = it.table().partition(pid).visible_len();
-            if len == 0 {
-                return;
-            }
-            let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            it.delete(pid, &rids);
-        }
-    }
-}
 
 fn column_vec(b: &Batch) -> Vec<i64> {
     if b.is_empty() && b.width() == 0 {
@@ -187,7 +104,7 @@ proptest! {
         kind_nuc in any::<bool>(),
         nuc_bitmap in any::<bool>(),
         with_nsc in any::<bool>(),
-        ops in proptest::collection::vec(op_strategy(), 1..12),
+        ops in proptest::collection::vec(update_strategy(-40..40), 1..12),
     ) {
         let kind = if kind_nuc { MicroKind::Nuc } else { MicroKind::Nsc };
         let ds = generate(&MicroSpec::new(400, e, kind).with_partitions(partitions));
@@ -214,7 +131,7 @@ proptest! {
         assert_queries_match(&it, "initial");
         let mut next_key = 1_000_000i64;
         for (i, op) in ops.iter().enumerate() {
-            apply(&mut it, op, &mut next_key);
+            apply_update(&mut it, op, &mut next_key);
             assert_queries_match(&it, &format!("after op {i} ({op:?})"));
         }
         it.check_consistency();
@@ -433,7 +350,7 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
             } else {
                 ConcurrentTable::with_result_cache(
                     it,
-                    Arc::new(ResultCache::new(ResultCache::DEFAULT_BUDGET)),
+                    ResultCache::new(ResultCache::DEFAULT_BUDGET),
                 )
             };
             let snap = handle.snapshot();
