@@ -1,20 +1,23 @@
 //! The advisor loop: observe an [`IndexedTable`], decide, act.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use patchindex::stats::{pi_bitmap_bytes, pi_identifier_bytes, preferred_design};
 use patchindex::{
-    Constraint, Design, IndexCatalog, IndexStats, IndexedTable, PartitionStats, QueryShape, SortDir,
+    Constraint, Design, IndexCatalog, IndexStats, IndexedTable, PartitionStats, QueryShape,
+    SortDir, WorkloadDelta,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_obs::{Counter, Cumulative, MetricsRegistry, Windowed};
+use pi_obs::{Counter, MetricsRegistry};
 use pi_planner::{cost, rewrite, Plan};
 
 use crate::policy::{
     decide, AdvisorConfig, CandidateObservation, Decision, DropReason, IndexObservation,
     Observation,
 };
+use crate::window::{IndexWindow, Window};
 
 /// What one advisor step actually did (the executed counterpart of a
 /// [`Decision`], with post-action facts filled in).
@@ -121,28 +124,6 @@ impl AdvisorAction {
     }
 }
 
-/// The cumulative per-index counters the advisor windows over:
-/// maintenance plus query feedback, as one [`Cumulative`] bundle so a
-/// single [`Windowed`] tracks both in lockstep.
-#[derive(Debug, Default, Clone, Copy)]
-struct FeedbackTotals {
-    maintained: u64,
-    saved: f64,
-}
-
-impl Cumulative for FeedbackTotals {
-    fn delta(&self, earlier: &Self) -> Self {
-        FeedbackTotals {
-            maintained: self.maintained.saturating_sub(earlier.maintained),
-            saved: self.saved - earlier.saved,
-        }
-    }
-    fn accumulate(&mut self, sample: &Self) {
-        self.maintained += sample.maintained;
-        self.saved += sample.saved;
-    }
-}
-
 /// Pre-registered handles for the advisor's action counters.
 #[derive(Debug)]
 struct AdvisorMetrics {
@@ -166,18 +147,19 @@ impl AdvisorMetrics {
 /// The self-tuning index-lifecycle advisor.
 ///
 /// One [`Advisor::step`] runs the whole observe → decide → act loop:
-/// snapshot every index's error/drift/feedback state (drift counters are
+/// drain the query evidence the table's sink collected since the last
+/// step, snapshot every index's error/drift state (drift counters are
 /// always exact — maintenance runs per statement) and every queried
 /// column's sampled match fractions, apply the [`decide`] rules, and
 /// execute the resulting create/recompute/drop actions through the table.
 #[derive(Debug, Default)]
 pub struct Advisor {
     cfg: AdvisorConfig,
-    windows: HashMap<(usize, Constraint), Windowed<FeedbackTotals>>,
-    /// Per-(column, shape) sliding window over query-log deltas: the
+    windows: HashMap<(usize, Constraint), IndexWindow>,
+    /// Per-(column, shape) sliding window over drained query counts: the
     /// create rule demands *recent* query evidence, so a dropped index
-    /// is not immediately re-created from stale cumulative counts.
-    query_windows: HashMap<(usize, QueryShape), Windowed<u64>>,
+    /// is not immediately re-created from stale counts.
+    query_windows: HashMap<(usize, QueryShape), Window<u64>>,
     last_step_statements: u64,
     metrics: Option<AdvisorMetrics>,
 }
@@ -240,41 +222,52 @@ impl Advisor {
     }
 
     /// Runs one observe → decide → act cycle and returns the executed
-    /// actions. The workload evidence queries left in the table's sink
-    /// (its own and its snapshots') is absorbed first.
+    /// actions. The observation starts by taking what queries left in the
+    /// table's sink (its own and its snapshots') since the last take.
     pub fn step(&mut self, it: &mut IndexedTable) -> Vec<AdvisorAction> {
         self.last_step_statements = it.statements();
         if let Some(m) = &self.metrics {
             m.steps.inc();
         }
-        it.absorb_workload();
+        let delta = it.sink().take();
         if !it.sampling_enabled() {
             it.enable_discovery_sampling(self.cfg.sample_cap);
         }
-        let obs = self.observe(it);
+        let obs = self.observe(it, delta);
         let decisions = decide(&self.cfg, &obs);
         self.act(it, decisions)
     }
 
-    /// Builds the observation: live index stats with windowed deltas,
-    /// plus creation candidates from the query log and the reservoirs.
-    fn observe(&mut self, it: &IndexedTable) -> Observation {
+    /// Builds the observation: live index stats with this step's drained
+    /// evidence windowed, plus creation candidates from the windowed
+    /// query counts and the reservoirs.
+    fn observe(&mut self, it: &IndexedTable, mut delta: WorkloadDelta) -> Observation {
+        let cap = self.cfg.drop_window;
         let mut indexes = Vec::new();
         let mut live: Vec<(usize, Constraint)> = Vec::new();
         for (slot, idx) in it.indexes().iter().enumerate() {
             let key = (idx.column(), idx.constraint());
             live.push(key);
-            let totals = FeedbackTotals {
-                maintained: idx.maintenance_stats().maintained_rows,
-                saved: it.feedback(slot).est_cost_saved,
+            let maintained = idx.maintenance_stats().maintained_rows;
+            let saved = delta
+                .feedback
+                .remove(&key)
+                .map_or(0.0, |fb| fb.est_cost_saved);
+            let window = match self.windows.entry(key) {
+                Entry::Occupied(known) => {
+                    let window = known.into_mut();
+                    window.push(maintained, saved);
+                    window
+                }
+                // First sight: anchor at the current counters and discard
+                // this step's saving, so pre-advisor history does not
+                // flood the first window.
+                Entry::Vacant(new) => {
+                    let window = new.insert(IndexWindow::anchored(cap, maintained));
+                    window.push(maintained, 0.0);
+                    window
+                }
             };
-            let window = self.windows.entry(key).or_insert_with(|| {
-                // First sight: anchor at the current counters so
-                // pre-advisor history does not flood the first window.
-                Windowed::anchored(self.cfg.drop_window, totals)
-            });
-            window.observe(totals);
-            let windowed = window.total();
             indexes.push(IndexObservation {
                 slot,
                 column: idx.column(),
@@ -282,26 +275,31 @@ impl Advisor {
                 e: idx.match_fraction(),
                 baseline_e: idx.baseline().match_fraction,
                 memory_bytes: idx.memory_bytes(),
-                window_maintained_rows: windowed.maintained,
-                window_cost_saved: windowed.saved,
-                window_full: window.is_full(),
+                window_maintained_rows: window.maintained.sum(),
+                window_cost_saved: window.saved.sum(),
+                window_full: window.maintained.is_full(),
             });
         }
-        // Windows of dropped indexes would otherwise linger forever.
+        // Windows of dropped indexes would otherwise linger forever, and
+        // feedback for them (`delta.feedback`'s remainder) is ignored.
         self.windows.retain(|key, _| live.contains(key));
 
-        // Windowed query evidence: deltas of the cumulative log, summed
-        // over the same sliding window as the drop rule. The first step
-        // counts everything logged so far.
-        let mut windowed: Vec<(usize, QueryShape, u64)> = Vec::new();
-        for (col, shape, total) in it.query_log().entries() {
-            let window = self
-                .query_windows
-                .entry((col, shape))
-                .or_insert_with(|| Windowed::from_zero(self.cfg.drop_window));
-            window.observe(total);
-            windowed.push((col, shape, window.total()));
+        // Windowed query evidence over the same sliding window as the drop
+        // rule: a known key with no new queries pushes 0 so its window
+        // slides; a new key's first sample is everything drained for it.
+        for (key, window) in &mut self.query_windows {
+            window.push(delta.queries.remove(key).unwrap_or(0));
         }
+        for (key, queries) in delta.queries {
+            let mut window = Window::new(cap);
+            window.push(queries);
+            self.query_windows.insert(key, window);
+        }
+        let windowed: Vec<(usize, QueryShape, u64)> = self
+            .query_windows
+            .iter()
+            .map(|(&(col, shape), window)| (col, shape, window.sum()))
+            .collect();
 
         let rows = it.table().visible_len() as u64;
         let mut candidates: Vec<CandidateObservation> = Vec::new();
@@ -406,11 +404,11 @@ impl Advisor {
             } = d
             {
                 let slot = it.add_index(column, constraint, design);
-                // A fresh index starts its counters at zero, so anchoring
-                // at zero and at "current" coincide here.
+                // A fresh index starts its counters at zero, and its first
+                // saving arrives with the next step's take.
                 self.windows.insert(
                     (column, constraint),
-                    Windowed::from_zero(self.cfg.drop_window),
+                    IndexWindow::anchored(self.cfg.drop_window, 0),
                 );
                 actions.push(AdvisorAction::Created {
                     slot,
@@ -467,11 +465,6 @@ fn hypothetical_benefit(
         constraint,
         parts,
         patch_distinct: patches / 2,
-        e: sampled_e,
-        baseline_e: sampled_e,
-        drift_patches: 0,
-        maintained_rows: 0,
-        memory_bytes: 0,
     };
     let cat = IndexCatalog {
         part_rows,

@@ -8,12 +8,13 @@
 //! mechanism; this crate adds the *policy* — a self-tuning loop over
 //! the whole index lifecycle:
 //!
-//! * **Observe** — per-index error `e = 1 − patches/rows` and drift
-//!   rate (patches added per maintained row since the last recompute),
-//!   optimizer feedback (how often each index was bound and the
-//!   estimated cost it saved), the engine's query log per (column,
-//!   shape), and reservoir samples per unindexed column scored with the
-//!   real discovery code ([`patchindex::sampling`]).
+//! * **Observe** — per-index error `e = 1 − patches/rows` and
+//!   maintained rows, the query evidence taken from the table's
+//!   [`patchindex::WorkloadSink`] since the last step (queries per
+//!   (column, shape), and per index how often it was bound and the
+//!   estimated cost it saved), and reservoir samples per unindexed
+//!   column scored with the real discovery code
+//!   ([`patchindex::sampling`]).
 //! * **Decide** — the explicit rules of [`policy`]: create when a
 //!   sampled candidate clears the error threshold *and* the workload
 //!   queries it; recompute when drift pushed `e` below its create-time
@@ -57,6 +58,7 @@
 
 mod advisor;
 pub mod policy;
+mod window;
 
 pub use advisor::{Advisor, AdvisorAction};
 pub use policy::{
@@ -123,14 +125,14 @@ mod tests {
     }
 
     /// Regression for "pointer identity is the exact dirty set": a step
-    /// that absorbs query evidence and decides nothing must not
+    /// that drains query evidence and decides nothing must not
     /// re-version any index — observing is not maintaining.
     #[test]
     fn step_writer_without_action_leaves_every_index_version_shared() {
-        use patchindex::ConcurrentTable;
+        use patchindex::{ConcurrentTable, WorkloadDelta};
         use std::sync::Arc;
         let mut it = table((0..2_000).collect(), 2);
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
         let published = handle.snapshot();
         let q = Plan::scan(vec![1]).distinct(vec![0]);
@@ -140,7 +142,11 @@ mod tests {
         let mut advisor = Advisor::new(AdvisorConfig::default());
         let actions = advisor.step_writer(&mut writer);
         assert!(actions.is_empty(), "{actions:?}");
-        assert_eq!(writer.staging().feedback(slot).times_bound, 3);
+        assert_eq!(
+            writer.staging().sink().take(),
+            WorkloadDelta::default(),
+            "the step took the evidence"
+        );
         assert_eq!(handle.epoch(), published.epoch(), "nothing to publish");
         for (staged, shared) in writer.staging().indexes().iter().zip(published.indexes()) {
             assert!(Arc::ptr_eq(staged, shared));
@@ -272,12 +278,13 @@ mod tests {
     }
 
     /// Why query feedback need not survive a restart: an advisor anchors
-    /// each index's window at the counters it first sees, so feedback a
-    /// table gathered before the advisor's first step never reaches a
-    /// decision. Two copies of one table, one carrying a large pre-advisor
-    /// saving, take identical statements and queries and get identical
-    /// actions for a full window and one step past it — including the
-    /// drop the large saving would have vetoed had it counted.
+    /// each index's window at its first sight of the index and discards
+    /// that step's drained saving, so feedback a table gathered before
+    /// the advisor's first step never reaches a decision. Two copies of
+    /// one table, one carrying a large pre-advisor saving, take identical
+    /// statements and queries and get identical actions for a full window
+    /// and one step past it — including the drop the large saving would
+    /// have vetoed had it counted.
     #[test]
     fn feedback_before_the_first_step_never_changes_a_decision() {
         use patchindex::WorkloadEvent;
@@ -292,13 +299,12 @@ mod tests {
         };
         let (mut fresh, mut fresh_advisor) = copy();
         let (mut seasoned, mut seasoned_advisor) = copy();
+        // Waits in the sink until the first step takes it.
         seasoned.sink().record([WorkloadEvent::Feedback {
             column: 1,
             constraint: Constraint::NearlyUnique,
             est_cost_saved: 1e12,
         }]);
-        seasoned.absorb_workload();
-        assert_eq!(seasoned.feedback(0).times_bound, 1);
 
         let q = Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]);
         let mut key = 10_000i64;
@@ -323,5 +329,29 @@ mod tests {
             dropped |= actions[0].contains("Dropped");
         }
         assert!(dropped, "the drop rule must fire inside the window");
+    }
+
+    /// Regression: an index dropped and re-created between two steps
+    /// keeps its window, and the step after reads the new index's saving
+    /// as it arrived — not as the new slot's total minus the old slot's
+    /// (a negative benefit that dropped the index).
+    #[test]
+    fn recreated_index_is_not_dropped_on_a_negative_benefit() {
+        let mut it = table((0..1_000).collect(), 1);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        let mut advisor = Advisor::new(AdvisorConfig {
+            drop_window: 2,
+            ..AdvisorConfig::default()
+        });
+        let q = Plan::scan(vec![1]).distinct(vec![0]);
+        for _ in 0..3 {
+            it.query_count(&q);
+            assert!(advisor.step(&mut it).is_empty());
+        }
+        it.drop_index(0);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.query_count(&q);
+        let actions = advisor.step(&mut it);
+        assert!(actions.is_empty(), "{actions:?}");
     }
 }

@@ -5,8 +5,8 @@
 //! in isolation (the tests below construct observations by hand):
 //!
 //! * **create** — a candidate column whose *sampled* match fraction
-//!   clears [`AdvisorConfig::create_threshold`] and that the query log
-//!   shows being queried at least [`AdvisorConfig::min_queries`] times;
+//!   clears [`AdvisorConfig::create_threshold`] and that recent queries
+//!   hit at least [`AdvisorConfig::min_queries`] times;
 //! * **recompute** — an index whose live `e` fell more than
 //!   [`AdvisorConfig::recompute_margin`] below its create-time value
 //!   (the paper's reorganization trigger: updates eroded optimality);
@@ -30,7 +30,7 @@ pub const MAINTENANCE_COST_PER_ROW: f64 = 1.0;
 pub struct AdvisorConfig {
     /// Minimum sampled match fraction `e` for auto-creating an index.
     pub create_threshold: f64,
-    /// Minimum query-log hits of a (column, shape) before it is a
+    /// Minimum windowed queries of a (column, shape) before it is a
     /// creation candidate — nobody benefits from an unqueried index.
     pub min_queries: u64,
     /// Recompute once live `e` fell this far below the create-time `e`.
@@ -108,7 +108,7 @@ pub struct CandidateObservation {
     pub design: Design,
     /// Sampled match fraction.
     pub sampled_e: f64,
-    /// Query-log hits of the matching shape.
+    /// Windowed queries of the matching shape.
     pub queries: u64,
     /// Projected index size (paper's Table-3 memory model).
     pub projected_bytes: usize,
@@ -118,7 +118,7 @@ pub struct CandidateObservation {
 }
 
 impl CandidateObservation {
-    /// Projected benefit per byte, assuming the logged query rate holds.
+    /// Projected benefit per byte, assuming the windowed query rate holds.
     pub fn benefit_per_byte(&self) -> f64 {
         self.queries as f64 * self.est_benefit_per_query / self.projected_bytes.max(1) as f64
     }

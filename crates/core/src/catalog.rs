@@ -41,16 +41,6 @@ pub struct IndexStats {
     /// NUC patches every occurrence of a duplicated value, so
     /// `distinct(table) ≈ kept rows + distinct(patches)`.
     pub patch_distinct: u64,
-    /// Match fraction `e = 1 − patches/rows` at snapshot time.
-    pub e: f64,
-    /// Match fraction at create/recompute time (drift reference).
-    pub baseline_e: f64,
-    /// Patches accumulated beyond the create/recompute-time patch set.
-    pub drift_patches: u64,
-    /// Row-events maintained since the last create/recompute.
-    pub maintained_rows: u64,
-    /// Heap bytes of the patch stores (the advisor's budget currency).
-    pub memory_bytes: usize,
 }
 
 /// Largest patch set whose distinct-value count the snapshot computes
@@ -85,11 +75,6 @@ impl IndexStats {
             constraint: index.constraint(),
             parts,
             patch_distinct,
-            e: index.match_fraction(),
-            baseline_e: index.baseline().match_fraction,
-            drift_patches: index.drift_patches(),
-            maintained_rows: index.maintained_since_recompute(),
-            memory_bytes: index.memory_bytes(),
         }
     }
 
@@ -101,14 +86,6 @@ impl IndexStats {
     /// Total patches.
     pub fn patches(&self) -> u64 {
         self.parts.iter().map(|p| p.patches).sum()
-    }
-
-    /// Patches added per maintained row since the last create/recompute.
-    pub fn drift_rate(&self) -> f64 {
-        if self.maintained_rows == 0 {
-            return 0.0;
-        }
-        self.drift_patches as f64 / self.maintained_rows as f64
     }
 }
 

@@ -55,8 +55,8 @@ impl Default for DriftBaseline {
 /// indexes behind `Arc` and pays this copy only when maintenance mutates
 /// an index a live snapshot still references.
 /// Everything in here changes only through maintenance on the writer
-/// thread; what queries learn about an index (`QueryFeedback`) is table
-/// state and lives in [`crate::IndexedTable`].
+/// thread; what queries learn about an index ([`crate::QueryFeedback`])
+/// waits in the table's [`crate::WorkloadSink`] for the advisor.
 #[derive(Debug, Clone)]
 pub struct PatchIndex {
     column: usize,

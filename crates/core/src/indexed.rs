@@ -7,7 +7,6 @@
 //! Multiple PatchIndexes per table are supported — unlike a SortKey,
 //! PatchIndexes do not change the physical data order (paper, Section 2).
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use pi_storage::{DataType, RowAddr, Table, Value};
@@ -16,7 +15,7 @@ use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
 use crate::sampling::Reservoir;
-use crate::snapshot::{WorkloadEvent, WorkloadSink};
+use crate::snapshot::WorkloadSink;
 
 /// An empty placeholder that `pi_durability::DurableWriter::recover`
 /// accepts and ignores, kept only so pibench's recovery call still
@@ -37,56 +36,6 @@ pub enum QueryShape {
     Sort(SortDir),
 }
 
-/// Per-(column, shape) counters of the queries the engine planned — the
-/// workload evidence behind the advisor's create rule. The `QueryEngine`
-/// facade records one entry per planned query that scans a single column
-/// through a distinct/sort root.
-#[derive(Debug, Clone, Default)]
-pub struct QueryLog {
-    counts: HashMap<(usize, QueryShape), u64>,
-}
-
-impl QueryLog {
-    /// Records one query over `col` with the given shape.
-    pub fn record(&mut self, col: usize, shape: QueryShape) {
-        *self.counts.entry((col, shape)).or_insert(0) += 1;
-    }
-
-    /// Queries of this exact (column, shape) seen so far.
-    pub fn count(&self, col: usize, shape: QueryShape) -> u64 {
-        self.counts.get(&(col, shape)).copied().unwrap_or(0)
-    }
-
-    /// All recorded (column, shape, count) entries, unordered.
-    pub fn entries(&self) -> impl Iterator<Item = (usize, QueryShape, u64)> + '_ {
-        self.counts
-            .iter()
-            .map(|(&(col, shape), &n)| (col, shape, n))
-    }
-
-    /// Total queries recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-}
-
-/// Optimizer feedback for one index: how often query planning bound it
-/// and how much estimated cost the rewrites saved over the unrewritten
-/// plans (planner cost units). Reported by queries through the table's
-/// [`WorkloadSink`], kept per slot in [`IndexedTable`] beside the
-/// [`QueryLog`], read by the advisor's drop/budget rules. Evidence about
-/// an index is not part of the index: absorbing it never copies or
-/// re-versions an `Arc<PatchIndex>`, and a recompute leaves it alone.
-/// Like the query log it is process state: nothing persists it, and a
-/// recovered table starts without it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct QueryFeedback {
-    /// Queries whose chosen plan bound this index.
-    pub times_bound: u64,
-    /// Cumulative estimated cost saved vs the unrewritten plans.
-    pub est_cost_saved: f64,
-}
-
 /// A table whose PatchIndexes are maintained through every update.
 ///
 /// Indexes live behind [`Arc`]: the snapshot layer
@@ -97,9 +46,6 @@ pub struct QueryFeedback {
 pub struct IndexedTable {
     table: Table,
     indexes: Vec<Arc<PatchIndex>>,
-    query_log: QueryLog,
-    /// One entry per index slot, in slot order.
-    feedback: Vec<QueryFeedback>,
     /// One reservoir per Int column while discovery sampling is enabled
     /// (indexed columns keep sampling too — cheap, and the index may be
     /// dropped later).
@@ -109,8 +55,7 @@ pub struct IndexedTable {
     /// it is re-hashed once per mutation, not per query.
     catalog_cache: OnceLock<IndexCatalog>,
     /// Where queries on this table (and on every snapshot published from
-    /// it) leave their workload evidence until
-    /// [`IndexedTable::absorb_workload`] drains it.
+    /// it) leave their workload evidence for the advisor.
     sink: Arc<WorkloadSink>,
     statements: u64,
 }
@@ -121,8 +66,6 @@ impl IndexedTable {
         IndexedTable {
             table,
             indexes: Vec::new(),
-            query_log: QueryLog::default(),
-            feedback: Vec::new(),
             samplers: Vec::new(),
             catalog_cache: OnceLock::new(),
             sink: Arc::default(),
@@ -134,9 +77,9 @@ impl IndexedTable {
     /// checkpoint-loaded indexes in slot order, and the persisted
     /// statement counter (the advisor's piggyback cadence must resume
     /// where the crashed process stopped, not restart from zero). The
-    /// query log and query feedback start empty, like the advisor that
-    /// reads them. Discovery sampling restarts disabled; re-enable it
-    /// after recovery if the workload uses it.
+    /// workload sink starts empty, like the advisor that reads it.
+    /// Discovery sampling restarts disabled; re-enable it after recovery
+    /// if the workload uses it.
     pub fn with_restored_indexes(
         table: Table,
         indexes: Vec<Arc<PatchIndex>>,
@@ -150,9 +93,7 @@ impl IndexedTable {
         }
         IndexedTable {
             table,
-            feedback: vec![QueryFeedback::default(); indexes.len()],
             indexes,
-            query_log: QueryLog::default(),
             samplers: Vec::new(),
             catalog_cache: OnceLock::new(),
             sink: Arc::default(),
@@ -169,7 +110,6 @@ impl IndexedTable {
             constraint,
             design,
         )));
-        self.feedback.push(QueryFeedback::default());
         self.indexes.len() - 1
     }
 
@@ -179,12 +119,10 @@ impl IndexedTable {
     /// all the planner assumes (every query re-snapshots).
     pub fn drop_index(&mut self, slot: usize) -> Arc<PatchIndex> {
         self.invalidate_catalog();
-        self.feedback.remove(slot);
         self.indexes.remove(slot)
     }
 
-    /// Rebuilds the index in `slot` from the current table. The slot's
-    /// query feedback is untouched.
+    /// Rebuilds the index in `slot` from the current table.
     pub fn recompute_index(&mut self, slot: usize) {
         self.invalidate_catalog();
         Arc::make_mut(&mut self.indexes[slot]).recompute(&self.table);
@@ -212,20 +150,6 @@ impl IndexedTable {
         &self.indexes[slot]
     }
 
-    /// Slot of the index on `(column, constraint)`, if one is live — how
-    /// evidence that names an index by what it materializes finds it
-    /// after drops shifted the slots.
-    fn slot_of(&self, column: usize, constraint: Constraint) -> Option<usize> {
-        self.indexes
-            .iter()
-            .position(|idx| idx.column() == column && idx.constraint() == constraint)
-    }
-
-    /// Optimizer feedback accumulated for the index in `slot`.
-    pub fn feedback(&self, slot: usize) -> QueryFeedback {
-        self.feedback[slot]
-    }
-
     /// Snapshot of every index plus the per-partition table shape — what
     /// the planner optimizes against (see `pi-planner`'s `QueryEngine`)
     /// and what a publish hands its snapshot. Cached between mutations:
@@ -246,56 +170,11 @@ impl IndexedTable {
         self.statements
     }
 
-    /// The per-(column, shape) query counters the engine recorded.
-    pub fn query_log(&self) -> &QueryLog {
-        &self.query_log
-    }
-
-    /// Records one planned query over table column `col`.
-    fn record_query(&mut self, col: usize, shape: QueryShape) {
-        self.query_log.record(col, shape);
-    }
-
-    /// Records optimizer feedback for the index in `slot`: it was bound
-    /// by a chosen plan estimated to save `est_cost_saved` planner cost
-    /// units over the unrewritten plan.
-    fn record_query_feedback(&mut self, slot: usize, est_cost_saved: f64) {
-        let fb = &mut self.feedback[slot];
-        fb.times_bound += 1;
-        fb.est_cost_saved += est_cost_saved.max(0.0);
-    }
-
     /// The sink queries on this table report their workload evidence to.
     /// [`crate::ConcurrentTable`] hands the same sink to every snapshot,
     /// so owner, writer and reader queries all leave evidence here.
     pub fn sink(&self) -> &Arc<WorkloadSink> {
         &self.sink
-    }
-
-    /// Drains the sink into the query log and the per-slot feedback —
-    /// the one place query evidence changes table state: a query-log
-    /// shape, or feedback for the index on the event's
-    /// `(column, constraint)` (events naming one without a live index —
-    /// dropped since — are discarded). No index version, no
-    /// partition and no cached catalog changes here, so a publish after
-    /// read-only traffic stays a no-op. Called by
-    /// [`crate::TableWriter::absorb_feedback`] (hence every publish) and
-    /// by the advisor before it observes.
-    pub fn absorb_workload(&mut self) {
-        for event in self.sink.drain() {
-            match event {
-                WorkloadEvent::Query { col, shape } => self.record_query(col, shape),
-                WorkloadEvent::Feedback {
-                    column,
-                    constraint,
-                    est_cost_saved,
-                } => {
-                    if let Some(slot) = self.slot_of(column, constraint) {
-                        self.record_query_feedback(slot, est_cost_saved);
-                    }
-                }
-            }
-        }
     }
 
     /// Starts reservoir-sampling every Int column at `cap` values per
@@ -621,15 +500,16 @@ mod tests {
 
     #[test]
     fn query_feedback_touches_neither_cache_nor_index() {
+        use crate::snapshot::WorkloadEvent;
         let mut it = fresh();
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let other = it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let before: *const IndexCatalog = it.catalog();
         let shared = it.share_indexes();
-        it.record_query_feedback(slot, 123.0);
-        assert_eq!(it.feedback(slot).times_bound, 1);
-        assert!((it.feedback(slot).est_cost_saved - 123.0).abs() < 1e-9);
-        assert_eq!(it.feedback(other), QueryFeedback::default());
+        it.sink().record([WorkloadEvent::Feedback {
+            column: 1,
+            constraint: Constraint::NearlyUnique,
+            est_cost_saved: 123.0,
+        }]);
         assert!(
             std::ptr::eq(before, it.catalog()),
             "feedback must not force a re-snapshot"
@@ -637,30 +517,29 @@ mod tests {
         for (a, b) in shared.iter().zip(it.indexes()) {
             assert!(Arc::ptr_eq(a, b), "feedback must not re-version an index");
         }
-        // Feedback follows its slot: survives a recompute, leaves with a
-        // drop, and the slots behind the dropped one shift down with it.
-        it.record_query_feedback(other, 7.0);
-        it.recompute_index(slot);
-        assert_eq!(it.feedback(slot).times_bound, 1);
-        it.drop_index(slot);
-        assert_eq!(
-            it.slot_of(0, Constraint::NearlySorted(SortDir::Asc)),
-            Some(0)
-        );
-        assert!((it.feedback(0).est_cost_saved - 7.0).abs() < 1e-9);
-        assert_eq!(it.slot_of(1, Constraint::NearlyUnique), None);
+        // Feedback names its index by what it materializes, so a drop
+        // that shifts slots cannot hand it to a neighbour.
+        it.drop_index(0);
+        let fb = it.sink().take().feedback[&(1, Constraint::NearlyUnique)];
+        assert_eq!(fb.times_bound, 1);
+        assert!((fb.est_cost_saved - 123.0).abs() < 1e-9);
     }
 
     #[test]
     fn query_log_counts_per_column_and_shape() {
-        let mut it = fresh();
-        it.record_query(1, QueryShape::Distinct);
-        it.record_query(1, QueryShape::Distinct);
-        it.record_query(0, QueryShape::Sort(SortDir::Asc));
-        assert_eq!(it.query_log().count(1, QueryShape::Distinct), 2);
-        assert_eq!(it.query_log().count(0, QueryShape::Sort(SortDir::Asc)), 1);
-        assert_eq!(it.query_log().count(0, QueryShape::Distinct), 0);
-        assert_eq!(it.query_log().total(), 3);
+        use crate::snapshot::WorkloadEvent;
+        let it = fresh();
+        let query = |col, shape| WorkloadEvent::Query { col, shape };
+        it.sink().record([
+            query(1, QueryShape::Distinct),
+            query(1, QueryShape::Distinct),
+            query(0, QueryShape::Sort(SortDir::Asc)),
+        ]);
+        let queries = it.sink().take().queries;
+        assert_eq!(queries[&(1, QueryShape::Distinct)], 2);
+        assert_eq!(queries[&(0, QueryShape::Sort(SortDir::Asc))], 1);
+        assert!(!queries.contains_key(&(0, QueryShape::Distinct)));
+        assert_eq!(queries.values().sum::<u64>(), 3);
     }
 
     #[test]

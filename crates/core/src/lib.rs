@@ -73,7 +73,10 @@ pub use cache::{CacheStats, CachedValue, Footprint, ResultCache};
 pub use catalog::{IndexCatalog, IndexStats, PartitionStats};
 pub use constraint::{Constraint, Design, SortDir};
 pub use index::{DriftBaseline, PartitionIndex, PatchIndex};
-pub use indexed::{IndexedTable, MaintenancePolicy, QueryFeedback, QueryLog, QueryShape};
+pub use indexed::{IndexedTable, MaintenancePolicy, QueryShape};
 pub use maintenance::{drp_ranges, MaintenanceStats};
-pub use snapshot::{ConcurrentTable, TableSnapshot, TableWriter, WorkloadEvent, WorkloadSink};
+pub use snapshot::{
+    ConcurrentTable, QueryFeedback, TableSnapshot, TableWriter, WorkloadDelta, WorkloadEvent,
+    WorkloadSink,
+};
 pub use store::PatchStore;

@@ -52,17 +52,18 @@
 //!
 //! ## Workload evidence from queries
 //!
-//! The advisor needs query-log and feedback evidence, but queries cannot
-//! write to the table they read. Every [`IndexedTable`] therefore owns a
-//! [`WorkloadSink`] that its snapshots share: queries record events
-//! there, and [`IndexedTable::absorb_workload`] drains them into the
-//! query log and the per-slot [`crate::QueryFeedback`] kept beside it —
-//! through [`TableWriter::absorb_feedback`] (also invoked by `publish`)
-//! on the writer side. Neither lives in a partition or an index, so
-//! absorbing evidence dirties nothing a snapshot shares. Events identify
-//! indexes by `(column, constraint)` — not slot — so drops that shift
-//! slots between an event and its absorption cannot misattribute feedback.
+//! The advisor needs to know what queries asked for and which indexes
+//! they bound, but queries cannot write to the table they read. Every
+//! [`IndexedTable`] therefore owns a [`WorkloadSink`] that its snapshots
+//! share: queries record events there, the sink adds each one to a
+//! count per `(column, shape)` or a [`QueryFeedback`] per
+//! `(column, constraint)`, and the advisor [`WorkloadSink::take`]s the
+//! delta once per step. Nothing else reads it, so evidence dirties no
+//! partition, index or table state a snapshot shares, and naming an
+//! index by what it materializes — not by slot — keeps feedback with its
+//! index across drops that shift slots.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -98,64 +99,69 @@ pub enum WorkloadEvent {
     },
 }
 
+/// Optimizer feedback for one index: how often query planning bound it
+/// and how much estimated cost the rewrites saved over the unrewritten
+/// plans (planner cost units). Evidence about an index is not part of
+/// the index: recording it never copies or re-versions an
+/// `Arc<PatchIndex>`, and nothing persists it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct QueryFeedback {
+    /// Queries whose chosen plan bound this index.
+    pub times_bound: u64,
+    /// Estimated cost saved vs the unrewritten plans.
+    pub est_cost_saved: f64,
+}
+
+/// The workload evidence recorded between two [`WorkloadSink::take`]s,
+/// summed per key.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WorkloadDelta {
+    /// Planned queries per `(column, shape)`.
+    pub queries: HashMap<(usize, QueryShape), u64>,
+    /// Feedback per index, named by `(column, constraint)`.
+    pub feedback: HashMap<(usize, Constraint), QueryFeedback>,
+}
+
 /// Where queries deposit workload evidence. Owned by an
-/// [`IndexedTable`], shared with every snapshot published from it;
-/// drained by [`IndexedTable::absorb_workload`].
+/// [`IndexedTable`], shared with every snapshot published from it, and
+/// drained by the advisor through [`WorkloadSink::take`].
 ///
-/// The buffer is **bounded**: evidence is advisory, and a read-mostly
-/// deployment (or one whose writer was dropped via
-/// [`TableWriter::into_inner`]) would otherwise grow it without limit.
-/// Once [`WorkloadSink::CAPACITY`] events are buffered, further events
-/// are counted but dropped — the workload they describe is statistically
-/// indistinguishable from the retained prefix anyway.
+/// Events are summed on arrival, so the sink holds one entry per
+/// `(column, shape)` and per `(column, constraint)` however many queries
+/// ran since the last take — bounded by construction, with nothing to
+/// drop when nobody takes.
 #[derive(Debug, Default)]
 pub struct WorkloadSink {
-    events: Mutex<Vec<WorkloadEvent>>,
-    dropped: std::sync::atomic::AtomicU64,
+    pending: Mutex<WorkloadDelta>,
 }
 
 impl WorkloadSink {
-    /// Most events buffered between drains; see the type docs.
-    pub const CAPACITY: usize = 1 << 16;
-
-    /// Records one query's events under a single lock (readers call this
-    /// concurrently). Events arriving once the buffer is full are counted
-    /// and dropped — see the type docs.
+    /// Adds one query's events under a single lock (readers call this
+    /// concurrently).
     pub fn record(&self, events: impl IntoIterator<Item = WorkloadEvent>) {
-        let mut buffered = self.events.lock();
-        let mut dropped = 0;
+        let mut pending = self.pending.lock();
         for event in events {
-            if buffered.len() < Self::CAPACITY {
-                buffered.push(event);
-            } else {
-                dropped += 1;
+            match event {
+                WorkloadEvent::Query { col, shape } => {
+                    *pending.queries.entry((col, shape)).or_default() += 1;
+                }
+                WorkloadEvent::Feedback {
+                    column,
+                    constraint,
+                    est_cost_saved,
+                } => {
+                    let fb = pending.feedback.entry((column, constraint)).or_default();
+                    fb.times_bound += 1;
+                    fb.est_cost_saved += est_cost_saved.max(0.0);
+                }
             }
         }
-        drop(buffered);
-        if dropped > 0 {
-            self.dropped
-                .fetch_add(dropped, std::sync::atomic::Ordering::Relaxed);
-        }
     }
 
-    /// Takes every event recorded so far, in arrival order.
-    pub fn drain(&self) -> Vec<WorkloadEvent> {
-        std::mem::take(&mut *self.events.lock())
-    }
-
-    /// Events discarded because the buffer was full when they arrived.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Hands back everything recorded since the last take and resets
+    /// the sink.
+    pub fn take(&self) -> WorkloadDelta {
+        std::mem::take(&mut *self.pending.lock())
     }
 }
 
@@ -455,15 +461,7 @@ impl TableWriter {
         self.epoch
     }
 
-    /// Drains query-reported workload evidence into the staging table's
-    /// query log and per-slot feedback
-    /// ([`IndexedTable::absorb_workload`]).
-    pub fn absorb_feedback(&mut self) {
-        self.staging.absorb_workload();
-    }
-
-    /// Publishes the staging state as a new snapshot: absorbs reader
-    /// feedback, captures the epoch (Arc bumps, no data copies) and swaps
+    /// Publishes the staging state as a new snapshot: captures the epoch (Arc bumps, no data copies) and swaps
     /// the shared pointer. Returns the new epoch. Readers holding older
     /// snapshots are unaffected; they pick the new epoch up at their next
     /// [`ConcurrentTable::snapshot`] call.
@@ -474,11 +472,10 @@ impl TableWriter {
     /// catalog capture, no cache sweep. A caller that publishes on a
     /// cadence therefore cannot churn reader epochs (or invalidate
     /// result-cache entries) for nothing, however many queries ran in
-    /// between — their evidence is absorbed into table-level state that
-    /// no snapshot shares; the returned epoch is the still-current one.
+    /// between — their evidence waits in the sink, which no version
+    /// check reads; the returned epoch is the still-current one.
     pub fn publish(&mut self) -> u64 {
         let start = Instant::now();
-        self.absorb_feedback();
         if self.staging_matches_published() {
             if let Some(m) = &self.publish_metrics {
                 m.noops.inc();
@@ -705,35 +702,34 @@ mod tests {
     }
 
     #[test]
-    fn noop_publish_still_absorbs_reader_feedback() {
+    fn noop_publish_leaves_reader_evidence_in_the_sink() {
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = ConcurrentTable::new(it);
-        handle.snapshot().sink().record([WorkloadEvent::Query {
-            col: 1,
-            shape: QueryShape::Distinct,
-        }]);
-        // Query-shape evidence mutates only the writer's query log, so
-        // the publish is still skipped — but the evidence is absorbed.
+        handle.snapshot().sink().record([
+            WorkloadEvent::Query {
+                col: 1,
+                shape: QueryShape::Distinct,
+            },
+            WorkloadEvent::Feedback {
+                column: 1,
+                constraint: Constraint::NearlyUnique,
+                est_cost_saved: 5.0,
+            },
+        ]);
+        // Evidence is not table state: the publish is skipped, the index
+        // version stays shared, and the evidence waits for its reader.
         assert_eq!(writer.publish(), 0);
-        assert_eq!(
-            writer.staging().query_log().count(1, QueryShape::Distinct),
-            1
-        );
-
-        // Evidence about an index is table state too: absorbing it leaves
-        // the index version alone, so this publish is skipped as well.
-        handle.snapshot().sink().record([WorkloadEvent::Feedback {
-            column: 1,
-            constraint: Constraint::NearlyUnique,
-            est_cost_saved: 5.0,
-        }]);
-        assert_eq!(writer.publish(), 0);
-        assert_eq!(writer.staging().feedback(0).times_bound, 1);
         assert!(Arc::ptr_eq(
             &writer.staging().indexes()[0],
             &handle.snapshot().indexes()[0]
         ));
+        let delta = writer.staging().sink().take();
+        assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 1);
+        assert_eq!(
+            delta.feedback[&(1, Constraint::NearlyUnique)].times_bound,
+            1
+        );
     }
 
     #[test]
@@ -871,50 +867,45 @@ mod tests {
     fn sink_events_flow_into_writer_state() {
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let (handle, mut writer) = ConcurrentTable::new(it);
+        let (handle, writer) = ConcurrentTable::new(it);
         let snap = handle.snapshot();
         snap.sink().record([WorkloadEvent::Query {
             col: 1,
             shape: QueryShape::Distinct,
         }]);
-        snap.sink().record([WorkloadEvent::Feedback {
-            column: 1,
-            constraint: Constraint::NearlyUnique,
-            est_cost_saved: 42.0,
-        }]);
-        // An event for an index that no longer exists is dropped quietly.
-        snap.sink().record([WorkloadEvent::Feedback {
-            column: 0,
-            constraint: Constraint::NearlyConstant,
-            est_cost_saved: 7.0,
-        }]);
-        writer.absorb_feedback();
-        assert!(writer.staging().sink().is_empty());
-        let it = writer.staging();
-        assert_eq!(it.query_log().count(1, QueryShape::Distinct), 1);
-        let fb = it.feedback(0);
-        assert_eq!(fb.times_bound, 1);
+        for saved in [42.0, -3.0] {
+            snap.sink().record([WorkloadEvent::Feedback {
+                column: 1,
+                constraint: Constraint::NearlyUnique,
+                est_cost_saved: saved,
+            }]);
+        }
+        // The writer's table owns the sink its snapshots record into.
+        let delta = writer.staging().sink().take();
+        assert_eq!(delta.queries.len(), 1);
+        assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 1);
+        let fb = delta.feedback[&(1, Constraint::NearlyUnique)];
+        assert_eq!(fb.times_bound, 2);
+        // A negative estimate binds but saves nothing.
         assert!((fb.est_cost_saved - 42.0).abs() < 1e-9);
+        // A take resets: the next one sees only what arrived since.
+        assert_eq!(writer.staging().sink().take(), WorkloadDelta::default());
     }
 
     #[test]
     fn sink_is_bounded() {
         let sink = WorkloadSink::default();
-        for _ in 0..WorkloadSink::CAPACITY + 10 {
+        for _ in 0..100_000 {
             sink.record([WorkloadEvent::Query {
                 col: 0,
                 shape: QueryShape::Distinct,
             }]);
         }
-        assert_eq!(sink.len(), WorkloadSink::CAPACITY);
-        assert_eq!(sink.dropped(), 10);
-        assert_eq!(sink.drain().len(), WorkloadSink::CAPACITY);
-        // Draining frees the budget again.
-        sink.record([WorkloadEvent::Query {
-            col: 0,
-            shape: QueryShape::Distinct,
-        }]);
-        assert_eq!(sink.len(), 1);
+        // 100 000 events of one key occupy one entry.
+        let delta = sink.take();
+        assert_eq!(delta.queries.len(), 1);
+        assert_eq!(delta.queries[&(0, QueryShape::Distinct)], 100_000);
+        assert!(delta.feedback.is_empty());
     }
 
     #[test]

@@ -757,8 +757,8 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> io::Result<Manifest> {
 /// (patch sets, anchors and the maintenance counters the drift rules
 /// read). Two tables with equal images give the same answers and maintain
 /// their indexes the same way; the recovery property tests compare these
-/// byte-for-byte. Query feedback and the query log are process state and
-/// not part of the image.
+/// byte-for-byte. Query evidence waiting in the workload sink is process
+/// state and not part of the image.
 pub fn state_image(it: &IndexedTable) -> Vec<u8> {
     let mut b = Vec::new();
     let table = it.table();

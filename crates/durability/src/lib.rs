@@ -35,9 +35,9 @@
 //! Only what answers depend on is persisted: table data, index data
 //! (patch sets, anchors and the maintenance counters the drift rules
 //! read) and routing state (the round-robin cursor and the statement
-//! counter). What queries report back — the query log and per-slot
-//! feedback — is process state: it restarts empty, like the advisor that
-//! reads it, which windows only the deltas it saw itself.
+//! counter). What queries report back — the evidence in the table's
+//! workload sink — is process state: it restarts empty, like the advisor
+//! that drains it, which windows only the deltas it saw itself.
 //!
 //! Replay is deterministic: the statement counter and routing cursor are
 //! part of the checkpoint, and nothing outside the log decides what a
@@ -591,9 +591,7 @@ impl DurableWriter {
     /// Publishes an epoch durably: logs the publish record, applies the
     /// sync policy (a returned `Ok` means the epoch will survive any
     /// later crash under [`SyncPolicy::EveryRecord`] /
-    /// [`SyncPolicy::EveryPublish`]), then publishes — which absorbs
-    /// reader-reported workload evidence into process state, unlogged —
-    /// and, every [`DurableOptions::checkpoint_every`] publishes,
+    /// [`SyncPolicy::EveryPublish`]), then publishes and, every [`DurableOptions::checkpoint_every`] publishes,
     /// checkpoints. Returns the new epoch.
     pub fn publish(&mut self) -> io::Result<u64> {
         self.wal.append(&Record::Publish)?;
@@ -1403,8 +1401,9 @@ mod tests {
     }
 
     /// Regression for "pointer identity is the exact dirty set": evidence
-    /// queries leave behind is absorbed beside the indexes, so a publish +
-    /// checkpoint after read-only traffic rewrites no index image. The
+    /// queries leave behind waits in the sink, outside the indexes, so a
+    /// publish + checkpoint after read-only traffic rewrites no index
+    /// image. The
     /// evidence is process state: nothing logs or checkpoints it, and a
     /// restart begins without it.
     #[test]
@@ -1438,11 +1437,15 @@ mod tests {
             "meta + manifest only: no partition and no index changed"
         );
         assert_eq!(index_files(&fs), before);
-        assert_eq!(dw.staging().feedback(0).times_bound, 1);
         assert_eq!(
             with_evidence,
             logged_by_publish(&mut dw),
-            "absorbing evidence logs nothing beyond the publish record"
+            "evidence logs nothing beyond the publish record"
+        );
+        let pending = dw.staging().sink().take();
+        assert_eq!(
+            pending.feedback[&(1, Constraint::NearlyUnique)].times_bound,
+            1
         );
 
         let want = state_image(dw.staging());
@@ -1450,7 +1453,7 @@ mod tests {
         fs.crash(9);
         let dw = recover_from(&fs);
         assert_eq!(state_image(dw.staging()), want);
-        assert_eq!(dw.staging().feedback(0), Default::default());
+        assert_eq!(dw.staging().sink().take(), Default::default());
     }
 
     /// Records naming state the table does not have: a slot, partition,

@@ -1,6 +1,6 @@
 //! Observability substrate shared by every engine crate.
 //!
-//! Three pieces, all dependency-free (the crate sits below `pi-core` in
+//! Two pieces, both dependency-free (the crate sits below `pi-core` in
 //! the workspace graph and hand-rolls its JSON the same way `pi-bench`
 //! does):
 //!
@@ -14,9 +14,6 @@
 //!   query: per-operator wall clock and row counts, partitions pruned
 //!   vs. visited, index slots bound, cache outcome. Produced by
 //!   `QueryEngine::query_traced` in `pi-planner`.
-//! * [`Windowed`] — sliding windows over cumulative counters (anchor,
-//!   delta, trim, sum), extracted from the advisor's two hand-rolled
-//!   windowed-subtraction sites.
 //!
 //! ```
 //! use pi_obs::MetricsRegistry;
@@ -37,11 +34,9 @@
 mod registry;
 mod scope;
 mod trace;
-mod window;
 
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSnapshot, MetricsRegistry,
 };
 pub use scope::ScopedRegistry;
 pub use trace::{fmt_nanos, CacheOutcome, OperatorTrace, PlannerTrace, QueryTrace};
-pub use window::{Cumulative, Windowed};

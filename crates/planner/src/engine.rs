@@ -4,8 +4,8 @@
 //! point — owned table, writer staging table, snapshot with or without a
 //! result cache; rows, count or traced — runs the same `run` function
 //! over a borrowed view of the table. A query is a read: every method
-//! takes `&self`, and nothing below runs maintenance, copies an index
-//! or touches the query log.
+//! takes `&self`, and nothing below runs maintenance or copies an
+//! index.
 //!
 //! 1. **plan** — optimize against the view's [`IndexCatalog`] (all
 //!    indexes, per-partition stats) with plan-level zero-branch pruning,
@@ -23,8 +23,8 @@
 //!    version the plan binds.
 //! 5. **evidence** — record what the advisor learns from the query as
 //!    [`WorkloadEvent`]s (rule table on [`QueryEngine`]) in the view's
-//!    `WorkloadSink`, one lock per query; whoever holds the table `&mut`
-//!    absorbs them (`IndexedTable::absorb_workload`).
+//!    `WorkloadSink`, one lock per query; the sink sums them until the
+//!    advisor takes the delta (`WorkloadSink::take`).
 //! 6. **trace** — for a traced request, assemble the [`QueryTrace`].
 //!
 //! The table views differ only in what they lend the pipeline:
@@ -159,11 +159,11 @@ impl Outcome {
 ///
 /// ## Evidence rules
 ///
-/// | request                   | query-log shapes | feedback / bound slot |
-/// |---------------------------|------------------|-----------------------|
-/// | `plan_query`              | –                | –                     |
-/// | executing call, cache hit | once             | –                     |
-/// | executing call, executed  | once             | once                  |
+/// | request                   | query shapes | feedback / bound index |
+/// |---------------------------|--------------|------------------------|
+/// | `plan_query`              | –            | –                      |
+/// | executing call, cache hit | once         | –                      |
+/// | executing call, executed  | once         | once                   |
 ///
 /// `plan_query` is EXPLAIN-style inspection, so an EXPLAIN-then-run
 /// sequence must not double-count. A hit is demand (the advisor's create
@@ -177,7 +177,7 @@ pub trait QueryEngine {
     fn run_request(&self, plan: &Plan, request: Request) -> Outcome;
 
     /// Returns the final optimized plan. Records no workload evidence
-    /// (query log / feedback) — it is safe for EXPLAIN-style inspection
+    /// (query shapes / feedback) — it is safe for EXPLAIN-style inspection
     /// before running the query for real.
     fn plan_query(&self, plan: &Plan) -> Plan {
         self.run_request(plan, Request::Plan).chosen
@@ -441,7 +441,7 @@ impl QueryEngine for TableWriter {
 mod tests {
     use super::*;
     use crate::{execute, execute_count, NO_INDEXES};
-    use patchindex::{Constraint, Design};
+    use patchindex::{Constraint, Design, WorkloadDelta};
     use pi_exec::ops::sort::SortOrder;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 
@@ -488,20 +488,20 @@ mod tests {
     #[test]
     fn facade_records_query_log_and_feedback() {
         let mut it = fresh(2);
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
         it.query_count(&distinct);
         it.query_count(&distinct);
         it.query_count(&sort);
-        it.absorb_workload();
-        // Query log: shapes per table column.
-        use patchindex::{QueryShape, SortDir};
-        assert_eq!(it.query_log().count(1, QueryShape::Distinct), 2);
-        assert_eq!(it.query_log().count(1, QueryShape::Sort(SortDir::Asc)), 1);
+        let delta = it.sink().take();
+        // Query shapes per table column.
+        assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 2);
+        assert_eq!(delta.queries[&(1, QueryShape::Sort(SortDir::Asc))], 1);
         // Feedback: the NUC index was bound by both distinct queries with
         // a positive estimated saving; the sort query bound nothing.
-        let fb = it.feedback(slot);
+        assert_eq!(delta.feedback.len(), 1);
+        let fb = delta.feedback[&(1, Constraint::NearlyUnique)];
         assert_eq!(fb.times_bound, 2);
         assert!(fb.est_cost_saved > 0.0);
     }
@@ -509,19 +509,19 @@ mod tests {
     #[test]
     fn explain_then_run_counts_the_query_once() {
         let mut it = fresh(2);
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         // Inspecting the plan records nothing...
         it.plan_query(&distinct);
-        it.absorb_workload();
-        use patchindex::QueryShape;
-        assert_eq!(it.query_log().count(1, QueryShape::Distinct), 0);
-        assert_eq!(it.feedback(slot).times_bound, 0);
+        assert_eq!(it.sink().take(), WorkloadDelta::default());
         // ...running it records exactly once.
         it.query_count(&distinct);
-        it.absorb_workload();
-        assert_eq!(it.query_log().count(1, QueryShape::Distinct), 1);
-        assert_eq!(it.feedback(slot).times_bound, 1);
+        let delta = it.sink().take();
+        assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 1);
+        assert_eq!(
+            delta.feedback[&(1, Constraint::NearlyUnique)].times_bound,
+            1
+        );
     }
 
     #[test]
@@ -567,19 +567,17 @@ mod tests {
     fn snapshot_workload_evidence_reaches_the_writer() {
         use patchindex::ConcurrentTable;
         let mut it = fresh(2);
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let (handle, mut writer) = ConcurrentTable::new(it);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        let (handle, writer) = ConcurrentTable::new(it);
         let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         snap.query_count(&distinct);
         snap.query_count(&distinct);
         // EXPLAIN on a snapshot records nothing.
         snap.plan_query(&distinct);
-        assert!(!snap.sink().is_empty());
-        writer.absorb_feedback();
-        let it = writer.staging();
-        assert_eq!(it.query_log().count(1, QueryShape::Distinct), 2);
-        let fb = it.feedback(slot);
+        let delta = writer.staging().sink().take();
+        assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 2);
+        let fb = delta.feedback[&(1, Constraint::NearlyUnique)];
         assert_eq!(fb.times_bound, 2);
         assert!(fb.est_cost_saved > 0.0);
     }
@@ -612,24 +610,25 @@ mod tests {
     #[test]
     fn cache_hits_record_shapes_but_never_feedback() {
         let mut it = fresh(2);
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let (handle, mut writer) = cached(it);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        let (handle, writer) = cached(it);
         let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         snap.query_count(&distinct); // miss: full evidence
-        writer.absorb_feedback();
-        let before = writer.staging().feedback(slot);
-        assert_eq!(before.times_bound, 1);
+        let first = writer.staging().sink().take();
+        assert_eq!(
+            first.feedback[&(1, Constraint::NearlyUnique)].times_bound,
+            1
+        );
 
         for _ in 0..3 {
             snap.query_count(&distinct); // hits: shapes only
         }
-        writer.absorb_feedback();
-        let it = writer.staging();
+        let delta = writer.staging().sink().take();
         // The advisor's demand signal still sees every query...
-        assert_eq!(it.query_log().count(1, QueryShape::Distinct), 4);
-        // ...but the feedback is untouched: a hit executed nothing.
-        assert_eq!(it.feedback(slot), before);
+        assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 3);
+        // ...but no feedback arrives: a hit executed nothing.
+        assert!(delta.feedback.is_empty());
         // Hits are tallied in the cache's own counter instead.
         assert_eq!(handle.cache_stats().unwrap().hits, 3);
     }
@@ -700,14 +699,14 @@ mod tests {
     }
 
     /// Regression for "pointer identity is the exact dirty set": the
-    /// evidence executed queries leave behind is table state, so a
+    /// evidence executed queries leave behind is not table state, so a
     /// publish after read-only traffic is a no-op — same epoch, no index
     /// copied — and the result bound to the index survives it.
     #[test]
     fn publish_after_read_only_traffic_is_a_noop_and_keeps_the_cache() {
         use pi_obs::MetricsRegistry;
         let mut it = fresh(2);
-        let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let reg = Arc::new(MetricsRegistry::new());
         let cache = ResultCache::with_registry(ResultCache::DEFAULT_BUDGET, &reg);
         let (handle, mut writer) =
@@ -720,8 +719,11 @@ mod tests {
         assert_eq!(reg.counter("publish.noops").get(), 1);
         assert_eq!(reg.counter("publish.count").get(), 0);
         assert_eq!(reg.counter("publish.indexes_copied").get(), 0);
-        // The evidence did arrive, beside the query log.
-        assert_eq!(writer.staging().feedback(slot).times_bound, 1);
+        // The evidence did arrive, in the sink.
+        assert_eq!(
+            writer.staging().sink().take().feedback[&(1, Constraint::NearlyUnique)].times_bound,
+            1
+        );
 
         let again = handle.snapshot().query(&distinct);
         assert_eq!(first.column(0).as_int(), again.column(0).as_int());

@@ -16,8 +16,8 @@
 //! invoked (`plan_query` / `query` / `query_count` / `query_traced`) is
 //! the only selector; the evidence each one records is tabulated on the
 //! trait. A query is a read — every method takes `&self`, and evidence
-//! waits in the table's `WorkloadSink` for
-//! `IndexedTable::absorb_workload`.
+//! waits in the table's `WorkloadSink` for the advisor's
+//! `WorkloadSink::take`.
 //!
 //! Outside the facade, [`execute`] / [`execute_count`] run a plan
 //! directly against a table and an index set — with [`NO_INDEXES`], the

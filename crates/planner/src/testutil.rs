@@ -14,24 +14,12 @@ pub(crate) fn entry(
         .into_iter()
         .map(|(rows, patches)| PartitionStats { rows, patches })
         .collect();
-    let rows: u64 = parts.iter().map(|p| p.rows).sum();
-    let patches: u64 = parts.iter().map(|p| p.patches).sum();
-    let e = if rows == 0 {
-        1.0
-    } else {
-        1.0 - patches as f64 / rows as f64
-    };
     IndexStats {
         slot,
         column,
         constraint,
         parts,
         patch_distinct,
-        e,
-        baseline_e: e,
-        drift_patches: 0,
-        maintained_rows: 0,
-        memory_bytes: 0,
     }
 }
 

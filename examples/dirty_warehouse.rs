@@ -47,7 +47,7 @@ fn main() {
     for _ in 0..3 {
         assert_eq!(wh.query_count(&plan), reference);
     }
-    // One advisor step sees the query log + the id column's sampled
+    // One advisor step sees the queries + the id column's sampled
     // match fraction and materializes the NUC index on its own.
     let t = Instant::now();
     for action in advisor.step(&mut wh) {

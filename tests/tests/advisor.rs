@@ -20,7 +20,7 @@ fn config() -> AdvisorConfig {
 }
 
 /// Sorted distinct over the advised column: deterministic output, and
-/// its Distinct-over-Scan root is exactly what the query log records.
+/// its Distinct-over-Scan root is exactly the shape the advisor counts.
 fn workload_query() -> Plan {
     Plan::scan(vec![DriftSpec::VAL_COL])
         .distinct(vec![0])

@@ -294,8 +294,8 @@ fn advisor_steps_through_the_writer() {
     });
     let distinct = Plan::scan(vec![1]).distinct(vec![0]);
 
-    // Reader queries on snapshots feed the sink; the advisor absorbs that
-    // evidence through the writer and auto-creates the index.
+    // Reader queries on snapshots feed the sink; the advisor's step on the
+    // writer takes that evidence and auto-creates the index.
     let reference = execute_count(&distinct, handle.snapshot().table(), NO_INDEXES);
     for _ in 0..4 {
         let snap = handle.snapshot();

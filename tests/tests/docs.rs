@@ -1,11 +1,12 @@
 //! The prose docs cannot name dead things silently: README's "Test
 //! suite" table and `tests/tests/` list the same suites, README's
-//! `repro` job list and `repro`'s job table name the same jobs, and
-//! every command word in `docs/WIRE_PROTOCOL.md`'s command table is one
-//! a live server knows.
+//! `repro` job list and `repro`'s job table name the same jobs, every
+//! command word in `docs/WIRE_PROTOCOL.md`'s command table is one a live
+//! server knows, and every code path the README and the architecture
+//! notes name is defined somewhere in the crates.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use pi_server::{Client, Server, ServerConfig};
 use pi_storage::{DataType, Field, Schema};
@@ -101,4 +102,75 @@ fn every_documented_command_word_is_known_to_a_live_server() {
         "{resp}"
     );
     server.shutdown();
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The names the crates' sources define as a `fn`, `const`, `struct`,
+/// `enum`, `type` or `mod`.
+fn defined_names() -> BTreeSet<String> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(&crates).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let mut names = BTreeSet::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let words: Vec<&str> = text
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        for pair in words.windows(2) {
+            if ["fn", "const", "struct", "enum", "type", "mod"].contains(&pair[0]) {
+                names.insert(pair[1].to_string());
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_documented_code_path_is_defined_in_the_crates() {
+    let defined = defined_names();
+    let mut stale = Vec::new();
+    for doc in ["README.md", "docs/ARCHITECTURE.md"] {
+        let text = repo_file(doc);
+        for span in text.split('`').skip(1).step_by(2) {
+            // Plain `Owner::item` paths only: `a::{b, c}`, calls and
+            // generics are not names.
+            let segments: Vec<&str> = span.split("::").collect();
+            let is_path = segments.len() > 1
+                && segments.iter().all(|s| {
+                    s.chars()
+                        .next()
+                        .is_some_and(|c| c.is_alphabetic() || c == '_')
+                        && s.chars().all(|c| c.is_alphanumeric() || c == '_')
+                });
+            if !is_path || segments[0] == "std" {
+                continue;
+            }
+            let item = segments[segments.len() - 1];
+            if !defined.contains(item) {
+                stale.push(format!("{doc}: `{span}`"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "documented but defined nowhere: {stale:?}"
+    );
 }

@@ -209,7 +209,7 @@ enum Method {
     Traced,
 }
 
-/// Everything the advisor can learn from queries: per-shape query-log
+/// Everything the advisor can learn from queries: per-shape query
 /// counts on the value column and `times_bound` per index slot.
 #[derive(Debug, Clone, PartialEq)]
 struct Evidence {
@@ -219,13 +219,21 @@ struct Evidence {
     slots: Vec<u64>,
 }
 
+/// Takes the table's sink: the evidence recorded since the last take.
 fn evidence(it: &IndexedTable) -> Evidence {
+    let delta = it.sink().take();
+    let count = |shape| delta.queries.get(&(1, shape)).copied().unwrap_or(0);
     Evidence {
-        distinct: it.query_log().count(1, QueryShape::Distinct),
-        sort: it.query_log().count(1, QueryShape::Sort(SortDir::Asc)),
-        log_total: it.query_log().total(),
-        slots: (0..it.indexes().len())
-            .map(|slot| it.feedback(slot).times_bound)
+        distinct: count(QueryShape::Distinct),
+        sort: count(QueryShape::Sort(SortDir::Asc)),
+        log_total: delta.queries.values().sum(),
+        slots: it
+            .indexes()
+            .iter()
+            .map(|idx| {
+                let key = (idx.column(), idx.constraint());
+                delta.feedback.get(&key).map_or(0, |fb| fb.times_bound)
+            })
             .collect(),
     }
 }
@@ -298,8 +306,9 @@ fn index_state(indexes: &[Arc<PatchIndex>]) -> Vec<*const PatchIndex> {
 }
 
 /// One cell of the matrix: the answer equals the index-free execution,
-/// the queried indexes are untouched, and the evidence delta is exactly
-/// what the rule table prescribes.
+/// the queried indexes are untouched, and the drained evidence delta is
+/// exactly what the rule table prescribes. `none` is the first take, of a
+/// table nothing has queried yet.
 fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShape>) {
     let ctx = format!("{entry:?} x {method:?} x {plan}");
     let bag = shape == Some(QueryShape::Distinct);
@@ -314,24 +323,20 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
 
     let (got, chosen, cache_outcome, after, want) = match entry {
         Entry::Owner => {
-            let mut it = it;
-            let before = evidence(&it);
+            let none = evidence(&it);
             let chosen = it.plan_query(plan);
-            it.absorb_workload();
-            assert_eq!(evidence(&it), before, "{ctx}: plan_query");
+            assert_eq!(evidence(&it), none, "{ctx}: plan_query");
             let state = index_state(it.indexes());
             let got = call(&it, method, plan, bag);
             assert_eq!(index_state(it.indexes()), state, "{ctx}: a read wrote");
-            it.absorb_workload();
-            let want = evidence_after(&before, shape, &bound_slots(&chosen), 1, 1);
+            let want = evidence_after(&none, shape, &bound_slots(&chosen), 1, 1);
             (got, chosen, CacheOutcome::Uncached, evidence(&it), want)
         }
         Entry::Writer => {
-            let (_handle, mut writer) = ConcurrentTable::new(it);
-            let before = evidence(writer.staging());
+            let (_handle, writer) = ConcurrentTable::new(it);
+            let none = evidence(writer.staging());
             let chosen = writer.plan_query(plan);
-            writer.absorb_feedback();
-            assert_eq!(evidence(writer.staging()), before, "{ctx}: plan_query");
+            assert_eq!(evidence(writer.staging()), none, "{ctx}: plan_query");
             let state = index_state(writer.staging().indexes());
             let got = call(&writer, method, plan, bag);
             assert_eq!(
@@ -339,13 +344,12 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
                 state,
                 "{ctx}: a read wrote"
             );
-            writer.absorb_feedback();
-            let want = evidence_after(&before, shape, &bound_slots(&chosen), 1, 1);
+            let want = evidence_after(&none, shape, &bound_slots(&chosen), 1, 1);
             let after = evidence(writer.staging());
             (got, chosen, CacheOutcome::Uncached, after, want)
         }
         Entry::Uncached | Entry::CachedMiss | Entry::CachedHit => {
-            let (handle, mut writer) = if entry == Entry::Uncached {
+            let (handle, writer) = if entry == Entry::Uncached {
                 ConcurrentTable::new(it)
             } else {
                 ConcurrentTable::with_result_cache(
@@ -354,10 +358,9 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
                 )
             };
             let snap = handle.snapshot();
-            let before = evidence(writer.staging());
+            let none = evidence(writer.staging());
             let chosen = snap.plan_query(plan);
-            writer.absorb_feedback();
-            assert_eq!(evidence(writer.staging()), before, "{ctx}: plan_query");
+            assert_eq!(evidence(writer.staging()), none, "{ctx}: plan_query");
             let state = index_state(snap.indexes());
             let runs = if entry == Entry::CachedHit {
                 call(&snap, method, plan, bag); // the miss that fills the cache
@@ -367,9 +370,8 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
             };
             let got = call(&snap, method, plan, bag);
             assert_eq!(index_state(snap.indexes()), state, "{ctx}: a read wrote");
-            writer.absorb_feedback();
             let after = evidence(writer.staging());
-            let want = evidence_after(&before, shape, &bound_slots(&chosen), runs, 1);
+            let want = evidence_after(&none, shape, &bound_slots(&chosen), runs, 1);
             let outcome = match entry {
                 Entry::Uncached => CacheOutcome::Uncached,
                 Entry::CachedMiss => CacheOutcome::Miss,

@@ -399,3 +399,78 @@ fn stale_row_id_is_refused_at_apply_without_killing_the_writer() {
     assert_eq!(header_field(&resp, "count"), Some("3"));
     server.shutdown();
 }
+
+/// Sends `INSERT k,10k` (the value column stays unique) and records the
+/// acked row under its shard and sequence number; returns the shard.
+fn insert_logged(client: &mut Client, by_shard: &mut [BTreeMap<u64, Vec<Value>>], k: i64) -> usize {
+    let resp = client.request(&format!("INSERT {k},{}", 10 * k)).unwrap();
+    let ack = header_field(&resp, "shards").expect("insert ack");
+    let (shard, seq) = ack.split_once(':').unwrap();
+    let shard: usize = shard.parse().unwrap();
+    let prev = by_shard[shard].insert(
+        seq.parse().unwrap(),
+        vec![Value::Int(k), Value::Int(10 * k)],
+    );
+    assert!(prev.is_none(), "duplicate seq {seq} on shard {shard}");
+    shard
+}
+
+/// With `advise_every: 1` each shard writer steps its advisor after every
+/// statement. Three distinct queries on a clean column, then one
+/// statement per shard, and every shard has created the NUC index —
+/// while every query response, before and after, stays byte-identical
+/// to the index-free replay of its statement prefix.
+#[test]
+fn advisor_creates_the_index_on_every_shard() {
+    const NSHARDS: usize = 2;
+    const PARTS: usize = 2;
+    const SPEC: &str = "scan 1 | distinct 0";
+    let cfg = ServerConfig {
+        shards: NSHARDS,
+        advise_every: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::empty(cfg, schema(), PARTS).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut by_shard: Vec<BTreeMap<u64, Vec<Value>>> = vec![BTreeMap::new(); NSHARDS];
+    for k in 0..60 {
+        insert_logged(&mut client, &mut by_shard, k);
+    }
+    // A publish is queued behind every statement: once it is acked, each
+    // writer has applied (and advised on) the whole load.
+    assert!(client.request("PUBLISH").unwrap().starts_with("OK "));
+
+    let mut responses = Vec::new();
+    for _ in 0..3 {
+        responses.push(client.request(&format!("QUERY {SPEC}")).unwrap());
+    }
+    // One statement per shard: the advisor step after it takes the queries.
+    for shard in 0..NSHARDS {
+        let k = (1_000..)
+            .find(|&k| patchindex::routing::shard_of(&Value::Int(k), NSHARDS) == shard)
+            .unwrap();
+        assert_eq!(insert_logged(&mut client, &mut by_shard, k), shard);
+    }
+    assert!(client.request("PUBLISH").unwrap().starts_with("OK "));
+
+    let metrics = client.request("METRICS").unwrap();
+    assert_eq!(
+        metrics.matches("\"advisor.created\": 1").count(),
+        NSHARDS,
+        "every shard's advisor creates once: {metrics}"
+    );
+    let explain = client.request(&format!("EXPLAIN {SPEC}")).unwrap();
+    let shards: Vec<&str> = explain.split("\n-- shard ").skip(1).collect();
+    assert_eq!(shards.len(), NSHARDS, "{explain}");
+    for trace in shards {
+        assert!(trace.contains("PatchScan"), "{explain}");
+    }
+
+    responses.push(client.request(&format!("QUERY {SPEC}")).unwrap());
+    for resp in &responses {
+        let watermarks = parse_epoch_seqs(resp, NSHARDS);
+        let expect = reference_response(SPEC, &watermarks, &by_shard, PARTS);
+        assert_eq!(without_epochs(resp), expect, "at watermarks {watermarks:?}");
+    }
+    server.shutdown();
+}
