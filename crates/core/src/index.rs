@@ -9,6 +9,7 @@ use crate::discovery::{
     cross_partition_nuc_residual, discover_values, partition_column_values, DiscoveryResult,
 };
 use crate::maintenance::MaintenanceStats;
+use crate::statement::Statement;
 use crate::stats::preferred_design;
 use crate::store::PatchStore;
 
@@ -73,7 +74,10 @@ impl PatchIndex {
     /// sets are merged with the cross-partition residual (see
     /// [`cross_partition_nuc_residual`]) so the kept values are *globally*
     /// unique, not just unique within their partition.
+    ///
+    /// Panics unless [`Statement::indexable`] accepts the column.
     pub fn create(table: &Table, col: usize, constraint: Constraint, design: Design) -> Self {
+        Statement::indexable(table.schema(), col, constraint).unwrap_or_else(|e| panic!("{e}"));
         Self::build(table, col, constraint, Some(design))
     }
 

@@ -16,6 +16,7 @@ use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
 use crate::sampling::Reservoir;
 use crate::snapshot::WorkloadSink;
+use crate::statement::Statement;
 
 /// An empty placeholder that `pi_durability::DurableWriter::recover`
 /// accepts and ignores, kept only so pibench's recovery call still
@@ -299,6 +300,34 @@ impl IndexedTable {
                     Arc::make_mut(idx).handle_modify(&mut self.table, pid, rids);
                 }
             }
+        }
+    }
+
+    /// Applies one statement through the method of its kind. The caller
+    /// vouches that [`Statement::check`] accepts it against this table.
+    pub fn apply(&mut self, stmt: &Statement) {
+        match stmt {
+            Statement::Insert(rows) => {
+                self.insert(rows);
+            }
+            Statement::Modify {
+                pid,
+                rids,
+                col,
+                values,
+            } => self.modify(*pid, rids, *col, values),
+            Statement::Delete { pid, rids } => self.delete(*pid, rids),
+            Statement::AddIndex {
+                col,
+                constraint,
+                design,
+            } => {
+                self.add_index(*col, *constraint, *design);
+            }
+            Statement::DropIndex { slot } => {
+                self.drop_index(*slot);
+            }
+            Statement::Recompute { slot } => self.recompute_index(*slot),
         }
     }
 

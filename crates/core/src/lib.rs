@@ -16,6 +16,10 @@
 //! * update handling (insert / modify / delete) without recomputation or
 //!   full scans — see [`PatchIndex::handle_insert`] and friends, or use
 //!   [`IndexedTable`] to keep everything consistent automatically;
+//! * one write vocabulary, [`Statement`], checked ([`Statement::check`])
+//!   then applied ([`IndexedTable::apply`]); a nearly sorted index on a
+//!   `Str` column is refused ([`Statement::indexable`]) — its dictionary
+//!   codes keep equality, not order;
 //! * exception-rate monitoring.
 //!
 //! This crate knows no byte format: the `pi-durability` crate writes the
@@ -66,6 +70,7 @@ pub mod routing;
 pub mod sampling;
 pub mod scan;
 pub mod snapshot;
+mod statement;
 pub mod stats;
 mod store;
 
@@ -79,4 +84,5 @@ pub use snapshot::{
     ConcurrentTable, QueryFeedback, TableSnapshot, TableWriter, WorkloadDelta, WorkloadEvent,
     WorkloadSink,
 };
+pub use statement::Statement;
 pub use store::PatchStore;

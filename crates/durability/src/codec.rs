@@ -33,7 +33,7 @@ use pi_storage::{
 
 use patchindex::{
     Constraint, Design, DriftBaseline, IndexedTable, MaintenanceStats, PartitionIndex, PatchIndex,
-    PatchStore, SortDir,
+    PatchStore, SortDir, Statement,
 };
 
 // ------------------------------------------------------------ byte helpers
@@ -493,7 +493,7 @@ pub(crate) fn encode_index(idx: &PatchIndex) -> Vec<u8> {
 /// Parses an image of an index over `table` (recovery restores the table
 /// first). The row counts an image claims are bounded by nothing in its
 /// own bytes — and the bitmap design allocates for them — so an image
-/// whose column the table cannot index ([`crate::indexable`]), whose
+/// whose column the table cannot index ([`Statement::indexable`]), whose
 /// partition count differs from the table's, or whose per-partition row
 /// count differs from that partition's visible rows is rejected before
 /// any patch store is built. So are patch rowIDs outside their partition
@@ -502,8 +502,9 @@ pub(crate) fn decode_index(bytes: &[u8], table: &Table) -> io::Result<PatchIndex
     const WHAT: &str = "index image";
     let mut r = unseal(INDEX_MAGIC, INDEX_VERSION, bytes, WHAT)?;
     let column = read_u32(&mut r)? as usize;
-    crate::indexable(table.schema(), column).map_err(|e| bad(format!("{WHAT}: {e}")))?;
     let constraint = constraint_from_tag(read_u32(&mut r)?)?;
+    Statement::indexable(table.schema(), column, constraint)
+        .map_err(|e| bad(format!("{WHAT}: {e}")))?;
     let design = design_from_tag(read_u32(&mut r)?)?;
     if read_u32(&mut r)? != GLOBALLY_DEDUPLICATED {
         return Err(bad(format!(

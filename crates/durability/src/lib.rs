@@ -7,7 +7,7 @@
 //!
 //! * **Statement WAL** ([`wal`]) — every update statement (insert /
 //!   modify / delete / index DDL / recompute / publish) is checked
-//!   against the table ([`check_record`]) and then appended to an
+//!   against the table ([`Statement::check`]) and then appended to an
 //!   append-only, CRC-framed log *before* it is applied (log-then-apply).
 //!   The [`SyncPolicy`] decides when appends are forced to stable
 //!   storage.
@@ -60,10 +60,11 @@ use std::sync::Arc;
 
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::dfs::{write_atomic, DurableFs};
-use pi_storage::{DataType, Partition, RowAddr, Schema, Table, Value};
+use pi_storage::{Partition, RowAddr, Table, Value};
 
 use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, TableWriter,
+    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, Statement,
+    TableWriter,
 };
 
 pub mod wal;
@@ -194,131 +195,6 @@ struct CkptState {
     manifest: codec::Manifest,
 }
 
-/// Applies one WAL record to an indexed table — the replay semantics of
-/// every statement [`DurableWriter`] logs. A [`Record::Publish`] changes
-/// no table state; epoch bookkeeping is the caller's.
-pub fn apply_record(it: &mut IndexedTable, record: &Record) {
-    match record {
-        Record::Insert(rows) => {
-            it.insert(rows);
-        }
-        Record::Modify {
-            pid,
-            rids,
-            col,
-            values,
-        } => it.modify(*pid, rids, *col, values),
-        Record::Delete { pid, rids } => it.delete(*pid, rids),
-        Record::AddIndex {
-            col,
-            constraint,
-            design,
-        } => {
-            it.add_index(*col, *constraint, *design);
-        }
-        Record::DropIndex { slot } => {
-            it.drop_index(*slot);
-        }
-        Record::Recompute { slot } => it.recompute_index(*slot),
-        Record::Publish => {}
-    }
-}
-
-/// Refuses a record that names state `it` does not have — the check
-/// [`apply_record`] relies on. Slots, partitions, columns and rowIDs must
-/// be in range, rows and modified values must match the schema in arity
-/// and type, and an index must be on a column type `PatchIndex::create`
-/// accepts (not `Float`). Fails with [`io::ErrorKind::InvalidInput`].
-pub fn check_record(it: &IndexedTable, record: &Record) -> io::Result<()> {
-    check(it, record).map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))
-}
-
-/// Whether column `col` of `schema` can carry a PatchIndex: it exists and
-/// is not `Float` (discovery and maintenance read values as integers).
-/// The one rule for both ways an index enters a table: a logged
-/// `AddIndex` and an index image read back at recovery.
-fn indexable(schema: &Schema, col: usize) -> Result<(), String> {
-    match schema.fields().get(col) {
-        None => Err(format!(
-            "column {col} out of range ({} columns)",
-            schema.len()
-        )),
-        Some(f) if f.dtype == DataType::Float => Err(format!("cannot index Float column {col}")),
-        Some(_) => Ok(()),
-    }
-}
-
-fn check(it: &IndexedTable, record: &Record) -> Result<(), String> {
-    let table = it.table();
-    let fields = table.schema().fields();
-    let column = |col: usize| {
-        fields
-            .get(col)
-            .map(|f| f.dtype)
-            .ok_or_else(|| format!("column {col} out of range ({} columns)", fields.len()))
-    };
-    let fit = |dtype: DataType, v: &Value| match (dtype, v) {
-        (DataType::Int | DataType::Date, Value::Int(_))
-        | (DataType::Float, Value::Float(_))
-        | (DataType::Str, Value::Str(_)) => Ok(()),
-        _ => Err(format!("{v:?} does not fit a {dtype:?} column")),
-    };
-    let visible = |pid: usize, rids: &[usize]| {
-        let part = table.partitions().get(pid).ok_or_else(|| {
-            format!(
-                "partition {pid} out of range ({} partitions)",
-                table.partition_count()
-            )
-        })?;
-        let len = part.visible_len();
-        match rids.iter().find(|&&rid| rid >= len) {
-            Some(rid) => Err(format!(
-                "rowID {rid} out of range in partition {pid} ({len} visible rows)"
-            )),
-            None => Ok(()),
-        }
-    };
-    match record {
-        Record::Insert(rows) => rows.iter().try_for_each(|row| {
-            if row.len() != fields.len() {
-                return Err(format!(
-                    "row of {} values into {} columns",
-                    row.len(),
-                    fields.len()
-                ));
-            }
-            fields
-                .iter()
-                .zip(row)
-                .try_for_each(|(f, v)| fit(f.dtype, v))
-        }),
-        Record::Modify {
-            pid,
-            rids,
-            col,
-            values,
-        } => {
-            let dtype = column(*col)?;
-            visible(*pid, rids)?;
-            if rids.len() != values.len() {
-                return Err(format!("{} values for {} rowIDs", values.len(), rids.len()));
-            }
-            values.iter().try_for_each(|v| fit(dtype, v))
-        }
-        Record::Delete { pid, rids } => visible(*pid, rids),
-        Record::AddIndex { col, .. } => indexable(table.schema(), *col),
-        Record::DropIndex { slot } | Record::Recompute { slot } => {
-            let n = it.indexes().len();
-            if *slot < n {
-                Ok(())
-            } else {
-                Err(format!("slot {slot} out of range ({n} indexes)"))
-            }
-        }
-        Record::Publish => Ok(()),
-    }
-}
-
 /// The crash-safe single-writer: wraps a [`TableWriter`] so that every
 /// statement is WAL-logged before it is applied and every published
 /// epoch can be checkpointed incrementally.
@@ -327,7 +203,7 @@ fn check(it: &IndexedTable, record: &Record) -> Result<(), String> {
 /// was **not** logged and **not** applied — the caller may retry or give
 /// up, the table state is unchanged either way. A statement naming state
 /// the table does not have fails with [`io::ErrorKind::InvalidInput`]
-/// ([`check_record`]).
+/// ([`Statement::check`]).
 pub struct DurableWriter {
     fs: Arc<dyn DurableFs>,
     dir: PathBuf,
@@ -471,11 +347,14 @@ impl DurableWriter {
             .map_or(0, |i| i + 1);
         let mut publishes = 0u64;
         for (seq, record) in &tail[..apply_upto] {
-            if matches!(record, Record::Publish) {
-                publishes += 1;
+            match record {
+                Record::Publish => publishes += 1,
+                Record::Statement(stmt) => {
+                    stmt.check(it.table(), it.indexes().len())
+                        .map_err(|e| bad(format!("WAL record {seq}: {e}")))?;
+                    it.apply(stmt);
+                }
             }
-            check_record(&it, record).map_err(|e| bad(format!("WAL record {seq}: {e}")))?;
-            apply_record(&mut it, record);
         }
         let report = RecoveryReport {
             checkpoint_epoch: manifest.epoch,
@@ -516,19 +395,32 @@ impl DurableWriter {
         Ok((handle, dw, report))
     }
 
-    /// Checks a statement against the staging table, then logs it — a
-    /// statement [`check_record`] refuses is neither logged nor applied,
-    /// so replay never meets a record the live writer accepted and
-    /// cannot apply.
-    fn log(&mut self, record: &Record) -> io::Result<()> {
-        check_record(self.writer.staging(), record)?;
-        self.wal.append(record)?;
+    /// Checks a statement against the staging table, then logs it and
+    /// hands it back — a statement [`Statement::check`] refuses is neither
+    /// logged nor applied, so replay never meets a record the live writer
+    /// accepted and cannot apply.
+    fn log(&mut self, stmt: Statement) -> io::Result<Statement> {
+        let it = self.writer.staging();
+        stmt.check(it.table(), it.indexes().len())
+            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
+        let record = Record::Statement(stmt);
+        self.wal.append(&record)?;
+        let Record::Statement(stmt) = record else {
+            unreachable!("logged a statement")
+        };
+        Ok(stmt)
+    }
+
+    /// Applies one statement: checked, WAL-logged, then applied.
+    pub fn apply(&mut self, stmt: Statement) -> io::Result<()> {
+        let stmt = self.log(stmt)?;
+        self.writer.staging_mut().apply(&stmt);
         Ok(())
     }
 
     /// Inserts rows (WAL-logged, then applied).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> io::Result<Vec<RowAddr>> {
-        self.log(&Record::Insert(rows.to_vec()))?;
+        self.log(Statement::Insert(rows.to_vec()))?;
         Ok(self.writer.insert(rows))
     }
 
@@ -540,24 +432,20 @@ impl DurableWriter {
         col: usize,
         values: &[Value],
     ) -> io::Result<()> {
-        self.log(&Record::Modify {
+        self.apply(Statement::Modify {
             pid,
             rids: rids.to_vec(),
             col,
             values: values.to_vec(),
-        })?;
-        self.writer.modify(pid, rids, col, values);
-        Ok(())
+        })
     }
 
     /// Deletes visible rows (WAL-logged, then applied).
     pub fn delete(&mut self, pid: usize, rids: &[usize]) -> io::Result<()> {
-        self.log(&Record::Delete {
+        self.apply(Statement::Delete {
             pid,
             rids: rids.to_vec(),
-        })?;
-        self.writer.delete(pid, rids);
-        Ok(())
+        })
     }
 
     /// Creates a PatchIndex (WAL-logged, then applied); returns its slot.
@@ -567,7 +455,7 @@ impl DurableWriter {
         constraint: Constraint,
         design: Design,
     ) -> io::Result<usize> {
-        self.log(&Record::AddIndex {
+        self.log(Statement::AddIndex {
             col,
             constraint,
             design,
@@ -577,15 +465,13 @@ impl DurableWriter {
 
     /// Drops the index in `slot` (WAL-logged, then applied).
     pub fn drop_index(&mut self, slot: usize) -> io::Result<Arc<PatchIndex>> {
-        self.log(&Record::DropIndex { slot })?;
+        self.log(Statement::DropIndex { slot })?;
         Ok(self.writer.drop_index(slot))
     }
 
     /// Recomputes the index in `slot` (WAL-logged, then applied).
     pub fn recompute_index(&mut self, slot: usize) -> io::Result<()> {
-        self.log(&Record::Recompute { slot })?;
-        self.writer.recompute_index(slot);
-        Ok(())
+        self.apply(Statement::Recompute { slot })
     }
 
     /// Publishes an epoch durably: logs the publish record, applies the
@@ -1456,34 +1342,41 @@ mod tests {
         assert_eq!(dw.staging().sink().take(), Default::default());
     }
 
-    /// Records naming state the table does not have: a slot, partition,
-    /// rowID or column out of range, a short row, a value of the wrong
-    /// type. Each used to panic replay or load silently.
-    fn records_naming_missing_state() -> Vec<Record> {
+    /// Statements naming state the table does not have: a slot,
+    /// partition, rowID or column out of range, a short row, a value of
+    /// the wrong type. Each used to panic replay or load silently. And a
+    /// nearly sorted index on the `Str` column, which used to be logged
+    /// and then sort by dictionary code.
+    fn records_naming_missing_state() -> Vec<Statement> {
         vec![
-            Record::DropIndex { slot: 5 },
-            Record::Recompute { slot: 5 },
-            Record::Delete {
+            Statement::DropIndex { slot: 5 },
+            Statement::Recompute { slot: 5 },
+            Statement::Delete {
                 pid: 9,
                 rids: vec![0],
             },
-            Record::Delete {
+            Statement::Delete {
                 pid: 0,
                 rids: vec![999],
             },
-            Record::Insert(vec![vec![Value::Int(1)]]),
-            Record::AddIndex {
+            Statement::Insert(vec![vec![Value::Int(1)]]),
+            Statement::AddIndex {
                 col: 9,
                 constraint: Constraint::NearlyUnique,
                 design: Design::Bitmap,
             },
-            Record::Modify {
+            Statement::AddIndex {
+                col: 2,
+                constraint: Constraint::NearlySorted(SortDir::Asc),
+                design: Design::Bitmap,
+            },
+            Statement::Modify {
                 pid: 0,
                 rids: vec![0],
                 col: 9,
                 values: vec![Value::Int(1)],
             },
-            Record::Modify {
+            Statement::Modify {
                 pid: 0,
                 rids: vec![0],
                 col: 1,
@@ -1497,29 +1390,13 @@ mod tests {
     /// sequence it sits at.
     #[test]
     fn records_naming_missing_state_are_refused() {
-        for record in records_naming_missing_state() {
+        for stmt in records_naming_missing_state() {
             let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-            let refused = match &record {
-                Record::DropIndex { slot } => dw.drop_index(*slot).map(drop),
-                Record::Recompute { slot } => dw.recompute_index(*slot),
-                Record::Delete { pid, rids } => dw.delete(*pid, rids),
-                Record::Insert(rows) => dw.insert(rows).map(drop),
-                Record::AddIndex {
-                    col,
-                    constraint,
-                    design,
-                } => dw.add_index(*col, *constraint, *design).map(drop),
-                Record::Modify {
-                    pid,
-                    rids,
-                    col,
-                    values,
-                } => dw.modify(*pid, rids, *col, values),
-                Record::Publish => unreachable!(),
-            }
-            .expect_err("the writer must refuse it");
-            assert_eq!(refused.kind(), io::ErrorKind::InvalidInput, "{record:?}");
-            assert_eq!(dw.stats().wal_bytes, 0, "{record:?} was logged");
+            let refused = dw
+                .apply(stmt.clone())
+                .expect_err("the writer must refuse it");
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidInput, "{stmt:?}");
+            assert_eq!(dw.stats().wal_bytes, 0, "{stmt:?} was logged");
             drop(dw);
 
             let mut wal = wal::WalWriter::new(
@@ -1529,12 +1406,12 @@ mod tests {
                 1 << 20,
                 1,
             );
-            wal.append(&record).unwrap();
+            wal.append(&Record::Statement(stmt.clone())).unwrap();
             wal.append(&Record::Publish).unwrap();
             let err = try_recover(&fs)
                 .err()
-                .unwrap_or_else(|| panic!("{record:?} must not recover"));
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{record:?}: {err}");
+                .unwrap_or_else(|| panic!("{stmt:?} must not recover"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{stmt:?}: {err}");
             assert!(err.to_string().contains("WAL record 1"), "{err}");
         }
     }

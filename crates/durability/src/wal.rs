@@ -25,9 +25,8 @@ use std::time::Instant;
 use pi_obs::{Counter, Histogram, MetricsRegistry};
 use pi_storage::crc::crc32;
 use pi_storage::dfs::DurableFs;
-use pi_storage::Value;
 
-use patchindex::{Constraint, Design};
+use patchindex::Statement;
 
 use crate::codec::{
     bad, constraint_from_tag, constraint_tag, design_from_tag, design_tag, put_u32, put_u64,
@@ -50,48 +49,12 @@ pub enum SyncPolicy {
     OsBuffered,
 }
 
-/// One logged statement.
+/// One WAL record: a statement, or the publish that makes the statements
+/// before it a durable epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
-    /// Rows inserted through the writer.
-    Insert(Vec<Vec<Value>>),
-    /// One column of one partition patched.
-    Modify {
-        /// Partition id.
-        pid: usize,
-        /// Visible rowIDs patched.
-        rids: Vec<usize>,
-        /// Column index.
-        col: usize,
-        /// Replacement values, one per rid.
-        values: Vec<Value>,
-    },
-    /// Visible rows of one partition deleted.
-    Delete {
-        /// Partition id.
-        pid: usize,
-        /// Visible rowIDs deleted (pre-delete numbering).
-        rids: Vec<usize>,
-    },
-    /// A PatchIndex created.
-    AddIndex {
-        /// Indexed column.
-        col: usize,
-        /// Constraint kind.
-        constraint: Constraint,
-        /// Bitmap or Identifier design.
-        design: Design,
-    },
-    /// The index in `slot` dropped.
-    DropIndex {
-        /// Slot at drop time.
-        slot: usize,
-    },
-    /// The index in `slot` recomputed from the table.
-    Recompute {
-        /// Slot at recompute time.
-        slot: usize,
-    },
+    /// A statement, logged before it is applied.
+    Statement(Statement),
     /// An epoch published (durable high-water marks point at these).
     Publish,
 }
@@ -113,9 +76,15 @@ const T_PUBLISH: u8 = 8;
 const MAX_PAYLOAD: u32 = 64 << 20;
 
 impl Record {
-    fn encode_body(&self, b: &mut Vec<u8>) {
-        match self {
-            Record::Insert(rows) => {
+    /// Writes the record's type tag, then its body.
+    fn encode(&self, b: &mut Vec<u8>) {
+        let Record::Statement(stmt) = self else {
+            b.push(T_PUBLISH);
+            return;
+        };
+        match stmt {
+            Statement::Insert(rows) => {
+                b.push(T_INSERT);
                 put_u32(b, rows.len() as u32);
                 for row in rows {
                     put_u32(b, row.len() as u32);
@@ -124,12 +93,13 @@ impl Record {
                     }
                 }
             }
-            Record::Modify {
+            Statement::Modify {
                 pid,
                 rids,
                 col,
                 values,
             } => {
+                b.push(T_MODIFY);
                 put_u32(b, *pid as u32);
                 put_u32(b, *col as u32);
                 put_u32(b, rids.len() as u32);
@@ -140,43 +110,37 @@ impl Record {
                     put_value(b, v);
                 }
             }
-            Record::Delete { pid, rids } => {
+            Statement::Delete { pid, rids } => {
+                b.push(T_DELETE);
                 put_u32(b, *pid as u32);
                 put_u32(b, rids.len() as u32);
                 for r in rids {
                     put_u64(b, *r as u64);
                 }
             }
-            Record::AddIndex {
+            Statement::AddIndex {
                 col,
                 constraint,
                 design,
             } => {
+                b.push(T_ADD_INDEX);
                 put_u32(b, *col as u32);
                 b.push(constraint_tag(*constraint) as u8);
                 b.push(design_tag(*design) as u8);
             }
-            Record::DropIndex { slot } | Record::Recompute { slot } => {
+            Statement::DropIndex { slot } => {
+                b.push(T_DROP_INDEX);
                 put_u32(b, *slot as u32);
             }
-            Record::Publish => {}
-        }
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            Record::Insert(_) => T_INSERT,
-            Record::Modify { .. } => T_MODIFY,
-            Record::Delete { .. } => T_DELETE,
-            Record::AddIndex { .. } => T_ADD_INDEX,
-            Record::DropIndex { .. } => T_DROP_INDEX,
-            Record::Recompute { .. } => T_RECOMPUTE,
-            Record::Publish => T_PUBLISH,
+            Statement::Recompute { slot } => {
+                b.push(T_RECOMPUTE);
+                put_u32(b, *slot as u32);
+            }
         }
     }
 
     fn decode(tag: u8, r: &mut &[u8]) -> io::Result<Record> {
-        Ok(match tag {
+        Ok(Record::Statement(match tag {
             T_INSERT => {
                 let nrows = read_u32(r)? as usize;
                 let mut rows = Vec::with_capacity(nrows.min(1 << 16));
@@ -188,7 +152,7 @@ impl Record {
                     }
                     rows.push(row);
                 }
-                Record::Insert(rows)
+                Statement::Insert(rows)
             }
             T_MODIFY => {
                 let pid = read_u32(r)? as usize;
@@ -202,7 +166,7 @@ impl Record {
                 for _ in 0..n {
                     values.push(read_value(r)?);
                 }
-                Record::Modify {
+                Statement::Modify {
                     pid,
                     rids,
                     col,
@@ -216,22 +180,22 @@ impl Record {
                 for _ in 0..n {
                     rids.push(read_u64(r)? as usize);
                 }
-                Record::Delete { pid, rids }
+                Statement::Delete { pid, rids }
             }
-            T_ADD_INDEX => Record::AddIndex {
+            T_ADD_INDEX => Statement::AddIndex {
                 col: read_u32(r)? as usize,
                 constraint: constraint_from_tag(read_u8(r)?.into())?,
                 design: design_from_tag(read_u8(r)?.into())?,
             },
-            T_DROP_INDEX => Record::DropIndex {
+            T_DROP_INDEX => Statement::DropIndex {
                 slot: read_u32(r)? as usize,
             },
-            T_RECOMPUTE => Record::Recompute {
+            T_RECOMPUTE => Statement::Recompute {
                 slot: read_u32(r)? as usize,
             },
-            T_PUBLISH => Record::Publish,
+            T_PUBLISH => return Ok(Record::Publish),
             t => return Err(bad(format!("unknown record type {t}"))),
-        })
+        }))
     }
 }
 
@@ -338,8 +302,7 @@ impl WalWriter {
         let seq = self.next_seq;
         let mut payload = Vec::new();
         put_u64(&mut payload, seq);
-        payload.push(record.tag());
-        record.encode_body(&mut payload);
+        record.encode(&mut payload);
         let mut frame = Vec::with_capacity(payload.len() + 8);
         put_u32(&mut frame, payload.len() as u32);
         put_u32(&mut frame, crc32(&payload));
@@ -492,34 +455,39 @@ pub(crate) fn read_log(fs: &dyn DurableFs, dir: &Path) -> io::Result<Vec<(u64, R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchindex::SortDir;
+    use patchindex::{Constraint, Design, SortDir};
     use pi_storage::dfs::SimFs;
+    use pi_storage::Value;
 
     fn sample_records() -> Vec<Record> {
-        vec![
-            Record::Insert(vec![
+        let statements = [
+            Statement::Insert(vec![
                 vec![Value::Int(1), Value::Float(2.5), Value::Str("ab".into())],
                 vec![Value::Int(2), Value::Float(-0.0), Value::Str("".into())],
             ]),
-            Record::Modify {
+            Statement::Modify {
                 pid: 3,
                 rids: vec![0, 7],
                 col: 1,
                 values: vec![Value::Int(9), Value::Int(10)],
             },
-            Record::Delete {
+            Statement::Delete {
                 pid: 0,
                 rids: vec![5],
             },
-            Record::AddIndex {
+            Statement::AddIndex {
                 col: 2,
                 constraint: Constraint::NearlySorted(SortDir::Desc),
                 design: Design::Identifier,
             },
-            Record::DropIndex { slot: 1 },
-            Record::Recompute { slot: 0 },
-            Record::Publish,
-        ]
+            Statement::DropIndex { slot: 1 },
+            Statement::Recompute { slot: 0 },
+        ];
+        statements
+            .into_iter()
+            .map(Record::Statement)
+            .chain([Record::Publish])
+            .collect()
     }
 
     #[test]
@@ -538,6 +506,34 @@ mod tests {
             assert_eq!(*seq, i as u64 + 1);
             assert_eq!(rec, &records[i]);
         }
+    }
+
+    /// The frame bytes of every record kind, pinned: a WAL written by an
+    /// older build must replay unchanged.
+    #[test]
+    fn record_frames_are_unchanged() {
+        let fs = Arc::new(SimFs::new());
+        let dir = PathBuf::from("/wal");
+        let mut w = WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 1 << 20, 1);
+        for r in sample_records() {
+            w.append(&r).unwrap();
+        }
+        let bytes = fs.read(&dir.join(segment_name(1))).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        // `[len][crc][seq][tag][body]` per record: insert and modify take
+        // two lines each, then delete, add-index, drop, recompute, publish.
+        let want = concat!(
+            "4500000024979630010000000000000001020000000300000000010000000000000001000000",
+            "000000044002020000006162030000000002000000000000000100000000000000800200000000",
+            "370000004684784e0200000000000000020300000001000000020000000000000000000000070000",
+            "0000000000000900000000000000000a00000000000000",
+            "1900000053a1fd5c03000000000000000300000000010000000500000000000000",
+            "0f00000088b119a1040000000000000004020000000201",
+            "0d000000841d076205000000000000000501000000",
+            "0d000000ff6cd12006000000000000000600000000",
+            "0900000055f1b38c070000000000000008",
+        );
+        assert_eq!(hex, want);
     }
 
     #[test]
@@ -582,9 +578,11 @@ mod tests {
         // Segment 1 holds seqs 1-2 with a torn third record; a stale
         // pre-crash segment starting at seq 5 must not be replayed.
         let mut w = WalWriter::new(fs.clone(), dir.clone(), SyncPolicy::EveryRecord, 1 << 20, 1);
-        w.append(&Record::Recompute { slot: 0 }).unwrap();
+        w.append(&Record::Statement(Statement::Recompute { slot: 0 }))
+            .unwrap();
         w.append(&Record::Publish).unwrap();
-        w.append(&Record::Recompute { slot: 0 }).unwrap();
+        w.append(&Record::Statement(Statement::Recompute { slot: 0 }))
+            .unwrap();
         let seg = dir.join(segment_name(1));
         let full = fs.read(&seg).unwrap();
         fs.remove(&seg).unwrap();

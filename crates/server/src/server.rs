@@ -11,7 +11,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use patchindex::routing::route_row;
-use patchindex::{ConcurrentTable, IndexedTable};
+use patchindex::{ConcurrentTable, IndexedTable, Statement};
 use pi_exec::Batch;
 use pi_obs::{Counter, Histogram, MetricsRegistry, QueryTrace};
 use pi_planner::QueryEngine;
@@ -19,7 +19,7 @@ use pi_storage::{DataType, Partitioning, Schema, Table, Value};
 
 use crate::config::ServerConfig;
 use crate::protocol::{parse_value, read_request, write_response, ErrorCode, ServerError};
-use crate::shard::{Shard, ShardMsg, ShardSpawn, Statement};
+use crate::shard::{Shard, ShardMsg, ShardSpawn};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::spec::QuerySpec;
 use crate::{batch_rows, canonical_rows, render_rows};
@@ -35,7 +35,6 @@ pub struct Server {
 
 struct ServerInner {
     dtypes: Vec<DataType>,
-    npartitions: Vec<usize>,
     shards: Vec<Shard>,
     route_col: usize,
     registry: Arc<MetricsRegistry>,
@@ -85,10 +84,6 @@ impl Server {
             assert_eq!(d, dtypes, "shard schemas must match");
         }
         assert!(cfg.route_col < dtypes.len(), "route_col out of range");
-        let npartitions: Vec<usize> = tables
-            .iter()
-            .map(|t| t.table().partitions().len())
-            .collect();
 
         let registry = Arc::new(MetricsRegistry::new());
         let benefits: Vec<Arc<AtomicU64>> = (0..cfg.shards)
@@ -120,7 +115,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let inner = Arc::new(ServerInner {
             dtypes,
-            npartitions,
             shards,
             route_col: cfg.route_col,
             requests: registry.counter("server.requests"),
@@ -536,53 +530,15 @@ impl ServerInner {
         Ok(sid)
     }
 
-    fn checked_pid(&self, sid: usize, token: &str) -> Result<usize, ServerError> {
-        let pid: usize = token.parse().map_err(|_| {
-            ServerError::new(ErrorCode::BadValue, format!("not a partition: {token:?}"))
-        })?;
-        if pid >= self.npartitions[sid] {
-            return Err(ServerError::new(
-                ErrorCode::BadValue,
-                format!(
-                    "partition {pid} out of range ({} partitions)",
-                    self.npartitions[sid]
-                ),
-            ));
-        }
-        Ok(pid)
-    }
-
-    /// Admission-time bounds check of physical row ids against the
-    /// current snapshot. A statement queued ahead may still shrink the
-    /// partition before this one applies; the shard writer then applies
-    /// it as a no-op and counts it in `shard<N>.statements_refused`.
-    fn checked_rids(
-        &self,
-        sid: usize,
-        pid: usize,
-        tokens: impl Iterator<Item = impl AsRef<str>>,
-    ) -> Result<Vec<usize>, ServerError> {
-        let visible = self.shards[sid]
-            .consistent_snapshot()
-            .0
-            .table()
-            .partition(pid)
-            .visible_len();
-        tokens
-            .map(|t| {
-                let t = t.as_ref();
-                let rid: usize = t.parse().map_err(|_| {
-                    ServerError::new(ErrorCode::BadValue, format!("not a row id: {t:?}"))
-                })?;
-                if rid >= visible {
-                    return Err(ServerError::new(
-                        ErrorCode::BadValue,
-                        format!("row {rid} out of range ({visible} visible rows)"),
-                    ));
-                }
-                Ok(rid)
-            })
-            .collect()
+    /// Admits a `MODIFY` or `DELETE`: [`Statement::check`] against the
+    /// shard's published snapshot, then the queue (the shard writer runs
+    /// the same check against its staging table).
+    fn admit(&self, sid: usize, stmt: Statement) -> Result<String, ServerError> {
+        let (snap, _) = self.shards[sid].consistent_snapshot();
+        stmt.check(snap.table(), snap.indexes().len())
+            .map_err(|e| ServerError::new(ErrorCode::BadValue, e))?;
+        let seq = self.shards[sid].enqueue(stmt)?;
+        Ok(format!("OK shard={sid} seq={seq}"))
     }
 
     fn modify(&self, rest: &str) -> Result<String, ServerError> {
@@ -594,18 +550,13 @@ impl ServerInner {
             ));
         };
         let sid = self.checked_shard(sid)?;
-        let pid = self.checked_pid(sid, pid)?;
-        let col: usize = col
-            .parse()
-            .map_err(|_| ServerError::new(ErrorCode::BadValue, format!("not a column: {col:?}")))?;
-        if col >= self.dtypes.len() {
-            return Err(ServerError::new(
-                ErrorCode::BadValue,
-                format!("column {col} out of range"),
-            ));
-        }
-        let mut rid_tokens = Vec::new();
-        let mut vals = Vec::new();
+        let pid = parse_index(pid, "partition")?;
+        let col = parse_index(col, "column")?;
+        let dtype = *self.dtypes.get(col).ok_or_else(|| {
+            ServerError::new(ErrorCode::BadValue, format!("column {col} out of range"))
+        })?;
+        let mut rids = Vec::new();
+        let mut values = Vec::new();
         for pair in assignments.split(',') {
             let (rid, val) = pair.split_once('=').ok_or_else(|| {
                 ServerError::new(
@@ -613,17 +564,16 @@ impl ServerInner {
                     format!("assignment must be rid=val, got {pair:?}"),
                 )
             })?;
-            rid_tokens.push(rid);
-            vals.push(parse_value(val, self.dtypes[col])?);
+            rids.push(parse_index(rid, "row id")?);
+            values.push(parse_value(val, dtype)?);
         }
-        let rids = self.checked_rids(sid, pid, rid_tokens.into_iter())?;
-        let seq = self.shards[sid].enqueue(Statement::Modify {
+        let stmt = Statement::Modify {
             pid,
             rids,
             col,
-            vals,
-        })?;
-        Ok(format!("OK shard={sid} seq={seq}"))
+            values,
+        };
+        self.admit(sid, stmt)
     }
 
     fn delete(&self, rest: &str) -> Result<String, ServerError> {
@@ -635,10 +585,12 @@ impl ServerInner {
             ));
         };
         let sid = self.checked_shard(sid)?;
-        let pid = self.checked_pid(sid, pid)?;
-        let rids = self.checked_rids(sid, pid, rid_list.split(','))?;
-        let seq = self.shards[sid].enqueue(Statement::Delete { pid, rids })?;
-        Ok(format!("OK shard={sid} seq={seq}"))
+        let pid = parse_index(pid, "partition")?;
+        let rids = rid_list
+            .split(',')
+            .map(|rid| parse_index(rid, "row id"))
+            .collect::<Result<_, _>>()?;
+        self.admit(sid, Statement::Delete { pid, rids })
     }
 
     fn publish(&self) -> Result<String, ServerError> {
@@ -670,6 +622,13 @@ impl ServerInner {
         out.push_str("}}");
         out
     }
+}
+
+/// Parses a partition, column or row id token.
+fn parse_index(token: &str, what: &str) -> Result<usize, ServerError> {
+    token
+        .parse()
+        .map_err(|_| ServerError::new(ErrorCode::BadValue, format!("not a {what}: {token:?}")))
 }
 
 #[cfg(test)]

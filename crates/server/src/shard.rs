@@ -20,27 +20,13 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use patchindex::{ConcurrentTable, IndexedTable, ResultCache, TableSnapshot, TableWriter};
+use patchindex::{
+    ConcurrentTable, IndexedTable, ResultCache, Statement, TableSnapshot, TableWriter,
+};
 use pi_advisor::{split_budget, Advisor, AdvisorConfig};
 use pi_obs::{Gauge, MetricsRegistry, ScopedRegistry};
-use pi_storage::Value;
 
 use crate::protocol::{ErrorCode, ServerError};
-
-/// One write statement, as applied by the shard writer.
-pub(crate) enum Statement {
-    /// Append rows (already routed to this shard).
-    Insert(Vec<Vec<Value>>),
-    /// Overwrite column values at physical addresses.
-    Modify {
-        pid: usize,
-        rids: Vec<usize>,
-        col: usize,
-        vals: Vec<Value>,
-    },
-    /// Hide rows at physical addresses.
-    Delete { pid: usize, rids: Vec<usize> },
-}
 
 pub(crate) enum ShardMsg {
     Statement {
@@ -280,36 +266,17 @@ impl WriterLoop {
         self.publish(last_seq);
     }
 
-    /// Applies one statement. Admission checked `MODIFY`/`DELETE` row
-    /// ids against the published snapshot, but a statement queued ahead
-    /// may have shrunk the partition since: row ids that are out of range
-    /// in the staging partition make the statement a no-op, counted in
+    /// Applies one statement. Admission ran [`Statement::check`] against
+    /// the published snapshot, but a statement queued ahead may have
+    /// shrunk the partition since: a statement the same check refuses
+    /// against the staging table is a no-op, counted in
     /// `statements_refused`. Its sequence number is still consumed.
     fn apply(&mut self, stmt: Statement) {
-        let stale = |writer: &TableWriter, pid: usize, rids: &[usize]| {
-            let visible = writer.staging().table().partition(pid).visible_len();
-            rids.iter().any(|&rid| rid >= visible)
-        };
-        match stmt {
-            Statement::Insert(rows) => {
-                self.writer.insert(&rows);
-            }
-            Statement::Modify { pid, rids, .. } | Statement::Delete { pid, rids }
-                if stale(&self.writer, pid, &rids) =>
-            {
-                self.statements_refused.inc();
-            }
-            Statement::Modify {
-                pid,
-                rids,
-                col,
-                vals,
-            } => {
-                self.writer.modify(pid, &rids, col, &vals);
-            }
-            Statement::Delete { pid, rids } => {
-                self.writer.delete(pid, &rids);
-            }
+        let staging = self.writer.staging();
+        if stmt.check(staging.table(), staging.indexes().len()).is_ok() {
+            self.writer.staging_mut().apply(&stmt);
+        } else {
+            self.statements_refused.inc();
         }
     }
 

@@ -5,7 +5,7 @@
 
 use std::ops::Range;
 
-use patchindex::IndexedTable;
+use patchindex::{IndexedTable, Statement};
 use pi_datagen::{generate, MicroDataset, MicroKind, MicroSpec};
 use pi_durability::DurableWriter;
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -231,12 +231,8 @@ pub fn update_strategy(values: Range<i64>) -> impl Strategy<Value = Update> {
 pub trait UpdateTarget {
     /// The table the next statement's picks resolve against.
     fn table(&self) -> &Table;
-    /// Inserts rows.
-    fn insert(&mut self, rows: &[Vec<Value>]);
-    /// Overwrites column `col` of `rids` in partition `pid`.
-    fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]);
-    /// Deletes `rids` of partition `pid`.
-    fn delete(&mut self, pid: usize, rids: &[usize]);
+    /// Applies one statement.
+    fn apply(&mut self, stmt: Statement);
     /// Merges pending deltas into base storage.
     fn propagate(&mut self);
 }
@@ -245,14 +241,8 @@ impl UpdateTarget for IndexedTable {
     fn table(&self) -> &Table {
         IndexedTable::table(self)
     }
-    fn insert(&mut self, rows: &[Vec<Value>]) {
-        IndexedTable::insert(self, rows);
-    }
-    fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
-        IndexedTable::modify(self, pid, rids, col, values);
-    }
-    fn delete(&mut self, pid: usize, rids: &[usize]) {
-        IndexedTable::delete(self, pid, rids);
+    fn apply(&mut self, stmt: Statement) {
+        IndexedTable::apply(self, &stmt);
     }
     fn propagate(&mut self) {
         IndexedTable::propagate(self);
@@ -265,14 +255,8 @@ impl UpdateTarget for DurableWriter {
     fn table(&self) -> &Table {
         self.staging().table()
     }
-    fn insert(&mut self, rows: &[Vec<Value>]) {
-        DurableWriter::insert(self, rows).expect("logged insert");
-    }
-    fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
-        DurableWriter::modify(self, pid, rids, col, values).expect("logged modify");
-    }
-    fn delete(&mut self, pid: usize, rids: &[usize]) {
-        DurableWriter::delete(self, pid, rids).expect("logged delete");
+    fn apply(&mut self, stmt: Statement) {
+        DurableWriter::apply(self, stmt).expect("logged statement");
     }
     /// A durable writer has no propagate statement (it never
     /// propagates), so there is nothing to apply.
@@ -287,17 +271,16 @@ pub fn apply_update<T: UpdateTarget>(target: &mut T, op: &Update, next_key: &mut
         let pid = pid_seed % target.table().partition_count();
         (pid, target.table().partition(pid).visible_len())
     };
-    match op {
-        Update::Insert(values) => {
-            let rows: Vec<Vec<Value>> = values
+    let stmt = match op {
+        Update::Insert(values) => Statement::Insert(
+            values
                 .iter()
                 .map(|&v| {
                     *next_key += 1;
                     vec![Value::Int(*next_key), Value::Int(v)]
                 })
-                .collect();
-            target.insert(&rows);
-        }
+                .collect(),
+        ),
         Update::Modify {
             pid_seed,
             rid_seeds,
@@ -310,12 +293,17 @@ pub fn apply_update<T: UpdateTarget>(target: &mut T, op: &Update, next_key: &mut
             let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
             rids.sort_unstable();
             rids.dedup();
-            let vals: Vec<Value> = rids
+            let values = rids
                 .iter()
                 .zip(values.iter().cycle())
                 .map(|(_, &v)| Value::Int(v))
                 .collect();
-            target.modify(pid, &rids, 1, &vals);
+            Statement::Modify {
+                pid,
+                rids,
+                col: 1,
+                values,
+            }
         }
         Update::Delete {
             pid_seed,
@@ -325,11 +313,12 @@ pub fn apply_update<T: UpdateTarget>(target: &mut T, op: &Update, next_key: &mut
             if len == 0 {
                 return;
             }
-            let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            target.delete(pid, &rids);
+            let rids = rid_seeds.iter().map(|&s| s as usize % len).collect();
+            Statement::Delete { pid, rids }
         }
-        Update::Propagate => target.propagate(),
-    }
+        Update::Propagate => return target.propagate(),
+    };
+    target.apply(stmt);
 }
 
 #[cfg(test)]

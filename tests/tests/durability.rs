@@ -17,7 +17,7 @@
 use std::io;
 use std::sync::Arc;
 
-use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir};
+use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir, Statement};
 use pi_durability::{state_image, DurableOptions, DurableWriter, SyncPolicy};
 use pi_storage::dfs::{DurableFs, SimFs};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -97,17 +97,18 @@ fn index_kind(kind: u8) -> (usize, Constraint, Design) {
 /// An `Err` means the statement was neither logged nor applied.
 fn apply(dw: &mut DurableWriter, stmt: &Stmt) -> io::Result<bool> {
     let nidx = dw.staging().indexes().len();
-    match stmt {
+    let resolved = match stmt {
         Stmt::Insert(values) => {
             // Keys derive from the statement counter: deterministic
             // across the reference run, fused reruns and WAL replay.
             let base = 100_000 + dw.staging().statements() as i64 * 100;
-            let rows: Vec<Vec<Value>> = values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| vec![Value::Int(base + i as i64), Value::Int(v)])
-                .collect();
-            dw.insert(&rows)?;
+            Statement::Insert(
+                values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| vec![Value::Int(base + i as i64), Value::Int(v)])
+                    .collect(),
+            )
         }
         Stmt::Modify {
             pid,
@@ -116,43 +117,47 @@ fn apply(dw: &mut DurableWriter, stmt: &Stmt) -> io::Result<bool> {
         } => {
             let pid = pid % PARTS;
             let len = dw.staging().table().partition(pid).visible_len();
-            if len > 0 {
-                let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-                rids.sort_unstable();
-                rids.dedup();
-                let values: Vec<Value> = rids.iter().map(|_| Value::Int(*value)).collect();
-                dw.modify(pid, &rids, 1, &values)?;
+            if len == 0 {
+                return Ok(false);
+            }
+            let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
+            rids.sort_unstable();
+            rids.dedup();
+            let values = vec![Value::Int(*value); rids.len()];
+            Statement::Modify {
+                pid,
+                rids,
+                col: 1,
+                values,
             }
         }
         Stmt::Delete { pid, rid_seeds } => {
             let pid = pid % PARTS;
             let len = dw.staging().table().partition(pid).visible_len();
-            if len > 0 {
-                let rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-                dw.delete(pid, &rids)?;
+            if len == 0 {
+                return Ok(false);
             }
+            let rids = rid_seeds.iter().map(|&s| s as usize % len).collect();
+            Statement::Delete { pid, rids }
         }
+        Stmt::AddIndex { .. } if nidx >= 4 => return Ok(false),
+        Stmt::DropIndex { .. } | Stmt::Recompute { .. } if nidx == 0 => return Ok(false),
         Stmt::AddIndex { kind } => {
-            if nidx < 4 {
-                let (col, constraint, design) = index_kind(*kind);
-                dw.add_index(col, constraint, design)?;
+            let (col, constraint, design) = index_kind(*kind);
+            Statement::AddIndex {
+                col,
+                constraint,
+                design,
             }
         }
-        Stmt::DropIndex { seed } => {
-            if nidx > 0 {
-                dw.drop_index(seed % nidx)?;
-            }
-        }
-        Stmt::Recompute { seed } => {
-            if nidx > 0 {
-                dw.recompute_index(seed % nidx)?;
-            }
-        }
+        Stmt::DropIndex { seed } => Statement::DropIndex { slot: seed % nidx },
+        Stmt::Recompute { seed } => Statement::Recompute { slot: seed % nidx },
         Stmt::Publish => {
             dw.publish()?;
             return Ok(true);
         }
-    }
+    };
+    dw.apply(resolved)?;
     Ok(false)
 }
 

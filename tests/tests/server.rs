@@ -301,6 +301,8 @@ fn error_codes_and_line_mode() {
         ("INSERT 1", "BadValue"),
         ("MODIFY 7 0 0 0=1", "BadShard"),
         ("DELETE 0 9 0", "BadValue"),
+        ("DELETE 0 0 9", "BadValue"),
+        ("MODIFY 0 0 9 0=1", "BadValue"),
     ] {
         let resp = client.request(cmd).unwrap();
         assert!(
