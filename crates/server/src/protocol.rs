@@ -156,6 +156,11 @@ fn read_framed(r: &mut impl BufRead, first: u8) -> Result<String, ServerError> {
 }
 
 fn read_line_tail(r: &mut impl BufRead, first: u8) -> Result<String, ServerError> {
+    // A newline first is a whole (empty) line; reading on would swallow
+    // the next request into this one.
+    if first == b'\n' {
+        return Ok(String::new());
+    }
     let bad = |m: &str| ServerError::new(ErrorCode::BadFrame, m);
     let mut line = Vec::with_capacity(64);
     line.push(first);
@@ -258,6 +263,20 @@ mod tests {
         let (mode, payload) = roundtrip_read(b"PING\r\n").unwrap();
         assert_eq!(mode, WireMode::Line);
         assert_eq!(payload.unwrap(), "PING");
+    }
+
+    /// Regression: an empty line read the next line into itself, so
+    /// `\nPING\n` decoded as one request `"\nPING"` and the line-mode
+    /// client that sent the empty line never got its response.
+    #[test]
+    fn empty_line_is_a_request_of_its_own() {
+        let mut r = BufReader::new(&b"\nPING\n"[..]);
+        for want in ["", "PING"] {
+            let (mode, payload) = read_request(&mut r).unwrap().unwrap();
+            assert_eq!(mode, WireMode::Line);
+            assert_eq!(payload.unwrap(), want);
+        }
+        assert!(read_request(&mut r).unwrap().is_none());
     }
 
     #[test]

@@ -437,25 +437,22 @@ impl ServerInner {
 
     fn count(&self, rest: &str) -> Result<String, ServerError> {
         let spec = self.checked_spec(rest)?;
-        // Distinct counts are not shard-additive; take the full
-        // combined-result path for them.
-        let (count, epochs) = if spec.distinct.is_some() {
-            let results = self.fanout(&spec);
-            let mut rows = Vec::new();
-            for (_, _, batch, _) in &results {
-                rows.extend(batch_rows(batch));
-            }
-            (
-                canonical_rows(&spec, rows).len(),
-                Self::epochs_field(&results),
-            )
+        let results = self.fanout(&spec);
+        // Distinct counts are not shard-additive: count the combined
+        // result for them.
+        let count = if spec.distinct.is_some() {
+            let rows = results
+                .iter()
+                .flat_map(|(_, _, batch, _)| batch_rows(batch));
+            canonical_rows(&spec, rows.collect()).len()
         } else {
-            let results = self.fanout(&spec);
             let sum: usize = results.iter().map(|(_, _, batch, _)| batch.len()).sum();
-            let capped = spec.limit.map_or(sum, |n| sum.min(n));
-            (capped, Self::epochs_field(&results))
+            spec.limit.map_or(sum, |n| sum.min(n))
         };
-        Ok(format!("OK count={count} epochs={epochs}"))
+        Ok(format!(
+            "OK count={count} epochs={}",
+            Self::epochs_field(&results)
+        ))
     }
 
     fn explain(&self, rest: &str) -> Result<String, ServerError> {

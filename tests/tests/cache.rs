@@ -23,7 +23,7 @@ use patchindex::{
     TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::{apply, base_table, int_column, op_strategy, Op, PARTS, VAL_POOL};
+use pi_integration::{base_table, int_column, steps, Applier, Pool, Step, CHURN, PARTS, VAL_POOL};
 use pi_planner::{Plan, QueryEngine};
 use proptest::prelude::*;
 
@@ -76,7 +76,7 @@ fn build(cache: Option<ResultCache>) -> (ConcurrentTable, TableWriter) {
     }
 }
 
-fn run_stream(ops: &[Op]) {
+fn run_stream(ops: &[Step]) {
     let cache = ResultCache::new(ResultCache::DEFAULT_BUDGET);
     let (cached_handle, mut cached_writer) = build(Some(cache));
     let (plain_handle, mut plain_writer) = build(None);
@@ -84,12 +84,10 @@ fn run_stream(ops: &[Op]) {
     // Held snapshots: (cached, plain) pairs pinned at an old epoch and
     // re-verified after later publishes refresh / invalidate entries.
     let mut held: Vec<(TableSnapshot, TableSnapshot)> = Vec::new();
-    let mut next_key_c = [0i64; PARTS];
-    let mut next_key_p = [0i64; PARTS];
     for (i, op) in ops.iter().enumerate() {
-        apply(cached_writer.staging_mut(), op, &mut next_key_c);
-        apply(plain_writer.staging_mut(), op, &mut next_key_p);
-        if matches!(op, Op::Publish) {
+        cached_writer.step(op).unwrap();
+        plain_writer.step(op).unwrap();
+        if matches!(op, Step::Publish) {
             held.push((cached_handle.snapshot(), plain_handle.snapshot()));
             cached_writer.publish();
             plain_writer.publish();
@@ -127,7 +125,7 @@ proptest! {
     // step, hits included.
     #[test]
     fn cached_results_match_uncached_eager(
-        ops in proptest::collection::vec(op_strategy(), 4..20),
+        ops in proptest::collection::vec(steps(Pool::per_partition(), CHURN), 4..20),
     ) {
         run_stream(&ops);
     }
@@ -140,12 +138,14 @@ fn tiny_budget_still_answers_exactly() {
     let cache = ResultCache::new(1024);
     let (cached_handle, mut cached_writer) = build(Some(cache));
     let (plain_handle, mut plain_writer) = build(None);
-    let mut nk_c = [0i64; PARTS];
-    let mut nk_p = [0i64; PARTS];
     for round in 0..6 {
-        let op = Op::Insert(vec![(round % PARTS, (round as i64 * 7) % VAL_POOL)]);
-        apply(cached_writer.staging_mut(), &op, &mut nk_c);
-        apply(plain_writer.staging_mut(), &op, &mut nk_p);
+        let pid = round % PARTS;
+        let op = Step::Insert(vec![(
+            pid,
+            pid as i64 * 100 + (round as i64 * 7) % VAL_POOL,
+        )]);
+        cached_writer.step(&op).unwrap();
+        plain_writer.step(&op).unwrap();
         cached_writer.publish();
         plain_writer.publish();
         verify_pair(

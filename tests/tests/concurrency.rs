@@ -32,12 +32,12 @@ use std::sync::Mutex;
 
 use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceStats, SortDir};
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::{apply, base_table, int_column, op_strategy, Op, PARTS, VAL_POOL};
+use pi_integration::{
+    banded_table, base_table, int_column, seeded_steps, steps, Applier, Pool, Step, CHURN,
+};
 use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
-use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table};
+use pi_storage::Table;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// The per-epoch reference answers, computed index-free on the writer's
 /// staging table at publish time.
@@ -59,7 +59,7 @@ fn expected_of(table: &Table, distinct: &Plan, sort: &Plan) -> Expected {
 /// Drives `ops` through a `TableWriter` while `nreaders` threads verify
 /// every snapshot they can grab against the per-epoch reference answers.
 /// Returns the number of reader verifications performed.
-fn run_stream(ops: &[Op], nreaders: usize) -> u64 {
+fn run_stream(ops: &[Step], nreaders: usize) -> u64 {
     let mut it = IndexedTable::new(base_table(60));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.add_index(
@@ -109,10 +109,9 @@ fn run_stream(ops: &[Op], nreaders: usize) -> u64 {
             });
         }
 
-        let mut next_key = [0i64; PARTS];
         for op in ops {
-            apply(writer.staging_mut(), op, &mut next_key);
-            if matches!(op, Op::Publish) {
+            writer.step(op).unwrap();
+            if matches!(op, Step::Publish) {
                 // The reference answer must exist before the epoch is
                 // visible to any reader.
                 let want = expected_of(writer.staging().table(), &distinct, &sort);
@@ -155,7 +154,7 @@ type Maintained = Vec<(Vec<Vec<u64>>, MaintenanceStats)>;
 
 /// Drives `ops` through a writer and returns the maintained end state;
 /// with `reads`, every entry point is queried after each op.
-fn run_with_reads(ops: &[Op], reads: bool) -> Maintained {
+fn run_with_reads(ops: &[Step], reads: bool) -> Maintained {
     let mut it = IndexedTable::new(base_table(60));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.add_index(
@@ -164,10 +163,9 @@ fn run_with_reads(ops: &[Op], reads: bool) -> Maintained {
         Design::Identifier,
     );
     let (handle, mut writer) = ConcurrentTable::new(it);
-    let mut next_key = [0i64; PARTS];
     for (i, op) in ops.iter().enumerate() {
-        apply(writer.staging_mut(), op, &mut next_key);
-        if matches!(op, Op::Publish) {
+        writer.step(op).unwrap();
+        if matches!(op, Step::Publish) {
             writer.publish();
         }
         if reads {
@@ -198,7 +196,7 @@ proptest! {
     // replay.
     #[test]
     fn concurrent_reads_are_sequentially_consistent_eager(
-        ops in proptest::collection::vec(op_strategy(), 4..24),
+        ops in proptest::collection::vec(steps(Pool::per_partition(), CHURN), 4..24),
     ) {
         let verified = run_stream(&ops, 2);
         prop_assert!(verified > 0);
@@ -208,7 +206,7 @@ proptest! {
     // every op changes nothing about what maintenance did.
     #[test]
     fn reads_never_write(
-        ops in proptest::collection::vec(op_strategy(), 4..24),
+        ops in proptest::collection::vec(steps(Pool::per_partition(), CHURN), 4..24),
     ) {
         prop_assert_eq!(run_with_reads(&ops, true), run_with_reads(&ops, false));
     }
@@ -230,31 +228,8 @@ fn stress_reader_writer_storm() {
         .unwrap_or(4);
     let mut total = 0u64;
     for iter in 0..iters {
-        let mut rng = SmallRng::seed_from_u64(0x57AE55 + iter as u64);
-        let ops: Vec<Op> = (0..120)
-            .map(|_| match rng.gen_range(0..10) {
-                0..=2 => Op::Insert(
-                    (0..rng.gen_range(1..8))
-                        .map(|_| (rng.gen_range(0..PARTS), rng.gen_range(0..VAL_POOL)))
-                        .collect(),
-                ),
-                3..=5 => Op::Modify {
-                    pid: rng.gen_range(0..PARTS),
-                    rid_seeds: (0..rng.gen_range(1..12))
-                        .map(|_| rng.gen_range(0..u32::MAX))
-                        .collect(),
-                    val_seeds: (0..6).map(|_| rng.gen_range(0..VAL_POOL)).collect(),
-                },
-                6 => Op::Delete {
-                    pid: rng.gen_range(0..PARTS),
-                    rid_seeds: (0..rng.gen_range(1..6))
-                        .map(|_| rng.gen_range(0..u32::MAX))
-                        .collect(),
-                },
-                7 => Op::Recompute(rng.gen_range(0..=u8::MAX)),
-                _ => Op::Publish,
-            })
-            .collect();
+        let storm = format!("stress_reader_writer_storm/{iter}");
+        let ops = seeded_steps(Pool::per_partition(), CHURN, &storm, 120);
         total += run_stream(&ops, threads);
     }
     assert!(total > 0, "stress readers must have verified snapshots");
@@ -268,24 +243,7 @@ fn advisor_steps_through_the_writer() {
     use pi_advisor::{Advisor, AdvisorConfig};
     // Unique values: the sampled NUC match fraction is 1.0, so reader
     // query evidence alone decides whether the create rule fires.
-    let mut t = Table::new(
-        "adv",
-        Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("v", DataType::Int),
-        ]),
-        PARTS,
-        Partitioning::KeyRange {
-            col: 0,
-            boundaries: vec![1000, 2000],
-        },
-    );
-    for pid in 0..PARTS {
-        let keys: Vec<i64> = (0..200).map(|i| pid as i64 * 1000 + i).collect();
-        let vals: Vec<i64> = (0..200).map(|i| pid as i64 * 10_000 + i * 7).collect();
-        t.load_partition(pid, &[ColumnData::Int(keys), ColumnData::Int(vals)]);
-    }
-    t.propagate_all();
+    let t = banded_table(200, |p, i| p * 10_000 + i * 7);
     let it = IndexedTable::new(t);
     let (handle, mut writer) = ConcurrentTable::new(it);
     let mut advisor = Advisor::new(AdvisorConfig {

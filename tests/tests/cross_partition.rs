@@ -12,35 +12,20 @@
 //! index-free replay.
 
 use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable};
+use pi_integration::{kv_table, seeded_steps, steps, Applier, Pool, Step, GROWTH};
 use pi_planner::{execute_count, rewrite, Plan, QueryEngine, NO_INDEXES};
-use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
+use pi_storage::{Partitioning, Table, Value};
 use proptest::prelude::*;
 
 /// A table whose value column is loaded verbatim per partition (the
 /// create-time discovery path); keys are globally unique.
 fn table_of(parts: &[Vec<i64>]) -> Table {
-    let mut t = Table::new(
-        "xp",
-        Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("v", DataType::Int),
-        ]),
-        parts.len(),
-        Partitioning::RoundRobin,
-    );
-    let mut key = 0i64;
-    for (pid, vals) in parts.iter().enumerate() {
-        let keys: Vec<i64> = vals
-            .iter()
-            .map(|_| {
-                key += 1;
-                key
-            })
-            .collect();
-        t.load_partition(pid, &[ColumnData::Int(keys), ColumnData::Int(vals.clone())]);
-    }
-    t.propagate_all();
-    t
+    let mut keys = 1i64..;
+    let parts = parts.iter().map(|vals| {
+        let keys = keys.by_ref().take(vals.len()).collect();
+        (keys, vals.clone())
+    });
+    kv_table(Partitioning::RoundRobin, parts.collect())
 }
 
 fn distinct_plan() -> Plan {
@@ -95,24 +80,10 @@ fn recompute_rediscovers_cross_partition_pools() {
     assert_eq!(execute_count(&chosen, it.table(), it.indexes()), reference);
 }
 
-#[derive(Debug, Clone)]
-enum XOp {
-    /// Insert rows whose values are drawn from a tiny pool, so RoundRobin
-    /// routing scatters duplicates across partitions.
-    Insert(Vec<i64>),
-    Recompute,
-    /// Publish an epoch (nothing on the owner path, which has no epochs).
-    Publish,
-}
-
-fn xop() -> impl Strategy<Value = XOp> {
-    prop_oneof![
-        proptest::collection::vec(-8i64..8, 1..6).prop_map(XOp::Insert),
-        proptest::collection::vec(-8i64..8, 1..6).prop_map(XOp::Insert),
-        proptest::collection::vec(-8i64..8, 1..6).prop_map(XOp::Insert),
-        Just(XOp::Recompute),
-        Just(XOp::Publish),
-    ]
+/// Inserts from a tiny pool, so RoundRobin routing scatters duplicates
+/// across partitions, with recomputes and publishes.
+fn xop() -> impl Strategy<Value = Step> {
+    steps(Pool::shared(-8..8), GROWTH)
 }
 
 /// Seed partitions containing a straddling pool (0 in partitions 0 and
@@ -121,30 +92,14 @@ fn seed_parts() -> Vec<Vec<i64>> {
     vec![vec![0, 1, 2], vec![3, 4], vec![5, 6, 0]]
 }
 
-fn rows_for(vals: &[i64], next_key: &mut i64) -> Vec<Vec<Value>> {
-    vals.iter()
-        .map(|&v| {
-            *next_key += 1;
-            vec![Value::Int(*next_key), Value::Int(v)]
-        })
-        .collect()
-}
-
 /// Drives one op stream through an owner-path [`IndexedTable`], checking
 /// the facade against the index-free replay after every op.
-fn run_owner(ops: &[XOp], design: Design) {
+fn run_owner(ops: &[Step], design: Design) {
     let mut it = IndexedTable::new(table_of(&seed_parts()));
     let slot = it.add_index(1, Constraint::NearlyUnique, design);
     let plan = distinct_plan();
-    let mut next_key = 1_000i64;
     for op in ops {
-        match op {
-            XOp::Insert(vals) => {
-                it.insert(&rows_for(vals, &mut next_key));
-            }
-            XOp::Recompute => it.recompute_index(slot),
-            XOp::Publish => {}
-        }
+        it.step(op).unwrap();
         let reference = execute_count(&plan, it.table(), NO_INDEXES);
         assert_eq!(it.query_count(&plan), reference, "ops: {ops:?}");
     }
@@ -158,27 +113,16 @@ fn run_owner(ops: &[XOp], design: Design) {
 /// The same stream through the snapshot path: the writer mutates and
 /// recomputes, publishing after every second insert and at every
 /// `Publish`; readers pull snapshots and must stay exact at every epoch.
-fn run_concurrent(ops: &[XOp], design: Design) {
+fn run_concurrent(ops: &[Step], design: Design) {
     let it = IndexedTable::new(table_of(&seed_parts()));
     let (handle, mut writer) = ConcurrentTable::new(it);
     let slot = writer.add_index(1, Constraint::NearlyUnique, design);
     let plan = distinct_plan();
-    let mut next_key = 10_000i64;
     let mut unpublished_inserts = 0;
     for op in ops {
-        let publish_now = match op {
-            XOp::Insert(vals) => {
-                writer.insert(&rows_for(vals, &mut next_key));
-                unpublished_inserts += 1;
-                unpublished_inserts == 2
-            }
-            XOp::Recompute => {
-                writer.recompute_index(slot);
-                false
-            }
-            XOp::Publish => true,
-        };
-        if publish_now {
+        writer.step(op).unwrap();
+        unpublished_inserts += matches!(op, Step::Insert(_)) as u32;
+        if unpublished_inserts == 2 || matches!(op, Step::Publish) {
             writer.publish();
             unpublished_inserts = 0;
         }
@@ -226,24 +170,13 @@ proptest! {
 /// random streams through every configuration.
 #[test]
 fn stress_cross_partition_recompute() {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
     let iters: usize = std::env::var("PI_XPART_ITERS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
-    let mut rng = SmallRng::seed_from_u64(0x0C0FFEE);
-    for _ in 0..iters {
-        let ops: Vec<XOp> = (0..rng.gen_range(8..24))
-            .map(|_| match rng.gen_range(0..7) {
-                0 => XOp::Recompute,
-                1 | 2 => XOp::Publish,
-                _ => {
-                    let n = rng.gen_range(1..8);
-                    XOp::Insert((0..n).map(|_| rng.gen_range(-10i64..10)).collect())
-                }
-            })
-            .collect();
+    for iter in 0..iters {
+        let lane = format!("stress_cross_partition_recompute/{iter}");
+        let ops = seeded_steps(Pool::shared(-10..10), GROWTH, &lane, 24);
         for design in [Design::Bitmap, Design::Identifier] {
             run_owner(&ops, design);
             run_concurrent(&ops, design);

@@ -17,147 +17,38 @@
 use std::io;
 use std::sync::Arc;
 
-use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir, Statement};
+use patchindex::{IndexedTable, MaintenancePolicy};
 use pi_durability::{state_image, DurableOptions, DurableWriter, SyncPolicy};
+use pi_integration::{kv_table, seeded_steps, Applier, Pool, Step, DDL};
 use pi_storage::dfs::{DurableFs, SimFs};
-use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
+use pi_storage::Partitioning;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 const PARTS: usize = 3;
 const DIR: &str = "/db";
 
-/// One workload statement. Partition/slot choices are seeds resolved
-/// against the live state at apply time, so a statement stream replays
-/// deterministically from any prefix.
-#[derive(Debug, Clone)]
-enum Stmt {
-    Insert(Vec<i64>),
-    Modify {
-        pid: usize,
-        rid_seeds: Vec<u32>,
-        value: i64,
-    },
-    Delete {
-        pid: usize,
-        rid_seeds: Vec<u32>,
-    },
-    AddIndex {
-        kind: u8,
-    },
-    DropIndex {
-        seed: usize,
-    },
-    Recompute {
-        seed: usize,
-    },
-    Publish,
-}
-
 fn fresh() -> IndexedTable {
-    let mut t = Table::new(
-        "crash",
-        Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("v", DataType::Int),
-        ]),
-        PARTS,
-        Partitioning::RoundRobin,
-    );
-    for pid in 0..PARTS {
-        let base = pid as i64 * 100;
-        t.load_partition(
-            pid,
-            &[
-                ColumnData::Int(vec![base, base + 1, base + 2, base + 3]),
-                ColumnData::Int(vec![base, base, base + 7, base + 9]),
-            ],
-        );
-    }
-    t.propagate_all();
-    IndexedTable::new(t)
+    let parts = (0..PARTS as i64).map(|p| {
+        let base = p * 100;
+        (
+            vec![base, base + 1, base + 2, base + 3],
+            vec![base, base, base + 7, base + 9],
+        )
+    });
+    IndexedTable::new(kv_table(Partitioning::RoundRobin, parts.collect()))
 }
 
-fn index_kind(kind: u8) -> (usize, Constraint, Design) {
-    match kind % 5 {
-        0 => (1, Constraint::NearlyUnique, Design::Bitmap),
-        1 => (1, Constraint::NearlyUnique, Design::Identifier),
-        2 => (0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap),
-        3 => (
-            0,
-            Constraint::NearlySorted(SortDir::Desc),
-            Design::Identifier,
-        ),
-        _ => (1, Constraint::NearlyConstant, Design::Bitmap),
+/// Applies one step; returns whether it was a successful publish. An
+/// `Err` means the statement was neither logged nor applied.
+fn apply(dw: &mut DurableWriter, step: &Step) -> io::Result<bool> {
+    if let Step::Publish = step {
+        dw.publish()?;
+        return Ok(true);
     }
-}
-
-/// Applies one statement; returns whether it was a successful publish.
-/// An `Err` means the statement was neither logged nor applied.
-fn apply(dw: &mut DurableWriter, stmt: &Stmt) -> io::Result<bool> {
-    let nidx = dw.staging().indexes().len();
-    let resolved = match stmt {
-        Stmt::Insert(values) => {
-            // Keys derive from the statement counter: deterministic
-            // across the reference run, fused reruns and WAL replay.
-            let base = 100_000 + dw.staging().statements() as i64 * 100;
-            Statement::Insert(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| vec![Value::Int(base + i as i64), Value::Int(v)])
-                    .collect(),
-            )
-        }
-        Stmt::Modify {
-            pid,
-            rid_seeds,
-            value,
-        } => {
-            let pid = pid % PARTS;
-            let len = dw.staging().table().partition(pid).visible_len();
-            if len == 0 {
-                return Ok(false);
-            }
-            let mut rids: Vec<usize> = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            rids.sort_unstable();
-            rids.dedup();
-            let values = vec![Value::Int(*value); rids.len()];
-            Statement::Modify {
-                pid,
-                rids,
-                col: 1,
-                values,
-            }
-        }
-        Stmt::Delete { pid, rid_seeds } => {
-            let pid = pid % PARTS;
-            let len = dw.staging().table().partition(pid).visible_len();
-            if len == 0 {
-                return Ok(false);
-            }
-            let rids = rid_seeds.iter().map(|&s| s as usize % len).collect();
-            Statement::Delete { pid, rids }
-        }
-        Stmt::AddIndex { .. } if nidx >= 4 => return Ok(false),
-        Stmt::DropIndex { .. } | Stmt::Recompute { .. } if nidx == 0 => return Ok(false),
-        Stmt::AddIndex { kind } => {
-            let (col, constraint, design) = index_kind(*kind);
-            Statement::AddIndex {
-                col,
-                constraint,
-                design,
-            }
-        }
-        Stmt::DropIndex { seed } => Statement::DropIndex { slot: seed % nidx },
-        Stmt::Recompute { seed } => Statement::Recompute { slot: seed % nidx },
-        Stmt::Publish => {
-            dw.publish()?;
-            return Ok(true);
-        }
-    };
-    dw.apply(resolved)?;
+    dw.step(step)?;
     Ok(false)
 }
 
@@ -173,7 +64,7 @@ struct Run {
 /// Creates a durable table and pushes the statement stream through it,
 /// stopping at the first IO error, snapshotting the state image at each
 /// successful publish.
-fn drive(fs: Arc<SimFs>, stmts: &[Stmt], opts: DurableOptions) -> Run {
+fn drive(fs: Arc<SimFs>, stmts: &[Step], opts: DurableOptions) -> Run {
     let dyn_fs: Arc<dyn DurableFs> = fs;
     let (_handle, mut dw) = match DurableWriter::create(fresh(), dyn_fs, DIR, opts) {
         Ok(pair) => pair,
@@ -215,7 +106,7 @@ fn opts_for(sync: SyncPolicy) -> DurableOptions {
 
 /// The exhaustive sweep: crash at every `stride`-th IO boundary of the
 /// workload and check the recovery property at each.
-fn crash_sweep(stmts: &[Stmt], sync: SyncPolicy, stride: u64) {
+fn crash_sweep(stmts: &[Step], sync: SyncPolicy, stride: u64) {
     let opts = opts_for(sync);
     let reference_fs = Arc::new(SimFs::new());
     let reference = drive(reference_fs.clone(), stmts, opts);
@@ -269,43 +160,20 @@ fn crash_sweep(stmts: &[Stmt], sync: SyncPolicy, stride: u64) {
     }
 }
 
-/// Deterministic statement stream shared by the exhaustive sweeps.
-fn stream(seed: u64, len: usize) -> Vec<Stmt> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut out = vec![
-        Stmt::AddIndex { kind: 0 },
-        Stmt::AddIndex { kind: 2 },
-        Stmt::Publish,
-    ];
-    for _ in 0..len {
-        out.push(match rng.gen_range(0..13) {
-            0..=3 => Stmt::Insert(
-                (0..rng.gen_range(1..5))
-                    .map(|_| rng.gen_range(-50i64..50))
-                    .collect(),
-            ),
-            4 | 5 => Stmt::Modify {
-                pid: rng.gen_range(0..PARTS),
-                rid_seeds: (0..rng.gen_range(1..4)).map(|_| rng.next_u32()).collect(),
-                value: rng.gen_range(-50..50),
-            },
-            6 => Stmt::Delete {
-                pid: rng.gen_range(0..PARTS),
-                rid_seeds: vec![rng.next_u32()],
-            },
-            7 => Stmt::AddIndex {
-                kind: rng.gen_range(0..5),
-            },
-            8 => Stmt::DropIndex {
-                seed: rng.next_u32() as usize,
-            },
-            9 => Stmt::Recompute {
-                seed: rng.next_u32() as usize,
-            },
-            _ => Stmt::Publish,
-        });
-    }
-    out.push(Stmt::Publish);
+/// Deterministic statement stream shared by the exhaustive sweeps: two
+/// indexes and a publish, `len` steps of every kind, a final publish.
+/// Insert keys derive from the statement counter, so they agree across
+/// the reference run, fused reruns and WAL replay.
+fn stream(seed: u64, len: usize) -> Vec<Step> {
+    let body = seeded_steps(
+        Pool::shared(-50..50),
+        DDL,
+        &format!("durability/{seed:x}"),
+        len,
+    );
+    let mut out = vec![Step::AddIndex(0), Step::AddIndex(2), Step::Publish];
+    out.extend(body);
+    out.push(Step::Publish);
     out
 }
 
@@ -393,9 +261,9 @@ fn stress_crash_recovery() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let mut rng = SmallRng::seed_from_u64(0xD0_0B1E);
+    let mut rng = TestRng::deterministic("stress_crash_recovery");
     for _ in 0..iters {
-        let stmts = stream(rng.next_u64(), rng.gen_range(18..36));
+        let stmts = stream(rng.next_u64(), 18 + rng.below(18) as usize);
         crash_sweep(&stmts, SyncPolicy::EveryRecord, 1);
         crash_sweep(&stmts, SyncPolicy::EveryPublish, 1);
     }

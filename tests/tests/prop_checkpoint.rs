@@ -9,7 +9,7 @@ use std::sync::Arc;
 use patchindex::{Constraint, Design, IndexedTable, MaintenancePolicy, SortDir};
 use pi_datagen::MicroKind;
 use pi_durability::{DurableOptions, DurableWriter};
-use pi_integration::{apply_update, micro, update_strategy};
+use pi_integration::{micro, steps, Applier, Pool, UPDATES};
 use pi_storage::dfs::{DurableFs, SimFs};
 use proptest::prelude::*;
 
@@ -33,7 +33,7 @@ proptest! {
     fn roundtrip_across_all_constraint_design_combinations(
         constraint in constraint_strategy(),
         design in design_strategy(),
-        ops in proptest::collection::vec(update_strategy(-300..300), 1..10),
+        ops in proptest::collection::vec(steps(Pool::shared(-300..300), UPDATES), 1..10),
     ) {
         let opts = DurableOptions {
             checkpoint_every: 1,
@@ -45,9 +45,8 @@ proptest! {
         let (_handle, mut dw) =
             DurableWriter::create(IndexedTable::new(ds.table), dyn_fs, "/db", opts).unwrap();
         let slot = dw.add_index(1, constraint, design).unwrap();
-        let mut next_key = 10_000i64;
         for op in &ops {
-            apply_update(&mut dw, op, &mut next_key);
+            dw.step(op).unwrap();
         }
         dw.publish().unwrap();
         let original = Arc::clone(&dw.staging().indexes()[slot]);

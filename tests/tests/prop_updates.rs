@@ -5,7 +5,7 @@
 use patchindex::{Constraint, Design, IndexedTable, SortDir};
 use pi_datagen::MicroKind;
 use pi_exec::ops::sort::SortOrder;
-use pi_integration::{apply_update, micro, update_strategy};
+use pi_integration::{micro, steps, Applier, Pool, UPDATES};
 use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::Value;
 use proptest::prelude::*;
@@ -15,14 +15,13 @@ proptest! {
 
     #[test]
     fn nuc_survives_arbitrary_update_streams(
-        ops in proptest::collection::vec(update_strategy(-500..500), 1..12),
+        ops in proptest::collection::vec(steps(Pool::shared(-500..500), UPDATES), 1..12),
     ) {
         let ds = micro(600, 0.2, MicroKind::Nuc);
         let mut it = IndexedTable::new(ds.table);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let mut next_key = 1_000_000i64;
         for op in &ops {
-            apply_update(&mut it, op, &mut next_key);
+            it.step(op).unwrap();
             it.check_consistency();
         }
         // The rewritten distinct query still matches the reference.
@@ -33,14 +32,13 @@ proptest! {
 
     #[test]
     fn nsc_survives_arbitrary_update_streams(
-        ops in proptest::collection::vec(update_strategy(-500..500), 1..12),
+        ops in proptest::collection::vec(steps(Pool::shared(-500..500), UPDATES), 1..12),
     ) {
         let ds = micro(600, 0.2, MicroKind::Nsc);
         let mut it = IndexedTable::new(ds.table);
         it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Identifier);
-        let mut next_key = 1_000_000i64;
         for op in &ops {
-            apply_update(&mut it, op, &mut next_key);
+            it.step(op).unwrap();
             it.check_consistency();
         }
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
@@ -51,7 +49,7 @@ proptest! {
 
     #[test]
     fn ncc_survives_arbitrary_update_streams(
-        ops in proptest::collection::vec(update_strategy(-500..500), 1..10),
+        ops in proptest::collection::vec(steps(Pool::shared(-500..500), UPDATES), 1..10),
     ) {
         // A mostly constant column (80% zeros via modulo trick).
         let ds = micro(400, 0.0, MicroKind::Nuc);
@@ -64,9 +62,8 @@ proptest! {
             it.modify(pid, &rids, 1, &vals);
         }
         let _slot = it.add_index(1, Constraint::NearlyConstant, Design::Bitmap);
-        let mut next_key = 2_000_000i64;
         for op in &ops {
-            apply_update(&mut it, op, &mut next_key);
+            it.step(op).unwrap();
             it.check_consistency();
         }
     }

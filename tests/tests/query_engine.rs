@@ -21,7 +21,7 @@ use patchindex::{
 use pi_datagen::{generate, MicroKind, MicroSpec};
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::Batch;
-use pi_integration::{apply_update, update_strategy};
+use pi_integration::{steps, Applier, Pool, UPDATES};
 use pi_obs::{CacheOutcome, QueryTrace};
 use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -104,7 +104,7 @@ proptest! {
         kind_nuc in any::<bool>(),
         nuc_bitmap in any::<bool>(),
         with_nsc in any::<bool>(),
-        ops in proptest::collection::vec(update_strategy(-40..40), 1..12),
+        ops in proptest::collection::vec(steps(Pool::shared(-40..40), UPDATES), 1..12),
     ) {
         let kind = if kind_nuc { MicroKind::Nuc } else { MicroKind::Nsc };
         let ds = generate(&MicroSpec::new(400, e, kind).with_partitions(partitions));
@@ -129,9 +129,8 @@ proptest! {
         }
 
         assert_queries_match(&it, "initial");
-        let mut next_key = 1_000_000i64;
         for (i, op) in ops.iter().enumerate() {
-            apply_update(&mut it, op, &mut next_key);
+            it.step(op).unwrap();
             assert_queries_match(&it, &format!("after op {i} ({op:?})"));
         }
         it.check_consistency();

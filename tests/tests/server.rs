@@ -17,15 +17,17 @@
 //! returns).
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 
 use pi_planner::{execute, NO_INDEXES};
 use pi_server::{
-    batch_rows, body_lines, canonical_rows, header, header_field, render_rows, Client, QuerySpec,
-    Server, ServerConfig,
+    batch_rows, body_lines, canonical_rows, header, header_field, read_request, render_rows,
+    Client, ErrorCode, QuerySpec, Server, ServerConfig, WireMode, MAX_FRAME_LEN,
 };
 use pi_storage::{DataType, Field, Partitioning, Schema, Table, Value};
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -322,9 +324,21 @@ fn error_codes_and_line_mode() {
     let resp = nc.request_line_mode("QUERY scan 1 | sort 0:asc").unwrap();
     assert_eq!(body_lines(&resp), vec!["10", "20"]);
 
+    // An empty line is a request of its own: it gets `ERR BadCommand`,
+    // and the line after it still gets its own response.
+    {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        raw.write_all(b"\nPING\n").unwrap();
+        let mut lines = BufReader::new(raw).lines().map(Result::unwrap);
+        let first = lines.next().unwrap();
+        assert!(first.starts_with("ERR BadCommand "), "got {first:?}");
+        assert_eq!(lines.take(3).collect::<Vec<_>>(), [".", "OK pong", "."]);
+    }
+
     // A malformed frame gets ERR BadFrame and the connection closes.
     {
-        use std::io::{Read, Write};
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(b"3x\nabc").unwrap();
         let mut buf = String::new();
@@ -475,4 +489,153 @@ fn advisor_creates_the_index_on_every_shard() {
         assert_eq!(without_epochs(resp), expect, "at watermarks {watermarks:?}");
     }
     server.shutdown();
+}
+
+/// `COUNT` fans out once and forms its count from the same results
+/// `QUERY` combines: on two shards that both hold the value 5, every
+/// spec's `count=` equals the `rows=` of its `QUERY`.
+#[test]
+fn count_matches_query_rows_across_shards() {
+    const NSHARDS: usize = 2;
+    let cfg = ServerConfig {
+        shards: NSHARDS,
+        ..ServerConfig::default()
+    };
+    let server = Server::empty(cfg, schema(), 1).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let shard_of = |k: i64| patchindex::routing::shard_of(&Value::Int(k), NSHARDS);
+    // Value 5 under a key of each shard, then distinct values around it.
+    for shard in 0..NSHARDS {
+        let k = (0..).find(|&k| shard_of(k) == shard).unwrap();
+        assert!(client
+            .request(&format!("INSERT {k},5"))
+            .unwrap()
+            .starts_with("OK "));
+    }
+    for k in 100..108 {
+        let resp = client.request(&format!("INSERT {k},{}", k % 4)).unwrap();
+        assert!(resp.starts_with("OK "), "{resp}");
+    }
+    assert!(client.request("PUBLISH").unwrap().starts_with("OK "));
+    let plan = QuerySpec::parse("scan 1").unwrap().fanout_plan();
+    for table in server.tables() {
+        let values = batch_rows(&execute(&plan, table.snapshot().table(), NO_INDEXES));
+        assert!(
+            values.contains(&vec![Value::Int(5)]),
+            "5 missing on a shard"
+        );
+    }
+
+    for spec in [
+        "scan 1 | distinct 0",
+        "scan 1 | distinct 0 | limit 2",
+        "scan 0,1 | sort 1:desc | limit 3",
+        "scan 0 | limit 4",
+    ] {
+        let count = client.request(&format!("COUNT {spec}")).unwrap();
+        let query = client.request(&format!("QUERY {spec}")).unwrap();
+        assert_eq!(
+            header_field(&count, "count"),
+            header_field(&query, "rows"),
+            "{spec}: {count} vs {query}"
+        );
+    }
+    server.shutdown();
+}
+
+/// One request the decoder must hand back verbatim, in its mode.
+fn wire_request() -> impl Strategy<Value = (WireMode, String, Vec<u8>)> {
+    const FRAGMENTS: [&str; 10] = [
+        "PING",
+        ".",
+        "QUERY scan 1 | limit 2",
+        "INSERT 1,10;2,20",
+        " ",
+        "\t",
+        "\u{e9}",
+        "\r",
+        "\n",
+        "7",
+    ];
+    let text = proptest::collection::vec(0..FRAGMENTS.len(), 0..5)
+        .prop_map(|ix| ix.iter().map(|&i| FRAGMENTS[i]).collect::<String>());
+    (any::<bool>(), any::<bool>(), text).prop_map(|(framed, crlf, mut text)| {
+        if framed {
+            let bytes = format!("{}\n{text}", text.len()).into_bytes();
+            return (WireMode::Framed, text, bytes);
+        }
+        // A line is what a human types: no newline inside, not read as a
+        // length prefix, and its own `\r` ending is the terminator's.
+        text.retain(|c| c != '\n');
+        if text.starts_with(|c: char| c.is_ascii_digit()) {
+            text.insert(0, '.');
+        }
+        if text.ends_with('\r') {
+            text.push('.');
+        }
+        let bytes = format!("{text}{}", if crlf { "\r\n" } else { "\n" }).into_bytes();
+        (WireMode::Line, text, bytes)
+    })
+}
+
+/// A stretch of hostile bytes: noise, truncated frames, overlong length
+/// prefixes, and claims up to [`MAX_FRAME_LEN`] that are never sent.
+fn wire_noise() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..24),
+        (
+            0..=MAX_FRAME_LEN,
+            proptest::collection::vec(any::<u8>(), 0..8)
+        )
+            .prop_map(|(len, sent)| [format!("{len}\n").into_bytes(), sent].concat()),
+        (100_000_000u64..u64::MAX).prop_map(|n| format!("{n}\nPING").into_bytes()),
+        proptest::collection::vec(
+            prop_oneof![Just(b'\n'), Just(b'\r'), Just(b'.'), 0xC0u8..0xFF],
+            1..6
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Well-formed framed and line requests, back to back and switching
+    // modes, decode one-to-one and in order, whatever the buffer size.
+    #[test]
+    fn decoder_splits_concatenated_requests(
+        requests in proptest::collection::vec(wire_request(), 0..8),
+        capacity in 1usize..16,
+    ) {
+        let bytes: Vec<u8> = requests.iter().flat_map(|(_, _, b)| b.clone()).collect();
+        let mut r = BufReader::with_capacity(capacity, &bytes[..]);
+        for (mode, text, _) in &requests {
+            let (got_mode, got) = read_request(&mut r).unwrap().expect("a request");
+            prop_assert_eq!(got_mode, *mode);
+            prop_assert_eq!(got.unwrap(), text.clone());
+        }
+        prop_assert!(read_request(&mut r).unwrap().is_none(), "{requests:?}");
+    }
+
+    // Arbitrary bytes never panic the decoder: every call ends in a
+    // request, a `BadFrame` (after which the server closes), or EOF.
+    #[test]
+    fn decoder_survives_arbitrary_bytes(
+        stretches in proptest::collection::vec(wire_noise(), 0..6),
+        capacity in 1usize..16,
+    ) {
+        let bytes = stretches.concat();
+        let mut r = BufReader::with_capacity(capacity, &bytes[..]);
+        for call in 0.. {
+            // Every request consumes at least one byte.
+            prop_assert!(call <= bytes.len(), "no progress over {bytes:?}");
+            match read_request(&mut r).unwrap() {
+                Some((_, Ok(_))) => {}
+                Some((_, Err(e))) => {
+                    prop_assert_eq!(e.code, ErrorCode::BadFrame);
+                    break;
+                }
+                None => break,
+            }
+        }
+    }
 }
