@@ -4,6 +4,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use patchindex::discovery::sampled_match;
 use patchindex::stats::{pi_bitmap_bytes, pi_identifier_bytes, preferred_design};
 use patchindex::{
     Constraint, Design, IndexCatalog, IndexStats, IndexedTable, PartitionStats, QueryShape,
@@ -150,7 +151,8 @@ impl AdvisorMetrics {
 /// drain the query evidence the table's sink collected since the last
 /// step, snapshot every index's error/drift state (drift counters are
 /// always exact — maintenance runs per statement) and every queried
-/// column's sampled match fractions, apply the [`decide`] rules, and
+/// column's match fractions, estimated from a strided sample of the
+/// table as it stands ([`sampled_match`]), apply the [`decide`] rules, and
 /// execute the resulting create/recompute/drop actions through the table.
 #[derive(Debug, Default)]
 pub struct Advisor {
@@ -230,9 +232,6 @@ impl Advisor {
             m.steps.inc();
         }
         let delta = it.sink().take();
-        if !it.sampling_enabled() {
-            it.enable_discovery_sampling(self.cfg.sample_cap);
-        }
         let obs = self.observe(it, delta);
         let decisions = decide(&self.cfg, &obs);
         self.act(it, decisions)
@@ -240,7 +239,7 @@ impl Advisor {
 
     /// Builds the observation: live index stats with this step's drained
     /// evidence windowed, plus creation candidates from the windowed
-    /// query counts and the reservoirs.
+    /// query counts and a strided sample of the table as it is now.
     fn observe(&mut self, it: &IndexedTable, mut delta: WorkloadDelta) -> Observation {
         let cap = self.cfg.drop_window;
         let mut indexes = Vec::new();
@@ -319,7 +318,7 @@ impl Advisor {
             }
             let best = options
                 .iter()
-                .filter_map(|&c| it.sampled_match(col, c).map(|e| (c, e)))
+                .filter_map(|&c| sampled_match(it.table(), col, c).map(|e| (c, e)))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
             let Some((constraint, sampled_e)) = best else {
                 continue;

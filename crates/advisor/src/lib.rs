@@ -12,9 +12,9 @@
 //!   maintained rows, the query evidence taken from the table's
 //!   [`patchindex::WorkloadSink`] since the last step (queries per
 //!   (column, shape), and per index how often it was bound and the
-//!   estimated cost it saved), and reservoir samples per unindexed
-//!   column scored with the real discovery code
-//!   ([`patchindex::sampling`]).
+//!   estimated cost it saved), and per queried column a strided sample
+//!   of the table, read at each step and scored with the real discovery
+//!   code ([`patchindex::discovery::sampled_match`]).
 //! * **Decide** — the explicit rules of [`policy`]: create when a
 //!   sampled candidate clears the error threshold *and* the workload
 //!   queries it; recompute when drift pushed `e` below its create-time
@@ -187,6 +187,51 @@ mod tests {
         assert!(advisor.step(&mut it).is_empty());
     }
 
+    /// The create rule scores the column as it stands at the step, not
+    /// the writes that led there: once `clean` has turned the all-pairs
+    /// column of `dirty_columns_never_clear_the_create_threshold` unique,
+    /// the next step creates the NUC index.
+    fn cleaned_column_is_created_at_the_next_step(clean: impl FnOnce(&mut IndexedTable)) {
+        let vals: Vec<i64> = (0..1_000).flat_map(|v| [v, v]).collect();
+        let mut it = table(vals, 1);
+        let mut advisor = Advisor::new(AdvisorConfig::default());
+        assert!(advisor.step(&mut it).is_empty());
+        clean(&mut it);
+        let q = Plan::scan(vec![1]).distinct(vec![0]);
+        for _ in 0..5 {
+            it.query_count(&q);
+        }
+        let actions = advisor.step(&mut it);
+        assert!(
+            matches!(
+                actions[..],
+                [AdvisorAction::Created {
+                    column: 1,
+                    constraint: Constraint::NearlyUnique,
+                    ..
+                }]
+            ),
+            "{actions:?}"
+        );
+    }
+
+    #[test]
+    fn deleting_one_row_of_every_pair_lets_the_next_step_create() {
+        cleaned_column_is_created_at_the_next_step(|it| {
+            let rids: Vec<usize> = (0..1_000).map(|i| 2 * i).collect();
+            it.delete(0, &rids);
+        });
+    }
+
+    #[test]
+    fn overwriting_every_value_uniquely_lets_the_next_step_create() {
+        cleaned_column_is_created_at_the_next_step(|it| {
+            let rids: Vec<usize> = (0..2_000).collect();
+            let values: Vec<Value> = (0..2_000).map(|v| Value::Int(10_000 + v)).collect();
+            it.modify(0, &rids, 1, &values);
+        });
+    }
+
     #[test]
     fn maybe_step_piggybacks_on_the_update_path() {
         let mut it = table((0..1_000).collect(), 2);
@@ -194,7 +239,6 @@ mod tests {
             step_every: 4,
             ..AdvisorConfig::default()
         });
-        it.enable_discovery_sampling(advisor.config().sample_cap);
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..3 {
             it.query_count(&q);

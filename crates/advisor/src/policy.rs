@@ -4,9 +4,11 @@
 //! Every rule is explicit and threshold-driven so each can be unit-tested
 //! in isolation (the tests below construct observations by hand):
 //!
-//! * **create** — a candidate column whose *sampled* match fraction
-//!   clears [`AdvisorConfig::create_threshold`] and that recent queries
-//!   hit at least [`AdvisorConfig::min_queries`] times;
+//! * **create** — a candidate column whose *sampled* match fraction (a
+//!   strided sample the advisor reads from the table at each step,
+//!   [`patchindex::discovery::sampled_match`]) clears
+//!   [`AdvisorConfig::create_threshold`] and that recent queries hit at
+//!   least [`AdvisorConfig::min_queries`] times;
 //! * **recompute** — an index whose live `e` fell more than
 //!   [`AdvisorConfig::recompute_margin`] below its create-time value
 //!   (the paper's reorganization trigger: updates eroded optimality);
@@ -40,8 +42,6 @@ pub struct AdvisorConfig {
     pub drop_window: usize,
     /// Global patch-memory budget in bytes across all indexes.
     pub memory_budget_bytes: usize,
-    /// Reservoir capacity per sampled column.
-    pub sample_cap: usize,
     /// Update statements between piggybacked advisor steps
     /// (see `Advisor::maybe_step`).
     pub step_every: u64,
@@ -55,7 +55,6 @@ impl Default for AdvisorConfig {
             recompute_margin: 0.1,
             drop_window: 4,
             memory_budget_bytes: usize::MAX,
-            sample_cap: 1024,
             step_every: 64,
         }
     }

@@ -9,8 +9,12 @@
 //! * **NSC** — the patch set is the complement of a longest sorted
 //!   subsequence (Fredman's algorithm), the minimal set whose exclusion
 //!   leaves the column sorted.
+//!
+//! Full discovery is what index creation runs; [`sampled_match`] runs it
+//! on a strided sample of the table, the estimate the advisor creates
+//! indexes from.
 
-use pi_storage::{ColumnData, Partition};
+use pi_storage::{ColumnData, DataType, Partition, Table};
 
 use crate::constraint::{Constraint, SortDir};
 use crate::lis;
@@ -173,6 +177,45 @@ pub fn constraint_match_fraction(values: &[i64], constraint: Constraint) -> f64 
     1.0 - r.patches.len() as f64 / values.len() as f64
 }
 
+/// [`sampled_match`]'s stride is `visible_len / SAMPLE_ROWS` (at least
+/// 1), so a column of at least this many rows yields between 1 024 and
+/// about 2 048 sampled values.
+const SAMPLE_ROWS: usize = 1024;
+
+/// Estimated match fraction of `constraint` on `col`, read from the
+/// table as it is now: every `max(1, visible_len / 1024)`-th visible row
+/// of each partition, in row order (NSC needs the order). `None` for a
+/// column that is not `Int`.
+///
+/// Every constraint is partition-local (per-partition patch sets, sorted
+/// runs and constants), so each partition's sample is scored on its own
+/// and the scores are weighted by sample size: pooling the partitions
+/// would count cross-partition repeats as NUC violations and interleaved
+/// key ranges as NSC violations that discovery never reports. An empty
+/// column scores 1.0. The estimate holds no state and draws no random
+/// numbers: equal tables estimate equally.
+pub fn sampled_match(table: &Table, col: usize, constraint: Constraint) -> Option<f64> {
+    if table.schema().field(col).dtype != DataType::Int {
+        return None;
+    }
+    let stride = (table.visible_len() / SAMPLE_ROWS).max(1);
+    let (mut weighted, mut sampled) = (0.0, 0);
+    for partition in table.partitions() {
+        let rids: Vec<usize> = (0..partition.visible_len()).step_by(stride).collect();
+        if rids.is_empty() {
+            continue;
+        }
+        let values = crate::maintenance::gather_values(partition, col, &rids);
+        weighted += constraint_match_fraction(&values, constraint) * values.len() as f64;
+        sampled += values.len();
+    }
+    Some(if sampled == 0 {
+        1.0
+    } else {
+        weighted / sampled as f64
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +272,53 @@ mod tests {
             constraint_match_fraction(&[], Constraint::NearlyUnique),
             1.0
         );
+    }
+
+    /// A one-column Int table, one partition per entry of `parts`.
+    fn int_table(parts: &[Vec<i64>]) -> Table {
+        use pi_storage::{Field, Partitioning, Schema};
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![Field::new("v", DataType::Int)]),
+            parts.len(),
+            Partitioning::RoundRobin,
+        );
+        for (pid, vals) in parts.iter().enumerate() {
+            t.load_partition(pid, &[ColumnData::Int(vals.clone())]);
+        }
+        t.propagate_all();
+        t
+    }
+
+    /// Partition-local scoring: each partition perfectly sorted but key
+    /// ranges interleaved (RoundRobin-style) — per-partition discovery
+    /// finds zero patches, and so must the estimate. The same values
+    /// pooled across partitions would score ~0.5.
+    #[test]
+    fn sampled_match_scores_interleaved_partitions_partition_locally() {
+        let t = int_table(&[
+            (0..2_500).map(|i| 2 * i).collect(),
+            (0..2_500).map(|i| 2 * i + 1).collect(),
+        ]);
+        let est = sampled_match(&t, 0, Constraint::NearlySorted(SortDir::Asc)).unwrap();
+        assert!(
+            (est - 1.0).abs() < 1e-12,
+            "per-partition sorted must score 1.0, got {est}"
+        );
+        // NUC across partitions: a value living in both partitions is
+        // *not* a partition-local duplicate.
+        let t = int_table(&[(0..2_000).collect(), (0..2_000).collect()]);
+        let est = sampled_match(&t, 0, Constraint::NearlyUnique).unwrap();
+        assert!(
+            (est - 1.0).abs() < 1e-12,
+            "cross-partition repeats are unique, got {est}"
+        );
+    }
+
+    #[test]
+    fn sampled_match_scores_an_empty_column_as_a_perfect_match() {
+        let t = int_table(&[vec![], vec![]]);
+        assert_eq!(sampled_match(&t, 0, Constraint::NearlyConstant), Some(1.0));
     }
 
     #[test]

@@ -9,12 +9,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pi_storage::{DataType, RowAddr, Table, Value};
+use pi_storage::{RowAddr, Table, Value};
 
 use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
-use crate::sampling::Reservoir;
 use crate::snapshot::WorkloadSink;
 use crate::statement::Statement;
 
@@ -47,10 +46,6 @@ pub enum QueryShape {
 pub struct IndexedTable {
     table: Table,
     indexes: Vec<Arc<PatchIndex>>,
-    /// One reservoir per Int column while discovery sampling is enabled
-    /// (indexed columns keep sampling too — cheap, and the index may be
-    /// dropped later).
-    samplers: Vec<Option<Reservoir>>,
     /// The catalog (with the NUC distinct-patch pass), filled by the first
     /// query or publish that needs it and dropped by every mutation, so
     /// it is re-hashed once per mutation, not per query.
@@ -67,7 +62,6 @@ impl IndexedTable {
         IndexedTable {
             table,
             indexes: Vec::new(),
-            samplers: Vec::new(),
             catalog_cache: OnceLock::new(),
             sink: Arc::default(),
             statements: 0,
@@ -79,8 +73,6 @@ impl IndexedTable {
     /// statement counter (the advisor's piggyback cadence must resume
     /// where the crashed process stopped, not restart from zero). The
     /// workload sink starts empty, like the advisor that reads it.
-    /// Discovery sampling restarts disabled; re-enable it after recovery
-    /// if the workload uses it.
     pub fn with_restored_indexes(
         table: Table,
         indexes: Vec<Arc<PatchIndex>>,
@@ -95,7 +87,6 @@ impl IndexedTable {
         IndexedTable {
             table,
             indexes,
-            samplers: Vec::new(),
             catalog_cache: OnceLock::new(),
             sink: Arc::default(),
             statements,
@@ -178,87 +169,11 @@ impl IndexedTable {
         &self.sink
     }
 
-    /// Starts reservoir-sampling every Int column at `cap` values per
-    /// column, seeding each reservoir with a strided pass over the
-    /// current data (O(cap) per column, not a scan). From here on every
-    /// insert/modify feeds the affected columns' reservoirs, giving the
-    /// advisor a standing estimate of each column's constraint match
-    /// fractions via [`IndexedTable::sampled_match`].
-    pub fn enable_discovery_sampling(&mut self, cap: usize) {
-        let ncols = self.table.schema().len();
-        let int_cols: Vec<usize> = (0..ncols)
-            .filter(|&c| self.table.schema().fields()[c].dtype == DataType::Int)
-            .collect();
-        self.samplers = (0..ncols).map(|_| None).collect();
-        for col in int_cols {
-            let mut r = Reservoir::new(cap, 0x5EED ^ ((col as u64) << 8));
-            // Strided seeding: up to `cap` values spread evenly over the
-            // visible rows, in row order per partition (the reservoir
-            // scores partition-locally; NSC needs the order).
-            let total = self.table.visible_len();
-            if total > 0 {
-                let stride = (total / cap).max(1);
-                for pid in 0..self.table.partition_count() {
-                    let p = self.table.partition(pid);
-                    let rids: Vec<usize> = (0..p.visible_len()).step_by(stride).collect();
-                    if rids.is_empty() {
-                        continue;
-                    }
-                    for v in crate::maintenance::gather_values(p, col, &rids) {
-                        r.offer(pid, v);
-                    }
-                }
-            }
-            self.samplers[col] = Some(r);
-        }
-    }
-
-    /// Whether discovery sampling is on.
-    pub fn sampling_enabled(&self) -> bool {
-        !self.samplers.is_empty()
-    }
-
-    /// Sampled constraint-match fraction of `col`, or `None` when the
-    /// column is unsampled (sampling disabled, or not an Int column).
-    pub fn sampled_match(&self, col: usize, constraint: Constraint) -> Option<f64> {
-        self.samplers
-            .get(col)?
-            .as_ref()
-            .map(|r| r.match_fraction(constraint))
-    }
-
-    /// Feeds inserted rows to the column reservoirs, tagged with the
-    /// partition each row landed in (runs right after `insert_rows`).
-    fn sample_rows(&mut self, rows: &[Vec<Value>], addrs: &[RowAddr]) {
-        if self.samplers.is_empty() {
-            return;
-        }
-        for (row, addr) in rows.iter().zip(addrs) {
-            for (col, v) in row.iter().enumerate() {
-                if let (Some(Some(r)), Value::Int(v)) = (self.samplers.get_mut(col), v) {
-                    r.offer(addr.partition, *v);
-                }
-            }
-        }
-    }
-
-    fn sample_column(&mut self, pid: usize, col: usize, values: &[Value]) {
-        let Some(Some(r)) = self.samplers.get_mut(col) else {
-            return;
-        };
-        for v in values {
-            if let Value::Int(v) = v {
-                r.offer(pid, *v);
-            }
-        }
-    }
-
     /// Inserts rows, maintaining every index (paper, Section 5.1).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> Vec<RowAddr> {
         self.invalidate_catalog();
         self.statements += 1;
         let addrs = self.table.insert_rows(rows);
-        self.sample_rows(rows, &addrs);
         // An empty insert maintains nothing — in particular it must not
         // `make_mut` shared index versions, or a zero-change statement
         // would defeat the writer's no-op publish detection.
@@ -293,7 +208,6 @@ impl IndexedTable {
         self.statements += 1;
         // Like the empty insert: a zero-row modify re-versions nothing.
         if !rids.is_empty() {
-            self.sample_column(pid, col, values);
             self.table.modify(pid, rids, col, values);
             for idx in &mut self.indexes {
                 if idx.column() == col {
@@ -349,6 +263,7 @@ impl IndexedTable {
 mod tests {
     use super::*;
     use crate::constraint::SortDir;
+    use crate::discovery::sampled_match;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
 
     fn fresh() -> IndexedTable {
@@ -574,18 +489,19 @@ mod tests {
     #[test]
     fn discovery_sampling_estimates_column_match_fractions() {
         let mut it = fresh();
-        it.enable_discovery_sampling(64);
-        assert!(it.sampling_enabled());
         // Column 0 (k) is unique and sorted; column 1 (v) unique too.
-        assert_eq!(it.sampled_match(0, Constraint::NearlyUnique), Some(1.0));
         assert_eq!(
-            it.sampled_match(0, Constraint::NearlySorted(SortDir::Asc)),
+            sampled_match(it.table(), 0, Constraint::NearlyUnique),
             Some(1.0)
         );
-        // Feed duplicates through inserts: the estimate reacts.
+        assert_eq!(
+            sampled_match(it.table(), 0, Constraint::NearlySorted(SortDir::Asc)),
+            Some(1.0)
+        );
+        // Duplicates inserted: the estimate reacts.
         let rows: Vec<Vec<Value>> = (0..30).map(|i| row(200 + i, 7777)).collect();
         it.insert(&rows);
-        let est = it.sampled_match(1, Constraint::NearlyUnique).unwrap();
+        let est = sampled_match(it.table(), 1, Constraint::NearlyUnique).unwrap();
         assert!(
             est < 1.0,
             "duplicates must lower the NUC estimate, got {est}"
@@ -611,14 +527,11 @@ mod tests {
         t.load_partition(1, &[ColumnData::Int(vec![]), ColumnData::Int(vec![])]);
         t.propagate_all();
         let mut it = IndexedTable::new(t);
-        it.enable_discovery_sampling(128);
         let rows: Vec<Vec<Value>> = (0..500).map(|i| row(i, 2 * i)).collect();
         it.insert(&rows); // round-robin: p0 and p1 each sorted, interleaved
         assert!(it.table().partition(0).visible_len() > 0);
         assert!(it.table().partition(1).visible_len() > 0);
-        let est = it
-            .sampled_match(1, Constraint::NearlySorted(SortDir::Asc))
-            .unwrap();
+        let est = sampled_match(it.table(), 1, Constraint::NearlySorted(SortDir::Asc)).unwrap();
         assert!(
             (est - 1.0).abs() < 1e-12,
             "per-partition sorted must score 1.0, got {est}"

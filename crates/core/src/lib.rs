@@ -67,7 +67,6 @@ mod indexed;
 pub mod lis;
 mod maintenance;
 pub mod routing;
-pub mod sampling;
 pub mod scan;
 pub mod snapshot;
 mod statement;

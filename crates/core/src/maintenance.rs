@@ -49,31 +49,21 @@ pub struct MaintenanceStats {
     pub maintained_rows: u64,
 }
 
-/// Candidate row ranges for probing values in `env`: zone-map pruning over
-/// base data plus the full append buffer — the receiving end of dynamic
-/// range propagation (paper, Figure 5: "scanning the full table is reduced
-/// to only the blocks that contain potential join partners").
+/// Candidate row ranges for probing values in `env` — the receiving end
+/// of dynamic range propagation (paper, Figure 5: "scanning the full
+/// table is reduced to only the blocks that contain potential join
+/// partners"): [`Partition::candidate_ranges`], zone-map pruning over
+/// base data plus the full append buffer; the whole partition where that
+/// cannot prune (pending shifts or modifies, a column that is not
+/// int-backed); nothing for an empty build side.
 #[allow(clippy::single_range_in_vec_init)]
 pub fn drp_ranges(partition: &Partition, col: usize, env: Option<(i64, i64)>) -> Vec<Range<usize>> {
     let Some((lo, hi)) = env else {
         return Vec::new();
     };
-    let delta = partition.delta();
-    if delta.has_positional_shifts() || delta.has_modifies() {
-        return vec![0..partition.visible_len()];
-    }
-    match partition.zonemap_if_built(col) {
-        Some(zm) => {
-            let mut ranges = zm.candidate_ranges(lo, hi);
-            let append_len = delta.append_len();
-            if append_len > 0 {
-                let start = delta.base_visible_len();
-                ranges.push(start..start + append_len);
-            }
-            ranges
-        }
-        None => vec![0..partition.visible_len()],
-    }
+    partition
+        .candidate_ranges(col, lo, hi)
+        .unwrap_or_else(|| vec![0..partition.visible_len()])
 }
 
 /// Materializes the `[value, pid, rid]` build batch of the collision join
@@ -183,29 +173,16 @@ fn nuc_collision_probe(
     hits
 }
 
-/// Ensures zone maps exist on every prunable partition (the DRP receiver).
-fn prepare_zonemaps(table: &Table, col: usize) {
-    for pid in 0..table.partition_count() {
-        // Zone-map building is a `&self` cache fill on the partition, so
-        // this never copies a partition that live snapshots share.
-        let p = table.partition(pid);
-        if !p.delta().has_positional_shifts() && !p.delta().has_modifies() {
-            p.zonemap(col);
-        }
-    }
-}
-
 impl PatchIndex {
     /// The NUC collision round for the `changed` tuples of one statement:
-    /// zone maps prepared, build batch hashed once, partition probes
-    /// fanned out, and every colliding row — on either side of the join —
-    /// merged into its partition's patch store.
+    /// build batch hashed once, partition probes fanned out, and every
+    /// colliding row — on either side of the join — merged into its
+    /// partition's patch store.
     fn nuc_round(&mut self, table: &Table, changed: &[(usize, usize)]) {
         if changed.is_empty() {
             return;
         }
         let col = self.column();
-        prepare_zonemaps(table, col);
         let build_batch = build_changed_batch(table, col, changed);
         let mut stats = self.maintenance_stats();
         let hits = nuc_collision_probe(table, col, build_batch, &mut stats);
@@ -702,7 +679,6 @@ mod tests {
             let mut seq_idx = PatchIndex::create(&seq_t, 1, Constraint::NearlyUnique, design);
             let mut seq_stats = MaintenanceStats::default();
             let mut reference = |t: &Table, idx: &mut PatchIndex, changed: &[(usize, usize)]| {
-                prepare_zonemaps(t, 1);
                 let batch = build_changed_batch(t, 1, changed);
                 for (pid, rid) in nuc_collisions_sequential(t, 1, batch, &mut seq_stats) {
                     idx.partition_mut(pid).store.add_patches(&[rid as u64]);

@@ -32,11 +32,9 @@
 #![warn(missing_docs)]
 
 mod registry;
-mod scope;
 mod trace;
 
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSnapshot, MetricsRegistry,
 };
-pub use scope::ScopedRegistry;
 pub use trace::{fmt_nanos, CacheOutcome, OperatorTrace, PlannerTrace, QueryTrace};

@@ -100,7 +100,6 @@ impl Server {
                     id,
                     table,
                     registry: Arc::clone(&shard_registries[id]),
-                    server_scope: registry.scoped(&format!("shard{id}")),
                     queue_capacity: cfg.queue_capacity,
                     publish_every: cfg.publish_every,
                     cache_budget_bytes: cfg.cache_budget_bytes,
@@ -176,7 +175,10 @@ impl Server {
     }
 
     /// The server-level metrics registry (connection/request counters,
-    /// query latency histogram, per-shard `shard<N>.*` queue metrics).
+    /// query latency histogram). Each shard's queue and statement
+    /// metrics live in that shard's registry
+    /// ([`ConcurrentTable::metrics`]), which `METRICS` serves under
+    /// `"shards"`.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.inner.registry
     }

@@ -24,7 +24,7 @@ use patchindex::{
     ConcurrentTable, IndexedTable, ResultCache, Statement, TableSnapshot, TableWriter,
 };
 use pi_advisor::{split_budget, Advisor, AdvisorConfig};
-use pi_obs::{Gauge, MetricsRegistry, ScopedRegistry};
+use pi_obs::{Gauge, MetricsRegistry};
 
 use crate::protocol::{ErrorCode, ServerError};
 
@@ -69,7 +69,6 @@ pub(crate) struct ShardSpawn {
     pub id: usize,
     pub table: IndexedTable,
     pub registry: Arc<MetricsRegistry>,
-    pub server_scope: ScopedRegistry,
     pub queue_capacity: usize,
     pub publish_every: u64,
     pub cache_budget_bytes: usize,
@@ -88,9 +87,9 @@ impl Shard {
             ConcurrentTable::with_observability(spec.table, cache, Arc::clone(&spec.registry));
         let applied = Arc::new(Mutex::new((table.epoch(), 0)));
         let (tx, rx) = mpsc::sync_channel(spec.queue_capacity);
-        let queue_depth = spec.server_scope.gauge("queue.depth");
-        let statements = spec.server_scope.counter("statements");
-        let statements_refused = spec.server_scope.counter("statements_refused");
+        let queue_depth = spec.registry.gauge("queue.depth");
+        let statements = spec.registry.counter("statements");
+        let statements_refused = spec.registry.counter("statements_refused");
         let advisor = (spec.advise_every > 0).then(|| {
             Advisor::with_metrics(
                 AdvisorConfig {

@@ -3,9 +3,10 @@
 //! the email column is *nearly* unique — duplicates exist because the same
 //! person appears in multiple sources.
 //!
-//! Shows: the advisor auto-creating the NUC index from query-log plus
-//! reservoir-sample evidence, the rewritten DISTINCT query, trickle
-//! inserts with collision detection via dynamic range propagation, the
+//! Shows: the advisor auto-creating the NUC index from query-log
+//! evidence plus a strided sample it reads from the table at its step,
+//! the rewritten DISTINCT query, trickle inserts with collision
+//! detection via dynamic range propagation, the
 //! per-index error `e` and drift-rate monitoring behind the advisor's
 //! decisions, the observability surface (an EXPLAIN ANALYZE trace of
 //! the rewritten query plus a metrics-registry dump), and the

@@ -239,7 +239,6 @@ fn piggybacked_advisor_runs_the_lifecycle_hands_free() {
         ..config()
     });
     let mut it = IndexedTable::new(spec.base_table());
-    it.enable_discovery_sampling(advisor.config().sample_cap);
     let mut actions = Vec::new();
     let q = workload_query();
     for phase in spec.phases() {

@@ -1,8 +1,8 @@
 //! Edge-case coverage for PatchIndex update handling: empty tables,
 //! degenerate exception rates (every row a patch), single- vs
-//! multi-partition agreement under identical logical content, and NUC
+//! multi-partition agreement under identical logical content, NUC
 //! statements whose collisions hinge on statement order (repeated
-//! rowIDs, values held only transiently).
+//! rowIDs, values held only transiently), and NUC on a `Str` column.
 
 use patchindex::{Constraint, Design, IndexCatalog, IndexedTable, PatchIndex, SortDir};
 use pi_datagen::{generate, MicroKind, MicroSpec};
@@ -377,5 +377,35 @@ fn inserted_then_modified_value_collides_only_with_what_was_there() {
                 "{ctx}"
             );
         }
+    }
+}
+
+/// NUC on a `Str` column: a column without a zone map cannot be pruned,
+/// so the collision probe scans the whole partition and finds the
+/// duplicate by dictionary code.
+#[test]
+fn nuc_on_a_str_column_patches_an_inserted_duplicate() {
+    for design in [Design::Bitmap, Design::Identifier] {
+        let mut t = Table::new(
+            "edge",
+            Schema::new(vec![
+                Field::new("key", DataType::Int),
+                Field::new("name", DataType::Str),
+            ]),
+            1,
+            Partitioning::RoundRobin,
+        );
+        let names = t.encode_strings(1, &["a", "b", "c"]);
+        t.load_partition(0, &[ColumnData::Int(vec![0, 1, 2]), names]);
+        t.propagate_all();
+        let mut it = IndexedTable::new(t);
+        it.add_index(1, Constraint::NearlyUnique, design);
+        let row = |k: i64, name: &str| vec![Value::Int(k), Value::Str(name.into())];
+        it.insert(&[row(3, "b")]);
+        it.check_consistency();
+        assert_eq!(it.index(0).exception_count(), 2, "{design:?}");
+        it.insert(&[row(4, "d")]);
+        it.check_consistency();
+        assert_eq!(it.index(0).exception_count(), 2, "{design:?}");
     }
 }

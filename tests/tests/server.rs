@@ -402,10 +402,8 @@ fn stale_row_id_is_refused_at_apply_without_killing_the_writer() {
     assert_eq!(header_field(&resp, "count"), Some("2"));
     // The watermark moved past the refused statement too.
     assert_eq!(parse_epoch_seqs(&resp, 1), vec![3]);
-    assert_eq!(
-        server.registry().counter("shard0.statements_refused").get(),
-        1
-    );
+    let shard_metrics = server.tables()[0].metrics().expect("shard registry");
+    assert_eq!(shard_metrics.counter("statements_refused").get(), 1);
 
     // The writer is alive: later writes still apply.
     let resp = client.request("INSERT 4,40").unwrap();
