@@ -95,13 +95,6 @@ fn build_changed_batch(table: &Table, col: usize, changed: &[(usize, usize)]) ->
     ])
 }
 
-/// Statements smaller than this probe the partitions inline on the
-/// calling thread: spawning one worker per partition does not amortize
-/// for near-empty DRP-pruned probes (the same small-work rule the bulk
-/// delete applies — paper, Figure 6). The build side is still hashed
-/// exactly once either way.
-const INLINE_PROBE_BUILD_ROWS: usize = 64;
-
 /// Runs the NUC collision query of Figure 5 with a **build-once** shared
 /// hash table: the `[value, pid, rid]` build batch is hashed exactly once,
 /// then every partition is probed in parallel with its scan restricted by
@@ -122,7 +115,6 @@ fn nuc_collision_probe(
     build_batch: Batch,
     stats: &mut MaintenanceStats,
 ) -> Vec<Vec<u64>> {
-    let inline = build_batch.len() < INLINE_PROBE_BUILD_ROWS;
     let shared = JoinTable::from_batch(build_batch, 0);
     stats.collision_rounds += 1;
     stats.build_invocations += 1;
@@ -157,12 +149,8 @@ fn nuc_collision_probe(
         build_hits.dedup();
         (probe_hits, build_hits)
     };
-    let per_part: Vec<_> = if inline {
-        table.partitions().iter().map(|p| worker(p)).collect()
-    } else {
-        per_partition(table, worker)
-    };
-    let (mut hits, build_hits): (Vec<Vec<u64>>, Vec<_>) = per_part.into_iter().unzip();
+    let (mut hits, build_hits): (Vec<Vec<u64>>, Vec<_>) =
+        per_partition(table, worker).into_iter().unzip();
     for (pid, rid) in build_hits.into_iter().flatten() {
         hits[pid].push(rid);
     }
@@ -636,12 +624,12 @@ mod tests {
             ((z ^ (z >> 31)) % n as u64) as usize
         }
 
-        /// A statement size under [`INLINE_PROBE_BUILD_ROWS`] (probed
-        /// inline) or at least it (fanned out), as `fan_out` says.
-        fn size(&mut self, fan_out: bool, max: usize) -> usize {
-            match fan_out {
-                false => 1 + self.below(INLINE_PROBE_BUILD_ROWS - 1),
-                true => INLINE_PROBE_BUILD_ROWS + self.below(max - INLINE_PROBE_BUILD_ROWS),
+        /// A small (1–63 rows) or a large (64 rows to below `max`)
+        /// statement size, as `large` says.
+        fn size(&mut self, large: bool, max: usize) -> usize {
+            match large {
+                false => 1 + self.below(63),
+                true => 64 + self.below(max - 64),
             }
         }
 
@@ -657,9 +645,8 @@ mod tests {
     /// Acceptance guard of the build-once pipeline, over random
     /// statements: one insert and one modify per case, each hashing the
     /// build side exactly once — the sequential reference pays once per
-    /// partition — and leaving the same patch sets as the reference,
-    /// whether the probes run inline (a statement under
-    /// [`INLINE_PROBE_BUILD_ROWS`]) or fan out over worker threads. An
+    /// partition — and leaving the same patch sets as the reference, for
+    /// small (1–63 rows) and large (64 rows and up) statements alike. An
     /// insert spreads its values round-robin over the four partitions, so
     /// a value it repeats collides across partitions; a modify's values
     /// can collide with any partition.

@@ -25,7 +25,9 @@
 //! * intermediate-result reuse by borrowing: a materialized [`Batch`]
 //!   serves any number of [`ops::merge_join::MergeJoinOp`] sweeps and
 //!   [`ops::hash_join::JoinTable::probe`]s without a copy;
-//! * partition-parallel execution via [`parallel::per_partition`].
+//! * partition-parallel execution via [`parallel::per_partition`], on one
+//!   persistent process-wide pool ([`parallel::fan_out`]) whose calling
+//!   thread helps, so no fan-out spawns a thread.
 
 #![warn(missing_docs)]
 

@@ -5,8 +5,9 @@
 //! [`patchindex::ConcurrentTable`] shards:
 //!
 //! * **readers** never block: every query runs against a per-shard
-//!   consistent snapshot, fans out across all shards, and the per-shard
-//!   results merge into one canonically ordered response
+//!   consistent snapshot, fans out across all shards on the process-wide
+//!   pool of [`pi_exec::parallel::fan_out`] (no thread spawned per
+//!   query), and the per-shard results merge into one canonically ordered response
 //!   (byte-deterministic regardless of shard count — see [`combine`](canonical_rows));
 //! * **writers** are one dedicated thread per shard consuming a bounded
 //!   statement queue. The queue is the admission-control point: a full

@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use patchindex::routing::route_row;
 use patchindex::{ConcurrentTable, IndexedTable, Statement};
+use pi_exec::parallel::fan_out;
 use pi_exec::Batch;
 use pi_obs::{Counter, Histogram, MetricsRegistry, QueryTrace};
 use pi_planner::QueryEngine;
@@ -360,36 +361,24 @@ impl ServerInner {
         Ok(spec)
     }
 
-    /// Executes the fan-out plan on every shard's consistent snapshot.
-    /// Results come back in shard order; each shard's elapsed read time
-    /// feeds its benefit counter (the advisor budget-split currency).
+    /// Executes the fan-out plan on every shard's consistent snapshot, one
+    /// task per shard on the process-wide fan-out pool, this connection's
+    /// thread taking part. Results come back in shard order; each shard's
+    /// elapsed read time feeds its benefit counter (the advisor
+    /// budget-split currency).
     fn fanout(&self, spec: &QuerySpec) -> Vec<ShardResult> {
         let plan = spec.fanout_plan();
         let run = |shard: &Shard| -> ShardResult {
             let (snap, seq) = shard.consistent_snapshot();
             let epoch = snap.epoch();
             let t0 = Instant::now();
-            let snap = snap;
             let (batch, trace) = snap.query_traced(&plan);
             shard
                 .benefit_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             (epoch, seq, batch, trace)
         };
-        if self.shards.len() == 1 {
-            return vec![run(&self.shards[0])];
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || run(shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard read"))
-                .collect()
-        })
+        fan_out(self.shards.len(), |s| run(&self.shards[s]))
     }
 
     fn epochs_field(results: &[ShardResult]) -> String {
