@@ -45,7 +45,7 @@
 //! // The workload keeps asking for distinct ids...
 //! let q = Plan::scan(vec![0]).distinct(vec![0]);
 //! for _ in 0..4 {
-//!     it.query_count(&q);
+//!     it.query(&q);
 //! }
 //! // ...so one advisor step auto-creates the NUC index.
 //! let mut advisor = Advisor::new(AdvisorConfig::default());
@@ -104,7 +104,7 @@ mod tests {
         // After enough distinct queries the index appears.
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..3 {
-            it.query_count(&q);
+            it.query(&q);
         }
         let actions = advisor.step(&mut it);
         assert!(
@@ -137,7 +137,7 @@ mod tests {
         let published = handle.snapshot();
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..3 {
-            published.query_count(&q);
+            published.query(&q);
         }
         let mut advisor = Advisor::new(AdvisorConfig::default());
         let actions = advisor.step_writer(&mut writer);
@@ -159,7 +159,7 @@ mod tests {
         let mut advisor = Advisor::new(AdvisorConfig::default());
         let q = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Desc)]);
         for _ in 0..3 {
-            it.query_count(&q);
+            it.query(&q);
         }
         let actions = advisor.step(&mut it);
         assert!(
@@ -182,7 +182,7 @@ mod tests {
         let mut advisor = Advisor::new(AdvisorConfig::default());
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..5 {
-            it.query_count(&q);
+            it.query(&q);
         }
         assert!(advisor.step(&mut it).is_empty());
     }
@@ -199,7 +199,7 @@ mod tests {
         clean(&mut it);
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..5 {
-            it.query_count(&q);
+            it.query(&q);
         }
         let actions = advisor.step(&mut it);
         assert!(
@@ -241,7 +241,7 @@ mod tests {
         });
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..3 {
-            it.query_count(&q);
+            it.query(&q);
         }
         // Updates tick the cadence; the step fires mid-stream.
         let mut actions = Vec::new();
@@ -366,7 +366,7 @@ mod tests {
                 (&mut seasoned, &mut seasoned_advisor),
             ] {
                 it.insert(&rows);
-                it.query_count(&q);
+                it.query(&q);
                 actions.push(format!("{:?}", advisor.step(it)));
             }
             assert_eq!(actions[0], actions[1], "step {step}");
@@ -389,12 +389,12 @@ mod tests {
         });
         let q = Plan::scan(vec![1]).distinct(vec![0]);
         for _ in 0..3 {
-            it.query_count(&q);
+            it.query(&q);
             assert!(advisor.step(&mut it).is_empty());
         }
         it.drop_index(0);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        it.query_count(&q);
+        it.query(&q);
         let actions = advisor.step(&mut it);
         assert!(actions.is_empty(), "{actions:?}");
     }

@@ -24,11 +24,7 @@ pub fn distinct_reference(table: &Table) -> usize {
 /// O(patches) distinct-patch-value pass.
 pub fn plan_distinct_patchindex(table: &Table, index: &PatchIndex) -> Plan {
     let plan = Plan::scan(vec![VAL_COL]).distinct(vec![0]);
-    optimize(
-        plan,
-        &IndexCatalog::of(table, std::slice::from_ref(index)),
-        false,
-    )
+    optimize(plan, &IndexCatalog::of(table, std::slice::from_ref(index)))
 }
 
 /// Executes a pre-planned PatchIndex query (the timed body).
@@ -58,11 +54,7 @@ pub fn sort_reference(table: &Table) -> usize {
 /// timed regions, like [`plan_distinct_patchindex`]).
 pub fn plan_sort_patchindex(table: &Table, index: &PatchIndex) -> Plan {
     let plan = Plan::scan(vec![VAL_COL]).sort(vec![(0, SortOrder::Asc)]);
-    optimize(
-        plan,
-        &IndexCatalog::of(table, std::slice::from_ref(index)),
-        false,
-    )
+    optimize(plan, &IndexCatalog::of(table, std::slice::from_ref(index)))
 }
 
 /// The sort query using a PatchIndex (merge of the pre-sorted flow with
@@ -135,7 +127,7 @@ mod tests {
         let plan = Plan::scan(vec![VAL_COL]).sort(vec![(0, SortOrder::Asc)]);
         let reference = pi_planner::execute(&plan, &ds.table, pi_planner::NO_INDEXES);
         let indexes = std::slice::from_ref(&bm);
-        let opt = optimize(plan, &IndexCatalog::of(&ds.table, indexes), false);
+        let opt = optimize(plan, &IndexCatalog::of(&ds.table, indexes));
         let rewritten = pi_planner::execute(&opt, &ds.table, indexes);
         assert_eq!(reference.column(0).as_int(), rewritten.column(0).as_int());
         assert!(is_sorted_asc(rewritten.column(0)));

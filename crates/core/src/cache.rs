@@ -34,25 +34,6 @@ use pi_storage::{Partition, Table};
 
 use crate::index::PatchIndex;
 
-/// A cached query result: materialized rows or a bare count, mirroring
-/// the two executing entry points of the planner's `QueryEngine`.
-#[derive(Debug, Clone)]
-pub enum CachedValue {
-    /// A materialized result batch (`query`).
-    Rows(Batch),
-    /// A row count (`query_count`).
-    Count(u64),
-}
-
-impl CachedValue {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            CachedValue::Rows(b) => b.heap_bytes(),
-            CachedValue::Count(_) => std::mem::size_of::<u64>(),
-        }
-    }
-}
-
 /// The set of shared-state pointers one execution actually read: the
 /// partitions it pulled rows from (or consulted and found empty) and the
 /// indexes its plan bound. An entry built from this footprint is valid
@@ -98,7 +79,7 @@ impl Footprint {
 struct Entry {
     /// Canonical plan bytes, verified on every hit (collision guard).
     canon: Arc<[u8]>,
-    value: CachedValue,
+    rows: Batch,
     footprint: Footprint,
     /// Epoch the footprint was last validated against — same-epoch
     /// lookups skip pointer checks entirely.
@@ -190,7 +171,7 @@ impl ResultCache {
     }
 
     /// Looks up `hash` for a snapshot at `epoch` with the given
-    /// live state. Returns the cached value only when the canonical
+    /// live state. Returns the cached rows only when the canonical
     /// bytes match (collision guard) and the footprint still holds
     /// (pointer identity); a stale entry found here is removed on the
     /// spot — hit-time validation backstops any publish-sweep race.
@@ -201,7 +182,7 @@ impl ResultCache {
         epoch: u64,
         table: &Table,
         indexes: &[Arc<PatchIndex>],
-    ) -> Option<CachedValue> {
+    ) -> Option<Batch> {
         let mut shard = self.shard(hash).lock();
         shard.tick += 1;
         let tick = shard.tick;
@@ -210,10 +191,10 @@ impl ResultCache {
                 if e.epoch == epoch || e.footprint.matches(table, indexes) {
                     e.epoch = epoch;
                     e.last_used = tick;
-                    let value = e.value.clone();
+                    let rows = e.rows.clone();
                     drop(shard);
                     self.hits.inc();
-                    return Some(value);
+                    return Some(rows);
                 }
                 true
             }
@@ -230,22 +211,26 @@ impl ResultCache {
     }
 
     /// Inserts (or replaces) an entry, then evicts least-recently-used
-    /// entries until the shard is back inside its budget slice. A value
-    /// too large to ever fit is dropped immediately rather than allowed
-    /// to blow the budget.
+    /// entries until the shard is back inside its budget slice. An entry
+    /// larger than the whole slice is not inserted and evicts nothing
+    /// else; it counts as one eviction.
     pub fn insert(
         &self,
         hash: u64,
         canon: Arc<[u8]>,
         epoch: u64,
-        value: CachedValue,
+        rows: Batch,
         footprint: Footprint,
     ) {
         // Entry overhead: footprint pairs + map slot, approximated.
         let bytes = canon.len()
-            + value.heap_bytes()
+            + rows.heap_bytes()
             + 32 * (footprint.partitions.len() + footprint.indexes.len())
             + 96;
+        if bytes > self.shard_budget {
+            self.evicted.inc();
+            return;
+        }
         let mut evictions = 0u64;
         let mut shard = self.shard(hash).lock();
         shard.tick += 1;
@@ -254,7 +239,7 @@ impl ResultCache {
             hash,
             Entry {
                 canon,
-                value,
+                rows,
                 footprint,
                 epoch,
                 last_used: tick,
@@ -306,15 +291,6 @@ impl ResultCache {
         removed
     }
 
-    /// Drops every entry (tests and manual administration).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            shard.map.clear();
-            shard.bytes = 0;
-        }
-    }
-
     /// Current counter snapshot.
     pub fn stats(&self) -> CacheStats {
         let mut entries = 0u64;
@@ -331,17 +307,6 @@ impl ResultCache {
             evicted: self.evicted.get(),
             entries,
             bytes,
-        }
-    }
-
-    /// Hit ratio over all lookups so far (0 when none happened).
-    pub fn hit_ratio(&self) -> f64 {
-        let h = self.hits.get() as f64;
-        let m = self.misses.get() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
         }
     }
 }
@@ -377,8 +342,9 @@ mod tests {
         Arc::from(vec![tag, 1, 2, 3].into_boxed_slice())
     }
 
-    fn count(v: u64) -> CachedValue {
-        CachedValue::Count(v)
+    /// A one-row result holding `v`.
+    fn rows(v: i64) -> Batch {
+        Batch::new(vec![ColumnData::Int(vec![v])])
     }
 
     #[test]
@@ -386,12 +352,12 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let t = table(2);
         let fp = Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
-        cache.insert(42, canon(1), 0, count(5), fp);
+        cache.insert(42, canon(1), 0, rows(5), fp);
         // Same hash, different canonical form: a manufactured
         // fingerprint collision must miss, not serve the wrong result.
         assert!(cache.lookup(42, &canon(2), 0, &t, &[]).is_none());
         let got = cache.lookup(42, &canon(1), 0, &t, &[]);
-        assert!(matches!(got, Some(CachedValue::Count(5))));
+        assert_eq!(got.map(|b| b.column(0).as_int().to_vec()), Some(vec![5]));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
@@ -401,7 +367,7 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let t = table(2);
         let fp = Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
-        cache.insert(9, canon(0), 3, count(1), fp);
+        cache.insert(9, canon(0), 3, rows(1), fp);
         // A later epoch with the same partition pointer still hits...
         assert!(cache.lookup(9, &canon(0), 8, &t, &[]).is_some());
         // ...and the entry's epoch was refreshed to the validated one.
@@ -421,13 +387,13 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let t = table(3);
         let p = |pid: usize| (pid, Arc::clone(&t.partitions()[pid]));
-        cache.insert(1, canon(1), 0, count(1), Footprint::new(vec![p(0)], vec![]));
-        cache.insert(2, canon(2), 0, count(2), Footprint::new(vec![p(1)], vec![]));
+        cache.insert(1, canon(1), 0, rows(1), Footprint::new(vec![p(0)], vec![]));
+        cache.insert(2, canon(2), 0, rows(2), Footprint::new(vec![p(1)], vec![]));
         cache.insert(
             3,
             canon(3),
             0,
-            count(3),
+            rows(3),
             Footprint::new(vec![p(0), p(1), p(2)], vec![]),
         );
 
@@ -455,7 +421,7 @@ mod tests {
             Design::Bitmap,
         ));
         let fp = Footprint::new(vec![], vec![(0, Arc::clone(&idx))]);
-        cache.insert(5, canon(5), 0, count(9), fp);
+        cache.insert(5, canon(5), 0, rows(9), fp);
         assert!(cache
             .lookup(5, &canon(5), 2, &t, std::slice::from_ref(&idx))
             .is_some());
@@ -474,7 +440,7 @@ mod tests {
             5,
             canon(5),
             3,
-            count(9),
+            rows(9),
             Footprint::new(vec![], vec![(0, idx)]),
         );
         assert!(cache.lookup(5, &canon(5), 4, &t, &[]).is_none());
@@ -488,7 +454,7 @@ mod tests {
         let fp = || Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
         // Same shard (identical high bits), distinct hashes.
         for i in 0..4u64 {
-            cache.insert(i, canon(i as u8), 0, count(i), fp());
+            cache.insert(i, canon(i as u8), 0, rows(i as i64), fp());
         }
         let stats = cache.stats();
         assert!(stats.evicted > 0, "budget must force evictions: {stats:?}");
@@ -500,7 +466,7 @@ mod tests {
     #[test]
     fn oversized_value_does_not_blow_the_budget() {
         let cache = ResultCache::new(ResultCache::SHARDS * 64);
-        let big = CachedValue::Rows(Batch::new(vec![ColumnData::Int(vec![0; 4096])]));
+        let big = Batch::new(vec![ColumnData::Int(vec![0; 4096])]);
         cache.insert(1, canon(1), 0, big, Footprint::new(vec![], vec![]));
         let stats = cache.stats();
         assert_eq!(stats.entries, 0, "{stats:?}");
@@ -514,7 +480,7 @@ mod tests {
         let cache = ResultCache::with_registry(1 << 20, &reg);
         let t = table(1);
         assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_none());
-        cache.insert(1, canon(1), 0, count(7), Footprint::new(vec![], vec![]));
+        cache.insert(1, canon(1), 0, rows(7), Footprint::new(vec![], vec![]));
         assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_some());
         // Same numbers through both views: the registry and stats().
         assert_eq!(reg.counter("cache.hits").get(), 1);
@@ -526,13 +492,39 @@ mod tests {
     #[test]
     fn stats_track_entries_and_bytes() {
         let cache = ResultCache::new(1 << 20);
-        cache.insert(1, canon(1), 0, count(1), Footprint::new(vec![], vec![]));
-        cache.insert(2, canon(2), 0, count(2), Footprint::new(vec![], vec![]));
+        cache.insert(1, canon(1), 0, rows(1), Footprint::new(vec![], vec![]));
+        cache.insert(2, canon(2), 0, rows(2), Footprint::new(vec![], vec![]));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes > 0);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().bytes, 0);
+        // Invalidation frees the bytes it removes.
+        let t = table(1);
+        cache.insert(
+            3,
+            canon(3),
+            0,
+            rows(3),
+            Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]),
+        );
+        let with_third = cache.stats().bytes;
+        assert!(with_third > stats.bytes);
+        assert_eq!(cache.invalidate_stale(&table(1), &[]), 1);
+        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(cache.stats().bytes, stats.bytes);
+    }
+
+    #[test]
+    fn oversized_insert_evicts_nothing_else() {
+        let cache = ResultCache::new(ResultCache::SHARDS * 256);
+        let t = table(1);
+        // Same shard (identical high bits): a small entry, then one that
+        // can never fit the shard's slice.
+        cache.insert(1, canon(1), 0, rows(1), Footprint::new(vec![], vec![]));
+        let big = Batch::new(vec![ColumnData::Int(vec![0; 4096])]);
+        cache.insert(2, canon(2), 0, big, Footprint::new(vec![], vec![]));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evicted), (1, 1), "{stats:?}");
+        assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_some());
+        assert!(cache.lookup(2, &canon(2), 0, &t, &[]).is_none());
     }
 }

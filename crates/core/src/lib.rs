@@ -73,7 +73,7 @@ mod statement;
 pub mod stats;
 mod store;
 
-pub use cache::{CacheStats, CachedValue, Footprint, ResultCache};
+pub use cache::{CacheStats, Footprint, ResultCache};
 pub use catalog::{IndexCatalog, IndexStats, PartitionStats};
 pub use constraint::{Constraint, Design, SortDir};
 pub use index::{DriftBaseline, PartitionIndex, PatchIndex};

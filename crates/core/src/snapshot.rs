@@ -734,7 +734,8 @@ mod tests {
 
     #[test]
     fn publish_sweeps_only_dirty_footprints_from_the_cache() {
-        use crate::cache::{CachedValue, Footprint, ResultCache};
+        use crate::cache::{Footprint, ResultCache};
+        use pi_exec::Batch;
 
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
@@ -746,27 +747,28 @@ mod tests {
 
         let part = |pid: usize| (pid, Arc::clone(&snap.table().partitions()[pid]));
         let canon = |tag: u8| -> Arc<[u8]> { Arc::from([tag].as_slice()) };
+        let rows = |v: i64| Batch::new(vec![ColumnData::Int(vec![v])]);
         // Entry 1 reads partition 0 only; entry 2 reads both; entry 3
         // depends on the index version.
         c.insert(
             1,
             canon(1),
             0,
-            CachedValue::Count(1),
+            rows(1),
             Footprint::new(vec![part(0)], vec![]),
         );
         c.insert(
             2,
             canon(2),
             0,
-            CachedValue::Count(2),
+            rows(2),
             Footprint::new(vec![part(0), part(1)], vec![]),
         );
         c.insert(
             3,
             canon(3),
             0,
-            CachedValue::Count(3),
+            rows(3),
             Footprint::new(vec![], vec![(0, Arc::clone(&snap.indexes()[0]))]),
         );
 

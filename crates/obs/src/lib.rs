@@ -5,7 +5,7 @@
 //! does):
 //!
 //! * [`MetricsRegistry`] — a lock-sharded registry of named [`Counter`]s,
-//!   [`Gauge`]s, and log2-bucketed latency [`Histogram`]s. Handles are
+//!   [`Gauge`]s, and latency [`Histogram`]s (count, sum, max). Handles are
 //!   `Arc`s resolved once at attach time, so hot paths are a single
 //!   relaxed `fetch_add` with no map lookup. The whole registry exports
 //!   as one JSON snapshot ([`MetricsRegistry::snapshot_json`]) or a

@@ -1,5 +1,5 @@
-//! Lock-sharded metrics registry: named counters, gauges, and
-//! log2-bucketed latency histograms.
+//! Lock-sharded metrics registry: named counters, gauges, and latency
+//! histograms (count, sum, max).
 //!
 //! Registration (name → handle) takes a shard lock once; the returned
 //! `Arc` handle is then held by the instrumented subsystem, so every
@@ -59,131 +59,54 @@ impl Gauge {
     }
 }
 
-/// Number of log2 buckets: bucket 0 holds the value 0, bucket `i`
-/// (1 ≤ i < 63) holds `[2^(i-1), 2^i)`, bucket 63 holds everything
-/// from `2^62` up.
-const BUCKETS: usize = 64;
-
-/// A fixed-footprint latency histogram with power-of-two buckets.
+/// A fixed-footprint latency histogram: count, sum and exact maximum.
 ///
-/// `record` is three relaxed-ish atomic RMWs (max, sum, bucket) — cheap
-/// enough for per-operation hot paths. Quantiles are extracted from the
-/// bucket counts: the reported value is the upper bound of the bucket
-/// holding the requested rank (≤ 2x resolution), clamped to the exact
-/// observed maximum. The snapshot `count` is derived from the bucket
-/// sum, so a concurrent snapshot can never show a count that disagrees
-/// with its buckets (no torn reads).
-#[derive(Debug)]
+/// `record` is three atomic RMWs — cheap enough for per-operation hot
+/// paths. The count increment is the publishing store (`Release`) and
+/// [`Histogram::snapshot`] loads the count first (`Acquire`), so a
+/// snapshot never counts an observation whose sum and max it has not
+/// seen.
+#[derive(Debug, Default)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
+    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
 impl Histogram {
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros() as usize).min(BUCKETS - 1)
-    }
-
-    fn bucket_upper(i: usize) -> u64 {
-        match i {
-            0 => 0,
-            63 => u64::MAX,
-            _ => (1u64 << i) - 1,
-        }
-    }
-
     /// Records one observation.
-    ///
-    /// The bucket increment is the publishing store (`Release`): a
-    /// snapshot that counts this observation is guaranteed to also see
-    /// its contribution to `max`, which is updated first.
     #[inline]
     pub fn record(&self, v: u64) {
         self.max.fetch_max(v, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Release);
+        self.count.fetch_add(1, Ordering::Release);
     }
 
     /// A point-in-time copy of the histogram state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        let mut count = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            buckets[i] = b.load(Ordering::Acquire);
-            count += buckets[i];
-        }
-        // Read after the buckets: every observation counted above
-        // published its max update before its bucket increment.
-        let max = self.max.load(Ordering::Relaxed);
-        let sum = self.sum.load(Ordering::Relaxed);
+        let count = self.count.load(Ordering::Acquire);
+        // Read after the count: every observation counted above
+        // published its sum and max updates before its count increment.
         HistogramSnapshot {
             count,
-            sum,
-            max,
-            buckets,
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
         }
     }
 }
 
 /// The state of a [`Histogram`] at one instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct HistogramSnapshot {
-    /// Total observations (derived from the bucket counts, so it always
-    /// agrees with them).
+    /// Total observations.
     pub count: u64,
-    /// Sum of all observed values.
+    /// Sum of all observed values (at least those `count` covers).
     pub sum: u64,
     /// Exact maximum observed value.
     pub max: u64,
-    /// Per-bucket observation counts (log2 buckets, see [`Histogram`]).
-    pub buckets: [u64; BUCKETS],
 }
 
 impl HistogramSnapshot {
-    /// The value at quantile `q` in `[0, 1]`: the upper bound of the
-    /// bucket containing that rank, clamped to the exact maximum.
-    /// Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Histogram::bucket_upper(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Median (see [`HistogramSnapshot::quantile`]).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Arithmetic mean, 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -229,9 +152,8 @@ pub enum MetricSnapshot {
     Counter(u64),
     /// Gauge value.
     Gauge(i64),
-    /// Histogram state (boxed: the bucket array dwarfs the scalar
-    /// variants, and snapshots are cold-path only).
-    Histogram(Box<HistogramSnapshot>),
+    /// Histogram state.
+    Histogram(HistogramSnapshot),
 }
 
 const SHARDS: usize = 16;
@@ -315,7 +237,7 @@ impl MetricsRegistry {
                 let snap = match metric {
                     Metric::Counter(c) => MetricSnapshot::Counter(c.get()),
                     Metric::Gauge(g) => MetricSnapshot::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricSnapshot::Histogram(Box::new(h.snapshot())),
+                    Metric::Histogram(h) => MetricSnapshot::Histogram(h.snapshot()),
                 };
                 out.push((name.clone(), snap));
             }
@@ -326,8 +248,7 @@ impl MetricsRegistry {
 
     /// The whole registry as one JSON object:
     /// `{"counters": {..}, "gauges": {..}, "histograms": {..}}` with
-    /// keys sorted, histograms carrying `count`/`sum`/`max`/`mean` and
-    /// `p50`/`p90`/`p99`.
+    /// keys sorted, histograms carrying `count`/`sum`/`max`/`mean`.
     pub fn snapshot_json(&self) -> String {
         let snap = self.snapshot();
         let mut counters = String::new();
@@ -347,16 +268,12 @@ impl MetricsRegistry {
                     let sep = if hists.is_empty() { "" } else { ", " };
                     let _ = write!(
                         hists,
-                        "{sep}{}: {{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.1}, \
-                         \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
+                        "{sep}{}: {{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.1}}}",
                         json_str(name),
                         h.count,
                         h.sum,
                         h.max,
                         h.mean(),
-                        h.p50(),
-                        h.p90(),
-                        h.p99(),
                     );
                 }
             }
@@ -383,12 +300,9 @@ impl MetricsRegistry {
                 MetricSnapshot::Histogram(h) => {
                     let _ = writeln!(
                         out,
-                        "hist    {name:width$}  count={} mean={} p50={} p90={} p99={} max={}",
+                        "hist    {name:width$}  count={} mean={} max={}",
                         h.count,
                         crate::fmt_nanos(h.mean() as u64),
-                        crate::fmt_nanos(h.p50()),
-                        crate::fmt_nanos(h.p90()),
-                        crate::fmt_nanos(h.p99()),
                         crate::fmt_nanos(h.max),
                     );
                 }
@@ -447,21 +361,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
+    fn histogram_tracks_count_sum_and_max() {
         let h = Histogram::default();
         for v in [0u64, 1, 1, 2, 3, 100, 1000] {
             h.record(v);
         }
         let s = h.snapshot();
-        assert_eq!(s.count, 7);
-        assert_eq!(s.sum, 1107);
-        assert_eq!(s.max, 1000);
-        assert_eq!(s.quantile(0.0), 0); // rank clamps to 1 → bucket of 0
-        assert!(s.p50() <= s.p90() && s.p90() <= s.p99() && s.p99() <= s.max);
-        assert_eq!(s.quantile(1.0), 1000); // clamped to the exact max
-
-        // p50 is rank 4 of [0,1,1,2,3,100,1000]: value 2, bucket [2,3].
-        assert_eq!(s.p50(), 3);
+        assert_eq!((s.count, s.sum, s.max), (7, 1107, 1000));
+        assert!((s.mean() - 1107.0 / 7.0).abs() < 1e-9);
     }
 
     #[test]
@@ -472,19 +379,13 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 2);
         assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.quantile(1.0), u64::MAX);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 63);
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
+        assert_eq!(s.sum, u64::MAX);
     }
 
     #[test]
     fn empty_histogram_is_zero() {
         let s = Histogram::default().snapshot();
-        assert_eq!((s.count, s.sum, s.max, s.p50(), s.p99()), (0, 0, 0, 0, 0));
+        assert_eq!((s.count, s.sum, s.max), (0, 0, 0));
         assert_eq!(s.mean(), 0.0);
     }
 
@@ -497,7 +398,10 @@ mod tests {
         let json = reg.snapshot_json();
         assert!(json.contains("\"z.c\": 3"), "{json}");
         assert!(json.contains("\"a.g\": -2"), "{json}");
-        assert!(json.contains("\"m.h\": {\"count\": 1"), "{json}");
+        assert!(
+            json.contains("\"m.h\": {\"count\": 1, \"sum\": 5, \"max\": 5, \"mean\": 5.0}"),
+            "{json}"
+        );
         let text = reg.render_text();
         assert!(text.contains("counter"), "{text}");
         assert!(text.contains("gauge"), "{text}");

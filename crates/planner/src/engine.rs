@@ -2,7 +2,7 @@
 //!
 //! [`QueryEngine`] encapsulates planning and execution, and every entry
 //! point — owned table, writer staging table, snapshot with or without a
-//! result cache; rows, count or traced — runs the same `run` function
+//! result cache; plain or traced — runs the same `run` function
 //! over a borrowed view of the table. A query is a read: every method
 //! takes `&self`, and nothing below runs maintenance or copies an
 //! index.
@@ -17,7 +17,7 @@
 //!    not just the hash, so a hit is the exact answer.
 //! 3. **lower + execute** — on a miss (or without a cache), lower with
 //!    per-partition zero-branch pruning under an `ExecObserver` and run
-//!    to rows or to a count.
+//!    to rows.
 //! 4. **insert** — cache the result with its dependency footprint: the
 //!    partition versions the execution consulted plus every index
 //!    version the plan binds.
@@ -43,11 +43,11 @@ use std::time::Instant;
 
 use patchindex::snapshot::{WorkloadEvent, WorkloadSink};
 use patchindex::{
-    CachedValue, ConcurrentTable, Footprint, IndexCatalog, IndexedTable, PatchIndex, QueryShape,
-    ResultCache, SortDir, TableSnapshot, TableWriter,
+    ConcurrentTable, Footprint, IndexCatalog, IndexedTable, PatchIndex, QueryShape, ResultCache,
+    SortDir, TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
-use pi_exec::{collect, count_rows, Batch};
+use pi_exec::{collect, Batch};
 use pi_obs::{CacheOutcome, MetricsRegistry, PlannerTrace, QueryTrace};
 use pi_storage::Table;
 
@@ -114,8 +114,6 @@ pub enum Request {
     Plan,
     /// The result batch (`query`).
     Rows,
-    /// The row count (`query_count`).
-    Count,
     /// The result batch under EXPLAIN ANALYZE metering (`query_traced`).
     Traced,
 }
@@ -124,26 +122,16 @@ pub enum Request {
 #[derive(Debug)]
 pub struct Outcome {
     chosen: Plan,
-    /// `None` for [`Request::Plan`]; otherwise the shape the request's
-    /// mode names (served from the cache or freshly executed).
-    value: Option<CachedValue>,
+    /// `None` for [`Request::Plan`]; otherwise the result rows (served
+    /// from the cache or freshly executed).
+    rows: Option<Batch>,
     /// `Some` for [`Request::Traced`].
     trace: Option<QueryTrace>,
 }
 
 impl Outcome {
     fn into_rows(self) -> Batch {
-        match self.value {
-            Some(CachedValue::Rows(rows)) => rows,
-            _ => unreachable!("a rows request yields rows"),
-        }
-    }
-
-    fn into_count(self) -> usize {
-        match self.value {
-            Some(CachedValue::Count(n)) => n as usize,
-            _ => unreachable!("a count request yields a count"),
-        }
+        self.rows.expect("an executing request yields rows")
     }
 }
 
@@ -186,11 +174,6 @@ pub trait QueryEngine {
     /// Plans and executes, returning the result batch.
     fn query(&self, plan: &Plan) -> Batch {
         self.run_request(plan, Request::Rows).into_rows()
-    }
-
-    /// Plans and executes, returning only the row count.
-    fn query_count(&self, plan: &Plan) -> usize {
-        self.run_request(plan, Request::Count).into_count()
     }
 
     /// Plans and executes under full EXPLAIN ANALYZE instrumentation:
@@ -257,7 +240,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
     let total = Instant::now();
     let cat = view.catalog;
     let mut stats = OptimizeStats::default();
-    let chosen = optimize_with_stats(plan.clone(), cat, true, &mut stats);
+    let chosen = optimize_with_stats(plan.clone(), cat, &mut stats);
     if let Some(reg) = view.metrics {
         reg.counter("planner.candidates_enumerated")
             .add(stats.candidates_enumerated);
@@ -269,24 +252,23 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
 
     // `query` and `query_traced` share the Rows fingerprint, so either
     // hits what the other inserted.
-    let (mode, traced) = match request {
+    let traced = match request {
         Request::Plan => {
             return Outcome {
                 chosen,
-                value: None,
+                rows: None,
                 trace: None,
             }
         }
-        Request::Rows => (QueryMode::Rows, false),
-        Request::Count => (QueryMode::Count, false),
-        Request::Traced => (QueryMode::Rows, true),
+        Request::Rows => false,
+        Request::Traced => true,
     };
     let bound = bound_slots(&chosen);
     let mut events = Vec::new();
     query_shapes(plan, &mut events);
 
     let key = view.cache.map(|cache| {
-        let canon: Arc<[u8]> = canonical_bytes(&chosen, cat, mode).into();
+        let canon: Arc<[u8]> = canonical_bytes(&chosen, cat, QueryMode::Rows).into();
         (cache, fingerprint_hash(&canon), canon)
     });
     let hit = key.as_ref().and_then(|(cache, hash, canon)| {
@@ -299,15 +281,12 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         (Some(_), None) => CacheOutcome::Miss,
     };
     // A hit executed nothing: no partitions visited, no operators.
-    let (value, visited, pruned, operators) = match hit {
-        Some(value) => (value, 0, 0, Vec::new()),
+    let (rows, visited, pruned, operators) = match hit {
+        Some(rows) => (rows, 0, 0, Vec::new()),
         None => {
             let obs = ExecObserver::new(parts, traced);
             let mut root = lower_global(&chosen, view.table, view.indexes, Some(&obs));
-            let value = match mode {
-                QueryMode::Rows => CachedValue::Rows(collect(root.as_mut())),
-                QueryMode::Count => CachedValue::Count(count_rows(root.as_mut()) as u64),
-            };
+            let rows = collect(root.as_mut());
             if let Some((cache, hash, canon)) = key {
                 // Pointer identity of these Arcs is exactly "this cached
                 // result is still valid" — copy-on-write publishes
@@ -323,7 +302,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
                         .map(|&slot| (slot, Arc::clone(&view.indexes[slot])))
                         .collect(),
                 );
-                cache.insert(hash, canon, view.epoch, value.clone(), footprint);
+                cache.insert(hash, canon, view.epoch, rows.clone(), footprint);
             }
             if !bound.is_empty() {
                 // The saving is split evenly across the bound slots.
@@ -340,7 +319,7 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
             }
             let visited = obs.pulled().len() as u64;
             let operators = if traced { obs.operators() } else { Vec::new() };
-            (value, visited, parts as u64 - visited, operators)
+            (rows, visited, parts as u64 - visited, operators)
         }
     };
     if !events.is_empty() {
@@ -368,15 +347,12 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         partitions_pruned: pruned,
         cache: Some(cache_outcome),
         operators,
-        rows_out: match &value {
-            CachedValue::Rows(rows) => rows.len() as u64,
-            CachedValue::Count(n) => *n,
-        },
+        rows_out: rows.len() as u64,
         total_nanos: elapsed.as_nanos() as u64,
     });
     Outcome {
         chosen,
-        value: Some(value),
+        rows: Some(rows),
         trace,
     }
 }
@@ -480,7 +456,7 @@ mod tests {
         // bound to its own index.
         assert!(it.plan_query(&distinct).to_string().contains("slot=0"));
         assert!(it.plan_query(&sort).to_string().contains("slot=1"));
-        assert_eq!(it.query_count(&distinct), 10);
+        assert_eq!(it.query(&distinct).len(), 10);
         let sorted = it.query(&sort);
         assert!(pi_exec::ops::sort::is_sorted_asc(sorted.column(0)));
     }
@@ -491,9 +467,9 @@ mod tests {
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        it.query_count(&distinct);
-        it.query_count(&distinct);
-        it.query_count(&sort);
+        it.query(&distinct);
+        it.query(&distinct);
+        it.query(&sort);
         let delta = it.sink().take();
         // Query shapes per table column.
         assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 2);
@@ -515,7 +491,7 @@ mod tests {
         it.plan_query(&distinct);
         assert_eq!(it.sink().take(), WorkloadDelta::default());
         // ...running it records exactly once.
-        it.query_count(&distinct);
+        it.query(&distinct);
         let delta = it.sink().take();
         assert_eq!(delta.queries[&(1, QueryShape::Distinct)], 1);
         assert_eq!(
@@ -529,17 +505,17 @@ mod tests {
         let mut it = fresh(2);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        it.query_count(&distinct);
+        it.query(&distinct);
         let cached: *const IndexCatalog = it.catalog();
         for _ in 0..4 {
-            it.query_count(&distinct);
+            it.query(&distinct);
         }
         assert!(
             std::ptr::eq(cached, it.catalog()),
             "one snapshot per mutation epoch"
         );
         it.insert(&[vec![Value::Int(999), Value::Int(12345)]]);
-        it.query_count(&distinct);
+        it.query(&distinct);
         assert_eq!(it.catalog().rows(), 11, "rebuilt after the insert");
     }
 
@@ -555,7 +531,7 @@ mod tests {
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
         let dref = execute_count(&distinct, snap.table(), NO_INDEXES);
-        assert_eq!(snap.query_count(&distinct), dref);
+        assert_eq!(snap.query(&distinct).len(), dref);
         // The snapshot path binds indexes exactly like the owner path.
         assert!(snap.plan_query(&distinct).to_string().contains("slot=0"));
         let sorted = snap.query(&sort);
@@ -571,8 +547,8 @@ mod tests {
         let (handle, writer) = ConcurrentTable::new(it);
         let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        snap.query_count(&distinct);
-        snap.query_count(&distinct);
+        snap.query(&distinct);
+        snap.query(&distinct);
         // EXPLAIN on a snapshot records nothing.
         snap.plan_query(&distinct);
         let delta = writer.staging().sink().take();
@@ -596,15 +572,10 @@ mod tests {
         let first = snap.query(&distinct);
         let second = snap.query(&distinct);
         assert_eq!(first.column(0).as_int(), second.column(0).as_int());
-        // Rows and counts fingerprint separately (the mode byte), so the
-        // count is its own miss-then-hit, never a cross-mode confusion.
-        let n = snap.query_count(&distinct);
-        assert_eq!(n, first.len());
-        assert_eq!(snap.query_count(&distinct), n);
         let stats = handle.cache_stats().unwrap();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 2);
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.entries, 1);
     }
 
     #[test]
@@ -614,7 +585,7 @@ mod tests {
         let (handle, writer) = cached(it);
         let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        snap.query_count(&distinct); // miss: full evidence
+        snap.query(&distinct); // miss: full evidence
         let first = writer.staging().sink().take();
         assert_eq!(
             first.feedback[&(1, Constraint::NearlyUnique)].times_bound,
@@ -622,7 +593,7 @@ mod tests {
         );
 
         for _ in 0..3 {
-            snap.query_count(&distinct); // hits: shapes only
+            snap.query(&distinct); // hits: shapes only
         }
         let delta = writer.staging().sink().take();
         // The advisor's demand signal still sees every query...
@@ -641,7 +612,7 @@ mod tests {
         let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let chosen = snap.plan_query(&distinct);
-        let canon = canonical_bytes(&chosen, snap.catalog(), QueryMode::Count);
+        let canon = canonical_bytes(&chosen, snap.catalog(), QueryMode::Rows);
         let hash = fingerprint_hash(&canon);
         // Poison the exact bucket the query will probe with an entry
         // whose canonical bytes differ — a simulated 64-bit collision.
@@ -650,18 +621,18 @@ mod tests {
             hash,
             b"not the same plan".to_vec().into(),
             snap.epoch(),
-            CachedValue::Count(999_999),
+            Batch::new(vec![ColumnData::Int(vec![999_999])]),
             Footprint::new(Vec::new(), Vec::new()),
         );
         let reference = execute_count(&distinct, snap.table(), NO_INDEXES);
-        assert_ne!(reference, 999_999);
+        assert_ne!(reference, 1);
         // The stored canonical form is compared on every probe, so the
         // collision is detected and the query recomputes.
-        assert_eq!(snap.query_count(&distinct), reference);
+        assert_eq!(snap.query(&distinct).len(), reference);
         let stats = handle.cache_stats().unwrap();
         assert_eq!(stats.hits, 0);
         // The recomputed entry replaced the poisoned one; now it hits.
-        assert_eq!(snap.query_count(&distinct), reference);
+        assert_eq!(snap.query(&distinct).len(), reference);
         assert_eq!(handle.cache_stats().unwrap().hits, 1);
     }
 
@@ -675,7 +646,7 @@ mod tests {
         // The pushed-down limit is satisfied entirely by partition 0, so
         // its footprint excludes partition 1; the full scan touches both.
         let first = snap.query(&limited);
-        assert_eq!(snap.query_count(&full), 10);
+        assert_eq!(snap.query(&full).len(), 10);
         assert_eq!(handle.cache_stats().unwrap().entries, 2);
 
         // Dirty only partition 1 and publish: copy-on-write replaces
@@ -692,7 +663,7 @@ mod tests {
         assert_eq!(first.column(0).as_int(), again.column(0).as_int());
         assert_eq!(handle.cache_stats().unwrap().hits, 1);
         // ...and the invalidated full scan recomputes the new state.
-        let fresh_count = snap2.query_count(&full);
+        let fresh_count = snap2.query(&full).len();
         assert_eq!(fresh_count, 10);
         let refreshed = snap2.query(&full);
         assert!(refreshed.column(0).as_int().contains(&-777));
@@ -841,13 +812,13 @@ mod tests {
             ConcurrentTable::with_observability(it, Some(cache), Arc::clone(&reg));
         let snap = handle.snapshot();
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        snap.query_count(&distinct); // miss
-        snap.query_count(&distinct); // hit
-        snap.query_traced(&distinct); // rows-mode miss
+        snap.query(&distinct); // miss
+        snap.query(&distinct); // hit
+        snap.query_traced(&distinct); // hit: traced shares the entry
         assert_eq!(reg.counter("engine.queries").get(), 3);
         assert_eq!(reg.histogram("engine.query_nanos").snapshot().count, 3);
-        assert_eq!(reg.counter("cache.hits").get(), 1);
-        assert_eq!(reg.counter("cache.misses").get(), 2);
+        assert_eq!(reg.counter("cache.hits").get(), 2);
+        assert_eq!(reg.counter("cache.misses").get(), 1);
         assert!(reg.counter("planner.rewrites_chosen").get() >= 3);
     }
 
@@ -860,9 +831,9 @@ mod tests {
         writer.insert(&[vec![Value::Int(999), Value::Int(424242)]]);
         let scan = Plan::scan(vec![1]);
         // The writer sees its unpublished insert; readers do not.
-        assert_eq!(writer.query_count(&scan), 11);
-        assert_eq!(handle.snapshot().query_count(&scan), 10);
+        assert_eq!(writer.query(&scan).len(), 11);
+        assert_eq!(handle.snapshot().query(&scan).len(), 10);
         writer.publish();
-        assert_eq!(handle.snapshot().query_count(&scan), 11);
+        assert_eq!(handle.snapshot().query(&scan).len(), 11);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The cache in `patchindex::cache` identifies entries by a stable 64-bit
 //! hash of a **canonical byte encoding** of the chosen (optimized)
-//! logical plan, the query mode (rows vs count) and the catalog entries
-//! its `PatchScan` sites bind. The encoding — not the hash — is the
+//! logical plan, the query mode and the catalog entries its `PatchScan`
+//! sites bind. The encoding — not the hash — is the
 //! source of truth: entries store the canonical bytes and verify them on
 //! every hit, so a hash collision degrades to a cache miss, never to a
 //! wrong result.
@@ -26,15 +26,13 @@ use pi_exec::ops::sort::SortOrder;
 
 use crate::logical::Plan;
 
-/// Which executing entry point a fingerprint is for. `query` and
-/// `query_count` of the same plan return different value shapes, so they
-/// must never share a cache entry.
+/// What a fingerprinted execution returns. Every executing entry point
+/// answers in rows, so this has one value; it keeps its byte in the
+/// encoding so fingerprints stay stable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
-    /// Materialized rows (`query`).
-    Rows,
-    /// Row count only (`query_count`).
-    Count,
+    /// Materialized rows (`query`, `query_traced`).
+    Rows = 0,
 }
 
 /// Encoding version tag — bump when the byte layout changes so stale
@@ -46,10 +44,7 @@ const VERSION: u8 = 1;
 pub fn canonical_bytes(plan: &Plan, cat: &IndexCatalog, mode: QueryMode) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(VERSION);
-    out.push(match mode {
-        QueryMode::Rows => 0,
-        QueryMode::Count => 1,
-    });
+    out.push(mode as u8);
     encode_plan(plan, &mut out);
     // Bound catalog entries: which (column, constraint) each PatchScan
     // slot resolves to. Two tables (or two epochs of one table, after
@@ -314,12 +309,10 @@ mod tests {
     }
 
     #[test]
-    fn mode_and_shape_separate_fingerprints() {
+    fn shape_separates_fingerprints() {
         let cat = catalog(Constraint::NearlyUnique);
         let plan = Plan::scan(vec![0]).distinct(vec![0]);
         let rows = canonical_bytes(&plan, &cat, QueryMode::Rows);
-        let count = canonical_bytes(&plan, &cat, QueryMode::Count);
-        assert_ne!(rows, count, "rows vs count must not share entries");
         let other = canonical_bytes(&Plan::scan(vec![0]), &cat, QueryMode::Rows);
         assert_ne!(rows, other);
         let limited = canonical_bytes(&Plan::scan(vec![0]).limit(3), &cat, QueryMode::Rows);

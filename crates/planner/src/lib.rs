@@ -3,8 +3,8 @@
 //! Logical plans ([`Plan`]), the PatchIndex rewrites of the paper's
 //! Section 3.3 (distinct/sort subtree cloning, Figure 2) enumerated over
 //! an [`IndexCatalog`] of *all* indexes on the table, zero-branch pruning
-//! (Section 6.3) applied both plan-level and **per partition** at
-//! lowering, a per-tuple [`cost`] model gating every rewrite with
+//! (Section 6.3) applied both plan-level (always, by [`optimize`]) and
+//! **per partition** at lowering, a per-tuple [`cost`] model gating every rewrite with
 //! per-partition statistics (Section 3.5), and lowering to `pi-exec`
 //! operator trees with partition-parallel combines.
 //!
@@ -13,9 +13,9 @@
 //! workload evidence → trace — run over a borrowed view of an
 //! `IndexedTable`, a `TableWriter`'s staging table, a `TableSnapshot` or
 //! a `ConcurrentTable`. Which facade method the caller
-//! invoked (`plan_query` / `query` / `query_count` / `query_traced`) is
-//! the only selector; the evidence each one records is tabulated on the
-//! trait. A query is a read — every method takes `&self`, and evidence
+//! invoked (`plan_query` / `query` / `query_traced`) is the only
+//! selector, and the evidence each one records is tabulated on the
+//! trait. Both executing methods answer in rows. A query is a read — every method takes `&self`, and evidence
 //! waits in the table's `WorkloadSink` for the advisor's
 //! `WorkloadSink::take`.
 //!
@@ -40,6 +40,6 @@ mod testutil;
 pub use engine::QueryEngine;
 pub use fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 pub use logical::Plan;
-pub use optimizer::{optimize, optimize_with_stats, rewrite, zero_branch_prune, OptimizeStats};
+pub use optimizer::{optimize, optimize_with_stats, rewrite, OptimizeStats};
 pub use patchindex::{IndexCatalog, IndexStats, PartitionStats};
 pub use physical::{execute, execute_count, prune_for_partition, NO_INDEXES};

@@ -41,26 +41,15 @@ pub struct OptimizeStats {
 }
 
 /// Applies the PatchIndex rewrites wherever some catalog index matches
-/// and the cost model approves, then prunes zero branches (globally) if
-/// `zbp` is enabled.
-pub fn optimize(plan: Plan, cat: &IndexCatalog, zbp: bool) -> Plan {
-    optimize_with_stats(plan, cat, zbp, &mut OptimizeStats::default())
+/// and the cost model approves, then prunes zero branches globally.
+pub fn optimize(plan: Plan, cat: &IndexCatalog) -> Plan {
+    optimize_with_stats(plan, cat, &mut OptimizeStats::default())
 }
 
 /// [`optimize`] while counting candidates enumerated / cost-gated /
 /// chosen into `stats`.
-pub fn optimize_with_stats(
-    plan: Plan,
-    cat: &IndexCatalog,
-    zbp: bool,
-    stats: &mut OptimizeStats,
-) -> Plan {
-    let chosen = optimize_rec(plan, cat, stats);
-    if zbp {
-        zero_branch_prune(chosen, cat)
-    } else {
-        chosen
-    }
+pub fn optimize_with_stats(plan: Plan, cat: &IndexCatalog, stats: &mut OptimizeStats) -> Plan {
+    zero_branch_prune(optimize_rec(plan, cat, stats), cat)
 }
 
 fn optimize_rec(plan: Plan, cat: &IndexCatalog, stats: &mut OptimizeStats) -> Plan {
@@ -399,7 +388,7 @@ pub(crate) fn prune_zero_branches<'a, F: Fn(&Plan) -> u64>(
 /// removing all overhead the subtree cloning introduced. This is the
 /// plan-level (global-count) prune; lowering additionally prunes per
 /// partition with the same traversal.
-pub fn zero_branch_prune(plan: Plan, cat: &IndexCatalog) -> Plan {
+fn zero_branch_prune(plan: Plan, cat: &IndexCatalog) -> Plan {
     let slot_entry = |slot: usize| {
         cat.by_slot(slot)
             .expect("PatchScan bound to a slot outside the catalog")
@@ -461,7 +450,7 @@ mod tests {
     #[test]
     fn distinct_rewrite_produces_figure2_shape() {
         let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let opt = optimize(plan, &nuc_cat(1_000_000, 1_000), false);
+        let opt = optimize(plan, &nuc_cat(1_000_000, 1_000));
         let s = opt.to_string();
         assert!(s.starts_with("Union"), "got:\n{s}");
         assert!(s.contains("exclude_patches"));
@@ -474,7 +463,7 @@ mod tests {
     #[test]
     fn sort_rewrite_produces_merge() {
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        let opt = optimize(plan, &nsc_cat(1_000_000, 5_000), false);
+        let opt = optimize(plan, &nsc_cat(1_000_000, 5_000));
         let s = opt.to_string();
         assert!(s.starts_with("Merge"), "got:\n{s}");
         assert!(s.contains("Sort"));
@@ -484,21 +473,21 @@ mod tests {
     fn mismatched_column_not_rewritten() {
         // Distinct over column 0, index on column 1.
         let plan = Plan::scan(vec![0]).distinct(vec![0]);
-        let opt = optimize(plan, &nuc_cat(1_000, 10), false);
+        let opt = optimize(plan, &nuc_cat(1_000, 10));
         assert!(opt.to_string().starts_with("Distinct"));
     }
 
     #[test]
     fn descending_sort_not_rewritten_by_asc_index() {
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Desc)]);
-        let opt = optimize(plan, &nsc_cat(1_000, 10), false);
+        let opt = optimize(plan, &nsc_cat(1_000, 10));
         assert!(opt.to_string().starts_with("Sort"));
     }
 
     #[test]
     fn zbp_drops_empty_patches_branch() {
         let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let opt = optimize(plan, &nuc_cat(1_000_000, 0), true);
+        let opt = optimize(plan, &nuc_cat(1_000_000, 0));
         let s = opt.to_string();
         assert!(s.starts_with("PatchScan[exclude_patches]"), "got:\n{s}");
         assert!(!s.contains("use_patches"));
@@ -507,7 +496,7 @@ mod tests {
     #[test]
     fn zbp_keeps_nonzero_branches() {
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        let opt = optimize(plan, &nsc_cat(1_000_000, 7), true);
+        let opt = optimize(plan, &nsc_cat(1_000_000, 7));
         assert!(opt.to_string().starts_with("Merge"));
     }
 
@@ -527,7 +516,7 @@ mod tests {
     fn full_exception_rate_keeps_reference_plan() {
         // With e = 1 the rewrite buys nothing; the cost gate rejects it.
         let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let opt = optimize(plan, &nuc_cat(1_000, 1_000), false);
+        let opt = optimize(plan, &nuc_cat(1_000, 1_000));
         assert!(opt.to_string().starts_with("Distinct"), "got:\n{}", opt);
     }
 
@@ -544,12 +533,12 @@ mod tests {
         );
         // Distinct over table col 1 -> slot 0.
         let q1 = Plan::scan(vec![1]).distinct(vec![0]);
-        let s = optimize(q1, &cat, false).to_string();
+        let s = optimize(q1, &cat).to_string();
         assert!(s.contains("slot=0"), "got:\n{s}");
         assert!(!s.contains("slot=1"));
         // Distinct over table col 2 -> slot 1.
         let q2 = Plan::scan(vec![2]).distinct(vec![0]);
-        let s = optimize(q2, &cat, false).to_string();
+        let s = optimize(q2, &cat).to_string();
         assert!(s.contains("slot=1"), "got:\n{s}");
         assert!(!s.contains("slot=0"));
     }
@@ -574,7 +563,7 @@ mod tests {
             filter: None,
         }
         .distinct(vec![1]);
-        let s = optimize(q, &cat, false).to_string();
+        let s = optimize(q, &cat).to_string();
         assert!(s.starts_with("Distinct"), "got:\n{s}");
         assert!(!s.contains("PatchScan"));
     }
@@ -597,7 +586,7 @@ mod tests {
                 ),
             ],
         );
-        let s = optimize(plan(), &nuc_cheap, false).to_string();
+        let s = optimize(plan(), &nuc_cheap).to_string();
         assert!(s.contains("slot=0"), "NUC should win:\n{s}");
         assert!(!s.contains("slot=1"));
 
@@ -614,7 +603,7 @@ mod tests {
                 entry(1, 1, Constraint::NearlyConstant, vec![(1_000_000, 100)], 0),
             ],
         );
-        let s = optimize(plan(), &ncc_cheap, false).to_string();
+        let s = optimize(plan(), &ncc_cheap).to_string();
         assert!(s.contains("slot=1"), "NCC should win:\n{s}");
         assert!(!s.contains("slot=0"));
     }
@@ -636,7 +625,7 @@ mod tests {
                 Plan::scan(vec![2]).distinct(vec![0]),
             ],
         };
-        let s = optimize(q, &cat, false).to_string();
+        let s = optimize(q, &cat).to_string();
         assert!(s.contains("slot=0") && s.contains("slot=1"), "got:\n{s}");
     }
 }

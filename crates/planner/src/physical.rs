@@ -528,7 +528,7 @@ mod tests {
             Design::Bitmap,
         ));
         let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx), false);
+        let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx));
         assert!(opt.to_string().starts_with("Union"));
         let mut reference: Vec<i64> = execute(&plan, &t, NO_INDEXES).column(0).as_int().to_vec();
         let mut rewritten: Vec<i64> = execute(&opt, &t, &idx).column(0).as_int().to_vec();
@@ -547,7 +547,7 @@ mod tests {
             Design::Bitmap,
         ));
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx), false);
+        let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx));
         assert!(opt.to_string().starts_with("Merge"), "{opt}");
         let reference = execute(&plan, &t, NO_INDEXES);
         let rewritten = execute(&opt, &t, &idx);
@@ -573,7 +573,7 @@ mod tests {
             Design::Bitmap,
         ));
         let plan = Plan::scan(vec![0]).distinct(vec![0]);
-        let opt = optimize(plan, &IndexCatalog::of(&t, &idx), true);
+        let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
         assert!(opt.to_string().starts_with("PatchScan"));
         // ZBP plan: pure scan of the excluding flow, still complete.
         assert_eq!(execute_count(&opt, &t, &idx), 100);
@@ -649,7 +649,7 @@ mod tests {
         assert_eq!(indexes[0].exception_count(), 1);
 
         let plan = Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]);
-        let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &indexes), true);
+        let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &indexes));
         assert!(opt.to_string().starts_with("Merge"), "{opt}");
 
         // Plan inspection: the per-partition specialization used by the
@@ -727,7 +727,7 @@ mod tests {
         ));
         assert_eq!(idx[0].exception_count(), 0);
         let plan = Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]);
-        let opt = optimize(plan, &IndexCatalog::of(&t, &idx), true);
+        let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
         // ZBP drops the patches flow but keeps the Merge wrapper.
         assert!(!opt.to_string().contains("use_patches"), "{opt}");
         assert!(opt.to_string().starts_with("Merge"), "{opt}");
@@ -753,7 +753,7 @@ mod tests {
         }
         .distinct(vec![1]);
         let reference = execute_count(&plan, &t, NO_INDEXES);
-        let opt = optimize(plan, &IndexCatalog::of(&t, &idx), true);
+        let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
         assert_eq!(execute_count(&opt, &t, &idx), reference);
     }
 
@@ -800,7 +800,7 @@ mod tests {
             Design::Bitmap,
         ));
         let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let opt = optimize(plan, &IndexCatalog::of(&t, &idx), false);
+        let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
         // Both partitions hold patches (value 5 in p0; none in p1 — check).
         assert!(idx[0].partition_patch_count(0) > 0);
         let specialized = prune_for_partition(&opt, &t, &idx, 0).unwrap();
@@ -862,7 +862,7 @@ mod tests {
             Constraint::NearlySorted(SortDir::Asc),
             Design::Bitmap,
         ));
-        let opt = optimize(splan, &IndexCatalog::of(&t, &nsc), false);
+        let opt = optimize(splan, &IndexCatalog::of(&t, &nsc));
         if opt.to_string().contains("Merge") {
             let p1 = prune_for_partition(&opt, &t, &nsc, 1).unwrap();
             assert!(!p1.to_string().contains("use_patches"), "{p1}");
@@ -909,7 +909,7 @@ mod tests {
                 .sort(vec![(0, SortOrder::Asc)]),
             Plan::scan(vec![1]).limit(3),
         ] {
-            let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx), false);
+            let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx));
             let trace = ExecObserver::new(t.partition_count(), true);
             let traced = collect_probed(&opt, &t, &idx, &trace);
             let plain = execute(&opt, &t, &idx);

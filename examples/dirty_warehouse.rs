@@ -46,7 +46,7 @@ fn main() {
     let plan = Plan::scan(vec![1]).distinct(vec![0]);
     let reference = execute_count(&plan, wh.table(), NO_INDEXES);
     for _ in 0..3 {
-        assert_eq!(wh.query_count(&plan), reference);
+        assert_eq!(wh.query(&plan).len(), reference);
     }
     // One advisor step sees the queries + the id column's sampled
     // match fraction and materializes the NUC index on its own.
@@ -72,7 +72,7 @@ fn main() {
     let n_ref = execute_count(&plan, wh.table(), NO_INDEXES);
     let t_ref = t.elapsed();
     let t = Instant::now();
-    let with_pi = wh.query_count(&plan);
+    let with_pi = wh.query(&plan).len();
     let t_pi = t.elapsed();
     assert_eq!(n_ref, with_pi);
     println!(

@@ -35,7 +35,7 @@ fn main() {
     let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
     let n_ref = execute_count(&plan, ts.table(), NO_INDEXES);
     for _ in 0..3 {
-        assert_eq!(ts.query_count(&plan), n_ref);
+        assert_eq!(ts.query(&plan).len(), n_ref);
     }
     for action in advisor.step(&mut ts) {
         println!("advisor: {}", action.describe());
@@ -63,7 +63,7 @@ fn main() {
     assert_eq!(execute_count(&plan, ts.table(), NO_INDEXES), n_ref);
     let t_ref = t.elapsed();
     let t = Instant::now();
-    assert_eq!(ts.query_count(&plan), n_ref);
+    assert_eq!(ts.query(&plan).len(), n_ref);
     let t_pi = t.elapsed();
     println!(
         "ORDER BY over {n_ref} rows: reference {:.1} ms, PatchIndex {:.1} ms ({:.1}x)",
@@ -99,7 +99,7 @@ fn main() {
             .collect();
         ts.insert(&rows_batch);
         let inserted = (next_key - rows as i64) as usize;
-        assert_eq!(ts.query_count(&plan), n_ref + inserted);
+        assert_eq!(ts.query(&plan).len(), n_ref + inserted);
         let idx = ts.index(slot);
         println!(
             "batch {batch_no}{} -> e = {:.4} (create-time {:.4}), drift {:.4} patches/row",

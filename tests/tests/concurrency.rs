@@ -86,7 +86,7 @@ fn run_stream(ops: &[Step], nreaders: usize) -> u64 {
             let (distinct, sort) = (&distinct, &sort);
             scope.spawn(move || loop {
                 let snap = handle.snapshot();
-                let got_distinct = snap.query_count(distinct);
+                let got_distinct = snap.query(distinct).len();
                 let got_sorted = int_column(&snap.query(sort));
                 {
                     let map = expected.lock().unwrap();
@@ -138,7 +138,7 @@ fn check_reads<E: QueryEngine>(engine: &E, table: &Table, ctx: &str) {
     let distinct = Plan::scan(vec![1]).distinct(vec![0]);
     let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
     let want = expected_of(table, &distinct, &sort);
-    assert_eq!(engine.query_count(&distinct), want.distinct, "{ctx}");
+    assert_eq!(engine.query(&distinct).len(), want.distinct, "{ctx}");
     assert_eq!(
         engine.query_traced(&distinct).0.len(),
         want.distinct,
@@ -257,7 +257,7 @@ fn advisor_steps_through_the_writer() {
     let reference = execute_count(&distinct, handle.snapshot().table(), NO_INDEXES);
     for _ in 0..4 {
         let snap = handle.snapshot();
-        assert_eq!(snap.query_count(&distinct), reference);
+        assert_eq!(snap.query(&distinct).len(), reference);
     }
     assert!(handle.snapshot().indexes().is_empty());
     let actions = advisor.step_writer(&mut writer);
@@ -272,5 +272,5 @@ fn advisor_steps_through_the_writer() {
     let snap = handle.snapshot();
     assert_eq!(snap.indexes().len(), 1);
     assert!(snap.plan_query(&distinct).to_string().contains("PatchScan"));
-    assert_eq!(snap.query_count(&distinct), reference);
+    assert_eq!(snap.query(&distinct).len(), reference);
 }

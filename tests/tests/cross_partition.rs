@@ -53,7 +53,7 @@ fn create_time_cross_partition_duplicates_do_not_overcount_distinct() {
     assert!(chosen.to_string().contains("PatchScan"), "{chosen}");
     assert_eq!(execute_count(&chosen, it.table(), it.indexes()), reference);
     // The facade agrees.
-    assert_eq!(it.query_count(&plan), reference);
+    assert_eq!(it.query(&plan).len(), reference);
 }
 
 /// Incremental maintenance already keeps cross-partition pools patched;
@@ -101,7 +101,7 @@ fn run_owner(ops: &[Step], design: Design) {
     for op in ops {
         it.step(op).unwrap();
         let reference = execute_count(&plan, it.table(), NO_INDEXES);
-        assert_eq!(it.query_count(&plan), reference, "ops: {ops:?}");
+        assert_eq!(it.query(&plan).len(), reference, "ops: {ops:?}");
     }
     it.check_consistency();
     // The structural rewrite (no cost gate) is exact too.
@@ -128,7 +128,7 @@ fn run_concurrent(ops: &[Step], design: Design) {
         }
         let snap = handle.snapshot();
         let reference = execute_count(&plan, snap.table(), NO_INDEXES);
-        assert_eq!(snap.query_count(&plan), reference, "ops: {ops:?}");
+        assert_eq!(snap.query(&plan).len(), reference, "ops: {ops:?}");
     }
     writer.publish();
     let snap = handle.snapshot();

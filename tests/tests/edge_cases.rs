@@ -132,7 +132,7 @@ fn all_rows_are_patches_nuc_constant_column() {
         let reference = execute_count(&plan, &table, NO_INDEXES);
         assert_eq!(reference, 1);
         let indexes = std::slice::from_ref(&idx);
-        let opt = optimize(plan, &IndexCatalog::of(&table, indexes), false);
+        let opt = optimize(plan, &IndexCatalog::of(&table, indexes));
         assert_eq!(
             execute_count(&opt, &table, indexes),
             reference,
@@ -155,7 +155,7 @@ fn all_rows_are_patches_nsc_reverse_sorted_column() {
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
         let reference = execute(&plan, &table, NO_INDEXES);
         let indexes = std::slice::from_ref(&idx);
-        let opt = optimize(plan, &IndexCatalog::of(&table, indexes), false);
+        let opt = optimize(plan, &IndexCatalog::of(&table, indexes));
         let got = execute(&opt, &table, indexes);
         assert_eq!(
             got.column(0).as_int(),
@@ -217,7 +217,7 @@ fn planted_full_exception_rate_survives_updates() {
         if kind == MicroKind::Nuc {
             let plan = Plan::scan(vec![1]).distinct(vec![0]);
             let reference = execute_count(&plan, it.table(), NO_INDEXES);
-            assert_eq!(it.query_count(&plan), reference);
+            assert_eq!(it.query(&plan).len(), reference);
         }
     }
 }
@@ -254,7 +254,7 @@ fn single_and_multi_partition_tables_agree_on_queries() {
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let reference = execute_count(&distinct, it.table(), NO_INDEXES);
         assert_eq!(
-            it.query_count(&distinct),
+            it.query(&distinct).len(),
             reference,
             "{partitions}p distinct"
         );

@@ -20,7 +20,7 @@ fn distinct_query_all_configurations_agree_across_exception_rates() {
             let idx = PatchIndex::create(&ds.table, 1, Constraint::NearlyUnique, design);
             idx.check_consistency(&ds.table);
             let indexes = std::slice::from_ref(&idx);
-            let opt = optimize(plan.clone(), &IndexCatalog::of(&ds.table, indexes), false);
+            let opt = optimize(plan.clone(), &IndexCatalog::of(&ds.table, indexes));
             assert_eq!(
                 execute_count(&opt, &ds.table, indexes),
                 reference,
@@ -42,7 +42,7 @@ fn sort_query_all_configurations_agree_across_exception_rates() {
             let idx =
                 PatchIndex::create(&ds.table, 1, Constraint::NearlySorted(SortDir::Asc), design);
             let indexes = std::slice::from_ref(&idx);
-            let opt = optimize(plan.clone(), &IndexCatalog::of(&ds.table, indexes), false);
+            let opt = optimize(plan.clone(), &IndexCatalog::of(&ds.table, indexes));
             let got = execute(&opt, &ds.table, indexes);
             assert_eq!(
                 got.column(0).as_int(),
@@ -83,12 +83,12 @@ fn update_workload_preserves_query_correctness() {
     // the reference.
     let plan = Plan::scan(vec![1]).distinct(vec![0]);
     let reference = execute_count(&plan, it.table(), NO_INDEXES);
-    assert_eq!(it.query_count(&plan), reference);
+    assert_eq!(it.query(&plan).len(), reference);
 
     // Propagating deltas into base storage changes nothing observable.
     it.propagate();
     it.check_consistency();
-    assert_eq!(it.query_count(&plan), reference);
+    assert_eq!(it.query(&plan).len(), reference);
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn zbp_on_perfect_data_equals_plain_scan_semantics() {
     assert_eq!(idx.exception_count(), 0);
     let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
     let indexes = std::slice::from_ref(&idx);
-    let opt = optimize(plan.clone(), &IndexCatalog::of(&ds.table, indexes), true);
+    let opt = optimize(plan.clone(), &IndexCatalog::of(&ds.table, indexes));
     // ZBP prunes the patches branch entirely.
     assert!(!opt.to_string().contains("use_patches"), "{opt}");
     let reference = execute(&plan, &ds.table, NO_INDEXES);

@@ -9,9 +9,10 @@
 //!
 //! The entry-point matrix below pins the other half of the contract:
 //! every way into the one pipeline — owner table, writer, uncached /
-//! cached-miss / cached-hit snapshot, through `query`, `query_count` and
-//! `query_traced` — returns that same answer, records workload evidence
-//! by the same rule table and writes nothing to the indexes it reads.
+//! cached-miss / cached-hit snapshot, through `query`, `query_traced`
+//! and a count by `query(..).len()` — returns that same answer, with the
+//! count equal to `execute_count`'s, records workload evidence by the
+//! same rule table and writes nothing to the indexes it reads.
 
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ use pi_exec::ops::sort::SortOrder;
 use pi_exec::Batch;
 use pi_integration::{steps, Applier, Pool, UPDATES};
 use pi_obs::{CacheOutcome, QueryTrace};
-use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
+use pi_planner::{execute, execute_count, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
 
@@ -288,7 +289,7 @@ fn call<E: QueryEngine>(
             let n = rows.len();
             (Some(rows), n, None)
         }
-        Method::Count => (None, engine.query_count(plan), None),
+        Method::Count => (None, engine.query(plan).len(), None),
         Method::Traced => {
             let (batch, trace) = engine.query_traced(plan);
             assert_eq!(trace.rows_out, batch.len() as u64);
@@ -319,6 +320,7 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
         }
         rows
     };
+    let reference_count = execute_count(plan, it.table(), NO_INDEXES);
 
     let (got, chosen, cache_outcome, after, want) = match entry {
         Entry::Owner => {
@@ -388,7 +390,7 @@ fn check_cell(entry: Entry, method: Method, plan: &Plan, shape: Option<QueryShap
     if let Some(rows) = rows {
         assert_eq!(rows, reference, "{ctx}: rows");
     }
-    assert_eq!(count, reference.len(), "{ctx}: count");
+    assert_eq!(count, reference_count, "{ctx}: count");
     assert_eq!(after, want, "{ctx}: evidence");
 
     // The matrix must cover what it claims, by one rule at every entry.
