@@ -5,9 +5,12 @@
 //! constraint per query) and plans partition-locally, so the snapshot
 //! carries per-partition row and patch counts rather than only global
 //! totals. A snapshot is immutable and cheap: counts come straight from
-//! the patch stores; the only scan is the distinct-patch-value count of
-//! NUC indexes (one hash pass over the patch rows), which feeds the
-//! index-informed distinct-cardinality estimate and is capped at
+//! the patch stores, and so does the distinct-patch-value count of NUC
+//! indexes, which feeds the index-informed distinct-cardinality
+//! estimate. The index carries that count through maintenance (see
+//! [`PatchIndex::patch_distinct_count`]); only the first snapshot after
+//! a NUC modify or a delete of a patch row recounts it, with one hash
+//! pass over the patch rows. The recount is capped at
 //! `PATCH_DISTINCT_EXACT_CAP` patches — beyond that the conventional
 //! 50% estimate stands in, keeping every snapshot O(small).
 
@@ -153,9 +156,19 @@ impl PatchIndex {
         self.partition(pid).store.nrows()
     }
 
-    /// Distinct values among the patch rows (one hash pass over the
-    /// patches, reading their column values from `table`).
+    /// Distinct values among the patch rows. The first call after the
+    /// count was dropped makes one hash pass over the patches, reading
+    /// their column values from `table`; maintenance carries the result
+    /// from there.
     pub fn patch_distinct_count(&self, table: &Table) -> u64 {
+        *self
+            .patch_distinct
+            .get_or_init(|| self.count_patch_distinct(table))
+    }
+
+    /// [`PatchIndex::patch_distinct_count`] recounted from the patch
+    /// stores and `table`.
+    pub(crate) fn count_patch_distinct(&self, table: &Table) -> u64 {
         let col = self.column();
         let mut seen = pi_exec::hash::int_set();
         for pid in 0..self.partition_count() {

@@ -46,9 +46,9 @@ pub enum QueryShape {
 pub struct IndexedTable {
     table: Table,
     indexes: Vec<Arc<PatchIndex>>,
-    /// The catalog (with the NUC distinct-patch pass), filled by the first
-    /// query or publish that needs it and dropped by every mutation, so
-    /// it is re-hashed once per mutation, not per query.
+    /// The catalog, filled by the first query or publish that needs it
+    /// and dropped by every mutation, so it is rebuilt once per mutation,
+    /// not per query.
     catalog_cache: OnceLock<IndexCatalog>,
     /// Where queries on this table (and on every snapshot published from
     /// it) leave their workload evidence for the advisor.
@@ -145,8 +145,9 @@ impl IndexedTable {
     /// Snapshot of every index plus the per-partition table shape — what
     /// the planner optimizes against (see `pi-planner`'s `QueryEngine`)
     /// and what a publish hands its snapshot. Cached between mutations:
-    /// the first call after an update pays the snapshot (including the
-    /// capped NUC distinct-patch pass); every further call is a borrow.
+    /// the first call after an update pays the snapshot (counter reads,
+    /// plus the capped NUC distinct-patch pass for an index whose carried
+    /// count maintenance dropped); every further call is a borrow.
     pub fn catalog(&self) -> &IndexCatalog {
         self.catalog_cache
             .get_or_init(|| IndexCatalog::of(&self.table, &self.indexes))

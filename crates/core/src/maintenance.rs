@@ -19,13 +19,27 @@
 //! thread — the one mutator an index version has (paper, Section 5.4;
 //! see [`crate::snapshot`]) — applies them to the patch stores, bitmap
 //! and identifier design alike.
+//!
+//! A statement pays for the index state it changes, not for what it
+//! leaves alone. The probe scans lent base windows and reads a match's
+//! rowID off its window position, so a clean block is probed uncopied;
+//! the [`JoinTable`]'s bit filter turns most probe rows away before a
+//! map lookup. And the distinct-patch-value count the catalog reads is
+//! carried, not recounted: an insert's collision round adds the hit
+//! values that had no patch row before — exact by the NUC invariant,
+//! under which a value's rows are either all patches or one kept row. A
+//! delete of kept rows only keeps the count, and a statement that leaves
+//! an index alone never touches it; a NUC modify, a delete of a patch
+//! row and the other constraints' inserts and modifies drop it, and the
+//! next catalog recounts.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
-use pi_exec::ops::hash_join::JoinTable;
+use pi_exec::ops::hash_join::{join_key, JoinTable};
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::parallel::per_partition;
-use pi_exec::{Batch, Operator};
+use pi_exec::Batch;
 use pi_storage::{ColumnData, Partition, RowAddr, Table};
 
 use crate::constraint::{Constraint, SortDir};
@@ -105,81 +119,117 @@ fn build_changed_batch(table: &Table, col: usize, changed: &[(usize, usize)]) ->
 ///
 /// Returns the colliding rowIDs per partition — probe-side and build-side
 /// hits merged, sorted and deduplicated. Each match is read where it
-/// lies: the probe rowID from the scan batch and the build (partition,
-/// rowID) from the table's rows, at the positions [`JoinTable::pairs`]
-/// names — the Reuse operator's effect (Figure 5) without materializing
-/// the join result.
+/// lies: the probe rowID from the scan window's position and the build
+/// (partition, rowID) from the table's rows, at the positions
+/// [`JoinTable::pairs`] names — the Reuse operator's effect (Figure 5)
+/// without materializing the join result. The scan asks for no rowID
+/// column, so clean base blocks are probed as lent windows, uncopied.
+///
+/// Given `patched` (the index before this round), also returns how many
+/// hit values had no patch among their probed rows: the values this
+/// round adds to the distinct patch values. Every row holding a build
+/// value lies in a probed range, so each hit value's rows are all seen.
 fn nuc_collision_probe(
     table: &Table,
     col: usize,
     build_batch: Batch,
     stats: &mut MaintenanceStats,
-) -> Vec<Vec<u64>> {
+    patched: Option<&PatchIndex>,
+) -> (Vec<Vec<u64>>, u64) {
     let shared = JoinTable::from_batch(build_batch, 0);
     stats.collision_rounds += 1;
     stats.build_invocations += 1;
     stats.probed_partitions += table.partition_count() as u64;
+    let build_values = shared.rows().column(0);
     let build_pids = shared.rows().column(1).as_int();
     let build_rids = shared.rows().column(2).as_int();
     let worker = |partition: &Partition| {
         let pid = partition.id;
         let ranges = drp_ranges(partition, col, shared.envelope());
-        // Batches are `[value, rid]`. One value can match thousands of
-        // already-patched rows, so each worker deduplicates what it found
-        // before handing it back.
-        let mut scan = ScanOp::with_ranges(partition, vec![col], ranges, true);
+        let store = patched.map(|idx| &idx.partition(pid).store);
+        // One value can match thousands of already-patched rows, so each
+        // worker deduplicates what it found before handing it back.
+        let mut scan = ScanOp::with_ranges(partition, vec![col], ranges, false);
         let mut probe_hits: Vec<u64> = Vec::new();
         let mut build_hits: Vec<(usize, u64)> = Vec::new();
-        while let Some(batch) = scan.next() {
+        // (hit value, whether this probe row was a patch)
+        let mut values: Vec<(i64, bool)> = Vec::new();
+        while let Some((start, batch)) = scan.next_window() {
             let (probe_pos, build_pos) = shared.pairs(&batch, 0);
-            let probe_rids = batch.raw_column(1).as_int();
+            // Row `start` of the partition sits at the first position of
+            // the batch's span: a lent window's base offset, or 0.
+            let first = batch.span().start;
             for (p, b) in probe_pos.into_iter().zip(build_pos) {
-                let probe_rid = probe_rids[p] as u64;
+                let probe_rid = (start + p - first) as u64;
                 let (b_pid, b_rid) = (build_pids[b] as usize, build_rids[b] as u64);
                 if b_pid == pid && b_rid == probe_rid {
                     continue; // a changed tuple matching itself is benign
                 }
                 probe_hits.push(probe_rid);
                 build_hits.push((b_pid, b_rid));
+                if let Some(store) = store {
+                    values.push((join_key(build_values, b), store.contains(probe_rid)));
+                }
             }
         }
         probe_hits.sort_unstable();
         probe_hits.dedup();
         build_hits.sort_unstable();
         build_hits.dedup();
-        (probe_hits, build_hits)
+        values.sort_unstable();
+        values.dedup();
+        (probe_hits, build_hits, values)
     };
-    let (mut hits, build_hits): (Vec<Vec<u64>>, Vec<_>) =
-        per_partition(table, worker).into_iter().unzip();
-    for (pid, rid) in build_hits.into_iter().flatten() {
+    let mut hits: Vec<Vec<u64>> = Vec::with_capacity(table.partition_count());
+    let mut values: Vec<(i64, bool)> = Vec::new();
+    let mut build_hits: Vec<(usize, u64)> = Vec::new();
+    for (probe, build, vals) in per_partition(table, worker) {
+        hits.push(probe);
+        build_hits.extend(build);
+        values.extend(vals);
+    }
+    for (pid, rid) in build_hits {
         hits[pid].push(rid);
     }
     for rids in &mut hits {
         rids.sort_unstable();
         rids.dedup();
     }
-    hits
+    // One entry per value, marked when any of its rows was a patch. By the
+    // NUC invariant a value's rows are either all patches or one kept row,
+    // so an unmarked value is one the patch values did not hold.
+    values.sort_unstable();
+    values.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        kept.1 |= same && later.1;
+        same
+    });
+    let fresh = values.iter().filter(|&&(_, was_patch)| !was_patch).count();
+    (hits, fresh as u64)
 }
 
 impl PatchIndex {
     /// The NUC collision round for the `changed` tuples of one statement:
     /// build batch hashed once, partition probes fanned out, and every
     /// colliding row — on either side of the join — merged into its
-    /// partition's patch store.
-    fn nuc_round(&mut self, table: &Table, changed: &[(usize, usize)]) {
+    /// partition's patch store. With `count_fresh`, returns how many
+    /// values the round added to the distinct patch values (else 0).
+    fn nuc_round(&mut self, table: &Table, changed: &[(usize, usize)], count_fresh: bool) -> u64 {
         if changed.is_empty() {
-            return;
+            return 0;
         }
         let col = self.column();
         let build_batch = build_changed_batch(table, col, changed);
         let mut stats = self.maintenance_stats();
-        let hits = nuc_collision_probe(table, col, build_batch, &mut stats);
+        let patched = count_fresh.then_some(&*self);
+        let (hits, fresh) = nuc_collision_probe(table, col, build_batch, &mut stats, patched);
         self.set_maintenance_stats(stats);
         for (pid, rids) in hits.iter().enumerate() {
             if !rids.is_empty() {
                 self.partition_mut(pid).store.add_patches(rids);
             }
         }
+        fresh
     }
 
     /// Maintains the index after `table.insert_rows` returned `inserted`.
@@ -189,8 +239,12 @@ impl PatchIndex {
     /// subsequence of the inserted values; the rest become patches. This
     /// may lose global optimality (paper's (1,2,10)+(3,4) example) but
     /// never correctness; the monitoring policy recomputes eventually.
+    ///
+    /// Only a NUC insert carries the distinct-patch count: the round
+    /// counts the values it adds. The other constraints drop it.
     pub fn handle_insert(&mut self, table: &mut Table, inserted: &[RowAddr]) {
         self.note_maintained(inserted.len() as u64);
+        let carried = self.patch_distinct.take();
         let col = self.column();
         let constraint = self.constraint();
         // Group inserted rowIDs per partition.
@@ -204,7 +258,10 @@ impl PatchIndex {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> =
                     inserted.iter().map(|a| (a.partition, a.rid)).collect();
-                self.nuc_round(table, &changed);
+                let fresh = self.nuc_round(table, &changed, carried.is_some());
+                if let Some(count) = carried {
+                    self.patch_distinct = OnceLock::from(count + fresh);
+                }
             }
             Constraint::NearlySorted(dir) => {
                 for (pid, rids) in per_part.iter().enumerate() {
@@ -274,16 +331,20 @@ impl PatchIndex {
     /// NUC: same collision query as insert handling (paper, Section 5.2),
     /// without the bitmap resize. NSC: all modified tuples join the patch
     /// set — no query needed.
+    ///
+    /// Drops the distinct-patch count: a modify can take away a patch
+    /// value's last row, which only a recount notices.
     pub fn handle_modify(&mut self, table: &mut Table, pid: usize, rids: &[usize]) {
         if rids.is_empty() {
             return;
         }
         self.note_maintained(rids.len() as u64);
+        self.patch_distinct.take();
         let col = self.column();
         match self.constraint() {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> = rids.iter().map(|&r| (pid, r)).collect();
-                self.nuc_round(table, &changed);
+                self.nuc_round(table, &changed, false);
             }
             Constraint::NearlySorted(_) => {
                 let patches: Vec<u64> = rids.iter().map(|&r| r as u64).collect();
@@ -313,9 +374,16 @@ impl PatchIndex {
     /// deleted tuples is dropped; subsequent rowIDs shift down via the
     /// sharded bitmap's bulk delete / identifier decrementing (paper,
     /// Section 5.3).
+    ///
+    /// A delete of kept rows only keeps the distinct-patch count; one
+    /// that removes a patch row drops it.
     pub fn handle_delete(&mut self, pid: usize, rids: &[usize]) {
         self.note_maintained(rids.len() as u64);
         let deleted: Vec<u64> = rids.iter().map(|&r| r as u64).collect();
+        let store = &self.partition(pid).store;
+        if self.patch_distinct.get().is_some() && deleted.iter().any(|&r| store.contains(r)) {
+            self.patch_distinct.take();
+        }
         self.partition_mut(pid).store.on_delete(&deleted);
     }
 }
@@ -633,11 +701,11 @@ mod tests {
             }
         }
 
-        /// `n` values from a window of `n` values at a random offset: the
-        /// statement repeats some of them, and the window overlaps the
-        /// table's even values or lies beyond them.
-        fn values(&mut self, n: usize) -> Vec<i64> {
-            let lo = self.below(1000);
+        /// `n` values from a window of `n` values at a random offset below
+        /// `span`: the statement repeats some of them, and the window
+        /// overlaps the table's even values or lies beyond them.
+        fn values(&mut self, n: usize, span: usize) -> Vec<i64> {
+            let lo = self.below(span);
             (0..n).map(|_| (lo + self.below(n)) as i64).collect()
         }
     }
@@ -649,11 +717,19 @@ mod tests {
     /// small (1–63 rows) and large (64 rows and up) statements alike. An
     /// insert spreads its values round-robin over the four partitions, so
     /// a value it repeats collides across partitions; a modify's values
-    /// can collide with any partition.
+    /// can collide with any partition. A partition spans more than one
+    /// scan batch, and some cases first leave a base delete or a base
+    /// modify of the other column pending in one partition: its first
+    /// batch is then copied, and its second is a window whose first row
+    /// is not row 0 of its backing. The insert carries the distinct-patch
+    /// count, which the consistency check recounts.
     #[test]
     fn shared_probe_hashes_build_side_exactly_once() {
         const PARTS: usize = 4;
-        const ROWS: usize = 100;
+        const ROWS: usize = pi_exec::BATCH_SIZE + 100;
+        const STMT: usize = 200;
+        // Statement values lie over the whole table and a little beyond.
+        const SPAN: usize = 2 * PARTS * ROWS + STMT;
         let mut patched = 0;
         for case in 0..16u64 {
             let mut seeds = Seeds(case);
@@ -664,6 +740,19 @@ mod tests {
             let mut seq_t = table(vals, PARTS);
             let mut shared_idx = PatchIndex::create(&shared_t, 1, Constraint::NearlyUnique, design);
             let mut seq_idx = PatchIndex::create(&seq_t, 1, Constraint::NearlyUnique, design);
+            let pending = seeds.below(PARTS);
+            let rids = [3, 40, 41, 97];
+            for (t, idx) in [(&mut shared_t, &mut shared_idx), (&mut seq_t, &mut seq_idx)] {
+                match case % 3 {
+                    1 => {
+                        idx.handle_delete(pending, &rids);
+                        t.delete(pending, &rids);
+                    }
+                    2 => t.modify(pending, &rids, 0, &vec![Value::Int(-1); 4]),
+                    _ => {}
+                }
+            }
+            assert_eq!(shared_idx.patch_distinct_count(&shared_t), 0);
             let mut seq_stats = MaintenanceStats::default();
             let mut reference = |t: &Table, idx: &mut PatchIndex, changed: &[(usize, usize)]| {
                 let batch = build_changed_batch(t, 1, changed);
@@ -672,9 +761,9 @@ mod tests {
                 }
             };
 
-            let n = seeds.size(case & 2 != 0, 2 * ROWS);
+            let n = seeds.size(case & 2 != 0, STMT);
             let rows: Vec<Vec<Value>> = seeds
-                .values(n)
+                .values(n, SPAN)
                 .into_iter()
                 .enumerate()
                 .map(|(i, v)| row(1000 + i as i64, v))
@@ -689,16 +778,19 @@ mod tests {
             seq_idx.cover_inserted(&seq_t, &per_part);
             let changed: Vec<(usize, usize)> = a2.iter().map(|a| (a.partition, a.rid)).collect();
             reference(&seq_t, &mut seq_idx, &changed);
+            shared_idx.check_consistency(&shared_t);
 
             let pid = seeds.below(PARTS);
-            let n = seeds.size(case & 4 != 0, ROWS);
-            let mut rids: Vec<usize> = (0..ROWS).collect();
+            // Rows below `ROWS − 4` are visible whatever the delete took.
+            let rows = ROWS - 4;
+            let n = seeds.size(case & 4 != 0, STMT / 2);
+            let mut rids: Vec<usize> = (0..rows).collect();
             for i in 0..n {
-                rids.swap(i, i + seeds.below(ROWS - i));
+                rids.swap(i, i + seeds.below(rows - i));
             }
             rids.truncate(n);
             rids.sort_unstable();
-            let values: Vec<Value> = seeds.values(n).into_iter().map(Value::Int).collect();
+            let values: Vec<Value> = seeds.values(n, SPAN).into_iter().map(Value::Int).collect();
             shared_t.modify(pid, &rids, 1, &values);
             shared_idx.handle_modify(&mut shared_t, pid, &rids);
             seq_t.modify(pid, &rids, 1, &values);
@@ -731,6 +823,36 @@ mod tests {
             shared_idx.check_consistency(&shared_t);
         }
         assert!(patched > 0, "no case collided: a weak test");
+    }
+
+    /// The distinct-patch count: an insert carries it, a delete of kept
+    /// rows only keeps it, a delete of a patch row and a NUC modify drop
+    /// it.
+    #[test]
+    fn distinct_patch_count_is_carried_kept_or_dropped() {
+        let mut t = table(vec![1, 5, 5, 9, 12], 1);
+        let mut idx = PatchIndex::create(&t, 1, Constraint::NearlyUnique, Design::Bitmap);
+        assert_eq!(idx.patch_distinct.get(), None);
+        assert_eq!(idx.patch_distinct_count(&t), 1);
+        // 9 collides with a kept row, 5 with patches, 77 with itself.
+        let addrs = t.insert_rows(&[row(10, 9), row(11, 5), row(12, 77), row(13, 77)]);
+        idx.handle_insert(&mut t, &addrs);
+        assert_eq!(idx.patch_distinct.get(), Some(&3));
+        idx.check_consistency(&t);
+        // Rows 0 (1) and 4 (12) are kept.
+        idx.handle_delete(0, &[0, 4]);
+        t.delete(0, &[0, 4]);
+        assert_eq!(idx.patch_distinct.get(), Some(&3));
+        idx.check_consistency(&t);
+        // Row 0 (5) is a patch.
+        idx.handle_delete(0, &[0]);
+        t.delete(0, &[0]);
+        assert_eq!(idx.patch_distinct.get(), None);
+        assert_eq!(idx.patch_distinct_count(&t), 3);
+        t.modify(0, &[0], 1, &[Value::Int(100)]);
+        idx.handle_modify(&mut t, 0, &[0]);
+        assert_eq!(idx.patch_distinct.get(), None);
+        idx.check_consistency(&t);
     }
 
     /// Modify rounds go through the same shared pipeline.

@@ -191,7 +191,7 @@ impl TableSnapshot {
         cache: Option<Arc<ResultCache>>,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> Self {
-        // The full catalog (including the NUC distinct-patch pass) is
+        // The full catalog (including any NUC distinct-patch recount) is
         // computed here, on the writer — snapshot readers plan against it
         // for free. Reuses the mutation-invalidated cache: a publish with
         // no data change since the last catalog read costs counter reads.

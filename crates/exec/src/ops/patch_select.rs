@@ -50,8 +50,14 @@ impl PatchLookup for ShardedBitmap {
         self.get(rid)
     }
 
-    fn fill_patch_words(&self, from: u64, out: &mut [u64], _nbits: usize) {
+    fn fill_patch_words(&self, from: u64, out: &mut [u64], nbits: usize) {
         self.fill_words(from, out);
+        // `fill_words` fills whole words: clear the bits of the rows past
+        // the range.
+        if let Some((partial, rest)) = out.get_mut(nbits / 64..).and_then(|w| w.split_first_mut()) {
+            *partial &= (1 << (nbits % 64)) - 1;
+            rest.fill(0);
+        }
     }
 }
 
@@ -128,7 +134,7 @@ impl SplitScan<'_> {
                     let mut w = word;
                     while w != 0 {
                         let i = k * 64 + w.trailing_zeros() as usize;
-                        if i < n && pred.as_ref().is_none_or(|p| p[i]) {
+                        if pred.as_ref().is_none_or(|p| p[i]) {
                             rows.push(batch.row(i));
                         }
                         w &= w - 1;
@@ -292,6 +298,18 @@ mod tests {
         let ids: Vec<u64> = vec![2, 5];
         let out = select(&partition(10), vec![0..10], &ids, PatchMode::ExcludePatches);
         assert_eq!(out, [0, 1, 3, 4, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn both_designs_fill_identical_words_for_a_range_ending_mid_word() {
+        let patches: Vec<u64> = (0..300).filter(|r| r % 3 != 1).collect();
+        let bm = ShardedBitmap::from_positions(300, &patches);
+        for (from, nbits) in [(0, 70), (5, 64), (100, 1), (250, 50), (200, 128)] {
+            let mut words = [[u64::MAX; 3]; 2];
+            bm.fill_patch_words(from, &mut words[0], nbits);
+            patches.fill_patch_words(from, &mut words[1], nbits);
+            assert_eq!(words[0], words[1], "rows [{from}, {})", from + nbits as u64);
+        }
     }
 
     #[test]
