@@ -8,7 +8,7 @@ use patchindex::discovery::sampled_match;
 use patchindex::stats::{pi_bitmap_bytes, pi_identifier_bytes, preferred_design};
 use patchindex::{
     Constraint, Design, IndexCatalog, IndexStats, IndexedTable, PartitionStats, QueryShape,
-    SortDir, WorkloadDelta,
+    SortDir, Statement, WorkloadDelta,
 };
 use pi_exec::ops::sort::SortOrder;
 use pi_obs::{Counter, MetricsRegistry};
@@ -162,7 +162,6 @@ pub struct Advisor {
     /// create rule demands *recent* query evidence, so a dropped index
     /// is not immediately re-created from stale counts.
     query_windows: HashMap<(usize, QueryShape), Window<u64>>,
-    last_step_statements: u64,
     metrics: Option<AdvisorMetrics>,
 }
 
@@ -185,30 +184,12 @@ impl Advisor {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AdvisorConfig {
-        &self.cfg
-    }
-
     /// Replaces the patch-memory budget for subsequent steps. This is
     /// the multi-tenant hook: a coordinator owning several advisors (one
     /// per shard) re-divides one global budget by observed benefit
     /// ([`crate::split_budget`]) and pushes each share down here.
     pub fn set_memory_budget(&mut self, bytes: usize) {
         self.cfg.memory_budget_bytes = bytes;
-    }
-
-    /// Runs one step if at least `step_every` statements were applied
-    /// since the last one — call it after every update statement to
-    /// piggyback the advisor on the update path. The advisor is the one
-    /// owner of the index lifecycle (create, recompute, drop); the only
-    /// other upkeep, condensing a Bitmap index's shards, happens inside
-    /// the bitmap's own deletes.
-    pub fn maybe_step(&mut self, it: &mut IndexedTable) -> Vec<AdvisorAction> {
-        if it.statements() - self.last_step_statements < self.cfg.step_every {
-            return Vec::new();
-        }
-        self.step(it)
     }
 
     /// Runs one advisor cycle against the snapshot/writer split of
@@ -227,7 +208,6 @@ impl Advisor {
     /// actions. The observation starts by taking what queries left in the
     /// table's sink (its own and its snapshots') since the last take.
     pub fn step(&mut self, it: &mut IndexedTable) -> Vec<AdvisorAction> {
-        self.last_step_statements = it.statements();
         if let Some(m) = &self.metrics {
             m.steps.inc();
         }
@@ -346,7 +326,8 @@ impl Advisor {
         }
     }
 
-    /// Executes the decisions: recomputes (snapshot slots still valid),
+    /// Executes the decisions as statements through
+    /// [`IndexedTable::apply`]: recomputes (snapshot slots still valid),
     /// then drops in descending slot order, then creates.
     fn act(&mut self, it: &mut IndexedTable, decisions: Vec<Decision>) -> Vec<AdvisorAction> {
         let mut actions = Vec::new();
@@ -358,7 +339,7 @@ impl Advisor {
             } = *d
             {
                 let design_before = it.index(slot).design();
-                it.recompute_index(slot);
+                it.apply(&Statement::Recompute { slot });
                 actions.push(AdvisorAction::Recomputed {
                     slot,
                     e_before: e,
@@ -383,7 +364,10 @@ impl Advisor {
             .collect();
         drops.sort_by_key(|d| std::cmp::Reverse(d.0)); // descending: removal shifts later slots
         for (slot, reason, maintenance_cost, query_benefit) in drops {
-            let dropped = it.drop_index(slot);
+            let dropped = it
+                .apply(&Statement::DropIndex { slot })
+                .dropped
+                .expect("a drop hands back its index");
             self.windows
                 .remove(&(dropped.column(), dropped.constraint()));
             actions.push(AdvisorAction::Dropped {
@@ -402,7 +386,12 @@ impl Advisor {
                 sampled_e,
             } = d
             {
-                let slot = it.add_index(column, constraint, design);
+                let created = it.apply(&Statement::AddIndex {
+                    col: column,
+                    constraint,
+                    design,
+                });
+                let slot = created.slot.expect("a create hands back its slot");
                 // A fresh index starts its counters at zero, and its first
                 // saving arrives with the next step's take.
                 self.windows.insert(

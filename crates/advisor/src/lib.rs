@@ -21,10 +21,11 @@
 //!   value by a margin (the paper's reorganization trigger); drop when
 //!   windowed maintenance cost exceeds windowed query benefit — all
 //!   under a global patch-memory budget with benefit-per-byte ranking.
-//! * **Act** — decisions execute through
-//!   [`patchindex::IndexedTable`] (`add_index` / `recompute_index` /
-//!   `drop_index`), either on demand ([`Advisor::step`]) or piggybacked
-//!   on the update path ([`Advisor::maybe_step`] after each statement).
+//! * **Act** — each decision is a [`patchindex::Statement`]
+//!   (`AddIndex` / `Recompute` / `DropIndex`) applied through
+//!   [`patchindex::IndexedTable::apply`], so a WAL can log every index
+//!   change the advisor makes. Steps run on the caller's cadence
+//!   ([`Advisor::step`], or [`Advisor::step_writer`] against a writer).
 //!
 //! ```
 //! use patchindex::{Constraint, IndexedTable};
@@ -69,7 +70,7 @@ pub use policy::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchindex::{Constraint, Design, IndexedTable, SortDir};
+    use patchindex::{Constraint, Design, IndexedTable, SortDir, Statement};
     use pi_exec::ops::sort::SortOrder;
     use pi_planner::{Plan, QueryEngine};
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -233,30 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn maybe_step_piggybacks_on_the_update_path() {
-        let mut it = table((0..1_000).collect(), 2);
-        let mut advisor = Advisor::new(AdvisorConfig {
-            step_every: 4,
-            ..AdvisorConfig::default()
-        });
-        let q = Plan::scan(vec![1]).distinct(vec![0]);
-        for _ in 0..3 {
-            it.query(&q);
-        }
-        // Updates tick the cadence; the step fires mid-stream.
-        let mut actions = Vec::new();
-        for i in 0..8i64 {
-            it.insert(&[vec![Value::Int(5_000 + i), Value::Int(100_000 + i)]]);
-            actions.extend(advisor.maybe_step(&mut it));
-        }
-        assert!(
-            matches!(actions[..], [AdvisorAction::Created { .. }]),
-            "{actions:?}"
-        );
-        it.check_consistency();
-    }
-
-    #[test]
     fn recompute_restores_drifted_e() {
         let mut it = table((0..1_000).collect(), 1);
         let slot = it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
@@ -392,7 +369,7 @@ mod tests {
             it.query(&q);
             assert!(advisor.step(&mut it).is_empty());
         }
-        it.drop_index(0);
+        it.apply(&Statement::DropIndex { slot: 0 });
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         it.query(&q);
         let actions = advisor.step(&mut it);

@@ -42,9 +42,6 @@ pub struct AdvisorConfig {
     pub drop_window: usize,
     /// Global patch-memory budget in bytes across all indexes.
     pub memory_budget_bytes: usize,
-    /// Update statements between piggybacked advisor steps
-    /// (see `Advisor::maybe_step`).
-    pub step_every: u64,
 }
 
 impl Default for AdvisorConfig {
@@ -55,7 +52,6 @@ impl Default for AdvisorConfig {
             recompute_margin: 0.1,
             drop_window: 4,
             memory_budget_bytes: usize::MAX,
-            step_every: 64,
         }
     }
 }

@@ -15,12 +15,12 @@ use crate::catalog::IndexCatalog;
 use crate::constraint::{Constraint, Design, SortDir};
 use crate::index::PatchIndex;
 use crate::snapshot::WorkloadSink;
-use crate::statement::Statement;
+use crate::statement::{Applied, Statement};
 
 /// An empty placeholder that `pi_durability::DurableWriter::recover`
 /// accepts and ignores, kept only so pibench's recovery call still
 /// compiles. Nothing is tuned here: the advisor (or an explicit
-/// [`IndexedTable::recompute_index`]) recomputes, and the sharded bitmap
+/// [`Statement::Recompute`]) recomputes, and the sharded bitmap
 /// condenses itself. `default()` is the only way to make one.
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
@@ -70,9 +70,8 @@ impl IndexedTable {
 
     /// Rebuilds an indexed table from recovered state: a restored table,
     /// checkpoint-loaded indexes in slot order, and the persisted
-    /// statement counter (the advisor's piggyback cadence must resume
-    /// where the crashed process stopped, not restart from zero). The
-    /// workload sink starts empty, like the advisor that reads it.
+    /// statement counter ([`IndexedTable::statements`]). The workload
+    /// sink starts empty, like the advisor that reads it.
     pub fn with_restored_indexes(
         table: Table,
         indexes: Vec<Arc<PatchIndex>>,
@@ -103,21 +102,6 @@ impl IndexedTable {
             design,
         )));
         self.indexes.len() - 1
-    }
-
-    /// Drops the index in `slot` and returns it (a shared handle — live
-    /// snapshots may still be reading it). Later indexes shift down one
-    /// slot — slots are only stable between catalog snapshots, which is
-    /// all the planner assumes (every query re-snapshots).
-    pub fn drop_index(&mut self, slot: usize) -> Arc<PatchIndex> {
-        self.invalidate_catalog();
-        self.indexes.remove(slot)
-    }
-
-    /// Rebuilds the index in `slot` from the current table.
-    pub fn recompute_index(&mut self, slot: usize) {
-        self.invalidate_catalog();
-        Arc::make_mut(&mut self.indexes[slot]).recompute(&self.table);
     }
 
     /// Read access to the table.
@@ -157,8 +141,8 @@ impl IndexedTable {
         self.catalog_cache.take();
     }
 
-    /// Update statements applied so far (insert/modify/delete calls) —
-    /// the advisor's piggyback cadence counts these.
+    /// Row statements applied so far (inserts, modifies and deletes).
+    /// Checkpoints persist it, so recovery resumes the count.
     pub fn statements(&self) -> u64 {
         self.statements
     }
@@ -218,13 +202,13 @@ impl IndexedTable {
         }
     }
 
-    /// Applies one statement through the method of its kind. The caller
-    /// vouches that [`Statement::check`] accepts it against this table.
-    pub fn apply(&mut self, stmt: &Statement) {
+    /// Applies one statement, the one write path of every writer, and
+    /// returns its receipt. The caller vouches that [`Statement::check`]
+    /// accepts it against this table.
+    pub fn apply(&mut self, stmt: &Statement) -> Applied {
+        let mut applied = Applied::default();
         match stmt {
-            Statement::Insert(rows) => {
-                self.insert(rows);
-            }
+            Statement::Insert(rows) => applied.rows = self.insert(rows),
             Statement::Modify {
                 pid,
                 rids,
@@ -236,14 +220,17 @@ impl IndexedTable {
                 col,
                 constraint,
                 design,
-            } => {
-                self.add_index(*col, *constraint, *design);
-            }
+            } => applied.slot = Some(self.add_index(*col, *constraint, *design)),
             Statement::DropIndex { slot } => {
-                self.drop_index(*slot);
+                self.invalidate_catalog();
+                applied.dropped = Some(self.indexes.remove(*slot));
             }
-            Statement::Recompute { slot } => self.recompute_index(*slot),
+            Statement::Recompute { slot } => {
+                self.invalidate_catalog();
+                Arc::make_mut(&mut self.indexes[*slot]).recompute(&self.table);
+            }
         }
+        applied
     }
 
     /// Merges pending deltas into base storage (visible rowIDs do not
@@ -399,7 +386,7 @@ mod tests {
         assert!((idx.drift_rate() - 1.0).abs() < 1e-12);
         assert!(idx.match_fraction() < 1.0);
         // Recompute re-anchors the baseline; cumulative stats survive.
-        it.recompute_index(slot);
+        it.apply(&Statement::Recompute { slot });
         let idx = it.index(slot);
         assert_eq!(idx.maintained_since_recompute(), 0);
         assert_eq!(idx.drift_patches(), 0);
@@ -412,8 +399,8 @@ mod tests {
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
-        let dropped = it.drop_index(0);
-        assert_eq!(dropped.constraint(), Constraint::NearlyUnique);
+        let dropped = it.apply(&Statement::DropIndex { slot: 0 }).dropped;
+        assert_eq!(dropped.unwrap().constraint(), Constraint::NearlyUnique);
         assert_eq!(it.indexes().len(), 1);
         assert_eq!(
             it.index(0).constraint(),
@@ -464,7 +451,7 @@ mod tests {
         }
         // Feedback names its index by what it materializes, so a drop
         // that shifts slots cannot hand it to a neighbour.
-        it.drop_index(0);
+        it.apply(&Statement::DropIndex { slot: 0 });
         let fb = it.sink().take().feedback[&(1, Constraint::NearlyUnique)];
         assert_eq!(fb.times_bound, 1);
         assert!((fb.est_cost_saved - 123.0).abs() < 1e-9);

@@ -17,7 +17,8 @@
 //!   full scans — see [`PatchIndex::handle_insert`] and friends, or use
 //!   [`IndexedTable`] to keep everything consistent automatically;
 //! * one write vocabulary, [`Statement`], checked ([`Statement::check`])
-//!   then applied ([`IndexedTable::apply`]); a nearly sorted index on a
+//!   then applied ([`IndexedTable::apply`], which returns an [`Applied`]
+//!   receipt); a nearly sorted index on a
 //!   `Str` column is refused ([`Statement::indexable`]) — its dictionary
 //!   codes keep equality, not order;
 //! * exception-rate monitoring.
@@ -83,5 +84,5 @@ pub use snapshot::{
     ConcurrentTable, QueryFeedback, TableSnapshot, TableWriter, WorkloadDelta, WorkloadEvent,
     WorkloadSink,
 };
-pub use statement::Statement;
+pub use statement::{Applied, Statement};
 pub use store::PatchStore;

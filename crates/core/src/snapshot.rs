@@ -73,9 +73,10 @@ use pi_storage::{RowAddr, Table, Value};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::catalog::IndexCatalog;
-use crate::constraint::{Constraint, Design};
+use crate::constraint::Constraint;
 use crate::index::PatchIndex;
 use crate::indexed::{IndexedTable, QueryShape};
+use crate::statement::Statement;
 
 /// One workload observation recorded by a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -413,35 +414,32 @@ pub struct TableWriter {
 impl TableWriter {
     /// Inserts rows into the staging table (visible at the next publish).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> Vec<RowAddr> {
-        self.staging.insert(rows)
+        self.staging.apply(&Statement::Insert(rows.to_vec())).rows
     }
 
     /// Patches one column of staged visible rows.
     pub fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
-        self.staging.modify(pid, rids, col, values);
-    }
-
-    /// Deletes staged visible rows.
-    pub fn delete(&mut self, pid: usize, rids: &[usize]) {
-        self.staging.delete(pid, rids);
-    }
-
-    /// Creates a PatchIndex (discovery runs on the writer, off the read
-    /// path) and returns its slot.
-    pub fn add_index(&mut self, col: usize, constraint: Constraint, design: Design) -> usize {
-        self.staging.add_index(col, constraint, design)
+        self.staging.apply(&Statement::Modify {
+            pid,
+            rids: rids.to_vec(),
+            col,
+            values: values.to_vec(),
+        });
     }
 
     /// Drops the index in `slot`; snapshots published earlier keep
     /// serving it until they are dropped.
     pub fn drop_index(&mut self, slot: usize) -> Arc<PatchIndex> {
-        self.staging.drop_index(slot)
+        self.staging
+            .apply(&Statement::DropIndex { slot })
+            .dropped
+            .expect("a drop hands back its index")
     }
 
     /// Recomputes the index in `slot` — the background "recompute storm"
     /// case: readers keep querying the published epoch while this runs.
     pub fn recompute_index(&mut self, slot: usize) {
-        self.staging.recompute_index(slot)
+        self.staging.apply(&Statement::Recompute { slot });
     }
 
     /// The staging table (reflects unpublished mutations).
@@ -449,9 +447,9 @@ impl TableWriter {
         &self.staging
     }
 
-    /// Mutable access to the staging table for callers composed above
-    /// this type (the advisor steps against this). Changes become visible
-    /// at the next publish.
+    /// The staging table, whose [`IndexedTable::apply`] is the writer's
+    /// one write path (the methods above, the server shard and the
+    /// advisor all go through it). Changes show at the next publish.
     pub fn staging_mut(&mut self) -> &mut IndexedTable {
         &mut self.staging
     }
@@ -564,7 +562,7 @@ impl TableWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::SortDir;
+    use crate::constraint::{Design, SortDir};
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
 
     fn fresh() -> IndexedTable {
@@ -677,7 +675,10 @@ mod tests {
         assert_eq!(writer.publish(), 0);
         writer.insert(&[]);
         assert_eq!(writer.publish(), 0);
-        writer.delete(0, &[]);
+        writer.staging_mut().apply(&Statement::Delete {
+            pid: 0,
+            rids: vec![],
+        });
         assert_eq!(writer.publish(), 0);
         writer.modify(0, &[], 1, &[]);
         assert_eq!(writer.publish(), 0);

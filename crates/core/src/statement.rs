@@ -1,11 +1,15 @@
 //! The write vocabulary: a [`Statement`] is the unit of change the WAL
-//! logs, recovery replays and a server shard queues. It is checked against
-//! the table ([`Statement::check`]), then applied with every index
-//! maintained inside it ([`crate::IndexedTable::apply`]; paper, Section 5).
+//! logs, recovery replays, a server shard queues and the advisor emits.
+//! It is checked against the table ([`Statement::check`]), then applied
+//! with every index maintained inside it ([`crate::IndexedTable::apply`];
+//! paper, Section 5), which hands back an [`Applied`] receipt.
 
-use pi_storage::{DataType, Schema, Table, Value};
+use std::sync::Arc;
+
+use pi_storage::{DataType, RowAddr, Schema, Table, Value};
 
 use crate::constraint::{Constraint, Design};
+use crate::index::PatchIndex;
 
 /// One write statement against an indexed table.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +43,8 @@ pub enum Statement {
         /// Bitmap or Identifier design.
         design: Design,
     },
-    /// The index in `slot` dropped.
+    /// The index in `slot` dropped; later indexes shift down one slot
+    /// (the planner re-snapshots slots at every query).
     DropIndex {
         /// Slot at drop time.
         slot: usize,
@@ -49,6 +54,20 @@ pub enum Statement {
         /// Slot at recompute time.
         slot: usize,
     },
+}
+
+/// The receipt of one applied [`Statement`]: what the statement's kind
+/// hands back, every other field empty.
+#[derive(Debug, Clone, Default)]
+pub struct Applied {
+    /// Where an [`Statement::Insert`] put its rows, in statement order.
+    pub rows: Vec<RowAddr>,
+    /// The slot an [`Statement::AddIndex`] filled (always the last).
+    pub slot: Option<usize>,
+    /// The index a [`Statement::DropIndex`] removed. Snapshots published
+    /// before the drop may still be reading it, so it comes back as a
+    /// shared handle.
+    pub dropped: Option<Arc<PatchIndex>>,
 }
 
 impl Statement {

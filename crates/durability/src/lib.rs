@@ -63,8 +63,7 @@ use pi_storage::dfs::{write_atomic, DurableFs};
 use pi_storage::{Partition, RowAddr, Table, Value};
 
 use patchindex::{
-    ConcurrentTable, Constraint, Design, IndexedTable, MaintenancePolicy, PatchIndex, Statement,
-    TableWriter,
+    Applied, ConcurrentTable, IndexedTable, MaintenancePolicy, PatchIndex, Statement, TableWriter,
 };
 
 pub mod wal;
@@ -411,17 +410,17 @@ impl DurableWriter {
         Ok(stmt)
     }
 
-    /// Applies one statement: checked, WAL-logged, then applied.
-    pub fn apply(&mut self, stmt: Statement) -> io::Result<()> {
+    /// Applies one statement, the writer's one write path: checked,
+    /// WAL-logged, then applied. Returns the statement's receipt.
+    pub fn apply(&mut self, stmt: Statement) -> io::Result<Applied> {
         let stmt = self.log(stmt)?;
-        self.writer.staging_mut().apply(&stmt);
-        Ok(())
+        Ok(self.writer.staging_mut().apply(&stmt))
     }
 
     /// Inserts rows (WAL-logged, then applied).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> io::Result<Vec<RowAddr>> {
-        self.log(Statement::Insert(rows.to_vec()))?;
-        Ok(self.writer.insert(rows))
+        self.apply(Statement::Insert(rows.to_vec()))
+            .map(|applied| applied.rows)
     }
 
     /// Patches one column of visible rows (WAL-logged, then applied).
@@ -438,6 +437,7 @@ impl DurableWriter {
             col,
             values: values.to_vec(),
         })
+        .map(drop)
     }
 
     /// Deletes visible rows (WAL-logged, then applied).
@@ -446,32 +446,7 @@ impl DurableWriter {
             pid,
             rids: rids.to_vec(),
         })
-    }
-
-    /// Creates a PatchIndex (WAL-logged, then applied); returns its slot.
-    pub fn add_index(
-        &mut self,
-        col: usize,
-        constraint: Constraint,
-        design: Design,
-    ) -> io::Result<usize> {
-        self.log(Statement::AddIndex {
-            col,
-            constraint,
-            design,
-        })?;
-        Ok(self.writer.add_index(col, constraint, design))
-    }
-
-    /// Drops the index in `slot` (WAL-logged, then applied).
-    pub fn drop_index(&mut self, slot: usize) -> io::Result<Arc<PatchIndex>> {
-        self.log(Statement::DropIndex { slot })?;
-        Ok(self.writer.drop_index(slot))
-    }
-
-    /// Recomputes the index in `slot` (WAL-logged, then applied).
-    pub fn recompute_index(&mut self, slot: usize) -> io::Result<()> {
-        self.apply(Statement::Recompute { slot })
+        .map(drop)
     }
 
     /// Publishes an epoch durably: logs the publish record, applies the
@@ -712,7 +687,7 @@ fn dict_lens_of(table: &Table) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchindex::{SortDir, WorkloadEvent};
+    use patchindex::{Constraint, Design, SortDir, WorkloadEvent};
     use pi_storage::dfs::SimFs;
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
     use proptest::prelude::*;
@@ -752,6 +727,15 @@ mod tests {
         }
         t.propagate_all();
         IndexedTable::new(t)
+    }
+
+    /// A NUC Bitmap index on `v`.
+    fn nuc_on_v() -> Statement {
+        Statement::AddIndex {
+            col: 1,
+            constraint: Constraint::NearlyUnique,
+            design: Design::Bitmap,
+        }
     }
 
     fn row(k: i64, v: i64, s: &str) -> Vec<Value> {
@@ -826,8 +810,7 @@ mod tests {
     #[test]
     fn create_then_recover_restores_the_exact_state() {
         let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
-            .unwrap();
+        dw.apply(nuc_on_v()).unwrap();
         dw.insert(&[row(100, 2, "x"), row(101, 24, "p0-a")])
             .unwrap();
         dw.modify(0, &[0], 1, &[Value::Int(2)]).unwrap();
@@ -850,8 +833,7 @@ mod tests {
     #[test]
     fn index_image_disagreeing_with_the_table_is_rejected_before_allocating() {
         let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
-            .unwrap();
+        dw.apply(nuc_on_v()).unwrap();
         dw.publish().unwrap();
         drop(dw);
         let dir = PathBuf::from("/db");
@@ -951,7 +933,12 @@ mod tests {
             let (fs, _handle, mut dw) = setup_with(IndexedTable::new(t), DurableOptions::default());
             dw.insert(&[vec![Value::Int(1), Value::Float(0.5)]])
                 .unwrap();
-            dw.add_index(0, constraint, Design::Bitmap).unwrap();
+            dw.apply(Statement::AddIndex {
+                col: 0,
+                constraint,
+                design: Design::Bitmap,
+            })
+            .unwrap();
             dw.publish().unwrap();
             drop(dw);
             let path = PathBuf::from("/db").join(&manifest_of(&fs).index_files[0]);
@@ -1017,8 +1004,7 @@ mod tests {
             ..DurableOptions::default()
         };
         let (fs, _handle, mut dw) = setup_with(fresh_rows(8, 2_000), opts);
-        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
-            .unwrap();
+        dw.apply(nuc_on_v()).unwrap();
         let base_files = |fs: &SimFs| -> Vec<String> {
             manifest_of(fs)
                 .part_files
@@ -1238,11 +1224,11 @@ mod tests {
     #[test]
     fn recovery_is_idempotent_across_repeated_crashes() {
         let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(
-            0,
-            Constraint::NearlySorted(SortDir::Asc),
-            Design::Identifier,
-        )
+        dw.apply(Statement::AddIndex {
+            col: 0,
+            constraint: Constraint::NearlySorted(SortDir::Asc),
+            design: Design::Identifier,
+        })
         .unwrap();
         dw.insert(&[row(100, 2, "z"), row(50, 3, "p1-b")]).unwrap();
         dw.publish().unwrap();
@@ -1295,8 +1281,7 @@ mod tests {
     #[test]
     fn read_only_traffic_checkpoints_no_index_image() {
         let (fs, handle, mut dw) = setup(2, DurableOptions::default());
-        dw.add_index(1, Constraint::NearlyUnique, Design::Bitmap)
-            .unwrap();
+        dw.apply(nuc_on_v()).unwrap();
         dw.publish().unwrap();
         let index_files = |fs: &SimFs| {
             let manifest = fs.read(&PathBuf::from("/db").join(MANIFEST_NAME)).unwrap();

@@ -381,4 +381,44 @@ mod tests {
         );
         assert_ne!(fingerprint_hash(b"a"), fingerprint_hash(b"b"));
     }
+
+    /// Locked encodings: every fingerprint and every cached entry key is
+    /// made of these bytes, so a refactor must leave them unchanged.
+    #[test]
+    fn canonical_bytes_are_unchanged() {
+        let cat = catalog(Constraint::NearlyUnique);
+        let bound = Plan::PatchScan {
+            cols: vec![0],
+            filter: None,
+            mode: PatchMode::ExcludePatches,
+            slot: 0,
+        };
+        let float = Some(Expr::col(0).ge(Expr::LitFloat(1.5)));
+        let plans = [
+            Plan::scan(vec![0]),
+            bound.distinct(vec![0]),
+            Plan::scan(vec![0])
+                .sort(vec![(0, SortOrder::Desc)])
+                .limit(7),
+            Plan::Scan {
+                cols: vec![0],
+                filter: float,
+            },
+        ];
+        let hex = plans.map(|plan| {
+            let bytes = canonical_bytes(&plan, &cat, QueryMode::Rows);
+            bytes.iter().map(|b| format!("{b:02x}")).collect::<String>()
+        });
+        let want = [
+            "01000101000000000000000000000000000000000000000000000000",
+            "0100030201000000000000000000000000000000000000000000000000000100\
+             000000000000000000000000000001000000000000000000000000000000000000\
+             000000000000",
+            "0100050401010000000000000000000000000000000001000000000000000000\
+             0000000000000107000000000000000000000000000000",
+            "0100010100000000000000000000000000000001050501000000000000000003\
+             000000000000f83f0000000000000000",
+        ];
+        assert_eq!(hex, want);
+    }
 }

@@ -93,7 +93,6 @@ impl Shard {
         let advisor = (spec.advise_every > 0).then(|| {
             Advisor::with_metrics(
                 AdvisorConfig {
-                    step_every: spec.advise_every,
                     memory_budget_bytes: spec.advisor_budget_bytes / spec.all_benefits.len().max(1),
                     ..AdvisorConfig::default()
                 },

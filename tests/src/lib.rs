@@ -12,7 +12,7 @@
 use std::io;
 use std::ops::Range;
 
-use patchindex::{Constraint, Design, IndexedTable, SortDir, Statement, TableWriter};
+use patchindex::{Applied, Constraint, Design, IndexedTable, SortDir, Statement, TableWriter};
 use pi_datagen::{generate, MicroDataset, MicroKind, MicroSpec};
 use pi_durability::DurableWriter;
 use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
@@ -323,27 +323,29 @@ impl Step {
 pub trait Applier {
     /// The state the next step resolves against.
     fn staging(&self) -> &IndexedTable;
-    /// Applies one statement [`Statement::check`] accepts.
-    fn write(&mut self, stmt: Statement) -> io::Result<()>;
+    /// Applies one statement [`Statement::check`] accepts and returns
+    /// its receipt.
+    fn write(&mut self, stmt: Statement) -> io::Result<Applied>;
     /// Merges pending deltas into base storage.
     fn propagate(&mut self);
 
-    /// Resolves `step` against the live state and applies it; a
+    /// Resolves `step` against the live state and applies it, returning
+    /// the receipt, or `None` when the step wrote no statement; a
     /// [`Step::Publish`] is the driver's to act on. Panics on a statement
     /// [`Statement::check`] refuses: the WAL would refuse it too.
-    fn step(&mut self, step: &Step) -> io::Result<()> {
+    fn step(&mut self, step: &Step) -> io::Result<Option<Applied>> {
         if let Step::Propagate = step {
             self.propagate();
-            return Ok(());
+            return Ok(None);
         }
         let Some(stmt) = step.resolve(self.staging()) else {
-            return Ok(());
+            return Ok(None);
         };
         let it = self.staging();
         if let Err(e) = stmt.check(it.table(), it.indexes().len()) {
             panic!("{step:?} resolved to a refused {stmt:?}: {e}");
         }
-        self.write(stmt)
+        self.write(stmt).map(Some)
     }
 }
 
@@ -351,9 +353,8 @@ impl Applier for IndexedTable {
     fn staging(&self) -> &IndexedTable {
         self
     }
-    fn write(&mut self, stmt: Statement) -> io::Result<()> {
-        self.apply(&stmt);
-        Ok(())
+    fn write(&mut self, stmt: Statement) -> io::Result<Applied> {
+        Ok(self.apply(&stmt))
     }
     fn propagate(&mut self) {
         IndexedTable::propagate(self);
@@ -364,9 +365,8 @@ impl Applier for TableWriter {
     fn staging(&self) -> &IndexedTable {
         TableWriter::staging(self)
     }
-    fn write(&mut self, stmt: Statement) -> io::Result<()> {
-        self.staging_mut().apply(&stmt);
-        Ok(())
+    fn write(&mut self, stmt: Statement) -> io::Result<Applied> {
+        Ok(self.staging_mut().apply(&stmt))
     }
     fn propagate(&mut self) {
         self.staging_mut().propagate();
@@ -379,7 +379,7 @@ impl Applier for DurableWriter {
     fn staging(&self) -> &IndexedTable {
         DurableWriter::staging(self)
     }
-    fn write(&mut self, stmt: Statement) -> io::Result<()> {
+    fn write(&mut self, stmt: Statement) -> io::Result<Applied> {
         self.apply(stmt)
     }
     /// A durable writer has no propagate statement (it never

@@ -5,7 +5,7 @@
 //! storm — while every query result stays **byte-identical** to a
 //! manually-managed reference table receiving the same update stream.
 
-use patchindex::{Constraint, Design, IndexedTable};
+use patchindex::{Constraint, Design, IndexedTable, Statement};
 use pi_advisor::{Advisor, AdvisorAction, AdvisorConfig, DropReason};
 use pi_datagen::{DriftOp, DriftSpec};
 use pi_exec::ops::sort::SortOrder;
@@ -139,7 +139,7 @@ fn full_lifecycle_on_a_drifting_workload() {
             // Mirror every advisor recompute on the manual table.
             for a in &new {
                 if matches!(a, AdvisorAction::Recomputed { .. }) {
-                    manual.recompute_index(0);
+                    manual.apply(&Statement::Recompute { slot: 0 });
                 }
             }
             actions.extend(new);
@@ -221,47 +221,32 @@ fn full_lifecycle_on_a_drifting_workload() {
         "a dropped index must not oscillate back without fresh query evidence"
     );
     // Mirror the drop and compare end state.
-    manual.drop_index(0);
+    manual.apply(&Statement::DropIndex { slot: 0 });
     assert_identical(&advised, &manual, "post-drop");
     advised.check_consistency();
     manual.check_consistency();
 }
 
-/// The piggybacked form (`Advisor::maybe_step` after every update
-/// statement) reaches the same end state as on-demand stepping: driving
-/// the same workload through it creates, recomputes and eventually drops
-/// without any explicit `step()` call.
+/// Stepping on the update path (one `step()` after every update
+/// statement, none at the queries) reaches the same end state as
+/// stepping at the queries: the same workload creates, recomputes and
+/// eventually drops.
 #[test]
 fn piggybacked_advisor_runs_the_lifecycle_hands_free() {
     let spec = DriftSpec::new(6_000);
-    let mut advisor = Advisor::new(AdvisorConfig {
-        step_every: 1, // phases apply one statement per batch
-        ..config()
-    });
+    let mut advisor = Advisor::new(config());
     let mut it = IndexedTable::new(spec.base_table());
     let mut actions = Vec::new();
     let q = workload_query();
     for phase in spec.phases() {
         for op in &phase.ops {
-            match op {
-                DriftOp::Insert(rows) => {
-                    it.insert(rows);
-                    actions.extend(advisor.maybe_step(&mut it));
-                }
-                DriftOp::Modify {
-                    pid,
-                    rids,
-                    col,
-                    values,
-                } => {
-                    it.modify(*pid, rids, *col, values);
-                    actions.extend(advisor.maybe_step(&mut it));
-                }
-                DriftOp::Query => {
-                    let got = it.query(&q);
-                    let reference = execute(&q, it.table(), NO_INDEXES);
-                    assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
-                }
+            apply(&mut it, op);
+            if let DriftOp::Query = op {
+                let got = it.query(&q);
+                let reference = execute(&q, it.table(), NO_INDEXES);
+                assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
+            } else {
+                actions.extend(advisor.step(&mut it));
             }
         }
     }

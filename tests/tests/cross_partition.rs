@@ -11,7 +11,7 @@
 //! and the snapshot path, always comparing against a byte-identical
 //! index-free replay.
 
-use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable};
+use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, Statement};
 use pi_integration::{kv_table, seeded_steps, steps, Applier, Pool, Step, GROWTH};
 use pi_planner::{execute_count, rewrite, Plan, QueryEngine, NO_INDEXES};
 use pi_storage::{Partitioning, Table, Value};
@@ -68,7 +68,7 @@ fn recompute_rediscovers_cross_partition_pools() {
     it.modify(2, &[1], 1, &[Value::Int(10)]);
     it.check_consistency();
 
-    it.recompute_index(slot);
+    it.apply(&Statement::Recompute { slot });
     it.check_consistency();
     // Half the rows are patches now: the recompute also migrated the
     // design across the crossover, and the rewrite stays exact on it.
@@ -116,7 +116,15 @@ fn run_owner(ops: &[Step], design: Design) {
 fn run_concurrent(ops: &[Step], design: Design) {
     let it = IndexedTable::new(table_of(&seed_parts()));
     let (handle, mut writer) = ConcurrentTable::new(it);
-    let slot = writer.add_index(1, Constraint::NearlyUnique, design);
+    let slot = writer
+        .staging_mut()
+        .apply(&Statement::AddIndex {
+            col: 1,
+            constraint: Constraint::NearlyUnique,
+            design,
+        })
+        .slot
+        .unwrap();
     let plan = distinct_plan();
     let mut unpublished_inserts = 0;
     for op in ops {

@@ -3,7 +3,7 @@
 //! `repro` job list and `repro`'s job table name the same jobs, every
 //! command word in `docs/WIRE_PROTOCOL.md`'s command table is one a live
 //! server knows, and every code path the README and the architecture
-//! notes name is defined somewhere in the crates.
+//! notes name is defined where its owner (a type or a module) lives.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -116,36 +116,79 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The names the crates' sources define as a `fn`, `const`, `struct`,
-/// `enum`, `type` or `mod`.
-fn defined_names() -> BTreeSet<String> {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
-    let mut files = Vec::new();
-    for krate in std::fs::read_dir(&crates).unwrap() {
-        let src = krate.unwrap().path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
-    let mut names = BTreeSet::new();
-    for file in files {
-        let text = std::fs::read_to_string(&file).unwrap();
-        let words: Vec<&str> = text
-            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-            .filter(|w| !w.is_empty())
-            .collect();
-        for pair in words.windows(2) {
-            if ["fn", "const", "struct", "enum", "type", "mod"].contains(&pair[0]) {
-                names.insert(pair[1].to_string());
-            }
-        }
-    }
-    names
+/// One source file of a crate: what it defines and which types it
+/// defines or implements.
+struct Source {
+    /// The crate's name, then the path from the crate directory down
+    /// without `.rs` (`["pi_exec", "src", "ops", "sort"]`), so a module
+    /// owner matches a crate, a directory or a file stem.
+    modules: Vec<String>,
+    /// Names defined as a `fn`, `const`, `struct`, `enum`, `trait`,
+    /// `type` or `mod`.
+    defines: BTreeSet<String>,
+    /// Types defined here, or named after `impl` or `for`.
+    owns: BTreeSet<String>,
 }
 
+/// Every source file of every crate under `crates/`.
+fn sources() -> Vec<Source> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
+    let mut out = Vec::new();
+    for krate in std::fs::read_dir(&crates).unwrap() {
+        let dir = krate.unwrap().path();
+        let src = dir.join("src");
+        if !src.is_dir() {
+            continue;
+        }
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        let name = manifest
+            .lines()
+            .find_map(|line| line.strip_prefix("name = "))
+            .expect("a crate names itself")
+            .trim_matches('"')
+            .replace('-', "_");
+        let mut files = Vec::new();
+        rust_files(&src, &mut files);
+        for file in files {
+            let text = std::fs::read_to_string(&file).unwrap();
+            let words: Vec<&str> = text
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .collect();
+            let mut source = Source {
+                modules: std::iter::once(name.clone())
+                    .chain(file.strip_prefix(&dir).unwrap().iter().map(|c| {
+                        let c = c.to_str().unwrap();
+                        c.strip_suffix(".rs").unwrap_or(c).to_string()
+                    }))
+                    .collect(),
+                defines: BTreeSet::new(),
+                owns: BTreeSet::new(),
+            };
+            for pair in words.windows(2) {
+                let (keyword, name) = (pair[0], pair[1].to_string());
+                if ["struct", "enum", "trait", "type", "impl", "for"].contains(&keyword) {
+                    source.owns.insert(name.clone());
+                }
+                if ["fn", "const", "struct", "enum", "trait", "type", "mod"].contains(&keyword) {
+                    source.defines.insert(name);
+                }
+            }
+            out.push(source);
+        }
+    }
+    out
+}
+
+/// Every `Owner::item` path the README and the architecture notes name
+/// must be defined where `Owner` lives: for a type (CamelCase), in a file
+/// that defines or implements it; for a module (lowercase), in
+/// `<owner>.rs` or under `<owner>/`, a crate name standing for its
+/// sources. So a path outlives neither its item nor a move of the item
+/// to another owner.
 #[test]
 fn every_documented_code_path_is_defined_in_the_crates() {
-    let defined = defined_names();
+    let sources = sources();
     let mut stale = Vec::new();
     for doc in ["README.md", "docs/ARCHITECTURE.md"] {
         let text = repo_file(doc);
@@ -163,14 +206,25 @@ fn every_documented_code_path_is_defined_in_the_crates() {
             if !is_path || segments[0] == "std" {
                 continue;
             }
-            let item = segments[segments.len() - 1];
-            if !defined.contains(item) {
+            let [.., owner, item] = segments[..] else {
+                unreachable!("a path has two segments or more")
+            };
+            let is_type = owner.starts_with(|c: char| c.is_uppercase());
+            let defined = sources.iter().any(|source| {
+                source.defines.contains(item)
+                    && if is_type {
+                        source.owns.contains(owner)
+                    } else {
+                        source.modules.iter().any(|m| m == owner)
+                    }
+            });
+            if !defined {
                 stale.push(format!("{doc}: `{span}`"));
             }
         }
     }
     assert!(
         stale.is_empty(),
-        "documented but defined nowhere: {stale:?}"
+        "documented but not defined where its owner lives: {stale:?}"
     );
 }

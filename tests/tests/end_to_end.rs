@@ -3,7 +3,7 @@
 //! `durability.rs`).
 
 use patchindex::IndexCatalog;
-use patchindex::{Constraint, Design, IndexedTable, PatchIndex, SortDir};
+use patchindex::{Constraint, Design, IndexedTable, PatchIndex, SortDir, Statement};
 use pi_baselines::{DistinctView, SortKeyTable};
 use pi_datagen::{update_rows, MicroKind};
 use pi_exec::ops::sort::SortOrder;
@@ -104,7 +104,7 @@ fn nsc_update_workload_with_recompute() {
     it.check_consistency();
     // An explicit recompute never leaves more patches than maintenance did.
     let maintained = it.index(slot).exception_count();
-    it.recompute_index(slot);
+    it.apply(&Statement::Recompute { slot });
     it.check_consistency();
     assert!(it.index(slot).exception_count() <= maintained);
 
