@@ -1,15 +1,15 @@
 //! Epoch-keyed query result cache with pointer-identity invalidation.
 //!
-//! Copy-on-write publishing (see [`crate::snapshot`]) gives every epoch
-//! an exact, free dirty-set signal: a partition or index whose `Arc`
-//! pointer is unchanged across epochs is byte-identical. This cache
-//! turns that into result reuse — each entry remembers the **dependency
-//! footprint** of the execution that produced it (the `Arc<Partition>`
-//! and `Arc<PatchIndex>` pointers the plan actually touched), and stays
-//! valid exactly as long as every one of those pointers is still the
-//! live version. Invalidation is therefore *exact, not heuristic*: a
-//! publish that rewrites one partition kills only the entries whose
-//! executions read that partition.
+//! Copy-on-write publishing (see [`crate::snapshot`]) makes a partition
+//! or index whose `Arc` is unchanged across epochs byte-identical. This
+//! cache turns that into result reuse — each entry remembers the
+//! **dependency footprint** of the execution that produced it (the
+//! `Arc<Partition>` and `Arc<PatchIndex>` pointers the plan actually
+//! touched), and stays valid exactly as long as every one of those
+//! pointers is still the live version (checked against one state, at
+//! publish and at hit time; [`crate::ChangeSet`] compares two). So
+//! invalidation is *exact, not heuristic*: a publish that rewrites one
+//! partition kills only the entries whose executions read it.
 //!
 //! The cache itself is plan-agnostic: the planner supplies an opaque
 //! fingerprint hash plus the canonical plan bytes behind it. Entries

@@ -81,8 +81,8 @@ pub use index::{DriftBaseline, PartitionIndex, PatchIndex};
 pub use indexed::{IndexedTable, MaintenancePolicy, QueryShape};
 pub use maintenance::{drp_ranges, MaintenanceStats};
 pub use snapshot::{
-    ConcurrentTable, QueryFeedback, TableSnapshot, TableWriter, WorkloadDelta, WorkloadEvent,
-    WorkloadSink,
+    ChangeSet, ConcurrentTable, QueryFeedback, TableSnapshot, TableWriter, WorkloadDelta,
+    WorkloadEvent, WorkloadSink,
 };
 pub use statement::{Applied, Statement};
 pub use store::PatchStore;

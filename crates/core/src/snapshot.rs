@@ -45,10 +45,11 @@
 //! shares, which rewrites them anyway. An *index* copy clones the
 //! partition-local patch stores. Either way the copy is a new
 //! `Arc<Partition>` / `Arc<PatchIndex>`, so pointer identity stays the
-//! exact dirty set the no-op publish check, the result cache and
-//! incremental checkpoints key on. That only holds because nothing but a
-//! data change re-versions either: what queries report about an index is
-//! table-level state (next section), not part of the index.
+//! exact dirty set, which [`ChangeSet::between`] reads off two states.
+//! That only holds because nothing but a data change re-versions either:
+//! what queries report about an index is table-level state (next
+//! section), not part of the index. An epoch counts the publishes that
+//! changed something ([`ConcurrentTable::at_epoch`] continues it).
 //!
 //! ## Workload evidence from queries
 //!
@@ -69,7 +70,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use pi_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use pi_storage::{RowAddr, Table, Value};
+use pi_storage::{Partition, RowAddr, Table, Value};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::catalog::IndexCatalog;
@@ -210,8 +211,8 @@ impl TableSnapshot {
         }
     }
 
-    /// The epoch counter this snapshot was published at (monotonically
-    /// increasing per [`TableWriter::publish`]).
+    /// The epoch this snapshot was published at: one more than the last
+    /// for each [`TableWriter::publish`] that changed something.
     pub fn epoch(&self) -> u64 {
         self.inner.epoch
     }
@@ -276,7 +277,13 @@ impl ConcurrentTable {
     /// Splits an [`IndexedTable`] into the shared read handle and the
     /// single writer. The initial snapshot is published immediately.
     pub fn new(it: IndexedTable) -> (ConcurrentTable, TableWriter) {
-        Self::build(it, None, None)
+        Self::build(it, 0, None, None)
+    }
+
+    /// Like [`ConcurrentTable::new`], but the initial snapshot is epoch
+    /// `epoch`, so a table restored from a checkpoint continues its epochs.
+    pub fn at_epoch(it: IndexedTable, epoch: u64) -> (ConcurrentTable, TableWriter) {
+        Self::build(it, epoch, None, None)
     }
 
     /// Like [`ConcurrentTable::new`], but snapshots consult (and fill)
@@ -287,7 +294,7 @@ impl ConcurrentTable {
         it: IndexedTable,
         cache: ResultCache,
     ) -> (ConcurrentTable, TableWriter) {
-        Self::build(it, Some(cache), None)
+        Self::build(it, 0, Some(cache), None)
     }
 
     /// Like [`ConcurrentTable::new`], but every snapshot carries the
@@ -304,16 +311,17 @@ impl ConcurrentTable {
         cache: Option<ResultCache>,
         registry: Arc<MetricsRegistry>,
     ) -> (ConcurrentTable, TableWriter) {
-        Self::build(it, cache, Some(registry))
+        Self::build(it, 0, cache, Some(registry))
     }
 
     fn build(
         it: IndexedTable,
+        epoch: u64,
         cache: Option<ResultCache>,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> (ConcurrentTable, TableWriter) {
         let cache = cache.map(Arc::new);
-        let first = TableSnapshot::capture(&it, 0, cache.clone(), metrics.clone());
+        let first = TableSnapshot::capture(&it, epoch, cache.clone(), metrics.clone());
         let shared = Arc::new(Shared {
             current: RwLock::new(first),
         });
@@ -324,7 +332,6 @@ impl ConcurrentTable {
             TableWriter {
                 staging: it,
                 shared,
-                epoch: 0,
                 cache,
                 publish_metrics: metrics.as_deref().map(PublishMetrics::new),
                 metrics,
@@ -394,6 +401,57 @@ impl PublishMetrics {
     }
 }
 
+/// What changed between two table states. Copy-on-write re-versions an
+/// `Arc` on its first mutation after a state shared it, so an unchanged
+/// `Arc` holds the same bytes, and [`ChangeSet::between`] is the one
+/// place two states' partition and index `Arc`s are compared.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChangeSet {
+    /// Per partition of the newer state: whether it is the older `Arc`.
+    pub same_partition: Vec<bool>,
+    /// Per partition: whether only its delta may differ (`shares_base`).
+    pub same_base: Vec<bool>,
+    /// Per index slot: the older slot holding the same index, if any.
+    pub index_from: Vec<Option<usize>>,
+    unchanged: bool,
+}
+
+impl ChangeSet {
+    /// The change set from the older state to the newer one.
+    pub fn between(
+        old_parts: &[Arc<Partition>],
+        old_indexes: &[Arc<PatchIndex>],
+        new_parts: &[Arc<Partition>],
+        new_indexes: &[Arc<PatchIndex>],
+    ) -> ChangeSet {
+        let (same_partition, same_base): (Vec<_>, Vec<_>) = (new_parts.iter().enumerate())
+            .map(|(pid, new)| {
+                let old = old_parts.get(pid);
+                let same = old.is_some_and(|old| Arc::ptr_eq(old, new));
+                (same, same || old.is_some_and(|old| old.shares_base(new)))
+            })
+            .unzip();
+        let index_from: Vec<_> = (new_indexes.iter())
+            .map(|new| old_indexes.iter().position(|old| Arc::ptr_eq(old, new)))
+            .collect();
+        let unchanged = old_parts.len() == new_parts.len()
+            && old_indexes.len() == new_indexes.len()
+            && same_partition.iter().all(|same| *same)
+            && (index_from.iter().enumerate()).all(|(slot, at)| *at == Some(slot));
+        ChangeSet {
+            same_partition,
+            same_base,
+            index_from,
+            unchanged,
+        }
+    }
+
+    /// Whether the states share every partition and index, slot for slot.
+    pub fn is_empty(&self) -> bool {
+        self.unchanged
+    }
+}
+
 /// The single-writer half: owns the staging [`IndexedTable`], applies
 /// updates and maintenance off the read path, and publishes epochs.
 ///
@@ -405,7 +463,6 @@ impl PublishMetrics {
 pub struct TableWriter {
     staging: IndexedTable,
     shared: Arc<Shared>,
-    epoch: u64,
     cache: Option<Arc<ResultCache>>,
     metrics: Option<Arc<MetricsRegistry>>,
     publish_metrics: Option<PublishMetrics>,
@@ -456,41 +513,49 @@ impl TableWriter {
 
     /// Epoch of the last published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.shared.current.read().epoch()
     }
 
-    /// Publishes the staging state as a new snapshot: captures the epoch (Arc bumps, no data copies) and swaps
-    /// the shared pointer. Returns the new epoch. Readers holding older
-    /// snapshots are unaffected; they pick the new epoch up at their next
-    /// [`ConcurrentTable::snapshot`] call.
+    /// Publishes the staging state as a new snapshot: captures the epoch
+    /// (Arc bumps, no data copies) and swaps the shared pointer. Returns
+    /// the new epoch. Readers holding older snapshots are unaffected; they
+    /// pick the new epoch up at their next [`ConcurrentTable::snapshot`].
     ///
-    /// A publish with **zero changes** since the last epoch — every
-    /// partition and index Arc pointer-identical to the published
-    /// snapshot — is detected and skipped entirely: no epoch bump, no
-    /// catalog capture, no cache sweep. A caller that publishes on a
-    /// cadence therefore cannot churn reader epochs (or invalidate
-    /// result-cache entries) for nothing, however many queries ran in
-    /// between — their evidence waits in the sink, which no version
-    /// check reads; the returned epoch is the still-current one.
+    /// A publish with **zero changes** since the last epoch (an unchanged
+    /// [`ChangeSet`]) is skipped entirely: no epoch bump, no catalog
+    /// capture, no cache sweep. A caller that publishes on a cadence
+    /// therefore cannot churn reader epochs (or invalidate result-cache
+    /// entries) for nothing, however many queries ran in between — their
+    /// evidence waits in the sink, which no version check reads; the
+    /// returned epoch is the still-current one.
     pub fn publish(&mut self) -> u64 {
         let start = Instant::now();
-        if self.staging_matches_published() {
+        let (cur, staged) = (self.shared.current.read().clone(), &self.staging);
+        let changes = ChangeSet::between(
+            cur.table().partitions(),
+            cur.indexes(),
+            staged.table().partitions(),
+            staged.indexes(),
+        );
+        let epoch = cur.epoch();
+        if changes.is_empty() {
             if let Some(m) = &self.publish_metrics {
                 m.noops.inc();
             }
-            return self.epoch;
+            return epoch;
         }
         if let Some(m) = &self.publish_metrics {
             // The copy-on-write bill of this epoch: how many partition /
             // index Arcs the staged mutations actually rewrote.
-            let (parts, idxs) = self.copies_vs_published();
-            m.partitions_copied.add(parts);
-            m.indexes_copied.add(idxs);
+            let parts = changes.same_partition.iter().filter(|same| !**same);
+            let indexes = changes.index_from.iter().filter(|at| at.is_none());
+            m.partitions_copied.add(parts.count() as u64);
+            m.indexes_copied.add(indexes.count() as u64);
         }
-        self.epoch += 1;
+        let epoch = epoch + 1;
         let snap = TableSnapshot::capture(
             &self.staging,
-            self.epoch,
+            epoch,
             self.cache.clone(),
             self.metrics.clone(),
         );
@@ -506,50 +571,10 @@ impl TableWriter {
         if let Some(m) = &self.publish_metrics {
             m.publishes.inc();
             m.cache_invalidated.add(invalidated);
-            m.epoch.set(self.epoch as i64);
+            m.epoch.set(epoch as i64);
             m.nanos.record(start.elapsed().as_nanos() as u64);
         }
-        self.epoch
-    }
-
-    /// Counts the staged partition / index Arcs that differ from the
-    /// published snapshot (new slots count as copies).
-    fn copies_vs_published(&self) -> (u64, u64) {
-        let cur = self.shared.current.read();
-        let published = cur.table().partitions();
-        let parts = self
-            .staging
-            .table()
-            .partitions()
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| published.get(*i).is_none_or(|q| !Arc::ptr_eq(p, q)))
-            .count() as u64;
-        let idxs = self
-            .staging
-            .indexes()
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| cur.indexes().get(*i).is_none_or(|q| !Arc::ptr_eq(p, q)))
-            .count() as u64;
-        (parts, idxs)
-    }
-
-    /// Whether the staging state is pointer-identical (copy-on-write:
-    /// hence byte-identical) to the currently published snapshot.
-    fn staging_matches_published(&self) -> bool {
-        let cur = self.shared.current.read();
-        let published = cur.table().partitions();
-        let staged = self.staging.table().partitions();
-        staged.len() == published.len()
-            && self.staging.indexes().len() == cur.indexes().len()
-            && staged.iter().zip(published).all(|(a, b)| Arc::ptr_eq(a, b))
-            && self
-                .staging
-                .indexes()
-                .iter()
-                .zip(cur.indexes())
-                .all(|(a, b)| Arc::ptr_eq(a, b))
+        epoch
     }
 
     /// Unwraps the writer back into its staging table. The shared handle
@@ -828,6 +853,47 @@ mod tests {
         assert_eq!(reg.counter("publish.partitions_copied").get(), 1);
         assert_eq!(reg.counter("publish.indexes_copied").get(), 1);
         assert_eq!(reg.histogram("publish.nanos").snapshot().count, 1);
+    }
+
+    #[test]
+    fn change_set_tells_a_delta_from_a_rewrite() {
+        let mut it = fresh();
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        let parts = it.table().partitions().to_vec();
+        let indexes = it.share_indexes();
+        let since = |it: &IndexedTable| {
+            ChangeSet::between(&parts, &indexes, it.table().partitions(), it.indexes())
+        };
+        assert!(since(&it).is_empty());
+        assert_eq!(since(&it).index_from, [Some(0)]);
+
+        it.modify(0, &[0], 1, &[Value::Int(11)]);
+        let delta = since(&it);
+        assert!(!delta.is_empty());
+        assert_eq!(delta.same_partition, [false, true]);
+        assert_eq!(delta.same_base, [true, true], "only the delta changed");
+        assert_eq!(delta.index_from, [None], "maintenance re-versioned it");
+
+        it.propagate();
+        assert!(!since(&it).same_base[0], "propagate rewrote the base");
+    }
+
+    /// Regression: a drop shifts the indexes after it down a slot, and the
+    /// copy counter compared slot by slot, so it billed the surviving
+    /// index as copied. It is the published `Arc`, reused.
+    #[test]
+    fn an_index_that_only_moved_slot_is_not_copied() {
+        let mut it = fresh();
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        let reg = Arc::new(MetricsRegistry::new());
+        let (handle, mut writer) = ConcurrentTable::with_observability(it, None, Arc::clone(&reg));
+        writer.drop_index(0);
+        assert_eq!(writer.publish(), 1, "a drop is a change");
+        assert_eq!(handle.snapshot().indexes().len(), 1);
+        assert_eq!(reg.counter("publish.count").get(), 1);
+        assert_eq!(reg.counter("publish.indexes_copied").get(), 0);
+        assert_eq!(reg.counter("publish.partitions_copied").get(), 0);
     }
 
     #[test]

@@ -11,26 +11,25 @@
 //!   append-only, CRC-framed log *before* it is applied (log-then-apply).
 //!   The [`SyncPolicy`] decides when appends are forced to stable
 //!   storage.
-//! * **Epoch-incremental checkpoints** — at publish time (every
+//! * **Incremental checkpoints** — at publish time (every
 //!   [`DurableOptions::checkpoint_every`] publishes) the writer persists
-//!   only what changed since the previous checkpoint; copy-on-write
-//!   publishing makes pointer identity a free and exact dirty-set. The
-//!   test runs at two grains: a partition whose `Arc` changed gets a new
-//!   *delta frame* (its positional deltas), and a new *base frame* only
-//!   if its base columns are not the ones the previous checkpoint
-//!   recorded — which, since this writer never propagates, happens at
-//!   [`DurableWriter::create`] only. Index versions whose `Arc` changed
-//!   get a new *index image*: patch data stays out of the log (paper,
-//!   Section 3.4), and recovery loads each index from its image and
-//!   rebuilds it with [`PatchIndex::restore`]. A small manifest (written
-//!   atomically) names the file set and the WAL high-water mark it
-//!   covers.
+//!   the [`patchindex::ChangeSet`] since the previous checkpoint. A
+//!   partition whose `Arc` changed gets a new *delta frame* (its
+//!   positional deltas), and a new *base frame* only if its base columns
+//!   are not the ones the previous checkpoint recorded — which, since
+//!   this writer never propagates, happens at [`DurableWriter::create`]
+//!   only. An index in no slot of the previous checkpoint gets a new
+//!   *index image*: patch data stays out of the log (paper, Section 3.4),
+//!   and recovery loads each index from its image and rebuilds it with
+//!   [`PatchIndex::restore`]. A small manifest (written atomically) names
+//!   the file set, the table's epoch and the WAL high-water mark it
+//!   covers; new files are named by that mark.
 //! * **Recovery** ([`DurableWriter::recover`]) — load the manifest,
 //!   restore the newest complete checkpoint (each partition with the
 //!   base/delta split it was checkpointed with), replay the WAL tail past
 //!   the high-water mark up to the **last complete publish record**, and
 //!   resume. Statements after the last durable publish are discarded:
-//!   recovery always lands exactly on a published epoch boundary.
+//!   recovery always lands exactly on the live writer's epoch there.
 //!
 //! Only what answers depend on is persisted: table data, index data
 //! (patch sets, anchors and the maintenance counters the drift rules
@@ -63,7 +62,8 @@ use pi_storage::dfs::{write_atomic, DurableFs};
 use pi_storage::{Partition, RowAddr, Table, Value};
 
 use patchindex::{
-    Applied, ConcurrentTable, IndexedTable, MaintenancePolicy, PatchIndex, Statement, TableWriter,
+    Applied, ChangeSet, ConcurrentTable, IndexedTable, MaintenancePolicy, PatchIndex, Statement,
+    TableWriter,
 };
 
 pub mod wal;
@@ -132,9 +132,10 @@ pub struct DurabilityStats {
 /// What [`DurableWriter::recover`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Epoch of the checkpoint the manifest pointed at.
+    /// The table's epoch at the checkpoint the manifest pointed at.
     pub checkpoint_epoch: u64,
-    /// Epoch after WAL replay (checkpoint epoch + replayed publishes).
+    /// The table's epoch after WAL replay, as the live writer had it at
+    /// the last durable publish.
     pub epoch: u64,
     /// The manifest's WAL high-water mark (replay started past it).
     pub hwm: u64,
@@ -185,8 +186,8 @@ impl CkptMetrics {
 
 /// The newest durable checkpoint: its manifest (every file name, each
 /// partition's base frame among them) plus the shared state handles the
-/// files serialize, in manifest order — pointer identity against these is
-/// the next checkpoint's dirty-set test.
+/// files serialize, in manifest order — the next checkpoint's
+/// [`ChangeSet`] starts from these.
 struct CkptState {
     parts: Vec<Arc<Partition>>,
     indexes: Vec<Arc<PatchIndex>>,
@@ -209,7 +210,6 @@ pub struct DurableWriter {
     opts: DurableOptions,
     writer: TableWriter,
     wal: wal::WalWriter,
-    epoch: u64,
     publishes_since_ckpt: u64,
     ckpts_since_compact: u64,
     ckpt: Option<CkptState>,
@@ -238,34 +238,47 @@ impl DurableWriter {
             ));
         }
         let (handle, writer) = ConcurrentTable::new(it);
+        let mut dw = DurableWriter::open(fs, dir, opts, writer, 1, None);
+        dw.write_checkpoint(0)?;
+        Ok((handle, dw))
+    }
+
+    /// A writer whose WAL continues at sequence `next_seq` and whose next
+    /// checkpoint is incremental over `ckpt`.
+    fn open(
+        fs: Arc<dyn DurableFs>,
+        dir: PathBuf,
+        opts: DurableOptions,
+        writer: TableWriter,
+        next_seq: u64,
+        ckpt: Option<CkptState>,
+    ) -> DurableWriter {
         let wal = wal::WalWriter::new(
             Arc::clone(&fs),
             dir.clone(),
             opts.sync,
             opts.wal_segment_bytes,
-            1,
+            next_seq,
         );
-        let mut dw = DurableWriter {
+        DurableWriter {
             fs,
             dir,
             opts,
             writer,
             wal,
-            epoch: 0,
             publishes_since_ckpt: 0,
             ckpts_since_compact: 0,
-            ckpt: None,
+            ckpt,
             stats: DurabilityStats::default(),
             metrics: None,
-        };
-        dw.write_checkpoint(0)?;
-        Ok((handle, dw))
+        }
     }
 
     /// Recovers a durable table from `dir`: manifest → checkpoint →
-    /// WAL-tail replay up to the last complete publish. Finishes by
-    /// writing a fresh checkpoint covering everything replayed and
-    /// truncating the WAL, so a crash loop cannot re-pay replay cost.
+    /// WAL-tail replay, publishing at each publish record, up to the last
+    /// one: the recovered epoch continues the live writer's. Finishes by
+    /// checkpointing the tail, if any, and truncating the WAL, so a crash
+    /// loop cannot re-pay replay cost.
     ///
     /// The field-less [`MaintenancePolicy`] is accepted and ignored; it is
     /// carried only for pibench's existing recovery call.
@@ -320,7 +333,7 @@ impl DurableWriter {
             })
             .collect::<io::Result<Vec<_>>>()?;
 
-        let mut it = IndexedTable::with_restored_indexes(table, indexes, meta.statements);
+        let it = IndexedTable::with_restored_indexes(table, indexes, meta.statements);
 
         // Prime the incremental dirty-set with the loaded handles *before*
         // replay: partitions and indexes replay leaves untouched keep
@@ -332,6 +345,7 @@ impl DurableWriter {
             dict_lens: dict_lens_of(it.table()),
             manifest: manifest.clone(),
         };
+        let (handle, mut writer) = ConcurrentTable::at_epoch(it, manifest.epoch);
 
         // Replay the WAL tail, stopping at the last complete publish:
         // statements past it were never part of a durable epoch.
@@ -344,61 +358,47 @@ impl DurableWriter {
             .iter()
             .rposition(|(_, r)| matches!(r, Record::Publish))
             .map_or(0, |i| i + 1);
-        let mut publishes = 0u64;
+        // Publishing makes the live writer's no-op decisions again.
         for (seq, record) in &tail[..apply_upto] {
             match record {
-                Record::Publish => publishes += 1,
+                Record::Publish => {
+                    writer.publish();
+                }
                 Record::Statement(stmt) => {
+                    let it = writer.staging();
                     stmt.check(it.table(), it.indexes().len())
                         .map_err(|e| bad(format!("WAL record {seq}: {e}")))?;
-                    it.apply(stmt);
+                    writer.staging_mut().apply(stmt);
                 }
             }
         }
         let report = RecoveryReport {
             checkpoint_epoch: manifest.epoch,
-            epoch: manifest.epoch + publishes,
+            epoch: writer.epoch(),
             hwm: manifest.hwm,
             replayed: apply_upto,
             discarded: tail.len() - apply_upto,
         };
 
-        let (handle, writer) = ConcurrentTable::new(it);
-        let wal = wal::WalWriter::new(
-            Arc::clone(&fs),
-            dir.clone(),
-            opts.sync,
-            opts.wal_segment_bytes,
-            max_seq + 1,
-        );
-        let mut dw = DurableWriter {
-            fs,
-            dir,
-            opts,
-            writer,
-            wal,
-            epoch: report.epoch,
-            publishes_since_ckpt: 0,
-            ckpts_since_compact: 0,
-            ckpt: Some(prime),
-            stats: DurabilityStats::default(),
-            metrics: None,
-        };
+        let mut dw = DurableWriter::open(fs, dir, opts, writer, max_seq + 1, Some(prime));
         // Finalize: make the recovered state the durable baseline (hwm
         // covers even the discarded tail so its records can never be
         // replayed again), then drop the now-covered WAL. Ordering is
         // crash-safe: the manifest is durable before any segment dies.
-        dw.write_checkpoint(max_seq)?;
+        // Without a tail, a checkpoint would rewrite the files it names.
+        if max_seq > manifest.hwm {
+            dw.write_checkpoint(max_seq)?;
+        }
         dw.wal.remove_all_segments()?;
         dw.compact()?;
         Ok((handle, dw, report))
     }
 
-    /// Checks a statement against the staging table, then logs it and
-    /// hands it back — a statement [`Statement::check`] refuses is neither
-    /// logged nor applied, so replay never meets a record the live writer
-    /// accepted and cannot apply.
-    fn log(&mut self, stmt: Statement) -> io::Result<Statement> {
+    /// Applies one statement, the writer's one write path: checked,
+    /// WAL-logged, then applied. Returns the statement's receipt. A
+    /// statement [`Statement::check`] refuses is neither logged nor
+    /// applied, so replay never meets a record it cannot apply.
+    pub fn apply(&mut self, stmt: Statement) -> io::Result<Applied> {
         let it = self.writer.staging();
         stmt.check(it.table(), it.indexes().len())
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
@@ -407,13 +407,6 @@ impl DurableWriter {
         let Record::Statement(stmt) = record else {
             unreachable!("logged a statement")
         };
-        Ok(stmt)
-    }
-
-    /// Applies one statement, the writer's one write path: checked,
-    /// WAL-logged, then applied. Returns the statement's receipt.
-    pub fn apply(&mut self, stmt: Statement) -> io::Result<Applied> {
-        let stmt = self.log(stmt)?;
         Ok(self.writer.staging_mut().apply(&stmt))
     }
 
@@ -452,21 +445,21 @@ impl DurableWriter {
     /// Publishes an epoch durably: logs the publish record, applies the
     /// sync policy (a returned `Ok` means the epoch will survive any
     /// later crash under [`SyncPolicy::EveryRecord`] /
-    /// [`SyncPolicy::EveryPublish`]), then publishes and, every [`DurableOptions::checkpoint_every`] publishes,
-    /// checkpoints. Returns the new epoch.
+    /// [`SyncPolicy::EveryPublish`]), then publishes and, every
+    /// [`DurableOptions::checkpoint_every`] calls, checkpoints. Returns
+    /// [`TableWriter::publish`]'s epoch, unmoved if nothing changed.
     pub fn publish(&mut self) -> io::Result<u64> {
         self.wal.append(&Record::Publish)?;
         let publish_seq = self.wal.next_seq() - 1;
         if self.opts.sync == SyncPolicy::EveryPublish {
             self.wal.sync_all()?;
         }
-        self.writer.publish();
-        self.epoch += 1;
+        let epoch = self.writer.publish();
         self.publishes_since_ckpt += 1;
         if self.publishes_since_ckpt >= self.opts.checkpoint_every {
             self.write_checkpoint(publish_seq)?;
         }
-        Ok(self.epoch)
+        Ok(epoch)
     }
 
     /// Starts reporting durability activity to a metrics registry:
@@ -481,9 +474,10 @@ impl DurableWriter {
     /// Writes a checkpoint of the current staging state covering WAL
     /// sequences up to `hwm`. Only files whose backing state changed
     /// since the previous checkpoint are written; the rest are
-    /// re-referenced by the new manifest.
+    /// re-referenced by the new manifest. New files are named by `hwm`,
+    /// not the epoch, which a no-op publish's checkpoint shares with the
+    /// one before it: no checkpoint rewrites a file the manifest names.
     fn write_checkpoint(&mut self, hwm: u64) -> io::Result<()> {
-        let epoch = self.epoch;
         let mut bytes = 0u64;
         let mut files = 0u64;
         let mut put = |name: String, data: Vec<u8>| -> io::Result<String> {
@@ -495,28 +489,29 @@ impl DurableWriter {
         let prev = self.ckpt.as_ref();
         let it = self.writer.staging();
         let table = it.table();
+        let (old_parts, old_indexes) = prev.map_or((&[][..], &[][..]), |c| (&c.parts, &c.indexes));
+        let changes = ChangeSet::between(old_parts, old_indexes, table.partitions(), it.indexes());
+        let named = prev.map(|c| &c.manifest);
 
         let dict_lens = dict_lens_of(table);
         let dict_file = match prev {
             Some(prev) if prev.dict_lens == dict_lens => prev.manifest.dict_file.clone(),
-            _ => put(format!("dict-e{epoch:012}.ckp"), codec::encode_dicts(table))?,
+            _ => put(format!("dict-h{hwm:012}.ckp"), codec::encode_dicts(table))?,
         };
 
         let mut part_files = Vec::with_capacity(table.partition_count());
         for (pid, part) in table.partitions().iter().enumerate() {
-            let recorded =
-                prev.and_then(|c| Some((c.parts.get(pid)?, c.manifest.part_files.get(pid)?)));
-            let base = match recorded {
-                Some((old, (base, _))) if old.shares_base(part) => base.clone(),
+            let base = match named {
+                Some(m) if changes.same_base[pid] => m.part_files[pid].0.clone(),
                 _ => put(
-                    format!("base-{pid}-e{epoch:012}.ckp"),
+                    format!("base-{pid}-h{hwm:012}.ckp"),
                     codec::encode_base(part),
                 )?,
             };
-            let delta = match recorded {
-                Some((old, (_, delta))) if Arc::ptr_eq(old, part) => delta.clone(),
+            let delta = match named {
+                Some(m) if changes.same_partition[pid] => m.part_files[pid].1.clone(),
                 _ => put(
-                    format!("delta-{pid}-e{epoch:012}.ckp"),
+                    format!("delta-{pid}-h{hwm:012}.ckp"),
                     codec::encode_delta(part),
                 )?,
             };
@@ -525,14 +520,10 @@ impl DurableWriter {
 
         let mut index_files = Vec::with_capacity(it.indexes().len());
         for (slot, idx) in it.indexes().iter().enumerate() {
-            let reused = prev.and_then(|c| {
-                let at = c.indexes.iter().position(|old| Arc::ptr_eq(old, idx))?;
-                Some(c.manifest.index_files[at].clone())
-            });
-            index_files.push(match reused {
-                Some(name) => name,
-                None => put(
-                    format!("idx-{slot}-e{epoch:012}.ckp"),
+            index_files.push(match (named, changes.index_from[slot]) {
+                (Some(m), Some(at)) => m.index_files[at].clone(),
+                _ => put(
+                    format!("idx-{slot}-h{hwm:012}.ckp"),
                     codec::encode_index(idx),
                 )?,
             });
@@ -541,12 +532,12 @@ impl DurableWriter {
         // Meta changes with every statement (the counter), so it is
         // written every checkpoint; it is a few hundred bytes.
         let meta_file = put(
-            format!("meta-e{epoch:012}.ckp"),
+            format!("meta-h{hwm:012}.ckp"),
             codec::encode_meta(&codec::TableMeta::of(it)),
         )?;
 
         let manifest = codec::Manifest {
-            epoch,
+            epoch: self.writer.epoch(),
             hwm,
             meta_file,
             dict_file,
@@ -637,26 +628,9 @@ impl DurableWriter {
         Ok(removed)
     }
 
-    /// The bytes a non-incremental checkpoint of the current state would
-    /// write (every partition's base and delta, every index, dicts, meta)
-    /// — the baseline the incremental economics are measured against.
-    pub fn full_checkpoint_bytes(&self) -> u64 {
-        let it = self.writer.staging();
-        let table = it.table();
-        let mut total =
-            codec::encode_dicts(table).len() + codec::encode_meta(&codec::TableMeta::of(it)).len();
-        for p in table.partitions() {
-            total += codec::encode_base(p).len() + codec::encode_delta(p).len();
-        }
-        for idx in it.indexes() {
-            total += codec::encode_index(idx).len();
-        }
-        total as u64
-    }
-
-    /// The current epoch (publishes since creation, across recoveries).
+    /// The table's epoch ([`TableWriter::epoch`]), across recoveries.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.writer.epoch()
     }
 
     /// The staging table (reflects all applied statements).
@@ -827,6 +801,101 @@ mod tests {
         dw2.staging().check_consistency();
     }
 
+    /// Regression: the durable writer counted publish calls while its
+    /// readers counted publishes that changed something, so a no-op
+    /// publish returned 1 to a handle at 0, and recovery reported 2 to a
+    /// recovered handle at 0. The table's epoch is the only epoch.
+    #[test]
+    fn the_writer_its_readers_and_recovery_agree_on_the_epoch() {
+        let (fs, handle, mut dw) = setup(2, DurableOptions::default());
+        assert_eq!(dw.publish().unwrap(), 0, "nothing changed");
+        assert_eq!(handle.epoch(), 0);
+        dw.insert(&[row(100, 2, "x")]).unwrap();
+        assert_eq!(dw.publish().unwrap(), 1);
+        assert_eq!(handle.epoch(), 1);
+        assert_eq!(dw.epoch(), 1);
+        drop(dw);
+
+        let (recovered, mut dw, report) = try_recover(&fs).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(recovered.epoch(), 1);
+        assert_eq!(dw.epoch(), 1);
+        // The recovered writer continues the live epochs.
+        dw.insert(&[row(101, 3, "y")]).unwrap();
+        assert_eq!(dw.publish().unwrap(), 2);
+        assert_eq!(recovered.epoch(), 2);
+    }
+
+    /// A publish that changes nothing but the statement counter keeps the
+    /// epoch, and with `checkpoint_every: 1` it still checkpoints. Were
+    /// checkpoint files named by epoch, that checkpoint would overwrite
+    /// the meta frame the durable manifest names, and a crash before the
+    /// new manifest lands would pair the old manifest with a statement
+    /// counter past its high-water mark. Crash at every IO boundary: each
+    /// recovery lands on the `(epoch, image)` of a durable publish.
+    #[test]
+    fn a_noop_publish_checkpoint_overwrites_no_named_file() {
+        let opts = DurableOptions {
+            checkpoint_every: 1,
+            ..DurableOptions::default()
+        };
+        let stmts = [
+            Statement::Insert(vec![row(100, 2, "x")]),
+            Statement::Delete {
+                pid: 0,
+                rids: vec![],
+            },
+            Statement::Insert(vec![row(101, 3, "y")]),
+        ];
+        // Each statement then a publish, stopping at the first IO error;
+        // returns the `(epoch, image)` of creation and of each publish
+        // that returned `Ok`.
+        let drive = |fs: Arc<SimFs>| -> Vec<(u64, Vec<u8>)> {
+            let Ok((_handle, mut dw)) = DurableWriter::create(fresh(2), fs, "/db", opts) else {
+                return Vec::new();
+            };
+            let mut acked = vec![(0, state_image(dw.staging()))];
+            for stmt in &stmts {
+                let Ok(epoch) = dw.apply(stmt.clone()).and_then(|_| dw.publish()) else {
+                    break;
+                };
+                acked.push((epoch, state_image(dw.staging())));
+            }
+            acked
+        };
+        let reference_fs = Arc::new(SimFs::new());
+        let reference = drive(reference_fs.clone());
+        let epochs: Vec<u64> = reference.iter().map(|(e, _)| *e).collect();
+        assert_eq!(epochs, [0, 1, 1, 2], "the second publish is a no-op");
+        assert_ne!(reference[1].1, reference[2].1, "yet it counts a statement");
+
+        for crash_point in 1..=reference_fs.ops() {
+            let fs = Arc::new(SimFs::new());
+            fs.set_fuse(Some(crash_point));
+            let acked = drive(fs.clone());
+            fs.crash(crash_point ^ 0x5EED);
+            let recovered = try_recover(&fs);
+            // Durable publishes: every acknowledged one, at most one more.
+            let candidates = match acked.len() {
+                0 => &reference[..1],
+                n => &reference[n - 1..(n + 1).min(reference.len())],
+            };
+            let (_h, dw, report) = match recovered {
+                Ok(found) => found,
+                Err(_) if acked.is_empty() => continue,
+                Err(e) => panic!("crash point {crash_point}: recovery failed: {e}"),
+            };
+            let got = (report.epoch, state_image(dw.staging()));
+            assert!(
+                candidates.contains(&got),
+                "crash point {crash_point}: recovered epoch {} matches no durable publish \
+                 after {} acknowledged",
+                report.epoch,
+                acked.len()
+            );
+        }
+    }
+
     /// Regression: an index image's row counts are bounded by nothing in
     /// its own bytes; a re-sealed one claiming 2^60 rows used to make the
     /// bitmap design allocate for them. Recovery knows the table first.
@@ -991,7 +1060,24 @@ mod tests {
         dw.publish().unwrap();
         let incr = dw.stats();
         assert_eq!(incr.last_checkpoint_files, 3);
-        assert!(incr.last_checkpoint_bytes < dw.full_checkpoint_bytes());
+        assert!(incr.last_checkpoint_bytes < full_checkpoint_bytes(&dw));
+    }
+
+    /// The bytes a non-incremental checkpoint of the current state would
+    /// write (every partition's base and delta, every index, dicts, meta)
+    /// — the baseline the incremental economics are measured against.
+    fn full_checkpoint_bytes(dw: &DurableWriter) -> u64 {
+        let it = dw.staging();
+        let table = it.table();
+        let mut total =
+            codec::encode_dicts(table).len() + codec::encode_meta(&codec::TableMeta::of(it)).len();
+        for p in table.partitions() {
+            total += codec::encode_base(p).len() + codec::encode_delta(p).len();
+        }
+        for idx in it.indexes() {
+            total += codec::encode_index(idx).len();
+        }
+        total as u64
     }
 
     /// A base frame is written once per base generation — at `create`,

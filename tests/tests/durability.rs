@@ -7,9 +7,10 @@
 //! occasionally bit-flip whatever was not synced, recover — and the
 //! recovered table must be **byte-identical** (via `state_image`: rows,
 //! patch sets, anchors, advisor counters, routing cursor, statement
-//! counter) to the original run's state at some published epoch. Under
-//! the syncing WAL policies the recovered epoch must additionally cover
-//! every publish that returned `Ok` before the crash.
+//! counter) to the original run's state at some publish, and recover
+//! that publish's epoch. Under the syncing WAL policies the recovered
+//! publish must additionally be at or after every publish that returned
+//! `Ok` before the crash.
 //!
 //! `stress_crash_recovery` is the seeded CI lane: `PI_DUR_ITERS` scales
 //! the number of randomized workloads swept exhaustively.
@@ -41,22 +42,26 @@ fn fresh() -> IndexedTable {
     IndexedTable::new(kv_table(Partitioning::RoundRobin, parts.collect()))
 }
 
-/// Applies one step; returns whether it was a successful publish. An
+/// Applies one step; returns the epoch of a successful publish. An
 /// `Err` means the statement was neither logged nor applied.
-fn apply(dw: &mut DurableWriter, step: &Step) -> io::Result<bool> {
+fn apply(dw: &mut DurableWriter, step: &Step) -> io::Result<Option<u64>> {
     if let Step::Publish = step {
-        dw.publish()?;
-        return Ok(true);
+        return dw.publish().map(Some);
     }
     dw.step(step)?;
-    Ok(false)
+    Ok(None)
 }
 
+/// The `(epoch, state image)` of a table at one publish.
+type Published = (u64, Vec<u8>);
+
 struct Run {
-    /// `images[e]` = state image at published epoch `e` (0 = creation).
-    images: Vec<Vec<u8>>,
+    /// `publishes[i]` = epoch and state image at the `i`-th publish that
+    /// returned `Ok` (0 = creation). A publish that changed nothing keeps
+    /// the epoch before it.
+    publishes: Vec<Published>,
     /// Publishes that returned `Ok`.
-    ok_publishes: u64,
+    ok_publishes: usize,
     /// Whether `DurableWriter::create` itself succeeded.
     created: bool,
 }
@@ -70,26 +75,43 @@ fn drive(fs: Arc<SimFs>, stmts: &[Step], opts: DurableOptions) -> Run {
         Ok(pair) => pair,
         Err(_) => {
             return Run {
-                images: Vec::new(),
+                publishes: Vec::new(),
                 ok_publishes: 0,
                 created: false,
             }
         }
     };
-    let mut images = vec![state_image(dw.staging())];
+    let mut publishes = vec![(dw.epoch(), state_image(dw.staging()))];
     for stmt in stmts {
         match apply(&mut dw, stmt) {
-            Ok(true) => images.push(state_image(dw.staging())),
-            Ok(false) => {}
+            Ok(Some(epoch)) => publishes.push((epoch, state_image(dw.staging()))),
+            Ok(None) => {}
             Err(_) => break,
         }
     }
-    let ok_publishes = images.len() as u64 - 1;
+    let ok_publishes = publishes.len() - 1;
     Run {
-        images,
+        publishes,
         ok_publishes,
         created: true,
     }
+}
+
+/// Asserts that `got` is the `(epoch, image)` of one of the reference
+/// run's publishes `lo..=hi` (0 = creation).
+#[track_caller]
+fn assert_recovered_publish(reference: &Run, got: &Published, lo: usize, hi: usize, at: &str) {
+    let hi = hi.min(reference.publishes.len() - 1);
+    assert!(
+        reference.publishes[lo..=hi].contains(got),
+        "{at}: recovered epoch {} is the state of none of publishes {lo}..={hi} \
+         (epochs {:?})",
+        got.0,
+        reference.publishes[lo..=hi]
+            .iter()
+            .map(|(e, _)| e)
+            .collect::<Vec<_>>()
+    );
 }
 
 fn opts_for(sync: SyncPolicy) -> DurableOptions {
@@ -121,39 +143,33 @@ fn crash_sweep(stmts: &[Step], sync: SyncPolicy, stride: u64) {
         fs.crash(crash_point.wrapping_mul(0x9E37_79B9) ^ 0x5EED);
 
         let recovered = DurableWriter::recover(fs.clone(), DIR, opts, MaintenancePolicy::default());
+        let at = format!("crash point {crash_point}");
         if !run.created {
             // Crashed before (or right at) making the initial manifest
             // durable: recovery either finds no table, or finds epoch 0.
             if let Ok((_h, dw, report)) = recovered {
-                assert_eq!(report.epoch, 0, "crash point {crash_point}");
-                assert_eq!(
-                    state_image(dw.staging()),
-                    reference.images[0],
-                    "crash point {crash_point}"
-                );
+                let got = (report.epoch, state_image(dw.staging()));
+                assert_recovered_publish(&reference, &got, 0, 0, &at);
             }
         } else {
-            let (_h, dw, report) = recovered
-                .unwrap_or_else(|e| panic!("crash point {crash_point}: recovery failed: {e}"));
-            if sync != SyncPolicy::OsBuffered {
-                assert!(
-                    report.epoch >= run.ok_publishes,
-                    "crash point {crash_point}: acknowledged epoch lost \
-                     (recovered {}, acknowledged {})",
-                    report.epoch,
-                    run.ok_publishes
-                );
-            }
+            // The run acknowledged a prefix of the reference's publishes.
             assert!(
-                report.epoch <= run.ok_publishes + 1,
-                "crash point {crash_point}: recovered past the workload"
+                run.publishes[..] == reference.publishes[..run.publishes.len()],
+                "{at}: the run diverged from the reference before the crash"
             );
-            assert_eq!(
-                state_image(dw.staging()),
-                reference.images[report.epoch as usize],
-                "crash point {crash_point}: epoch {} diverged",
-                report.epoch
-            );
+            let (handle, dw, report) =
+                recovered.unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+            assert_eq!(handle.epoch(), report.epoch, "{at}");
+            // Under the syncing policies every acknowledged publish is
+            // durable; no policy recovers more than the one publish that
+            // may have reached the log without being acknowledged.
+            let lo = if sync == SyncPolicy::OsBuffered {
+                0
+            } else {
+                run.ok_publishes
+            };
+            let got = (report.epoch, state_image(dw.staging()));
+            assert_recovered_publish(&reference, &got, lo, run.ok_publishes + 1, &at);
             dw.staging().check_consistency();
         }
         crash_point += stride;
@@ -228,12 +244,9 @@ fn bit_flip_in_the_wal_degrades_to_an_earlier_epoch() {
 
         let (_h, dw, report) =
             DurableWriter::recover(fs.clone(), DIR, opts, MaintenancePolicy::default()).unwrap();
-        assert!(report.epoch <= run.ok_publishes);
-        assert_eq!(
-            state_image(dw.staging()),
-            reference.images[report.epoch as usize],
-            "flip seed {flip_seed}"
-        );
+        let got = (report.epoch, state_image(dw.staging()));
+        let at = format!("flip seed {flip_seed}");
+        assert_recovered_publish(&reference, &got, 0, run.ok_publishes, &at);
         dw.staging().check_consistency();
     }
 }

@@ -3,7 +3,8 @@
 //! update streams — create, statements, publish (which checkpoints),
 //! recover — including that `MaintenanceStats` and the drift baseline
 //! survive recovery; and the three writers, fed one stream, hand back
-//! the same receipt for every statement.
+//! the same receipt for every statement and the same epoch for every
+//! publish.
 
 use std::sync::Arc;
 
@@ -123,8 +124,9 @@ proptest! {
 /// Drives one stream, index DDL included, through an `IndexedTable`, a
 /// `TableWriter` and a `DurableWriter` in lockstep. Every writer writes
 /// through one `apply`, so each statement's receipts are equal, an
-/// insert's receipt addresses exactly its rows in order, and all three
-/// end in one state image.
+/// insert's receipt addresses exactly its rows in order, the two
+/// publishing writers return the same epoch from every publish (one that
+/// changed nothing keeps it), and all three end in one state image.
 fn three_writers_in_lockstep(ops: &[Step]) {
     let mut it = IndexedTable::new(base_table(8));
     let (_handle, mut writer) = ConcurrentTable::new(IndexedTable::new(base_table(8)));
@@ -144,8 +146,8 @@ fn three_writers_in_lockstep(ops: &[Step]) {
             }
         }
         if let Step::Publish = op {
-            writer.publish();
-            dw.publish().unwrap();
+            let epoch = writer.publish();
+            assert_eq!(epoch, dw.publish().unwrap(), "the writers' epochs diverged");
         }
     }
     let image = state_image(&it);
