@@ -7,8 +7,8 @@ use std::sync::Arc;
 use patchindex::discovery::sampled_match;
 use patchindex::stats::{pi_bitmap_bytes, pi_identifier_bytes, preferred_design};
 use patchindex::{
-    Constraint, Design, IndexCatalog, IndexStats, IndexedTable, PartitionStats, QueryShape,
-    SortDir, Statement, WorkloadDelta,
+    Constraint, Design, IndexCatalog, IndexStats, IndexedTable, QueryShape, SortDir, Statement,
+    WorkloadDelta,
 };
 use pi_exec::ops::sort::SortOrder;
 use pi_obs::{Counter, MetricsRegistry};
@@ -433,29 +433,17 @@ fn hypothetical_benefit(
     sampled_e: f64,
     shape: QueryShape,
 ) -> f64 {
-    let part_rows: Vec<u64> = it
-        .table()
-        .partitions()
-        .iter()
-        .map(|p| p.visible_len() as u64)
-        .collect();
-    let parts: Vec<PartitionStats> = part_rows
-        .iter()
-        .map(|&rows| PartitionStats {
-            rows,
-            patches: ((1.0 - sampled_e) * rows as f64).round() as u64,
-        })
-        .collect();
-    let patches: u64 = parts.iter().map(|p| p.patches).sum();
+    let rows = it.table().visible_len() as u64;
     let entry = IndexStats {
         slot: 0,
         column: col,
         constraint,
-        parts,
-        patch_distinct: patches / 2,
+        rows,
+        patches: ((1.0 - sampled_e) * rows as f64).round() as u64,
     };
     let cat = IndexCatalog {
-        part_rows,
+        rows,
+        partitions: it.table().partition_count(),
         indexes: vec![entry],
     };
     let reference = match shape {

@@ -20,8 +20,9 @@ pub fn distinct_reference(table: &Table) -> usize {
 }
 
 /// Optimizes the distinct query against a single-index catalog. Run this
-/// **outside** timed regions: the catalog snapshot includes an
-/// O(patches) distinct-patch-value pass.
+/// **outside** timed regions, which time execution only: the catalog
+/// snapshot reads the index's patch counts, a popcount pass over a
+/// Bitmap store.
 pub fn plan_distinct_patchindex(table: &Table, index: &PatchIndex) -> Plan {
     let plan = Plan::scan(vec![VAL_COL]).distinct(vec![0]);
     optimize(plan, &IndexCatalog::of(table, std::slice::from_ref(index)))

@@ -1,7 +1,5 @@
 //! The PatchIndex: a materialized approximate constraint.
 
-use std::sync::OnceLock;
-
 use pi_exec::ops::patch_select::PatchLookup;
 use pi_exec::parallel::per_partition;
 use pi_storage::Table;
@@ -68,11 +66,6 @@ pub struct PatchIndex {
     parts: Vec<PartitionIndex>,
     stats: MaintenanceStats,
     baseline: DriftBaseline,
-    /// Distinct values among the patch rows: filled by the first catalog
-    /// that asks (see [`PatchIndex::patch_distinct_count`]), carried by
-    /// NUC inserts, kept by deletes of kept rows only, and dropped by
-    /// every other maintenance step. Never persisted.
-    pub(crate) patch_distinct: OnceLock<u64>,
 }
 
 impl PatchIndex {
@@ -131,7 +124,6 @@ impl PatchIndex {
             parts,
             stats: MaintenanceStats::default(),
             baseline: DriftBaseline::default(),
-            patch_distinct: OnceLock::new(),
         };
         idx.reset_baseline();
         idx
@@ -159,7 +151,6 @@ impl PatchIndex {
             parts,
             stats,
             baseline,
-            patch_distinct: OnceLock::new(),
         }
     }
 
@@ -302,16 +293,8 @@ impl PatchIndex {
     /// are disjoint from patch values). For NUC the uniqueness/disjointness
     /// pass additionally runs *globally* across partitions — the property
     /// the distinct rewrite's un-deduplicated union actually relies on.
-    /// A carried distinct-patch count must equal a fresh recount.
     /// Test / debugging aid — full scan.
     pub fn check_consistency(&self, table: &Table) {
-        if let Some(&carried) = self.patch_distinct.get() {
-            assert_eq!(
-                carried,
-                self.count_patch_distinct(table),
-                "carried distinct-patch count differs from a recount"
-            );
-        }
         for (pid, part) in self.parts.iter().enumerate() {
             let p = table.partition(pid);
             assert_eq!(

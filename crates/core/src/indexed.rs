@@ -126,12 +126,12 @@ impl IndexedTable {
         &self.indexes[slot]
     }
 
-    /// Snapshot of every index plus the per-partition table shape — what
-    /// the planner optimizes against (see `pi-planner`'s `QueryEngine`)
-    /// and what a publish hands its snapshot. Cached between mutations:
-    /// the first call after an update pays the snapshot (counter reads,
-    /// plus the capped NUC distinct-patch pass for an index whose carried
-    /// count maintenance dropped); every further call is a borrow.
+    /// Snapshot of every index plus the table's shape — what the planner
+    /// optimizes against (see `pi-planner`'s `QueryEngine`) and what a
+    /// publish hands its snapshot. Cached between mutations: the first
+    /// call after an update pays the snapshot (counter reads, including
+    /// a Bitmap store's bit count per partition); every further call is
+    /// a borrow.
     pub fn catalog(&self) -> &IndexCatalog {
         self.catalog_cache
             .get_or_init(|| IndexCatalog::of(&self.table, &self.indexes))
@@ -416,18 +416,16 @@ mod tests {
         // Between mutations every call borrows the same snapshot.
         let first: *const IndexCatalog = it.catalog();
         assert!(std::ptr::eq(first, it.catalog()));
-        assert_eq!(it.catalog().indexes[0].rows(), 5);
+        assert_eq!(it.catalog().indexes[0].rows, 5);
         it.insert(&[row(100, 77)]);
         assert_eq!(
-            it.catalog().indexes[0].rows(),
+            it.catalog().indexes[0].rows,
             6,
             "the mutation dropped the cached snapshot"
         );
         // The cached snapshot always equals a fresh one.
         let fresh_cat = IndexCatalog::of(it.table(), it.indexes());
-        let cached = it.catalog();
-        assert_eq!(cached.part_rows, fresh_cat.part_rows);
-        assert_eq!(cached.indexes[0].parts, fresh_cat.indexes[0].parts);
+        assert_eq!(it.catalog(), &fresh_cat);
     }
 
     #[test]

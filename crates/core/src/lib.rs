@@ -75,7 +75,7 @@ pub mod stats;
 mod store;
 
 pub use cache::{CacheStats, Footprint, ResultCache};
-pub use catalog::{IndexCatalog, IndexStats, PartitionStats};
+pub use catalog::{IndexCatalog, IndexStats};
 pub use constraint::{Constraint, Design, SortDir};
 pub use index::{DriftBaseline, PartitionIndex, PatchIndex};
 pub use indexed::{IndexedTable, MaintenancePolicy, QueryShape};

@@ -24,19 +24,13 @@
 //! leaves alone. The probe scans lent base windows and reads a match's
 //! rowID off its window position, so a clean block is probed uncopied;
 //! the [`JoinTable`]'s bit filter turns most probe rows away before a
-//! map lookup. And the distinct-patch-value count the catalog reads is
-//! carried, not recounted: an insert's collision round adds the hit
-//! values that had no patch row before — exact by the NUC invariant,
-//! under which a value's rows are either all patches or one kept row. A
-//! delete of kept rows only keeps the count, and a statement that leaves
-//! an index alone never touches it; a NUC modify, a delete of a patch
-//! row and the other constraints' inserts and modifies drop it, and the
-//! next catalog recounts.
+//! map lookup. Maintenance keeps no statistic beside the patch sets:
+//! the optimizer's catalog reads the stores' row and patch counts (see
+//! [`crate::catalog`]).
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
-use pi_exec::ops::hash_join::{join_key, JoinTable};
+use pi_exec::ops::hash_join::JoinTable;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::parallel::per_partition;
 use pi_exec::Batch;
@@ -124,36 +118,26 @@ fn build_changed_batch(table: &Table, col: usize, changed: &[(usize, usize)]) ->
 /// [`JoinTable::pairs`] names — the Reuse operator's effect (Figure 5)
 /// without materializing the join result. The scan asks for no rowID
 /// column, so clean base blocks are probed as lent windows, uncopied.
-///
-/// Given `patched` (the index before this round), also returns how many
-/// hit values had no patch among their probed rows: the values this
-/// round adds to the distinct patch values. Every row holding a build
-/// value lies in a probed range, so each hit value's rows are all seen.
 fn nuc_collision_probe(
     table: &Table,
     col: usize,
     build_batch: Batch,
     stats: &mut MaintenanceStats,
-    patched: Option<&PatchIndex>,
-) -> (Vec<Vec<u64>>, u64) {
+) -> Vec<Vec<u64>> {
     let shared = JoinTable::from_batch(build_batch, 0);
     stats.collision_rounds += 1;
     stats.build_invocations += 1;
     stats.probed_partitions += table.partition_count() as u64;
-    let build_values = shared.rows().column(0);
     let build_pids = shared.rows().column(1).as_int();
     let build_rids = shared.rows().column(2).as_int();
     let worker = |partition: &Partition| {
         let pid = partition.id;
         let ranges = drp_ranges(partition, col, shared.envelope());
-        let store = patched.map(|idx| &idx.partition(pid).store);
         // One value can match thousands of already-patched rows, so each
         // worker deduplicates what it found before handing it back.
         let mut scan = ScanOp::with_ranges(partition, vec![col], ranges, false);
         let mut probe_hits: Vec<u64> = Vec::new();
         let mut build_hits: Vec<(usize, u64)> = Vec::new();
-        // (hit value, whether this probe row was a patch)
-        let mut values: Vec<(i64, bool)> = Vec::new();
         while let Some((start, batch)) = scan.next_window() {
             let (probe_pos, build_pos) = shared.pairs(&batch, 0);
             // Row `start` of the partition sits at the first position of
@@ -167,69 +151,45 @@ fn nuc_collision_probe(
                 }
                 probe_hits.push(probe_rid);
                 build_hits.push((b_pid, b_rid));
-                if let Some(store) = store {
-                    values.push((join_key(build_values, b), store.contains(probe_rid)));
-                }
             }
         }
         probe_hits.sort_unstable();
         probe_hits.dedup();
         build_hits.sort_unstable();
         build_hits.dedup();
-        values.sort_unstable();
-        values.dedup();
-        (probe_hits, build_hits, values)
+        (probe_hits, build_hits)
     };
-    let mut hits: Vec<Vec<u64>> = Vec::with_capacity(table.partition_count());
-    let mut values: Vec<(i64, bool)> = Vec::new();
-    let mut build_hits: Vec<(usize, u64)> = Vec::new();
-    for (probe, build, vals) in per_partition(table, worker) {
-        hits.push(probe);
-        build_hits.extend(build);
-        values.extend(vals);
-    }
-    for (pid, rid) in build_hits {
+    let (mut hits, build_hits): (Vec<Vec<u64>>, Vec<_>) =
+        per_partition(table, worker).into_iter().unzip();
+    for (pid, rid) in build_hits.into_iter().flatten() {
         hits[pid].push(rid);
     }
     for rids in &mut hits {
         rids.sort_unstable();
         rids.dedup();
     }
-    // One entry per value, marked when any of its rows was a patch. By the
-    // NUC invariant a value's rows are either all patches or one kept row,
-    // so an unmarked value is one the patch values did not hold.
-    values.sort_unstable();
-    values.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        kept.1 |= same && later.1;
-        same
-    });
-    let fresh = values.iter().filter(|&&(_, was_patch)| !was_patch).count();
-    (hits, fresh as u64)
+    hits
 }
 
 impl PatchIndex {
     /// The NUC collision round for the `changed` tuples of one statement:
     /// build batch hashed once, partition probes fanned out, and every
     /// colliding row — on either side of the join — merged into its
-    /// partition's patch store. With `count_fresh`, returns how many
-    /// values the round added to the distinct patch values (else 0).
-    fn nuc_round(&mut self, table: &Table, changed: &[(usize, usize)], count_fresh: bool) -> u64 {
+    /// partition's patch store.
+    fn nuc_round(&mut self, table: &Table, changed: &[(usize, usize)]) {
         if changed.is_empty() {
-            return 0;
+            return;
         }
         let col = self.column();
         let build_batch = build_changed_batch(table, col, changed);
         let mut stats = self.maintenance_stats();
-        let patched = count_fresh.then_some(&*self);
-        let (hits, fresh) = nuc_collision_probe(table, col, build_batch, &mut stats, patched);
+        let hits = nuc_collision_probe(table, col, build_batch, &mut stats);
         self.set_maintenance_stats(stats);
         for (pid, rids) in hits.iter().enumerate() {
             if !rids.is_empty() {
                 self.partition_mut(pid).store.add_patches(rids);
             }
         }
-        fresh
     }
 
     /// Maintains the index after `table.insert_rows` returned `inserted`.
@@ -239,12 +199,8 @@ impl PatchIndex {
     /// subsequence of the inserted values; the rest become patches. This
     /// may lose global optimality (paper's (1,2,10)+(3,4) example) but
     /// never correctness; the monitoring policy recomputes eventually.
-    ///
-    /// Only a NUC insert carries the distinct-patch count: the round
-    /// counts the values it adds. The other constraints drop it.
     pub fn handle_insert(&mut self, table: &mut Table, inserted: &[RowAddr]) {
         self.note_maintained(inserted.len() as u64);
-        let carried = self.patch_distinct.take();
         let col = self.column();
         let constraint = self.constraint();
         // Group inserted rowIDs per partition.
@@ -258,10 +214,7 @@ impl PatchIndex {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> =
                     inserted.iter().map(|a| (a.partition, a.rid)).collect();
-                let fresh = self.nuc_round(table, &changed, carried.is_some());
-                if let Some(count) = carried {
-                    self.patch_distinct = OnceLock::from(count + fresh);
-                }
+                self.nuc_round(table, &changed);
             }
             Constraint::NearlySorted(dir) => {
                 for (pid, rids) in per_part.iter().enumerate() {
@@ -331,20 +284,16 @@ impl PatchIndex {
     /// NUC: same collision query as insert handling (paper, Section 5.2),
     /// without the bitmap resize. NSC: all modified tuples join the patch
     /// set — no query needed.
-    ///
-    /// Drops the distinct-patch count: a modify can take away a patch
-    /// value's last row, which only a recount notices.
     pub fn handle_modify(&mut self, table: &mut Table, pid: usize, rids: &[usize]) {
         if rids.is_empty() {
             return;
         }
         self.note_maintained(rids.len() as u64);
-        self.patch_distinct.take();
         let col = self.column();
         match self.constraint() {
             Constraint::NearlyUnique => {
                 let changed: Vec<(usize, usize)> = rids.iter().map(|&r| (pid, r)).collect();
-                self.nuc_round(table, &changed, false);
+                self.nuc_round(table, &changed);
             }
             Constraint::NearlySorted(_) => {
                 let patches: Vec<u64> = rids.iter().map(|&r| r as u64).collect();
@@ -374,16 +323,9 @@ impl PatchIndex {
     /// deleted tuples is dropped; subsequent rowIDs shift down via the
     /// sharded bitmap's bulk delete / identifier decrementing (paper,
     /// Section 5.3).
-    ///
-    /// A delete of kept rows only keeps the distinct-patch count; one
-    /// that removes a patch row drops it.
     pub fn handle_delete(&mut self, pid: usize, rids: &[usize]) {
         self.note_maintained(rids.len() as u64);
         let deleted: Vec<u64> = rids.iter().map(|&r| r as u64).collect();
-        let store = &self.partition(pid).store;
-        if self.patch_distinct.get().is_some() && deleted.iter().any(|&r| store.contains(r)) {
-            self.patch_distinct.take();
-        }
         self.partition_mut(pid).store.on_delete(&deleted);
     }
 }
@@ -721,8 +663,7 @@ mod tests {
     /// scan batch, and some cases first leave a base delete or a base
     /// modify of the other column pending in one partition: its first
     /// batch is then copied, and its second is a window whose first row
-    /// is not row 0 of its backing. The insert carries the distinct-patch
-    /// count, which the consistency check recounts.
+    /// is not row 0 of its backing.
     #[test]
     fn shared_probe_hashes_build_side_exactly_once() {
         const PARTS: usize = 4;
@@ -752,7 +693,6 @@ mod tests {
                     _ => {}
                 }
             }
-            assert_eq!(shared_idx.patch_distinct_count(&shared_t), 0);
             let mut seq_stats = MaintenanceStats::default();
             let mut reference = |t: &Table, idx: &mut PatchIndex, changed: &[(usize, usize)]| {
                 let batch = build_changed_batch(t, 1, changed);
@@ -823,36 +763,6 @@ mod tests {
             shared_idx.check_consistency(&shared_t);
         }
         assert!(patched > 0, "no case collided: a weak test");
-    }
-
-    /// The distinct-patch count: an insert carries it, a delete of kept
-    /// rows only keeps it, a delete of a patch row and a NUC modify drop
-    /// it.
-    #[test]
-    fn distinct_patch_count_is_carried_kept_or_dropped() {
-        let mut t = table(vec![1, 5, 5, 9, 12], 1);
-        let mut idx = PatchIndex::create(&t, 1, Constraint::NearlyUnique, Design::Bitmap);
-        assert_eq!(idx.patch_distinct.get(), None);
-        assert_eq!(idx.patch_distinct_count(&t), 1);
-        // 9 collides with a kept row, 5 with patches, 77 with itself.
-        let addrs = t.insert_rows(&[row(10, 9), row(11, 5), row(12, 77), row(13, 77)]);
-        idx.handle_insert(&mut t, &addrs);
-        assert_eq!(idx.patch_distinct.get(), Some(&3));
-        idx.check_consistency(&t);
-        // Rows 0 (1) and 4 (12) are kept.
-        idx.handle_delete(0, &[0, 4]);
-        t.delete(0, &[0, 4]);
-        assert_eq!(idx.patch_distinct.get(), Some(&3));
-        idx.check_consistency(&t);
-        // Row 0 (5) is a patch.
-        idx.handle_delete(0, &[0]);
-        t.delete(0, &[0]);
-        assert_eq!(idx.patch_distinct.get(), None);
-        assert_eq!(idx.patch_distinct_count(&t), 3);
-        t.modify(0, &[0], 1, &[Value::Int(100)]);
-        idx.handle_modify(&mut t, 0, &[0]);
-        assert_eq!(idx.patch_distinct.get(), None);
-        idx.check_consistency(&t);
     }
 
     /// Modify rounds go through the same shared pipeline.

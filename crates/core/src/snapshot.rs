@@ -193,10 +193,10 @@ impl TableSnapshot {
         cache: Option<Arc<ResultCache>>,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> Self {
-        // The full catalog (including any NUC distinct-patch recount) is
-        // computed here, on the writer — snapshot readers plan against it
-        // for free. Reuses the mutation-invalidated cache: a publish with
-        // no data change since the last catalog read costs counter reads.
+        // The catalog is computed here, on the writer — snapshot readers
+        // plan against it for free. Reuses the mutation-invalidated cache:
+        // a publish with no data change since the last catalog read
+        // borrows it.
         let catalog = it.catalog().clone();
         TableSnapshot {
             inner: Arc::new(SnapshotInner {
@@ -227,7 +227,7 @@ impl TableSnapshot {
         &self.inner.indexes
     }
 
-    /// The catalog precomputed at publish time (full distinct statistics).
+    /// The catalog precomputed at publish time.
     pub fn catalog(&self) -> &IndexCatalog {
         &self.inner.catalog
     }
@@ -924,12 +924,11 @@ mod tests {
         writer.insert(&[row(100, 20)]); // duplicates 20 -> 2 patches
         writer.publish();
         let snap = handle.snapshot();
-        assert_eq!(snap.catalog().indexes[0].patches(), 2);
-        assert_eq!(snap.catalog().rows(), 6);
+        assert_eq!(snap.catalog().indexes[0].patches, 2);
+        assert_eq!(snap.catalog().rows, 6);
         // Snapshot catalog mirrors a fresh computation over its state.
         let fresh_cat = IndexCatalog::of(snap.table(), snap.indexes());
-        assert_eq!(snap.catalog().part_rows, fresh_cat.part_rows);
-        assert_eq!(snap.catalog().indexes[0].parts, fresh_cat.indexes[0].parts);
+        assert_eq!(snap.catalog(), &fresh_cat);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! site is costed with the per-slot counts of the index it binds, and the
 //! distinct-cardinality estimate is index-informed — when a NUC index
 //! covers the distinct column, `distinct ≈ (rows − patches) +
-//! distinct(patches)` replaces the conventional 50% guess (the NUC
+//! patches / 2` replaces the conventional 50% guess (the NUC
 //! materializes every occurrence of a duplicated value as a patch, so the
-//! kept rows are exactly the single-occurrence values).
+//! kept rows are exactly the single-occurrence values, and a patch value
+//! has at least two rows until deletes thin it out).
 
 use patchindex::{Constraint, IndexCatalog, IndexStats};
 use pi_exec::ops::patch_select::PatchMode;
@@ -62,22 +63,25 @@ fn is_ncc_constant_flow(input: &Plan, cols: &[usize], cat: &IndexCatalog) -> boo
 
 /// Index-informed distinct output estimate; `None` when no materialized
 /// constraint covers the (single) distinct column and the conventional
-/// reduction applies.
+/// reduction applies. A NUC index's distinct patch values are estimated
+/// here, and only here, as half its patches: the catalog keeps no exact
+/// count.
 fn indexed_distinct_estimate(input: &Plan, cols: &[usize], cat: &IndexCatalog) -> Option<f64> {
     if cols.len() != 1 {
         return None;
     }
     if is_ncc_constant_flow(input, cols, cat) {
         // One constant value per partition.
-        return Some(cat.partition_count() as f64);
+        return Some(cat.partitions as f64);
     }
+    let distinct_patches = |e: &IndexStats| (e.patches / 2) as f64;
     match input {
         Plan::Scan {
             cols: scan_cols, ..
         } => {
             let col = *scan_cols.get(cols[0])?;
             let e = cat.nuc_on(col)?;
-            Some((e.rows() - e.patches() + e.patch_distinct) as f64)
+            Some((e.rows - e.patches) as f64 + distinct_patches(e))
         }
         Plan::PatchScan {
             cols: scan_cols,
@@ -92,9 +96,9 @@ fn indexed_distinct_estimate(input: &Plan, cols: &[usize], cat: &IndexCatalog) -
             }
             Some(match mode {
                 // Kept rows are unique (and each a distinct value).
-                PatchMode::ExcludePatches => (e.rows() - e.patches()) as f64,
+                PatchMode::ExcludePatches => (e.rows - e.patches) as f64,
                 // Every patch value is materialized with its duplicates.
-                PatchMode::UsePatches => e.patch_distinct as f64,
+                PatchMode::UsePatches => distinct_patches(e),
             })
         }
         _ => None,
@@ -104,19 +108,19 @@ fn indexed_distinct_estimate(input: &Plan, cols: &[usize], cat: &IndexCatalog) -
 /// Estimated output cardinality.
 pub fn cardinality(plan: &Plan, cat: &IndexCatalog) -> f64 {
     match plan {
-        Plan::Scan { .. } => cat.rows() as f64,
+        Plan::Scan { .. } => cat.rows as f64,
         Plan::PatchScan {
             mode: PatchMode::UsePatches,
             slot,
             ..
-        } => slot_stats(cat, *slot).patches() as f64,
+        } => slot_stats(cat, *slot).patches as f64,
         Plan::PatchScan {
             mode: PatchMode::ExcludePatches,
             slot,
             ..
         } => {
             let e = slot_stats(cat, *slot);
-            (e.rows() - e.patches()) as f64
+            (e.rows - e.patches) as f64
         }
         Plan::Distinct { input, cols } => {
             let input_card = cardinality(input, cat);
@@ -138,10 +142,10 @@ pub fn cardinality(plan: &Plan, cat: &IndexCatalog) -> f64 {
 /// Estimated execution cost of the plan tree.
 pub fn estimate(plan: &Plan, cat: &IndexCatalog) -> f64 {
     match plan {
-        Plan::Scan { .. } => cat.rows() as f64 * C_SCAN,
+        Plan::Scan { .. } => cat.rows as f64 * C_SCAN,
         // The selection reads every scanned tuple and drops a part.
         Plan::PatchScan { slot, .. } => {
-            slot_stats(cat, *slot).rows() as f64 * (C_SCAN + C_PATCH_SELECT)
+            slot_stats(cat, *slot).rows as f64 * (C_SCAN + C_PATCH_SELECT)
         }
         Plan::Distinct { input, cols } => {
             let per_tuple = if is_ncc_constant_flow(input, cols, cat) {
@@ -166,20 +170,15 @@ pub fn estimate(plan: &Plan, cat: &IndexCatalog) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::optimize;
     use crate::testutil::{catalog, entry};
     use patchindex::Constraint;
     use pi_exec::ops::sort::SortOrder;
 
-    fn nuc_cat(rows: u64, patches: u64, patch_distinct: u64) -> IndexCatalog {
+    fn nuc_cat(rows: u64, patches: u64) -> IndexCatalog {
         catalog(
-            vec![rows],
-            vec![entry(
-                0,
-                1,
-                Constraint::NearlyUnique,
-                vec![(rows, patches)],
-                patch_distinct,
-            )],
+            rows,
+            vec![entry(0, 1, Constraint::NearlyUnique, rows, patches)],
         )
     }
 
@@ -204,24 +203,42 @@ mod tests {
                 },
             ],
         };
-        let cat = nuc_cat(1_000_000, 10_000, 4_000);
+        let cat = nuc_cat(1_000_000, 10_000);
         assert!(estimate(&rewritten, &cat) < estimate(&reference, &cat));
         // At e = 1 the rewrite pays double scans for nothing.
-        let cat1 = nuc_cat(1_000_000, 1_000_000, 400_000);
+        let cat1 = nuc_cat(1_000_000, 1_000_000);
         assert!(estimate(&rewritten, &cat1) > estimate(&reference, &cat1));
+        // The optimizer's cost gate over an exception-rate sweep: the
+        // rewrite wins iff 3.9·P + 0.1·P/2 < 2.8·R, i.e. below e ≈ 70.9%
+        // (at e = 0 zero-branch pruning leaves only the excluding flow).
+        for (e_pct, chosen) in [
+            (0, true),
+            (1, true),
+            (5, true),
+            (20, true),
+            (50, true),
+            (69, true),
+            (72, false),
+            (100, false),
+        ] {
+            let plan = optimize(reference.clone(), &nuc_cat(1_000_000, e_pct * 10_000));
+            let s = plan.to_string();
+            assert_eq!(s.contains("exclude_patches"), chosen, "e = {e_pct}%:\n{s}");
+            assert_eq!(s.starts_with("Distinct"), !chosen, "e = {e_pct}%:\n{s}");
+        }
     }
 
     #[test]
     fn sort_cost_grows_superlinearly() {
         let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        let small = estimate(&sort, &nuc_cat(1_000, 0, 0));
-        let big = estimate(&sort, &nuc_cat(100_000, 0, 0));
+        let small = estimate(&sort, &nuc_cat(1_000, 0));
+        let big = estimate(&sort, &nuc_cat(100_000, 0));
         assert!(big > small * 100.0);
     }
 
     #[test]
     fn cardinalities_split_by_patches() {
-        let cat = nuc_cat(100, 30, 10);
+        let cat = nuc_cat(100, 30);
         let ex = pscan(PatchMode::ExcludePatches, 0);
         let us = pscan(PatchMode::UsePatches, 0);
         assert_eq!(cardinality(&ex, &cat), 70.0);
@@ -240,29 +257,30 @@ mod tests {
     #[test]
     fn limit_caps_cardinality() {
         let p = Plan::scan(vec![0]).limit(10);
-        assert_eq!(cardinality(&p, &nuc_cat(1_000, 0, 0)), 10.0);
+        assert_eq!(cardinality(&p, &nuc_cat(1_000, 0)), 10.0);
     }
 
     #[test]
     fn nuc_informs_distinct_estimate() {
-        // Near-unique column: 100 patches over 2 duplicated values. The
-        // old 50% guess said 500_000; the index knows better.
-        let cat = nuc_cat(1_000_000, 100, 2);
+        // Near-unique column with 100 patches: each patch value has at
+        // least two rows, so at most 50 distinct patch values. The old
+        // 50% guess said 500_000; the index knows better.
+        let cat = nuc_cat(1_000_000, 100);
         let full = Plan::scan(vec![1]).distinct(vec![0]);
-        assert_eq!(cardinality(&full, &cat), (1_000_000 - 100 + 2) as f64);
-        // Both rewritten flows are exact too.
+        assert_eq!(cardinality(&full, &cat), (1_000_000 - 100 + 50) as f64);
+        // The kept rows are exact; the patches flow takes the estimate.
         let ex_distinct = pscan(PatchMode::ExcludePatches, 0).distinct(vec![0]);
         assert_eq!(cardinality(&ex_distinct, &cat), (1_000_000 - 100) as f64);
         let us_distinct = pscan(PatchMode::UsePatches, 0).distinct(vec![0]);
-        assert_eq!(cardinality(&us_distinct, &cat), 2.0);
+        assert_eq!(cardinality(&us_distinct, &cat), 50.0);
     }
 
     #[test]
     fn distinct_over_unindexed_column_keeps_default_reduction() {
         // The NUC covers column 1; the scan produces column 0.
         let cat = catalog(
-            vec![1_000],
-            vec![entry(0, 1, Constraint::NearlyUnique, vec![(1_000, 10)], 5)],
+            1_000,
+            vec![entry(0, 1, Constraint::NearlyUnique, 1_000, 10)],
         );
         let p = Plan::scan(vec![0]).distinct(vec![0]);
         assert_eq!(cardinality(&p, &cat), 500.0);

@@ -516,7 +516,7 @@ mod tests {
         );
         it.insert(&[vec![Value::Int(999), Value::Int(12345)]]);
         it.query(&distinct);
-        assert_eq!(it.catalog().rows(), 11, "rebuilt after the insert");
+        assert_eq!(it.catalog().rows, 11, "rebuilt after the insert");
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use engine::QueryEngine;
 pub use fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 pub use logical::Plan;
 pub use optimizer::{optimize, optimize_with_stats, rewrite, OptimizeStats};
-pub use patchindex::{IndexCatalog, IndexStats, PartitionStats};
+pub use patchindex::{IndexCatalog, IndexStats};
 pub use physical::{execute, execute_count, prune_for_partition, NO_INDEXES};

@@ -394,19 +394,19 @@ fn zero_branch_prune(plan: Plan, cat: &IndexCatalog) -> Plan {
             .expect("PatchScan bound to a slot outside the catalog")
     };
     let leaf = |p: &Plan| match p {
-        Plan::Scan { .. } => cat.rows(),
+        Plan::Scan { .. } => cat.rows,
         Plan::PatchScan {
             mode: PatchMode::UsePatches,
             slot,
             ..
-        } => slot_entry(*slot).patches(),
+        } => slot_entry(*slot).patches,
         Plan::PatchScan {
             mode: PatchMode::ExcludePatches,
             slot,
             ..
         } => {
             let e = slot_entry(*slot);
-            e.rows() - e.patches()
+            e.rows - e.patches
         }
         _ => unreachable!("leaf bound invoked on a non-leaf node"),
     };
@@ -423,26 +423,20 @@ mod tests {
 
     fn nuc_cat(rows: u64, patches: u64) -> IndexCatalog {
         catalog(
-            vec![rows],
-            vec![entry(
-                0,
-                1,
-                Constraint::NearlyUnique,
-                vec![(rows, patches)],
-                patches / 2,
-            )],
+            rows,
+            vec![entry(0, 1, Constraint::NearlyUnique, rows, patches)],
         )
     }
 
     fn nsc_cat(rows: u64, patches: u64) -> IndexCatalog {
         catalog(
-            vec![rows],
+            rows,
             vec![entry(
                 0,
                 1,
                 Constraint::NearlySorted(SortDir::Asc),
-                vec![(rows, patches)],
-                0,
+                rows,
+                patches,
             )],
         )
     }
@@ -502,7 +496,7 @@ mod tests {
 
     #[test]
     fn ncc_distinct_rewrite_produces_deduped_union_of_distincts() {
-        let e = entry(0, 1, Constraint::NearlyConstant, vec![(1_000_000, 100)], 0);
+        let e = entry(0, 1, Constraint::NearlyConstant, 1_000_000, 100);
         let plan = Plan::scan(vec![1]).distinct(vec![0]);
         let opt = rewrite(plan, &e);
         let s = opt.to_string();
@@ -525,10 +519,10 @@ mod tests {
         // Two NUC indexes on different columns; each distinct query binds
         // the index of the column it scans.
         let cat = catalog(
-            vec![100_000],
+            100_000,
             vec![
-                entry(0, 1, Constraint::NearlyUnique, vec![(100_000, 50)], 20),
-                entry(1, 2, Constraint::NearlyUnique, vec![(100_000, 80)], 30),
+                entry(0, 1, Constraint::NearlyUnique, 100_000, 50),
+                entry(1, 2, Constraint::NearlyUnique, 100_000, 80),
             ],
         );
         // Distinct over table col 1 -> slot 0.
@@ -549,14 +543,8 @@ mod tests {
         // keeps the full scan width while the patches flow aggregates to
         // the key, so the Figure-2 union would mismatch widths.
         let cat = catalog(
-            vec![1_000_000],
-            vec![entry(
-                0,
-                1,
-                Constraint::NearlyUnique,
-                vec![(1_000_000, 10)],
-                5,
-            )],
+            1_000_000,
+            vec![entry(0, 1, Constraint::NearlyUnique, 1_000_000, 10)],
         );
         let q = Plan::Scan {
             cols: vec![0, 1],
@@ -574,16 +562,10 @@ mod tests {
         // (much) smaller patch set must win — tested in both directions.
         let plan = || Plan::scan(vec![1]).distinct(vec![0]);
         let nuc_cheap = catalog(
-            vec![1_000_000],
+            1_000_000,
             vec![
-                entry(0, 1, Constraint::NearlyUnique, vec![(1_000_000, 100)], 40),
-                entry(
-                    1,
-                    1,
-                    Constraint::NearlyConstant,
-                    vec![(1_000_000, 600_000)],
-                    0,
-                ),
+                entry(0, 1, Constraint::NearlyUnique, 1_000_000, 100),
+                entry(1, 1, Constraint::NearlyConstant, 1_000_000, 600_000),
             ],
         );
         let s = optimize(plan(), &nuc_cheap).to_string();
@@ -591,16 +573,10 @@ mod tests {
         assert!(!s.contains("slot=1"));
 
         let ncc_cheap = catalog(
-            vec![1_000_000],
+            1_000_000,
             vec![
-                entry(
-                    0,
-                    1,
-                    Constraint::NearlyUnique,
-                    vec![(1_000_000, 990_000)],
-                    300_000,
-                ),
-                entry(1, 1, Constraint::NearlyConstant, vec![(1_000_000, 100)], 0),
+                entry(0, 1, Constraint::NearlyUnique, 1_000_000, 990_000),
+                entry(1, 1, Constraint::NearlyConstant, 1_000_000, 100),
             ],
         );
         let s = optimize(plan(), &ncc_cheap).to_string();
@@ -613,10 +589,10 @@ mod tests {
         // A Union of two distinct queries over different columns: each
         // site binds its own index.
         let cat = catalog(
-            vec![100_000],
+            100_000,
             vec![
-                entry(0, 1, Constraint::NearlyUnique, vec![(100_000, 10)], 5),
-                entry(1, 2, Constraint::NearlyUnique, vec![(100_000, 10)], 5),
+                entry(0, 1, Constraint::NearlyUnique, 100_000, 10),
+                entry(1, 2, Constraint::NearlyUnique, 100_000, 10),
             ],
         );
         let q = Plan::Union {

@@ -1,29 +1,30 @@
 //! Synthetic catalog builders shared by the planner unit tests.
 
-use patchindex::{Constraint, IndexCatalog, IndexStats, PartitionStats};
+use patchindex::{Constraint, IndexCatalog, IndexStats};
 
-/// A synthetic index snapshot from `(rows, patches)` pairs per partition.
+/// A synthetic index snapshot covering `rows` rows with `patches`
+/// patches.
 pub(crate) fn entry(
     slot: usize,
     column: usize,
     constraint: Constraint,
-    parts: Vec<(u64, u64)>,
-    patch_distinct: u64,
+    rows: u64,
+    patches: u64,
 ) -> IndexStats {
-    let parts: Vec<PartitionStats> = parts
-        .into_iter()
-        .map(|(rows, patches)| PartitionStats { rows, patches })
-        .collect();
     IndexStats {
         slot,
         column,
         constraint,
-        parts,
-        patch_distinct,
+        rows,
+        patches,
     }
 }
 
-/// A synthetic catalog over the given per-partition row counts.
-pub(crate) fn catalog(part_rows: Vec<u64>, indexes: Vec<IndexStats>) -> IndexCatalog {
-    IndexCatalog { part_rows, indexes }
+/// A synthetic one-partition catalog over `rows` visible rows.
+pub(crate) fn catalog(rows: u64, indexes: Vec<IndexStats>) -> IndexCatalog {
+    IndexCatalog {
+        rows,
+        partitions: 1,
+        indexes,
+    }
 }

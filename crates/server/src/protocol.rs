@@ -33,7 +33,8 @@ pub enum ErrorCode {
     /// Unknown command word or malformed argument list.
     BadCommand,
     /// A query spec that parses but cannot run: column out of range,
-    /// stage position out of range, duplicate stage.
+    /// stage position out of range, duplicate stage, `distinct` over a
+    /// `Float` column.
     BadPlan,
     /// A value literal that does not parse under the column's type, or
     /// a string containing a forbidden separator character.
@@ -104,8 +105,8 @@ pub enum WireMode {
 }
 
 /// Reads one request. Returns `Ok(None)` on clean EOF before any byte
-/// of a request; IO errors (including read timeouts, which the server
-/// uses to poll its shutdown flag) surface as `Err`.
+/// of a request; IO errors surface as `Err` (the server sets no read
+/// timeout: shutdown unblocks a reader by shutting its stream down).
 pub fn read_request(
     r: &mut impl BufRead,
 ) -> io::Result<Option<(WireMode, Result<String, ServerError>)>> {

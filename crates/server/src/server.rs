@@ -358,6 +358,15 @@ impl ServerInner {
                 ));
             }
         }
+        // Hash aggregation groups integer-backed keys only.
+        for &p in spec.distinct.iter().flatten() {
+            if self.dtypes[spec.scan[p]] == DataType::Float {
+                return Err(ServerError::new(
+                    ErrorCode::BadPlan,
+                    format!("distinct position {p} is a Float column"),
+                ));
+            }
+        }
         Ok(spec)
     }
 

@@ -349,6 +349,51 @@ fn error_codes_and_line_mode() {
     server.shutdown();
 }
 
+/// Regression: `distinct` over a `Float` column panicked the hash
+/// aggregation inside the shard fan-out. The unwinding connection thread
+/// left the server's tracked clone of its socket open, so the client got
+/// neither a response nor EOF. Now the spec is refused with `BadPlan`,
+/// and the same connection keeps serving.
+#[test]
+fn distinct_over_a_float_column_is_refused_not_hung() {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("x", DataType::Float),
+    ]);
+    let cfg = ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::empty(cfg, schema, 1).unwrap();
+    let raw = TcpStream::connect(server.addr()).unwrap();
+    // A server that stops answering fails the test instead of hanging it.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = raw.try_clone().unwrap();
+    let mut lines = BufReader::new(raw).lines();
+    // One line-mode request; returns the response's first line.
+    let mut request = |cmd: &str| -> String {
+        writer.write_all(format!("{cmd}\n").as_bytes()).unwrap();
+        let mut read = || {
+            lines
+                .next()
+                .expect("a response, not EOF")
+                .unwrap_or_else(|e| panic!("{cmd:?}: no response ({e})"))
+        };
+        let first = read();
+        while read() != "." {}
+        first
+    };
+    assert!(request("INSERT 1,1.5;2,1.5;3,2.5").starts_with("OK "));
+    assert!(request("PUBLISH").starts_with("OK "));
+    for cmd in ["QUERY", "COUNT", "EXPLAIN"] {
+        let resp = request(&format!("{cmd} scan 0,1 | distinct 1"));
+        assert!(resp.starts_with("ERR BadPlan "), "{cmd}: got {resp:?}");
+    }
+    assert_eq!(request("PING"), "OK pong");
+    server.shutdown();
+}
+
 /// `MODIFY` and `DELETE` address physical rows through the wire and the
 /// results match direct table mutation semantics.
 #[test]
