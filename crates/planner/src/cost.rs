@@ -18,6 +18,7 @@
 
 use patchindex::{Constraint, IndexCatalog, IndexStats};
 use pi_exec::ops::patch_select::PatchMode;
+use pi_exec::BATCH_SIZE;
 
 use crate::logical::Plan;
 
@@ -27,10 +28,6 @@ const C_SCAN: f64 = 1.0;
 const C_PATCH_SELECT: f64 = 0.05;
 /// Per-tuple hash-aggregation cost.
 const C_AGG: f64 = 4.0;
-/// Per-tuple cost of a hash aggregation that collapses into one group
-/// per partition (the NCC excluding flow): every probe hits the same hot
-/// cache line, so it runs at near-scan speed.
-const C_AGG_CONST: f64 = 0.5;
 /// Per-tuple-comparison sort constant (multiplied by log2 n).
 const C_SORT: f64 = 0.6;
 /// Per-tuple union/merge cost.
@@ -41,24 +38,13 @@ fn slot_stats(cat: &IndexCatalog, slot: usize) -> &IndexStats {
         .expect("PatchScan bound to a slot outside the catalog")
 }
 
-/// Whether `input` is the constraint-satisfying flow of an NCC index on
-/// the distinct column — its aggregation sees one group per partition.
-fn is_ncc_constant_flow(input: &Plan, cols: &[usize], cat: &IndexCatalog) -> bool {
-    if cols.len() != 1 {
-        return false;
-    }
-    match input {
-        Plan::PatchScan {
-            cols: scan_cols,
-            mode: PatchMode::ExcludePatches,
-            slot,
-            ..
-        } => {
-            let e = slot_stats(cat, *slot);
-            e.constraint == Constraint::NearlyConstant && scan_cols.get(cols[0]) == Some(&e.column)
-        }
-        _ => false,
-    }
+/// Whether a distinct on `cols` reads an NCC index's kept flow
+/// ([`Plan::is_ncc_kept_flow`], with the slot's catalog entry).
+fn is_ncc_kept_flow(input: &Plan, cols: &[usize], cat: &IndexCatalog) -> bool {
+    input.is_ncc_kept_flow(cols, |slot| {
+        let e = slot_stats(cat, slot);
+        (e.constraint, e.column)
+    })
 }
 
 /// Index-informed distinct output estimate; `None` when no materialized
@@ -70,7 +56,7 @@ fn indexed_distinct_estimate(input: &Plan, cols: &[usize], cat: &IndexCatalog) -
     if cols.len() != 1 {
         return None;
     }
-    if is_ncc_constant_flow(input, cols, cat) {
+    if is_ncc_kept_flow(input, cols, cat) {
         // One constant value per partition.
         return Some(cat.partitions as f64);
     }
@@ -147,14 +133,13 @@ pub fn estimate(plan: &Plan, cat: &IndexCatalog) -> f64 {
         Plan::PatchScan { slot, .. } => {
             slot_stats(cat, *slot).rows as f64 * (C_SCAN + C_PATCH_SELECT)
         }
-        Plan::Distinct { input, cols } => {
-            let per_tuple = if is_ncc_constant_flow(input, cols, cat) {
-                C_AGG_CONST
-            } else {
-                C_AGG
-            };
-            estimate(input, cat) + cardinality(input, cat) * per_tuple
+        // The lowering stops each partition's kept flow at its first row
+        // (one window read), which is the flow's whole distinct.
+        Plan::Distinct { input, cols } if is_ncc_kept_flow(input, cols, cat) => {
+            let windows = cat.partitions as f64 * BATCH_SIZE as f64 * (C_SCAN + C_PATCH_SELECT);
+            windows.min(estimate(input, cat))
         }
+        Plan::Distinct { input, .. } => estimate(input, cat) + cardinality(input, cat) * C_AGG,
         Plan::Sort { input, .. } => {
             let n = cardinality(input, cat).max(2.0);
             estimate(input, cat) + n * n.log2() * C_SORT

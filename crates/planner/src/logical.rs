@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use patchindex::Constraint;
 use pi_exec::expr::Expr;
 use pi_exec::ops::patch_select::PatchMode;
 use pi_exec::ops::sort::SortOrder;
@@ -113,6 +114,35 @@ impl Plan {
             Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
                 inputs.iter().any(Plan::contains_distinct)
             }
+        }
+    }
+
+    /// Whether a distinct on `cols` over this plan reads the kept flow of
+    /// an NCC index on its key: the distinct has a single key, this plan
+    /// is an `exclude_patches` PatchScan, and its slot — `index(slot)`
+    /// gives the slot's `(constraint, column)` — is an NCC on the scanned
+    /// column at that key. Every kept row of a partition holds the
+    /// partition's one constant, so the flow's distinct is at most one
+    /// value per partition. The cost model and the lowering both ask this.
+    pub(crate) fn is_ncc_kept_flow(
+        &self,
+        cols: &[usize],
+        index: impl FnOnce(usize) -> (Constraint, usize),
+    ) -> bool {
+        let [key] = cols else {
+            return false;
+        };
+        match self {
+            Plan::PatchScan {
+                cols: scan_cols,
+                mode: PatchMode::ExcludePatches,
+                slot,
+                ..
+            } => {
+                let (constraint, column) = index(*slot);
+                constraint == Constraint::NearlyConstant && scan_cols.get(*key) == Some(&column)
+            }
+            _ => false,
         }
     }
 

@@ -160,8 +160,9 @@ fn rewrite_site(node: &Plan, e: &IndexStats) -> Option<Plan> {
                 })
             }
             // NCC: both flows get a distinct, but the excluding flow
-            // aggregates into a single group per partition (the constant),
-            // which the hash aggregation handles at near-scan speed. The
+            // holds a single value per partition (the constant), so the
+            // lowering reads only its first row per partition (a
+            // `LimitOp(…, 1)` below the partial aggregation). The
             // paper's Section 5.5 sketches such additional constraints.
             // Unlike the NUC rewrite, the flows' value sets are NOT
             // disjoint — a patch may carry another partition's constant —

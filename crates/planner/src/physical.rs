@@ -261,10 +261,12 @@ fn lower_partition<'a, I: Borrow<PatchIndex>>(
                 None => scan,
             }
         }
-        Plan::Distinct { input, cols } => Box::new(HashAggOp::distinct(
+        Plan::Distinct { input, cols } => partial_distinct(
+            input,
             lower_partition(input, table, indexes, pid, obs, false),
-            cols.clone(),
-        )),
+            cols,
+            indexes,
+        ),
         Plan::Sort { input, keys } => Box::new(SortOp::new(
             lower_partition(input, table, indexes, pid, obs, false),
             keys.clone(),
@@ -288,6 +290,29 @@ fn lower_partition<'a, I: Borrow<PatchIndex>>(
         )),
     };
     observe(op, obs, node_label(plan), Some(pid), pipeline)
+}
+
+/// One partition's distinct on `cols` over `op`, the lowered `input`.
+/// Over an NCC index's kept flow ([`Plan::is_ncc_kept_flow`]) every row
+/// holds the partition's constant, so the first row that passes the
+/// filter is the flow's whole distinct: a `LimitOp(…, 1)` below the
+/// aggregation stops the scan after its first window.
+fn partial_distinct<'a, I: Borrow<PatchIndex>>(
+    input: &Plan,
+    op: OpRef<'a>,
+    cols: &[usize],
+    indexes: &[I],
+) -> OpRef<'a> {
+    let constant = input.is_ncc_kept_flow(cols, |slot| {
+        let idx = indexes[slot].borrow();
+        (idx.constraint(), idx.column())
+    });
+    let op: OpRef<'a> = if constant {
+        Box::new(LimitOp::new(op, 1))
+    } else {
+        op
+    };
+    Box::new(HashAggOp::distinct(op, cols.to_vec()))
 }
 
 /// Whether a per-partition `LIMIT` below the combine preserves the exact
@@ -351,10 +376,12 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
         Plan::Distinct { input, cols } => {
             let partials: Vec<OpRef<'a>> = parts
                 .filter_map(|pid| {
-                    let partial: OpRef<'a> = Box::new(HashAggOp::distinct(
+                    let partial = partial_distinct(
+                        input,
                         lower_pruned(input, table, indexes, pid, obs, false)?,
-                        cols.clone(),
-                    ));
+                        cols,
+                        indexes,
+                    );
                     Some(observe(partial, obs, "Distinct(partial)", Some(pid), true))
                 })
                 .collect();
@@ -460,10 +487,12 @@ pub fn execute_count<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryEngine;
     use crate::optimizer::optimize;
-    use patchindex::{Constraint, Design, IndexCatalog, SortDir};
+    use patchindex::{Constraint, Design, IndexCatalog, IndexedTable, SortDir};
     use pi_exec::ops::sort::{is_sorted_asc, SortOrder};
-    use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema};
+    use pi_exec::{Expr, BATCH_SIZE};
+    use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Value};
 
     fn table() -> Table {
         let mut t = Table::new(
@@ -757,35 +786,146 @@ mod tests {
         assert_eq!(execute_count(&opt, &t, &idx), reference);
     }
 
-    /// Regression: NCC constants are partition-local, so a patch in one
-    /// partition can carry another partition's constant — the rewritten
-    /// distinct must still dedup across the two flows.
-    #[test]
-    fn ncc_rewrite_dedups_value_shared_between_flows() {
+    /// Sorted renderings of a result's rows: a distinct emits in
+    /// first-seen order, which a rewrite may permute.
+    fn sorted_rows(b: &Batch) -> Vec<String> {
+        let mut rows: Vec<String> = (0..b.len())
+            .map(|i| {
+                let row: Vec<_> = (0..b.width())
+                    .map(|c| b.raw_column(c).value(b.row(i)))
+                    .collect();
+                format!("{row:?}")
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// A two-partition table `(v, w)`, `v` as `load` gives it per
+    /// partition and `w` the row's load position, with an NCC on `v`.
+    fn ncc_table(dtype: DataType, load: impl Fn(&Table, usize) -> ColumnData) -> IndexedTable {
         let mut t = Table::new(
             "ncc",
-            Schema::new(vec![Field::new("v", DataType::Int)]),
+            Schema::new(vec![Field::new("v", dtype), Field::new("w", DataType::Int)]),
             2,
             Partitioning::RoundRobin,
         );
-        // Partition 0: constant 7. Partition 1: constant 8, one patch 7.
-        t.load_partition(0, &[ColumnData::Int(vec![7, 7, 7, 7])]);
-        t.load_partition(1, &[ColumnData::Int(vec![8, 8, 7, 8])]);
+        for pid in 0..2 {
+            let v = load(&t, pid);
+            let w = ColumnData::Int((0..v.len() as i64).collect());
+            t.load_partition(pid, &[v, w]);
+        }
         t.propagate_all();
-        let idx = single(PatchIndex::create(
-            &t,
-            0,
-            Constraint::NearlyConstant,
-            Design::Bitmap,
-        ));
-        let cat = IndexCatalog::of(&t, &idx);
+        let mut it = IndexedTable::new(t);
+        it.add_index(0, Constraint::NearlyConstant, Design::Bitmap);
+        it
+    }
+
+    /// Regression: NCC constants are partition-local, so a patch in one
+    /// partition can carry another partition's constant — the rewritten
+    /// distinct must still dedup across the two flows. The other inputs
+    /// pin the kept flow's one-row short-circuit to the reference: a
+    /// partition left with no kept row, a filter that rejects one
+    /// partition's constant only, delta rows, a `Str` column and scans
+    /// wider than the key.
+    #[test]
+    fn ncc_rewrite_dedups_value_shared_between_flows() {
+        let ints = |p0: &'static [i64], p1: &'static [i64]| {
+            ncc_table(DataType::Int, move |_, pid| {
+                ColumnData::Int([p0, p1][pid].to_vec())
+            })
+        };
+        let row = |v: i64, w: i64| vec![Value::Int(v), Value::Int(w)];
+        // Partition 0: constant 7. Partition 1: constant 8, one patch 7.
+        let shared = ints(&[7, 7, 7, 7], &[8, 8, 7, 8]);
+        // Partition 0's kept rows go: two deleted, the third modified
+        // into a patch beside the patch 9.
+        let mut emptied = ints(&[7, 7, 7, 9], &[8, 8, 8]);
+        emptied.delete(0, &[0, 1]);
+        emptied.modify(0, &[0], 0, &[Value::Int(5)]);
+        // Inserted rows wait in the partitions' deltas.
+        let mut delta = ints(&[7, 7, 7, 7], &[8, 8, 7, 8]);
+        delta.insert(&[row(7, 10), row(8, 11), row(3, 12), row(8, 13)]);
+        let strs = ncc_table(DataType::Str, |t, pid| {
+            t.encode_strings(0, [&["a", "a", "b", "a"][..], &["c", "c", "a"]][pid])
+        });
+        let key = Plan::scan(vec![0]).distinct(vec![0]);
+        let wide = |filter: Option<Expr>| {
+            Plan::Scan {
+                cols: vec![0, 1],
+                filter,
+            }
+            .distinct(vec![0])
+        };
+        let cases = [
+            (&shared, key.clone()),
+            (&emptied, key.clone()),
+            (&delta, key.clone()),
+            (&strs, key.clone()),
+            // Rejects partition 0's constant 7, keeps partition 1's 8.
+            (
+                &shared,
+                Plan::Scan {
+                    cols: vec![0],
+                    filter: Some(Expr::col(0).ge(Expr::LitInt(8))),
+                }
+                .distinct(vec![0]),
+            ),
+            (&shared, wide(None)),
+            // The first kept rows of each partition fail the filter.
+            (&delta, wide(Some(Expr::col(1).ge(Expr::LitInt(3))))),
+        ];
+        for (it, plan) in cases {
+            it.check_consistency();
+            let reference = execute(&plan, it.table(), NO_INDEXES);
+            // Force the rewrite (the cost gate is irrelevant to correctness).
+            let rewritten = crate::optimizer::rewrite(plan.clone(), &it.catalog().indexes[0]);
+            assert!(rewritten.to_string().contains("use_patches"), "{rewritten}");
+            let got = execute(&rewritten, it.table(), it.indexes());
+            assert_eq!(sorted_rows(&got), sorted_rows(&reference), "{plan}");
+        }
+        assert_eq!(execute_count(&key, shared.table(), NO_INDEXES), 2);
+        assert_eq!(emptied.index(0).partition_rows(0), 2);
+        assert_eq!(emptied.index(0).partition_patch_count(0), 2);
+    }
+
+    /// An NCC kept flow's distinct reads one window per partition: under
+    /// EXPLAIN ANALYZE no `exclude_patches` scan emits more than a batch,
+    /// although each partition holds three batches of kept rows.
+    #[test]
+    fn ncc_kept_flow_distinct_reads_one_window_per_partition() {
+        let parts = 3;
+        let rows = 3 * BATCH_SIZE;
+        let mut t = Table::new(
+            "ncc_wide",
+            Schema::new(vec![Field::new("v", DataType::Int)]),
+            parts,
+            Partitioning::RoundRobin,
+        );
+        for pid in 0..parts {
+            let mut vals = vec![pid as i64; rows];
+            vals[rows / 2] = -1;
+            t.load_partition(pid, &[ColumnData::Int(vals)]);
+        }
+        t.propagate_all();
+        let mut it = IndexedTable::new(t);
+        it.add_index(0, Constraint::NearlyConstant, Design::Bitmap);
         let plan = Plan::scan(vec![0]).distinct(vec![0]);
-        let reference = execute_count(&plan, &t, NO_INDEXES);
-        assert_eq!(reference, 2);
-        // Force the rewrite (the cost gate is irrelevant to correctness).
-        let rewritten = crate::optimizer::rewrite(plan, &cat.indexes[0]);
-        assert!(rewritten.to_string().contains("use_patches"), "{rewritten}");
-        assert_eq!(execute_count(&rewritten, &t, &idx), reference);
+        let trace = it.explain_analyze(&plan);
+        let report = trace.render_text();
+        assert!(trace.optimized.contains("exclude_patches"), "{report}");
+        let kept: Vec<u64> = trace
+            .operators
+            .iter()
+            .filter(|o| o.label == "PatchScan[exclude_patches]")
+            .map(|o| o.rows_out)
+            .collect();
+        assert_eq!(kept.len(), parts, "{report}");
+        assert!(kept.iter().all(|&n| n <= BATCH_SIZE as u64), "{report}");
+        assert_eq!(
+            sorted_rows(&it.query(&plan)),
+            sorted_rows(&execute(&plan, it.table(), NO_INDEXES))
+        );
     }
 
     /// Partitions that prune nothing must not deep-clone the plan: the
