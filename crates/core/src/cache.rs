@@ -3,13 +3,14 @@
 //! Copy-on-write publishing (see [`crate::snapshot`]) makes a partition
 //! or index whose `Arc` is unchanged across epochs byte-identical. This
 //! cache turns that into result reuse — each entry remembers the
-//! **dependency footprint** of the execution that produced it (the
-//! `Arc<Partition>` and `Arc<PatchIndex>` pointers the plan actually
-//! touched), and stays valid exactly as long as every one of those
-//! pointers is still the live version (checked against one state, at
-//! publish and at hit time; [`crate::ChangeSet`] compares two). So
-//! invalidation is *exact, not heuristic*: a publish that rewrites one
-//! partition kills only the entries whose executions read it.
+//! **dependency footprint** of the execution that produced it (every
+//! `Arc<Partition>` of its table plus the `Arc<PatchIndex>` of each
+//! index slot its plan binds), and stays valid exactly as long as every
+//! one of those pointers is still the live version (checked against one
+//! state, at publish and at hit time; [`crate::ChangeSet`] compares
+//! two). So invalidation is pointer equality, not a heuristic: a publish
+//! that writes any partition of the table drops every entry of it, and a
+//! publish that only re-versions an index drops the entries bound to it.
 //!
 //! The cache itself is plan-agnostic: the planner supplies an opaque
 //! fingerprint hash plus the canonical plan bytes behind it. Entries
@@ -20,9 +21,10 @@
 //! so no second table can reach its entries, and a publish sweep reads
 //! every entry against the one table's state.
 //!
-//! Layout: entries are spread over independently locked shards (hot
-//! readers don't serialize on one mutex), each holding a byte budget
-//! slice. Within a shard, eviction is LRU by a per-shard use tick.
+//! Layout: one map under one lock, one byte budget, evicted LRU by a
+//! use tick. Each entry carries the epoch it was last validated at; a
+//! reader holding an older snapshot never removes or replaces an entry
+//! stamped with a newer one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,44 +36,43 @@ use pi_storage::{Partition, Table};
 
 use crate::index::PatchIndex;
 
-/// The set of shared-state pointers one execution actually read: the
-/// partitions it pulled rows from (or consulted and found empty) and the
-/// indexes its plan bound. An entry built from this footprint is valid
-/// for any snapshot in which every pointer is still the live version —
-/// partitions the execution provably never reached (a pushed-down
-/// `LIMIT` stopped before them) are absent, so churn there cannot
-/// invalidate the entry.
+/// The shared-state pointers one execution's result depends on: every
+/// partition of its table, in order, and the indexes its plan bound. An
+/// entry built from this footprint is valid for any snapshot in which
+/// every pointer is still the live version.
 #[derive(Debug, Clone)]
 pub struct Footprint {
-    partitions: Vec<(usize, Arc<Partition>)>,
+    partitions: Vec<Arc<Partition>>,
     indexes: Vec<(usize, Arc<PatchIndex>)>,
 }
 
 impl Footprint {
-    /// Builds a footprint from `(pid, partition)` and `(slot, index)`
-    /// pairs.
-    pub fn new(
-        partitions: Vec<(usize, Arc<Partition>)>,
-        indexes: Vec<(usize, Arc<PatchIndex>)>,
-    ) -> Self {
+    /// Captures every partition of `table` and the index at each of the
+    /// bound `slots` of `indexes`.
+    pub fn new(table: &Table, indexes: &[Arc<PatchIndex>], slots: &[usize]) -> Self {
         Footprint {
-            partitions,
-            indexes,
+            partitions: table.partitions().to_vec(),
+            indexes: slots
+                .iter()
+                .map(|&slot| (slot, Arc::clone(&indexes[slot])))
+                .collect(),
         }
     }
 
     /// Whether every footprint pointer is still the live version in the
     /// given snapshot state (`Arc::ptr_eq` — byte-identity by CoW).
     pub fn matches(&self, table: &Table, indexes: &[Arc<PatchIndex>]) -> bool {
-        self.partitions.iter().all(|(pid, p)| {
-            table
-                .partitions()
-                .get(*pid)
-                .is_some_and(|q| Arc::ptr_eq(p, q))
-        }) && self
-            .indexes
-            .iter()
-            .all(|(slot, i)| indexes.get(*slot).is_some_and(|j| Arc::ptr_eq(i, j)))
+        let live = table.partitions();
+        live.len() == self.partitions.len()
+            && self
+                .partitions
+                .iter()
+                .zip(live)
+                .all(|(p, q)| Arc::ptr_eq(p, q))
+            && self
+                .indexes
+                .iter()
+                .all(|(slot, i)| indexes.get(*slot).is_some_and(|j| Arc::ptr_eq(i, j)))
     }
 }
 
@@ -81,7 +82,7 @@ struct Entry {
     canon: Arc<[u8]>,
     rows: Batch,
     footprint: Footprint,
-    /// Epoch the footprint was last validated against — same-epoch
+    /// The newest epoch the footprint was validated against — same-epoch
     /// lookups skip pointer checks entirely.
     epoch: u64,
     last_used: u64,
@@ -89,7 +90,7 @@ struct Entry {
 }
 
 #[derive(Debug, Default)]
-struct Shard {
+struct Entries {
     map: HashMap<u64, Entry>,
     bytes: usize,
     tick: u64,
@@ -113,17 +114,18 @@ pub struct CacheStats {
     pub bytes: u64,
 }
 
-/// A sharded, byte-budgeted query result cache. See the module docs.
+/// A byte-budgeted query result cache. See the module docs.
 ///
-/// Lookups identify entries by fingerprint hash and verify the canonical plan bytes plus — across epochs — the footprint
-/// pointers. The counters are `pi-obs` [`Counter`] handles — private to
-/// this cache by default, or shared with a [`MetricsRegistry`] (under
-/// `cache.*` names) via [`ResultCache::with_registry`]; either way the
-/// per-shard mutex is held only for the map operation itself.
+/// Lookups identify entries by fingerprint hash and verify the canonical
+/// plan bytes plus — across epochs — the footprint pointers. The
+/// counters are `pi-obs` [`Counter`] handles — private to this cache by
+/// default, or shared with a [`MetricsRegistry`] (under `cache.*` names)
+/// via [`ResultCache::with_registry`]; either way the mutex is held only
+/// for the map operation itself.
 #[derive(Debug)]
 pub struct ResultCache {
-    shards: Box<[Mutex<Shard>]>,
-    shard_budget: usize,
+    entries: Mutex<Entries>,
+    budget: usize,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     invalidated: Arc<Counter>,
@@ -133,16 +135,13 @@ pub struct ResultCache {
 impl ResultCache {
     /// Default byte budget (64 MiB).
     pub const DEFAULT_BUDGET: usize = 64 << 20;
-    const SHARDS: usize = 16;
 
-    /// Creates a cache with the given total byte budget, split evenly
-    /// over the shards. Counters are private to this cache.
+    /// Creates a cache with the given byte budget. Counters are private
+    /// to this cache.
     pub fn new(budget_bytes: usize) -> Self {
-        let mut shards = Vec::with_capacity(Self::SHARDS);
-        shards.resize_with(Self::SHARDS, Mutex::default);
         ResultCache {
-            shards: shards.into_boxed_slice(),
-            shard_budget: (budget_bytes / Self::SHARDS).max(1),
+            entries: Mutex::default(),
+            budget: budget_bytes,
             hits: Arc::new(Counter::default()),
             misses: Arc::new(Counter::default()),
             invalidated: Arc::new(Counter::default()),
@@ -165,16 +164,13 @@ impl ResultCache {
         }
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        // High bits pick the shard; the map keys on the full hash.
-        &self.shards[(hash >> 48) as usize & (Self::SHARDS - 1)]
-    }
-
     /// Looks up `hash` for a snapshot at `epoch` with the given
     /// live state. Returns the cached rows only when the canonical
     /// bytes match (collision guard) and the footprint still holds
-    /// (pointer identity); a stale entry found here is removed on the
-    /// spot — hit-time validation backstops any publish-sweep race.
+    /// (pointer identity). A stale entry found by a reader at least as
+    /// new as its stamp is removed on the spot — hit-time validation
+    /// backstops any publish-sweep race; an older reader leaves it for
+    /// the newer snapshots it is valid for.
     pub fn lookup(
         &self,
         hash: u64,
@@ -183,37 +179,39 @@ impl ResultCache {
         table: &Table,
         indexes: &[Arc<PatchIndex>],
     ) -> Option<Batch> {
-        let mut shard = self.shard(hash).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        let stale = match shard.map.get_mut(&hash) {
+        let mut entries = self.entries.lock();
+        entries.tick += 1;
+        let tick = entries.tick;
+        let stale = match entries.map.get_mut(&hash) {
             Some(e) if *e.canon == *canon => {
                 if e.epoch == epoch || e.footprint.matches(table, indexes) {
-                    e.epoch = epoch;
+                    e.epoch = e.epoch.max(epoch);
                     e.last_used = tick;
                     let rows = e.rows.clone();
-                    drop(shard);
+                    drop(entries);
                     self.hits.inc();
                     return Some(rows);
                 }
-                true
+                epoch > e.epoch
             }
             _ => false,
         };
         if stale {
-            let e = shard.map.remove(&hash).expect("entry just matched");
-            shard.bytes -= e.bytes;
+            let e = entries.map.remove(&hash).expect("entry just matched");
+            entries.bytes -= e.bytes;
             self.invalidated.inc();
         }
-        drop(shard);
+        drop(entries);
         self.misses.inc();
         None
     }
 
     /// Inserts (or replaces) an entry, then evicts least-recently-used
-    /// entries until the shard is back inside its budget slice. An entry
-    /// larger than the whole slice is not inserted and evicts nothing
-    /// else; it counts as one eviction.
+    /// entries until the cache is back inside its budget. An entry
+    /// larger than the whole budget is not inserted and evicts nothing
+    /// else; it counts as one eviction. An insert from an epoch older
+    /// than the resident entry's stamp leaves the resident entry in
+    /// place.
     pub fn insert(
         &self,
         hash: u64,
@@ -222,20 +220,23 @@ impl ResultCache {
         rows: Batch,
         footprint: Footprint,
     ) {
-        // Entry overhead: footprint pairs + map slot, approximated.
+        // Entry overhead: footprint pointers + map slot, approximated.
         let bytes = canon.len()
             + rows.heap_bytes()
             + 32 * (footprint.partitions.len() + footprint.indexes.len())
             + 96;
-        if bytes > self.shard_budget {
+        if bytes > self.budget {
             self.evicted.inc();
             return;
         }
         let mut evictions = 0u64;
-        let mut shard = self.shard(hash).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(old) = shard.map.insert(
+        let mut entries = self.entries.lock();
+        if entries.map.get(&hash).is_some_and(|e| e.epoch > epoch) {
+            return;
+        }
+        entries.tick += 1;
+        let tick = entries.tick;
+        if let Some(old) = entries.map.insert(
             hash,
             Entry {
                 canon,
@@ -246,21 +247,21 @@ impl ResultCache {
                 bytes,
             },
         ) {
-            shard.bytes -= old.bytes;
+            entries.bytes -= old.bytes;
         }
-        shard.bytes += bytes;
-        while shard.bytes > self.shard_budget {
-            let lru = shard
+        entries.bytes += bytes;
+        while entries.bytes > self.budget {
+            let lru = entries
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&h, _)| h)
                 .expect("over budget implies non-empty");
-            let e = shard.map.remove(&lru).expect("key from live iteration");
-            shard.bytes -= e.bytes;
+            let e = entries.map.remove(&lru).expect("key from live iteration");
+            entries.bytes -= e.bytes;
             evictions += 1;
         }
-        drop(shard);
+        drop(entries);
         if evictions > 0 {
             self.evicted.add(evictions);
         }
@@ -270,21 +271,19 @@ impl ResultCache {
     /// matches the freshly published state. Returns how many entries were
     /// invalidated.
     pub fn invalidate_stale(&self, table: &Table, indexes: &[Arc<PatchIndex>]) -> u64 {
-        let mut removed = 0u64;
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            let before = shard.map.len();
-            let mut freed = 0usize;
-            shard.map.retain(|_, e| {
-                let keep = e.footprint.matches(table, indexes);
-                if !keep {
-                    freed += e.bytes;
-                }
-                keep
-            });
-            removed += (before - shard.map.len()) as u64;
-            shard.bytes -= freed;
-        }
+        let mut entries = self.entries.lock();
+        let before = entries.map.len();
+        let mut freed = 0usize;
+        entries.map.retain(|_, e| {
+            let keep = e.footprint.matches(table, indexes);
+            if !keep {
+                freed += e.bytes;
+            }
+            keep
+        });
+        let removed = (before - entries.map.len()) as u64;
+        entries.bytes -= freed;
+        drop(entries);
         if removed > 0 {
             self.invalidated.add(removed);
         }
@@ -293,13 +292,10 @@ impl ResultCache {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            entries += shard.map.len() as u64;
-            bytes += shard.bytes as u64;
-        }
+        let (entries, bytes) = {
+            let e = self.entries.lock();
+            (e.map.len() as u64, e.bytes as u64)
+        };
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
@@ -347,12 +343,16 @@ mod tests {
         Batch::new(vec![ColumnData::Int(vec![v])])
     }
 
+    /// A footprint of the whole of `t`, binding no index.
+    fn whole(t: &Table) -> Footprint {
+        Footprint::new(t, &[], &[])
+    }
+
     #[test]
     fn hit_requires_matching_canonical_bytes() {
         let cache = ResultCache::new(1 << 20);
         let t = table(2);
-        let fp = Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
-        cache.insert(42, canon(1), 0, rows(5), fp);
+        cache.insert(42, canon(1), 0, rows(5), whole(&t));
         // Same hash, different canonical form: a manufactured
         // fingerprint collision must miss, not serve the wrong result.
         assert!(cache.lookup(42, &canon(2), 0, &t, &[]).is_none());
@@ -366,9 +366,8 @@ mod tests {
     fn cross_epoch_hit_validates_pointers() {
         let cache = ResultCache::new(1 << 20);
         let t = table(2);
-        let fp = Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
-        cache.insert(9, canon(0), 3, rows(1), fp);
-        // A later epoch with the same partition pointer still hits...
+        cache.insert(9, canon(0), 3, rows(1), whole(&t));
+        // A later epoch with the same partition pointers still hits...
         assert!(cache.lookup(9, &canon(0), 8, &t, &[]).is_some());
         // ...and the entry's epoch was refreshed to the validated one.
         assert!(cache.lookup(9, &canon(0), 8, &t, &[]).is_some());
@@ -382,32 +381,64 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
     }
 
+    /// A reader holding an older snapshot neither removes nor replaces
+    /// an entry stamped with a newer epoch: the entry is valid for the
+    /// current state, which the older reader cannot see.
+    #[test]
+    fn an_older_snapshot_never_displaces_a_newer_entry() {
+        let cache = ResultCache::new(1 << 20);
+        let a = table(2);
+        let mut b = a.clone();
+        b.load_partition(1, &[ColumnData::Int(vec![1000])]);
+        cache.insert(7, canon(7), 1, rows(2), whole(&b));
+        assert!(cache.lookup(7, &canon(7), 0, &a, &[]).is_none());
+        cache.insert(7, canon(7), 0, rows(1), whole(&a));
+        let got = cache.lookup(7, &canon(7), 1, &b, &[]);
+        assert_eq!(got.map(|r| r.column(0).as_int().to_vec()), Some(vec![2]));
+        let stats = cache.stats();
+        assert_eq!((stats.invalidated, stats.entries), (0, 1), "{stats:?}");
+    }
+
     #[test]
     fn publish_sweep_removes_only_dirty_footprints() {
         let cache = ResultCache::new(1 << 20);
         let t = table(3);
-        let p = |pid: usize| (pid, Arc::clone(&t.partitions()[pid]));
-        cache.insert(1, canon(1), 0, rows(1), Footprint::new(vec![p(0)], vec![]));
-        cache.insert(2, canon(2), 0, rows(2), Footprint::new(vec![p(1)], vec![]));
+        let idx = Arc::new(PatchIndex::create(
+            &t,
+            0,
+            Constraint::NearlyUnique,
+            Design::Bitmap,
+        ));
+        let indexes = [Arc::clone(&idx)];
+        cache.insert(1, canon(1), 0, rows(1), whole(&t));
+        cache.insert(2, canon(2), 0, rows(2), Footprint::new(&t, &indexes, &[0]));
+
+        // A publish that only re-versions the index keeps the entry that
+        // does not bind it.
+        let recomputed = [Arc::new(PatchIndex::create(
+            &t,
+            0,
+            Constraint::NearlyUnique,
+            Design::Bitmap,
+        ))];
+        assert_eq!(cache.invalidate_stale(&t, &recomputed), 1);
+        assert!(cache.lookup(1, &canon(1), 1, &t, &recomputed).is_some());
+        assert!(cache.lookup(2, &canon(2), 1, &t, &recomputed).is_none());
+
+        // "Publish": clone-then-append rewrites partition 1's Arc only,
+        // and every entry of the table depends on it.
         cache.insert(
             3,
             canon(3),
-            0,
+            1,
             rows(3),
-            Footprint::new(vec![p(0), p(1), p(2)], vec![]),
+            Footprint::new(&t, &recomputed, &[0]),
         );
-
-        // "Publish": clone-then-append rewrites partition 1's Arc only
-        // (copy-on-write leaves 0 and 2 pointer-identical).
         let mut next = t.clone();
         next.load_partition(1, &[ColumnData::Int(vec![1000])]);
-
-        let removed = cache.invalidate_stale(&next, &[]);
-        assert_eq!(removed, 2, "exactly the entries reading partition 1");
-        assert!(cache.lookup(1, &canon(1), 1, &next, &[]).is_some());
-        assert!(cache.lookup(2, &canon(2), 1, &next, &[]).is_none());
-        assert!(cache.lookup(3, &canon(3), 1, &next, &[]).is_none());
-        assert_eq!(cache.stats().invalidated, 2);
+        assert_eq!(cache.invalidate_stale(&next, &recomputed), 2);
+        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.stats().invalidated, 3);
     }
 
     #[test]
@@ -420,11 +451,9 @@ mod tests {
             Constraint::NearlyUnique,
             Design::Bitmap,
         ));
-        let fp = Footprint::new(vec![], vec![(0, Arc::clone(&idx))]);
-        cache.insert(5, canon(5), 0, rows(9), fp);
-        assert!(cache
-            .lookup(5, &canon(5), 2, &t, std::slice::from_ref(&idx))
-            .is_some());
+        let indexes = [Arc::clone(&idx)];
+        cache.insert(5, canon(5), 0, rows(9), Footprint::new(&t, &indexes, &[0]));
+        assert!(cache.lookup(5, &canon(5), 2, &t, &indexes).is_some());
         // A recomputed (new-Arc) index at the slot invalidates.
         let recomputed = Arc::new(PatchIndex::create(
             &t,
@@ -436,42 +465,49 @@ mod tests {
             .lookup(5, &canon(5), 3, &t, std::slice::from_ref(&recomputed))
             .is_none());
         // A dropped slot (shorter index vec) invalidates too.
-        cache.insert(
-            5,
-            canon(5),
-            3,
-            rows(9),
-            Footprint::new(vec![], vec![(0, idx)]),
-        );
+        cache.insert(5, canon(5), 3, rows(9), Footprint::new(&t, &indexes, &[0]));
         assert!(cache.lookup(5, &canon(5), 4, &t, &[]).is_none());
     }
 
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
-        // Tiny budget: per-shard slice fits roughly one small entry.
-        let cache = ResultCache::new(ResultCache::SHARDS * 256);
+        // Tiny budget: fits roughly two small entries.
+        let cache = ResultCache::new(512);
         let t = table(1);
-        let fp = || Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]);
-        // Same shard (identical high bits), distinct hashes.
         for i in 0..4u64 {
-            cache.insert(i, canon(i as u8), 0, rows(i as i64), fp());
+            cache.insert(i, canon(i as u8), 0, rows(i as i64), whole(&t));
         }
         let stats = cache.stats();
         assert!(stats.evicted > 0, "budget must force evictions: {stats:?}");
-        assert!(stats.bytes <= (ResultCache::SHARDS * 256) as u64);
+        assert!(stats.bytes <= 512);
         // The most recently inserted entry survived.
         assert!(cache.lookup(3, &canon(3), 0, &t, &[]).is_some());
     }
 
     #[test]
     fn oversized_value_does_not_blow_the_budget() {
-        let cache = ResultCache::new(ResultCache::SHARDS * 64);
+        let cache = ResultCache::new(1024);
         let big = Batch::new(vec![ColumnData::Int(vec![0; 4096])]);
-        cache.insert(1, canon(1), 0, big, Footprint::new(vec![], vec![]));
+        cache.insert(1, canon(1), 0, big, whole(&table(1)));
         let stats = cache.stats();
         assert_eq!(stats.entries, 0, "{stats:?}");
         assert_eq!(stats.bytes, 0);
         assert_eq!(stats.evicted, 1);
+    }
+
+    /// The budget is one pool: a result far larger than a sixteenth of it
+    /// is cached while the cache is otherwise empty.
+    #[test]
+    fn an_entry_larger_than_a_sixteenth_of_the_budget_is_cached() {
+        let cache = ResultCache::new(1 << 20);
+        let t = table(1);
+        let big = Batch::new(vec![ColumnData::Int(vec![7; 25_600])]);
+        assert!(big.heap_bytes() >= 200 << 10);
+        cache.insert(1, canon(1), 0, big, whole(&t));
+        let got = cache.lookup(1, &canon(1), 0, &t, &[]);
+        assert_eq!(got.map(|b| b.len()), Some(25_600));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evicted), (1, 0), "{stats:?}");
     }
 
     #[test]
@@ -480,7 +516,7 @@ mod tests {
         let cache = ResultCache::with_registry(1 << 20, &reg);
         let t = table(1);
         assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_none());
-        cache.insert(1, canon(1), 0, rows(7), Footprint::new(vec![], vec![]));
+        cache.insert(1, canon(1), 0, rows(7), whole(&t));
         assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_some());
         // Same numbers through both views: the registry and stats().
         assert_eq!(reg.counter("cache.hits").get(), 1);
@@ -492,36 +528,30 @@ mod tests {
     #[test]
     fn stats_track_entries_and_bytes() {
         let cache = ResultCache::new(1 << 20);
-        cache.insert(1, canon(1), 0, rows(1), Footprint::new(vec![], vec![]));
-        cache.insert(2, canon(2), 0, rows(2), Footprint::new(vec![], vec![]));
+        let t = table(1);
+        cache.insert(1, canon(1), 0, rows(1), whole(&t));
+        cache.insert(2, canon(2), 0, rows(2), whole(&t));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes > 0);
         // Invalidation frees the bytes it removes.
-        let t = table(1);
-        cache.insert(
-            3,
-            canon(3),
-            0,
-            rows(3),
-            Footprint::new(vec![(0, Arc::clone(&t.partitions()[0]))], vec![]),
-        );
+        let other = table(1);
+        cache.insert(3, canon(3), 0, rows(3), whole(&other));
         let with_third = cache.stats().bytes;
         assert!(with_third > stats.bytes);
-        assert_eq!(cache.invalidate_stale(&table(1), &[]), 1);
+        assert_eq!(cache.invalidate_stale(&t, &[]), 1);
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().bytes, stats.bytes);
     }
 
     #[test]
     fn oversized_insert_evicts_nothing_else() {
-        let cache = ResultCache::new(ResultCache::SHARDS * 256);
+        let cache = ResultCache::new(512);
         let t = table(1);
-        // Same shard (identical high bits): a small entry, then one that
-        // can never fit the shard's slice.
-        cache.insert(1, canon(1), 0, rows(1), Footprint::new(vec![], vec![]));
+        // A small entry, then one that can never fit the budget.
+        cache.insert(1, canon(1), 0, rows(1), whole(&t));
         let big = Batch::new(vec![ColumnData::Int(vec![0; 4096])]);
-        cache.insert(2, canon(2), 0, big, Footprint::new(vec![], vec![]));
+        cache.insert(2, canon(2), 0, big, whole(&t));
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.evicted), (1, 1), "{stats:?}");
         assert!(cache.lookup(1, &canon(1), 0, &t, &[]).is_some());

@@ -771,37 +771,27 @@ mod tests {
         let c = snap.result_cache().expect("cache wired into snapshots");
         assert!(std::ptr::eq(c, &*handle.result_cache().unwrap()));
 
-        let part = |pid: usize| (pid, Arc::clone(&snap.table().partitions()[pid]));
         let canon = |tag: u8| -> Arc<[u8]> { Arc::from([tag].as_slice()) };
         let rows = |v: i64| Batch::new(vec![ColumnData::Int(vec![v])]);
-        // Entry 1 reads partition 0 only; entry 2 reads both; entry 3
-        // depends on the index version.
+        // Both entries depend on the whole table; entry 2 also on the
+        // index version.
         c.insert(
             1,
             canon(1),
             0,
             rows(1),
-            Footprint::new(vec![part(0)], vec![]),
+            Footprint::new(snap.table(), snap.indexes(), &[]),
         );
         c.insert(
             2,
             canon(2),
             0,
             rows(2),
-            Footprint::new(vec![part(0), part(1)], vec![]),
-        );
-        c.insert(
-            3,
-            canon(3),
-            0,
-            rows(3),
-            Footprint::new(vec![], vec![(0, Arc::clone(&snap.indexes()[0]))]),
+            Footprint::new(snap.table(), snap.indexes(), &[0]),
         );
 
-        // Dirty partition 1 only (value 50 -> 51 keeps the NUC clean but
-        // rewrites the partition Arc; the index version changes too since
-        // eager maintenance touches it).
-        writer.modify(1, &[1], 1, &[Value::Int(51)]);
+        // A recompute re-versions the index only: entry 2 goes.
+        writer.recompute_index(0);
         writer.publish();
         let new = handle.snapshot();
         assert_eq!(new.epoch(), 1);
@@ -809,23 +799,27 @@ mod tests {
             &snap.table().partitions()[0],
             &new.table().partitions()[0]
         ));
-
-        // Entry 1's footprint survived untouched; 2 and 3 are gone.
         assert!(c
             .lookup(1, &canon(1), 1, new.table(), new.indexes())
             .is_some());
         assert!(c
             .lookup(2, &canon(2), 1, new.table(), new.indexes())
             .is_none());
+
+        // Dirty partition 1 only (value 50 -> 51 keeps the NUC clean but
+        // rewrites the partition Arc): entry 1 depends on it too.
+        writer.modify(1, &[1], 1, &[Value::Int(51)]);
+        writer.publish();
+        let new = handle.snapshot();
         assert!(c
-            .lookup(3, &canon(3), 1, new.table(), new.indexes())
+            .lookup(1, &canon(1), 2, new.table(), new.indexes())
             .is_none());
         let stats = handle
             .cache_stats()
             .expect("stats surface through the handle");
         assert_eq!(stats.invalidated, 2);
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1);
+        assert_eq!(stats.entries, 0);
     }
 
     #[test]

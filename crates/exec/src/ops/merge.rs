@@ -49,7 +49,7 @@ impl Operator for UnionAllOp<'_> {
 /// **Streaming.** Each input (a *side*) holds one current batch and a
 /// cursor into it. The first [`Operator::next`] pulls one non-empty batch
 /// from every side — every input is touched before the first row is
-/// emitted, which the result cache's partition footprint relies on — and
+/// emitted, so a trace counts every merged partition as visited — and
 /// a side is pulled again only when its batch is used up and one more of
 /// its rows is wanted. Each call emits at most [`BATCH_SIZE`] rows;
 /// nothing is held beyond one batch per side and the batch being built.

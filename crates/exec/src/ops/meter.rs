@@ -1,15 +1,13 @@
 //! Per-operator execution observation.
 //!
 //! A [`MeterOp`] transparently wraps another operator and charges every
-//! `next` call to a shared [`OpMeter`]: that it was pulled at all, the
-//! batches and rows it emitted and — only when asked to — the wall clock
-//! it took. The planner's lowering wraps every per-partition pipeline in
-//! one (the pulled flags are "which partitions did this execution
-//! actually read?", the dependency footprint of a cached result: a
-//! combine that stops early, such as a pushed-down `LIMIT` under a union,
-//! leaves later pipelines unpulled) and, under EXPLAIN ANALYZE, every
-//! plan node in a timed one. Execution is single-threaded, so plain
-//! `Cell` counters suffice.
+//! `next` call to a shared [`OpMeter`]: that it was pulled at all, and
+//! the batches, rows and wall clock it produced. Under EXPLAIN ANALYZE
+//! the planner's lowering wraps every plan node and global combine in
+//! one; the pulled flags on top of the per-partition pipelines say which
+//! partitions the execution visited (a combine that stops early, such as
+//! a pushed-down `LIMIT` under a union, leaves later pipelines unpulled).
+//! Execution is single-threaded, so plain `Cell` counters suffice.
 //!
 //! The recorded time is inclusive of the operator's children (each
 //! `next` pulls recursively), one `Instant` pair per batch — the same
@@ -50,7 +48,7 @@ impl OpMeter {
     }
 
     /// Wall clock spent inside the metered operator's `next`, inclusive
-    /// of its children, in nanoseconds (0 unless the wrapper is timed).
+    /// of its children, in nanoseconds.
     pub fn nanos(&self) -> u64 {
         self.nanos.get()
     }
@@ -60,18 +58,12 @@ impl OpMeter {
 pub struct MeterOp<'a> {
     inner: OpRef<'a>,
     meter: Rc<OpMeter>,
-    timed: bool,
 }
 
 impl<'a> MeterOp<'a> {
-    /// Creates a meter around `inner` reporting to `meter`; only a
-    /// `timed` one reads the clock.
-    pub fn new(inner: OpRef<'a>, meter: Rc<OpMeter>, timed: bool) -> Self {
-        MeterOp {
-            inner,
-            meter,
-            timed,
-        }
+    /// Creates a meter around `inner` reporting to `meter`.
+    pub fn new(inner: OpRef<'a>, meter: Rc<OpMeter>) -> Self {
+        MeterOp { inner, meter }
     }
 }
 
@@ -79,15 +71,10 @@ impl Operator for MeterOp<'_> {
     fn next(&mut self) -> Option<Batch> {
         let m = &*self.meter;
         m.pulled.set(true);
-        let out = if self.timed {
-            let start = Instant::now();
-            let out = self.inner.next();
-            m.nanos
-                .set(m.nanos.get() + start.elapsed().as_nanos() as u64);
-            out
-        } else {
-            self.inner.next()
-        };
+        let start = Instant::now();
+        let out = self.inner.next();
+        m.nanos
+            .set(m.nanos.get() + start.elapsed().as_nanos() as u64);
         if let Some(b) = &out {
             m.batches.set(m.batches.get() + 1);
             m.rows_out.set(m.rows_out.get() + b.len() as u64);
@@ -110,7 +97,7 @@ mod tests {
             Batch::new(vec![ColumnData::Int(vec![1, 2, 3])]),
             Batch::new(vec![ColumnData::Int(vec![4])]),
         ]));
-        let mut op = MeterOp::new(src, Rc::clone(&meter), true);
+        let mut op = MeterOp::new(src, Rc::clone(&meter));
         assert_eq!(collect(&mut op).column(0).as_int(), &[1, 2, 3, 4]);
         assert!(meter.pulled());
         assert_eq!(meter.batches(), 2);
@@ -127,7 +114,7 @@ mod tests {
                 let src = Box::new(BatchSource::single(Batch::new(vec![ColumnData::Int(
                     vals.to_vec(),
                 )])));
-                Box::new(MeterOp::new(src, Rc::clone(m), false)) as OpRef<'_>
+                Box::new(MeterOp::new(src, Rc::clone(m))) as OpRef<'_>
             })
             .collect();
         // The limit is satisfied by the first input alone; the union
@@ -135,7 +122,7 @@ mod tests {
         let mut op = LimitOp::new(Box::new(UnionAllOp::new(inputs)), 2);
         assert_eq!(collect(&mut op).column(0).as_int(), &[1, 2]);
         assert!(meters[0].pulled());
-        assert_eq!((meters[0].batches(), meters[0].nanos()), (1, 0));
+        assert_eq!(meters[0].batches(), 1);
         for later in &meters[1..] {
             assert!(!later.pulled());
             assert_eq!(later.batches(), 0);

@@ -3,7 +3,9 @@
 //! [`QueryEngine`] encapsulates planning and execution, and every entry
 //! point — owned table, writer staging table, snapshot with or without a
 //! result cache; plain or traced — runs the same `run` function
-//! over a borrowed view of the table. A query is a read: every method
+//! over a borrowed view of the table. A plain query runs exactly the
+//! operator tree [`crate::execute`] runs; only a traced one (EXPLAIN
+//! ANALYZE) attaches meters to it. A query is a read: every method
 //! takes `&self`, and nothing below runs maintenance or copies an
 //! index.
 //!
@@ -16,11 +18,11 @@
 //!    canonical fingerprint up; the stored canonical bytes are compared,
 //!    not just the hash, so a hit is the exact answer.
 //! 3. **lower + execute** — on a miss (or without a cache), lower with
-//!    per-partition zero-branch pruning under an `ExecObserver` and run
-//!    to rows.
-//! 4. **insert** — cache the result with its dependency footprint: the
-//!    partition versions the execution consulted plus every index
-//!    version the plan binds.
+//!    per-partition zero-branch pruning and run to rows; a traced
+//!    request lowers under an `ExecObserver` that meters every operator.
+//! 4. **insert** — cache the result with its dependency footprint: every
+//!    partition version of the table plus every index version the plan
+//!    binds.
 //! 5. **evidence** — record what the advisor learns from the query as
 //!    [`WorkloadEvent`]s (rule table on [`QueryEngine`]) in the view's
 //!    `WorkloadSink`, one lock per query; the sink sums them until the
@@ -284,24 +286,15 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
     let (rows, visited, pruned, operators) = match hit {
         Some(rows) => (rows, 0, 0, Vec::new()),
         None => {
-            let obs = ExecObserver::new(parts, traced);
-            let mut root = lower_global(&chosen, view.table, view.indexes, Some(&obs));
+            let obs = traced.then(ExecObserver::default);
+            let mut root = lower_global(&chosen, view.table, view.indexes, obs.as_ref());
             let rows = collect(root.as_mut());
             if let Some((cache, hash, canon)) = key {
                 // Pointer identity of these Arcs is exactly "this cached
                 // result is still valid" — copy-on-write publishes
                 // replace the Arc of everything they touch and nothing
                 // else.
-                let footprint = Footprint::new(
-                    obs.footprint()
-                        .into_iter()
-                        .map(|pid| (pid, Arc::clone(&view.table.partitions()[pid])))
-                        .collect(),
-                    bound
-                        .iter()
-                        .map(|&slot| (slot, Arc::clone(&view.indexes[slot])))
-                        .collect(),
-                );
+                let footprint = Footprint::new(view.table, view.indexes, &bound);
                 cache.insert(hash, canon, view.epoch, rows.clone(), footprint);
             }
             if !bound.is_empty() {
@@ -317,8 +310,9 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
                     }
                 }));
             }
-            let visited = obs.pulled().len() as u64;
-            let operators = if traced { obs.operators() } else { Vec::new() };
+            let (visited, operators) = obs.as_ref().map_or((0, Vec::new()), |o| {
+                (o.pulled().len() as u64, o.operators())
+            });
             (rows, visited, parts as u64 - visited, operators)
         }
     };
@@ -622,7 +616,7 @@ mod tests {
             b"not the same plan".to_vec().into(),
             snap.epoch(),
             Batch::new(vec![ColumnData::Int(vec![999_999])]),
-            Footprint::new(Vec::new(), Vec::new()),
+            Footprint::new(snap.table(), snap.indexes(), &[]),
         );
         let reference = execute_count(&distinct, snap.table(), NO_INDEXES);
         assert_ne!(reference, 1);
@@ -636,37 +630,46 @@ mod tests {
         assert_eq!(handle.cache_stats().unwrap().hits, 1);
     }
 
+    /// A cached result depends on every partition of its table and on
+    /// the indexes its plan binds: a recompute drops only the entries
+    /// bound to the recomputed index, and a write to one partition drops
+    /// every entry — also one whose rows all come from another partition.
     #[test]
-    fn publish_keeps_entries_whose_partitions_were_untouched() {
-        let it = fresh(2);
+    fn publish_drops_entries_of_a_written_table_or_a_recomputed_bound_index() {
+        let mut it = fresh(2);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         let (handle, mut writer) = cached(it);
-        let snap = handle.snapshot();
         let limited = Plan::scan(vec![1]).limit(2);
         let full = Plan::scan(vec![1]);
-        // The pushed-down limit is satisfied entirely by partition 0, so
-        // its footprint excludes partition 1; the full scan touches both.
+        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
+        let snap = handle.snapshot();
+        assert!(snap.plan_query(&distinct).to_string().contains("slot=0"));
         let first = snap.query(&limited);
         assert_eq!(snap.query(&full).len(), 10);
-        assert_eq!(handle.cache_stats().unwrap().entries, 2);
+        assert_eq!(snap.query(&distinct).len(), 10);
+        assert_eq!(handle.cache_stats().unwrap().entries, 3);
 
-        // Dirty only partition 1 and publish: copy-on-write replaces
-        // p1's Arc and leaves p0's identical.
+        // A recompute re-versions slot 0 only: the distinct bound it.
+        writer.recompute_index(0);
+        assert_eq!(writer.publish(), 1);
+        let stats = handle.cache_stats().unwrap();
+        assert_eq!((stats.invalidated, stats.entries), (1, 2), "{stats:?}");
+        let snap = handle.snapshot();
+        let again = snap.query(&limited);
+        assert_eq!(first.column(0).as_int(), again.column(0).as_int());
+        assert_eq!(snap.query(&full).len(), 10);
+        assert_eq!(handle.cache_stats().unwrap().hits, 2);
+        assert_eq!(snap.query(&distinct).len(), 10);
+
+        // Partition 0 alone answers the limit, yet a write to partition
+        // 1 drops its entry with the rest.
         writer.modify(1, &[0], 1, &[Value::Int(-777)]);
         writer.publish();
         let stats = handle.cache_stats().unwrap();
-        assert_eq!(stats.invalidated, 1, "only the full scan depends on p1");
-        assert_eq!(stats.entries, 1);
-
-        let snap2 = handle.snapshot();
-        // The surviving limit entry hits across the epoch bump...
-        let again = snap2.query(&limited);
-        assert_eq!(first.column(0).as_int(), again.column(0).as_int());
-        assert_eq!(handle.cache_stats().unwrap().hits, 1);
-        // ...and the invalidated full scan recomputes the new state.
-        let fresh_count = snap2.query(&full).len();
-        assert_eq!(fresh_count, 10);
-        let refreshed = snap2.query(&full);
-        assert!(refreshed.column(0).as_int().contains(&-777));
+        assert_eq!((stats.invalidated, stats.entries), (4, 0), "{stats:?}");
+        let snap = handle.snapshot();
+        assert!(snap.query(&full).column(0).as_int().contains(&-777));
+        assert_eq!(handle.cache_stats().unwrap().hits, 2);
     }
 
     /// Regression for "pointer identity is the exact dirty set": the

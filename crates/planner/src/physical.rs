@@ -21,14 +21,13 @@
 //! their first batch (a per-partition `SortOp` still reads its partition).
 //!
 //! There is one lowering, `lower_global`, with one optional
-//! `ExecObserver`: which partitions the execution depended on (the
-//! result cache's footprint and the trace's visited/pruned counts) and,
-//! for EXPLAIN ANALYZE, per-operator meters. The public executors
-//! [`execute`] / [`execute_count`] run it unobserved; the query facade's
-//! pipeline attaches the observer.
+//! `ExecObserver`: EXPLAIN ANALYZE's per-operator meters, whose pulled
+//! flags also give the trace's visited/pruned partition counts. The
+//! public executors [`execute`] / [`execute_count`] and every untraced
+//! query run it unobserved; only a traced query attaches the observer.
 
 use std::borrow::{Borrow, Cow};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use patchindex::scan::patch_scan;
@@ -46,34 +45,16 @@ use pi_storage::Table;
 
 use crate::logical::Plan;
 
-/// What one observed execution records: which partitions it actually
-/// depended on — the partition half of a result-cache dependency
-/// footprint — and, when `timed` (EXPLAIN ANALYZE), one meter per plan
-/// node — the operator half of a [`pi_obs::QueryTrace`].
+/// What one EXPLAIN ANALYZE execution records: one meter per plan node
+/// and global combine — the operator half of a [`pi_obs::QueryTrace`] —
+/// and, through the meters on top of the per-partition pipelines, which
+/// partitions the execution pulled. Combines that stop early (a
+/// pushed-down `LIMIT` under a union pulls children strictly in order)
+/// leave later partitions unpulled.
 ///
-/// The footprint takes two signals, both required for soundness:
-///
-/// * **pulled** — the partition's pipeline was pulled at least once
-///   (the [`MeterOp`] the lowering wraps around every per-partition
-///   pipeline saw it). Combines that stop early (a pushed-down `LIMIT`
-///   under a union pulls children strictly in order) leave later
-///   partitions unpulled, and those are safely *excludable*: any
-///   mutation that would route their rows into the result prefix must
-///   first rewrite a partition that *was* pulled (row order within a
-///   partition is insertion order, and the union order is fixed).
-/// * **consulted-empty** — per-partition zero-branch pruning dropped
-///   the whole pipeline because the partition was provably empty. The
-///   result *does* depend on that emptiness (an insert there changes
-///   it), so pruned-empty partitions must stay in the footprint even
-///   though no operator ever existed to pull.
-///
-/// Execution is single-threaded, so `Rc` + `Cell` suffice.
-#[derive(Debug)]
+/// Execution is single-threaded, so `Rc` + `RefCell` suffice.
+#[derive(Debug, Default)]
 pub(crate) struct ExecObserver {
-    /// Meter (and time) every plan node and global combine, not just the
-    /// per-partition pipelines the footprint needs.
-    timed: bool,
-    consulted_empty: Vec<Cell<bool>>,
     meters: RefCell<Vec<MeterEntry>>,
 }
 
@@ -89,38 +70,18 @@ struct MeterEntry {
 }
 
 impl ExecObserver {
-    /// An observer for a table with `partitions` partitions, all
-    /// untouched.
-    pub(crate) fn new(partitions: usize, timed: bool) -> Self {
-        ExecObserver {
-            timed,
-            consulted_empty: (0..partitions).map(|_| Cell::new(false)).collect(),
-            meters: RefCell::default(),
-        }
-    }
-
-    fn pulled_flags(&self) -> Vec<bool> {
-        let mut pulled = vec![false; self.consulted_empty.len()];
-        for e in self.meters.borrow().iter().filter(|e| e.pipeline) {
-            if let Some(pid) = e.partition {
-                pulled[pid] |= e.meter.pulled();
-            }
-        }
-        pulled
-    }
-
     /// Partitions whose pipelines were pulled, ascending.
     pub(crate) fn pulled(&self) -> Vec<usize> {
-        let pulled = self.pulled_flags();
-        (0..pulled.len()).filter(|&pid| pulled[pid]).collect()
-    }
-
-    /// The footprint partitions: pulled ∪ consulted-empty, ascending.
-    pub(crate) fn footprint(&self) -> Vec<usize> {
-        let pulled = self.pulled_flags();
-        (0..pulled.len())
-            .filter(|&pid| pulled[pid] || self.consulted_empty[pid].get())
-            .collect()
+        let mut pulled: Vec<usize> = self
+            .meters
+            .borrow()
+            .iter()
+            .filter(|e| e.pipeline && e.meter.pulled())
+            .filter_map(|e| e.partition)
+            .collect();
+        pulled.sort_unstable();
+        pulled.dedup();
+        pulled
     }
 
     /// The per-operator rows observed so far, in registration order
@@ -162,10 +123,9 @@ fn node_label(plan: &Plan) -> &'static str {
     }
 }
 
-/// Wraps `op` in a [`MeterOp`] registered under `label` when the
-/// observer wants this operator: always on top of a partition's
-/// `pipeline` (its pulled flag is the footprint), otherwise only under
-/// EXPLAIN ANALYZE — where the wrapper also reads the clock.
+/// Wraps `op` in a [`MeterOp`] registered under `label` when there is
+/// an observer; `pipeline` marks the top of a partition's pipeline,
+/// whose pulled flag speaks for the partition.
 fn observe<'a>(
     op: OpRef<'a>,
     obs: Option<&ExecObserver>,
@@ -174,7 +134,7 @@ fn observe<'a>(
     pipeline: bool,
 ) -> OpRef<'a> {
     match obs {
-        Some(o) if pipeline || o.timed => {
+        Some(o) => {
             let meter = Rc::new(OpMeter::default());
             o.meters.borrow_mut().push(MeterEntry {
                 label,
@@ -182,9 +142,9 @@ fn observe<'a>(
                 pipeline,
                 meter: Rc::clone(&meter),
             });
-            Box::new(MeterOp::new(op, meter, o.timed))
+            Box::new(MeterOp::new(op, meter))
         }
-        _ => op,
+        None => op,
     }
 }
 
@@ -326,8 +286,7 @@ fn limit_pushes_down(plan: &Plan) -> bool {
 
 /// Specializes `plan` for partition `pid` ([`prune_for_partition`]) and
 /// lowers what survives. A partition pruned to nothing contributes no
-/// stream and is recorded as consulted-empty (the result depends on its
-/// emptiness).
+/// stream.
 fn lower_pruned<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
@@ -336,24 +295,16 @@ fn lower_pruned<'a, I: Borrow<PatchIndex>>(
     obs: Option<&ExecObserver>,
     pipeline: bool,
 ) -> Option<OpRef<'a>> {
-    match prune_for_partition(plan, table, indexes, pid) {
-        Some(p) => Some(lower_partition(&p, table, indexes, pid, obs, pipeline)),
-        None => {
-            if let Some(o) = obs {
-                o.consulted_empty[pid].set(true);
-            }
-            None
-        }
-    }
+    prune_for_partition(plan, table, indexes, pid)
+        .map(|p| lower_partition(&p, table, indexes, pid, obs, pipeline))
 }
 
 /// Lowers `plan` across all partitions with the appropriate global
-/// combine, pruning zero branches per partition. With an observer, the
-/// top of every per-partition pipeline is metered (see [`ExecObserver`]
-/// for the soundness argument); with a timed one, every plan node (per
-/// partition) and every global combine reports wall clock, batch and row
-/// counts — the EXPLAIN ANALYZE lowering. The observer never alters a
-/// batch, so results are byte-identical with and without it.
+/// combine, pruning zero branches per partition. With an observer (the
+/// EXPLAIN ANALYZE lowering), every plan node (per partition) and every
+/// global combine reports wall clock, batch and row counts. The observer
+/// never alters a batch, so results are byte-identical with and without
+/// it.
 pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
@@ -528,7 +479,8 @@ mod tests {
         vec![idx]
     }
 
-    /// [`execute`] with an [`ExecObserver`] attached, as the facade runs it.
+    /// [`execute`] with an [`ExecObserver`] attached, as a traced query
+    /// runs it.
     fn collect_probed<I: Borrow<PatchIndex>>(
         plan: &Plan,
         table: &Table,
@@ -1050,7 +1002,7 @@ mod tests {
             Plan::scan(vec![1]).limit(3),
         ] {
             let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &idx));
-            let trace = ExecObserver::new(t.partition_count(), true);
+            let trace = ExecObserver::default();
             let traced = collect_probed(&opt, &t, &idx, &trace);
             let plain = execute(&opt, &t, &idx);
             assert_eq!(
@@ -1058,63 +1010,39 @@ mod tests {
                 plain.column(0).as_int(),
                 "{plan}"
             );
-            let ctrace = ExecObserver::new(t.partition_count(), false);
-            assert_eq!(
-                count_rows(lower_global(&opt, &t, &idx, Some(&ctrace)).as_mut()),
-                plain.len(),
-                "{plan}"
-            );
         }
     }
 
-    #[test]
-    fn full_scan_footprint_covers_every_partition() {
-        let t = table();
-        let trace = ExecObserver::new(t.partition_count(), false);
-        collect_probed(
-            &Plan::scan(vec![1]).distinct(vec![0]),
-            &t,
-            NO_INDEXES,
-            &trace,
-        );
-        assert_eq!(trace.footprint(), vec![0, 1]);
-    }
-
+    /// A pushed-down limit satisfied by partition 0 alone: the union
+    /// never pulls partition 1, so the trace counts it as not visited
+    /// and none of its operators emits a batch.
     #[test]
     fn pushed_down_limit_excludes_unreached_partitions() {
         let t = table(); // 4 rows in p0, 3 in p1
-        let trace = ExecObserver::new(t.partition_count(), false);
-        let out = collect_probed(&Plan::scan(vec![1]).limit(2), &t, NO_INDEXES, &trace);
+        let plan = Plan::scan(vec![1]).limit(2);
+        let trace = ExecObserver::default();
+        let out = collect_probed(&plan, &t, NO_INDEXES, &trace);
         assert_eq!(out.len(), 2);
-        // Partition 0 alone satisfies the limit; the union never pulls
-        // partition 1, so the footprint provably excludes it.
-        assert_eq!(trace.footprint(), vec![0]);
         assert_eq!(trace.pulled(), vec![0]);
-        let batches: Vec<_> = trace
-            .operators()
+        let operators = trace.operators();
+        let batches: Vec<_> = operators
             .iter()
-            .map(|o| (o.partition, o.batches))
+            .map(|o| (o.label.as_str(), o.partition, o.batches))
             .collect();
-        assert_eq!(batches, [(Some(0), 1), (Some(1), 0)]);
-    }
-
-    #[test]
-    fn pruned_empty_partition_stays_in_the_footprint() {
-        let mut t = Table::new(
-            "holes",
-            Schema::new(vec![Field::new("v", DataType::Int)]),
-            3,
-            Partitioning::RoundRobin,
+        assert_eq!(
+            batches,
+            [
+                ("Scan", Some(0), 1),
+                ("Limit(partition)", Some(0), 1),
+                ("Scan", Some(1), 0),
+                ("Limit(partition)", Some(1), 0),
+                ("Limit(global)", None, 1),
+            ]
         );
-        t.load_partition(0, &[ColumnData::Int(vec![3, 1])]);
-        // Partition 1 stays empty (pruned before lowering).
-        t.load_partition(2, &[ColumnData::Int(vec![2])]);
-        t.propagate_all();
-        let trace = ExecObserver::new(t.partition_count(), false);
-        collect_probed(&Plan::scan(vec![0]), &t, NO_INDEXES, &trace);
-        // The result depends on partition 1 *being empty*: an insert
-        // there changes it, so consulted-empty keeps it in the footprint.
-        assert_eq!(trace.pulled(), vec![0, 2]);
-        assert_eq!(trace.footprint(), vec![0, 1, 2]);
+        let report = IndexedTable::new(t).explain_analyze(&plan);
+        assert_eq!(
+            (report.partitions_visited, report.partitions_pruned),
+            (1, 1)
+        );
     }
 }

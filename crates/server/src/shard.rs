@@ -52,6 +52,27 @@ struct EnqueueState {
     next_seq: u64,
 }
 
+impl EnqueueState {
+    /// Sends `msg` without blocking: a closed or exited queue refuses
+    /// with `ShuttingDown`, a full one with `ServerBusy`.
+    fn send(&self, msg: ShardMsg) -> Result<(), ServerError> {
+        let Some(sender) = self.sender.as_ref() else {
+            return Err(ServerError::new(
+                ErrorCode::ShuttingDown,
+                "shard queue closed",
+            ));
+        };
+        sender.try_send(msg).map_err(|e| match e {
+            TrySendError::Full(_) => {
+                ServerError::new(ErrorCode::ServerBusy, "statement queue full; retry")
+            }
+            TrySendError::Disconnected(_) => {
+                ServerError::new(ErrorCode::ShuttingDown, "shard writer exited")
+            }
+        })
+    }
+}
+
 /// A shard handle: the read side (`table`), the sequenced enqueue path,
 /// and the `(epoch, seq)` watermark its writer maintains.
 pub(crate) struct Shard {
@@ -90,15 +111,9 @@ impl Shard {
         let queue_depth = spec.registry.gauge("queue.depth");
         let statements = spec.registry.counter("statements");
         let statements_refused = spec.registry.counter("statements_refused");
-        let advisor = (spec.advise_every > 0).then(|| {
-            Advisor::with_metrics(
-                AdvisorConfig {
-                    memory_budget_bytes: spec.advisor_budget_bytes / spec.all_benefits.len().max(1),
-                    ..AdvisorConfig::default()
-                },
-                &spec.registry,
-            )
-        });
+        // `WriterLoop::advise` sets the budget share before every step.
+        let advisor = (spec.advise_every > 0)
+            .then(|| Advisor::with_metrics(AdvisorConfig::default(), &spec.registry));
         let loop_ctx = WriterLoop {
             writer,
             rx,
@@ -135,50 +150,16 @@ impl Shard {
     /// watermark seq is `>= seq` reflects this statement.
     pub(crate) fn enqueue(&self, stmt: Statement) -> Result<u64, ServerError> {
         let mut st = self.state.lock().unwrap();
-        let Some(sender) = st.sender.as_ref() else {
-            return Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard queue closed",
-            ));
-        };
         let seq = st.next_seq + 1;
-        match sender.try_send(ShardMsg::Statement { seq, stmt }) {
-            Ok(()) => {
-                st.next_seq = seq;
-                self.queue_depth.add(1);
-                Ok(seq)
-            }
-            Err(TrySendError::Full(_)) => Err(ServerError::new(
-                ErrorCode::ServerBusy,
-                "statement queue full; retry",
-            )),
-            Err(TrySendError::Disconnected(_)) => Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard writer exited",
-            )),
-        }
+        st.send(ShardMsg::Statement { seq, stmt })?;
+        st.next_seq = seq;
+        self.queue_depth.add(1);
+        Ok(seq)
     }
 
     /// Enqueues a control message (publish / hold).
     pub(crate) fn control(&self, msg: ShardMsg) -> Result<(), ServerError> {
-        let st = self.state.lock().unwrap();
-        let Some(sender) = st.sender.as_ref() else {
-            return Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard queue closed",
-            ));
-        };
-        match sender.try_send(msg) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(ServerError::new(
-                ErrorCode::ServerBusy,
-                "statement queue full; retry",
-            )),
-            Err(TrySendError::Disconnected(_)) => Err(ServerError::new(
-                ErrorCode::ShuttingDown,
-                "shard writer exited",
-            )),
-        }
+        self.state.lock().unwrap().send(msg)
     }
 
     /// A snapshot paired with the exact statement prefix it reflects.

@@ -28,7 +28,8 @@ use pi_planner::{Plan, QueryEngine};
 use proptest::prelude::*;
 
 /// The query mix: a distinct count, a sort (full rows), a pushed-down
-/// limit (partial-footprint entries), and a plain scan count.
+/// limit (it reads a prefix of the partitions, but its entry depends on
+/// all of them), and a plain scan count.
 fn mix() -> [Plan; 4] {
     [
         Plan::scan(vec![1]).distinct(vec![0]),
