@@ -39,11 +39,6 @@ pub struct ServerConfig {
     pub publish_every: u64,
     /// Per-shard result-cache budget in bytes; `0` disables caching.
     pub cache_budget_bytes: usize,
-    /// Queries slower than this (wall clock, nanoseconds) enter the
-    /// slow-query log with their EXPLAIN ANALYZE trace summary.
-    pub slow_query_nanos: u64,
-    /// Ring-buffer capacity of the slow-query log.
-    pub slowlog_capacity: usize,
     /// Statements between advisor steps on each shard writer; `0` (the
     /// default) disables the advisor.
     pub advise_every: u64,
@@ -61,8 +56,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             publish_every: 1,
             cache_budget_bytes: 8 << 20,
-            slow_query_nanos: 50_000_000,
-            slowlog_capacity: 128,
             advise_every: 0,
             advisor_budget_bytes: 16 << 20,
         }

@@ -20,9 +20,9 @@
 //!   ([`pi_advisor::split_budget`]) before every step;
 //! * **observability** is per shard: `METRICS` returns the server
 //!   registry plus every shard's engine registry as one JSON document,
-//!   and queries slower than [`ServerConfig::slow_query_nanos`] land in
-//!   the `SLOWLOG` ring with their EXPLAIN ANALYZE traces
-//!   (`QueryEngine::query_traced` runs under every query);
+//!   and `EXPLAIN` is the one request that runs under EXPLAIN ANALYZE
+//!   (`QUERY` and `COUNT` run `QueryEngine::query`, unobserved), so a
+//!   slow spec is explained on demand;
 //! * **shutdown** drains: closing the server applies every acknowledged
 //!   statement through a final publish before joining.
 //!
@@ -61,7 +61,6 @@ mod config;
 mod protocol;
 mod server;
 mod shard;
-mod slowlog;
 mod spec;
 
 pub use client::{body_lines, header, header_field, Client};
@@ -72,5 +71,4 @@ pub use protocol::{
     MAX_FRAME_LEN,
 };
 pub use server::{HoldGuard, Server};
-pub use slowlog::{SlowEntry, SlowLog};
 pub use spec::QuerySpec;

@@ -11,17 +11,15 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use patchindex::routing::route_row;
-use patchindex::{ConcurrentTable, IndexedTable, Statement};
+use patchindex::{ConcurrentTable, IndexedTable, Statement, TableSnapshot};
 use pi_exec::parallel::fan_out;
-use pi_exec::Batch;
-use pi_obs::{Counter, Histogram, MetricsRegistry, QueryTrace};
-use pi_planner::QueryEngine;
+use pi_obs::{Counter, Histogram, MetricsRegistry};
+use pi_planner::{Plan, QueryEngine};
 use pi_storage::{DataType, Partitioning, Schema, Table, Value};
 
 use crate::config::ServerConfig;
 use crate::protocol::{parse_value, read_request, write_response, ErrorCode, ServerError};
 use crate::shard::{Shard, ShardMsg, ShardSpawn};
-use crate::slowlog::{SlowEntry, SlowLog};
 use crate::spec::QuerySpec;
 use crate::{batch_rows, canonical_rows, render_rows};
 
@@ -40,8 +38,6 @@ struct ServerInner {
     route_col: usize,
     registry: Arc<MetricsRegistry>,
     shard_registries: Vec<Arc<MetricsRegistry>>,
-    slowlog: SlowLog,
-    slow_query_nanos: u64,
     shutting_down: AtomicBool,
     addr: SocketAddr,
     conns: Mutex<HashMap<u64, TcpStream>>,
@@ -123,8 +119,6 @@ impl Server {
             query_nanos: registry.histogram("server.query.nanos"),
             registry,
             shard_registries,
-            slowlog: SlowLog::new(cfg.slowlog_capacity),
-            slow_query_nanos: cfg.slow_query_nanos,
             shutting_down: AtomicBool::new(false),
             addr,
             conns: Mutex::new(HashMap::new()),
@@ -314,8 +308,6 @@ fn conn_loop(inner: &ServerInner, stream: TcpStream) {
     }
 }
 
-type ShardResult = (u64, u64, Batch, QueryTrace);
-
 impl ServerInner {
     fn dispatch(&self, line: &str) -> Result<String, ServerError> {
         if self.shutting_down.load(Ordering::SeqCst) {
@@ -337,7 +329,6 @@ impl ServerInner {
             "DELETE" => self.delete(rest),
             "PUBLISH" => self.publish(),
             "METRICS" => Ok(self.metrics_json()),
-            "SLOWLOG" => Ok(self.slowlog.render()),
             other => Err(ServerError::new(
                 ErrorCode::BadCommand,
                 format!("unknown command {other:?}"),
@@ -370,31 +361,35 @@ impl ServerInner {
         Ok(spec)
     }
 
-    /// Executes the fan-out plan on every shard's consistent snapshot, one
-    /// task per shard on the process-wide fan-out pool, this connection's
-    /// thread taking part. Results come back in shard order; each shard's
-    /// elapsed read time feeds its benefit counter (the advisor
+    /// Runs `read` over the fan-out plan on every shard's consistent
+    /// snapshot, one task per shard on the process-wide fan-out pool, this
+    /// connection's thread taking part. Results come back in shard order
+    /// with the `(epoch, seq)` watermark each shard was read at; each
+    /// shard's elapsed read time feeds its benefit counter (the advisor
     /// budget-split currency).
-    fn fanout(&self, spec: &QuerySpec) -> Vec<ShardResult> {
+    fn fanout<T: Send>(
+        &self,
+        spec: &QuerySpec,
+        read: impl Fn(&TableSnapshot, &Plan) -> T + Sync,
+    ) -> Vec<(u64, u64, T)> {
         let plan = spec.fanout_plan();
-        let run = |shard: &Shard| -> ShardResult {
+        fan_out(self.shards.len(), |s| {
+            let shard = &self.shards[s];
             let (snap, seq) = shard.consistent_snapshot();
-            let epoch = snap.epoch();
             let t0 = Instant::now();
-            let (batch, trace) = snap.query_traced(&plan);
+            let out = read(&snap, &plan);
             shard
                 .benefit_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            (epoch, seq, batch, trace)
-        };
-        fan_out(self.shards.len(), |s| run(&self.shards[s]))
+            (snap.epoch(), seq, out)
+        })
     }
 
-    fn epochs_field(results: &[ShardResult]) -> String {
+    fn epochs_field<T>(results: &[(u64, u64, T)]) -> String {
         results
             .iter()
             .enumerate()
-            .map(|(s, (e, q, _, _))| format!("{s}:{e}@{q}"))
+            .map(|(s, (e, q, _))| format!("{s}:{e}@{q}"))
             .collect::<Vec<_>>()
             .join(",")
     }
@@ -402,51 +397,32 @@ impl ServerInner {
     fn query(&self, rest: &str) -> Result<String, ServerError> {
         let spec = self.checked_spec(rest)?;
         let t0 = Instant::now();
-        let results = self.fanout(&spec);
+        let results = self.fanout(&spec, |snap, plan| snap.query(plan));
         let mut rows = Vec::new();
-        for (_, _, batch, _) in &results {
+        for (_, _, batch) in &results {
             rows.extend(batch_rows(batch));
         }
         let rows = canonical_rows(&spec, rows);
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.query_nanos.record(nanos);
-        let epochs = Self::epochs_field(&results);
-        if nanos > self.slow_query_nanos {
-            let traces = results
-                .iter()
-                .enumerate()
-                .map(|(s, (_, _, _, trace))| format!("shard {s}:\n{}", trace.render_text()))
-                .collect::<Vec<_>>()
-                .join("\n");
-            self.slowlog.record(SlowEntry {
-                spec: spec.render(),
-                nanos,
-                rows: rows.len(),
-                epochs: epochs.clone(),
-                traces,
-            });
-        }
+        self.query_nanos.record(t0.elapsed().as_nanos() as u64);
         Ok(format!(
             "OK rows={} cols={} epochs={}{}",
             rows.len(),
             spec.output_width(),
-            epochs,
+            Self::epochs_field(&results),
             render_rows(&rows)
         ))
     }
 
     fn count(&self, rest: &str) -> Result<String, ServerError> {
         let spec = self.checked_spec(rest)?;
-        let results = self.fanout(&spec);
+        let results = self.fanout(&spec, |snap, plan| snap.query(plan));
         // Distinct counts are not shard-additive: count the combined
         // result for them.
         let count = if spec.distinct.is_some() {
-            let rows = results
-                .iter()
-                .flat_map(|(_, _, batch, _)| batch_rows(batch));
+            let rows = results.iter().flat_map(|(_, _, batch)| batch_rows(batch));
             canonical_rows(&spec, rows.collect()).len()
         } else {
-            let sum: usize = results.iter().map(|(_, _, batch, _)| batch.len()).sum();
+            let sum: usize = results.iter().map(|(_, _, batch)| batch.len()).sum();
             spec.limit.map_or(sum, |n| sum.min(n))
         };
         Ok(format!(
@@ -455,15 +431,17 @@ impl ServerInner {
         ))
     }
 
+    /// The one request that observes an execution: every shard runs the
+    /// plan under EXPLAIN ANALYZE and answers with its trace.
     fn explain(&self, rest: &str) -> Result<String, ServerError> {
         let spec = self.checked_spec(rest)?;
-        let results = self.fanout(&spec);
+        let results = self.fanout(&spec, |snap, plan| snap.explain_analyze(plan));
         let mut out = format!(
             "OK shards={} epochs={}",
             results.len(),
             Self::epochs_field(&results)
         );
-        for (s, (epoch, _, _, trace)) in results.iter().enumerate() {
+        for (s, (epoch, _, trace)) in results.iter().enumerate() {
             out.push_str(&format!("\n-- shard {s} epoch {epoch}\n"));
             out.push_str(trace.render_text().trim_end());
         }

@@ -21,8 +21,7 @@ use pi_planner::Plan;
 
 use crate::protocol::{ErrorCode, ServerError};
 
-/// A parsed wire query. The canonical text form (`render`) is what the
-/// slow-query log records.
+/// A parsed wire query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySpec {
     /// Table columns scanned, in output order.
@@ -136,40 +135,6 @@ impl QuerySpec {
         self.distinct.as_ref().map_or(self.scan.len(), Vec::len)
     }
 
-    /// The canonical text form (stable across parse → render cycles).
-    pub fn render(&self) -> String {
-        let join = |cols: &[usize]| {
-            cols.iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let mut out = format!("scan {}", join(&self.scan));
-        if let Some(d) = &self.distinct {
-            out.push_str(&format!(" | distinct {}", join(d)));
-        }
-        if let Some(keys) = &self.sort {
-            let keys: Vec<String> = keys
-                .iter()
-                .map(|(p, d)| {
-                    format!(
-                        "{p}:{}",
-                        if matches!(d, SortOrder::Asc) {
-                            "asc"
-                        } else {
-                            "desc"
-                        }
-                    )
-                })
-                .collect();
-            out.push_str(&format!(" | sort {}", keys.join(",")));
-        }
-        if let Some(n) = self.limit {
-            out.push_str(&format!(" | limit {n}"));
-        }
-        out
-    }
-
     /// The logical plan each shard executes. `limit` is *not* lowered —
     /// a per-shard limit would discard rows another shard's combine
     /// needs; the server truncates after the canonical merge instead.
@@ -196,17 +161,6 @@ mod tests {
         assert_eq!(spec.distinct, Some(vec![0, 1]));
         assert_eq!(spec.sort, Some(vec![(1, SortOrder::Desc)]));
         assert_eq!(spec.limit, Some(10));
-        assert_eq!(
-            spec.render(),
-            "scan 2,0 | distinct 0,1 | sort 1:desc | limit 10"
-        );
-    }
-
-    #[test]
-    fn parse_render_is_stable() {
-        for text in ["scan 0", "scan 1,2 | sort 0:asc,1:desc", "scan 0 | limit 3"] {
-            assert_eq!(QuerySpec::parse(text).unwrap().render(), text);
-        }
     }
 
     #[test]

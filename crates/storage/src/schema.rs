@@ -58,11 +58,6 @@ impl Schema {
         self.fields.is_empty()
     }
 
-    /// Index of the field called `name`.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
     /// Field at `idx`.
     pub fn field(&self, idx: usize) -> &Field {
         &self.fields[idx]
@@ -79,9 +74,6 @@ mod tests {
             Field::new("a", DataType::Int),
             Field::new("b", DataType::Str),
         ]);
-        assert_eq!(s.index_of("a"), Some(0));
-        assert_eq!(s.index_of("b"), Some(1));
-        assert_eq!(s.index_of("c"), None);
         assert_eq!(s.len(), 2);
         assert_eq!(s.field(1).dtype, DataType::Str);
     }

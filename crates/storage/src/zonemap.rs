@@ -83,15 +83,6 @@ impl ZoneMap {
         }
         out
     }
-
-    /// Fraction of rows selected by `[lo, hi]` pruning (diagnostics).
-    pub fn selectivity(&self, lo: i64, hi: i64) -> f64 {
-        if self.rows == 0 {
-            return 0.0;
-        }
-        let kept: usize = self.candidate_ranges(lo, hi).iter().map(|r| r.len()).sum();
-        kept as f64 / self.rows as f64
-    }
 }
 
 /// A half-open scan restriction produced by zone-map pruning or range
@@ -150,8 +141,9 @@ mod tests {
     fn selectivity_fraction() {
         let vals: Vec<i64> = (0..100).collect();
         let zm = ZoneMap::build(&vals, 10);
-        assert!((zm.selectivity(0, 9) - 0.1).abs() < 1e-12);
-        assert_eq!(zm.selectivity(-10, -5), 0.0);
+        let kept: usize = zm.candidate_ranges(0, 9).iter().map(|r| r.len()).sum();
+        assert_eq!(kept, 10, "a one-block range keeps a tenth of the rows");
+        assert!(zm.candidate_ranges(-10, -5).is_empty());
     }
 
     #[test]
@@ -159,6 +151,5 @@ mod tests {
         let zm = ZoneMap::build(&[], 8);
         assert_eq!(zm.block_count(), 0);
         assert!(zm.candidate_ranges(0, 100).is_empty());
-        assert_eq!(zm.selectivity(0, 1), 0.0);
     }
 }

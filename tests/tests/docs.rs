@@ -1,9 +1,10 @@
 //! The prose docs cannot name dead things silently: README's "Test
 //! suite" table and `tests/tests/` list the same suites, README's
-//! `repro` job list and `repro`'s job table name the same jobs, every
-//! command word in `docs/WIRE_PROTOCOL.md`'s command table is one a live
-//! server knows, and every code path the README and the architecture
-//! notes name is defined where its owner (a type or a module) lives.
+//! `repro` job list and `repro`'s job table name the same jobs,
+//! `docs/WIRE_PROTOCOL.md`'s command table and the server's dispatch
+//! name the same command words, and every code path the README and the
+//! architecture notes name is defined where its owner (a type or a
+//! module) lives.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -102,6 +103,39 @@ fn every_documented_command_word_is_known_to_a_live_server() {
         "{resp}"
     );
     server.shutdown();
+}
+
+#[test]
+fn every_dispatched_command_word_is_documented() {
+    let documented: BTreeSet<String> =
+        first_column_names(&repo_file("docs/WIRE_PROTOCOL.md"), "## Commands")
+            .into_iter()
+            .collect();
+    // The arms of `ServerInner::dispatch` read `"PING" => ...`, up to the
+    // next function.
+    let server = repo_file("crates/server/src/server.rs");
+    let dispatch = server
+        .split_once("fn dispatch(")
+        .expect("the server dispatches")
+        .1
+        .split("\n    fn ")
+        .next()
+        .unwrap();
+    let dispatched: BTreeSet<String> = dispatch
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix('"'))
+        .filter_map(|arm| arm.split_once("\" =>"))
+        .map(|(word, _)| word.to_string())
+        .collect();
+    assert!(
+        dispatched.contains("PING"),
+        "parsed the arms: {dispatched:?}"
+    );
+    let undocumented: Vec<&String> = dispatched.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "dispatched but missing from WIRE_PROTOCOL.md's command table: {undocumented:?}"
+    );
 }
 
 /// Every `.rs` file under `dir`, recursively.

@@ -59,6 +59,8 @@ struct ClientLog {
     writes: Vec<(usize, u64, Vec<Value>)>,
     /// (spec text, raw response) per `QUERY`.
     reads: Vec<(String, String)>,
+    /// (spec text, raw response) per `COUNT`, one after each `QUERY`.
+    counts: Vec<(String, String)>,
 }
 
 /// Replays the statement prefix `seq <= watermark[shard]` for every
@@ -144,6 +146,7 @@ fn concurrent_clients_match_prefix_replay() {
                 let mut log = ClientLog {
                     writes: Vec::new(),
                     reads: Vec::new(),
+                    counts: Vec::new(),
                 };
                 for i in 0..OPS {
                     if rng.gen_bool(0.6) {
@@ -164,6 +167,9 @@ fn concurrent_clients_match_prefix_replay() {
                         let resp = client.request(&format!("QUERY {spec}")).unwrap();
                         assert!(resp.starts_with("OK "), "query failed: {resp}");
                         log.reads.push((spec.to_string(), resp));
+                        let resp = client.request(&format!("COUNT {spec}")).unwrap();
+                        assert!(resp.starts_with("OK "), "count failed: {resp}");
+                        log.counts.push((spec.to_string(), resp));
                     }
                 }
                 logs.lock().unwrap().push(log);
@@ -196,6 +202,22 @@ fn concurrent_clients_match_prefix_replay() {
         }
     }
     assert!(audited > 50, "too few queries audited: {audited}");
+    // A `COUNT` names its own watermarks: its count is the row count of
+    // the replay at exactly that prefix.
+    let mut counted = 0;
+    for log in &logs {
+        for (spec, resp) in &log.counts {
+            let watermarks = parse_epoch_seqs(resp, NSHARDS);
+            let expect = reference_response(spec, &watermarks, &by_shard, PARTS);
+            assert_eq!(
+                header_field(resp, "count"),
+                header_field(&expect, "rows"),
+                "count divergence for {spec:?} at watermarks {watermarks:?}"
+            );
+            counted += 1;
+        }
+    }
+    assert!(counted > 50, "too few counts audited: {counted}");
     server.shutdown();
 }
 
@@ -297,6 +319,7 @@ fn error_codes_and_line_mode() {
 
     for (cmd, code) in [
         ("FROBNICATE", "BadCommand"),
+        ("SLOWLOG", "BadCommand"),
         ("QUERY scan 9", "BadPlan"),
         ("QUERY scan 0 | sort 0:up", "BadPlan"),
         ("INSERT x,1", "BadValue"),
