@@ -145,24 +145,6 @@ pub struct RecoveryReport {
     pub discarded: usize,
 }
 
-impl RecoveryReport {
-    /// Publishes the recovery outcome as `recovery.*` gauges, so the
-    /// last crash-recovery's shape shows up in a registry dump alongside
-    /// the steady-state WAL and checkpoint metrics.
-    pub fn record_to(&self, registry: &MetricsRegistry) {
-        registry
-            .gauge("recovery.checkpoint_epoch")
-            .set(self.checkpoint_epoch as i64);
-        registry.gauge("recovery.epoch").set(self.epoch as i64);
-        registry
-            .gauge("recovery.replayed")
-            .set(self.replayed as i64);
-        registry
-            .gauge("recovery.discarded")
-            .set(self.discarded as i64);
-    }
-}
-
 /// Pre-registered handles for the checkpoint/compaction counters.
 struct CkptMetrics {
     checkpoints: Arc<Counter>,
@@ -1490,7 +1472,7 @@ mod tests {
     #[test]
     fn metrics_registry_mirrors_durability_stats() {
         let registry = Arc::new(MetricsRegistry::new());
-        let (fs, _handle, mut dw) = setup(2, DurableOptions::default());
+        let (_fs, _handle, mut dw) = setup(2, DurableOptions::default());
         dw.attach_metrics(&registry);
         dw.insert(&[row(100, 2, "x")]).unwrap();
         dw.modify(0, &[0], 1, &[Value::Int(7)]).unwrap();
@@ -1507,17 +1489,6 @@ mod tests {
         let fsync = registry.histogram("wal.fsync_nanos").snapshot();
         assert_eq!(fsync.count, registry.counter("wal.fsyncs").get());
         assert!(fsync.count >= 3, "EveryRecord syncs each append");
-
-        // Recovery gauges.
-        drop(dw);
-        fs.crash(1);
-        let (_h, _dw, report) = try_recover(&fs).unwrap();
-        report.record_to(&registry);
-        assert_eq!(registry.gauge("recovery.epoch").get(), report.epoch as i64);
-        assert_eq!(
-            registry.gauge("recovery.replayed").get(),
-            report.replayed as i64
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use pi_storage::{ColumnData, DataType, DictRef};
+use pi_storage::{ColumnData, DictRef};
 
 use crate::batch::{copy_rows, Batch};
 
@@ -258,43 +258,6 @@ impl Expr {
             _ => None,
         }
     }
-
-    /// Returns `Some((lo, hi))` if this predicate restricts `col` to an
-    /// integer range usable for zone-map pruning (scan-range extraction /
-    /// static range propagation).
-    pub fn range_for_col(&self, col: usize) -> Option<(i64, i64)> {
-        match self {
-            Expr::Between(inner, lo, hi) => match **inner {
-                Expr::Col(c) if c == col => Some((*lo, *hi)),
-                _ => None,
-            },
-            Expr::Cmp(op, lhs, rhs) => match (&**lhs, &**rhs) {
-                (Expr::Col(c), Expr::LitInt(v)) if *c == col => match op {
-                    CmpOp::Eq => Some((*v, *v)),
-                    CmpOp::Lt => Some((i64::MIN, v - 1)),
-                    CmpOp::Le => Some((i64::MIN, *v)),
-                    CmpOp::Gt => Some((v + 1, i64::MAX)),
-                    CmpOp::Ge => Some((*v, i64::MAX)),
-                    CmpOp::Ne => None,
-                },
-                (Expr::LitInt(v), Expr::Col(c)) if *c == col => match op {
-                    CmpOp::Eq => Some((*v, *v)),
-                    CmpOp::Gt => Some((i64::MIN, v - 1)),
-                    CmpOp::Ge => Some((i64::MIN, *v)),
-                    CmpOp::Lt => Some((v + 1, i64::MAX)),
-                    CmpOp::Le => Some((*v, i64::MAX)),
-                    CmpOp::Ne => None,
-                },
-                _ => None,
-            },
-            Expr::And(l, r) => match (l.range_for_col(col), r.range_for_col(col)) {
-                (Some((a, b)), Some((c, d))) => Some((a.max(c), b.min(d))),
-                (Some(x), None) | (None, Some(x)) => Some(x),
-                (None, None) => None,
-            },
-            _ => None,
-        }
-    }
 }
 
 /// The dictionary code of `s`, looked up under a read lock, so a read
@@ -444,26 +407,6 @@ fn arith_columns(op: ArithOp, a: Vals, b: Vals, n: usize) -> ColumnData {
     }
 }
 
-/// Checks that an expression's output type is int-backed (planner helper).
-pub fn output_type(expr: &Expr, input_types: &[DataType]) -> DataType {
-    match expr {
-        Expr::Col(i) => input_types[*i],
-        Expr::LitInt(_) | Expr::LitCode(_) => DataType::Int,
-        Expr::LitFloat(_) => DataType::Float,
-        Expr::Arith(op, lhs, rhs) => {
-            let a = output_type(lhs, input_types);
-            let b = output_type(rhs, input_types);
-            if a == DataType::Float || b == DataType::Float || *op == ArithOp::Div {
-                DataType::Float
-            } else {
-                DataType::Int
-            }
-        }
-        Expr::Year(_) => DataType::Int,
-        _ => DataType::Int, // booleans materialize as 0/1 ints
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,19 +487,6 @@ mod tests {
         let b = batch();
         let p = Expr::col(1).lt(Expr::LitInt(2));
         assert_eq!(p.eval_bool(&b), vec![true, true, false, false, false]);
-    }
-
-    #[test]
-    fn range_extraction() {
-        let p = Expr::Between(Box::new(Expr::col(3)), 10, 20);
-        assert_eq!(p.range_for_col(3), Some((10, 20)));
-        assert_eq!(p.range_for_col(2), None);
-        let q = Expr::col(0)
-            .ge(Expr::LitInt(5))
-            .and(Expr::col(0).lt(Expr::LitInt(9)));
-        assert_eq!(q.range_for_col(0), Some((5, 8)));
-        let eq = Expr::col(1).eq(Expr::LitInt(7));
-        assert_eq!(eq.range_for_col(1), Some((7, 7)));
     }
 
     #[test]

@@ -313,7 +313,7 @@ impl MetricsRegistry {
 }
 
 /// Quotes and escapes `s` as a JSON string.
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -1,6 +1,5 @@
 //! Per-query EXPLAIN ANALYZE traces.
 
-use crate::registry::json_str;
 use std::fmt::Write as _;
 
 /// Whether (and how) the result cache served a traced query.
@@ -64,7 +63,8 @@ pub struct OperatorTrace {
 pub struct QueryTrace {
     /// The logical plan as written.
     pub query: String,
-    /// The plan after index rewrites and zero-branch pruning.
+    /// The plan after index rewrites, zero-patch branches included (the
+    /// lowering prunes them per partition).
     pub optimized: String,
     /// Planner decisions.
     pub planner: PlannerTrace,
@@ -72,8 +72,9 @@ pub struct QueryTrace {
     pub partitions_total: usize,
     /// Partitions whose data was actually pulled.
     pub partitions_visited: u64,
-    /// Partitions skipped by zero-branch pruning (plan-level and
-    /// per-partition).
+    /// Partitions never pulled: pruned to nothing by per-partition
+    /// zero-branch pruning, or left unread by a combine that stopped
+    /// early.
     pub partitions_pruned: u64,
     /// Result-cache outcome.
     pub cache: Option<CacheOutcome>,
@@ -142,48 +143,6 @@ impl QueryTrace {
         }
         out
     }
-
-    /// The trace as one JSON object.
-    pub fn to_json(&self) -> String {
-        let p = &self.planner;
-        let ops: Vec<String> = self
-            .operators
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"label\": {}, \"partition\": {}, \"batches\": {}, \"rows_out\": {}, \
-                     \"nanos\": {}}}",
-                    json_str(&o.label),
-                    o.partition.map_or("null".to_string(), |p| p.to_string()),
-                    o.batches,
-                    o.rows_out,
-                    o.nanos,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"query\": {}, \"optimized\": {}, \"planner\": {{\"candidates_enumerated\": {}, \
-             \"cost_gated\": {}, \"rewrites_chosen\": {}, \"slots_bound\": {:?}, \
-             \"nanos\": {}}}, \"partitions\": {{\"total\": {}, \
-             \"visited\": {}, \"pruned\": {}}}, \"cache\": {}, \"rows_out\": {}, \
-             \"total_nanos\": {}, \"operators\": [{}]}}",
-            json_str(&self.query),
-            json_str(&self.optimized),
-            p.candidates_enumerated,
-            p.cost_gated,
-            p.rewrites_chosen,
-            p.slots_bound,
-            p.nanos,
-            self.partitions_total,
-            self.partitions_visited,
-            self.partitions_pruned,
-            self.cache
-                .map_or("null".to_string(), |c| json_str(c.label())),
-            self.rows_out,
-            self.total_nanos,
-            ops.join(", "),
-        )
-    }
 }
 
 /// Formats a nanosecond quantity with an adaptive unit (`ns`, `us`,
@@ -233,9 +192,6 @@ mod tests {
         let text = trace.render_text();
         assert!(text.contains("cache:     miss"), "{text}");
         assert!(text.contains("ScanOp"), "{text}");
-        let json = trace.to_json();
-        assert!(json.contains("\"cache\": \"miss\""), "{json}");
-        assert!(json.contains("\"slots_bound\": [0]"), "{json}");
     }
 
     #[test]

@@ -194,8 +194,7 @@ mod tests {
         let cat1 = nuc_cat(1_000_000, 1_000_000);
         assert!(estimate(&rewritten, &cat1) > estimate(&reference, &cat1));
         // The optimizer's cost gate over an exception-rate sweep: the
-        // rewrite wins iff 3.9·P + 0.1·P/2 < 2.8·R, i.e. below e ≈ 70.9%
-        // (at e = 0 zero-branch pruning leaves only the excluding flow).
+        // rewrite wins iff 3.9·P + 0.1·P/2 < 2.8·R, i.e. below e ≈ 70.9%.
         for (e_pct, chosen) in [
             (0, true),
             (1, true),

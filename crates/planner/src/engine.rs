@@ -10,10 +10,11 @@
 //! index.
 //!
 //! 1. **plan** — optimize against the view's [`IndexCatalog`] (all
-//!    indexes, per-partition stats) with plan-level zero-branch pruning,
-//!    once: every index is consistent with its table after every
-//!    statement, so every binding the optimizer picks is exact. Feeds
-//!    the `planner.*` registry counters.
+//!    indexes, per-partition stats), once: every index is consistent
+//!    with its table after every statement, so every binding the
+//!    optimizer picks is exact. The chosen plan keeps its zero-patch
+//!    branches; step 3 prunes them. Feeds the `planner.*` registry
+//!    counters.
 //! 2. **probe** — with a [`ResultCache`] attached, look the chosen plan's
 //!    canonical fingerprint up; the stored canonical bytes are compared,
 //!    not just the hash, so a hit is the exact answer.
@@ -446,8 +447,7 @@ mod tests {
         it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         let distinct = Plan::scan(vec![1]).distinct(vec![0]);
         let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
-        // Clean data + ZBP: both collapse to the excluding scan, each
-        // bound to its own index.
+        // Clean data: each rewrite binds its own index.
         assert!(it.plan_query(&distinct).to_string().contains("slot=0"));
         assert!(it.plan_query(&sort).to_string().contains("slot=1"));
         assert_eq!(it.query(&distinct).len(), 10);
@@ -718,8 +718,9 @@ mod tests {
         assert!(trace.planner.candidates_enumerated >= 1);
         assert_eq!(trace.planner.rewrites_chosen, 1);
         assert!(trace.optimized.contains("PatchScan"), "{}", trace.optimized);
-        // Clean data: ZBP prunes every use_patches branch, so only the
-        // excluding pipelines (4 partitions) plus the global combine ran.
+        // Clean data: the lowering prunes every use_patches branch, so
+        // only the excluding pipelines (4 partitions) and global combines
+        // ran.
         assert_eq!(trace.partitions_total, 4);
         assert_eq!(trace.partitions_visited, 4);
         assert!(!trace.operators.is_empty());
@@ -731,6 +732,39 @@ mod tests {
             .sum();
         assert_eq!(total_op_rows, 20, "per-partition scans emit every row");
         assert_eq!(trace.cache, Some(CacheOutcome::Uncached));
+    }
+
+    /// A chosen rewrite keeps its zero-patch branches — the optimizer
+    /// prunes nothing — and the lowering never instantiates them: on
+    /// clean data no `use_patches` scan runs, and the rows are the
+    /// reference's.
+    #[test]
+    fn zero_patch_branches_stay_in_the_plan_and_never_run() {
+        let mut it = fresh(4);
+        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        assert!(it.indexes().iter().all(|idx| idx.exception_count() == 0));
+        for plan in [
+            Plan::scan(vec![1]).distinct(vec![0]),
+            Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]),
+        ] {
+            let (rows, trace) = it.query_traced(&plan);
+            let report = trace.render_text();
+            assert!(trace.optimized.contains("use_patches"), "{report}");
+            assert!(
+                trace
+                    .operators
+                    .iter()
+                    .all(|o| o.label != "PatchScan[use_patches]"),
+                "{report}"
+            );
+            let reference = execute(&plan, it.table(), NO_INDEXES);
+            assert_eq!(
+                rows.column(0).as_int(),
+                reference.column(0).as_int(),
+                "{plan}"
+            );
+        }
     }
 
     /// The sort rewrite's merge streams: a `LIMIT` over it stops every

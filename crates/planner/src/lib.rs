@@ -2,11 +2,11 @@
 //!
 //! Logical plans ([`Plan`]), the PatchIndex rewrites of the paper's
 //! Section 3.3 (distinct/sort subtree cloning, Figure 2) enumerated over
-//! an [`IndexCatalog`] of *all* indexes on the table, zero-branch pruning
-//! (Section 6.3) applied both plan-level (always, by [`optimize`]) and
-//! **per partition** at lowering, a per-tuple [`cost`] model gating every rewrite with
-//! per-partition statistics (Section 3.5), and lowering to `pi-exec`
-//! operator trees with partition-parallel combines.
+//! an [`IndexCatalog`] of *all* indexes on the table, a per-tuple
+//! [`cost`] model gating every rewrite with per-partition statistics
+//! (Section 3.5), and lowering to `pi-exec` operator trees with
+//! partition-parallel combines, which applies zero-branch pruning
+//! (Section 6.3) **per partition** ([`prune_for_partition`]).
 //!
 //! The [`QueryEngine`] facade ties it together as **one pipeline** —
 //! plan → result-cache probe → lower + execute → cache insert →

@@ -6,10 +6,11 @@
 //!   with Union (Figure 2, left).
 //! * `sort` rewrite: the excluding subtree is already sorted; sort only the
 //!   patches and recombine with an order-preserving Merge.
-//! * zero-branch pruning (ZBP): drop subtrees with a guaranteed-zero
-//!   cardinality estimate (e.g. the patches flow of a perfect constraint).
-//!   Plan-level ZBP here uses global patch totals; lowering additionally
-//!   prunes *per partition* (see [`crate::physical`]).
+//!
+//! Zero-branch pruning (ZBP, Section 6.3) is not a rule here: a chosen
+//! rewrite keeps its flows even when one is empty (e.g. the patches flow
+//! of a perfect constraint), and the lowering drops them per partition
+//! with live counts (see [`crate::physical`]).
 //!
 //! [`optimize`] walks the plan bottom-up; at every rewritable site it
 //! enumerates one candidate per matching catalog index, costs each with
@@ -18,8 +19,6 @@
 //! plan may bind different indexes, and a rewrite that does not pay off
 //! (Section 3.5: Q12-style regressions "would not be chosen by the
 //! optimizer") is rejected site-locally.
-
-use std::borrow::Cow;
 
 use patchindex::{Constraint, IndexCatalog, IndexStats, SortDir};
 use pi_exec::ops::patch_select::PatchMode;
@@ -41,7 +40,9 @@ pub struct OptimizeStats {
 }
 
 /// Applies the PatchIndex rewrites wherever some catalog index matches
-/// and the cost model approves, then prunes zero branches globally.
+/// and the cost model approves. Zero-patch branches stay in the plan:
+/// the lowering prunes them per partition
+/// ([`prune_for_partition`](crate::physical::prune_for_partition)).
 pub fn optimize(plan: Plan, cat: &IndexCatalog) -> Plan {
     optimize_with_stats(plan, cat, &mut OptimizeStats::default())
 }
@@ -49,39 +50,35 @@ pub fn optimize(plan: Plan, cat: &IndexCatalog) -> Plan {
 /// [`optimize`] while counting candidates enumerated / cost-gated /
 /// chosen into `stats`.
 pub fn optimize_with_stats(plan: Plan, cat: &IndexCatalog, stats: &mut OptimizeStats) -> Plan {
-    zero_branch_prune(optimize_rec(plan, cat, stats), cat)
-}
-
-fn optimize_rec(plan: Plan, cat: &IndexCatalog, stats: &mut OptimizeStats) -> Plan {
     match plan {
         Plan::Distinct { input, cols } => {
             let node = Plan::Distinct {
-                input: Box::new(optimize_rec(*input, cat, stats)),
+                input: Box::new(optimize_with_stats(*input, cat, stats)),
                 cols,
             };
             best_rewrite(node, cat, stats)
         }
         Plan::Sort { input, keys } => {
             let node = Plan::Sort {
-                input: Box::new(optimize_rec(*input, cat, stats)),
+                input: Box::new(optimize_with_stats(*input, cat, stats)),
                 keys,
             };
             best_rewrite(node, cat, stats)
         }
         Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(optimize_rec(*input, cat, stats)),
+            input: Box::new(optimize_with_stats(*input, cat, stats)),
             n,
         },
         Plan::Union { inputs } => Plan::Union {
             inputs: inputs
                 .into_iter()
-                .map(|p| optimize_rec(p, cat, stats))
+                .map(|p| optimize_with_stats(p, cat, stats))
                 .collect(),
         },
         Plan::Merge { inputs, keys } => Plan::Merge {
             inputs: inputs
                 .into_iter()
-                .map(|p| optimize_rec(p, cat, stats))
+                .map(|p| optimize_with_stats(p, cat, stats))
                 .collect(),
             keys,
         },
@@ -274,149 +271,6 @@ pub fn rewrite(plan: Plan, e: &IndexStats) -> Plan {
     rewrite_site(&plan, e).unwrap_or(plan)
 }
 
-/// Cardinality upper bound with a caller-supplied leaf bound — global
-/// catalog totals for plan-level ZBP, per-partition live counts for the
-/// lowering's partition prune. `leaf` is only invoked on Scan/PatchScan
-/// nodes.
-pub(crate) fn bounded_cardinality<F: Fn(&Plan) -> u64>(plan: &Plan, leaf: &F) -> u64 {
-    match plan {
-        Plan::Scan { .. } | Plan::PatchScan { .. } => leaf(plan),
-        Plan::Distinct { input, .. } | Plan::Sort { input, .. } => bounded_cardinality(input, leaf),
-        Plan::Limit { input, n } => (*n as u64).min(bounded_cardinality(input, leaf)),
-        Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
-            inputs.iter().map(|p| bounded_cardinality(p, leaf)).sum()
-        }
-    }
-}
-
-/// The one zero-branch-prune traversal, shared by plan-level ZBP and the
-/// lowering's per-partition specialization: drops Union/Merge children
-/// whose cardinality bound is zero, collapses single-child combines, and
-/// returns `None` when the whole subtree is provably empty.
-///
-/// Returns a [`Cow`]: a subtree from which nothing was pruned is
-/// *borrowed*, not rebuilt — so the per-partition specialization of a
-/// partition that prunes nothing costs a traversal, never a deep clone
-/// of the plan tree (the lowering runs this once per partition).
-///
-/// `collapse_single_merge` must only be set when the caller lowers the
-/// result for a **single partition**: within one partition a surviving
-/// Merge child really is sorted, but at plan level a bare
-/// `PatchScan[exclude]` lowers as a bag concatenation of partitions —
-/// NSC sortedness is per-partition, so dropping the Merge there would
-/// return partition-concatenated (unsorted) output. Single-child
-/// *Union* collapse is always safe (bag semantics either way).
-pub(crate) fn prune_zero_branches<'a, F: Fn(&Plan) -> u64>(
-    plan: &'a Plan,
-    leaf: &F,
-    collapse_single_merge: bool,
-) -> Option<Cow<'a, Plan>> {
-    if bounded_cardinality(plan, leaf) == 0 {
-        return None;
-    }
-    // "Unchanged" means borrowed AND the very node that went in: a
-    // combine that collapsed to a single child also comes back borrowed
-    // (of the *child*), and treating that as unchanged would silently
-    // undo the pruning wherever a combine sits under a wrapper node.
-    let unchanged = |c: &Cow<'a, Plan>, original: &Plan| matches!(c, Cow::Borrowed(b) if std::ptr::eq(*b, original));
-    let prune = |p: &'a Plan| prune_zero_branches(p, leaf, collapse_single_merge);
-    let pruned = match plan {
-        Plan::Union { inputs } => {
-            let mut kept: Vec<Cow<'a, Plan>> = inputs.iter().filter_map(prune).collect();
-            if kept.len() == inputs.len() && kept.iter().zip(inputs).all(|(c, i)| unchanged(c, i)) {
-                Cow::Borrowed(plan)
-            } else if kept.len() == 1 {
-                kept.pop().unwrap()
-            } else {
-                Cow::Owned(Plan::Union {
-                    inputs: kept.into_iter().map(Cow::into_owned).collect(),
-                })
-            }
-        }
-        Plan::Merge { inputs, keys } => {
-            let mut kept: Vec<Cow<'a, Plan>> = inputs.iter().filter_map(prune).collect();
-            if kept.len() == inputs.len() && kept.iter().zip(inputs).all(|(c, i)| unchanged(c, i)) {
-                Cow::Borrowed(plan)
-            } else if kept.len() == 1 && collapse_single_merge {
-                kept.pop().unwrap()
-            } else {
-                Cow::Owned(Plan::Merge {
-                    inputs: kept.into_iter().map(Cow::into_owned).collect(),
-                    keys: keys.clone(),
-                })
-            }
-        }
-        Plan::Distinct { input, cols } => {
-            let child = prune(input)?;
-            if unchanged(&child, input) {
-                Cow::Borrowed(plan)
-            } else {
-                Cow::Owned(Plan::Distinct {
-                    input: Box::new(child.into_owned()),
-                    cols: cols.clone(),
-                })
-            }
-        }
-        Plan::Sort { input, keys } => {
-            let child = prune(input)?;
-            if unchanged(&child, input) {
-                Cow::Borrowed(plan)
-            } else {
-                Cow::Owned(Plan::Sort {
-                    input: Box::new(child.into_owned()),
-                    keys: keys.clone(),
-                })
-            }
-        }
-        Plan::Limit { input, n } => {
-            let child = prune(input)?;
-            if unchanged(&child, input) {
-                Cow::Borrowed(plan)
-            } else {
-                Cow::Owned(Plan::Limit {
-                    input: Box::new(child.into_owned()),
-                    n: *n,
-                })
-            }
-        }
-        leaf_node => Cow::Borrowed(leaf_node),
-    };
-    Some(pruned)
-}
-
-/// Zero-branch pruning (paper, Section 6.3): subtrees whose cardinality
-/// estimate is guaranteed zero are dropped from Union/Merge nodes,
-/// removing all overhead the subtree cloning introduced. This is the
-/// plan-level (global-count) prune; lowering additionally prunes per
-/// partition with the same traversal.
-fn zero_branch_prune(plan: Plan, cat: &IndexCatalog) -> Plan {
-    let slot_entry = |slot: usize| {
-        cat.by_slot(slot)
-            .expect("PatchScan bound to a slot outside the catalog")
-    };
-    let leaf = |p: &Plan| match p {
-        Plan::Scan { .. } => cat.rows,
-        Plan::PatchScan {
-            mode: PatchMode::UsePatches,
-            slot,
-            ..
-        } => slot_entry(*slot).patches,
-        Plan::PatchScan {
-            mode: PatchMode::ExcludePatches,
-            slot,
-            ..
-        } => {
-            let e = slot_entry(*slot);
-            e.rows - e.patches
-        }
-        _ => unreachable!("leaf bound invoked on a non-leaf node"),
-    };
-    match prune_zero_branches(&plan, &leaf, false) {
-        Some(pruned) => pruned.into_owned(),
-        None => plan,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,15 +331,6 @@ mod tests {
         let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Desc)]);
         let opt = optimize(plan, &nsc_cat(1_000, 10));
         assert!(opt.to_string().starts_with("Sort"));
-    }
-
-    #[test]
-    fn zbp_drops_empty_patches_branch() {
-        let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let opt = optimize(plan, &nuc_cat(1_000_000, 0));
-        let s = opt.to_string();
-        assert!(s.starts_with("PatchScan[exclude_patches]"), "got:\n{s}");
-        assert!(!s.contains("use_patches"));
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! a global re-aggregation for distinct), mirroring how the paper's host
 //! system parallelizes over partitions.
 //!
-//! Zero-branch pruning happens **per partition** here: before a plan is
-//! lowered for partition `p`, every Union/Merge child whose cardinality
-//! upper bound is zero *in that partition* is dropped — so a table with
-//! patches confined to one partition instantiates the `use_patches` flow
-//! only there, and the other partitions run the clean pipeline alone.
+//! Zero-branch pruning happens here, and only here, **per partition**:
+//! before a plan is lowered for partition `p`, every Union/Merge child
+//! whose cardinality upper bound is zero *in that partition* is dropped
+//! ([`prune_for_partition`]) — so a table with patches confined to one
+//! partition instantiates the `use_patches` flow only there, and the
+//! other partitions run the clean pipeline alone.
 //!
 //! `LIMIT n` over plain bag scans additionally pushes a per-partition
 //! limit below the combine, so every partition stops scanning after `n`
@@ -153,15 +154,17 @@ fn observe<'a>(
 /// the executor is generic over owned and `Arc`'d indexes.
 pub const NO_INDEXES: &[PatchIndex] = &[];
 
-/// Per-partition zero-branch pruning: returns the plan specialized for
-/// partition `pid` with provably empty Union/Merge children removed, or
-/// `None` when the whole subtree is guaranteed empty in this partition.
-/// The lowering runs this before building each partition's pipeline; it
-/// is also the inspection point for tests and EXPLAIN-style tooling.
-/// (Same traversal as plan-level ZBP, with per-partition live counts as
-/// the leaf bound.) The returned [`Cow`] borrows the input plan whenever
-/// this partition prunes nothing — specializing a clean partition costs
-/// a traversal, not a deep clone of the plan tree.
+/// Zero-branch pruning (paper, Section 6.3), the lowering's job alone:
+/// returns the plan specialized for partition `pid` with every
+/// Union/Merge child whose cardinality bound is zero *in that partition*
+/// removed, or `None` when the whole subtree is guaranteed empty there.
+/// The bounds are the partition's live counts, so a table with patches
+/// confined to one partition instantiates the `use_patches` flow only
+/// there. The lowering runs this before building each partition's
+/// pipeline; it is also the inspection point for tests. The returned
+/// [`Cow`] borrows the input plan whenever this partition prunes nothing
+/// — specializing a clean partition costs a traversal, not a deep clone
+/// of the plan tree.
 pub fn prune_for_partition<'a, I: Borrow<PatchIndex>>(
     plan: &'a Plan,
     table: &Table,
@@ -181,9 +184,99 @@ pub fn prune_for_partition<'a, I: Borrow<PatchIndex>>(
         }
         _ => unreachable!("leaf bound invoked on a non-leaf node"),
     };
-    // Single-partition specialization: collapsing a single-child Merge is
-    // sound here because the surviving stream is sorted within `pid`.
-    crate::optimizer::prune_zero_branches(plan, &leaf, true)
+    prune_zero_branches(plan, &leaf)
+}
+
+/// Cardinality upper bound of `plan` in one partition; `leaf` bounds the
+/// Scan/PatchScan nodes and is invoked on nothing else.
+fn bounded_cardinality<F: Fn(&Plan) -> u64>(plan: &Plan, leaf: &F) -> u64 {
+    match plan {
+        Plan::Scan { .. } | Plan::PatchScan { .. } => leaf(plan),
+        Plan::Distinct { input, .. } | Plan::Sort { input, .. } => bounded_cardinality(input, leaf),
+        Plan::Limit { input, n } => (*n as u64).min(bounded_cardinality(input, leaf)),
+        Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
+            inputs.iter().map(|p| bounded_cardinality(p, leaf)).sum()
+        }
+    }
+}
+
+/// The traversal behind [`prune_for_partition`]: drops Union/Merge
+/// children whose bound is zero, collapses single-child combines (within
+/// one partition a surviving Merge child is sorted), and returns `None`
+/// when the whole subtree is provably empty. A subtree from which nothing
+/// was pruned comes back *borrowed*, not rebuilt.
+fn prune_zero_branches<'a, F: Fn(&Plan) -> u64>(plan: &'a Plan, leaf: &F) -> Option<Cow<'a, Plan>> {
+    if bounded_cardinality(plan, leaf) == 0 {
+        return None;
+    }
+    // "Unchanged" means borrowed AND the very node that went in: a
+    // combine that collapsed to a single child also comes back borrowed
+    // (of the *child*), and treating that as unchanged would silently
+    // undo the pruning wherever a combine sits under a wrapper node.
+    let unchanged = |c: &Cow<'a, Plan>, original: &Plan| matches!(c, Cow::Borrowed(b) if std::ptr::eq(*b, original));
+    let prune = |p: &'a Plan| prune_zero_branches(p, leaf);
+    let pruned = match plan {
+        Plan::Union { inputs } => {
+            let mut kept: Vec<Cow<'a, Plan>> = inputs.iter().filter_map(prune).collect();
+            if kept.len() == inputs.len() && kept.iter().zip(inputs).all(|(c, i)| unchanged(c, i)) {
+                Cow::Borrowed(plan)
+            } else if kept.len() == 1 {
+                kept.pop().unwrap()
+            } else {
+                Cow::Owned(Plan::Union {
+                    inputs: kept.into_iter().map(Cow::into_owned).collect(),
+                })
+            }
+        }
+        Plan::Merge { inputs, keys } => {
+            let mut kept: Vec<Cow<'a, Plan>> = inputs.iter().filter_map(prune).collect();
+            if kept.len() == inputs.len() && kept.iter().zip(inputs).all(|(c, i)| unchanged(c, i)) {
+                Cow::Borrowed(plan)
+            } else if kept.len() == 1 {
+                kept.pop().unwrap()
+            } else {
+                Cow::Owned(Plan::Merge {
+                    inputs: kept.into_iter().map(Cow::into_owned).collect(),
+                    keys: keys.clone(),
+                })
+            }
+        }
+        Plan::Distinct { input, cols } => {
+            let child = prune(input)?;
+            if unchanged(&child, input) {
+                Cow::Borrowed(plan)
+            } else {
+                Cow::Owned(Plan::Distinct {
+                    input: Box::new(child.into_owned()),
+                    cols: cols.clone(),
+                })
+            }
+        }
+        Plan::Sort { input, keys } => {
+            let child = prune(input)?;
+            if unchanged(&child, input) {
+                Cow::Borrowed(plan)
+            } else {
+                Cow::Owned(Plan::Sort {
+                    input: Box::new(child.into_owned()),
+                    keys: keys.clone(),
+                })
+            }
+        }
+        Plan::Limit { input, n } => {
+            let child = prune(input)?;
+            if unchanged(&child, input) {
+                Cow::Borrowed(plan)
+            } else {
+                Cow::Owned(Plan::Limit {
+                    input: Box::new(child.into_owned()),
+                    n: *n,
+                })
+            }
+        }
+        leaf_node => Cow::Borrowed(leaf_node),
+    };
+    Some(pruned)
 }
 
 /// Lowers `plan` for a single partition (no global recombination, no
@@ -555,8 +648,21 @@ mod tests {
         ));
         let plan = Plan::scan(vec![0]).distinct(vec![0]);
         let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
-        assert!(opt.to_string().starts_with("PatchScan"));
-        // ZBP plan: pure scan of the excluding flow, still complete.
+        // Every partition runs a pure scan of the excluding flow, and the
+        // result is still complete.
+        for pid in 0..2 {
+            let specialized = prune_for_partition(&opt, &t, &idx, pid).unwrap();
+            assert!(
+                matches!(
+                    *specialized,
+                    Plan::PatchScan {
+                        mode: PatchMode::ExcludePatches,
+                        ..
+                    }
+                ),
+                "{specialized}"
+            );
+        }
         assert_eq!(execute_count(&opt, &t, &idx), 100);
     }
 
@@ -709,8 +815,7 @@ mod tests {
         assert_eq!(idx[0].exception_count(), 0);
         let plan = Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]);
         let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
-        // ZBP drops the patches flow but keeps the Merge wrapper.
-        assert!(!opt.to_string().contains("use_patches"), "{opt}");
+        // Each partition prunes its patches flow; the global merge stays.
         assert!(opt.to_string().starts_with("Merge"), "{opt}");
         let got = execute(&opt, &t, &idx);
         assert_eq!(got.column(0).as_int(), &[1, 2, 3, 10, 20, 30]);

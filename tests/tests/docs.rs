@@ -2,9 +2,9 @@
 //! suite" table and `tests/tests/` list the same suites, README's
 //! `repro` job list and `repro`'s job table name the same jobs,
 //! `docs/WIRE_PROTOCOL.md`'s command table and the server's dispatch
-//! name the same command words, and every code path the README and the
-//! architecture notes name is defined where its owner (a type or a
-//! module) lives.
+//! name the same command words, and every code path the README, the
+//! architecture notes and the wire protocol name is defined where its
+//! owner (a type or a module) lives.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -158,7 +158,7 @@ struct Source {
     /// owner matches a crate, a directory or a file stem.
     modules: Vec<String>,
     /// Names defined as a `fn`, `const`, `struct`, `enum`, `trait`,
-    /// `type` or `mod`.
+    /// `type` or `mod`, or as a `pub` struct field.
     defines: BTreeSet<String>,
     /// Types defined here, or named after `impl` or `for`.
     owns: BTreeSet<String>,
@@ -199,6 +199,19 @@ fn sources() -> Vec<Source> {
                 defines: BTreeSet::new(),
                 owns: BTreeSet::new(),
             };
+            // A field line reads `pub name: Type,`.
+            for line in text.lines() {
+                let Some(field) = line.trim().strip_prefix("pub ") else {
+                    continue;
+                };
+                let end = field
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .unwrap_or(field.len());
+                let rest = &field[end..];
+                if rest.starts_with(':') && !rest.starts_with("::") {
+                    source.defines.insert(field[..end].to_string());
+                }
+            }
             for pair in words.windows(2) {
                 let (keyword, name) = (pair[0], pair[1].to_string());
                 if ["struct", "enum", "trait", "type", "impl", "for"].contains(&keyword) {
@@ -214,17 +227,17 @@ fn sources() -> Vec<Source> {
     out
 }
 
-/// Every `Owner::item` path the README and the architecture notes name
-/// must be defined where `Owner` lives: for a type (CamelCase), in a file
-/// that defines or implements it; for a module (lowercase), in
-/// `<owner>.rs` or under `<owner>/`, a crate name standing for its
-/// sources. So a path outlives neither its item nor a move of the item
+/// Every `Owner::item` path the README, the architecture notes and the
+/// wire protocol name must be defined where `Owner` lives: for a type
+/// (CamelCase), in a file that defines or implements it; for a module
+/// (lowercase), in `<owner>.rs` or under `<owner>/`, a crate name
+/// standing for its sources. So a path outlives neither its item nor a move of the item
 /// to another owner.
 #[test]
 fn every_documented_code_path_is_defined_in_the_crates() {
     let sources = sources();
     let mut stale = Vec::new();
-    for doc in ["README.md", "docs/ARCHITECTURE.md"] {
+    for doc in ["README.md", "docs/ARCHITECTURE.md", "docs/WIRE_PROTOCOL.md"] {
         let text = repo_file(doc);
         for span in text.split('`').skip(1).step_by(2) {
             // Plain `Owner::item` paths only: `a::{b, c}`, calls and

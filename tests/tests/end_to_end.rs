@@ -127,9 +127,21 @@ fn zbp_on_perfect_data_equals_plain_scan_semantics() {
     let plan = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
     let indexes = std::slice::from_ref(&idx);
     let opt = optimize(plan.clone(), &IndexCatalog::of(&ds.table, indexes));
-    // ZBP prunes the patches branch entirely.
-    assert!(!opt.to_string().contains("use_patches"), "{opt}");
     let reference = execute(&plan, &ds.table, NO_INDEXES);
     let got = execute(&opt, &ds.table, indexes);
     assert_eq!(got.column(0).as_int(), reference.column(0).as_int());
+    // The lowering prunes the patches branch in every partition: no
+    // `use_patches` scan ever runs.
+    let mut it = IndexedTable::new(ds.table);
+    it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+    let trace = it.explain_analyze(&plan);
+    assert!(trace.optimized.contains("Merge"), "{}", trace.optimized);
+    assert!(
+        trace
+            .operators
+            .iter()
+            .all(|o| o.label != "PatchScan[use_patches]"),
+        "{}",
+        trace.render_text()
+    );
 }

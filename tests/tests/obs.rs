@@ -206,7 +206,6 @@ fn traces_follow_the_cache_lifecycle_across_publishes() {
     assert_eq!(registry.counter("cache.hits").get(), 2);
     assert_eq!(registry.counter("cache.misses").get(), 2);
 
-    // The rendered forms carry the outcome for humans and machines.
+    // The rendered trace carries the outcome.
     assert!(trace.render_text().contains("miss"));
-    assert!(trace.to_json().contains("\"cache\""));
 }
