@@ -7,7 +7,7 @@
 //! Multiple PatchIndexes per table are supported — unlike a SortKey,
 //! PatchIndexes do not change the physical data order (paper, Section 2).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use pi_storage::{RowAddr, Table, Value};
 
@@ -46,10 +46,6 @@ pub enum QueryShape {
 pub struct IndexedTable {
     table: Table,
     indexes: Vec<Arc<PatchIndex>>,
-    /// The catalog, filled by the first query or publish that needs it
-    /// and dropped by every mutation, so it is rebuilt once per mutation,
-    /// not per query.
-    catalog_cache: OnceLock<IndexCatalog>,
     /// Where queries on this table (and on every snapshot published from
     /// it) leave their workload evidence for the advisor.
     sink: Arc<WorkloadSink>,
@@ -62,7 +58,6 @@ impl IndexedTable {
         IndexedTable {
             table,
             indexes: Vec::new(),
-            catalog_cache: OnceLock::new(),
             sink: Arc::default(),
             statements: 0,
         }
@@ -86,7 +81,6 @@ impl IndexedTable {
         IndexedTable {
             table,
             indexes,
-            catalog_cache: OnceLock::new(),
             sink: Arc::default(),
             statements,
         }
@@ -94,7 +88,6 @@ impl IndexedTable {
 
     /// Creates a PatchIndex on `col` and returns its slot.
     pub fn add_index(&mut self, col: usize, constraint: Constraint, design: Design) -> usize {
-        self.invalidate_catalog();
         self.indexes.push(Arc::new(PatchIndex::create(
             &self.table,
             col,
@@ -128,17 +121,11 @@ impl IndexedTable {
 
     /// Snapshot of every index plus the table's shape — what the planner
     /// optimizes against (see `pi-planner`'s `QueryEngine`) and what a
-    /// publish hands its snapshot. Cached between mutations: the first
-    /// call after an update pays the snapshot (counter reads, including
-    /// a Bitmap store's bit count per partition); every further call is
-    /// a borrow.
-    pub fn catalog(&self) -> &IndexCatalog {
-        self.catalog_cache
-            .get_or_init(|| IndexCatalog::of(&self.table, &self.indexes))
-    }
-
-    fn invalidate_catalog(&mut self) {
-        self.catalog_cache.take();
+    /// publish hands its snapshot. Each call reads the counters afresh
+    /// (including a Bitmap store's bit count per partition); no pass over
+    /// the data.
+    pub fn catalog(&self) -> IndexCatalog {
+        IndexCatalog::of(&self.table, &self.indexes)
     }
 
     /// Row statements applied so far (inserts, modifies and deletes).
@@ -156,7 +143,6 @@ impl IndexedTable {
 
     /// Inserts rows, maintaining every index (paper, Section 5.1).
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> Vec<RowAddr> {
-        self.invalidate_catalog();
         self.statements += 1;
         let addrs = self.table.insert_rows(rows);
         // An empty insert maintains nothing — in particular it must not
@@ -173,7 +159,6 @@ impl IndexedTable {
     /// Deletes visible rows of one partition, maintaining every index
     /// (paper, Section 5.3).
     pub fn delete(&mut self, pid: usize, rids: &[usize]) {
-        self.invalidate_catalog();
         self.statements += 1;
         // Like the empty insert: a zero-row delete re-versions nothing.
         if !rids.is_empty() {
@@ -189,7 +174,6 @@ impl IndexedTable {
     /// column (paper, Section 5.2). Indexes on other columns are
     /// unaffected.
     pub fn modify(&mut self, pid: usize, rids: &[usize], col: usize, values: &[Value]) {
-        self.invalidate_catalog();
         self.statements += 1;
         // Like the empty insert: a zero-row modify re-versions nothing.
         if !rids.is_empty() {
@@ -222,11 +206,9 @@ impl IndexedTable {
                 design,
             } => applied.slot = Some(self.add_index(*col, *constraint, *design)),
             Statement::DropIndex { slot } => {
-                self.invalidate_catalog();
                 applied.dropped = Some(self.indexes.remove(*slot));
             }
             Statement::Recompute { slot } => {
-                self.invalidate_catalog();
                 Arc::make_mut(&mut self.indexes[*slot]).recompute(&self.table);
             }
         }
@@ -410,40 +392,18 @@ mod tests {
     }
 
     #[test]
-    fn catalog_cache_rebuilds_once_per_mutation_epoch() {
-        let mut it = fresh();
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        // Between mutations every call borrows the same snapshot.
-        let first: *const IndexCatalog = it.catalog();
-        assert!(std::ptr::eq(first, it.catalog()));
-        assert_eq!(it.catalog().indexes[0].rows, 5);
-        it.insert(&[row(100, 77)]);
-        assert_eq!(
-            it.catalog().indexes[0].rows,
-            6,
-            "the mutation dropped the cached snapshot"
-        );
-        // The cached snapshot always equals a fresh one.
-        let fresh_cat = IndexCatalog::of(it.table(), it.indexes());
-        assert_eq!(it.catalog(), &fresh_cat);
-    }
-
-    #[test]
     fn query_feedback_touches_neither_cache_nor_index() {
         use crate::snapshot::WorkloadEvent;
         let mut it = fresh();
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let before: *const IndexCatalog = it.catalog();
+        let before = it.catalog();
         let shared = it.share_indexes();
         it.sink().record([WorkloadEvent::Feedback {
             column: 1,
             constraint: Constraint::NearlyUnique,
             est_cost_saved: 123.0,
         }]);
-        assert!(
-            std::ptr::eq(before, it.catalog()),
-            "feedback must not force a re-snapshot"
-        );
+        assert_eq!(before, it.catalog(), "feedback is not index state");
         for (a, b) in shared.iter().zip(it.indexes()) {
             assert!(Arc::ptr_eq(a, b), "feedback must not re-version an index");
         }

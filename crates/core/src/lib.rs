@@ -74,7 +74,7 @@ mod statement;
 pub mod stats;
 mod store;
 
-pub use cache::{CacheStats, Footprint, ResultCache};
+pub use cache::{CacheStats, ResultCache};
 pub use catalog::{IndexCatalog, IndexStats};
 pub use constraint::{Constraint, Design, SortDir};
 pub use index::{DriftBaseline, PartitionIndex, PatchIndex};

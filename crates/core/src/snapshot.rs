@@ -193,17 +193,14 @@ impl TableSnapshot {
         cache: Option<Arc<ResultCache>>,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> Self {
-        // The catalog is computed here, on the writer — snapshot readers
-        // plan against it for free. Reuses the mutation-invalidated cache:
-        // a publish with no data change since the last catalog read
-        // borrows it.
-        let catalog = it.catalog().clone();
+        // The catalog is computed here, once per publish, on the writer —
+        // snapshot readers plan against it for free.
         TableSnapshot {
             inner: Arc::new(SnapshotInner {
                 epoch,
                 table: it.table().clone(),
                 indexes: it.share_indexes(),
-                catalog,
+                catalog: it.catalog(),
                 sink: Arc::clone(it.sink()),
                 cache,
                 metrics,
@@ -288,8 +285,9 @@ impl ConcurrentTable {
 
     /// Like [`ConcurrentTable::new`], but snapshots consult (and fill)
     /// the given result cache through the `pi-planner` query facade. The
-    /// table takes the cache: it serves this table and no other, and each
-    /// publish sweeps it against the new state.
+    /// table takes the cache: it serves this table and no other, holds
+    /// results of the current epoch only, and each publish's change set
+    /// decides which entries carry over to the next.
     pub fn with_result_cache(
         it: IndexedTable,
         cache: ResultCache,
@@ -320,7 +318,10 @@ impl ConcurrentTable {
         cache: Option<ResultCache>,
         metrics: Option<Arc<MetricsRegistry>>,
     ) -> (ConcurrentTable, TableWriter) {
-        let cache = cache.map(Arc::new);
+        let cache = cache.map(|mut cache| {
+            cache.start_at(epoch);
+            Arc::new(cache)
+        });
         let first = TableSnapshot::capture(&it, epoch, cache.clone(), metrics.clone());
         let shared = Arc::new(Shared {
             current: RwLock::new(first),
@@ -561,11 +562,12 @@ impl TableWriter {
         );
         let mut invalidated = 0;
         if let Some(cache) = &self.cache {
-            // Sweep before the pointer swap so a reader of the new epoch
-            // can't pick up a stale entry; entries a concurrent reader of
-            // the *old* epoch re-inserts during the window are caught by
-            // hit-time footprint validation instead.
-            invalidated = cache.invalidate_stale(snap.table(), snap.indexes());
+            // Every entry was computed at the old epoch, so the change set
+            // says exactly which still hold. Sweep before the pointer swap:
+            // a reader of the new epoch finds only those, and from here on
+            // a reader still on the old epoch can neither read nor fill
+            // the cache.
+            invalidated = cache.advance(&changes, epoch);
         }
         *self.shared.current.write() = snap;
         if let Some(m) = &self.publish_metrics {
@@ -760,7 +762,7 @@ mod tests {
 
     #[test]
     fn publish_sweeps_only_dirty_footprints_from_the_cache() {
-        use crate::cache::{Footprint, ResultCache};
+        use crate::cache::ResultCache;
         use pi_exec::Batch;
 
         let mut it = fresh();
@@ -775,20 +777,8 @@ mod tests {
         let rows = |v: i64| Batch::new(vec![ColumnData::Int(vec![v])]);
         // Both entries depend on the whole table; entry 2 also on the
         // index version.
-        c.insert(
-            1,
-            canon(1),
-            0,
-            rows(1),
-            Footprint::new(snap.table(), snap.indexes(), &[]),
-        );
-        c.insert(
-            2,
-            canon(2),
-            0,
-            rows(2),
-            Footprint::new(snap.table(), snap.indexes(), &[0]),
-        );
+        c.insert(1, canon(1), 0, rows(1), &[]);
+        c.insert(2, canon(2), 0, rows(2), &[0]);
 
         // A recompute re-versions the index only: entry 2 goes.
         writer.recompute_index(0);
@@ -799,27 +789,40 @@ mod tests {
             &snap.table().partitions()[0],
             &new.table().partitions()[0]
         ));
-        assert!(c
-            .lookup(1, &canon(1), 1, new.table(), new.indexes())
-            .is_some());
-        assert!(c
-            .lookup(2, &canon(2), 1, new.table(), new.indexes())
-            .is_none());
+        assert!(c.lookup(1, &canon(1), 1).is_some());
+        assert!(c.lookup(2, &canon(2), 1).is_none());
+        // The reader still holding epoch 0 no longer reads the cache.
+        assert!(c.lookup(1, &canon(1), snap.epoch()).is_none());
 
         // Dirty partition 1 only (value 50 -> 51 keeps the NUC clean but
         // rewrites the partition Arc): entry 1 depends on it too.
         writer.modify(1, &[1], 1, &[Value::Int(51)]);
         writer.publish();
-        let new = handle.snapshot();
-        assert!(c
-            .lookup(1, &canon(1), 2, new.table(), new.indexes())
-            .is_none());
+        assert!(c.lookup(1, &canon(1), 2).is_none());
         let stats = handle
             .cache_stats()
             .expect("stats surface through the handle");
         assert_eq!(stats.invalidated, 2);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 0);
+    }
+
+    /// A table restored at a later epoch moves its cache there: the
+    /// entries its readers insert are the ones they find.
+    #[test]
+    fn a_cache_starts_at_the_tables_first_epoch() {
+        use crate::cache::ResultCache;
+        use pi_exec::Batch;
+
+        let cache = ResultCache::new(1 << 20);
+        let canon: Arc<[u8]> = Arc::from([1].as_slice());
+        let rows = Batch::new(vec![ColumnData::Int(vec![1])]);
+        cache.insert(1, Arc::clone(&canon), 0, rows.clone(), &[]);
+        let (handle, _writer) = ConcurrentTable::build(fresh(), 7, Some(cache), None);
+        let c = handle.result_cache().expect("a cached table");
+        assert_eq!(c.stats().entries, 0, "entries of no epoch of this table");
+        c.insert(1, Arc::clone(&canon), 7, rows, &[]);
+        assert!(c.lookup(1, &canon, handle.epoch()).is_some());
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //!
 //! * [`MetricsRegistry`] — a lock-sharded registry of named [`Counter`]s,
 //!   [`Gauge`]s, and latency [`Histogram`]s (count, sum, max). Handles are
-//!   `Arc`s resolved once at attach time, so hot paths are a single
-//!   relaxed `fetch_add` with no map lookup. The whole registry exports
+//!   `Arc`s, and a holder that resolves them once at attach time (the
+//!   result cache, the publish path) updates one with a single relaxed
+//!   `fetch_add` and no map lookup. The query pipeline in `pi-planner` is
+//!   the exception: with a registry attached, its `run` resolves five
+//!   metrics by name on every query. The whole registry exports
 //!   as one JSON snapshot ([`MetricsRegistry::snapshot_json`]) or a
 //!   human-readable dump ([`MetricsRegistry::render_text`]).
 //! * [`QueryTrace`] — an EXPLAIN ANALYZE-style trace of one

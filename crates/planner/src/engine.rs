@@ -16,14 +16,15 @@
 //!    branches; step 3 prunes them. Feeds the `planner.*` registry
 //!    counters.
 //! 2. **probe** — with a [`ResultCache`] attached, look the chosen plan's
-//!    canonical fingerprint up; the stored canonical bytes are compared,
-//!    not just the hash, so a hit is the exact answer.
+//!    canonical fingerprint up at the snapshot's epoch; the stored
+//!    canonical bytes are compared, not just the hash, so a hit is the
+//!    exact answer.
 //! 3. **lower + execute** — on a miss (or without a cache), lower with
 //!    per-partition zero-branch pruning and run to rows; a traced
 //!    request lowers under an `ExecObserver` that meters every operator.
-//! 4. **insert** — cache the result with its dependency footprint: every
-//!    partition version of the table plus every index version the plan
-//!    binds.
+//! 4. **insert** — cache the result at the snapshot's epoch with the
+//!    index slots the plan binds, which the next publish's change set
+//!    checks.
 //! 5. **evidence** — record what the advisor learns from the query as
 //!    [`WorkloadEvent`]s (rule table on [`QueryEngine`]) in the view's
 //!    `WorkloadSink`, one lock per query; the sink sums them until the
@@ -37,7 +38,7 @@
 //!   the table was built with them.
 //! * [`ConcurrentTable`] — each call runs on a freshly acquired snapshot.
 //! * [`IndexedTable`] — the single-threaded owner: its live state and
-//!   its mutation-invalidated catalog cache.
+//!   a catalog read off it per query.
 //! * [`TableWriter`] — its staging [`IndexedTable`] (writer queries see
 //!   staged state immediately).
 
@@ -46,8 +47,8 @@ use std::time::Instant;
 
 use patchindex::snapshot::{WorkloadEvent, WorkloadSink};
 use patchindex::{
-    ConcurrentTable, Footprint, IndexCatalog, IndexedTable, PatchIndex, QueryShape, ResultCache,
-    SortDir, TableSnapshot, TableWriter,
+    ConcurrentTable, IndexCatalog, IndexedTable, PatchIndex, QueryShape, ResultCache, SortDir,
+    TableSnapshot, TableWriter,
 };
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::{collect, Batch};
@@ -228,7 +229,7 @@ struct View<'a> {
     table: &'a Table,
     indexes: &'a [Arc<PatchIndex>],
     catalog: &'a IndexCatalog,
-    /// The publish epoch cache entries are stamped with.
+    /// The publish epoch the cache is probed and filled at.
     epoch: u64,
     /// The table's result cache.
     cache: Option<&'a ResultCache>,
@@ -274,9 +275,9 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
         let canon: Arc<[u8]> = canonical_bytes(&chosen, cat, QueryMode::Rows).into();
         (cache, fingerprint_hash(&canon), canon)
     });
-    let hit = key.as_ref().and_then(|(cache, hash, canon)| {
-        cache.lookup(*hash, canon, view.epoch, view.table, view.indexes)
-    });
+    let hit = key
+        .as_ref()
+        .and_then(|(cache, hash, canon)| cache.lookup(*hash, canon, view.epoch));
     let parts = view.table.partition_count();
     let cache_outcome = match (view.cache, &hit) {
         (None, _) => CacheOutcome::Uncached,
@@ -291,12 +292,10 @@ fn run(view: &View<'_>, plan: &Plan, request: Request) -> Outcome {
             let mut root = lower_global(&chosen, view.table, view.indexes, obs.as_ref());
             let rows = collect(root.as_mut());
             if let Some((cache, hash, canon)) = key {
-                // Pointer identity of these Arcs is exactly "this cached
-                // result is still valid" — copy-on-write publishes
-                // replace the Arc of everything they touch and nothing
-                // else.
-                let footprint = Footprint::new(view.table, view.indexes, &bound);
-                cache.insert(hash, canon, view.epoch, rows.clone(), footprint);
+                // The result holds for this epoch; the next publish's
+                // change set decides whether it holds for the one after,
+                // from the whole table and the bound slots.
+                cache.insert(hash, canon, view.epoch, rows.clone(), &bound);
             }
             if !bound.is_empty() {
                 // The saving is split evenly across the bound slots.
@@ -383,14 +382,14 @@ impl QueryEngine for ConcurrentTable {
 }
 
 /// The single-threaded owner: a view of its live state, planned against
-/// the catalog cached between mutations (borrowed — repeated queries
-/// between updates re-read counters, no re-hashing, no clone).
+/// a catalog read off it per query (counter reads, no pass over data).
 impl QueryEngine for IndexedTable {
     fn run_request(&self, plan: &Plan, request: Request) -> Outcome {
+        let catalog = self.catalog();
         let view = View {
             table: self.table(),
             indexes: self.indexes(),
-            catalog: self.catalog(),
+            catalog: &catalog,
             epoch: 0,
             cache: None,
             metrics: None,
@@ -492,25 +491,6 @@ mod tests {
             delta.feedback[&(1, Constraint::NearlyUnique)].times_bound,
             1
         );
-    }
-
-    #[test]
-    fn facade_reuses_the_cached_catalog_between_updates() {
-        let mut it = fresh(2);
-        it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
-        let distinct = Plan::scan(vec![1]).distinct(vec![0]);
-        it.query(&distinct);
-        let cached: *const IndexCatalog = it.catalog();
-        for _ in 0..4 {
-            it.query(&distinct);
-        }
-        assert!(
-            std::ptr::eq(cached, it.catalog()),
-            "one snapshot per mutation epoch"
-        );
-        it.insert(&[vec![Value::Int(999), Value::Int(12345)]]);
-        it.query(&distinct);
-        assert_eq!(it.catalog().rows, 11, "rebuilt after the insert");
     }
 
     #[test]
@@ -616,7 +596,7 @@ mod tests {
             b"not the same plan".to_vec().into(),
             snap.epoch(),
             Batch::new(vec![ColumnData::Int(vec![999_999])]),
-            Footprint::new(snap.table(), snap.indexes(), &[]),
+            &[],
         );
         let reference = execute_count(&distinct, snap.table(), NO_INDEXES);
         assert_ne!(reference, 1);
@@ -736,28 +716,30 @@ mod tests {
 
     /// A chosen rewrite keeps its zero-patch branches — the optimizer
     /// prunes nothing — and the lowering never instantiates them: on
-    /// clean data no `use_patches` scan runs, and the rows are the
-    /// reference's.
+    /// clean data no `use_patches` scan runs, no global combine is built
+    /// over the pruned flow, and the rows are the reference's.
     #[test]
     fn zero_patch_branches_stay_in_the_plan_and_never_run() {
         let mut it = fresh(4);
         it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
         it.add_index(1, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
         assert!(it.indexes().iter().all(|idx| idx.exception_count() == 0));
-        for plan in [
-            Plan::scan(vec![1]).distinct(vec![0]),
-            Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]),
+        for (plan, is_distinct) in [
+            (Plan::scan(vec![1]).distinct(vec![0]), true),
+            (Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]), false),
         ] {
             let (rows, trace) = it.query_traced(&plan);
             let report = trace.render_text();
             assert!(trace.optimized.contains("use_patches"), "{report}");
-            assert!(
-                trace
-                    .operators
-                    .iter()
-                    .all(|o| o.label != "PatchScan[use_patches]"),
-                "{report}"
-            );
+            let count = |label: &str| trace.operators.iter().filter(|o| o.label == label).count();
+            assert_eq!(count("PatchScan[use_patches]"), 0, "{report}");
+            if is_distinct {
+                // The NUC rewrite is Union[kept flow, Distinct[patches]]:
+                // the patches flow lowers to nothing, and the union of
+                // the kept flow alone is the kept flow's own combine.
+                assert_eq!(count("Distinct(global)"), 0, "{report}");
+                assert_eq!(count("UnionAll(global)"), 1, "{report}");
+            }
             let reference = execute(&plan, it.table(), NO_INDEXES);
             assert_eq!(
                 rows.column(0).as_int(),
@@ -769,7 +751,7 @@ mod tests {
 
     /// The sort rewrite's merge streams: a `LIMIT` over it stops every
     /// kept flow after its first batch, while every partition is still
-    /// pulled, so the cache footprint keeps all of them.
+    /// pulled.
     #[test]
     fn limit_over_the_sort_rewrite_stops_the_kept_scans() {
         let parts = 4;

@@ -12,8 +12,8 @@
 //! operator tree against indexes materializing the same `(column,
 //! constraint)` at the same slots. Everything *data-dependent* (row
 //! counts, patch rates, Arc versions) is deliberately excluded — data
-//! validity is the dependency footprint's job, checked by pointer
-//! identity at lookup time.
+//! validity is the cache's job: it holds one epoch, and each publish's
+//! change set decides which entries carry over to the next.
 //!
 //! The hash is FNV-1a over the canonical bytes: stable across runs and
 //! platforms (no `RandomState`), which keeps fingerprints reproducible

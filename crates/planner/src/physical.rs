@@ -11,7 +11,9 @@
 //! whose cardinality upper bound is zero *in that partition* is dropped
 //! ([`prune_for_partition`]) — so a table with patches confined to one
 //! partition instantiates the `use_patches` flow only there, and the
-//! other partitions run the clean pipeline alone.
+//! other partitions run the clean pipeline alone. A subtree that every
+//! partition prunes lowers to no operator at all, and a global union left
+//! with one child is that child.
 //!
 //! `LIMIT n` over plain bag scans additionally pushes a per-partition
 //! limit below the combine, so every partition stops scanning after `n`
@@ -216,61 +218,34 @@ fn prune_zero_branches<'a, F: Fn(&Plan) -> u64>(plan: &'a Plan, leaf: &F) -> Opt
     let unchanged = |c: &Cow<'a, Plan>, original: &Plan| matches!(c, Cow::Borrowed(b) if std::ptr::eq(*b, original));
     let prune = |p: &'a Plan| prune_zero_branches(p, leaf);
     let pruned = match plan {
-        Plan::Union { inputs } => {
+        Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
             let mut kept: Vec<Cow<'a, Plan>> = inputs.iter().filter_map(prune).collect();
             if kept.len() == inputs.len() && kept.iter().zip(inputs).all(|(c, i)| unchanged(c, i)) {
                 Cow::Borrowed(plan)
             } else if kept.len() == 1 {
                 kept.pop().unwrap()
             } else {
-                Cow::Owned(Plan::Union {
-                    inputs: kept.into_iter().map(Cow::into_owned).collect(),
+                let inputs = kept.into_iter().map(Cow::into_owned).collect();
+                Cow::Owned(match plan {
+                    Plan::Merge { keys, .. } => Plan::Merge {
+                        inputs,
+                        keys: keys.clone(),
+                    },
+                    _ => Plan::Union { inputs },
                 })
             }
         }
-        Plan::Merge { inputs, keys } => {
-            let mut kept: Vec<Cow<'a, Plan>> = inputs.iter().filter_map(prune).collect();
-            if kept.len() == inputs.len() && kept.iter().zip(inputs).all(|(c, i)| unchanged(c, i)) {
-                Cow::Borrowed(plan)
-            } else if kept.len() == 1 {
-                kept.pop().unwrap()
-            } else {
-                Cow::Owned(Plan::Merge {
-                    inputs: kept.into_iter().map(Cow::into_owned).collect(),
-                    keys: keys.clone(),
-                })
-            }
-        }
-        Plan::Distinct { input, cols } => {
+        Plan::Distinct { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
             let child = prune(input)?;
             if unchanged(&child, input) {
                 Cow::Borrowed(plan)
             } else {
-                Cow::Owned(Plan::Distinct {
-                    input: Box::new(child.into_owned()),
-                    cols: cols.clone(),
-                })
-            }
-        }
-        Plan::Sort { input, keys } => {
-            let child = prune(input)?;
-            if unchanged(&child, input) {
-                Cow::Borrowed(plan)
-            } else {
-                Cow::Owned(Plan::Sort {
-                    input: Box::new(child.into_owned()),
-                    keys: keys.clone(),
-                })
-            }
-        }
-        Plan::Limit { input, n } => {
-            let child = prune(input)?;
-            if unchanged(&child, input) {
-                Cow::Borrowed(plan)
-            } else {
-                Cow::Owned(Plan::Limit {
-                    input: Box::new(child.into_owned()),
-                    n: *n,
+                let child = child.into_owned();
+                Cow::Owned(match plan {
+                    Plan::Distinct { cols, .. } => child.distinct(cols.clone()),
+                    Plan::Sort { keys, .. } => child.sort(keys.clone()),
+                    Plan::Limit { n, .. } => child.limit(*n),
+                    _ => unreachable!("matched a single-input node"),
                 })
             }
         }
@@ -392,27 +367,41 @@ fn lower_pruned<'a, I: Borrow<PatchIndex>>(
         .map(|p| lower_partition(&p, table, indexes, pid, obs, pipeline))
 }
 
-/// Lowers `plan` across all partitions with the appropriate global
-/// combine, pruning zero branches per partition. With an observer (the
-/// EXPLAIN ANALYZE lowering), every plan node (per partition) and every
-/// global combine reports wall clock, batch and row counts. The observer
-/// never alters a batch, so results are byte-identical with and without
-/// it.
+/// Lowers `plan` across all partitions ([`lower_combined`]); a plan that
+/// every partition prunes to nothing runs as an empty stream.
 pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
     obs: Option<&ExecObserver>,
 ) -> OpRef<'a> {
+    lower_combined(plan, table, indexes, obs).unwrap_or_else(|| Box::new(UnionAllOp::new(vec![])))
+}
+
+/// Lowers `plan` across all partitions with the appropriate global
+/// combine, pruning zero branches per partition; `None` when every
+/// partition prunes the whole subtree, so it lowers to no operator. A
+/// global union of one surviving child is that child. With an observer
+/// (the EXPLAIN ANALYZE lowering), every plan node (per partition) and
+/// every global combine reports wall clock, batch and row counts. The
+/// observer never alters a batch, so results are byte-identical with and
+/// without it.
+fn lower_combined<'a, I: Borrow<PatchIndex>>(
+    plan: &Plan,
+    table: &'a Table,
+    indexes: &'a [I],
+    obs: Option<&ExecObserver>,
+) -> Option<OpRef<'a>> {
     let parts = 0..table.partition_count();
-    match plan {
+    // A combine over no stream is none at all.
+    let some = |streams: Vec<OpRef<'a>>| (!streams.is_empty()).then_some(streams);
+    let op = match plan {
         // Bags concatenate across partitions.
         Plan::Scan { .. } | Plan::PatchScan { .. } => {
-            let combine: OpRef<'a> = Box::new(UnionAllOp::new(
-                parts
-                    .filter_map(|pid| lower_pruned(plan, table, indexes, pid, obs, true))
-                    .collect(),
-            ));
+            let streams: Vec<OpRef<'a>> = parts
+                .filter_map(|pid| lower_pruned(plan, table, indexes, pid, obs, true))
+                .collect();
+            let combine: OpRef<'a> = Box::new(UnionAllOp::new(some(streams)?));
             observe(combine, obs, "UnionAll(global)", None, false)
         }
         // Distinct is distributive: per-partition pre-aggregation, then a
@@ -430,7 +419,7 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
                 })
                 .collect();
             let combine: OpRef<'a> = Box::new(HashAggOp::distinct(
-                Box::new(UnionAllOp::new(partials)),
+                Box::new(UnionAllOp::new(some(partials)?)),
                 (0..cols.len()).collect(),
             ));
             observe(combine, obs, "Distinct(global)", None, false)
@@ -440,10 +429,8 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
         // Distinct arm's global re-aggregation dedups across partitions),
         // so it is lowered globally and sorted once.
         Plan::Sort { input, keys } if input.contains_distinct() => {
-            let sorted: OpRef<'a> = Box::new(SortOp::new(
-                lower_global(input, table, indexes, obs),
-                keys.clone(),
-            ));
+            let input = lower_combined(input, table, indexes, obs)?;
+            let sorted: OpRef<'a> = Box::new(SortOp::new(input, keys.clone()));
             observe(sorted, obs, "Sort(global)", None, false)
         }
         Plan::Sort { input, keys } => {
@@ -456,7 +443,7 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
                     Some(observe(stream, obs, "Sort(partition)", Some(pid), true))
                 })
                 .collect();
-            let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(sorted, keys.clone()));
+            let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(sorted)?, keys.clone()));
             observe(combine, obs, "OrderedMerge(global)", None, false)
         }
         Plan::Merge { inputs, keys } => {
@@ -471,7 +458,7 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
             let mut streams: Vec<OpRef<'a>> = Vec::new();
             for child in inputs {
                 if child.contains_distinct() {
-                    streams.push(lower_global(child, table, indexes, obs));
+                    streams.extend(lower_combined(child, table, indexes, obs));
                     continue;
                 }
                 streams.extend(
@@ -480,16 +467,18 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
                         .filter_map(|pid| lower_pruned(child, table, indexes, pid, obs, true)),
                 );
             }
-            let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(streams, keys.clone()));
+            let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(streams)?, keys.clone()));
             observe(combine, obs, "OrderedMerge(global)", None, false)
         }
         Plan::Union { inputs } => {
-            let combine: OpRef<'a> = Box::new(UnionAllOp::new(
-                inputs
-                    .iter()
-                    .map(|p| lower_global(p, table, indexes, obs))
-                    .collect(),
-            ));
+            let mut children: Vec<OpRef<'a>> = inputs
+                .iter()
+                .filter_map(|p| lower_combined(p, table, indexes, obs))
+                .collect();
+            if children.len() == 1 {
+                return children.pop();
+            }
+            let combine: OpRef<'a> = Box::new(UnionAllOp::new(some(children)?));
             observe(combine, obs, "UnionAll(global)", None, false)
         }
         Plan::Limit { input, n } => {
@@ -506,15 +495,16 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
                     })
                     .collect();
                 let combine: OpRef<'a> =
-                    Box::new(LimitOp::new(Box::new(UnionAllOp::new(capped)), *n));
+                    Box::new(LimitOp::new(Box::new(UnionAllOp::new(some(capped)?)), *n));
                 observe(combine, obs, "Limit(global)", None, false)
             } else {
-                let capped: OpRef<'a> =
-                    Box::new(LimitOp::new(lower_global(input, table, indexes, obs), *n));
+                let input = lower_combined(input, table, indexes, obs)?;
+                let capped: OpRef<'a> = Box::new(LimitOp::new(input, *n));
                 observe(capped, obs, "Limit(global)", None, false)
             }
         }
-    }
+    };
+    Some(op)
 }
 
 /// Executes a plan to completion and returns the concatenated result.

@@ -19,7 +19,11 @@
 //! the paper's partition-disjoint shape.
 //!
 //! The `stress_reader_writer_storm` test scales with `PI_STRESS_ITERS` /
-//! `PI_STRESS_THREADS` for the dedicated CI stress lane.
+//! `PI_STRESS_THREADS` for the dedicated CI stress lane. It runs every
+//! storm twice, the second time on a table with a result cache: readers
+//! then also verify cache hits against their epoch's reference while
+//! publishes sweep the cache, and only a reader of the cache's current
+//! epoch may read or fill it.
 //!
 //! `reads_never_write` pins the other half of isolation: queries — at
 //! any entry point, however many — leave no trace in the maintained
@@ -30,7 +34,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceStats, SortDir};
+use patchindex::{
+    ConcurrentTable, Constraint, Design, IndexedTable, MaintenanceStats, ResultCache, SortDir,
+    TableSnapshot,
+};
 use pi_exec::ops::sort::SortOrder;
 use pi_integration::{
     banded_table, base_table, int_column, seeded_steps, steps, Applier, Pool, Step, CHURN,
@@ -56,10 +63,30 @@ fn expected_of(table: &Table, distinct: &Plan, sort: &Plan) -> Expected {
     }
 }
 
+/// The reference answers of every published epoch.
+type References = Mutex<HashMap<u64, Expected>>;
+
+/// Checks the answers of `snap` against the reference of its epoch.
+fn verify(snap: &TableSnapshot, expected: &References, distinct: &Plan, sort: &Plan) {
+    let got_distinct = snap.query(distinct).len();
+    let got_sorted = int_column(&snap.query(sort));
+    let map = expected.lock().unwrap();
+    let want = &map[&snap.epoch()];
+    assert_eq!(got_distinct, want.distinct, "epoch {}", snap.epoch());
+    assert_eq!(got_sorted, want.sorted, "epoch {}", snap.epoch());
+    assert_eq!(
+        snap.table().visible_len(),
+        want.rows,
+        "epoch {}",
+        snap.epoch()
+    );
+}
+
 /// Drives `ops` through a `TableWriter` while `nreaders` threads verify
-/// every snapshot they can grab against the per-epoch reference answers.
-/// Returns the number of reader verifications performed.
-fn run_stream(ops: &[Step], nreaders: usize) -> u64 {
+/// every snapshot they can grab against the per-epoch reference answers;
+/// with `cached`, the table carries a result cache. Returns the number of
+/// reader verifications performed.
+fn run_stream(ops: &[Step], nreaders: usize, cached: bool) -> u64 {
     let mut it = IndexedTable::new(base_table(60));
     it.add_index(1, Constraint::NearlyUnique, Design::Bitmap);
     it.add_index(
@@ -70,12 +97,16 @@ fn run_stream(ops: &[Step], nreaders: usize) -> u64 {
     let distinct = Plan::scan(vec![1]).distinct(vec![0]);
     let sort = Plan::scan(vec![1]).sort(vec![(0, SortOrder::Asc)]);
 
-    let expected: Mutex<HashMap<u64, Expected>> = Mutex::new(HashMap::new());
+    let expected: References = Mutex::new(HashMap::new());
     expected
         .lock()
         .unwrap()
         .insert(0, expected_of(it.table(), &distinct, &sort));
-    let (handle, mut writer) = ConcurrentTable::new(it);
+    let (handle, mut writer) = if cached {
+        ConcurrentTable::with_result_cache(it, ResultCache::new(ResultCache::DEFAULT_BUDGET))
+    } else {
+        ConcurrentTable::new(it)
+    };
     let stop = AtomicBool::new(false);
     let verified = AtomicU64::new(0);
 
@@ -85,21 +116,7 @@ fn run_stream(ops: &[Step], nreaders: usize) -> u64 {
             let (stop, verified, expected) = (&stop, &verified, &expected);
             let (distinct, sort) = (&distinct, &sort);
             scope.spawn(move || loop {
-                let snap = handle.snapshot();
-                let got_distinct = snap.query(distinct).len();
-                let got_sorted = int_column(&snap.query(sort));
-                {
-                    let map = expected.lock().unwrap();
-                    let want = &map[&snap.epoch()];
-                    assert_eq!(got_distinct, want.distinct, "epoch {}", snap.epoch());
-                    assert_eq!(got_sorted, want.sorted, "epoch {}", snap.epoch());
-                    assert_eq!(
-                        snap.table().visible_len(),
-                        want.rows,
-                        "epoch {}",
-                        snap.epoch()
-                    );
-                }
+                verify(&handle.snapshot(), expected, distinct, sort);
                 verified.fetch_add(1, Ordering::Relaxed);
                 // Check the stop flag *after* a full verification so
                 // every run verifies at least one snapshot.
@@ -126,6 +143,16 @@ fn run_stream(ops: &[Step], nreaders: usize) -> u64 {
         writer.publish();
         stop.store(true, Ordering::Relaxed);
     });
+
+    if let Some(before) = handle.cache_stats() {
+        // Reading the final epoch twice more: the second read is served
+        // from the cache, whatever the readers left there, and matches.
+        let snap = handle.snapshot();
+        verify(&snap, &expected, &distinct, &sort);
+        verify(&snap, &expected, &distinct, &sort);
+        let after = handle.cache_stats().unwrap();
+        assert!(after.hits >= before.hits + 2, "{before:?} -> {after:?}");
+    }
 
     // The writer's own state stays sound too.
     writer.into_inner().check_consistency();
@@ -198,7 +225,7 @@ proptest! {
     fn concurrent_reads_are_sequentially_consistent_eager(
         ops in proptest::collection::vec(steps(Pool::per_partition(), CHURN), 4..24),
     ) {
-        let verified = run_stream(&ops, 2);
+        let verified = run_stream(&ops, 2, false);
         prop_assert!(verified > 0);
     }
 
@@ -214,7 +241,8 @@ proptest! {
 
 /// The CI stress lane: a seeded high-volume storm, scaled by
 /// `PI_STRESS_ITERS` (randomized streams) and
-/// `PI_STRESS_THREADS` (reader threads). Defaults are smoke-sized; the
+/// `PI_STRESS_THREADS` (reader threads), each stream run on a plain
+/// table and on one with a result cache. Defaults are smoke-sized; the
 /// dedicated CI step raises both.
 #[test]
 fn stress_reader_writer_storm() {
@@ -230,10 +258,13 @@ fn stress_reader_writer_storm() {
     for iter in 0..iters {
         let storm = format!("stress_reader_writer_storm/{iter}");
         let ops = seeded_steps(Pool::per_partition(), CHURN, &storm, 120);
-        total += run_stream(&ops, threads);
+        total += run_stream(&ops, threads, false);
+        total += run_stream(&ops, threads, true);
     }
     assert!(total > 0, "stress readers must have verified snapshots");
-    println!("stress: {total} reader verifications across {iters} storms x {threads} readers");
+    println!(
+        "stress: {total} reader verifications across {iters} storms (plain and cached) x {threads} readers"
+    );
 }
 
 /// The advisor steps against the writer's staging state and publishes its
