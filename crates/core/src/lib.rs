@@ -11,8 +11,10 @@
 //!   constraints, with [`discovery`] of minimal patch sets;
 //! * two physical designs ([`Design::Bitmap`] on a sharded bitmap,
 //!   [`Design::Identifier`] as a sorted rowID list);
-//! * query integration via [`scan::patch_scan_split`], producing the
-//!   `exclude_patches` / `use_patches` dataflows of the paper's Figure 2;
+//! * query integration via [`scan::patch_scan`], producing the
+//!   `exclude_patches` / `use_patches` dataflows of the paper's Figure 2,
+//!   and [`scan::patch_merge_join`], which joins both flows of one scan
+//!   with a sorted build side in one pass (Figure 2, right);
 //! * update handling (insert / modify / delete) without recomputation or
 //!   full scans — see [`PatchIndex::handle_insert`] and friends, or use
 //!   [`IndexedTable`] to keep everything consistent automatically;

@@ -1,22 +1,23 @@
 //! PatchIndex scan construction (paper, Section 3.3).
 //!
 //! A PatchIndex scan is one partition scan whose [`PatchSelectOp`] merges
-//! the patch information on the fly and splits the dataflow into an
+//! the patch information on the fly and keeps either the
 //! `exclude_patches` flow (where the constraint holds and cheaper
-//! operators can be used) and a `use_patches` flow over the exceptions;
-//! plans recombine them with Union or Merge. The scan emits no rowID
+//! operators can be used) or the `use_patches` flow over the exceptions;
+//! plans recombine the two with Union or Merge. The scan emits no rowID
 //! column — the patch mask's window comes from the scan position — so a
 //! flow has exactly the layout of a plain scan of the same columns.
-//! [`patch_scan_split`] hands out both flows of one scan — the partition
-//! is read once and a pushed-down predicate is evaluated once; the pulled
-//! flow's batches come out as selections over the scanned columns, and
-//! the other flow's rows are gathered before they queue — and
-//! [`patch_scan`] a single flow, for plans that lower the two flows as
-//! independent subtrees.
+//! [`patch_scan`] builds one flow, as the planner's lowering does for
+//! each of its two plan nodes. [`patch_merge_join`] joins both flows of
+//! one scan with a sorted build side in a single pass (paper, Figure 2
+//! right): the partition is read once, a pushed-down predicate is
+//! evaluated once, and a line is copied only once it has found its
+//! partner.
 
+use pi_exec::ops::merge_join::PatchMergeJoinOp;
 use pi_exec::ops::patch_select::{PatchMode, PatchSelectOp};
 use pi_exec::ops::scan::ScanOp;
-use pi_exec::{Expr, OpRef};
+use pi_exec::{Batch, Expr, OpRef};
 use pi_storage::Partition;
 
 use crate::index::PatchIndex;
@@ -36,24 +37,31 @@ pub fn patch_scan<'a>(
     ))
 }
 
-/// Both flows of one PatchIndex scan over a partition, `(exclude_patches,
-/// use_patches)`, each with the layout of [`patch_scan`] and restricted to
-/// the rows satisfying `pred` (column indices into that layout). Pulling
-/// either flow drives the shared scan; the other flow's batches wait in a
-/// queue, so pull the large flow first. A flow that is dropped is no
-/// longer selected for.
-pub fn patch_scan_split<'a>(
+/// The inner join of `x`, materialized and sorted ascending on its `Int`
+/// column `x_key`, with the rows of a PatchIndex scan of `cols` over the
+/// partition that satisfy `pred` (column indices into `cols`), on the
+/// indexed column, which `cols` must list. `index` must be nearly sorted
+/// ascending. Output columns are `[x columns..., cols...]`.
+pub fn patch_merge_join<'a>(
     partition: &'a Partition,
     index: &'a PatchIndex,
     cols: Vec<usize>,
     pred: Option<Expr>,
-) -> (OpRef<'a>, OpRef<'a>) {
-    let (exclude, use_patches) = PatchSelectOp::split(
+    x: &'a Batch,
+    x_key: usize,
+) -> OpRef<'a> {
+    let key = cols
+        .iter()
+        .position(|&c| c == index.column())
+        .expect("the scan reads the indexed column");
+    Box::new(PatchMergeJoinOp::new(
+        x,
+        x_key,
         ScanOp::new(partition, cols, false),
+        key,
         index.lookup(partition.id),
         pred,
-    );
-    (Box::new(exclude), Box::new(use_patches))
+    ))
 }
 
 #[cfg(test)]
@@ -61,7 +69,8 @@ mod tests {
     use super::*;
     use crate::constraint::{Constraint, Design, SortDir};
     use pi_exec::ops::filter::FilterOp;
-    use pi_exec::{collect, Batch};
+    use pi_exec::ops::hash_join::HashJoinOp;
+    use pi_exec::{collect, BatchSource};
     use pi_storage::{ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 
     fn table(vals: Vec<i64>) -> Table {
@@ -85,9 +94,9 @@ mod tests {
             Constraint::NearlySorted(SortDir::Asc),
             Design::Bitmap,
         );
-        let (mut ex, mut us) = patch_scan_split(t.partition(0), &idx, vec![0], None);
-        let kept = collect(ex.as_mut());
-        let patches = collect(us.as_mut());
+        let flow = |mode| collect(patch_scan(t.partition(0), &idx, vec![0], mode).as_mut());
+        let kept = flow(PatchMode::ExcludePatches);
+        let patches = flow(PatchMode::UsePatches);
         assert_eq!(kept.column(0).as_int(), &[1, 2, 3, 4]);
         assert_eq!(patches.column(0).as_int(), &[99]);
         // No rowID column: a flow has the plain scan's layout.
@@ -98,7 +107,7 @@ mod tests {
     fn exclude_flow_is_unique_for_nuc() {
         let t = table(vec![7, 1, 7, 2, 1]);
         let idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Identifier);
-        let (mut ex, _) = patch_scan_split(t.partition(0), &idx, vec![0], None);
+        let mut ex = patch_scan(t.partition(0), &idx, vec![0], PatchMode::ExcludePatches);
         let kept = collect(ex.as_mut());
         assert_eq!(kept.column(0).as_int(), &[2]);
     }
@@ -118,33 +127,41 @@ mod tests {
         t
     }
 
-    fn int_rows(b: &Batch) -> Vec<Vec<i64>> {
-        (0..b.len())
+    fn sorted_rows(b: &Batch) -> Vec<Vec<i64>> {
+        let mut rows: Vec<Vec<i64>> = (0..b.len())
             .map(|i| b.columns().iter().map(|c| c.as_int()[i]).collect())
-            .collect()
+            .collect();
+        rows.sort();
+        rows
     }
 
-    /// Every partition's split, flow by flow and row for row, against the
-    /// composition it replaces: `FilterOp(patch_scan(mode))`. Returns the
-    /// rows seen per flow.
+    /// Every partition's one-pass join against the composition it
+    /// replaces: a hash join of `x` with `FilterOp(patch_scan(mode))`
+    /// per flow. `x` holds the keys -5..21000 except those ≡ 1 (mod 5),
+    /// every fourth one twice, and a payload column. Returns the joined
+    /// rows per flow.
     fn assert_split_is_the_composition(t: &Table, idx: &PatchIndex) -> [usize; 2] {
         let pred = Expr::Between(Box::new(Expr::col(1)), 20, 70);
+        let keys: Vec<i64> = (-5..21_000)
+            .filter(|k| k % 5 != 1)
+            .flat_map(|k| vec![k; 1 + usize::from(k % 4 == 0)])
+            .collect();
+        let payload = (0..keys.len() as i64).collect();
+        let x = Batch::new(vec![ColumnData::Int(keys), ColumnData::Int(payload)]);
         let mut seen = [0; 2];
         for part in t.partitions() {
-            for pull_patches_first in [false, true] {
-                let (ex, us) = patch_scan_split(part, idx, vec![0, 1], Some(pred.clone()));
-                let mut flows = [(PatchMode::ExcludePatches, ex), (PatchMode::UsePatches, us)];
-                if pull_patches_first {
-                    flows.reverse();
-                }
-                for (mode, mut flow) in flows {
-                    let composed = patch_scan(part, idx, vec![0, 1], mode);
-                    let want = collect(&mut FilterOp::new(composed, pred.clone()));
-                    let got = collect(flow.as_mut());
-                    assert_eq!(int_rows(&got), int_rows(&want), "{mode:?}");
-                    seen[mode as usize] += got.len();
-                }
+            let mut want = Vec::new();
+            for mode in [PatchMode::ExcludePatches, PatchMode::UsePatches] {
+                let flow = FilterOp::new(patch_scan(part, idx, vec![0, 1], mode), pred.clone());
+                let x_source = Box::new(BatchSource::single(x.clone()));
+                let joined = collect(&mut HashJoinOp::inner(Box::new(flow), 0, x_source, 0));
+                seen[mode as usize] += joined.len();
+                want.extend(sorted_rows(&joined));
             }
+            want.sort();
+            let mut join = patch_merge_join(part, idx, vec![0, 1], Some(pred.clone()), &x, 0);
+            let got = collect(join.as_mut());
+            assert_eq!(sorted_rows(&got), want, "partition {}", part.id);
         }
         seen
     }
@@ -210,6 +227,6 @@ mod tests {
         let idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         assert_eq!(idx.exception_rate(), 1.0);
         assert_eq!(t.partition(1).visible_len(), 0);
-        assert_eq!(assert_split_is_the_composition(&t, &idx), [0, 2 * 5_000]);
+        assert_eq!(assert_split_is_the_composition(&t, &idx), [0, 5_000]);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * partition [`ops::scan::ScanOp`]s with zone-map-restricted ranges and
 //!   optional rowID output for the maintenance queries;
-//! * the PatchIndex selection [`ops::patch_select::PatchSelectOp`]: one
-//!   scan split on the fly into an `exclude_patches` and a `use_patches`
-//!   flow;
+//! * the PatchIndex selection [`ops::patch_select::PatchSelectOp`]: a
+//!   scan narrowed on the fly to its `exclude_patches` or its
+//!   `use_patches` flow;
 //! * late materialization: scans lend `Arc`-shared windows into base
 //!   storage instead of copying it, patch selections and filters hand on
 //!   a selection vector instead of copying rows, joins and aggregation
@@ -18,13 +18,16 @@
 //! * [`ops::hash_join::HashJoinOp`] and the [`ops::hash_join::JoinTable`]
 //!   it builds, whose build-key envelope drives the dynamic range
 //!   propagation of PatchIndex maintenance;
-//! * [`ops::merge_join::MergeJoinOp`] for the nearly-sorted fast path;
+//! * [`ops::merge_join::PatchMergeJoinOp`] for the nearly-sorted fast
+//!   path: both flows of one partition scan joined with a sorted build
+//!   side in one pass, the kept rows by a sweep, the exceptions by binary
+//!   search;
 //! * [`ops::sort::SortOp`], [`ops::agg::HashAggOp`] (grouping, DISTINCT,
 //!   filtered aggregates), [`ops::merge::UnionAllOp`],
 //!   [`ops::merge::OrderedMergeOp`], [`ops::merge::LimitOp`];
 //! * intermediate-result reuse by borrowing: a materialized [`Batch`]
-//!   serves any number of [`ops::merge_join::MergeJoinOp`] sweeps and
-//!   [`ops::hash_join::JoinTable::probe`]s without a copy;
+//!   serves any number of [`ops::merge_join::PatchMergeJoinOp`] passes
+//!   and [`ops::hash_join::JoinTable::probe`]s without a copy;
 //! * partition-parallel execution via [`parallel::per_partition`], on one
 //!   persistent process-wide pool ([`parallel::fan_out`]) whose calling
 //!   thread helps, so no fan-out spawns a thread.

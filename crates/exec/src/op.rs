@@ -10,10 +10,13 @@
 //! * **lend a window:** `ScanOp` (the base columns themselves, over base
 //!   rows with no delete or patch among them), and [`Batch::split`] in
 //!   `SortOp`, `HashAggOp` and `HashJoinOp` (windows of one buffer);
-//! * **select:** `PatchSelectOp`'s excluding flow (the exceptions, and a
-//!   batch queued for the other flow, are gathered) and `FilterOp`;
-//! * **read through:** `MergeJoinOp` (right side), `JoinTable::probe` /
-//!   `pairs` and so `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
+//! * **select:** `PatchSelectOp`'s excluding flow (its exceptions flow
+//!   gathers) and `FilterOp`;
+//! * **gather only what joins:** `PatchMergeJoinOp` reads the scanned
+//!   window's predicate and patch mask as words and copies the rows that
+//!   found a partner, and nothing else;
+//! * **read through:** `JoinTable::probe` / `pairs` and so
+//!   `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
 //!   `OrderedMergeOp` (windows; it gathers a selection), `LimitOp`
 //!   (shrinks the window or selection), `UnionAllOp` and `MeterOp` (pass
 //!   it on), [`count_rows`], and expression evaluation, which covers the

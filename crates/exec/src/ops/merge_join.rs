@@ -1,96 +1,159 @@
-//! Merge join over key-sorted inputs.
+//! The PatchIndex merge join (paper, Section 3.3 / Figure 2, right).
 //!
-//! The PatchIndex join optimization (paper, Section 3.3 / Figure 2) swaps
-//! the generic HashJoin for a MergeJoin in the subtree that excluded the
-//! patches of a nearly sorted column: both inputs are already ordered on
-//! the join key, so matching is a linear two-pointer sweep with duplicate
-//! groups expanded pairwise.
+//! The join optimization swaps the generic HashJoin for a MergeJoin in
+//! the subtree that excluded the patches of a nearly sorted column, and
+//! joins the exceptions apart. Here both flows are one pass over one
+//! partition: per scanned window, the pushed-down predicate and the patch
+//! mask are read as 64-bit words, the kept rows (predicate and not patch)
+//! ascend in the key and sweep the sorted build side forward, and each
+//! exception (predicate and patch) finds its partners by binary search on
+//! the same sorted keys. Only rows that found a partner are copied.
 
 use crate::batch::Batch;
-use crate::op::{OpRef, Operator};
+use crate::expr::Expr;
+use crate::op::Operator;
+use crate::ops::patch_select::PatchLookup;
+use crate::ops::scan::ScanOp;
 
-/// Inner merge join; output columns are `[left columns..., right columns...]`.
+/// Inner join of a materialized batch `x`, sorted ascending on its `Int`
+/// key column, with one partition's PatchIndex scan on a nearly sorted
+/// `Int` key; output columns are `[x columns..., scanned columns...]`.
 ///
-/// Both inputs must be sorted ascending on their `Int` key column (sort
-/// order is meaningless on dictionary codes). The left side is a batch
-/// the caller materialized: it is swept in place, neither drained nor
-/// copied, so any number of joins can share it. The right side streams
-/// through — one output batch per right batch, a cursor into the left
-/// keys carrying the sweep across batches — and is read through its
-/// selection: only rows that find a partner are ever gathered.
-pub struct MergeJoinOp<'a> {
-    left: &'a Batch,
-    left_key: usize,
-    right: OpRef<'a>,
-    right_key: usize,
-    /// First left row whose key is not below every right key seen so far.
+/// `x` is borrowed, neither drained nor copied, so any number of joins
+/// can share it. The scan's rows that pass `pred` (column indices as the
+/// scan emits them) and are not patches must ascend in the key — what a
+/// nearly-sorted-ascending PatchIndex guarantees. A cursor into `x`
+/// carries their sweep across windows and jumps by exponential search,
+/// so a long run of `x` keys without a line costs a logarithm, not a
+/// step per key. One output batch per window that found a partner.
+pub struct PatchMergeJoinOp<'a> {
+    x: &'a Batch,
+    x_key: usize,
+    scan: ScanOp<'a>,
+    key: usize,
+    patches: &'a dyn PatchLookup,
+    pred: Option<Expr>,
+    /// The window's patch and predicate words, reused across windows.
+    patch_words: Vec<u64>,
+    pred_words: Vec<u64>,
+    /// First `x` row whose key is not below the last kept key swept.
     cursor: usize,
-    /// Largest right key seen so far (sortedness check across batches).
-    last_right: i64,
 }
 
-impl<'a> MergeJoinOp<'a> {
-    /// Creates a merge join of the sorted batch `left` with the sorted
-    /// stream `right`.
-    pub fn new(left: &'a Batch, left_key: usize, right: OpRef<'a>, right_key: usize) -> Self {
+impl<'a> PatchMergeJoinOp<'a> {
+    /// Joins `x` on `x_key` with the rows of `scan` passing `pred` on
+    /// the scan's column `key`, telling kept rows from exceptions by
+    /// `patches`.
+    pub fn new(
+        x: &'a Batch,
+        x_key: usize,
+        scan: ScanOp<'a>,
+        key: usize,
+        patches: &'a dyn PatchLookup,
+        pred: Option<Expr>,
+    ) -> Self {
         debug_assert!(
-            left.is_empty() || left.column(left_key).as_int().is_sorted(),
-            "left merge-join input not sorted"
+            x.is_empty() || x.column(x_key).as_int().is_sorted(),
+            "merge-join build side not sorted"
         );
-        MergeJoinOp {
-            left,
-            left_key,
-            right,
-            right_key,
+        PatchMergeJoinOp {
+            x,
+            x_key,
+            scan,
+            key,
+            patches,
+            pred,
+            patch_words: Vec::new(),
+            pred_words: Vec::new(),
             cursor: 0,
-            last_right: i64::MIN,
         }
     }
 }
 
-impl Operator for MergeJoinOp<'_> {
+/// `bits` packed LSB-first.
+fn pack(bits: &[bool]) -> u64 {
+    bits.iter().rev().fold(0, |w, &b| w << 1 | b as u64)
+}
+
+/// The first position at or after `from` whose key is not below `k`,
+/// given that every key before `from` is: exponential, then binary
+/// search, so a jump of `d` keys costs `O(log d)`.
+fn gallop(keys: &[i64], from: usize, k: i64) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= keys.len() && keys[lo + step - 1] < k {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(keys.len());
+    lo + keys[lo..hi].partition_point(|&v| v < k)
+}
+
+impl Operator for PatchMergeJoinOp<'_> {
     fn next(&mut self) -> Option<Batch> {
-        let left = self.left;
-        if left.is_empty() {
+        if self.x.is_empty() {
             return None;
         }
-        let lk = left.column(self.left_key).as_int();
-        let mut left_idx: Vec<usize> = Vec::new();
-        let mut right_idx: Vec<usize> = Vec::new();
+        let xk = self.x.column(self.x_key).as_int();
         loop {
-            let batch = self.right.next()?;
-            if batch.is_empty() {
-                continue;
-            }
-            let rk = batch.raw_column(self.right_key).as_int();
+            let (start, batch) = self.scan.next_window()?;
             let n = batch.len();
-            debug_assert!(
-                self.last_right <= rk[batch.row(0)]
-                    && (1..n).all(|i| rk[batch.row(i - 1)] <= rk[batch.row(i)]),
-                "right merge-join input not sorted"
-            );
-            self.last_right = rk[batch.row(n - 1)];
-            let mut li = self.cursor;
-            for i in 0..n {
-                let r = batch.row(i);
-                let key = rk[r];
-                while li < lk.len() && lk[li] < key {
-                    li += 1;
+            self.patch_words.clear();
+            self.patch_words.resize(n.div_ceil(64), 0);
+            self.patches
+                .fill_patch_words(start as u64, &mut self.patch_words, n);
+            self.pred_words.clear();
+            match &self.pred {
+                Some(pred) => {
+                    let pass = pred.eval_bool(&batch);
+                    self.pred_words.extend(pass.chunks(64).map(pack));
                 }
-                // Pair the right row with the whole left group of its key;
-                // the cursor stays on the group for the next duplicate.
-                for (j, _) in lk[li..].iter().enumerate().take_while(|(_, &k)| k == key) {
-                    left_idx.push(li + j);
-                    right_idx.push(r);
+                None => self.pred_words.extend(
+                    (0..n)
+                        .step_by(64)
+                        .map(|i| u64::MAX >> (64 - (n - i).min(64))),
+                ),
+            }
+            // A scanned window holds the backing rows `base..base + n`.
+            let (keys, base) = (batch.raw_column(self.key).as_int(), batch.row(0));
+            let (mut x_rows, mut rows) = (Vec::new(), Vec::new());
+            let mut cursor = self.cursor;
+            let words = self.pred_words.iter().zip(&self.patch_words);
+            for (w, (&pass, &patch)) in words.enumerate() {
+                // Kept rows sweep `x` forward from the cursor.
+                let mut kept = pass & !patch;
+                while kept != 0 {
+                    let r = base + w * 64 + kept.trailing_zeros() as usize;
+                    kept &= kept - 1;
+                    let k = keys[r];
+                    debug_assert!(cursor == 0 || xk[cursor - 1] < k, "kept keys not ascending");
+                    if xk.get(cursor).is_some_and(|&c| c < k) {
+                        cursor = gallop(xk, cursor, k);
+                    }
+                    for j in (cursor..xk.len()).take_while(|&j| xk[j] == k) {
+                        x_rows.push(j);
+                        rows.push(r);
+                    }
+                }
+                // Exceptions search all of `x`.
+                let mut exceptions = pass & patch;
+                while exceptions != 0 {
+                    let r = base + w * 64 + exceptions.trailing_zeros() as usize;
+                    exceptions &= exceptions - 1;
+                    let k = keys[r];
+                    let lo = xk.partition_point(|&v| v < k);
+                    for j in (lo..xk.len()).take_while(|&j| xk[j] == k) {
+                        x_rows.push(j);
+                        rows.push(r);
+                    }
                 }
             }
-            self.cursor = li;
-            if left_idx.is_empty() {
+            self.cursor = cursor;
+            if rows.is_empty() {
                 continue;
             }
-            let left_cols = (0..left.width()).map(|c| left.raw_column(c).gather(&left_idx));
-            let right_cols = (0..batch.width()).map(|c| batch.raw_column(c).gather(&right_idx));
-            return Some(Batch::new(left_cols.chain(right_cols).collect()));
+            let x_cols = (0..self.x.width()).map(|c| self.x.column(c).gather(&x_rows));
+            let cols = (0..batch.width()).map(|c| batch.raw_column(c).gather(&rows));
+            return Some(Batch::new(x_cols.chain(cols).collect()));
         }
     }
 }
@@ -98,34 +161,30 @@ impl Operator for MergeJoinOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, BatchSource};
-    use pi_storage::ColumnData;
+    use crate::op::collect;
+    use crate::ops::filter::FilterOp;
+    use crate::ops::hash_join::HashJoinOp;
+    use crate::BatchSource;
+    use pi_bitmap::ShardedBitmap;
+    use pi_storage::{ColumnData, DataType, Field, Partition, Schema};
+    use std::sync::Arc;
 
     fn ints(cols: &[&[i64]]) -> Batch {
         Batch::new(cols.iter().map(|c| ColumnData::Int(c.to_vec())).collect())
     }
 
-    fn src(batch: Batch) -> OpRef<'static> {
-        Box::new(BatchSource::single(batch))
+    /// A partition of `Int` columns.
+    fn partition(cols: &[&[i64]]) -> Partition {
+        let fields = (0..cols.len()).map(|c| Field::new(format!("c{c}"), DataType::Int));
+        let data = cols.iter().map(|c| ColumnData::Int(c.to_vec())).collect();
+        Partition::new(0, Arc::new(Schema::new(fields.collect())), data)
     }
 
-    #[test]
-    fn merge_join_basic() {
-        let left = ints(&[&[1, 3, 5, 7]]);
-        let right = src(ints(&[&[3, 5, 6], &[30, 50, 60]]));
-        let mut j = MergeJoinOp::new(&left, 0, right, 0);
-        let out = collect(&mut j);
-        assert_eq!(out.column(0).as_int(), &[3, 5]);
-        assert_eq!(out.column(2).as_int(), &[30, 50]);
-    }
-
-    #[test]
-    fn duplicate_groups_cross_product() {
-        let left = ints(&[&[2, 2, 3]]);
-        let mut j = MergeJoinOp::new(&left, 0, src(ints(&[&[2, 2, 2, 3]])), 0);
-        let out = collect(&mut j);
-        // 2x3 pairs for key 2, 1x1 for key 3.
-        assert_eq!(out.len(), 7);
+    /// All rows of `x` joined with `p` (key column 0 on both sides).
+    fn join(x: &Batch, p: &Partition, patches: &dyn PatchLookup, pred: Option<Expr>) -> Batch {
+        let cols = (0..p.schema().len()).collect();
+        let scan = ScanOp::new(p, cols, false);
+        collect(&mut PatchMergeJoinOp::new(x, 0, scan, 0, patches, pred))
     }
 
     /// Rows as sorted tuples: join output order differs between kernels.
@@ -138,41 +197,75 @@ mod tests {
     }
 
     #[test]
+    fn merge_join_basic() {
+        let x = ints(&[&[1, 3, 5, 7]]);
+        let p = partition(&[&[3, 5, 6], &[30, 50, 60]]);
+        let out = join(&x, &p, &Vec::new(), None);
+        assert_eq!(out.column(0).as_int(), &[3, 5]);
+        assert_eq!(out.column(2).as_int(), &[30, 50]);
+    }
+
+    #[test]
+    fn duplicate_groups_cross_product() {
+        let x = ints(&[&[2, 2, 3]]);
+        let out = join(&x, &partition(&[&[2, 2, 2, 3]]), &Vec::new(), None);
+        // 2x3 pairs for key 2, 1x1 for key 3.
+        assert_eq!(out.len(), 7);
+    }
+
+    #[test]
     fn agrees_with_hash_join() {
-        use crate::ops::hash_join::HashJoinOp;
         // Duplicate keys on both sides, payload columns telling the
-        // duplicates apart, the right side arriving in batches that cut
-        // through duplicate groups.
-        let keyed = |keys: Vec<i64>, tag: i64| {
-            let payload: Vec<i64> = (0..keys.len() as i64).map(|i| tag + i).collect();
-            ints(&[&keys, &payload])
-        };
-        let left = keyed((0..500).map(|i| i / 3).collect(), 1_000);
-        let right = keyed((0..300).map(|i| i / 2).collect(), 2_000);
-        // Probe-side (left) columns come first in the hash join as well.
-        let mut hj = HashJoinOp::inner(src(right.clone()), 0, src(left.clone()), 0);
-        let hashed = canonical(&collect(&mut hj));
-        assert_eq!(hashed.len(), 300 * 3);
-        // The borrowed left serves any number of joins and is left intact.
-        for _ in 0..2 {
-            let right_batches = Box::new(BatchSource::new(right.clone().split(7)));
-            let mut mj = MergeJoinOp::new(&left, 0, right_batches, 0);
-            assert_eq!(canonical(&collect(&mut mj)), hashed);
+        // duplicates apart; every 9th line is out of order and a patch,
+        // and a predicate on the payload drops some of both kinds.
+        let x_keys: Vec<i64> = (0..500).map(|i| i / 3).collect();
+        let x_payload: Vec<i64> = (0..500).map(|i| 1_000 + i).collect();
+        let x = ints(&[&x_keys, &x_payload]);
+        let n = 9_000;
+        let patches: Vec<u64> = (0..n as u64).step_by(9).collect();
+        let keys: Vec<i64> = (0..n as i64)
+            .map(|i| if i % 9 == 0 { 170 - i % 200 } else { i / 60 })
+            .collect();
+        let payload: Vec<i64> = (0..n as i64).collect();
+        let p = partition(&[&keys, &payload]);
+        let pred = Expr::col(1).lt(Expr::LitInt(8_000));
+        let scan = Box::new(ScanOp::new(&p, vec![0, 1], false));
+        let filtered = Box::new(FilterOp::new(scan, pred.clone()));
+        let mut hj = HashJoinOp::inner(filtered, 0, Box::new(BatchSource::single(x.clone())), 0);
+        let want = canonical(&collect(&mut hj));
+        assert!(want.len() > 3 * 1_000, "weak test: {}", want.len());
+        let bm = ShardedBitmap::from_positions(n as u64, &patches);
+        // The borrowed `x` serves any number of joins and is left intact.
+        for lookup in [&bm as &dyn PatchLookup, &patches] {
+            let got = join(&x, &p, lookup, Some(pred.clone()));
+            assert_eq!(canonical(&got), want);
         }
-        assert_eq!(left.len(), 500);
+        assert_eq!(x.len(), 500);
     }
 
     #[test]
     fn empty_side_yields_nothing() {
         let (empty, one) = (ints(&[&[]]), ints(&[&[1]]));
-        assert!(collect(&mut MergeJoinOp::new(&empty, 0, src(one.clone()), 0)).is_empty());
-        assert!(collect(&mut MergeJoinOp::new(&one, 0, src(empty), 0)).is_empty());
+        assert!(join(&empty, &partition(&[&[1]]), &Vec::new(), None).is_empty());
+        assert!(join(&one, &partition(&[&[]]), &Vec::new(), None).is_empty());
     }
 
     #[test]
     fn disjoint_keys_yield_nothing() {
-        let left = ints(&[&[1, 2]]);
-        let mut j = MergeJoinOp::new(&left, 0, src(ints(&[&[3, 4]])), 0);
-        assert!(collect(&mut j).is_empty());
+        let x = ints(&[&[1, 2]]);
+        assert!(join(&x, &partition(&[&[3, 4]]), &vec![0], None).is_empty());
+    }
+
+    #[test]
+    fn gallop_finds_the_first_key_not_below() {
+        let keys: Vec<i64> = (0..100).map(|i| i / 2 * 3).collect();
+        for from in [0, 1, 7, 50, 99, 100] {
+            for k in -1..160 {
+                let want = from + keys[from..].partition_point(|&v| v < k);
+                if keys[..from].iter().all(|&v| v < k) {
+                    assert_eq!(gallop(&keys, from, k), want, "from {from} k {k}");
+                }
+            }
+        }
     }
 }

@@ -1,36 +1,29 @@
 //! The PatchIndex selection operator (paper, Section 3.3).
 //!
 //! A *PatchIndex scan* is an ordinary scan plus a selection operator that
-//! merges the patch information into the dataflow on the fly, splitting it
-//! into a flow of constraint-satisfying tuples (`exclude_patches`) and a
-//! flow of exceptions (`use_patches`). The decision is purely rowID-based,
-//! so the operator's per-tuple overhead is fixed and independent of data
-//! types.
+//! merges the patch information into the dataflow on the fly, keeping
+//! either the constraint-satisfying tuples (`exclude_patches`) or the
+//! exceptions (`use_patches`). The decision is purely rowID-based, so the
+//! operator's per-tuple overhead is fixed and independent of data types.
 //!
-//! Both flows of a split are fed by **one** scan: per scanned batch the
-//! patch mask of its rowID window is read word-wise (the window comes
-//! from the scan position; the scan emits no rowID column), ANDed with an
-//! optional pushed-down predicate evaluated once on the unfiltered batch.
-//! The excluding flow gets the scanned batch — on clean base rows a
-//! window lent from base storage — with a selection (see [`Batch`]): no
-//! row is copied here or in the scan, so the paper's selection costs the
-//! mask and nothing more; its consumer reads through the selection or
-//! gathers where its pipeline breaks. The exceptions are found from the
-//! mask's set bits and gathered, and a flow's queued rows are gathered
-//! too, so a (small) queue never holds a whole scan batch for a few rows.
+//! Per scanned batch the patch mask of its rowID window is read
+//! word-wise (the window comes from the scan position; the scan emits no
+//! rowID column). The excluding flow gets the scanned batch — on clean
+//! base rows a window lent from base storage — with a selection (see
+//! [`Batch`]): no row is copied here or in the scan, so the paper's
+//! selection costs the mask and nothing more; its consumer reads through
+//! the selection or gathers where its pipeline breaks. The exceptions are
+//! found from the mask's set bits and gathered. The hand-lowered TPC-H
+//! join reads the same mask without this operator: see
+//! [`PatchMergeJoinOp`](crate::ops::merge_join::PatchMergeJoinOp).
 //!
 //! The operator is generic over [`PatchLookup`] so both PatchIndex design
 //! approaches (bitmap-based and identifier-based, paper Section 3.2) plug
 //! into the same plans.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
-
 use pi_bitmap::ShardedBitmap;
 
 use crate::batch::Batch;
-use crate::expr::Expr;
 use crate::op::Operator;
 use crate::ops::scan::ScanOp;
 
@@ -94,147 +87,60 @@ pub enum PatchMode {
     UsePatches = 1,
 }
 
-/// One scan and the flows it feeds.
-struct SplitScan<'a> {
+/// One flow of a PatchIndex scan: the scanned rows that are patches
+/// (`UsePatches`) or are not (`ExcludePatches`).
+pub struct PatchSelectOp<'a> {
     scan: ScanOp<'a>,
     patches: &'a dyn PatchLookup,
-    pred: Option<Expr>,
+    mode: PatchMode,
     /// Word-packed patch mask scratch, reused across batches.
     words: Vec<u64>,
-    /// Selected batches a flow has not pulled yet, indexed by
-    /// `PatchMode as usize`; `None` once nobody reads that flow.
-    flows: [Option<VecDeque<Batch>>; 2],
-}
-
-impl SplitScan<'_> {
-    /// Scans one more batch into the flows for a pull of flow `pulling`;
-    /// `false` when the scan is exhausted.
-    fn advance(&mut self, pulling: PatchMode) -> bool {
-        let Some((start, batch)) = self.scan.next_window() else {
-            return false;
-        };
-        let n = batch.len();
-        let pred = self.pred.as_ref().map(|p| p.eval_bool(&batch));
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
-        self.patches
-            .fill_patch_words(start as u64, &mut self.words, n);
-        let words = &self.words;
-        let is_patch = |i: usize| words[i / 64] >> (i % 64) & 1 == 1;
-        let select = |mode: PatchMode| match (mode, &pred) {
-            (PatchMode::ExcludePatches, Some(pred)) => {
-                batch.clone().refine(|i| pred[i] & !is_patch(i))
-            }
-            (PatchMode::ExcludePatches, None) => batch.clone().refine(|i| !is_patch(i)),
-            // The exceptions are few: find them from the mask's set bits,
-            // not a pass over every row, and gather them.
-            (PatchMode::UsePatches, _) => {
-                let mut rows = Vec::new();
-                for (k, &word) in words.iter().enumerate() {
-                    let mut w = word;
-                    while w != 0 {
-                        let i = k * 64 + w.trailing_zeros() as usize;
-                        if pred.as_ref().is_none_or(|p| p[i]) {
-                            rows.push(batch.row(i));
-                        }
-                        w &= w - 1;
-                    }
-                }
-                match rows.len() == n {
-                    true => batch.clone(),
-                    false => batch.gather(&rows),
-                }
-            }
-        };
-        let queued = match pulling {
-            PatchMode::ExcludePatches => PatchMode::UsePatches,
-            PatchMode::UsePatches => PatchMode::ExcludePatches,
-        };
-        if let Some(flow) = &mut self.flows[queued as usize] {
-            let selected = select(queued);
-            if selected.len() == n {
-                // The flows are disjoint: the pulled one keeps nothing.
-                flow.push_back(selected);
-                return true;
-            }
-            if !selected.is_empty() {
-                flow.push_back(selected.materialize());
-            }
-        }
-        let selected = select(pulling);
-        if !selected.is_empty() {
-            let flow = self.flows[pulling as usize]
-                .as_mut()
-                .expect("the pulled flow is live");
-            flow.push_back(selected);
-        }
-        true
-    }
-}
-
-/// One flow of a PatchIndex scan: the scanned rows (matching the
-/// pushed-down predicate, if any) that are patches (`UsePatches`) or are
-/// not (`ExcludePatches`).
-pub struct PatchSelectOp<'a> {
-    scan: Rc<RefCell<SplitScan<'a>>>,
-    mode: PatchMode,
 }
 
 impl<'a> PatchSelectOp<'a> {
-    /// Both flows of one scan, `(exclude_patches, use_patches)`. Rows
-    /// failing `pred` (column indices as the scan emits them) reach
-    /// neither. Dropping a flow tells the scan to stop selecting for it.
-    pub fn split(
-        scan: ScanOp<'a>,
-        patches: &'a dyn PatchLookup,
-        pred: Option<Expr>,
-    ) -> (Self, Self) {
-        let scan = Rc::new(RefCell::new(SplitScan {
+    /// The flow `mode` of `scan`.
+    pub fn new(scan: ScanOp<'a>, patches: &'a dyn PatchLookup, mode: PatchMode) -> Self {
+        PatchSelectOp {
             scan,
             patches,
-            pred,
-            words: Vec::new(),
-            flows: [Some(VecDeque::new()), Some(VecDeque::new())],
-        }));
-        let flow = |mode| PatchSelectOp {
-            scan: Rc::clone(&scan),
             mode,
-        };
-        (flow(PatchMode::ExcludePatches), flow(PatchMode::UsePatches))
-    }
-
-    /// A single flow over `scan`.
-    pub fn new(scan: ScanOp<'a>, patches: &'a dyn PatchLookup, mode: PatchMode) -> Self {
-        let (exclude, use_patches) = Self::split(scan, patches, None);
-        match mode {
-            PatchMode::ExcludePatches => exclude,
-            PatchMode::UsePatches => use_patches,
+            words: Vec::new(),
         }
     }
 }
 
 impl Operator for PatchSelectOp<'_> {
     fn next(&mut self) -> Option<Batch> {
-        let mut scan = self.scan.borrow_mut();
         loop {
-            let flow = scan.flows[self.mode as usize]
-                .as_mut()
-                .expect("a live flow is never closed");
-            if let Some(batch) = flow.pop_front() {
-                return Some(batch);
+            let (start, batch) = self.scan.next_window()?;
+            let n = batch.len();
+            self.words.clear();
+            self.words.resize(n.div_ceil(64), 0);
+            self.patches
+                .fill_patch_words(start as u64, &mut self.words, n);
+            let words = &self.words;
+            let selected = match self.mode {
+                PatchMode::ExcludePatches => batch.refine(|i| words[i / 64] >> (i % 64) & 1 == 0),
+                // The exceptions are few: find them from the mask's set
+                // bits, not a pass over every row, and gather them.
+                PatchMode::UsePatches => {
+                    let mut rows = Vec::new();
+                    for (k, &word) in words.iter().enumerate() {
+                        let mut w = word;
+                        while w != 0 {
+                            rows.push(batch.row(k * 64 + w.trailing_zeros() as usize));
+                            w &= w - 1;
+                        }
+                    }
+                    match rows.len() == n {
+                        true => batch,
+                        false => batch.gather(&rows),
+                    }
+                }
+            };
+            if !selected.is_empty() {
+                return Some(selected);
             }
-            if !scan.advance(self.mode) {
-                return None;
-            }
-        }
-    }
-}
-
-impl Drop for PatchSelectOp<'_> {
-    fn drop(&mut self) {
-        // Only `next` borrows the scan, and it cannot be running here.
-        if let Ok(mut scan) = self.scan.try_borrow_mut() {
-            scan.flows[self.mode as usize] = None;
         }
     }
 }
@@ -242,8 +148,6 @@ impl Drop for PatchSelectOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BATCH_SIZE;
-    use crate::expr::Expr;
     use crate::op::collect;
     use pi_storage::{ColumnData, DataType, Field, Partition, Schema};
     use std::ops::Range;
@@ -346,73 +250,6 @@ mod tests {
         let b = select(&p, vec![0..1000], &bm, PatchMode::UsePatches).len();
         assert_eq!(a + b, 1000);
         assert_eq!(b, 334);
-    }
-
-    #[test]
-    fn split_flows_share_one_scan() {
-        // 10k rows = three scan batches; every 7th row is a patch, the
-        // predicate keeps the first 5k rows. Whichever flow is pulled
-        // first, each sees exactly its rows, in scan order.
-        let patches: Vec<u64> = (0..10_000).step_by(7).collect();
-        let bm = ShardedBitmap::from_positions(10_000, &patches);
-        let p = partition(10_000);
-        let pred = Expr::col(0).lt(Expr::LitInt(50_000));
-        let want = |keep_patches: bool| -> Vec<i64> {
-            (0..5_000)
-                .filter(|r| (r % 7 == 0) == keep_patches)
-                .collect()
-        };
-        for use_first in [false, true] {
-            let scan = ScanOp::new(&p, vec![0], false);
-            let (mut ex, mut us) = PatchSelectOp::split(scan, &bm, Some(pred.clone()));
-            let (kept, patched) = if use_first {
-                let patched = collect(&mut us);
-                (collect(&mut ex), patched)
-            } else {
-                (collect(&mut ex), collect(&mut us))
-            };
-            assert_eq!(rids(&kept), want(false));
-            assert_eq!(rids(&patched), want(true));
-        }
-    }
-
-    #[test]
-    fn pulled_flow_selects_and_queued_flow_is_gathered() {
-        // Every 7th row of the first scan batch is a patch. One pull of
-        // the excluding flow hands out the scanned batch itself — the base
-        // column, lent — under a selection; the patches flow, not pulled,
-        // has queued a dense batch of exactly its rows.
-        let patches: Vec<u64> = (0..BATCH_SIZE as u64).step_by(7).collect();
-        let bm = ShardedBitmap::from_positions(10_000, &patches);
-        let p = partition(10_000);
-        let (mut ex, us) = PatchSelectOp::split(ScanOp::new(&p, vec![0], false), &bm, None);
-        let first = ex.next().expect("a batch");
-        assert_eq!(first.len(), BATCH_SIZE - patches.len());
-        assert_eq!(first.span(), 0..BATCH_SIZE);
-        assert!(std::ptr::eq(first.raw_column(0), p.base_column(0)));
-        assert!(first.sel().is_some());
-        let scan = ex.scan.borrow();
-        let queue = scan.flows[PatchMode::UsePatches as usize]
-            .as_ref()
-            .expect("live");
-        assert_eq!(queue.len(), 1);
-        let queued = &queue[0];
-        assert!(queued.sel().is_none(), "a queued batch is dense");
-        let want: Vec<i64> = patches.iter().map(|&r| r as i64).collect();
-        assert_eq!(rids(queued), want);
-        assert_eq!(queued.heap_bytes(), patches.len() * 8);
-        drop(scan);
-        drop(us);
-    }
-
-    #[test]
-    fn dropped_flow_is_not_buffered() {
-        let bm = ShardedBitmap::from_positions(10_000, &[1, 5_000]);
-        let p = partition(10_000);
-        let (mut ex, us) = PatchSelectOp::split(ScanOp::new(&p, vec![0], false), &bm, None);
-        drop(us);
-        assert_eq!(collect(&mut ex).len(), 9_998);
-        assert!(ex.scan.borrow().flows[PatchMode::UsePatches as usize].is_none());
     }
 
     #[test]

@@ -1,15 +1,22 @@
 //! Property tests for the selection, join and merge kernels: each against
 //! the obvious reference implementation, over random inputs; and for scan
 //! batches lent from base storage, which later writes must not reach.
+//!
+//! The PatchIndex merge join's invariant: one pass over a partition —
+//! kept rows sweeping the sorted build side, exceptions found by binary
+//! search — joins exactly the rows a hash join of the filtered scan does,
+//! whatever the patch lookup, the predicate and the scan's windows.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use pi_bitmap::ShardedBitmap;
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::FilterOp;
 use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
 use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, UnionAllOp};
-use pi_exec::ops::merge_join::MergeJoinOp;
+use pi_exec::ops::merge_join::PatchMergeJoinOp;
+use pi_exec::ops::patch_select::PatchLookup;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::{SortKeySpec, SortOrder};
 use pi_exec::{collect, count_rows, drain, Batch, BatchSource, Expr, OpRef, Operator};
@@ -82,7 +89,6 @@ fn chains(input: &Batch, other: &Batch, cut: i64, limit: usize) -> Vec<Vec<Vec<i
             filtered(),
             Expr::col(0).ge(Expr::LitInt(cut / 2)),
         ))),
-        rows(&collect(&mut MergeJoinOp::new(other, 0, filtered(), 0))),
         rows(&table.probe(input, 0)),
         rows(&collect(&mut HashJoinOp::inner(
             source(other),
@@ -293,24 +299,66 @@ proptest! {
     }
 
     #[test]
-    fn merge_join_is_the_hash_join_on_sorted_inputs(
-        left_steps in proptest::collection::vec(0i64..3, 0..200),
-        right_steps in proptest::collection::vec(0i64..3, 0..200),
-        right_batch_rows in 1usize..50,
+    fn patch_merge_join_is_the_hash_join_of_the_filtered_scan(
+        // Build-side keys ascending with duplicate runs; may be empty.
+        x_steps in proptest::collection::vec(0i64..3, 0..200),
+        // A line key steps up on 0 only, so each repeats ~8 times.
+        line_steps in proptest::collection::vec(0u8..8, 0..3_000),
+        // (row, key): a planted exception, keyed in and beyond X's range.
+        planted in proptest::collection::vec((any::<usize>(), -3i64..420), 0..80),
+        // Window boundaries, each with whether the rows after it are
+        // scanned: the scan's windows cut through duplicate groups.
+        cuts in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..8),
+        // Lines whose payload is below it pass; 1000 means no predicate.
+        cut in prop_oneof![Just(0i64), Just(1_000), 0i64..1_000],
+        bitmap in any::<bool>(),
     ) {
-        let left = keyed(&left_steps, 1_000);
-        let right = keyed(&right_steps, 2_000);
-        let mut hash = HashJoinOp::inner(
-            Box::new(BatchSource::single(right.clone())),
-            0,
-            Box::new(BatchSource::single(left.clone())),
-            0,
-        );
+        let x = keyed(&x_steps, 1_000);
+        let n = line_steps.len();
+        let mut keys: Vec<i64> = line_steps
+            .iter()
+            .scan(0, |key, &s| {
+                *key += i64::from(s == 0);
+                Some(*key)
+            })
+            .collect();
+        let mut patches: Vec<u64> = Vec::new();
+        if n > 0 {
+            for &(row, key) in &planted {
+                keys[row % n] = key;
+                patches.push((row % n) as u64);
+            }
+        }
+        patches.sort_unstable();
+        patches.dedup();
+        let payload = (0..n as i64).map(|i| i * 7_919 % 1_000).collect();
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]));
+        let part = Partition::new(0, schema, vec![ColumnData::Int(keys), ColumnData::Int(payload)]);
+        let mut bounds: Vec<(usize, bool)> = cuts.iter().map(|&(c, on)| (c % (n + 1), on)).collect();
+        bounds.push((0, true));
+        bounds.sort_unstable();
+        bounds.dedup_by_key(|b| b.0);
+        let ranges: Vec<std::ops::Range<usize>> = bounds
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.1)
+            .map(|(i, b)| b.0..bounds.get(i + 1).map_or(n, |next| next.0))
+            .filter(|r| !r.is_empty())
+            .collect();
+        let scan = || ScanOp::with_ranges(&part, vec![0, 1], ranges.clone(), false);
+        let pred = (cut < 1_000).then(|| Expr::col(1).lt(Expr::LitInt(cut)));
+        let lines: OpRef<'_> = match &pred {
+            Some(pred) => Box::new(FilterOp::new(Box::new(scan()), pred.clone())),
+            None => Box::new(scan()),
+        };
+        let mut hash = HashJoinOp::inner(lines, 0, source(&x), 0);
         let want = sorted_rows(&collect(&mut hash));
-        // The right side arrives in batches that cut through duplicate
-        // groups; the left is borrowed.
-        let right_batches = BatchSource::new(right.split(right_batch_rows));
-        let mut merge = MergeJoinOp::new(&left, 0, Box::new(right_batches), 0);
+        let bm = ShardedBitmap::from_positions(n as u64, &patches);
+        let lookup: &dyn PatchLookup = if bitmap { &bm } else { &patches };
+        let mut merge = PatchMergeJoinOp::new(&x, 0, scan(), 0, lookup, pred);
         prop_assert_eq!(sorted_rows(&collect(&mut merge)), want);
     }
 

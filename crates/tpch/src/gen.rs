@@ -340,6 +340,13 @@ pub fn generate(spec: &TpchSpec) -> TpchDb {
 
 /// Produces a permutation that relocates `rate * n` random rows to random
 /// positions, leaving the rest in their original relative (sorted) order.
+///
+/// The `j`-th moved row is spliced in at a uniform slot among the
+/// `n - k + j` rows placed before it. Later splices shift it but never
+/// reorder it, so placing the moved rows last to first, each in the
+/// `(p + 1)`-th slot no later one took, builds the same permutation from
+/// the same draws in `O(n log n)`; the kept rows fill the free slots in
+/// order.
 fn perturbation(n: usize, rate: f64, rng: &mut SmallRng) -> Vec<usize> {
     let k = ((n as f64) * rate).round() as usize;
     if k == 0 {
@@ -347,20 +354,56 @@ fn perturbation(n: usize, rate: f64, rng: &mut SmallRng) -> Vec<usize> {
     }
     let mut all: Vec<usize> = (0..n).collect();
     all.shuffle(rng);
-    let moved: Vec<usize> = all[..k].to_vec();
-    let is_moved = {
-        let mut v = vec![false; n];
-        moved.iter().for_each(|&i| v[i] = true);
-        v
-    };
-    // Stable remainder, moved rows spliced at random slots.
-    let keep: Vec<usize> = (0..n).filter(|&i| !is_moved[i]).collect();
-    let mut out = keep;
-    for &m in &moved {
-        let pos = rng.gen_range(0..=out.len());
-        out.insert(pos, m);
+    let moved = &all[..k];
+    let draws: Vec<usize> = (0..k).map(|j| rng.gen_range(0..=n - k + j)).collect();
+    let mut free = FreeSlots::new(n);
+    let mut out = vec![usize::MAX; n];
+    for (&m, &p) in moved.iter().zip(&draws).rev() {
+        out[free.take(p)] = m;
+    }
+    let mut is_moved = vec![false; n];
+    moved.iter().for_each(|&i| is_moved[i] = true);
+    let mut kept = (0..n).filter(|&i| !is_moved[i]);
+    for slot in out.iter_mut().filter(|s| **s == usize::MAX) {
+        *slot = kept.next().expect("a kept row per free slot");
     }
     out
+}
+
+/// The free slots among `0..n`, as a Fenwick tree of 0/1 counts.
+struct FreeSlots {
+    /// 1-based: node `i` counts the free slots in `(i - lowbit(i), i]`.
+    tree: Vec<usize>,
+}
+
+impl FreeSlots {
+    /// All `n` slots free.
+    fn new(n: usize) -> Self {
+        FreeSlots {
+            tree: (0..=n).map(|i| i & i.wrapping_neg()).collect(),
+        }
+    }
+
+    /// Takes the `(p + 1)`-th free slot and returns it.
+    fn take(&mut self, p: usize) -> usize {
+        let n = self.tree.len() - 1;
+        // Descend to the longest prefix holding at most `p` free slots.
+        let (mut pos, mut rest) = (0, p);
+        let mut step = n.next_power_of_two();
+        while step > 0 {
+            if pos + step <= n && self.tree[pos + step] <= rest {
+                pos += step;
+                rest -= self.tree[pos];
+            }
+            step /= 2;
+        }
+        let mut i = pos + 1;
+        while i <= n {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+        pos
+    }
 }
 
 impl TpchDb {
@@ -477,6 +520,51 @@ mod tests {
             let got = patches as f64 / rows as f64;
             assert!(got <= e + 0.01, "e={e} got {got}");
             assert!(got >= e * 0.5, "e={e} got {got}");
+        }
+    }
+
+    /// The splice loop `perturbation` replaced: each moved row is
+    /// inserted with `Vec::insert`, in `O(n * k)`.
+    fn perturbation_by_insert(n: usize, rate: f64, rng: &mut SmallRng) -> Vec<usize> {
+        let k = ((n as f64) * rate).round() as usize;
+        if k == 0 {
+            return (0..n).collect();
+        }
+        let mut all: Vec<usize> = (0..n).collect();
+        all.shuffle(rng);
+        let moved: Vec<usize> = all[..k].to_vec();
+        let mut is_moved = vec![false; n];
+        moved.iter().for_each(|&i| is_moved[i] = true);
+        let mut out: Vec<usize> = (0..n).filter(|&i| !is_moved[i]).collect();
+        for &m in &moved {
+            let pos = rng.gen_range(0..=out.len());
+            out.insert(pos, m);
+        }
+        out
+    }
+
+    #[test]
+    fn perturbation_is_the_splice_loop() {
+        use rand::RngCore;
+        let mut cases = SmallRng::seed_from_u64(0x5EED);
+        for case in 0..1_200 {
+            let n = cases.gen_range(0..1_500);
+            let rate = match case % 5 {
+                0 => 0.0,
+                1 => 1.0,
+                2 => cases.gen_range(0.0..0.02),
+                _ => cases.gen_range(0.0..1.0),
+            };
+            let seed = cases.next_u64();
+            let (mut a, mut b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            let got = perturbation(n, rate, &mut a);
+            assert_eq!(
+                got,
+                perturbation_by_insert(n, rate, &mut b),
+                "n={n} rate={rate} seed={seed}"
+            );
+            // The same draws: both leave the generator in the same state.
+            assert_eq!(a.next_u64(), b.next_u64(), "n={n} rate={rate} seed={seed}");
         }
     }
 

@@ -3,29 +3,28 @@
 //!
 //! * **Reference** — hash joins, no constraint information;
 //! * **PatchIndex** — the NSC on `l_orderkey` replaces the big HashJoin by
-//!   a MergeJoin in the `exclude_patches` flow, the patches flow builds a
-//!   hash table on the (small) patch set and probes the buffered join
-//!   subtree "X" (intermediate result caching), both flows recombine with
-//!   a Union (Figure 2, right). `lineitem` is read once: each partition's
-//!   scan splits into both flows on the fly, with the query's lineitem
-//!   predicate pushed into the split. X is materialized once and only
-//!   borrowed from then on — swept in place by every partition's
-//!   MergeJoin, probed once by the hash table over all partitions'
-//!   patches;
-//! * **PatchIndexZbp** — like PatchIndex with zero-branch pruning: on a
-//!   perfect constraint the patches subtree is dropped entirely;
+//!   a merge join of the `exclude_patches` flow with the buffered join
+//!   subtree "X" (intermediate result caching), and joins the patches to
+//!   X apart; the flows recombine as one output (Figure 2, right).
+//!   `lineitem` is read once, in one pass per partition: the query's
+//!   lineitem predicate and the patch mask are read word-wise, the kept
+//!   lines sweep X's sorted keys, each patch finds its partners by binary
+//!   search in them, and only lines with a partner are copied. X is
+//!   materialized once and only borrowed from then on;
+//! * **PatchIndexZbp** — the same plan with zero-branch pruning, which the
+//!   one-pass join does by itself: a partition without patches has no
+//!   exception bits, so its patches are never joined;
 //! * **JoinIdx** — the lineitem⋈orders join is read from a materialized
 //!   [`JoinIndex`] partner column instead of being computed.
 
-use patchindex::scan::patch_scan_split;
+use patchindex::scan::patch_merge_join;
 use patchindex::PatchIndex;
 use pi_baselines::JoinIndex;
 use pi_exec::expr::str_code;
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::{FilterOp, ProjectOp};
-use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
+use pi_exec::ops::hash_join::HashJoinOp;
 use pi_exec::ops::merge::UnionAllOp;
-use pi_exec::ops::merge_join::MergeJoinOp;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::{SortOp, SortOrder};
 use pi_exec::{collect, drain, Batch, Expr, OpRef};
@@ -38,7 +37,7 @@ use crate::gen::{cols, TpchDb};
 pub enum QueryVariant {
     /// Hash joins without constraint information.
     Reference,
-    /// PatchIndex rewrite (MergeJoin + patches flow).
+    /// PatchIndex rewrite (merge join of the kept flow + the patches flow).
     PatchIndex,
     /// PatchIndex rewrite with zero-branch pruning.
     PatchIndexZbp,
@@ -59,14 +58,11 @@ fn scan_all<'a>(table: &'a Table, cols_: Vec<usize>, filter: Option<Expr>) -> Op
 }
 
 /// The lineitem⋈X join for the PatchIndex variants over the materialized
-/// subtree `x`. Per partition, one scan splits the rows passing `l_filter`
-/// into the excluding flow — sorted on `l_orderkey`, streamed through an
-/// order-preserving MergeJoin that sweeps `x` in place — and the patches
-/// flow; the patches of all partitions become the build side of one
-/// HashJoin that `x` probes (so its layout matches the MergeJoin's).
-/// The excluding flow reaches the MergeJoin as a selection over the
-/// scanned columns, so only lines that find an X partner are gathered.
-/// Output columns are `[X columns..., lineitem columns...]`.
+/// subtree `x`, sorted on `x_key`: per partition, one pass of
+/// [`patch_merge_join`] joins the lines passing `l_filter` — the kept
+/// ones, sorted on `l_orderkey`, by a sweep of `x`, the patches by a
+/// binary search in it. Output columns are `[X columns..., lineitem
+/// columns...]`.
 fn pi_lineitem_join(
     db: &TpchDb,
     index: &PatchIndex,
@@ -74,30 +70,12 @@ fn pi_lineitem_join(
     x_key: usize,
     l_cols: &[usize],
     l_filter: &Expr,
-    zbp: bool,
 ) -> Batch {
     let mut pieces: Vec<Batch> = Vec::new();
-    let mut patch_flows: Vec<OpRef<'_>> = Vec::new();
-    for pid in 0..db.lineitem.partition_count() {
-        let part = db.lineitem.partition(pid);
-        let (exclude, patches) =
-            patch_scan_split(part, index, l_cols.to_vec(), Some(l_filter.clone()));
-        // The ZBP variant prunes the patches flow per partition, like
-        // pi-planner's catalog-aware lowering does for Plan-based queries;
-        // dropping it before the scan runs keeps it from being selected.
-        if !zbp || index.partition_patch_count(pid) > 0 {
-            patch_flows.push(patches);
-        } else {
-            drop(patches);
-        }
-        pieces.extend(drain(&mut MergeJoinOp::new(x, x_key, exclude, 0)));
-    }
-    if !patch_flows.is_empty() {
-        let patches = JoinTable::build(&mut UnionAllOp::new(patch_flows), 0);
-        let joined = patches.probe(x, x_key);
-        if !joined.is_empty() {
-            pieces.push(joined);
-        }
+    for part in db.lineitem.partitions() {
+        let pred = Some(l_filter.clone());
+        let mut join = patch_merge_join(part, index, l_cols.to_vec(), pred, x, x_key);
+        pieces.extend(drain(join.as_mut()));
     }
     Batch::concat(&pieces)
 }
@@ -155,8 +133,7 @@ pub fn q3(
         QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
             let index = index.expect("PatchIndex variant needs the NSC index");
             let x = collect(x().as_mut());
-            let zbp = variant == QueryVariant::PatchIndexZbp;
-            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp)
+            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter)
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");
@@ -346,8 +323,7 @@ pub fn q7(
         QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
             let index = index.expect("PatchIndex variant needs the NSC index");
             let x = collect(x().as_mut());
-            let zbp = variant == QueryVariant::PatchIndexZbp;
-            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp)
+            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter)
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");
@@ -464,8 +440,7 @@ pub fn q12(
         QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
             let index = index.expect("PatchIndex variant needs the NSC index");
             let x = collect(scan_all(&db.orders, o_cols.clone(), None).as_mut());
-            let zbp = variant == QueryVariant::PatchIndexZbp;
-            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter, zbp)
+            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter)
         }
         QueryVariant::JoinIdx => {
             let ji = ji.expect("JoinIdx variant needs the JoinIndex");

@@ -1,22 +1,22 @@
 //! Result-cache transparency under randomized mutation streams.
 //!
-//! The central property (the PR's acceptance bar): **a `ConcurrentTable`
-//! carrying a result cache answers every query byte-identically to a
-//! twin table without one, across randomized
-//! insert/modify/delete/recompute/publish streams with repeated
-//! interleaved queries.** Both twins apply the same ops and publish in
-//! lockstep; after every op the full query mix runs on fresh snapshots
-//! of both sides — and runs *twice* on the cached side, so the second
-//! pass exercises the hit path against the first pass's entries. Old
-//! snapshots are held across publishes and re-queried: an entry whose
-//! epoch was refreshed by newer readers must still validate by pointer
-//! identity (or miss and recompute) for the stale snapshot, never serve
-//! it another epoch's rows.
+//! The central property: **a `ConcurrentTable` carrying a result cache
+//! answers every query byte-identically to a twin table without one,
+//! across randomized insert/modify/delete/recompute/publish streams with
+//! repeated interleaved queries.** Both twins apply the same ops and
+//! publish in lockstep; after every op the full query mix runs on fresh
+//! snapshots of both sides — and runs *twice* on the cached side, so the
+//! second pass exercises the hit path against the first pass's entries.
+//! The cache lives in one epoch: each publish's change set decides which
+//! entries carry over. Old snapshots are held across publishes and
+//! re-queried; a reader of an older epoch simply misses, recomputes and
+//! stores nothing, so it must never be served another epoch's rows.
 //!
-//! Stale-wrong-answer bugs this would catch: a publish sweep that
-//! misses a dirty footprint, a fingerprint that conflates two plans, a
-//! footprint that omits a consulted partition, or epoch-refresh leaking
-//! new-epoch results to held old snapshots.
+//! Stale-wrong-answer bugs this would catch: a publish sweep that keeps
+//! an entry over a written partition or a re-versioned index it binds, a
+//! fingerprint that conflates two plans, or a lookup or insert that
+//! ignores the reader's epoch and hands a held old snapshot new-epoch
+//! results (or stores its results for newer readers).
 
 use patchindex::{
     ConcurrentTable, Constraint, Design, IndexedTable, ResultCache, SortDir, TableSnapshot,
