@@ -542,15 +542,10 @@ pub fn fig10() -> String {
         ("PI_10%", 0.10, QueryVariant::PatchIndex),
         ("PI_5%", 0.05, QueryVariant::PatchIndex),
         ("PI_0%", 0.0, QueryVariant::PatchIndex),
-        ("PI_0%_ZBP", 0.0, QueryVariant::PatchIndexZbp),
         ("JoinIndex", 0.0, QueryVariant::JoinIdx),
     ] {
         let mut db = pi_tpch::generate(&TpchSpec::new(sf, e));
-        let needs_pi = matches!(
-            variant,
-            QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp
-        );
-        let pi = needs_pi.then(|| {
+        let pi = (variant == QueryVariant::PatchIndex).then(|| {
             PatchIndex::create(
                 &db.lineitem,
                 cols::L_ORDERKEY,

@@ -30,7 +30,12 @@
 //!   and [`ops::hash_join::JoinTable::probe`]s without a copy;
 //! * partition-parallel execution via [`parallel::per_partition`], on one
 //!   persistent process-wide pool ([`parallel::fan_out`]) whose calling
-//!   thread helps, so no fan-out spawns a thread.
+//!   thread helps, so no fan-out spawns a thread. It runs constraint
+//!   discovery at index creation, the NUC collision probe of index
+//!   maintenance, the JoinIndex and materialized-view baselines, and the
+//!   `lineitem` side of the hand-lowered TPC-H plans in every variant;
+//!   the server's shard reads use [`parallel::fan_out`] directly. The
+//!   planner's lowered plans still pull every partition on one thread.
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
 //! Hand-lowered physical plans for TPC-H Q3, Q7 and Q12 (paper,
-//! Section 6.3 / Figure 10) in four variants each:
+//! Section 6.3 / Figure 10) in three variants each:
 //!
 //! * **Reference** — hash joins, no constraint information;
 //! * **PatchIndex** — the NSC on `l_orderkey` replaces the big HashJoin by
@@ -10,12 +10,19 @@
 //!   lineitem predicate and the patch mask are read word-wise, the kept
 //!   lines sweep X's sorted keys, each patch finds its partners by binary
 //!   search in them, and only lines with a partner are copied. X is
-//!   materialized once and only borrowed from then on;
-//! * **PatchIndexZbp** — the same plan with zero-branch pruning, which the
-//!   one-pass join does by itself: a partition without patches has no
-//!   exception bits, so its patches are never joined;
+//!   materialized once and only borrowed from then on. Zero-branch
+//!   pruning needs no plan of its own: a partition without patches has
+//!   no exception bits, so its patches are never joined;
 //! * **JoinIdx** — the lineitem⋈orders join is read from a materialized
 //!   [`JoinIndex`] partner column instead of being computed.
+//!
+//! In every variant the `lineitem` side runs partition-locally and in
+//! parallel (paper, Section 3.2): one [`per_partition`] task per
+//! `lineitem` partition builds and drains that partition's pipeline —
+//! the PatchIndex join, a probe of the Reference plan's one shared
+//! [`JoinTable`], or the JoinIndex gather — and the pieces concatenate
+//! in partition order, so the result's rows come out in the order a
+//! sequential loop over the partitions gives.
 
 use patchindex::scan::patch_merge_join;
 use patchindex::PatchIndex;
@@ -23,11 +30,12 @@ use pi_baselines::JoinIndex;
 use pi_exec::expr::str_code;
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::{FilterOp, ProjectOp};
-use pi_exec::ops::hash_join::HashJoinOp;
+use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
 use pi_exec::ops::merge::UnionAllOp;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::{SortOp, SortOrder};
-use pi_exec::{collect, drain, Batch, Expr, OpRef};
+use pi_exec::parallel::per_partition;
+use pi_exec::{collect, drain, Batch, BatchSource, Expr, OpRef, Operator};
 use pi_storage::{date, Table};
 
 use crate::gen::{cols, TpchDb};
@@ -39,8 +47,6 @@ pub enum QueryVariant {
     Reference,
     /// PatchIndex rewrite (merge join of the kept flow + the patches flow).
     PatchIndex,
-    /// PatchIndex rewrite with zero-branch pruning.
-    PatchIndexZbp,
     /// Materialized JoinIndex.
     JoinIdx,
 }
@@ -57,27 +63,171 @@ fn scan_all<'a>(table: &'a Table, cols_: Vec<usize>, filter: Option<Expr>) -> Op
     }
 }
 
-/// The lineitem⋈X join for the PatchIndex variants over the materialized
-/// subtree `x`, sorted on `x_key`: per partition, one pass of
-/// [`patch_merge_join`] joins the lines passing `l_filter` — the kept
-/// ones, sorted on `l_orderkey`, by a sweep of `x`, the patches by a
-/// binary search in it. Output columns are `[X columns..., lineitem
-/// columns...]`.
-fn pi_lineitem_join(
+/// A query's `lineitem` side: what its scans of each partition read and
+/// what the JoinIdx plan gathers for each line.
+struct LineSide {
+    /// The `lineitem` columns read, `l_orderkey` first.
+    l_cols: Vec<usize>,
+    /// The predicate pushed into the `lineitem` scans.
+    l_filter: Expr,
+    /// The `orders` columns the JoinIdx plan gathers per line.
+    o_cols: Vec<usize>,
+    /// Whether the Reference plan builds its hash table on the filtered
+    /// lines and probes X (Q12's selective filter), instead of building
+    /// on X and probing the lines.
+    build_on_lines: bool,
+}
+
+/// The lineitem⋈X join of one query as `variant` computes it, where X —
+/// the join subtree on the `orders` side — is keyed on column 0
+/// (`o_orderkey`). The `lineitem` side runs one [`per_partition`] task
+/// per partition, and the pieces concatenate in partition order. Output
+/// columns:
+/// * Reference: `[lineitem columns..., X columns...]`, or `[X columns...,
+///   lineitem columns...]` when it builds on the lines;
+/// * PatchIndex: `[X columns..., lineitem columns...]`;
+/// * JoinIdx: `[side.o_cols..., lineitem columns...]`; X is not run.
+fn lineitem_join(
     db: &TpchDb,
-    index: &PatchIndex,
-    x: &Batch,
-    x_key: usize,
-    l_cols: &[usize],
-    l_filter: &Expr,
+    variant: QueryVariant,
+    index: Option<&PatchIndex>,
+    ji: Option<&JoinIndex>,
+    side: &LineSide,
+    mut x: OpRef<'_>,
 ) -> Batch {
-    let mut pieces: Vec<Batch> = Vec::new();
-    for part in db.lineitem.partitions() {
-        let pred = Some(l_filter.clone());
-        let mut join = patch_merge_join(part, index, l_cols.to_vec(), pred, x, x_key);
-        pieces.extend(drain(join.as_mut()));
+    match variant {
+        QueryVariant::Reference if side.build_on_lines => {
+            let lines = BatchSource::new(filtered_lines(db, side));
+            collect(&mut HashJoinOp::inner(Box::new(lines), 0, x, 0))
+        }
+        QueryVariant::Reference => probe_lines(db, &JoinTable::build(x.as_mut(), 0), side),
+        QueryVariant::PatchIndex => {
+            let index = index.expect("PatchIndex variant needs the NSC index");
+            pi_lineitem_join(db, index, &collect(x.as_mut()), side)
+        }
+        QueryVariant::JoinIdx => {
+            let ji = ji.expect("JoinIdx variant needs the JoinIndex");
+            joinindex_lines(db, ji, side)
+        }
     }
-    Batch::concat(&pieces)
+}
+
+/// The lineitem⋈X join for the PatchIndex variant over the materialized
+/// X, sorted on its key column 0: each [`per_partition`] task runs one
+/// pass of [`patch_merge_join`], which joins the lines passing the
+/// side's filter — the kept ones, sorted on `l_orderkey`, by a sweep of
+/// `x`, the patches by a binary search in it. Every task borrows `x`.
+/// Output columns are `[X columns..., lineitem columns...]`.
+fn pi_lineitem_join(db: &TpchDb, index: &PatchIndex, x: &Batch, side: &LineSide) -> Batch {
+    let pieces = per_partition(&db.lineitem, |part| {
+        let pred = Some(side.l_filter.clone());
+        let mut join = patch_merge_join(part, index, side.l_cols.clone(), pred, x, 0);
+        drain(join.as_mut())
+    });
+    Batch::concat(&pieces.concat())
+}
+
+/// The Reference plans' probe of X's one shared [`JoinTable`]: each
+/// [`per_partition`] task probes it with its partition's lines passing
+/// the side's filter, on `l_orderkey`, batch by batch. Output columns are
+/// `[lineitem columns..., X columns...]`.
+fn probe_lines(db: &TpchDb, table: &JoinTable, side: &LineSide) -> Batch {
+    let pieces = per_partition(&db.lineitem, |part| {
+        let scan = ScanOp::new(part, side.l_cols.clone(), false);
+        let mut lines = FilterOp::new(Box::new(scan), side.l_filter.clone());
+        let mut out = Vec::new();
+        while let Some(batch) = lines.next() {
+            let joined = table.probe(&batch, 0);
+            if !joined.is_empty() {
+                out.push(joined);
+            }
+        }
+        out
+    });
+    Batch::concat(&pieces.concat())
+}
+
+/// The `lineitem` lines passing the side's filter, from one
+/// [`per_partition`] task per partition, in partition order.
+fn filtered_lines(db: &TpchDb, side: &LineSide) -> Vec<Batch> {
+    per_partition(&db.lineitem, |part| {
+        let scan = ScanOp::new(part, side.l_cols.clone(), false);
+        drain(&mut FilterOp::new(Box::new(scan), side.l_filter.clone()))
+    })
+    .concat()
+}
+
+/// The JoinIdx variant's lineitem⋈orders: each [`per_partition`] task
+/// yields its partition's lines passing the side's filter with the
+/// `orders` columns `side.o_cols` of each line's partner, gathered
+/// through the materialized [`JoinIndex`]. Output columns are `[orders
+/// columns..., lineitem columns...]`.
+fn joinindex_lines(db: &TpchDb, ji: &JoinIndex, side: &LineSide) -> Batch {
+    let pieces = per_partition(&db.lineitem, |part| {
+        // The scan's trailing rowID column names each line's partner.
+        let mut scan = ScanOp::new(part, side.l_cols.clone(), true);
+        let mut filt = FilterOp::new(Box::new(take_op(&mut scan)), side.l_filter.clone());
+        let out = collect(&mut filt);
+        if out.is_empty() {
+            return Vec::new();
+        }
+        let mut lines = out.into_columns();
+        let rids = lines.pop().expect("rowID column");
+        let rids: Vec<usize> = rids.as_int().iter().map(|&r| r as usize).collect();
+        let mut columns = ji.gather_dim(&db.orders, part.id, &rids, &side.o_cols);
+        columns.extend(lines);
+        vec![Batch::new(columns)]
+    });
+    Batch::concat(&pieces.concat())
+}
+
+/// Q3's date: orders placed before it, lines shipped after it.
+fn q3_cutoff() -> i64 {
+    date(1995, 3, 15)
+}
+
+/// Q3's lineitem side: `[l_orderkey, l_extendedprice, l_discount,
+/// l_shipdate]` of the lines shipped after the cutoff; the JoinIdx plan
+/// gathers `[o_custkey, o_orderdate, o_shippriority]`.
+fn q3_side() -> LineSide {
+    LineSide {
+        l_cols: vec![
+            cols::L_ORDERKEY,
+            cols::L_EXTENDEDPRICE,
+            cols::L_DISCOUNT,
+            cols::L_SHIPDATE,
+        ],
+        l_filter: Expr::col(3).gt(Expr::LitInt(q3_cutoff())),
+        o_cols: vec![cols::O_CUSTKEY, cols::O_ORDERDATE, cols::O_SHIPPRIORITY],
+        build_on_lines: false,
+    }
+}
+
+/// Q3's customers in the BUILDING segment: `[c_custkey, c_mktsegment]`.
+fn q3_customers(db: &TpchDb) -> OpRef<'_> {
+    let seg_dict = db.customer.dict(cols::C_MKTSEGMENT).unwrap();
+    scan_all(
+        &db.customer,
+        vec![cols::C_CUSTKEY, cols::C_MKTSEGMENT],
+        Some(Expr::col(1).eq(Expr::lit_str(seg_dict, "BUILDING"))),
+    )
+}
+
+/// Q3's X = customers ⋈ orders placed before the cutoff, probe side =
+/// orders (order preserving): `[o_orderkey, o_custkey, o_orderdate,
+/// o_shippriority, c_custkey, c_seg]`.
+fn q3_x(db: &TpchDb) -> OpRef<'_> {
+    let orders = scan_all(
+        &db.orders,
+        vec![
+            cols::O_ORDERKEY,
+            cols::O_CUSTKEY,
+            cols::O_ORDERDATE,
+            cols::O_SHIPPRIORITY,
+        ],
+        Some(Expr::col(2).lt(Expr::LitInt(q3_cutoff()))),
+    );
+    Box::new(HashJoinOp::inner(q3_customers(db), 0, orders, 1))
 }
 
 /// TPC-H Q3 (shipping priority).
@@ -87,58 +237,13 @@ pub fn q3(
     index: Option<&PatchIndex>,
     ji: Option<&JoinIndex>,
 ) -> Batch {
-    let cutoff = date(1995, 3, 15);
-    let seg_dict = db.customer.dict(cols::C_MKTSEGMENT).unwrap();
-    let cust_filter = Expr::col(1).eq(Expr::lit_str(seg_dict, "BUILDING"));
-    let customer_f = || {
-        scan_all(
-            &db.customer,
-            vec![cols::C_CUSTKEY, cols::C_MKTSEGMENT],
-            Some(cust_filter.clone()),
-        )
-    };
-    let orders_cols = vec![
-        cols::O_ORDERKEY,
-        cols::O_CUSTKEY,
-        cols::O_ORDERDATE,
-        cols::O_SHIPPRIORITY,
-    ];
-    let orders_f = || {
-        scan_all(
-            &db.orders,
-            orders_cols.clone(),
-            Some(Expr::col(2).lt(Expr::LitInt(cutoff))),
-        )
-    };
-    // X = customer_f ⋈ orders_f, probe side = orders (order preserving).
-    // Output: [o_orderkey, o_custkey, o_orderdate, o_shippriority, c_custkey, c_seg]
-    let x = || -> OpRef<'_> { Box::new(HashJoinOp::inner(customer_f(), 0, orders_f(), 1)) };
-    let l_cols = vec![
-        cols::L_ORDERKEY,
-        cols::L_EXTENDEDPRICE,
-        cols::L_DISCOUNT,
-        cols::L_SHIPDATE,
-    ];
-    let l_filter = Expr::col(3).gt(Expr::LitInt(cutoff));
-
-    let joined: Batch = match variant {
-        QueryVariant::Reference => {
-            // HashJoin: build = X, probe = lineitem.
-            // Output: [l cols (0..4), x cols (4..10)]
-            let li = scan_all(&db.lineitem, l_cols.clone(), Some(l_filter.clone()));
-            let mut join = HashJoinOp::inner(x(), 0, li, 0);
-            // Normalize to [x..., l...].
-            project_concat(collect(&mut join), 4)
-        }
-        QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
-            let index = index.expect("PatchIndex variant needs the NSC index");
-            let x = collect(x().as_mut());
-            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter)
-        }
-        QueryVariant::JoinIdx => {
-            let ji = ji.expect("JoinIdx variant needs the JoinIndex");
-            return q3_joinindex(db, ji, cutoff, &cust_filter);
-        }
+    let side = q3_side();
+    let joined = lineitem_join(db, variant, index, ji, &side, q3_x(db));
+    let joined = match variant {
+        // Normalize [l(0..4), x(4..10)] to [x..., l...].
+        QueryVariant::Reference => project_concat(joined, side.l_cols.len()),
+        QueryVariant::PatchIndex => joined,
+        QueryVariant::JoinIdx => return q3_joinindex(db, joined),
     };
     // joined layout: [x(0..6), l(6..)]:
     //   0 o_orderkey 1 o_custkey 2 o_orderdate 3 o_shippriority
@@ -157,13 +262,13 @@ pub fn q3(
 /// `[l_orderkey, o_orderdate, o_shippriority, revenue]`.
 fn finish_q3(projected: Batch) -> Batch {
     let mut agg = HashAggOp::new(
-        Box::new(pi_exec::BatchSource::single(projected)),
+        Box::new(BatchSource::single(projected)),
         vec![0, 1, 2],
         vec![AggSpec::sum(Expr::col(3))],
     );
     let aggd = collect(&mut agg);
     let mut sort = SortOp::new(
-        Box::new(pi_exec::BatchSource::single(aggd)),
+        Box::new(BatchSource::single(aggd)),
         vec![(3, SortOrder::Desc), (1, SortOrder::Asc)],
     );
     let sorted = collect(&mut sort);
@@ -171,35 +276,15 @@ fn finish_q3(projected: Batch) -> Batch {
     sorted.gather(&keep)
 }
 
-fn q3_joinindex(db: &TpchDb, ji: &JoinIndex, cutoff: i64, cust_filter: &Expr) -> Batch {
-    // Gather the orders partner columns of the filtered lineitem rows
-    // through the materialized index, then finish with the customer join.
-    let l_cols = [
-        cols::L_ORDERKEY,
-        cols::L_EXTENDEDPRICE,
-        cols::L_DISCOUNT,
-        cols::L_SHIPDATE,
-    ];
-    let o_cols = [cols::O_CUSTKEY, cols::O_ORDERDATE, cols::O_SHIPPRIORITY];
-    // [o_custkey, o_orderdate, o_shipprio, l_orderkey, price, discount, shipdate]
-    let combined = joinindex_lines(
-        db,
-        ji,
-        &l_cols,
-        &Expr::col(3).gt(Expr::LitInt(cutoff)),
-        &o_cols,
-    );
+/// Finishes Q3 from the JoinIdx plan's gathered lines `[o_custkey,
+/// o_orderdate, o_shippriority, l_orderkey, price, discount, shipdate]`:
+/// the orders date filter, then the join with the filtered customers.
+fn q3_joinindex(db: &TpchDb, combined: Batch) -> Batch {
     let mut date_f = FilterOp::new(
-        Box::new(pi_exec::BatchSource::single(combined)),
-        Expr::col(1).lt(Expr::LitInt(cutoff)),
+        Box::new(BatchSource::single(combined)),
+        Expr::col(1).lt(Expr::LitInt(q3_cutoff())),
     );
-    // Remaining join with the filtered customers.
-    let cust = scan_all(
-        &db.customer,
-        vec![cols::C_CUSTKEY, cols::C_MKTSEGMENT],
-        Some(cust_filter.clone()),
-    );
-    let mut join = HashJoinOp::inner(cust, 0, Box::new(take_op(&mut date_f)), 0);
+    let mut join = HashJoinOp::inner(q3_customers(db), 0, Box::new(take_op(&mut date_f)), 0);
     let out = collect(&mut join);
     // [o..3, l..4, c_custkey, c_seg]
     let revenue = Expr::col(4).mul(Expr::LitFloat(1.0).sub(Expr::col(5)));
@@ -212,42 +297,12 @@ fn q3_joinindex(db: &TpchDb, ji: &JoinIndex, cutoff: i64, cust_filter: &Expr) ->
     finish_q3(projected)
 }
 
-/// The JoinIdx variant's lineitem⋈orders: per partition, the lineitem
-/// rows passing `l_filter` with the orders columns `o_cols` of each
-/// row's partner, gathered through the materialized [`JoinIndex`].
-/// Output columns are `[orders columns..., lineitem columns...]`.
-fn joinindex_lines(
-    db: &TpchDb,
-    ji: &JoinIndex,
-    l_cols: &[usize],
-    l_filter: &Expr,
-    o_cols: &[usize],
-) -> Batch {
-    let mut pieces: Vec<Batch> = Vec::new();
-    for pid in 0..db.lineitem.partition_count() {
-        // The scan's trailing rowID column names each line's partner.
-        let mut scan = ScanOp::new(db.lineitem.partition(pid), l_cols.to_vec(), true);
-        let mut filt = FilterOp::new(Box::new(take_op(&mut scan)), l_filter.clone());
-        let out = collect(&mut filt);
-        if out.is_empty() {
-            continue;
-        }
-        let mut lines = out.into_columns();
-        let rids = lines.pop().expect("rowID column");
-        let rids: Vec<usize> = rids.as_int().iter().map(|&r| r as usize).collect();
-        let mut columns = ji.gather_dim(&db.orders, pid, &rids, o_cols);
-        columns.extend(lines);
-        pieces.push(Batch::new(columns));
-    }
-    Batch::concat(&pieces)
-}
-
 // --- small plumbing helpers -------------------------------------------------
 
 /// Drains an operator into a replayable source (pipeline-breaking helper
 /// for hand-lowered plans).
-fn take_op(op: &mut dyn pi_exec::Operator) -> pi_exec::BatchSource {
-    pi_exec::BatchSource::new(pi_exec::drain(op))
+fn take_op(op: &mut dyn Operator) -> BatchSource {
+    BatchSource::new(drain(op))
 }
 
 /// Reorders `[l(0..l_width), x(l_width..)]` into `[x..., l...]`.
@@ -257,6 +312,66 @@ fn project_concat(out: Batch, l_width: usize) -> Batch {
     Batch::new(columns)
 }
 
+/// Q7's two nations, FRANCE and GERMANY, as `n_name` literals.
+fn q7_nations(db: &TpchDb) -> (Expr, Expr) {
+    let n_dict = db.nation.dict(cols::N_NAME).unwrap();
+    (
+        Expr::lit_str(n_dict, "FRANCE"),
+        Expr::lit_str(n_dict, "GERMANY"),
+    )
+}
+
+/// Q7's nations: `[n_nationkey, n_name]` of FRANCE and GERMANY.
+fn q7_nation_pair(db: &TpchDb) -> OpRef<'_> {
+    let (fr, de) = q7_nations(db);
+    scan_all(
+        &db.nation,
+        vec![cols::N_NATIONKEY, cols::N_NAME],
+        Some(Expr::col(1).eq(fr).or(Expr::col(1).eq(de))),
+    )
+}
+
+/// Q7's customers of the two nations: `[c_custkey, c_nationkey, n_key,
+/// n_name]`.
+fn q7_cust_nation(db: &TpchDb) -> OpRef<'_> {
+    Box::new(HashJoinOp::inner(
+        q7_nation_pair(db),
+        0,
+        scan_all(&db.customer, vec![cols::C_CUSTKEY, cols::C_NATIONKEY], None),
+        1,
+    ))
+}
+
+/// Q7's X = customers of the two nations ⋈ orders (probe = orders, order
+/// preserving): `[o_orderkey, o_custkey, c_custkey, c_nationkey, n_key,
+/// n_name]`.
+fn q7_x(db: &TpchDb) -> OpRef<'_> {
+    Box::new(HashJoinOp::inner(
+        q7_cust_nation(db),
+        0,
+        scan_all(&db.orders, vec![cols::O_ORDERKEY, cols::O_CUSTKEY], None),
+        1,
+    ))
+}
+
+/// Q7's lineitem side: `[l_orderkey, l_suppkey, l_extendedprice,
+/// l_discount, l_shipdate]` of the lines shipped in 1995–1996; the
+/// JoinIdx plan gathers `[o_orderkey, o_custkey]`.
+fn q7_side() -> LineSide {
+    LineSide {
+        l_cols: vec![
+            cols::L_ORDERKEY,
+            cols::L_SUPPKEY,
+            cols::L_EXTENDEDPRICE,
+            cols::L_DISCOUNT,
+            cols::L_SHIPDATE,
+        ],
+        l_filter: Expr::Between(Box::new(Expr::col(4)), date(1995, 1, 1), date(1996, 12, 31)),
+        o_cols: vec![cols::O_ORDERKEY, cols::O_CUSTKEY],
+        build_on_lines: false,
+    }
+}
+
 /// TPC-H Q7 (volume shipping).
 pub fn q7(
     db: &TpchDb,
@@ -264,80 +379,25 @@ pub fn q7(
     index: Option<&PatchIndex>,
     ji: Option<&JoinIndex>,
 ) -> Batch {
-    let n_dict = db.nation.dict(cols::N_NAME).unwrap();
-    let fr = Expr::lit_str(n_dict, "FRANCE");
-    let de = Expr::lit_str(n_dict, "GERMANY");
-    let nation_pair = || {
-        scan_all(
-            &db.nation,
-            vec![cols::N_NATIONKEY, cols::N_NAME],
-            Some(Expr::col(1).eq(fr.clone()).or(Expr::col(1).eq(de.clone()))),
-        )
-    };
+    let (fr, de) = q7_nations(db);
     // supp side: [s_suppkey, s_nationkey, n_key, n_name]
-    let supp_nation = || -> OpRef<'_> {
-        Box::new(HashJoinOp::inner(
-            nation_pair(),
-            0,
-            scan_all(&db.supplier, vec![cols::S_SUPPKEY, cols::S_NATIONKEY], None),
-            1,
-        ))
-    };
-    // cust side: [c_custkey, c_nationkey, n_key, n_name]
-    let cust_nation = || -> OpRef<'_> {
-        Box::new(HashJoinOp::inner(
-            nation_pair(),
-            0,
-            scan_all(&db.customer, vec![cols::C_CUSTKEY, cols::C_NATIONKEY], None),
-            1,
-        ))
-    };
-    // X = cust_nation ⋈ orders (probe = orders, order preserving):
-    // [o_orderkey, o_custkey, c_custkey, c_nationkey, n_key, n_name]
-    let x = || -> OpRef<'_> {
-        Box::new(HashJoinOp::inner(
-            cust_nation(),
-            0,
-            scan_all(&db.orders, vec![cols::O_ORDERKEY, cols::O_CUSTKEY], None),
-            1,
-        ))
-    };
-    let ship_lo = date(1995, 1, 1);
-    let ship_hi = date(1996, 12, 31);
-    let l_cols = vec![
-        cols::L_ORDERKEY,
-        cols::L_SUPPKEY,
-        cols::L_EXTENDEDPRICE,
-        cols::L_DISCOUNT,
-        cols::L_SHIPDATE,
-    ];
-    let l_filter = Expr::Between(Box::new(Expr::col(4)), ship_lo, ship_hi);
-
+    let supp_nation: OpRef<'_> = Box::new(HashJoinOp::inner(
+        q7_nation_pair(db),
+        0,
+        scan_all(&db.supplier, vec![cols::S_SUPPKEY, cols::S_NATIONKEY], None),
+        1,
+    ));
+    let side = q7_side();
+    let joined = lineitem_join(db, variant, index, ji, &side, q7_x(db));
     // lineitem ⋈ X, normalized to [x(0..6), l(6..)].
-    let joined: Batch = match variant {
-        QueryVariant::Reference => {
-            let li = scan_all(&db.lineitem, l_cols.clone(), Some(l_filter.clone()));
-            let mut join = HashJoinOp::inner(x(), 0, li, 0);
-            project_concat(collect(&mut join), 5)
-        }
-        QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
-            let index = index.expect("PatchIndex variant needs the NSC index");
-            let x = collect(x().as_mut());
-            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter)
-        }
-        QueryVariant::JoinIdx => {
-            let ji = ji.expect("JoinIdx variant needs the JoinIndex");
-            q7_joinindex_join(db, ji, &l_cols, &l_filter)
-        }
+    let joined = match variant {
+        QueryVariant::Reference => project_concat(joined, side.l_cols.len()),
+        QueryVariant::PatchIndex => joined,
+        QueryVariant::JoinIdx => q7_joinindex_layout(db, joined),
     };
     // joined: 0 o_orderkey 1 o_custkey 2 c_custkey 3 c_nationkey 4 n2_key
     // 5 cust_nation 6 l_orderkey 7 l_suppkey 8 price 9 discount 10 shipdate
-    let mut supp_join = HashJoinOp::inner(
-        supp_nation(),
-        0,
-        Box::new(pi_exec::BatchSource::single(joined)),
-        7,
-    );
+    let mut supp_join = HashJoinOp::inner(supp_nation, 0, Box::new(BatchSource::single(joined)), 7);
     let out = collect(&mut supp_join);
     // [prev(0..11), s_suppkey(11), s_nationkey(12), n1_key(13), supp_nation(14)]
     if out.is_empty() {
@@ -347,7 +407,7 @@ pub fn q7(
         .eq(fr.clone())
         .and(Expr::col(5).eq(de.clone()))
         .or(Expr::col(14).eq(de).and(Expr::col(5).eq(fr)));
-    let mut filt = FilterOp::new(Box::new(pi_exec::BatchSource::single(out)), pair_filter);
+    let mut filt = FilterOp::new(Box::new(BatchSource::single(out)), pair_filter);
     let mut proj = ProjectOp::new(
         Box::new(take_op(&mut filt)),
         vec![
@@ -373,34 +433,58 @@ pub fn q7(
     collect(&mut sort)
 }
 
-/// Q7's lineitem⋈orders through the JoinIndex, producing the same
-/// `[x(0..6), l(6..)]` layout as the join variants (the cust/nation columns
-/// are joined afterwards like the reference plan would).
-fn q7_joinindex_join(db: &TpchDb, ji: &JoinIndex, l_cols: &[usize], l_filter: &Expr) -> Batch {
-    let o_cols = [cols::O_ORDERKEY, cols::O_CUSTKEY];
-    let combined = joinindex_lines(db, ji, l_cols, l_filter, &o_cols);
-    // [o_orderkey, o_custkey, l(2..7)] -> join customers to reach the X layout.
-    let n_dict = db.nation.dict(cols::N_NAME).unwrap();
-    let pair = Expr::col(1)
-        .eq(Expr::lit_str(n_dict, "FRANCE"))
-        .or(Expr::col(1).eq(Expr::lit_str(n_dict, "GERMANY")));
-    let nation_f = scan_all(
-        &db.nation,
-        vec![cols::N_NATIONKEY, cols::N_NAME],
-        Some(pair),
-    );
-    let cust: OpRef<'_> = Box::new(HashJoinOp::inner(
-        nation_f,
+/// Brings the JoinIdx plan's gathered Q7 lines `[o_orderkey, o_custkey,
+/// l(2..7)]` into the join variants' `[x(0..6), l(6..)]` layout: the
+/// cust/nation columns are joined afterwards like the reference plan
+/// would.
+fn q7_joinindex_layout(db: &TpchDb, combined: Batch) -> Batch {
+    let mut join = HashJoinOp::inner(
+        q7_cust_nation(db),
         0,
-        scan_all(&db.customer, vec![cols::C_CUSTKEY, cols::C_NATIONKEY], None),
+        Box::new(BatchSource::single(combined)),
         1,
-    ));
-    let mut join = HashJoinOp::inner(cust, 0, Box::new(pi_exec::BatchSource::single(combined)), 1);
+    );
     let out = collect(&mut join);
     // [o_orderkey, o_custkey, l(2..7), c_custkey, c_nationkey, n_key, n_name]
     // Reorder into the uniform [x(0..6), l(6..11)] layout.
     let order: Vec<usize> = vec![0, 1, 7, 8, 9, 10, 2, 3, 4, 5, 6];
     out.project(&order)
+}
+
+/// Q12's lineitem side: `[l_orderkey, l_shipmode, l_commitdate,
+/// l_receiptdate, l_shipdate]` of the MAIL and SHIP lines received late
+/// in 1994. X is `[o_orderkey, o_orderpriority]`, which the JoinIdx plan
+/// gathers, and the Reference plan builds on these selective lines.
+fn q12_side(db: &TpchDb) -> LineSide {
+    let mode_dict = db.lineitem.dict(cols::L_SHIPMODE).unwrap();
+    let mail = str_code(mode_dict, "MAIL") as i64;
+    let ship = str_code(mode_dict, "SHIP") as i64;
+    let l_filter = Expr::InInts(Box::new(Expr::col(1)), vec![mail, ship])
+        .and(Expr::col(2).lt(Expr::col(3)))
+        .and(Expr::col(4).lt(Expr::col(2)))
+        .and(Expr::col(3).ge(Expr::LitInt(date(1994, 1, 1))))
+        .and(Expr::col(3).lt(Expr::LitInt(date(1995, 1, 1))));
+    LineSide {
+        l_cols: vec![
+            cols::L_ORDERKEY,
+            cols::L_SHIPMODE,
+            cols::L_COMMITDATE,
+            cols::L_RECEIPTDATE,
+            cols::L_SHIPDATE,
+        ],
+        l_filter,
+        o_cols: vec![cols::O_ORDERKEY, cols::O_ORDERPRIORITY],
+        build_on_lines: true,
+    }
+}
+
+/// Q12's X: `[o_orderkey, o_orderpriority]` of every order.
+fn q12_x(db: &TpchDb) -> OpRef<'_> {
+    scan_all(
+        &db.orders,
+        vec![cols::O_ORDERKEY, cols::O_ORDERPRIORITY],
+        None,
+    )
 }
 
 /// TPC-H Q12 (shipping modes and order priority).
@@ -410,43 +494,7 @@ pub fn q12(
     index: Option<&PatchIndex>,
     ji: Option<&JoinIndex>,
 ) -> Batch {
-    let mode_dict = db.lineitem.dict(cols::L_SHIPMODE).unwrap();
-    let mail = str_code(mode_dict, "MAIL") as i64;
-    let ship = str_code(mode_dict, "SHIP") as i64;
-    let recv_lo = date(1994, 1, 1);
-    let recv_hi = date(1995, 1, 1);
-    let l_cols = vec![
-        cols::L_ORDERKEY,
-        cols::L_SHIPMODE,
-        cols::L_COMMITDATE,
-        cols::L_RECEIPTDATE,
-        cols::L_SHIPDATE,
-    ];
-    let l_filter = Expr::InInts(Box::new(Expr::col(1)), vec![mail, ship])
-        .and(Expr::col(2).lt(Expr::col(3)))
-        .and(Expr::col(4).lt(Expr::col(2)))
-        .and(Expr::col(3).ge(Expr::LitInt(recv_lo)))
-        .and(Expr::col(3).lt(Expr::LitInt(recv_hi)));
-    let o_cols = vec![cols::O_ORDERKEY, cols::O_ORDERPRIORITY];
-
-    // Normalized layout: [o_orderkey, o_orderpriority, l(2..)].
-    let joined: Batch = match variant {
-        QueryVariant::Reference => {
-            // Build on the (selective) filtered lineitem, probe orders.
-            let li = scan_all(&db.lineitem, l_cols.clone(), Some(l_filter.clone()));
-            let mut join = HashJoinOp::inner(li, 0, scan_all(&db.orders, o_cols.clone(), None), 0);
-            collect(&mut join)
-        }
-        QueryVariant::PatchIndex | QueryVariant::PatchIndexZbp => {
-            let index = index.expect("PatchIndex variant needs the NSC index");
-            let x = collect(scan_all(&db.orders, o_cols.clone(), None).as_mut());
-            pi_lineitem_join(db, index, &x, 0, &l_cols, &l_filter)
-        }
-        QueryVariant::JoinIdx => {
-            let ji = ji.expect("JoinIdx variant needs the JoinIndex");
-            joinindex_lines(db, ji, &l_cols, &l_filter, &o_cols)
-        }
-    };
+    let joined = lineitem_join(db, variant, index, ji, &q12_side(db), q12_x(db));
     if joined.is_empty() {
         return Batch::default();
     }
@@ -463,7 +511,7 @@ pub fn q12(
         high_pred.eval(&joined),
     ]);
     let mut agg = HashAggOp::new(
-        Box::new(pi_exec::BatchSource::single(projected)),
+        Box::new(BatchSource::single(projected)),
         vec![0],
         vec![
             AggSpec::count_if(Expr::col(1).eq(Expr::LitInt(1))),
@@ -517,11 +565,7 @@ mod tests {
         let (db, pi, ji) = setup(e);
         let reference = q(&db, QueryVariant::Reference, None, None);
         assert!(!reference.is_empty(), "reference result empty — weak test");
-        for variant in [
-            QueryVariant::PatchIndex,
-            QueryVariant::PatchIndexZbp,
-            QueryVariant::JoinIdx,
-        ] {
+        for variant in [QueryVariant::PatchIndex, QueryVariant::JoinIdx] {
             let got = q(&db, variant, Some(&pi), Some(&ji));
             assert_eq!(
                 canonical(&got),
@@ -562,12 +606,9 @@ mod tests {
     }
 
     /// The benchmark's shape: 4 `lineitem` partitions, e = 5 %, one RF1
-    /// and one RF2 through the direct index API. The rewrites must agree
-    /// with the reference while the refreshes sit in the delta stores
-    /// (patch scans select over merge-on-read batches) and after they are
-    /// propagated.
-    #[test]
-    fn patchindex_variants_agree_across_a_refresh_pair() {
+    /// and one RF2 through the direct index API, left in the delta
+    /// stores.
+    fn refresh_pair() -> (TpchDb, PatchIndex) {
         let mut spec = TpchSpec::new(0.004, 0.05);
         spec.lineitem_partitions = 4;
         let mut db = generate(&spec);
@@ -598,7 +639,14 @@ mod tests {
             .collect();
         assert!(!order_rids.is_empty() && !addrs.is_empty(), "weak test");
         db.orders.delete(0, &order_rids);
-        type Query = fn(&TpchDb, QueryVariant, Option<&PatchIndex>, Option<&JoinIndex>) -> Batch;
+        (db, index)
+    }
+
+    /// Runs `check` on the refresh pair while the refreshes sit in the
+    /// delta stores (scans select over merge-on-read batches) and after
+    /// they are propagated.
+    fn across_a_refresh_pair(check: impl Fn(&TpchDb, &PatchIndex, bool)) {
+        let (mut db, index) = refresh_pair();
         for propagated in [false, true] {
             if propagated {
                 db.lineitem.propagate_all();
@@ -610,15 +658,138 @@ mod tests {
                 .iter()
                 .any(|p| !p.delta().is_empty());
             assert_eq!(pending, !propagated);
+            check(&db, &index, propagated);
+        }
+    }
+
+    /// The rewrite must agree with the reference across a refresh pair.
+    #[test]
+    fn patchindex_variants_agree_across_a_refresh_pair() {
+        type Query = fn(&TpchDb, QueryVariant, Option<&PatchIndex>, Option<&JoinIndex>) -> Batch;
+        across_a_refresh_pair(|db, index, propagated| {
             for (name, q) in [("q3", q3 as Query), ("q7", q7), ("q12", q12)] {
-                let want = canonical(&q(&db, QueryVariant::Reference, None, None));
+                let want = canonical(&q(db, QueryVariant::Reference, None, None));
                 assert!(!want.is_empty(), "{name}: weak test");
-                for variant in [QueryVariant::PatchIndex, QueryVariant::PatchIndexZbp] {
-                    let got = canonical(&q(&db, variant, Some(&index), None));
-                    assert_eq!(got, want, "{name} {variant:?} propagated={propagated}");
+                let got = canonical(&q(db, QueryVariant::PatchIndex, Some(index), None));
+                assert_eq!(got, want, "{name} propagated={propagated}");
+            }
+        });
+    }
+
+    /// Every value of `b`, column by column and row by row, as exact
+    /// bytes (floats by their bits, strings by their codes).
+    fn exact_bytes(b: &Batch) -> Vec<u8> {
+        let mut out = b.width().to_le_bytes().to_vec();
+        for c in 0..b.width() {
+            match b.column(c) {
+                pi_storage::ColumnData::Int(v) => {
+                    v.iter().for_each(|x| out.extend(x.to_le_bytes()));
+                }
+                pi_storage::ColumnData::Float(v) => {
+                    v.iter().for_each(|x| out.extend(x.to_bits().to_le_bytes()));
+                }
+                pi_storage::ColumnData::Str { codes, .. } => {
+                    codes.iter().for_each(|x| out.extend(x.to_le_bytes()));
                 }
             }
         }
+        out
+    }
+
+    /// [`lineitem_join`] as one sequential loop over the `lineitem`
+    /// partitions: the Reference plans as one hash join over the union
+    /// of the partition scans, the other variants partition by partition
+    /// in order.
+    fn sequential_lineitem_join(
+        db: &TpchDb,
+        variant: QueryVariant,
+        index: &PatchIndex,
+        ji: &JoinIndex,
+        side: &LineSide,
+        mut x: OpRef<'_>,
+    ) -> Batch {
+        let lines = || {
+            scan_all(
+                &db.lineitem,
+                side.l_cols.clone(),
+                Some(side.l_filter.clone()),
+            )
+        };
+        let mut pieces: Vec<Batch> = Vec::new();
+        match variant {
+            QueryVariant::Reference if side.build_on_lines => {
+                return collect(&mut HashJoinOp::inner(lines(), 0, x, 0));
+            }
+            QueryVariant::Reference => return collect(&mut HashJoinOp::inner(x, 0, lines(), 0)),
+            QueryVariant::PatchIndex => {
+                let x = collect(x.as_mut());
+                for part in db.lineitem.partitions() {
+                    let pred = Some(side.l_filter.clone());
+                    let cols = side.l_cols.clone();
+                    pieces.extend(drain(
+                        patch_merge_join(part, index, cols, pred, &x, 0).as_mut(),
+                    ));
+                }
+            }
+            QueryVariant::JoinIdx => {
+                for pid in 0..db.lineitem.partition_count() {
+                    let part = db.lineitem.partition(pid);
+                    let mut scan = ScanOp::new(part, side.l_cols.clone(), true);
+                    let out = collect(&mut FilterOp::new(
+                        Box::new(take_op(&mut scan)),
+                        side.l_filter.clone(),
+                    ));
+                    if out.is_empty() {
+                        continue;
+                    }
+                    let mut lines = out.into_columns();
+                    let rids = lines.pop().expect("rowID column");
+                    let rids: Vec<usize> = rids.as_int().iter().map(|&r| r as usize).collect();
+                    let mut columns = ji.gather_dim(&db.orders, pid, &rids, &side.o_cols);
+                    columns.extend(lines);
+                    pieces.push(Batch::new(columns));
+                }
+            }
+        }
+        Batch::concat(&pieces)
+    }
+
+    /// The partition-parallel lineitem side of Q3, Q7 and Q12 yields, in
+    /// every variant, exactly the bytes and row order of the sequential
+    /// loop: the pieces concatenate in partition order.
+    #[test]
+    fn lineitem_join_is_the_sequential_loop_byte_for_byte() {
+        type Side = (
+            &'static str,
+            fn(&TpchDb) -> LineSide,
+            fn(&TpchDb) -> OpRef<'_>,
+        );
+        let sides: [Side; 3] = [
+            ("q3", |_| q3_side(), q3_x),
+            ("q7", |_| q7_side(), q7_x),
+            ("q12", q12_side, q12_x),
+        ];
+        across_a_refresh_pair(|db, index, propagated| {
+            let ji =
+                JoinIndex::create(&db.lineitem, cols::L_ORDERKEY, &db.orders, cols::O_ORDERKEY);
+            for (name, side, x) in sides {
+                let side = side(db);
+                for variant in [
+                    QueryVariant::Reference,
+                    QueryVariant::PatchIndex,
+                    QueryVariant::JoinIdx,
+                ] {
+                    let got = lineitem_join(db, variant, Some(index), Some(&ji), &side, x(db));
+                    let want = sequential_lineitem_join(db, variant, index, &ji, &side, x(db));
+                    assert!(want.len() > 1, "{name} {variant:?}: weak test");
+                    assert_eq!(
+                        exact_bytes(&got),
+                        exact_bytes(&want),
+                        "{name} {variant:?} propagated={propagated}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]
