@@ -230,32 +230,38 @@ impl Batch {
         }
     }
 
-    /// Appends the rows of `other` (same shape) to this dense batch.
-    pub fn append(&mut self, other: &Batch) {
-        self.assert_dense();
-        if self.columns.is_empty() {
-            *self = other.clone().materialize();
-            return;
+    /// Concatenates many batches into one dense batch (empty input gives
+    /// an empty batch). The output columns are sized once for every row
+    /// and each batch's window or selection is copied straight into them;
+    /// a batch that holds every row comes back as it is when dense.
+    pub fn concat(batches: &[Batch]) -> Batch {
+        let filled = batches.iter().filter(|b| b.width() > 0);
+        let Some(first) = filled.clone().next() else {
+            return Batch::default();
+        };
+        let total: usize = batches.iter().map(Batch::len).sum();
+        if let Some(whole) = filled.clone().find(|b| b.len() == total) {
+            return whole.clone().materialize();
         }
-        assert_eq!(self.width(), other.width(), "batch width mismatch");
-        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            let a = Arc::make_mut(a);
-            match &other.sel {
-                Some(sel) => a.extend_from(&b.gather(sel)),
-                None => a.extend_from_range(b, other.span.start, other.span.len()),
+        let mut columns: Vec<ColumnData> = first
+            .columns
+            .iter()
+            .map(|c| {
+                let mut out = c.empty_like();
+                out.reserve(total);
+                out
+            })
+            .collect();
+        for b in filled {
+            assert_eq!(b.width(), columns.len(), "batch width mismatch");
+            for (out, col) in columns.iter_mut().zip(&b.columns) {
+                match &b.sel {
+                    Some(sel) => extend_gathered(out, col, sel),
+                    None => out.extend_from_range(col, b.span.start, b.span.len()),
+                }
             }
         }
-        self.span = 0..self.columns[0].len();
-    }
-
-    /// Concatenates many batches into one dense batch (empty input gives
-    /// an empty batch).
-    pub fn concat(batches: &[Batch]) -> Batch {
-        let mut out = Batch::default();
-        for b in batches {
-            out.append(b);
-        }
-        out
+        Batch::new(columns)
     }
 
     /// Splits a batch into windows of at most `chunk` rows over the same
@@ -284,6 +290,24 @@ pub(crate) fn copy_rows(col: &ColumnData, rows: &Range<usize>) -> ColumnData {
     let mut out = col.empty_like();
     out.extend_from_range(col, rows.start, rows.len());
     out
+}
+
+/// Appends the rows of `col` at `rows` to `out` (same type and, for
+/// strings, the same dictionary) without a temporary column.
+fn extend_gathered(out: &mut ColumnData, col: &ColumnData, rows: &[usize]) {
+    match (out, col) {
+        (ColumnData::Int(a), ColumnData::Int(b)) => a.extend(rows.iter().map(|&i| b[i])),
+        (ColumnData::Float(a), ColumnData::Float(b)) => a.extend(rows.iter().map(|&i| b[i])),
+        (ColumnData::Str { codes: a, dict: da }, ColumnData::Str { codes: b, dict: db }) => {
+            assert!(Arc::ptr_eq(da, db), "concat across different dictionaries");
+            a.extend(rows.iter().map(|&i| b[i]));
+        }
+        (a, b) => panic!(
+            "type mismatch: concatenating {:?} with {:?}",
+            a.data_type(),
+            b.data_type()
+        ),
+    }
 }
 
 /// The positions `p` in `rows` for which `keep(p)` holds, ascending. The
@@ -367,11 +391,9 @@ mod tests {
     #[test]
     fn append_and_concat() {
         // String columns share a dictionary only within one logical column;
-        // appending therefore uses clones of the same batch.
+        // concatenating therefore uses clones of the same batch.
         let b = batch();
-        let mut a = b.clone();
-        a.append(&b);
-        assert_eq!(a.len(), 8);
+        assert_eq!(Batch::concat(&[b.clone(), b.clone()]).len(), 8);
         let picked = Batch::selected(b.clone().into_columns(), vec![2]);
         let d = Batch::concat(&[picked.clone(), b.clone(), picked]);
         assert_eq!(d.column(0).as_int(), &[3, 1, 2, 3, 4, 3]);
@@ -381,9 +403,47 @@ mod tests {
 
     #[test]
     fn append_into_empty() {
-        let mut e = Batch::default();
-        e.append(&batch());
+        let e = Batch::concat(&[Batch::default(), batch()]);
         assert_eq!(e.len(), 4);
+        assert!(Batch::concat(&[]).is_empty());
+    }
+
+    /// Windows, selections and a `Str` column concatenate to the rows
+    /// each batch holds, in order, into columns sized exactly once; a
+    /// lone dense batch comes back sharing its columns.
+    #[test]
+    fn concat_copies_each_shape_into_exactly_sized_columns() {
+        let rows = |b: &Batch| -> Vec<String> {
+            (0..b.len())
+                .map(|i| {
+                    let row: Vec<_> = (0..b.width())
+                        .map(|c| b.raw_column(c).value(b.row(i)))
+                        .collect();
+                    format!("{row:?}")
+                })
+                .collect()
+        };
+        let b = batch();
+        let pieces = [
+            b.clone().head(3),
+            Batch::selected(b.clone().into_columns(), vec![1, 3]),
+            Batch::window(b.columns().to_vec(), 1..4),
+            b.clone().refine(|p| p != 2),
+            b.clone().head(0),
+            b.clone(),
+        ];
+        let out = Batch::concat(&pieces);
+        assert_eq!(rows(&out), pieces.iter().flat_map(rows).collect::<Vec<_>>());
+        for col in out.columns() {
+            let capacity = match &**col {
+                ColumnData::Int(v) => v.capacity(),
+                ColumnData::Float(v) => v.capacity(),
+                ColumnData::Str { codes, .. } => codes.capacity(),
+            };
+            assert_eq!(capacity, out.len());
+        }
+        let alone = Batch::concat(&[b.clone().head(0), b.clone()]);
+        assert!(Arc::ptr_eq(&alone.columns()[0], &b.columns()[0]));
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //!   discovery at index creation, the NUC collision probe of index
 //!   maintenance, the JoinIndex and materialized-view baselines, and the
 //!   `lineitem` side of the hand-lowered TPC-H plans in every variant;
-//!   the server's shard reads use [`parallel::fan_out`] directly. The
-//!   planner's lowered plans still pull every partition on one thread.
+//!   the planner's lowered plans and the server's shard reads use
+//!   [`parallel::fan_out`] directly, the planner with one task per
+//!   partition that drains that partition's pipeline.
 
 #![warn(missing_docs)]
 

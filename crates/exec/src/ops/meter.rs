@@ -7,7 +7,10 @@
 //! one; the pulled flags on top of the per-partition pipelines say which
 //! partitions the execution visited (a combine that stops early, such as
 //! a pushed-down `LIMIT` under a union, leaves later pipelines unpulled).
-//! Execution is single-threaded, so plain `Cell` counters suffice.
+//! A partition's pipeline may run as a pool task, but it is lowered and
+//! metered inside that task, and its meters cross the join only once the
+//! operators are gone: no meter is shared between threads, so plain
+//! `Cell` counters suffice, and an [`OpMeter`] is `Send`.
 //!
 //! The recorded time is inclusive of the operator's children (each
 //! `next` pulls recursively), one `Instant` pair per batch — the same

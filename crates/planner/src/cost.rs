@@ -21,6 +21,7 @@ use pi_exec::ops::patch_select::PatchMode;
 use pi_exec::BATCH_SIZE;
 
 use crate::logical::Plan;
+use crate::physical::bounded_cardinality;
 
 /// Per-tuple scan cost.
 const C_SCAN: f64 = 1.0;
@@ -125,8 +126,20 @@ pub fn cardinality(plan: &Plan, cat: &IndexCatalog) -> f64 {
     }
 }
 
-/// Estimated execution cost of the plan tree.
+/// The catalog's bound on the rows of `plan`, from the count each leaf
+/// flow holds over all partitions. Zero means every partition prunes the
+/// flow at lowering, so it runs nothing.
+fn bound(plan: &Plan, cat: &IndexCatalog) -> u64 {
+    bounded_cardinality(plan, &|leaf: &Plan| cardinality(leaf, cat) as u64)
+}
+
+/// Estimated execution cost of the plan tree: what the lowering runs,
+/// so a flow it prunes everywhere costs nothing, and so does a combine
+/// left with one non-empty child.
 pub fn estimate(plan: &Plan, cat: &IndexCatalog) -> f64 {
+    if bound(plan, cat) == 0 {
+        return 0.0;
+    }
     match plan {
         Plan::Scan { .. } => cat.rows as f64 * C_SCAN,
         // The selection reads every scanned tuple and drops a part.
@@ -147,7 +160,11 @@ pub fn estimate(plan: &Plan, cat: &IndexCatalog) -> f64 {
         Plan::Limit { input, .. } => estimate(input, cat),
         Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
             let children: f64 = inputs.iter().map(|p| estimate(p, cat)).sum();
-            children + cardinality(plan, cat) * C_COMBINE
+            let non_empty = inputs.iter().filter(|p| bound(p, cat) > 0).count();
+            match non_empty {
+                1 => children,
+                _ => children + cardinality(plan, cat) * C_COMBINE,
+            }
         }
     }
 }
@@ -210,6 +227,27 @@ mod tests {
             assert_eq!(s.contains("exclude_patches"), chosen, "e = {e_pct}%:\n{s}");
             assert_eq!(s.starts_with("Distinct"), !chosen, "e = {e_pct}%:\n{s}");
         }
+    }
+
+    /// A perfect NUC distinct over R rows runs only the kept flow's
+    /// patch scan: the advisor's feedback (reference cost minus chosen
+    /// cost) is the whole scan-and-aggregate, 5·R − 1.05·R, with nothing
+    /// charged for the empty patches flow or the union it collapses.
+    #[test]
+    fn perfect_nuc_feedback_prices_the_pruned_patches_flow_at_zero() {
+        let rows = 1_000_000u64;
+        let cat = nuc_cat(rows, 0);
+        let reference = Plan::scan(vec![1]).distinct(vec![0]);
+        let chosen = optimize(reference.clone(), &cat);
+        assert!(chosen.to_string().contains("use_patches"), "{chosen}");
+        let saved = estimate(&reference, &cat) - estimate(&chosen, &cat);
+        assert!(
+            (saved - 3.95 * rows as f64).abs() < 1e-6 * rows as f64,
+            "{saved}"
+        );
+        // One patch brings the patches flow and the union back.
+        let one = nuc_cat(rows, 1);
+        assert!(estimate(&chosen, &one) > 2.0 * rows as f64);
     }
 
     #[test]

@@ -1,10 +1,25 @@
 //! Lowering logical plans to executable operator trees.
 //!
-//! Queries run partition-locally and in parallel conceptually; this
-//! lowering produces, per plan node, the per-partition pipeline plus the
-//! correct global combine (union for bags, ordered merge for sorted flows,
-//! a global re-aggregation for distinct), mirroring how the paper's host
-//! system parallelizes over partitions.
+//! Queries run partition-locally and in parallel (paper, Section 3.2):
+//! this lowering produces, per plan node, the per-partition pipeline plus
+//! the correct global combine (union for bags, ordered merge for sorted
+//! flows, a global re-aggregation for distinct), mirroring how the
+//! paper's host system parallelizes over partitions.
+//!
+//! **What runs in tasks.** Each partition's part of a combine — a
+//! distinct's partial, a per-partition `SortOp`, a merge's
+//! (partition, child) stream, a bag scan — is one
+//! [`fan_out`] task on the process-wide pool.
+//! Operators are not `Send`, so the task prunes and lowers its own
+//! partition's pipeline and drains it to a `Vec<Batch>`; the combine
+//! reads the pieces through a [`BatchSource`] each, in partition order,
+//! so the result bytes are the sequential pull's.
+//!
+//! **What stays lazy.** Only a flow with a `LIMIT` above it: a bag scan
+//! under a pushed-down or global limit, and the NSC sort rewrite's kept
+//! flows, are lowered in place and pulled on demand by their combine.
+//! Sorts and distincts run as tasks even there, since their first pull
+//! reads the whole partition anyway. The plan's shape alone decides.
 //!
 //! Zero-branch pruning happens here, and only here, **per partition**:
 //! before a plan is lowered for partition `p`, every Union/Merge child
@@ -27,7 +42,11 @@
 //! `ExecObserver`: EXPLAIN ANALYZE's per-operator meters, whose pulled
 //! flags also give the trace's visited/pruned partition counts. The
 //! public executors [`execute`] / [`execute_count`] and every untraced
-//! query run it unobserved; only a traced query attaches the observer.
+//! query run it unobserved; only a traced query attaches the observer,
+//! and then every task meters under an observer of its own, adopted
+//! after the join. A combine's meter times its own work and the lazy
+//! flows below it only: the pipelines that ran as tasks finished before
+//! its first pull.
 
 use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
@@ -42,7 +61,8 @@ use pi_exec::ops::meter::{MeterOp, OpMeter};
 use pi_exec::ops::patch_select::PatchMode;
 use pi_exec::ops::scan::ScanOp;
 use pi_exec::ops::sort::SortOp;
-use pi_exec::{collect, count_rows, Batch, OpRef};
+use pi_exec::parallel::fan_out;
+use pi_exec::{collect, count_rows, drain, Batch, BatchSource, OpRef};
 use pi_obs::OperatorTrace;
 use pi_storage::Table;
 
@@ -55,7 +75,11 @@ use crate::logical::Plan;
 /// pushed-down `LIMIT` under a union pulls children strictly in order)
 /// leave later partitions unpulled.
 ///
-/// Execution is single-threaded, so `Rc` + `RefCell` suffice.
+/// A pool task lowers its partition under an observer of its own and
+/// hands its meters back after the join ([`ExecObserver::into_finished`]);
+/// the caller's observer appends them in partition order
+/// ([`ExecObserver::adopt`]). No meter is ever shared between threads, so
+/// `Rc` + `RefCell` suffice.
 #[derive(Debug, Default)]
 pub(crate) struct ExecObserver {
     meters: RefCell<Vec<MeterEntry>>,
@@ -63,16 +87,45 @@ pub(crate) struct ExecObserver {
 
 /// One registered meter: its trace label, its partition (`None` for a
 /// global combine), and whether it sits on top of that partition's
-/// pipeline (so its pulled flag speaks for the partition).
+/// pipeline (so its pulled flag speaks for the partition). A finished
+/// task's entries own their meters (`M = OpMeter`), which are `Send`.
 #[derive(Debug)]
-struct MeterEntry {
+struct MeterEntry<M = Rc<OpMeter>> {
     label: &'static str,
     partition: Option<usize>,
     pipeline: bool,
-    meter: Rc<OpMeter>,
+    meter: M,
+}
+
+/// A finished task's meters, in registration order.
+type Finished = Vec<MeterEntry<OpMeter>>;
+
+impl<M> MeterEntry<M> {
+    fn map<N>(self, f: impl FnOnce(M) -> N) -> MeterEntry<N> {
+        MeterEntry {
+            label: self.label,
+            partition: self.partition,
+            pipeline: self.pipeline,
+            meter: f(self.meter),
+        }
+    }
 }
 
 impl ExecObserver {
+    /// The meters of a task whose operators are dropped, as plain values
+    /// that cross the join.
+    fn into_finished(self) -> Finished {
+        let own = |m: Rc<OpMeter>| Rc::try_unwrap(m).expect("the task dropped its operators");
+        let meters = self.meters.into_inner().into_iter();
+        meters.map(|e| e.map(own)).collect()
+    }
+
+    /// Appends a finished task's meters.
+    fn adopt(&self, finished: Finished) {
+        let meters = finished.into_iter().map(|e| e.map(Rc::new));
+        self.meters.borrow_mut().extend(meters);
+    }
+
     /// Partitions whose pipelines were pulled, ascending.
     pub(crate) fn pulled(&self) -> Vec<usize> {
         let mut pulled: Vec<usize> = self
@@ -189,9 +242,10 @@ pub fn prune_for_partition<'a, I: Borrow<PatchIndex>>(
     prune_zero_branches(plan, &leaf)
 }
 
-/// Cardinality upper bound of `plan` in one partition; `leaf` bounds the
-/// Scan/PatchScan nodes and is invoked on nothing else.
-fn bounded_cardinality<F: Fn(&Plan) -> u64>(plan: &Plan, leaf: &F) -> u64 {
+/// Cardinality upper bound of `plan`; `leaf` bounds the Scan/PatchScan
+/// nodes and is invoked on nothing else (one partition's live counts
+/// here, the catalog's totals in the cost model).
+pub(crate) fn bounded_cardinality<F: Fn(&Plan) -> u64>(plan: &Plan, leaf: &F) -> u64 {
     match plan {
         Plan::Scan { .. } | Plan::PatchScan { .. } => leaf(plan),
         Plan::Distinct { input, .. } | Plan::Sort { input, .. } => bounded_cardinality(input, leaf),
@@ -367,57 +421,95 @@ fn lower_pruned<'a, I: Borrow<PatchIndex>>(
         .map(|p| lower_partition(&p, table, indexes, pid, obs, pipeline))
 }
 
+/// One stream per partition that `lower(pid, obs)` does not prune, in
+/// partition order. A `lazy` flow (one a `LIMIT` sits above) is lowered
+/// here and pulled by its combine on demand. Any other runs as one
+/// [`fan_out`] task per partition: the task lowers its own pipeline
+/// (operators are not `Send`) under an observer of its own when the
+/// query is observed, drains it, and hands back its batches, which the
+/// combine reads through a [`BatchSource`], and its meters, which `obs`
+/// adopts in partition order.
+fn pieces<'a>(
+    parts: usize,
+    obs: Option<&ExecObserver>,
+    lazy: bool,
+    lower: impl Fn(usize, Option<&ExecObserver>) -> Option<OpRef<'a>> + Sync,
+) -> Vec<OpRef<'a>> {
+    if lazy {
+        return (0..parts).filter_map(|pid| lower(pid, obs)).collect();
+    }
+    let observed = obs.is_some();
+    let drained = fan_out(parts, |pid| {
+        let own = observed.then(ExecObserver::default);
+        let batches = drain(lower(pid, own.as_ref())?.as_mut());
+        Some((batches, own.map(ExecObserver::into_finished)))
+    });
+    drained
+        .into_iter()
+        .flatten()
+        .map(|(batches, meters)| {
+            if let (Some(obs), Some(meters)) = (obs, meters) {
+                obs.adopt(meters);
+            }
+            Box::new(BatchSource::new(batches)) as OpRef<'a>
+        })
+        .collect()
+}
+
 /// Lowers `plan` across all partitions ([`lower_combined`]); a plan that
 /// every partition prunes to nothing runs as an empty stream.
-pub(crate) fn lower_global<'a, I: Borrow<PatchIndex>>(
+pub(crate) fn lower_global<'a, I: Borrow<PatchIndex> + Sync>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
     obs: Option<&ExecObserver>,
 ) -> OpRef<'a> {
-    lower_combined(plan, table, indexes, obs).unwrap_or_else(|| Box::new(UnionAllOp::new(vec![])))
+    lower_combined(plan, table, indexes, obs, false)
+        .unwrap_or_else(|| Box::new(UnionAllOp::new(vec![])))
 }
 
 /// Lowers `plan` across all partitions with the appropriate global
 /// combine, pruning zero branches per partition; `None` when every
 /// partition prunes the whole subtree, so it lowers to no operator. A
-/// global union of one surviving child is that child. With an observer
-/// (the EXPLAIN ANALYZE lowering), every plan node (per partition) and
-/// every global combine reports wall clock, batch and row counts. The
-/// observer never alters a batch, so results are byte-identical with and
-/// without it.
-fn lower_combined<'a, I: Borrow<PatchIndex>>(
+/// global union of one surviving child is that child. Each partition's
+/// part of a combine is one [`pieces`] stream: drained by a pool task
+/// unless the flow is `lazy` — a bag under a `LIMIT` — while sorts and
+/// distincts, which read their whole partition at the first pull, always
+/// run as tasks. With an observer (the EXPLAIN ANALYZE lowering), every
+/// plan node (per partition) and every global combine reports wall clock,
+/// batch and row counts. The observer never alters a batch, so results
+/// are byte-identical with and without it.
+fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
     obs: Option<&ExecObserver>,
+    lazy: bool,
 ) -> Option<OpRef<'a>> {
-    let parts = 0..table.partition_count();
+    let parts = table.partition_count();
     // A combine over no stream is none at all.
     let some = |streams: Vec<OpRef<'a>>| (!streams.is_empty()).then_some(streams);
     let op = match plan {
         // Bags concatenate across partitions.
         Plan::Scan { .. } | Plan::PatchScan { .. } => {
-            let streams: Vec<OpRef<'a>> = parts
-                .filter_map(|pid| lower_pruned(plan, table, indexes, pid, obs, true))
-                .collect();
+            let streams = pieces(parts, obs, lazy, |pid, obs| {
+                lower_pruned(plan, table, indexes, pid, obs, true)
+            });
             let combine: OpRef<'a> = Box::new(UnionAllOp::new(some(streams)?));
             observe(combine, obs, "UnionAll(global)", None, false)
         }
         // Distinct is distributive: per-partition pre-aggregation, then a
         // global aggregation over the union of partials.
         Plan::Distinct { input, cols } => {
-            let partials: Vec<OpRef<'a>> = parts
-                .filter_map(|pid| {
-                    let partial = partial_distinct(
-                        input,
-                        lower_pruned(input, table, indexes, pid, obs, false)?,
-                        cols,
-                        indexes,
-                    );
-                    Some(observe(partial, obs, "Distinct(partial)", Some(pid), true))
-                })
-                .collect();
+            let partials = pieces(parts, obs, false, |pid, obs| {
+                let partial = partial_distinct(
+                    input,
+                    lower_pruned(input, table, indexes, pid, obs, false)?,
+                    cols,
+                    indexes,
+                );
+                Some(observe(partial, obs, "Distinct(partial)", Some(pid), true))
+            });
             let combine: OpRef<'a> = Box::new(HashAggOp::distinct(
                 Box::new(UnionAllOp::new(some(partials)?)),
                 (0..cols.len()).collect(),
@@ -429,20 +521,18 @@ fn lower_combined<'a, I: Borrow<PatchIndex>>(
         // Distinct arm's global re-aggregation dedups across partitions),
         // so it is lowered globally and sorted once.
         Plan::Sort { input, keys } if input.contains_distinct() => {
-            let input = lower_combined(input, table, indexes, obs)?;
+            let input = lower_combined(input, table, indexes, obs, lazy)?;
             let sorted: OpRef<'a> = Box::new(SortOp::new(input, keys.clone()));
             observe(sorted, obs, "Sort(global)", None, false)
         }
         Plan::Sort { input, keys } => {
-            let sorted: Vec<OpRef<'a>> = parts
-                .filter_map(|pid| {
-                    let stream: OpRef<'a> = Box::new(SortOp::new(
-                        lower_pruned(input, table, indexes, pid, obs, false)?,
-                        keys.clone(),
-                    ));
-                    Some(observe(stream, obs, "Sort(partition)", Some(pid), true))
-                })
-                .collect();
+            let sorted = pieces(parts, obs, false, |pid, obs| {
+                let stream: OpRef<'a> = Box::new(SortOp::new(
+                    lower_pruned(input, table, indexes, pid, obs, false)?,
+                    keys.clone(),
+                ));
+                Some(observe(stream, obs, "Sort(partition)", Some(pid), true))
+            });
             let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(sorted)?, keys.clone()));
             observe(combine, obs, "OrderedMerge(global)", None, false)
         }
@@ -454,18 +544,19 @@ fn lower_combined<'a, I: Borrow<PatchIndex>>(
             // contribute no stream — this is where a 16-partition table
             // with patches in one partition gets 15 single-stream
             // pipelines. A child containing a Distinct contributes one
-            // globally lowered stream instead (see the Sort arm).
+            // globally lowered stream instead (see the Sort arm). Under a
+            // `LIMIT`, a sorted child's streams still run as tasks: the
+            // merge's first pull sorts their whole partition anyway.
             let mut streams: Vec<OpRef<'a>> = Vec::new();
             for child in inputs {
                 if child.contains_distinct() {
-                    streams.extend(lower_combined(child, table, indexes, obs));
+                    streams.extend(lower_combined(child, table, indexes, obs, lazy));
                     continue;
                 }
-                streams.extend(
-                    parts
-                        .clone()
-                        .filter_map(|pid| lower_pruned(child, table, indexes, pid, obs, true)),
-                );
+                let lazy = lazy && !matches!(child, Plan::Sort { .. });
+                streams.extend(pieces(parts, obs, lazy, |pid, obs| {
+                    lower_pruned(child, table, indexes, pid, obs, true)
+                }));
             }
             let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(streams)?, keys.clone()));
             observe(combine, obs, "OrderedMerge(global)", None, false)
@@ -473,7 +564,7 @@ fn lower_combined<'a, I: Borrow<PatchIndex>>(
         Plan::Union { inputs } => {
             let mut children: Vec<OpRef<'a>> = inputs
                 .iter()
-                .filter_map(|p| lower_combined(p, table, indexes, obs))
+                .filter_map(|p| lower_combined(p, table, indexes, obs, lazy))
                 .collect();
             if children.len() == 1 {
                 return children.pop();
@@ -485,20 +576,18 @@ fn lower_combined<'a, I: Borrow<PatchIndex>>(
             if limit_pushes_down(input) {
                 // Cap every partition at n below the combine (each scan
                 // stops early), keep the exact global cap on top.
-                let capped: Vec<OpRef<'a>> = parts
-                    .filter_map(|pid| {
-                        let capped: OpRef<'a> = Box::new(LimitOp::new(
-                            lower_pruned(input, table, indexes, pid, obs, false)?,
-                            *n,
-                        ));
-                        Some(observe(capped, obs, "Limit(partition)", Some(pid), true))
-                    })
-                    .collect();
+                let capped = pieces(parts, obs, true, |pid, obs| {
+                    let capped: OpRef<'a> = Box::new(LimitOp::new(
+                        lower_pruned(input, table, indexes, pid, obs, false)?,
+                        *n,
+                    ));
+                    Some(observe(capped, obs, "Limit(partition)", Some(pid), true))
+                });
                 let combine: OpRef<'a> =
                     Box::new(LimitOp::new(Box::new(UnionAllOp::new(some(capped)?)), *n));
                 observe(combine, obs, "Limit(global)", None, false)
             } else {
-                let input = lower_combined(input, table, indexes, obs)?;
+                let input = lower_combined(input, table, indexes, obs, true)?;
                 let capped: OpRef<'a> = Box::new(LimitOp::new(input, *n));
                 observe(capped, obs, "Limit(global)", None, false)
             }
@@ -508,13 +597,17 @@ fn lower_combined<'a, I: Borrow<PatchIndex>>(
 }
 
 /// Executes a plan to completion and returns the concatenated result.
-pub fn execute<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> Batch {
+pub fn execute<I: Borrow<PatchIndex> + Sync>(plan: &Plan, table: &Table, indexes: &[I]) -> Batch {
     collect(lower_global(plan, table, indexes, None).as_mut())
 }
 
 /// Executes a plan, returning only the row count (benchmark helper that
 /// avoids result materialization skew).
-pub fn execute_count<I: Borrow<PatchIndex>>(plan: &Plan, table: &Table, indexes: &[I]) -> usize {
+pub fn execute_count<I: Borrow<PatchIndex> + Sync>(
+    plan: &Plan,
+    table: &Table,
+    indexes: &[I],
+) -> usize {
     count_rows(lower_global(plan, table, indexes, None).as_mut())
 }
 
@@ -564,7 +657,7 @@ mod tests {
 
     /// [`execute`] with an [`ExecObserver`] attached, as a traced query
     /// runs it.
-    fn collect_probed<I: Borrow<PatchIndex>>(
+    fn collect_probed<I: Borrow<PatchIndex> + Sync>(
         plan: &Plan,
         table: &Table,
         indexes: &[I],
@@ -1139,5 +1232,201 @@ mod tests {
             (report.partitions_visited, report.partitions_pruned),
             (1, 1)
         );
+    }
+
+    /// The rows of column `col`, partition by partition as each
+    /// partition's own scan yields them: the order every bag result keeps,
+    /// read without the lowering.
+    fn scanned(t: &Table, col: usize) -> Vec<i64> {
+        let mut out = Vec::new();
+        for pid in 0..t.partition_count() {
+            let mut scan = ScanOp::new(t.partition(pid), vec![col], false);
+            while let Some(b) = pi_exec::Operator::next(&mut scan) {
+                out.extend((0..b.len()).map(|i| b.raw_column(0).as_int()[b.row(i)]));
+            }
+        }
+        out
+    }
+
+    /// Column 0 of a result (no column at all when nothing was lowered).
+    fn ints(b: &Batch) -> Vec<i64> {
+        match b.width() {
+            0 => Vec::new(),
+            _ => b.column(0).as_int().to_vec(),
+        }
+    }
+
+    /// A random table `(u, c)` over `parts` partitions of up to three
+    /// batches each, with a NUC (slot 0) and an NSC (slot 1) index on `u`
+    /// and an NCC (slot 2) on `c`. `u` interleaves ascending values across
+    /// partitions with planted strays and in-partition duplicates, `c` is
+    /// one constant per partition with planted outliers; then inserted
+    /// rows wait in the deltas and a few base rows are deleted.
+    fn random_table(parts: usize, seed: u64) -> IndexedTable {
+        let mut state = seed;
+        let mut below = |bound: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut t = Table::new(
+            "random",
+            Schema::new(vec![
+                Field::new("u", DataType::Int),
+                Field::new("c", DataType::Int),
+            ]),
+            parts,
+            Partitioning::RoundRobin,
+        );
+        let mut lens = Vec::new();
+        for pid in 0..parts {
+            let len = below(3 * BATCH_SIZE);
+            let (mut u, mut c) = (Vec::with_capacity(len), Vec::with_capacity(len));
+            for i in 0..len {
+                let key = (i * parts + pid) as i64;
+                u.push(match below(100) {
+                    0..=2 => -key - 1,
+                    3..=5 if i > 0 => u[i - 1],
+                    _ => 2 * key,
+                });
+                c.push(match below(100) {
+                    0..=4 => 10 * below(parts) as i64,
+                    _ => 10 * pid as i64,
+                });
+            }
+            t.load_partition(pid, &[ColumnData::Int(u), ColumnData::Int(c)]);
+            lens.push(len);
+        }
+        t.propagate_all();
+        let mut it = IndexedTable::new(t);
+        it.add_index(0, Constraint::NearlyUnique, Design::Bitmap);
+        it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        it.add_index(1, Constraint::NearlyConstant, Design::Bitmap);
+        let inserted: Vec<Vec<Value>> = (0..below(40))
+            .map(|j| {
+                let u = match below(3) {
+                    0 => 2 * below(parts * 3 * BATCH_SIZE) as i64,
+                    _ => 10_000_000 + j as i64,
+                };
+                vec![Value::Int(u), Value::Int(10 * below(parts) as i64)]
+            })
+            .collect();
+        it.insert(&inserted);
+        for (pid, &len) in lens.iter().enumerate().filter(|(_, &len)| len > 0) {
+            let mut rids: Vec<usize> = (0..below(4)).map(|_| below(len)).collect();
+            rids.sort_unstable();
+            rids.dedup();
+            it.delete(pid, &rids);
+        }
+        it.check_consistency();
+        it
+    }
+
+    // The partition-parallel lowering keeps the sequential answer
+    // and leaves the flows under a `LIMIT` lazy. Over random tables
+    // with patches and pending deltas, every rewrite shape answers
+    // the same rows through `query` and `query_traced`, and the
+    // index-free reference answers exactly the rows read partition by
+    // partition, in partition order. Under a `LIMIT`, a bag scan
+    // visits only the partitions the limit reaches, and the sort
+    // rewrite's kept flows read no further than the merge's first
+    // output batch needs.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn parallel_lowering_keeps_bytes_and_laziness(
+            parts in 1usize..9,
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..200,
+        ) {
+            let it = random_table(parts, seed);
+            let t = it.table();
+            let (u, c) = (scanned(t, 0), scanned(t, 1));
+            let first_seen = |rows: &[i64]| {
+                let mut seen = std::collections::HashSet::new();
+                rows.iter().copied().filter(|v| seen.insert(*v)).collect::<Vec<_>>()
+            };
+            let mut sorted_u = u.clone();
+            sorted_u.sort_unstable();
+            let mut unique_u = first_seen(&u);
+            unique_u.sort_unstable();
+            let asc = vec![(0, SortOrder::Asc)];
+            let both = Plan::Union {
+                inputs: vec![Plan::scan(vec![0]), Plan::scan(vec![1])],
+            };
+            // (plan, the rows partition order gives, whether a rewrite
+            // may permute them)
+            let cases = [
+                (Plan::scan(vec![0]), u.clone(), false),
+                (Plan::scan(vec![0]).distinct(vec![0]), first_seen(&u), true),
+                (Plan::scan(vec![1]).distinct(vec![0]), first_seen(&c), true),
+                (Plan::scan(vec![0]).sort(asc.clone()), sorted_u.clone(), false),
+                (Plan::scan(vec![0]).distinct(vec![0]).sort(asc.clone()), unique_u, false),
+                (both, [u.clone(), c].concat(), false),
+                (Plan::scan(vec![0]).limit(n), u[..n.min(u.len())].to_vec(), false),
+                (
+                    Plan::scan(vec![0]).sort(asc.clone()).limit(n),
+                    sorted_u[..n.min(u.len())].to_vec(),
+                    false,
+                ),
+            ];
+            for (plan, expect, permuted) in cases {
+                proptest::prop_assert_eq!(&ints(&execute(&plan, t, NO_INDEXES)), &expect, "{}", plan);
+                let plain = ints(&it.query(&plan));
+                let (traced, trace) = it.query_traced(&plan);
+                proptest::prop_assert_eq!(&plain, &ints(&traced), "{}", trace.optimized);
+                let sorted = |mut v: Vec<i64>| {
+                    if permuted {
+                        v.sort_unstable();
+                    }
+                    v
+                };
+                proptest::prop_assert_eq!(sorted(plain), sorted(expect), "{}", trace.optimized);
+            }
+
+            // A pushed-down limit pulls partitions in order until it holds
+            // n rows, and no further.
+            let trace = ExecObserver::default();
+            collect_probed(&Plan::scan(vec![0]).limit(n), t, NO_INDEXES, &trace);
+            let mut reached = Vec::new();
+            let mut held = 0;
+            for pid in (0..parts).filter(|&p| t.partition(p).visible_len() > 0) {
+                if held >= n {
+                    break;
+                }
+                reached.push(pid);
+                held += t.partition(pid).visible_len();
+            }
+            proptest::prop_assert_eq!(trace.pulled(), reached);
+
+            // The sort rewrite under a limit: the merge's first output
+            // batch (BATCH_SIZE rows) is all the limit pulls, so each kept
+            // flow reads what that batch takes from it plus at most one
+            // batch, its first one, or the one that batch stopped in.
+            let catalog = it.catalog();
+            let rewritten = crate::optimizer::rewrite(Plan::scan(vec![0]).sort(asc), &catalog.indexes[1]).limit(n);
+            proptest::prop_assert!(rewritten.to_string().contains("Merge"), "{}", rewritten);
+            let trace = ExecObserver::default();
+            let got = collect_probed(&rewritten, t, it.indexes(), &trace);
+            proptest::prop_assert_eq!(ints(&got), sorted_u[..n.min(u.len())].to_vec());
+            let kept: u64 = trace
+                .operators()
+                .iter()
+                .filter(|o| o.label == "PatchScan[exclude_patches]")
+                .map(|o| o.rows_out)
+                .sum();
+            let nsc = &it.indexes()[1];
+            let first_batches: u64 = (0..parts)
+                .map(|p| (nsc.partition_rows(p) - nsc.partition_patch_count(p)).min(BATCH_SIZE as u64))
+                .sum();
+            proptest::prop_assert!(
+                kept <= first_batches + BATCH_SIZE as u64,
+                "the kept flows read {} rows for a limit of {}", kept, n
+            );
+        }
     }
 }
