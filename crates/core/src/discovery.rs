@@ -87,14 +87,7 @@ pub fn discover_values(values: &[i64], constraint: Constraint) -> DiscoveryResul
             let keep = lis::longest_nondecreasing_indices(vals);
             let last_sorted = keep.last().map(|&i| values[i]);
             let mut patches = Vec::with_capacity(values.len() - keep.len());
-            let mut ki = 0;
-            for i in 0..values.len() {
-                if ki < keep.len() && keep[ki] == i {
-                    ki += 1;
-                } else {
-                    patches.push(i as u64);
-                }
-            }
+            patches.extend(lis::gaps(&keep, values.len()).flatten().map(|i| i as u64));
             DiscoveryResult {
                 patches,
                 nrows: values.len() as u64,

@@ -61,16 +61,16 @@ pub fn longest_nondecreasing_len(values: &[i64]) -> usize {
 /// set for an ascending NSC.
 pub fn nsc_patches(values: &[i64]) -> Vec<usize> {
     let lis = longest_nondecreasing_indices(values);
-    let mut patches = Vec::with_capacity(values.len() - lis.len());
-    let mut li = 0;
-    for i in 0..values.len() {
-        if li < lis.len() && lis[li] == i {
-            li += 1;
-        } else {
-            patches.push(i);
-        }
-    }
-    patches
+    gaps(&lis, values.len()).flatten().collect()
+}
+
+/// The runs of `0..n` between the ascending indices `keep`, in order: the
+/// complement of a kept sorted run, walked once.
+pub(crate) fn gaps(keep: &[usize], n: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let starts = std::iter::once(0).chain(keep.iter().map(|&k| k + 1));
+    starts
+        .zip(keep.iter().copied().chain([n]))
+        .map(|(s, e)| s..e)
 }
 
 #[cfg(test)]

@@ -227,13 +227,7 @@ impl PatchIndex {
                     if last.is_some() {
                         part.last_sorted = last;
                     }
-                    let patches: Vec<u64> = rids
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !keep.contains(i))
-                        .map(|(_, &r)| r as u64)
-                        .collect();
-                    part.store.add_patches(&patches);
+                    part.store.add_patches(&unkept(rids, &keep));
                 }
             }
             Constraint::NearlyConstant => {
@@ -339,13 +333,9 @@ pub(crate) fn gather_values(partition: &Partition, col: usize, rids: &[usize]) -
 }
 
 /// Chooses which of `values` (in insertion order) extend the existing
-/// sorted run that currently ends at `last`. Returns the chosen index set
-/// and the new last value.
-fn extend_sorted_run(
-    values: &[i64],
-    last: Option<i64>,
-    dir: SortDir,
-) -> (std::collections::BTreeSet<usize>, Option<i64>) {
+/// sorted run that currently ends at `last`. Returns the chosen indices,
+/// ascending, and the new last value.
+fn extend_sorted_run(values: &[i64], last: Option<i64>, dir: SortDir) -> (Vec<usize>, Option<i64>) {
     // Orient so the run is always non-decreasing.
     let orient = |v: i64| dir.orient(v);
     let anchor = last.map(orient);
@@ -358,10 +348,19 @@ fn extend_sorted_run(
         .collect();
     let cand_values: Vec<i64> = candidates.iter().map(|&i| orient(values[i])).collect();
     let lis_local = lis::longest_nondecreasing_indices(&cand_values);
-    let keep: std::collections::BTreeSet<usize> =
-        lis_local.iter().map(|&j| candidates[j]).collect();
-    let new_last = keep.iter().next_back().map(|&i| values[i]);
+    let keep: Vec<usize> = lis_local.iter().map(|&j| candidates[j]).collect();
+    let new_last = keep.last().map(|&i| values[i]);
     (keep, new_last)
+}
+
+/// The rowIDs of `rids` whose indices `keep` (ascending) does not name:
+/// the runs of rowIDs between two kept ones.
+fn unkept(rids: &[usize], keep: &[usize]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(rids.len() - keep.len());
+    for run in lis::gaps(keep, rids.len()) {
+        out.extend(rids[run].iter().map(|&r| r as u64));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -620,6 +619,72 @@ mod tests {
         let (keep, last) = extend_sorted_run(&[3, i64::MIN], Some(i64::MIN), SortDir::Desc);
         assert!(!keep.contains(&0) && keep.contains(&1));
         assert_eq!(last, Some(i64::MIN));
+
+        // Random cases against the kept-index-set formulation: a
+        // `BTreeSet` of kept indices, the patches as the rowIDs whose index
+        // it does not contain, and the last value its greatest index holds.
+        fn reference(
+            values: &[i64],
+            last: Option<i64>,
+            dir: SortDir,
+            rids: &[usize],
+        ) -> (Vec<usize>, Vec<u64>, Option<i64>) {
+            let orient = |v: i64| dir.orient(v);
+            let anchor = last.map(orient);
+            let candidates: Vec<usize> = values
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| anchor.is_none_or(|a| orient(v) >= a))
+                .map(|(i, _)| i)
+                .collect();
+            let cand_values: Vec<i64> = candidates.iter().map(|&i| orient(values[i])).collect();
+            let keep: std::collections::BTreeSet<usize> =
+                lis::longest_nondecreasing_indices(&cand_values)
+                    .iter()
+                    .map(|&j| candidates[j])
+                    .collect();
+            let patches = rids
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !keep.contains(i))
+                .map(|(_, &r)| r as u64)
+                .collect();
+            let new_last = keep.iter().next_back().map(|&i| values[i]);
+            (keep.into_iter().collect(), patches, new_last)
+        }
+        let mut seeds = Seeds(52);
+        for case in 0..2000 {
+            let n = seeds.below(40);
+            let mut values = seeds.values(n, 32);
+            for v in &mut values {
+                match seeds.below(8) {
+                    0 => *v = i64::MIN,
+                    1 => *v = i64::MAX,
+                    _ => {}
+                }
+            }
+            let anchor = match case % 4 {
+                0 => None,
+                1 => Some(i64::MIN),
+                2 => Some(i64::MAX),
+                _ => Some(seeds.below(48) as i64),
+            };
+            let dir = [SortDir::Asc, SortDir::Desc][case / 4 % 2];
+            let mut rid = seeds.below(100);
+            let rids: Vec<usize> = (0..n)
+                .map(|_| {
+                    rid += 1 + seeds.below(3);
+                    rid
+                })
+                .collect();
+            let (keep, last) = extend_sorted_run(&values, anchor, dir);
+            let got = (keep.clone(), unkept(&rids, &keep), last);
+            assert_eq!(
+                got,
+                reference(&values, anchor, dir, &rids),
+                "case {case}: {values:?} after {anchor:?} {dir:?}"
+            );
+        }
     }
 
     /// splitmix64: a deterministic stream of case inputs.

@@ -3,6 +3,7 @@
 
 use pi_bitmap::{BulkDeleteMode, ShardedBitmap};
 use pi_exec::ops::patch_select::PatchLookup;
+use pi_storage::merge_disjoint;
 
 use crate::constraint::Design;
 
@@ -102,9 +103,11 @@ impl PatchStore {
                 }
             }
             PatchStore::Identifier { ids, .. } => {
-                ids.extend_from_slice(rids);
-                ids.sort_unstable();
-                ids.dedup();
+                let mut new = rids.to_vec();
+                new.sort_unstable();
+                new.dedup();
+                new.retain(|r| ids.binary_search(r).is_err());
+                merge_disjoint(ids, &new);
             }
         }
     }
@@ -114,7 +117,8 @@ impl PatchStore {
     /// bulk delete, which decides itself whether the affected shards are
     /// worth a second thread and when to condense; the identifier list
     /// drops deleted ids and decrements each remaining id by the number
-    /// of smaller deleted rowIDs (paper, Section 5.3).
+    /// of smaller deleted rowIDs (paper, Section 5.3), counted by one
+    /// cursor over the sorted deletes.
     pub fn on_delete(&mut self, deleted: &[u64]) {
         if deleted.is_empty() {
             return;
@@ -125,16 +129,18 @@ impl PatchStore {
                 let mut sorted = deleted.to_vec();
                 sorted.sort_unstable();
                 sorted.dedup();
-                let mut out = Vec::with_capacity(ids.len());
-                for &id in ids.iter() {
-                    // Number of deleted rowIDs <= id.
-                    let k = sorted.partition_point(|&d| d <= id);
-                    if k > 0 && sorted[k - 1] == id {
-                        continue; // the patch itself was deleted
+                // `k` counts the deleted rowIDs below the current id.
+                let mut k = 0;
+                ids.retain_mut(|id| {
+                    while k < sorted.len() && sorted[k] < *id {
+                        k += 1;
                     }
-                    out.push(id - k as u64);
-                }
-                *ids = out;
+                    if sorted.get(k) == Some(id) {
+                        return false; // the patch itself was deleted
+                    }
+                    *id -= k as u64;
+                    true
+                });
                 *nrows -= sorted.len() as u64;
             }
         }
@@ -197,6 +203,41 @@ mod tests {
         for mut store in both(10, &[4, 9]) {
             store.on_delete(&[8, 1]);
             assert_eq!(store.patch_rids(), vec![3, 7]);
+        }
+    }
+
+    #[test]
+    fn random_adds_and_deletes_keep_both_designs_identical() {
+        let mut state = 52u64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut stores = both(200, &[7, 50, 120]);
+        for _ in 0..300 {
+            let nrows = stores[0].nrows();
+            let k = 1 + below(12);
+            if below(3) == 0 && nrows > 20 {
+                let dels: Vec<u64> = (0..k).map(|_| below(nrows)).collect();
+                stores.iter_mut().for_each(|s| s.on_delete(&dels));
+            } else {
+                let grow = below(2) * k;
+                // Patches anywhere, or on the freshly appended rows.
+                let rids: Vec<u64> = (0..k)
+                    .map(|_| match grow {
+                        0 => below(nrows),
+                        _ => nrows + below(grow),
+                    })
+                    .collect();
+                for s in &mut stores {
+                    s.extend_rows(grow);
+                    s.add_patches(&rids);
+                }
+            }
+            assert_eq!(stores[0].nrows(), stores[1].nrows());
+            assert_eq!(stores[0].patch_rids(), stores[1].patch_rids());
         }
     }
 

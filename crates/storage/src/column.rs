@@ -242,19 +242,20 @@ impl ColumnData {
     }
 
     /// Removes the rows whose indices appear in `sorted_indices`
-    /// (ascending, deduplicated). Used when propagating deletes into base
-    /// storage.
+    /// (ascending, deduplicated, each below `len()`). Used when propagating
+    /// deletes into base storage and when deleting appended rows: the rows
+    /// before the first index stay put, and each run between two deleted
+    /// rows moves down as one slice copy.
     pub fn delete_sorted(&mut self, sorted_indices: &[usize]) {
         fn retain<T: Copy>(v: &mut Vec<T>, dels: &[usize]) {
-            let mut di = 0;
-            let mut out = 0;
-            for i in 0..v.len() {
-                if di < dels.len() && dels[di] == i {
-                    di += 1;
-                } else {
-                    v[out] = v[i];
-                    out += 1;
-                }
+            let Some(&first) = dels.first() else {
+                return;
+            };
+            let mut out = first;
+            for (k, &d) in dels.iter().enumerate() {
+                let next = dels.get(k + 1).copied().unwrap_or(v.len());
+                v.copy_within(d + 1..next, out);
+                out += next - d - 1;
             }
             v.truncate(out);
         }
@@ -345,6 +346,23 @@ mod tests {
         let mut s = str_column(&["a", "b", "c"]);
         s.delete_sorted(&[1]);
         assert_eq!(s.as_codes(), &[0, 2]);
+        // First row, last row, adjacent runs, a single-row tail (alone or
+        // behind a run of deletes), every row and none.
+        for dels in [
+            vec![0],
+            vec![9],
+            vec![3, 4, 5, 7, 8],
+            vec![0, 1, 5, 6, 9],
+            vec![8],
+            (0..9).collect(),
+            (0..10).collect(),
+            vec![],
+        ] {
+            let mut c = ColumnData::from((0..10).collect::<Vec<i64>>());
+            c.delete_sorted(&dels);
+            let kept: Vec<i64> = (0..10).filter(|&i| !dels.contains(&(i as usize))).collect();
+            assert_eq!(c.as_int(), kept, "deleting {dels:?}");
+        }
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   overwrites the modified cells inside the window, and takes the append
 //!   buffer as one more run — and a window that is one unpatched base run
 //!   needs no copy at all (`DeltaStore::base_run`);
+//! * writes cost per delta too: a delete translates its sorted rowIDs with
+//!   one cursor over the delete list and merges the new base positions into
+//!   it in one pass, and propagate and append-buffer deletes move the runs
+//!   between deleted positions as slice copies
+//!   ([`ColumnData::delete_sorted`]);
 //! * the store's parts (base row count, deleted positions, modified cells,
 //!   append columns) are readable, and [`DeltaStore::from_parts`] rebuilds
 //!   a store from them, so a checkpoint can persist the delta alone.
@@ -265,31 +270,42 @@ impl DeltaStore {
     /// ignored. All rowIDs are interpreted against the state *before* the
     /// call (translation happens first, so positional shifts cannot corrupt
     /// later entries).
+    ///
+    /// The sorted rowIDs translate with one cursor over the delete list
+    /// (`DeltaStore::physical`), which yields ascending physical
+    /// positions: base positions below `base_rows`, append-buffer slots
+    /// above. The base positions are live rows, so they merge into the
+    /// delete list as a disjoint sorted run.
+    ///
+    /// # Panics
+    /// Panics if a rowID is not below `visible_len()`.
     pub fn delete(&mut self, rids: &[usize]) {
         let mut rids: Vec<usize> = rids.to_vec();
         rids.sort_unstable();
         rids.dedup();
-        let mut base_dels: Vec<usize> = Vec::new();
-        let mut append_dels: Vec<usize> = Vec::new();
-        for &rid in &rids {
-            match self.locate(rid) {
-                RowLoc::Base(b) => base_dels.push(b),
-                RowLoc::Append(slot) => append_dels.push(slot),
-            }
+        let visible = self.visible_len();
+        if let Some(rid) = rids.get(rids.partition_point(|&r| r < visible)) {
+            panic!("rowID {rid} out of bounds");
         }
-        // Merge base deletions into the sorted delete list.
-        if !base_dels.is_empty() {
-            for &b in &base_dels {
-                self.modified.remove(&b);
+        let mut physical = self.physical(&rids);
+        let split = physical.partition_point(|&p| p < self.base_rows);
+        if split > 0 {
+            let base_dels = &physical[..split];
+            if !self.modified.is_empty() {
+                for b in base_dels {
+                    self.modified.remove(b);
+                }
             }
-            self.deleted.extend(base_dels);
-            self.deleted.sort_unstable();
-            self.deleted.dedup();
+            merge_disjoint(&mut self.deleted, base_dels);
         }
         // Physically remove appended rows (their slots shift down).
-        if !append_dels.is_empty() {
+        if split < physical.len() {
+            let append_dels = &mut physical[split..];
+            for slot in append_dels.iter_mut() {
+                *slot -= self.base_rows;
+            }
             for col in &mut self.appends {
-                col.delete_sorted(&append_dels);
+                col.delete_sorted(append_dels);
             }
         }
     }
@@ -420,6 +436,21 @@ impl DeltaStore {
                 .unwrap_or_else(|| base[col].value(b)),
             RowLoc::Append(slot) => self.appends[col].value(slot),
         }
+    }
+}
+
+/// Merges the ascending `new` into the ascending `list`, which shares no
+/// element with it, in place: the merged list fills from its end, so only
+/// the entries above `new`'s first element move, each once.
+pub fn merge_disjoint<T: Copy + Ord>(list: &mut Vec<T>, new: &[T]) {
+    let mut i = list.len();
+    list.extend_from_slice(new);
+    for (j, &x) in new.iter().enumerate().rev() {
+        while i > 0 && list[i - 1] > x {
+            i -= 1;
+            list[i + j + 1] = list[i];
+        }
+        list[i + j] = x;
     }
 }
 
@@ -607,6 +638,29 @@ mod tests {
                 .collect()
         };
         assert_eq!(read(&r), read(&d));
+    }
+
+    #[test]
+    fn delete_across_the_append_boundary_merges_into_the_delete_list() {
+        let (base, mut d) = store(10);
+        d.delete(&[2, 6]);
+        d.append_row(&[Value::Int(10)]);
+        d.append_row(&[Value::Int(11)]);
+        // Visible: 0 1 3 4 5 7 8 9 10 11; delete 0, 3..=8 (base 4..=9 and
+        // append slot 0) in one call.
+        d.delete(&[8, 3, 0, 4, 5, 6, 7, 4]);
+        assert_eq!(d.deleted(), &[0, 2, 4, 5, 6, 7, 8, 9]);
+        let vals: Vec<i64> = (0..d.visible_len())
+            .map(|r| d.read_value(&base, 0, r).as_int())
+            .collect();
+        assert_eq!(vals, vec![1, 3, 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rowID 3 out of bounds")]
+    fn delete_out_of_bounds_panics() {
+        let (_, mut d) = store(3);
+        d.delete(&[4, 0, 3]);
     }
 
     #[test]

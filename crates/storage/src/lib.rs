@@ -32,7 +32,7 @@ mod zonemap;
 
 pub use column::{str_column, ColumnData};
 pub use crc::{crc32, Crc32};
-pub use delta::{DeltaStore, RowLoc};
+pub use delta::{merge_disjoint, DeltaStore, RowLoc};
 pub use dfs::{write_atomic, DurableFs, RealFs, SimFs};
 pub use dict::{new_dict, DictRef, Dictionary};
 pub use partition::Partition;

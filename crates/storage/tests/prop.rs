@@ -1,7 +1,8 @@
 //! Property-based tests: under arbitrary interleavings of append / delete /
-//! modify / propagate, a partition's run-based merge-on-read must agree with
-//! a plain `Vec` of rows, and a clone must keep its contents while sharing
-//! the base columns until either side propagates.
+//! modify / propagate, a partition's run-based merge-on-read, gather, delete
+//! and propagate must agree with a plain `Vec` of rows, and a clone must
+//! keep its contents while sharing the base columns until either side
+//! propagates.
 
 use std::sync::Arc;
 
@@ -41,6 +42,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         proptest::collection::vec(-1000i64..1000, 1..12).prop_map(Op::Append),
         proptest::collection::vec(0usize..4096, 1..12).prop_map(Op::Delete),
+        // A contiguous run of 1–300 rowIDs (wrapping past the last row):
+        // it crosses the base/append boundary, deletes rows next to earlier
+        // deletes, and at full length empties the partition.
+        (0usize..4096, 1usize..=300)
+            .prop_map(|(start, len)| Op::Delete((start..start + len).collect())),
         (
             proptest::collection::vec(0usize..4096, 1..12),
             0usize..3,
