@@ -41,9 +41,10 @@
 //! per delta, not per row: `pi_storage::Partition` keeps its base columns
 //! (and the zone maps over them) behind an `Arc` of their own, so the
 //! copy clones the pending delta store and bumps a refcount; base columns
-//! are copied only by a `propagate` on a partition some snapshot still
-//! shares, which rewrites them anyway. An *index* copy clones the
-//! partition-local patch stores. Either way the copy is a new
+//! are copied only by a `propagate` of pending deltas on a partition some
+//! snapshot still shares, which rewrites them anyway. A propagate leaves
+//! a partition with no pending delta alone: shared and not re-versioned.
+//! An *index* copy clones the partition-local patch stores. Either way the copy is a new
 //! `Arc<Partition>` / `Arc<PatchIndex>`, so pointer identity stays the
 //! exact dirty set, which [`ChangeSet::between`] reads off two states.
 //! That only holds because nothing but a data change re-versions either:
@@ -850,6 +851,43 @@ mod tests {
         assert_eq!(reg.counter("publish.partitions_copied").get(), 1);
         assert_eq!(reg.counter("publish.indexes_copied").get(), 1);
         assert_eq!(reg.histogram("publish.nanos").snapshot().count, 1);
+    }
+
+    /// A propagate leaves every partition with no pending delta as it is:
+    /// the snapshot still shares it, so only the dirty partition is
+    /// re-versioned and billed as copied.
+    #[test]
+    fn propagate_leaves_clean_partitions_alone() {
+        let parts = 8;
+        let mut t = Table::new(
+            "wide",
+            Schema::new(vec![Field::new("k", DataType::Int)]),
+            parts,
+            Partitioning::RoundRobin,
+        );
+        for pid in 0..parts {
+            t.load_partition(pid, &[ColumnData::Int((0..64).collect())]);
+        }
+        t.propagate_all();
+        let mut it = IndexedTable::new(t);
+        it.modify(0, &[1, 5], 0, &[Value::Int(-1), Value::Int(-5)]);
+        let reg = Arc::new(MetricsRegistry::new());
+        let (handle, mut writer) = ConcurrentTable::with_observability(it, None, Arc::clone(&reg));
+        let snap = handle.snapshot();
+        writer.staging_mut().propagate();
+        let staged = writer.staging();
+        let changes = ChangeSet::between(
+            snap.table().partitions(),
+            snap.indexes(),
+            staged.table().partitions(),
+            staged.indexes(),
+        );
+        let clean = vec![true; parts - 1];
+        assert_eq!(changes.same_partition, [&[false][..], &clean].concat());
+        assert_eq!(changes.same_base, [&[false][..], &clean].concat());
+        writer.publish();
+        assert_eq!(reg.counter("publish.partitions_copied").get(), 1);
+        assert!(handle.snapshot().table().partition(0).delta().is_empty());
     }
 
     #[test]

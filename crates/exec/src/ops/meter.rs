@@ -4,68 +4,69 @@
 //! `next` call to a shared [`OpMeter`]: that it was pulled at all, and
 //! the batches, rows and wall clock it produced. Under EXPLAIN ANALYZE
 //! the planner's lowering wraps every plan node and global combine in
-//! one; the pulled flags on top of the per-partition pipelines say which
-//! partitions the execution visited (a combine that stops early, such as
-//! a pushed-down `LIMIT` under a union, leaves later pipelines unpulled).
-//! A partition's pipeline may run as a pool task, but it is lowered and
-//! metered inside that task, and its meters cross the join only once the
-//! operators are gone: no meter is shared between threads, so plain
-//! `Cell` counters suffice, and an [`OpMeter`] is `Send`.
+//! one; the pulled flags say which partitions the execution visited (a
+//! combine that stops early, such as a pushed-down `LIMIT` under a
+//! union, leaves later pipelines unpulled).
+//! A partition's pipeline may run as a pool task and is metered there,
+//! while its meters are read on the caller's thread after the join. The
+//! counters are therefore relaxed atomics behind an [`Arc`]: only the
+//! operator's thread writes them, and the join orders those writes
+//! before any read.
 //!
 //! The recorded time is inclusive of the operator's children (each
 //! `next` pulls recursively), one `Instant` pair per batch — the same
 //! amortized cost profile as the batches themselves.
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::batch::Batch;
 use crate::op::{OpRef, Operator};
 
 /// Accumulated per-operator counters, shared between a [`MeterOp`] and
-/// whoever reads them afterwards (via [`Rc`], so they outlive the
-/// operator tree).
+/// whoever reads them afterwards (via [`Arc`], so they outlive the
+/// operator tree and may be read on another thread).
 #[derive(Debug, Default)]
 pub struct OpMeter {
-    pulled: Cell<bool>,
-    batches: Cell<u64>,
-    rows_out: Cell<u64>,
-    nanos: Cell<u64>,
+    pulled: AtomicBool,
+    batches: AtomicU64,
+    rows_out: AtomicU64,
+    nanos: AtomicU64,
 }
 
 impl OpMeter {
     /// Whether the metered operator was pulled at least once.
     pub fn pulled(&self) -> bool {
-        self.pulled.get()
+        self.pulled.load(Relaxed)
     }
 
     /// Batches pulled out of the metered operator (including empties).
     pub fn batches(&self) -> u64 {
-        self.batches.get()
+        self.batches.load(Relaxed)
     }
 
     /// Rows the metered operator emitted.
     pub fn rows_out(&self) -> u64 {
-        self.rows_out.get()
+        self.rows_out.load(Relaxed)
     }
 
     /// Wall clock spent inside the metered operator's `next`, inclusive
     /// of its children, in nanoseconds.
     pub fn nanos(&self) -> u64 {
-        self.nanos.get()
+        self.nanos.load(Relaxed)
     }
 }
 
 /// Wraps an operator, charging every pull to `meter`.
 pub struct MeterOp<'a> {
     inner: OpRef<'a>,
-    meter: Rc<OpMeter>,
+    meter: Arc<OpMeter>,
 }
 
 impl<'a> MeterOp<'a> {
     /// Creates a meter around `inner` reporting to `meter`.
-    pub fn new(inner: OpRef<'a>, meter: Rc<OpMeter>) -> Self {
+    pub fn new(inner: OpRef<'a>, meter: Arc<OpMeter>) -> Self {
         MeterOp { inner, meter }
     }
 }
@@ -73,14 +74,14 @@ impl<'a> MeterOp<'a> {
 impl Operator for MeterOp<'_> {
     fn next(&mut self) -> Option<Batch> {
         let m = &*self.meter;
-        m.pulled.set(true);
+        m.pulled.store(true, Relaxed);
         let start = Instant::now();
         let out = self.inner.next();
         m.nanos
-            .set(m.nanos.get() + start.elapsed().as_nanos() as u64);
+            .fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
         if let Some(b) = &out {
-            m.batches.set(m.batches.get() + 1);
-            m.rows_out.set(m.rows_out.get() + b.len() as u64);
+            m.batches.fetch_add(1, Relaxed);
+            m.rows_out.fetch_add(b.len() as u64, Relaxed);
         }
         out
     }
@@ -95,12 +96,12 @@ mod tests {
 
     #[test]
     fn meter_is_transparent_and_counts() {
-        let meter = Rc::new(OpMeter::default());
+        let meter = Arc::new(OpMeter::default());
         let src = Box::new(BatchSource::new(vec![
             Batch::new(vec![ColumnData::Int(vec![1, 2, 3])]),
             Batch::new(vec![ColumnData::Int(vec![4])]),
         ]));
-        let mut op = MeterOp::new(src, Rc::clone(&meter));
+        let mut op = MeterOp::new(src, Arc::clone(&meter));
         assert_eq!(collect(&mut op).column(0).as_int(), &[1, 2, 3, 4]);
         assert!(meter.pulled());
         assert_eq!(meter.batches(), 2);
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn limit_leaves_later_inputs_unpulled_and_unmetered() {
-        let meters: Vec<Rc<OpMeter>> = (0..3).map(|_| Rc::default()).collect();
+        let meters: Vec<Arc<OpMeter>> = (0..3).map(|_| Arc::default()).collect();
         let inputs: Vec<OpRef<'_>> = [&[1i64, 2, 3][..], &[4, 5], &[6]]
             .into_iter()
             .zip(&meters)
@@ -117,7 +118,7 @@ mod tests {
                 let src = Box::new(BatchSource::single(Batch::new(vec![ColumnData::Int(
                     vals.to_vec(),
                 )])));
-                Box::new(MeterOp::new(src, Rc::clone(m))) as OpRef<'_>
+                Box::new(MeterOp::new(src, Arc::clone(m))) as OpRef<'_>
             })
             .collect();
         // The limit is satisfied by the first input alone; the union

@@ -21,7 +21,6 @@ use pi_exec::ops::patch_select::PatchMode;
 use pi_exec::BATCH_SIZE;
 
 use crate::logical::Plan;
-use crate::physical::bounded_cardinality;
 
 /// Per-tuple scan cost.
 const C_SCAN: f64 = 1.0;
@@ -130,7 +129,14 @@ pub fn cardinality(plan: &Plan, cat: &IndexCatalog) -> f64 {
 /// flow holds over all partitions. Zero means every partition prunes the
 /// flow at lowering, so it runs nothing.
 fn bound(plan: &Plan, cat: &IndexCatalog) -> u64 {
-    bounded_cardinality(plan, &|leaf: &Plan| cardinality(leaf, cat) as u64)
+    match plan {
+        Plan::Scan { .. } | Plan::PatchScan { .. } => cardinality(plan, cat) as u64,
+        Plan::Distinct { input, .. } | Plan::Sort { input, .. } => bound(input, cat),
+        Plan::Limit { input, n } => (*n as u64).min(bound(input, cat)),
+        Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
+            inputs.iter().map(|p| bound(p, cat)).sum()
+        }
+    }
 }
 
 /// Estimated execution cost of the plan tree: what the lowering runs,

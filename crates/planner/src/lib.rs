@@ -6,7 +6,8 @@
 //! [`cost`] model gating every rewrite with per-partition statistics
 //! (Section 3.5), and lowering to `pi-exec` operator trees with
 //! partition-parallel combines, which applies zero-branch pruning
-//! (Section 6.3) **per partition** ([`prune_for_partition`]).
+//! (Section 6.3) **per partition**, as it lowers each partition's
+//! pipeline ([`physical`]).
 //!
 //! The [`QueryEngine`] facade ties it together as **one pipeline** —
 //! plan → result-cache probe → lower + execute → cache insert →
@@ -42,4 +43,4 @@ pub use fingerprint::{canonical_bytes, fingerprint_hash, QueryMode};
 pub use logical::Plan;
 pub use optimizer::{optimize, optimize_with_stats, rewrite, OptimizeStats};
 pub use patchindex::{IndexCatalog, IndexStats};
-pub use physical::{execute, execute_count, prune_for_partition, NO_INDEXES};
+pub use physical::{execute, execute_count, NO_INDEXES};

@@ -41,8 +41,7 @@ pub struct OptimizeStats {
 
 /// Applies the PatchIndex rewrites wherever some catalog index matches
 /// and the cost model approves. Zero-patch branches stay in the plan:
-/// the lowering prunes them per partition
-/// ([`prune_for_partition`](crate::physical::prune_for_partition)).
+/// the lowering prunes them per partition ([`crate::physical`]).
 pub fn optimize(plan: Plan, cat: &IndexCatalog) -> Plan {
     optimize_with_stats(plan, cat, &mut OptimizeStats::default())
 }

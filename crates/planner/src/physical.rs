@@ -10,10 +10,10 @@
 //! distinct's partial, a per-partition `SortOp`, a merge's
 //! (partition, child) stream, a bag scan — is one
 //! [`fan_out`] task on the process-wide pool.
-//! Operators are not `Send`, so the task prunes and lowers its own
-//! partition's pipeline and drains it to a `Vec<Batch>`; the combine
-//! reads the pieces through a [`BatchSource`] each, in partition order,
-//! so the result bytes are the sequential pull's.
+//! Operators are not `Send`, so the task lowers its own partition's
+//! pipeline, pruning as it goes, and drains it to a `Vec<Batch>`; the
+//! combine reads the pieces through a [`BatchSource`] each, in partition
+//! order, so the result bytes are the sequential pull's.
 //!
 //! **What stays lazy.** Only a flow with a `LIMIT` above it: a bag scan
 //! under a pushed-down or global limit, and the NSC sort rewrite's kept
@@ -21,10 +21,12 @@
 //! Sorts and distincts run as tasks even there, since their first pull
 //! reads the whole partition anyway. The plan's shape alone decides.
 //!
-//! Zero-branch pruning happens here, and only here, **per partition**:
-//! before a plan is lowered for partition `p`, every Union/Merge child
-//! whose cardinality upper bound is zero *in that partition* is dropped
-//! ([`prune_for_partition`]) — so a table with patches confined to one
+//! Zero-branch pruning (paper, Section 6.3) is part of lowering a
+//! partition's pipeline, in the same bottom-up pass
+//! (`lower_partition`): a leaf whose live count *in that partition* is
+//! zero lowers to nothing, a wrapper over nothing is nothing, and a
+//! Union/Merge keeps the children that lowered to something — with one
+//! left, it is that child. So a table with patches confined to one
 //! partition instantiates the `use_patches` flow only there, and the
 //! other partitions run the clean pipeline alone. A subtree that every
 //! partition prunes lowers to no operator at all, and a global union left
@@ -43,14 +45,14 @@
 //! flags also give the trace's visited/pruned partition counts. The
 //! public executors [`execute`] / [`execute_count`] and every untraced
 //! query run it unobserved; only a traced query attaches the observer,
-//! and then every task meters under an observer of its own, adopted
-//! after the join. A combine's meter times its own work and the lazy
-//! flows below it only: the pipelines that ran as tasks finished before
-//! its first pull.
+//! and then every task meters under an observer of its own, whose
+//! meters the caller appends after the join. A combine's meter times its
+//! own work and the lazy flows below it only: the pipelines that ran as
+//! tasks finished before its first pull.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use patchindex::scan::patch_scan;
 use patchindex::PatchIndex;
@@ -70,69 +72,38 @@ use crate::logical::Plan;
 
 /// What one EXPLAIN ANALYZE execution records: one meter per plan node
 /// and global combine — the operator half of a [`pi_obs::QueryTrace`] —
-/// and, through the meters on top of the per-partition pipelines, which
-/// partitions the execution pulled. Combines that stop early (a
-/// pushed-down `LIMIT` under a union pulls children strictly in order)
-/// leave later partitions unpulled.
+/// and, through their pulled flags, which partitions the execution
+/// pulled. Combines that stop early (a pushed-down `LIMIT` under a union
+/// pulls children strictly in order) leave later partitions unpulled.
 ///
 /// A pool task lowers its partition under an observer of its own and
-/// hands its meters back after the join ([`ExecObserver::into_finished`]);
-/// the caller's observer appends them in partition order
-/// ([`ExecObserver::adopt`]). No meter is ever shared between threads, so
-/// `Rc` + `RefCell` suffice.
+/// hands its meters back after the join, which the caller's observer
+/// appends in partition order. A meter's counters are relaxed atomics
+/// behind an `Arc`, so the entries cross the join as they are.
 #[derive(Debug, Default)]
 pub(crate) struct ExecObserver {
     meters: RefCell<Vec<MeterEntry>>,
 }
 
-/// One registered meter: its trace label, its partition (`None` for a
-/// global combine), and whether it sits on top of that partition's
-/// pipeline (so its pulled flag speaks for the partition). A finished
-/// task's entries own their meters (`M = OpMeter`), which are `Send`.
+/// One registered meter: its trace label and its partition (`None` for
+/// a global combine).
 #[derive(Debug)]
-struct MeterEntry<M = Rc<OpMeter>> {
+struct MeterEntry {
     label: &'static str,
     partition: Option<usize>,
-    pipeline: bool,
-    meter: M,
-}
-
-/// A finished task's meters, in registration order.
-type Finished = Vec<MeterEntry<OpMeter>>;
-
-impl<M> MeterEntry<M> {
-    fn map<N>(self, f: impl FnOnce(M) -> N) -> MeterEntry<N> {
-        MeterEntry {
-            label: self.label,
-            partition: self.partition,
-            pipeline: self.pipeline,
-            meter: f(self.meter),
-        }
-    }
+    meter: Arc<OpMeter>,
 }
 
 impl ExecObserver {
-    /// The meters of a task whose operators are dropped, as plain values
-    /// that cross the join.
-    fn into_finished(self) -> Finished {
-        let own = |m: Rc<OpMeter>| Rc::try_unwrap(m).expect("the task dropped its operators");
-        let meters = self.meters.into_inner().into_iter();
-        meters.map(|e| e.map(own)).collect()
-    }
-
-    /// Appends a finished task's meters.
-    fn adopt(&self, finished: Finished) {
-        let meters = finished.into_iter().map(|e| e.map(Rc::new));
-        self.meters.borrow_mut().extend(meters);
-    }
-
-    /// Partitions whose pipelines were pulled, ascending.
+    /// Partitions any of whose meters was pulled, ascending. A node is
+    /// pulled only inside its parent's pull, so that is exactly the
+    /// partitions whose pipelines were pulled.
     pub(crate) fn pulled(&self) -> Vec<usize> {
         let mut pulled: Vec<usize> = self
             .meters
             .borrow()
             .iter()
-            .filter(|e| e.pipeline && e.meter.pulled())
+            .filter(|e| e.meter.pulled())
             .filter_map(|e| e.partition)
             .collect();
         pulled.sort_unstable();
@@ -180,23 +151,20 @@ fn node_label(plan: &Plan) -> &'static str {
 }
 
 /// Wraps `op` in a [`MeterOp`] registered under `label` when there is
-/// an observer; `pipeline` marks the top of a partition's pipeline,
-/// whose pulled flag speaks for the partition.
+/// an observer.
 fn observe<'a>(
     op: OpRef<'a>,
     obs: Option<&ExecObserver>,
     label: &'static str,
     partition: Option<usize>,
-    pipeline: bool,
 ) -> OpRef<'a> {
     match obs {
         Some(o) => {
-            let meter = Rc::new(OpMeter::default());
+            let meter = Arc::new(OpMeter::default());
             o.meters.borrow_mut().push(MeterEntry {
                 label,
                 partition,
-                pipeline,
-                meter: Rc::clone(&meter),
+                meter: Arc::clone(&meter),
             });
             Box::new(MeterOp::new(op, meter))
         }
@@ -209,169 +177,64 @@ fn observe<'a>(
 /// the executor is generic over owned and `Arc`'d indexes.
 pub const NO_INDEXES: &[PatchIndex] = &[];
 
-/// Zero-branch pruning (paper, Section 6.3), the lowering's job alone:
-/// returns the plan specialized for partition `pid` with every
-/// Union/Merge child whose cardinality bound is zero *in that partition*
-/// removed, or `None` when the whole subtree is guaranteed empty there.
-/// The bounds are the partition's live counts, so a table with patches
-/// confined to one partition instantiates the `use_patches` flow only
-/// there. The lowering runs this before building each partition's
-/// pipeline; it is also the inspection point for tests. The returned
-/// [`Cow`] borrows the input plan whenever this partition prunes nothing
-/// — specializing a clean partition costs a traversal, not a deep clone
-/// of the plan tree.
-pub fn prune_for_partition<'a, I: Borrow<PatchIndex>>(
-    plan: &'a Plan,
-    table: &Table,
-    indexes: &[I],
-    pid: usize,
-) -> Option<Cow<'a, Plan>> {
-    let leaf = |p: &Plan| match p {
-        Plan::Scan { .. } => table.partition(pid).visible_len() as u64,
-        Plan::PatchScan { mode, slot, .. } => {
-            let idx = indexes[*slot].borrow();
-            match mode {
-                PatchMode::UsePatches => idx.partition_patch_count(pid),
-                PatchMode::ExcludePatches => {
-                    idx.partition_rows(pid) - idx.partition_patch_count(pid)
-                }
-            }
-        }
-        _ => unreachable!("leaf bound invoked on a non-leaf node"),
-    };
-    prune_zero_branches(plan, &leaf)
-}
-
-/// Cardinality upper bound of `plan`; `leaf` bounds the Scan/PatchScan
-/// nodes and is invoked on nothing else (one partition's live counts
-/// here, the catalog's totals in the cost model).
-pub(crate) fn bounded_cardinality<F: Fn(&Plan) -> u64>(plan: &Plan, leaf: &F) -> u64 {
-    match plan {
-        Plan::Scan { .. } | Plan::PatchScan { .. } => leaf(plan),
-        Plan::Distinct { input, .. } | Plan::Sort { input, .. } => bounded_cardinality(input, leaf),
-        Plan::Limit { input, n } => (*n as u64).min(bounded_cardinality(input, leaf)),
-        Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
-            inputs.iter().map(|p| bounded_cardinality(p, leaf)).sum()
-        }
-    }
-}
-
-/// The traversal behind [`prune_for_partition`]: drops Union/Merge
-/// children whose bound is zero, collapses single-child combines (within
-/// one partition a surviving Merge child is sorted), and returns `None`
-/// when the whole subtree is provably empty. A subtree from which nothing
-/// was pruned comes back *borrowed*, not rebuilt.
-fn prune_zero_branches<'a, F: Fn(&Plan) -> u64>(plan: &'a Plan, leaf: &F) -> Option<Cow<'a, Plan>> {
-    if bounded_cardinality(plan, leaf) == 0 {
-        return None;
-    }
-    // "Unchanged" means borrowed AND the very node that went in: a
-    // combine that collapsed to a single child also comes back borrowed
-    // (of the *child*), and treating that as unchanged would silently
-    // undo the pruning wherever a combine sits under a wrapper node.
-    let unchanged = |c: &Cow<'a, Plan>, original: &Plan| matches!(c, Cow::Borrowed(b) if std::ptr::eq(*b, original));
-    let prune = |p: &'a Plan| prune_zero_branches(p, leaf);
-    let pruned = match plan {
-        Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
-            let mut kept: Vec<Cow<'a, Plan>> = inputs.iter().filter_map(prune).collect();
-            if kept.len() == inputs.len() && kept.iter().zip(inputs).all(|(c, i)| unchanged(c, i)) {
-                Cow::Borrowed(plan)
-            } else if kept.len() == 1 {
-                kept.pop().unwrap()
-            } else {
-                let inputs = kept.into_iter().map(Cow::into_owned).collect();
-                Cow::Owned(match plan {
-                    Plan::Merge { keys, .. } => Plan::Merge {
-                        inputs,
-                        keys: keys.clone(),
-                    },
-                    _ => Plan::Union { inputs },
-                })
-            }
-        }
-        Plan::Distinct { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
-            let child = prune(input)?;
-            if unchanged(&child, input) {
-                Cow::Borrowed(plan)
-            } else {
-                let child = child.into_owned();
-                Cow::Owned(match plan {
-                    Plan::Distinct { cols, .. } => child.distinct(cols.clone()),
-                    Plan::Sort { keys, .. } => child.sort(keys.clone()),
-                    Plan::Limit { n, .. } => child.limit(*n),
-                    _ => unreachable!("matched a single-input node"),
-                })
-            }
-        }
-        leaf_node => Cow::Borrowed(leaf_node),
-    };
-    Some(pruned)
-}
-
-/// Lowers `plan` for a single partition (no global recombination, no
-/// pruning — callers prune first), [`observe`]ing every plan node;
-/// `pipeline` says the root is the top of the partition's pipeline.
+/// Lowers `plan` for partition `pid` alone (no global recombination),
+/// [`observe`]ing every plan node, and prunes its zero branches there:
+/// `None` when the subtree holds no row in this partition. Each leaf
+/// reads one live count — the partition's visible rows, or the index's
+/// patch or kept count — and no other node reads any; a `Limit 0` is
+/// empty too. Within one partition a lone surviving Merge child is
+/// sorted already, so a Union or Merge left with one child is that child.
 fn lower_partition<'a, I: Borrow<PatchIndex>>(
     plan: &Plan,
     table: &'a Table,
     indexes: &'a [I],
     pid: usize,
     obs: Option<&ExecObserver>,
-    pipeline: bool,
-) -> OpRef<'a> {
+) -> Option<OpRef<'a>> {
+    let lower = |p: &Plan| lower_partition(p, table, indexes, pid, obs);
     let op: OpRef<'a> = match plan {
-        Plan::Scan { cols, filter } => {
-            let scan: OpRef<'a> = Box::new(ScanOp::new(table.partition(pid), cols.clone(), false));
+        Plan::Scan { cols, filter } | Plan::PatchScan { cols, filter, .. } => {
+            let part = table.partition(pid);
+            let scan: OpRef<'a> = match plan {
+                Plan::PatchScan { mode, slot, .. } => {
+                    let idx = indexes
+                        .get(*slot)
+                        .expect("PatchScan slot outside the index set")
+                        .borrow();
+                    let patches = idx.partition_patch_count(pid);
+                    let live = match mode {
+                        PatchMode::UsePatches => patches,
+                        PatchMode::ExcludePatches => idx.partition_rows(pid) - patches,
+                    };
+                    if live == 0 {
+                        return None;
+                    }
+                    patch_scan(part, idx, cols.clone(), *mode)
+                }
+                _ if part.visible_len() == 0 => return None,
+                _ => Box::new(ScanOp::new(part, cols.clone(), false)),
+            };
             match filter {
                 Some(pred) => Box::new(FilterOp::new(scan, pred.clone())),
                 None => scan,
             }
         }
-        Plan::PatchScan {
-            cols,
-            filter,
-            mode,
-            slot,
-        } => {
-            let idx = indexes
-                .get(*slot)
-                .expect("PatchScan slot outside the index set")
-                .borrow();
-            let scan = patch_scan(table.partition(pid), idx, cols.clone(), *mode);
-            match filter {
-                Some(pred) => Box::new(FilterOp::new(scan, pred.clone())),
-                None => scan,
+        Plan::Distinct { input, cols } => partial_distinct(input, lower(input)?, cols, indexes),
+        Plan::Sort { input, keys } => Box::new(SortOp::new(lower(input)?, keys.clone())),
+        Plan::Limit { n: 0, .. } => return None,
+        Plan::Limit { input, n } => Box::new(LimitOp::new(lower(input)?, *n)),
+        Plan::Union { inputs } | Plan::Merge { inputs, .. } => {
+            let mut kept: Vec<OpRef<'a>> = inputs.iter().filter_map(lower).collect();
+            if kept.len() <= 1 {
+                return kept.pop();
+            }
+            match plan {
+                Plan::Merge { keys, .. } => Box::new(OrderedMergeOp::new(kept, keys.clone())),
+                _ => Box::new(UnionAllOp::new(kept)),
             }
         }
-        Plan::Distinct { input, cols } => partial_distinct(
-            input,
-            lower_partition(input, table, indexes, pid, obs, false),
-            cols,
-            indexes,
-        ),
-        Plan::Sort { input, keys } => Box::new(SortOp::new(
-            lower_partition(input, table, indexes, pid, obs, false),
-            keys.clone(),
-        )),
-        Plan::Limit { input, n } => Box::new(LimitOp::new(
-            lower_partition(input, table, indexes, pid, obs, false),
-            *n,
-        )),
-        Plan::Union { inputs } => Box::new(UnionAllOp::new(
-            inputs
-                .iter()
-                .map(|p| lower_partition(p, table, indexes, pid, obs, false))
-                .collect(),
-        )),
-        Plan::Merge { inputs, keys } => Box::new(OrderedMergeOp::new(
-            inputs
-                .iter()
-                .map(|p| lower_partition(p, table, indexes, pid, obs, false))
-                .collect(),
-            keys.clone(),
-        )),
     };
-    observe(op, obs, node_label(plan), Some(pid), pipeline)
+    Some(observe(op, obs, node_label(plan), Some(pid)))
 }
 
 /// One partition's distinct on `cols` over `op`, the lowered `input`.
@@ -406,21 +269,6 @@ fn limit_pushes_down(plan: &Plan) -> bool {
     matches!(plan, Plan::Scan { .. } | Plan::PatchScan { .. })
 }
 
-/// Specializes `plan` for partition `pid` ([`prune_for_partition`]) and
-/// lowers what survives. A partition pruned to nothing contributes no
-/// stream.
-fn lower_pruned<'a, I: Borrow<PatchIndex>>(
-    plan: &Plan,
-    table: &'a Table,
-    indexes: &'a [I],
-    pid: usize,
-    obs: Option<&ExecObserver>,
-    pipeline: bool,
-) -> Option<OpRef<'a>> {
-    prune_for_partition(plan, table, indexes, pid)
-        .map(|p| lower_partition(&p, table, indexes, pid, obs, pipeline))
-}
-
 /// One stream per partition that `lower(pid, obs)` does not prune, in
 /// partition order. A `lazy` flow (one a `LIMIT` sits above) is lowered
 /// here and pulled by its combine on demand. Any other runs as one
@@ -428,7 +276,7 @@ fn lower_pruned<'a, I: Borrow<PatchIndex>>(
 /// (operators are not `Send`) under an observer of its own when the
 /// query is observed, drains it, and hands back its batches, which the
 /// combine reads through a [`BatchSource`], and its meters, which `obs`
-/// adopts in partition order.
+/// appends in partition order.
 fn pieces<'a>(
     parts: usize,
     obs: Option<&ExecObserver>,
@@ -442,14 +290,14 @@ fn pieces<'a>(
     let drained = fan_out(parts, |pid| {
         let own = observed.then(ExecObserver::default);
         let batches = drain(lower(pid, own.as_ref())?.as_mut());
-        Some((batches, own.map(ExecObserver::into_finished)))
+        Some((batches, own.map(|o| o.meters.into_inner())))
     });
     drained
         .into_iter()
         .flatten()
         .map(|(batches, meters)| {
             if let (Some(obs), Some(meters)) = (obs, meters) {
-                obs.adopt(meters);
+                obs.meters.borrow_mut().extend(meters);
             }
             Box::new(BatchSource::new(batches)) as OpRef<'a>
         })
@@ -493,10 +341,10 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
         // Bags concatenate across partitions.
         Plan::Scan { .. } | Plan::PatchScan { .. } => {
             let streams = pieces(parts, obs, lazy, |pid, obs| {
-                lower_pruned(plan, table, indexes, pid, obs, true)
+                lower_partition(plan, table, indexes, pid, obs)
             });
             let combine: OpRef<'a> = Box::new(UnionAllOp::new(some(streams)?));
-            observe(combine, obs, "UnionAll(global)", None, false)
+            observe(combine, obs, "UnionAll(global)", None)
         }
         // Distinct is distributive: per-partition pre-aggregation, then a
         // global aggregation over the union of partials.
@@ -504,17 +352,17 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
             let partials = pieces(parts, obs, false, |pid, obs| {
                 let partial = partial_distinct(
                     input,
-                    lower_pruned(input, table, indexes, pid, obs, false)?,
+                    lower_partition(input, table, indexes, pid, obs)?,
                     cols,
                     indexes,
                 );
-                Some(observe(partial, obs, "Distinct(partial)", Some(pid), true))
+                Some(observe(partial, obs, "Distinct(partial)", Some(pid)))
             });
             let combine: OpRef<'a> = Box::new(HashAggOp::distinct(
                 Box::new(UnionAllOp::new(some(partials)?)),
                 (0..cols.len()).collect(),
             ));
-            observe(combine, obs, "Distinct(global)", None, false)
+            observe(combine, obs, "Distinct(global)", None)
         }
         // Sorted flows merge across partitions. An input containing a
         // Distinct is not partition-distributive under a merge (only the
@@ -523,18 +371,18 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
         Plan::Sort { input, keys } if input.contains_distinct() => {
             let input = lower_combined(input, table, indexes, obs, lazy)?;
             let sorted: OpRef<'a> = Box::new(SortOp::new(input, keys.clone()));
-            observe(sorted, obs, "Sort(global)", None, false)
+            observe(sorted, obs, "Sort(global)", None)
         }
         Plan::Sort { input, keys } => {
             let sorted = pieces(parts, obs, false, |pid, obs| {
                 let stream: OpRef<'a> = Box::new(SortOp::new(
-                    lower_pruned(input, table, indexes, pid, obs, false)?,
+                    lower_partition(input, table, indexes, pid, obs)?,
                     keys.clone(),
                 ));
-                Some(observe(stream, obs, "Sort(partition)", Some(pid), true))
+                Some(observe(stream, obs, "Sort(partition)", Some(pid)))
             });
             let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(sorted)?, keys.clone()));
-            observe(combine, obs, "OrderedMerge(global)", None, false)
+            observe(combine, obs, "OrderedMerge(global)", None)
         }
         Plan::Merge { inputs, keys } => {
             // Each surviving (partition, child) stream is sorted; one
@@ -555,11 +403,11 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
                 }
                 let lazy = lazy && !matches!(child, Plan::Sort { .. });
                 streams.extend(pieces(parts, obs, lazy, |pid, obs| {
-                    lower_pruned(child, table, indexes, pid, obs, true)
+                    lower_partition(child, table, indexes, pid, obs)
                 }));
             }
             let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(streams)?, keys.clone()));
-            observe(combine, obs, "OrderedMerge(global)", None, false)
+            observe(combine, obs, "OrderedMerge(global)", None)
         }
         Plan::Union { inputs } => {
             let mut children: Vec<OpRef<'a>> = inputs
@@ -570,7 +418,7 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
                 return children.pop();
             }
             let combine: OpRef<'a> = Box::new(UnionAllOp::new(some(children)?));
-            observe(combine, obs, "UnionAll(global)", None, false)
+            observe(combine, obs, "UnionAll(global)", None)
         }
         Plan::Limit { input, n } => {
             if limit_pushes_down(input) {
@@ -578,18 +426,18 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
                 // stops early), keep the exact global cap on top.
                 let capped = pieces(parts, obs, true, |pid, obs| {
                     let capped: OpRef<'a> = Box::new(LimitOp::new(
-                        lower_pruned(input, table, indexes, pid, obs, false)?,
+                        lower_partition(input, table, indexes, pid, obs)?,
                         *n,
                     ));
-                    Some(observe(capped, obs, "Limit(partition)", Some(pid), true))
+                    Some(observe(capped, obs, "Limit(partition)", Some(pid)))
                 });
                 let combine: OpRef<'a> =
                     Box::new(LimitOp::new(Box::new(UnionAllOp::new(some(capped)?)), *n));
-                observe(combine, obs, "Limit(global)", None, false)
+                observe(combine, obs, "Limit(global)", None)
             } else {
                 let input = lower_combined(input, table, indexes, obs, true)?;
                 let capped: OpRef<'a> = Box::new(LimitOp::new(input, *n));
-                observe(capped, obs, "Limit(global)", None, false)
+                observe(capped, obs, "Limit(global)", None)
             }
         }
     };
@@ -666,6 +514,24 @@ mod tests {
         collect(lower_global(plan, table, indexes, Some(trace)).as_mut())
     }
 
+    /// The operator labels a traced execution of `plan` ran in each
+    /// partition, indexed by partition, each node after its inputs.
+    fn ran<I: Borrow<PatchIndex> + Sync>(
+        plan: &Plan,
+        table: &Table,
+        indexes: &[I],
+    ) -> Vec<Vec<String>> {
+        let trace = ExecObserver::default();
+        collect_probed(plan, table, indexes, &trace);
+        let mut ran = vec![Vec::new(); table.partition_count()];
+        for o in trace.operators() {
+            if let Some(pid) = o.partition {
+                ran[pid].push(o.label);
+            }
+        }
+        ran
+    }
+
     #[test]
     fn reference_distinct_counts_all_values() {
         let t = table();
@@ -733,18 +599,8 @@ mod tests {
         let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
         // Every partition runs a pure scan of the excluding flow, and the
         // result is still complete.
-        for pid in 0..2 {
-            let specialized = prune_for_partition(&opt, &t, &idx, pid).unwrap();
-            assert!(
-                matches!(
-                    *specialized,
-                    Plan::PatchScan {
-                        mode: PatchMode::ExcludePatches,
-                        ..
-                    }
-                ),
-                "{specialized}"
-            );
+        for labels in ran(&opt, &t, &idx) {
+            assert_eq!(labels, ["PatchScan[exclude_patches]"], "{opt}");
         }
         assert_eq!(execute_count(&opt, &t, &idx), 100);
     }
@@ -822,22 +678,14 @@ mod tests {
         let opt = optimize(plan.clone(), &IndexCatalog::of(&t, &indexes));
         assert!(opt.to_string().starts_with("Merge"), "{opt}");
 
-        // Plan inspection: the per-partition specialization used by the
-        // lowering keeps the use_patches flow only in partition 5.
+        // What ran: the use_patches flow only in partition 5.
+        let ran = ran(&opt, &t, &indexes);
         let with_patch_flow: Vec<usize> = (0..parts)
-            .filter(|&pid| {
-                prune_for_partition(&opt, &t, &indexes, pid)
-                    .map(|p| p.to_string().contains("use_patches"))
-                    .unwrap_or(false)
-            })
+            .filter(|&pid| ran[pid].iter().any(|l| l == "PatchScan[use_patches]"))
             .collect();
         assert_eq!(with_patch_flow, vec![5]);
-        // Clean partitions collapse to the bare excluding stream.
-        let clean = prune_for_partition(&opt, &t, &indexes, 0).unwrap();
-        assert!(
-            clean.to_string().starts_with("PatchScan[exclude_patches]"),
-            "{clean}"
-        );
+        // Clean partitions run the bare excluding stream.
+        assert_eq!(ran[0], ["PatchScan[exclude_patches]"]);
 
         // And the pruned execution is still exact.
         let reference = execute(&plan, &t, NO_INDEXES);
@@ -1068,40 +916,10 @@ mod tests {
         );
     }
 
-    /// Partitions that prune nothing must not deep-clone the plan: the
-    /// specialization returns a borrow of the optimized tree.
-    #[test]
-    fn unpruned_partitions_borrow_the_plan() {
-        let t = table();
-        let idx = single(PatchIndex::create(
-            &t,
-            1,
-            Constraint::NearlyUnique,
-            Design::Bitmap,
-        ));
-        let plan = Plan::scan(vec![1]).distinct(vec![0]);
-        let opt = optimize(plan, &IndexCatalog::of(&t, &idx));
-        // Both partitions hold patches (value 5 in p0; none in p1 — check).
-        assert!(idx[0].partition_patch_count(0) > 0);
-        let specialized = prune_for_partition(&opt, &t, &idx, 0).unwrap();
-        assert!(
-            matches!(specialized, Cow::Borrowed(_)),
-            "nothing pruned in partition 0 — the plan must be borrowed"
-        );
-        // Partition 1 has no patches: the use_patches flow is pruned (the
-        // surviving subtree may itself still be a borrow — collapsing to
-        // a single child borrows that child instead of rebuilding).
-        assert_eq!(idx[0].partition_patch_count(1), 0);
-        let specialized = prune_for_partition(&opt, &t, &idx, 1).unwrap();
-        assert!(!specialized.to_string().contains("use_patches"));
-        assert_ne!(specialized.to_string(), opt.to_string());
-    }
-
-    /// Regression: a combine that collapses to a single child comes back
-    /// as a *borrow of the child* — the wrapper node above it must not
-    /// mistake that for "nothing pruned" and resurrect the original
-    /// subtree. (The NCC rewrite nests its Union under a Distinct, so a
-    /// clean partition must still lose the use_patches flow there.)
+    /// A combine under a wrapper node prunes too, and one left with a
+    /// single child is that child: the NCC rewrite nests its Union under
+    /// a Distinct, so a clean partition runs the kept flow's distinct
+    /// alone, with no union above it.
     #[test]
     fn collapse_under_a_wrapper_node_still_prunes() {
         let mut t = Table::new(
@@ -1124,13 +942,20 @@ mod tests {
         // The NCC shape: Distinct over a Union of two Distincts.
         let rewritten = crate::optimizer::rewrite(plan.clone(), &cat.indexes[0]);
         assert!(rewritten.to_string().starts_with("Distinct"), "{rewritten}");
-        let clean = prune_for_partition(&rewritten, &t, &idx, 1).unwrap();
-        assert!(
-            !clean.to_string().contains("use_patches"),
-            "partition 1 has no patches — the flow must be pruned under the wrapper:\n{clean}"
+        let ncc = ran(&rewritten, &t, &idx);
+        assert_eq!(
+            ncc[1],
+            [
+                "PatchScan[exclude_patches]",
+                "Distinct",
+                "Distinct(partial)"
+            ],
+            "partition 1 has no patches — the flow must be pruned under the wrapper"
         );
-        let dirty = prune_for_partition(&rewritten, &t, &idx, 0).unwrap();
-        assert!(dirty.to_string().contains("use_patches"));
+        assert!(
+            ncc[0].iter().any(|l| l == "PatchScan[use_patches]"),
+            "{ncc:?}"
+        );
         // Results stay exact either way.
         let reference = execute_count(&plan, &t, NO_INDEXES);
         assert_eq!(execute_count(&rewritten, &t, &idx), reference);
@@ -1144,8 +969,8 @@ mod tests {
         ));
         let opt = optimize(splan, &IndexCatalog::of(&t, &nsc));
         if opt.to_string().contains("Merge") {
-            let p1 = prune_for_partition(&opt, &t, &nsc, 1).unwrap();
-            assert!(!p1.to_string().contains("use_patches"), "{p1}");
+            let p1 = &ran(&opt, &t, &nsc)[1];
+            assert!(!p1.iter().any(|l| l == "PatchScan[use_patches]"), "{p1:?}");
         }
     }
 
@@ -1162,9 +987,10 @@ mod tests {
         t.load_partition(2, &[ColumnData::Int(vec![2])]);
         t.propagate_all();
         let plan = Plan::scan(vec![0]);
-        assert!(prune_for_partition(&plan, &t, NO_INDEXES, 1).is_none());
+        assert!(ran(&plan, &t, NO_INDEXES)[1].is_empty());
         assert_eq!(execute_count(&plan, &t, NO_INDEXES), 3);
         let sorted = Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]);
+        assert!(ran(&sorted, &t, NO_INDEXES)[1].is_empty());
         assert_eq!(
             execute(&sorted, &t, NO_INDEXES).column(0).as_int(),
             &[1, 2, 3]

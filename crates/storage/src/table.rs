@@ -241,9 +241,11 @@ impl Table {
         self.partition_mut(pid).modify(rids, col, values);
     }
 
-    /// Propagates deltas in all partitions.
+    /// Propagates deltas in all partitions. A partition with no pending
+    /// delta is left as it is: a snapshot that shares it keeps sharing it,
+    /// with its base and zone maps.
     pub fn propagate_all(&mut self) {
-        for p in &mut self.partitions {
+        for p in self.partitions.iter_mut().filter(|p| !p.delta().is_empty()) {
             Arc::make_mut(p).propagate();
         }
     }
