@@ -3,25 +3,31 @@
 //! creation needs it).
 //!
 //! * **NUC** — the patch set holds *all* rowIDs of values occurring more
-//!   than once. Excluding patches then leaves values that are unique and
+//!   than once in the column, in whichever partitions they lie. Excluding
+//!   patches then leaves values that are unique across the table and
 //!   disjoint from the patch values, which makes the distinct rewrite
-//!   (`distinct(non-patches) ∪ distinct(patches)`) correct.
+//!   (`distinct(non-patches) ∪ distinct(patches)`, with no dedup across
+//!   partitions) correct.
 //! * **NSC** — the patch set is the complement of a longest sorted
 //!   subsequence (Fredman's algorithm), the minimal set whose exclusion
-//!   leaves the column sorted.
+//!   leaves the column sorted. Partition-local.
+//! * **NCC** — the patch set holds every value but the most frequent one.
+//!   Partition-local.
 //!
-//! Full discovery is what index creation runs; [`sampled_match`] runs it
-//! on a strided sample of the table, the estimate the advisor creates
+//! [`discover`] is the one entry point over a table's partitions: index
+//! create and recompute run it on every visible row, [`sampled_match`] on
+//! a strided sample of the table, the estimate the advisor creates
 //! indexes from.
 
+use pi_exec::parallel::fan_out;
 use pi_storage::{ColumnData, DataType, Partition, Table};
 
 use crate::constraint::{Constraint, SortDir};
 use crate::lis;
 
-/// Extracts an `i64` view of a column for discovery: ints directly,
-/// strings by dictionary code (code equality ⇔ string equality).
-fn int_view(col: &ColumnData) -> Vec<i64> {
+/// Extracts an `i64` view of a column for discovery and maintenance: ints
+/// directly, strings by dictionary code (code equality ⇔ string equality).
+pub(crate) fn int_view(col: &ColumnData) -> Vec<i64> {
     match col {
         ColumnData::Int(v) => v.clone(),
         ColumnData::Str { codes, .. } => codes.iter().map(|&c| c as i64).collect(),
@@ -53,27 +59,45 @@ pub struct DiscoveryResult {
     pub last_sorted: Option<i64>,
 }
 
-/// Discovers the patch set of `values` for a constraint.
+/// Discovers the patch sets of a column given as one slice per partition,
+/// in partition order; returns one result per partition.
+///
+/// NUC counts each value once across all partitions and patches every
+/// occurrence of a value that occurs more than once, so a value kept in
+/// two partitions is patched in both. NSC and NCC are partition-local:
+/// each partition is discovered on its own ([`discover_values`]). The
+/// partitions' patch sets are computed in parallel on the fan-out pool.
+pub fn discover(parts: &[&[i64]], constraint: Constraint) -> Vec<DiscoveryResult> {
+    if constraint != Constraint::NearlyUnique {
+        return fan_out(parts.len(), |pid| discover_values(parts[pid], constraint));
+    }
+    // value -> occurs more than once
+    let mut repeated: pi_exec::hash::IntMap<bool> = pi_exec::hash::int_map();
+    for &v in parts.iter().flat_map(|vals| vals.iter()) {
+        repeated.entry(v).and_modify(|r| *r = true).or_insert(false);
+    }
+    fan_out(parts.len(), |pid| {
+        let values = parts[pid];
+        let patches = values
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| repeated[v])
+            .map(|(i, _)| i as u64)
+            .collect();
+        DiscoveryResult {
+            patches,
+            nrows: values.len() as u64,
+            last_sorted: None,
+        }
+    })
+}
+
+/// Discovers the patch set of `values`, one partition's column.
 pub fn discover_values(values: &[i64], constraint: Constraint) -> DiscoveryResult {
     match constraint {
         Constraint::NearlyUnique => {
-            // All occurrences of duplicated values are patches.
-            let mut map: pi_exec::hash::IntMap<(u32, u32)> = pi_exec::hash::int_map();
-            for (i, &v) in values.iter().enumerate() {
-                let e = map.entry(v).or_insert((i as u32, 0));
-                e.1 += 1;
-            }
-            let mut patches: Vec<u64> = Vec::new();
-            for (i, &v) in values.iter().enumerate() {
-                if map[&v].1 > 1 {
-                    patches.push(i as u64);
-                }
-            }
-            DiscoveryResult {
-                patches,
-                nrows: values.len() as u64,
-                last_sorted: None,
-            }
+            let mut results = discover(&[values], constraint);
+            results.pop().expect("one result per partition")
         }
         Constraint::NearlySorted(dir) => {
             let oriented: Vec<i64>;
@@ -125,41 +149,6 @@ pub fn discover_values(values: &[i64], constraint: Constraint) -> DiscoveryResul
     }
 }
 
-/// The extra NUC patch rowIDs the *global* constraint requires beyond
-/// partition-local discovery, given every partition's full value history:
-/// all occurrences of values present in more than one partition.
-///
-/// [`discover_values`] patches every occurrence of a value duplicated
-/// *within* a partition, but a value kept (unpatched) in two different
-/// partitions is still a global duplicate — the NUC distinct rewrite
-/// unions per-partition kept flows without re-deduplicating, so such a
-/// value would be counted once per partition. Merging this residual into
-/// the local patch sets restores the global invariant: every value with
-/// a global occurrence count above one has all of its occurrences
-/// patched.
-pub fn cross_partition_nuc_residual(values: &[&[i64]]) -> Vec<Vec<u64>> {
-    // value -> (first partition seen in, spans multiple partitions?)
-    let mut seen: pi_exec::hash::IntMap<(u32, bool)> = pi_exec::hash::int_map();
-    for (pid, vals) in values.iter().enumerate() {
-        for &v in vals.iter() {
-            let e = seen.entry(v).or_insert((pid as u32, false));
-            if e.0 != pid as u32 {
-                e.1 = true;
-            }
-        }
-    }
-    values
-        .iter()
-        .map(|vals| {
-            vals.iter()
-                .enumerate()
-                .filter(|(_, v)| seen[v].1)
-                .map(|(i, _)| i as u64)
-                .collect()
-        })
-        .collect()
-}
-
 /// Fraction of tuples matching the constraint (1 − exception rate); the
 /// quantity Figure 1 of the paper plots per column.
 pub fn constraint_match_fraction(values: &[i64], constraint: Constraint) -> f64 {
@@ -180,32 +169,35 @@ const SAMPLE_ROWS: usize = 1024;
 /// of each partition, in row order (NSC needs the order). `None` for a
 /// column that is not `Int`.
 ///
-/// Every constraint is partition-local (per-partition patch sets, sorted
-/// runs and constants), so each partition's sample is scored on its own
-/// and the scores are weighted by sample size: pooling the partitions
-/// would count cross-partition repeats as NUC violations and interleaved
-/// key ranges as NSC violations that discovery never reports. An empty
-/// column scores 1.0. The estimate holds no state and draws no random
-/// numbers: equal tables estimate equally.
+/// The sample is discovered as the index would be ([`discover`] over one
+/// sample per partition: NUC repeats count across partitions, NSC runs
+/// and NCC constants per partition), and the estimate is
+/// `1 − Σ patches / Σ sampled`. A table of fewer than 2 048 visible rows
+/// is sampled whole, and then the estimate equals the match fraction
+/// [`crate::PatchIndex::create`] builds. An empty column scores 1.0. The
+/// estimate holds no state and draws no random numbers: equal tables
+/// estimate equally.
 pub fn sampled_match(table: &Table, col: usize, constraint: Constraint) -> Option<f64> {
     if table.schema().field(col).dtype != DataType::Int {
         return None;
     }
     let stride = (table.visible_len() / SAMPLE_ROWS).max(1);
-    let (mut weighted, mut sampled) = (0.0, 0);
-    for partition in table.partitions() {
-        let rids: Vec<usize> = (0..partition.visible_len()).step_by(stride).collect();
-        if rids.is_empty() {
-            continue;
-        }
-        let values = crate::maintenance::gather_values(partition, col, &rids);
-        weighted += constraint_match_fraction(&values, constraint) * values.len() as f64;
-        sampled += values.len();
-    }
+    let samples: Vec<Vec<i64>> = table
+        .partitions()
+        .iter()
+        .map(|p| {
+            let rids: Vec<usize> = (0..p.visible_len()).step_by(stride).collect();
+            crate::maintenance::gather_values(p, col, &rids)
+        })
+        .collect();
+    let views: Vec<&[i64]> = samples.iter().map(Vec::as_slice).collect();
+    let results = discover(&views, constraint);
+    let sampled: u64 = results.iter().map(|r| r.nrows).sum();
+    let patches: u64 = results.iter().map(|r| r.patches.len() as u64).sum();
     Some(if sampled == 0 {
         1.0
     } else {
-        weighted / sampled as f64
+        1.0 - patches as f64 / sampled as f64
     })
 }
 
@@ -283,8 +275,8 @@ mod tests {
         t
     }
 
-    /// Partition-local scoring: each partition perfectly sorted but key
-    /// ranges interleaved (RoundRobin-style) — per-partition discovery
+    /// Partition-local scoring of NSC: each partition perfectly sorted but
+    /// key ranges interleaved (RoundRobin-style) — per-partition discovery
     /// finds zero patches, and so must the estimate. The same values
     /// pooled across partitions would score ~0.5.
     #[test]
@@ -298,13 +290,14 @@ mod tests {
             (est - 1.0).abs() < 1e-12,
             "per-partition sorted must score 1.0, got {est}"
         );
-        // NUC across partitions: a value living in both partitions is
-        // *not* a partition-local duplicate.
+        // NUC is not partition-local: a value living in both partitions
+        // is a repeat, and every occurrence of it is a patch, as in the
+        // index create builds.
         let t = int_table(&[(0..2_000).collect(), (0..2_000).collect()]);
         let est = sampled_match(&t, 0, Constraint::NearlyUnique).unwrap();
         assert!(
-            (est - 1.0).abs() < 1e-12,
-            "cross-partition repeats are unique, got {est}"
+            est.abs() < 1e-12,
+            "cross-partition repeats are duplicates, got {est}"
         );
     }
 
@@ -337,16 +330,26 @@ mod tests {
         assert_eq!(r.last_sorted, None);
     }
 
+    /// The patch sets of `parts`, one per partition.
+    fn nuc_patches(parts: &[&[i64]]) -> Vec<Vec<u64>> {
+        discover(parts, Constraint::NearlyUnique)
+            .into_iter()
+            .map(|r| r.patches)
+            .collect()
+    }
+
     #[test]
     fn cross_partition_residual_patches_every_straddling_occurrence() {
         // 5 appears in partitions 0 and 2 (once each): all its occurrences
-        // are residual patches. 7 is duplicated only within partition 1:
-        // local discovery owns it, the residual ignores it. 9 is unique.
+        // are patches. 7 is duplicated only within partition 1, and all
+        // its occurrences are patches too. 9 is unique.
         let p0: Vec<i64> = vec![5, 1];
         let p1: Vec<i64> = vec![7, 7, 9];
         let p2: Vec<i64> = vec![2, 5];
-        let residual = cross_partition_nuc_residual(&[&p0, &p1, &p2]);
-        assert_eq!(residual, vec![vec![0], vec![], vec![1]]);
+        assert_eq!(
+            nuc_patches(&[&p0, &p1, &p2]),
+            vec![vec![0], vec![0, 1], vec![1]]
+        );
         // A pool of 10 values shared by 4 otherwise disjoint partitions
         // (every 200th row): all 10 x 4 occurrences, and nothing else.
         let parts: Vec<Vec<i64>> = (0..4)
@@ -364,27 +367,25 @@ mod tests {
             .collect();
         let views: Vec<&[i64]> = parts.iter().map(Vec::as_slice).collect();
         let pool_rids: Vec<u64> = (0..10).map(|k| k * 200).collect();
-        assert_eq!(cross_partition_nuc_residual(&views), vec![pool_rids; 4]);
+        assert_eq!(nuc_patches(&views), vec![pool_rids; 4]);
     }
 
     #[test]
     fn cross_partition_residual_covers_kept_vs_patched_splits() {
-        // 4 is duplicated inside partition 0 (locally patched there) and
-        // also present in partition 1: the partition-1 occurrence must be
-        // patched too, and partition 0's occurrences appear in the
-        // residual as well (merging with the local set deduplicates).
+        // 4 is duplicated inside partition 0 and also present in
+        // partition 1: the partition-1 occurrence is patched too.
         let p0: Vec<i64> = vec![4, 4, 1];
         let p1: Vec<i64> = vec![4, 2];
-        let residual = cross_partition_nuc_residual(&[&p0, &p1]);
-        assert_eq!(residual, vec![vec![0, 1], vec![0]]);
+        assert_eq!(nuc_patches(&[&p0, &p1]), vec![vec![0, 1], vec![0]]);
     }
 
     #[test]
     fn cross_partition_residual_empty_for_disjoint_pools() {
+        // No value straddles the partitions: only partition 0's local
+        // repeat is patched.
         let p0: Vec<i64> = vec![1, 2, 2];
         let p1: Vec<i64> = vec![10, 11];
-        let residual = cross_partition_nuc_residual(&[&p0, &p1]);
-        assert_eq!(residual, vec![Vec::<u64>::new(), Vec::new()]);
+        assert_eq!(nuc_patches(&[&p0, &p1]), vec![vec![1, 2], Vec::new()]);
     }
 
     #[test]

@@ -5,9 +5,7 @@ use pi_exec::parallel::per_partition;
 use pi_storage::Table;
 
 use crate::constraint::{Constraint, Design, SortDir};
-use crate::discovery::{
-    cross_partition_nuc_residual, discover_values, partition_column_values, DiscoveryResult,
-};
+use crate::discovery::{discover, partition_column_values};
 use crate::maintenance::MaintenanceStats;
 use crate::statement::Statement;
 use crate::stats::preferred_design;
@@ -69,11 +67,11 @@ pub struct PatchIndex {
 }
 
 impl PatchIndex {
-    /// Discovers the constraint on `col` of every partition (in parallel)
-    /// and materializes the patch sets. For NUC the per-partition patch
-    /// sets are merged with the cross-partition residual (see
-    /// [`cross_partition_nuc_residual`]) so the kept values are *globally*
-    /// unique, not just unique within their partition.
+    /// Discovers the constraint on `col` over the table's partitions
+    /// ([`discover`]) and materializes one patch set per partition. NUC
+    /// patches every occurrence of a value repeated anywhere in the
+    /// column, so the kept values are unique across the table, not just
+    /// within their partition; NSC and NCC are discovered per partition.
     ///
     /// Panics unless [`Statement::indexable`] accepts the column.
     pub fn create(table: &Table, col: usize, constraint: Constraint, design: Design) -> Self {
@@ -85,24 +83,12 @@ impl PatchIndex {
     /// Table-3 memory model pick the store design from the freshly
     /// discovered exception rate (the design-migrating recompute path).
     fn build(table: &Table, col: usize, constraint: Constraint, design: Option<Design>) -> Self {
-        let mut discovered: Vec<(DiscoveryResult, Vec<i64>)> = per_partition(table, |p| {
-            let values = partition_column_values(p, col);
-            (discover_values(&values, constraint), values)
-        });
-        if constraint == Constraint::NearlyUnique && discovered.len() > 1 {
-            let histories: Vec<&[i64]> = discovered.iter().map(|(_, v)| v.as_slice()).collect();
-            let residual = cross_partition_nuc_residual(&histories);
-            for ((r, _), extra) in discovered.iter_mut().zip(residual) {
-                if !extra.is_empty() {
-                    r.patches.extend(extra);
-                    r.patches.sort_unstable();
-                    r.patches.dedup();
-                }
-            }
-        }
+        let values = per_partition(table, |p| partition_column_values(p, col));
+        let views: Vec<&[i64]> = values.iter().map(Vec::as_slice).collect();
+        let discovered = discover(&views, constraint);
         let design = design.unwrap_or_else(|| {
-            let rows: u64 = discovered.iter().map(|(r, _)| r.nrows).sum();
-            let patches: u64 = discovered.iter().map(|(r, _)| r.patches.len() as u64).sum();
+            let rows: u64 = discovered.iter().map(|r| r.nrows).sum();
+            let patches: u64 = discovered.iter().map(|r| r.patches.len() as u64).sum();
             let rate = if rows == 0 {
                 0.0
             } else {
@@ -112,7 +98,7 @@ impl PatchIndex {
         });
         let parts = discovered
             .into_iter()
-            .map(|(r, _)| PartitionIndex {
+            .map(|r| PartitionIndex {
                 store: PatchStore::new(design, r.nrows, &r.patches),
                 last_sorted: r.last_sorted,
             })
@@ -417,9 +403,9 @@ mod tests {
 
     #[test]
     fn create_nuc_dedupes_across_partitions() {
-        // 7 appears exactly once in each partition: partition-local
-        // discovery keeps both occurrences, the cross-partition pass
-        // patches both.
+        // 7 appears exactly once in each partition: a partition-local
+        // count would keep both occurrences, the table-wide count patches
+        // both.
         let t = table(vec![vec![7, 1, 2], vec![7, 3, 4]]);
         let idx = PatchIndex::create(&t, 0, Constraint::NearlyUnique, Design::Bitmap);
         assert_eq!(idx.partition(0).store.patch_rids(), vec![0]);

@@ -455,8 +455,8 @@ mod tests {
     }
 
     /// Regression: RoundRobin routing interleaves a globally sorted
-    /// insert stream across partitions; since every constraint is
-    /// partition-local, the sampled NSC estimate must still be 1.0 (a
+    /// insert stream across partitions; since NSC is partition-local,
+    /// the sampled NSC estimate must still be 1.0 (a
     /// pooled sample would report ~0.5 and starve the advisor).
     #[test]
     fn sampling_scores_partition_locally_under_round_robin() {

@@ -37,6 +37,7 @@ use pi_exec::Batch;
 use pi_storage::{ColumnData, Partition, RowAddr, Table};
 
 use crate::constraint::{Constraint, SortDir};
+use crate::discovery::int_view;
 use crate::index::PatchIndex;
 use crate::lis;
 
@@ -324,12 +325,10 @@ impl PatchIndex {
     }
 }
 
+/// The values of `col` at the visible rows `rids`, as discovery reads
+/// them ([`int_view`]).
 pub(crate) fn gather_values(partition: &Partition, col: usize, rids: &[usize]) -> Vec<i64> {
-    match &partition.gather(&[col], rids)[0] {
-        ColumnData::Int(v) => v.clone(),
-        ColumnData::Str { codes, .. } => codes.iter().map(|&c| c as i64).collect(),
-        other => panic!("NSC over {:?}", other.data_type()),
-    }
+    int_view(&partition.gather(&[col], rids)[0])
 }
 
 /// Chooses which of `values` (in insertion order) extend the existing

@@ -442,7 +442,7 @@ pub(crate) const INDEX_MAGIC: &[u8; 4] = b"PIDX";
 /// word like any other.
 pub(crate) const INDEX_VERSION: u32 = 6;
 /// Word after the design word. Patch sets are always globally
-/// deduplicated (NUC discovery includes the cross-partition residual), so
+/// deduplicated (NUC discovery counts values across partitions), so
 /// it is written as 1 and any other value is rejected.
 pub(crate) const GLOBALLY_DEDUPLICATED: u32 = 1;
 /// Smallest encoding of one partition: row count, anchor tag, patch count.

@@ -49,39 +49,38 @@ pub fn optimize(plan: Plan, cat: &IndexCatalog) -> Plan {
 /// [`optimize`] while counting candidates enumerated / cost-gated /
 /// chosen into `stats`.
 pub fn optimize_with_stats(plan: Plan, cat: &IndexCatalog, stats: &mut OptimizeStats) -> Plan {
-    match plan {
-        Plan::Distinct { input, cols } => {
-            let node = Plan::Distinct {
-                input: Box::new(optimize_with_stats(*input, cat, stats)),
-                cols,
-            };
-            best_rewrite(node, cat, stats)
-        }
-        Plan::Sort { input, keys } => {
-            let node = Plan::Sort {
-                input: Box::new(optimize_with_stats(*input, cat, stats)),
-                keys,
-            };
-            best_rewrite(node, cat, stats)
-        }
+    walk(plan, &mut |node| best_rewrite(node, cat, stats))
+}
+
+/// Rebuilds `plan` bottom-up, handing every Distinct and Sort node, its
+/// input already rebuilt, to `site`: the one recursion behind
+/// [`optimize_with_stats`] (cost-gated) and [`rewrite`] (forced).
+fn walk(plan: Plan, site: &mut impl FnMut(Plan) -> Plan) -> Plan {
+    let node = match plan {
+        Plan::Distinct { input, cols } => Plan::Distinct {
+            input: Box::new(walk(*input, site)),
+            cols,
+        },
+        Plan::Sort { input, keys } => Plan::Sort {
+            input: Box::new(walk(*input, site)),
+            keys,
+        },
         Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(optimize_with_stats(*input, cat, stats)),
+            input: Box::new(walk(*input, site)),
             n,
         },
         Plan::Union { inputs } => Plan::Union {
-            inputs: inputs
-                .into_iter()
-                .map(|p| optimize_with_stats(p, cat, stats))
-                .collect(),
+            inputs: inputs.into_iter().map(|p| walk(p, site)).collect(),
         },
         Plan::Merge { inputs, keys } => Plan::Merge {
-            inputs: inputs
-                .into_iter()
-                .map(|p| optimize_with_stats(p, cat, stats))
-                .collect(),
+            inputs: inputs.into_iter().map(|p| walk(p, site)).collect(),
             keys,
         },
         leaf => leaf,
+    };
+    match node {
+        Plan::Distinct { .. } | Plan::Sort { .. } => site(node),
+        other => other,
     }
 }
 
@@ -245,29 +244,7 @@ fn rewrite_site(node: &Plan, e: &IndexStats) -> Option<Plan> {
 /// Structural rewrite with one index and without cost gating (exposed
 /// for tests/ablation): applies the index's pattern wherever it matches.
 pub fn rewrite(plan: Plan, e: &IndexStats) -> Plan {
-    let plan = match plan {
-        Plan::Distinct { input, cols } => Plan::Distinct {
-            input: Box::new(rewrite(*input, e)),
-            cols,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(rewrite(*input, e)),
-            keys,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(rewrite(*input, e)),
-            n,
-        },
-        Plan::Union { inputs } => Plan::Union {
-            inputs: inputs.into_iter().map(|p| rewrite(p, e)).collect(),
-        },
-        Plan::Merge { inputs, keys } => Plan::Merge {
-            inputs: inputs.into_iter().map(|p| rewrite(p, e)).collect(),
-            keys,
-        },
-        leaf => leaf,
-    };
-    rewrite_site(&plan, e).unwrap_or(plan)
+    walk(plan, &mut |node| rewrite_site(&node, e).unwrap_or(node))
 }
 
 #[cfg(test)]

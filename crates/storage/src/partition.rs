@@ -55,7 +55,6 @@ pub struct Partition {
     schema: Arc<Schema>,
     base: Arc<Base>,
     delta: DeltaStore,
-    block_rows: usize,
 }
 
 impl Partition {
@@ -105,13 +104,12 @@ impl Partition {
             schema,
             base: Arc::new(Base::new(base)),
             delta,
-            block_rows: DEFAULT_BLOCK_ROWS,
         })
     }
 
     /// Whether `other` reads the same base storage (not merely equal
     /// values): true for every clone of a partition until one of them
-    /// propagates.
+    /// propagates a pending delta.
     pub fn shares_base(&self, other: &Partition) -> bool {
         Arc::ptr_eq(&self.base, &other.base)
     }
@@ -204,8 +202,12 @@ impl Partition {
 
     /// Merges all pending deltas into base storage and invalidates zone
     /// maps. The one operation that writes the base: clones and lent
-    /// windows that still share it keep the old one.
+    /// windows that still share it keep the old one. With nothing pending
+    /// it does nothing, so the base and its zone maps stay shared.
     pub fn propagate(&mut self) {
+        if self.delta.is_empty() {
+            return;
+        }
         let base = Arc::make_mut(&mut self.base);
         self.delta.propagate(&mut base.columns);
         base.zonemaps.fill_with(OnceLock::new);
@@ -216,7 +218,7 @@ impl Partition {
     /// cache fill that every clone sharing the base sees.
     pub fn zonemap(&self, col: usize) -> &ZoneMap {
         self.base.zonemaps[col]
-            .get_or_init(|| ZoneMap::build(self.base.columns[col].as_int(), self.block_rows))
+            .get_or_init(|| ZoneMap::build(self.base.columns[col].as_int(), DEFAULT_BLOCK_ROWS))
     }
 
     /// Zone map if already built.
@@ -397,6 +399,17 @@ mod tests {
             !clone.shares_base(&p),
             "propagate gives the writer its own base"
         );
+    }
+
+    #[test]
+    fn empty_propagate_keeps_the_shared_base_and_its_zone_maps() {
+        let p = test_partition(2048);
+        let _ = p.zonemap(0);
+        let mut clone = p.clone();
+        clone.propagate();
+        assert!(clone.shares_base(&p), "nothing pending: nothing to copy");
+        assert!(clone.zonemap_if_built(0).is_some());
+        assert!(p.zonemap_if_built(0).is_some());
     }
 
     #[test]

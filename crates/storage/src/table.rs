@@ -242,8 +242,8 @@ impl Table {
     }
 
     /// Propagates deltas in all partitions. A partition with no pending
-    /// delta is left as it is: a snapshot that shares it keeps sharing it,
-    /// with its base and zone maps.
+    /// delta is left as it is, down to the `Arc` around it: a snapshot
+    /// that shares it keeps sharing it, with its base and zone maps.
     pub fn propagate_all(&mut self) {
         for p in self.partitions.iter_mut().filter(|p| !p.delta().is_empty()) {
             Arc::make_mut(p).propagate();

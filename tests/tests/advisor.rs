@@ -4,12 +4,19 @@
 //! that restores `e` to near create-time levels, cost-based drop in the
 //! storm — while every query result stays **byte-identical** to a
 //! manually-managed reference table receiving the same update stream.
+//! And the estimate the advisor creates from is the index create builds:
+//! on a table small enough to be sampled whole, `sampled_match` equals
+//! the created index's match fraction, for every constraint.
 
-use patchindex::{Constraint, Design, IndexedTable, Statement};
+use patchindex::discovery::sampled_match;
+use patchindex::{Constraint, Design, IndexedTable, PatchIndex, SortDir, Statement};
 use pi_advisor::{Advisor, AdvisorAction, AdvisorConfig, DropReason};
 use pi_datagen::{DriftOp, DriftSpec};
 use pi_exec::ops::sort::SortOrder;
+use pi_integration::kv_table;
 use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
+use pi_storage::{Partitioning, Table, Value};
+use proptest::prelude::*;
 
 fn config() -> AdvisorConfig {
     AdvisorConfig {
@@ -262,4 +269,86 @@ fn piggybacked_advisor_runs_the_lifecycle_hands_free() {
     assert!(kinds.contains(&"recompute"), "{kinds:?}");
     assert!(kinds.contains(&"drop"), "{kinds:?}");
     it.check_consistency();
+}
+
+/// A value from a small pool half the time, so repeats fall inside and
+/// across partitions, and an arbitrary (almost surely unique) one
+/// otherwise.
+fn value() -> impl Strategy<Value = i64> {
+    prop_oneof![-24i64..24, any::<i64>()]
+}
+
+/// A write left pending in the delta: an insert (routed round-robin), or
+/// a delete or modify of a row picked modulo the partition's size.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert(i64),
+    Delete(usize, usize),
+    Modify(usize, usize, i64),
+}
+
+fn write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        value().prop_map(Write::Insert),
+        (0usize..6, 0usize..300).prop_map(|(p, r)| Write::Delete(p, r)),
+        (0usize..6, 0usize..300, value()).prop_map(|(p, r, v)| Write::Modify(p, r, v)),
+    ]
+}
+
+/// A `(k, v)` table of the given partitions, round-robin routed, with
+/// `writes` pending on top of the propagated load.
+fn pending_table(parts: &[Vec<i64>], writes: &[Write]) -> Table {
+    let mut keys = 0i64..;
+    let loaded = parts
+        .iter()
+        .map(|vals| (keys.by_ref().take(vals.len()).collect(), vals.clone()))
+        .collect();
+    let mut t = kv_table(Partitioning::RoundRobin, loaded);
+    for w in writes {
+        match *w {
+            Write::Insert(v) => {
+                let k = keys.next().expect("keys never run out");
+                t.insert_rows(&[vec![Value::Int(k), Value::Int(v)]]);
+            }
+            Write::Delete(p, r) | Write::Modify(p, r, _) => {
+                let pid = p % t.partition_count();
+                let len = t.partition(pid).visible_len();
+                if len == 0 {
+                    continue;
+                }
+                match *w {
+                    Write::Modify(_, _, v) => t.modify(pid, &[r % len], 1, &[Value::Int(v)]),
+                    _ => t.delete(pid, &[r % len]),
+                }
+            }
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Fewer than 2 048 visible rows make the sampling stride 1: the
+    // sample is every visible row, and the advisor's estimate must be
+    // exactly the match fraction of the index create builds, NUC repeats
+    // across partitions included.
+    #[test]
+    fn a_whole_table_sample_estimates_what_create_builds(
+        parts in proptest::collection::vec(proptest::collection::vec(value(), 0..300), 1..7),
+        writes in proptest::collection::vec(write(), 0..40),
+    ) {
+        let t = pending_table(&parts, &writes);
+        prop_assert!(t.visible_len() < 2_048);
+        for c in [
+            Constraint::NearlyUnique,
+            Constraint::NearlySorted(SortDir::Asc),
+            Constraint::NearlySorted(SortDir::Desc),
+            Constraint::NearlyConstant,
+        ] {
+            let estimate = sampled_match(&t, 1, c).expect("an Int column");
+            let built = PatchIndex::create(&t, 1, c, Design::Bitmap).match_fraction();
+            prop_assert_eq!(estimate, built, "{:?} over {:?} with {:?}", c, parts, writes);
+        }
+    }
 }

@@ -3,9 +3,9 @@
 //!
 //! The NUC distinct rewrite unions per-partition kept flows without an
 //! outer dedup, so it is only exact if kept values are *globally*
-//! unique. Discovery (create and recompute) therefore merges a
-//! cross-partition residual — every occurrence of a value present in
-//! more than one partition — into the local patch sets. These tests
+//! unique. Discovery (create and recompute) therefore counts each value
+//! across all partitions and patches every occurrence of a value that
+//! occurs more than once, in one partition or several. These tests
 //! drive adversarial duplicate pools that straddle partitions through
 //! create, incremental maintenance, mid-stream recompute (both designs)
 //! and the snapshot path, always comparing against a byte-identical
@@ -35,8 +35,8 @@ fn distinct_plan() -> Plan {
 /// The tombstone for the partition-local discovery bug: values kept in
 /// several partitions (42) or kept in one and patched in another (7)
 /// must all be patched, or the Figure-2 union — which has no outer
-/// distinct — overcounts. With the cross-partition residual reverted,
-/// the forced rewrite counts 7 instead of 5 here.
+/// distinct — overcounts. With values counted per partition only, the
+/// forced rewrite counts 7 instead of 5 here.
 #[test]
 fn create_time_cross_partition_duplicates_do_not_overcount_distinct() {
     let parts = vec![vec![42, 1, 7, 7], vec![42, 2], vec![3, 7]];
