@@ -1,6 +1,6 @@
-//! Shared row comparators over materialized key columns (used by sort and
-//! ordered merge), and the direction map of the merge's single-`Int`-key
-//! path.
+//! Shared row comparators over materialized key columns (used by sort,
+//! ordered merge and the server's cross-shard combine), and the direction
+//! map of the merge's single-`Int`-key path.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -24,7 +24,7 @@ pub(crate) fn oriented_int(v: i64, order: SortOrder) -> i64 {
 /// A materialized, direction-aware sort key column. Strings are decoded
 /// once so comparisons are lexicographic (dictionary codes are assigned in
 /// first-seen order and would compare incorrectly).
-pub(crate) struct KeyColumn {
+pub struct KeyColumn {
     order: SortOrder,
     kind: KeyKind,
 }
@@ -38,7 +38,7 @@ enum KeyKind {
 impl KeyColumn {
     /// Builds a key column from the rows `rows` of `col`; its row 0 is
     /// `col`'s row `rows.start`.
-    pub(crate) fn build(col: &ColumnData, rows: Range<usize>, order: SortOrder) -> Self {
+    pub fn build(col: &ColumnData, rows: Range<usize>, order: SortOrder) -> Self {
         let kind = match col {
             ColumnData::Int(v) => KeyKind::Int(v[rows].to_vec()),
             ColumnData::Float(v) => KeyKind::Float(v[rows].to_vec()),
@@ -100,12 +100,7 @@ pub(crate) fn cmp_rows(keys: &[KeyColumn], a: usize, b: usize) -> Ordering {
 
 /// Compares row `a` under `left` keys with row `b` under `right` keys.
 #[inline]
-pub(crate) fn cmp_rows_cross(
-    left: &[KeyColumn],
-    a: usize,
-    right: &[KeyColumn],
-    b: usize,
-) -> Ordering {
+pub fn cmp_rows_cross(left: &[KeyColumn], a: usize, right: &[KeyColumn], b: usize) -> Ordering {
     for (l, r) in left.iter().zip(right) {
         let ord = l.cmp_cross(a, r, b);
         if ord != Ordering::Equal {

@@ -50,4 +50,5 @@ pub mod parallel;
 
 pub use batch::{Batch, BATCH_SIZE};
 pub use expr::{ArithOp, CmpOp, Expr};
+pub use keycmp::{cmp_rows_cross, KeyColumn};
 pub use op::{collect, count_rows, drain, BatchSource, OpRef, Operator};

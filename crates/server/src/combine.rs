@@ -1,71 +1,106 @@
-//! Canonical cross-shard combine.
+//! Canonical cross-shard combine: the server merges the per-shard
+//! batches into one *canonically ordered* result, so the bytes on the
+//! wire are independent of shard count, routing and per-shard plans.
 //!
-//! Each shard executes the fan-out plan over its own snapshot; the
-//! server merges the per-shard row sets into one *canonically ordered*
-//! result so the bytes on the wire are deterministic — independent of
-//! shard count, routing, and per-shard physical plans. That determinism
-//! is what the exactness audits and the prefix-replay property test
-//! compare against.
-//!
-//! Canonical order: the spec's sort keys first (tie-broken by the
-//! remaining columns ascending), full-row lexicographic ascending when
-//! the spec has no sort. Values compare by `Value`'s total order. `distinct` re-deduplicates globally (shards
-//! eliminate only their own duplicates); `limit` truncates last.
+//! Canonical order: the spec's sort keys first, then the remaining
+//! columns ascending, under pi-exec's key comparator, the one sort and
+//! ordered merge use (floats by total order; strings decoded, since each
+//! shard has its own dictionary). `distinct` re-deduplicates globally
+//! (the server admits no `Float` distinct column, so comparator equality
+//! is row equality); `limit` truncates last. [`batch_rows`],
+//! [`canonical_rows`] and [`render_rows`] are the row-wise reference over
+//! `Value` rows that the tests and the benchmark's replay compare against.
 
 use std::cmp::Ordering;
+use std::fmt::Write;
 
 use pi_exec::ops::sort::SortOrder;
-use pi_exec::Batch;
-use pi_storage::Value;
+use pi_exec::{cmp_rows_cross, Batch, KeyColumn};
+use pi_storage::{ColumnData, Value};
 
 use crate::protocol::render_value;
 use crate::spec::QuerySpec;
 
-fn cmp_row_suffix(a: &[Value], b: &[Value], skip: &[usize]) -> Ordering {
-    for i in 0..a.len() {
-        if skip.contains(&i) {
-            continue;
-        }
-        match a[i].cmp(&b[i]) {
-            Ordering::Equal => {}
-            other => return other,
-        }
+/// The canonical result of `spec` over per-shard `batches` (windows and
+/// selections too): `(batch, backing row)` pairs in canonical order,
+/// deduplicated under `distinct` and cut at `limit`.
+pub fn combine_batches<'a>(
+    spec: &QuerySpec,
+    batches: impl IntoIterator<Item = &'a Batch>,
+) -> Vec<(&'a Batch, usize)> {
+    let batches: Vec<&Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
+    let sort = spec.sort.clone().unwrap_or_default();
+    let rest = (0..batches.first().map_or(0, |b| b.width()))
+        .filter(|c| sort.iter().all(|&(p, _)| p != *c))
+        .map(|c| (c, SortOrder::Asc));
+    let keys: Vec<(usize, SortOrder)> = sort.iter().copied().chain(rest).collect();
+    let key_columns = |b: &&Batch| -> Vec<KeyColumn> {
+        keys.iter()
+            .map(|&(c, o)| KeyColumn::build(b.raw_column(c), b.span(), o))
+            .collect()
+    };
+    let cols: Vec<Vec<KeyColumn>> = batches.iter().map(key_columns).collect();
+    // A pair holds the row's offset into its batch's span: its key row.
+    let mut order: Vec<(usize, usize)> = (batches.iter().enumerate())
+        .flat_map(|(s, b)| (0..b.len()).map(move |i| (s, b.row(i) - b.span().start)))
+        .collect();
+    let cmp = |&(s, i): &(usize, usize), &(t, j): &(usize, usize)| {
+        cmp_rows_cross(&cols[s], i, &cols[t], j)
+    };
+    // Rows equal under the comparator render alike: no tie-break needed.
+    order.sort_unstable_by(cmp);
+    if spec.distinct.is_some() {
+        order.dedup_by(|a, b| cmp(a, b).is_eq());
     }
-    Ordering::Equal
+    order.truncate(spec.limit.unwrap_or(usize::MAX));
+    let row = |(s, i): (usize, usize)| (batches[s], batches[s].span().start + i);
+    order.into_iter().map(row).collect()
 }
 
-/// Materializes a batch as row vectors (the combine works row-wise).
+/// Appends `rows` (a [`combine_batches`] result) as [`render_rows`] writes
+/// them, each cell in [`render_value`]'s text, straight from the columns.
+pub fn render_combined(rows: &[(&Batch, usize)], out: &mut String) {
+    for &(batch, row) in rows {
+        for c in 0..batch.width() {
+            out.push(if c == 0 { '\n' } else { '\t' });
+            let _ = match batch.raw_column(c) {
+                ColumnData::Int(v) => write!(out, "{}", v[row]),
+                ColumnData::Float(v) => write!(out, "{:?}", v[row]),
+                ColumnData::Str { codes, dict } => out.write_str(dict.read().decode(codes[row])),
+            };
+        }
+    }
+}
+
+/// Materializes a batch (any shape) as row vectors: the row-wise
+/// reference's input.
 pub fn batch_rows(batch: &Batch) -> Vec<Vec<Value>> {
-    let ncols = batch.columns().len();
     (0..batch.len())
-        .map(|r| (0..ncols).map(|c| batch.column(c).value(r)).collect())
+        .map(|i| {
+            (0..batch.width())
+                .map(|c| batch.raw_column(c).value(batch.row(i)))
+                .collect()
+        })
         .collect()
 }
 
-/// Merges per-shard result rows into the canonical result: global
-/// dedup when the spec has `distinct`, canonical ordering, then the
-/// `limit` truncation.
+/// The row-wise reference combine: global dedup when the spec has
+/// `distinct`, canonical ordering by `Value`'s order, then the `limit`
+/// truncation.
 pub fn canonical_rows(spec: &QuerySpec, mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     let keys: Vec<(usize, SortOrder)> = spec.sort.clone().unwrap_or_default();
-    let key_positions: Vec<usize> = keys.iter().map(|&(p, _)| p).collect();
     rows.sort_by(|a, b| {
-        for &(pos, dir) in &keys {
-            let ord = a[pos].cmp(&b[pos]);
-            let ord = if matches!(dir, SortOrder::Desc) {
-                ord.reverse()
-            } else {
-                ord
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        cmp_row_suffix(a, b, &key_positions)
+        let rest = (0..a.len()).filter(|i| keys.iter().all(|&(p, _)| p != *i));
+        let ords = keys.iter().map(|&(pos, dir)| match dir {
+            SortOrder::Asc => a[pos].cmp(&b[pos]),
+            SortOrder::Desc => b[pos].cmp(&a[pos]),
+        });
+        ords.chain(rest.map(|i| a[i].cmp(&b[i])))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     });
     if spec.distinct.is_some() {
-        // Shard-local distinct already projected rows to the distinct
-        // columns, so global dedup is full-row dedup; the canonical sort
-        // above placed duplicates adjacently.
+        // Shards projected to the distinct columns: full-row dedup.
         rows.dedup();
     }
     if let Some(n) = spec.limit {
@@ -74,7 +109,8 @@ pub fn canonical_rows(spec: &QuerySpec, mut rows: Vec<Vec<Value>>) -> Vec<Vec<Va
     rows
 }
 
-/// Renders rows as wire lines: one row per line, values tab-separated.
+/// Renders rows as wire lines (the row-wise reference): one row per line,
+/// values tab-separated.
 pub fn render_rows(rows: &[Vec<Value>]) -> String {
     let mut out = String::new();
     for row in rows {

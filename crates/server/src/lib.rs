@@ -7,8 +7,8 @@
 //! * **readers** never block: every query runs against a per-shard
 //!   consistent snapshot, fans out across all shards on the process-wide
 //!   pool of [`pi_exec::parallel::fan_out`] (no thread spawned per
-//!   query), and the per-shard results merge into one canonically ordered response
-//!   (byte-deterministic regardless of shard count — see [`combine`](canonical_rows));
+//!   query), and [`combine_batches`] merges the per-shard batches into one
+//!   canonically ordered response (byte-deterministic regardless of shard count);
 //! * **writers** are one dedicated thread per shard consuming a bounded
 //!   statement queue. The queue is the admission-control point: a full
 //!   queue rejects with `ServerBusy` instead of buffering, and sequence
@@ -64,7 +64,7 @@ mod shard;
 mod spec;
 
 pub use client::{body_lines, header, header_field, Client};
-pub use combine::{batch_rows, canonical_rows, render_rows};
+pub use combine::{batch_rows, canonical_rows, combine_batches, render_combined, render_rows};
 pub use config::ServerConfig;
 pub use protocol::{
     parse_value, read_request, render_value, write_response, ErrorCode, ServerError, WireMode,

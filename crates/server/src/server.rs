@@ -17,11 +17,11 @@ use pi_obs::{Counter, Histogram, MetricsRegistry};
 use pi_planner::{Plan, QueryEngine};
 use pi_storage::{DataType, Partitioning, Schema, Table, Value};
 
+use crate::combine::{combine_batches, render_combined};
 use crate::config::ServerConfig;
 use crate::protocol::{parse_value, read_request, write_response, ErrorCode, ServerError};
-use crate::shard::{Shard, ShardMsg, ShardSpawn};
+use crate::shard::{Shard, ShardMsg};
 use crate::spec::QuerySpec;
-use crate::{batch_rows, canonical_rows, render_rows};
 
 /// A running PatchIndex server: N hash-routed shards behind one TCP
 /// listener. Dropping the handle shuts the server down gracefully
@@ -63,22 +63,13 @@ impl Server {
     pub fn start(cfg: ServerConfig, tables: Vec<IndexedTable>) -> io::Result<Server> {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert_eq!(tables.len(), cfg.shards, "one table per shard");
-        let dtypes: Vec<DataType> = tables[0]
-            .table()
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| f.dtype)
-            .collect();
+        let dtypes_of = |t: &IndexedTable| -> Vec<DataType> {
+            let fields = t.table().schema().fields();
+            fields.iter().map(|f| f.dtype).collect()
+        };
+        let dtypes = dtypes_of(&tables[0]);
         for t in &tables {
-            let d: Vec<DataType> = t
-                .table()
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.dtype)
-                .collect();
-            assert_eq!(d, dtypes, "shard schemas must match");
+            assert_eq!(dtypes_of(t), dtypes, "shard schemas must match");
         }
         assert!(cfg.route_col < dtypes.len(), "route_col out of range");
 
@@ -89,22 +80,8 @@ impl Server {
         let shard_registries: Vec<Arc<MetricsRegistry>> = (0..cfg.shards)
             .map(|_| Arc::new(MetricsRegistry::new()))
             .collect();
-        let shards: Vec<Shard> = tables
-            .into_iter()
-            .enumerate()
-            .map(|(id, table)| {
-                Shard::spawn(ShardSpawn {
-                    id,
-                    table,
-                    registry: Arc::clone(&shard_registries[id]),
-                    queue_capacity: cfg.queue_capacity,
-                    publish_every: cfg.publish_every,
-                    cache_budget_bytes: cfg.cache_budget_bytes,
-                    advise_every: cfg.advise_every,
-                    advisor_budget_bytes: cfg.advisor_budget_bytes,
-                    all_benefits: benefits.clone(),
-                })
-            })
+        let shards: Vec<Shard> = (tables.into_iter().enumerate())
+            .map(|(id, t)| Shard::spawn(id, t, &shard_registries[id], &cfg, &benefits))
             .collect();
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -398,31 +375,24 @@ impl ServerInner {
         let spec = self.checked_spec(rest)?;
         let t0 = Instant::now();
         let results = self.fanout(&spec, |snap, plan| snap.query(plan));
-        let mut rows = Vec::new();
-        for (_, _, batch) in &results {
-            rows.extend(batch_rows(batch));
-        }
-        let rows = canonical_rows(&spec, rows);
+        let rows = combine_batches(&spec, results.iter().map(|(_, _, batch)| batch));
         self.query_nanos.record(t0.elapsed().as_nanos() as u64);
-        Ok(format!(
-            "OK rows={} cols={} epochs={}{}",
-            rows.len(),
-            spec.output_width(),
-            Self::epochs_field(&results),
-            render_rows(&rows)
-        ))
+        let (n, epochs) = (rows.len(), Self::epochs_field(&results));
+        let mut out = format!("OK rows={n} cols={} epochs={epochs}", spec.output_width());
+        render_combined(&rows, &mut out);
+        Ok(out)
     }
 
     fn count(&self, rest: &str) -> Result<String, ServerError> {
         let spec = self.checked_spec(rest)?;
         let results = self.fanout(&spec, |snap, plan| snap.query(plan));
+        let batches = results.iter().map(|(_, _, batch)| batch);
         // Distinct counts are not shard-additive: count the combined
         // result for them.
         let count = if spec.distinct.is_some() {
-            let rows = results.iter().flat_map(|(_, _, batch)| batch_rows(batch));
-            canonical_rows(&spec, rows.collect()).len()
+            combine_batches(&spec, batches).len()
         } else {
-            let sum: usize = results.iter().map(|(_, _, batch)| batch.len()).sum();
+            let sum: usize = batches.map(|batch| batch.len()).sum();
             spec.limit.map_or(sum, |n| sum.min(n))
         };
         Ok(format!(
@@ -586,16 +556,14 @@ impl ServerInner {
     }
 
     fn metrics_json(&self) -> String {
-        let mut out = format!("{{\"server\":{}", self.registry.snapshot_json());
-        out.push_str(",\"shards\":{");
-        for (sid, reg) in self.shard_registries.iter().enumerate() {
-            if sid > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{sid}\":{}", reg.snapshot_json()));
-        }
-        out.push_str("}}");
-        out
+        let shards: Vec<String> = (self.shard_registries.iter().enumerate())
+            .map(|(sid, reg)| format!("\"{sid}\":{}", reg.snapshot_json()))
+            .collect();
+        let server = self.registry.snapshot_json();
+        format!(
+            "{{\"server\":{server},\"shards\":{{{}}}}}",
+            shards.join(",")
+        )
     }
 }
 

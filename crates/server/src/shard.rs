@@ -27,6 +27,7 @@ use pi_advisor::{split_budget, Advisor, AdvisorConfig};
 use pi_obs::{Gauge, MetricsRegistry};
 
 use crate::protocol::{ErrorCode, ServerError};
+use crate::ServerConfig;
 
 pub(crate) enum ShardMsg {
     Statement {
@@ -86,50 +87,42 @@ pub(crate) struct Shard {
     handle: Mutex<Option<JoinHandle<()>>>,
 }
 
-pub(crate) struct ShardSpawn {
-    pub id: usize,
-    pub table: IndexedTable,
-    pub registry: Arc<MetricsRegistry>,
-    pub queue_capacity: usize,
-    pub publish_every: u64,
-    pub cache_budget_bytes: usize,
-    pub advise_every: u64,
-    pub advisor_budget_bytes: usize,
-    pub all_benefits: Vec<Arc<AtomicU64>>,
-}
-
 impl Shard {
-    pub(crate) fn spawn(spec: ShardSpawn) -> Shard {
+    pub(crate) fn spawn(
+        id: usize,
+        table: IndexedTable,
+        registry: &Arc<MetricsRegistry>,
+        cfg: &ServerConfig,
+        all_benefits: &[Arc<AtomicU64>],
+    ) -> Shard {
         // `with_registry` so hits/misses/invalidations surface in this
         // shard's section of the `METRICS` document.
-        let cache = (spec.cache_budget_bytes > 0)
-            .then(|| ResultCache::with_registry(spec.cache_budget_bytes, &spec.registry));
+        let cache = (cfg.cache_budget_bytes > 0)
+            .then(|| ResultCache::with_registry(cfg.cache_budget_bytes, registry));
         let (table, writer) =
-            ConcurrentTable::with_observability(spec.table, cache, Arc::clone(&spec.registry));
+            ConcurrentTable::with_observability(table, cache, Arc::clone(registry));
         let applied = Arc::new(Mutex::new((table.epoch(), 0)));
-        let (tx, rx) = mpsc::sync_channel(spec.queue_capacity);
-        let queue_depth = spec.registry.gauge("queue.depth");
-        let statements = spec.registry.counter("statements");
-        let statements_refused = spec.registry.counter("statements_refused");
+        let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
+        let queue_depth = registry.gauge("queue.depth");
         // `WriterLoop::advise` sets the budget share before every step.
-        let advisor = (spec.advise_every > 0)
-            .then(|| Advisor::with_metrics(AdvisorConfig::default(), &spec.registry));
+        let advisor = (cfg.advise_every > 0)
+            .then(|| Advisor::with_metrics(AdvisorConfig::default(), registry));
         let loop_ctx = WriterLoop {
             writer,
             rx,
             applied: Arc::clone(&applied),
-            publish_every: spec.publish_every.max(1),
+            publish_every: cfg.publish_every.max(1),
             queue_depth: Arc::clone(&queue_depth),
-            statements,
-            statements_refused,
+            statements: registry.counter("statements"),
+            statements_refused: registry.counter("statements_refused"),
             advisor,
-            advise_every: spec.advise_every,
-            advisor_budget_bytes: spec.advisor_budget_bytes,
-            shard_id: spec.id,
-            all_benefits: spec.all_benefits.clone(),
+            advise_every: cfg.advise_every,
+            advisor_budget_bytes: cfg.advisor_budget_bytes,
+            shard_id: id,
+            all_benefits: all_benefits.to_vec(),
         };
         let handle = std::thread::Builder::new()
-            .name(format!("pi-shard-{}", spec.id))
+            .name(format!("pi-shard-{id}"))
             .spawn(move || loop_ctx.run())
             .expect("spawn shard writer");
         Shard {
@@ -139,7 +132,7 @@ impl Shard {
                 next_seq: 0,
             }),
             applied,
-            benefit_nanos: Arc::clone(&spec.all_benefits[spec.id]),
+            benefit_nanos: Arc::clone(&all_benefits[id]),
             queue_depth,
             handle: Mutex::new(Some(handle)),
         }

@@ -19,16 +19,20 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use pi_exec::ops::sort::SortOrder;
+use pi_exec::Batch;
 use pi_planner::{execute, NO_INDEXES};
 use pi_server::{
-    batch_rows, body_lines, canonical_rows, header, header_field, read_request, render_rows,
-    Client, ErrorCode, QuerySpec, Server, ServerConfig, WireMode, MAX_FRAME_LEN,
+    batch_rows, body_lines, canonical_rows, combine_batches, header, header_field, read_request,
+    render_combined, render_rows, Client, ErrorCode, QuerySpec, Server, ServerConfig, WireMode,
+    MAX_FRAME_LEN,
 };
-use pi_storage::{DataType, Field, Partitioning, Schema, Table, Value};
+use pi_storage::{new_dict, ColumnData, DataType, Field, Partitioning, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use patchindex::IndexedTable;
@@ -609,6 +613,81 @@ fn count_matches_query_rows_across_shards() {
     server.shutdown();
 }
 
+/// A `(Str, Float, Int)` table on three shards: every shard's string
+/// dictionary has its own first-seen order, and the floats hold `-0.0`,
+/// `±inf` and `NaN`. Sorts over the string and the float column, a
+/// distinct over the string column and the `COUNT` of a distinct spec
+/// each answer byte for byte what an index-free single table answers.
+#[test]
+fn mixed_type_reads_match_a_single_table_replay() {
+    const NSHARDS: usize = 3;
+    let schema = Schema::new(vec![
+        Field::new("s", DataType::Str),
+        Field::new("f", DataType::Float),
+        Field::new("k", DataType::Int),
+    ]);
+    let cfg = ServerConfig {
+        shards: NSHARDS,
+        route_col: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::empty(cfg, schema.clone(), 2).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    const WORDS: [&str; 6] = ["pear", "apple", "zebra", "Mango", "fig", "apple pie"];
+    const FLOATS: [&str; 8] = ["-0.0", "0.0", "inf", "-inf", "NaN", "1.5", "-2.25", "0.1"];
+    let mut rows = Vec::new();
+    for k in 0..36i64 {
+        let (s, f) = (
+            WORDS[(k * 5 % 7) as usize % 6],
+            FLOATS[(k * 3 % 11) as usize % 8],
+        );
+        let resp = client.request(&format!("INSERT {s},{f},{k}")).unwrap();
+        assert!(resp.starts_with("OK "), "{resp}");
+        rows.push(vec![
+            Value::Str(s.to_string()),
+            Value::Float(f.parse().unwrap()),
+            Value::Int(k),
+        ]);
+    }
+    assert!(client.request("PUBLISH").unwrap().starts_with("OK "));
+    for table in server.tables() {
+        assert!(
+            table.snapshot().table().visible_len() > 0,
+            "a shard holds no row"
+        );
+    }
+    let mut single = IndexedTable::new(Table::new("ref", schema, 1, Partitioning::RoundRobin));
+    single.insert(&rows);
+    let replay = |spec_text: &str| {
+        let spec = QuerySpec::parse(spec_text).unwrap();
+        let batch = execute(&spec.fanout_plan(), single.table(), NO_INDEXES);
+        let rows = canonical_rows(&spec, batch_rows(&batch));
+        format!(
+            "OK rows={} cols={}{}",
+            rows.len(),
+            spec.output_width(),
+            render_rows(&rows)
+        )
+    };
+    for spec in [
+        "scan 0,1,2 | sort 0:desc",
+        "scan 0 | distinct 0",
+        "scan 1,2 | sort 0:asc",
+        "scan 1,0 | sort 0:desc,1:asc | limit 9",
+    ] {
+        let resp = client.request(&format!("QUERY {spec}")).unwrap();
+        assert_eq!(without_epochs(&resp), replay(spec), "{spec}");
+    }
+    let spec = "scan 0,2 | distinct 0";
+    let count = client.request(&format!("COUNT {spec}")).unwrap();
+    assert_eq!(header_field(&count, "count"), Some("6"), "{count}");
+    assert_eq!(
+        header_field(&count, "count"),
+        header_field(&replay(spec), "rows")
+    );
+    server.shutdown();
+}
+
 /// One request the decoder must hand back verbatim, in its mode.
 fn wire_request() -> impl Strategy<Value = (WireMode, String, Vec<u8>)> {
     const FRAGMENTS: [&str; 10] = [
@@ -703,5 +782,144 @@ proptest! {
                 None => break,
             }
         }
+    }
+}
+
+/// A string column whose dictionary is this shard's own: `pool` is
+/// encoded first in a shuffled order, so codes follow neither the
+/// lexicographic order nor another shard's codes.
+fn shard_str_column(rng: &mut SmallRng, pool: &[&str], values: &[&str]) -> ColumnData {
+    let dict = new_dict();
+    let mut seen = pool.to_vec();
+    seen.shuffle(rng);
+    let codes = {
+        let mut d = dict.write();
+        seen.iter().for_each(|s| {
+            d.encode(s);
+        });
+        values.iter().map(|s| d.encode(s)).collect()
+    };
+    ColumnData::Str { codes, dict }
+}
+
+/// One shard's result of `n` rows over `types`, in a random shape: dense,
+/// a window inside padding rows, a selection, or (when empty) a batch
+/// without columns.
+fn shard_batch(rng: &mut SmallRng, types: &[DataType], n: usize) -> Batch {
+    const WORDS: [&str; 6] = ["pear", "apple", "zebra", "Mango", "fig", ""];
+    const FLOATS: [f64; 8] = [
+        -0.0,
+        0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5,
+        -2.25,
+        0.1,
+    ];
+    if n == 0 && rng.gen_bool(0.5) {
+        return Batch::default();
+    }
+    let (pad_front, pad_back) = (rng.gen_range(0..3), rng.gen_range(0..3));
+    let shape = rng.gen_range(0..3);
+    let backing = match shape {
+        1 => pad_front + n + pad_back,
+        2 => n + rng.gen_range(1..4),
+        _ => n,
+    };
+    let columns: Vec<ColumnData> = types
+        .iter()
+        .map(|t| match t {
+            DataType::Int => ColumnData::Int((0..backing).map(|_| rng.gen_range(-2..3)).collect()),
+            DataType::Float => ColumnData::Float(
+                (0..backing)
+                    .map(|_| FLOATS[rng.gen_range(0..FLOATS.len())])
+                    .collect(),
+            ),
+            _ => {
+                let values: Vec<&str> = (0..backing)
+                    .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
+                    .collect();
+                shard_str_column(rng, &WORDS, &values)
+            }
+        })
+        .collect();
+    match shape {
+        1 => Batch::window(
+            columns.into_iter().map(Arc::new).collect(),
+            pad_front..pad_front + n,
+        ),
+        2 => {
+            let mut sel: Vec<usize> = (0..backing).collect();
+            sel.shuffle(rng);
+            sel.truncate(n);
+            sel.sort_unstable();
+            Batch::selected(columns, sel)
+        }
+        _ => Batch::new(columns),
+    }
+}
+
+/// A random spec over per-shard results of `types`: under `distinct` the
+/// results are the projection to the distinct positions (no `Float`
+/// among them: the server refuses one), then a multi-key sort and a
+/// limit up to one past the row count.
+fn combine_spec(rng: &mut SmallRng, types: &[DataType], rows: usize) -> QuerySpec {
+    let width = types.len();
+    let (mut scan, mut distinct): (Vec<usize>, _) = ((0..width).collect(), None);
+    if !types.contains(&DataType::Float) && rng.gen_bool(0.5) {
+        // The scan may be wider than the distinct subset it projects to.
+        scan = (0..width + rng.gen_range(0..3)).collect();
+        let mut subset = scan.clone();
+        subset.shuffle(rng);
+        subset.truncate(width);
+        distinct = Some(subset);
+    }
+    let sort = rng.gen_bool(0.7).then(|| {
+        let key = |rng: &mut SmallRng| {
+            let dir = [SortOrder::Asc, SortOrder::Desc][rng.gen_range(0..2)];
+            (rng.gen_range(0..width), dir)
+        };
+        (0..rng.gen_range(1..=width + 1))
+            .map(|_| key(rng))
+            .collect()
+    });
+    let limit = rng.gen_bool(0.5).then(|| rng.gen_range(0..=rows + 1));
+    QuerySpec {
+        scan,
+        distinct,
+        sort,
+        limit,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The columnar combine behind `QUERY` and `COUNT` writes the bytes of
+    // the row-wise reference, whatever the shard count, the batch shapes
+    // and each shard's string dictionary; its row count is the count.
+    #[test]
+    fn columnar_combine_matches_the_row_wise_reference(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        const TYPES: [DataType; 3] = [DataType::Int, DataType::Float, DataType::Str];
+        let types: Vec<DataType> = (0..rng.gen_range(1..4))
+            .map(|_| TYPES[rng.gen_range(0..3)])
+            .collect();
+        let shards: Vec<Batch> = (0..rng.gen_range(1..6))
+            .map(|_| {
+                let n = rng.gen_range(0..12);
+                shard_batch(&mut rng, &types, n)
+            })
+            .collect();
+        let total = shards.iter().map(Batch::len).sum();
+        let spec = combine_spec(&mut rng, &types, total);
+
+        let rows = canonical_rows(&spec, shards.iter().flat_map(batch_rows).collect());
+        let combined = combine_batches(&spec, &shards);
+        let mut got = String::new();
+        render_combined(&combined, &mut got);
+        prop_assert_eq!(&got, &render_rows(&rows), "{:?} over {:?}", spec, shards);
+        prop_assert_eq!(combined.len(), rows.len());
     }
 }
