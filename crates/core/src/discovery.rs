@@ -19,7 +19,7 @@
 //! a strided sample of the table, the estimate the advisor creates
 //! indexes from.
 
-use pi_exec::parallel::fan_out;
+use pi_exec::parallel::{fan_out, tasks_for};
 use pi_storage::{ColumnData, DataType, Partition, Table};
 
 use crate::constraint::{Constraint, SortDir};
@@ -66,17 +66,19 @@ pub struct DiscoveryResult {
 /// occurrence of a value that occurs more than once, so a value kept in
 /// two partitions is patched in both. NSC and NCC are partition-local:
 /// each partition is discovered on its own ([`discover_values`]). The
-/// partitions' patch sets are computed in parallel on the fan-out pool.
+/// partitions' patch sets are computed in parallel on the fan-out pool
+/// when the task-size rule allows one task per partition, and inline
+/// otherwise.
 pub fn discover(parts: &[&[i64]], constraint: Constraint) -> Vec<DiscoveryResult> {
     if constraint != Constraint::NearlyUnique {
-        return fan_out(parts.len(), |pid| discover_values(parts[pid], constraint));
+        return per_part(parts, |pid| discover_values(parts[pid], constraint));
     }
     // value -> occurs more than once
     let mut repeated: pi_exec::hash::IntMap<bool> = pi_exec::hash::int_map();
     for &v in parts.iter().flat_map(|vals| vals.iter()) {
         repeated.entry(v).and_modify(|r| *r = true).or_insert(false);
     }
-    fan_out(parts.len(), |pid| {
+    per_part(parts, |pid| {
         let values = parts[pid];
         let patches = values
             .iter()
@@ -90,6 +92,18 @@ pub fn discover(parts: &[&[i64]], constraint: Constraint) -> Vec<DiscoveryResult
             last_sorted: None,
         }
     })
+}
+
+/// `f(pid)` for every partition, in partition order: one pool task per
+/// partition when [`tasks_for`] gives each at least a batch of rows on
+/// average, inline otherwise.
+fn per_part<T: Send>(parts: &[&[i64]], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let rows = parts.iter().map(|p| p.len()).sum();
+    if tasks_for(rows, parts.len()) == parts.len() {
+        fan_out(parts.len(), f)
+    } else {
+        (0..parts.len()).map(f).collect()
+    }
 }
 
 /// Discovers the patch set of `values`, one partition's column.

@@ -191,6 +191,20 @@ impl Batch {
         Batch::new(self.columns.iter().map(|c| c.gather(rows)).collect())
     }
 
+    /// The batch's rows `rows` (counted from its first row): a narrower
+    /// window over the same columns, or those rows of a selection gathered
+    /// into a dense batch.
+    pub(crate) fn slice(&self, rows: Range<usize>) -> Batch {
+        match &self.sel {
+            Some(sel) => self.gather(&sel[rows]),
+            None => Batch {
+                columns: self.columns.clone(),
+                span: self.span.start + rows.start..self.span.start + rows.end,
+                sel: None,
+            },
+        }
+    }
+
     /// Keeps the rows whose offset into the span passes `keep`: the
     /// selection narrows, nothing is copied, and a window all of whose
     /// rows pass stays as it is.

@@ -17,7 +17,9 @@
 //!   found a partner, and nothing else;
 //! * **read through:** `JoinTable::probe` / `pairs` and so
 //!   `HashJoinOp`'s probe, `HashAggOp` (group and update loops),
-//!   `OrderedMergeOp` (windows; it gathers a selection), `LimitOp`
+//!   `OrderedMergeOp` (windows; it gathers a selection) and
+//!   `SplitMergeOp` (it cuts windows and gathers a selection's rows in
+//!   the range task that merges them), `LimitOp`
 //!   (shrinks the window or selection), `UnionAllOp` and `MeterOp` (pass
 //!   it on), [`count_rows`], and expression evaluation, which covers the
 //!   batch's span;

@@ -3,18 +3,28 @@
 //! The PatchIndex rewrites recombine the constraint-satisfying subtree with
 //! the patches subtree: distinct queries use a plain Union, sort queries a
 //! Merge operator that preserves the sort order (paper, Section 3.3). The
-//! same merge combines the reference plan's per-partition sorts. It
-//! streams — one batch held per input, one batch emitted per pull — so a
-//! `LIMIT` above it stops the inputs once its first output batch is in.
+//! same merge combines the reference plan's per-partition sorts. One loser
+//! tree, [`OrderedMergeOp`], is the merge kernel, and it runs two ways:
+//!
+//! * **streaming**, for a merge with a `LIMIT` above it: one batch held per
+//!   input, one batch emitted per pull, so the limit stops the inputs once
+//!   its first output batch is in;
+//! * **split by key** ([`SplitMergeOp`]), for a merge of drained runs that
+//!   is read whole: at its first pull the runs are cut into key ranges at
+//!   splitters drawn by regular sampling, each range is one loser-tree
+//!   merge on the fan-out pool, and the ranges' output follows in range
+//!   order — the streaming merge's rows, byte for byte.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use pi_storage::ColumnData;
 
 use crate::batch::{Batch, BATCH_SIZE};
 use crate::keycmp::{cmp_rows_cross, oriented_int, KeyColumn};
-use crate::op::{OpRef, Operator};
-use crate::ops::sort::SortKeySpec;
+use crate::op::{drain, OpRef, Operator};
+use crate::ops::sort::{SortKeySpec, SortOrder};
+use crate::parallel::{fan_out, tasks_for, threads};
 
 /// Concatenates the outputs of several inputs (bag semantics), passing
 /// each batch on as it is, selection included.
@@ -339,7 +349,11 @@ impl Operator for OrderedMergeOp<'_> {
             let batch = &cur.batch;
             let cols = out.get_or_insert_with(|| {
                 (0..batch.width())
-                    .map(|c| batch.raw_column(c).empty_like())
+                    .map(|c| {
+                        let mut col = batch.raw_column(c).empty_like();
+                        col.reserve(BATCH_SIZE);
+                        col
+                    })
                     .collect()
             });
             for (c, o) in cols.iter_mut().enumerate() {
@@ -355,6 +369,167 @@ impl Operator for OrderedMergeOp<'_> {
             }
         }
         out.map(Batch::new)
+    }
+}
+
+/// A merge of drained sorted runs that is read whole, split by key: at
+/// its first pull it cuts the runs into as many key ranges as the pool
+/// has threads and the task-size rule ([`tasks_for`]) allows, merges each
+/// range as one [`fan_out`] task ([`merge_runs`]), and then emits the
+/// ranges' batches in range order. A trace therefore charges the split
+/// and every range's merge to this operator's first pull.
+pub struct SplitMergeOp {
+    runs: Vec<Vec<Batch>>,
+    keys: Vec<SortKeySpec>,
+    out: Option<std::vec::IntoIter<Batch>>,
+}
+
+impl SplitMergeOp {
+    /// Creates a split merge of `runs`, each one input's batches sorted on
+    /// `keys`.
+    pub fn new(runs: Vec<Vec<Batch>>, keys: Vec<SortKeySpec>) -> Self {
+        SplitMergeOp {
+            runs,
+            keys,
+            out: None,
+        }
+    }
+}
+
+impl Operator for SplitMergeOp {
+    fn next(&mut self) -> Option<Batch> {
+        let out = self.out.get_or_insert_with(|| {
+            let runs = std::mem::take(&mut self.runs);
+            let total = runs.iter().map(|run| rows(run)).sum();
+            merge_runs(&runs, &self.keys, tasks_for(total, threads())).into_iter()
+        });
+        out.next()
+    }
+}
+
+/// Sampled rows per range and run. A sampled row stands for the `stride`
+/// rows around it in its run, so a cut lands within one stride per run of
+/// its even rank; a stride of rows / (4 · ranges · runs) keeps that under
+/// a quarter of a range.
+const OVERSAMPLE: usize = 4;
+
+/// Merges `runs` — each one input's batches, sorted on `keys` — into the
+/// batches of their stable merge: by key, then run, then position within
+/// the run, as one [`OrderedMergeOp`] over the runs emits it. The merge is
+/// cut into at most `ranges` key ranges, each one [`OrderedMergeOp`] as a
+/// [`fan_out`] task, concatenated in range order.
+///
+/// Only a first key of type `Int` splits; any other key merges as one
+/// range. The splitters are a regular sample of every run, weighted by
+/// its length, as in parallel sorting by regular sampling (Shi &
+/// Schaeffer, 1992), so runs that each cover a part of the key domain
+/// still split evenly. Every run is cut at the lower bound of every
+/// splitter: all rows with one first key fall in one range, and the
+/// ranges concatenate to the one-range merge. A range reads its part of a
+/// window where it lies and gathers its part of a selection inside its
+/// own task, one batch at a time.
+pub fn merge_runs(runs: &[Vec<Batch>], keys: &[SortKeySpec], ranges: usize) -> Vec<Batch> {
+    let int_key = keys.first().copied().filter(|&(col, _)| {
+        let first = runs.iter().flatten().find(|b| !b.is_empty());
+        first.is_some_and(|b| matches!(b.raw_column(col), ColumnData::Int(_)))
+    });
+    let cuts = match int_key {
+        Some((col, o)) if ranges > 1 => cuts(runs, col, o, ranges),
+        _ => runs.iter().map(|run| vec![0, rows(run)]).collect(),
+    };
+    let ranges = cuts.first().map_or(1, |cut| cut.len() - 1);
+    let merged = fan_out(ranges, |r| {
+        let inputs = runs.iter().zip(&cuts).map(|(run, cut)| {
+            Box::new(RangeSource {
+                batches: run.iter(),
+                start: 0,
+                rows: cut[r]..cut[r + 1],
+            }) as OpRef<'_>
+        });
+        drain(&mut OrderedMergeOp::new(inputs.collect(), keys.to_vec()))
+    });
+    merged.into_iter().flatten().collect()
+}
+
+/// The rows of a run.
+fn rows(run: &[Batch]) -> usize {
+    run.iter().map(Batch::len).sum()
+}
+
+/// Per run, where each key range starts, then the run's length. The
+/// splitters — at most `ranges − 1` oriented first keys, ascending and
+/// distinct — sit at even ranks of a regular sample that takes every
+/// run's rows at one stride, so each run is sampled in proportion to its
+/// length; each range starts at a splitter's lower bound.
+fn cuts(runs: &[Vec<Batch>], col: usize, o: SortOrder, ranges: usize) -> Vec<Vec<usize>> {
+    let total: usize = runs.iter().map(|run| rows(run)).sum();
+    let stride = (total / (OVERSAMPLE * ranges * runs.len())).max(1);
+    let mut sample = Vec::new();
+    for run in runs {
+        // Run positions of the batch's first row and of the next sample.
+        let (mut start, mut next) = (0, stride / 2);
+        for b in run {
+            let end = start + b.len();
+            while next < end {
+                let key = b.raw_column(col).as_int()[b.row(next - start)];
+                sample.push(oriented_int(key, o));
+                next += stride;
+            }
+            start = end;
+        }
+    }
+    sample.sort_unstable();
+    let mut splitters: Vec<i64> = (1..ranges)
+        .filter_map(|j| sample.get(j * sample.len() / ranges).copied())
+        .collect();
+    splitters.dedup();
+    let cut = |run: &[Batch]| {
+        let starts = splitters
+            .iter()
+            .map(|&s| run.iter().map(|b| below(b, col, o, s)).sum());
+        std::iter::once(0)
+            .chain(starts)
+            .chain([rows(run)])
+            .collect()
+    };
+    runs.iter().map(|run| cut(run)).collect()
+}
+
+/// How many of `b`'s rows have an oriented `Int` key in column `col`
+/// below `s` (`b` is sorted on that key).
+fn below(b: &Batch, col: usize, o: SortOrder, s: i64) -> usize {
+    if b.is_empty() {
+        return 0;
+    }
+    let keys = b.raw_column(col).as_int();
+    match b.sel() {
+        Some(sel) => sel.partition_point(|&p| oriented_int(keys[p], o) < s),
+        None => keys[b.span()].partition_point(|&k| oriented_int(k, o) < s),
+    }
+}
+
+/// One run's rows `rows`, counted over its batches, as a stream: the part
+/// of each batch inside them, as a window of it, or gathered from a
+/// selection when the part is pulled.
+struct RangeSource<'r> {
+    batches: std::slice::Iter<'r, Batch>,
+    /// The run position of the next batch's first row.
+    start: usize,
+    rows: Range<usize>,
+}
+
+impl Operator for RangeSource<'_> {
+    fn next(&mut self) -> Option<Batch> {
+        while self.start < self.rows.end {
+            let b = self.batches.next()?;
+            let (lo, hi) = (self.start, self.start + b.len());
+            self.start = hi;
+            let (from, to) = (lo.max(self.rows.start), hi.min(self.rows.end));
+            if from < to {
+                return Some(b.slice(from - lo..to - lo));
+            }
+        }
+        None
     }
 }
 

@@ -15,6 +15,11 @@
 //! therefore finishes on the caller after one notify, while slow tasks
 //! still spread over every core. Because every caller drains its own job
 //! before it waits, a `fan_out` nested inside a task cannot deadlock.
+//!
+//! One task-size rule ([`tasks_for`]) says when a job is worth the pool:
+//! it fans out only when each task gets at least [`BATCH_SIZE`] rows, so
+//! a job over a few hundred values runs inline on the caller instead of
+//! waking helpers for it.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -24,6 +29,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, Thread};
 
 use pi_storage::{Partition, Table};
+
+use crate::batch::BATCH_SIZE;
 
 /// The process-wide pool. Its queue and condvar are const-initialized;
 /// the helper threads start on the first fan-out of two or more tasks.
@@ -50,6 +57,18 @@ fn helpers() -> usize {
             })
             .count()
     })
+}
+
+/// The threads a fan-out runs on: the pool's helpers and the caller.
+pub(crate) fn threads() -> usize {
+    helpers() + 1
+}
+
+/// The task-size rule: how many tasks, at most `want`, a job over `rows`
+/// rows in all runs as, so that each task gets at least [`BATCH_SIZE`]
+/// rows. It is never below 1, and 1 task runs inline on the caller.
+pub fn tasks_for(rows: usize, want: usize) -> usize {
+    (rows / BATCH_SIZE).clamp(1, want.max(1))
 }
 
 /// Locks one of the pool's mutexes, recovering it from poisoning: every
@@ -318,6 +337,15 @@ mod tests {
         assert_eq!(ids, (0..97).collect::<Vec<_>>());
         let sums = per_partition(&t, |p| p.base_column(0).as_int().iter().sum::<i64>());
         assert_eq!(sums.iter().sum::<i64>(), (0..97 * 8).sum());
+    }
+
+    #[test]
+    fn tasks_get_at_least_a_batch_of_rows() {
+        assert_eq!(tasks_for(0, 8), 1);
+        assert_eq!(tasks_for(BATCH_SIZE * 2 - 1, 8), 1);
+        assert_eq!(tasks_for(BATCH_SIZE * 2, 8), 2);
+        assert_eq!(tasks_for(BATCH_SIZE * 100, 8), 8);
+        assert_eq!(tasks_for(BATCH_SIZE * 100, 0), 1);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! kept rows sweeping the sorted build side, exceptions found by binary
 //! search — joins exactly the rows a hash join of the filtered scan does,
 //! whatever the patch lookup, the predicate and the scan's windows.
+//!
+//! The split merge's invariant: runs cut into key ranges at sampled
+//! splitters, merged range by range and concatenated, come out as the
+//! stable sort of their concatenation, whatever the range count.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -14,7 +18,7 @@ use pi_bitmap::ShardedBitmap;
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::FilterOp;
 use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
-use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, UnionAllOp};
+use pi_exec::ops::merge::{merge_runs, LimitOp, OrderedMergeOp, UnionAllOp};
 use pi_exec::ops::merge_join::PatchMergeJoinOp;
 use pi_exec::ops::patch_select::PatchLookup;
 use pi_exec::ops::scan::ScanOp;
@@ -183,6 +187,35 @@ impl KeyShape {
         }
         cols.push(ColumnData::Int(rows.iter().map(|r| r.2).collect()));
         cols
+    }
+}
+
+/// `rows` as one batch of a merge input, laid out as `layout` says: 0
+/// dense; 1 a window into a backing with rows before and after it; 2 a
+/// selection of every other backing row; 3 an empty batch, then the rows
+/// dense. The backing rows outside the batch hold the domains' far ends
+/// and payload -1, which a kernel reading them would emit.
+fn laid_out(shape: KeyShape, rows: &[Row], layout: u8, dict: &DictRef) -> Vec<Batch> {
+    let (first, last): (Row, Row) = ((4, 2, -1), (0, 0, -1));
+    match layout {
+        1 => {
+            let backing = [&[first, first][..], rows, &[last]].concat();
+            let cols = shape.columns(&backing, dict).into_iter().map(Arc::new);
+            vec![Batch::window(cols.collect(), 2..2 + rows.len())]
+        }
+        2 => {
+            let backing: Vec<Row> = rows.iter().flat_map(|&r| [last, r]).collect();
+            let sel = (0..rows.len()).map(|i| 2 * i + 1).collect();
+            vec![Batch::selected(shape.columns(&backing, dict), sel)]
+        }
+        _ => {
+            let mut out = Vec::new();
+            if layout == 3 {
+                out.push(Batch::new(shape.columns(&[], dict)));
+            }
+            out.push(Batch::new(shape.columns(rows, dict)));
+            out
+        }
     }
 }
 
@@ -417,6 +450,68 @@ proptest! {
                     (ColumnData::Str { codes: g, dict: d }, ColumnData::Str { codes: w, .. }) => {
                         prop_assert_eq!(g, w);
                         prop_assert!(Arc::ptr_eq(d, &dict));
+                    }
+                    _ => panic!("{shape:?}: the merge changed a column's type"),
+                }
+            }
+        }
+    }
+
+    // The split merge cuts its runs into key ranges at splitters from a
+    // regular sample and merges each range on its own: whatever the
+    // forced range count, its output is the stable sort of the
+    // concatenated inputs, byte for byte. A key domain of one value gives
+    // all-equal keys, a small one runs of duplicates that the splitters
+    // fall on, so a run straddles a cut; the domain holds `i64::MIN` and
+    // `i64::MAX`; runs may be empty, and batches windows or selections.
+    #[test]
+    fn split_merge_is_a_stable_sort_of_its_inputs(
+        inputs in proptest::collection::vec(
+            proptest::collection::vec((0usize..5, 0usize..3), 0..300),
+            0..10
+        ),
+        domain in 1usize..6,
+        shape in prop_oneof![Just(KeyShape::Int), Just(KeyShape::IntFloat), Just(KeyShape::Str)],
+        desc in any::<bool>(),
+        ranges in 1usize..9,
+        batch_rows in proptest::collection::vec(1usize..80, 8..9),
+        layouts in proptest::collection::vec(0u8..4, 8..9),
+    ) {
+        let order = if desc { SortOrder::Desc } else { SortOrder::Asc };
+        let specs = shape.specs(order);
+        let dict = Arc::clone(str_column(&WORDS).dict());
+        let mut runs: Vec<Vec<Batch>> = Vec::new();
+        let mut all: Vec<Row> = Vec::new();
+        for (i, vals) in inputs.iter().enumerate() {
+            let mut rows: Vec<Row> = vals.iter().map(|&(a, b)| (a % domain, b, 0)).collect();
+            rows.sort_by(|x, y| shape.cmp(&specs, x, y));
+            for (pos, row) in rows.iter_mut().enumerate() {
+                row.2 = (i * 1000 + pos) as i64;
+            }
+            all.extend(&rows);
+            let mut run = Vec::new();
+            let (mut start, mut j) = (0, i);
+            while start < rows.len() {
+                let n = batch_rows[j % batch_rows.len()].min(rows.len() - start);
+                let layout = layouts[j % layouts.len()];
+                run.extend(laid_out(shape, &rows[start..start + n], layout, &dict));
+                start += n;
+                j += 1;
+            }
+            runs.push(run);
+        }
+        all.sort_by(|x, y| shape.cmp(&specs, x, y));
+        let got = Batch::concat(&merge_runs(&runs, &specs, ranges));
+        prop_assert_eq!(got.len(), all.len());
+        if !all.is_empty() {
+            let want = shape.columns(&all, &dict);
+            prop_assert_eq!(got.width(), want.len());
+            for (g, w) in got.columns().iter().zip(&want) {
+                match (&**g, w) {
+                    (ColumnData::Int(g), ColumnData::Int(w)) => prop_assert_eq!(g, w),
+                    (ColumnData::Float(g), ColumnData::Float(w)) => prop_assert_eq!(g, w),
+                    (ColumnData::Str { codes: g, .. }, ColumnData::Str { codes: w, .. }) => {
+                        prop_assert_eq!(g, w)
                     }
                     _ => panic!("{shape:?}: the merge changed a column's type"),
                 }

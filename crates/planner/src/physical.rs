@@ -13,13 +13,18 @@
 //! Operators are not `Send`, so the task lowers its own partition's
 //! pipeline, pruning as it goes, and drains it to a `Vec<Batch>`; the
 //! combine reads the pieces through a [`BatchSource`] each, in partition
-//! order, so the result bytes are the sequential pull's.
+//! order, so the result bytes are the sequential pull's. A global ordered
+//! merge takes the drained runs themselves: its [`SplitMergeOp`] cuts
+//! them into key ranges at its first pull and merges each range as one
+//! more pool task, so the merge runs on the pool too.
 //!
 //! **What stays lazy.** Only a flow with a `LIMIT` above it: a bag scan
 //! under a pushed-down or global limit, and the NSC sort rewrite's kept
-//! flows, are lowered in place and pulled on demand by their combine.
-//! Sorts and distincts run as tasks even there, since their first pull
-//! reads the whole partition anyway. The plan's shape alone decides.
+//! flows, are lowered in place and pulled on demand by their combine, and
+//! the ordered merge above them streams through one loser tree instead of
+//! splitting. Sorts and distincts run as tasks even there, since their
+//! first pull reads the whole partition anyway. The plan's shape alone
+//! decides.
 //!
 //! Zero-branch pruning (paper, Section 6.3) is part of lowering a
 //! partition's pipeline, in the same bottom-up pass
@@ -48,7 +53,8 @@
 //! and then every task meters under an observer of its own, whose
 //! meters the caller appends after the join. A combine's meter times its
 //! own work and the lazy flows below it only: the pipelines that ran as
-//! tasks finished before its first pull.
+//! tasks finished before its first pull. A split merge's meter covers
+//! the split and every range's merge, which run inside its first pull.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -58,11 +64,11 @@ use patchindex::scan::patch_scan;
 use patchindex::PatchIndex;
 use pi_exec::ops::agg::HashAggOp;
 use pi_exec::ops::filter::FilterOp;
-use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, UnionAllOp};
+use pi_exec::ops::merge::{LimitOp, OrderedMergeOp, SplitMergeOp, UnionAllOp};
 use pi_exec::ops::meter::{MeterOp, OpMeter};
 use pi_exec::ops::patch_select::PatchMode;
 use pi_exec::ops::scan::ScanOp;
-use pi_exec::ops::sort::SortOp;
+use pi_exec::ops::sort::{SortKeySpec, SortOp};
 use pi_exec::parallel::fan_out;
 use pi_exec::{collect, count_rows, drain, Batch, BatchSource, OpRef};
 use pi_obs::OperatorTrace;
@@ -271,12 +277,9 @@ fn limit_pushes_down(plan: &Plan) -> bool {
 
 /// One stream per partition that `lower(pid, obs)` does not prune, in
 /// partition order. A `lazy` flow (one a `LIMIT` sits above) is lowered
-/// here and pulled by its combine on demand. Any other runs as one
-/// [`fan_out`] task per partition: the task lowers its own pipeline
-/// (operators are not `Send`) under an observer of its own when the
-/// query is observed, drains it, and hands back its batches, which the
-/// combine reads through a [`BatchSource`], and its meters, which `obs`
-/// appends in partition order.
+/// here and pulled by its combine on demand. Any other is [`drained`] by
+/// pool tasks, and its combine reads each partition's batches through a
+/// [`BatchSource`].
 fn pieces<'a>(
     parts: usize,
     obs: Option<&ExecObserver>,
@@ -284,8 +287,29 @@ fn pieces<'a>(
     lower: impl Fn(usize, Option<&ExecObserver>) -> Option<OpRef<'a>> + Sync,
 ) -> Vec<OpRef<'a>> {
     if lazy {
-        return (0..parts).filter_map(|pid| lower(pid, obs)).collect();
+        (0..parts).filter_map(|pid| lower(pid, obs)).collect()
+    } else {
+        sources(drained(parts, obs, lower))
     }
+}
+
+/// One [`BatchSource`] per drained run.
+fn sources<'a>(runs: Vec<Vec<Batch>>) -> Vec<OpRef<'a>> {
+    let source = |batches| Box::new(BatchSource::new(batches)) as OpRef<'a>;
+    runs.into_iter().map(source).collect()
+}
+
+/// The batches of every partition that `lower(pid, obs)` does not prune,
+/// in partition order, each partition run as one [`fan_out`] task: the
+/// task lowers its own pipeline (operators are not `Send`) under an
+/// observer of its own when the query is observed, drains it, and hands
+/// back its batches and its meters, which `obs` appends in partition
+/// order.
+fn drained<'a>(
+    parts: usize,
+    obs: Option<&ExecObserver>,
+    lower: impl Fn(usize, Option<&ExecObserver>) -> Option<OpRef<'a>> + Sync,
+) -> Vec<Vec<Batch>> {
     let observed = obs.is_some();
     let drained = fan_out(parts, |pid| {
         let own = observed.then(ExecObserver::default);
@@ -299,9 +323,30 @@ fn pieces<'a>(
             if let (Some(obs), Some(meters)) = (obs, meters) {
                 obs.meters.borrow_mut().extend(meters);
             }
-            Box::new(BatchSource::new(batches)) as OpRef<'a>
+            batches
         })
         .collect()
+}
+
+/// The global ordered merge of drained sorted `runs`: under a `LIMIT`
+/// (`lazy`), the streaming [`OrderedMergeOp`], which stops once the limit
+/// holds its rows; otherwise a [`SplitMergeOp`], which merges the runs
+/// whole, one key range per pool task.
+fn merge_global<'a>(
+    runs: Vec<Vec<Batch>>,
+    keys: &[SortKeySpec],
+    obs: Option<&ExecObserver>,
+    lazy: bool,
+) -> Option<OpRef<'a>> {
+    if runs.is_empty() {
+        return None;
+    }
+    let combine: OpRef<'a> = if lazy {
+        Box::new(OrderedMergeOp::new(sources(runs), keys.to_vec()))
+    } else {
+        Box::new(SplitMergeOp::new(runs, keys.to_vec()))
+    };
+    Some(observe(combine, obs, "OrderedMerge(global)", None))
 }
 
 /// Lowers `plan` across all partitions ([`lower_combined`]); a plan that
@@ -323,7 +368,8 @@ pub(crate) fn lower_global<'a, I: Borrow<PatchIndex> + Sync>(
 /// part of a combine is one [`pieces`] stream: drained by a pool task
 /// unless the flow is `lazy` — a bag under a `LIMIT` — while sorts and
 /// distincts, which read their whole partition at the first pull, always
-/// run as tasks. With an observer (the EXPLAIN ANALYZE lowering), every
+/// run as tasks. An ordered merge that is not `lazy` takes the
+/// [`drained`] runs themselves ([`merge_global`]). With an observer (the EXPLAIN ANALYZE lowering), every
 /// plan node (per partition) and every global combine reports wall clock,
 /// batch and row counts. The observer never alters a batch, so results
 /// are byte-identical with and without it.
@@ -374,26 +420,25 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
             observe(sorted, obs, "Sort(global)", None)
         }
         Plan::Sort { input, keys } => {
-            let sorted = pieces(parts, obs, false, |pid, obs| {
+            let sorted = drained(parts, obs, |pid, obs| {
                 let stream: OpRef<'a> = Box::new(SortOp::new(
                     lower_partition(input, table, indexes, pid, obs)?,
                     keys.clone(),
                 ));
                 Some(observe(stream, obs, "Sort(partition)", Some(pid)))
             });
-            let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(sorted)?, keys.clone()));
-            observe(combine, obs, "OrderedMerge(global)", None)
+            merge_global(sorted, keys, obs, lazy)?
         }
-        Plan::Merge { inputs, keys } => {
-            // Each surviving (partition, child) stream is sorted; one
-            // ≤ k·P-way streaming merge, ⌈log₂ streams⌉ comparisons per
-            // winner, that pulls every stream once up front and then each
-            // only as its rows are emitted. Pruned children simply
-            // contribute no stream — this is where a 16-partition table
-            // with patches in one partition gets 15 single-stream
-            // pipelines. A child containing a Distinct contributes one
-            // globally lowered stream instead (see the Sort arm). Under a
-            // `LIMIT`, a sorted child's streams still run as tasks: the
+        // Each surviving (partition, child) stream is sorted, and one
+        // ≤ k·P-way merge combines them. Pruned children simply contribute
+        // no stream — this is where a 16-partition table with patches in
+        // one partition gets 15 single-stream pipelines. A child
+        // containing a Distinct contributes one globally lowered stream
+        // instead (see the Sort arm).
+        Plan::Merge { inputs, keys } if lazy => {
+            // Under a `LIMIT` the merge streams: it pulls every stream
+            // once up front and then each only as its rows are emitted.
+            // A sorted child's streams still run as tasks, since the
             // merge's first pull sorts their whole partition anyway.
             let mut streams: Vec<OpRef<'a>> = Vec::new();
             for child in inputs {
@@ -401,13 +446,27 @@ fn lower_combined<'a, I: Borrow<PatchIndex> + Sync>(
                     streams.extend(lower_combined(child, table, indexes, obs, lazy));
                     continue;
                 }
-                let lazy = lazy && !matches!(child, Plan::Sort { .. });
+                let lazy = !matches!(child, Plan::Sort { .. });
                 streams.extend(pieces(parts, obs, lazy, |pid, obs| {
                     lower_partition(child, table, indexes, pid, obs)
                 }));
             }
             let combine: OpRef<'a> = Box::new(OrderedMergeOp::new(some(streams)?, keys.clone()));
             observe(combine, obs, "OrderedMerge(global)", None)
+        }
+        Plan::Merge { inputs, keys } => {
+            let mut runs: Vec<Vec<Batch>> = Vec::new();
+            for child in inputs {
+                if child.contains_distinct() {
+                    let stream = lower_combined(child, table, indexes, obs, lazy);
+                    runs.extend(stream.map(|mut op| drain(op.as_mut())));
+                    continue;
+                }
+                runs.extend(drained(parts, obs, |pid, obs| {
+                    lower_partition(child, table, indexes, pid, obs)
+                }));
+            }
+            merge_global(runs, keys, obs, lazy)?
         }
         Plan::Union { inputs } => {
             let mut children: Vec<OpRef<'a>> = inputs
@@ -1024,6 +1083,79 @@ mod tests {
                 plain.column(0).as_int(),
                 "{plan}"
             );
+        }
+    }
+
+    /// The NSC sort rewrite on a table large enough for its global merge
+    /// to split: 8 partitions × 5k rows, so the task-size rule leaves each
+    /// key range at least a batch of rows on up to 9 threads. As in the
+    /// benchmark's ad-hoc table, each partition's kept flow covers its own
+    /// eighth of the key domain, and the 5 % patches spread over all of
+    /// it; inserts and deletes wait in the deltas. The split merge answers
+    /// the bytes of the index-free reference and of the one-range
+    /// streaming merge a `LIMIT` keeps, traced or not, and the trace
+    /// charges its time to `OrderedMerge(global)`. The pool's stress lane
+    /// repeats it `PI_POOL_ITERS` times.
+    #[test]
+    fn split_global_merge_keeps_bytes() {
+        const PARTS: usize = 8;
+        const ROWS: usize = 5_000;
+        let mut state = 0x5EED_u64;
+        let mut below = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % bound as u64) as usize
+        };
+        let domain = PARTS * ROWS * 4;
+        let mut t = Table::new(
+            "split",
+            Schema::new(vec![Field::new("u", DataType::Int)]),
+            PARTS,
+            Partitioning::RoundRobin,
+        );
+        for pid in 0..PARTS {
+            let u = (0..ROWS).map(|i| match below(20) {
+                0 => below(domain) as i64,
+                _ => ((pid * ROWS + i) * 4) as i64,
+            });
+            t.load_partition(pid, &[ColumnData::Int(u.collect())]);
+        }
+        t.propagate_all();
+        let mut it = IndexedTable::new(t);
+        it.add_index(0, Constraint::NearlySorted(SortDir::Asc), Design::Bitmap);
+        let inserted: Vec<Vec<Value>> = (0..200)
+            .map(|_| vec![Value::Int(below(domain) as i64)])
+            .collect();
+        it.insert(&inserted);
+        for pid in 0..PARTS {
+            it.delete(pid, &[3, 1_000 + pid, ROWS - 1]);
+        }
+        it.check_consistency();
+
+        let plan = Plan::scan(vec![0]).sort(vec![(0, SortOrder::Asc)]);
+        let reference = ints(&execute(&plan, it.table(), NO_INDEXES));
+        let streamed = plan.clone().limit(reference.len());
+        assert!(it.plan_query(&streamed).to_string().contains("Merge"));
+        let streamed = ints(&it.query(&streamed));
+        assert_eq!(streamed, reference);
+        let iters = std::env::var("PI_POOL_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(1);
+        for _ in 0..iters {
+            let planned = ints(&it.query(&plan));
+            let (traced, trace) = it.query_traced(&plan);
+            assert!(trace.optimized.contains("Merge"), "{}", trace.optimized);
+            assert!(planned == reference, "the split merge changed the rows");
+            assert!(ints(&traced) == planned, "tracing changed the rows");
+            let merge = trace
+                .operators
+                .iter()
+                .find(|o| o.label == "OrderedMerge(global)")
+                .expect("the rewrite merges globally");
+            assert_eq!(merge.rows_out, reference.len() as u64);
+            assert!(merge.nanos > 0, "the split ran outside the merge's meter");
         }
     }
 
