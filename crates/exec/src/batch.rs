@@ -35,8 +35,7 @@ use std::sync::Arc;
 
 use pi_storage::ColumnData;
 
-/// Preferred number of rows per batch.
-pub const BATCH_SIZE: usize = 4096;
+pub use pi_storage::parallel::BATCH_SIZE;
 
 /// A horizontal slice of intermediate results.
 #[derive(Debug, Clone, Default)]

@@ -166,6 +166,15 @@ impl ColumnData {
         }
     }
 
+    /// A copy with room for `additional` more rows, made with one
+    /// allocation and one copy.
+    pub(crate) fn copy_with_room(&self, additional: usize) -> ColumnData {
+        let mut copy = self.empty_like();
+        copy.reserve(self.len() + additional);
+        copy.extend_from(self);
+        copy
+    }
+
     /// Copies the rows at `indices` into a new vector.
     pub fn gather(&self, indices: &[usize]) -> ColumnData {
         match self {

@@ -22,6 +22,16 @@
 //!   it in one pass, and propagate and append-buffer deletes move the runs
 //!   between deleted positions as slice copies
 //!   ([`ColumnData::delete_sorted`]);
+//! * a propagate is one independent merge per column (`ColumnMerge`), and
+//!   `Table::propagate_all` runs one pool task per (dirty partition,
+//!   column). The calling thread allocates before the tasks start: it
+//!   gives each column room for its growth (a shared column is copied
+//!   into one allocation of that size), and it patches the modified
+//!   cells, which encodes new strings into the shared dictionaries in
+//!   (partition, position) order, so codes do not depend on scheduling.
+//!   A task only moves rows (`delete_sorted`, then one extend) and frees
+//!   its append buffer as soon as it has copied it; a base with no rows
+//!   (a load, then a propagate) takes the append buffer by move instead;
 //! * the store's parts (base row count, deleted positions, modified cells,
 //!   append columns) are readable, and [`DeltaStore::from_parts`] rebuilds
 //!   a store from them, so a checkpoint can persist the delta alone.
@@ -310,30 +320,68 @@ impl DeltaStore {
         }
     }
 
-    /// Merges all deltas into `base` (delete, patch, append — the PDT
-    /// propagate/checkpoint step) and resets this store. A column that
-    /// something else still shares is copied first, never written through.
+    /// Merges all deltas into `base` (patch, delete, append — the PDT
+    /// propagate/checkpoint step) and resets this store: the column merges
+    /// of `DeltaStore::column_merges`, run one after another. A column
+    /// that something else still shares is copied first, never written
+    /// through.
     pub fn propagate(&mut self, base: &mut [Arc<ColumnData>]) {
+        for merge in self.column_merges(base) {
+            merge.run();
+        }
+        self.finish_propagate(base);
+    }
+
+    /// Prepares a propagate into `base` as one [`ColumnMerge`] per column,
+    /// doing on the calling thread everything but moving rows: it gives
+    /// each non-empty column room for its net growth (a column that
+    /// something else still shares is copied into a new allocation of that
+    /// size, one copy), then patches the modified cells in position order,
+    /// so a string column's dictionary assigns new codes in the order of a
+    /// sequential propagate. The merges are independent, so they may run in
+    /// any order, on any threads; [`DeltaStore::finish_propagate`]
+    /// completes the propagate once all of them ran.
+    pub(crate) fn column_merges<'a>(
+        &'a mut self,
+        base: &'a mut [Arc<ColumnData>],
+    ) -> Vec<ColumnMerge<'a>> {
         assert_eq!(base.len(), self.appends.len(), "column arity mismatch");
-        let mut base: Vec<&mut ColumnData> = base.iter_mut().map(Arc::make_mut).collect();
+        // A base with no rows takes its append buffer by move instead.
+        let room = match self.base_rows {
+            0 => 0,
+            _ => self.append_len().saturating_sub(self.deleted.len()),
+        };
+        let mut columns: Vec<&mut ColumnData> = base
+            .iter_mut()
+            .map(|column| {
+                match Arc::get_mut(column) {
+                    Some(base) => base.reserve(room),
+                    None => *column = Arc::new(column.copy_with_room(room)),
+                }
+                Arc::get_mut(column).expect("the column is unshared now")
+            })
+            .collect();
         for (&pos, patches) in &self.modified {
             for (col, v) in patches {
-                base[*col].set(pos, v);
+                columns[*col].set(pos, v);
             }
         }
         self.modified.clear();
-        if !self.deleted.is_empty() {
-            for col in base.iter_mut() {
-                col.delete_sorted(&self.deleted);
-            }
-            self.deleted.clear();
-        }
-        for (b, a) in base.iter_mut().zip(&self.appends) {
-            b.extend_from(a);
-        }
-        for a in &mut self.appends {
-            *a = a.empty_like();
-        }
+        let deleted = &self.deleted;
+        (columns.into_iter().zip(&mut self.appends))
+            .map(|(base, append)| ColumnMerge {
+                base,
+                deleted,
+                append,
+            })
+            .collect()
+    }
+
+    /// Completes a propagate into `base` once every merge that
+    /// [`DeltaStore::column_merges`] prepared has run: the store is then
+    /// empty, over the merged base's rows.
+    pub(crate) fn finish_propagate(&mut self, base: &[Arc<ColumnData>]) {
+        self.deleted.clear();
         self.base_rows = base.first().map_or(0, |c| c.len());
     }
 
@@ -436,6 +484,46 @@ impl DeltaStore {
                 .unwrap_or_else(|| base[col].value(b)),
             RowLoc::Append(slot) => self.appends[col].value(slot),
         }
+    }
+}
+
+/// One column's share of a propagate, prepared by
+/// [`DeltaStore::column_merges`] with everything it needs allocated
+/// already: running it only moves bytes.
+pub(crate) struct ColumnMerge<'a> {
+    /// The base column, no longer shared, patched, and with room for its
+    /// net growth unless it has no rows.
+    base: &'a mut ColumnData,
+    /// The partition's deleted base positions.
+    deleted: &'a [usize],
+    /// The column's append buffer, left empty by the merge.
+    append: &'a mut ColumnData,
+}
+
+impl ColumnMerge<'_> {
+    /// Cells the merge moves: the base rows from the first delete on and
+    /// the appended rows, unless a base with no rows takes those by move
+    /// (the task-size rule's input).
+    pub(crate) fn cells(&self) -> usize {
+        if self.base.is_empty() {
+            return 0;
+        }
+        let shifted = self.deleted.first().map_or(0, |&d| self.base.len() - d);
+        shifted + self.append.len()
+    }
+
+    /// Deletes the rows, then extends the base with the appended rows and
+    /// frees their buffer at once. A base with no rows (nothing to delete)
+    /// takes the append buffer by move.
+    pub(crate) fn run(self) {
+        let fresh = self.append.empty_like();
+        if self.base.is_empty() {
+            *self.base = std::mem::replace(self.append, fresh);
+            return;
+        }
+        self.base.delete_sorted(self.deleted);
+        self.base.extend_from(self.append);
+        *self.append = fresh;
     }
 }
 

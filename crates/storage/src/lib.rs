@@ -24,6 +24,7 @@ pub mod crc;
 mod delta;
 pub mod dfs;
 mod dict;
+pub mod parallel;
 mod partition;
 mod schema;
 mod table;

@@ -12,7 +12,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::column::ColumnData;
-use crate::delta::DeltaStore;
+use crate::delta::{ColumnMerge, DeltaStore};
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 use crate::zonemap::{ZoneMap, DEFAULT_BLOCK_ROWS};
@@ -210,6 +210,21 @@ impl Partition {
         }
         let base = Arc::make_mut(&mut self.base);
         self.delta.propagate(&mut base.columns);
+        base.zonemaps.fill_with(OnceLock::new);
+    }
+
+    /// Prepares a propagate as one merge per column over a base of this
+    /// partition's own (see [`DeltaStore::column_merges`]).
+    pub(crate) fn column_merges(&mut self) -> Vec<ColumnMerge<'_>> {
+        let base = Arc::make_mut(&mut self.base);
+        self.delta.column_merges(&mut base.columns)
+    }
+
+    /// Completes a propagate once every merge of
+    /// [`Partition::column_merges`] has run, and drops the zone maps.
+    pub(crate) fn finish_propagate(&mut self) {
+        let base = Arc::make_mut(&mut self.base);
+        self.delta.finish_propagate(&base.columns);
         base.zonemaps.fill_with(OnceLock::new);
     }
 

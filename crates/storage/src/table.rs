@@ -1,9 +1,11 @@
 //! Partitioned tables.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::column::ColumnData;
+use crate::delta::ColumnMerge;
 use crate::dict::{new_dict, DictRef};
+use crate::parallel::{fan_out, tasks_for};
 use crate::partition::Partition;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
@@ -244,9 +246,34 @@ impl Table {
     /// Propagates deltas in all partitions. A partition with no pending
     /// delta is left as it is, down to the `Arc` around it: a snapshot
     /// that shares it keeps sharing it, with its base and zone maps.
+    ///
+    /// Each (dirty partition, column) merge is one task on the pool, as
+    /// many tasks as the task-size rule allows over the cells they move.
+    /// This thread prepares them all first, partition by partition (see
+    /// `DeltaStore::column_merges`): it allocates and patches, so the
+    /// tasks allocate nothing and string codes come out as a sequential
+    /// propagate assigns them. The delta stores and zone maps reset per
+    /// partition after the join.
     pub fn propagate_all(&mut self) {
-        for p in self.partitions.iter_mut().filter(|p| !p.delta().is_empty()) {
-            Arc::make_mut(p).propagate();
+        let mut dirty: Vec<&mut Partition> = self
+            .partitions
+            .iter_mut()
+            .filter(|p| !p.delta().is_empty())
+            .map(Arc::make_mut)
+            .collect();
+        let merges: Vec<ColumnMerge> = dirty.iter_mut().flat_map(|p| p.column_merges()).collect();
+        let tasks = tasks_for(merges.iter().map(ColumnMerge::cells).sum(), merges.len());
+        let merges: Vec<Mutex<Option<ColumnMerge>>> =
+            merges.into_iter().map(|m| Mutex::new(Some(m))).collect();
+        fan_out(tasks, |t| {
+            for merge in merges.iter().skip(t).step_by(tasks) {
+                let merge = merge.lock().expect("each merge is locked once").take();
+                merge.expect("each merge runs once").run();
+            }
+        });
+        drop(merges);
+        for p in dirty {
+            p.finish_propagate();
         }
     }
 

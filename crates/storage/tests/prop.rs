@@ -2,11 +2,14 @@
 //! modify / propagate, a partition's run-based merge-on-read, gather, delete
 //! and propagate must agree with a plain `Vec` of rows, and a clone must
 //! keep its contents while sharing the base columns until either side
-//! propagates.
+//! propagates. A table's pooled propagate must write what propagating its
+//! partitions one by one writes, down to the string codes.
 
 use std::sync::Arc;
 
-use pi_storage::{str_column, ColumnData, DataType, Field, Partition, Schema, Value};
+use pi_storage::{
+    str_column, ColumnData, DataType, Field, Partition, Partitioning, Schema, Table, Value,
+};
 use proptest::prelude::*;
 
 const COLS: [usize; 3] = [0, 1, 2];
@@ -169,8 +172,180 @@ fn check(part: &Partition, model: &Model, probe: &Probe) {
     check_gather(part, model, &rids);
 }
 
+/// Partitions of the propagate tables: two with a base, and the last
+/// with none (rows loaded, then propagated, reach the base that way).
+const PARTS: usize = 3;
+
+/// One statement of the stream both propagate tables replay.
+#[derive(Debug, Clone)]
+enum Stmt {
+    Append(usize, Vec<i64>),
+    Delete(usize, Vec<usize>),
+    /// Modifies to the string column write strings no row holds yet.
+    Modify(usize, Vec<usize>, usize, i64),
+}
+
+fn stmt_strategy() -> impl Strategy<Value = Stmt> {
+    prop_oneof![
+        (0..PARTS, proptest::collection::vec(-1000i64..1000, 1..200))
+            .prop_map(|(p, seeds)| Stmt::Append(p, seeds)),
+        (0..PARTS, proptest::collection::vec(0usize..1 << 16, 1..40))
+            .prop_map(|(p, rids)| Stmt::Delete(p, rids)),
+        (
+            0..PARTS,
+            proptest::collection::vec(0usize..1 << 16, 1..40),
+            0usize..3,
+            -1000i64..1000
+        )
+            .prop_map(|(p, rids, col, seed)| Stmt::Modify(p, rids, col, seed)),
+    ]
+}
+
+/// A table whose first two partitions hold `base_rows` base rows each
+/// and whose last has an empty base.
+fn propagate_table(base_rows: [usize; 2]) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("i", DataType::Int),
+        Field::new("f", DataType::Float),
+        Field::new("s", DataType::Str),
+    ]);
+    let mut t = Table::new("t", schema, PARTS, Partitioning::RoundRobin);
+    for (p, &rows) in base_rows.iter().enumerate() {
+        let seeds = (0..rows as i64).map(|s| s + 10_000 * p as i64);
+        let model: Model = seeds.map(row).collect();
+        let strs: Vec<&str> = model.iter().map(|r| r[2].as_str()).collect();
+        let batch = [
+            ColumnData::Int(model.iter().map(|r| r[0].as_int()).collect()),
+            ColumnData::Float(model.iter().map(|r| r[1].as_float()).collect()),
+            t.encode_strings(2, &strs),
+        ];
+        t.load_partition(p, &batch);
+    }
+    t.propagate_all();
+    t
+}
+
+fn replay(t: &mut Table, stmt: &Stmt) {
+    match stmt {
+        Stmt::Append(p, seeds) => {
+            for &s in seeds {
+                t.partition_mut(*p).append_row(&row(s));
+            }
+        }
+        Stmt::Delete(p, rids) | Stmt::Modify(p, rids, ..) => {
+            let n = t.partition(*p).visible_len();
+            if n == 0 {
+                return;
+            }
+            let rids: Vec<usize> = rids.iter().map(|r| r % n).collect();
+            match stmt {
+                Stmt::Modify(_, _, col, seed) => {
+                    let values: Vec<Value> = (0..rids.len() as i64)
+                        .map(|i| match col {
+                            2 => Value::from(format!("m{}", seed + i)),
+                            _ => row(seed + i)[*col].clone(),
+                        })
+                        .collect();
+                    t.modify(*p, &rids, *col, &values);
+                }
+                _ => t.delete(*p, &rids),
+            }
+        }
+    }
+}
+
+/// Every partition's visible rows, column by column. Read row by row:
+/// a `read_range` over a pending string patch would encode the string,
+/// and so assign its code before the propagate does.
+fn visible(t: &Table) -> Vec<Vec<Vec<Value>>> {
+    t.partitions()
+        .iter()
+        .map(|p| {
+            let rows = 0..p.visible_len();
+            COLS.map(|c| rows.clone().map(|r| p.value_at(c, r)).collect())
+                .to_vec()
+        })
+        .collect()
+}
+
+/// Asserts that two propagated tables hold the same bytes: the string
+/// column's dictionary in code order, then per partition and column the
+/// float bits, string codes and values.
+fn assert_same_bytes(a: &Table, b: &Table) {
+    prop_assert_eq!(a.visible_len(), b.visible_len());
+    let strings = |t: &Table| {
+        let d = t.dict(2).expect("a string column").read();
+        (0..d.len() as u32)
+            .map(|c| d.decode(c).to_string())
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(strings(a), strings(b), "dictionary order");
+    for (pa, pb) in a.partitions().iter().zip(b.partitions()) {
+        prop_assert!(pa.delta().is_empty() && pb.delta().is_empty());
+        prop_assert_eq!(pa.visible_len(), pb.visible_len());
+        for c in COLS {
+            let (ca, cb) = (pa.base_column(c), pb.base_column(c));
+            match ca {
+                ColumnData::Int(v) => prop_assert_eq!(v, cb.as_int(), "part {} col {}", pa.id, c),
+                ColumnData::Float(v) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(v), bits(cb.as_float()), "part {} col {}", pa.id, c);
+                }
+                ColumnData::Str { codes, .. } => {
+                    prop_assert_eq!(codes, cb.as_codes(), "part {} col {}", pa.id, c);
+                }
+            }
+            prop_assert_eq!(values(ca), values(cb), "part {} col {}", pa.id, c);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Two rounds of a seeded statement stream, each followed by a
+    // propagate: the pooled `propagate_all` on one table, each partition's
+    // own `propagate` in turn on its twin. The first round deletes near
+    // the start of both bases, writes new strings in both, and appends to
+    // the empty base; the bases are large enough that the pool splits the
+    // merges over at least two tasks. The first round's pooled propagate
+    // runs while a clone shares its bases, which keeps its rows.
+    #[test]
+    fn pooled_propagate_writes_the_sequential_bytes(
+        base_rows in (2000usize..4000, 2000usize..4000),
+        near_start in (0usize..64, 0usize..64),
+        new_strings in (0i64..100, 0i64..100),
+        first in proptest::collection::vec(stmt_strategy(), 0..30),
+        second in proptest::collection::vec(stmt_strategy(), 1..30),
+    ) {
+        let mut pooled = propagate_table([base_rows.0, base_rows.1]);
+        let mut sequential = propagate_table([base_rows.0, base_rows.1]);
+        let forced = [
+            Stmt::Delete(0, vec![near_start.0]),
+            Stmt::Delete(1, vec![near_start.1]),
+            Stmt::Modify(0, vec![near_start.0 + 7, 300, 900], 2, new_strings.0),
+            Stmt::Modify(1, vec![1500, near_start.1 + 3], 2, new_strings.1),
+            Stmt::Append(PARTS - 1, vec![5, -6, 7]),
+        ];
+        let rounds = [[&forced[..], &first[..]].concat(), second];
+        for (round, stream) in rounds.iter().enumerate() {
+            for stmt in stream {
+                replay(&mut pooled, stmt);
+                replay(&mut sequential, stmt);
+            }
+            let want = visible(&pooled);
+            let held = (round == 0).then(|| pooled.clone());
+            pooled.propagate_all();
+            for pid in 0..PARTS {
+                sequential.partition_mut(pid).propagate();
+            }
+            prop_assert_eq!(visible(&pooled), want.clone(), "round {}", round);
+            if let Some(held) = held {
+                prop_assert_eq!(visible(&held), want, "a clone keeps its rows");
+            }
+            assert_same_bytes(&pooled, &sequential);
+        }
+    }
 
     #[test]
     fn reads_match_the_row_model(
