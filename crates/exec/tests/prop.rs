@@ -219,6 +219,33 @@ fn laid_out(shape: KeyShape, rows: &[Row], layout: u8, dict: &DictRef) -> Vec<Ba
     }
 }
 
+/// Join key `id`: `i64`'s edges and 1 first, then distinct keys spread
+/// up the positive range (`Int`); or the string `k{id}` (`Str`, encoded
+/// through `dict`, so both sides of a join share it).
+fn join_key_value(id: usize, str_keys: bool) -> Value {
+    match (str_keys, INTS.get(id)) {
+        (true, _) => Value::Str(format!("k{id}")),
+        (false, Some(&k)) => Value::Int(k),
+        (false, None) => Value::Int(id as i64 * 0x1_0000_0001 + 2),
+    }
+}
+
+/// `[key, payload]` columns over key ids `ids`; the payload numbers the
+/// rows.
+fn join_columns(ids: &[usize], str_keys: bool, dict: &DictRef) -> Vec<ColumnData> {
+    let mut keys = match str_keys {
+        true => ColumnData::Str {
+            codes: Vec::new(),
+            dict: Arc::clone(dict),
+        },
+        false => ColumnData::Int(Vec::new()),
+    };
+    for &id in ids {
+        keys.push(&join_key_value(id, str_keys));
+    }
+    vec![keys, ColumnData::Int((0..ids.len() as i64).collect())]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -292,6 +319,69 @@ proptest! {
             chains(&selected, &other, cut, limit),
             chains(&dense, &other, cut, limit)
         );
+    }
+
+    // The join kernel against a nested-loop join: `pairs` names, in probe
+    // order, every (probe row, build row) with equal keys, each probe
+    // row's build rows ascending; `probe` gathers exactly those rows. Keys
+    // are `Int` (with `i64::MIN`, -1, 0 and `i64::MAX`) or `Str` codes;
+    // a small domain repeats keys on both sides, a large one lets builds
+    // of up to ~5k distinct keys size the filter; the probe batch is
+    // dense, a window whose margins hold build keys, or a selection.
+    #[test]
+    fn join_table_is_the_nested_loop_join(
+        build in prop_oneof![
+            proptest::collection::vec(0usize..8_000, 0..300),
+            proptest::collection::vec(0usize..8_000, 0..5_000),
+        ],
+        probe in proptest::collection::vec(0usize..8_000, 0..400),
+        domain in prop_oneof![Just(1usize), Just(5), 1usize..64, 1usize..8_000],
+        str_keys in any::<bool>(),
+        // 0: a dense batch; 1: a window into a larger backing; 2: a
+        // selection of that backing.
+        shape in 0u8..3,
+        margins in (0usize..70, 0usize..70),
+        noise in proptest::collection::vec(any::<bool>(), 540..541),
+    ) {
+        let build: Vec<usize> = build.iter().map(|id| id % domain).collect();
+        let margin = |i: usize| build.get(i % build.len().max(1)).copied().unwrap_or(0);
+        let (pre, post) = if shape == 0 { (0, 0) } else { margins };
+        let backing: Vec<usize> = (0..pre)
+            .map(margin)
+            .chain(probe.iter().map(|id| id % domain))
+            .chain((0..post).map(|i| margin(i + pre)))
+            .collect();
+        let dict = Arc::clone(str_column(&WORDS).dict());
+        let table = JoinTable::from_batch(Batch::new(join_columns(&build, str_keys, &dict)), 0);
+        let columns = join_columns(&backing, str_keys, &dict);
+        let (batch, rows): (Batch, Vec<usize>) = match shape {
+            2 => {
+                let sel: Vec<usize> = (0..backing.len()).filter(|&p| noise[p]).collect();
+                (Batch::selected(columns, sel.clone()), sel)
+            }
+            _ => {
+                let span = pre..pre + probe.len();
+                (Batch::window(columns.into_iter().map(Arc::new).collect(), span.clone()), span.collect())
+            }
+        };
+        let mut want: Vec<(usize, usize)> = Vec::new();
+        for &p in &rows {
+            for (b, &id) in build.iter().enumerate() {
+                if backing[p] == id {
+                    want.push((p, b));
+                }
+            }
+        }
+        let (probe_pos, build_pos) = table.pairs(&batch, 0);
+        prop_assert_eq!(probe_pos.iter().copied().zip(build_pos.iter().copied()).collect::<Vec<_>>(), want.clone());
+        let joined = table.probe(&batch, 0);
+        prop_assert_eq!(joined.len(), want.len());
+        for (i, &(p, b)) in want.iter().enumerate() {
+            prop_assert_eq!(joined.column(0).value(i), join_key_value(backing[p], str_keys));
+            prop_assert_eq!(joined.column(1).as_int()[i], p as i64);
+            prop_assert_eq!(joined.column(2).value(i), join_key_value(build[b], str_keys));
+            prop_assert_eq!(joined.column(3).as_int()[i], b as i64);
+        }
     }
 
     #[test]

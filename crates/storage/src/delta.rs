@@ -26,9 +26,11 @@
 //!   `Table::propagate_all` runs one pool task per (dirty partition,
 //!   column). The calling thread allocates before the tasks start: it
 //!   gives each column room for its growth (a shared column is copied
-//!   into one allocation of that size), and it patches the modified
-//!   cells, which encodes new strings into the shared dictionaries in
-//!   (partition, position) order, so codes do not depend on scheduling.
+//!   into one allocation of that size), and it writes the modified
+//!   cells. A modify encodes a new string into the shared dictionary when
+//!   the writer applies it, and its patch keeps the code, so neither a
+//!   merge-on-read nor the propagate's scheduling assigns a code: codes
+//!   and dictionaries follow the statement stream alone.
 //!   A task only moves rows (`delete_sorted`, then one extend) and frees
 //!   its append buffer as soon as it has copied it; a base with no rows
 //!   (a load, then a propagate) takes the append buffer by move instead;
@@ -51,6 +53,41 @@ pub enum RowLoc {
     Append(usize),
 }
 
+/// A pending patch of one base cell: its column, its new value and, in a
+/// `Str` column, the code the modify encoded the value to. Reads and the
+/// propagate write the code, so they neither take the dictionary's write
+/// lock nor add a string to it.
+#[derive(Debug, Clone)]
+struct Patch {
+    col: usize,
+    value: Value,
+    code: u32,
+}
+
+impl Patch {
+    /// The patch of `value` into column `col`, which `column` (a column of
+    /// the same type, sharing its dictionary) stands for.
+    fn new(column: &ColumnData, col: usize, value: Value) -> Patch {
+        let code = match (column, &value) {
+            (ColumnData::Str { dict, .. }, Value::Str(s)) => dict.write().encode(s),
+            (column, value) if column.data_type() == value.data_type() => 0,
+            (column, value) => panic!(
+                "type mismatch: setting {value:?} in {:?}",
+                column.data_type()
+            ),
+        };
+        Patch { col, value, code }
+    }
+
+    /// Writes the patch into row `idx` of `column`.
+    fn write(&self, column: &mut ColumnData, idx: usize) {
+        match column {
+            ColumnData::Str { codes, .. } => codes[idx] = self.code,
+            other => other.set(idx, &self.value),
+        }
+    }
+}
+
 /// In-memory positional deltas over one partition's base columns.
 #[derive(Debug, Clone)]
 pub struct DeltaStore {
@@ -58,8 +95,8 @@ pub struct DeltaStore {
     base_rows: usize,
     /// Sorted base positions that are deleted.
     deleted: Vec<usize>,
-    /// Base position -> list of (column, new value) patches.
-    modified: BTreeMap<usize, Vec<(usize, Value)>>,
+    /// Base position -> the patches of its cells.
+    modified: BTreeMap<usize, Vec<Patch>>,
     /// Appended rows, columnar, matching the table schema.
     appends: Vec<ColumnData>,
 }
@@ -103,7 +140,7 @@ impl DeltaStore {
                 "deleted position {last} outside {base_rows} base rows"
             ));
         }
-        let mut modified: BTreeMap<usize, Vec<(usize, Value)>> = BTreeMap::new();
+        let mut modified: BTreeMap<usize, Vec<Patch>> = BTreeMap::new();
         for (pos, col, v) in cells {
             if pos >= base_rows || deleted.binary_search(&pos).is_ok() {
                 return Err(format!(
@@ -124,10 +161,10 @@ impl DeltaStore {
                 ));
             }
             let patches = modified.entry(pos).or_default();
-            if patches.iter().any(|(c, _)| *c == col) {
+            if patches.iter().any(|p| p.col == col) {
                 return Err(format!("modified cell ({pos}, {col}) given twice"));
             }
-            patches.push((col, v));
+            patches.push(Patch::new(column, col, v));
         }
         Ok(DeltaStore {
             base_rows,
@@ -152,7 +189,7 @@ impl DeltaStore {
     pub fn modified_cells(&self) -> impl Iterator<Item = (usize, usize, &Value)> {
         self.modified
             .iter()
-            .flat_map(|(&pos, patches)| patches.iter().map(move |(col, v)| (pos, *col, v)))
+            .flat_map(|(&pos, patches)| patches.iter().map(move |p| (pos, p.col, &p.value)))
     }
 
     /// Rows currently visible (base minus deletes plus appends).
@@ -237,8 +274,13 @@ impl DeltaStore {
 
     /// Pending value patch for a base position and column, if any.
     pub fn modified_value(&self, base_pos: usize, col: usize) -> Option<&Value> {
+        self.patch(base_pos, col).map(|p| &p.value)
+    }
+
+    /// The pending patch of a base position's cell in column `col`.
+    fn patch(&self, base_pos: usize, col: usize) -> Option<&Patch> {
         let patches = self.modified.get(&base_pos)?;
-        patches.iter().find(|(c, _)| *c == col).map(|(_, v)| v)
+        patches.iter().find(|p| p.col == col)
     }
 
     /// Appends one row (values matching the schema order).
@@ -259,16 +301,18 @@ impl DeltaStore {
 
     /// Records value patches for visible rows. Patches to appended rows are
     /// applied directly in the append buffer; a base cell keeps one entry
-    /// however often it is modified.
+    /// however often it is modified. A string is encoded here, on the
+    /// writer, in statement order, and its patch keeps the code.
     pub fn modify(&mut self, rids: &[usize], col: usize, values: &[Value]) {
         assert_eq!(rids.len(), values.len(), "modify arity mismatch");
         for (&rid, v) in rids.iter().zip(values) {
             match self.locate(rid) {
                 RowLoc::Base(b) => {
+                    let patch = Patch::new(&self.appends[col], col, v.clone());
                     let patches = self.modified.entry(b).or_default();
-                    match patches.iter_mut().find(|(c, _)| *c == col) {
-                        Some((_, old)) => *old = v.clone(),
-                        None => patches.push((col, v.clone())),
+                    match patches.iter_mut().find(|p| p.col == col) {
+                        Some(old) => *old = patch,
+                        None => patches.push(patch),
                     }
                 }
                 RowLoc::Append(slot) => self.appends[col].set(slot, v),
@@ -336,9 +380,9 @@ impl DeltaStore {
     /// doing on the calling thread everything but moving rows: it gives
     /// each non-empty column room for its net growth (a column that
     /// something else still shares is copied into a new allocation of that
-    /// size, one copy), then patches the modified cells in position order,
-    /// so a string column's dictionary assigns new codes in the order of a
-    /// sequential propagate. The merges are independent, so they may run in
+    /// size, one copy), then writes the modified cells' values and string
+    /// codes, which their modifies encoded, so no dictionary changes. The
+    /// merges are independent, so they may run in
     /// any order, on any threads; [`DeltaStore::finish_propagate`]
     /// completes the propagate once all of them ran.
     pub(crate) fn column_merges<'a>(
@@ -362,8 +406,8 @@ impl DeltaStore {
             })
             .collect();
         for (&pos, patches) in &self.modified {
-            for (col, v) in patches {
-                columns[*col].set(pos, v);
+            for p in patches {
+                p.write(columns[p.col], pos);
             }
         }
         self.modified.clear();
@@ -429,9 +473,9 @@ impl DeltaStore {
                 di += 1;
             };
             for (&pos, patches) in self.modified.range(first..end) {
-                if let Some((_, v)) = patches.iter().find(|(c, _)| *c == col) {
+                if let Some(p) = patches.iter().find(|p| p.col == col) {
                     let rid = self.rid_of_base(pos).expect("a deleted row holds no patch");
-                    out.set(rid - start, v);
+                    p.write(&mut out, rid - start);
                 }
             }
         }
@@ -466,8 +510,8 @@ impl DeltaStore {
         let mut out = base.gather_concat(&self.appends[col], physical);
         if !self.modified.is_empty() {
             for (i, &pos) in physical.iter().enumerate() {
-                if let Some(v) = self.modified_value(pos, col) {
-                    out.set(i, v);
+                if let Some(p) = self.patch(pos, col) {
+                    p.write(&mut out, i);
                 }
             }
         }

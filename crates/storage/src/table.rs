@@ -416,6 +416,46 @@ mod tests {
         assert_eq!(t.partition(0).value_at(0, 1), Value::Int(3));
     }
 
+    /// Pending string modifies are encoded when the writer applies them:
+    /// a scan in between neither adds to the dictionary nor changes the
+    /// codes and dictionary the propagate leaves.
+    #[test]
+    fn a_scan_before_the_propagate_leaves_the_same_dictionary() {
+        let run = |scan: bool| {
+            let mut t = Table::new("t", schema(), 1, Partitioning::RoundRobin);
+            let names = ["a", "b", "c", "d", "e", "f", "g", "h"];
+            t.insert_rows(
+                &(0..8)
+                    .map(|k| row(k, names[k as usize]))
+                    .collect::<Vec<_>>(),
+            );
+            t.propagate_all();
+            t.modify(0, &[5], 1, &[Value::from("y")]);
+            t.modify(0, &[2], 1, &[Value::from("z")]);
+            let dict = Arc::clone(t.dict(1).unwrap());
+            if scan {
+                let len = dict.read().len();
+                let window = t.partition(0).read_range(&[1], 4, 4).pop().unwrap();
+                assert_eq!(window.value(1), Value::from("y"));
+                assert_eq!(dict.read().len(), len, "the scan changed the dictionary");
+            }
+            t.modify(0, &[5], 1, &[Value::from("w")]);
+            t.propagate_all();
+            let codes = t.partition(0).read_range(&[1], 0, 8).pop().unwrap();
+            let dict = dict.read();
+            let strings: Vec<String> = (0..dict.len() as u32)
+                .map(|c| dict.decode(c).to_string())
+                .collect();
+            (codes.as_codes().to_vec(), strings)
+        };
+        let (codes, strings) = run(false);
+        assert_eq!(
+            strings,
+            ["a", "b", "c", "d", "e", "f", "g", "h", "y", "z", "w"]
+        );
+        assert_eq!(run(true), (codes, strings));
+    }
+
     #[test]
     fn load_partition_bulk() {
         let mut t = Table::new("t", schema(), 2, Partitioning::RoundRobin);

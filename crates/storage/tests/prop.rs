@@ -254,9 +254,7 @@ fn replay(t: &mut Table, stmt: &Stmt) {
     }
 }
 
-/// Every partition's visible rows, column by column. Read row by row:
-/// a `read_range` over a pending string patch would encode the string,
-/// and so assign its code before the propagate does.
+/// Every partition's visible rows, column by column, read row by row.
 fn visible(t: &Table) -> Vec<Vec<Vec<Value>>> {
     t.partitions()
         .iter()
