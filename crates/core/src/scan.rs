@@ -14,6 +14,8 @@
 //! evaluated once, and a line is copied only once it has found its
 //! partner.
 
+use std::ops::Range;
+
 use pi_exec::ops::merge_join::PatchMergeJoinOp;
 use pi_exec::ops::patch_select::{PatchMode, PatchSelectOp};
 use pi_exec::ops::scan::ScanOp;
@@ -50,6 +52,24 @@ pub fn patch_merge_join<'a>(
     x: &'a Batch,
     x_key: usize,
 ) -> OpRef<'a> {
+    let rows = 0..partition.visible_len();
+    patch_merge_join_rows(partition, rows, index, cols, pred, x, x_key)
+}
+
+/// [`patch_merge_join`] over the visible rows `rows` of the partition
+/// only: one morsel of a partition-parallel join. Its output is the
+/// whole-partition join's rows from `rows`, in their order, when `rows`
+/// starts and ends where a whole-partition scan starts a window
+/// (`pi_exec::parallel::morsels` cuts there).
+pub fn patch_merge_join_rows<'a>(
+    partition: &'a Partition,
+    rows: Range<usize>,
+    index: &'a PatchIndex,
+    cols: Vec<usize>,
+    pred: Option<Expr>,
+    x: &'a Batch,
+    x_key: usize,
+) -> OpRef<'a> {
     let key = cols
         .iter()
         .position(|&c| c == index.column())
@@ -57,7 +77,7 @@ pub fn patch_merge_join<'a>(
     Box::new(PatchMergeJoinOp::new(
         x,
         x_key,
-        ScanOp::new(partition, cols, false),
+        ScanOp::with_ranges(partition, cols, vec![rows], false),
         key,
         index.lookup(partition.id),
         pred,

@@ -17,6 +17,13 @@ pub struct FoldHasher {
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
+/// Folds word `v` into hash state `state`: one step of [`FoldHasher`],
+/// for a caller that hashes a key column by column over a whole batch.
+#[inline]
+pub fn fold(state: u64, v: u64) -> u64 {
+    (state.rotate_left(5) ^ v).wrapping_mul(SEED)
+}
+
 impl Hasher for FoldHasher {
     #[inline]
     fn finish(&self) -> u64 {
@@ -34,7 +41,7 @@ impl Hasher for FoldHasher {
 
     #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(SEED);
+        self.state = fold(self.state, v);
     }
 
     #[inline]
@@ -56,20 +63,12 @@ impl Hasher for FoldHasher {
 /// `HashMap` keyed by integers with the fold hasher.
 pub type IntMap<V> = HashMap<i64, V, BuildHasherDefault<FoldHasher>>;
 
-/// `HashMap` keyed by encoded multi-column keys.
-pub type KeyMap<V> = HashMap<Vec<u64>, V, BuildHasherDefault<FoldHasher>>;
-
 /// `HashSet` of integers with the fold hasher.
 pub type IntSet = HashSet<i64, BuildHasherDefault<FoldHasher>>;
 
 /// Creates an empty [`IntMap`].
 pub fn int_map<V>() -> IntMap<V> {
     IntMap::default()
-}
-
-/// Creates an empty [`KeyMap`].
-pub fn key_map<V>() -> KeyMap<V> {
-    KeyMap::default()
 }
 
 /// Creates an empty [`IntSet`].
@@ -101,15 +100,6 @@ mod tests {
         assert_eq!(m.get(&42), Some(&"x"));
         assert_eq!(m.get(&-7), Some(&"y"));
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn key_map_multi_column() {
-        let mut m: KeyMap<i32> = key_map();
-        m.insert(vec![1, 2], 10);
-        m.insert(vec![2, 1], 20);
-        assert_eq!(m[&vec![1u64, 2]], 10);
-        assert_eq!(m[&vec![2u64, 1]], 20);
     }
 
     #[test]

@@ -28,15 +28,18 @@
 //! * intermediate-result reuse by borrowing: a materialized [`Batch`]
 //!   serves any number of [`ops::merge_join::PatchMergeJoinOp`] passes
 //!   and [`ops::hash_join::JoinTable::probe`]s without a copy;
-//! * partition-parallel execution via [`parallel::per_partition`], on one
-//!   persistent process-wide pool ([`parallel::fan_out`]) whose calling
-//!   thread helps, so no fan-out spawns a thread. The pool lives in
-//!   `pi-storage`, whose `Table::propagate_all` runs one task per
-//!   (dirty partition, column) on it, and is re-exported here.
-//!   [`parallel::per_partition`] runs constraint discovery at index
-//!   creation, the NUC collision probe of index maintenance, the
-//!   JoinIndex and materialized-view baselines, and the `lineitem` side
-//!   of the hand-lowered TPC-H plans in every variant. The planner's
+//! * partition-parallel execution via [`parallel::per_partition`] and
+//!   [`parallel::per_morsel`], on one persistent process-wide pool
+//!   ([`parallel::fan_out`]) whose calling thread helps, so no fan-out
+//!   spawns a thread. The pool lives in `pi-storage`, whose
+//!   `Table::propagate_all` runs one task per (dirty partition, column) on
+//!   it, and is re-exported here. [`parallel::per_partition`] runs
+//!   constraint discovery at index creation, the NUC collision probe of
+//!   index maintenance, and the JoinIndex and materialized-view
+//!   baselines. [`parallel::per_morsel`] runs the hand-lowered TPC-H
+//!   plans' `orders` and `lineitem` sides in every variant, one task per
+//!   window-aligned morsel of [`parallel::MORSEL_WINDOWS`] scan windows,
+//!   so a one-partition table spreads over the pool too. The planner's
 //!   lowered plans (one task per partition that drains that partition's
 //!   pipeline), the global ordered merge's key ranges, discovery's
 //!   per-partition passes and the server's shard reads use

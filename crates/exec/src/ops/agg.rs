@@ -9,7 +9,13 @@
 //!
 //! The group and update loops read a window or selection where it lies
 //! (see [`Batch`]), and only the groups' keys and aggregates are
-//! materialized; the output is handed out as windows of those.
+//! materialized; the output is handed out as windows of those. A
+//! one-column group-by maps the encoded key to its group directly; a
+//! multi-column one builds no heap key per row: it hashes the batch's
+//! keys column by column and walks a chain of the groups with that hash,
+//! comparing their stored keys. Groups are numbered in first-seen order
+//! either way, so the output's rows, and a float sum's bits, depend only
+//! on the input's row order.
 
 use std::sync::Arc;
 
@@ -17,7 +23,7 @@ use pi_storage::ColumnData;
 
 use crate::batch::{Batch, BATCH_SIZE};
 use crate::expr::Expr;
-use crate::hash::{int_map, key_map, IntMap, KeyMap};
+use crate::hash::{fold, int_map, IntMap};
 use crate::op::{OpRef, Operator};
 
 /// Aggregate functions.
@@ -166,6 +172,15 @@ impl KeyStore {
         }
     }
 
+    /// Group `g`'s key, encoded as [`encode_key`] encodes a row's.
+    #[inline]
+    fn encoded(&self, g: usize) -> u64 {
+        match self {
+            KeyStore::Int(v) => v[g] as u64,
+            KeyStore::Str { codes, .. } => codes[g] as u64,
+        }
+    }
+
     fn finish(self) -> ColumnData {
         match self {
             KeyStore::Int(v) => ColumnData::Int(v),
@@ -181,6 +196,91 @@ fn encode_key(col: &ColumnData, row: usize) -> u64 {
         ColumnData::Str { codes, .. } => codes[row] as u64,
         other => panic!("cannot group by {:?}", other.data_type()),
     }
+}
+
+/// Ends a hash's chain in [`GroupChains`]' `next`.
+const CHAIN_END: u32 = u32::MAX;
+
+/// The groups of a multi-column group-by, found with no heap key per row
+/// (the flat pattern of [`JoinTable`](crate::ops::hash_join::JoinTable)):
+/// `heads` maps a hash of a row's encoded keys to the newest group with
+/// that hash, `next` chains each group to the next older one with it,
+/// and a row's group is the one on its chain whose stored keys equal the
+/// row's. Group ids are dense and count up in first-seen order.
+#[derive(Default)]
+struct GroupChains {
+    heads: IntMap<u32>,
+    next: Vec<u32>,
+    /// The batch's key hashes, one per row, reused across batches.
+    hashes: Vec<u64>,
+}
+
+impl GroupChains {
+    /// Pushes the group id of each of `batch`'s rows onto `gids`, adding
+    /// each new group's keys to `keys`.
+    fn assign(
+        &mut self,
+        batch: &Batch,
+        group_by: &[usize],
+        keys: &mut [KeyStore],
+        gids: &mut Vec<u32>,
+    ) {
+        // Column by column: one type dispatch per column, not per value.
+        self.hashes.clear();
+        self.hashes.resize(batch.len(), 0);
+        for &c in group_by {
+            match batch.raw_column(c) {
+                ColumnData::Int(v) => fold_in(&mut self.hashes, batch, |r| v[r] as u64),
+                ColumnData::Str { codes, .. } => {
+                    fold_in(&mut self.hashes, batch, |r| codes[r] as u64)
+                }
+                other => panic!("cannot group by {:?}", other.data_type()),
+            }
+        }
+        let cols: Vec<&ColumnData> = group_by.iter().map(|&c| batch.raw_column(c)).collect();
+        for (i, &h) in self.hashes.iter().enumerate() {
+            let row = batch.row(i);
+            let head = self.heads.entry(h as i64).or_insert(CHAIN_END);
+            let mut g = *head;
+            while g != CHAIN_END && !same_keys(keys, g as usize, &cols, row) {
+                g = self.next[g as usize];
+            }
+            if g == CHAIN_END {
+                g = self.next.len() as u32;
+                self.next.push(*head);
+                *head = g;
+                for (ks, col) in keys.iter_mut().zip(&cols) {
+                    ks.push(col, row);
+                }
+            }
+            gids.push(g);
+        }
+    }
+}
+
+/// Folds `key(row)` of each of `batch`'s rows into its hash.
+#[inline]
+fn fold_in(hashes: &mut [u64], batch: &Batch, key: impl Fn(usize) -> u64) {
+    match batch.sel() {
+        Some(sel) => {
+            for (h, &r) in hashes.iter_mut().zip(sel) {
+                *h = fold(*h, key(r));
+            }
+        }
+        None => {
+            for (h, r) in hashes.iter_mut().zip(batch.span()) {
+                *h = fold(*h, key(r));
+            }
+        }
+    }
+}
+
+/// Whether group `g`'s stored keys equal row `row`'s keys in `cols`.
+#[inline]
+fn same_keys(keys: &[KeyStore], g: usize, cols: &[&ColumnData], row: usize) -> bool {
+    keys.iter()
+        .zip(cols)
+        .all(|(ks, col)| ks.encoded(g) == encode_key(col, row))
 }
 
 /// Hash aggregation; output columns are `[group keys..., aggregates...]`.
@@ -213,10 +313,11 @@ impl<'a> HashAggOp<'a> {
             return;
         };
         let mut single: IntMap<u32> = int_map();
-        let mut multi: KeyMap<u32> = key_map();
+        let mut multi = GroupChains::default();
         let mut keys: Option<Vec<KeyStore>> = None;
         let mut aggs: Vec<Option<AggState>> = (0..self.specs.len()).map(|_| None).collect();
         let single_key = self.group_by.len() == 1;
+        let mut gids: Vec<u32> = Vec::new();
 
         while let Some(batch) = input.next() {
             if batch.is_empty() {
@@ -229,41 +330,30 @@ impl<'a> HashAggOp<'a> {
                     .collect()
             });
             // Group ids per row.
-            let mut gids: Vec<u32> = Vec::with_capacity(batch.len());
-            let mut ngroups = if single_key {
+            gids.clear();
+            if single_key {
+                let col = batch.raw_column(self.group_by[0]);
+                let mut ngroups = single.len() as u32;
+                for i in 0..batch.len() {
+                    let row = batch.row(i);
+                    let gid = *single
+                        .entry(encode_key(col, row) as i64)
+                        .or_insert_with(|| {
+                            let id = ngroups;
+                            ngroups += 1;
+                            keys[0].push(col, row);
+                            id
+                        });
+                    gids.push(gid);
+                }
+            } else {
+                multi.assign(&batch, &self.group_by, keys, &mut gids);
+            }
+            let ngroups = if single_key {
                 single.len()
             } else {
-                multi.len()
-            } as u32;
-            for i in 0..batch.len() {
-                let row = batch.row(i);
-                let gid = if single_key {
-                    let k = encode_key(batch.raw_column(self.group_by[0]), row) as i64;
-                    *single.entry(k).or_insert_with(|| {
-                        let id = ngroups;
-                        ngroups += 1;
-                        for (ks, &c) in keys.iter_mut().zip(&self.group_by) {
-                            ks.push(batch.raw_column(c), row);
-                        }
-                        id
-                    })
-                } else {
-                    let k: Vec<u64> = self
-                        .group_by
-                        .iter()
-                        .map(|&c| encode_key(batch.raw_column(c), row))
-                        .collect();
-                    *multi.entry(k).or_insert_with(|| {
-                        let id = ngroups;
-                        ngroups += 1;
-                        for (ks, &c) in keys.iter_mut().zip(&self.group_by) {
-                            ks.push(batch.raw_column(c), row);
-                        }
-                        id
-                    })
-                };
-                gids.push(gid);
-            }
+                multi.next.len()
+            };
             // Aggregate updates. The argument is read at `row - offset`,
             // the filter mask over the span.
             let span_start = batch.span().start;
@@ -273,7 +363,7 @@ impl<'a> HashAggOp<'a> {
                 let state = aggs[si].get_or_insert_with(|| {
                     AggState::new(spec.func, matches!(*arg.col, ColumnData::Float(_)))
                 });
-                state.grow_to(ngroups as usize);
+                state.grow_to(ngroups);
                 for (i, &gid) in gids.iter().enumerate() {
                     let row = batch.row(i);
                     if mask.as_ref().is_some_and(|m| !m[row - span_start]) {
@@ -285,7 +375,7 @@ impl<'a> HashAggOp<'a> {
             // Grow all aggregate states even if a batch contributed no rows
             // to some groups.
             for state in aggs.iter_mut().flatten() {
-                state.grow_to(ngroups as usize);
+                state.grow_to(ngroups);
             }
         }
 

@@ -117,6 +117,11 @@ impl Operator for PatchMergeJoinOp<'_> {
             let (keys, base) = (batch.raw_column(self.key).as_int(), batch.row(0));
             let (mut x_rows, mut rows) = (Vec::new(), Vec::new());
             let mut cursor = self.cursor;
+            // `xk[cursor]`, held in a register: a kept row below it has no
+            // partner and costs one compare. Past the end of `x` no row has
+            // one; `i64::MAX` stands in, and a key equal to it finds the
+            // empty rest of `x`.
+            let mut next_x = xk.get(cursor).copied().unwrap_or(i64::MAX);
             let words = self.pred_words.iter().zip(&self.patch_words);
             for (w, (&pass, &patch)) in words.enumerate() {
                 // Kept rows sweep `x` forward from the cursor.
@@ -126,8 +131,15 @@ impl Operator for PatchMergeJoinOp<'_> {
                     kept &= kept - 1;
                     let k = keys[r];
                     debug_assert!(cursor == 0 || xk[cursor - 1] < k, "kept keys not ascending");
-                    if xk.get(cursor).is_some_and(|&c| c < k) {
+                    if k < next_x {
+                        continue;
+                    }
+                    if k > next_x {
                         cursor = gallop(xk, cursor, k);
+                        next_x = xk.get(cursor).copied().unwrap_or(i64::MAX);
+                        if k < next_x {
+                            continue;
+                        }
                     }
                     for j in (cursor..xk.len()).take_while(|&j| xk[j] == k) {
                         x_rows.push(j);

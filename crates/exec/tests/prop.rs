@@ -12,9 +12,11 @@
 //! stable sort of their concatenation, whatever the range count.
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pi_bitmap::ShardedBitmap;
+use pi_exec::hash::fold;
 use pi_exec::ops::agg::{AggSpec, HashAggOp};
 use pi_exec::ops::filter::FilterOp;
 use pi_exec::ops::hash_join::{HashJoinOp, JoinTable};
@@ -244,6 +246,40 @@ fn join_columns(ids: &[usize], str_keys: bool, dict: &DictRef) -> Vec<ColumnData
         keys.push(&join_key_value(id, str_keys));
     }
     vec![keys, ColumnData::Int((0..ids.len() as i64).collect())]
+}
+
+/// Group key `id` of one column: `i64`'s edges first, then values spread
+/// up the positive range (`Int`); or the string `g{id}` (`Str`).
+fn group_key_value(id: usize, str_key: bool) -> Value {
+    match (str_key, id) {
+        (true, _) => Value::Str(format!("g{id}")),
+        (false, 0) => Value::Int(i64::MIN),
+        (false, 1) => Value::Int(i64::MAX),
+        (false, id) => Value::Int(id as i64 * 0x1_0000_0001 - 7),
+    }
+}
+
+/// A group key as the group-by encodes it: an `Int` value's bits, a `Str`
+/// value's dictionary code.
+fn encoded(col: &ColumnData, row: usize) -> u64 {
+    match col {
+        ColumnData::Int(v) => v[row] as u64,
+        other => u64::from(other.as_codes()[row]),
+    }
+}
+
+/// The fold hash of the encoded keys `keys`, as the group-by hashes a row.
+fn key_hash(keys: &[u64]) -> u64 {
+    keys.iter().fold(0, |h, &k| fold(h, k))
+}
+
+/// One group's aggregates in the reference: an `Int` sum, a `Float` sum
+/// (added in row order, as the operator adds) and a filtered count.
+#[derive(Debug, Default)]
+struct GroupAggs {
+    int_sum: i64,
+    float_sum: f64,
+    count: i64,
 }
 
 proptest! {
@@ -606,6 +642,156 @@ proptest! {
                     _ => panic!("{shape:?}: the merge changed a column's type"),
                 }
             }
+        }
+    }
+
+    // The multi-column group-by against a first-seen-order reference on a
+    // `BTreeMap`: 2 or 3 group columns, each `Int` (with `i64::MIN` and
+    // `i64::MAX`) or `Str`; a small key domain repeats groups, a large one
+    // makes up to ~3k of them; and pairs of distinct keys whose fold hashes
+    // collide, solved for on an `Int` last column, so groups share a
+    // chain. The input is cut into batches that are dense, windows into a
+    // larger backing, or selections of it. Keys, the `Int` sum, the
+    // `Float` sum's bits and a filtered count must be the reference's,
+    // group by group in first-seen order.
+    #[test]
+    fn multi_column_group_by_is_the_first_seen_reference(
+        width in 2usize..4,
+        str_cols in proptest::collection::vec(any::<bool>(), 3..4),
+        tuples in prop_oneof![
+            proptest::collection::vec((0usize..4, 0usize..4, 0usize..4), 1..40),
+            proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 1..3_000),
+        ],
+        colliding in any::<bool>(),
+        picks in proptest::collection::vec(any::<usize>(), 0..2_000),
+        cuts in proptest::collection::vec(0usize..2_000, 0..5),
+        // 0: dense batches; 1: windows into a larger backing; 2:
+        // selections of that backing.
+        shape in 0u8..3,
+        margins in (0usize..70, 0usize..70),
+        noise in proptest::collection::vec(any::<bool>(), 2_140..2_141),
+    ) {
+        // Collisions are solved for on the last column, so it is `Int`.
+        let str_key = |c: usize| str_cols[c] && !(colliding && c == width - 1);
+        let dict = Arc::clone(str_column(&WORDS).dict());
+        let empty = |c: usize| match str_key(c) {
+            true => ColumnData::Str { codes: Vec::new(), dict: Arc::clone(&dict) },
+            false => ColumnData::Int(Vec::new()),
+        };
+        // The candidate groups' key columns: each tuple, and with
+        // `colliding`, after every other tuple a twin with the previous
+        // tuple's leading keys and a last key that makes its fold hash
+        // this tuple's.
+        let mut cands: Vec<ColumnData> = (0..width).map(empty).collect();
+        for (t, &(a, b, c)) in tuples.iter().enumerate() {
+            let ids = [a, b, c];
+            for (col, cand) in cands.iter_mut().enumerate() {
+                cand.push(&group_key_value(ids[col], str_key(col)));
+            }
+            if colliding && t % 2 == 1 {
+                let row = cands[0].len() - 1;
+                let (a, b, c) = tuples[t - 1];
+                let prev_ids = [a, b, c];
+                for (col, cand) in cands.iter_mut().enumerate().take(width - 1) {
+                    cand.push(&group_key_value(prev_ids[col], str_key(col)));
+                }
+                let state = |r: usize| {
+                    let lead: Vec<u64> = (0..width - 1).map(|c| encoded(&cands[c], r)).collect();
+                    key_hash(&lead).rotate_left(5)
+                };
+                let last = state(row) ^ encoded(&cands[width - 1], row) ^ state(row + 1);
+                cands[width - 1].push(&Value::Int(last as i64));
+                let twin: Vec<u64> = (0..width).map(|c| encoded(&cands[c], row + 1)).collect();
+                let this: Vec<u64> = (0..width).map(|c| encoded(&cands[c], row)).collect();
+                prop_assert_eq!(key_hash(&twin), key_hash(&this));
+            }
+        }
+        let ncands = cands[0].len();
+        // The backing: `pre` margin rows, the input rows, `post` margin
+        // rows; keys, then an `Int` payload numbering the input rows and a
+        // `Float` payload. Margin payloads are far off, so a kernel that
+        // read them would show in the sums.
+        let n = picks.len();
+        let (pre, post) = if shape == 0 { (0, 0) } else { margins };
+        let backing: Vec<usize> = (0..pre)
+            .map(|i| i % ncands)
+            .chain(picks.iter().map(|p| p % ncands))
+            .chain((0..post).map(|i| (i + 1) % ncands))
+            .collect();
+        let mut columns: Vec<ColumnData> = (0..width)
+            .map(|c| {
+                let mut col = empty(c);
+                for &g in &backing {
+                    col.push(&cands[c].value(g));
+                }
+                col
+            })
+            .collect();
+        let in_input = |p: usize| (pre..pre + n).contains(&p);
+        let ints: Vec<i64> = (0..backing.len())
+            .map(|p| if in_input(p) { (p - pre) as i64 } else { 1_000_000 })
+            .collect();
+        let floats: Vec<f64> = ints.iter().map(|&v| v as f64 * 0.1 + 0.05).collect();
+        columns.push(ColumnData::Int(ints.clone()));
+        columns.push(ColumnData::Float(floats.clone()));
+        let shared: Vec<Arc<ColumnData>> = columns.iter().cloned().map(Arc::new).collect();
+        // The input rows cut into batches at `cuts`, each dense, a window
+        // or a selection; `included` lists the backing rows they hold.
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        let (mut batches, mut included) = (Vec::new(), Vec::new());
+        for w in bounds.windows(2) {
+            let span = pre + w[0]..pre + w[1];
+            match shape {
+                0 => {
+                    batches.push(Batch::window(shared.clone(), span.clone()).materialize());
+                    included.extend(span);
+                }
+                1 => {
+                    batches.push(Batch::window(shared.clone(), span.clone()));
+                    included.extend(span);
+                }
+                _ => {
+                    let sel: Vec<usize> = span.filter(|&p| noise[p]).collect();
+                    included.extend(sel.iter().copied());
+                    batches.push(Batch::selected(columns.clone(), sel));
+                }
+            }
+        }
+        let threshold = n as i64 / 2;
+        let mut agg = HashAggOp::new(
+            Box::new(BatchSource::new(batches)),
+            (0..width).collect(),
+            vec![
+                AggSpec::sum(Expr::col(width)),
+                AggSpec::sum(Expr::col(width + 1)),
+                AggSpec::count_if(Expr::col(width).gt(Expr::LitInt(threshold))),
+            ],
+        );
+        let out = collect(&mut agg);
+        // The reference: groups numbered in first-seen order.
+        let mut ids: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        let mut want: Vec<(Vec<u64>, GroupAggs)> = Vec::new();
+        for &p in &included {
+            let key: Vec<u64> = (0..width).map(|c| encoded(&columns[c], p)).collect();
+            let g = *ids.entry(key.clone()).or_insert_with(|| {
+                want.push((key, GroupAggs::default()));
+                want.len() - 1
+            });
+            let aggs = &mut want[g].1;
+            aggs.int_sum += ints[p];
+            aggs.float_sum += floats[p];
+            aggs.count += i64::from(ints[p] > threshold);
+        }
+        prop_assert_eq!(out.len(), want.len());
+        for (i, (key, aggs)) in want.iter().enumerate() {
+            for (c, &k) in key.iter().enumerate() {
+                prop_assert_eq!(encoded(out.column(c), i), k, "group {} key {}", i, c);
+            }
+            prop_assert_eq!(out.column(width).as_int()[i], aggs.int_sum);
+            prop_assert_eq!(out.column(width + 1).as_float()[i].to_bits(), aggs.float_sum.to_bits());
+            prop_assert_eq!(out.column(width + 2).as_int()[i], aggs.count);
         }
     }
 }

@@ -17,6 +17,19 @@
 //! still spread over every core. Because every caller drains its own job
 //! before it waits, a `fan_out` nested inside a task cannot deadlock.
 //!
+//! A parked helper joins a job late, and the later the longer it was
+//! parked. On a 2-vCPU Xeon VM (jobs of 200 spinning 5 µs tasks, median
+//! of 300 per idle time) the helper's first claim came about 4 µs after
+//! the post when the pool had been idle for ≤ 100 µs, about 11 µs after
+//! 200–400 µs idle, and about 140 µs after ≥ 3 ms idle; after 1 ms idle
+//! the median was 16 µs and the upper quartile 133 µs. In `pibench`,
+//! 69 % of `ingest_durable`'s jobs, 49 % of `tpch_refresh`'s and 46 % of
+//! `adhoc_exec`'s came after ≥ 1 ms idle (helper's first claim: median
+//! 129–135 µs), and `served_dash`'s helpers joined in 4–6 µs. The caller
+//! works meanwhile, so a job shorter than that runs on the caller alone,
+//! and a job cut into many small tasks (`pi-exec`'s `per_morsel`) still
+//! hands the late helper a share.
+//!
 //! One task-size rule ([`tasks_for`]) says when a job is worth the pool:
 //! it fans out only when each task gets at least [`BATCH_SIZE`] rows, so
 //! a job over a few hundred values runs inline on the caller instead of
