@@ -7,8 +7,12 @@
 //! decremented instead of moving their data.
 //!
 //! The price is one "lost" bit slot at the end of the affected shard per
-//! delete (capacity the shard can no longer address); the [`ShardedBitmap::condense`]
-//! operation re-packs shards to reclaim those slots. The bitmap runs it
+//! delete (capacity the shard can no longer address). A lost slot costs
+//! addressing, not memory: every shard is its own allocation of exactly the
+//! words its valid bits need, so a delete that frees a word gives it back,
+//! and the bitmap holds about `len / 8` bytes plus one pointer and one start
+//! value per shard (the paper's Table 3). The [`ShardedBitmap::condense`]
+//! operation re-packs shards to restore addressing. The bitmap runs it
 //! itself (Section 4.2.4): after every public operation it holds fewer
 //! than twice the shards its bits need, or at most one shard.
 
@@ -35,9 +39,12 @@ pub enum BulkDeleteMode {
 /// bit 5, the old bit 26 answers queries for position 25).
 #[derive(Debug, Clone)]
 pub struct ShardedBitmap {
-    /// Physical bit storage, `shard_words` words per shard, garbage slots zero.
-    data: Vec<u64>,
-    /// `starts[s]` = logical index of the first bit held by shard `s`.
+    /// `shards[s]` holds shard `s`'s valid bits in exactly
+    /// `ceil(valid / 64)` words; the bits past `valid` in its last word are
+    /// zero. The list has no spare capacity.
+    shards: Vec<Box<[u64]>>,
+    /// `starts[s]` = logical index of the first bit held by shard `s`. No
+    /// spare capacity either.
     starts: Vec<u64>,
     /// log2 of the shard size in bits.
     shard_bits_log2: u32,
@@ -52,6 +59,31 @@ pub const DEFAULT_SHARD_BITS: usize = 1 << 14;
 /// thread costs about as much as compacting a few dozen default-size
 /// shards, so below this the calling thread does the work alone.
 const MIN_SHARDS_PER_WORKER: usize = 32;
+
+/// Words that hold `bits` bits.
+#[inline]
+fn words_for(bits: usize) -> usize {
+    bits.div_ceil(64)
+}
+
+/// An all-zero shard of exactly the words `bits` bits need.
+fn zero_shard(bits: usize) -> Box<[u64]> {
+    vec![0; words_for(bits)].into_boxed_slice()
+}
+
+/// Re-sizes `shard` to exactly the words `bits` bits need: new words are
+/// zero, and dropped words must already be zero. At most one reallocation,
+/// and none when the word count stays.
+fn fit_shard(shard: &mut Box<[u64]>, bits: usize) {
+    let words = words_for(bits);
+    if shard.len() == words {
+        return;
+    }
+    let mut v = std::mem::take(shard).into_vec();
+    v.reserve_exact(words.saturating_sub(v.len()));
+    v.resize(words, 0);
+    *shard = v.into_boxed_slice();
+}
 
 impl ShardedBitmap {
     /// Creates an all-zero sharded bitmap of `len` bits with the default
@@ -70,10 +102,12 @@ impl ShardedBitmap {
             "shard size must be a power of two >= 64, got {shard_bits}"
         );
         let log2 = shard_bits.trailing_zeros();
-        let nshards = ((len + shard_bits as u64 - 1) >> log2) as usize;
+        let nshards = len.div_ceil(shard_bits as u64);
         ShardedBitmap {
-            data: vec![0; nshards * (shard_bits / 64)],
-            starts: (0..nshards as u64).map(|s| s << log2).collect(),
+            shards: (0..nshards)
+                .map(|s| zero_shard((len - (s << log2)).min(shard_bits as u64) as usize))
+                .collect(),
+            starts: (0..nshards).map(|s| s << log2).collect(),
             shard_bits_log2: log2,
             logical_len: len,
         }
@@ -92,11 +126,6 @@ impl ShardedBitmap {
     #[inline]
     pub fn shard_bits(&self) -> usize {
         1usize << self.shard_bits_log2
-    }
-
-    #[inline]
-    fn shard_words(&self) -> usize {
-        self.shard_bits() / 64
     }
 
     /// Number of shards currently allocated.
@@ -151,65 +180,60 @@ impl ShardedBitmap {
         s
     }
 
-    /// Physical bit index of logical position `p`.
+    /// The shard holding logical position `p` and the bit's offset in it.
     #[inline]
-    fn physical_index(&self, p: u64) -> usize {
+    fn locate(&self, p: u64) -> (usize, usize) {
+        assert!(
+            p < self.logical_len,
+            "bit {p} out of bounds (len {})",
+            self.logical_len
+        );
         let s = self.find_shard(p);
-        (s << self.shard_bits_log2) + (p - self.starts[s]) as usize
+        (s, (p - self.starts[s]) as usize)
     }
 
     /// Returns the bit at logical position `p`.
     #[inline]
     pub fn get(&self, p: u64) -> bool {
-        assert!(
-            p < self.logical_len,
-            "bit {p} out of bounds (len {})",
-            self.logical_len
-        );
-        let phys = self.physical_index(p);
-        self.data[phys / 64] >> (phys % 64) & 1 == 1
+        let (s, bit) = self.locate(p);
+        self.shards[s][bit / 64] >> (bit % 64) & 1 == 1
     }
 
     /// Sets the bit at logical position `p`.
     #[inline]
     pub fn set(&mut self, p: u64) {
-        assert!(
-            p < self.logical_len,
-            "bit {p} out of bounds (len {})",
-            self.logical_len
-        );
-        let phys = self.physical_index(p);
-        self.data[phys / 64] |= 1 << (phys % 64);
+        let (s, bit) = self.locate(p);
+        self.shards[s][bit / 64] |= 1 << (bit % 64);
     }
 
     /// Clears the bit at logical position `p`.
     #[inline]
     pub fn unset(&mut self, p: u64) {
-        assert!(
-            p < self.logical_len,
-            "bit {p} out of bounds (len {})",
-            self.logical_len
-        );
-        let phys = self.physical_index(p);
-        self.data[phys / 64] &= !(1 << (phys % 64));
+        let (s, bit) = self.locate(p);
+        self.shards[s][bit / 64] &= !(1 << (bit % 64));
     }
 
     /// Extends the bitmap by `n` zero bits. Appended bits fill the spare
-    /// capacity of the final shard before new shards are allocated, so
-    /// resizing after a table insert is `O(n / 64)`.
+    /// slots of the final shard, which grows to the words they need, before
+    /// new exact shards open, so one append reallocates at most one shard
+    /// and resizing after a table insert is `O(n / 64)`.
     pub fn append_zeros(&mut self, n: u64) {
         let shard_bits = self.shard_bits() as u64;
         let mut remaining = n;
         if let Some(last) = self.starts.len().checked_sub(1) {
-            let spare = shard_bits - self.shard_valid(last) as u64;
-            let take = spare.min(remaining);
+            let valid = self.shard_valid(last) as u64;
+            let take = (shard_bits - valid).min(remaining);
+            fit_shard(&mut self.shards[last], (valid + take) as usize);
             self.logical_len += take;
             remaining -= take;
         }
+        let opened = remaining.div_ceil(shard_bits) as usize;
+        self.shards.reserve_exact(opened);
+        self.starts.reserve_exact(opened);
         while remaining > 0 {
-            self.starts.push(self.logical_len);
-            self.data.extend(std::iter::repeat_n(0, self.shard_words()));
             let take = shard_bits.min(remaining);
+            self.starts.push(self.logical_len);
+            self.shards.push(zero_shard(take as usize));
             self.logical_len += take;
             remaining -= take;
         }
@@ -218,20 +242,15 @@ impl ShardedBitmap {
 
     /// Deletes the bit at logical position `p` entirely (Section 4.2.2):
     /// (a) locate the shard, (b) shift subsequent bits of that shard one
-    /// position down, (c) decrement the start values of later shards.
-    /// Condenses once the deletes have freed half the shards.
+    /// position down and drop a word the shard no longer needs, (c)
+    /// decrement the start values of later shards. Condenses once the
+    /// deletes have freed half the shards.
     pub fn delete(&mut self, p: u64) {
-        assert!(
-            p < self.logical_len,
-            "bit {p} out of bounds (len {})",
-            self.logical_len
-        );
-        let s = self.find_shard(p);
-        let local = (p - self.starts[s]) as usize;
+        let (s, local) = self.locate(p);
         let valid = self.shard_valid(s);
-        let words = self.shard_words();
-        let range = s * words..(s + 1) * words;
-        ShiftKernel::Auto.shift_tail_left(&mut self.data[range], local, valid);
+        let shard = &mut self.shards[s];
+        ShiftKernel::Auto.shift_tail_left(shard, local, valid);
+        fit_shard(shard, valid - 1);
         for start in &mut self.starts[s + 1..] {
             *start -= 1;
         }
@@ -244,9 +263,10 @@ impl ShardedBitmap {
     /// Positions refer to the bitmap state *before* the call; duplicates are
     /// ignored. A preprocessing pass groups positions by shard, each affected
     /// shard drops its whole group in one left-compaction pass (in parallel
-    /// across shards when enough of them are affected to occupy a worker),
-    /// and all start values are adapted in a single traversal with a running
-    /// sum of preceding deletes. Condenses like [`ShardedBitmap::delete`].
+    /// across shards when enough of them are affected to occupy a worker)
+    /// and is cut to the words its remaining bits need, and all start values
+    /// are adapted in a single traversal with a running sum of preceding
+    /// deletes. Condenses like [`ShardedBitmap::delete`].
     pub fn bulk_delete(&mut self, positions: &[u64], mode: BulkDeleteMode) {
         if positions.is_empty() {
             return;
@@ -276,7 +296,6 @@ impl ShardedBitmap {
             }
         }
 
-        let shard_words = self.shard_words();
         let kernel = match mode {
             BulkDeleteMode::Sequential | BulkDeleteMode::Parallel => ShiftKernel::Scalar,
             BulkDeleteMode::ParallelVectorized => ShiftKernel::Auto,
@@ -285,22 +304,26 @@ impl ShardedBitmap {
         // Per-shard work item: a lone offset is the single delete's tail
         // shift; a group costs one pass over the shard, not one per offset.
         let valid_of: Vec<usize> = groups.iter().map(|(s, _)| self.shard_valid(*s)).collect();
-        let run = |shard_data: &mut [u64], offs: &[usize], valid: usize| match offs {
-            [off] => kernel.shift_tail_left(shard_data, *off, valid),
-            _ => remove_bits(shard_data, offs, valid),
+        let run = |shard: &mut Box<[u64]>, offs: &[usize], valid: usize| {
+            match offs {
+                [off] => kernel.shift_tail_left(shard, *off, valid),
+                _ => remove_bits(shard, offs, valid),
+            }
+            fit_shard(shard, valid - offs.len());
         };
 
-        // Shards are disjoint word ranges, so `chunks_mut` hands out
-        // aliasing-free access in shard order.
-        let mut shard_slices = self.data.chunks_mut(shard_words).enumerate();
-        let mut work: Vec<(&mut [u64], &[usize], usize)> = groups
+        // Groups ascend by shard, so one mutable iterator hands out
+        // aliasing-free access to each affected shard, skipping to it in
+        // O(1) with `nth`.
+        let mut shards = self.shards.iter_mut();
+        let mut next = 0;
+        let mut work: Vec<_> = groups
             .iter()
             .zip(&valid_of)
             .map(|((shard, offs), valid)| {
-                let (_, slice) = shard_slices
-                    .find(|(s, _)| s == shard)
-                    .expect("groups ascend by shard");
-                (slice, offs.as_slice(), *valid)
+                let this = shards.nth(shard - next).expect("groups ascend by shard");
+                next = shard + 1;
+                (this, offs.as_slice(), *valid)
             })
             .collect();
         // `available_parallelism` re-reads the cgroup limits on every call
@@ -319,13 +342,13 @@ impl ShardedBitmap {
             let mine = chunks.next().expect("at least one affected shard");
             for chunk in chunks {
                 scope.spawn(move || {
-                    for (shard_data, offs, valid) in chunk {
-                        run(shard_data, offs, *valid);
+                    for (shard, offs, valid) in chunk {
+                        run(shard, offs, *valid);
                     }
                 });
             }
-            for (shard_data, offs, valid) in mine {
-                run(shard_data, offs, *valid);
+            for (shard, offs, valid) in mine {
+                run(shard, offs, *valid);
             }
         });
 
@@ -374,32 +397,38 @@ impl ShardedBitmap {
     /// (Section 4.2.4). Single traversal over the bitmap.
     pub fn condense(&mut self) {
         let shard_bits = self.shard_bits();
-        let shard_words = self.shard_words();
-        let nshards_new = (self.logical_len as usize).div_ceil(shard_bits);
-        let mut new_data = vec![0u64; nshards_new * shard_words];
-        let mut out_bit = 0usize;
-        for s in 0..self.starts.len() {
-            let valid = self.shard_valid(s);
-            copy_bits(
-                &self.data[s * shard_words..(s + 1) * shard_words],
-                0,
-                &mut new_data,
-                out_bit,
-                valid,
-            );
-            out_bit += valid;
-        }
-        debug_assert_eq!(out_bit as u64, self.logical_len);
-        self.data = new_data;
-        self.starts = (0..nshards_new as u64)
-            .map(|s| s * shard_bits as u64)
+        let len = self.logical_len as usize;
+        let mut packed: Vec<Box<[u64]>> = (0..len.div_ceil(shard_bits))
+            .map(|s| zero_shard((len - s * shard_bits).min(shard_bits)))
             .collect();
+        let mut out_bit = 0usize;
+        for (s, shard) in self.shards.iter().enumerate() {
+            let valid = self.shard_valid(s);
+            let mut copied = 0;
+            while copied < valid {
+                let (dst, at) = (out_bit >> self.shard_bits_log2, out_bit % shard_bits);
+                let take = (valid - copied).min(shard_bits - at);
+                copy_bits(shard, copied, &mut packed[dst], at, take);
+                copied += take;
+                out_bit += take;
+            }
+        }
+        debug_assert_eq!(out_bit, len);
+        self.starts = (0..packed.len() as u64)
+            .map(|s| s << self.shard_bits_log2)
+            .collect();
+        self.shards = packed;
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> u64 {
-        // Garbage slots are kept zero, so whole-word popcounts are exact.
-        self.data.iter().map(|w| w.count_ones() as u64).sum()
+        // Bits past a shard's valid count are kept zero, so whole-word
+        // popcounts are exact.
+        self.shards
+            .iter()
+            .flat_map(|shard| shard.iter())
+            .map(|w| w.count_ones() as u64)
+            .sum()
     }
 
     /// Iterates the logical positions of all set bits in ascending order.
@@ -407,7 +436,10 @@ impl ShardedBitmap {
         OnesIter {
             bm: self,
             shard: 0,
-            local: 0,
+            words: &[],
+            start: 0,
+            word: 0,
+            bits: 0,
         }
     }
 
@@ -420,7 +452,6 @@ impl ShardedBitmap {
             return;
         }
         let want = (out.len() * 64).min((self.logical_len - from) as usize);
-        let shard_words = self.shard_words();
         let mut s = self.find_shard(from);
         let mut copied = 0usize;
         while copied < want && s < self.starts.len() {
@@ -430,26 +461,28 @@ impl ShardedBitmap {
             let local = (cur - shard_start) as usize;
             let take = (valid - local).min(want - copied);
             if take > 0 {
-                copy_bits(
-                    &self.data[s * shard_words..(s + 1) * shard_words],
-                    local,
-                    out,
-                    copied,
-                    take,
-                );
+                copy_bits(&self.shards[s], local, out, copied, take);
                 copied += take;
             }
             s += 1;
         }
     }
 
-    /// Heap bytes used by bit data plus start values.
+    /// Heap bytes the bitmap holds: every shard's words, plus the shard
+    /// list and the start values, all at capacity. Shards are exact, so
+    /// this is `len / 8` plus at most 32 bytes per shard (one pointer, one
+    /// start value, one partly used word), whatever slots deletes lost.
     pub fn memory_bytes(&self) -> usize {
-        self.data.capacity() * 8 + self.starts.capacity() * 8
+        let words: usize = self.shards.iter().map(|shard| shard.len()).sum();
+        words * 8
+            + self.shards.capacity() * std::mem::size_of::<Box<[u64]>>()
+            + self.starts.capacity() * 8
     }
 
     /// Relative memory overhead of the start-value array versus the raw
-    /// bitmap: `64 / shard_bits` (paper: 0.39% at the 2^14 default).
+    /// bitmap: `64 / shard_bits` (paper: 0.39% at the 2^14 default). The
+    /// shard pointers add `128 / shard_bits`, which
+    /// [`ShardedBitmap::memory_bytes`] counts.
     pub fn sharding_overhead(&self) -> f64 {
         64.0 / self.shard_bits() as f64
     }
@@ -457,7 +490,8 @@ impl ShardedBitmap {
     /// Validates all structural invariants (tests / debug assertions).
     pub fn check_invariants(&self) {
         let shard_bits = self.shard_bits() as u64;
-        for s in 0..self.starts.len() {
+        assert_eq!(self.shards.len(), self.starts.len(), "one start per shard");
+        for (s, shard) in self.shards.iter().enumerate() {
             assert!(
                 self.starts[s] <= (s as u64) * shard_bits,
                 "start exceeds initial position"
@@ -467,10 +501,16 @@ impl ShardedBitmap {
                 .checked_sub(self.starts[s])
                 .expect("starts not monotone");
             assert!(valid <= shard_bits, "shard over capacity");
-            // Garbage slots must be zero.
-            let words = self.shard_words();
-            let shard = &self.data[s * words..(s + 1) * words];
-            for b in valid as usize..shard_bits as usize {
+            // Exactly `ceil(valid / 64)` words, spelled apart from
+            // `words_for` so that a slip there shows here.
+            let bits = shard.len() as u64 * 64;
+            assert!(
+                valid <= bits && bits < valid + 64,
+                "shard {s} holds {} words for {valid} bits",
+                shard.len()
+            );
+            // Bits past the valid ones must be zero.
+            for b in valid as usize..shard.len() * 64 {
                 assert_eq!(
                     shard[b / 64] >> (b % 64) & 1,
                     0,
@@ -481,6 +521,24 @@ impl ShardedBitmap {
         if let Some(&first) = self.starts.first() {
             assert_eq!(first, 0, "first shard must start at 0");
         }
+        assert_eq!(
+            self.shards.capacity(),
+            self.shards.len(),
+            "spare shard slots"
+        );
+        assert_eq!(
+            self.starts.capacity(),
+            self.starts.len(),
+            "spare start values"
+        );
+        let bound = self.logical_len as usize / 8 + 32 * self.shards.len() + 8;
+        assert!(
+            self.memory_bytes() <= bound,
+            "{} B for {} bits in {} shards, bound {bound} B",
+            self.memory_bytes(),
+            self.logical_len,
+            self.shards.len()
+        );
         let needed = self.logical_len.div_ceil(shard_bits) as usize;
         assert!(
             self.starts.len() <= 1 || self.starts.len() < 2 * needed,
@@ -493,37 +551,36 @@ impl ShardedBitmap {
 /// Ascending iterator over set bit positions of a [`ShardedBitmap`].
 pub struct OnesIter<'a> {
     bm: &'a ShardedBitmap,
+    /// Next shard to load.
     shard: usize,
-    local: usize,
+    /// The loaded shard's words and the logical position of its first bit.
+    words: &'a [u64],
+    start: u64,
+    /// Index of the current word in `words`, and its set bits not yet
+    /// returned.
+    word: usize,
+    bits: u64,
 }
 
 impl Iterator for OnesIter<'_> {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        let shard_words = self.bm.shard_words();
-        while self.shard < self.bm.starts.len() {
-            let valid = self.bm.shard_valid(self.shard);
-            let base = self.shard * shard_words;
-            while self.local < valid {
-                let w = self.bm.data[base + self.local / 64] >> (self.local % 64);
-                if w == 0 {
-                    // Skip the rest of this word.
-                    self.local = (self.local / 64 + 1) * 64;
-                    continue;
-                }
-                let tz = w.trailing_zeros() as usize;
-                let pos = self.local + tz;
-                if pos >= valid {
-                    break;
-                }
-                self.local = pos + 1;
-                return Some(self.bm.starts[self.shard] + pos as u64);
+        // Bits past a shard's valid count are zero, so every set bit of a
+        // shard's words is a valid position.
+        while self.bits == 0 {
+            self.word += 1;
+            while self.word >= self.words.len() {
+                self.words = self.bm.shards.get(self.shard)?;
+                self.start = self.bm.starts[self.shard];
+                self.shard += 1;
+                self.word = 0;
             }
-            self.shard += 1;
-            self.local = 0;
+            self.bits = self.words[self.word];
         }
-        None
+        let tz = self.bits.trailing_zeros() as u64;
+        self.bits &= self.bits - 1;
+        Some(self.start + self.word as u64 * 64 + tz)
     }
 }
 

@@ -204,3 +204,29 @@ proptest! {
         prop_assert_eq!(bm.shard_count() as u64, bm.len().div_ceil(64));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Exact shard allocation at small shard sizes, from lengths whose last
+    // shard ends part-way into the AVX2 kernel's four-word block: one to
+    // three words (at most 192 bits). Every op re-checks that each shard
+    // holds exactly the words its bits need.
+    #[test]
+    fn sharded_matches_model_exact_shards(
+        shard_log2 in 6u32..9,
+        full_shards in 0u64..24,
+        tail in 0u64..192,
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+        vectorized in any::<bool>(),
+    ) {
+        let shard_bits = 1usize << shard_log2;
+        let tail = tail % shard_bits.min(192) as u64 + 1;
+        let mode = if vectorized {
+            BulkDeleteMode::ParallelVectorized
+        } else {
+            BulkDeleteMode::Sequential
+        };
+        check_equivalence(shard_bits, full_shards * shard_bits as u64 + tail, &ops, mode);
+    }
+}

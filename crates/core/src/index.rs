@@ -252,7 +252,10 @@ impl PatchIndex {
         1.0 - self.exception_rate()
     }
 
-    /// Heap bytes of all patch stores.
+    /// Heap bytes of all patch stores, at capacity: the Table-3 model's
+    /// `t / 8` (Bitmap, plus at most 32 bytes per shard) or `8 · p`
+    /// (Identifier), which the design-migrating recompute and the
+    /// advisor's byte budget price an index at.
     pub fn memory_bytes(&self) -> usize {
         self.parts.iter().map(|p| p.store.memory_bytes()).sum()
     }

@@ -32,6 +32,7 @@ impl PatchStore {
                 let mut ids = patches.to_vec();
                 ids.sort_unstable();
                 ids.dedup();
+                ids.shrink_to_fit();
                 PatchStore::Identifier { ids, nrows }
             }
         }
@@ -107,6 +108,7 @@ impl PatchStore {
                 new.sort_unstable();
                 new.dedup();
                 new.retain(|r| ids.binary_search(r).is_err());
+                ids.reserve_exact(new.len());
                 merge_disjoint(ids, &new);
             }
         }
@@ -141,12 +143,16 @@ impl PatchStore {
                     *id -= k as u64;
                     true
                 });
+                ids.shrink_to_fit();
                 *nrows -= sorted.len() as u64;
             }
         }
     }
 
-    /// Heap bytes used by the store.
+    /// Heap bytes used by the store, at capacity. Both designs hold what
+    /// the paper's Table 3 prices: the bitmap `t / 8` plus at most 32 bytes
+    /// per shard, the identifier list exactly 8 bytes per patch (`ids` is
+    /// kept at capacity equal to length).
     pub fn memory_bytes(&self) -> usize {
         match self {
             PatchStore::Bitmap(bm) => bm.memory_bytes(),
@@ -258,5 +264,39 @@ mod tests {
         let [b_high, i_high] = both(n, &high_e);
         assert!(i_low.memory_bytes() < b_low.memory_bytes());
         assert!(b_high.memory_bytes() < i_high.memory_bytes());
+    }
+
+    /// Both designs hold what Table 3 prices them at, through appends,
+    /// deletes and added patches: the bitmap `t / 8` plus at most 32 bytes
+    /// per shard, the identifier list exactly 8 bytes per patch.
+    #[test]
+    fn stores_hold_the_table3_model() {
+        let patches: Vec<u64> = (0..100_000).step_by(50).collect();
+        let check = |store: &PatchStore| match store {
+            PatchStore::Bitmap(bm) => {
+                let model = store.nrows() as usize / 8 + 32 * bm.shard_count();
+                assert!(
+                    store.memory_bytes() <= model,
+                    "{} B > {model} B",
+                    store.memory_bytes()
+                );
+            }
+            PatchStore::Identifier { ids, .. } => {
+                assert_eq!(store.memory_bytes(), 8 * ids.len());
+            }
+        };
+        for mut store in both(100_000, &patches) {
+            check(&store);
+            for round in 0..20u64 {
+                let nrows = store.nrows();
+                store.extend_rows(3_000 + round);
+                store.add_patches(&(nrows..nrows + 3_000).step_by(7).collect::<Vec<_>>());
+                check(&store);
+                store.on_delete(&(0..nrows).step_by(40 + round as usize).collect::<Vec<_>>());
+                check(&store);
+                store.add_patches(&[round * 11, nrows / 2 + round]);
+                check(&store);
+            }
+        }
     }
 }
