@@ -316,7 +316,9 @@ pub(crate) fn encode_base(p: &Partition) -> Vec<u8> {
 }
 
 /// Serializes a partition's pending deltas: base row count, deleted base
-/// positions, modified base cells, append columns.
+/// positions, modified base cells in (position, column) order, append
+/// columns. The bytes follow from the delta's contents alone, whatever
+/// order its cells were modified in.
 pub(crate) fn encode_delta(p: &Partition) -> Vec<u8> {
     let d = p.delta();
     let mut b = Vec::new();
@@ -326,10 +328,11 @@ pub(crate) fn encode_delta(p: &Partition) -> Vec<u8> {
     for &pos in d.deleted() {
         put_u64(&mut b, pos as u64);
     }
-    put_u64(&mut b, d.modified_cells().count() as u64);
-    for (pos, col, v) in d.modified_cells() {
-        put_u64(&mut b, pos as u64);
-        put_u32(&mut b, col as u32);
+    let cells: Vec<_> = d.modified_cells().collect();
+    put_u64(&mut b, cells.len() as u64);
+    for (pos, col, v) in &cells {
+        put_u64(&mut b, *pos as u64);
+        put_u32(&mut b, *col as u32);
         put_value(&mut b, v);
     }
     put_columns(&mut b, d.append_columns().iter());
@@ -1026,6 +1029,26 @@ pub(crate) mod tests {
         assert_eq!(k, [5, 9, 8, 9].map(Value::Int));
         assert_eq!(encode_base(&p), valid_base());
         assert_eq!(encode_delta(&p), valid_delta());
+    }
+
+    /// Two modify histories that reach the same state encode the same
+    /// delta bytes: cells come out in (position, column) order, not in the
+    /// order their columns were first patched.
+    #[test]
+    fn delta_bytes_follow_from_the_state_not_its_history() {
+        let fresh = || decode(valid_base(), valid_delta()).unwrap();
+        let (mut a, mut b) = (fresh(), fresh());
+        a.modify(&[0], 0, &[Value::Int(-1)]);
+        a.modify(&[2, 0], 1, &[Value::Int(-2), Value::Int(-3)]);
+        b.modify(&[0, 2], 1, &[Value::Int(-4), Value::Int(-2)]);
+        b.modify(&[0], 0, &[Value::Int(-1)]);
+        b.modify(&[0], 1, &[Value::Int(-3)]);
+        let cells: Vec<_> = b.delta().modified_cells().collect();
+        let want = [(0, 0, -1), (0, 1, -3), (2, 1, 9), (3, 1, -2)];
+        assert_eq!(cells, want.map(|(p, c, v)| (p, c, Value::Int(v))));
+        assert_eq!(encode_delta(&a), encode_delta(&b));
+        let again = decode(valid_base(), encode_delta(&a)).unwrap();
+        assert_eq!(encode_delta(&again), encode_delta(&a));
     }
 
     /// Regression: used to panic with "ragged columns" in `Partition::new`.

@@ -175,6 +175,34 @@ impl ColumnData {
         copy
     }
 
+    /// Overwrites row `to` with row `from` of `src` for each `(from, to)`
+    /// of `cells` (types and, for strings, dictionaries must match): a
+    /// typed store per cell, codes copied as they are.
+    pub(crate) fn scatter(
+        &mut self,
+        src: &ColumnData,
+        cells: impl IntoIterator<Item = (usize, usize)>,
+    ) {
+        fn put<T: Copy>(dst: &mut [T], src: &[T], cells: impl IntoIterator<Item = (usize, usize)>) {
+            for (from, to) in cells {
+                dst[to] = src[from];
+            }
+        }
+        match (self, src) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => put(a, b, cells),
+            (ColumnData::Float(a), ColumnData::Float(b)) => put(a, b, cells),
+            (ColumnData::Str { codes: a, dict: da }, ColumnData::Str { codes: b, dict: db }) => {
+                assert!(Arc::ptr_eq(da, db), "scatter across different dictionaries");
+                put(a, b, cells);
+            }
+            (a, b) => panic!(
+                "type mismatch: scattering {:?} into {:?}",
+                b.data_type(),
+                a.data_type()
+            ),
+        }
+    }
+
     /// Copies the rows at `indices` into a new vector.
     pub fn gather(&self, indices: &[usize]) -> ColumnData {
         match self {

@@ -12,11 +12,20 @@
 //! * [`DeltaStore`] translates visible rowIDs to stable base positions or
 //!   append-buffer slots, and `propagate` merges all deltas into base
 //!   storage (the PDT checkpoint operation);
+//! * pending modifies of base cells are one patch column per table column:
+//!   ascending base positions and a typed [`ColumnData`] of their new
+//!   values, each behind its own `Arc`. A clone of the store shares them,
+//!   so the writer's first mutation after a publish copies pointers, not
+//!   cells; a modify of column `c` merges its sorted rows into a fresh
+//!   copy of `c`'s patch column alone (a run of untouched patches is one
+//!   slice copy), and the epoch it replaces frees that column's two
+//!   vectors, not one allocation per patched row;
 //! * merge-on-read costs per *delta*, not per row: a range read copies the
 //!   base runs between consecutive deleted positions as typed slices,
-//!   overwrites the modified cells inside the window, and takes the append
-//!   buffer as one more run — and a window that is one unpatched base run
-//!   needs no copy at all (`DeltaStore::base_run`);
+//!   overwrites the column's patched cells inside the window, and takes
+//!   the append buffer as one more run — and a window that is one base run
+//!   with no patch in the columns read needs no copy at all
+//!   (`DeltaStore::base_run`);
 //! * writes cost per delta too: a delete translates its sorted rowIDs with
 //!   one cursor over the delete list and merges the new base positions into
 //!   it in one pass, and propagate and append-buffer deletes move the runs
@@ -26,19 +35,22 @@
 //!   `Table::propagate_all` runs one pool task per (dirty partition,
 //!   column). The calling thread allocates before the tasks start: it
 //!   gives each column room for its growth (a shared column is copied
-//!   into one allocation of that size), and it writes the modified
-//!   cells. A modify encodes a new string into the shared dictionary when
-//!   the writer applies it, and its patch keeps the code, so neither a
-//!   merge-on-read nor the propagate's scheduling assigns a code: codes
-//!   and dictionaries follow the statement stream alone.
-//!   A task only moves rows (`delete_sorted`, then one extend) and frees
-//!   its append buffer as soon as it has copied it; a base with no rows
-//!   (a load, then a propagate) takes the append buffer by move instead;
-//! * the store's parts (base row count, deleted positions, modified cells,
-//!   append columns) are readable, and [`DeltaStore::from_parts`] rebuilds
-//!   a store from them, so a checkpoint can persist the delta alone.
+//!   into one allocation of that size), and it writes the patched cells.
+//!   A modify encodes a new string into the shared dictionary when the
+//!   writer applies it, in statement order, and its patch column keeps
+//!   the code, so neither a merge-on-read nor the propagate's scheduling
+//!   assigns a code: codes and dictionaries follow the statement stream
+//!   alone. A task only moves rows (`delete_sorted`, then one extend) and
+//!   frees its append buffer as soon as it has copied it; a base with no
+//!   rows (a load, then a propagate) takes the append buffer by move
+//!   instead;
+//! * the store's parts (base row count, deleted positions, modified cells
+//!   in (position, column) order, append columns) are readable, and
+//!   [`DeltaStore::from_parts`] rebuilds a store from them, so a
+//!   checkpoint can persist the delta alone, in bytes that follow from
+//!   the state alone.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::column::ColumnData;
@@ -53,39 +65,122 @@ pub enum RowLoc {
     Append(usize),
 }
 
-/// A pending patch of one base cell: its column, its new value and, in a
-/// `Str` column, the code the modify encoded the value to. Reads and the
-/// propagate write the code, so they neither take the dictionary's write
-/// lock nor add a string to it.
-#[derive(Debug, Clone)]
-struct Patch {
-    col: usize,
-    value: Value,
-    code: u32,
+/// The pending patches of one column's base cells: strictly ascending
+/// base positions, and at the same indices their new values (`Str` as the
+/// codes the modifies encoded, over the column's shared dictionary).
+/// Reads and the propagate write the codes, so they neither take the
+/// dictionary's write lock nor add a string to it.
+#[derive(Debug)]
+struct PatchColumn {
+    positions: Vec<usize>,
+    values: ColumnData,
 }
 
-impl Patch {
-    /// The patch of `value` into column `col`, which `column` (a column of
-    /// the same type, sharing its dictionary) stands for.
-    fn new(column: &ColumnData, col: usize, value: Value) -> Patch {
-        let code = match (column, &value) {
-            (ColumnData::Str { dict, .. }, Value::Str(s)) => dict.write().encode(s),
-            (column, value) if column.data_type() == value.data_type() => 0,
-            (column, value) => panic!(
-                "type mismatch: setting {value:?} in {:?}",
-                column.data_type()
-            ),
-        };
-        Patch { col, value, code }
+impl PatchColumn {
+    /// No patches, over `column`'s type and dictionary.
+    fn empty(column: &ColumnData) -> Arc<PatchColumn> {
+        Arc::new(PatchColumn {
+            positions: Vec::new(),
+            values: column.empty_like(),
+        })
     }
 
-    /// Writes the patch into row `idx` of `column`.
-    fn write(&self, column: &mut ColumnData, idx: usize) {
-        match column {
-            ColumnData::Str { codes, .. } => codes[idx] = self.code,
-            other => other.set(idx, &self.value),
+    /// Patches `values` at `positions` (equally long), sorted by position;
+    /// of a position given more than once, the last value stays.
+    fn sorted(positions: Vec<usize>, values: ColumnData) -> PatchColumn {
+        if positions.windows(2).all(|w| w[0] < w[1]) {
+            return PatchColumn { positions, values };
+        }
+        let mut order: Vec<usize> = (0..positions.len()).collect();
+        order.sort_by_key(|&i| positions[i]);
+        order.dedup_by(|next, kept| {
+            let repeated = positions[*next] == positions[*kept];
+            if repeated {
+                *kept = *next;
+            }
+            repeated
+        });
+        PatchColumn {
+            positions: order.iter().map(|&i| positions[i]).collect(),
+            values: values.gather(&order),
         }
     }
+
+    fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// The index of the patch of base position `pos`, if there is one.
+    fn find(&self, pos: usize) -> Option<usize> {
+        self.positions.binary_search(&pos).ok()
+    }
+
+    /// The indices of the patches of base positions `[first, end)`.
+    fn within(&self, first: usize, end: usize) -> Range<usize> {
+        let lo = self.positions.partition_point(|&p| p < first);
+        lo..lo + self.positions[lo..].partition_point(|&p| p < end)
+    }
+
+    /// This column with `new`'s patches merged in, in fresh vectors: `new`
+    /// is sorted and wins at a position both hold.
+    fn merged(&self, new: PatchColumn) -> PatchColumn {
+        if self.is_empty() {
+            return new;
+        }
+        let (positions, values) = match (&self.values, &new.values) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => {
+                let (p, v) = merge((&self.positions, a), (&new.positions, b));
+                (p, ColumnData::Int(v))
+            }
+            (ColumnData::Float(a), ColumnData::Float(b)) => {
+                let (p, v) = merge((&self.positions, a), (&new.positions, b));
+                (p, ColumnData::Float(v))
+            }
+            (ColumnData::Str { codes: a, dict }, ColumnData::Str { codes: b, .. }) => {
+                let (p, codes) = merge((&self.positions, a), (&new.positions, b));
+                let dict = Arc::clone(dict);
+                (p, ColumnData::Str { codes, dict })
+            }
+            _ => unreachable!("a modify patches values of its column's type"),
+        };
+        PatchColumn { positions, values }
+    }
+
+    /// This column without the patches of the ascending `deleted` base
+    /// positions, as a fresh allocation, or `None` if it holds none of them.
+    fn without(&self, deleted: &[usize]) -> Option<PatchColumn> {
+        let kept: Vec<usize> = (0..self.positions.len())
+            .filter(|&i| deleted.binary_search(&self.positions[i]).is_err())
+            .collect();
+        (kept.len() < self.positions.len()).then(|| PatchColumn {
+            positions: kept.iter().map(|&i| self.positions[i]).collect(),
+            values: self.values.gather(&kept),
+        })
+    }
+}
+
+/// Merges the patches `add` into the patches `old`, both sorted by
+/// position, into fresh vectors; `add` wins at a position both hold. The
+/// run of old patches below each new one is one slice copy.
+fn merge<T: Copy>(old: (&[usize], &[T]), add: (&[usize], &[T])) -> (Vec<usize>, Vec<T>) {
+    let ((op, ov), (ap, av)) = (old, add);
+    let mut positions = Vec::with_capacity(op.len() + ap.len());
+    let mut values = Vec::with_capacity(op.len() + ap.len());
+    let mut i = 0;
+    for (&a, &v) in ap.iter().zip(av) {
+        let run = i;
+        while op.get(i).is_some_and(|&o| o < a) {
+            i += 1;
+        }
+        positions.extend_from_slice(&op[run..i]);
+        values.extend_from_slice(&ov[run..i]);
+        positions.push(a);
+        values.push(v);
+        i += usize::from(op.get(i) == Some(&a));
+    }
+    positions.extend_from_slice(&op[i..]);
+    values.extend_from_slice(&ov[i..]);
+    (positions, values)
 }
 
 /// In-memory positional deltas over one partition's base columns.
@@ -95,8 +190,9 @@ pub struct DeltaStore {
     base_rows: usize,
     /// Sorted base positions that are deleted.
     deleted: Vec<usize>,
-    /// Base position -> the patches of its cells.
-    modified: BTreeMap<usize, Vec<Patch>>,
+    /// Per column, the pending patches of its base cells. A deleted
+    /// position holds none.
+    patches: Vec<Arc<PatchColumn>>,
     /// Appended rows, columnar, matching the table schema.
     appends: Vec<ColumnData>,
 }
@@ -108,7 +204,7 @@ impl DeltaStore {
         DeltaStore {
             base_rows,
             deleted: Vec::new(),
-            modified: BTreeMap::new(),
+            patches: append_proto.iter().map(PatchColumn::empty).collect(),
             appends: append_proto,
         }
     }
@@ -120,7 +216,8 @@ impl DeltaStore {
     /// store relies on: deletes strictly ascending and inside the base,
     /// each modified cell on a live base row of an existing column, typed
     /// like that column and given once, and append columns of equal
-    /// length. The parts come from a checkpoint file, so a violation is an
+    /// length. The cells may come in any order; a string is encoded in
+    /// theirs. The parts come from a checkpoint file, so a violation is an
     /// error, not a panic.
     pub fn from_parts(
         base_rows: usize,
@@ -140,36 +237,45 @@ impl DeltaStore {
                 "deleted position {last} outside {base_rows} base rows"
             ));
         }
-        let mut modified: BTreeMap<usize, Vec<Patch>> = BTreeMap::new();
+        let mut columns: Vec<(Vec<usize>, ColumnData)> = appends
+            .iter()
+            .map(|a| (Vec::new(), a.empty_like()))
+            .collect();
         for (pos, col, v) in cells {
             if pos >= base_rows || deleted.binary_search(&pos).is_ok() {
                 return Err(format!(
                     "modified cell on base position {pos}, which is not a live base row"
                 ));
             }
-            let Some(column) = appends.get(col) else {
+            let Some((positions, values)) = columns.get_mut(col) else {
                 return Err(format!(
                     "modified cell in column {col} of {}",
                     appends.len()
                 ));
             };
-            if v.data_type() != column.data_type() {
+            if v.data_type() != values.data_type() {
                 return Err(format!(
                     "modified cell ({pos}, {col}) holds {:?} in a {:?} column",
                     v.data_type(),
-                    column.data_type()
+                    values.data_type()
                 ));
             }
-            let patches = modified.entry(pos).or_default();
-            if patches.iter().any(|p| p.col == col) {
-                return Err(format!("modified cell ({pos}, {col}) given twice"));
+            positions.push(pos);
+            values.push(&v);
+        }
+        let mut patches = Vec::with_capacity(columns.len());
+        for (col, (positions, values)) in columns.into_iter().enumerate() {
+            let mut ascending = positions.clone();
+            ascending.sort_unstable();
+            if let Some(w) = ascending.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!("modified cell ({}, {col}) given twice", w[0]));
             }
-            patches.push(Patch::new(column, col, v));
+            patches.push(Arc::new(PatchColumn::sorted(positions, values)));
         }
         Ok(DeltaStore {
             base_rows,
             deleted,
-            modified,
+            patches,
             appends,
         })
     }
@@ -185,11 +291,19 @@ impl DeltaStore {
     }
 
     /// Pending patches of base cells as `(base position, column, value)`,
-    /// in base-position order.
-    pub fn modified_cells(&self) -> impl Iterator<Item = (usize, usize, &Value)> {
-        self.modified
-            .iter()
-            .flat_map(|(&pos, patches)| patches.iter().map(move |p| (pos, p.col, &p.value)))
+    /// in (position, column) order.
+    pub fn modified_cells(&self) -> impl Iterator<Item = (usize, usize, Value)> + '_ {
+        let mut next = vec![0; self.patches.len()];
+        std::iter::from_fn(move || {
+            let (pos, col) = self
+                .patches
+                .iter()
+                .enumerate()
+                .filter_map(|(c, p)| Some((*p.positions.get(next[c])?, c)))
+                .min()?;
+            next[col] += 1;
+            Some((pos, col, self.patches[col].values.value(next[col] - 1)))
+        })
     }
 
     /// Rows currently visible (base minus deletes plus appends).
@@ -209,7 +323,7 @@ impl DeltaStore {
 
     /// Whether any deltas are pending.
     pub fn is_empty(&self) -> bool {
-        self.deleted.is_empty() && self.modified.is_empty() && self.append_len() == 0
+        self.deleted.is_empty() && !self.has_modifies() && self.append_len() == 0
     }
 
     /// Whether positional shifts are pending (deletes reorder rowIDs;
@@ -220,7 +334,7 @@ impl DeltaStore {
 
     /// Whether any modifies are pending.
     pub fn has_modifies(&self) -> bool {
-        !self.modified.is_empty()
+        self.patches.iter().any(|p| !p.is_empty())
     }
 
     /// Append-buffer columns (for scans of inserted tuples, Figure 5:
@@ -272,17 +386,6 @@ impl DeltaStore {
         }
     }
 
-    /// Pending value patch for a base position and column, if any.
-    pub fn modified_value(&self, base_pos: usize, col: usize) -> Option<&Value> {
-        self.patch(base_pos, col).map(|p| &p.value)
-    }
-
-    /// The pending patch of a base position's cell in column `col`.
-    fn patch(&self, base_pos: usize, col: usize) -> Option<&Patch> {
-        let patches = self.modified.get(&base_pos)?;
-        patches.iter().find(|p| p.col == col)
-    }
-
     /// Appends one row (values matching the schema order).
     pub fn append_row(&mut self, row: &[Value]) {
         assert_eq!(row.len(), self.appends.len(), "row arity mismatch");
@@ -299,24 +402,29 @@ impl DeltaStore {
         }
     }
 
-    /// Records value patches for visible rows. Patches to appended rows are
-    /// applied directly in the append buffer; a base cell keeps one entry
-    /// however often it is modified. A string is encoded here, on the
+    /// Records value patches for visible rows, which may be unsorted and
+    /// repeat: a repeated row ends at its last value. Patches to appended
+    /// rows are applied directly in the append buffer; the base cells'
+    /// patches merge into a fresh copy of column `col`'s patch column, and
+    /// no other column's is touched. Every string is encoded here, on the
     /// writer, in statement order, and its patch keeps the code.
     pub fn modify(&mut self, rids: &[usize], col: usize, values: &[Value]) {
         assert_eq!(rids.len(), values.len(), "modify arity mismatch");
+        let mut positions = Vec::with_capacity(rids.len());
+        let mut patched = self.appends[col].empty_like();
+        patched.reserve(rids.len());
         for (&rid, v) in rids.iter().zip(values) {
             match self.locate(rid) {
                 RowLoc::Base(b) => {
-                    let patch = Patch::new(&self.appends[col], col, v.clone());
-                    let patches = self.modified.entry(b).or_default();
-                    match patches.iter_mut().find(|p| p.col == col) {
-                        Some(old) => *old = patch,
-                        None => patches.push(patch),
-                    }
+                    positions.push(b);
+                    patched.push(v);
                 }
                 RowLoc::Append(slot) => self.appends[col].set(slot, v),
             }
+        }
+        if !positions.is_empty() {
+            let new = PatchColumn::sorted(positions, patched);
+            self.patches[col] = Arc::new(self.patches[col].merged(new));
         }
     }
 
@@ -329,7 +437,8 @@ impl DeltaStore {
     /// (`DeltaStore::physical`), which yields ascending physical
     /// positions: base positions below `base_rows`, append-buffer slots
     /// above. The base positions are live rows, so they merge into the
-    /// delete list as a disjoint sorted run.
+    /// delete list as a disjoint sorted run, and every patch column that
+    /// holds one of them is copied without it.
     ///
     /// # Panics
     /// Panics if a rowID is not below `visible_len()`.
@@ -345,9 +454,9 @@ impl DeltaStore {
         let split = physical.partition_point(|&p| p < self.base_rows);
         if split > 0 {
             let base_dels = &physical[..split];
-            if !self.modified.is_empty() {
-                for b in base_dels {
-                    self.modified.remove(b);
+            for patches in &mut self.patches {
+                if let Some(kept) = patches.without(base_dels) {
+                    *patches = Arc::new(kept);
                 }
             }
             merge_disjoint(&mut self.deleted, base_dels);
@@ -380,7 +489,7 @@ impl DeltaStore {
     /// doing on the calling thread everything but moving rows: it gives
     /// each non-empty column room for its net growth (a column that
     /// something else still shares is copied into a new allocation of that
-    /// size, one copy), then writes the modified cells' values and string
+    /// size, one copy), then writes each patch column's values and string
     /// codes, which their modifies encoded, so no dictionary changes. The
     /// merges are independent, so they may run in
     /// any order, on any threads; [`DeltaStore::finish_propagate`]
@@ -405,12 +514,13 @@ impl DeltaStore {
                 Arc::get_mut(column).expect("the column is unshared now")
             })
             .collect();
-        for (&pos, patches) in &self.modified {
-            for p in patches {
-                p.write(columns[p.col], pos);
+        for (column, patches) in columns.iter_mut().zip(&mut self.patches) {
+            if !patches.is_empty() {
+                let cells = patches.positions.iter().copied().enumerate();
+                column.scatter(&patches.values, cells);
+                *patches = PatchColumn::empty(&patches.values);
             }
         }
-        self.modified.clear();
         let deleted = &self.deleted;
         (columns.into_iter().zip(&mut self.appends))
             .map(|(base, append)| ColumnMerge {
@@ -431,21 +541,26 @@ impl DeltaStore {
 
     /// The base position of visible row `start`, when the `len` rows from
     /// it on are one run of base rows with no delete, append buffer slot or
-    /// patched cell among them.
-    pub(crate) fn base_run(&self, start: usize, len: usize) -> Option<usize> {
+    /// patched cell of columns `cols` among them.
+    pub(crate) fn base_run(&self, cols: &[usize], start: usize, len: usize) -> Option<usize> {
         if start + len > self.base_visible_len() {
             return None;
         }
         let di = self.shift(start);
         let (first, end) = (start + di, start + di + len);
         let no_delete = self.deleted.get(di).is_none_or(|&d| d >= end);
-        (no_delete && self.modified.range(first..end).next().is_none()).then_some(first)
+        let unpatched = || {
+            cols.iter()
+                .all(|&c| self.patches[c].within(first, end).is_empty())
+        };
+        (no_delete && unpatched()).then_some(first)
     }
 
     /// Materializes visible rows `[start, start + len)` of column `col`,
     /// whose base storage is `base`: one walk over the delete list from the
     /// window's first row, copying the base runs between deleted positions,
-    /// then the modified cells inside the window, then the append buffer.
+    /// then the column's patched cells inside the window, then the append
+    /// buffer.
     pub(crate) fn read_range(
         &self,
         base: &ColumnData,
@@ -458,9 +573,9 @@ impl DeltaStore {
         let base_visible = self.base_visible_len();
         let base_len = len.min(base_visible.saturating_sub(start));
         if base_len > 0 {
-            let mut di = self.shift(start);
-            let first = start + di;
-            let (mut pos, mut left) = (first, base_len);
+            let first_di = self.shift(start);
+            let first = start + first_di;
+            let (mut pos, mut left, mut di) = (first, base_len, first_di);
             let end = loop {
                 let next_deleted = self.deleted.get(di).copied().unwrap_or(self.base_rows);
                 let run = (next_deleted - pos).min(left);
@@ -472,12 +587,18 @@ impl DeltaStore {
                 pos = next_deleted + 1;
                 di += 1;
             };
-            for (&pos, patches) in self.modified.range(first..end) {
-                if let Some(p) = patches.iter().find(|p| p.col == col) {
-                    let rid = self.rid_of_base(pos).expect("a deleted row holds no patch");
-                    p.write(&mut out, rid - start);
+            // A patched position's rowID is its position less the deletes
+            // below it, which one cursor from the window's first row counts.
+            let patches = &self.patches[col];
+            let mut di = first_di;
+            let cells = patches.within(first, end).map(|i| {
+                let pos = patches.positions[i];
+                while self.deleted.get(di).is_some_and(|&d| d < pos) {
+                    di += 1;
                 }
-            }
+                (i, pos - di - start)
+            });
+            out.scatter(&patches.values, cells);
         }
         let append_start = start.saturating_sub(base_visible);
         out.extend_from_range(&self.appends[col], append_start, len - base_len);
@@ -508,12 +629,13 @@ impl DeltaStore {
     /// base storage is `base`, applying pending patches.
     pub(crate) fn gather(&self, base: &ColumnData, col: usize, physical: &[usize]) -> ColumnData {
         let mut out = base.gather_concat(&self.appends[col], physical);
-        if !self.modified.is_empty() {
-            for (i, &pos) in physical.iter().enumerate() {
-                if let Some(p) = self.patch(pos, col) {
-                    p.write(&mut out, i);
-                }
-            }
+        let patches = &self.patches[col];
+        if !patches.is_empty() {
+            let cells = physical
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &pos)| Some((patches.find(pos)?, i)));
+            out.scatter(&patches.values, cells);
         }
         out
     }
@@ -522,10 +644,10 @@ impl DeltaStore {
     /// append buffer, applying pending patches.
     pub fn read_value(&self, base: &[Arc<ColumnData>], col: usize, rid: usize) -> Value {
         match self.locate(rid) {
-            RowLoc::Base(b) => self
-                .modified_value(b, col)
-                .cloned()
-                .unwrap_or_else(|| base[col].value(b)),
+            RowLoc::Base(b) => match self.patches[col].find(b) {
+                Some(i) => self.patches[col].values.value(i),
+                None => base[col].value(b),
+            },
             RowLoc::Append(slot) => self.appends[col].value(slot),
         }
     }
@@ -676,8 +798,84 @@ mod tests {
         for i in 0..1000 {
             d.modify(&[2], 0, &[Value::Int(i)]);
         }
-        assert_eq!(d.modified[&2].len(), 1);
+        assert_eq!(d.patches[0].positions, [2]);
         assert_eq!(d.read_value(&base, 0, 2), Value::Int(999));
+    }
+
+    /// A store over `rows` base rows of an `Int` column (`i`) and a `Str`
+    /// column (`b<i>`).
+    fn mixed_store(rows: usize) -> (Vec<Arc<ColumnData>>, DeltaStore) {
+        let strs: Vec<String> = (0..rows).map(|i| format!("b{i}")).collect();
+        let base = vec![
+            Arc::new(ColumnData::Int((0..rows as i64).collect())),
+            Arc::new(crate::column::str_column(&strs)),
+        ];
+        let proto = base.iter().map(|c| c.empty_like()).collect();
+        (base, DeltaStore::new(rows, proto))
+    }
+
+    #[test]
+    fn a_rowid_repeated_in_one_modify_ends_at_its_last_value() {
+        let (base, mut d) = mixed_store(6);
+        d.append_row(&[Value::Int(6), Value::from("b6")]);
+        let dict = Arc::clone(base[1].dict());
+        let known = dict.read().len();
+        let strs = ["z", "y", "x", "w", "v"].map(Value::from);
+        d.modify(&[4, 1, 6, 4, 1], 1, &strs);
+        d.modify(&[5, 2, 5], 0, &[7, 8, 9].map(Value::Int));
+        assert_eq!(d.patches[1].positions, [1, 4]);
+        assert_eq!(d.patches[0].positions, [2, 5]);
+        let read = |col| {
+            (0..7)
+                .map(|r| d.read_value(&base, col, r))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(read(0), [0, 1, 8, 3, 4, 9, 6].map(Value::Int));
+        let want = ["b0", "v", "b2", "b3", "w", "b5", "x"].map(Value::from);
+        assert_eq!(read(1), want);
+        // Every string entered the dictionary in statement order, the
+        // ones a later value of the same row replaced too.
+        let dict = dict.read();
+        let added: Vec<&str> = (known..dict.len()).map(|c| dict.decode(c as u32)).collect();
+        assert_eq!(added, ["z", "y", "x", "w", "v"]);
+    }
+
+    #[test]
+    fn a_delete_drops_the_rows_patches_in_every_column() {
+        let (base, mut d) = mixed_store(6);
+        d.modify(&[2, 3], 0, &[Value::Int(-2), Value::Int(-3)]);
+        d.modify(&[3, 2], 1, &[Value::from("p3"), Value::from("p2")]);
+        d.delete(&[2]);
+        assert_eq!(d.patches[0].positions, [3]);
+        assert_eq!(d.patches[1].positions, [3]);
+        assert_eq!(d.read_value(&base, 0, 2), Value::Int(-3));
+        assert_eq!(d.read_value(&base, 1, 2), Value::from("p3"));
+        let cells: Vec<_> = d.modified_cells().collect();
+        assert_eq!(cells, [(3, 0, Value::Int(-3)), (3, 1, Value::from("p3"))]);
+    }
+
+    #[test]
+    fn lend_range_lends_a_column_another_columns_patch_leaves_clean() {
+        use crate::partition::Partition;
+        use crate::schema::{Field, Schema};
+        use crate::value::DataType;
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]));
+        let base = vec![
+            ColumnData::Int((0..100).collect()),
+            ColumnData::Int((0..100).map(|i| i * 10).collect()),
+        ];
+        let mut p = Partition::new(0, schema, base);
+        p.modify(&[10], 1, &[Value::Int(-1)]);
+        let (lent, pos) = p.lend_range(&[0], 0, 50).expect("column 0 is clean");
+        assert_eq!(pos, 0);
+        assert!(std::ptr::eq(&*lent[0], p.base_column(0)));
+        assert!(p.lend_range(&[1], 0, 50).is_none());
+        assert!(p.lend_range(&[0, 1], 0, 50).is_none());
+        assert_eq!(p.lend_range(&[1], 20, 30).map(|(_, pos)| pos), Some(20));
+        assert_eq!(p.read_range(&[1], 9, 3)[0].as_int(), &[90, -1, 110]);
     }
 
     #[test]
@@ -751,10 +949,7 @@ mod tests {
             0,
             &[Value::Int(-1), Value::Int(-2), Value::Int(-3)],
         );
-        let cells = d
-            .modified_cells()
-            .map(|(p, c, v)| (p, c, v.clone()))
-            .collect();
+        let cells = d.modified_cells().collect();
         let r = DeltaStore::from_parts(
             d.base_rows(),
             d.deleted().to_vec(),

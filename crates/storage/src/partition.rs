@@ -39,8 +39,10 @@ impl Base {
 
 /// One horizontal slice of a table.
 ///
-/// `Clone` costs per *delta*, not per row: it copies the [`DeltaStore`]
-/// and bumps the refcount of the shared base. The snapshot layer
+/// `Clone` costs per *delta*, not per row: it copies the [`DeltaStore`]'s
+/// delete list and append buffer, bumps the refcount of each column's
+/// patches (pending modifies are never copied by a clone: a modify copies
+/// the one patch column it writes) and of the shared base. The snapshot layer
 /// (`patchindex::snapshot`) shares partitions behind `Arc` and pays this
 /// clone when a writer mutates a partition some snapshot still holds
 /// (copy-on-write via [`std::sync::Arc::make_mut`]); only
@@ -143,15 +145,16 @@ impl Partition {
 
     /// The shared base columns `cols` and the base position of visible row
     /// `start`, when rows `[start, start + len)` are one run of base rows
-    /// with no delete or patch among them (see `DeltaStore::base_run`):
-    /// a scan can then lend that run of the base instead of copying it.
+    /// with no delete among them and no patch in any of `cols` (see
+    /// `DeltaStore::base_run`): a scan can then lend that run of the base
+    /// instead of copying it. A patch in another column does not stop it.
     pub fn lend_range(
         &self,
         cols: &[usize],
         start: usize,
         len: usize,
     ) -> Option<(Vec<Arc<ColumnData>>, usize)> {
-        let pos = self.delta.base_run(start, len)?;
+        let pos = self.delta.base_run(cols, start, len)?;
         let lent = cols.iter().map(|&c| Arc::clone(&self.base.columns[c]));
         Some((lent.collect(), pos))
     }

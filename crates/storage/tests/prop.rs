@@ -3,8 +3,12 @@
 //! and propagate must agree with a plain `Vec` of rows, and a clone must
 //! keep its contents while sharing the base columns until either side
 //! propagates. A table's pooled propagate must write what propagating its
-//! partitions one by one writes, down to the string codes.
+//! partitions one by one writes, down to the string codes. A writer that
+//! leaves a clone behind after every statement, as a publish does, must
+//! leave each clone reading the state it was taken at, with the string
+//! codes and dictionary order of encoding in statement order.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use pi_storage::{
@@ -298,6 +302,76 @@ fn assert_same_bytes(a: &Table, b: &Table) {
     }
 }
 
+/// The held-clone stream's ops: those of `op_strategy`, and modifies
+/// whose rowIDs each come twice, the second pass backwards.
+fn held_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        op_strategy(),
+        (
+            proptest::collection::vec(0usize..4096, 1..8),
+            0usize..3,
+            -1000i64..1000
+        )
+            .prop_map(|(rids, col, seed)| {
+                let back = rids.iter().rev().copied();
+                Op::Modify(rids.iter().copied().chain(back).collect(), col, seed)
+            }),
+    ]
+}
+
+/// A dictionary that encodes in the order it is given strings: what the
+/// table-wide dictionary must hold if every statement encodes its strings
+/// in statement order.
+#[derive(Default)]
+struct RefDict {
+    strings: Vec<String>,
+    codes: HashMap<String, u32>,
+}
+
+impl RefDict {
+    fn encode(&mut self, s: &str) -> u32 {
+        if let Some(&code) = self.codes.get(s) {
+            return code;
+        }
+        self.strings.push(s.to_string());
+        self.codes
+            .insert(s.to_string(), self.strings.len() as u32 - 1);
+        self.strings.len() as u32 - 1
+    }
+}
+
+/// Applies `op` like `apply`, except that a modify of the string column
+/// writes strings no row holds yet, and every string the op writes is
+/// encoded into `dict` in the op's order.
+fn apply_held(op: &Op, part: &mut Partition, model: &mut Model, dict: &mut RefDict) {
+    let n = model.len();
+    match op {
+        Op::Modify(rids, col, seed) if n > 0 => {
+            let rids: Vec<usize> = rids.iter().map(|r| r % n).collect();
+            let values: Vec<Value> = (0..rids.len() as i64)
+                .map(|i| match col {
+                    2 => Value::from(format!("m{}", seed + i)),
+                    _ => row(seed + i)[*col].clone(),
+                })
+                .collect();
+            part.modify(&rids, *col, &values);
+            for (&r, v) in rids.iter().zip(&values) {
+                if *col == 2 {
+                    dict.encode(v.as_str());
+                }
+                model[r][*col] = v.clone();
+            }
+        }
+        Op::Append(seeds) => {
+            for &s in seeds {
+                dict.encode(row(s)[2].as_str());
+            }
+            apply(op, part, model);
+        }
+        _ => apply(op, part, model),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -388,6 +462,40 @@ proptest! {
             prop_assert_eq!(shares_base(&writer, &frozen), shared);
             check(&writer, &model, probe);
             check(&frozen, &frozen_model, probe);
+        }
+    }
+
+    // A writer that leaves a clone behind after every statement, as each
+    // publish leaves a snapshot, over modifies of all three column types
+    // (rowIDs unsorted and repeated), deletes that cross the base/append
+    // boundary, and propagates. Every clone still reads the state it was
+    // taken at, and the string codes and the dictionary's order are those
+    // of encoding every string in statement order.
+    #[test]
+    fn held_clones_keep_their_state_and_codes_follow_the_statements(
+        base_rows in 0usize..300,
+        ops in proptest::collection::vec(held_op_strategy(), 1..40),
+        probe in probe_strategy(),
+    ) {
+        let (mut writer, mut model) = partition(base_rows);
+        let mut dict = RefDict::default();
+        for r in &model {
+            dict.encode(r[2].as_str());
+        }
+        let mut held = vec![(writer.clone(), model.clone())];
+        for op in &ops {
+            apply_held(op, &mut writer, &mut model, &mut dict);
+            held.push((writer.clone(), model.clone()));
+        }
+        let table_dict = Arc::clone(writer.base_column(2).dict());
+        let table_dict = table_dict.read();
+        let strings: Vec<&str> = (0..table_dict.len() as u32).map(|c| table_dict.decode(c)).collect();
+        prop_assert_eq!(strings, dict.strings.iter().map(String::as_str).collect::<Vec<_>>());
+        for (i, (part, model)) in held.iter().enumerate() {
+            check(part, model, &probe);
+            let codes = part.read_range(&[2], 0, model.len()).remove(0);
+            let want: Vec<u32> = model.iter().map(|r| dict.codes[r[2].as_str()]).collect();
+            prop_assert_eq!(codes.as_codes(), &want[..], "codes of the clone after op {}", i);
         }
     }
 }
