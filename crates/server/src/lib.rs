@@ -7,8 +7,8 @@
 //! * **readers** never block: every query runs against a per-shard
 //!   consistent snapshot, fans out across all shards on the process-wide
 //!   pool of [`pi_exec::parallel::fan_out`] (no thread spawned per
-//!   query), and [`combine_batches`] merges the per-shard batches into one
-//!   canonically ordered response (byte-deterministic regardless of shard count);
+//!   query); shards run [`QuerySpec::fanout_plan`], never a sort or a limit,
+//!   and [`combine_batches`], the only sort, merges one canonical response;
 //! * **writers** are one dedicated thread per shard consuming a bounded
 //!   statement queue. The queue is the admission-control point: a full
 //!   queue rejects with `ServerBusy` instead of buffering, and sequence

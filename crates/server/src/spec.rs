@@ -135,18 +135,18 @@ impl QuerySpec {
         self.distinct.as_ref().map_or(self.scan.len(), Vec::len)
     }
 
-    /// The logical plan each shard executes. `limit` is *not* lowered —
-    /// a per-shard limit would discard rows another shard's combine
-    /// needs; the server truncates after the canonical merge instead.
+    /// The logical plan each shard executes: exactly what
+    /// [`combine_batches`](crate::combine_batches) reads, the distinct
+    /// columns' scan deduplicated under `distinct`, else the scan. The
+    /// combine re-sorts every row, and a shard's limit would drop rows it
+    /// needs. So specs differing only in sort, limit or unread scan columns
+    /// share one shard plan, and one cache entry per shard.
     pub fn fanout_plan(&self) -> Plan {
-        let mut plan = Plan::scan(self.scan.clone());
-        if let Some(d) = &self.distinct {
-            plan = plan.distinct(d.clone());
+        match &self.distinct {
+            Some(d) => Plan::scan(d.iter().map(|&p| self.scan[p]).collect())
+                .distinct((0..d.len()).collect()),
+            None => Plan::scan(self.scan.clone()),
         }
-        if let Some(keys) = &self.sort {
-            plan = plan.sort(keys.clone());
-        }
-        plan
     }
 }
 
@@ -187,5 +187,38 @@ mod tests {
     fn fanout_plan_excludes_limit() {
         let spec = QuerySpec::parse("scan 0 | limit 5").unwrap();
         assert!(matches!(spec.fanout_plan(), Plan::Scan { .. }));
+    }
+
+    fn plan_text(spec: &str) -> String {
+        format!("{:?}", QuerySpec::parse(spec).unwrap().fanout_plan())
+    }
+
+    #[test]
+    fn tiles_that_differ_only_in_sort_limit_or_unread_columns_share_one_plan() {
+        // `served_dash`'s dashboard: one shard plan for all eight tiles.
+        let tiles = [
+            "scan 1 | distinct 0 | sort 0:asc",
+            "scan 1,0 | distinct 0 | sort 0:desc",
+            "scan 1 | distinct 0 | limit 16",
+            "scan 1 | distinct 0 | sort 0:desc | limit 10",
+            "scan 1,0 | distinct 0 | limit 8",
+            "scan 1 | distinct 0",
+            "scan 1,0 | distinct 0 | sort 0:asc | limit 5",
+            "scan 1 | distinct 0 | sort 0:asc | limit 3",
+        ];
+        let expected = format!("{:?}", Plan::scan(vec![1]).distinct(vec![0]));
+        for tile in tiles {
+            assert_eq!(plan_text(tile), expected, "{tile}");
+        }
+        // A sort spec's shard plan is its scan, columns in output order.
+        assert_eq!(
+            plan_text("scan 1,0 | sort 0:desc"),
+            format!("{:?}", Plan::scan(vec![1, 0]))
+        );
+        // The distinct columns are scanned in distinct order.
+        assert_eq!(
+            plan_text("scan 2,0,1 | distinct 2,0"),
+            format!("{:?}", Plan::scan(vec![1, 2]).distinct(vec![0, 1]))
+        );
     }
 }

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use pi_exec::ops::sort::SortOrder;
 use pi_exec::Batch;
-use pi_planner::{execute, NO_INDEXES};
+use pi_planner::{execute, Plan, QueryEngine, NO_INDEXES};
 use pi_server::{
     batch_rows, body_lines, canonical_rows, combine_batches, header, header_field, read_request,
     render_combined, render_rows, Client, ErrorCode, QuerySpec, Server, ServerConfig, WireMode,
@@ -35,7 +35,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use patchindex::IndexedTable;
+use patchindex::{ConcurrentTable, Constraint, Design, IndexedTable, SortDir, Statement};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -67,6 +67,20 @@ struct ClientLog {
     counts: Vec<(String, String)>,
 }
 
+/// The plan a spec names as written: its scan, then its distinct, then
+/// its sort. The references run this, not `QuerySpec::fanout_plan`, so a
+/// wrong shard projection cannot pass by being its own reference.
+fn spec_as_written(spec: &QuerySpec) -> Plan {
+    let mut plan = Plan::scan(spec.scan.clone());
+    if let Some(d) = &spec.distinct {
+        plan = plan.distinct(d.clone());
+    }
+    if let Some(keys) = &spec.sort {
+        plan = plan.sort(keys.clone());
+    }
+    plan
+}
+
 /// Replays the statement prefix `seq <= watermark[shard]` for every
 /// shard and returns the index-free reference response for `spec` —
 /// byte-for-byte what the server should have sent.
@@ -77,7 +91,7 @@ fn reference_response(
     partitions_per_shard: usize,
 ) -> String {
     let spec = QuerySpec::parse(spec_text).unwrap();
-    let plan = spec.fanout_plan();
+    let plan = spec_as_written(&spec);
     let mut rows = Vec::new();
     for (sid, log) in by_shard.iter().enumerate() {
         let mut it = IndexedTable::new(Table::new(
@@ -304,7 +318,7 @@ fn clean_shutdown_drains_acked_statements() {
     let tables = server.tables();
     server.shutdown();
 
-    let plan = QuerySpec::parse("scan 0").unwrap().fanout_plan();
+    let plan = Plan::scan(vec![0]);
     let mut total = 0;
     for table in &tables {
         let snap = table.snapshot();
@@ -561,6 +575,74 @@ fn advisor_creates_the_index_on_every_shard() {
     server.shutdown();
 }
 
+/// A dashboard's tiles differ only in sort, limit and unread scan
+/// columns, so every shard runs one plan for all of them: after a write
+/// to one shard, one refresh misses that shard's result cache exactly
+/// once and every other shard's not at all, and every tile still answers
+/// what the spec as written does.
+#[test]
+fn a_dashboard_refresh_after_a_write_misses_the_written_shard_once() {
+    const NSHARDS: usize = 2;
+    const PARTS: usize = 2;
+    const TILES: [&str; 8] = [
+        "scan 1 | distinct 0 | sort 0:asc",
+        "scan 1,0 | distinct 0 | sort 0:desc",
+        "scan 1 | distinct 0 | limit 16",
+        "scan 1 | distinct 0 | sort 0:desc | limit 10",
+        "scan 1,0 | distinct 0 | limit 8",
+        "scan 1 | distinct 0",
+        "scan 1,0 | distinct 0 | sort 0:asc | limit 5",
+        "scan 1 | distinct 0 | sort 0:asc | limit 3",
+    ];
+    let server = Server::empty(ServerConfig::with_shards(NSHARDS), schema(), PARTS).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut by_shard: Vec<BTreeMap<u64, Vec<Value>>> = vec![BTreeMap::new(); NSHARDS];
+    for k in 0..40 {
+        insert_logged(&mut client, &mut by_shard, k);
+    }
+    assert!(client.request("PUBLISH").unwrap().starts_with("OK "));
+    let refresh = |client: &mut Client| -> Vec<(&str, String)> {
+        (TILES.iter())
+            .map(|&tile| (tile, client.request(&format!("QUERY {tile}")).unwrap()))
+            .collect()
+    };
+    let misses = || -> Vec<u64> {
+        (server.tables().iter())
+            .map(|t| {
+                t.metrics()
+                    .expect("shard registry")
+                    .counter("cache.misses")
+                    .get()
+            })
+            .collect()
+    };
+    let mut responses = refresh(&mut client);
+    assert_eq!(
+        misses(),
+        vec![1; NSHARDS],
+        "a cold refresh runs one plan per shard"
+    );
+
+    let written = insert_logged(&mut client, &mut by_shard, 1_000);
+    assert!(client.request("PUBLISH").unwrap().starts_with("OK "));
+    let before = misses();
+    responses.extend(refresh(&mut client));
+    let after = misses();
+    for sid in 0..NSHARDS {
+        let want = before[sid] + u64::from(sid == written);
+        assert_eq!(
+            after[sid], want,
+            "shard {sid}'s misses (written: {written})"
+        );
+    }
+    for (tile, resp) in &responses {
+        let watermarks = parse_epoch_seqs(resp, NSHARDS);
+        let expect = reference_response(tile, &watermarks, &by_shard, PARTS);
+        assert_eq!(without_epochs(resp), expect, "{tile} at {watermarks:?}");
+    }
+    server.shutdown();
+}
+
 /// `COUNT` fans out once and forms its count from the same results
 /// `QUERY` combines: on two shards that both hold the value 5, every
 /// spec's `count=` equals the `rows=` of its `QUERY`.
@@ -587,7 +669,7 @@ fn count_matches_query_rows_across_shards() {
         assert!(resp.starts_with("OK "), "{resp}");
     }
     assert!(client.request("PUBLISH").unwrap().starts_with("OK "));
-    let plan = QuerySpec::parse("scan 1").unwrap().fanout_plan();
+    let plan = Plan::scan(vec![1]);
     for table in server.tables() {
         let values = batch_rows(&execute(&plan, table.snapshot().table(), NO_INDEXES));
         assert!(
@@ -660,7 +742,7 @@ fn mixed_type_reads_match_a_single_table_replay() {
     single.insert(&rows);
     let replay = |spec_text: &str| {
         let spec = QuerySpec::parse(spec_text).unwrap();
-        let batch = execute(&spec.fanout_plan(), single.table(), NO_INDEXES);
+        let batch = execute(&spec_as_written(&spec), single.table(), NO_INDEXES);
         let rows = canonical_rows(&spec, batch_rows(&batch));
         format!(
             "OK rows={} cols={}{}",
@@ -860,29 +942,40 @@ fn shard_batch(rng: &mut SmallRng, types: &[DataType], n: usize) -> Batch {
     }
 }
 
-/// A random spec over per-shard results of `types`: under `distinct` the
-/// results are the projection to the distinct positions (no `Float`
-/// among them: the server refuses one), then a multi-key sort and a
-/// limit up to one past the row count.
+/// A random spec over a table of `types`: a scan of one to `width + 2`
+/// table columns, reordered and repeated; maybe a `distinct` over a
+/// reordered subset of the scan positions, one of them sometimes twice
+/// (no `Float` among them: the server refuses one); then a multi-key sort
+/// over the output and a limit up to one past the row count.
 fn combine_spec(rng: &mut SmallRng, types: &[DataType], rows: usize) -> QuerySpec {
     let width = types.len();
-    let (mut scan, mut distinct): (Vec<usize>, _) = ((0..width).collect(), None);
-    if !types.contains(&DataType::Float) && rng.gen_bool(0.5) {
-        // The scan may be wider than the distinct subset it projects to.
-        scan = (0..width + rng.gen_range(0..3)).collect();
-        let mut subset = scan.clone();
-        subset.shuffle(rng);
-        subset.truncate(width);
-        distinct = Some(subset);
-    }
+    let scan: Vec<usize> = (0..rng.gen_range(1..=width + 2))
+        .map(|_| rng.gen_range(0..width))
+        .collect();
+    let mut groupable: Vec<usize> = (0..scan.len())
+        .filter(|&p| types[scan[p]] != DataType::Float)
+        .collect();
+    let distinct = (!groupable.is_empty() && rng.gen_bool(0.5)).then(|| {
+        groupable.shuffle(rng);
+        // One column half the time: the shape the NUC distinct rewrite serves.
+        let len = if rng.gen_bool(0.5) {
+            1
+        } else {
+            rng.gen_range(1..=groupable.len())
+        };
+        groupable.truncate(len);
+        if rng.gen_bool(0.2) {
+            groupable.push(groupable[0]);
+        }
+        groupable
+    });
+    let out = distinct.as_ref().map_or(scan.len(), Vec::len);
     let sort = rng.gen_bool(0.7).then(|| {
         let key = |rng: &mut SmallRng| {
             let dir = [SortOrder::Asc, SortOrder::Desc][rng.gen_range(0..2)];
-            (rng.gen_range(0..width), dir)
+            (rng.gen_range(0..out), dir)
         };
-        (0..rng.gen_range(1..=width + 1))
-            .map(|_| key(rng))
-            .collect()
+        (0..rng.gen_range(1..=out + 1)).map(|_| key(rng)).collect()
     });
     let limit = rng.gen_bool(0.5).then(|| rng.gen_range(0..=rows + 1));
     QuerySpec {
@@ -891,6 +984,78 @@ fn combine_spec(rng: &mut SmallRng, types: &[DataType], rows: usize) -> QuerySpe
         sort,
         limit,
     }
+}
+
+/// The column types of `spec`'s output over a table of `types`.
+fn output_types(spec: &QuerySpec, types: &[DataType]) -> Vec<DataType> {
+    let all: Vec<usize> = (0..spec.scan.len()).collect();
+    let positions = spec.distinct.as_ref().unwrap_or(&all);
+    positions.iter().map(|&p| types[spec.scan[p]]).collect()
+}
+
+/// One shard table over `types` (`Int` or `Str`) with 1-3 partitions and
+/// its own string dictionary order, maybe with a NUC or NSC index, holding
+/// up to 40 rows and, after a delete and a modify, pending deltas.
+fn random_shard(rng: &mut SmallRng, types: &[DataType], sid: usize) -> IndexedTable {
+    const WORDS: [&str; 6] = ["pear", "apple", "zebra", "Mango", "fig", ""];
+    const INTS: [i64; 7] = [i64::MIN, -2, -1, 0, 1, 2, i64::MAX];
+    let fields = (types.iter().enumerate())
+        .map(|(c, &t)| Field::new(format!("c{c}"), t))
+        .collect();
+    let table = Table::new(
+        format!("shard{sid}"),
+        Schema::new(fields),
+        rng.gen_range(1..4),
+        Partitioning::RoundRobin,
+    );
+    let mut it = IndexedTable::new(table);
+    // On a shard whose columns are nearly unique the planner picks the NUC
+    // distinct rewrite; on one of few values it declines it.
+    let nearly_unique = rng.gen_bool(0.5);
+    let value = |rng: &mut SmallRng, t: DataType| {
+        let n = rng.gen_range(-999..1000);
+        match t {
+            DataType::Int if nearly_unique && rng.gen_bool(0.9) => Value::Int(n),
+            DataType::Int => Value::Int(INTS[rng.gen_range(0..INTS.len())]),
+            _ if nearly_unique && rng.gen_bool(0.9) => Value::Str(format!("s{n}")),
+            _ => Value::Str(WORDS[rng.gen_range(0..WORDS.len())].to_string()),
+        }
+    };
+    let rows: Vec<Vec<Value>> = (0..rng.gen_range(0..40))
+        .map(|_| types.iter().map(|&t| value(rng, t)).collect())
+        .collect();
+    it.apply(&Statement::Insert(rows));
+    if rng.gen_bool(0.8) {
+        let col = rng.gen_range(0..types.len());
+        let dir = [SortDir::Asc, SortDir::Desc][rng.gen_range(0..2)];
+        let constraint = match types[col] {
+            DataType::Int if rng.gen_bool(0.5) => Constraint::NearlySorted(dir),
+            _ => Constraint::NearlyUnique,
+        };
+        let design = [Design::Bitmap, Design::Identifier][rng.gen_range(0..2)];
+        it.apply(&Statement::AddIndex {
+            col,
+            constraint,
+            design,
+        });
+    }
+    let pid = rng.gen_range(0..it.table().partitions().len());
+    let visible = it.table().partition(pid).visible_len();
+    if visible > 1 {
+        it.apply(&Statement::Delete {
+            pid,
+            rids: vec![rng.gen_range(0..visible)],
+        });
+        let (rid, col) = (rng.gen_range(0..visible - 1), rng.gen_range(0..types.len()));
+        let values = vec![value(rng, types[col])];
+        it.apply(&Statement::Modify {
+            pid,
+            rids: vec![rid],
+            col,
+            values,
+        });
+    }
+    it
 }
 
 proptest! {
@@ -906,14 +1071,10 @@ proptest! {
         let types: Vec<DataType> = (0..rng.gen_range(1..4))
             .map(|_| TYPES[rng.gen_range(0..3)])
             .collect();
-        let shards: Vec<Batch> = (0..rng.gen_range(1..6))
-            .map(|_| {
-                let n = rng.gen_range(0..12);
-                shard_batch(&mut rng, &types, n)
-            })
-            .collect();
-        let total = shards.iter().map(Batch::len).sum();
-        let spec = combine_spec(&mut rng, &types, total);
+        let lens: Vec<usize> = (0..rng.gen_range(1..6)).map(|_| rng.gen_range(0..12)).collect();
+        let spec = combine_spec(&mut rng, &types, lens.iter().sum());
+        let out = output_types(&spec, &types);
+        let shards: Vec<Batch> = lens.iter().map(|&n| shard_batch(&mut rng, &out, n)).collect();
 
         let rows = canonical_rows(&spec, shards.iter().flat_map(batch_rows).collect());
         let combined = combine_batches(&spec, &shards);
@@ -921,5 +1082,33 @@ proptest! {
         render_combined(&combined, &mut got);
         prop_assert_eq!(&got, &render_rows(&rows), "{:?} over {:?}", spec, shards);
         prop_assert_eq!(combined.len(), rows.len());
+    }
+
+    // Each shard runs only the fan-out plan, and the combine makes of
+    // what they return the bytes an index-free execution of the spec as
+    // written gives: over 1-4 shards, wider, reordered and repeated scans,
+    // distinct subsets, multi-key sorts and limits, on shards with NUC or
+    // NSC indexes, pending deltas and their own string dictionaries.
+    #[test]
+    fn fanout_plan_answers_the_spec_as_written(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let types: Vec<DataType> = (0..rng.gen_range(1..4))
+            .map(|_| [DataType::Int, DataType::Str][rng.gen_range(0..2)])
+            .collect();
+        let snaps: Vec<_> = (0..rng.gen_range(1..5))
+            .map(|sid| ConcurrentTable::new(random_shard(&mut rng, &types, sid)).0.snapshot())
+            .collect();
+        let total = snaps.iter().map(|s| s.table().visible_len()).sum();
+        let spec = combine_spec(&mut rng, &types, total);
+
+        let plan = spec.fanout_plan();
+        let batches: Vec<Batch> = snaps.iter().map(|snap| snap.query(&plan)).collect();
+        let mut got = String::new();
+        render_combined(&combine_batches(&spec, &batches), &mut got);
+        let written = spec_as_written(&spec);
+        let rows = (snaps.iter())
+            .flat_map(|snap| batch_rows(&execute(&written, snap.table(), NO_INDEXES)))
+            .collect();
+        prop_assert_eq!(got, render_rows(&canonical_rows(&spec, rows)), "{:?}", spec);
     }
 }
